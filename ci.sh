@@ -17,6 +17,11 @@ cargo build --workspace --all-targets
 echo "== test =="
 cargo test -q --workspace
 
+echo "== benchmark package (outside the workspace) builds and passes its tests =="
+# A crates/core API change that breaks benchmark/ must fail here, not at
+# the next benchmark run.
+(cd benchmark && cargo build --offline --release && cargo test --offline -q)
+
 echo "== rbio-check fast schedule sweep (256 seeds) =="
 # Deterministic schedule exploration of the concurrency harness's
 # program families. Any failure prints the seed and the exact schedule;
@@ -112,6 +117,9 @@ if [[ "$SLOW" == 1 ]]; then
   echo "== backend conformance under both backends (release) =="
   cargo test --release -q -p rbio --test backend_conformance
   RBIO_IO_BACKEND=ring cargo test --release -q -p rbio --test backend_conformance
+
+  echo "== wall-clock benchmark smoke (every workload, 2 s windows) =="
+  bash benchmark/run.sh --smoke
 
   echo "== multi_step campaign (depth 2) =="
   cargo run --release -p rbio-bench --bin multi_step -- 16384 20 10 2

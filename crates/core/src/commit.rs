@@ -406,17 +406,9 @@ pub fn commit_text_with_faults(
         0,
         std::time::Duration::from_micros(50),
     )
-    .map_err(|e| match e {
-        fault::WriteError::Killed => io::Error::other(format!("rank {rank} killed mid-write")),
-        fault::WriteError::Io(e) => e,
-        fault::WriteError::DeadlineExceeded { waited } => io::Error::new(
-            io::ErrorKind::TimedOut,
-            format!("metadata write retries exhausted after {waited:?}"),
-        ),
-        fault::WriteError::ShortWrite { written, expected } => io::Error::new(
-            io::ErrorKind::WriteZero,
-            format!("metadata write stalled at {written}/{expected} bytes"),
-        ),
+    .map_err(|e| {
+        e.into_io()
+            .unwrap_or_else(|| io::Error::other(format!("rank {rank} killed mid-write")))
     })?;
     drop(f);
     if faults.on_commit(rank) {

@@ -1,4 +1,4 @@
-//! Real plan executor: one thread per rank, crossbeam channels for
+//! Real plan executor: one thread per rank, bounded mailboxes for
 //! messages, actual files on disk.
 //!
 //! This is the back-end a downstream application uses to checkpoint for
@@ -6,29 +6,31 @@
 //! every strategy's plan moves every byte to its correct file offset. The
 //! simulated Blue Gene/P executor in `rbio-machine` interprets the *same*
 //! plans in virtual time.
+//!
+//! [`execute`] is a thin driver: it spawns the rank threads, runs the
+//! shared interpreter (the private `interp` module — the same one
+//! [`crate::rt`] runs) on each over this module's transport, and then
+//! lets surviving writers serve as successors for dead ones by running
+//! that interpreter once more over a pull transport.
 
-use std::collections::HashMap;
-use std::fs::{File, OpenOptions};
+mod interp;
+mod mailbox;
+
+use std::collections::{HashMap, HashSet};
 use std::io;
-use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender, TrySendError};
-
 use rbio_plan::{DataRef, Op, Program};
-use rbio_profile::counters;
 
+pub(crate) use self::interp::{Blocked, Interp, Payload, StepError, Transport, View};
+pub(crate) use self::mailbox::{MailError, Mailbox};
 use crate::backend::BackendKind;
-use crate::buf::{BufPool, Bytes, CopyMode};
-use crate::commit;
-use crate::crash;
+use crate::buf::{Bytes, CopyMode};
 use crate::failover::{FailoverDirector, FailoverPolicy, WriterHealth};
-use crate::fault::{self, FaultPlan};
-use crate::format::synthetic_byte;
-use crate::pipeline::{FlushJob, FlushPool, PipelineError, WriterHandle, WriterTuning};
+use crate::fault::FaultPlan;
 use crate::sched::{self, Point};
 
 /// Test-only regression switch: re-introduces the PR 3 fault-drop bug
@@ -38,15 +40,6 @@ use crate::sched::{self, Point};
 /// regression schedules; must never be set outside tests.
 #[doc(hidden)]
 pub static REVERT_PR3_FAULT_DROP: AtomicBool = AtomicBool::new(false);
-
-/// Futile receive polls a controlled run allows before the typed recv
-/// timeout surfaces — the deterministic analogue of `recv_timeout`.
-pub(crate) const CHECK_RECV_POLL_BUDGET: u32 = 2000;
-
-/// Futile send polls (full bounded mailbox) a controlled run allows
-/// before the typed send timeout surfaces — the deterministic analogue
-/// of the wall-clock send deadline.
-pub(crate) const CHECK_SEND_POLL_BUDGET: u32 = 2000;
 
 /// Default per-rank mailbox capacity (messages). Bounded so a burst or a
 /// stalled receiver exerts backpressure on senders instead of growing
@@ -60,15 +53,8 @@ pub const DEFAULT_COALESCE_BYTES: u64 = 8 << 20;
 /// Default cap on chunks per coalesced write (well under any `IOV_MAX`).
 pub const DEFAULT_COALESCE_OPS: usize = 64;
 
-/// Byte length a `DataRef` describes.
-pub(crate) fn src_len(r: &DataRef) -> u64 {
-    match *r {
-        DataRef::Own { len, .. } | DataRef::Staging { len, .. } | DataRef::Synthetic { len } => len,
-    }
-}
-
 /// The source of a `WriteAt` op (callers guarantee the variant).
-pub(crate) fn write_src(op: &Op) -> &DataRef {
+fn write_src(op: &Op) -> &DataRef {
     match op {
         Op::WriteAt { src, .. } => src,
         _ => unreachable!("write run contains only WriteAt ops"),
@@ -76,10 +62,8 @@ pub(crate) fn write_src(op: &Op) -> &DataRef {
 }
 
 /// Length of the maximal coalescible run of `WriteAt` ops starting at
-/// `ops[i]`: same file, byte-contiguous offsets, bounded size. Shared by
-/// both executors so their batching (and thus their syscall pattern) is
-/// identical.
-pub(crate) fn write_run_len(
+/// `ops[i]`: same file, byte-contiguous offsets, bounded size.
+fn write_run_len(
     ops: &[Op],
     i: usize,
     file: u32,
@@ -87,18 +71,18 @@ pub(crate) fn write_run_len(
     max_bytes: u64,
     max_ops: usize,
 ) -> usize {
-    let mut end = i + 1;
-    let mut next = offset + src_len(write_src(&ops[i]));
-    let mut total = src_len(write_src(&ops[i]));
-    while end < ops.len() && end - i < max_ops.max(1) && total < max_bytes.max(1) {
+    let (mut end, mut next) = (i, offset);
+    while end < ops.len()
+        && end - i < max_ops.max(1)
+        && (end == i || next - offset < max_bytes.max(1))
+    {
         match &ops[end] {
             Op::WriteAt {
-                file: f2,
-                offset: o2,
-                src: s2,
-            } if f2.0 == file && *o2 == next => {
-                next += src_len(s2);
-                total += src_len(s2);
+                file: f,
+                offset: o,
+                src,
+            } if f.0 == file && *o == next => {
+                next += src.len();
                 end += 1;
             }
             _ => break,
@@ -129,7 +113,7 @@ pub struct ExecConfig {
     pub recv_timeout: Duration,
     /// Outstanding background flush jobs per writer. `1` (the default)
     /// is the fully serial path; `≥ 2` defers `WriteAt`/`Close`/`Commit`
-    /// to the shared [`FlushPool`] so field *k+1* aggregation overlaps
+    /// to the shared [`crate::pipeline::FlushPool`] so field *k+1* aggregation overlaps
     /// field *k*'s disk write (2 = double buffering). Output is
     /// byte-identical at any depth: data is snapshotted at issue, jobs
     /// run FIFO per writer, and the pipeline drains at plan barriers,
@@ -310,37 +294,54 @@ impl std::fmt::Display for ExecError {
 
 impl std::error::Error for ExecError {}
 
-type Msg = (u32, u64, Bytes); // (src, tag, data)
-
-/// How a bounded send ended. `Disconnected` (receiver endpoint dropped)
-/// is not an error by itself — callers decide based on failover fencing
-/// whether a gone receiver is expected or fatal.
-enum SendOutcome {
-    Sent,
-    Disconnected,
+impl ExecConfig {
+    fn view(&self) -> View<'_> {
+        View {
+            base_dir: &self.base_dir,
+            fsync: self.fsync_on_close,
+            honor_compute: self.honor_compute,
+            faults: &self.faults,
+            write_retries: self.write_retries,
+            retry_backoff: self.retry_backoff,
+            pipeline_depth: self.pipeline_depth,
+            pipeline_jitter: self.pipeline_jitter,
+            copy_mode: self.copy_mode,
+            stage: self.stage.as_ref(),
+            io_backend: self.io_backend,
+            coalesce_max_bytes: self.coalesce_max_bytes,
+            coalesce_max_ops: self.coalesce_max_ops,
+        }
+    }
 }
 
-/// An abort-induced error: the rank stopped because a *peer* failed, not
-/// because of its own fault. `execute` prefers reporting the root cause.
-fn abort_error() -> io::Error {
-    io::Error::new(io::ErrorKind::Interrupted, "aborted: a peer rank failed")
-}
-
-fn killed_error(rank: u32) -> io::Error {
-    io::Error::other(format!("fault injection: rank {rank} killed"))
-}
-
-/// Was this error produced by [`killed_error`] (an injected rank death)?
-/// Only killed ranks are eligible for failover absorption — genuine I/O
-/// errors and timeouts still abort the run.
-fn is_killed_error(e: &io::Error) -> bool {
-    e.kind() == io::ErrorKind::Other && e.to_string().contains("fault injection")
-}
-
-fn pipe_error(e: PipelineError) -> io::Error {
-    match e {
-        PipelineError::Killed { rank } => killed_error(rank),
-        PipelineError::Io(source) => source,
+impl StepError {
+    /// The `io::Error` an [`ExecError::Io`] on `rank` carries for this
+    /// failure.
+    pub(crate) fn into_io(self, rank: u32) -> io::Error {
+        use io::ErrorKind::{Interrupted, TimedOut};
+        match self {
+            StepError::Killed => io::Error::other(format!("fault injection: rank {rank} killed")),
+            StepError::Aborted => io::Error::new(Interrupted, "aborted: a peer rank failed"),
+            StepError::Timeout { op, waited } => io::Error::new(
+                TimedOut,
+                match op {
+                    Blocked::Send { dst, .. } => format!(
+                        "send timeout: rank {dst}'s mailbox stayed full for {waited:?} \
+                         (stalled receiver?)"
+                    ),
+                    Blocked::Recv { src, tag } => format!(
+                        "recv timeout: no message from rank {src} tag {tag} within {waited:?} \
+                         (lost handoff?)"
+                    ),
+                    Blocked::Barrier => {
+                        format!("barrier timeout: peers missing after {waited:?}")
+                    }
+                },
+            ),
+            StepError::PeerGone { .. } => io::Error::other("message channel closed"),
+            StepError::PlanMismatch(what) => io::Error::other(what),
+            StepError::Io(e) => e,
+        }
     }
 }
 
@@ -363,7 +364,7 @@ impl AbortBarrier {
         }
     }
 
-    fn wait(&self, abort: &AtomicBool, timeout: Duration) -> io::Result<()> {
+    fn wait(&self, abort: &AtomicBool, timeout: Duration) -> Result<(), StepError> {
         let mut g = self.state.lock().expect("barrier lock");
         g.1 += 1;
         if g.1 == self.n {
@@ -382,7 +383,7 @@ impl AbortBarrier {
         let deadline = Instant::now() + timeout;
         while g.0 == generation {
             if abort.load(Ordering::Acquire) {
-                return Err(abort_error());
+                return Err(StepError::Aborted);
             }
             if sched::registered() {
                 // Controlled run: blocking on the condvar would wedge
@@ -393,10 +394,10 @@ impl AbortBarrier {
             } else {
                 let left = deadline.saturating_duration_since(Instant::now());
                 if left.is_zero() {
-                    return Err(io::Error::new(
-                        io::ErrorKind::TimedOut,
-                        format!("barrier timeout: peers missing after {timeout:?}"),
-                    ));
+                    return Err(StepError::Timeout {
+                        op: Blocked::Barrier,
+                        waited: timeout,
+                    });
                 }
                 g = self.cvar.wait_timeout(g, left).expect("barrier lock").0;
             }
@@ -411,999 +412,214 @@ impl AbortBarrier {
     }
 }
 
-struct RankCtx<'a> {
-    rank: u32,
+/// What every rank thread of one [`execute`] call shares.
+struct Shared<'a> {
     program: &'a Program,
-    payload: &'a Bytes,
-    /// Every rank's payload — a takeover re-derives the orphan's extent
-    /// (and the sends feeding it) from these shared buffers.
-    all_payloads: &'a [Bytes],
-    staging: Vec<u8>,
-    rx: Receiver<Msg>,
-    stash: HashMap<(u32, u64), std::collections::VecDeque<Bytes>>,
-    senders: &'a [SyncSender<Msg>],
-    barriers: &'a [AbortBarrier],
-    files: HashMap<u32, Arc<File>>,
+    payloads: &'a [Bytes],
     cfg: &'a ExecConfig,
-    abort: &'a AtomicBool,
-    retries: &'a AtomicU64,
-    /// Background flush pipeline (`pipeline_depth >= 2` only).
-    pipe: Option<WriterHandle>,
-    /// Failover director, present when the policy is enabled and the plan
-    /// supports takeover.
+    barriers: &'a [AbortBarrier],
+    abort: &'a Arc<AtomicBool>,
+    /// Present when the policy is enabled and the plan supports takeover.
     director: Option<&'a FailoverDirector>,
-    /// This rank's liveness heartbeat, bumped at every op boundary and
-    /// receive poll; the monitor thread declares a writer dead when it
-    /// goes stale past the policy deadline.
-    beat: Arc<AtomicU64>,
 }
 
-impl RankCtx<'_> {
-    /// Materialize `r` as an owned, immutable [`Bytes`] snapshot — what a
-    /// `Send` or a deferred (pipelined) write needs. Under `ZeroCopy` a
-    /// payload reference is an O(1) refcounted slice (payloads are never
-    /// mutated during a run); only staging references copy, because
-    /// staging is reused by later `Pack`/`Recv` ops. Under `DeepCopy`
-    /// everything copies, as the seed datapath did. Every memcpy either
-    /// way is charged to [`counters::add_bytes_copied`].
-    fn resolve_owned(&self, r: &DataRef, file_off_hint: u64) -> Bytes {
-        match self.cfg.copy_mode {
-            CopyMode::DeepCopy => match *r {
-                DataRef::Own { off, len } => {
-                    counters::add_bytes_copied(len);
-                    Bytes::from_vec(self.payload[off as usize..(off + len) as usize].to_vec())
-                }
-                DataRef::Staging { off, len } => {
-                    counters::add_bytes_copied(len);
-                    Bytes::from_vec(self.staging[off as usize..(off + len) as usize].to_vec())
-                }
-                DataRef::Synthetic { len } => Bytes::from_vec(
-                    (0..len)
-                        .map(|i| synthetic_byte(file_off_hint + i))
-                        .collect(),
-                ),
-            },
-            CopyMode::ZeroCopy => match *r {
-                DataRef::Own { off, len } => self.payload.slice(off as usize..(off + len) as usize),
-                DataRef::Staging { off, len } => BufPool::global()
-                    .copy_from_slice(&self.staging[off as usize..(off + len) as usize]),
-                DataRef::Synthetic { len } => BufPool::global()
-                    .from_fn(len as usize, |i| synthetic_byte(file_off_hint + i as u64)),
-            },
+/// A rank thread's way to its peers: its mailbox, the plan's barriers,
+/// and — with failover engaged — the fence that reroutes sends around a
+/// dead writer.
+struct ExecTransport<'a> {
+    rank: u32,
+    mail: Mailbox,
+    sh: &'a Shared<'a>,
+}
+
+impl ExecTransport<'_> {
+    fn send_as(&self, src: u32, dst: u32, tag: u64, data: Bytes) -> Result<(), StepError> {
+        // A dead destination writer needs no delivery: its successor
+        // re-derives this payload from the shared buffers during takeover.
+        // Checked again after a failed send — the writer may have died
+        // between the check and the send. Any other vanished receiver
+        // failed and dropped its endpoint: collateral of that failure.
+        let fenced = || self.sh.director.is_some_and(|d| d.is_fenced(dst));
+        if fenced() {
+            return Ok(());
+        }
+        match self.mail.send_as(src, dst, tag, data) {
+            Err(MailError::Disconnected) if fenced() => Ok(()),
+            Err(MailError::Disconnected) => Err(StepError::Aborted),
+            r => r.map_err(|e| e.during(Blocked::Send { dst, tag }, dst)),
         }
     }
+}
 
-    fn run(&mut self) -> io::Result<()> {
-        // Copy out the `&'a Program` reference so indexed op access does
-        // not hold a borrow of `self` across `&mut self` calls.
-        let program = self.program;
-        let ops = &program.ops[self.rank as usize];
-        let mut i = 0;
-        while i < ops.len() {
-            sched::yield_now(Point::Progress);
-            self.beat.fetch_add(1, Ordering::Relaxed);
-            let op = &ops[i];
-            match op {
-                Op::Compute { nanos } => {
-                    if self.cfg.honor_compute {
-                        std::thread::sleep(Duration::from_nanos(*nanos));
-                    }
-                }
-                Op::Pack {
-                    src,
-                    staging_off,
-                    bytes,
-                } => {
-                    if let Some(s) = src {
-                        match *s {
-                            DataRef::Staging { off, len } => {
-                                counters::add_bytes_copied(len);
-                                self.staging.copy_within(
-                                    off as usize..(off + len) as usize,
-                                    *staging_off as usize,
-                                );
-                            }
-                            _ => {
-                                let data = self.resolve_owned(s, 0);
-                                counters::add_bytes_copied(*bytes);
-                                self.staging[*staging_off as usize
-                                    ..*staging_off as usize + *bytes as usize]
-                                    .copy_from_slice(&data);
-                            }
-                        }
-                    }
-                }
-                Op::Send { dst, tag, src } => {
-                    let data = self.resolve_owned(src, 0);
-                    if self.cfg.faults.on_send(self.rank, *dst) {
-                        sched::emit(|| sched::Event::SendAttempt {
-                            rank: self.rank,
-                            dst: *dst,
-                            op_index: i,
-                            dropped: true,
-                        });
-                        // Injected message loss: the receiver times out.
-                        // Advancing `i` here is the PR 3 fix — without it
-                        // the op re-executes and, the drop budget being
-                        // spent, delivers the "lost" message after all.
-                        if !REVERT_PR3_FAULT_DROP.load(Ordering::Relaxed) {
-                            i += 1;
-                        }
-                        continue;
-                    }
-                    sched::emit(|| sched::Event::SendAttempt {
-                        rank: self.rank,
-                        dst: *dst,
-                        op_index: i,
-                        dropped: false,
-                    });
-                    if self.director.is_some_and(|d| d.is_fenced(*dst)) {
-                        // The destination writer is dead: its successor
-                        // re-derives this payload from the shared buffers
-                        // during takeover, so there is nothing to deliver.
-                    } else if matches!(
-                        self.send_bounded(*dst, self.rank, tag.0, data)?,
-                        SendOutcome::Disconnected
-                    ) {
-                        if self.director.is_some_and(|d| d.is_fenced(*dst)) {
-                            // The writer died between the check and the
-                            // send — same rerouting applies.
-                        } else {
-                            // The receiver is gone — it failed and dropped
-                            // its endpoint; surface as an abort-induced
-                            // error.
-                            return Err(abort_error());
-                        }
-                    }
-                }
-                Op::Recv {
-                    src,
-                    tag,
-                    bytes,
-                    staging_off,
-                } => {
-                    let data = self.recv_matching(*src, tag.0)?;
-                    if data.len() as u64 != *bytes {
-                        return Err(io::Error::other(format!(
-                            "recv size mismatch: want {bytes}, got {}",
-                            data.len()
-                        )));
-                    }
-                    // The one aggregation copy the plan IR mandates: the
-                    // received chunk lands in this writer's staging image.
-                    counters::add_bytes_copied(data.len() as u64);
-                    self.staging[*staging_off as usize..*staging_off as usize + data.len()]
-                        .copy_from_slice(&data);
-                }
-                Op::Barrier { comm } => {
-                    // Barriers carry cross-rank happens-before edges (e.g.
-                    // "all collective writes land before the owner
-                    // commits"), so the pipeline must be empty on entry.
-                    self.drain_pipe()?;
-                    sched::emit(|| sched::Event::BarrierEnter { rank: self.rank });
-                    self.barriers[comm.0 as usize].wait(self.abort, self.cfg.recv_timeout)?;
-                }
-                Op::Open { file, create } => {
-                    if self.staged_for(file.0).is_some() {
-                        // Tier-staged file: no filesystem object exists
-                        // until the drain engine publishes it.
-                        i += 1;
-                        continue;
-                    }
-                    let path = self.file_path(file.0);
-                    let f = if *create {
-                        if let Some(parent) = path.parent() {
-                            std::fs::create_dir_all(parent)?;
-                        }
-                        OpenOptions::new()
-                            .create(true)
-                            .truncate(true)
-                            .write(true)
-                            .read(true)
-                            .open(&path)?
-                    } else {
-                        OpenOptions::new().write(true).read(true).open(&path)?
-                    };
-                    self.files.insert(file.0, Arc::new(f));
-                }
-                Op::WriteAt {
-                    file,
-                    offset,
-                    src: _,
-                } if self.staged_for(file.0).is_some() => {
-                    i = self.stage_write_run(ops, i, file.0, *offset)?;
-                    continue;
-                }
-                Op::WriteAt {
-                    file,
-                    offset,
-                    src: _,
-                } => {
-                    i = self.handle_write_run(ops, i, file.0, *offset)?;
-                    continue;
-                }
-                Op::ReadAt {
-                    file,
-                    offset,
-                    len,
-                    staging_off,
-                } => {
-                    // Read-after-write: pending flushes must land first.
-                    self.drain_pipe()?;
-                    let f = self.files.get(&file.0).expect("validated: opened");
-                    let dst = &mut self.staging
-                        [*staging_off as usize..*staging_off as usize + *len as usize];
-                    f.read_exact_at(dst, *offset)?;
-                }
-                Op::Close { file } => {
-                    if let Some(f) = self.files.remove(&file.0) {
-                        if self.pipe.is_some() {
-                            self.submit(FlushJob::Close {
-                                file: f,
-                                fsync: self.cfg.fsync_on_close,
-                            })?;
-                        } else if self.cfg.fsync_on_close {
-                            if let Some(e) = self.cfg.faults.on_fsync(self.rank) {
-                                return Err(e);
-                            }
-                            f.sync_all()
-                                .inspect_err(|_| self.cfg.faults.latch_fsync_failure(self.rank))?;
-                            crash::record_fsync_file(&f);
-                        }
-                    }
-                }
-                Op::Commit { file } => {
-                    // The fence: a writer that was declared dead (and whose
-                    // extent a successor now owns) must never publish, even
-                    // if it revives after a hang. The refusal is absorbed —
-                    // the zombie simply skips the rename and retires.
-                    let fenced = self.director.is_some_and(|d| !d.allow_commit(self.rank));
-                    if !fenced {
-                        let spec = &self.program.files[file.0 as usize];
-                        if let Some(stage) = self.staged_for(file.0) {
-                            // Tier-staged: sealing is the whole commit;
-                            // the drain engine publishes to the PFS (with
-                            // footer + rename) in the background.
-                            stage.seal_file(&spec.name, spec.size);
-                            i += 1;
-                            continue;
-                        }
-                        let final_path = self.cfg.base_dir.join(&spec.name);
-                        let tmp = commit::tmp_path(&final_path);
-                        if self.pipe.is_some() {
-                            // The commit fault check and the rename both run
-                            // inside the job, after this writer's data writes
-                            // (FIFO) — commit stays the last op on the owner.
-                            self.submit(FlushJob::Commit {
-                                tmp,
-                                final_path,
-                                size: spec.size,
-                                fsync: self.cfg.fsync_on_close,
-                            })?;
-                        } else {
-                            if self.cfg.faults.on_commit(self.rank) {
-                                // The rank dies after its data writes but
-                                // before the rename: the final name must
-                                // never appear.
-                                return Err(killed_error(self.rank));
-                            }
-                            commit::commit_file_with_faults(
-                                &tmp,
-                                &final_path,
-                                spec.size,
-                                self.cfg.fsync_on_close,
-                                &self.cfg.faults,
-                                self.rank,
-                            )?;
-                            sched::emit(|| sched::Event::ExtentCommit {
-                                owner: self.rank,
-                                by: self.rank,
-                                path_hash: sched::path_fingerprint(&final_path),
-                            });
-                        }
-                    }
-                }
-            }
-            i += 1;
-        }
-        self.drain_pipe()?;
+impl Transport for ExecTransport<'_> {
+    fn send(&mut self, dst: u32, tag: u64, data: Bytes) -> Result<(), StepError> {
+        self.send_as(self.rank, dst, tag, data)
+    }
+
+    fn recv(&mut self, src: u32, tag: u64) -> Result<Bytes, StepError> {
+        self.mail
+            .recv(src, tag)
+            .map_err(|e| e.during(Blocked::Recv { src, tag }, src))
+    }
+
+    fn barrier(&mut self, comm: u32) -> Result<(), StepError> {
+        self.sh.barriers[comm as usize].wait(self.sh.abort, self.sh.cfg.recv_timeout)
+    }
+
+    fn op_boundary(&mut self) -> Result<(), StepError> {
+        self.mail.beat();
         Ok(())
     }
+}
 
-    /// Execute the coalescible run of `WriteAt` ops starting at `ops[i]`;
-    /// returns the index of the first op not consumed.
-    ///
-    /// Coalescing turns byte-contiguous same-file writes into one
-    /// vectored write. It is skipped when faults are armed — the
-    /// [`FaultPlan`] counts logical writes and its semantics are
-    /// specified against plan ops, one write per op — and under
-    /// `DeepCopy`, which preserves the legacy one-op-one-write shape.
-    fn handle_write_run(
-        &mut self,
-        ops: &[Op],
-        i: usize,
-        file: u32,
-        offset: u64,
-    ) -> io::Result<usize> {
-        self.maybe_hang();
-        let coalesce = self.cfg.copy_mode == CopyMode::ZeroCopy && !self.cfg.faults.is_armed();
-        let end = if coalesce {
-            write_run_len(
-                ops,
-                i,
-                file,
-                offset,
-                self.cfg.coalesce_max_bytes,
-                self.cfg.coalesce_max_ops,
-            )
-        } else {
-            i + 1
-        };
-        let total: u64 = ops[i..end].iter().map(|o| src_len(write_src(o))).sum();
-        counters::add_checkpoint_bytes(total);
+/// A successor's transport while it re-runs an orphaned writer's ops.
+///
+/// Failover is pull-based: instead of replaying the messages the dead
+/// writer consumed, a `Recv` is resolved by scanning the sender's op
+/// list for the matching (FIFO per `(src, tag)`) `Send` and slicing its
+/// `DataRef` straight out of that rank's shared payload. This is why
+/// takeover is only offered for plans whose inbound sends are payload- or
+/// synthetic-sourced and whose writers meet no barrier (see
+/// [`failover_supported`]). Sends are forwarded on the orphan's behalf
+/// (wave-chain tokens etc.): messages carry their source rank, so the
+/// receiver matches them as if the orphan had sent them, and a duplicate
+/// of a pre-death send parks harmlessly in the receiver's stash.
+struct PullTransport<'a> {
+    orphan: u32,
+    via: &'a ExecTransport<'a>,
+    /// FIFO scan positions into each sender's op list, per `(src, tag)`.
+    scan: HashMap<(u32, u64), usize>,
+}
 
-        if self.pipe.is_some() {
-            // Deferred flush: snapshot each source as owned `Bytes` so the
-            // background write never races with later staging reuse.
-            let f = Arc::clone(self.files.get(&file).expect("validated: opened"));
-            if end == i + 1 {
-                let data = self.resolve_owned(write_src(&ops[i]), offset);
-                self.submit(FlushJob::Write {
-                    file: f,
-                    offset,
-                    data,
-                })?;
-            } else {
-                let mut bufs = Vec::with_capacity(end - i);
-                let mut off = offset;
-                for o in &ops[i..end] {
-                    let s = write_src(o);
-                    bufs.push(self.resolve_owned(s, off));
-                    off += src_len(s);
-                }
-                self.submit(FlushJob::WriteV {
-                    file: f,
-                    offset,
-                    bufs,
-                })?;
-            }
-            return Ok(end);
-        }
+impl Transport for PullTransport<'_> {
+    fn send(&mut self, dst: u32, tag: u64, data: Bytes) -> Result<(), StepError> {
+        self.via.send_as(self.orphan, dst, tag, data)
+    }
 
-        if end == i + 1 {
-            // Serial single write: the write completes before the op
-            // retires, so ZeroCopy writes straight from the borrowed
-            // source — no snapshot at all.
-            match (self.cfg.copy_mode, write_src(&ops[i])) {
-                (CopyMode::ZeroCopy, &DataRef::Own { off, len }) => {
-                    let data = &self.payload[off as usize..(off + len) as usize];
-                    self.write_with_retry(file, offset, data)?;
-                }
-                (CopyMode::ZeroCopy, &DataRef::Staging { off, len }) => {
-                    let data = &self.staging[off as usize..(off + len) as usize];
-                    self.write_with_retry(file, offset, data)?;
-                }
-                (_, src) => {
-                    let data = self.resolve_owned(src, offset);
-                    self.write_with_retry(file, offset, &data)?;
-                }
-            }
-            return Ok(end);
-        }
-
-        // Serial coalesced run: gather borrowed slices (plus generated
-        // synthetic chunks) and issue one vectored write.
-        enum Chunk {
-            Payload(usize, usize),
-            Staging(usize, usize),
-            Owned(Bytes),
-        }
-        let mut chunks = Vec::with_capacity(end - i);
-        let mut off = offset;
-        for o in &ops[i..end] {
-            match *write_src(o) {
-                DataRef::Own { off: po, len } => {
-                    chunks.push(Chunk::Payload(po as usize, len as usize))
-                }
-                DataRef::Staging { off: so, len } => {
-                    chunks.push(Chunk::Staging(so as usize, len as usize))
-                }
-                DataRef::Synthetic { len } => chunks.push(Chunk::Owned(
-                    BufPool::global().from_fn(len as usize, |k| synthetic_byte(off + k as u64)),
-                )),
-            }
-            off += src_len(write_src(o));
-        }
-        let slices: Vec<&[u8]> = chunks
+    fn recv(&mut self, src: u32, tag: u64) -> Result<Bytes, StepError> {
+        let orphan = self.orphan;
+        let pos = self.scan.entry((src, tag)).or_insert(0);
+        let sent = self.via.sh.program.ops[src as usize][*pos..]
             .iter()
-            .map(|c| match c {
-                Chunk::Payload(o, l) => &self.payload[*o..*o + *l],
-                Chunk::Staging(o, l) => &self.staging[*o..*o + *l],
-                Chunk::Owned(b) => b.as_ref(),
-            })
-            .collect();
-        let f = self.files.get(&file).expect("validated: opened");
-        match fault::write_vectored_at(
-            f,
-            self.rank,
-            offset,
-            &slices,
-            &self.cfg.faults,
-            self.cfg.write_retries,
-            self.cfg.retry_backoff,
-        ) {
-            Ok(attempts) => {
-                self.retries
-                    .fetch_add(u64::from(attempts), Ordering::Relaxed);
-                Ok(end)
+            .inspect(|_| *pos += 1)
+            .find_map(|op| match op {
+                Op::Send { dst, tag: t, src } if *dst == orphan && t.0 == tag => Some(*src),
+                _ => None,
+            });
+        match sent {
+            Some(DataRef::Own { off, len }) => {
+                Ok(self.via.sh.payloads[src as usize].slice(off as usize..(off + len) as usize))
             }
-            Err(fault::WriteError::Killed) => Err(killed_error(self.rank)),
-            Err(fault::WriteError::Io(e)) => Err(e),
-            Err(fault::WriteError::DeadlineExceeded { waited }) => Err(io::Error::new(
-                io::ErrorKind::TimedOut,
-                format!("write retries exhausted their deadline after {waited:?}"),
-            )),
-            Err(fault::WriteError::ShortWrite { written, expected }) => Err(io::Error::new(
-                io::ErrorKind::WriteZero,
-                format!("short write stalled at {written}/{expected} bytes"),
-            )),
+            Some(DataRef::Synthetic { len }) => Ok(crate::buf::BufPool::global()
+                .from_fn(len as usize, |i| crate::format::synthetic_byte(i as u64))),
+            // `failover_supported` admits neither; a successor cannot see
+            // sender-side staging.
+            Some(DataRef::Staging { .. }) | None => Err(StepError::PlanMismatch(format!(
+                "takeover of rank {orphan}: no payload-sourced send from rank {src} \
+                 tag {tag} in the plan (unsupported plan shape)"
+            ))),
         }
     }
 
-    /// The tier stage `file` diverts into: staging must be configured
-    /// and the file atomic (non-atomic files always go to the PFS,
-    /// since only committed files are drain-publishable).
-    fn staged_for(&self, file: u32) -> Option<&Arc<crate::tier::TierStage>> {
-        let stage = self.cfg.stage.as_ref()?;
-        self.program.files[file as usize].atomic.then_some(stage)
+    fn barrier(&mut self, _comm: u32) -> Result<(), StepError> {
+        Err(StepError::PlanMismatch(format!(
+            "takeover of rank {} hit a barrier (unsupported plan shape)",
+            self.orphan
+        )))
     }
 
-    /// Divert the coalescible run of `WriteAt` ops starting at `ops[i]`
-    /// into the node-local tier stage; returns the first unconsumed
-    /// index. The slab append is the whole foreground cost — memory
-    /// speed. It deliberately skips the per-write fault hooks: the
-    /// staged path's failure mode is losing the tier
-    /// ([`crate::tier::TierEngine::lose_local`]), not a torn write.
-    fn stage_write_run(
-        &mut self,
-        ops: &[Op],
-        i: usize,
-        file: u32,
-        offset: u64,
-    ) -> io::Result<usize> {
-        self.maybe_hang();
-        let end = write_run_len(
-            ops,
-            i,
-            file,
-            offset,
-            self.cfg.coalesce_max_bytes,
-            self.cfg.coalesce_max_ops,
-        );
-        let total: u64 = ops[i..end].iter().map(|o| src_len(write_src(o))).sum();
-        counters::add_checkpoint_bytes(total);
-        let stage = Arc::clone(self.staged_for(file).expect("caller checked staged"));
-        let name = self.program.files[file as usize].name.clone();
-        let mut off = offset;
-        for o in &ops[i..end] {
-            let res = match *write_src(o) {
-                DataRef::Own { off: po, len } => {
-                    stage.append(&name, off, &self.payload[po as usize..(po + len) as usize])
-                }
-                DataRef::Staging { off: so, len } => {
-                    stage.append(&name, off, &self.staging[so as usize..(so + len) as usize])
-                }
-                DataRef::Synthetic { len } => {
-                    let data: Vec<u8> = (0..len).map(|k| synthetic_byte(off + k)).collect();
-                    stage.append(&name, off, &data)
-                }
-            };
-            res.map_err(io::Error::other)?;
-            off += src_len(write_src(o));
-        }
-        Ok(end)
+    fn op_boundary(&mut self) -> Result<(), StepError> {
+        self.via.mail.poll().map_err(|_| StepError::Aborted)
     }
+}
 
-    /// Consult the one-shot hang fault for this rank, if armed. A hang
-    /// models a wedged writer: in production the thread genuinely sleeps
-    /// and the monitor watches its heartbeat go stale; under a controlled
-    /// scheduler wall-clock stalls would wreck determinism, so the rank
-    /// announces the monitor's verdict for the injected duration itself
-    /// and then yields so peers interleave. Either way the rank *revives*
-    /// afterwards and runs on as a zombie — the fence at `Commit` is what
-    /// keeps it from publishing.
-    fn maybe_hang(&mut self) {
-        let Some(d) = self.cfg.faults.take_hang(self.rank) else {
-            return;
-        };
-        if sched::registered() {
-            if let Some(dir) = self.director {
-                match dir.policy().classify_stall(d) {
-                    WriterHealth::Dead => {
-                        let _ = dir.report_dead(self.rank);
-                    }
-                    WriterHealth::Straggling => dir.report_straggling(self.rank),
-                    WriterHealth::Healthy => {}
-                }
-            }
-            for _ in 0..4 {
-                sched::yield_now(Point::Progress);
-            }
-        } else {
-            std::thread::sleep(d);
-        }
-    }
+/// Re-execute `orphan`'s op list on the surviving rank behind `me`.
+///
+/// The same interpreter, over a [`PullTransport`], with no background
+/// pipeline: writes go through the serial fault-checked path under the
+/// *successor's* rank identity, so cascading failures stay injectable.
+/// The final `Commit` is guarded by the director's per-extent CAS.
+fn take_over(me: &mut Interp<'_, ExecTransport<'_>>, orphan: u32) -> Result<(), StepError> {
+    let via = &me.transport;
+    let sh = via.sh;
+    let pull = PullTransport {
+        orphan,
+        via,
+        scan: HashMap::new(),
+    };
+    let mut it = Interp::new(
+        via.rank,
+        orphan,
+        sh.program,
+        Payload::Shared(&sh.payloads[orphan as usize]),
+        sh.cfg.view(),
+        sh.director,
+        pull,
+        None,
+    );
+    let res = it.run();
+    me.retries += it.retries;
+    res
+}
 
-    fn submit(&self, job: FlushJob) -> io::Result<()> {
-        self.pipe
-            .as_ref()
-            .expect("pipelined path")
-            .submit(job)
-            .map_err(pipe_error)
-    }
-
-    fn drain_pipe(&self) -> io::Result<()> {
-        if let Some(p) = &self.pipe {
-            let retried = p.drain().map_err(pipe_error)?;
-            self.retries.fetch_add(retried, Ordering::Relaxed);
-        }
-        Ok(())
-    }
-
-    /// Path a rank's file ops target: atomic files live under their `.tmp`
-    /// sibling until the owner's `Commit` renames them into place.
-    fn file_path(&self, file: u32) -> PathBuf {
-        let spec = &self.program.files[file as usize];
-        let path = self.cfg.base_dir.join(&spec.name);
-        if spec.atomic {
-            commit::tmp_path(&path)
-        } else {
-            path
-        }
-    }
-
-    fn write_with_retry(&self, file: u32, offset: u64, data: &[u8]) -> io::Result<()> {
-        let f = self.files.get(&file).expect("validated: opened");
-        match fault::write_at_with_retry(
-            f,
-            self.rank,
-            offset,
-            data,
-            &self.cfg.faults,
-            self.cfg.write_retries,
-            self.cfg.retry_backoff,
-        ) {
-            Ok(attempts) => {
-                self.retries
-                    .fetch_add(u64::from(attempts), Ordering::Relaxed);
-                Ok(())
-            }
-            Err(fault::WriteError::Killed) => Err(killed_error(self.rank)),
-            Err(fault::WriteError::Io(e)) => Err(e),
-            Err(fault::WriteError::DeadlineExceeded { waited }) => Err(io::Error::new(
-                io::ErrorKind::TimedOut,
-                format!("write retries exhausted their deadline after {waited:?}"),
-            )),
-            Err(fault::WriteError::ShortWrite { written, expected }) => Err(io::Error::new(
-                io::ErrorKind::WriteZero,
-                format!("short write stalled at {written}/{expected} bytes"),
-            )),
-        }
-    }
-
-    fn recv_matching(&mut self, src: u32, tag: u64) -> io::Result<Bytes> {
-        if let Some(q) = self.stash.get_mut(&(src, tag)) {
-            if let Some(d) = q.pop_front() {
-                return Ok(d);
-            }
-        }
-        if sched::registered() {
-            return self.recv_matching_controlled(src, tag);
-        }
-        let deadline = Instant::now() + self.cfg.recv_timeout;
-        loop {
-            // A rank blocked in a receive is alive, just waiting.
-            self.beat.fetch_add(1, Ordering::Relaxed);
-            if self.abort.load(Ordering::Acquire) {
-                return Err(abort_error());
-            }
-            let slice =
-                Duration::from_millis(25).min(deadline.saturating_duration_since(Instant::now()));
-            match self.rx.recv_timeout(slice) {
-                Ok((s, t, d)) => {
-                    if s == src && t == tag {
-                        return Ok(d);
-                    }
-                    self.stash.entry((s, t)).or_default().push_back(d);
-                }
-                Err(RecvTimeoutError::Disconnected) => {
-                    return Err(io::Error::other("message channel closed"));
-                }
-                Err(RecvTimeoutError::Timeout) => {
-                    if Instant::now() >= deadline {
-                        return Err(io::Error::new(
-                            io::ErrorKind::TimedOut,
-                            format!(
-                                "recv timeout: no message from rank {src} tag {tag} \
-                                 within {:?} (lost handoff?)",
-                                self.cfg.recv_timeout
-                            ),
-                        ));
-                    }
-                }
+/// One rank's whole life inside [`execute`]: run its own ops, have its
+/// death absorbed if failover can, then — a surviving writer — serve as
+/// successor until the generation quiesces: every writer done or dead,
+/// every orphaned extent re-written and committed.
+fn run_rank(
+    it: &mut Interp<'_, ExecTransport<'_>>,
+    controlled: bool,
+) -> (Duration, Result<(), StepError>) {
+    let (rank, sh) = (it.transport.rank, it.transport.sh);
+    let t0 = Instant::now();
+    let mut res = it.run();
+    if let (Err(e), Some(dir)) = (&res, sh.director) {
+        // Only an injected death is absorbed (genuine I/O errors and
+        // timeouts still abort the run) — and a fenced zombie's late
+        // errors are moot: workers reroute around it and a successor owns
+        // its extent, so the revived thread must not abort a healthy run.
+        // Either way its pipeline quiesces *before* the death is
+        // announced, so a successor never races leftover background jobs.
+        let killed = matches!(e, StepError::Killed);
+        if killed || dir.is_fenced(rank) {
+            it.quiesce();
+            if !killed || dir.report_dead(rank) {
+                res = Ok(());
             }
         }
     }
-
-    /// Controlled-run receive: wall-clock timeouts would make schedules
-    /// nondeterministic, so a fixed futile-poll budget plays the role of
-    /// `recv_timeout`. Budget exhaustion is the *expected* outcome for
-    /// dropped-message fault programs and surfaces the same typed
-    /// `TimedOut` error as the production path.
-    fn recv_matching_controlled(&mut self, src: u32, tag: u64) -> io::Result<Bytes> {
-        let mut budget = CHECK_RECV_POLL_BUDGET;
-        loop {
-            if self.abort.load(Ordering::Acquire) {
-                return Err(abort_error());
-            }
-            match self.rx.try_recv() {
-                Ok((s, t, d)) => {
-                    if s == src && t == tag {
-                        return Ok(d);
-                    }
-                    self.stash.entry((s, t)).or_default().push_back(d);
-                }
-                Err(std::sync::mpsc::TryRecvError::Disconnected) => {
-                    return Err(io::Error::other("message channel closed"));
-                }
-                Err(std::sync::mpsc::TryRecvError::Empty) => {
-                    if budget == 0 {
-                        return Err(io::Error::new(
-                            io::ErrorKind::TimedOut,
-                            format!(
-                                "recv timeout: no message from rank {src} tag {tag} \
-                                 within {CHECK_RECV_POLL_BUDGET} controlled polls \
-                                 (lost handoff?)"
-                            ),
-                        ));
-                    }
-                    budget -= 1;
-                    sched::yield_now(Point::RecvEmpty);
-                }
-            }
-        }
-    }
-
-    /// Deadline-bounded send into `dst`'s bounded mailbox. A full
-    /// mailbox blocks the sender (that bounded wait *is* the
-    /// backpressure this PR's bugfix pins — resident queue bytes can
-    /// never exceed `chan_capacity` messages) until the receiver drains
-    /// a slot, the run aborts, or the deadline passes, in which case the
-    /// same typed `TimedOut` error as a receive timeout surfaces.
-    fn send_bounded(
-        &self,
-        dst: u32,
-        src_rank: u32,
-        tag: u64,
-        data: Bytes,
-    ) -> io::Result<SendOutcome> {
-        let mut msg = (src_rank, tag, data);
-        match self.senders[dst as usize].try_send(msg) {
-            Ok(()) => return Ok(SendOutcome::Sent),
-            Err(TrySendError::Disconnected(_)) => return Ok(SendOutcome::Disconnected),
-            Err(TrySendError::Full(m)) => msg = m,
-        }
-        counters::add_send_backpressure_blocks(1);
-        if sched::registered() {
-            // Controlled run: a futile-poll budget replaces the
-            // wall-clock deadline (see `recv_matching_controlled`).
-            let mut budget = CHECK_SEND_POLL_BUDGET;
-            loop {
-                if self.abort.load(Ordering::Acquire) {
-                    return Err(abort_error());
-                }
-                match self.senders[dst as usize].try_send(msg) {
-                    Ok(()) => return Ok(SendOutcome::Sent),
-                    Err(TrySendError::Disconnected(_)) => return Ok(SendOutcome::Disconnected),
-                    Err(TrySendError::Full(m)) => {
-                        if budget == 0 {
-                            counters::add_send_backpressure_timeouts(1);
-                            return Err(io::Error::new(
-                                io::ErrorKind::TimedOut,
-                                format!(
-                                    "send timeout: rank {dst}'s mailbox stayed full for \
-                                     {CHECK_SEND_POLL_BUDGET} controlled polls (stalled receiver?)"
-                                ),
-                            ));
-                        }
-                        budget -= 1;
-                        msg = m;
-                        sched::yield_now(Point::SendFull);
-                    }
-                }
-            }
-        }
-        let deadline = Instant::now() + self.cfg.recv_timeout;
-        loop {
-            // A rank blocked in a send is alive, just backpressured.
-            self.beat.fetch_add(1, Ordering::Relaxed);
-            if self.abort.load(Ordering::Acquire) {
-                return Err(abort_error());
-            }
-            match self.senders[dst as usize].try_send(msg) {
-                Ok(()) => return Ok(SendOutcome::Sent),
-                Err(TrySendError::Disconnected(_)) => return Ok(SendOutcome::Disconnected),
-                Err(TrySendError::Full(m)) => {
-                    if Instant::now() >= deadline {
-                        counters::add_send_backpressure_timeouts(1);
-                        return Err(io::Error::new(
-                            io::ErrorKind::TimedOut,
-                            format!(
-                                "send timeout: rank {dst}'s mailbox stayed full for {:?} \
-                                 (stalled receiver?)",
-                                self.cfg.recv_timeout
-                            ),
-                        ));
-                    }
-                    msg = m;
-                    std::thread::sleep(Duration::from_micros(100));
-                }
-            }
-        }
-    }
-
-    /// Re-execute the orphaned writer's op list on this (surviving) rank.
-    ///
-    /// Failover is pull-based: instead of replaying the messages the dead
-    /// writer consumed, the successor re-derives every byte from the
-    /// shared payload buffers — each `Recv` is resolved by scanning the
-    /// sender's op list for the matching (FIFO per `(src, tag)`) `Send`
-    /// and reading its `DataRef` straight out of that rank's payload.
-    /// This is why takeover is only offered for plans whose inbound sends
-    /// are payload- or synthetic-sourced (see [`failover_supported`]).
-    ///
-    /// Writes go through the serial fault-checked path under the
-    /// *successor's* rank identity, so cascading failures stay
-    /// injectable. The final `Commit` is guarded by the director's
-    /// per-extent CAS: exactly one rank ever publishes it.
-    fn run_takeover(&mut self, orphan: u32, dir: &FailoverDirector) -> io::Result<()> {
-        let program = self.program;
-        let ops = &program.ops[orphan as usize];
-        let payloads = self.all_payloads;
-        let mut staging = vec![0u8; program.staging[orphan as usize] as usize];
-        let mut files: HashMap<u32, File> = HashMap::new();
-        // FIFO scan positions into each sender's op list, per (src, tag).
-        let mut scan: HashMap<(u32, u64), usize> = HashMap::new();
-
-        fn bytes_of(payload: &Bytes, staging: &[u8], r: &DataRef, off_hint: u64) -> Vec<u8> {
-            match *r {
-                DataRef::Own { off, len } => payload[off as usize..(off + len) as usize].to_vec(),
-                DataRef::Staging { off, len } => {
-                    staging[off as usize..(off + len) as usize].to_vec()
-                }
-                DataRef::Synthetic { len } => {
-                    (0..len).map(|i| synthetic_byte(off_hint + i)).collect()
-                }
-            }
-        }
-
-        for op in ops {
-            sched::yield_now(Point::Progress);
-            self.beat.fetch_add(1, Ordering::Relaxed);
-            if self.abort.load(Ordering::Acquire) {
-                return Err(abort_error());
-            }
-            match op {
-                Op::Compute { .. } => {}
-                Op::Pack {
-                    src,
-                    staging_off,
-                    bytes,
-                } => {
-                    if let Some(s) = src {
-                        match *s {
-                            DataRef::Staging { off, len } => {
-                                counters::add_bytes_copied(len);
-                                staging.copy_within(
-                                    off as usize..(off + len) as usize,
-                                    *staging_off as usize,
-                                );
-                            }
-                            _ => {
-                                let d = bytes_of(&payloads[orphan as usize], &staging, s, 0);
-                                counters::add_bytes_copied(*bytes);
-                                staging[*staging_off as usize
-                                    ..*staging_off as usize + *bytes as usize]
-                                    .copy_from_slice(&d);
-                            }
-                        }
-                    }
-                }
-                Op::Send { dst, tag, src } => {
-                    // Forward on the orphan's behalf (wave-chain tokens
-                    // etc.). `Msg` carries the source rank, so the
-                    // receiver matches it as if the orphan had sent it; a
-                    // duplicate of a pre-death send parks harmlessly in
-                    // the receiver's stash.
-                    let d = bytes_of(&payloads[orphan as usize], &staging, src, 0);
-                    if !dir.is_fenced(*dst)
-                        && matches!(
-                            self.send_bounded(*dst, orphan, tag.0, Bytes::from_vec(d))?,
-                            SendOutcome::Disconnected
-                        )
-                        && !dir.is_fenced(*dst)
-                    {
-                        return Err(abort_error());
-                    }
-                }
-                Op::Recv {
-                    src,
-                    tag,
-                    bytes,
-                    staging_off,
-                } => {
-                    let pos = scan.entry((*src, tag.0)).or_insert(0);
-                    let sops = &program.ops[*src as usize];
-                    let mut found = None;
-                    while *pos < sops.len() {
-                        let j = *pos;
-                        *pos += 1;
-                        if let Op::Send {
-                            dst,
-                            tag: t2,
-                            src: s2,
-                        } = &sops[j]
-                        {
-                            if *dst == orphan && t2.0 == tag.0 {
-                                found = Some(*s2);
-                                break;
-                            }
-                        }
-                    }
-                    let Some(sref) = found else {
-                        return Err(io::Error::other(format!(
-                            "takeover of rank {orphan}: no matching send from rank {src} \
-                             tag {} in the plan",
-                            tag.0
-                        )));
+    let dt = t0.elapsed();
+    let dir = match sh.director {
+        Some(d) if res.is_ok() && d.is_writer(rank) && !d.is_fenced(rank) => d,
+        _ => return (dt, res),
+    };
+    dir.mark_writer_done(rank);
+    while !sh.abort.load(Ordering::Acquire) {
+        if let Some(orphan) = dir.claim_orphan(rank) {
+            match take_over(it, orphan) {
+                Ok(()) => dir.orphan_completed(orphan),
+                Err(e) => {
+                    // Cascade: a successor killed mid-takeover has the
+                    // orphan re-homed to the next survivor.
+                    let cascade = matches!(e, StepError::Killed) && {
+                        it.quiesce();
+                        dir.report_dead(rank)
                     };
-                    if matches!(sref, DataRef::Staging { .. }) {
-                        return Err(io::Error::other(format!(
-                            "takeover of rank {orphan}: send from rank {src} is \
-                             staging-sourced (unsupported plan shape)"
-                        )));
+                    if !cascade {
+                        res = Err(e);
                     }
-                    let d = bytes_of(&payloads[*src as usize], &[], &sref, 0);
-                    if d.len() as u64 != *bytes {
-                        return Err(io::Error::other(format!(
-                            "takeover recv size mismatch: want {bytes}, got {}",
-                            d.len()
-                        )));
-                    }
-                    counters::add_bytes_copied(d.len() as u64);
-                    staging[*staging_off as usize..*staging_off as usize + d.len()]
-                        .copy_from_slice(&d);
-                }
-                Op::Barrier { .. } => {
-                    return Err(io::Error::other(format!(
-                        "takeover of rank {orphan} hit a barrier (unsupported plan shape)"
-                    )));
-                }
-                Op::Open { file, create } => {
-                    if self.staged_for(file.0).is_some() {
-                        continue;
-                    }
-                    let path = self.file_path(file.0);
-                    let f = if *create {
-                        if let Some(parent) = path.parent() {
-                            std::fs::create_dir_all(parent)?;
-                        }
-                        OpenOptions::new()
-                            .create(true)
-                            .truncate(true)
-                            .write(true)
-                            .read(true)
-                            .open(&path)?
-                    } else {
-                        OpenOptions::new().write(true).read(true).open(&path)?
-                    };
-                    files.insert(file.0, f);
-                }
-                Op::WriteAt { file, offset, src } => {
-                    let d = bytes_of(&payloads[orphan as usize], &staging, src, *offset);
-                    counters::add_checkpoint_bytes(d.len() as u64);
-                    if let Some(stage) = self.staged_for(file.0) {
-                        // Successor re-stages the orphan's extent into
-                        // the slab; the drain publishes it like any
-                        // other staged file.
-                        let name = &program.files[file.0 as usize].name;
-                        stage.append(name, *offset, &d).map_err(io::Error::other)?;
-                        continue;
-                    }
-                    let f = files.get(&file.0).expect("validated: opened");
-                    match fault::write_at_with_retry(
-                        f,
-                        self.rank,
-                        *offset,
-                        &d,
-                        &self.cfg.faults,
-                        self.cfg.write_retries,
-                        self.cfg.retry_backoff,
-                    ) {
-                        Ok(attempts) => {
-                            self.retries
-                                .fetch_add(u64::from(attempts), Ordering::Relaxed);
-                        }
-                        Err(fault::WriteError::Killed) => return Err(killed_error(self.rank)),
-                        Err(fault::WriteError::Io(e)) => return Err(e),
-                        Err(fault::WriteError::DeadlineExceeded { waited }) => {
-                            return Err(io::Error::new(
-                                io::ErrorKind::TimedOut,
-                                format!("write retries exhausted their deadline after {waited:?}"),
-                            ))
-                        }
-                        Err(fault::WriteError::ShortWrite { written, expected }) => {
-                            return Err(io::Error::new(
-                                io::ErrorKind::WriteZero,
-                                format!("short write stalled at {written}/{expected} bytes"),
-                            ))
-                        }
-                    }
-                }
-                Op::ReadAt {
-                    file,
-                    offset,
-                    len,
-                    staging_off,
-                } => {
-                    let f = files.get(&file.0).expect("validated: opened");
-                    let dst =
-                        &mut staging[*staging_off as usize..*staging_off as usize + *len as usize];
-                    f.read_exact_at(dst, *offset)?;
-                }
-                Op::Close { file } => {
-                    if let Some(f) = files.remove(&file.0) {
-                        if self.cfg.fsync_on_close {
-                            if let Some(e) = self.cfg.faults.on_fsync(self.rank) {
-                                return Err(e);
-                            }
-                            f.sync_all()
-                                .inspect_err(|_| self.cfg.faults.latch_fsync_failure(self.rank))?;
-                            crash::record_fsync_file(&f);
-                        }
-                    }
-                }
-                Op::Commit { file } => {
-                    if dir.begin_commit(orphan, file.0) {
-                        let spec = &program.files[file.0 as usize];
-                        if let Some(stage) = self.staged_for(file.0) {
-                            stage.seal_file(&spec.name, spec.size);
-                            continue;
-                        }
-                        let final_path = self.cfg.base_dir.join(&spec.name);
-                        let tmp = commit::tmp_path(&final_path);
-                        if self.cfg.faults.on_commit(self.rank) {
-                            return Err(killed_error(self.rank));
-                        }
-                        commit::commit_file_with_faults(
-                            &tmp,
-                            &final_path,
-                            spec.size,
-                            self.cfg.fsync_on_close,
-                            &self.cfg.faults,
-                            self.rank,
-                        )?;
-                        sched::emit(|| sched::Event::ExtentCommit {
-                            owner: orphan,
-                            by: self.rank,
-                            path_hash: sched::path_fingerprint(&final_path),
-                        });
-                    }
+                    break;
                 }
             }
+        } else if dir.quiesced() {
+            break;
+        } else if controlled {
+            sched::yield_now(Point::JoinWait);
+        } else {
+            dir.wait_changed(Duration::from_millis(2));
         }
-        Ok(())
     }
+    (dt, res)
 }
 
 /// Ranks that perform file ops — the failover domain. For rbIO these are
@@ -1429,7 +645,7 @@ fn failover_supported(program: &Program, writers: &[u32]) -> bool {
     if writers.len() < 2 {
         return false;
     }
-    let writer_set: std::collections::HashSet<u32> = writers.iter().copied().collect();
+    let writer_set: HashSet<u32> = writers.iter().copied().collect();
     for r in 0..program.nranks() {
         for o in &program.ops[r as usize] {
             match o {
@@ -1452,7 +668,7 @@ fn failover_supported(program: &Program, writers: &[u32]) -> bool {
 fn monitor_writers(
     dir: &FailoverDirector,
     beats: &[Arc<AtomicU64>],
-    ranks_alive: &AtomicUsize,
+    finished: &AtomicBool,
     abort: &AtomicBool,
 ) {
     let policy = *dir.policy();
@@ -1464,7 +680,7 @@ fn monitor_writers(
         .map(|&w| (w, beats[w as usize].load(Ordering::Relaxed), now))
         .collect();
     loop {
-        if ranks_alive.load(Ordering::Acquire) == 0 || abort.load(Ordering::Acquire) {
+        if finished.load(Ordering::Acquire) || abort.load(Ordering::Acquire) {
             return;
         }
         std::thread::sleep(poll);
@@ -1487,6 +703,48 @@ fn monitor_writers(
             }
         }
     }
+}
+
+/// Run `body(rank, mailbox)` on one scoped thread per mailbox and join
+/// them in rank order — the thread-per-rank scaffolding under both
+/// [`execute`] and [`crate::rt::run`].
+///
+/// Under a controlled scheduler each thread registers as `rank{r}`, and
+/// the caller — which must not block in a join while rank threads still
+/// need the run token — spins at a yield point until all of them have
+/// left the controlled world. `body` must therefore drop whatever waits
+/// on scheduled work (a writer handle quiescing its jobs) before it
+/// returns, while its thread is still scheduled.
+pub(crate) fn run_ranks<T: Send>(
+    mailboxes: Vec<Mailbox>,
+    body: impl Fn(u32, Mailbox) -> T + Sync,
+) -> Vec<std::thread::Result<T>> {
+    let controlled = sched::controlled();
+    let alive = AtomicUsize::new(mailboxes.len());
+    std::thread::scope(|scope| {
+        let mut handles = Vec::with_capacity(mailboxes.len());
+        for (rank, mail) in mailboxes.into_iter().enumerate() {
+            let (body, alive) = (&body, &alive);
+            if controlled {
+                sched::spawning();
+            }
+            handles.push(scope.spawn(move || {
+                if controlled {
+                    sched::register(&format!("rank{rank}"));
+                }
+                let out = body(rank as u32, mail);
+                alive.fetch_sub(1, Ordering::Release);
+                if controlled {
+                    sched::unregister();
+                }
+                out
+            }));
+        }
+        while controlled && alive.load(Ordering::Acquire) > 0 {
+            sched::yield_now(Point::JoinWait);
+        }
+        handles.into_iter().map(|h| h.join()).collect()
+    })
 }
 
 /// Execute `program` with the given per-rank payload buffers under `cfg`.
@@ -1531,226 +789,101 @@ pub fn execute(
     // Wrap each payload once; every rank-side reference is a refcounted
     // slice of this single allocation (no per-op copies under ZeroCopy).
     let payloads: Vec<Bytes> = payloads.into_iter().map(Bytes::from_vec).collect();
-
-    let mut txs = Vec::with_capacity(nranks);
-    let mut rxs = Vec::with_capacity(nranks);
-    for _ in 0..nranks {
-        let (tx, rx) = sync_channel::<Msg>(cfg.chan_capacity.max(1));
-        txs.push(tx);
-        rxs.push(Some(rx));
-    }
     let barriers: Vec<AbortBarrier> = program
         .comms
         .iter()
         .map(|m| AbortBarrier::new(m.len()))
         .collect();
     let start_gate = Barrier::new(nranks);
-    let abort = AtomicBool::new(false);
-    let retries = AtomicU64::new(0);
-    // Under a controlled scheduler the driver must not block in the
-    // scope join while rank threads still need the run token — it spins
-    // on this counter at a yield point instead, and only joins once all
-    // ranks have left the controlled world.
+    let abort = Arc::new(AtomicBool::new(false));
     let controlled = sched::controlled();
-    let ranks_alive = AtomicUsize::new(nranks);
 
     // Failover engages only when the policy asks for it AND the plan
     // shape supports pull-based takeover; otherwise a dead writer aborts
     // the run exactly as before.
     let writers = writer_ranks(program);
     let director = (cfg.failover.enabled && failover_supported(program, &writers))
-        .then(|| FailoverDirector::new(cfg.failover, writers.clone()));
+        .then(|| FailoverDirector::new(cfg.failover, writers));
     let director = director.as_ref();
     // Per-rank liveness heartbeats; `Arc` because the shared flush pool's
     // detached workers bump them too while draining a writer's jobs.
     let heartbeats: Vec<Arc<AtomicU64>> = (0..nranks).map(|_| Arc::default()).collect();
+    let sh = &Shared {
+        program,
+        payloads: &payloads,
+        cfg,
+        barriers: &barriers,
+        abort: &abort,
+        director,
+    };
+
+    let run_rank_thread = |rank: u32, mut mail: Mailbox| {
+        let beat = &heartbeats[rank as usize];
+        let view = cfg.view();
+        let hedge_after = director.map(|d| d.policy().straggler_after);
+        let pipe = view.writer(rank, hedge_after, Some(Arc::clone(beat)));
+        (mail.abort, mail.beat) = (Some(Arc::clone(&abort)), Some(Arc::clone(beat)));
+        let mut it = Interp::new(
+            rank,
+            rank,
+            program,
+            Payload::Shared(&payloads[rank as usize]),
+            view,
+            director,
+            ExecTransport { rank, mail, sh },
+            pipe,
+        );
+        if !controlled {
+            // Registration already serializes controlled ranks; an OS
+            // barrier here would wedge the run token.
+            start_gate.wait();
+        }
+        let (dt, res) = run_rank(&mut it, controlled);
+        if res.is_err() {
+            // Release peers stuck in barriers/receives.
+            abort.store(true, Ordering::Release);
+            barriers.iter().for_each(AbortBarrier::wake);
+        }
+        (dt, res, it.retries)
+    };
+    let mailboxes = Mailbox::mesh(nranks, cfg.chan_capacity, cfg.recv_timeout);
+    let finished = AtomicBool::new(false);
+    let joined = std::thread::scope(|scope| {
+        if let (Some(dir), false) = (director, controlled) {
+            let (beats, finished, abort) = (&heartbeats, &finished, &*abort);
+            scope.spawn(move || monitor_writers(dir, beats, finished, abort));
+        }
+        let joined = run_ranks(mailboxes, run_rank_thread);
+        finished.store(true, Ordering::Release);
+        joined
+    });
 
     let mut rank_times = vec![Duration::ZERO; nranks];
+    let mut retries = 0;
     // Prefer a root-cause error (fault/I-O) over abort-induced collateral.
     let mut first_err: Option<ExecError> = None;
     let mut first_collateral: Option<ExecError> = None;
-
-    std::thread::scope(|scope| {
-        if let Some(dir) = director {
-            if !controlled {
-                let beats = &heartbeats;
-                let ranks_alive = &ranks_alive;
-                let abort = &abort;
-                scope.spawn(move || monitor_writers(dir, beats, ranks_alive, abort));
+    for (rank, joined) in joined.into_iter().enumerate() {
+        let rank = rank as u32;
+        let res = match joined {
+            Ok((dt, res, retried)) => {
+                rank_times[rank as usize] = dt;
+                retries += retried;
+                res
             }
+            Err(_) => Err(StepError::Io(io::Error::other("rank thread panicked"))),
+        };
+        if let Err(e) = res {
+            let slot = match e {
+                StepError::Aborted => &mut first_collateral,
+                _ => &mut first_err,
+            };
+            slot.get_or_insert(ExecError::Io {
+                rank,
+                source: e.into_io(rank),
+            });
         }
-        let mut handles = Vec::with_capacity(nranks);
-        for (rank, rx) in rxs.iter_mut().enumerate() {
-            let rx = rx.take().expect("receiver present");
-            let payload = &payloads[rank];
-            let payloads = &payloads;
-            let txs = &txs;
-            let barriers = &barriers;
-            let start_gate = &start_gate;
-            let abort = &abort;
-            let retries = &retries;
-            let ranks_alive = &ranks_alive;
-            let beat = Arc::clone(&heartbeats[rank]);
-            if controlled {
-                sched::spawning();
-            }
-            handles.push(scope.spawn(move || {
-                if controlled {
-                    sched::register(&format!("rank{rank}"));
-                }
-                let pipe = (cfg.pipeline_depth >= 2).then(|| {
-                    FlushPool::current().register(
-                        rank as u32,
-                        cfg.pipeline_depth,
-                        cfg.faults.clone(),
-                        WriterTuning {
-                            write_retries: cfg.write_retries,
-                            retry_backoff: cfg.retry_backoff,
-                            jitter_seed: cfg.pipeline_jitter,
-                            hedge_after: director
-                                .and_then(|d| d.enabled().then(|| d.policy().straggler_after)),
-                            beat: Some(Arc::clone(&beat)),
-                            backend: Some(crate::backend::resolve(cfg.io_backend)),
-                        },
-                    )
-                });
-                let mut ctx = RankCtx {
-                    rank: rank as u32,
-                    program,
-                    payload,
-                    all_payloads: payloads,
-                    staging: vec![0u8; program.staging[rank] as usize],
-                    rx,
-                    stash: HashMap::new(),
-                    senders: txs,
-                    barriers,
-                    files: HashMap::new(),
-                    cfg,
-                    abort,
-                    retries,
-                    pipe,
-                    director,
-                    beat,
-                };
-                if !controlled {
-                    // Registration already serializes controlled ranks;
-                    // an OS barrier here would wedge the run token.
-                    start_gate.wait();
-                }
-                let rank32 = rank as u32;
-                let t0 = Instant::now();
-                let mut res = ctx.run();
-                if let (Err(e), Some(dir)) = (&res, director) {
-                    if is_killed_error(e) {
-                        // Quiesce this writer's pipeline *before* the
-                        // death is announced, so a successor never races
-                        // leftover background jobs.
-                        ctx.pipe.take();
-                        if dir.report_dead(rank32) {
-                            // Failover engaged: the death is absorbed and
-                            // a surviving writer re-stages the extent.
-                            res = Ok(());
-                        }
-                    } else if dir.is_fenced(rank32) {
-                        // A fenced zombie's late errors are moot: workers
-                        // reroute around it (its receives time out) and a
-                        // successor owns its extent. Swallow them so the
-                        // revived thread can't abort a healthy run.
-                        ctx.pipe.take();
-                        res = Ok(());
-                    }
-                }
-                let dt = t0.elapsed();
-                // Surviving writers serve as successors until the
-                // generation quiesces: every writer done or dead, every
-                // orphaned extent re-written and committed.
-                if let Some(dir) = director {
-                    if res.is_ok() && dir.is_writer(rank32) && !dir.is_fenced(rank32) {
-                        dir.mark_writer_done(rank32);
-                        loop {
-                            if abort.load(Ordering::Acquire) {
-                                break;
-                            }
-                            if let Some(orphan) = dir.claim_orphan(rank32) {
-                                match ctx.run_takeover(orphan, dir) {
-                                    Ok(()) => dir.orphan_completed(orphan),
-                                    Err(e) => {
-                                        if is_killed_error(&e) && {
-                                            ctx.pipe.take();
-                                            dir.report_dead(rank32)
-                                        } {
-                                            // Cascade: the successor died
-                                            // mid-takeover; the orphan is
-                                            // re-homed to the next survivor.
-                                        } else {
-                                            res = Err(e);
-                                        }
-                                        break;
-                                    }
-                                }
-                            } else if dir.quiesced() {
-                                break;
-                            } else if controlled {
-                                sched::yield_now(Point::JoinWait);
-                            } else {
-                                dir.wait_changed(Duration::from_millis(2));
-                            }
-                        }
-                    }
-                }
-                if res.is_err() {
-                    // Release peers stuck in barriers/receives.
-                    abort.store(true, Ordering::Release);
-                    for b in barriers {
-                        b.wake();
-                    }
-                }
-                let out = (dt, res);
-                // The writer handle must quiesce while this thread is
-                // still scheduled: its drop waits on in-flight jobs,
-                // which only make progress while the token circulates.
-                drop(ctx);
-                ranks_alive.fetch_sub(1, Ordering::Release);
-                if controlled {
-                    sched::unregister();
-                }
-                out
-            }));
-        }
-        if controlled {
-            while ranks_alive.load(Ordering::Acquire) > 0 {
-                sched::yield_now(Point::JoinWait);
-            }
-        }
-        for (rank, h) in handles.into_iter().enumerate() {
-            match h.join() {
-                Ok((dt, Ok(()))) => rank_times[rank] = dt,
-                Ok((dt, Err(e))) => {
-                    rank_times[rank] = dt;
-                    let collateral = e.kind() == io::ErrorKind::Interrupted;
-                    let slot = if collateral {
-                        &mut first_collateral
-                    } else {
-                        &mut first_err
-                    };
-                    if slot.is_none() {
-                        *slot = Some(ExecError::Io {
-                            rank: rank as u32,
-                            source: e,
-                        });
-                    }
-                }
-                Err(_) => {
-                    if first_err.is_none() {
-                        first_err = Some(ExecError::Io {
-                            rank: rank as u32,
-                            source: io::Error::other("rank thread panicked"),
-                        });
-                    }
-                }
-            }
-        }
-    });
+    }
 
     if let Some(e) = first_err.or(first_collateral) {
         return Err(e);
@@ -1762,7 +895,7 @@ pub fn execute(
         wall_time,
         bytes_written: stats.bytes_written,
         bytes_sent: stats.bytes_sent,
-        retries: retries.load(Ordering::Relaxed),
+        retries,
         failovers: director
             .map(|d| d.completed_takeovers())
             .unwrap_or_default(),
@@ -1772,7 +905,9 @@ pub fn execute(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::format::synthetic_byte;
     use rbio_plan::{validate, CoverageMode, ProgramBuilder, Tag};
+    use rbio_profile::counters;
 
     fn tmpdir(name: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!("rbio-exec-{name}-{}", std::process::id()));

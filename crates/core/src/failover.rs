@@ -22,7 +22,12 @@
 //!
 //! The [`FailoverDirector`] is the shared arbiter: declarations, claims,
 //! and commit admission all go through one mutex-protected state so the
-//! *exactly-once takeover* invariant is a CAS, not a convention. The
+//! *exactly-once takeover* invariant is a CAS, not a convention. This
+//! module holds coordination state only: a takeover itself is the plan
+//! interpreter run once more by the successor over a pull transport
+//! (see [`crate::exec`]), which is why it exists under
+//! [`crate::exec::execute`] and not under [`crate::rt`], whose ranks
+//! cannot see each other's payloads. The
 //! schedule-exploration harness (`rbio-check` program family p5) drives
 //! this logic under a controlled scheduler and checks exactly-once
 //! takeover and fenced-writer-never-commits as model invariants.
@@ -178,11 +183,6 @@ impl FailoverDirector {
     /// The policy this director enforces.
     pub fn policy(&self) -> &FailoverPolicy {
         &self.policy
-    }
-
-    /// Whether failover is on at all.
-    pub fn enabled(&self) -> bool {
-        self.policy.enabled
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, DirectorState> {

@@ -410,6 +410,25 @@ pub enum WriteError {
     },
 }
 
+impl WriteError {
+    /// The `io::Error` this failure surfaces as — `None` for an injected
+    /// kill, which every caller reports in its own error space.
+    pub fn into_io(self) -> Option<io::Error> {
+        match self {
+            WriteError::Killed => None,
+            WriteError::Io(e) => Some(e),
+            WriteError::DeadlineExceeded { waited } => Some(io::Error::new(
+                io::ErrorKind::TimedOut,
+                format!("write retries exhausted their deadline after {waited:?}"),
+            )),
+            WriteError::ShortWrite { written, expected } => Some(io::Error::new(
+                io::ErrorKind::WriteZero,
+                format!("short write stalled at {written}/{expected} bytes"),
+            )),
+        }
+    }
+}
+
 /// Errors worth retrying a write for (besides injected ones).
 fn is_transient(e: &io::Error) -> bool {
     matches!(

@@ -1,9 +1,9 @@
-//! Background flush pipeline shared by both real executors.
+//! Background flush pipeline behind the real plan interpreter.
 //!
 //! The paper's rbIO writers win by overlap: aggregation of the next
 //! package proceeds while the previous one is on its way to disk. This
-//! module provides that overlap for [`crate::exec`] and [`crate::rt`]: a
-//! small process-wide pool of flush threads serves per-writer FIFO queues
+//! module provides that overlap for the interpreter [`crate::exec`] and
+//! [`crate::rt`] both run: a small process-wide pool of flush threads serves per-writer FIFO queues
 //! of deferred file work ([`FlushJob`]), with bounded depth (double
 //! buffering at depth 2) and first-error latching.
 //!
@@ -361,10 +361,9 @@ impl FlushPool {
 
     /// Install `pool` as the process's service-owned pool, returning
     /// the previously installed one (which the caller should shut
-    /// down once its writers are quiesced). [`FlushPool::current`] and
-    /// the [`FlushPool::global`] shim route through the installed pool,
-    /// so *re*-installing is how a service reconfigures flushing at
-    /// runtime.
+    /// down once its writers are quiesced). [`FlushPool::current`]
+    /// routes through the installed pool, so *re*-installing is how a
+    /// service reconfigures flushing at runtime.
     pub fn install(pool: Arc<FlushPool>) -> Option<Arc<FlushPool>> {
         INSTALLED
             .write()
@@ -382,23 +381,9 @@ impl FlushPool {
         INSTALLED.read().expect("installed pool lock").clone()
     }
 
-    /// Compatibility shim for the historical process-wide pool. Routes
-    /// to the installed service pool when one exists (so legacy callers
-    /// see reconfiguration instead of frozen first-use state), else
-    /// lazily creates the legacy global. Every use bumps the
-    /// `stale_global_pool_uses` profiling counter — the caller should
-    /// migrate to [`FlushPool::current`] or an explicit pool handle.
-    pub fn global() -> Arc<FlushPool> {
-        counters::add_stale_global_pool_uses(1);
-        if let Some(p) = Self::installed() {
-            return p;
-        }
-        Arc::clone(Self::global_arc())
-    }
-
     /// The pool executors should register with: the controlled check
     /// pool while a deterministic run is active, else the installed
-    /// service pool, else the legacy global pool.
+    /// service pool, else the lazily created process default.
     pub fn current() -> Arc<FlushPool> {
         if sched::controlled() {
             if let Some(p) = CHECK_POOL.read().expect("check pool lock").as_ref() {
@@ -794,18 +779,8 @@ fn splitmix64(mut x: u64) -> u64 {
 
 /// Map a fault-layer write failure into the pipeline's error space.
 fn write_error(rank: Rank, e: fault::WriteError) -> PipelineError {
-    match e {
-        fault::WriteError::Killed => PipelineError::Killed { rank },
-        fault::WriteError::Io(source) => PipelineError::Io(source),
-        fault::WriteError::DeadlineExceeded { waited } => PipelineError::Io(io::Error::new(
-            io::ErrorKind::TimedOut,
-            format!("write retries exhausted their deadline after {waited:?}"),
-        )),
-        fault::WriteError::ShortWrite { written, expected } => PipelineError::Io(io::Error::new(
-            io::ErrorKind::WriteZero,
-            format!("short write stalled at {written}/{expected} bytes"),
-        )),
-    }
+    e.into_io()
+        .map_or(PipelineError::Killed { rank }, PipelineError::Io)
 }
 
 /// Fold a backend batch outcome into the single-job result shape.
@@ -949,7 +924,7 @@ mod tests {
     }
 
     fn handle(rank: Rank, depth: u32, faults: FaultPlan) -> WriterHandle {
-        FlushPool::global().register(
+        FlushPool::current().register(
             rank,
             depth,
             faults,
@@ -992,7 +967,7 @@ mod tests {
         // runnable enqueue once let two threads drain the same writer
         // concurrently, and with per-job jitter the earlier write could
         // land last.)
-        let h = FlushPool::global().register(
+        let h = FlushPool::current().register(
             0,
             4,
             FaultPlan::none(),
@@ -1092,8 +1067,11 @@ mod tests {
         let file = open_rw(&dir.join("f"));
         let before = counters::failover_snapshot();
         // Every write on rank 5 stalls well past the hedge deadline: the
-        // drain must re-issue the bytes itself and count the hedge.
-        let h = FlushPool::global().register(
+        // drain must re-issue the bytes itself and count the hedge. A pool
+        // of its own: on the shared one, other tests' job completions keep
+        // waking this drain and re-arming its 10 ms hedge timer.
+        let pool = FlushPool::with_threads(1);
+        let h = pool.register(
             5,
             2,
             FaultPlan::none().delay_writes(5, Duration::from_millis(150)),
@@ -1116,6 +1094,7 @@ mod tests {
         let mut buf = [0u8; 16];
         file.read_exact_at(&mut buf, 0).expect("read");
         assert_eq!(buf, [7u8; 16]);
+        pool.shutdown();
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1134,14 +1113,13 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// Regression for the stale-global-pool bug: before explicit pools,
-    /// `global()` was a `OnceLock` and any later worker-count change
-    /// silently no-oped. Now a service installs an explicit pool, and
-    /// *re*-installing one with a different configuration takes effect
-    /// immediately for `current()` and the `global()` shim alike.
+    /// Regression for the stale-global-pool bug: the process pool was a
+    /// `OnceLock` and any later worker-count change silently no-oped.
+    /// Now a service installs an explicit pool, and *re*-installing one
+    /// with a different configuration takes effect immediately for
+    /// `current()`.
     #[test]
     fn installed_pool_reconfiguration_takes_effect() {
-        let before = counters::service_snapshot();
         let a = FlushPool::with_threads(2);
         let b = FlushPool::with_threads(3);
         assert_eq!(a.threads(), 2);
@@ -1149,7 +1127,6 @@ mod tests {
 
         FlushPool::install(Arc::clone(&a));
         assert!(Arc::ptr_eq(&FlushPool::current(), &a));
-        assert!(Arc::ptr_eq(&FlushPool::global(), &a));
 
         // Reconfiguration: install a differently-sized pool after first
         // use. Pre-fix, this was the silent no-op; now it must replace.
@@ -1157,10 +1134,6 @@ mod tests {
         assert!(Arc::ptr_eq(&prev, &a));
         assert!(Arc::ptr_eq(&FlushPool::current(), &b));
         assert_eq!(FlushPool::current().threads(), 3);
-
-        // The shim is panic-free but warns through the counter.
-        let d = counters::service_snapshot().delta_since(&before);
-        assert!(d.stale_global_pool_uses >= 1);
 
         // Writers registered through the routed handle actually flush.
         let dir = tmpdir("reinstall");

@@ -8,38 +8,30 @@
 //! [`checkpoint_rank`] collectively wherever it wants a checkpoint, with
 //! every rank executing exactly its own slice of the compiled plan.
 //!
-//! The semantics mirror the plan executor in [`crate::exec`] (nonblocking
-//! sends, FIFO matching per `(src, tag)` channel); a test asserts that a
-//! plan executed rank-by-rank under this runtime produces byte-identical
-//! files to [`crate::exec::execute`].
+//! [`checkpoint_rank_with`] runs the same interpreter as
+//! [`crate::exec::execute`] over a transport built on [`Comm`]
+//! (nonblocking sends, FIFO matching per `(src, tag)` channel); tests
+//! assert that a plan executed rank-by-rank under this runtime produces
+//! byte-identical files to `execute`. What differs is what an SPMD rank
+//! can see: only its own payload, borrowed for the call (so owning payload
+//! bytes costs the eager-buffer copy), and no shared abort flag or
+//! failover director (so a dead peer surfaces as a typed timeout, and
+//! writer takeover — which reads *other* ranks' payloads — is not offered).
 
-use std::collections::{HashMap, VecDeque};
-use std::fs::OpenOptions;
 use std::io;
-use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
-use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender, TrySendError};
 use std::sync::{Arc, Barrier, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use rbio_plan::{DataRef, Op, Program};
-use rbio_profile::counters;
+use rbio_plan::Program;
 
 use crate::backend::BackendKind;
-use crate::buf::{BufPool, Bytes, CopyMode};
-use crate::commit;
-use crate::crash;
+use crate::buf::{Bytes, CopyMode};
 use crate::exec::{
-    src_len, write_run_len, write_src, CHECK_RECV_POLL_BUDGET, CHECK_SEND_POLL_BUDGET,
-    DEFAULT_CHAN_CAPACITY,
+    run_ranks, Blocked, Interp, Mailbox, Payload, StepError, Transport, View, DEFAULT_CHAN_CAPACITY,
 };
 use crate::failover::{FailoverPolicy, WriterHealth};
-use crate::fault::{self, FaultPlan};
-use crate::format::synthetic_byte;
-use crate::pipeline::{FlushJob, FlushPool, PipelineError, WriterHandle, WriterTuning};
-use crate::sched::{self, Point};
-
-type Msg = (u32, u64, Bytes);
+use crate::fault::FaultPlan;
 
 /// A typed runtime failure, always carrying the failing rank.
 #[derive(Debug)]
@@ -145,16 +137,53 @@ impl std::error::Error for RtError {
     }
 }
 
+impl StepError {
+    /// The typed runtime error `rank` reports for this failure.
+    fn into_rt(self, rank: u32) -> RtError {
+        match self {
+            StepError::Killed => RtError::Killed { rank },
+            StepError::PeerGone { peer } => RtError::PeerGone { rank, peer },
+            StepError::Timeout {
+                op: Blocked::Send { dst, tag },
+                waited,
+            } => RtError::SendTimeout {
+                rank,
+                dst,
+                tag,
+                waited,
+            },
+            // The silent peer is classified through the failover health
+            // state machine: a stall of the full timeout is past the
+            // dead deadline derived from it.
+            StepError::Timeout {
+                op: Blocked::Recv { src, tag },
+                waited,
+            } => RtError::RecvTimeout {
+                rank,
+                src,
+                tag,
+                waited,
+                peer_health: FailoverPolicy::from_recv_timeout(waited).classify_stall(waited),
+            },
+            StepError::PlanMismatch(what) => RtError::PlanMismatch { rank, what },
+            // A file op failed. (`Aborted` and barrier timeouts land here
+            // too, but never arise over a `Comm`: it has no abort flag and
+            // its barriers are messages.)
+            e => RtError::Io {
+                rank,
+                source: e.into_io(rank),
+            },
+        }
+    }
+}
+
 /// Communicator handle owned by one rank's thread.
 pub struct Comm {
     rank: u32,
     size: u32,
-    senders: Arc<Vec<SyncSender<Msg>>>,
-    rx: Receiver<Msg>,
-    stash: HashMap<(u32, u64), VecDeque<Bytes>>,
+    mail: Mailbox,
     world_barrier: Arc<Barrier>,
     reduce_slots: Arc<Vec<Mutex<Vec<f64>>>>,
-    recv_timeout: Duration,
 }
 
 impl Comm {
@@ -174,7 +203,7 @@ impl Comm {
     /// turns a lost message (or a stalled receiver) into a typed error
     /// instead of a hang.
     pub fn set_recv_timeout(&mut self, timeout: Duration) {
-        self.recv_timeout = timeout;
+        self.mail.timeout = timeout;
     }
 
     /// Nonblocking-style send while the destination's bounded mailbox
@@ -191,63 +220,14 @@ impl Comm {
     /// [`Comm::send`] for callers that already own the bytes: the buffer
     /// moves into the channel with no copy at all.
     pub fn send_bytes(&self, dst: u32, tag: u64, data: Bytes) -> Result<(), RtError> {
-        let peer_gone = || RtError::PeerGone {
-            rank: self.rank,
-            peer: dst,
-        };
-        let mut msg = (self.rank, tag, data);
-        match self.senders[dst as usize].try_send(msg) {
-            Ok(()) => return Ok(()),
-            Err(TrySendError::Disconnected(_)) => return Err(peer_gone()),
-            Err(TrySendError::Full(m)) => msg = m,
-        }
-        counters::add_send_backpressure_blocks(1);
-        if sched::registered() {
-            // Controlled run: a futile-poll budget replaces the
-            // wall-clock deadline (see `recv_bytes_controlled`).
-            let mut budget = CHECK_SEND_POLL_BUDGET;
-            loop {
-                match self.senders[dst as usize].try_send(msg) {
-                    Ok(()) => return Ok(()),
-                    Err(TrySendError::Disconnected(_)) => return Err(peer_gone()),
-                    Err(TrySendError::Full(m)) => {
-                        if budget == 0 {
-                            counters::add_send_backpressure_timeouts(1);
-                            return Err(RtError::SendTimeout {
-                                rank: self.rank,
-                                dst,
-                                tag,
-                                waited: self.recv_timeout,
-                            });
-                        }
-                        budget -= 1;
-                        msg = m;
-                        sched::yield_now(Point::SendFull);
-                    }
-                }
-            }
-        }
-        let start = Instant::now();
-        let deadline = start + self.recv_timeout;
-        loop {
-            match self.senders[dst as usize].try_send(msg) {
-                Ok(()) => return Ok(()),
-                Err(TrySendError::Disconnected(_)) => return Err(peer_gone()),
-                Err(TrySendError::Full(m)) => {
-                    if Instant::now() >= deadline {
-                        counters::add_send_backpressure_timeouts(1);
-                        return Err(RtError::SendTimeout {
-                            rank: self.rank,
-                            dst,
-                            tag,
-                            waited: start.elapsed(),
-                        });
-                    }
-                    msg = m;
-                    std::thread::sleep(Duration::from_micros(100));
-                }
-            }
-        }
+        self.try_send(dst, tag, data)
+            .map_err(|e| e.into_rt(self.rank))
+    }
+
+    fn try_send(&self, dst: u32, tag: u64, data: Bytes) -> Result<(), StepError> {
+        self.mail
+            .send_as(self.rank, dst, tag, data)
+            .map_err(|e| e.during(Blocked::Send { dst, tag }, dst))
     }
 
     /// Blocking receive matching `(src, tag)`, FIFO per channel. Fails
@@ -259,78 +239,13 @@ impl Comm {
     /// [`Comm::recv`] without the `Vec` conversion: the returned handle
     /// is the sender's buffer, not a copy.
     pub fn recv_bytes(&mut self, src: u32, tag: u64) -> Result<Bytes, RtError> {
-        if let Some(q) = self.stash.get_mut(&(src, tag)) {
-            if let Some(d) = q.pop_front() {
-                return Ok(d);
-            }
-        }
-        if sched::registered() {
-            return self.recv_bytes_controlled(src, tag);
-        }
-        let deadline = Instant::now() + self.recv_timeout;
-        loop {
-            let left = deadline.saturating_duration_since(Instant::now());
-            match self.rx.recv_timeout(left) {
-                Ok((s, t, d)) => {
-                    if s == src && t == tag {
-                        return Ok(d);
-                    }
-                    self.stash.entry((s, t)).or_default().push_back(d);
-                }
-                Err(RecvTimeoutError::Timeout) => {
-                    return Err(self.recv_timeout_error(src, tag));
-                }
-                Err(RecvTimeoutError::Disconnected) => {
-                    return Err(RtError::PeerGone {
-                        rank: self.rank,
-                        peer: src,
-                    });
-                }
-            }
-        }
+        self.try_recv(src, tag).map_err(|e| e.into_rt(self.rank))
     }
 
-    /// Controlled-run receive: wall-clock timeouts would make schedules
-    /// nondeterministic, so a fixed futile-poll budget plays the role of
-    /// `recv_timeout` and surfaces the same typed error.
-    fn recv_bytes_controlled(&mut self, src: u32, tag: u64) -> Result<Bytes, RtError> {
-        let mut budget = CHECK_RECV_POLL_BUDGET;
-        loop {
-            match self.rx.try_recv() {
-                Ok((s, t, d)) => {
-                    if s == src && t == tag {
-                        return Ok(d);
-                    }
-                    self.stash.entry((s, t)).or_default().push_back(d);
-                }
-                Err(std::sync::mpsc::TryRecvError::Disconnected) => {
-                    return Err(RtError::PeerGone {
-                        rank: self.rank,
-                        peer: src,
-                    });
-                }
-                Err(std::sync::mpsc::TryRecvError::Empty) => {
-                    if budget == 0 {
-                        return Err(self.recv_timeout_error(src, tag));
-                    }
-                    budget -= 1;
-                    sched::yield_now(Point::RecvEmpty);
-                }
-            }
-        }
-    }
-
-    /// The typed timeout error for a receive from `src`, classifying the
-    /// silent peer through the failover health state machine.
-    fn recv_timeout_error(&self, src: u32, tag: u64) -> RtError {
-        RtError::RecvTimeout {
-            rank: self.rank,
-            src,
-            tag,
-            waited: self.recv_timeout,
-            peer_health: FailoverPolicy::from_recv_timeout(self.recv_timeout)
-                .classify_stall(self.recv_timeout),
-        }
+    fn try_recv(&mut self, src: u32, tag: u64) -> Result<Bytes, StepError> {
+        self.mail
+            .recv(src, tag)
+            .map_err(|e| e.during(Blocked::Recv { src, tag }, src))
     }
 
     /// Barrier across all ranks.
@@ -394,63 +309,22 @@ where
     F: Fn(Comm) -> T + Sync,
 {
     assert!(nranks >= 1);
-    let mut txs = Vec::with_capacity(nranks as usize);
-    let mut rxs = Vec::with_capacity(nranks as usize);
-    for _ in 0..nranks {
-        let (tx, rx) = sync_channel::<Msg>(chan_capacity.max(1));
-        txs.push(tx);
-        rxs.push(Some(rx));
-    }
-    let senders = Arc::new(txs);
+    let mailboxes = Mailbox::mesh(nranks as usize, chan_capacity, Duration::from_secs(2));
     let world_barrier = Arc::new(Barrier::new(nranks as usize));
     let reduce_slots = Arc::new(vec![Mutex::new(vec![0.0; nranks as usize])]);
-
-    // Under a controlled scheduler the driver must not block in the
-    // scope join while rank threads still need the run token: it spins
-    // on this counter at a yield point first (see `exec::execute`).
-    let controlled = sched::controlled();
-    let ranks_alive = std::sync::atomic::AtomicUsize::new(nranks as usize);
-
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(nranks as usize);
-        for (rank, rx) in rxs.iter_mut().enumerate() {
-            let comm = Comm {
-                rank: rank as u32,
-                size: nranks,
-                senders: Arc::clone(&senders),
-                rx: rx.take().expect("receiver"),
-                stash: HashMap::new(),
-                world_barrier: Arc::clone(&world_barrier),
-                reduce_slots: Arc::clone(&reduce_slots),
-                recv_timeout: Duration::from_secs(2),
-            };
-            let f = &f;
-            let ranks_alive = &ranks_alive;
-            if controlled {
-                sched::spawning();
-            }
-            handles.push(scope.spawn(move || {
-                if controlled {
-                    sched::register(&format!("rank{rank}"));
-                }
-                let out = f(comm);
-                if controlled {
-                    ranks_alive.fetch_sub(1, std::sync::atomic::Ordering::Release);
-                    sched::unregister();
-                }
-                out
-            }));
-        }
-        if controlled {
-            while ranks_alive.load(std::sync::atomic::Ordering::Acquire) > 0 {
-                sched::yield_now(Point::JoinWait);
-            }
-        }
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("rank thread must not panic"))
-            .collect()
-    })
+    let body = |rank, mail| {
+        f(Comm {
+            rank,
+            size: nranks,
+            mail,
+            world_barrier: Arc::clone(&world_barrier),
+            reduce_slots: Arc::clone(&reduce_slots),
+        })
+    };
+    run_ranks(mailboxes, body)
+        .into_iter()
+        .map(|r| r.expect("rank thread must not panic"))
+        .collect()
 }
 
 /// Configuration for [`checkpoint_rank_with`]: target directory plus the
@@ -553,6 +427,24 @@ impl RtConfig {
         self.io_backend = kind;
         self
     }
+
+    fn view(&self) -> View<'_> {
+        View {
+            base_dir: &self.base_dir,
+            fsync: self.fsync_on_close,
+            honor_compute: false,
+            faults: &self.faults,
+            write_retries: self.write_retries,
+            retry_backoff: self.retry_backoff,
+            pipeline_depth: self.pipeline_depth,
+            pipeline_jitter: self.pipeline_jitter,
+            copy_mode: self.copy_mode,
+            stage: self.stage.as_ref(),
+            io_backend: self.io_backend,
+            coalesce_max_bytes: self.coalesce_max_bytes,
+            coalesce_max_ops: self.coalesce_max_ops,
+        }
+    }
 }
 
 /// Execute `rank`'s ops of a checkpoint `program` inside an application
@@ -590,491 +482,59 @@ pub fn checkpoint_rank_with(
         payload.len() as u64 >= program.payload[rank as usize],
         "payload too small for rank {rank}"
     );
-    let io_err = |source: io::Error| RtError::Io { rank, source };
-    let base: PathBuf = cfg.base_dir.clone();
-    std::fs::create_dir_all(&base).map_err(io_err)?;
-    let mut staging = vec![0u8; program.staging[rank as usize] as usize];
-    let mut files: HashMap<u32, Arc<std::fs::File>> = HashMap::new();
-    const BARRIER_TAG_BASE: u64 = 1 << 62;
-    const PLAN_TAG_BASE: u64 = 1 << 61;
-
+    std::fs::create_dir_all(&cfg.base_dir).map_err(|source| RtError::Io { rank, source })?;
+    let view = cfg.view();
     // The "small worker thread pool behind rt": writer groups hand their
     // flushes to the shared pool so they progress concurrently with the
     // foreground aggregation of the next package.
-    let pipe: Option<WriterHandle> = (cfg.pipeline_depth >= 2).then(|| {
-        FlushPool::current().register(
-            rank,
-            cfg.pipeline_depth,
-            cfg.faults.clone(),
-            WriterTuning {
-                write_retries: cfg.write_retries,
-                retry_backoff: cfg.retry_backoff,
-                jitter_seed: cfg.pipeline_jitter,
-                backend: Some(crate::backend::resolve(cfg.io_backend)),
-                ..WriterTuning::default()
-            },
-        )
-    });
-    let pipe_err = |e: PipelineError| match e {
-        PipelineError::Killed { rank } => RtError::Killed { rank },
-        PipelineError::Io(source) => RtError::Io { rank, source },
-    };
-    let drain = |pipe: &Option<WriterHandle>| -> Result<(), RtError> {
-        match pipe {
-            Some(p) => p.drain().map(|_| ()).map_err(pipe_err),
-            None => Ok(()),
-        }
-    };
+    let pipe = view.writer(rank, None, None);
+    let transport = CommTransport { comm, program };
+    let payload = Payload::Borrowed(payload);
+    Interp::new(rank, rank, program, payload, view, None, transport, pipe)
+        .run()
+        .map_err(|e| e.into_rt(rank))
+}
 
-    let write_err = |e: fault::WriteError| match e {
-        fault::WriteError::Killed => RtError::Killed { rank },
-        fault::WriteError::Io(source) => RtError::Io { rank, source },
-        fault::WriteError::DeadlineExceeded { waited } => RtError::Io {
-            rank,
-            source: io::Error::new(
-                io::ErrorKind::TimedOut,
-                format!("write retries exhausted their deadline after {waited:?}"),
-            ),
-        },
-        fault::WriteError::ShortWrite { written, expected } => RtError::Io {
-            rank,
-            source: io::Error::new(
-                io::ErrorKind::WriteZero,
-                format!("short write stalled at {written}/{expected} bytes"),
-            ),
-        },
-    };
+/// Tag spaces of plan messages and plan barriers on the application's
+/// [`Comm`] (see [`checkpoint_rank`]).
+const PLAN_TAG_BASE: u64 = 1 << 61;
+const BARRIER_TAG_BASE: u64 = 1 << 62;
 
-    let mode = cfg.copy_mode;
-    // Owned snapshot of a data reference, for sends and deferred writes.
-    // Unlike `exec`, this runtime borrows `payload` from the application
-    // with an unknown lifetime, so owning payload bytes costs one copy —
-    // the MPI eager-buffer copy, charged to the counters honestly.
-    let resolve =
-        |r: &DataRef, staging: &[u8], off_hint: u64| -> Bytes {
-            match mode {
-                CopyMode::DeepCopy => {
-                    let v: Vec<u8> = match *r {
-                        DataRef::Own { off, len } => {
-                            counters::add_bytes_copied(len);
-                            payload[off as usize..(off + len) as usize].to_vec()
-                        }
-                        DataRef::Staging { off, len } => {
-                            counters::add_bytes_copied(len);
-                            staging[off as usize..(off + len) as usize].to_vec()
-                        }
-                        DataRef::Synthetic { len } => {
-                            (0..len).map(|i| synthetic_byte(off_hint + i)).collect()
-                        }
-                    };
-                    Bytes::from_vec(v)
-                }
-                CopyMode::ZeroCopy => match *r {
-                    DataRef::Own { off, len } => BufPool::global()
-                        .copy_from_slice(&payload[off as usize..(off + len) as usize]),
-                    DataRef::Staging { off, len } => BufPool::global()
-                        .copy_from_slice(&staging[off as usize..(off + len) as usize]),
-                    DataRef::Synthetic { len } => BufPool::global()
-                        .from_fn(len as usize, |i| synthetic_byte(off_hint + i as u64)),
-                },
-            }
-        };
+/// The interpreter's way to its peers under this runtime: the
+/// application's own [`Comm`].
+struct CommTransport<'a> {
+    comm: &'a mut Comm,
+    program: &'a Program,
+}
 
-    let ops = &program.ops[rank as usize];
-    let mut i = 0;
-    while i < ops.len() {
-        sched::yield_now(Point::Progress);
-        let op = &ops[i];
-        match op {
-            Op::Compute { .. } => {}
-            Op::Pack {
-                src,
-                staging_off,
-                bytes,
-            } => {
-                if let Some(s) = src {
-                    match *s {
-                        DataRef::Staging { off, len } => {
-                            counters::add_bytes_copied(len);
-                            staging.copy_within(
-                                off as usize..(off + len) as usize,
-                                *staging_off as usize,
-                            )
-                        }
-                        _ => {
-                            let data = resolve(s, &staging, 0);
-                            counters::add_bytes_copied(*bytes);
-                            staging[*staging_off as usize..*staging_off as usize + *bytes as usize]
-                                .copy_from_slice(&data);
-                        }
-                    }
-                }
-            }
-            Op::Send { dst, tag, src } => {
-                let data = resolve(src, &staging, 0);
-                if cfg.faults.on_send(rank, *dst) {
-                    sched::emit(|| sched::Event::SendAttempt {
-                        rank,
-                        dst: *dst,
-                        op_index: i,
-                        dropped: true,
-                    });
-                    // Injected message loss: the receiver times out.
-                    // Advancing `i` here mirrors the PR 3 fix in `exec`:
-                    // the op must never re-execute after a drop.
-                    i += 1;
-                    continue;
-                }
-                sched::emit(|| sched::Event::SendAttempt {
-                    rank,
-                    dst: *dst,
-                    op_index: i,
-                    dropped: false,
-                });
-                comm.send_bytes(*dst, PLAN_TAG_BASE + tag.0, data)?;
-            }
-            Op::Recv {
-                src,
-                tag,
-                bytes,
-                staging_off,
-            } => {
-                let data = comm.recv_bytes(*src, PLAN_TAG_BASE + tag.0)?;
-                if data.len() as u64 != *bytes {
-                    return Err(RtError::PlanMismatch {
-                        rank,
-                        what: format!("plan recv size mismatch: want {bytes}, got {}", data.len()),
-                    });
-                }
-                // The one aggregation copy the plan IR mandates.
-                counters::add_bytes_copied(data.len() as u64);
-                staging[*staging_off as usize..*staging_off as usize + data.len()]
-                    .copy_from_slice(&data);
-            }
-            Op::Barrier { comm: cid } => {
-                // Pending flushes must land before this rank reports in:
-                // peers past the barrier may rely on our writes.
-                drain(&pipe)?;
-                sched::emit(|| sched::Event::BarrierEnter { rank });
-                // Flat fan-in/fan-out over the group's first rank, using a
-                // per-comm tag so concurrent groups stay independent.
-                let members = &program.comms[cid.0 as usize];
-                let leader = members[0];
-                let tag = BARRIER_TAG_BASE + u64::from(cid.0);
-                if rank == leader {
-                    for &m in members.iter().skip(1) {
-                        let _ = comm.recv_bytes(m, tag)?;
-                    }
-                    for &m in members.iter().skip(1) {
-                        comm.send_bytes(m, tag, Bytes::new())?;
-                    }
-                } else {
-                    comm.send_bytes(leader, tag, Bytes::new())?;
-                    let _ = comm.recv_bytes(leader, tag)?;
-                }
-            }
-            Op::Open { file, create } => {
-                let spec = &program.files[file.0 as usize];
-                if spec.atomic && cfg.stage.is_some() {
-                    // Tier-staged file: no filesystem object exists
-                    // until the drain engine publishes it.
-                    i += 1;
-                    continue;
-                }
-                let final_path = base.join(&spec.name);
-                // Atomic files live under their `.tmp` sibling until commit.
-                let path = if spec.atomic {
-                    commit::tmp_path(&final_path)
-                } else {
-                    final_path
-                };
-                let f = if *create {
-                    if let Some(parent) = path.parent() {
-                        std::fs::create_dir_all(parent).map_err(io_err)?;
-                    }
-                    OpenOptions::new()
-                        .create(true)
-                        .truncate(true)
-                        .write(true)
-                        .read(true)
-                        .open(&path)
-                        .map_err(io_err)?
-                } else {
-                    OpenOptions::new()
-                        .write(true)
-                        .read(true)
-                        .open(&path)
-                        .map_err(io_err)?
-                };
-                files.insert(file.0, Arc::new(f));
-            }
-            Op::WriteAt { file, offset, src } => {
-                let spec = &program.files[file.0 as usize];
-                if let Some(stage) = cfg.stage.as_ref().filter(|_| spec.atomic) {
-                    // Tier-staged: the slab append is the whole
-                    // foreground cost (memory speed); per-write fault
-                    // hooks don't apply — the staged path's failure
-                    // mode is losing the tier, not a torn write.
-                    let end = write_run_len(
-                        ops,
-                        i,
-                        file.0,
-                        *offset,
-                        cfg.coalesce_max_bytes,
-                        cfg.coalesce_max_ops,
-                    );
-                    let total: u64 = ops[i..end].iter().map(|o| src_len(write_src(o))).sum();
-                    counters::add_checkpoint_bytes(total);
-                    let mut off = *offset;
-                    for o in &ops[i..end] {
-                        let res = match *write_src(o) {
-                            DataRef::Own { off: po, len } => stage.append(
-                                &spec.name,
-                                off,
-                                &payload[po as usize..(po + len) as usize],
-                            ),
-                            DataRef::Staging { off: so, len } => stage.append(
-                                &spec.name,
-                                off,
-                                &staging[so as usize..(so + len) as usize],
-                            ),
-                            DataRef::Synthetic { len } => {
-                                let data: Vec<u8> =
-                                    (0..len).map(|k| synthetic_byte(off + k)).collect();
-                                stage.append(&spec.name, off, &data)
-                            }
-                        };
-                        res.map_err(|e| io_err(io::Error::other(e)))?;
-                        off += src_len(write_src(o));
-                    }
-                    i = end;
-                    continue;
-                }
-                // Coalesce byte-contiguous same-file writes into one
-                // vectored write (skipped when faults are armed: the
-                // FaultPlan counts logical writes per plan op, and under
-                // DeepCopy, which keeps the legacy one-op-one-write shape).
-                let coalesce = mode == CopyMode::ZeroCopy && !cfg.faults.is_armed();
-                let end = if coalesce {
-                    write_run_len(
-                        ops,
-                        i,
-                        file.0,
-                        *offset,
-                        cfg.coalesce_max_bytes,
-                        cfg.coalesce_max_ops,
-                    )
-                } else {
-                    i + 1
-                };
-                let total: u64 = ops[i..end].iter().map(|o| src_len(write_src(o))).sum();
-                counters::add_checkpoint_bytes(total);
-                let f = files
-                    .get(&file.0)
-                    .expect("validated plan opens before writing");
-                if let Some(p) = &pipe {
-                    // Deferred flush: snapshot each source as owned bytes
-                    // so the background write never races with later
-                    // Pack/Recv staging reuse.
-                    if end == i + 1 {
-                        let data = resolve(src, &staging, *offset);
-                        p.submit(FlushJob::Write {
-                            file: Arc::clone(f),
-                            offset: *offset,
-                            data,
-                        })
-                        .map_err(pipe_err)?;
-                    } else {
-                        let mut bufs = Vec::with_capacity(end - i);
-                        let mut off = *offset;
-                        for o in &ops[i..end] {
-                            let s = write_src(o);
-                            bufs.push(resolve(s, &staging, off));
-                            off += src_len(s);
-                        }
-                        p.submit(FlushJob::WriteV {
-                            file: Arc::clone(f),
-                            offset: *offset,
-                            bufs,
-                        })
-                        .map_err(pipe_err)?;
-                    }
-                } else if end == i + 1 {
-                    // Serial single write: completes before the op
-                    // retires, so ZeroCopy writes straight from the
-                    // borrowed source — no snapshot.
-                    match (mode, src) {
-                        (CopyMode::ZeroCopy, &DataRef::Own { off, len }) => {
-                            let data = &payload[off as usize..(off + len) as usize];
-                            fault::write_at_with_retry(
-                                f,
-                                rank,
-                                *offset,
-                                data,
-                                &cfg.faults,
-                                cfg.write_retries,
-                                cfg.retry_backoff,
-                            )
-                            .map_err(write_err)?;
-                        }
-                        (CopyMode::ZeroCopy, &DataRef::Staging { off, len }) => {
-                            let data = &staging[off as usize..(off + len) as usize];
-                            fault::write_at_with_retry(
-                                f,
-                                rank,
-                                *offset,
-                                data,
-                                &cfg.faults,
-                                cfg.write_retries,
-                                cfg.retry_backoff,
-                            )
-                            .map_err(write_err)?;
-                        }
-                        (_, s) => {
-                            let data = resolve(s, &staging, *offset);
-                            fault::write_at_with_retry(
-                                f,
-                                rank,
-                                *offset,
-                                &data,
-                                &cfg.faults,
-                                cfg.write_retries,
-                                cfg.retry_backoff,
-                            )
-                            .map_err(write_err)?;
-                        }
-                    }
-                } else {
-                    // Serial coalesced run: gather borrowed slices (plus
-                    // generated synthetic chunks), one vectored write.
-                    enum Chunk {
-                        Payload(usize, usize),
-                        Staging(usize, usize),
-                        Owned(Bytes),
-                    }
-                    let mut chunks = Vec::with_capacity(end - i);
-                    let mut off = *offset;
-                    for o in &ops[i..end] {
-                        match *write_src(o) {
-                            DataRef::Own { off: po, len } => {
-                                chunks.push(Chunk::Payload(po as usize, len as usize))
-                            }
-                            DataRef::Staging { off: so, len } => {
-                                chunks.push(Chunk::Staging(so as usize, len as usize))
-                            }
-                            DataRef::Synthetic { len } => chunks.push(Chunk::Owned(
-                                BufPool::global()
-                                    .from_fn(len as usize, |k| synthetic_byte(off + k as u64)),
-                            )),
-                        }
-                        off += src_len(write_src(o));
-                    }
-                    let slices: Vec<&[u8]> = chunks
-                        .iter()
-                        .map(|c| match c {
-                            Chunk::Payload(o, l) => &payload[*o..*o + *l],
-                            Chunk::Staging(o, l) => &staging[*o..*o + *l],
-                            Chunk::Owned(b) => b.as_ref(),
-                        })
-                        .collect();
-                    fault::write_vectored_at(
-                        f,
-                        rank,
-                        *offset,
-                        &slices,
-                        &cfg.faults,
-                        cfg.write_retries,
-                        cfg.retry_backoff,
-                    )
-                    .map_err(write_err)?;
-                }
-                i = end;
-                continue;
-            }
-            Op::ReadAt {
-                file,
-                offset,
-                len,
-                staging_off,
-            } => {
-                // Read-after-write: pending flushes must land first.
-                drain(&pipe)?;
-                let dst =
-                    &mut staging[*staging_off as usize..*staging_off as usize + *len as usize];
-                files
-                    .get(&file.0)
-                    .expect("validated plan opens before reading")
-                    .read_exact_at(dst, *offset)
-                    .map_err(io_err)?;
-            }
-            Op::Close { file } => {
-                if let Some(f) = files.remove(&file.0) {
-                    if let Some(p) = &pipe {
-                        p.submit(FlushJob::Close {
-                            file: f,
-                            fsync: cfg.fsync_on_close,
-                        })
-                        .map_err(pipe_err)?;
-                    } else if cfg.fsync_on_close {
-                        if let Some(e) = cfg.faults.on_fsync(rank) {
-                            return Err(io_err(e));
-                        }
-                        f.sync_all()
-                            .inspect_err(|_| cfg.faults.latch_fsync_failure(rank))
-                            .map_err(io_err)?;
-                        crash::record_fsync_file(&f);
-                    }
-                }
-            }
-            Op::Commit { file } => {
-                let spec = &program.files[file.0 as usize];
-                if let Some(stage) = cfg.stage.as_ref().filter(|_| spec.atomic) {
-                    // Sealing is the whole commit; the drain engine
-                    // publishes to the PFS in the background.
-                    stage.seal_file(&spec.name, spec.size);
-                    i += 1;
-                    continue;
-                }
-                let final_path = base.join(&spec.name);
-                let tmp = commit::tmp_path(&final_path);
-                if let Some(p) = &pipe {
-                    // Fault check and rename run inside the job, after
-                    // this writer's data writes (FIFO per writer) —
-                    // commit stays the last op on the owner.
-                    p.submit(FlushJob::Commit {
-                        tmp,
-                        final_path,
-                        size: spec.size,
-                        fsync: cfg.fsync_on_close,
-                    })
-                    .map_err(pipe_err)?;
-                } else {
-                    if cfg.faults.on_commit(rank) {
-                        // Die after the data writes, before the rename:
-                        // the final name must never appear.
-                        return Err(RtError::Killed { rank });
-                    }
-                    commit::commit_file_with_faults(
-                        &tmp,
-                        &final_path,
-                        spec.size,
-                        cfg.fsync_on_close,
-                        &cfg.faults,
-                        rank,
-                    )
-                    .map_err(io_err)?;
-                    sched::emit(|| sched::Event::ExtentCommit {
-                        owner: rank,
-                        by: rank,
-                        path_hash: sched::path_fingerprint(&final_path),
-                    });
-                }
-            }
-        }
-        i += 1;
+impl Transport for CommTransport<'_> {
+    fn send(&mut self, dst: u32, tag: u64, data: Bytes) -> Result<(), StepError> {
+        self.comm.try_send(dst, PLAN_TAG_BASE + tag, data)
     }
-    drain(&pipe)?;
-    Ok(())
+
+    fn recv(&mut self, src: u32, tag: u64) -> Result<Bytes, StepError> {
+        self.comm.try_recv(src, PLAN_TAG_BASE + tag)
+    }
+
+    /// Flat fan-in/fan-out over the group's first rank, using a per-comm
+    /// tag so concurrent groups stay independent.
+    fn barrier(&mut self, cid: u32) -> Result<(), StepError> {
+        let members = &self.program.comms[cid as usize];
+        let leader = members[0];
+        let tag = BARRIER_TAG_BASE + u64::from(cid);
+        if self.comm.rank == leader {
+            for &m in &members[1..] {
+                self.comm.try_recv(m, tag)?;
+            }
+            for &m in &members[1..] {
+                self.comm.try_send(m, tag, Bytes::new())?;
+            }
+        } else {
+            self.comm.try_send(leader, tag, Bytes::new())?;
+            self.comm.try_recv(leader, tag)?;
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -1084,11 +544,27 @@ mod tests {
     use crate::format::materialize_payloads;
     use crate::layout::DataLayout;
     use crate::strategy::{CheckpointSpec, Strategy};
+    use crate::tier::{SlabPool, TierStage};
+    use rbio_profile::counters;
 
     fn tmpdir(name: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!("rbio-rt-{name}-{}", std::process::id()));
         std::fs::remove_dir_all(&d).ok();
         d
+    }
+
+    /// `checkpoint_rank_with` called collectively, one rank per payload.
+    fn run_rt(program: &Program, payloads: &[Vec<u8>], cfg: &RtConfig) {
+        run(program.nranks(), |mut comm| {
+            let rank = comm.rank() as usize;
+            checkpoint_rank_with(&mut comm, program, &payloads[rank], cfg).expect("rt checkpoint");
+        });
+    }
+
+    fn tier_stage(dir: &Path) -> Arc<TierStage> {
+        std::fs::create_dir_all(dir).expect("stage dir");
+        let slab = SlabPool::create(&dir.join("gen.slab"), 1 << 20).expect("slab");
+        Arc::new(TierStage::new(1, Arc::new(slab)))
     }
 
     #[test]
@@ -1224,27 +700,72 @@ mod tests {
                 .expect("plan");
             let payloads = materialize_payloads(&plan, fill);
 
-            let dir_exec = tmpdir(&format!("exec-{strategy:?}").replace([' ', ':', '{', '}'], ""));
+            let tag = format!("{strategy:?}").replace([' ', ':', '{', '}'], "");
+            let dir_exec = tmpdir(&format!("exec-{tag}"));
             execute(&plan.program, payloads.clone(), &ExecConfig::new(&dir_exec)).expect("exec");
 
-            let dir_rt = tmpdir(&format!("rt-{strategy:?}").replace([' ', ':', '{', '}'], ""));
+            let dir_rt = tmpdir(&format!("rt-{tag}"));
             let program = &plan.program;
-            let payloads_ref = &payloads;
-            let dir_rt_ref = &dir_rt;
-            run(8, |mut comm| {
-                let rank = comm.rank();
-                checkpoint_rank(&mut comm, program, &payloads_ref[rank as usize], dir_rt_ref)
-                    .expect("rt checkpoint");
-            });
+            run_rt(program, &payloads, &RtConfig::new(&dir_rt));
 
             for pf in &plan.plan_files {
                 let a = std::fs::read(dir_exec.join(&pf.name)).expect("exec file");
                 let b = std::fs::read(dir_rt.join(&pf.name)).expect("rt file");
                 assert_eq!(a, b, "{strategy:?}: {} differs", pf.name);
             }
-            std::fs::remove_dir_all(&dir_exec).ok();
-            std::fs::remove_dir_all(&dir_rt).ok();
+
+            // Tier-staged: under either entry point every atomic file's
+            // logical image lands in the slab, and nothing reaches the
+            // PFS before a drain.
+            let (dir_se, dir_sr) = (tmpdir(&format!("se-{tag}")), tmpdir(&format!("sr-{tag}")));
+            let (stage_e, stage_r) = (tier_stage(&dir_se), tier_stage(&dir_sr));
+            let cfg_e = ExecConfig::new(&dir_se).stage(Arc::clone(&stage_e));
+            execute(program, payloads.clone(), &cfg_e).expect("staged exec");
+            let cfg_r = RtConfig::new(&dir_sr).stage(Arc::clone(&stage_r));
+            run_rt(program, &payloads, &cfg_r);
+            for f in program.files.iter().filter(|f| f.atomic) {
+                let want = std::fs::read(dir_exec.join(&f.name)).expect("exec file");
+                let got = stage_r.assemble(&f.name).expect("rt sealed the file");
+                assert_eq!(got, want[..f.size as usize], "{strategy:?}: {}", f.name);
+                assert_eq!(stage_e.assemble(&f.name), Some(got), "{strategy:?}");
+                for d in [&dir_se, &dir_sr] {
+                    let pfs = d.join(&f.name);
+                    assert!(!pfs.exists() && !crate::commit::tmp_path(&pfs).exists());
+                }
+            }
+            for d in [dir_exec, dir_rt, dir_se, dir_sr] {
+                std::fs::remove_dir_all(&d).ok();
+            }
         }
+    }
+
+    #[test]
+    fn hung_writer_stalls_then_completes_under_rt() {
+        // `rt` has no failover, so a hang is just a stall: the one-shot
+        // must be consumed, the stall served, and the output unchanged.
+        let layout = DataLayout::uniform(4, &[("u", 256)]);
+        let plan = CheckpointSpec::new(layout, "hang")
+            .strategy(Strategy::rbio(2))
+            .plan()
+            .expect("plan");
+        let payloads = materialize_payloads(&plan, |rank, _, buf| buf.fill(rank as u8 + 1));
+        let writer = 0; // rbIO writers lead their groups
+        let (dir_ref, dir_hang) = (tmpdir("hang-ref"), tmpdir("hang"));
+        run_rt(&plan.program, &payloads, &RtConfig::new(&dir_ref));
+        let stall = Duration::from_millis(50);
+        let faults = FaultPlan::none().hang_writer(writer, stall);
+        let cfg = RtConfig::new(&dir_hang).faults(faults.clone());
+        let t0 = std::time::Instant::now();
+        run_rt(&plan.program, &payloads, &cfg);
+        assert!(t0.elapsed() >= stall, "the hang must be served");
+        assert_eq!(faults.take_hang(writer), None, "one-shot consumed");
+        for pf in &plan.plan_files {
+            let a = std::fs::read(dir_ref.join(&pf.name)).expect("reference file");
+            let b = std::fs::read(dir_hang.join(&pf.name)).expect("hung-run file");
+            assert_eq!(a, b, "{} differs", pf.name);
+        }
+        std::fs::remove_dir_all(&dir_ref).ok();
+        std::fs::remove_dir_all(&dir_hang).ok();
     }
 
     #[test]
@@ -1264,16 +785,9 @@ mod tests {
             let tag = format!("{strategy:?}").replace([' ', ':', '{', '}'], "");
             let dir_serial = tmpdir(&format!("ps-{tag}"));
             let dir_pipe = tmpdir(&format!("pp-{tag}"));
-            let program = &plan.program;
-            let payloads_ref = &payloads;
             for (dir, depth) in [(&dir_serial, 1u32), (&dir_pipe, 3)] {
                 let cfg = RtConfig::new(dir).pipeline_depth(depth).pipeline_jitter(11);
-                let cfg_ref = &cfg;
-                run(8, |mut comm| {
-                    let rank = comm.rank();
-                    checkpoint_rank_with(&mut comm, program, &payloads_ref[rank as usize], cfg_ref)
-                        .expect("rt checkpoint");
-                });
+                run_rt(&plan.program, &payloads, &cfg);
             }
             for pf in &plan.plan_files {
                 let a = std::fs::read(dir_serial.join(&pf.name)).expect("serial file");

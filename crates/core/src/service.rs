@@ -15,9 +15,9 @@
 //!
 //! The service owns its pool instead of relying on the process-global
 //! one — constructing a [`CheckpointService`] with `install_pool` routes
-//! the legacy [`FlushPool::global`] shim and [`FlushPool::current`]
-//! through this pool, which is what actually fixes the stale-global
-//! reconfiguration bug at its root: reconfiguration is re-installation.
+//! [`FlushPool::current`] through this pool, which is what actually
+//! fixes the stale-global reconfiguration bug at its root:
+//! reconfiguration is re-installation.
 //!
 //! Every admission decision and per-tenant byte moved is charged to the
 //! zero-alloc counters in [`rbio_profile::counters`], which also keep a
@@ -121,8 +121,8 @@ pub struct ServiceConfig {
     /// fsync session files before publishing them.
     pub fsync: bool,
     /// Install the service pool as the process pool, routing
-    /// [`FlushPool::current`] and the legacy [`FlushPool::global`] shim
-    /// through it (uninstalled again when the service drops). Off by
+    /// [`FlushPool::current`] through it (uninstalled again when the
+    /// service drops). Off by
     /// default so embedded services (tests) don't steal the pool from
     /// unrelated concurrent work.
     pub install_pool: bool,
@@ -1178,11 +1178,10 @@ mod tests {
     }
 
     #[test]
-    fn install_pool_routes_global_shim_through_service() {
+    fn install_pool_routes_current_through_service() {
         let dir = tmpdir("install");
         let svc = CheckpointService::new(ServiceConfig::new(&dir).pool_threads(3).install_pool());
         assert!(Arc::ptr_eq(&FlushPool::current(), svc.pool()));
-        assert!(Arc::ptr_eq(&FlushPool::global(), svc.pool()));
         let pool = Arc::clone(svc.pool());
         drop(svc);
         // Dropping the service uninstalls and shuts down its pool.

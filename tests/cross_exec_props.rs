@@ -1,14 +1,17 @@
 //! Cross-executor property test: for random layouts and strategy
 //! parameters, the plan executed by the thread-per-rank executor
 //! ([`rbio::exec`]) and the same plan executed rank-by-rank inside the
-//! MPI-like runtime ([`rbio::rt`]) must produce byte-identical files —
-//! two independent interpreters of the plan semantics agreeing on every
-//! offset of every output.
+//! MPI-like runtime ([`rbio::rt`]) must produce byte-identical files.
+//! The two entry points run one interpreter over different transports,
+//! so agreement alone could be shared error: each directory is also
+//! restored with `read_checkpoint` and every `(rank, field)` compared to
+//! the regenerated `fill` — the ground truth neither side computes.
 
 use proptest::prelude::*;
 use rbio_repro::rbio::exec::{execute, ExecConfig};
 use rbio_repro::rbio::format::{footer_len, materialize_payloads};
 use rbio_repro::rbio::layout::{DataLayout, FieldSizes, FieldSpec};
+use rbio_repro::rbio::restart::read_checkpoint;
 use rbio_repro::rbio::rt;
 use rbio_repro::rbio::strategy::{CheckpointSpec, RbIoCommit, Strategy as Ckpt, Tuning};
 
@@ -98,6 +101,23 @@ proptest! {
             // Neither executor may leave an uncommitted sibling behind.
             prop_assert!(!dir_a.join(format!("{}.tmp", pf.name)).exists());
             prop_assert!(!dir_b.join(format!("{}.tmp", pf.name)).exists());
+        }
+        for dir in [&dir_a, &dir_b] {
+            let restored = read_checkpoint(dir, &plan).expect("restore");
+            for rank in 0..np {
+                for field in 0..nfields {
+                    let mut want = vec![0u8; plan.layout.field_bytes(rank, field) as usize];
+                    fill(rank, field, &mut want);
+                    prop_assert_eq!(
+                        restored.field_data(rank, field),
+                        &want[..],
+                        "rank {} field {} restored from {:?}",
+                        rank,
+                        field,
+                        dir
+                    );
+                }
+            }
         }
         std::fs::remove_dir_all(&dir_a).ok();
         std::fs::remove_dir_all(&dir_b).ok();
