@@ -60,6 +60,14 @@ rm -rf "$SCRUB_DIR"
 echo "== backend conformance under the emulated ring =="
 RBIO_IO_BACKEND=ring cargo test -q -p rbio --test backend_conformance
 
+echo "== io-uring feature: build it, run rbio's tests on the ring backend =="
+# backend/uring.rs is only compiled with this feature. Its runtime probe
+# falls back to the portable emulation where seccomp blocks
+# io_uring_setup, so the step passes in containers and exercises the real
+# syscalls wherever they are allowed.
+cargo build --offline -p rbio --features io-uring
+RBIO_IO_BACKEND=ring cargo test --offline -q -p rbio --features io-uring
+
 echo "== rbio-tune fast gate (small budget, winner in the Fig. 8 band) =="
 # The autotuner must rediscover the paper's nf ~= 1024 sweet spot on
 # the calibrated Intrepid model even under the small CI eval budget;

@@ -15,8 +15,8 @@
 //! --expect-violation` that found nothing).
 
 use std::process::ExitCode;
-use std::sync::atomic::Ordering;
 
+use rbio::sched::{Revert, RevertGuard};
 use rbio_check::{run_one, sweep, CheckReport, Policy, ProgramKind};
 
 fn usage(err: &str) -> ExitCode {
@@ -44,6 +44,8 @@ struct Args {
     stop_first: bool,
     schedule: Option<String>,
     expect_violation: bool,
+    /// Historical bugs switched back on for this process's runs.
+    reverts: Vec<RevertGuard>,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -58,6 +60,7 @@ fn parse_args() -> Result<Args, String> {
         stop_first: false,
         schedule: None,
         expect_violation: false,
+        reverts: Vec::new(),
     };
     let need_value = |argv: &mut dyn Iterator<Item = String>, flag: &str| {
         argv.next().ok_or(format!("{flag} needs a value"))
@@ -87,18 +90,12 @@ fn parse_args() -> Result<Args, String> {
             "--preempt" => args.preempt = true,
             "--stop-first" => args.stop_first = true,
             "--expect-violation" => args.expect_violation = true,
-            "--revert-pr2" => {
-                rbio::pipeline::REVERT_PR2_DOUBLE_ENQUEUE.store(true, Ordering::Relaxed);
-            }
-            "--revert-pr3" => {
-                rbio::exec::REVERT_PR3_FAULT_DROP.store(true, Ordering::Relaxed);
-            }
-            "--revert-pr5" => {
-                rbio::failover::REVERT_PR5_FENCE.store(true, Ordering::Relaxed);
-            }
-            "--revert-pr7" => {
-                rbio::backend::REVERT_PR7_EARLY_RECYCLE.store(true, Ordering::Relaxed);
-            }
+            "--revert-pr2" => args
+                .reverts
+                .push(RevertGuard::arm(Revert::Pr2DoubleEnqueue)),
+            "--revert-pr3" => args.reverts.push(RevertGuard::arm(Revert::Pr3FaultDrop)),
+            "--revert-pr5" => args.reverts.push(RevertGuard::arm(Revert::Pr5Fence)),
+            "--revert-pr7" => args.reverts.push(RevertGuard::arm(Revert::Pr7EarlyRecycle)),
             other => return Err(format!("unknown flag '{other}'")),
         }
     }

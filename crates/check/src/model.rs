@@ -20,7 +20,7 @@
 //!   by at most one successor (PR 5 failover).
 //! * **Fenced writers never commit** — once a writer is declared dead,
 //!   no commit runs under its identity (a late-reviving zombie must be
-//!   fenced out; `REVERT_PR5_FENCE` re-opens this hole).
+//!   fenced out; `Revert::Pr5Fence` re-opens this hole).
 //! * **Extent commits are unique** — each final path is renamed into
 //!   place exactly once per generation.
 //! * **Durable implies drained** — a tiered generation is never marked

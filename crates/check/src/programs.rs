@@ -21,7 +21,7 @@
 //!   failover: the surviving writer re-stages the orphaned extent and
 //!   the output matches an uninjected serial reference byte-for-byte,
 //!   with exactly-once takeover and no commit under the fenced rank
-//!   (PR 5 territory; `REVERT_PR5_FENCE` re-opens the zombie
+//!   (PR 5 territory; `Revert::Pr5Fence` re-opens the zombie
 //!   double-commit hole).
 //! * `p6` — the tiered checkpoint manager: generation 2's background
 //!   drain races a restore, so the nearest durable tier copy is
@@ -37,7 +37,7 @@
 //! * `p8a` — the ring backend under permuted completion delivery plus an
 //!   injected short write: submission order must still win on disk and
 //!   the short op's continuation must fill the hole byte-for-byte
-//!   (PR 7 territory; `REVERT_PR7_EARLY_RECYCLE` gives buffers away
+//!   (PR 7 territory; `Revert::Pr7EarlyRecycle` gives buffers away
 //!   before reap, so the continuation has nothing to resubmit).
 //! * `p8b` — a persistently failing write in the middle of a ring batch:
 //!   the first failure in *submission* order must latch, later linked
@@ -307,7 +307,7 @@ fn ring_writer(rank: u32, depth: u32, faults: FaultPlan) -> rbio::pipeline::Writ
 /// delivery is permuted by the ring seed and interleaved by the
 /// controlled scheduler, but submission order must win on disk and the
 /// short write's continuation must fill the rest of its chunk. Under
-/// `REVERT_PR7_EARLY_RECYCLE` the buffers are given away before reap:
+/// `Revert::Pr7EarlyRecycle` the buffers are given away before reap:
 /// the model flags the fingerprint drift and the unfillable hole
 /// surfaces as an `Equivalence` violation.
 fn prepare_ring_equiv(dir: &Path) -> PreparedProgram {

@@ -24,42 +24,26 @@
 //! the installed scheduler are global, so concurrent tests would bleed
 //! into each other's runs.
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
-use rbio::backend::REVERT_PR7_EARLY_RECYCLE;
-use rbio::exec::REVERT_PR3_FAULT_DROP;
-use rbio::failover::REVERT_PR5_FENCE;
-use rbio::pipeline::REVERT_PR2_DOUBLE_ENQUEUE;
+use rbio::sched::{Revert, RevertGuard};
 use rbio_check::{run_one, sweep, Policy, ProgramKind, ViolationKind};
 
 static SERIAL: Mutex<()> = Mutex::new(());
 
-/// Hold the serial lock and arm one revert switch; disarms on drop even
-/// if the test panics, so one failure cannot poison the others.
-struct RevertGuard {
+/// The serial lock plus one armed revert switch. Fields drop in order,
+/// so the switch disarms (even if the test panics) before the lock is
+/// released and one failure cannot poison the others.
+struct Serialized {
+    revert: RevertGuard,
     _serial: MutexGuard<'static, ()>,
-    flag: &'static AtomicBool,
 }
 
-impl RevertGuard {
-    fn arm(flag: &'static AtomicBool) -> Self {
-        let serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-        flag.store(true, Ordering::Relaxed);
-        RevertGuard {
-            _serial: serial,
-            flag,
-        }
-    }
-
-    fn disarm(&self) {
-        self.flag.store(false, Ordering::Relaxed);
-    }
-}
-
-impl Drop for RevertGuard {
-    fn drop(&mut self) {
-        self.flag.store(false, Ordering::Relaxed);
+fn arm(bug: Revert) -> Serialized {
+    let serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    Serialized {
+        revert: RevertGuard::arm(bug),
+        _serial: serial,
     }
 }
 
@@ -69,7 +53,7 @@ fn has(report: &rbio_check::CheckReport, kind: ViolationKind) -> bool {
 
 #[test]
 fn pr2_double_enqueue_race_is_found_replayed_and_fixed() {
-    let guard = RevertGuard::arm(&REVERT_PR2_DOUBLE_ENQUEUE);
+    let guard = arm(Revert::Pr2DoubleEnqueue);
 
     // The explorer finds the race within the fast seed budget.
     let result = sweep(ProgramKind::PipelineRace, 0..256, false, true);
@@ -92,7 +76,7 @@ fn pr2_double_enqueue_race_is_found_replayed_and_fixed() {
     assert!(has(&replay, ViolationKind::DoubleDrain));
 
     // The very same schedule is harmless on the fixed code.
-    guard.disarm();
+    guard.revert.disarm();
     let fixed = run_one(ProgramKind::PipelineRace, Policy::pinned(&found.schedule()));
     assert!(
         fixed.violations.is_empty(),
@@ -104,7 +88,7 @@ fn pr2_double_enqueue_race_is_found_replayed_and_fixed() {
 
 #[test]
 fn pr3_fault_drop_reexecution_is_found_replayed_and_fixed() {
-    let guard = RevertGuard::arm(&REVERT_PR3_FAULT_DROP);
+    let guard = arm(Revert::Pr3FaultDrop);
 
     // With the fix reverted, the dropped send re-executes — every
     // schedule shows the duplicate, so seed 0 suffices; sweep a few for
@@ -135,7 +119,7 @@ fn pr3_fault_drop_reexecution_is_found_replayed_and_fixed() {
     // Fixed code: exactly one (dropped) send attempt, and the loss
     // surfaces as a typed receive timeout — the expected outcome for
     // this family.
-    guard.disarm();
+    guard.revert.disarm();
     let fixed = run_one(ProgramKind::FaultDrop, Policy::pinned(&found.schedule()));
     assert!(
         fixed.violations.is_empty(),
@@ -150,7 +134,7 @@ fn pr3_fault_drop_reexecution_is_found_replayed_and_fixed() {
 
 #[test]
 fn pr5_unfenced_zombie_commit_is_found_replayed_and_fixed() {
-    let guard = RevertGuard::arm(&REVERT_PR5_FENCE);
+    let guard = arm(Revert::Pr5Fence);
 
     // With the fence reverted, any schedule where the hung writer
     // revives after takeover and reaches its Commit shows the zombie
@@ -177,7 +161,7 @@ fn pr5_unfenced_zombie_commit_is_found_replayed_and_fixed() {
 
     // With the fence back in place the same schedule refuses the zombie
     // commit and the successor publishes alone.
-    guard.disarm();
+    guard.revert.disarm();
     let fixed = run_one(ProgramKind::Failover, Policy::pinned(&found.schedule()));
     assert!(
         fixed.violations.is_empty(),
@@ -189,7 +173,7 @@ fn pr5_unfenced_zombie_commit_is_found_replayed_and_fixed() {
 
 #[test]
 fn pr7_early_buffer_release_is_found_replayed_and_fixed() {
-    let guard = RevertGuard::arm(&REVERT_PR7_EARLY_RECYCLE);
+    let guard = arm(Revert::Pr7EarlyRecycle);
 
     // With buffers given away before reap, every schedule that reaches
     // the reap loop shows the fingerprint drift, and the short write's
@@ -219,7 +203,7 @@ fn pr7_early_buffer_release_is_found_replayed_and_fixed() {
 
     // With ownership held until reap, the same schedule resubmits the
     // short write and the bytes land intact.
-    guard.disarm();
+    guard.revert.disarm();
     let fixed = run_one(ProgramKind::RingEquiv, Policy::pinned(&found.schedule()));
     assert!(
         fixed.violations.is_empty(),

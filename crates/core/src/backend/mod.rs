@@ -41,7 +41,6 @@
 use std::fs::File;
 use std::io;
 use std::os::unix::fs::FileExt;
-use std::sync::atomic::AtomicBool;
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
@@ -57,16 +56,6 @@ pub mod uring;
 mod mmapio;
 
 pub use ring::{RingBackend, RingConfig};
-
-/// Test-only regression switch: the ring backend releases its buffer
-/// ownership right after the execution phase instead of holding it
-/// until the completion is reaped. A reaped short write then cannot be
-/// resubmitted (the bytes are gone — in a real premature release they
-/// would already belong to someone else), so the file keeps a hole and
-/// the `p8a` rbio-check family flags the divergence. Must never be set
-/// outside tests.
-#[doc(hidden)]
-pub static REVERT_PR7_EARLY_RECYCLE: AtomicBool = AtomicBool::new(false);
 
 /// Which backend a config knob selects. The indirection (rather than an
 /// `Arc<dyn IoBackend>` in every config struct) keeps `ExecConfig` and

@@ -22,15 +22,14 @@
 use std::collections::VecDeque;
 use std::fs::File;
 use std::io;
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use rbio_profile::counters;
 
-use super::{BatchOutcome, IoBackend, IoCtx, WriteOp, REVERT_PR7_EARLY_RECYCLE};
+use super::{BatchOutcome, IoBackend, IoCtx, WriteOp};
 use crate::buf::Bytes;
 use crate::fault::{self, CappedWrite, WriteError};
-use crate::sched::{self, Point};
+use crate::sched::{self, Point, Revert};
 
 /// Ring geometry and determinism knobs.
 #[derive(Debug, Clone, Copy)]
@@ -267,7 +266,7 @@ impl IoBackend for RingBackend {
     }
 
     fn run_writes(&self, ctx: &IoCtx<'_>, ops: Vec<WriteOp>) -> BatchOutcome {
-        let early_recycle = REVERT_PR7_EARLY_RECYCLE.load(Ordering::Relaxed);
+        let early_recycle = sched::reverted(Revert::Pr7EarlyRecycle);
         let mut core: RingCore<Sqe, Cqe> = RingCore::new(self.cfg.depth, self.cfg.completion_seed);
         let mut retries = 0u32;
         let mut error: Option<(usize, WriteError)> = None;

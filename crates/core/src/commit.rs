@@ -17,22 +17,12 @@ use std::fs::OpenOptions;
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
-use std::sync::atomic::{AtomicBool, Ordering};
-
 use rbio_plan::Rank;
 
 use crate::crash;
 use crate::fault::{self, FaultPlan};
 use crate::format::{self, FooterRegion};
-
-/// Test-only regression switch: skip the directory fsync after the
-/// commit rename — the exact durability bug PR 1's commit protocol
-/// exists to prevent (a crash can then lose the *publication* of a
-/// fully written file). The crash-image sweep in [`crate::crash`] must
-/// catch this as a restored-step regression; see the torture tests.
-/// Must never be set outside tests.
-#[doc(hidden)]
-pub static REVERT_PR1_COMMIT_FSYNC: AtomicBool = AtomicBool::new(false);
+use crate::sched::{self, Revert};
 
 /// Suffix appended to a final path to form its temporary sibling.
 pub const TMP_SUFFIX: &str = ".tmp";
@@ -112,7 +102,7 @@ pub fn commit_file_with_faults(
     drop(f);
     std::fs::rename(tmp, final_path)?;
     crash::record_rename(tmp, final_path);
-    if fsync && !REVERT_PR1_COMMIT_FSYNC.load(Ordering::Relaxed) {
+    if fsync && !sched::reverted(Revert::Pr1CommitFsync) {
         // Persist the rename itself: fsync the containing directory. A
         // failure here means the publication may not survive a crash, so
         // it must surface — swallowing it turns a broken durability

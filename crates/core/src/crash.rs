@@ -56,9 +56,9 @@ use rbio_profile::counters;
 
 use crate::backend::{BatchOutcome, IoBackend, IoCtx, WriteOp};
 use crate::buf::Bytes;
-use crate::commit;
 use crate::layout::DataLayout;
 use crate::manager::{CheckpointManager, ManagerConfig, ManagerError};
+use crate::sched::{Revert, RevertGuard};
 use crate::strategy::Strategy;
 
 /// One recorded durability-relevant operation. Paths are relative to
@@ -581,11 +581,11 @@ pub fn record_scenario(
     let _ = std::fs::remove_dir_all(scratch);
     std::fs::create_dir_all(scratch)?;
     let rec = Recorder::install(scratch)?;
-    // Flip the planted-bug switch only while holding the recorder: the
-    // install lock serializes scenarios, so the global flag cannot leak
-    // into an unrelated recording.
-    let prev = commit::REVERT_PR1_COMMIT_FSYNC.swap(revert_pr1, Ordering::SeqCst);
     let run = || -> Result<(), ManagerError> {
+        // Plant the bug only while holding the recorder: the install lock
+        // serializes scenarios, so the process-wide switch cannot leak
+        // into an unrelated recording.
+        let _planted = revert_pr1.then(|| RevertGuard::arm(Revert::Pr1CommitFsync));
         let mut cfg = ManagerConfig::new(scratch, scn.strategy);
         cfg.fsync = true;
         // Rotation would delete files with unrecorded ops; keep every
@@ -603,7 +603,6 @@ pub fn record_scenario(
         Ok(())
     };
     let result = run();
-    commit::REVERT_PR1_COMMIT_FSYNC.store(prev, Ordering::SeqCst);
     let ops = rec.take();
     drop(rec);
     let _ = std::fs::remove_dir_all(scratch);
@@ -877,6 +876,7 @@ pub fn load_ops(path: &Path) -> io::Result<Vec<RecOp>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::commit;
 
     fn scratch(tag: &str) -> PathBuf {
         std::env::temp_dir().join(format!("rbio-crash-{tag}-{}", std::process::id()))

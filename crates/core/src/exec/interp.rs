@@ -21,7 +21,7 @@ use std::fs::{File, OpenOptions};
 use std::io;
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -29,7 +29,7 @@ use rbio_plan::{DataRef, Op, Program};
 use rbio_profile::counters;
 
 use super::mailbox::MailError;
-use super::{write_run_len, write_src, REVERT_PR3_FAULT_DROP};
+use super::{write_run_len, write_src};
 use crate::backend::{self, BackendKind};
 use crate::buf::{BufPool, Bytes, CopyMode};
 use crate::commit;
@@ -38,7 +38,7 @@ use crate::failover::{FailoverDirector, WriterHealth};
 use crate::fault::{self, FaultPlan};
 use crate::format::synthetic_byte;
 use crate::pipeline::{FlushJob, FlushPool, PipelineError, WriterHandle, WriterTuning};
-use crate::sched::{self, Point};
+use crate::sched::{self, Point, Revert};
 use crate::tier::TierStage;
 
 /// What a rank was blocked on when its deadline passed.
@@ -346,7 +346,7 @@ impl<'a, T: Transport> Interp<'a, T> {
                             // without it the op re-executes and, the
                             // drop budget being spent, delivers the
                             // "lost" message after all.
-                            if !REVERT_PR3_FAULT_DROP.load(Ordering::Relaxed) {
+                            if !sched::reverted(Revert::Pr3FaultDrop) {
                                 i += 1;
                             }
                             continue;

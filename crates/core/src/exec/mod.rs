@@ -33,14 +33,6 @@ use crate::failover::{FailoverDirector, FailoverPolicy, WriterHealth};
 use crate::fault::FaultPlan;
 use crate::sched::{self, Point};
 
-/// Test-only regression switch: re-introduces the PR 3 fault-drop bug
-/// (`Send` op not advanced past after an injected drop, so the op
-/// re-executes and the message is delivered on the second pass because
-/// the drop budget was already consumed). Used by `rbio-check` pinned
-/// regression schedules; must never be set outside tests.
-#[doc(hidden)]
-pub static REVERT_PR3_FAULT_DROP: AtomicBool = AtomicBool::new(false);
-
 /// Default per-rank mailbox capacity (messages). Bounded so a burst or a
 /// stalled receiver exerts backpressure on senders instead of growing
 /// the heap without bound; override via [`ExecConfig::chan_capacity`].

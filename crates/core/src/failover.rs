@@ -33,19 +33,12 @@
 //! takeover and fenced-writer-never-commits as model invariants.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::Duration;
 
 use rbio_profile::counters;
 
-use crate::sched::{self, Event};
-
-/// Test-only revert switch: when set, [`FailoverDirector::allow_commit`]
-/// stops refusing fenced writers, reintroducing the double-commit hazard
-/// the fence exists to prevent. Used by `rbio-check` regressions to prove
-/// the p5 sweep catches the bug class; never set in production.
-pub static REVERT_PR5_FENCE: AtomicBool = AtomicBool::new(false);
+use crate::sched::{self, Event, Revert};
 
 /// A writer's health as seen by the failover director.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -284,13 +277,13 @@ impl FailoverDirector {
 
     /// Commit admission: a fenced writer may not commit. Refusals bump
     /// the `fenced_commits_refused` counter. The test-only
-    /// [`REVERT_PR5_FENCE`] switch disables the refusal to demonstrate
+    /// [`Revert::Pr5Fence`] switch disables the refusal to demonstrate
     /// the double-commit hazard to the p5 sweep.
     pub fn allow_commit(&self, rank: u32) -> bool {
         if !self.lock().is_dead(rank) {
             return true;
         }
-        if REVERT_PR5_FENCE.load(Ordering::Relaxed) {
+        if sched::reverted(Revert::Pr5Fence) {
             return true;
         }
         counters::add_fenced_commits_refused(1);

@@ -44,15 +44,7 @@ use crate::buf::Bytes;
 use crate::commit;
 use crate::crash;
 use crate::fault::{self, FaultPlan};
-use crate::sched::{self, Point};
-
-/// Test-only regression switch: re-introduces the PR 2 double-enqueue
-/// race (`submit` re-enqueues a writer that is already in the runnable
-/// queue, so two pool threads can drain one writer concurrently). Used
-/// by `rbio-check` pinned regression schedules to prove the harness
-/// catches the historical bug; must never be set outside tests.
-#[doc(hidden)]
-pub static REVERT_PR2_DOUBLE_ENQUEUE: AtomicBool = AtomicBool::new(false);
+use crate::sched::{self, Point, Revert};
 
 /// Why a writer's background pipeline failed.
 #[derive(Debug)]
@@ -294,11 +286,10 @@ fn pool_wait<'a>(
 }
 
 /// A flush thread pool: a fixed set of worker threads draining
-/// per-writer FIFO queues. Historically one process-wide instance; now
-/// explicitly constructible ([`FlushPool::with_threads`]) so a
-/// long-lived service owns — and can *re*-configure — its pool instead
-/// of being stuck with whatever the first caller froze into the
-/// `OnceLock` global.
+/// per-writer FIFO queues. Explicitly constructible
+/// ([`FlushPool::with_threads`]) so a long-lived service owns — and
+/// sizes — its pool; executors without one share the lazily created
+/// process default ([`FlushPool::current`]).
 pub struct FlushPool {
     shared: Arc<Shared>,
     threads: usize,
@@ -307,12 +298,6 @@ pub struct FlushPool {
 /// Pool used by controlled (`rbio-check`) runs instead of the global
 /// one, so schedule decisions see a fixed, named set of worker threads.
 static CHECK_POOL: RwLock<Option<Arc<FlushPool>>> = RwLock::new(None);
-
-/// The service-owned pool, when one is installed: [`FlushPool::current`]
-/// routes every executor registration here, so replacing it (new worker
-/// count, fresh workers) takes effect for all subsequent runs — the
-/// behavior the stale `OnceLock` global silently dropped.
-static INSTALLED: RwLock<Option<Arc<FlushPool>>> = RwLock::new(None);
 
 impl FlushPool {
     fn global_arc() -> &'static Arc<FlushPool> {
@@ -359,39 +344,14 @@ impl FlushPool {
         self.shared.work.notify_all();
     }
 
-    /// Install `pool` as the process's service-owned pool, returning
-    /// the previously installed one (which the caller should shut
-    /// down once its writers are quiesced). [`FlushPool::current`]
-    /// routes through the installed pool, so *re*-installing is how a
-    /// service reconfigures flushing at runtime.
-    pub fn install(pool: Arc<FlushPool>) -> Option<Arc<FlushPool>> {
-        INSTALLED
-            .write()
-            .expect("installed pool lock")
-            .replace(pool)
-    }
-
-    /// Remove the installed service pool, returning it (if any).
-    pub fn uninstall() -> Option<Arc<FlushPool>> {
-        INSTALLED.write().expect("installed pool lock").take()
-    }
-
-    /// The currently installed service-owned pool, if any.
-    pub fn installed() -> Option<Arc<FlushPool>> {
-        INSTALLED.read().expect("installed pool lock").clone()
-    }
-
     /// The pool executors should register with: the controlled check
-    /// pool while a deterministic run is active, else the installed
-    /// service pool, else the lazily created process default.
+    /// pool while a deterministic run is active, else the lazily created
+    /// process default.
     pub fn current() -> Arc<FlushPool> {
         if sched::controlled() {
             if let Some(p) = CHECK_POOL.read().expect("check pool lock").as_ref() {
                 return Arc::clone(p);
             }
-        }
-        if let Some(p) = Self::installed() {
-            return p;
         }
         Arc::clone(Self::global_arc())
     }
@@ -536,7 +496,7 @@ impl WriterHandle {
         // `!w.enqueued` is the PR 2 fix: without it, two back-to-back
         // submits ahead of a busy pool enqueue the writer twice and two
         // threads drain one queue concurrently.
-        let enqueue = if REVERT_PR2_DOUBLE_ENQUEUE.load(Ordering::Relaxed) {
+        let enqueue = if sched::reverted(Revert::Pr2DoubleEnqueue) {
             !w.active
         } else {
             !w.active && !w.enqueued
@@ -1110,60 +1070,6 @@ mod tests {
         })
         .expect("submit");
         assert_eq!(h.drain().expect("drain"), 2);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    /// Regression for the stale-global-pool bug: the process pool was a
-    /// `OnceLock` and any later worker-count change silently no-oped.
-    /// Now a service installs an explicit pool, and *re*-installing one
-    /// with a different configuration takes effect immediately for
-    /// `current()`.
-    #[test]
-    fn installed_pool_reconfiguration_takes_effect() {
-        let a = FlushPool::with_threads(2);
-        let b = FlushPool::with_threads(3);
-        assert_eq!(a.threads(), 2);
-        assert_eq!(b.threads(), 3);
-
-        FlushPool::install(Arc::clone(&a));
-        assert!(Arc::ptr_eq(&FlushPool::current(), &a));
-
-        // Reconfiguration: install a differently-sized pool after first
-        // use. Pre-fix, this was the silent no-op; now it must replace.
-        let prev = FlushPool::install(Arc::clone(&b)).expect("a was installed");
-        assert!(Arc::ptr_eq(&prev, &a));
-        assert!(Arc::ptr_eq(&FlushPool::current(), &b));
-        assert_eq!(FlushPool::current().threads(), 3);
-
-        // Writers registered through the routed handle actually flush.
-        let dir = tmpdir("reinstall");
-        let file = open_rw(&dir.join("f"));
-        let h = FlushPool::current().register(
-            9,
-            2,
-            FaultPlan::none(),
-            WriterTuning {
-                write_retries: 3,
-                retry_backoff: Duration::from_micros(100),
-                ..WriterTuning::default()
-            },
-        );
-        h.submit(FlushJob::Write {
-            file: Arc::clone(&file),
-            offset: 0,
-            data: Bytes::from_vec(vec![5; 32]),
-        })
-        .expect("submit");
-        h.drain().expect("drain");
-        let mut buf = [0u8; 32];
-        file.read_exact_at(&mut buf, 0).expect("read");
-        assert_eq!(buf, [5u8; 32]);
-
-        let got = FlushPool::uninstall().expect("b installed");
-        assert!(Arc::ptr_eq(&got, &b));
-        assert!(Arc::ptr_eq(&FlushPool::current(), FlushPool::global_arc()));
-        // a and b are deliberately *not* shut down: a concurrent test
-        // may have grabbed one through `current()` during the window.
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -24,7 +24,7 @@
 //!   and must call [`register`] first thing and [`unregister`] last, so
 //!   schedule decisions never depend on OS thread-startup timing.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
 use std::sync::{Arc, RwLock};
 
 /// Where a thread is pausing. Waiting points ([`Point::is_wait`]) mean
@@ -384,6 +384,77 @@ pub trait Sched: Send + Sync {
 pub struct OsSched;
 
 impl Sched for OsSched {}
+
+/// A historical bug a test can switch back on, to prove the harness that
+/// guards the fix still catches it (`rbio-check --revert-prN`,
+/// `rbio-crash --revert-pr1`, `crates/check/tests/regressions.rs`). The
+/// library reads a switch with [`reverted`] at the one site of each fix;
+/// nothing outside tests may arm one.
+#[doc(hidden)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Revert {
+    /// PR 1: `commit_file` skips the directory fsync after the rename, so
+    /// a crash can lose the *publication* of a fully written file. The
+    /// crash-image sweep in [`crate::crash`] must catch it as a
+    /// restored-step regression.
+    Pr1CommitFsync,
+    /// PR 2: `submit` re-enqueues a writer already in the runnable queue,
+    /// so two pool threads can drain one writer concurrently.
+    Pr2DoubleEnqueue,
+    /// PR 3: the interpreter does not advance past a `Send` whose message
+    /// an injected fault dropped; the op re-executes and, the drop budget
+    /// being spent, delivers the "lost" message after all.
+    Pr3FaultDrop,
+    /// PR 5: `FailoverDirector::allow_commit` stops refusing fenced
+    /// writers, reopening the double-commit hazard the p5 sweep flags.
+    Pr5Fence,
+    /// PR 7: the ring backend releases buffer ownership after execution
+    /// instead of at completion reap. A reaped short write then has
+    /// nothing left to resubmit, the file keeps a hole, and the `p8a`
+    /// family flags the divergence.
+    Pr7EarlyRecycle,
+}
+
+impl Revert {
+    fn bit(self) -> u8 {
+        1 << self as u8
+    }
+}
+
+/// One bit per armed [`Revert`].
+static REVERTED: AtomicU8 = AtomicU8::new(0);
+
+/// True while `bug` is armed. One relaxed load.
+#[doc(hidden)]
+#[inline]
+pub fn reverted(bug: Revert) -> bool {
+    REVERTED.load(Ordering::Relaxed) & bug.bit() != 0
+}
+
+/// Arms one [`Revert`] for as long as it lives; disarms on drop even if
+/// the test panics, so one failure cannot leak into the next run. The
+/// switches are process-wide: callers serialize the runs that arm them.
+#[doc(hidden)]
+pub struct RevertGuard(Revert);
+
+impl RevertGuard {
+    /// Switch `bug` back on.
+    pub fn arm(bug: Revert) -> Self {
+        REVERTED.fetch_or(bug.bit(), Ordering::SeqCst);
+        RevertGuard(bug)
+    }
+
+    /// Switch it off early (to rerun the same schedule on the fixed code).
+    pub fn disarm(&self) {
+        REVERTED.fetch_and(!self.0.bit(), Ordering::SeqCst);
+    }
+}
+
+impl Drop for RevertGuard {
+    fn drop(&mut self) {
+        self.disarm();
+    }
+}
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
 static SCHED: RwLock<Option<Arc<dyn Sched>>> = RwLock::new(None);

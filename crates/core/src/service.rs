@@ -13,15 +13,14 @@
 //! ([`QosClass::LatencySensitive`] restores preempt
 //! [`QosClass::Throughput`] checkpoints at chunk grant points).
 //!
-//! The service owns its pool instead of relying on the process-global
-//! one — constructing a [`CheckpointService`] with `install_pool` routes
-//! [`FlushPool::current`] through this pool, which is what actually
-//! fixes the stale-global reconfiguration bug at its root:
-//! reconfiguration is re-installation.
+//! The service owns and passes its pool: every session writer is
+//! registered on the pool the service constructed from its own config
+//! ([`CheckpointService::pool`] hands the same pool to an embedding
+//! executor), so a differently-configured service is a different pool —
+//! there is no process-wide pool to go stale.
 //!
 //! Every admission decision and per-tenant byte moved is charged to the
-//! zero-alloc counters in [`rbio_profile::counters`], which also keep a
-//! live ring-buffered time series for observability.
+//! zero-alloc counters in [`rbio_profile::counters`].
 
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
@@ -120,17 +119,11 @@ pub struct ServiceConfig {
     pub grant_timeout: Duration,
     /// fsync session files before publishing them.
     pub fsync: bool,
-    /// Install the service pool as the process pool, routing
-    /// [`FlushPool::current`] through it (uninstalled again when the
-    /// service drops). Off by
-    /// default so embedded services (tests) don't steal the pool from
-    /// unrelated concurrent work.
-    pub install_pool: bool,
 }
 
 impl ServiceConfig {
     /// Defaults: 2 pool threads, depth 2, 8 in flight, 64 queued, 256
-    /// KiB quantum, 2 s deadlines, no fsync, not installed.
+    /// KiB quantum, 2 s deadlines, no fsync.
     pub fn new(base_dir: impl Into<PathBuf>) -> Self {
         ServiceConfig {
             base_dir: base_dir.into(),
@@ -142,7 +135,6 @@ impl ServiceConfig {
             admit_timeout: Duration::from_secs(2),
             grant_timeout: Duration::from_secs(2),
             fsync: false,
-            install_pool: false,
         }
     }
 
@@ -176,12 +168,6 @@ impl ServiceConfig {
     pub fn timeouts(mut self, admit: Duration, grant: Duration) -> Self {
         self.admit_timeout = admit;
         self.grant_timeout = grant;
-        self
-    }
-
-    /// Install the service pool process-wide for the service's lifetime.
-    pub fn install_pool(mut self) -> Self {
-        self.install_pool = true;
         self
     }
 }
@@ -636,7 +622,6 @@ struct SvcInner {
     gate: Arc<AdmissionGate>,
     arbiter: FairShare,
     session_seq: AtomicU32,
-    installed: bool,
 }
 
 /// A long-lived multi-tenant checkpoint service. See the module docs.
@@ -648,10 +633,6 @@ impl CheckpointService {
     /// Construct the service and its owned flush pool.
     pub fn new(cfg: ServiceConfig) -> Self {
         let pool = FlushPool::with_threads(cfg.pool_threads.max(1));
-        let installed = cfg.install_pool;
-        if installed {
-            FlushPool::install(Arc::clone(&pool));
-        }
         let gate = AdmissionGate::new(cfg.max_inflight, cfg.queue_depth, cfg.admit_timeout);
         let arbiter = FairShare::new(cfg.quantum, cfg.grant_timeout);
         CheckpointService {
@@ -661,13 +642,12 @@ impl CheckpointService {
                 gate,
                 arbiter,
                 session_seq: AtomicU32::new(0),
-                installed,
             }),
         }
     }
 
-    /// The service-owned flush pool (for embedding executors:
-    /// `FlushPool::install` it, or pass it explicitly).
+    /// The service-owned flush pool, for embedding executors to register
+    /// their writers on.
     pub fn pool(&self) -> &Arc<FlushPool> {
         &self.inner.pool
     }
@@ -756,15 +736,6 @@ impl CheckpointService {
 
 impl Drop for CheckpointService {
     fn drop(&mut self) {
-        // Uninstall only our own pool — a service must never tear down a
-        // pool some newer service installed over it.
-        if self.inner.installed {
-            if let Some(p) = FlushPool::installed() {
-                if Arc::ptr_eq(&p, &self.inner.pool) {
-                    FlushPool::uninstall();
-                }
-            }
-        }
         self.inner.pool.shutdown();
     }
 }
@@ -840,7 +811,6 @@ impl CheckpointSession {
             Err(_) => counters::add_service_failed(1),
         }
         counters::tenant_add_session_done(self.slot);
-        counters::service_series_record(self.slot);
         res
     }
 
@@ -864,7 +834,6 @@ impl Drop for CheckpointSession {
             // tmp file stays unpublished.
             counters::add_service_failed(1);
             counters::tenant_add_session_done(self.slot);
-            counters::service_series_record(self.slot);
         }
     }
 }
@@ -921,7 +890,6 @@ impl RestoreSession {
         }
         counters::add_service_completed(1);
         counters::tenant_add_session_done(self.slot);
-        counters::service_series_record(self.slot);
         Ok(out)
     }
 }
@@ -1175,19 +1143,5 @@ mod tests {
         assert_eq!(h.join().expect("healthy thread"), 16 * 1024);
         assert!(dir.join("tenant-91").join("ok.ckpt").exists());
         assert!(!dir.join("tenant-90").join("dead.ckpt").exists());
-    }
-
-    #[test]
-    fn install_pool_routes_current_through_service() {
-        let dir = tmpdir("install");
-        let svc = CheckpointService::new(ServiceConfig::new(&dir).pool_threads(3).install_pool());
-        assert!(Arc::ptr_eq(&FlushPool::current(), svc.pool()));
-        let pool = Arc::clone(svc.pool());
-        drop(svc);
-        // Dropping the service uninstalls and shuts down its pool.
-        assert!(
-            FlushPool::installed().is_none_or(|p| !Arc::ptr_eq(&p, &pool)),
-            "dropped service left its pool installed"
-        );
     }
 }
