@@ -111,7 +111,7 @@ if [[ "$SLOW" == 1 ]]; then
   echo "== crash-image torture sweep (slow tier, >= 512 images) =="
   # Exhaustive tier: at least 512 distinct crash images across the
   # three strategies plus three-step recordings, a planted-revert catch,
-  # and the scrub-repair throughput selftest into the bench artifact.
+  # and the scrub-repair throughput selftest.
   cargo build --release -p rbio-check
   RCR=target/release/rbio-crash
   mkdir -p target/paper-results
@@ -119,8 +119,6 @@ if [[ "$SLOW" == 1 ]]; then
   "$RCR" sweep --images 192 --seed 0xbeef
   "$RCR" sweep --strategy rbio --images 64 --revert-pr1 > /dev/null
   target/release/rbio-scrub --demo > /dev/null
-  cp target/paper-results/crash.json BENCH_crash.json
-  ls -l BENCH_crash.json
 
   echo "== backend conformance under both backends (release) =="
   cargo test --release -q -p rbio --test backend_conformance
@@ -133,25 +131,11 @@ if [[ "$SLOW" == 1 ]]; then
   cargo run --release -p rbio-bench --bin multi_step -- 16384 20 10 2
   ls -l target/paper-results/multi_step.json
 
-  echo "== datapath metrics (copies/byte + CRC throughput) =="
-  cargo run --release -p rbio-bench --bin datapath
-  cp target/paper-results/datapath.json BENCH_datapath.json
-  ls -l BENCH_datapath.json
-
   echo "== tiering ablation (perceived vs durable bandwidth) =="
   cargo run --release -p rbio-bench --bin tiering -- 16384
-  cp target/paper-results/tiering.json BENCH_tiering.json
-  ls -l BENCH_tiering.json
 
   echo "== backend ablation (threaded vs ring) =="
   cargo run --release -p rbio-bench --bin backends
-  cp target/paper-results/backends.json BENCH_backends.json
-  ls -l BENCH_backends.json
-
-  echo "== multi-tenant service stress (fairness pinned at <= 2x) =="
-  cargo run --release -p rbio-bench --bin service
-  cp target/paper-results/service.json BENCH_service.json
-  ls -l BENCH_service.json
 
   echo "== rbio-tune full-budget gate (exact nf=1024 rediscovery) =="
   cargo build --release -p rbio-tune
@@ -160,8 +144,6 @@ if [[ "$SLOW" == 1 ]]; then
 
   echo "== autotuner campaign (full budget, every machine variant) =="
   cargo run --release -p rbio-bench --bin tune
-  cp target/paper-results/tune.json BENCH_tune.json
-  ls -l BENCH_tune.json
 fi
 
 echo "ci: all checks passed"

@@ -30,8 +30,7 @@
 //! the writer-bound rbIO cell at 16Ki); byte totals backend-invariant;
 //! the free model matches the pre-PR-7 timings exactly.
 //!
-//! Usage: `backends` (writes `target/paper-results/backends.json`, the
-//! source for `BENCH_backends.json`).
+//! Usage: `backends` (writes `target/paper-results/backends.json`).
 
 use rbio_bench::experiments::fig5_configs;
 use rbio_bench::report::{check, FigureData, Series};

@@ -16,8 +16,7 @@
 //! every search evaluates >= 5x fewer configurations than the
 //! exhaustive cross product.
 //!
-//! Usage: `tune [np]` (writes `target/paper-results/tune.json`, the
-//! source for `BENCH_tune.json`).
+//! Usage: `tune [np]` (writes `target/paper-results/tune.json`).
 
 use rbio_bench::experiments::nps_from_args;
 use rbio_bench::report::{check, print_table, FigureData, Series};

@@ -1,6 +1,8 @@
 //! Benchmark harness library: the paper's workloads and experiment
 //! runners, shared by the per-figure binaries and the criterion benches.
 
+#![forbid(unsafe_code)]
+
 pub mod experiments;
 pub mod report;
 pub mod workload;

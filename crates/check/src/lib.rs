@@ -23,6 +23,8 @@
 //! double-enqueue race and PR 3 fault-drop bug through their
 //! test-only revert switches.
 
+#![forbid(unsafe_code)]
+
 pub mod controller;
 pub mod explore;
 pub mod model;

@@ -10,9 +10,11 @@
 
 use std::fs::File;
 use std::io;
+use std::os::fd::AsRawFd;
 use std::os::unix::fs::FileExt;
 
 use crate::buf::Bytes;
+use crate::sys::{self, Mmap};
 
 /// Read `len` bytes at `offset` via a transient read-only mapping,
 /// falling back to `pread` when the file cannot be mapped (empty file,
@@ -35,175 +37,22 @@ pub fn read_via_mmap(file: &File, offset: u64, len: usize) -> io::Result<Bytes> 
     // and checkpoint files are small enough that mapping the prefix is
     // free (pages are only faulted where touched).
     let map_len = end as usize;
-    match sys::mmap_ro(file, map_len) {
-        Some(ptr) => {
-            // SAFETY: the mapping covers [0, end); the range below stays
-            // inside it, and the copy finishes before the unmap. The
-            // copy is not checkpoint-datapath traffic, so it goes
-            // through `from_vec`, not the counted `copy_from_slice`.
-            let out = unsafe {
-                let src = std::slice::from_raw_parts(ptr.add(offset as usize), len);
-                Bytes::from_vec(src.to_vec())
-            };
-            // SAFETY: `ptr` is the live mapping of exactly `map_len`
-            // bytes created above; `out` owns its copy.
-            unsafe { sys::munmap_ro(ptr, map_len) };
-            Ok(out)
-        }
+    match Mmap::new(
+        file.as_raw_fd(),
+        map_len,
+        0,
+        sys::PROT_READ,
+        sys::MAP_SHARED,
+    ) {
+        // The copy is not checkpoint-datapath traffic, so it goes
+        // through `from_vec`, not the counted `copy_from_slice`.
+        Some(map) => Ok(Bytes::from_vec(map.as_slice()[offset as usize..].to_vec())),
         None => {
             let mut v = vec![0u8; len];
             file.read_exact_at(&mut v, offset)?;
             Ok(Bytes::from_vec(v))
         }
     }
-}
-
-#[cfg(all(
-    target_os = "linux",
-    any(target_arch = "x86_64", target_arch = "aarch64")
-))]
-mod sys {
-    use std::fs::File;
-    use std::os::unix::io::AsRawFd;
-
-    const PROT_READ: usize = 0x1;
-    const MAP_SHARED: usize = 0x01;
-
-    /// Map the first `len` bytes of `f` shared read-only. `None` on any
-    /// kernel error (the caller falls back to `pread`).
-    pub fn mmap_ro(f: &File, len: usize) -> Option<*const u8> {
-        if len == 0 {
-            return None;
-        }
-        let fd = f.as_raw_fd() as isize as usize;
-        // SAFETY: a fresh read-only file mapping at a kernel-chosen
-        // address aliases nothing in this process.
-        let ret = unsafe { mmap(0, len, PROT_READ, MAP_SHARED, fd, 0) };
-        if (-4095..0).contains(&(ret as isize)) {
-            None
-        } else {
-            Some(ret as *const u8)
-        }
-    }
-
-    /// Unmap a mapping returned by [`mmap_ro`].
-    ///
-    /// # Safety
-    /// `ptr` must be a live mapping of exactly `len` bytes with no
-    /// outstanding borrows.
-    pub unsafe fn munmap_ro(ptr: *const u8, len: usize) {
-        // SAFETY: caller contract above.
-        unsafe {
-            munmap(ptr as usize, len);
-        }
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    unsafe fn mmap(
-        addr: usize,
-        len: usize,
-        prot: usize,
-        flags: usize,
-        fd: usize,
-        off: usize,
-    ) -> usize {
-        let ret;
-        // SAFETY: mmap touches no memory the compiler knows about; all
-        // six args are passed per the x86_64 syscall ABI.
-        unsafe {
-            std::arch::asm!(
-                "syscall",
-                inlateout("rax") 9usize => ret, // __NR_mmap
-                in("rdi") addr,
-                in("rsi") len,
-                in("rdx") prot,
-                in("r10") flags,
-                in("r8") fd,
-                in("r9") off,
-                lateout("rcx") _,
-                lateout("r11") _,
-                options(nostack),
-            );
-        }
-        ret
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    unsafe fn munmap(addr: usize, len: usize) -> usize {
-        let ret;
-        // SAFETY: munmap of a region this module mapped.
-        unsafe {
-            std::arch::asm!(
-                "syscall",
-                inlateout("rax") 11usize => ret, // __NR_munmap
-                in("rdi") addr,
-                in("rsi") len,
-                lateout("rcx") _,
-                lateout("r11") _,
-                options(nostack),
-            );
-        }
-        ret
-    }
-
-    #[cfg(target_arch = "aarch64")]
-    unsafe fn mmap(
-        addr: usize,
-        len: usize,
-        prot: usize,
-        flags: usize,
-        fd: usize,
-        off: usize,
-    ) -> usize {
-        let ret;
-        // SAFETY: as the x86_64 variant, per the aarch64 syscall ABI.
-        unsafe {
-            std::arch::asm!(
-                "svc 0",
-                inlateout("x0") addr => ret,
-                in("x1") len,
-                in("x2") prot,
-                in("x3") flags,
-                in("x4") fd,
-                in("x5") off,
-                in("x8") 222usize, // __NR_mmap
-                options(nostack),
-            );
-        }
-        ret
-    }
-
-    #[cfg(target_arch = "aarch64")]
-    unsafe fn munmap(addr: usize, len: usize) -> usize {
-        let ret;
-        // SAFETY: munmap of a region this module mapped.
-        unsafe {
-            std::arch::asm!(
-                "svc 0",
-                inlateout("x0") addr => ret,
-                in("x1") len,
-                in("x8") 215usize, // __NR_munmap
-                options(nostack),
-            );
-        }
-        ret
-    }
-}
-
-#[cfg(not(all(
-    target_os = "linux",
-    any(target_arch = "x86_64", target_arch = "aarch64")
-)))]
-mod sys {
-    pub fn mmap_ro(_f: &std::fs::File, _len: usize) -> Option<*const u8> {
-        None
-    }
-
-    /// No read mappings exist on this platform.
-    ///
-    /// # Safety
-    /// Never called (nothing maps), but keeps the call site uniform.
-    pub unsafe fn munmap_ro(_ptr: *const u8, _len: usize) {}
 }
 
 #[cfg(test)]

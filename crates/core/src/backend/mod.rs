@@ -42,12 +42,9 @@ use std::fs::File;
 use std::io;
 use std::os::unix::fs::FileExt;
 use std::sync::{Arc, OnceLock};
-use std::time::Duration;
-
-use rbio_plan::Rank;
 
 use crate::buf::Bytes;
-use crate::fault::{self, FaultPlan, WriteError};
+use crate::fault::{self, WriteError};
 
 pub mod ring;
 #[cfg(feature = "io-uring")]
@@ -55,6 +52,7 @@ pub mod uring;
 
 mod mmapio;
 
+pub use crate::fault::IoCtx;
 pub use ring::{RingBackend, RingConfig};
 
 /// Which backend a config knob selects. The indirection (rather than an
@@ -71,20 +69,6 @@ pub enum BackendKind {
     /// The completion-queue backend (emulated ring; real io_uring with
     /// the `io-uring` feature where the kernel allows it).
     Ring,
-}
-
-/// Immutable per-writer execution context a backend runs under.
-pub struct IoCtx<'a> {
-    /// The writer's rank (fault-plan key and event payload).
-    pub rank: Rank,
-    /// Pool slot index, carried into submission/completion events.
-    pub wid: usize,
-    /// Fault-injection plan consulted before every logical write.
-    pub faults: &'a FaultPlan,
-    /// Retry budget per logical write.
-    pub write_retries: u32,
-    /// Initial retry backoff (doubles per attempt).
-    pub retry_backoff: Duration,
 }
 
 /// One write op handed to a backend: `bufs` land back to back at
@@ -167,29 +151,7 @@ impl IoBackend for ThreadedBackend {
     fn run_writes(&self, ctx: &IoCtx<'_>, ops: Vec<WriteOp>) -> BatchOutcome {
         let mut retries = 0u32;
         for (i, op) in ops.into_iter().enumerate() {
-            let res = if op.bufs.len() == 1 {
-                fault::write_at_with_retry(
-                    &op.file,
-                    ctx.rank,
-                    op.offset,
-                    &op.bufs[0],
-                    ctx.faults,
-                    ctx.write_retries,
-                    ctx.retry_backoff,
-                )
-            } else {
-                let slices: Vec<&[u8]> = op.bufs.iter().map(|b| b.as_ref()).collect();
-                fault::write_vectored_at(
-                    &op.file,
-                    ctx.rank,
-                    op.offset,
-                    &slices,
-                    ctx.faults,
-                    ctx.write_retries,
-                    ctx.retry_backoff,
-                )
-            };
-            match res {
+            match fault::write_at(ctx, &op.file, op.offset, &op.bufs) {
                 Ok(attempts) => retries += attempts,
                 Err(e) => {
                     return BatchOutcome {
@@ -256,6 +218,8 @@ pub fn read_via_mmap(file: &File, offset: u64, len: usize) -> io::Result<Bytes> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::FaultPlan;
+    use std::time::Duration;
 
     fn tmpfile(name: &str) -> (std::path::PathBuf, Arc<File>) {
         let dir = std::env::temp_dir().join(format!("rbio-backend-{name}-{}", std::process::id()));

@@ -24,11 +24,9 @@ use std::fs::File;
 use std::io;
 use std::sync::Arc;
 
-use rbio_profile::counters;
-
 use super::{BatchOutcome, IoBackend, IoCtx, WriteOp};
 use crate::buf::Bytes;
-use crate::fault::{self, CappedWrite, WriteError};
+use crate::fault::{self, WriteError};
 use crate::sched::{self, Point, Revert};
 
 /// Ring geometry and determinism knobs.
@@ -215,44 +213,22 @@ impl RingBackend {
 /// fault consult: they complete a logical write whose bytes were
 /// already accounted on its first submission.
 fn exec_sqe(ctx: &IoCtx<'_>, sqe: &Sqe) -> (Cqe, bool) {
-    if sqe.resume_at > 0 {
-        counters::add_short_write_retries(1);
-        let data = sqe.bufs[0].as_ref();
-        return match fault::write_full_at(&sqe.file, sqe.offset, data, sqe.resume_at as usize) {
-            Ok(()) => (Cqe::Done { attempts: 0 }, true),
-            Err(e) => (Cqe::Failed(e), false),
-        };
-    }
-    if sqe.bufs.len() == 1 {
-        match fault::write_at_capped(
-            &sqe.file,
-            ctx.rank,
-            sqe.offset,
-            &sqe.bufs[0],
-            ctx.faults,
-            ctx.write_retries,
-            ctx.retry_backoff,
-        ) {
-            Ok(CappedWrite::Full { attempts }) => (Cqe::Done { attempts }, true),
-            Ok(CappedWrite::Short { written, attempts }) => {
-                (Cqe::Short { written, attempts }, true)
-            }
-            Err(e) => (Cqe::Failed(e), false),
-        }
+    let res = if sqe.resume_at > 0 {
+        // Only single-buffer writes are ever cut short.
+        fault::finish_short_write(&sqe.file, sqe.offset, &sqe.bufs[0], sqe.resume_at as usize)
+            .map(|()| Cqe::Done { attempts: 0 })
     } else {
-        let slices: Vec<&[u8]> = sqe.bufs.iter().map(|b| b.as_ref()).collect();
-        match fault::write_vectored_at(
-            &sqe.file,
-            ctx.rank,
-            sqe.offset,
-            &slices,
-            ctx.faults,
-            ctx.write_retries,
-            ctx.retry_backoff,
-        ) {
-            Ok(attempts) => (Cqe::Done { attempts }, true),
-            Err(e) => (Cqe::Failed(e), false),
-        }
+        fault::write_at_or_short(ctx, &sqe.file, sqe.offset, &sqe.bufs).map(|w| {
+            let attempts = w.attempts;
+            match w.short {
+                Some(written) => Cqe::Short { written, attempts },
+                None => Cqe::Done { attempts },
+            }
+        })
+    };
+    match res {
+        Ok(cqe) => (cqe, true),
+        Err(e) => (Cqe::Failed(e), false),
     }
 }
 
@@ -408,6 +384,7 @@ fn release_buffers_early(core: &mut RingCore<Sqe, Cqe>) {
 mod tests {
     use super::*;
     use crate::fault::FaultPlan;
+    use rbio_profile::counters;
     use std::time::Duration;
 
     fn tmpfile(name: &str) -> (std::path::PathBuf, Arc<File>) {
@@ -529,6 +506,27 @@ mod tests {
             delta.short_write_retries >= 1,
             "resubmit must count a short-write retry"
         );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn short_write_continuation_is_journaled() {
+        let (dir, f) = tmpfile("journal");
+        let rec = crate::crash::Recorder::install(&dir).expect("recorder");
+        let b = RingBackend::with_config(RingConfig::default());
+        let faults = FaultPlan::none().short_write(0, 0, 3);
+        let out = b.run_writes(&ctx(&faults), vec![op(&f, 0, 5, 8)]);
+        assert!(out.error.is_none());
+        // The crash journal must hold every byte the op landed: the
+        // capped prefix *and* the resubmitted remainder.
+        let mut covered = [false; 8];
+        for rec_op in rec.take() {
+            if let crate::crash::RecOp::Write { offset, data, .. } = rec_op {
+                covered[offset as usize..offset as usize + data.len()].fill(true);
+            }
+        }
+        assert_eq!(covered, [true; 8], "journaled byte coverage of [0, 8)");
+        drop(rec);
         std::fs::remove_dir_all(&dir).ok();
     }
 

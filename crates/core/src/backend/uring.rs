@@ -26,10 +26,11 @@
 //! Containers commonly seccomp-block `io_uring_setup`, so
 //! [`kernel_supported`] probes once at startup and the backend factory
 //! falls back to the emulation when the probe fails.
+#![allow(unsafe_code)]
 
 use std::fs::File;
 use std::io;
-use std::os::unix::io::AsRawFd;
+use std::os::fd::{AsRawFd, FromRawFd, OwnedFd, RawFd};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::OnceLock;
 
@@ -40,7 +41,12 @@ use super::{BatchOutcome, IoBackend, IoCtx, WriteOp};
 use crate::buf::Bytes;
 use crate::fault::{self, WriteError};
 use crate::sched;
+use crate::sys::{self, syscall6, Mmap};
 
+/// Same numbers on every architecture (the generic syscall table).
+const NR_IO_URING_SETUP: usize = 425;
+const NR_IO_URING_ENTER: usize = 426;
+const MAP_POPULATE: usize = 0x8000;
 const IORING_OP_WRITEV: u8 = 2;
 const IOSQE_IO_LINK: u8 = 1 << 2;
 const IORING_ENTER_GETEVENTS: u32 = 1;
@@ -124,89 +130,66 @@ struct IoVec {
     len: usize,
 }
 
-/// One live kernel ring (fd plus its three mappings), torn down on drop.
+/// One live kernel ring: its mappings and its fd, each released by its
+/// own drop (mappings first, in field order).
 struct KernelRing {
-    fd: i32,
-    sq_ring: *mut u8,
-    sq_ring_len: usize,
-    cq_ring: *mut u8,
-    cq_ring_len: usize,
-    sqes: *mut RawSqe,
-    sqes_len: usize,
-    single_mmap: bool,
+    sq_ring: Mmap,
+    /// `None` under `IORING_FEAT_SINGLE_MMAP`: the CQ ring then lives
+    /// in `sq_ring`'s mapping.
+    cq_ring: Option<Mmap>,
+    sqes: Mmap,
+    fd: OwnedFd,
     p: UringParams,
 }
-
-// SAFETY: the ring is confined to one `run_writes` call on one thread.
-unsafe impl Send for KernelRing {}
 
 impl KernelRing {
     fn new(entries: u32) -> io::Result<KernelRing> {
         let mut p = UringParams::default();
-        let fd = sys::io_uring_setup(entries, &mut p);
-        if fd < 0 {
-            return Err(io::Error::from_raw_os_error(-fd));
-        }
-        let sq_ring_len = p.sq_off.array as usize + p.sq_entries as usize * 4;
-        let cq_ring_len =
-            p.cq_off.cqes as usize + p.cq_entries as usize * std::mem::size_of::<RawCqe>();
+        let fd = io_uring_setup(entries, &mut p)?;
+        let sq_len = p.sq_off.array as usize + p.sq_entries as usize * 4;
+        let cq_len = p.cq_off.cqes as usize + p.cq_entries as usize * std::mem::size_of::<RawCqe>();
         let single_mmap = p.features & IORING_FEAT_SINGLE_MMAP != 0;
-        let sq_map_len = if single_mmap {
-            sq_ring_len.max(cq_ring_len)
-        } else {
-            sq_ring_len
+        let map = |len: usize, off: usize, what: &str| {
+            let prot = sys::PROT_READ | sys::PROT_WRITE;
+            Mmap::new(
+                fd.as_raw_fd(),
+                len,
+                off,
+                prot,
+                sys::MAP_SHARED | MAP_POPULATE,
+            )
+            .ok_or_else(|| io::Error::other(format!("mmap of the {what} failed")))
         };
-        let sq_ring = sys::mmap_ring(fd, sq_map_len, IORING_OFF_SQ_RING);
-        if sq_ring.is_null() {
-            sys::close(fd);
-            return Err(io::Error::other("mmap of the SQ ring failed"));
-        }
-        let (cq_ring, cq_map_len) = if single_mmap {
-            (sq_ring, sq_map_len)
+        let sq_ring = if single_mmap {
+            map(sq_len.max(cq_len), IORING_OFF_SQ_RING, "SQ+CQ ring")?
         } else {
-            let m = sys::mmap_ring(fd, cq_ring_len, IORING_OFF_CQ_RING);
-            if m.is_null() {
-                // SAFETY: sq_ring is the live mapping created above.
-                unsafe { sys::munmap_ring(sq_ring, sq_map_len) };
-                sys::close(fd);
-                return Err(io::Error::other("mmap of the CQ ring failed"));
-            }
-            (m, cq_ring_len)
+            map(sq_len, IORING_OFF_SQ_RING, "SQ ring")?
+        };
+        let cq_ring = if single_mmap {
+            None
+        } else {
+            Some(map(cq_len, IORING_OFF_CQ_RING, "CQ ring")?)
         };
         let sqes_len = p.sq_entries as usize * std::mem::size_of::<RawSqe>();
-        let sqes = sys::mmap_ring(fd, sqes_len, IORING_OFF_SQES) as *mut RawSqe;
-        if sqes.is_null() {
-            // SAFETY: both ring mappings above are live.
-            unsafe {
-                sys::munmap_ring(sq_ring, sq_map_len);
-                if !single_mmap {
-                    sys::munmap_ring(cq_ring, cq_map_len);
-                }
-            }
-            sys::close(fd);
-            return Err(io::Error::other("mmap of the SQE array failed"));
-        }
+        let sqes = map(sqes_len, IORING_OFF_SQES, "SQE array")?;
         Ok(KernelRing {
-            fd,
             sq_ring,
-            sq_ring_len: sq_map_len,
             cq_ring,
-            cq_ring_len: cq_map_len,
             sqes,
-            sqes_len,
-            single_mmap,
+            fd,
             p,
         })
     }
 
-    /// An atomic view of a `u32` ring field at `off` from `base`.
+    /// An atomic view of the `u32` ring field at `off` in `ring`.
     ///
     /// # Safety
-    /// `off` must come from this ring's kernel-filled offsets.
-    unsafe fn atomic(&self, base: *mut u8, off: u32) -> &AtomicU32 {
+    /// `off` must come from the kernel-filled offsets of the ring
+    /// `ring` maps.
+    unsafe fn atomic(ring: &Mmap, off: u32) -> &AtomicU32 {
         // SAFETY: the kernel aligned these fields; the mapping outlives
-        // the borrow (tied to &self).
-        unsafe { &*(base.add(off as usize) as *const AtomicU32) }
+        // the borrow (tied to `ring`).
+        unsafe { &*(ring.as_ptr().add(off as usize) as *const AtomicU32) }
     }
 
     /// Queue `sqes` (≤ sq_entries) and submit them with one
@@ -216,16 +199,17 @@ impl KernelRing {
         // SAFETY: offsets are kernel-provided for this mapping.
         let (tail_a, array) = unsafe {
             (
-                self.atomic(self.sq_ring, self.p.sq_off.tail),
-                self.sq_ring.add(self.p.sq_off.array as usize) as *mut u32,
+                Self::atomic(&self.sq_ring, self.p.sq_off.tail),
+                self.sq_ring.as_ptr().add(self.p.sq_off.array as usize) as *mut u32,
             )
         };
+        let slots = self.sqes.as_ptr() as *mut RawSqe;
         let mut tail = tail_a.load(Ordering::Relaxed);
         for sqe in sqes {
             let idx = tail & mask;
             // SAFETY: idx < sq_entries, inside both mapped arrays.
             unsafe {
-                *self.sqes.add(idx as usize) = *sqe;
+                *slots.add(idx as usize) = *sqe;
                 *array.add(idx as usize) = idx;
             }
             tail = tail.wrapping_add(1);
@@ -234,24 +218,36 @@ impl KernelRing {
         tail_a.store(tail, Ordering::Release);
         let want = sqes.len() as u32;
         loop {
-            let ret = sys::io_uring_enter(self.fd, want, want, IORING_ENTER_GETEVENTS);
-            if ret >= 0 {
-                return Ok(());
-            }
-            if -ret != EINTR {
-                return Err(io::Error::from_raw_os_error(-ret));
+            match self.enter(want, want) {
+                Err(e) if e.raw_os_error() == Some(EINTR) => {}
+                done => return done,
             }
         }
     }
 
+    /// `io_uring_enter(2)`: submit `to_submit` SQEs and wait for
+    /// `min_complete` completions.
+    fn enter(&self, to_submit: u32, min_complete: u32) -> io::Result<()> {
+        let fd = self.fd.as_raw_fd() as usize;
+        let (s, c) = (to_submit as usize, min_complete as usize);
+        let flags = IORING_ENTER_GETEVENTS as usize;
+        // SAFETY: no userspace memory is passed (the sigmask is null).
+        let ret = unsafe { syscall6(NR_IO_URING_ENTER, [fd, s, c, flags, 0, 0]) };
+        if ret < 0 {
+            return Err(io::Error::from_raw_os_error(-ret as i32));
+        }
+        Ok(())
+    }
+
     /// Pop every available CQE.
     fn reap_all(&self) -> Vec<RawCqe> {
+        let cq_ring = self.cq_ring.as_ref().unwrap_or(&self.sq_ring);
         // SAFETY: offsets are kernel-provided for this mapping.
         let (head_a, tail_a, cqes) = unsafe {
             (
-                self.atomic(self.cq_ring, self.p.cq_off.head),
-                self.atomic(self.cq_ring, self.p.cq_off.tail),
-                self.cq_ring.add(self.p.cq_off.cqes as usize) as *const RawCqe,
+                Self::atomic(cq_ring, self.p.cq_off.head),
+                Self::atomic(cq_ring, self.p.cq_off.tail),
+                cq_ring.as_ptr().add(self.p.cq_off.cqes as usize) as *const RawCqe,
             )
         };
         let mask = self.p.cq_entries - 1;
@@ -268,34 +264,24 @@ impl KernelRing {
     }
 }
 
-impl Drop for KernelRing {
-    fn drop(&mut self) {
-        // SAFETY: these are the live mappings created in `new`.
-        unsafe {
-            sys::munmap_ring(self.sqes as *mut u8, self.sqes_len);
-            sys::munmap_ring(self.sq_ring, self.sq_ring_len);
-            if !self.single_mmap {
-                sys::munmap_ring(self.cq_ring, self.cq_ring_len);
-            }
-        }
-        sys::close(self.fd);
+/// `io_uring_setup(2)`: a ring of `entries` SQEs, described in `p`.
+fn io_uring_setup(entries: u32, p: &mut UringParams) -> io::Result<OwnedFd> {
+    let args = [entries as usize, p as *mut UringParams as usize, 0, 0, 0, 0];
+    // SAFETY: `p` is a live, writable params struct of the layout the
+    // kernel expects.
+    let ret = unsafe { syscall6(NR_IO_URING_SETUP, args) };
+    if ret < 0 {
+        return Err(io::Error::from_raw_os_error(-ret as i32));
     }
+    // SAFETY: a non-negative return is a fresh fd nothing else owns.
+    Ok(unsafe { OwnedFd::from_raw_fd(ret as RawFd) })
 }
 
 /// Whether this kernel (and seccomp policy) lets us set up an io_uring.
 /// Probed once per process.
 pub fn kernel_supported() -> bool {
     static SUPPORTED: OnceLock<bool> = OnceLock::new();
-    *SUPPORTED.get_or_init(|| {
-        let mut p = UringParams::default();
-        let fd = sys::io_uring_setup(4, &mut p);
-        if fd >= 0 {
-            sys::close(fd);
-            true
-        } else {
-            false
-        }
-    })
+    *SUPPORTED.get_or_init(|| io_uring_setup(4, &mut UringParams::default()).is_ok())
 }
 
 /// The real-syscall completion-queue backend.
@@ -398,11 +384,10 @@ impl UringBackend {
             let cqes = ring.reap_all();
             if cqes.is_empty() {
                 // Completions may trail the enter return; collect them.
-                let ret = sys::io_uring_enter(ring.fd, 0, 1, IORING_ENTER_GETEVENTS);
-                if ret < 0 && -ret != EINTR {
-                    return Err(io::Error::from_raw_os_error(-ret));
+                match ring.enter(0, 1) {
+                    Err(e) if e.raw_os_error() != Some(EINTR) => return Err(e),
+                    _ => continue,
                 }
-                continue;
             }
             for cqe in cqes {
                 reaped += 1;
@@ -474,222 +459,6 @@ fn finish_op(op: &WriteOp, already: u64) -> Result<(), WriteError> {
         done += blen;
     }
     Ok(())
-}
-
-#[cfg(all(
-    target_os = "linux",
-    any(target_arch = "x86_64", target_arch = "aarch64")
-))]
-mod sys {
-    use super::UringParams;
-
-    /// `io_uring_setup(2)`: returns the ring fd or a negative errno.
-    pub fn io_uring_setup(entries: u32, p: &mut UringParams) -> i32 {
-        // SAFETY: `p` is a live, writable params struct of the layout
-        // the kernel expects.
-        unsafe { syscall2(425, entries as usize, p as *mut UringParams as usize) as i32 }
-    }
-
-    /// `io_uring_enter(2)`: returns submitted count or a negative errno.
-    pub fn io_uring_enter(fd: i32, to_submit: u32, min_complete: u32, flags: u32) -> i32 {
-        // SAFETY: no userspace memory is passed (sig mask is null).
-        unsafe {
-            syscall6(
-                426,
-                fd as usize,
-                to_submit as usize,
-                min_complete as usize,
-                flags as usize,
-                0,
-                0,
-            ) as i32
-        }
-    }
-
-    /// Map a ring region of the io_uring fd.
-    pub fn mmap_ring(fd: i32, len: usize, off: usize) -> *mut u8 {
-        const PROT_RW: usize = 0x1 | 0x2;
-        const MAP_SHARED_POPULATE: usize = 0x01 | 0x8000;
-        // SAFETY: a fresh shared mapping of the ring fd at a
-        // kernel-chosen address aliases nothing in this process.
-        let ret = unsafe {
-            syscall6(
-                sys_mmap_nr(),
-                0,
-                len,
-                PROT_RW,
-                MAP_SHARED_POPULATE,
-                fd as usize,
-                off,
-            )
-        };
-        if (-4095..0).contains(&(ret as isize)) {
-            std::ptr::null_mut()
-        } else {
-            ret as *mut u8
-        }
-    }
-
-    /// Unmap a ring mapping.
-    ///
-    /// # Safety
-    /// `ptr` must be a live mapping of exactly `len` bytes.
-    pub unsafe fn munmap_ring(ptr: *mut u8, len: usize) {
-        // SAFETY: caller contract above.
-        unsafe {
-            syscall2(sys_munmap_nr(), ptr as usize, len);
-        }
-    }
-
-    /// Close an fd this module opened.
-    pub fn close(fd: i32) {
-        // SAFETY: closing an owned fd touches no userspace memory.
-        unsafe {
-            syscall2(sys_close_nr(), fd as usize, 0);
-        }
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    const fn sys_mmap_nr() -> usize {
-        9
-    }
-    #[cfg(target_arch = "x86_64")]
-    const fn sys_munmap_nr() -> usize {
-        11
-    }
-    #[cfg(target_arch = "x86_64")]
-    const fn sys_close_nr() -> usize {
-        3
-    }
-    #[cfg(target_arch = "aarch64")]
-    const fn sys_mmap_nr() -> usize {
-        222
-    }
-    #[cfg(target_arch = "aarch64")]
-    const fn sys_munmap_nr() -> usize {
-        215
-    }
-    #[cfg(target_arch = "aarch64")]
-    const fn sys_close_nr() -> usize {
-        57
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    unsafe fn syscall2(nr: usize, a1: usize, a2: usize) -> isize {
-        let ret;
-        // SAFETY: args passed per the x86_64 syscall ABI; the callee's
-        // memory contracts are the callers' (documented above).
-        unsafe {
-            std::arch::asm!(
-                "syscall",
-                inlateout("rax") nr => ret,
-                in("rdi") a1,
-                in("rsi") a2,
-                lateout("rcx") _,
-                lateout("r11") _,
-                options(nostack),
-            );
-        }
-        ret
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    unsafe fn syscall6(
-        nr: usize,
-        a1: usize,
-        a2: usize,
-        a3: usize,
-        a4: usize,
-        a5: usize,
-        a6: usize,
-    ) -> isize {
-        let ret;
-        // SAFETY: as `syscall2`, with all six ABI registers.
-        unsafe {
-            std::arch::asm!(
-                "syscall",
-                inlateout("rax") nr => ret,
-                in("rdi") a1,
-                in("rsi") a2,
-                in("rdx") a3,
-                in("r10") a4,
-                in("r8") a5,
-                in("r9") a6,
-                lateout("rcx") _,
-                lateout("r11") _,
-                options(nostack),
-            );
-        }
-        ret
-    }
-
-    #[cfg(target_arch = "aarch64")]
-    unsafe fn syscall2(nr: usize, a1: usize, a2: usize) -> isize {
-        let ret;
-        // SAFETY: args passed per the aarch64 syscall ABI.
-        unsafe {
-            std::arch::asm!(
-                "svc 0",
-                inlateout("x0") a1 => ret,
-                in("x1") a2,
-                in("x8") nr,
-                options(nostack),
-            );
-        }
-        ret
-    }
-
-    #[cfg(target_arch = "aarch64")]
-    unsafe fn syscall6(
-        nr: usize,
-        a1: usize,
-        a2: usize,
-        a3: usize,
-        a4: usize,
-        a5: usize,
-        a6: usize,
-    ) -> isize {
-        let ret;
-        // SAFETY: as `syscall2`, with all six ABI registers.
-        unsafe {
-            std::arch::asm!(
-                "svc 0",
-                inlateout("x0") a1 => ret,
-                in("x1") a2,
-                in("x2") a3,
-                in("x3") a4,
-                in("x4") a5,
-                in("x5") a6,
-                in("x8") nr,
-                options(nostack),
-            );
-        }
-        ret
-    }
-}
-
-#[cfg(not(all(
-    target_os = "linux",
-    any(target_arch = "x86_64", target_arch = "aarch64")
-)))]
-mod sys {
-    use super::UringParams;
-
-    pub fn io_uring_setup(_entries: u32, _p: &mut UringParams) -> i32 {
-        -38 // ENOSYS
-    }
-    pub fn io_uring_enter(_fd: i32, _s: u32, _c: u32, _f: u32) -> i32 {
-        -38
-    }
-    pub fn mmap_ring(_fd: i32, _len: usize, _off: usize) -> *mut u8 {
-        std::ptr::null_mut()
-    }
-    /// Never called on this platform.
-    ///
-    /// # Safety
-    /// Never called (nothing maps), but keeps the call site uniform.
-    pub unsafe fn munmap_ring(_ptr: *mut u8, _len: usize) {}
-    pub fn close(_fd: i32) {}
 }
 
 #[cfg(test)]

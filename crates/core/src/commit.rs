@@ -20,7 +20,7 @@ use std::path::{Path, PathBuf};
 use rbio_plan::Rank;
 
 use crate::crash;
-use crate::fault::{self, FaultPlan};
+use crate::fault::{self, FaultPlan, IoCtx};
 use crate::format::{self, FooterRegion};
 use crate::sched::{self, Revert};
 
@@ -87,7 +87,7 @@ pub fn commit_file_with_faults(
     let footer = format::encode_footer(&regions);
     f.seek(SeekFrom::Start(expected_size))?;
     f.write_all(&footer)?;
-    crash::record_write_file(&f, expected_size, &footer);
+    crash::record_write(&f, expected_size, &[&footer]);
     if fsync {
         // Sticky fsync-failure semantics (the fsyncgate rule): consult
         // the plan first, and latch a *real* failure, so no later fsync
@@ -387,16 +387,14 @@ pub fn commit_text_with_faults(
         .read(true)
         .write(true)
         .open(&tmp)?;
-    fault::write_at_with_retry(
-        &f,
+    let ctx = IoCtx {
         rank,
-        0,
-        body.as_bytes(),
+        wid: 0,
         faults,
-        0,
-        std::time::Duration::from_micros(50),
-    )
-    .map_err(|e| {
+        write_retries: 0,
+        retry_backoff: std::time::Duration::from_micros(50),
+    };
+    fault::write_at(&ctx, &f, 0, &[body]).map_err(|e| {
         e.into_io()
             .unwrap_or_else(|| io::Error::other(format!("rank {rank} killed mid-write")))
     })?;

@@ -14,16 +14,22 @@
 //! 1. **Record.** A process-global [`Recorder`] journals every
 //!    `write_at` (with byte payload), file `fsync`, `rename`, and
 //!    directory `fsync` under a root directory, in the order the
-//!    process issued them. The journaling seam sits in the fault-layer
-//!    write helpers ([`crate::fault::write_at_with_retry`] and
-//!    friends) — the single choke point that the serial executors, the
-//!    threaded backend, and the ring backend all share — plus the
-//!    commit path's footer/fsync/rename/dir-fsync edges. The
-//!    [`RecordingBackend`] decorator covers the one edge backends own
-//!    directly: `sync_file`. The harness also notes a
-//!    [`RecOp::DurablePoint`] after each `checkpoint()` returns with
-//!    `fsync = true` — the instant the API contract promises the step
-//!    is crash-safe.
+//!    process issued them. Data writes have exactly one journaling
+//!    seam: [`crate::fault::write_at_or_short`], the one fault-checked
+//!    write the serial interpreter, the threaded backend, the ring
+//!    backend and the text-artifact commit all call, plus its
+//!    continuation [`crate::fault::finish_short_write`] — so the bytes
+//!    a resubmitted short write lands are journaled like any others.
+//!    The commit path journals its own footer/fsync/rename/dir-fsync
+//!    edges, and the [`RecordingBackend`] decorator covers the one edge
+//!    backends own directly: `sync_file`. **Outside the seam:** with
+//!    the `io-uring` feature on a kernel that allows it, unarmed
+//!    batches are written by the kernel (`backend::uring::run_ring`),
+//!    not by the fault layer, and are not journaled — record under the
+//!    threaded or emulated-ring backend (ROADMAP 4(c)). The harness
+//!    also notes a [`RecOp::DurablePoint`] after each `checkpoint()`
+//!    returns with `fsync = true` — the instant the API contract
+//!    promises the step is crash-safe.
 //! 2. **Enumerate.** A *legal crash image* at cut `k` applies a subset
 //!    of `ops[..k]` to an in-memory filesystem model: every op that a
 //!    later-but-before-`k` barrier made durable (a write followed by
@@ -189,30 +195,19 @@ fn canon(path: &Path) -> Option<PathBuf> {
     Some(parent.join(path.file_name()?))
 }
 
-/// Journal a completed write of `data` at `offset` into `file`.
-pub(crate) fn record_write_file(file: &File, offset: u64, data: &[u8]) {
+/// Journal a completed write of `bufs`, back to back at `offset`, into
+/// `file`.
+pub(crate) fn record_write(file: &File, offset: u64, bufs: &[impl AsRef<[u8]>]) {
     if !recording() {
         return;
     }
     if let Some(p) = fd_path(file) {
-        push_under_root(&p, |path| RecOp::Write {
-            path,
-            offset,
-            data: data.to_vec(),
-        });
-    }
-}
-
-/// Journal a completed vectored write (`bufs` back to back at `offset`).
-pub(crate) fn record_write_bufs(file: &File, offset: u64, bufs: &[&[u8]]) {
-    if !recording() {
-        return;
-    }
-    if let Some(p) = fd_path(file) {
-        push_under_root(&p, |path| RecOp::Write {
-            path,
-            offset,
-            data: bufs.concat(),
+        push_under_root(&p, |path| {
+            let mut data = Vec::new();
+            for b in bufs {
+                data.extend_from_slice(b.as_ref());
+            }
+            RecOp::Write { path, offset, data }
         });
     }
 }
@@ -269,8 +264,9 @@ pub fn note_durable(step: u64) {
 
 /// [`IoBackend`] decorator that journals the durability edge backends
 /// own directly — `sync_file` — into the crash recorder. Write payloads
-/// are journaled one layer down, in the fault-checked write helpers
-/// every backend (and the serial executors) funnel through, so wrapping
+/// are journaled one layer down, in the one fault-checked write
+/// ([`crate::fault::write_at_or_short`]) every backend and the serial
+/// interpreter funnel through, so wrapping
 /// either [`crate::backend::ThreadedBackend`] or
 /// [`crate::backend::RingBackend`] yields the same complete op stream.
 pub struct RecordingBackend {
@@ -304,8 +300,8 @@ impl IoBackend for RecordingBackend {
     }
 
     fn run_writes(&self, ctx: &IoCtx<'_>, ops: Vec<WriteOp>) -> BatchOutcome {
-        // Payload journaling happens inside the shared fault-layer
-        // write helpers; delegating keeps linked-op and buffer-
+        // Payload journaling happens inside the shared fault-checked
+        // write; delegating keeps linked-op and buffer-
         // ownership semantics exactly the inner backend's.
         self.inner.run_writes(ctx, ops)
     }

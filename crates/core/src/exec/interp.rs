@@ -35,7 +35,7 @@ use crate::buf::{BufPool, Bytes, CopyMode};
 use crate::commit;
 use crate::crash;
 use crate::failover::{FailoverDirector, WriterHealth};
-use crate::fault::{self, FaultPlan};
+use crate::fault::{self, FaultPlan, IoCtx};
 use crate::format::synthetic_byte;
 use crate::pipeline::{FlushJob, FlushPool, PipelineError, WriterHandle, WriterTuning};
 use crate::sched::{self, Point, Revert};
@@ -516,26 +516,31 @@ impl<'a, T: Transport> Interp<'a, T> {
         }
         // Serial: the write completes before the op retires, so ZeroCopy
         // writes straight from the borrowed sources — no snapshot at all.
-        let (faults, tries, backoff) = (
-            self.cfg.faults,
-            self.cfg.write_retries,
-            self.cfg.retry_backoff,
-        );
-        let attempts = if run.len() == 1 {
-            let snapshot; // DeepCopy keeps its copy-per-hop even here
-            let data = match self.cfg.copy_mode {
-                CopyMode::ZeroCopy => self.borrow_src(write_src(&run[0]), offset),
+        let ctx = IoCtx {
+            rank: self.rank,
+            wid: 0,
+            faults: self.cfg.faults,
+            write_retries: self.cfg.write_retries,
+            retry_backoff: self.cfg.retry_backoff,
+        };
+        let (snapshot, one, many); // a single-chunk run stays off the heap
+        let srcs: &[Cow<'_, [u8]>] = if let [op] = run {
+            one = [match self.cfg.copy_mode {
+                CopyMode::ZeroCopy => self.borrow_src(write_src(op), offset),
                 CopyMode::DeepCopy => {
-                    snapshot = self.resolve_owned(write_src(&run[0]), offset);
+                    // DeepCopy keeps its copy-per-hop even here.
+                    snapshot = self.resolve_owned(write_src(op), offset);
                     Cow::Borrowed(&snapshot[..])
                 }
-            };
-            fault::write_at_with_retry(f, self.rank, offset, &data, faults, tries, backoff)?
+            }];
+            &one
         } else {
-            let srcs: Vec<Cow<'_, [u8]>> = chunks.map(|(s, at)| self.borrow_src(s, at)).collect();
-            let slices: Vec<&[u8]> = srcs.iter().map(AsRef::as_ref).collect();
-            fault::write_vectored_at(f, self.rank, offset, &slices, faults, tries, backoff)?
+            many = chunks
+                .map(|(s, at)| self.borrow_src(s, at))
+                .collect::<Vec<_>>();
+            &many
         };
+        let attempts = fault::write_at(&ctx, f, offset, srcs)?;
         self.retries += u64::from(attempts);
         Ok(end)
     }

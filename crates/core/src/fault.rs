@@ -504,74 +504,147 @@ impl RetryClock {
     }
 }
 
-/// `write_all_at` guarded by `faults`, with up to `max_retries` bounded
-/// retries (jittered backoff doubling from `initial_backoff`, total
-/// retry wall-clock capped by a deadline) on transient errors. Returns
-/// the number of retried attempts. Shared by both executors so their
-/// failure behavior is identical.
-pub fn write_at_with_retry(
+/// Immutable per-writer context every fault-checked write runs under.
+/// Re-exported as [`crate::backend::IoCtx`]: backends receive it from
+/// the flush pool and pass it straight down.
+pub struct IoCtx<'a> {
+    /// The writer's rank (fault-plan key and event payload).
+    pub rank: Rank,
+    /// Pool slot index, carried into submission/completion events.
+    pub wid: usize,
+    /// Fault-injection plan consulted before every logical write.
+    pub faults: &'a FaultPlan,
+    /// Retry budget per logical write.
+    pub write_retries: u32,
+    /// Initial retry backoff (doubles per attempt).
+    pub retry_backoff: Duration,
+}
+
+/// What one fault-checked write delivered.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Written {
+    /// Retried attempts consumed by transient errors.
+    pub attempts: u32,
+    /// `Some(n)` after an injected [`WriteFault::Short`]: only the first
+    /// `n` bytes of the (single) buffer landed, and the remainder is owed
+    /// through [`finish_short_write`]. `None`: delivered in full.
+    pub short: Option<u64>,
+}
+
+/// The one fault-checked write: `bufs` land back to back at `offset` as
+/// **one** logical write of their total length. Every write the serial
+/// interpreter, both backends and the text-artifact commit issue goes
+/// through this loop, so their failure behaviour cannot differ:
+///
+/// * the rank's injected [`FaultPlan::delay_writes`] is slept first
+///   (skipped under a controlled scheduler, where wall-clock sleeps
+///   would wreck determinism);
+/// * the plan is consulted once per attempt. [`WriteFault::Kill`] →
+///   [`WriteError::Killed`]; [`WriteFault::Enospc`] → `ENOSPC`, never
+///   retried; [`WriteFault::Error`] → `EIO`, retried like a real
+///   transient error: up to `ctx.write_retries` more attempts on the
+///   jittered, doubling, deadline-capped [`RetryClock`];
+/// * [`WriteFault::Short`] on a single-buffer write lands only the first
+///   `cap` bytes and returns with `short = Some(cap)` — how a completion
+///   queue surfaces a partial write. A multi-buffer write (a coalesced
+///   run, only built when the plan is unarmed) delivers in full;
+/// * the syscall shape is a `pwrite` loop for one buffer and one
+///   `pwritev` for several;
+/// * the bytes landed are journaled to [`crate::crash`] exactly once.
+///
+/// Counting a multi-buffer batch as one write changes the plan's
+/// per-write accounting granularity, so the executors only coalesce when
+/// [`FaultPlan::is_armed`] is false — fault semantics are specified
+/// against plan ops, not against batched syscalls.
+pub fn write_at_or_short(
+    ctx: &IoCtx<'_>,
     file: &std::fs::File,
-    rank: Rank,
     offset: u64,
-    data: &[u8],
-    faults: &FaultPlan,
-    max_retries: u32,
-    initial_backoff: Duration,
-) -> Result<u32, WriteError> {
-    if let Some(d) = faults.write_delay(rank) {
+    bufs: &[impl AsRef<[u8]>],
+) -> Result<Written, WriteError> {
+    if let Some(d) = ctx.faults.write_delay(ctx.rank) {
         if !sched::registered() {
-            // A straggling writer: every write pays the injected delay
-            // (wall-clock sleeps would wreck controlled-run determinism,
-            // so schedule exploration skips the stall itself).
             std::thread::sleep(d);
         }
     }
+    let total: u64 = bufs.iter().map(|b| b.as_ref().len() as u64).sum();
     let mut attempt = 0u32;
-    let mut backoff = initial_backoff;
-    let clock = RetryClock::new(max_retries, initial_backoff);
+    let mut backoff = ctx.retry_backoff;
+    let clock = RetryClock::new(ctx.write_retries, ctx.retry_backoff);
     loop {
-        match faults.on_write(rank, data.len() as u64, attempt) {
-            Some(WriteFault::Kill) => return Err(WriteError::Killed),
-            Some(WriteFault::Error) => {
-                if attempt >= max_retries {
-                    // EIO: the canonical "device hiccup" errno.
-                    return Err(WriteError::Io(io::Error::from_raw_os_error(5)));
-                }
-                attempt += 1;
-                clock.backoff(&mut backoff, rank, offset, attempt)?;
-                continue;
+        let fault = ctx.faults.on_write(ctx.rank, total, attempt);
+        let res = match (fault, bufs) {
+            (Some(WriteFault::Kill), _) => return Err(WriteError::Killed),
+            (Some(WriteFault::Enospc), _) => {
+                return Err(WriteError::Io(io::Error::from_raw_os_error(28)))
             }
-            Some(WriteFault::Short { cap }) => {
-                // The device takes `cap` bytes now; the remainder is a
-                // continuation of the *same* logical write — counted as a
-                // short-write retry, never as a hedge or retry attempt.
-                let cap = (cap as usize).min(data.len());
-                file.write_all_at(&data[..cap], offset)
-                    .map_err(WriteError::Io)?;
-                if cap < data.len() {
-                    counters::add_short_write_retries(1);
-                    write_full_at(file, offset, data, cap)?;
-                }
-                crash::record_write_file(file, offset, data);
-                return Ok(attempt);
+            // EIO: the canonical "device hiccup" errno.
+            (Some(WriteFault::Error), _) => Err(WriteError::Io(io::Error::from_raw_os_error(5))),
+            (Some(WriteFault::Short { cap }), [one]) if cap < total => {
+                // One-shot and already accounted in full by the plan, so
+                // a failure of the prefix itself is final, not retried.
+                let prefix = &one.as_ref()[..cap as usize];
+                file.write_all_at(prefix, offset).map_err(WriteError::Io)?;
+                crash::record_write(file, offset, &[prefix]);
+                return Ok(Written {
+                    attempts: attempt,
+                    short: Some(cap),
+                });
             }
-            Some(WriteFault::Enospc) => {
-                return Err(WriteError::Io(io::Error::from_raw_os_error(28)));
-            }
-            None => {}
-        }
-        match write_full_at(file, offset, data, 0) {
+            (_, [one]) => write_full_at(file, offset, one.as_ref(), 0),
+            (_, _) => write_vectored_all(file, offset, bufs).map_err(WriteError::Io),
+        };
+        match res {
             Ok(()) => {
-                crash::record_write_file(file, offset, data);
-                return Ok(attempt);
+                crash::record_write(file, offset, bufs);
+                return Ok(Written {
+                    attempts: attempt,
+                    short: None,
+                });
             }
-            Err(WriteError::Io(e)) if attempt < max_retries && is_transient(&e) => {
+            Err(WriteError::Io(e))
+                if attempt < ctx.write_retries
+                    && (fault == Some(WriteFault::Error) || is_transient(&e)) =>
+            {
                 attempt += 1;
-                clock.backoff(&mut backoff, rank, offset, attempt)?;
+                clock.backoff(&mut backoff, ctx.rank, offset, attempt)?;
             }
             Err(e) => return Err(e),
         }
     }
+}
+
+/// [`write_at_or_short`] for callers without a completion queue: an
+/// injected short write is completed in place — the remainder is a
+/// continuation of the *same* logical write, counted as a short-write
+/// retry, never as a hedge or retry attempt, and journaled as its own
+/// record after the prefix's. Returns the retried attempts.
+pub fn write_at(
+    ctx: &IoCtx<'_>,
+    file: &std::fs::File,
+    offset: u64,
+    bufs: &[impl AsRef<[u8]>],
+) -> Result<u32, WriteError> {
+    let w = write_at_or_short(ctx, file, offset, bufs)?;
+    if let Some(cut) = w.short {
+        finish_short_write(file, offset, bufs[0].as_ref(), cut as usize)?;
+    }
+    Ok(w.attempts)
+}
+
+/// Deliver (and journal) what a short write still owes: `data[already..]`
+/// at `offset + already`. No fault consult — the logical write's bytes
+/// were accounted on its first submission.
+pub fn finish_short_write(
+    file: &std::fs::File,
+    offset: u64,
+    data: &[u8],
+    already: usize,
+) -> Result<(), WriteError> {
+    counters::add_short_write_retries(1);
+    write_full_at(file, offset, data, already)?;
+    crash::record_write(file, offset + already as u64, &[&data[already..]]);
+    Ok(())
 }
 
 /// Deliver `data[already..]` at `offset + already`, looping positional
@@ -619,158 +692,18 @@ pub fn write_full_at(
     Ok(())
 }
 
-/// Outcome of a capped (ring-submitted) write attempt.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CappedWrite {
-    /// Every byte landed.
-    Full {
-        /// Retried attempts consumed by transient errors.
-        attempts: u32,
-    },
-    /// Only a prefix landed (injected short write); the submitter owes a
-    /// resubmission of `data[written..]`.
-    Short {
-        /// Bytes delivered before the cut.
-        written: u64,
-        /// Retried attempts consumed before the short completion.
-        attempts: u32,
-    },
-}
-
-/// Ring-backend variant of [`write_at_with_retry`]: identical fault
-/// consultation and retry policy, but an injected [`WriteFault::Short`]
-/// delivers only the capped prefix and *returns* — completing the
-/// remainder is the submitter's job (a resubmitted SQE at reap time),
-/// which is exactly how a real completion queue surfaces partial writes.
-pub fn write_at_capped(
-    file: &std::fs::File,
-    rank: Rank,
-    offset: u64,
-    data: &[u8],
-    faults: &FaultPlan,
-    max_retries: u32,
-    initial_backoff: Duration,
-) -> Result<CappedWrite, WriteError> {
-    if let Some(d) = faults.write_delay(rank) {
-        if !sched::registered() {
-            std::thread::sleep(d);
-        }
-    }
-    let mut attempt = 0u32;
-    let mut backoff = initial_backoff;
-    let clock = RetryClock::new(max_retries, initial_backoff);
-    loop {
-        match faults.on_write(rank, data.len() as u64, attempt) {
-            Some(WriteFault::Kill) => return Err(WriteError::Killed),
-            Some(WriteFault::Error) => {
-                if attempt >= max_retries {
-                    return Err(WriteError::Io(io::Error::from_raw_os_error(5)));
-                }
-                attempt += 1;
-                clock.backoff(&mut backoff, rank, offset, attempt)?;
-                continue;
-            }
-            Some(WriteFault::Short { cap }) => {
-                let cap = (cap as usize).min(data.len());
-                file.write_all_at(&data[..cap], offset)
-                    .map_err(WriteError::Io)?;
-                crash::record_write_file(file, offset, &data[..cap]);
-                if cap < data.len() {
-                    return Ok(CappedWrite::Short {
-                        written: cap as u64,
-                        attempts: attempt,
-                    });
-                }
-                return Ok(CappedWrite::Full { attempts: attempt });
-            }
-            Some(WriteFault::Enospc) => {
-                return Err(WriteError::Io(io::Error::from_raw_os_error(28)));
-            }
-            None => {}
-        }
-        match write_full_at(file, offset, data, 0) {
-            Ok(()) => {
-                crash::record_write_file(file, offset, data);
-                return Ok(CappedWrite::Full { attempts: attempt });
-            }
-            Err(WriteError::Io(e)) if attempt < max_retries && is_transient(&e) => {
-                attempt += 1;
-                clock.backoff(&mut backoff, rank, offset, attempt)?;
-            }
-            Err(e) => return Err(e),
-        }
-    }
-}
-
-/// Write `bufs` back to back starting at `offset` as **one** logical,
-/// fault-checked write of their total length, with the same bounded-retry
-/// policy as [`write_at_with_retry`]. Used by the executors to coalesce a
-/// run of contiguous `WriteAt` ops into a single vectored syscall.
-///
-/// Counting the batch as one write changes `FaultPlan`'s per-write
-/// accounting granularity, so the executors only coalesce when
-/// [`FaultPlan::is_armed`] is false — fault semantics are specified
-/// against plan ops, not against batched syscalls.
-pub fn write_vectored_at(
-    file: &std::fs::File,
-    rank: Rank,
-    offset: u64,
-    bufs: &[&[u8]],
-    faults: &FaultPlan,
-    max_retries: u32,
-    initial_backoff: Duration,
-) -> Result<u32, WriteError> {
-    if let Some(d) = faults.write_delay(rank) {
-        if !sched::registered() {
-            std::thread::sleep(d);
-        }
-    }
-    let total: u64 = bufs.iter().map(|b| b.len() as u64).sum();
-    let mut attempt = 0u32;
-    let mut backoff = initial_backoff;
-    let clock = RetryClock::new(max_retries, initial_backoff);
-    loop {
-        match faults.on_write(rank, total, attempt) {
-            Some(WriteFault::Kill) => return Err(WriteError::Killed),
-            Some(WriteFault::Error) => {
-                if attempt >= max_retries {
-                    return Err(WriteError::Io(io::Error::from_raw_os_error(5)));
-                }
-                attempt += 1;
-                clock.backoff(&mut backoff, rank, offset, attempt)?;
-                continue;
-            }
-            // Short injection targets plain writes; a coalesced vectored
-            // batch (only built when the plan is unarmed) delivers in
-            // full. Bytes are already accounted.
-            Some(WriteFault::Short { .. }) => {}
-            Some(WriteFault::Enospc) => {
-                return Err(WriteError::Io(io::Error::from_raw_os_error(28)));
-            }
-            None => {}
-        }
-        match write_vectored_all(file, offset, bufs) {
-            Ok(()) => {
-                crash::record_write_bufs(file, offset, bufs);
-                return Ok(attempt);
-            }
-            Err(e) if attempt < max_retries && is_transient(&e) => {
-                attempt += 1;
-                clock.backoff(&mut backoff, rank, offset, attempt)?;
-            }
-            Err(e) => return Err(WriteError::Io(e)),
-        }
-    }
-}
-
 /// Positional vectored write with full-delivery semantics: seeks to
 /// `offset` and loops `write_vectored` until every byte of every buffer
 /// has landed. The file's cursor is clobbered; the executors only ever use
 /// positional reads/writes elsewhere, and each rank owns its own open file
 /// description, so this is safe.
-fn write_vectored_all(file: &std::fs::File, offset: u64, bufs: &[&[u8]]) -> io::Result<()> {
+fn write_vectored_all(
+    file: &std::fs::File,
+    offset: u64,
+    bufs: &[impl AsRef<[u8]>],
+) -> io::Result<()> {
     use std::io::{IoSlice, Seek, SeekFrom, Write};
-    let total: usize = bufs.iter().map(|b| b.len()).sum();
+    let total: usize = bufs.iter().map(|b| b.as_ref().len()).sum();
     let mut f = file;
     f.seek(SeekFrom::Start(offset))?;
     let mut written = 0usize;
@@ -779,7 +712,7 @@ fn write_vectored_all(file: &std::fs::File, offset: u64, bufs: &[&[u8]]) -> io::
         // write is rare; the rebuild cost is irrelevant).
         let mut skip = written;
         let mut slices: Vec<IoSlice> = Vec::with_capacity(bufs.len());
-        for b in bufs {
+        for b in bufs.iter().map(AsRef::as_ref) {
             if skip >= b.len() {
                 skip -= b.len();
                 continue;
@@ -805,6 +738,33 @@ fn write_vectored_all(file: &std::fs::File, offset: u64, bufs: &[&[u8]]) -> io::
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::crash::{RecOp, Recorder};
+    use std::path::PathBuf;
+
+    /// A fresh scratch directory holding one open read-write file `f`.
+    fn tmpfile(name: &str) -> (PathBuf, std::fs::File) {
+        let dir = std::env::temp_dir().join(format!("rbio-fault-{name}-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).unwrap();
+        let f = std::fs::OpenOptions::new()
+            .create(true)
+            .truncate(true)
+            .read(true)
+            .write(true)
+            .open(dir.join("f"))
+            .unwrap();
+        (dir, f)
+    }
+
+    fn ctx(faults: &FaultPlan, rank: Rank, write_retries: u32, backoff: Duration) -> IoCtx<'_> {
+        IoCtx {
+            rank,
+            wid: 0,
+            faults,
+            write_retries,
+            retry_backoff: backoff,
+        }
+    }
 
     #[test]
     fn default_plan_is_inert() {
@@ -860,59 +820,24 @@ mod tests {
 
     #[test]
     fn vectored_write_lands_all_buffers_contiguously() {
-        let dir = std::env::temp_dir().join(format!("rbio-fault-vec-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("v.bin");
-        let f = std::fs::OpenOptions::new()
-            .create(true)
-            .truncate(true)
-            .read(true)
-            .write(true)
-            .open(&path)
-            .unwrap();
-        let a = [1u8; 3];
-        let b = [2u8; 5];
-        let c = [3u8; 2];
-        let attempts = write_vectored_at(
-            &f,
-            0,
-            4,
-            &[&a, &b, &c],
-            &FaultPlan::none(),
-            3,
-            Duration::from_micros(10),
-        )
-        .unwrap();
-        assert_eq!(attempts, 0);
-        let bytes = std::fs::read(&path).unwrap();
+        let (dir, f) = tmpfile("vec");
+        let plan = FaultPlan::none();
+        let bufs = [vec![1u8; 3], vec![2u8; 5], vec![3u8; 2]];
+        let attempts = write_at(&ctx(&plan, 0, 3, Duration::from_micros(10)), &f, 4, &bufs);
+        assert_eq!(attempts.unwrap(), 0);
+        let bytes = std::fs::read(dir.join("f")).unwrap();
         assert_eq!(&bytes[4..], &[1, 1, 1, 2, 2, 2, 2, 2, 3, 3]);
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn vectored_write_is_one_logical_write_for_faults() {
-        let dir = std::env::temp_dir().join(format!("rbio-fault-vec1-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let f = std::fs::OpenOptions::new()
-            .create(true)
-            .truncate(true)
-            .read(true)
-            .write(true)
-            .open(dir.join("w.bin"))
-            .unwrap();
+        let (dir, f) = tmpfile("vec1");
         // Fail write index 0 twice: the whole batch retries as a unit.
         let plan = FaultPlan::none().fail_nth_write(9, 0, 2);
-        let attempts = write_vectored_at(
-            &f,
-            9,
-            0,
-            &[&[5u8; 4], &[6u8; 4]],
-            &plan,
-            3,
-            Duration::from_micros(10),
-        )
-        .unwrap();
-        assert_eq!(attempts, 2);
+        let bufs = [[5u8; 4], [6u8; 4]];
+        let attempts = write_at(&ctx(&plan, 9, 3, Duration::from_micros(10)), &f, 0, &bufs);
+        assert_eq!(attempts.unwrap(), 2);
         // The next write on this rank is logical index 1: no fault left.
         assert_eq!(plan.on_write(9, 1, 0), None);
         std::fs::remove_dir_all(&dir).ok();
@@ -943,30 +868,14 @@ mod tests {
 
     #[test]
     fn eio_forever_gives_up_within_the_retry_deadline() {
-        let dir = std::env::temp_dir().join(format!("rbio-fault-ddl-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let f = std::fs::OpenOptions::new()
-            .create(true)
-            .truncate(true)
-            .read(true)
-            .write(true)
-            .open(dir.join("d.bin"))
-            .unwrap();
+        let (dir, f) = tmpfile("ddl");
         // Every attempt fails, and the attempt budget alone would allow
         // far more retries than the wall-clock deadline: the deadline
         // must end it with a typed error.
         let plan = FaultPlan::none().fail_nth_write(7, 0, u32::MAX);
         let start = Instant::now();
-        let err = write_at_with_retry(
-            &f,
-            7,
-            0,
-            &[1u8; 8],
-            &plan,
-            u32::MAX,
-            Duration::from_micros(1),
-        )
-        .expect_err("EIO-forever must not succeed");
+        let c = ctx(&plan, 7, u32::MAX, Duration::from_micros(1));
+        let err = write_at(&c, &f, 0, &[[1u8; 8]]).expect_err("EIO-forever must not succeed");
         let elapsed = start.elapsed();
         match err {
             WriteError::DeadlineExceeded { waited } => {
@@ -1003,19 +912,16 @@ mod tests {
 
     #[test]
     fn enospc_surfaces_errno_28_without_retries() {
-        let dir = std::env::temp_dir().join(format!("rbio-fault-nospc-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let f = std::fs::OpenOptions::new()
-            .create(true)
-            .truncate(true)
-            .read(true)
-            .write(true)
-            .open(dir.join("n.bin"))
-            .unwrap();
+        let (dir, f) = tmpfile("nospc");
         let plan = FaultPlan::none().enospc_after_bytes(6, 0);
         let start = Instant::now();
-        let err = write_at_with_retry(&f, 6, 0, &[1u8; 8], &plan, 8, Duration::from_millis(10))
-            .expect_err("full device must fail");
+        let err = write_at(
+            &ctx(&plan, 6, 8, Duration::from_millis(10)),
+            &f,
+            0,
+            &[[1u8; 8]],
+        )
+        .expect_err("full device must fail");
         assert!(
             start.elapsed() < Duration::from_millis(10),
             "ENOSPC must not consume the retry schedule"
@@ -1024,6 +930,7 @@ mod tests {
             WriteError::Io(e) => assert_eq!(e.raw_os_error(), Some(28)),
             other => panic!("expected Io(ENOSPC), got {other:?}"),
         }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -1048,20 +955,129 @@ mod tests {
 
     #[test]
     fn bounded_attempts_still_recover_under_the_deadline() {
-        let dir = std::env::temp_dir().join(format!("rbio-fault-rec-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let f = std::fs::OpenOptions::new()
-            .create(true)
-            .truncate(true)
-            .read(true)
-            .write(true)
-            .open(dir.join("r.bin"))
-            .unwrap();
+        let (dir, f) = tmpfile("rec");
         let plan = FaultPlan::none().fail_nth_write(2, 0, 2);
-        let attempts =
-            write_at_with_retry(&f, 2, 0, &[9u8; 4], &plan, 3, Duration::from_micros(10))
-                .expect("recovers inside both budgets");
+        let attempts = write_at(
+            &ctx(&plan, 2, 3, Duration::from_micros(10)),
+            &f,
+            0,
+            &[[9u8; 4]],
+        )
+        .expect("recovers inside both budgets");
         assert_eq!(attempts, 2);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// What one cell of the fault matrix must produce.
+    enum Expect {
+        /// Every byte lands after `attempts` retried attempts.
+        Lands { attempts: u32 },
+        /// Nothing lands; the error is [`WriteError::Killed`].
+        Killed,
+        /// Nothing lands; the error is `Io` with this errno.
+        Errno(i32),
+    }
+
+    /// Every [`WriteFault`] kind × {1, 3 buffers} × {complete in place,
+    /// return short}: file bytes, attempt count, error variant and
+    /// journal are what [`write_at_or_short`]'s doc states.
+    #[test]
+    fn fault_matrix_matches_the_documented_contract() {
+        const RANK: Rank = 3;
+        const RETRIES: u32 = 2;
+        const PAYLOAD: [u8; 9] = [1, 2, 3, 4, 5, 6, 7, 8, 9];
+        const AT: u64 = 5;
+        type Case = (&'static str, fn() -> FaultPlan, Expect);
+        let cases: [Case; 6] = [
+            ("none", FaultPlan::none, Expect::Lands { attempts: 0 }),
+            (
+                "kill",
+                || FaultPlan::none().kill_writer_after_bytes(RANK, 0),
+                Expect::Killed,
+            ),
+            (
+                "error within budget",
+                || FaultPlan::none().fail_nth_write(RANK, 0, RETRIES),
+                Expect::Lands { attempts: RETRIES },
+            ),
+            (
+                "error beyond budget",
+                || FaultPlan::none().fail_nth_write(RANK, 0, RETRIES + 1),
+                Expect::Errno(5),
+            ),
+            (
+                "short",
+                || FaultPlan::none().short_write(RANK, 0, 4),
+                Expect::Lands { attempts: 0 },
+            ),
+            (
+                "enospc",
+                || FaultPlan::none().enospc_after_bytes(RANK, 8),
+                Expect::Errno(28),
+            ),
+        ];
+        let (dir, f) = tmpfile("matrix");
+        let rec = Recorder::install(&dir).expect("recorder");
+        for (name, plan, expect) in &cases {
+            for bufs in [
+                vec![&PAYLOAD[..]],
+                vec![&PAYLOAD[..2], &PAYLOAD[2..3], &PAYLOAD[3..]],
+            ] {
+                for in_place in [true, false] {
+                    let cell = format!("{name} x {} bufs x in_place={in_place}", bufs.len());
+                    f.set_len(0).unwrap();
+                    rec.take();
+                    let plan = plan();
+                    let c = ctx(&plan, RANK, RETRIES, Duration::from_micros(10));
+                    // A short write is cut only when there is one buffer.
+                    let cut = (*name == "short" && bufs.len() == 1).then_some(4u64);
+                    let res = if in_place {
+                        write_at(&c, &f, AT, &bufs)
+                    } else {
+                        write_at_or_short(&c, &f, AT, &bufs).map(|w| {
+                            assert_eq!(w.short, cut, "{cell}");
+                            w.attempts
+                        })
+                    };
+                    let on_disk = std::fs::read(dir.join("f")).unwrap();
+                    let journal: Vec<(u64, Vec<u8>)> = rec
+                        .take()
+                        .into_iter()
+                        .map(|op| match op {
+                            RecOp::Write { offset, data, .. } => (offset, data),
+                            other => panic!("{cell}: unexpected journal op {other:?}"),
+                        })
+                        .collect();
+                    let piece =
+                        |r: std::ops::Range<usize>| (AT + r.start as u64, PAYLOAD[r].to_vec());
+                    let lands = matches!(expect, Expect::Lands { .. });
+                    let (landed, want_journal) = match (lands, cut.map(|n| n as usize), in_place) {
+                        (false, ..) => (0, vec![]),
+                        (true, None, _) => (9, vec![piece(0..9)]),
+                        // Completed in place: the prefix, then the tail.
+                        (true, Some(n), true) => (9, vec![piece(0..n), piece(n..9)]),
+                        // Returned short: only the prefix, journaled.
+                        (true, Some(n), false) => (n, vec![piece(0..n)]),
+                    };
+                    match (expect, res) {
+                        (Expect::Lands { attempts }, res) => {
+                            assert_eq!(res.expect(&cell), *attempts, "{cell}")
+                        }
+                        (Expect::Killed, Err(WriteError::Killed)) => {}
+                        (Expect::Errno(n), Err(WriteError::Io(e)))
+                            if e.raw_os_error() == Some(*n) => {}
+                        (_, other) => panic!("{cell}: unexpected outcome {other:?}"),
+                    }
+                    if landed == 0 {
+                        assert!(on_disk.is_empty(), "{cell}: a failed write left bytes");
+                    } else {
+                        assert_eq!(&on_disk[AT as usize..], &PAYLOAD[..landed], "{cell}");
+                    }
+                    assert_eq!(journal, want_journal, "{cell}");
+                }
+            }
+        }
+        drop(rec);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

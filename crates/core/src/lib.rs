@@ -43,6 +43,11 @@
 //! # std::fs::remove_dir_all(&dir).ok();
 //! ```
 
+// Three files opt back in with `#![allow(unsafe_code)]`: `sys.rs` (raw
+// syscalls, the owning `Mmap`), `tier.rs` (the slab's bump-window copy
+// and read) and `backend/uring.rs` (kernel ring fields).
+#![deny(unsafe_code)]
+
 pub mod backend;
 pub mod buf;
 pub mod commit;
@@ -61,6 +66,7 @@ pub mod sched;
 pub mod scrub;
 pub mod service;
 pub mod strategy;
+pub(crate) mod sys;
 pub mod tier;
 pub mod vtk;
 

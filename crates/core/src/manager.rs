@@ -160,12 +160,93 @@ fn step_prefix(step: u64) -> String {
     format!("step{step:010}")
 }
 
+/// File name of `step`'s commit marker.
+pub(crate) fn commit_name(step: u64) -> String {
+    format!("{}.commit", step_prefix(step))
+}
+
+/// File name of `step`'s generation manifest.
+pub(crate) fn manifest_name(step: u64) -> String {
+    format!("{}.manifest", step_prefix(step))
+}
+
+/// The step a commit-marker file name belongs to ([`commit_name`]'s
+/// inverse); `None` for any other name.
+pub(crate) fn marker_step(name: &str) -> Option<u64> {
+    name.strip_prefix("step")?
+        .strip_suffix(".commit")?
+        .parse()
+        .ok()
+}
+
 fn commit_path(dir: &Path, step: u64) -> PathBuf {
-    dir.join(format!("{}.commit", step_prefix(step)))
+    dir.join(commit_name(step))
 }
 
 fn manifest_path(dir: &Path, step: u64) -> PathBuf {
-    dir.join(format!("{}.manifest", step_prefix(step)))
+    dir.join(manifest_name(step))
+}
+
+/// The `name size header-crc` lines [`marker_body`] wrote after a
+/// marker's two header lines; `Err` carries a line that does not parse.
+pub(crate) fn marker_files(marker: &str) -> impl Iterator<Item = Result<(&str, u64, &str), &str>> {
+    marker.lines().skip(2).map(|line| {
+        let mut parts = line.split_whitespace();
+        let (name, size, crc) = (parts.next(), parts.next(), parts.next());
+        match (name, size.and_then(|s| s.parse().ok()), crc) {
+            (Some(name), Some(size), Some(crc)) => Ok((name, size, crc)),
+            _ => Err(line),
+        }
+    })
+}
+
+/// Check one marker-referenced file against what the marker recorded:
+/// its size, then the CRC of its header region. `deep` also re-reads
+/// the whole body and re-verifies the commit footer's per-field CRCs.
+/// Returns the bytes deep-verified, or what is wrong (`"missing"` when
+/// the file is absent).
+pub(crate) fn check_committed_file(
+    path: &Path,
+    want_size: u64,
+    want_crc: &str,
+    deep: bool,
+) -> Result<u64, String> {
+    use std::os::unix::fs::FileExt;
+    let meta = match fs::metadata(path) {
+        Ok(m) => m,
+        Err(e) if e.kind() == io::ErrorKind::NotFound => return Err("missing".into()),
+        Err(e) => return Err(format!("unreadable: {e}")),
+    };
+    if meta.len() != want_size {
+        return Err(format!(
+            "size {} on disk, marker recorded {want_size}",
+            meta.len()
+        ));
+    }
+    let f = fs::File::open(path).map_err(|e| format!("open: {e}"))?;
+    let mut head = vec![0u8; 16.min(meta.len() as usize)];
+    f.read_exact_at(&mut head, 0)
+        .map_err(|e| format!("read header: {e}"))?;
+    if head.len() < 16 {
+        return Err("too short for a header".into());
+    }
+    let hlen = u64::from_le_bytes(head[8..16].try_into().expect("len 8")).min(meta.len());
+    let mut hdr = vec![0u8; hlen as usize];
+    f.read_exact_at(&mut hdr, 0)
+        .map_err(|e| format!("read header: {e}"))?;
+    if format!("{:08x}", crc32(&hdr)) != want_crc {
+        return Err("header CRC changed since commit".into());
+    }
+    if !deep {
+        return Ok(0);
+    }
+    // Data integrity: the commit footer's per-field checksums.
+    let bytes = fs::read(path).map_err(|e| format!("read body: {e}"))?;
+    let header = decode_header(&bytes).map_err(|e| format!("header: {e}"))?;
+    match commit::verify_committed(&bytes, header.expected_file_size()) {
+        Some(what) => Err(what.to_string()),
+        None => Ok(bytes.len() as u64),
+    }
 }
 
 /// Remove `path`, treating "already gone" as success: during generation
@@ -549,14 +630,7 @@ impl CheckpointManager {
                 Err(e) => return Err(ManagerError::Io(e)),
             };
             let name = entry.file_name().to_string_lossy().into_owned();
-            if let Some(num) = name
-                .strip_prefix("step")
-                .and_then(|s| s.strip_suffix(".commit"))
-            {
-                if let Ok(step) = num.parse::<u64>() {
-                    steps.push(step);
-                }
-            }
+            steps.extend(marker_step(&name));
         }
         steps.sort_unstable();
         Ok(steps)
@@ -616,49 +690,11 @@ impl CheckpointManager {
                 }
                 _ => ManagerError::NothingToRestore,
             })?;
-        for line in marker.lines().skip(2) {
-            let mut parts = line.split_whitespace();
-            let (Some(name), Some(size), Some(crc)) = (parts.next(), parts.next(), parts.next())
-            else {
-                return Err(ManagerError::CommitMismatch(format!(
-                    "bad marker line: {line}"
-                )));
-            };
-            let path = self.cfg.dir.join(name);
-            let meta = fs::metadata(&path)
-                .map_err(|e| ManagerError::CommitMismatch(format!("{name}: {e}")))?;
-            if meta.len().to_string() != size {
-                return Err(ManagerError::CommitMismatch(format!(
-                    "{name}: size {} != recorded {size}",
-                    meta.len()
-                )));
-            }
-            let hdr_crc = {
-                use std::os::unix::fs::FileExt;
-                let f = fs::File::open(&path)?;
-                let mut head = vec![0u8; 16.min(meta.len() as usize)];
-                f.read_exact_at(&mut head, 0)?;
-                if head.len() < 16 {
-                    return Err(ManagerError::CommitMismatch(format!("{name}: too short")));
-                }
-                let hlen =
-                    u64::from_le_bytes(head[8..16].try_into().expect("len 8")).min(meta.len());
-                let mut hdr = vec![0u8; hlen as usize];
-                f.read_exact_at(&mut hdr, 0)?;
-                crc32(&hdr)
-            };
-            if format!("{hdr_crc:08x}") != crc {
-                return Err(ManagerError::CommitMismatch(format!(
-                    "{name}: header CRC changed"
-                )));
-            }
-            // Data integrity: the commit footer's per-field checksums.
-            let bytes = fs::read(&path)?;
-            let header = decode_header(&bytes)
-                .map_err(|e| ManagerError::CommitMismatch(format!("{name}: {e}")))?;
-            if let Some(what) = commit::verify_committed(&bytes, header.expected_file_size()) {
-                return Err(ManagerError::CommitMismatch(format!("{name}: {what}")));
-            }
+        for line in marker_files(&marker) {
+            let (name, size, crc) = line
+                .map_err(|bad| ManagerError::CommitMismatch(format!("bad marker line: {bad}")))?;
+            check_committed_file(&self.cfg.dir.join(name), size, crc, true)
+                .map_err(|why| ManagerError::CommitMismatch(format!("{name}: {why}")))?;
         }
         Ok(())
     }

@@ -142,7 +142,7 @@ impl FlushJob {
 /// heartbeat.
 #[derive(Default, Clone)]
 pub struct WriterTuning {
-    /// Extra attempts per failed write (see `write_at_with_retry`).
+    /// Extra attempts per failed write (see [`fault::write_at_or_short`]).
     pub write_retries: u32,
     /// Base backoff between retry attempts.
     pub retry_backoff: Duration,

@@ -230,16 +230,74 @@ fn extract_file(
             what,
         });
     }
-    let mut out = Vec::with_capacity((header.r1 - header.r0) as usize);
-    for rank in header.r0..header.r1 {
-        let mut row = Vec::with_capacity(header.fields.len());
-        for field in 0..header.fields.len() {
-            let (off, len) = header.rank_block(rank, field);
-            row.push(bytes.slice(off as usize..(off + len) as usize));
-        }
-        out.push(row);
+    Ok(rank_blocks(&bytes, header))
+}
+
+/// Slice a file image into one row of zero-copy field blocks per rank
+/// the file covers. `bytes` must hold at least
+/// `header.expected_file_size()` bytes.
+fn rank_blocks(bytes: &Bytes, header: &FileHeader) -> Vec<Vec<Bytes>> {
+    (header.r0..header.r1)
+        .map(|rank| {
+            (0..header.fields.len())
+                .map(|field| {
+                    let (off, len) = header.rank_block(rank, field);
+                    bytes.slice(off as usize..(off + len) as usize)
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// A plan file's header must describe the rank range and the job size
+/// the plan says that file has.
+fn check_header_shape(
+    pf: &crate::strategy::PlanFile,
+    header: &FileHeader,
+    nranks: u32,
+) -> Result<(), RestartError> {
+    if (header.r0, header.r1) != (pf.r0, pf.r1) {
+        return Err(RestartError::Inconsistent(format!(
+            "{}: covers [{},{}) but plan says [{},{})",
+            pf.name, header.r0, header.r1, pf.r0, pf.r1
+        )));
     }
-    Ok(out)
+    if header.nranks_total != nranks {
+        return Err(RestartError::Inconsistent(format!(
+            "{}: written by a {}-rank job, plan has {nranks}",
+            pf.name, header.nranks_total
+        )));
+    }
+    Ok(())
+}
+
+/// Wrap per-rank field blocks as the plan's [`RestoredData`], once every
+/// rank holds one block per layout field.
+fn restored_for_plan(
+    plan: &CheckpointPlan,
+    step: Option<u64>,
+    data: Vec<Vec<Bytes>>,
+) -> Result<RestoredData, RestartError> {
+    for (r, d) in data.iter().enumerate() {
+        if d.len() != plan.layout.nfields() {
+            return Err(RestartError::Inconsistent(format!(
+                "rank {r}: {} field blocks restored, layout has {}",
+                d.len(),
+                plan.layout.nfields()
+            )));
+        }
+    }
+    Ok(RestoredData {
+        step: step.unwrap_or(0),
+        nranks: plan.layout.nranks(),
+        field_names: plan
+            .layout
+            .fields()
+            .iter()
+            .map(|f| f.name.clone())
+            .collect(),
+        data,
+    })
 }
 
 /// Per-file extraction result: one row of zero-copy field blocks per rank
@@ -356,42 +414,12 @@ pub fn read_checkpoint(
     let mut step = None;
     for pf in &plan.plan_files {
         let header = read_header(&dir.join(&pf.name))?;
-        if (header.r0, header.r1) != (pf.r0, pf.r1) {
-            return Err(RestartError::Inconsistent(format!(
-                "{}: covers [{},{}) but plan says [{},{})",
-                pf.name, header.r0, header.r1, pf.r0, pf.r1
-            )));
-        }
-        if header.nranks_total != nranks {
-            return Err(RestartError::Inconsistent(format!(
-                "{}: written by a {}-rank job, plan has {nranks}",
-                pf.name, header.nranks_total
-            )));
-        }
+        check_header_shape(pf, &header, nranks)?;
         step = Some(header.step);
         files.push((pf.name.clone(), header));
     }
     let data = extract_all(dir, &files, nranks)?;
-    for (r, d) in data.iter().enumerate() {
-        if d.len() != plan.layout.nfields() {
-            return Err(RestartError::Inconsistent(format!(
-                "rank {r}: {} field blocks restored, layout has {}",
-                d.len(),
-                plan.layout.nfields()
-            )));
-        }
-    }
-    Ok(RestoredData {
-        step: step.unwrap_or(0),
-        nranks,
-        field_names: plan
-            .layout
-            .fields()
-            .iter()
-            .map(|f| f.name.clone())
-            .collect(),
-        data,
-    })
+    restored_for_plan(plan, step, data)
 }
 
 /// Read back a checkpoint from in-memory file images — the node-local
@@ -419,18 +447,7 @@ pub fn read_checkpoint_staged(
             file: pf.name.clone(),
             source: e,
         })?;
-        if (header.r0, header.r1) != (pf.r0, pf.r1) {
-            return Err(RestartError::Inconsistent(format!(
-                "{}: covers [{},{}) but plan says [{},{})",
-                pf.name, header.r0, header.r1, pf.r0, pf.r1
-            )));
-        }
-        if header.nranks_total != nranks {
-            return Err(RestartError::Inconsistent(format!(
-                "{}: written by a {}-rank job, plan has {nranks}",
-                pf.name, header.nranks_total
-            )));
-        }
+        check_header_shape(pf, &header, nranks)?;
         if (bytes.len() as u64) < header.expected_file_size() {
             return Err(RestartError::Torn {
                 file: pf.name.clone(),
@@ -442,35 +459,11 @@ pub fn read_checkpoint_staged(
             });
         }
         step = Some(header.step);
-        for rank in header.r0..header.r1 {
-            let mut row = Vec::with_capacity(header.fields.len());
-            for field in 0..header.fields.len() {
-                let (off, len) = header.rank_block(rank, field);
-                row.push(bytes.slice(off as usize..(off + len) as usize));
-            }
-            data[rank as usize].extend(row);
+        for (k, row) in rank_blocks(&bytes, &header).into_iter().enumerate() {
+            data[header.r0 as usize + k].extend(row);
         }
     }
-    for (r, d) in data.iter().enumerate() {
-        if d.len() != plan.layout.nfields() {
-            return Err(RestartError::Inconsistent(format!(
-                "rank {r}: {} field blocks restored, layout has {}",
-                d.len(),
-                plan.layout.nfields()
-            )));
-        }
-    }
-    Ok(RestoredData {
-        step: step.unwrap_or(0),
-        nranks,
-        field_names: plan
-            .layout
-            .fields()
-            .iter()
-            .map(|f| f.name.clone())
-            .collect(),
-        data,
-    })
+    restored_for_plan(plan, step, data)
 }
 
 /// Discover every rbio checkpoint file under `dir` whose name starts with

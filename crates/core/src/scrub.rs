@@ -37,7 +37,8 @@ use std::path::{Path, PathBuf};
 use rbio_profile::counters;
 
 use crate::commit;
-use crate::format::{crc32, decode_header};
+use crate::format::decode_header;
+use crate::manager::{check_committed_file, commit_name, manifest_name, marker_files, marker_step};
 
 /// What a scrub found wrong with one on-disk object.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -158,55 +159,6 @@ impl ScrubConfig {
     }
 }
 
-/// Parse `stepNNNNNNNNNN.commit` → step number.
-fn marker_step(name: &str) -> Option<u64> {
-    name.strip_prefix("step")?
-        .strip_suffix(".commit")?
-        .parse()
-        .ok()
-}
-
-/// Check one marker-referenced file. `deep` re-reads the whole body and
-/// re-verifies the commit footer's per-field CRCs. Returns damage
-/// detail on mismatch, `Ok(bytes_deep_verified)` when healthy.
-fn check_file(path: &Path, want_size: u64, want_crc: &str, deep: bool) -> Result<u64, String> {
-    let meta = match fs::metadata(path) {
-        Ok(m) => m,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Err("missing".into()),
-        Err(e) => return Err(format!("unreadable: {e}")),
-    };
-    if meta.len() != want_size {
-        return Err(format!(
-            "size {} on disk, marker recorded {want_size}",
-            meta.len()
-        ));
-    }
-    let f = fs::File::open(path).map_err(|e| format!("open: {e}"))?;
-    use std::os::unix::fs::FileExt;
-    let mut head = vec![0u8; 16.min(meta.len() as usize)];
-    f.read_exact_at(&mut head, 0)
-        .map_err(|e| format!("read header: {e}"))?;
-    if head.len() < 16 {
-        return Err("too short for a header".into());
-    }
-    let hlen = u64::from_le_bytes(head[8..16].try_into().expect("len 8")).min(meta.len());
-    let mut hdr = vec![0u8; hlen as usize];
-    f.read_exact_at(&mut hdr, 0)
-        .map_err(|e| format!("read header: {e}"))?;
-    if format!("{:08x}", crc32(&hdr)) != want_crc {
-        return Err("header CRC changed since commit".into());
-    }
-    if !deep {
-        return Ok(0);
-    }
-    let bytes = fs::read(path).map_err(|e| format!("read body: {e}"))?;
-    let header = decode_header(&bytes).map_err(|e| format!("header: {e}"))?;
-    if let Some(what) = commit::verify_committed(&bytes, header.expected_file_size()) {
-        return Err(what);
-    }
-    Ok(bytes.len() as u64)
-}
-
 /// Reinstall `name` from its burst-tier copy, byte-identically. The
 /// burst copy is committed with the same footer protocol, so after its
 /// own footer verification the raw bytes are the replacement — written
@@ -284,7 +236,7 @@ pub fn scrub(cfg: &ScrubConfig) -> io::Result<ScrubReport> {
 
     for &step in &steps {
         report.generations += 1;
-        let marker_name = format!("step{step:010}.commit");
+        let marker_name = commit_name(step);
         let marker = match commit::read_committed_text(&cfg.dir.join(&marker_name)) {
             Ok(m) => m,
             Err(e) => {
@@ -303,25 +255,22 @@ pub fn scrub(cfg: &ScrubConfig) -> io::Result<ScrubReport> {
                 continue;
             }
         };
-        for line in marker.lines().skip(2) {
-            let mut parts = line.split_whitespace();
-            let (Some(name), Some(size), Some(want_crc)) =
-                (parts.next(), parts.next(), parts.next())
-            else {
-                damage(
-                    &mut report,
-                    Damage {
-                        step: Some(step),
-                        file: format!("step{step:010}.commit"),
-                        kind: DamageKind::TornFile,
-                        detail: format!("bad marker line: {line}"),
-                        repaired: false,
-                    },
-                );
-                continue;
-            };
-            let Ok(want_size) = size.parse::<u64>() else {
-                continue;
+        for line in marker_files(&marker) {
+            let (name, want_size, want_crc) = match line {
+                Ok(file) => file,
+                Err(bad) => {
+                    damage(
+                        &mut report,
+                        Damage {
+                            step: Some(step),
+                            file: commit_name(step),
+                            kind: DamageKind::TornFile,
+                            detail: format!("bad marker line: {bad}"),
+                            repaired: false,
+                        },
+                    );
+                    continue;
+                }
             };
             report.files_checked += 1;
             counters::add_scrub_files_checked(1);
@@ -330,7 +279,7 @@ pub fn scrub(cfg: &ScrubConfig) -> io::Result<ScrubReport> {
             if deep {
                 acc -= 1.0;
             }
-            match check_file(&cfg.dir.join(name), want_size, want_crc, deep) {
+            match check_committed_file(&cfg.dir.join(name), want_size, want_crc, deep) {
                 Ok(deep_bytes) => {
                     report.bytes_verified += deep_bytes;
                     counters::add_scrub_bytes_verified(deep_bytes);
@@ -366,8 +315,7 @@ pub fn scrub(cfg: &ScrubConfig) -> io::Result<ScrubReport> {
         }
         // Manifest/marker agreement. A missing manifest is legal
         // (pre-manifest directories); a torn or divergent one is not.
-        let manifest_path = cfg.dir.join(format!("step{step:010}.manifest"));
-        match commit::read_committed_text(&manifest_path) {
+        match commit::read_committed_text(&cfg.dir.join(manifest_name(step))) {
             Ok(m) => {
                 let extents = name_set(&m);
                 let files = name_set(&marker);
@@ -377,7 +325,7 @@ pub fn scrub(cfg: &ScrubConfig) -> io::Result<ScrubReport> {
                         &mut report,
                         Damage {
                             step: Some(step),
-                            file: format!("step{step:010}.manifest"),
+                            file: manifest_name(step),
                             kind: DamageKind::MetadataDivergence,
                             detail: format!(
                                 "manifest extents and marker files disagree on {diff:?}"
@@ -393,7 +341,7 @@ pub fn scrub(cfg: &ScrubConfig) -> io::Result<ScrubReport> {
                     &mut report,
                     Damage {
                         step: Some(step),
-                        file: format!("step{step:010}.manifest"),
+                        file: manifest_name(step),
                         kind: DamageKind::MetadataDivergence,
                         detail: format!("manifest unreadable: {e}"),
                         repaired: false,

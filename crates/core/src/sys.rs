@@ -1,0 +1,200 @@
+//! The crate's only raw-syscall code.
+//!
+//! The workspace is dependency-free (no libc), so the few kernel calls
+//! std has no wrapper for go through one inline-asm [`syscall6`] per
+//! architecture, and every memory mapping in the crate — the local
+//! tier's slab ([`crate::tier::SlabPool`]), the ring backend's restart
+//! reads ([`crate::backend::read_via_mmap`]) and the io_uring rings — is
+//! one owning [`Mmap`]. Platforms the asm does not cover get a
+//! `-ENOSYS` stub, so every caller's existing fallback (heap slab,
+//! `pread`, ring emulation) is taken there without a `cfg` of its own.
+#![allow(unsafe_code)]
+
+use std::os::fd::RawFd;
+
+// `mmap(2)` protection and flag bits, as Linux defines them.
+pub(crate) const PROT_READ: usize = 0x1;
+pub(crate) const PROT_WRITE: usize = 0x2;
+pub(crate) const MAP_SHARED: usize = 0x01;
+
+const NR_MMAP: usize = if cfg!(target_arch = "aarch64") {
+    222
+} else {
+    9
+};
+const NR_MUNMAP: usize = if cfg!(target_arch = "aarch64") {
+    215
+} else {
+    11
+};
+
+/// Raw system call `nr`; returns the kernel's value (a negative errno on
+/// failure). Off Linux x86_64/aarch64 nothing is called and the result
+/// is always `-ENOSYS`.
+///
+/// # Safety
+/// The caller upholds whatever call `nr` demands of its arguments
+/// (pointers live and correctly sized, lengths in bounds).
+pub(crate) unsafe fn syscall6(nr: usize, a: [usize; 6]) -> isize {
+    #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
+    // SAFETY: arguments are passed per the x86_64 syscall ABI, which
+    // clobbers only rcx and r11; the call's own memory contract is the
+    // caller's.
+    unsafe {
+        let ret;
+        std::arch::asm!(
+            "syscall",
+            inlateout("rax") nr => ret,
+            in("rdi") a[0],
+            in("rsi") a[1],
+            in("rdx") a[2],
+            in("r10") a[3],
+            in("r8") a[4],
+            in("r9") a[5],
+            lateout("rcx") _,
+            lateout("r11") _,
+            options(nostack),
+        );
+        ret
+    }
+    #[cfg(all(target_os = "linux", target_arch = "aarch64"))]
+    // SAFETY: arguments are passed per the aarch64 syscall ABI; the
+    // call's own memory contract is the caller's.
+    unsafe {
+        let ret;
+        std::arch::asm!(
+            "svc 0",
+            inlateout("x0") a[0] => ret,
+            in("x1") a[1],
+            in("x2") a[2],
+            in("x3") a[3],
+            in("x4") a[4],
+            in("x5") a[5],
+            in("x8") nr,
+            options(nostack),
+        );
+        ret
+    }
+    #[cfg(not(all(
+        target_os = "linux",
+        any(target_arch = "x86_64", target_arch = "aarch64")
+    )))]
+    {
+        let _ = (nr, a);
+        -38
+    }
+}
+
+/// One owned memory mapping, unmapped on drop.
+pub(crate) struct Mmap {
+    ptr: *mut u8,
+    len: usize,
+}
+
+// SAFETY: a mapping is plain memory owned by this value, like a
+// `Box<[u8]>`: nothing about it is tied to the thread that created it.
+unsafe impl Send for Mmap {}
+
+impl Mmap {
+    /// Map `len` bytes of `fd` from byte `off` at a kernel-chosen
+    /// address. `None` when `len` is zero, `prot` lacks [`PROT_READ`]
+    /// (so [`Mmap::as_slice`] can never fault on protection), or the
+    /// kernel (or platform stub) refuses.
+    ///
+    /// Map only objects this process controls for the mapping's whole
+    /// life — checkpoint and slab files it wrote, the io_uring fd:
+    /// truncating a mapped file under a live mapping faults the reader.
+    pub(crate) fn new(
+        fd: RawFd,
+        len: usize,
+        off: usize,
+        prot: usize,
+        flags: usize,
+    ) -> Option<Mmap> {
+        if len == 0 || prot & PROT_READ == 0 {
+            return None;
+        }
+        // Sign-extend, so an invalid (negative) fd stays invalid.
+        let fd = fd as isize as usize;
+        // SAFETY: with a null address hint and no MAP_FIXED the kernel
+        // places the mapping where nothing of this process lives, so
+        // creating it cannot alias or clobber existing memory.
+        let ret = unsafe { syscall6(NR_MMAP, [0, len, prot, flags, fd, off]) };
+        // A raw return in `-4095..0` is a negated errno, not an address.
+        (!(-4095..0).contains(&ret)).then(|| Mmap {
+            ptr: ret as *mut u8,
+            len,
+        })
+    }
+
+    /// Base address. Dereferencing is the caller's `unsafe`: stay inside
+    /// `len` bytes and write only through a [`PROT_WRITE`] mapping.
+    pub(crate) fn as_ptr(&self) -> *mut u8 {
+        self.ptr
+    }
+
+    /// The mapping as bytes. Callers that also write through
+    /// [`Mmap::as_ptr`] must not do so while this borrow is live.
+    pub(crate) fn as_slice(&self) -> &[u8] {
+        // SAFETY: `ptr` is a live, readable (checked in `new`) mapping
+        // of exactly `len` bytes until `self` drops, and u8 has no
+        // alignment or validity requirement.
+        unsafe { std::slice::from_raw_parts(self.ptr, self.len) }
+    }
+}
+
+impl Drop for Mmap {
+    fn drop(&mut self) {
+        // SAFETY: `[ptr, ptr + len)` is the mapping `new` created and no
+        // borrow of it outlives `self`.
+        unsafe { syscall6(NR_MUNMAP, [self.ptr as usize, self.len, 0, 0, 0, 0]) };
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::os::fd::AsRawFd;
+    use std::os::unix::fs::FileExt;
+
+    #[test]
+    fn refuses_empty_and_invalid_mappings() {
+        let f = std::fs::File::open("/proc/self/exe").expect("open");
+        assert!(Mmap::new(f.as_raw_fd(), 0, 0, PROT_READ, MAP_SHARED).is_none());
+        assert!(Mmap::new(-1, 4096, 0, PROT_READ, MAP_SHARED).is_none());
+    }
+
+    #[test]
+    fn shared_mapping_round_trips_and_persists_after_drop() {
+        let dir = std::env::temp_dir().join(format!("rbio-sys-mmap-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        let f = std::fs::OpenOptions::new()
+            .create(true)
+            .truncate(true)
+            .read(true)
+            .write(true)
+            .open(dir.join("m"))
+            .expect("open");
+        f.set_len(4096).expect("set_len");
+        let Some(map) = Mmap::new(f.as_raw_fd(), 4096, 0, PROT_READ | PROT_WRITE, MAP_SHARED)
+        else {
+            // Only the portable stub may refuse this mapping; the
+            // fallbacks it leaves to the callers have their own tests.
+            if cfg!(target_os = "linux") {
+                panic!("mmap refused where syscalls are real");
+            }
+            return;
+        };
+        assert_eq!(map.as_slice().len(), 4096);
+        // SAFETY: 5 bytes at offset 7 are inside the 4096-byte writable
+        // mapping and no slice of it is live.
+        unsafe { std::ptr::copy_nonoverlapping(b"hello".as_ptr(), map.as_ptr().add(7), 5) };
+        assert_eq!(&map.as_slice()[7..12], b"hello");
+        assert_eq!(map.as_slice()[0], 0);
+        drop(map);
+        let mut back = [0u8; 5];
+        f.read_exact_at(&mut back, 7).expect("pread");
+        assert_eq!(&back, b"hello");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}

@@ -32,9 +32,13 @@
 //! events so the `rbio-check` harness can race drains against restores
 //! and tier losses deterministically.
 
+#![allow(unsafe_code)]
+
+use std::cell::UnsafeCell;
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::fs::File;
 use std::io;
+use std::os::fd::AsRawFd;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, Sender, TryRecvError};
@@ -49,6 +53,7 @@ use crate::commit;
 use crate::fault::FaultPlan;
 use crate::pipeline::{FlushJob, FlushPool, WriterTuning};
 use crate::sched::{self, Point, TierId};
+use crate::sys::{self, Mmap};
 
 /// Pipeline rank the drain engine registers under. Out of the plan's
 /// rank space so rank-targeted fault plans never hit the drain by
@@ -164,16 +169,20 @@ pub struct SlabRef {
 }
 
 /// A pre-allocated append-only slab, mmap'd from a node-local file when
-/// the platform allows (Linux x86_64/aarch64 via raw syscalls — the
-/// workspace is dependency-free, so no libc), else heap-backed.
+/// the platform allows ([`crate::sys::Mmap`]), else heap-backed.
 ///
 /// The hot path is [`SlabPool::append`]: one `fetch_add` to reserve a
 /// disjoint window, one `memcpy` into it. No allocation, no lock.
 pub struct SlabPool {
-    ptr: *mut u8,
+    /// The shared read-write mapping of the slab file; `None` for an
+    /// anonymous slab or where mapping failed, and the slab is `heap`.
+    map: Option<Mmap>,
+    /// The heap slab (empty when mapped). Interior-mutable cells, so
+    /// `append` may write through `&self` exactly as it does through the
+    /// mapping's raw pointer.
+    heap: Box<[UnsafeCell<u8>]>,
     capacity: usize,
     head: AtomicUsize,
-    mapped: bool,
     path: Option<PathBuf>,
     _file: Option<File>,
 }
@@ -182,7 +191,6 @@ pub struct SlabPool {
 // atomic bump pointer, so concurrent appends never alias. Readers only
 // reach a window through a `SlabRef` published after the filling memcpy
 // (in practice via the `TierStage` mutex), which orders the bytes.
-unsafe impl Send for SlabPool {}
 unsafe impl Sync for SlabPool {}
 
 impl SlabPool {
@@ -197,33 +205,40 @@ impl SlabPool {
             .truncate(true)
             .open(path)?;
         f.set_len(capacity as u64)?;
-        if let Some(ptr) = sys::mmap_shared(&f, capacity) {
-            return Ok(SlabPool {
-                ptr,
-                capacity,
-                head: AtomicUsize::new(0),
-                mapped: true,
-                path: Some(path.to_path_buf()),
-                _file: Some(f),
-            });
-        }
-        Ok(Self::heap(capacity, Some(path.to_path_buf()), Some(f)))
+        let prot = sys::PROT_READ | sys::PROT_WRITE;
+        let map = Mmap::new(f.as_raw_fd(), capacity, 0, prot, sys::MAP_SHARED);
+        Ok(Self::with(map, capacity, Some(path.to_path_buf()), Some(f)))
     }
 
     /// A purely in-memory slab (tests, platforms without a local disk).
     pub fn anonymous(capacity: usize) -> SlabPool {
-        Self::heap(capacity, None, None)
+        Self::with(None, capacity, None, None)
     }
 
-    fn heap(capacity: usize, path: Option<PathBuf>, file: Option<File>) -> SlabPool {
-        let slab = vec![0u8; capacity].into_boxed_slice();
+    fn with(
+        map: Option<Mmap>,
+        capacity: usize,
+        path: Option<PathBuf>,
+        file: Option<File>,
+    ) -> SlabPool {
+        let heap_len = if map.is_some() { 0 } else { capacity };
         SlabPool {
-            ptr: Box::into_raw(slab).cast::<u8>(),
+            map,
+            heap: std::iter::repeat_with(|| UnsafeCell::new(0))
+                .take(heap_len)
+                .collect(),
             capacity,
             head: AtomicUsize::new(0),
-            mapped: false,
             path,
             _file: file,
+        }
+    }
+
+    /// Base of the `capacity`-byte slab, writable through `&self`.
+    fn base(&self) -> *mut u8 {
+        match &self.map {
+            Some(m) => m.as_ptr(),
+            None => UnsafeCell::raw_get(self.heap.as_ptr()),
         }
     }
 
@@ -237,9 +252,9 @@ impl SlabPool {
         }
         // SAFETY: `[off, end)` is in-bounds (checked above) and
         // exclusively ours (bump pointer), and `data` cannot overlap a
-        // mapping we own.
+        // slab we own.
         unsafe {
-            std::ptr::copy_nonoverlapping(data.as_ptr(), self.ptr.add(off), data.len());
+            std::ptr::copy_nonoverlapping(data.as_ptr(), self.base().add(off), data.len());
         }
         Some(SlabRef {
             off,
@@ -257,7 +272,7 @@ impl SlabPool {
         );
         // SAFETY: bounds asserted; the window was fully written before
         // its SlabRef was published.
-        unsafe { std::slice::from_raw_parts(self.ptr.add(r.off), r.len) }
+        unsafe { std::slice::from_raw_parts(self.base().add(r.off), r.len) }
     }
 
     /// Bytes appended so far (saturated at capacity).
@@ -281,177 +296,10 @@ impl std::fmt::Debug for SlabPool {
         f.debug_struct("SlabPool")
             .field("capacity", &self.capacity)
             .field("used", &self.used())
-            .field("mapped", &self.mapped)
+            .field("mapped", &self.map.is_some())
             .field("path", &self.path)
             .finish()
     }
-}
-
-impl Drop for SlabPool {
-    fn drop(&mut self) {
-        if self.mapped {
-            // SAFETY: `ptr` is the live mapping of exactly `capacity`
-            // bytes established in `create`.
-            unsafe { sys::munmap_slab(self.ptr, self.capacity) };
-        } else {
-            // SAFETY: rebuilding the boxed slice leaked in `heap`.
-            unsafe {
-                drop(Box::from_raw(std::ptr::slice_from_raw_parts_mut(
-                    self.ptr,
-                    self.capacity,
-                )));
-            }
-        }
-    }
-}
-
-/// Raw mmap/munmap, gated to the platforms the inline asm covers.
-#[cfg(all(
-    target_os = "linux",
-    any(target_arch = "x86_64", target_arch = "aarch64")
-))]
-mod sys {
-    use std::fs::File;
-    use std::os::unix::io::AsRawFd;
-
-    const PROT_RW: usize = 0x1 | 0x2; // PROT_READ | PROT_WRITE
-    const MAP_SHARED: usize = 0x01;
-
-    /// Map the whole of `f` shared read-write. `None` on any kernel
-    /// error (the caller falls back to a heap slab).
-    pub fn mmap_shared(f: &File, len: usize) -> Option<*mut u8> {
-        if len == 0 {
-            return None;
-        }
-        let fd = f.as_raw_fd() as isize as usize;
-        // SAFETY: a fresh shared file mapping at a kernel-chosen
-        // address aliases nothing in this process.
-        let ret = unsafe { mmap(0, len, PROT_RW, MAP_SHARED, fd, 0) };
-        if (-4095..0).contains(&(ret as isize)) {
-            None
-        } else {
-            Some(ret as *mut u8)
-        }
-    }
-
-    /// Unmap a mapping returned by [`mmap_shared`].
-    ///
-    /// # Safety
-    /// `ptr` must be a live mapping of exactly `len` bytes with no
-    /// outstanding borrows.
-    pub unsafe fn munmap_slab(ptr: *mut u8, len: usize) {
-        // SAFETY: caller contract above.
-        unsafe {
-            munmap(ptr as usize, len);
-        }
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    unsafe fn mmap(
-        addr: usize,
-        len: usize,
-        prot: usize,
-        flags: usize,
-        fd: usize,
-        off: usize,
-    ) -> usize {
-        let ret;
-        // SAFETY: mmap touches no memory the compiler knows about; all
-        // six args are passed per the x86_64 syscall ABI.
-        unsafe {
-            std::arch::asm!(
-                "syscall",
-                inlateout("rax") 9usize => ret, // __NR_mmap
-                in("rdi") addr,
-                in("rsi") len,
-                in("rdx") prot,
-                in("r10") flags,
-                in("r8") fd,
-                in("r9") off,
-                lateout("rcx") _,
-                lateout("r11") _,
-                options(nostack),
-            );
-        }
-        ret
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    unsafe fn munmap(addr: usize, len: usize) -> usize {
-        let ret;
-        // SAFETY: munmap of a region this module mapped.
-        unsafe {
-            std::arch::asm!(
-                "syscall",
-                inlateout("rax") 11usize => ret, // __NR_munmap
-                in("rdi") addr,
-                in("rsi") len,
-                lateout("rcx") _,
-                lateout("r11") _,
-                options(nostack),
-            );
-        }
-        ret
-    }
-
-    #[cfg(target_arch = "aarch64")]
-    unsafe fn mmap(
-        addr: usize,
-        len: usize,
-        prot: usize,
-        flags: usize,
-        fd: usize,
-        off: usize,
-    ) -> usize {
-        let ret;
-        // SAFETY: as the x86_64 variant, per the aarch64 syscall ABI.
-        unsafe {
-            std::arch::asm!(
-                "svc 0",
-                inlateout("x0") addr => ret,
-                in("x1") len,
-                in("x2") prot,
-                in("x3") flags,
-                in("x4") fd,
-                in("x5") off,
-                in("x8") 222usize, // __NR_mmap
-                options(nostack),
-            );
-        }
-        ret
-    }
-
-    #[cfg(target_arch = "aarch64")]
-    unsafe fn munmap(addr: usize, len: usize) -> usize {
-        let ret;
-        // SAFETY: munmap of a region this module mapped.
-        unsafe {
-            std::arch::asm!(
-                "svc 0",
-                inlateout("x0") addr => ret,
-                in("x1") len,
-                in("x8") 215usize, // __NR_munmap
-                options(nostack),
-            );
-        }
-        ret
-    }
-}
-
-#[cfg(not(all(
-    target_os = "linux",
-    any(target_arch = "x86_64", target_arch = "aarch64")
-)))]
-mod sys {
-    pub fn mmap_shared(_f: &std::fs::File, _len: usize) -> Option<*mut u8> {
-        None
-    }
-
-    /// No mapped slabs exist on this platform.
-    ///
-    /// # Safety
-    /// Never called (nothing maps), but keeps the call site uniform.
-    pub unsafe fn munmap_slab(_ptr: *mut u8, _len: usize) {}
 }
 
 #[derive(Default)]

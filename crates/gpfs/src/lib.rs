@@ -20,6 +20,8 @@
 //! (calls must be made in nondecreasing time order, which the event loop
 //! guarantees) and returns the completion time deterministically.
 
+#![forbid(unsafe_code)]
+
 pub mod fair;
 pub mod stripe;
 pub mod tokens;

@@ -15,6 +15,8 @@
 //! calendar; all noise is seeded. See `config.rs` for the calibration
 //! constants and the rationale for each value.
 
+#![forbid(unsafe_code)]
+
 pub mod config;
 pub mod metrics;
 pub mod query;

@@ -20,6 +20,8 @@
 //! ([`plan_collective_write`]); the same expansion is executed for real by
 //! `rbio::exec` and in virtual time by `rbio-machine`.
 
+#![forbid(unsafe_code)]
+
 pub mod domains;
 pub mod twophase;
 

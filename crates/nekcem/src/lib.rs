@@ -22,6 +22,8 @@
 //!   sampled on tensor-product GLL grids per element);
 //! * [`workload`] — the paper's weak-scaling case constants.
 
+#![forbid(unsafe_code)]
+
 pub mod gll;
 pub mod maxwell1d;
 pub mod maxwell2d;

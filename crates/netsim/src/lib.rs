@@ -17,6 +17,8 @@
 //! The tree/Ethernet stages are represented by per-pset fair-share pipes
 //! owned by the machine model; this crate supplies their capacities.
 
+#![forbid(unsafe_code)]
+
 use rbio_sim::resources::Serializer;
 use rbio_sim::{transfer_time, SimTime};
 use rbio_topology::{NodeId, Torus3d};

@@ -18,6 +18,8 @@
 //! and barriers. [`validate()`] checks structural sanity: message matching,
 //! buffer bounds, deadlock-freedom, and exact write coverage of every file.
 
+#![forbid(unsafe_code)]
+
 pub mod compose;
 pub mod json;
 pub mod ops;

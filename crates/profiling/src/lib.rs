@@ -7,6 +7,8 @@
 //! distribution series, activity Gantt rows, and counter summaries are
 //! derived.
 
+#![forbid(unsafe_code)]
+
 pub mod counters;
 
 use std::fmt::Write as _;

@@ -11,6 +11,8 @@
 //! a simulation produces bit-identical event orderings and timings. Event
 //! ties are broken by insertion sequence number.
 
+#![forbid(unsafe_code)]
+
 pub mod engine;
 pub mod resources;
 pub mod rng;

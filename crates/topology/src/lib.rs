@@ -14,6 +14,8 @@
 //! plus dimension-order torus routing returning explicit link identifiers so
 //! the network model can serialize per-link contention.
 
+#![forbid(unsafe_code)]
+
 pub mod partition;
 pub mod torus;
 

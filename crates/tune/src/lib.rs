@@ -24,6 +24,8 @@
 //!              └── BoundModel: flat-disk / stream-cap / create-storm
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod bound;
 pub mod canon;
 pub mod oracle;

@@ -14,14 +14,16 @@
 //!   byte plus one firehose tenant streaming flat out, neither of which
 //!   may starve or fail the healthy tenants running beside them;
 //! * a latency-sensitive tenant whose restores must stay responsive
-//!   (and register QoS preemptions) while four bulk checkpoints stream.
+//!   (and register QoS preemptions) while four bulk checkpoints stream;
+//! * four equal-weight tenants streaming identical checkpoints, whose
+//!   per-tenant goodput must stay within 2x of each other.
 //!
 //! All randomness is a seeded LCG keyed by tenant id — reruns are
 //! byte-identical. The tests share the process-global service counters,
 //! so they serialize on one lock.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, Barrier, Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
 
 use rbio_profile::counters;
@@ -322,6 +324,56 @@ fn latency_restores_stay_responsive_under_bulk_checkpoint_load() {
     assert!(
         delta.preemptions >= 1,
         "latency restores never preempted the bulk writers"
+    );
+    drop(svc);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn equal_weight_tenants_get_goodput_within_2x_of_each_other() {
+    let _serial = run_lock();
+    const BYTES: usize = 4 << 20;
+    let dir = tmpdir("fair");
+    let svc = Arc::new(CheckpointService::new(
+        ServiceConfig::new(&dir)
+            .pool_threads(4)
+            .admission(8, 8)
+            .quantum(16 << 10)
+            .timeouts(Duration::from_secs(10), Duration::from_secs(10)),
+    ));
+    // All four admitted and holding a chunk before any of them writes,
+    // so they contend for the arbiter over the whole stream.
+    let start = Arc::new(Barrier::new(4));
+    let handles: Vec<_> = (0..4u64)
+        .map(|id| {
+            let (svc, start) = (Arc::clone(&svc), Arc::clone(&start));
+            std::thread::spawn(move || {
+                let mut s = svc
+                    .checkpoint(TenantSpec::new(id), "gen.ckpt")
+                    .expect("admit");
+                let chunk = payload(id, 64 << 10);
+                start.wait();
+                let t0 = Instant::now();
+                for _ in 0..BYTES / chunk.len() {
+                    s.write(&chunk).expect("write");
+                }
+                s.commit().expect("commit");
+                BYTES as f64 / t0.elapsed().as_secs_f64()
+            })
+        })
+        .collect();
+    let goodput: Vec<f64> = handles
+        .into_iter()
+        .map(|h| h.join().expect("tenant thread"))
+        .collect();
+    // The weighted-fair-queuing bound: no tenant runs more than a
+    // quantum ahead, so finish times bunch.
+    let max = goodput.iter().copied().fold(f64::MIN, f64::max);
+    let min = goodput.iter().copied().fold(f64::MAX, f64::min);
+    assert!(
+        max / min <= 2.0,
+        "equal-weight max/min goodput {:.3} exceeds 2.0x: {goodput:?} B/s",
+        max / min
     );
     drop(svc);
     std::fs::remove_dir_all(&dir).ok();
