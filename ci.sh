@@ -17,6 +17,14 @@ cargo build --workspace --all-targets
 echo "== test =="
 cargo test -q --workspace
 
+echo "== checksum kernel, sealer and datapath equivalence once more, optimised =="
+# The interleaved CRC32C loop only takes its real shape (three chains in
+# registers, intrinsics inlined) with optimisations on; debug builds test
+# a different instruction stream.
+cargo test --release -q -p rbio --lib -- format:: commit::
+cargo test --release -q -p rbio --test seal_memory
+cargo test --release -q --test datapath_equivalence
+
 echo "== benchmark package (outside the workspace) builds and passes its tests =="
 # A crates/core API change that breaks benchmark/ must fail here, not at
 # the next benchmark run.

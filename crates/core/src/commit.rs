@@ -13,8 +13,9 @@
 //! typed [`VerifyError`] — never a panic or a silent wrap on 32-bit.
 
 use std::fmt;
-use std::fs::OpenOptions;
-use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::fs::{File, OpenOptions};
+use std::io;
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 
 use rbio_plan::Rank;
@@ -48,6 +49,11 @@ pub fn tmp_path(final_path: &Path) -> PathBuf {
 /// without a parseable header (non-checkpoint payloads) gets a single
 /// whole-file region. Either way every byte of the logical file is covered
 /// by exactly one checksum.
+///
+/// Sealing streams: the header prefix is read, then each region passes
+/// once through a [`STREAM_CHUNK`]-sized buffer into the running CRC
+/// (warm from the page cache — the writers just put it there). No image
+/// of the file is ever built.
 pub fn commit_file(
     tmp: &Path,
     final_path: &Path,
@@ -70,7 +76,7 @@ pub fn commit_file_with_faults(
     faults: &FaultPlan,
     rank: Rank,
 ) -> io::Result<()> {
-    let mut f = OpenOptions::new().read(true).write(true).open(tmp)?;
+    let f = OpenOptions::new().read(true).write(true).open(tmp)?;
     let actual = f.metadata()?.len();
     if actual != expected_size {
         return Err(io::Error::new(
@@ -81,12 +87,8 @@ pub fn commit_file_with_faults(
             ),
         ));
     }
-    let mut bytes = Vec::with_capacity(actual as usize);
-    f.read_to_end(&mut bytes)?;
-    let regions = footer_regions(&bytes, expected_size)?;
-    let footer = format::encode_footer(&regions);
-    f.seek(SeekFrom::Start(expected_size))?;
-    f.write_all(&footer)?;
+    let footer = format::encode_footer(&footer_regions(&f, expected_size)?);
+    f.write_all_at(&footer, expected_size)?;
     crash::record_write(&f, expected_size, &[&footer]);
     if fsync {
         // Sticky fsync-failure semantics (the fsyncgate rule): consult
@@ -121,40 +123,76 @@ pub fn commit_file_with_faults(
     Ok(())
 }
 
-/// Per-field checksum regions when the header parses and matches the
-/// logical size (the header protects itself with its own CRC32), else one
-/// whole-file region. Matches
-/// [`format::FileHeader::expected_committed_size`]: `nregions == nfields`.
-/// Fails (rather than panics) when a parsed header describes regions
-/// outside the file.
-fn footer_regions(bytes: &[u8], expected_size: u64) -> io::Result<Vec<FooterRegion>> {
-    if let Ok(header) = format::decode_header(bytes) {
+/// Bytes per `pread` of the streaming region walker: large enough that
+/// the syscall is noise next to the copy, small enough to stay cache-
+/// resident between the copy and the CRC pass over it.
+const STREAM_CHUNK: usize = 1 << 20;
+
+/// CRC32C of the `len` bytes of `f` at `off`, read through `buf` (grown
+/// to at most [`STREAM_CHUNK`]) — the one streaming region walker, under
+/// both the sealer and [`verify_committed_file`]. The caller has checked
+/// the region against the file's length; a file that shrinks meanwhile
+/// is an `UnexpectedEof`.
+fn crc32c_of_region(f: &File, off: u64, len: u64, buf: &mut Vec<u8>) -> io::Result<u32> {
+    let (mut crc, mut done) = (0, 0);
+    while done < len {
+        let n = (len - done).min(STREAM_CHUNK as u64) as usize;
+        if buf.len() < n {
+            buf.resize(n, 0);
+        }
+        f.read_exact_at(&mut buf[..n], off + done)?;
+        crc = format::crc32c_update(crc, &buf[..n]);
+        done += n as u64;
+    }
+    Ok(crc)
+}
+
+/// The `(offset, length)` of each checksum region of a logical file of
+/// `expected_size` bytes that starts with `head`: one per field when
+/// `head` parses as a master header that matches the logical size (the
+/// header protects itself with its own CRC32), else one whole-file
+/// region. Matches [`format::FileHeader::expected_committed_size`]:
+/// `nregions == nfields`.
+fn region_spans(head: &[u8], expected_size: u64) -> Vec<(u64, u64)> {
+    if let Ok(header) = format::decode_header(head) {
         if header.expected_file_size() == expected_size && !header.fields.is_empty() {
             return header
                 .fields
                 .iter()
-                .map(|f| region(bytes, f.data_off, f.sizes.iter().sum()))
+                .map(|f| (f.data_off, f.sizes.iter().sum()))
                 .collect();
         }
     }
-    region(bytes, 0, expected_size).map(|r| vec![r])
+    vec![(0, expected_size)]
 }
 
-fn region(bytes: &[u8], off: u64, len: u64) -> io::Result<FooterRegion> {
-    let slice = checked_slice(bytes, off, len).ok_or_else(|| {
-        io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!(
-                "checksum region [{off}, +{len}) lies outside the {}-byte file",
-                bytes.len()
-            ),
-        )
-    })?;
-    Ok(FooterRegion {
-        off,
-        len,
-        crc32c: format::crc32c(slice),
-    })
+/// Checksum the regions of the `expected_size`-byte file `f` for its
+/// footer. Fails (rather than panics) when a parsed header describes
+/// regions outside the file.
+fn footer_regions(f: &File, expected_size: u64) -> io::Result<Vec<FooterRegion>> {
+    let head = format::read_header_prefix(f, expected_size)?;
+    let mut buf = Vec::new();
+    region_spans(&head, expected_size)
+        .into_iter()
+        .map(|(off, len)| {
+            if !region_in_file(off, len, expected_size) {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!(
+                        "checksum region [{off}, +{len}) lies outside the {expected_size}-byte file"
+                    ),
+                ));
+            }
+            let crc32c = crc32c_of_region(f, off, len, &mut buf)?;
+            Ok(FooterRegion { off, len, crc32c })
+        })
+        .collect()
+}
+
+/// Does `[off, off + len)` lie inside a logical file of `size` bytes?
+/// Overflow-checked: a hostile offset near `u64::MAX` is just "no".
+fn region_in_file(off: u64, len: u64, size: u64) -> bool {
+    off.checked_add(len).is_some_and(|end| end <= size)
 }
 
 /// `&bytes[off..off + len]` with every conversion and addition checked:
@@ -260,47 +298,18 @@ pub fn verify_committed(bytes: &[u8], expected_size: u64) -> Option<String> {
 /// near `u64::MAX`, absurd region counts, truncated tables) returns an
 /// error instead of panicking or truncating on 32-bit targets.
 pub fn verify_committed_typed(bytes: &[u8], expected_size: u64) -> Result<(), VerifyError> {
-    if (bytes.len() as u64) < expected_size {
-        return Err(VerifyError::Truncated {
-            actual: bytes.len() as u64,
-            expected: expected_size,
-        });
-    }
-    // Safe after the length check above, but stay checked anyway.
-    let logical = usize::try_from(expected_size).map_err(|_| VerifyError::Truncated {
+    let truncated = || VerifyError::Truncated {
         actual: bytes.len() as u64,
         expected: expected_size,
-    })?;
-    let footer = &bytes[logical..];
-    if footer.len() < 8 {
-        return Err(VerifyError::MissingFooter);
-    }
-    let nregions = u32::from_le_bytes(footer[4..8].try_into().expect("len 4")) as usize;
-    // Compare in u64: `footer_len` of a hostile 4-billion-region count
-    // must not be truncated through usize on 32-bit.
-    let flen = format::footer_len(nregions);
-    if footer.len() as u64 != flen {
-        return Err(VerifyError::FooterLength {
-            actual: footer.len() as u64,
-            expected: flen,
-        });
-    }
-    let regions =
-        format::decode_footer(footer).map_err(|e| VerifyError::FooterInvalid(e.to_string()))?;
-    // Bounds first (cheap, serial) so the checksum passes below can slice
-    // without further checks.
-    for (i, r) in regions.iter().enumerate() {
-        let end = r.off.checked_add(r.len);
-        let in_bounds =
-            end.is_some_and(|e| e <= expected_size) && checked_slice(bytes, r.off, r.len).is_some();
-        if !in_bounds {
-            return Err(VerifyError::RegionOutOfBounds {
-                index: i,
-                off: r.off,
-                len: r.len,
-            });
-        }
-    }
+    };
+    // The conversion cannot fail once the length check passed, but stay
+    // checked anyway.
+    let logical = usize::try_from(expected_size).map_err(|_| truncated())?;
+    let footer = bytes.get(logical..).ok_or_else(truncated)?;
+    check_footer_len(&footer[..footer.len().min(8)], footer.len() as u64)?;
+    // Bounds are checked here (cheap, serial) so the checksum passes
+    // below can slice without further checks.
+    let regions = decode_bounded_footer(footer, expected_size)?;
     let workers = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
@@ -347,6 +356,90 @@ pub fn verify_committed_typed(bytes: &[u8], expected_size: u64) -> Result<(), Ve
         Some((_, why)) => Err(why),
         None => Ok(()),
     }
+}
+
+/// A footer's check on its own length, from its first bytes: `present`
+/// bytes follow the logical size and `prelude` holds the first
+/// `min(present, 8)` of them (magic + region count).
+fn check_footer_len(prelude: &[u8], present: u64) -> Result<(), VerifyError> {
+    let Some(nregions) = prelude.get(4..8) else {
+        return Err(VerifyError::MissingFooter);
+    };
+    let nregions = u32::from_le_bytes(nregions.try_into().expect("len 4")) as usize;
+    // Compare in u64: `footer_len` of a hostile 4-billion-region count
+    // must not be truncated through usize on 32-bit.
+    let expected = format::footer_len(nregions);
+    if present != expected {
+        return Err(VerifyError::FooterLength {
+            actual: present,
+            expected,
+        });
+    }
+    Ok(())
+}
+
+/// Decode a length-checked footer and bounds-check every region against
+/// the logical size. With [`check_footer_len`], the parse both verifiers
+/// share; they differ only in where a region's bytes come from.
+fn decode_bounded_footer(
+    footer: &[u8],
+    expected_size: u64,
+) -> Result<Vec<FooterRegion>, VerifyError> {
+    let regions =
+        format::decode_footer(footer).map_err(|e| VerifyError::FooterInvalid(e.to_string()))?;
+    for (index, r) in regions.iter().enumerate() {
+        if !region_in_file(r.off, r.len, expected_size) {
+            return Err(VerifyError::RegionOutOfBounds {
+                index,
+                off: r.off,
+                len: r.len,
+            });
+        }
+    }
+    Ok(regions)
+}
+
+/// [`verify_committed_typed`] for a file on disk, without building its
+/// image: the footer is read and checked, then every region streams
+/// through one [`STREAM_CHUNK`] buffer into the CRC. For callers that want
+/// a verdict, not the bytes. The outer error is an I/O failure reading
+/// `f`; the inner one is the verdict, the same variant
+/// `verify_committed_typed` gives the same bytes (the first failing
+/// region, in index order).
+pub fn verify_committed_file(f: &File, expected_size: u64) -> io::Result<Result<(), VerifyError>> {
+    let actual = f.metadata()?.len();
+    let Some(present) = actual.checked_sub(expected_size) else {
+        return Ok(Err(VerifyError::Truncated {
+            actual,
+            expected: expected_size,
+        }));
+    };
+    // Prelude first: a length read from the file is checked against the
+    // file before anything is allocated for it.
+    let mut prelude = [0u8; 8];
+    let prelude = &mut prelude[..present.min(8) as usize];
+    f.read_exact_at(prelude, expected_size)?;
+    if let Err(e) = check_footer_len(prelude, present) {
+        return Ok(Err(e));
+    }
+    let mut footer = vec![0u8; present as usize];
+    f.read_exact_at(&mut footer, expected_size)?;
+    let regions = match decode_bounded_footer(&footer, expected_size) {
+        Ok(regions) => regions,
+        Err(e) => return Ok(Err(e)),
+    };
+    let mut buf = Vec::new();
+    for (index, r) in regions.iter().enumerate() {
+        let computed = crc32c_of_region(f, r.off, r.len, &mut buf)?;
+        if computed != r.crc32c {
+            return Ok(Err(VerifyError::ChecksumMismatch {
+                index,
+                stored: r.crc32c,
+                computed,
+            }));
+        }
+    }
+    Ok(Ok(()))
 }
 
 /// Checksum one bounds-checked footer region.
@@ -584,6 +677,261 @@ mod tests {
             .expect_err("killed mid-manifest-write");
         assert!(err.to_string().contains("killed"), "{err}");
         assert!(!p.exists(), "final manifest must never appear");
+    }
+
+    /// The sealer as it was before it streamed — checksum regions sliced
+    /// out of a whole-file image — kept as the byte-identity oracle.
+    fn image_footer_regions(bytes: &[u8], expected_size: u64) -> io::Result<Vec<FooterRegion>> {
+        if let Ok(header) = format::decode_header(bytes) {
+            if header.expected_file_size() == expected_size && !header.fields.is_empty() {
+                return header
+                    .fields
+                    .iter()
+                    .map(|f| image_region(bytes, f.data_off, f.sizes.iter().sum()))
+                    .collect();
+            }
+        }
+        image_region(bytes, 0, expected_size).map(|r| vec![r])
+    }
+
+    fn image_region(bytes: &[u8], off: u64, len: u64) -> io::Result<FooterRegion> {
+        let slice = checked_slice(bytes, off, len).ok_or_else(|| {
+            io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!(
+                    "checksum region [{off}, +{len}) lies outside the {}-byte file",
+                    bytes.len()
+                ),
+            )
+        })?;
+        Ok(FooterRegion {
+            off,
+            len,
+            crc32c: format::crc32c_sliced(slice),
+        })
+    }
+
+    fn noise(n: usize, seed: u64) -> Vec<u8> {
+        let mut x = seed | 1;
+        (0..n)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x as u8
+            })
+            .collect()
+    }
+
+    /// Seal `body` with `commit_file` and return the committed bytes.
+    fn seal(dir: &Path, body: &[u8]) -> io::Result<Vec<u8>> {
+        let (tmp, fin) = (dir.join("s.bin.tmp"), dir.join("s.bin"));
+        std::fs::write(&tmp, body).unwrap();
+        commit_file(&tmp, &fin, body.len() as u64, false)?;
+        std::fs::read(&fin)
+    }
+
+    #[test]
+    fn streamed_footer_is_byte_identical_to_the_image_based_one() {
+        use crate::exec::{execute, ExecConfig};
+        use crate::layout::{DataLayout, FieldSizes, FieldSpec};
+        use crate::strategy::{CheckpointSpec, Strategy};
+        let dir = tempdir("seal_identity");
+        // Logical file bodies, as the writers leave them before commit,
+        // and how many checksum regions each should get: one per field
+        // for a plan file, one whole-file region for anything else.
+        let mut bodies: Vec<(String, Vec<u8>, usize)> = Vec::new();
+        // Field regions larger than one STREAM_CHUNK once a file covers
+        // four ranks, ragged ones with empty and odd-sized blocks.
+        let per_rank = |scale: u64| (0..8).map(|r| (r * 37 % 5) * scale + r % 3).collect();
+        let layouts = [
+            DataLayout::uniform(8, &[("Ex", 300 << 10), ("Hy", 1000)]),
+            DataLayout::new(
+                8,
+                vec![
+                    FieldSpec {
+                        name: "a".into(),
+                        sizes: FieldSizes::PerRank(per_rank(150_001)),
+                    },
+                    FieldSpec {
+                        name: "b".into(),
+                        sizes: FieldSizes::PerRank(per_rank(7)),
+                    },
+                ],
+            ),
+        ];
+        for (li, layout) in layouts.iter().enumerate() {
+            for strategy in [Strategy::OnePfpp, Strategy::coio(2), Strategy::rbio(2)] {
+                let plan = CheckpointSpec::new(layout.clone(), "seal")
+                    .strategy(strategy)
+                    .plan()
+                    .unwrap();
+                let payloads = format::materialize_payloads(&plan, |rank, field, buf| {
+                    buf.copy_from_slice(&noise(buf.len(), u64::from(rank) << 8 | field as u64));
+                });
+                let sub = dir.join(format!("l{li}-{strategy:?}"));
+                execute(&plan.program, payloads, &ExecConfig::new(&sub)).unwrap();
+                for pf in &plan.plan_files {
+                    let mut bytes = std::fs::read(sub.join(&pf.name)).unwrap();
+                    let logical = format::file_size(layout, &plan.app, pf.r0, pf.r1);
+                    bytes.truncate(logical as usize);
+                    bodies.push((format!("{strategy:?} layout {li} {}", pf.name), bytes, 2));
+                }
+            }
+        }
+        bodies.push(("headerless".into(), noise((5 << 19) + 3, 9), 1));
+        bodies.push(("seven bytes".into(), noise(7, 11), 1));
+        bodies.push(("empty".into(), Vec::new(), 1));
+        // A valid header over a body one byte longer than it describes.
+        let mut odd = format::encode_header(&layouts[0], "app", 0, 0, 8);
+        let data = layouts[0].data_total(0, 8) as usize + 1;
+        odd.extend_from_slice(&noise(data, 13));
+        bodies.push(("header disagrees with size".into(), odd, 1));
+
+        for (what, body, nregions) in &bodies {
+            let size = body.len() as u64;
+            let committed = seal(&dir, body).unwrap();
+            let regions = image_footer_regions(body, size).unwrap();
+            assert_eq!(regions.len(), *nregions, "{what}");
+            assert_eq!(&committed[..body.len()], &body[..], "{what}: body changed");
+            assert_eq!(
+                &committed[body.len()..],
+                &format::encode_footer(&regions)[..],
+                "{what}: footer differs from the image-based oracle"
+            );
+            assert_eq!(verify_committed_typed(&committed, size), Ok(()), "{what}");
+        }
+    }
+
+    #[test]
+    fn header_with_regions_outside_the_file_is_invalid_data_not_a_panic() {
+        use crate::layout::DataLayout;
+        let dir = tempdir("seal_oob");
+        let layout = DataLayout::uniform(2, &[("Ex", 64)]);
+        let good = format::encode_header(&layout, "oob", 0, 0, 2);
+        // One field: its data_off is the 8 bytes before the header CRC.
+        let at = good.len() - 12;
+        for data_off in [good.len() as u64 + 1, 1 << 40, u64::MAX - 3, u64::MAX] {
+            let mut body = good.clone();
+            body[at..at + 8].copy_from_slice(&data_off.to_le_bytes());
+            let crc = format::crc32(&body[..at + 8]);
+            body[at + 8..].copy_from_slice(&crc.to_le_bytes());
+            body.extend_from_slice(&[5u8; 128]);
+            let header = format::decode_header(&body).expect("still a valid header");
+            assert_eq!(header.expected_file_size(), body.len() as u64);
+            let err = seal(&dir, &body).expect_err("region lies outside the file");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{data_off}: {err}");
+            assert!(!dir.join("s.bin").exists(), "nothing may be published");
+        }
+    }
+
+    #[test]
+    fn streaming_verify_agrees_with_the_image_verifier() {
+        use crate::layout::DataLayout;
+        let dir = tempdir("verify_stream");
+        let path = dir.join("v.bin");
+        // Both verifiers over the same bytes; they must return the very
+        // same verdict, which is handed back for the caller to classify.
+        let both = |bytes: &[u8], expected_size: u64| {
+            std::fs::write(&path, bytes).unwrap();
+            let streamed =
+                verify_committed_file(&File::open(&path).unwrap(), expected_size).unwrap();
+            assert_eq!(streamed, verify_committed_typed(bytes, expected_size));
+            streamed
+        };
+        // Three regions, the first two longer than one STREAM_CHUNK.
+        let layout = DataLayout::uniform(2, &[("Ex", 600 << 10), ("Ey", 700 << 10), ("Hz", 9)]);
+        let mut body = format::encode_header(&layout, "v", 3, 0, 2);
+        let header = format::decode_header(&body).unwrap();
+        body.extend_from_slice(&noise(layout.data_total(0, 2) as usize, 21));
+        let size = body.len() as u64;
+        let clean = seal(&dir, &body).unwrap();
+        assert_eq!(both(&clean, size), Ok(()));
+        // One flipped bit in each region, first, middle and last byte.
+        for (index, f) in header.fields.iter().enumerate() {
+            let len: u64 = f.sizes.iter().sum();
+            for at in [f.data_off, f.data_off + len / 2, f.data_off + len - 1] {
+                let mut bad = clean.clone();
+                bad[at as usize] ^= 0x10;
+                match both(&bad, size) {
+                    Err(VerifyError::ChecksumMismatch { index: i, .. }) => assert_eq!(i, index),
+                    other => panic!("region {index} byte {at}: {other:?}"),
+                }
+            }
+        }
+        // Two damaged regions: both report the lower index.
+        let mut bad = clean.clone();
+        bad[header.fields[2].data_off as usize] ^= 1;
+        bad[header.fields[1].data_off as usize] ^= 1;
+        assert!(matches!(
+            both(&bad, size),
+            Err(VerifyError::ChecksumMismatch { index: 1, .. })
+        ));
+        // Truncated below the logical size; cut inside the footer; the
+        // footer missing, or shorter than its prelude; trailing garbage.
+        assert!(matches!(
+            both(&clean[..body.len() - 1], size),
+            Err(VerifyError::Truncated { .. })
+        ));
+        assert!(matches!(
+            both(&clean[..clean.len() - 1], size),
+            Err(VerifyError::FooterLength { .. })
+        ));
+        assert_eq!(both(&body, size), Err(VerifyError::MissingFooter));
+        assert_eq!(
+            both(&clean[..body.len() + 7], size),
+            Err(VerifyError::MissingFooter)
+        );
+        let mut long = clean.clone();
+        long.push(0);
+        assert!(matches!(
+            both(&long, size),
+            Err(VerifyError::FooterLength { .. })
+        ));
+        // A region count that disagrees with the bytes present, up to the
+        // count whose implied length would wrap a 32-bit usize.
+        for nregions in [0u32, 2, 4, u32::MAX] {
+            let mut bad = clean.clone();
+            bad[body.len() + 4..body.len() + 8].copy_from_slice(&nregions.to_le_bytes());
+            assert!(matches!(
+                both(&bad, size),
+                Err(VerifyError::FooterLength { .. })
+            ));
+        }
+        // A flipped bit inside the footer itself.
+        let mut bad = clean.clone();
+        bad[body.len() + 12] ^= 1;
+        assert!(matches!(
+            both(&bad, size),
+            Err(VerifyError::FooterInvalid(_))
+        ));
+        // Hostile, well-formed footers: regions near u64::MAX, past the
+        // logical size, and inside the footer's own bytes.
+        for (off, len) in [
+            (u64::MAX - 4, 8),
+            (u64::MAX, 1),
+            (0, u64::MAX),
+            (size - 1, 2),
+            (size, 4),
+        ] {
+            let mut hostile = body.clone();
+            hostile.extend_from_slice(&format::encode_footer(&[
+                FooterRegion {
+                    off: 0,
+                    len: 16,
+                    crc32c: format::crc32c(&body[..16]),
+                },
+                FooterRegion {
+                    off,
+                    len,
+                    crc32c: 0,
+                },
+            ]));
+            match both(&hostile, size) {
+                Err(VerifyError::RegionOutOfBounds { index: 1, .. }) => {}
+                other => panic!("[{off}, +{len}): {other:?}"),
+            }
+        }
     }
 
     fn tempdir(tag: &str) -> PathBuf {

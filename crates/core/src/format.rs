@@ -138,8 +138,30 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 
 /// CRC32C (Castagnoli polynomial, reflected) — used for the commit footer's
 /// per-region data checksums, keeping it distinct from the header's CRC32.
-/// Slice-by-8.
+/// One-shot form of [`crc32c_update`].
 pub fn crc32c(bytes: &[u8]) -> u32 {
+    crc32c_update(0, bytes)
+}
+
+/// Streaming CRC32C: `crc` is the checksum of the bytes seen so far (0
+/// for none) and the result is the checksum with `bytes` appended, so
+/// `crc32c_update(crc32c(a), b) == crc32c(a ‖ b)` for any split.
+///
+/// The one dispatch point of the checksum layer: the CPU's `crc32`
+/// instruction where it has one (x86-64 SSE4.2, detected at run time),
+/// else the slice-by-8 kernel of [`crc32c_sliced`] — every other
+/// architecture, aarch64 included.
+pub fn crc32c_update(crc: u32, bytes: &[u8]) -> u32 {
+    let state = !crc;
+    !crate::sys::crc32c_hw(state, bytes)
+        .unwrap_or_else(|| crc_update_sliced(crc32c_tables(), state, bytes))
+}
+
+/// CRC32C by the software slice-by-8 kernel, whatever the CPU offers:
+/// the fallback [`crc32c_update`] takes without hardware support, public
+/// so the tests can hold the hardware kernel against it on machines
+/// where it would otherwise never run.
+pub fn crc32c_sliced(bytes: &[u8]) -> u32 {
     !crc_update_sliced(crc32c_tables(), !0, bytes)
 }
 
@@ -475,6 +497,40 @@ pub fn decode_header(bytes: &[u8]) -> Result<FileHeader, FormatError> {
     })
 }
 
+/// Largest header we will ever allocate for. Real headers are a few KB;
+/// anything bigger means the length field itself is damaged, and trusting
+/// it would turn a torn file into a multi-GB allocation.
+pub(crate) const MAX_HEADER_LEN: u64 = 64 * 1024 * 1024;
+
+/// Length of the fixed header prelude: magic, version, `header_len`.
+const HEADER_PRELUDE_LEN: usize = 16;
+
+/// The `header_len` the prelude at the front of `prefix` declares; `None`
+/// when `prefix` is too short to hold a prelude.
+pub(crate) fn declared_header_len(prefix: &[u8]) -> Option<u64> {
+    let field = prefix.get(8..HEADER_PRELUDE_LEN)?;
+    Some(u64::from_le_bytes(field.try_into().expect("len 8")))
+}
+
+/// Read from the front of `f` (which holds `file_len` bytes) exactly what
+/// [`decode_header`] needs and no more: the prelude names `header_len`;
+/// when that is at most [`MAX_HEADER_LEN`] and the file holds that many
+/// bytes, they are returned. Otherwise only the prelude is (or the whole
+/// of a file shorter than one), which `decode_header` then reports as
+/// bad magic or `Truncated` exactly as it would given the whole file.
+pub(crate) fn read_header_prefix(f: &std::fs::File, file_len: u64) -> std::io::Result<Vec<u8>> {
+    use std::os::unix::fs::FileExt;
+    let mut buf = vec![0u8; file_len.min(HEADER_PRELUDE_LEN as u64) as usize];
+    f.read_exact_at(&mut buf, 0)?;
+    if let Some(hlen) = declared_header_len(&buf) {
+        if hlen > buf.len() as u64 && hlen <= MAX_HEADER_LEN.min(file_len) {
+            buf.resize(hlen as usize, 0);
+            f.read_exact_at(&mut buf[HEADER_PRELUDE_LEN..], HEADER_PRELUDE_LEN as u64)?;
+        }
+    }
+    Ok(buf)
+}
+
 /// Deterministic filler byte for [`rbio_plan::DataRef::Synthetic`] writes,
 /// as a function of absolute file offset. Shared by the real executor and
 /// verification tools so synthetic checkpoints are checkable.
@@ -564,14 +620,126 @@ mod tests {
         for len in 0..=data.len() {
             let s = &data[..len];
             assert_eq!(crc32(s), crc32_scalar(s), "crc32 len {len}");
-            assert_eq!(crc32c(s), crc32c_scalar(s), "crc32c len {len}");
+            assert_eq!(crc32c_sliced(s), crc32c_scalar(s), "crc32c len {len}");
         }
         // Misaligned starts: slice-by-8 reads u32s from arbitrary offsets.
         for start in 0..8 {
             let s = &data[start..];
             assert_eq!(crc32(s), crc32_scalar(s), "crc32 start {start}");
-            assert_eq!(crc32c(s), crc32c_scalar(s), "crc32c start {start}");
+            assert_eq!(crc32c_sliced(s), crc32c_scalar(s), "crc32c start {start}");
         }
+    }
+
+    /// `crc32c` through each kernel: the dispatcher (hardware where the
+    /// CPU has it), the hardware kernel called directly when present,
+    /// slice-by-8 and the scalar oracle.
+    fn crc32c_by_every_kernel(s: &[u8]) -> Vec<u32> {
+        let mut out = vec![crc32c_scalar(s), crc32c_sliced(s), crc32c(s)];
+        out.extend(crate::sys::crc32c_hw(!0, s).map(|state| !state));
+        out
+    }
+
+    #[test]
+    fn hardware_kernel_is_the_one_tested_where_the_cpu_has_it() {
+        #[cfg(target_arch = "x86_64")]
+        assert_eq!(
+            crate::sys::crc32c_hw(!0, b"").is_some(),
+            std::arch::is_x86_feature_detected!("sse4.2")
+        );
+        #[cfg(not(target_arch = "x86_64"))]
+        assert!(crate::sys::crc32c_hw(!0, b"").is_none());
+    }
+
+    #[test]
+    fn crc32c_rfc3720_vectors_hold_for_every_kernel() {
+        // RFC 3720 B.4, plus the classic check string.
+        let ascending: Vec<u8> = (0..32).collect();
+        let descending: Vec<u8> = (0..32).rev().collect();
+        let vectors: [(&[u8], u32); 5] = [
+            (b"123456789", 0xE306_9283),
+            (&[0x00; 32], 0x8A91_36AA),
+            (&[0xFF; 32], 0x62A8_AB43),
+            (&ascending, 0x46DD_794E),
+            (&descending, 0x113F_DB5C),
+        ];
+        for (bytes, want) in vectors {
+            for got in crc32c_by_every_kernel(bytes) {
+                assert_eq!(got, want, "{bytes:02x?}");
+            }
+        }
+    }
+
+    #[test]
+    fn crc32c_kernels_agree_at_every_length_and_alignment() {
+        // 0..=3·BLK+17 covers: nothing, the byte tail alone, the word loop
+        // with each tail, exactly one interleaved block, and one block
+        // followed by every remainder shape.
+        let max = 3 * crate::sys::CRC_BLK + 17;
+        let data: Vec<u8> = (0..(max + 8) as u64).map(synthetic_byte).collect();
+        for start in 0..8 {
+            for len in 0..=max {
+                let s = &data[start..start + len];
+                let got = crc32c_by_every_kernel(s);
+                assert!(
+                    got.iter().all(|&c| c == got[0]),
+                    "start {start} len {len}: {got:08x?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn streaming_crc32c_equals_one_shot_at_every_split() {
+        let data: Vec<u8> = (0..(3 * crate::sys::CRC_BLK + 9) as u64)
+            .map(|i| synthetic_byte(i ^ 0x5A5A))
+            .collect();
+        let whole = crc32c_scalar(&data);
+        assert_eq!(crc32c_update(0, &data), whole);
+        for split in 0..=data.len() {
+            let (a, b) = data.split_at(split);
+            assert_eq!(
+                crc32c_update(crc32c_update(0, a), b),
+                whole,
+                "split {split}"
+            );
+        }
+    }
+
+    #[test]
+    fn header_prefix_read_returns_what_decode_needs_and_no_more() {
+        use std::io::Write;
+        let dir = std::env::temp_dir().join(format!("rbio-format-prefix-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let open = |name: &str, bytes: &[u8]| {
+            let p = dir.join(name);
+            std::fs::File::create(&p).unwrap().write_all(bytes).unwrap();
+            std::fs::File::open(&p).unwrap()
+        };
+        let l = layout();
+        let h = encode_header(&l, "x", 0, 0, 4);
+        let mut file = h.clone();
+        file.extend_from_slice(&[0xAB; 500]);
+        // A whole header followed by data: exactly the header comes back.
+        let f = open("full", &file);
+        assert_eq!(read_header_prefix(&f, file.len() as u64).unwrap(), h);
+        // Shorter than its own header_len: the prelude only, which
+        // decode_header calls Truncated.
+        let f = open("cut", &h[..h.len() - 1]);
+        let got = read_header_prefix(&f, h.len() as u64 - 1).unwrap();
+        assert_eq!(got, &h[..HEADER_PRELUDE_LEN]);
+        assert_eq!(decode_header(&got), Err(FormatError::Truncated));
+        // An absurd header_len is never allocated for.
+        let mut huge = file.clone();
+        huge[8..16].copy_from_slice(&(MAX_HEADER_LEN + 1).to_le_bytes());
+        let f = open("huge", &huge);
+        let got = read_header_prefix(&f, huge.len() as u64).unwrap();
+        assert_eq!(got.len(), HEADER_PRELUDE_LEN);
+        // Shorter than the prelude, and empty: whatever is there.
+        let f = open("seven", &h[..7]);
+        assert_eq!(read_header_prefix(&f, 7).unwrap(), &h[..7]);
+        let f = open("empty", &[]);
+        assert!(read_header_prefix(&f, 0).unwrap().is_empty());
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

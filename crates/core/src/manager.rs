@@ -23,7 +23,9 @@ use crate::commit;
 use crate::exec::{execute, ExecConfig, ExecError, ExecReport};
 use crate::failover::FailoverPolicy;
 use crate::fault::FaultPlan;
-use crate::format::{crc32, decode_header, footer_len, materialize_payloads};
+use crate::format::{
+    crc32, declared_header_len, decode_header, footer_len, materialize_payloads, read_header_prefix,
+};
 use crate::layout::DataLayout;
 use crate::restart::{read_checkpoint, read_checkpoint_staged, RestartError, RestoredData};
 use crate::sched::{self, Event, TierId};
@@ -211,7 +213,6 @@ pub(crate) fn check_committed_file(
     want_crc: &str,
     deep: bool,
 ) -> Result<u64, String> {
-    use std::os::unix::fs::FileExt;
     let meta = match fs::metadata(path) {
         Ok(m) => m,
         Err(e) if e.kind() == io::ErrorKind::NotFound => return Err("missing".into()),
@@ -224,28 +225,23 @@ pub(crate) fn check_committed_file(
         ));
     }
     let f = fs::File::open(path).map_err(|e| format!("open: {e}"))?;
-    let mut head = vec![0u8; 16.min(meta.len() as usize)];
-    f.read_exact_at(&mut head, 0)
-        .map_err(|e| format!("read header: {e}"))?;
-    if head.len() < 16 {
+    let hdr = read_header_prefix(&f, meta.len()).map_err(|e| format!("read header: {e}"))?;
+    if declared_header_len(&hdr).is_none() {
         return Err("too short for a header".into());
     }
-    let hlen = u64::from_le_bytes(head[8..16].try_into().expect("len 8")).min(meta.len());
-    let mut hdr = vec![0u8; hlen as usize];
-    f.read_exact_at(&mut hdr, 0)
-        .map_err(|e| format!("read header: {e}"))?;
     if format!("{:08x}", crc32(&hdr)) != want_crc {
         return Err("header CRC changed since commit".into());
     }
     if !deep {
         return Ok(0);
     }
-    // Data integrity: the commit footer's per-field checksums.
-    let bytes = fs::read(path).map_err(|e| format!("read body: {e}"))?;
-    let header = decode_header(&bytes).map_err(|e| format!("header: {e}"))?;
-    match commit::verify_committed(&bytes, header.expected_file_size()) {
-        Some(what) => Err(what.to_string()),
-        None => Ok(bytes.len() as u64),
+    // Data integrity: the commit footer's per-field checksums, streamed
+    // from the file rather than over an image of it.
+    let header = decode_header(&hdr).map_err(|e| format!("header: {e}"))?;
+    match commit::verify_committed_file(&f, header.expected_file_size()) {
+        Ok(Ok(())) => Ok(meta.len()),
+        Ok(Err(what)) => Err(what.to_string()),
+        Err(e) => Err(format!("read body: {e}")),
     }
 }
 

@@ -16,7 +16,7 @@
 //! replay the read path (the paper's §III-B mesh-read timings).
 
 use std::fs::File;
-use std::io::{self, Read, Seek, SeekFrom};
+use std::io;
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -24,7 +24,9 @@ use std::sync::Mutex;
 use rbio_plan::{FileId, Op, Program, ProgramBuilder};
 
 use crate::buf::Bytes;
-use crate::format::{decode_header, FileHeader, FormatError};
+use crate::format::{
+    declared_header_len, decode_header, read_header_prefix, FileHeader, FormatError, MAX_HEADER_LEN,
+};
 use crate::strategy::CheckpointPlan;
 
 /// Cap on concurrent per-file restart readers. Each worker holds one
@@ -123,69 +125,34 @@ impl RestoredData {
     }
 }
 
-/// Largest header we will ever allocate for. Real headers are a few KB;
-/// anything bigger means the length field itself is damaged, and trusting
-/// it would turn a torn file into a multi-GB allocation.
-const MAX_HEADER_LEN: usize = 64 * 1024 * 1024;
-
 fn read_header(path: &Path) -> Result<FileHeader, RestartError> {
-    let mut f = File::open(path)?;
-    // Headers are small; read a generous prefix, growing if `header_len`
-    // says we need more.
-    let mut buf = vec![0u8; 64 * 1024];
-    let n = read_up_to(&mut f, &mut buf)?;
-    buf.truncate(n);
+    let f = File::open(path)?;
+    let buf = read_header_prefix(&f, f.metadata()?.len())?;
     let torn = |what: String| RestartError::Torn {
         file: path.display().to_string(),
         what,
     };
-    match decode_header(&buf) {
-        Ok(h) => Ok(h),
-        // A file too short to hold even the fixed header prelude (magic,
-        // version, header_len) was torn by a crash mid-create — including
-        // the zero-length case. That is a generation to fall back from,
-        // not a format bug.
-        Err(FormatError::Truncated) if n < 16 => {
-            Err(torn(format!("file ends mid-header ({n} bytes)")))
+    // `Truncated` from a prefix that stops short of `header_len` is a
+    // file torn by a crash mid-create — a generation to fall back from,
+    // not a format bug. Which prefix came back says how it was torn.
+    match (decode_header(&buf), declared_header_len(&buf)) {
+        (Ok(h), _) => Ok(h),
+        // Too short to hold even the fixed prelude (magic, version,
+        // header_len), the zero-length case included.
+        (Err(FormatError::Truncated), None) => {
+            Err(torn(format!("file ends mid-header ({} bytes)", buf.len())))
         }
-        Err(FormatError::Truncated) => {
-            let hlen = u64::from_le_bytes(buf[8..16].try_into().expect("len 8")) as usize;
-            if hlen > MAX_HEADER_LEN {
-                return Err(torn(format!("implausible header length {hlen}")));
-            }
-            let mut full = vec![0u8; hlen];
-            f.seek(SeekFrom::Start(0))?;
-            match f.read_exact(&mut full) {
-                Ok(()) => {}
-                // Shorter than its own header_len: torn mid-header.
-                Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => {
-                    return Err(torn(format!("file ends inside its {hlen}-byte header")));
-                }
-                Err(e) => return Err(RestartError::Io(e)),
-            }
-            decode_header(&full).map_err(|e| RestartError::Format {
-                file: path.display().to_string(),
-                source: e,
-            })
+        (Err(FormatError::Truncated), Some(hlen)) if hlen > MAX_HEADER_LEN => {
+            Err(torn(format!("implausible header length {hlen}")))
         }
-        Err(e) => Err(RestartError::Format {
+        (Err(FormatError::Truncated), Some(hlen)) if hlen > buf.len() as u64 => {
+            Err(torn(format!("file ends inside its {hlen}-byte header")))
+        }
+        (Err(e), _) => Err(RestartError::Format {
             file: path.display().to_string(),
             source: e,
         }),
     }
-}
-
-fn read_up_to(f: &mut File, buf: &mut [u8]) -> io::Result<usize> {
-    let mut n = 0;
-    while n < buf.len() {
-        match f.read(&mut buf[n..]) {
-            Ok(0) => break,
-            Ok(k) => n += k,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(n)
 }
 
 /// Read, verify, and slice one checkpoint file: returns

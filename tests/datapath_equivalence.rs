@@ -5,16 +5,19 @@
 //!    byte-identical to the legacy deep-copy path — under both the
 //!    thread-per-rank executor and the MPI-like runtime, serial and
 //!    pipelined.
-//! 2. The slice-by-8 CRC implementations equal the byte-at-a-time scalar
-//!    oracles on arbitrary lengths and (mis)alignments, including empty
-//!    input and 1–15 byte tails.
+//! 2. The CRC kernels — hardware `crc32c` where the CPU has one, slice-by-8
+//!    everywhere — equal the byte-at-a-time scalar oracles on arbitrary
+//!    lengths and (mis)alignments, including empty input and 1–15 byte
+//!    tails, one-shot and streamed.
 //! 3. Parallel restart (per-file fan-out + per-region CRC verify) restores
 //!    exactly what was written.
 
 use proptest::prelude::*;
 use rbio_repro::rbio::buf::CopyMode;
 use rbio_repro::rbio::exec::{execute, ExecConfig};
-use rbio_repro::rbio::format::{crc32, crc32_scalar, crc32c, crc32c_scalar, materialize_payloads};
+use rbio_repro::rbio::format::{
+    crc32, crc32_scalar, crc32c, crc32c_scalar, crc32c_sliced, crc32c_update, materialize_payloads,
+};
 use rbio_repro::rbio::layout::{DataLayout, FieldSizes, FieldSpec};
 use rbio_repro::rbio::restart::{read_checkpoint, read_checkpoint_auto};
 use rbio_repro::rbio::rt;
@@ -129,7 +132,34 @@ proptest! {
         let start = start.min(data.len());
         let s = &data[start..];
         prop_assert_eq!(crc32(s), crc32_scalar(s));
+        prop_assert_eq!(crc32c_sliced(s), crc32c_scalar(s));
         prop_assert_eq!(crc32c(s), crc32c_scalar(s));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// `crc32c` dispatches to the CPU's `crc32` instruction where there is
+    /// one; the software kernel is called by name so both run on every
+    /// machine. Buffers up to 1 MiB cross hundreds of interleaved blocks,
+    /// and the two-part update must land on the one-shot value wherever
+    /// the buffer is cut.
+    #[test]
+    fn crc32c_kernels_and_streaming_agree_on_random_buffers(
+        len in 0usize..(1 << 20) + 1,
+        seed in any::<u64>(),
+        start in 0usize..8,
+        cut in any::<u64>(),
+    ) {
+        let mut data = vec![0u8; start + len];
+        fill(seed as u32, (seed >> 32) as usize & 0xFFFF, &mut data);
+        let s = &data[start..];
+        let want = crc32c_scalar(s);
+        prop_assert_eq!(crc32c_sliced(s), want);
+        prop_assert_eq!(crc32c(s), want);
+        let (a, b) = s.split_at((cut % (len as u64 + 1)) as usize);
+        prop_assert_eq!(crc32c_update(crc32c(a), b), want);
     }
 }
 
