@@ -65,16 +65,11 @@ SCRUB_DIR=$(mktemp -d)
 target/debug/rbio-scrub --dir "$SCRUB_DIR" --dry-run --json > /dev/null
 rm -rf "$SCRUB_DIR"
 
-echo "== backend conformance under the emulated ring =="
+echo "== backend conformance, then rbio's whole suite, under the ring backend =="
+# RBIO_IO_BACKEND retargets every BackendKind::Default config, so tier
+# drains, service sessions and the pipeline tests run on the ring too.
 RBIO_IO_BACKEND=ring cargo test -q -p rbio --test backend_conformance
-
-echo "== io-uring feature: build it, run rbio's tests on the ring backend =="
-# backend/uring.rs is only compiled with this feature. Its runtime probe
-# falls back to the portable emulation where seccomp blocks
-# io_uring_setup, so the step passes in containers and exercises the real
-# syscalls wherever they are allowed.
-cargo build --offline -p rbio --features io-uring
-RBIO_IO_BACKEND=ring cargo test --offline -q -p rbio --features io-uring
+RBIO_IO_BACKEND=ring cargo test --offline -q -p rbio
 
 echo "== rbio-tune fast gate (small budget, winner in the Fig. 8 band) =="
 # The autotuner must rediscover the paper's nf ~= 1024 sweet spot on
@@ -131,6 +126,17 @@ if [[ "$SLOW" == 1 ]]; then
   echo "== backend conformance under both backends (release) =="
   cargo test --release -q -p rbio --test backend_conformance
   RBIO_IO_BACKEND=ring cargo test --release -q -p rbio --test backend_conformance
+
+  echo "== AddressSanitizer over the two unsafe files (sys, tier) =="
+  # Needs a nightly toolchain with the sanitizer runtime; its own target
+  # directory keeps the instrumented artifacts apart.
+  if cargo +nightly --version > /dev/null 2>&1; then
+    RUSTFLAGS=-Zsanitizer=address CARGO_TARGET_DIR=target/asan \
+      cargo +nightly test --offline -q -p rbio --lib \
+      --target x86_64-unknown-linux-gnu -- sys:: tier::
+  else
+    echo "skipped: no nightly toolchain installed"
+  fi
 
   echo "== wall-clock benchmark smoke (every workload, 2 s windows) =="
   bash benchmark/run.sh --smoke

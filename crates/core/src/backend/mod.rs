@@ -9,16 +9,22 @@
 //!
 //! * [`ThreadedBackend`] — the portable baseline: one blocking,
 //!   fault-checked, retried `pwrite`/`pwritev` per job (exactly the
-//!   pre-backend behavior), plus `pread`-based restart reads.
-//! * [`ring::RingBackend`] — an io_uring-style completion-queue backend:
-//!   multi-op submission batching, bounded in-flight depth, short-write
+//!   pre-backend behavior).
+//! * [`ring::RingBackend`] — a completion-queue backend: multi-op
+//!   submission batching, bounded in-flight depth, short-write
 //!   resubmission at reap time, and completion-driven buffer-ownership
 //!   release (a buffer's refcount may not drop until its completion has
-//!   been reaped). It runs over a portable ring-emulation layer
-//!   ([`ring::RingCore`]) so CI without io_uring still exercises the
-//!   exact submission/completion state machine; the real
-//!   `io_uring_setup`/`enter` syscalls sit behind the `io-uring` cargo
-//!   feature (see [`uring`]) with a runtime fallback to the emulation.
+//!   been reaped). It is a portable state machine ([`ring::RingCore`])
+//!   whose SQEs execute through the same fault-checked write as the
+//!   threaded engine — what `rbio-check`'s p8 families and the
+//!   conformance suite explore.
+//!
+//! Both engines write with `pwrite`/`pwritev` and read restart data with
+//! `pread` ([`IoBackend::read_at`]'s one body). There is deliberately no
+//! kernel-ring engine: real `io_uring_setup`/`enter` syscalls, one
+//! transient ring per batch, were timed against these two and never beat
+//! the threaded engine — DESIGN.md §14 has the table and what a design
+//! that could win would need.
 //!
 //! ## Contract
 //!
@@ -47,10 +53,6 @@ use crate::buf::Bytes;
 use crate::fault::{self, WriteError};
 
 pub mod ring;
-#[cfg(feature = "io-uring")]
-pub mod uring;
-
-mod mmapio;
 
 pub use crate::fault::IoCtx;
 pub use ring::{RingBackend, RingConfig};
@@ -66,8 +68,7 @@ pub enum BackendKind {
     Default,
     /// The blocking per-job baseline.
     Threaded,
-    /// The completion-queue backend (emulated ring; real io_uring with
-    /// the `io-uring` feature where the kernel allows it).
+    /// The completion-queue backend ([`ring::RingBackend`]).
     Ring,
 }
 
@@ -106,7 +107,7 @@ pub struct BatchOutcome {
 }
 
 impl BatchOutcome {
-    fn ok(retries: u32) -> BatchOutcome {
+    pub(crate) fn ok(retries: u32) -> BatchOutcome {
         BatchOutcome {
             retries,
             error: None,
@@ -134,9 +135,14 @@ pub trait IoBackend: Send + Sync {
         file.sync_all()
     }
 
-    /// Read `len` bytes at `offset` (the restart path). Must fail if
-    /// fewer than `len` bytes exist.
-    fn read_at(&self, file: &File, offset: u64, len: usize) -> io::Result<Bytes>;
+    /// Read `len` bytes at `offset` (the restart path) with `pread`;
+    /// fails if fewer than `len` bytes exist. Every engine shares this
+    /// body.
+    fn read_at(&self, file: &File, offset: u64, len: usize) -> io::Result<Bytes> {
+        let mut v = vec![0u8; len];
+        file.read_exact_at(&mut v, offset)?;
+        Ok(Bytes::from_vec(v))
+    }
 }
 
 /// The portable baseline: one blocking, fault-checked, retried
@@ -163,12 +169,6 @@ impl IoBackend for ThreadedBackend {
         }
         BatchOutcome::ok(retries)
     }
-
-    fn read_at(&self, file: &File, offset: u64, len: usize) -> io::Result<Bytes> {
-        let mut v = vec![0u8; len];
-        file.read_exact_at(&mut v, offset)?;
-        Ok(Bytes::from_vec(v))
-    }
 }
 
 static THREADED: OnceLock<Arc<dyn IoBackend>> = OnceLock::new();
@@ -179,20 +179,11 @@ pub fn threaded() -> Arc<dyn IoBackend> {
     Arc::clone(THREADED.get_or_init(|| Arc::new(ThreadedBackend)))
 }
 
-/// The shared default-configuration ring backend. With the `io-uring`
-/// feature this probes the kernel once and uses real io_uring syscalls
-/// when available, falling back to the emulation (containers commonly
-/// seccomp-block `io_uring_setup`); without the feature it is always
-/// the emulation.
+/// The shared default-configuration [`RingBackend`].
 pub fn ring_default() -> Arc<dyn IoBackend> {
-    Arc::clone(RING.get_or_init(|| {
-        #[cfg(feature = "io-uring")]
-        if uring::kernel_supported() {
-            return Arc::new(uring::UringBackend::with_config(ring::RingConfig::default()))
-                as Arc<dyn IoBackend>;
-        }
-        Arc::new(ring::RingBackend::with_config(ring::RingConfig::default()))
-    }))
+    Arc::clone(
+        RING.get_or_init(|| Arc::new(ring::RingBackend::with_config(ring::RingConfig::default()))),
+    )
 }
 
 /// Resolve a config knob to a backend instance. [`BackendKind::Default`]
@@ -207,12 +198,6 @@ pub fn resolve(kind: BackendKind) -> Arc<dyn IoBackend> {
             _ => threaded(),
         },
     }
-}
-
-/// mmap-backed whole-range read used by the ring backend's restart path
-/// (exposed for the conformance suite).
-pub fn read_via_mmap(file: &File, offset: u64, len: usize) -> io::Result<Bytes> {
-    mmapio::read_via_mmap(file, offset, len)
 }
 
 #[cfg(test)]
@@ -306,6 +291,6 @@ mod tests {
     #[test]
     fn resolve_honors_kinds() {
         assert_eq!(resolve(BackendKind::Threaded).name(), "threaded");
-        assert!(resolve(BackendKind::Ring).name().starts_with("ring"));
+        assert_eq!(resolve(BackendKind::Ring).name(), "ring");
     }
 }

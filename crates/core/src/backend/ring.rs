@@ -1,15 +1,15 @@
-//! Portable io_uring-style completion-queue emulation and the
-//! [`RingBackend`] built on it.
+//! A portable completion-queue core and the [`RingBackend`] built on
+//! it.
 //!
-//! The emulation reproduces the submission/completion *state machine* of
-//! io_uring — bounded in-flight depth, FIFO execution per submission
-//! batch, linked-op cancelation, out-of-order completion delivery,
-//! short-write resubmission at reap time, and buffer ownership held
-//! until reap — without the syscalls, so CI on kernels (or containers)
-//! without io_uring still exercises every transition `rbio-check`
-//! explores. The real syscall backend (`io-uring` feature, see
-//! [`super::uring`]) reuses this module's submission bookkeeping and
-//! differs only in who executes the SQEs.
+//! [`RingCore`] is the submission/completion *state machine* of a kernel
+//! ring such as io_uring — bounded in-flight depth, FIFO execution per
+//! submission batch, linked-op cancelation, out-of-order completion
+//! delivery, short-write resubmission at reap time, and buffer ownership
+//! held until reap — with no syscalls of its own: every SQE executes
+//! through the fault layer's `pwrite`, on the calling thread. On the wall
+//! clock it ties the threaded engine (EXPERIMENTS.md, "I/O backend
+//! ablation"); it is kept for the transitions `rbio-check`'s p8
+//! families, the conformance suite and `ring_props` explore.
 //!
 //! Completion *delivery* order is permuted by a seeded xorshift so reap
 //! order is deterministic per seed but decoupled from submission order —
@@ -21,7 +21,6 @@
 
 use std::collections::VecDeque;
 use std::fs::File;
-use std::io;
 use std::sync::Arc;
 
 use super::{BatchOutcome, IoBackend, IoCtx, WriteOp};
@@ -162,15 +161,17 @@ impl<T, C> RingCore<T, C> {
 
 /// One write SQE as the ring backend submits it.
 struct Sqe {
-    /// Index of the originating op in the `run_writes` batch (`usize::MAX`
-    /// for short-write continuation SQEs, which belong to no new op).
+    /// Index of the originating op in the `run_writes` batch (a
+    /// short-write continuation keeps its op's index).
     op_index: usize,
     file: Arc<File>,
     /// Offset of the *full* op (continuations re-derive their own).
     offset: u64,
     bufs: Vec<Bytes>,
-    /// Bytes of the op already on disk (non-zero for continuations).
-    resume_at: u64,
+    /// `Some(n)` marks a short-write continuation: `n` bytes of the op
+    /// are already on disk (`n` may be 0 — a device that accepted
+    /// nothing).
+    resume_at: Option<u64>,
 }
 
 /// One CQE.
@@ -213,18 +214,17 @@ impl RingBackend {
 /// fault consult: they complete a logical write whose bytes were
 /// already accounted on its first submission.
 fn exec_sqe(ctx: &IoCtx<'_>, sqe: &Sqe) -> (Cqe, bool) {
-    let res = if sqe.resume_at > 0 {
+    let res = match sqe.resume_at {
         // Only single-buffer writes are ever cut short.
-        fault::finish_short_write(&sqe.file, sqe.offset, &sqe.bufs[0], sqe.resume_at as usize)
-            .map(|()| Cqe::Done { attempts: 0 })
-    } else {
-        fault::write_at_or_short(ctx, &sqe.file, sqe.offset, &sqe.bufs).map(|w| {
+        Some(at) => fault::finish_short_write(&sqe.file, sqe.offset, &sqe.bufs[0], at as usize)
+            .map(|()| Cqe::Done { attempts: 0 }),
+        None => fault::write_at_or_short(ctx, &sqe.file, sqe.offset, &sqe.bufs).map(|w| {
             let attempts = w.attempts;
             match w.short {
                 Some(written) => Cqe::Short { written, attempts },
                 None => Cqe::Done { attempts },
             }
-        })
+        }),
     };
     match res {
         Ok(cqe) => (cqe, true),
@@ -247,119 +247,114 @@ impl IoBackend for RingBackend {
         let mut retries = 0u32;
         let mut error: Option<(usize, WriteError)> = None;
 
-        // Submission phase: queue every op (the pool bounds batches to
-        // `max_batch() <= depth`, so pushes cannot fail), then submit
-        // them as one linked chain.
-        for (i, op) in ops.into_iter().enumerate() {
-            let hash = sched_hash(&op.bufs);
-            let udata = core
-                .push(Sqe {
-                    op_index: i,
-                    file: op.file,
-                    offset: op.offset,
-                    bufs: op.bufs,
-                    resume_at: 0,
-                })
-                .expect("batch bounded by ring depth");
-            sched::emit(|| sched::Event::SubmitQueued {
-                wid: ctx.wid,
-                udata,
-                hash,
-            });
-        }
-        let submitted = core.submit(|_, sqe| exec_sqe(ctx, sqe), |_, _| Cqe::Canceled);
-        sched::emit(|| sched::Event::SubmitBatched {
-            wid: ctx.wid,
-            count: submitted,
-        });
-        if early_recycle {
-            // Reverted bug: buffer ownership released at execution time
-            // instead of reap time. The pooled slabs go back for reuse
-            // while their completions are still in flight — a reaped
-            // short write then has nothing left to resubmit.
-            release_buffers_early(&mut core);
-        }
-
-        // Completion phase: reap until quiescent, resubmitting short
-        // writes. A yield between reaps lets rbio-check interleave other
-        // threads with completion delivery.
-        while core.in_flight() > 0 {
-            sched::yield_now(Point::Progress);
-            let (udata, sqe, cqe) = core.reap().expect("in-flight implies a completion");
-            let ok = !matches!(cqe, Cqe::Failed(_));
-            let reap_hash = sched_hash(&sqe.bufs);
-            sched::emit(|| sched::Event::CompletionReaped {
-                wid: ctx.wid,
-                udata,
-                hash: reap_hash,
-                ok,
-            });
-            match cqe {
-                Cqe::Done { attempts } => retries += attempts,
-                Cqe::Short { written, attempts } => {
-                    retries += attempts;
-                    let expected = sqe.bufs.first().map_or(0, |b| b.len() as u64);
-                    sched::emit(|| sched::Event::ShortWriteResubmit {
-                        wid: ctx.wid,
-                        udata,
-                        written,
-                        expected,
-                    });
-                    if sqe.bufs.is_empty() || sqe.bufs[0].is_empty() {
-                        // The reverted early release already gave the
-                        // buffer away: nothing left to resubmit, the op
-                        // is (incorrectly) treated as complete and the
-                        // file keeps a hole — the divergence p8a flags.
-                        continue;
-                    }
-                    let cont_hash = sched_hash(&sqe.bufs);
-                    let cont = core
-                        .push(Sqe {
-                            op_index: sqe.op_index,
-                            file: sqe.file,
-                            offset: sqe.offset,
-                            bufs: sqe.bufs,
-                            resume_at: written,
-                        })
-                        .expect("a reaped slot frees in-flight room");
-                    sched::emit(|| sched::Event::SubmitQueued {
-                        wid: ctx.wid,
-                        udata: cont,
-                        hash: cont_hash,
-                    });
-                    let n = core.submit(|_, sqe| exec_sqe(ctx, sqe), |_, _| Cqe::Canceled);
-                    sched::emit(|| sched::Event::SubmitBatched {
-                        wid: ctx.wid,
-                        count: n,
-                    });
-                    if early_recycle {
-                        release_buffers_early(&mut core);
-                    }
-                }
-                Cqe::Failed(e) => {
-                    // First failure in submission order wins — exactly
-                    // the threaded path's latch.
-                    let earlier = match &error {
-                        Some((i, _)) => sqe.op_index < *i,
-                        None => true,
-                    };
-                    if earlier {
-                        error = Some((sqe.op_index, e));
-                    }
-                }
-                Cqe::Canceled => {}
+        // The pool bounds its batches by `max_batch() <= depth`, but any
+        // caller may hand over more: submit in windows of at most `depth`
+        // ops, each one linked chain reaped to quiescence before the next
+        // is queued. A failure breaks the link across windows too — the
+        // ops behind it are dropped unexecuted.
+        let mut ops = ops.into_iter().enumerate().peekable();
+        while error.is_none() && ops.peek().is_some() {
+            for (i, op) in ops.by_ref().take(self.cfg.depth) {
+                queue(
+                    &mut core,
+                    ctx.wid,
+                    Sqe {
+                        op_index: i,
+                        file: op.file,
+                        offset: op.offset,
+                        bufs: op.bufs,
+                        resume_at: None,
+                    },
+                );
             }
-            // Buffer ownership releases here: `sqe.bufs` drops only
-            // after its completion was reaped (and any continuation took
-            // what it needed).
+            submit_queued(&mut core, ctx, early_recycle);
+
+            // Completion phase: reap until quiescent, resubmitting short
+            // writes. A yield between reaps lets rbio-check interleave
+            // other threads with completion delivery.
+            while core.in_flight() > 0 {
+                sched::yield_now(Point::Progress);
+                let (udata, sqe, cqe) = core.reap().expect("in-flight implies a completion");
+                let ok = !matches!(cqe, Cqe::Failed(_));
+                let reap_hash = sched_hash(&sqe.bufs);
+                sched::emit(|| sched::Event::CompletionReaped {
+                    wid: ctx.wid,
+                    udata,
+                    hash: reap_hash,
+                    ok,
+                });
+                match cqe {
+                    Cqe::Done { attempts } => retries += attempts,
+                    Cqe::Short { written, attempts } => {
+                        retries += attempts;
+                        let expected = sqe.bufs.first().map_or(0, |b| b.len() as u64);
+                        sched::emit(|| sched::Event::ShortWriteResubmit {
+                            wid: ctx.wid,
+                            udata,
+                            written,
+                            expected,
+                        });
+                        if sqe.bufs.is_empty() || sqe.bufs[0].is_empty() {
+                            // The reverted early release already gave the
+                            // buffer away: nothing left to resubmit, the op
+                            // is (incorrectly) treated as complete and the
+                            // file keeps a hole — the divergence p8a flags.
+                            continue;
+                        }
+                        queue(
+                            &mut core,
+                            ctx.wid,
+                            Sqe {
+                                resume_at: Some(written),
+                                ..sqe
+                            },
+                        );
+                        submit_queued(&mut core, ctx, early_recycle);
+                    }
+                    Cqe::Failed(e) => {
+                        // First failure in submission order wins — exactly
+                        // the threaded path's latch.
+                        let earlier = match &error {
+                            Some((i, _)) => sqe.op_index < *i,
+                            None => true,
+                        };
+                        if earlier {
+                            error = Some((sqe.op_index, e));
+                        }
+                    }
+                    Cqe::Canceled => {}
+                }
+                // Buffer ownership releases here: `sqe.bufs` drops only
+                // after its completion was reaped (and any continuation
+                // took what it needed).
+            }
         }
         BatchOutcome { retries, error }
     }
+}
 
-    fn read_at(&self, file: &File, offset: u64, len: usize) -> io::Result<Bytes> {
-        // Restart reads ride the page cache through a shared mapping;
-        // fall back to pread where mmap is unavailable.
-        super::mmapio::read_via_mmap(file, offset, len)
+/// Queue one SQE and report it to the shadow model. Both callers have
+/// room by construction: a window of at most `depth` ops enters a
+/// quiescent ring, and a continuation takes the slot its reap just freed.
+fn queue(core: &mut RingCore<Sqe, Cqe>, wid: usize, sqe: Sqe) {
+    let hash = sched_hash(&sqe.bufs);
+    let udata = core.push(sqe).expect("in-flight room by construction");
+    sched::emit(|| sched::Event::SubmitQueued { wid, udata, hash });
+}
+
+/// Execute everything queued as one linked chain.
+fn submit_queued(core: &mut RingCore<Sqe, Cqe>, ctx: &IoCtx<'_>, early_recycle: bool) {
+    let count = core.submit(|_, sqe| exec_sqe(ctx, sqe), |_, _| Cqe::Canceled);
+    sched::emit(|| sched::Event::SubmitBatched {
+        wid: ctx.wid,
+        count,
+    });
+    if early_recycle {
+        // Reverted bug: buffer ownership released at execution time
+        // instead of reap time. The pooled slabs go back for reuse while
+        // their completions are still in flight — a reaped short write
+        // then has nothing left to resubmit.
+        release_buffers_early(core);
     }
 }
 
@@ -482,6 +477,8 @@ mod tests {
         assert!(out.error.is_none());
         let got = b.read_at(&f, 0, 8).expect("read");
         assert_eq!(got.as_ref(), &[3u8; 8]);
+        assert!(b.read_at(&f, 4, 8).is_err(), "past-EOF must fail");
+        assert!(b.read_at(&f, 0, 0).expect("empty").is_empty());
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -514,18 +511,33 @@ mod tests {
         let (dir, f) = tmpfile("journal");
         let rec = crate::crash::Recorder::install(&dir).expect("recorder");
         let b = RingBackend::with_config(RingConfig::default());
-        let faults = FaultPlan::none().short_write(0, 0, 3);
-        let out = b.run_writes(&ctx(&faults), vec![op(&f, 0, 5, 8)]);
-        assert!(out.error.is_none());
-        // The crash journal must hold every byte the op landed: the
-        // capped prefix *and* the resubmitted remainder.
-        let mut covered = [false; 8];
-        for rec_op in rec.take() {
-            if let crate::crash::RecOp::Write { offset, data, .. } = rec_op {
-                covered[offset as usize..offset as usize + data.len()].fill(true);
+        // `cap = 0`: the device accepted nothing, the continuation owes
+        // the whole op.
+        for cap in [3, 0] {
+            // One byte past the op: trips only if its bytes are accounted
+            // twice.
+            let faults = FaultPlan::none()
+                .short_write(0, 0, cap)
+                .kill_writer_after_bytes(0, 9);
+            let out = b.run_writes(&ctx(&faults), vec![op(&f, 0, 5, 8)]);
+            assert!(out.error.is_none());
+            // The crash journal must hold every byte the op landed: the
+            // capped prefix *and* the resubmitted remainder.
+            let mut covered = [false; 8];
+            for rec_op in rec.take() {
+                if let crate::crash::RecOp::Write { offset, data, .. } = rec_op {
+                    covered[offset as usize..offset as usize + data.len()].fill(true);
+                }
             }
+            assert_eq!(
+                covered, [true; 8],
+                "cap {cap}: journaled coverage of [0, 8)"
+            );
+            assert!(
+                !faults.on_commit(0),
+                "cap {cap}: the continuation consulted the fault plan again"
+            );
         }
-        assert_eq!(covered, [true; 8], "journaled byte coverage of [0, 8)");
         drop(rec);
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -22,14 +22,10 @@
 //!    a resubmitted short write lands are journaled like any others.
 //!    The commit path journals its own footer/fsync/rename/dir-fsync
 //!    edges, and the [`RecordingBackend`] decorator covers the one edge
-//!    backends own directly: `sync_file`. **Outside the seam:** with
-//!    the `io-uring` feature on a kernel that allows it, unarmed
-//!    batches are written by the kernel (`backend::uring::run_ring`),
-//!    not by the fault layer, and are not journaled — record under the
-//!    threaded or emulated-ring backend (ROADMAP 4(c)). The harness
-//!    also notes a [`RecOp::DurablePoint`] after each `checkpoint()`
-//!    returns with `fsync = true` — the instant the API contract
-//!    promises the step is crash-safe.
+//!    backends own directly: `sync_file`. No backend writes data any
+//!    other way. The harness also notes a [`RecOp::DurablePoint`] after
+//!    each `checkpoint()` returns with `fsync = true` — the instant the
+//!    API contract promises the step is crash-safe.
 //! 2. **Enumerate.** A *legal crash image* at cut `k` applies a subset
 //!    of `ops[..k]` to an in-memory filesystem model: every op that a
 //!    later-but-before-`k` barrier made durable (a write followed by
@@ -61,7 +57,6 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use rbio_profile::counters;
 
 use crate::backend::{BatchOutcome, IoBackend, IoCtx, WriteOp};
-use crate::buf::Bytes;
 use crate::layout::DataLayout;
 use crate::manager::{CheckpointManager, ManagerConfig, ManagerError};
 use crate::sched::{Revert, RevertGuard};
@@ -310,10 +305,6 @@ impl IoBackend for RecordingBackend {
         self.inner.sync_file(file)?;
         record_fsync_file(file);
         Ok(())
-    }
-
-    fn read_at(&self, file: &File, offset: u64, len: usize) -> io::Result<Bytes> {
-        self.inner.read_at(file, offset, len)
     }
 }
 

@@ -43,9 +43,9 @@
 //! # std::fs::remove_dir_all(&dir).ok();
 //! ```
 
-// Three files opt back in with `#![allow(unsafe_code)]`: `sys.rs` (raw
-// syscalls, the owning `Mmap`), `tier.rs` (the slab's bump-window copy
-// and read) and `backend/uring.rs` (kernel ring fields).
+// Two files opt back in with `#![allow(unsafe_code)]`: `sys.rs` (raw
+// syscalls, the CRC32C intrinsic, the owning `Mmap`) and `tier.rs` (the
+// slab's bump-window copy and read).
 #![deny(unsafe_code)]
 
 pub mod backend;

@@ -135,6 +135,21 @@ impl FlushJob {
             FlushJob::Close { .. } | FlushJob::Commit { .. } => 0,
         }
     }
+
+    /// The backend op of a `Write`/`WriteV` job.
+    fn into_write_op(self) -> WriteOp {
+        match self {
+            FlushJob::Write { file, offset, data } => WriteOp {
+                file,
+                offset,
+                bufs: vec![data],
+            },
+            FlushJob::WriteV { file, offset, bufs } => WriteOp { file, offset, bufs },
+            FlushJob::Close { .. } | FlushJob::Commit { .. } => {
+                unreachable!("only write jobs become backend ops")
+            }
+        }
+    }
 }
 
 /// Per-writer knobs, grouped so `register` does not grow a parameter per
@@ -624,40 +639,56 @@ fn worker_loop(shared: &Shared) {
             };
             let skip = w.error.is_some() || !w.occupied;
             let ctx = w.ctx.clone();
-            // A run of consecutive write jobs can go to the backend as
-            // one submitted batch — except when every job needs per-job
-            // treatment: skipping (latched error) or hedging (the hedge
-            // snapshot tracks exactly one running job).
-            let max_batch = if skip || w.hedge_after.is_some() {
-                1
-            } else {
-                ctx.backend.max_batch().max(1)
-            };
             let is_write =
                 |j: &FlushJob| matches!(j, FlushJob::Write { .. } | FlushJob::WriteV { .. });
-            if max_batch > 1 && is_write(&job) {
-                let mut jobs = vec![job];
-                while jobs.len() < max_batch && w.queue.front().is_some_and(is_write) {
-                    jobs.push(w.queue.pop_front().expect("front checked"));
-                }
+            if is_write(&job) {
+                // A run of consecutive write jobs goes to the backend as
+                // one submitted batch — a batch of one when the job needs
+                // per-job treatment: skipping (latched error) or hedging
+                // (the hedge snapshot tracks exactly one running job).
+                let max_batch = if skip || w.hedge_after.is_some() {
+                    1
+                } else {
+                    ctx.backend.max_batch().max(1)
+                };
                 let base_seq = w.seq;
-                w.seq += jobs.len() as u64;
-                for (k, j) in jobs.iter().enumerate() {
-                    let seq = base_seq + k as u64;
+                let mut ops: Vec<WriteOp> = Vec::new();
+                let mut next = Some(job);
+                while let Some(j) = next.take() {
+                    let seq = w.seq;
+                    w.seq += 1;
                     sched::emit(|| sched::Event::JobStart {
                         wid,
                         seq,
                         kind: j.kind(),
                         hash: j.fingerprint(),
-                        skipped: false,
+                        skipped: skip,
+                    });
+                    ops.push(j.into_write_op());
+                    if ops.len() < max_batch && w.queue.front().is_some_and(is_write) {
+                        next = w.queue.pop_front();
+                    }
+                }
+                if !skip && w.hedge_after.is_some() {
+                    // Expose the job to hedged re-submits while it runs.
+                    w.running = Some(HedgeSnapshot {
+                        file: Arc::clone(&ops[0].file),
+                        offset: ops[0].offset,
+                        bufs: ops[0].bufs.clone(),
+                        hedged: false,
                     });
                 }
                 drop(g);
                 sched::yield_now(Point::JobRun);
-                let n = jobs.len();
-                let outcome = run_write_batch(&ctx, base_seq, jobs);
+                let n = ops.len();
+                let outcome = if skip {
+                    backend::BatchOutcome::ok(0)
+                } else {
+                    run_write_batch(&ctx, base_seq, ops)
+                };
                 g = shared.inner.lock().expect("pool lock");
                 let w = &mut g.writers[wid];
+                w.running = None;
                 w.retries += u64::from(outcome.retries);
                 let err_idx = outcome.error.as_ref().map(|(i, _)| *i);
                 if let Some((_, e)) = outcome.error {
@@ -676,26 +707,9 @@ fn worker_loop(shared: &Shared) {
                 shared.done.notify_all();
                 continue;
             }
+            // `Close` and `Commit` run one at a time.
             let seq = w.seq;
             w.seq += 1;
-            if !skip && w.hedge_after.is_some() {
-                // Expose the job to hedged re-submits while it runs.
-                w.running = match &job {
-                    FlushJob::Write { file, offset, data } => Some(HedgeSnapshot {
-                        file: Arc::clone(file),
-                        offset: *offset,
-                        bufs: vec![data.clone()],
-                        hedged: false,
-                    }),
-                    FlushJob::WriteV { file, offset, bufs } => Some(HedgeSnapshot {
-                        file: Arc::clone(file),
-                        offset: *offset,
-                        bufs: bufs.clone(),
-                        hedged: false,
-                    }),
-                    FlushJob::Close { .. } | FlushJob::Commit { .. } => None,
-                };
-            }
             sched::emit(|| sched::Event::JobStart {
                 wid,
                 seq,
@@ -711,7 +725,6 @@ fn worker_loop(shared: &Shared) {
             let res = if skip { Ok(0) } else { run_job(&ctx, seq, job) };
             g = shared.inner.lock().expect("pool lock");
             let w = &mut g.writers[wid];
-            w.running = None;
             let ok = res.is_ok();
             match res {
                 Ok(attempts) => w.retries += u64::from(attempts),
@@ -743,19 +756,11 @@ fn write_error(rank: Rank, e: fault::WriteError) -> PipelineError {
         .map_or(PipelineError::Killed { rank }, PipelineError::Io)
 }
 
-/// Fold a backend batch outcome into the single-job result shape.
-fn batch_result(out: backend::BatchOutcome, rank: Rank) -> Result<u32, PipelineError> {
-    match out.error {
-        Some((_, e)) => Err(write_error(rank, e)),
-        None => Ok(out.retries),
-    }
-}
-
 /// Execute a run of write jobs as one backend batch. Jitter applies once
-/// per batch; the liveness beat advances `2·n` total, matching the
-/// singleton path's heartbeat rate.
-fn run_write_batch(ctx: &WriterCtx, base_seq: u64, jobs: Vec<FlushJob>) -> backend::BatchOutcome {
-    let n = jobs.len() as u64;
+/// per batch; the liveness beat advances `2·n` total, the rate of
+/// [`run_job`]'s `Close`/`Commit` jobs.
+fn run_write_batch(ctx: &WriterCtx, base_seq: u64, ops: Vec<WriteOp>) -> backend::BatchOutcome {
+    let n = ops.len() as u64;
     if let Some(b) = &ctx.beat {
         b.fetch_add(n, Ordering::Relaxed);
     }
@@ -765,20 +770,6 @@ fn run_write_batch(ctx: &WriterCtx, base_seq: u64, jobs: Vec<FlushJob>) -> backe
             std::thread::sleep(Duration::from_micros(h % 200));
         }
     }
-    let ops: Vec<WriteOp> = jobs
-        .into_iter()
-        .map(|j| match j {
-            FlushJob::Write { file, offset, data } => WriteOp {
-                file,
-                offset,
-                bufs: vec![data],
-            },
-            FlushJob::WriteV { file, offset, bufs } => WriteOp { file, offset, bufs },
-            FlushJob::Close { .. } | FlushJob::Commit { .. } => {
-                unreachable!("batches contain only write jobs")
-            }
-        })
-        .collect();
     let out = ctx.backend.run_writes(&ctx.io_ctx(), ops);
     if let Some(b) = &ctx.beat {
         b.fetch_add(n, Ordering::Relaxed);
@@ -786,6 +777,7 @@ fn run_write_batch(ctx: &WriterCtx, base_seq: u64, jobs: Vec<FlushJob>) -> backe
     out
 }
 
+/// Execute one `Close` or `Commit` job.
 fn run_job(ctx: &WriterCtx, seq: u64, job: FlushJob) -> Result<u32, PipelineError> {
     if let Some(b) = &ctx.beat {
         b.fetch_add(1, Ordering::Relaxed);
@@ -799,22 +791,9 @@ fn run_job(ctx: &WriterCtx, seq: u64, job: FlushJob) -> Result<u32, PipelineErro
         }
     }
     let res = match job {
-        FlushJob::Write { file, offset, data } => batch_result(
-            ctx.backend.run_writes(
-                &ctx.io_ctx(),
-                vec![WriteOp {
-                    file,
-                    offset,
-                    bufs: vec![data],
-                }],
-            ),
-            ctx.rank,
-        ),
-        FlushJob::WriteV { file, offset, bufs } => batch_result(
-            ctx.backend
-                .run_writes(&ctx.io_ctx(), vec![WriteOp { file, offset, bufs }]),
-            ctx.rank,
-        ),
+        FlushJob::Write { .. } | FlushJob::WriteV { .. } => {
+            unreachable!("write jobs run as batches")
+        }
         FlushJob::Close { file, fsync } => {
             if fsync {
                 // Sticky fsync semantics: a rank whose fsync ever

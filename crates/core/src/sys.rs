@@ -2,12 +2,10 @@
 //!
 //! The workspace is dependency-free (no libc), so the few kernel calls
 //! std has no wrapper for go through one inline-asm [`syscall6`] per
-//! architecture, and every memory mapping in the crate — the local
-//! tier's slab ([`crate::tier::SlabPool`]), the ring backend's restart
-//! reads ([`crate::backend::read_via_mmap`]) and the io_uring rings — is
-//! one owning [`Mmap`]. Platforms the asm does not cover get a
-//! `-ENOSYS` stub, so every caller's existing fallback (heap slab,
-//! `pread`, ring emulation) is taken there without a `cfg` of its own.
+//! architecture, and the one memory mapping in the crate — the local
+//! tier's slab ([`crate::tier::SlabPool`]) — is an owning [`Mmap`].
+//! Platforms the asm does not cover get a `-ENOSYS` stub, so the slab's
+//! heap fallback is taken there without a `cfg` of its own.
 //!
 //! The one CPU instruction the crate asks for by name — x86-64 SSE4.2
 //! `crc32`, a target-feature intrinsic that safe code cannot call at this
@@ -214,12 +212,12 @@ unsafe impl Send for Mmap {}
 impl Mmap {
     /// Map `len` bytes of `fd` from byte `off` at a kernel-chosen
     /// address. `None` when `len` is zero, `prot` lacks [`PROT_READ`]
-    /// (so [`Mmap::as_slice`] can never fault on protection), or the
-    /// kernel (or platform stub) refuses.
+    /// (so a read through [`Mmap::as_ptr`] can never fault on
+    /// protection), or the kernel (or platform stub) refuses.
     ///
-    /// Map only objects this process controls for the mapping's whole
-    /// life — checkpoint and slab files it wrote, the io_uring fd:
-    /// truncating a mapped file under a live mapping faults the reader.
+    /// Map only files this process controls for the mapping's whole
+    /// life (the slab file it created): truncating a mapped file under a
+    /// live mapping faults the reader.
     pub(crate) fn new(
         fd: RawFd,
         len: usize,
@@ -247,15 +245,6 @@ impl Mmap {
     /// `len` bytes and write only through a [`PROT_WRITE`] mapping.
     pub(crate) fn as_ptr(&self) -> *mut u8 {
         self.ptr
-    }
-
-    /// The mapping as bytes. Callers that also write through
-    /// [`Mmap::as_ptr`] must not do so while this borrow is live.
-    pub(crate) fn as_slice(&self) -> &[u8] {
-        // SAFETY: `ptr` is a live, readable (checked in `new`) mapping
-        // of exactly `len` bytes until `self` drops, and u8 has no
-        // alignment or validity requirement.
-        unsafe { std::slice::from_raw_parts(self.ptr, self.len) }
     }
 }
 
@@ -301,12 +290,15 @@ mod tests {
             }
             return;
         };
-        assert_eq!(map.as_slice().len(), 4096);
-        // SAFETY: 5 bytes at offset 7 are inside the 4096-byte writable
-        // mapping and no slice of it is live.
-        unsafe { std::ptr::copy_nonoverlapping(b"hello".as_ptr(), map.as_ptr().add(7), 5) };
-        assert_eq!(&map.as_slice()[7..12], b"hello");
-        assert_eq!(map.as_slice()[0], 0);
+        let mut through_map = [0xFFu8; 12];
+        // SAFETY: bytes 7..12 written and 0..12 read are inside the
+        // 4096-byte readable, writable mapping; the local arrays do not
+        // overlap it.
+        unsafe {
+            std::ptr::copy_nonoverlapping(b"hello".as_ptr(), map.as_ptr().add(7), 5);
+            std::ptr::copy_nonoverlapping(map.as_ptr(), through_map.as_mut_ptr(), 12);
+        }
+        assert_eq!(&through_map, b"\0\0\0\0\0\0\0hello");
         drop(map);
         let mut back = [0u8; 5];
         f.read_exact_at(&mut back, 7).expect("pread");

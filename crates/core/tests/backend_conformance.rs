@@ -155,11 +155,7 @@ fn byte_identical_through_the_rt_executor_per_backend() {
 fn default_kind_resolves_via_environment() {
     let resolved = backend::resolve(BackendKind::Default);
     match std::env::var("RBIO_IO_BACKEND").as_deref() {
-        Ok("ring") => assert!(
-            resolved.name().starts_with("ring"),
-            "RBIO_IO_BACKEND=ring must resolve to a ring backend, got {}",
-            resolved.name()
-        ),
+        Ok("ring") => assert_eq!(resolved.name(), "ring"),
         _ => assert_eq!(resolved.name(), "threaded"),
     }
 }
@@ -169,28 +165,40 @@ fn short_writes_resubmit_to_byte_identical_output_per_backend() {
     let dir = tmpdir("short");
     let plan = plan_for(Strategy::rbio(2));
     let expected = reference(&plan, &dir);
-    // Writer rank 0's first logical write delivers only a 64-byte
-    // prefix; both backends must finish the op (blocking continuation
-    // for the threaded path, completion-driven resubmit for the ring)
-    // and land the same bytes as the uninjected reference.
+    // Writer rank 0's first logical write delivers only a `cap`-byte
+    // prefix — `cap = 0` is a device that accepted nothing; both
+    // backends must finish the op (blocking continuation for the
+    // threaded path, completion-driven resubmit for the ring) and land
+    // the same bytes as the uninjected reference. The kill threshold
+    // sits one byte past everything rank 0 writes: it stays silent
+    // unless a backend consults the fault plan twice for the cut write
+    // and so accounts its bytes twice.
+    let rank0_bytes: u64 = plan.program.ops[0]
+        .iter()
+        .map(|op| op.bytes_written())
+        .sum();
     for kind in BACKENDS {
-        let out = dir.join(kind_label(kind));
-        let payloads = materialize_payloads(&plan, fill);
-        let before = rbio_profile::counters::failover_snapshot();
-        let cfg = ExecConfig::new(&out)
-            .pipeline_depth(2)
-            .io_backend(kind)
-            .faults(FaultPlan::none().short_write(0, 0, 64));
-        execute(&plan.program, payloads, &cfg)
-            .unwrap_or_else(|e| panic!("{}: {e}", kind_label(kind)));
-        assert_files_match(&out, &expected, &format!("short {}", kind_label(kind)));
-        let delta = rbio_profile::counters::failover_snapshot().delta_since(&before);
-        assert!(
-            delta.short_write_retries >= 1,
-            "{}: the injected short write must be counted as a \
-             short-write retry, not a hedge or transient retry",
-            kind_label(kind)
-        );
+        for cap in [64, 0] {
+            let what = format!("short cap {cap} {}", kind_label(kind));
+            let out = dir.join(format!("{}-cap{cap}", kind_label(kind)));
+            let payloads = materialize_payloads(&plan, fill);
+            let before = rbio_profile::counters::failover_snapshot();
+            let faults = FaultPlan::none()
+                .short_write(0, 0, cap)
+                .kill_writer_after_bytes(0, rank0_bytes + 1);
+            let cfg = ExecConfig::new(&out)
+                .pipeline_depth(2)
+                .io_backend(kind)
+                .faults(faults);
+            execute(&plan.program, payloads, &cfg).unwrap_or_else(|e| panic!("{what}: {e}"));
+            assert_files_match(&out, &expected, &what);
+            let delta = rbio_profile::counters::failover_snapshot().delta_since(&before);
+            assert!(
+                delta.short_write_retries >= 1,
+                "{what}: the injected short write must be counted as a \
+                 short-write retry, not a hedge or transient retry"
+            );
+        }
     }
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -294,10 +302,12 @@ fn kill_after_bytes_lands_on_the_same_boundary_per_backend() {
         (len, at)
     };
     let threaded = run(&backend::ThreadedBackend, "kill-t");
+    // A ring of depth 2 takes the five ops in three windows: the kill at
+    // op 3 lands in the second, and must also cancel op 4 in the third.
     let ring = run(
         &RingBackend::with_config(RingConfig {
-            depth: 8,
-            batch: 4,
+            depth: 2,
+            batch: 2,
             completion_seed: 0xBEEF,
         }),
         "kill-r",

@@ -1,11 +1,80 @@
-//! Property tests for the portable ring-emulation core: for arbitrary
+//! Property tests for the portable ring core: for arbitrary
 //! push/submit/reap sequences, the ring must keep its in-flight depth
 //! bound, execute in FIFO order with link-break cancelation, and
-//! deliver every completion exactly once.
+//! deliver every completion exactly once — and the backend built on it
+//! must take a batch of any length.
+
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
+use std::time::Duration;
 
 use proptest::prelude::*;
 
 use rbio::backend::ring::{RingCore, RingFull};
+use rbio::backend::{IoBackend, IoCtx, RingBackend, RingConfig, ThreadedBackend, WriteOp};
+use rbio::buf::Bytes;
+use rbio::fault::FaultPlan;
+use rbio::sched::{self, Event, Sched};
+
+/// Pushed-but-unreaped SQEs, counted from the events `RingBackend`
+/// reports to an installed scheduler.
+#[derive(Default)]
+struct InFlight {
+    now: AtomicUsize,
+    high_water: AtomicUsize,
+}
+
+impl Sched for InFlight {
+    fn controlled(&self) -> bool {
+        true
+    }
+
+    fn emit(&self, event: Event) {
+        match event {
+            Event::SubmitQueued { .. } => {
+                let now = self.now.fetch_add(1, Ordering::Relaxed) + 1;
+                self.high_water.fetch_max(now, Ordering::Relaxed);
+            }
+            Event::CompletionReaped { .. } => {
+                self.now.fetch_sub(1, Ordering::Relaxed);
+            }
+            _ => {}
+        }
+    }
+}
+
+/// Run `n` 16-byte ops through `backend` into a fresh file (the op at
+/// index `cut`, if any, is cut short after 3 bytes) and return the
+/// file's bytes.
+fn land(backend: &dyn IoBackend, dir: &std::path::Path, n: usize, cut: usize) -> Vec<u8> {
+    let path = dir.join(backend.name());
+    let file = Arc::new(
+        std::fs::OpenOptions::new()
+            .create(true)
+            .truncate(true)
+            .write(true)
+            .open(&path)
+            .expect("open"),
+    );
+    let faults = FaultPlan::none().short_write(0, cut as u64, 3);
+    let ctx = IoCtx {
+        rank: 0,
+        wid: 0,
+        faults: &faults,
+        write_retries: 3,
+        retry_backoff: Duration::from_micros(50),
+    };
+    let ops = (0..n)
+        .map(|i| WriteOp {
+            file: Arc::clone(&file),
+            offset: i as u64 * 16,
+            bufs: vec![Bytes::from_vec(vec![i as u8 + 1; 16])],
+        })
+        .collect();
+    let out = backend.run_writes(&ctx, ops);
+    assert!(out.error.is_none(), "{}: {:?}", backend.name(), out.error);
+    std::fs::read(&path).expect("read back")
+}
 
 /// One driver step against the ring.
 #[derive(Clone, Debug)]
@@ -140,5 +209,36 @@ proptest! {
                 prop_assert!(v > f, "op {} canceled before the break at {}", v, f);
             }
         }
+    }
+
+    /// `RingBackend::run_writes` takes a batch of any length, not only
+    /// one the pool bounded by `max_batch()`: what exceeds the ring goes
+    /// in further windows, the file matches the threaded engine's byte
+    /// for byte, and the in-flight bound holds throughout — also when a
+    /// full window has to resubmit a short write.
+    #[test]
+    fn any_batch_length_lands_like_threaded_within_depth(
+        shape in (1usize..6).prop_flat_map(|depth| (Just(depth), 1usize..=4 * depth)),
+        cut in 0usize..24,
+        seed in 0u64..1000,
+    ) {
+        let (depth, n) = shape;
+        let dir = std::env::temp_dir().join(format!("rbio-ring-props-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        let want = land(&ThreadedBackend, &dir, n, cut);
+        let in_flight = Arc::new(InFlight::default());
+        sched::install(Arc::clone(&in_flight) as Arc<dyn Sched>);
+        let ring = RingBackend::with_config(RingConfig {
+            depth,
+            batch: depth,
+            completion_seed: seed,
+        });
+        let got = land(&ring, &dir, n, cut);
+        sched::uninstall();
+        prop_assert_eq!(got, want);
+        prop_assert_eq!(in_flight.now.load(Ordering::Relaxed), 0, "every SQE reaped");
+        let high = in_flight.high_water.load(Ordering::Relaxed);
+        prop_assert_eq!(high, n.min(depth), "a window fills the ring, never more");
+        std::fs::remove_dir_all(&dir).ok();
     }
 }
