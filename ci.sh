@@ -23,6 +23,10 @@ echo "== checksum kernel, sealer and datapath equivalence once more, optimised =
 # a different instruction stream.
 cargo test --release -q -p rbio --lib -- format:: commit::
 cargo test --release -q -p rbio --test seal_memory
+# The allocator guard and the pinned copies table measure the optimised
+# datapath: a warm generation leases recycled buffers and maps none.
+cargo test --release -q -p rbio --test steady_state_alloc
+cargo test --release -q -p rbio --test copies_per_byte
 cargo test --release -q --test datapath_equivalence
 
 echo "== benchmark package (outside the workspace) builds and passes its tests =="
@@ -50,6 +54,7 @@ RBC=target/debug/rbio-check
 "$RBC" sweep --program p9b --seeds 32
 "$RBC" sweep --program p9c --seeds 32
 "$RBC" sweep --program p10 --seeds 16
+"$RBC" sweep --program p11 --seeds 16
 
 echo "== crash-image torture sweep (fast tier) =="
 # Record each strategy's durability op stream and restore ~64 legal
@@ -110,6 +115,7 @@ if [[ "$SLOW" == 1 ]]; then
   "$RBC" sweep --program p9c --seeds 256 --preempt
   "$RBC" sweep --program p10 --seeds 256
   "$RBC" sweep --program p10 --seeds 64 --preempt
+  "$RBC" sweep --program p11 --seeds 256
 
   echo "== crash-image torture sweep (slow tier, >= 512 images) =="
   # Exhaustive tier: at least 512 distinct crash images across the

@@ -1,10 +1,10 @@
 //! rbio-check CLI: sweep seeds or replay a pinned schedule.
 //!
 //! ```text
-//! rbio-check sweep  --program p1..p10|all [--seeds N] [--start S]
+//! rbio-check sweep  --program p1..p11|all [--seeds N] [--start S]
 //!                   [--preempt] [--stop-first] [--revert-pr2] [--revert-pr3]
 //!                   [--revert-pr5] [--revert-pr7]
-//! rbio-check replay --program p1..p10 --schedule "a,b,c,..."
+//! rbio-check replay --program p1..p11 --schedule "a,b,c,..."
 //!                   [--revert-pr2] [--revert-pr3] [--revert-pr5] [--revert-pr7]
 //!                   [--expect-violation]
 //! ```
@@ -22,10 +22,10 @@ use rbio_check::{run_one, sweep, CheckReport, Policy, ProgramKind};
 fn usage(err: &str) -> ExitCode {
     eprintln!("error: {err}\n");
     eprintln!("usage:");
-    eprintln!("  rbio-check sweep  --program <p1..p10|all> [--seeds N] [--start S]");
+    eprintln!("  rbio-check sweep  --program <p1..p11|all> [--seeds N] [--start S]");
     eprintln!("                    [--preempt] [--stop-first] [--revert-pr2] [--revert-pr3]");
     eprintln!("                    [--revert-pr5] [--revert-pr7]");
-    eprintln!("  rbio-check replay --program <p1..p10> --schedule \"name,name,...\"");
+    eprintln!("  rbio-check replay --program <p1..p11> --schedule \"name,name,...\"");
     eprintln!("                    [--revert-pr2] [--revert-pr3] [--revert-pr5] [--revert-pr7]");
     eprintln!("                    [--expect-violation]");
     eprintln!();

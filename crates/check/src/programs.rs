@@ -70,6 +70,14 @@
 //!   invariant requires every restore to return at least the newest
 //!   [`Event::GenDurable`] step, and both restores must be byte-exact
 //!   against untiered references.
+//! * `p11` — a coIO plan with two fields through the pipelined executor:
+//!   each aggregator runs one collective per field over the *same*
+//!   staging range, so the first field's deferred write is still queued
+//!   when the second field's receives overwrite its source. The
+//!   interpreter freezes a staging image (and stops snapshotting) only
+//!   past the rank's last staging mutation; frozen one write early, the
+//!   shadow model's submit-time = execution-time fingerprint invariant
+//!   and the byte comparison against the deep-copy reference both break.
 //!
 //! [`WriterHandle`]: rbio::pipeline::WriterHandle
 //! [`SendAttempt`]: rbio::sched::Event::SendAttempt
@@ -93,7 +101,7 @@ use rbio::restart::RestoredData;
 use rbio::rt;
 use rbio::sched::{self, Point};
 use rbio::service::{Admission, AdmissionGate, FairShare, QosClass, ServiceError, TenantSpec};
-use rbio::strategy::{CheckpointSpec, RbIoCommit, Strategy};
+use rbio::strategy::{CheckpointPlan, CheckpointSpec, RbIoCommit, Strategy};
 use rbio::tier::TierConfig;
 use rbio_plan::{DataRef, Op, ProgramBuilder, Tag};
 
@@ -128,6 +136,8 @@ pub enum ProgramKind {
     ServiceQos,
     /// `p10`: drain-vs-crash interleavings against the fsync promise.
     CrashRestore,
+    /// `p11`: per-field collectives reusing staging under deferred writes.
+    StagingReuse,
 }
 
 impl ProgramKind {
@@ -148,12 +158,13 @@ impl ProgramKind {
             "p9b" => Some(ProgramKind::ServiceFairShare),
             "p9c" => Some(ProgramKind::ServiceQos),
             "p10" => Some(ProgramKind::CrashRestore),
+            "p11" => Some(ProgramKind::StagingReuse),
             _ => None,
         }
     }
 
     /// Every family, in sweep order.
-    pub fn all() -> [ProgramKind; 14] {
+    pub fn all() -> [ProgramKind; 15] {
         [
             ProgramKind::PipelineRace,
             ProgramKind::ExecEquiv,
@@ -169,6 +180,7 @@ impl ProgramKind {
             ProgramKind::ServiceFairShare,
             ProgramKind::ServiceQos,
             ProgramKind::CrashRestore,
+            ProgramKind::StagingReuse,
         ]
     }
 
@@ -189,6 +201,7 @@ impl ProgramKind {
             ProgramKind::ServiceFairShare => "p9b",
             ProgramKind::ServiceQos => "p9c",
             ProgramKind::CrashRestore => "p10",
+            ProgramKind::StagingReuse => "p11",
         }
     }
 
@@ -220,6 +233,9 @@ impl ProgramKind {
             }
             ProgramKind::CrashRestore => {
                 "drain racing a crash + reopen: fsynced generations stay recoverable"
+            }
+            ProgramKind::StagingReuse => {
+                "per-field coIO collectives reusing staging under deferred writes"
             }
         }
     }
@@ -260,8 +276,8 @@ fn fill(rank: u32, field: usize, buf: &mut [u8]) {
 pub fn prepare(kind: ProgramKind, dir: &Path) -> PreparedProgram {
     match kind {
         ProgramKind::PipelineRace => prepare_pipeline_race(dir),
-        ProgramKind::ExecEquiv => prepare_plan_equiv(dir, false),
-        ProgramKind::RtEquiv => prepare_plan_equiv(dir, true),
+        ProgramKind::ExecEquiv => prepare_plan_equiv(dir, rbio_shared_plan(), false),
+        ProgramKind::RtEquiv => prepare_plan_equiv(dir, rbio_shared_plan(), true),
         ProgramKind::FaultDrop => prepare_fault_drop(dir),
         ProgramKind::Failover => prepare_failover(dir),
         ProgramKind::TierDrain => prepare_tier_drain(dir),
@@ -273,6 +289,7 @@ pub fn prepare(kind: ProgramKind, dir: &Path) -> PreparedProgram {
         ProgramKind::ServiceFairShare => prepare_service_fair_share(dir),
         ProgramKind::ServiceQos => prepare_service_qos(dir),
         ProgramKind::CrashRestore => prepare_crash_restore(dir),
+        ProgramKind::StagingReuse => prepare_plan_equiv(dir, coio_two_field_plan(), false),
     }
 }
 
@@ -572,18 +589,36 @@ fn prepare_pipeline_race(dir: &Path) -> PreparedProgram {
 
 /// `p2`/`p3`: a 3-rank, 2-group RB-IO plan with a shared collective
 /// commit — writers aggregate peers' data, so the schedule interleaves
-/// messaging, pipelined writes, and the commit protocol. The reference
-/// is the deep-copy serial executor run uncontrolled at prepare time.
-fn prepare_plan_equiv(dir: &Path, through_rt: bool) -> PreparedProgram {
+/// messaging, pipelined writes, and the commit protocol.
+fn rbio_shared_plan() -> CheckpointPlan {
     let layout = DataLayout::uniform(3, &[("Ex", 384), ("Ey", 160)]);
-    let plan = CheckpointSpec::new(layout, "ck")
+    CheckpointSpec::new(layout, "ck")
         .strategy(Strategy::RbIo {
             ng: 2,
             commit: RbIoCommit::CollectiveShared,
         })
         .step(7)
         .plan()
-        .expect("valid rb-io plan");
+        .expect("valid rb-io plan")
+}
+
+/// `p11`: a 4-rank coIO plan, two files, two fields — one aggregator per
+/// file runs a collective per field over the same staging range, so a
+/// deferred write of field 0 is in flight while field 1 lands on its
+/// source.
+fn coio_two_field_plan() -> CheckpointPlan {
+    let layout = DataLayout::uniform(4, &[("Ex", 384), ("Ey", 160)]);
+    CheckpointSpec::new(layout, "ck")
+        .strategy(Strategy::coio(2))
+        .step(13)
+        .plan()
+        .expect("valid co-io plan")
+}
+
+/// Run `plan` pipelined (depth 2) under the controlled scheduler, through
+/// `exec` or the MPI-like runtime. The reference is the deep-copy serial
+/// executor run uncontrolled at prepare time.
+fn prepare_plan_equiv(dir: &Path, plan: CheckpointPlan, through_rt: bool) -> PreparedProgram {
     let payloads = materialize_payloads(&plan, fill);
 
     let ref_dir = dir.join("ref");

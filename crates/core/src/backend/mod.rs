@@ -49,7 +49,7 @@ use std::io;
 use std::os::unix::fs::FileExt;
 use std::sync::{Arc, OnceLock};
 
-use crate::buf::Bytes;
+use crate::buf::{BufPool, Bytes};
 use crate::fault::{self, WriteError};
 
 pub mod ring;
@@ -135,13 +135,14 @@ pub trait IoBackend: Send + Sync {
         file.sync_all()
     }
 
-    /// Read `len` bytes at `offset` (the restart path) with `pread`;
-    /// fails if fewer than `len` bytes exist. Every engine shares this
-    /// body.
+    /// Read `len` bytes at `offset` (the restart path) with `pread` into
+    /// a buffer leased from the global pool — a restore image recycles
+    /// like any checkpoint buffer; fails if fewer than `len` bytes exist.
+    /// Every engine shares this body.
     fn read_at(&self, file: &File, offset: u64, len: usize) -> io::Result<Bytes> {
-        let mut v = vec![0u8; len];
-        file.read_exact_at(&mut v, offset)?;
-        Ok(Bytes::from_vec(v))
+        let mut image = BufPool::global().lease(len);
+        file.read_exact_at(&mut image, offset)?;
+        Ok(image.freeze())
     }
 }
 

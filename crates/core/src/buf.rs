@@ -2,27 +2,46 @@
 //!
 //! The paper's rbIO handoff is cheap because a worker's package is
 //! allocated once and every later stage — channel, writer aggregation,
-//! flush — works on the *same* bytes. [`Bytes`] provides that ownership
-//! model at library scale: a refcounted, immutable byte slice with cheap
-//! `clone` and `slice` (both O(1), no data movement), backed either by a
-//! caller-supplied `Vec<u8>` or by a buffer leased from a [`BufPool`].
-//! Pool-backed storage returns to the pool when the last `Bytes` referring
-//! to it drops, so steady-state checkpointing recycles a fixed set of
-//! staging buffers instead of hammering the allocator.
+//! flush — works on the *same* bytes. This module gives every
+//! generation-sized buffer of the runtime that one lifecycle:
+//!
+//! **lease → fill → freeze → share → recycle.**
+//!
+//! [`BufPool::lease`] hands out a [`PooledBuf`]: owned, mutable,
+//! zero-filled to the requested length. Its holder fills it in place — the
+//! application's `fill` closure, a writer's aggregation, a `pread`.
+//! [`PooledBuf::freeze`] turns it, in O(1) and without moving a byte, into
+//! a [`Bytes`]: a refcounted, immutable slice with cheap `clone` and
+//! `slice`. When the `PooledBuf`, or the last `Bytes` over it, drops, the
+//! storage returns to its pool, so steady-state checkpointing recycles a
+//! fixed set of resident buffers instead of mapping (and page-faulting)
+//! fresh ones every generation.
 //!
 //! Ownership and lifetime rules (see DESIGN.md §9):
 //!
-//! * the bytes behind a `Bytes` are immutable for its entire lifetime —
-//!   every copy-avoidance decision in the executors leans on this;
-//! * a pooled buffer is returned to its pool exactly when the last
-//!   `Bytes`/slice over it drops; the pool only ever hands it out again
-//!   after that point, so no live reader can observe reuse;
+//! * a buffer is written only while it is a `PooledBuf` — one owner,
+//!   `&mut` access; `freeze` consumes that owner, so the bytes behind a
+//!   `Bytes` are immutable for its entire lifetime — every copy-avoidance
+//!   decision in the executors leans on this;
+//! * a pooled buffer is returned to its pool exactly when its
+//!   `PooledBuf`, or the last `Bytes`/slice over it, drops; the pool only
+//!   ever hands it out again after that point, so no live reader can
+//!   observe reuse;
+//! * stale bytes are never observable: a lease is zero-filled to its
+//!   requested length before it is handed out (a `memset` of resident
+//!   pages, not a page-fault storm);
 //! * copies are *counted*: every helper that actually moves bytes calls
 //!   [`rbio_profile::counters::add_bytes_copied`], making "copies per
 //!   checkpoint byte" a measurable quantity rather than a code-review
-//!   claim.
+//!   claim;
+//! * fit and retention are the pool's business, with no knob: requests
+//!   are served at size classes (≤ 12.5 % slack) by best fit, a
+//!   zero-length lease takes nothing, a miss maps fresh and regrows
+//!   nothing, idle capacity is bounded in bytes — and a round whose first
+//!   lease fits nothing kept makes room rather than stack a new shape on
+//!   the old one's idle buffers.
 
-use std::ops::{Bound, Deref, RangeBounds};
+use std::ops::{Bound, Deref, DerefMut, RangeBounds};
 use std::sync::{Arc, Mutex, OnceLock, Weak};
 
 use rbio_profile::counters;
@@ -42,7 +61,8 @@ pub enum CopyMode {
     DeepCopy,
 }
 
-/// Backing storage of one or more `Bytes` slices.
+/// One buffer's storage and its way home: shared by the [`PooledBuf`]
+/// that fills it and the [`Bytes`] slices it is frozen into.
 struct Inner {
     data: Vec<u8>,
     /// The pool to return `data` to on final drop, when pool-backed.
@@ -54,6 +74,81 @@ impl Drop for Inner {
         if let Some(pool) = self.pool.as_ref().and_then(Weak::upgrade) {
             pool.put(std::mem::take(&mut self.data));
         }
+    }
+}
+
+/// An owned, mutable buffer leased from a [`BufPool`]: the "fill" stage
+/// of the lifecycle. Derefs to the `[u8]` of the requested length, which
+/// starts out all zeros. Dropping it recycles the storage;
+/// [`PooledBuf::freeze`] shares it instead.
+pub struct PooledBuf {
+    inner: Inner,
+}
+
+impl PooledBuf {
+    /// End the mutable phase: the same storage as an immutable,
+    /// refcounted [`Bytes`]. O(1), no copy; the buffer now returns to its
+    /// pool when the last slice over it drops.
+    pub fn freeze(self) -> Bytes {
+        let len = self.inner.data.len();
+        Bytes {
+            inner: Arc::new(self.inner),
+            off: 0,
+            len,
+        }
+    }
+}
+
+impl Default for PooledBuf {
+    /// The zero-length lease: no storage, no pool.
+    fn default() -> PooledBuf {
+        PooledBuf {
+            inner: Inner {
+                data: Vec::new(),
+                pool: None,
+            },
+        }
+    }
+}
+
+impl Deref for PooledBuf {
+    type Target = [u8];
+    fn deref(&self) -> &[u8] {
+        &self.inner.data
+    }
+}
+
+impl DerefMut for PooledBuf {
+    fn deref_mut(&mut self) -> &mut [u8] {
+        &mut self.inner.data
+    }
+}
+
+impl Clone for PooledBuf {
+    /// A second lease from the same pool holding the same bytes — a real
+    /// data movement, accounted as copied bytes.
+    fn clone(&self) -> PooledBuf {
+        counters::add_bytes_copied(self.len() as u64);
+        match self.inner.pool.as_ref().and_then(Weak::upgrade) {
+            Some(shared) => {
+                let mut out = BufPool { shared }.lease(self.len());
+                out.copy_from_slice(self);
+                out
+            }
+            // Zero-length, or the private pool is gone: plain storage.
+            None => PooledBuf {
+                inner: Inner {
+                    data: self.inner.data.clone(),
+                    pool: None,
+                },
+            },
+        }
+    }
+}
+
+impl From<PooledBuf> for Bytes {
+    fn from(b: PooledBuf) -> Bytes {
+        b.freeze()
     }
 }
 
@@ -133,9 +228,10 @@ impl Bytes {
     }
 
     /// Recover a `Vec<u8>`: zero-copy when this is the only slice over a
-    /// non-pooled, full-range storage; otherwise a counted copy. (Pooled
-    /// storage is never surrendered — the Vec must not escape the pool's
-    /// recycling.)
+    /// non-pooled, full-range storage; otherwise a counted copy. (A
+    /// frozen lease is copied out, never surrendered: the only way out of
+    /// the lifecycle is back into the pool, or every generation would
+    /// drain it into the allocator.)
     pub fn into_vec(self) -> Vec<u8> {
         let whole = self.off == 0 && self.len == self.inner.data.len();
         if whole && self.inner.pool.is_none() {
@@ -204,21 +300,116 @@ impl From<Vec<u8>> for Bytes {
 
 /// Retain at most this many free buffers per pool.
 const MAX_POOLED_BUFS: usize = 64;
-/// Never recycle a buffer larger than this (one-off giants go back to the
-/// allocator instead of pinning memory).
-const MAX_POOLED_CAP: usize = 16 << 20;
+/// Retain at most this much free capacity per pool; a buffer that would
+/// push the free list past it goes back to the allocator instead. Sized
+/// for a few generations' worth of payload, staging and restore images —
+/// what a steady-state checkpoint loop keeps in flight.
+const MAX_RETAINED_BYTES: usize = 256 << 20;
+/// Smallest size class.
+const MIN_CLASS: usize = 64;
+
+/// The capacity a request of `len` bytes is served at: `len` rounded up
+/// to one of eight classes per power of two, so at most 12.5 % slack. A
+/// file image (`header + data + footer`) therefore fits the payload or
+/// staging buffer of the same generation, and a recycled buffer serves
+/// every request of its class.
+fn class_capacity(len: usize) -> usize {
+    if len <= MIN_CLASS {
+        return MIN_CLASS;
+    }
+    len.next_multiple_of(1 << (len.ilog2() - 3))
+}
+
+/// A pool's books: the free buffers, sorted by capacity, the bytes of
+/// capacity idle in them, and how many buffers are out on lease.
+#[derive(Default)]
+struct PoolState {
+    bufs: Vec<Vec<u8>>,
+    idle: usize,
+    out: usize,
+}
+
+impl PoolState {
+    /// Index of the smallest buffer of at least `cap` bytes (`len()` when
+    /// there is none): the best fit, and where a buffer of `cap` belongs.
+    fn at_least(&self, cap: usize) -> usize {
+        self.bufs.partition_point(|b| b.capacity() < cap)
+    }
+
+    fn remove(&mut self, i: usize) -> Vec<u8> {
+        let v = self.bufs.remove(i);
+        self.idle -= v.capacity();
+        v
+    }
+
+    /// Take out of the free list, for the caller to release, every buffer
+    /// too large to serve `cap` (none above `cap` fitted, or this would
+    /// not be a miss) and then the largest of the rest until at least
+    /// `cap` bytes — what is about to be mapped — have gone.
+    fn make_room(&mut self, cap: usize) -> Vec<Vec<u8>> {
+        let mut out = self.bufs.split_off(self.at_least(cap));
+        let mut freed: usize = out.iter().map(Vec::capacity).sum();
+        while freed < cap {
+            let Some(largest) = self.bufs.pop() else {
+                break;
+            };
+            freed += largest.capacity();
+            out.push(largest);
+        }
+        self.idle -= freed;
+        out
+    }
+
+    /// True if a buffer with base pointer `p` already sits in the free
+    /// list (the double-recycle predicate; split out for unit testing).
+    fn contains_ptr(&self, p: *const u8) -> bool {
+        self.bufs.iter().any(|b| std::ptr::eq(b.as_ptr(), p))
+    }
+}
 
 struct PoolShared {
-    free: Mutex<Vec<Vec<u8>>>,
+    state: Mutex<PoolState>,
 }
 
 impl PoolShared {
+    /// Count a lease of class capacity `cap` out and return the buffer
+    /// that serves it, if one is held. Best fit: the smallest free buffer of
+    /// `cap`'s class or above, but never one more than twice as large — a
+    /// 1 MiB chunk must not walk off with a 36 MiB staging image.
+    ///
+    /// A miss takes nothing and regrows nothing: the caller maps `cap`
+    /// fresh bytes. One kind of miss also makes room for them: the first
+    /// lease of a round — nothing else is out — that fits nothing kept.
+    /// The work has changed shape (a restore image between checkpoints
+    /// whose sizes match none of theirs), and what was kept for the last
+    /// round would otherwise sit resident under the new one: retention
+    /// would stack the peaks of phases that never run together. A miss
+    /// while other leases are out is fluctuation within a round and
+    /// releases nothing.
+    fn take(&self, cap: usize) -> Option<Vec<u8>> {
+        let mut g = self.state.lock().expect("buffer pool lock");
+        let i = g.at_least(cap);
+        let fits = g.bufs.get(i).is_some_and(|b| b.capacity() <= 2 * cap);
+        let hit = fits.then(|| g.remove(i));
+        let displaced = if hit.is_none() && g.out == 0 {
+            g.make_room(cap)
+        } else {
+            Vec::new()
+        };
+        g.out += 1;
+        // Unmap outside the lock.
+        drop(g);
+        drop(displaced);
+        hit
+    }
+
     fn put(&self, mut v: Vec<u8>) {
-        if v.capacity() == 0 || v.capacity() > MAX_POOLED_CAP {
+        let cap = v.capacity();
+        if cap == 0 {
             return;
         }
-        let mut g = self.free.lock().expect("buffer pool lock");
-        if crate::sched::controlled() && Self::contains_ptr(&g, v.as_ptr()) {
+        let mut g = self.state.lock().expect("buffer pool lock");
+        if crate::sched::controlled() && g.contains_ptr(v.as_ptr()) {
             // The same allocation is being recycled twice: some live
             // `Bytes` still references a buffer the pool may hand out
             // again (use-after-recycle). Report it to the checker
@@ -228,31 +419,33 @@ impl PoolShared {
             });
             return;
         }
-        if g.len() < MAX_POOLED_BUFS {
+        g.out = g.out.saturating_sub(1);
+        if g.bufs.len() < MAX_POOLED_BUFS && g.idle + cap <= MAX_RETAINED_BYTES {
             v.clear();
-            g.push(v);
+            let i = g.at_least(cap);
+            g.bufs.insert(i, v);
+            g.idle += cap;
+        } else {
+            // Over budget: unmap outside the lock.
+            drop(g);
+            drop(v);
         }
-    }
-
-    /// True if a buffer with base pointer `p` already sits in the free
-    /// list (the double-recycle predicate; split out for unit testing).
-    fn contains_ptr(free: &[Vec<u8>], p: *const u8) -> bool {
-        free.iter().any(|b| std::ptr::eq(b.as_ptr(), p))
     }
 }
 
-/// A recycling pool of byte buffers backing [`Bytes`] allocations on the
-/// writer staging/aggregation path.
+/// The recycling pool behind the buffer lifecycle: every generation-sized
+/// allocation of the runtime — payloads, writer staging, restore images,
+/// eager-send and snapshot copies — is leased here.
 pub struct BufPool {
     shared: Arc<PoolShared>,
 }
 
 impl BufPool {
-    /// A fresh, private pool (tests; the executors use [`BufPool::global`]).
+    /// A fresh, private pool (tests; the runtime uses [`BufPool::global`]).
     pub fn new() -> BufPool {
         BufPool {
             shared: Arc::new(PoolShared {
-                free: Mutex::new(Vec::new()),
+                state: Mutex::default(),
             }),
         }
     }
@@ -265,49 +458,64 @@ impl BufPool {
 
     /// Number of free buffers currently held (test observability).
     pub fn free_buffers(&self) -> usize {
-        self.shared.free.lock().expect("buffer pool lock").len()
+        self.shared
+            .state
+            .lock()
+            .expect("buffer pool lock")
+            .bufs
+            .len()
     }
 
-    fn lease(&self, min_capacity: usize) -> Vec<u8> {
-        let mut v = {
-            let mut g = self.shared.free.lock().expect("buffer pool lock");
-            // Prefer a buffer that already fits to avoid regrowing.
-            match g.iter().position(|b| b.capacity() >= min_capacity) {
-                Some(i) => g.swap_remove(i),
-                None => g.pop().unwrap_or_default(),
+    /// Summed capacity of the free buffers currently held (test
+    /// observability).
+    pub fn retained_bytes(&self) -> usize {
+        self.shared.state.lock().expect("buffer pool lock").idle
+    }
+
+    /// Lease a buffer of `len` zero bytes: a recycled one of `len`'s size
+    /// class when the pool holds one (re-zeroed — a `memset` of resident
+    /// pages), otherwise a fresh allocation at class capacity. A
+    /// zero-length lease holds no storage and touches nothing.
+    pub fn lease(&self, len: usize) -> PooledBuf {
+        if len == 0 {
+            return PooledBuf::default();
+        }
+        let cap = class_capacity(len);
+        let data = match self.shared.take(cap) {
+            Some(mut v) => {
+                v.resize(len, 0);
+                v
+            }
+            None => {
+                // Zeroed by the allocator (untouched fresh pages when it
+                // maps them), trimmed to `len` with the capacity kept.
+                let mut v = vec![0u8; cap];
+                v.truncate(len);
+                v
             }
         };
-        v.clear();
-        v.reserve(min_capacity);
-        v
-    }
-
-    fn seal(&self, v: Vec<u8>) -> Bytes {
-        let len = v.len();
-        Bytes {
-            inner: Arc::new(Inner {
-                data: v,
+        PooledBuf {
+            inner: Inner {
+                data,
                 pool: Some(Arc::downgrade(&self.shared)),
-            }),
-            off: 0,
-            len,
+            },
         }
     }
 
     /// Copy `src` into a pooled buffer (counted as copied bytes).
     pub fn copy_from_slice(&self, src: &[u8]) -> Bytes {
         counters::add_bytes_copied(src.len() as u64);
-        let mut v = self.lease(src.len());
-        v.extend_from_slice(src);
-        self.seal(v)
+        let mut buf = self.lease(src.len());
+        buf.copy_from_slice(src);
+        buf.freeze()
     }
 
     /// Fill a pooled buffer of `len` bytes with `f(index)` — used for
     /// synthetic plan data, where the bytes are generated, not copied.
     pub fn from_fn(&self, len: usize, f: impl Fn(usize) -> u8) -> Bytes {
-        let mut v = self.lease(len);
-        v.extend((0..len).map(f));
-        self.seal(v)
+        let mut buf = self.lease(len);
+        buf.iter_mut().enumerate().for_each(|(i, b)| *b = f(i));
+        buf.freeze()
     }
 }
 
@@ -366,10 +574,173 @@ mod tests {
         assert_eq!(pool.free_buffers(), 0, "slice still referenced");
         drop(s);
         assert_eq!(pool.free_buffers(), 1, "returned on final drop");
-        // The next lease reuses the buffer.
-        let c = pool.copy_from_slice(&[1u8; 64]);
+        // The next lease of that class reuses the buffer.
+        let c = pool.copy_from_slice(&[1u8; 100]);
         assert_eq!(pool.free_buffers(), 0);
         assert_eq!(&c[..3], &[1, 1, 1]);
+    }
+
+    #[test]
+    fn lease_fill_freeze_is_one_allocation() {
+        let pool = BufPool::new();
+        let mut buf = pool.lease(300);
+        assert_eq!(buf.len(), 300);
+        assert!(buf.iter().all(|&b| b == 0), "a lease starts zeroed");
+        buf[7] = 9;
+        let ptr = buf.as_ptr();
+        let frozen = buf.freeze();
+        assert_eq!(frozen.as_ptr(), ptr, "freeze moves no byte");
+        assert_eq!((frozen.len(), frozen[7]), (300, 9));
+        assert_eq!(pool.free_buffers(), 0, "frozen, not recycled");
+        drop(frozen);
+        assert_eq!(pool.free_buffers(), 1);
+        // An unfrozen lease goes home on drop too.
+        drop(pool.lease(300));
+        assert_eq!(pool.free_buffers(), 1);
+    }
+
+    #[test]
+    fn size_classes_waste_at_most_an_eighth() {
+        for len in [
+            1,
+            64,
+            65,
+            100,
+            4096,
+            4097,
+            (2 << 20) + 300,
+            (32 << 20) + 4500,
+        ] {
+            let cap = class_capacity(len);
+            assert!(cap >= len && cap - len <= len.max(MIN_CLASS) / 8 + MIN_CLASS);
+            assert_eq!(class_capacity(cap), cap, "a class is its own class");
+        }
+        // header + data and header + data + footer share a class.
+        assert_eq!(
+            class_capacity((32 << 20) + 4500),
+            class_capacity((32 << 20) + 4500 + 92)
+        );
+    }
+
+    #[test]
+    fn best_fit_picks_the_smallest_sufficient_class() {
+        let pool = BufPool::new();
+        let (a, b, c) = (pool.lease(1000), pool.lease(1500), pool.lease(2000));
+        let ptr_b = b.as_ptr();
+        drop((c, a, b));
+        assert_eq!(pool.free_buffers(), 3);
+        let got = pool.lease(1100);
+        assert_eq!(
+            got.as_ptr(),
+            ptr_b,
+            "1024 is too small, 2048 is not the best"
+        );
+        assert_eq!(pool.free_buffers(), 2);
+    }
+
+    #[test]
+    fn a_miss_within_a_round_leaves_the_free_list_intact() {
+        let pool = BufPool::new();
+        let _out = pool.lease(64); // the round is under way
+        let small = pool.lease(1000);
+        let ptr = small.as_ptr();
+        drop((pool.lease(200), small));
+        let retained = pool.retained_bytes();
+        // Nothing held is large enough for the first — it is mapped
+        // fresh at its class's capacity, never a smaller buffer regrown —
+        // and the only sufficient buffers are more than twice too large
+        // for the second.
+        let (big, tiny) = (pool.lease(4000), pool.lease(1));
+        assert_eq!(big.inner.data.capacity(), class_capacity(4000));
+        assert_ne!(big.as_ptr(), ptr);
+        assert_eq!(tiny.inner.data.capacity(), MIN_CLASS);
+        assert_eq!(pool.free_buffers(), 2);
+        assert_eq!(pool.retained_bytes(), retained);
+    }
+
+    #[test]
+    fn the_first_lease_of_a_round_that_fits_nothing_makes_room() {
+        let pool = BufPool::new();
+        // Checkpoint rounds: a header-carrying payload and seven plain
+        // ones, kept in between.
+        let checkpoint = || {
+            let first = pool.lease(1100);
+            (first, (0..7).map(|_| pool.lease(1000)).collect::<Vec<_>>())
+        };
+        let kept = class_capacity(1100) + 7 * 1024;
+        for _ in 0..2 {
+            drop(checkpoint());
+            assert_eq!((pool.free_buffers(), pool.retained_bytes()), (8, kept));
+        }
+        // A restore round: its image fits none of them and nothing is out,
+        // so the largest go — as many bytes as the image maps — instead of
+        // sitting resident under it.
+        let image = pool.lease(6000);
+        assert_eq!(pool.free_buffers(), 2);
+        assert!(kept - pool.retained_bytes() >= class_capacity(6000));
+        drop(image);
+        assert_eq!(pool.free_buffers(), 3);
+        // Back to checkpoints: the round's first lease finds only the
+        // image above its class, far too large to serve it. The image
+        // goes; the two small buffers still serve their class.
+        let round = checkpoint();
+        assert_eq!(pool.free_buffers(), 0);
+        drop(round);
+        assert_eq!((pool.free_buffers(), pool.retained_bytes()), (8, kept));
+    }
+
+    #[test]
+    fn zero_length_lease_touches_nothing() {
+        let pool = BufPool::new();
+        drop(pool.lease(64));
+        let empty = pool.lease(0);
+        assert!(empty.is_empty());
+        assert_eq!(pool.free_buffers(), 1, "no buffer consumed");
+        assert!(empty.clone().freeze().is_empty());
+        assert_eq!(pool.free_buffers(), 1, "and none returned");
+    }
+
+    #[test]
+    fn retention_is_bounded_in_bytes_not_in_buffer_size() {
+        let pool = BufPool::new();
+        // Fresh leases are untouched zero pages: no memory is committed.
+        drop(pool.lease(MAX_RETAINED_BYTES + 1));
+        assert_eq!(pool.free_buffers(), 0, "over the budget: released");
+        drop(pool.lease(40 << 20));
+        assert_eq!(pool.retained_bytes(), 40 << 20, "under the budget: kept");
+        let held: Vec<_> = (0..8).map(|_| pool.lease(40 << 20)).collect();
+        drop(held);
+        assert_eq!(pool.free_buffers(), MAX_RETAINED_BYTES / (40 << 20));
+        assert!(pool.retained_bytes() <= MAX_RETAINED_BYTES);
+    }
+
+    #[test]
+    fn a_recycled_lease_is_zeroed() {
+        let pool = BufPool::new();
+        let mut buf = pool.lease(5000);
+        buf.fill(0xAA);
+        let ptr = buf.as_ptr();
+        drop(buf);
+        for len in [5000, 4700] {
+            let again = pool.lease(len);
+            assert_eq!(again.as_ptr(), ptr, "same class, same buffer");
+            assert!(again.iter().all(|&b| b == 0), "stale bytes at len {len}");
+        }
+    }
+
+    #[test]
+    fn clone_is_a_counted_second_lease() {
+        let pool = BufPool::new();
+        let mut a = pool.lease(256);
+        a.fill(3);
+        let before = counters::snapshot();
+        let b = a.clone();
+        let d = counters::snapshot().delta_since(&before);
+        assert!(d.bytes_copied >= 256, "copies must be accounted");
+        assert_eq!(a[..], b[..]);
+        assert_ne!(a.as_ptr(), b.as_ptr());
+        drop((a, b));
+        assert_eq!(pool.free_buffers(), 2, "both go home to the same pool");
     }
 
     #[test]
@@ -409,15 +780,17 @@ mod tests {
 
     #[test]
     fn double_recycle_predicate_spots_aliased_buffer() {
+        // `put` reports `BufDoubleRecycle` under a controlled scheduler
+        // exactly when this predicate holds for the returning buffer.
         let pool = BufPool::new();
         let b = pool.copy_from_slice(&[3u8; 64]);
         let ptr = b.as_ref().as_ptr();
         drop(b); // storage returns to the free list
-        let g = pool.shared.free.lock().expect("buffer pool lock");
+        let g = pool.shared.state.lock().expect("buffer pool lock");
         assert!(
-            PoolShared::contains_ptr(&g, ptr),
+            g.contains_ptr(ptr),
             "recycled buffer must be found by pointer identity"
         );
-        assert!(!PoolShared::contains_ptr(&g, [0u8; 1].as_ptr()));
+        assert!(!g.contains_ptr([0u8; 1].as_ptr()));
     }
 }

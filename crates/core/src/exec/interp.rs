@@ -1,11 +1,12 @@
 //! The one real interpreter of the plan IR.
 //!
 //! [`Interp`] executes one rank's op list: it owns that rank's staging
-//! image, open-file table and optional background flush pipeline, and
-//! performs every pack, file op, commit, fault consultation and
-//! controlled-scheduler yield. It reaches other ranks only through a
-//! [`Transport`], so the three ways a plan runs for real differ in the
-//! transport alone:
+//! image (leased from the [`BufPool`], frozen once the plan stops
+//! mutating it — see [`Staging`]), open-file table and optional
+//! background flush pipeline, and performs every pack, file op, commit,
+//! fault consultation and controlled-scheduler yield. It reaches other
+//! ranks only through a [`Transport`], so the three ways a plan runs for
+//! real differ in the transport alone:
 //!
 //! * [`crate::exec::execute`] — bounded mailboxes, condvar barriers, an
 //!   abort flag, failover fencing on sends;
@@ -31,7 +32,7 @@ use rbio_profile::counters;
 use super::mailbox::MailError;
 use super::{write_run_len, write_src};
 use crate::backend::{self, BackendKind};
-use crate::buf::{BufPool, Bytes, CopyMode};
+use crate::buf::{BufPool, Bytes, CopyMode, PooledBuf};
 use crate::commit;
 use crate::crash;
 use crate::failover::{FailoverDirector, WriterHealth};
@@ -143,6 +144,38 @@ impl Payload<'_> {
     }
 }
 
+/// A rank's staging image along the buffer lifecycle: leased and mutable
+/// while the plan still packs, receives or reads into it; frozen — in
+/// O(1), no copy — by the first deferred write after the op list's last
+/// such op, from when every reference to it is a refcounted slice.
+enum Staging {
+    Live(PooledBuf),
+    Frozen(Bytes),
+}
+
+impl Staging {
+    fn as_slice(&self) -> &[u8] {
+        match self {
+            Staging::Live(b) => b,
+            Staging::Frozen(b) => b,
+        }
+    }
+
+    /// The image for a `Pack`, `Recv` or `ReadAt` to write into.
+    fn as_mut(&mut self) -> &mut [u8] {
+        match self {
+            Staging::Live(b) => b,
+            Staging::Frozen(_) => unreachable!("staging frozen before the plan's last mutation"),
+        }
+    }
+
+    fn freeze(&mut self) {
+        if let Staging::Live(b) = self {
+            *self = Staging::Frozen(std::mem::take(b).freeze());
+        }
+    }
+}
+
 /// The settings the interpreter reads, borrowed from an `ExecConfig` or
 /// an `RtConfig`.
 #[derive(Clone, Copy)]
@@ -203,7 +236,10 @@ pub(crate) struct Interp<'a, T: Transport> {
     /// Present when failover is engaged for this run.
     director: Option<&'a FailoverDirector>,
     pub(crate) transport: T,
-    staging: Vec<u8>,
+    staging: Staging,
+    /// Index past the owner's last staging-mutating op (`Pack`, `Recv`,
+    /// `ReadAt`): from here on the image is immutable and may freeze.
+    staging_final_from: usize,
     files: HashMap<u32, Arc<File>>,
     /// Background flush pipeline (`pipeline_depth >= 2`).
     pipe: Option<WriterHandle>,
@@ -223,6 +259,8 @@ impl<'a, T: Transport> Interp<'a, T> {
         transport: T,
         pipe: Option<WriterHandle>,
     ) -> Self {
+        let mutates_staging =
+            |op: &Op| matches!(op, Op::Pack { .. } | Op::Recv { .. } | Op::ReadAt { .. });
         Interp {
             rank,
             owner,
@@ -231,7 +269,13 @@ impl<'a, T: Transport> Interp<'a, T> {
             cfg,
             director,
             transport,
-            staging: vec![0u8; program.staging[owner as usize] as usize],
+            staging: Staging::Live(
+                BufPool::global().lease(program.staging[owner as usize] as usize),
+            ),
+            staging_final_from: program.ops[owner as usize]
+                .iter()
+                .rposition(mutates_staging)
+                .map_or(0, |last| last + 1),
             files: HashMap::new(),
             pipe,
             retries: 0,
@@ -244,12 +288,13 @@ impl<'a, T: Transport> Interp<'a, T> {
         self.pipe.take();
     }
 
-    /// Materialize `r` as an owned, immutable [`Bytes`] snapshot — what a
-    /// `Send` or a deferred (pipelined) write needs. Under `ZeroCopy` a
-    /// payload reference costs what [`Payload::owned`] costs; staging
-    /// references always copy, because staging is reused by later
-    /// `Pack`/`Recv` ops. Under `DeepCopy` everything copies, as the seed
-    /// datapath did. Every memcpy either way is charged to
+    /// Materialize `r` as an owned, immutable [`Bytes`] — what a `Send` or
+    /// a deferred (pipelined) write needs. Under `ZeroCopy` a payload
+    /// reference costs what [`Payload::owned`] costs; a staging reference
+    /// is an O(1) slice once the image is frozen and a pooled snapshot
+    /// copy before that, because live staging is reused by later
+    /// `Pack`/`Recv`/`ReadAt` ops. Under `DeepCopy` everything copies, as
+    /// the seed datapath did. Every memcpy either way is charged to
     /// [`counters::add_bytes_copied`].
     fn resolve_owned(&self, r: &DataRef, file_off: u64) -> Bytes {
         match (self.cfg.copy_mode, *r) {
@@ -261,7 +306,9 @@ impl<'a, T: Transport> Interp<'a, T> {
             }
             (CopyMode::DeepCopy, DataRef::Staging { off, len }) => {
                 counters::add_bytes_copied(len);
-                Bytes::from_vec(self.staging[off as usize..(off + len) as usize].to_vec())
+                Bytes::from_vec(
+                    self.staging.as_slice()[off as usize..(off + len) as usize].to_vec(),
+                )
             }
             (CopyMode::DeepCopy, DataRef::Synthetic { len }) => {
                 Bytes::from_vec((0..len).map(|i| synthetic_byte(file_off + i)).collect())
@@ -270,7 +317,11 @@ impl<'a, T: Transport> Interp<'a, T> {
                 self.payload.owned(off as usize, len as usize)
             }
             (CopyMode::ZeroCopy, DataRef::Staging { off, len }) => {
-                BufPool::global().copy_from_slice(&self.staging[off as usize..(off + len) as usize])
+                let range = off as usize..(off + len) as usize;
+                match &self.staging {
+                    Staging::Frozen(image) => image.slice(range),
+                    Staging::Live(image) => BufPool::global().copy_from_slice(&image[range]),
+                }
             }
             (CopyMode::ZeroCopy, DataRef::Synthetic { len }) => {
                 BufPool::global().from_fn(len as usize, |i| synthetic_byte(file_off + i as u64))
@@ -287,7 +338,7 @@ impl<'a, T: Transport> Interp<'a, T> {
                 Cow::Borrowed(&self.payload.as_slice()[off as usize..(off + len) as usize])
             }
             DataRef::Staging { off, len } => {
-                Cow::Borrowed(&self.staging[off as usize..(off + len) as usize])
+                Cow::Borrowed(&self.staging.as_slice()[off as usize..(off + len) as usize])
             }
             DataRef::Synthetic { len } => {
                 Cow::Owned((0..len).map(|i| synthetic_byte(file_off + i)).collect())
@@ -319,7 +370,9 @@ impl<'a, T: Transport> Interp<'a, T> {
                     Some(DataRef::Staging { off, len }) => {
                         counters::add_bytes_copied(*len);
                         let from = *off as usize..(off + len) as usize;
-                        self.staging.copy_within(from, *staging_off as usize);
+                        self.staging
+                            .as_mut()
+                            .copy_within(from, *staging_off as usize);
                     }
                     Some(s) => {
                         let data = self.resolve_owned(s, 0);
@@ -393,7 +446,7 @@ impl<'a, T: Transport> Interp<'a, T> {
                     // Read-after-write: pending flushes must land first.
                     self.drain_pipe()?;
                     let f = self.files.get(&file.0).expect("validated: opened");
-                    let dst = &mut self.staging
+                    let dst = &mut self.staging.as_mut()
                         [*staging_off as usize..*staging_off as usize + *len as usize];
                     f.read_exact_at(dst, *offset)?;
                 }
@@ -407,7 +460,8 @@ impl<'a, T: Transport> Interp<'a, T> {
 
     fn fill_staging(&mut self, staging_off: u64, bytes: u64, data: &[u8]) {
         counters::add_bytes_copied(bytes);
-        self.staging[staging_off as usize..(staging_off + bytes) as usize].copy_from_slice(data);
+        self.staging.as_mut()[staging_off as usize..(staging_off + bytes) as usize]
+            .copy_from_slice(data);
     }
 
     /// The tier stage `file` diverts into: staging must be configured
@@ -500,10 +554,19 @@ impl<'a, T: Transport> Interp<'a, T> {
             }
             return Ok(end);
         }
+        // Deferred flush: each source leaves as owned `Bytes`, so the
+        // background write never races with later staging reuse. Past the
+        // plan's last staging mutation there is no later reuse: the image
+        // freezes and every job gets a slice of it; before that a staging
+        // source is snapshotted.
+        if self.pipe.is_some()
+            && i >= self.staging_final_from
+            && self.cfg.copy_mode == CopyMode::ZeroCopy
+        {
+            self.staging.freeze();
+        }
         let f = self.files.get(&file).expect("validated: opened");
         if let Some(pipe) = &self.pipe {
-            // Deferred flush: snapshot each source as owned `Bytes` so the
-            // background write never races with later staging reuse.
             let file = Arc::clone(f);
             pipe.submit(if run.len() == 1 {
                 let data = self.resolve_owned(write_src(&run[0]), offset);

@@ -741,14 +741,21 @@ pub(crate) fn run_ranks<T: Send>(
 
 /// Execute `program` with the given per-rank payload buffers under `cfg`.
 ///
-/// `payloads[r]` must be at least `program.payload[r]` bytes. The program
-/// should already be validated (plans from [`crate::CheckpointSpec::plan`]
-/// are); an invalid program may deadlock or panic.
+/// `payloads[r]` must be at least `program.payload[r]` bytes; each is
+/// frozen into a [`Bytes`] as it is — leased buffers from
+/// [`crate::format::materialize_payloads`] stay pool-backed and recycle
+/// when the call returns, a plain `Vec<u8>` is wrapped without a copy.
+/// The program should already be validated (plans from
+/// [`crate::CheckpointSpec::plan`] are); an invalid program may deadlock
+/// or panic.
 pub fn execute(
     program: &Program,
-    payloads: Vec<Vec<u8>>,
+    payloads: Vec<impl Into<Bytes>>,
     cfg: &ExecConfig,
 ) -> Result<ExecReport, ExecError> {
+    // Freeze each payload once; every rank-side reference is a refcounted
+    // slice of this single allocation (no per-op copies under ZeroCopy).
+    let payloads: Vec<Bytes> = payloads.into_iter().map(Into::into).collect();
     let nranks = program.nranks() as usize;
     if payloads.len() != nranks {
         return Err(ExecError::Setup(format!(
@@ -778,9 +785,6 @@ pub fn execute(
         nranks: nranks as u32,
     });
 
-    // Wrap each payload once; every rank-side reference is a refcounted
-    // slice of this single allocation (no per-op copies under ZeroCopy).
-    let payloads: Vec<Bytes> = payloads.into_iter().map(Bytes::from_vec).collect();
     let barriers: Vec<AbortBarrier> = program
         .comms
         .iter()
@@ -1140,7 +1144,8 @@ mod tests {
     fn setup_errors() {
         let b = ProgramBuilder::new(vec![10]);
         let p = b.build();
-        let err = execute(&p, vec![], &ExecConfig::new(tmpdir("e1"))).unwrap_err();
+        let none = Vec::<Vec<u8>>::new();
+        let err = execute(&p, none, &ExecConfig::new(tmpdir("e1"))).unwrap_err();
         assert!(matches!(err, ExecError::Setup(_)));
         let err = execute(&p, vec![vec![0u8; 5]], &ExecConfig::new(tmpdir("e2"))).unwrap_err();
         assert!(matches!(err, ExecError::Setup(_)));

@@ -32,6 +32,7 @@
 
 use std::sync::OnceLock;
 
+use crate::buf::{BufPool, PooledBuf};
 use crate::layout::DataLayout;
 use crate::strategy::CheckpointPlan;
 
@@ -543,16 +544,21 @@ pub fn synthetic_byte(file_offset: u64) -> u8 {
 /// Build each rank's in-memory payload for a plan: the header blob (if the
 /// rank owns a file) followed by its packed field blocks, filled by
 /// `fill(rank, field, buf)`.
+///
+/// Buffers are leased from [`BufPool::global`] and zeroed, so `fill`
+/// writes straight into recycled, resident pages and sees zeros wherever
+/// it does not write; drop them (or hand them to
+/// [`crate::exec::execute`], which freezes them) to recycle.
 pub fn materialize_payloads(
     plan: &CheckpointPlan,
     mut fill: impl FnMut(u32, usize, &mut [u8]),
-) -> Vec<Vec<u8>> {
+) -> Vec<PooledBuf> {
     let layout = &plan.layout;
     let mut out = Vec::with_capacity(layout.nranks() as usize);
     for rank in 0..layout.nranks() {
         let meta = &plan.payload_meta[rank as usize];
         let total = meta.header_len + layout.rank_payload_bytes(rank);
-        let mut buf = vec![0u8; total as usize];
+        let mut buf = BufPool::global().lease(total as usize);
         if let Some(file_idx) = meta.header_for_file {
             let pf = &plan.plan_files[file_idx];
             let hdr = encode_header(layout, &plan.app, plan.step, pf.r0, pf.r1);
@@ -859,5 +865,67 @@ mod tests {
             "filler should vary: {}",
             distinct.len()
         );
+    }
+
+    /// The plan the payload tests materialize: rbIO(2) over [`layout`],
+    /// so ranks 0 and 2 own a file and carry its header.
+    fn rbio_plan() -> CheckpointPlan {
+        crate::strategy::CheckpointSpec::new(layout(), "t")
+            .strategy(crate::strategy::Strategy::rbio(2))
+            .step(3)
+            .plan()
+            .expect("valid plan")
+    }
+
+    #[test]
+    fn payloads_are_header_then_packed_fields_over_zeros() {
+        let plan = rbio_plan();
+        // `fill` writes every other byte, so a buffer that did not start
+        // as zeros shows.
+        let fill = |rank: u32, field: usize, buf: &mut [u8]| {
+            buf.iter_mut()
+                .step_by(2)
+                .for_each(|b| *b = 1 + rank as u8 * 16 + field as u8);
+        };
+        let got = materialize_payloads(&plan, fill);
+        // What the `vec![0u8; total]` version built, rank by rank.
+        let (lay, mut owners) = (&plan.layout, 0);
+        for (rank, meta) in (0u32..).zip(&plan.payload_meta) {
+            let mut want = match meta.header_for_file {
+                Some(i) => {
+                    owners += 1;
+                    let pf = &plan.plan_files[i];
+                    encode_header(lay, &plan.app, plan.step, pf.r0, pf.r1)
+                }
+                None => Vec::new(),
+            };
+            assert_eq!(want.len() as u64, meta.header_len);
+            for f in 0..lay.nfields() {
+                let mut block = vec![0u8; lay.field_bytes(rank, f) as usize];
+                fill(rank, f, &mut block);
+                want.extend(block);
+            }
+            assert_eq!(got[rank as usize][..], want[..], "rank {rank}");
+        }
+        assert_eq!(owners, 2, "the layout must exercise header-owning ranks");
+    }
+
+    #[test]
+    fn fill_sees_zeros_on_a_recycled_lease() {
+        let plan = rbio_plan();
+        // Dirty every payload, recycle it, materialize again: whichever
+        // buffers the pool hands back, `fill` must find them zeroed.
+        let mut dirty = materialize_payloads(&plan, |_, _, buf| buf.fill(0xAA));
+        dirty.iter_mut().for_each(|p| p.fill(0xAA));
+        drop(dirty);
+        let mut blocks = 0;
+        materialize_payloads(&plan, |rank, field, buf| {
+            assert!(
+                buf.iter().all(|&b| b == 0),
+                "rank {rank} field {field}: stale bytes reached fill"
+            );
+            blocks += 1;
+        });
+        assert_eq!(blocks, 8);
     }
 }

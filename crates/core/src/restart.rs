@@ -23,6 +23,7 @@ use std::sync::Mutex;
 
 use rbio_plan::{FileId, Op, Program, ProgramBuilder};
 
+use crate::backend::{self, BackendKind, IoBackend};
 use crate::buf::Bytes;
 use crate::format::{
     declared_header_len, decode_header, read_header_prefix, FileHeader, FormatError, MAX_HEADER_LEN,
@@ -159,21 +160,18 @@ fn read_header(path: &Path) -> Result<FileHeader, RestartError> {
 /// `blocks[rank - r0][field]`, each block a zero-copy slice of the single
 /// file image read here.
 fn extract_file(
+    io: &dyn IoBackend,
     dir: &Path,
     rel: &str,
     header: &FileHeader,
 ) -> Result<Vec<Vec<Bytes>>, RestartError> {
     let path = dir.join(rel);
-    // Whole-file image read goes through the I/O backend so restart can
-    // use mmap-backed reads where the platform supports them (and plain
-    // pread everywhere else).
+    // One `pread` of the whole file into an image leased from the buffer
+    // pool: the blocks handed out below are slices of it, and it recycles
+    // when the last of them drops.
     let file = std::fs::File::open(&path)?;
     let size = file.metadata()?.len();
-    let bytes = crate::backend::resolve(crate::backend::BackendKind::Default).read_at(
-        &file,
-        0,
-        size as usize,
-    )?;
+    let bytes = io.read_at(&file, 0, size as usize)?;
     let actual = bytes.len() as u64;
     if actual < header.expected_file_size() {
         // Shorter than its own header promises: a crash truncated the
@@ -280,7 +278,13 @@ pub static INJECT_EXTRACT_PANIC: AtomicUsize = AtomicUsize::new(usize::MAX);
 
 /// Run one file's extraction, converting a worker panic into a typed
 /// [`RestartError::WorkerPanicked`] so sibling files still restore.
-fn extract_file_guarded(dir: &Path, rel: &str, header: &FileHeader, index: usize) -> FileBlocks {
+fn extract_file_guarded(
+    io: &dyn IoBackend,
+    dir: &Path,
+    rel: &str,
+    header: &FileHeader,
+    index: usize,
+) -> FileBlocks {
     let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         if INJECT_EXTRACT_PANIC
             .compare_exchange(index, usize::MAX, Ordering::AcqRel, Ordering::Acquire)
@@ -288,7 +292,7 @@ fn extract_file_guarded(dir: &Path, rel: &str, header: &FileHeader, index: usize
         {
             panic!("injected restart worker panic");
         }
-        extract_file(dir, rel, header)
+        extract_file(io, dir, rel, header)
     }));
     match res {
         Ok(r) => r,
@@ -326,6 +330,10 @@ fn extract_all(
     nranks: u32,
 ) -> Result<Vec<Vec<Bytes>>, RestartError> {
     let mut data: Vec<Vec<Bytes>> = vec![Vec::new(); nranks as usize];
+    // Resolved once per restore, not per file: `Default` is an
+    // environment lookup.
+    let io = backend::resolve(BackendKind::Default);
+    let io = io.as_ref();
     let workers = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
@@ -335,7 +343,7 @@ fn extract_all(
         files
             .iter()
             .enumerate()
-            .map(|(i, (name, h))| Some(extract_file_guarded(dir, name, h, i)))
+            .map(|(i, (name, h))| Some(extract_file_guarded(io, dir, name, h, i)))
             .collect()
     } else {
         let next = AtomicUsize::new(0);
@@ -349,7 +357,7 @@ fn extract_all(
                         break;
                     }
                     let (name, h) = &files[i];
-                    let res = extract_file_guarded(dir, name, h, i);
+                    let res = extract_file_guarded(io, dir, name, h, i);
                     *lock_unpoisoned(&slots[i]) = Some(res);
                 });
             }

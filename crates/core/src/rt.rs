@@ -451,7 +451,9 @@ impl RtConfig {
 /// thread, using its [`Comm`] for the messaging ops. Must be called by
 /// *every* rank of the runtime with the same program (a collective call,
 /// like the strategies' MPI originals). `payload` is this rank's packed
-/// payload (see [`crate::format::materialize_payloads`]).
+/// payload (see [`crate::format::materialize_payloads`]; a leased buffer
+/// derefs to the slice, is only borrowed for the call, and recycles when
+/// the application drops it).
 ///
 /// Plan barriers use dedicated tags over `comm` (a flat fan-in/fan-out to
 /// the group's first rank), so they do not interfere with application
@@ -540,6 +542,7 @@ impl Transport for CommTransport<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::buf::PooledBuf;
     use crate::exec::{execute, ExecConfig};
     use crate::format::materialize_payloads;
     use crate::layout::DataLayout;
@@ -554,7 +557,7 @@ mod tests {
     }
 
     /// `checkpoint_rank_with` called collectively, one rank per payload.
-    fn run_rt(program: &Program, payloads: &[Vec<u8>], cfg: &RtConfig) {
+    fn run_rt(program: &Program, payloads: &[PooledBuf], cfg: &RtConfig) {
         run(program.nranks(), |mut comm| {
             let rank = comm.rank() as usize;
             checkpoint_rank_with(&mut comm, program, &payloads[rank], cfg).expect("rt checkpoint");

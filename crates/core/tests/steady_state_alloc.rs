@@ -1,0 +1,150 @@
+//! Steady-state checkpointing maps no fresh generation-sized buffers:
+//! after two warm-up generations every payload, staging image, eager-send
+//! copy and restore image is a recycled lease from `BufPool::global()`,
+//! so a whole generation allocates a small fraction of the bytes it
+//! checkpoints — on `exec` and on `rt` alike.
+//!
+//! Its own test binary because the allocator below counts every
+//! allocation in the process: nothing else may run beside the one test.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
+
+use rbio::buf::BufPool;
+use rbio::exec::{execute, ExecConfig};
+use rbio::format::materialize_payloads;
+use rbio::layout::DataLayout;
+use rbio::restart::read_checkpoint;
+use rbio::rt::{self, RtConfig};
+use rbio::strategy::{CheckpointPlan, CheckpointSpec, Strategy};
+
+struct Counting;
+
+static ALLOCATED: AtomicU64 = AtomicU64::new(0);
+
+// SAFETY: every call is forwarded unchanged to the system allocator; the
+// counter is a side effect that touches no allocator state.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, l: Layout) -> *mut u8 {
+        ALLOCATED.fetch_add(l.size() as u64, Ordering::Relaxed);
+        unsafe { System.alloc(l) }
+    }
+    unsafe fn alloc_zeroed(&self, l: Layout) -> *mut u8 {
+        ALLOCATED.fetch_add(l.size() as u64, Ordering::Relaxed);
+        unsafe { System.alloc_zeroed(l) }
+    }
+    unsafe fn realloc(&self, p: *mut u8, l: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATED.fetch_add(new_size as u64, Ordering::Relaxed);
+        unsafe { System.realloc(p, l, new_size) }
+    }
+    unsafe fn dealloc(&self, p: *mut u8, l: Layout) {
+        unsafe { System.dealloc(p, l) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+const NRANKS: u32 = 8;
+/// 32 MiB per generation: what a warm generation still allocates is of
+/// fixed size (above all the sealer's 1 MiB stream buffer, once per file),
+/// so the fields are sized for it to sit well under the budget.
+const FIELD_BYTES: u64 = 1 << 20;
+const FIELDS: [(&str, u64); 4] = [
+    ("Ex", FIELD_BYTES),
+    ("Ey", FIELD_BYTES),
+    ("Hx", FIELD_BYTES),
+    ("Hz", FIELD_BYTES),
+];
+const USER_BYTES: u64 = NRANKS as u64 * FIELDS.len() as u64 * FIELD_BYTES;
+
+fn plan_for(strategy: Strategy, gen: u64) -> CheckpointPlan {
+    CheckpointSpec::new(DataLayout::uniform(NRANKS, &FIELDS), "ss")
+        .strategy(strategy)
+        .step(gen)
+        .plan()
+        .expect("valid plan")
+}
+
+fn fill(gen: u64) -> impl FnMut(u32, usize, &mut [u8]) {
+    move |rank, field, buf| buf.fill((gen as usize * 31 + rank as usize * 5 + field) as u8)
+}
+
+/// Bytes allocated by `generation(gen)` for each `gen` in `1..=gens`.
+fn allocated_per_generation(gens: u64, mut generation: impl FnMut(u64)) -> Vec<u64> {
+    (1..=gens)
+        .map(|gen| {
+            let before = ALLOCATED.load(Ordering::Relaxed);
+            generation(gen);
+            ALLOCATED.load(Ordering::Relaxed) - before
+        })
+        .collect()
+}
+
+/// materialize → `execute` (rbIO(2), depth 2) → `read_checkpoint` → drop.
+/// The restore images are of the writers' staging class, so the whole
+/// loop runs on one set of buffers.
+fn exec_generation(dir: &Path, gen: u64) {
+    let plan = plan_for(Strategy::rbio(2), gen);
+    let payloads = materialize_payloads(&plan, fill(gen));
+    execute(
+        &plan.program,
+        payloads,
+        &ExecConfig::new(dir).pipeline_depth(2),
+    )
+    .expect("execute");
+    let restored = read_checkpoint(dir, &plan).expect("restore");
+    assert_eq!(restored.step, gen);
+    assert_eq!(restored.total_bytes(), USER_BYTES);
+}
+
+/// materialize → `rt::run` + `checkpoint_rank_with` (coIO(2), depth 3) →
+/// drop. The checkpoint side only: a coIO file image (four ranks' data)
+/// fits no buffer of the checkpoint path (one rank's, or one field's), and
+/// a restore between generations is a change of shape that the pool
+/// answers by releasing what it kept, not by keeping both sets resident.
+fn rt_generation(dir: &Path, gen: u64) {
+    let plan = plan_for(Strategy::coio(2), gen);
+    let payloads = materialize_payloads(&plan, fill(gen));
+    let cfg = RtConfig::new(dir).pipeline_depth(3);
+    rt::run(NRANKS, |mut comm| {
+        let rank = comm.rank() as usize;
+        rt::checkpoint_rank_with(&mut comm, &plan.program, &payloads[rank], &cfg)
+            .expect("rt checkpoint");
+    });
+}
+
+#[test]
+fn a_warm_generation_allocates_a_fraction_of_its_user_bytes() {
+    let dir = std::env::temp_dir().join(format!("rbio-steady-state-{}", std::process::id()));
+    let budget = USER_BYTES * 15 / 100;
+    let pool = BufPool::global();
+
+    std::fs::remove_dir_all(&dir).ok();
+    let mut retained = Vec::new();
+    let exec = allocated_per_generation(10, |gen| {
+        exec_generation(&dir, gen);
+        retained.push(pool.retained_bytes());
+    });
+    assert!(
+        exec[0] > USER_BYTES,
+        "the cold generation maps its buffers: {exec:?}"
+    );
+    assert!(
+        exec[2..].iter().all(|&a| a < budget),
+        "exec: warm generations allocated {exec:?}, budget {budget}"
+    );
+    assert_eq!(
+        retained[2], retained[9],
+        "the retained set is fixed from generation 3 on: {retained:?}"
+    );
+
+    std::fs::remove_dir_all(&dir).ok();
+    let rt = allocated_per_generation(4, |gen| rt_generation(&dir, gen));
+    assert!(
+        rt[2..].iter().all(|&a| a < budget),
+        "rt: warm generations allocated {rt:?}, budget {budget}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -13,6 +13,7 @@ use rbio_repro::rbio::rt;
 use rbio_repro::rbio::strategy::{
     CheckpointPlan, CheckpointSpec, RbIoCommit, Strategy as Ckpt, Tuning,
 };
+use rbio_repro::rbio_plan::{DataRef, Op, Program, ProgramBuilder};
 
 fn fill(rank: u32, field: usize, buf: &mut [u8]) {
     let mut x = (u64::from(rank) << 24) ^ ((field as u64) << 8) ^ 0x5DEECE66D;
@@ -218,5 +219,100 @@ fn pipelined_exec_equivalence_exhaustive_sweep() {
             }
         }
         std::fs::remove_dir_all(&dir_serial).ok();
+    }
+}
+
+/// One rank, one file of three `n`-byte blocks, one `n`-byte staging
+/// range used twice: pack A, defer its write, then overwrite the same
+/// range — by packing B over it, or by reading B back from the file —
+/// and defer a write of that. The file must read A, B, B.
+fn staging_reuse_program(n: u64, reuse_by_read: bool) -> Program {
+    let mut b = ProgramBuilder::new(vec![2 * n]);
+    let file = b.file("reuse.bin", 3 * n);
+    b.reserve_staging(0, n);
+    let staging = DataRef::Staging { off: 0, len: n };
+    let (a_own, b_own) = (
+        DataRef::Own { off: 0, len: n },
+        DataRef::Own { off: n, len: n },
+    );
+    let ops = [
+        Op::Open { file, create: true },
+        Op::Pack {
+            src: Some(a_own),
+            staging_off: 0,
+            bytes: n,
+        },
+        Op::WriteAt {
+            file,
+            offset: 0,
+            src: staging,
+        },
+        Op::WriteAt {
+            file,
+            offset: n,
+            src: b_own,
+        },
+        if reuse_by_read {
+            Op::ReadAt {
+                file,
+                offset: n,
+                len: n,
+                staging_off: 0,
+            }
+        } else {
+            Op::Pack {
+                src: Some(b_own),
+                staging_off: 0,
+                bytes: n,
+            }
+        },
+        Op::WriteAt {
+            file,
+            offset: 2 * n,
+            src: staging,
+        },
+        Op::Close { file },
+    ];
+    ops.into_iter().for_each(|op| b.push(0, op));
+    b.build()
+}
+
+/// The interpreter hands a deferred write a slice of the frozen staging
+/// image only past the rank's last staging mutation. A plan that reuses
+/// staging after a deferred write must still get a snapshot: frozen any
+/// earlier, the second fill would have nowhere to land (or the first
+/// write would flush the second fill's bytes).
+#[test]
+fn staging_reused_after_a_deferred_write_matches_serial_at_every_depth_and_jitter() {
+    const N: u64 = 4096;
+    let payload: Vec<u8> = (0..2 * N).map(|i| (i * 31 + i / N * 101) as u8).collect();
+    let (a, b) = payload.split_at(N as usize);
+    let want = [a, b, b].concat();
+    for reuse_by_read in [false, true] {
+        let program = staging_reuse_program(N, reuse_by_read);
+        let run = |depth: u32, jitter: u64| {
+            let dir = std::env::temp_dir().join(format!(
+                "rbio-reuse-{reuse_by_read}-{depth}-{jitter:x}-{}",
+                std::process::id()
+            ));
+            std::fs::remove_dir_all(&dir).ok();
+            let cfg = ExecConfig::new(&dir)
+                .pipeline_depth(depth)
+                .pipeline_jitter(jitter);
+            execute(&program, vec![payload.clone()], &cfg).expect("execute");
+            let got = std::fs::read(dir.join("reuse.bin")).expect("output file");
+            std::fs::remove_dir_all(&dir).ok();
+            got
+        };
+        assert_eq!(run(1, 0), want, "serial reference");
+        for depth in 2..=4 {
+            for jitter in [0, 1, 7, 0xFEED, u64::MAX] {
+                assert_eq!(
+                    run(depth, jitter),
+                    want,
+                    "depth {depth}, jitter {jitter:#x}, reuse by read: {reuse_by_read}"
+                );
+            }
+        }
     }
 }
