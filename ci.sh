@@ -28,6 +28,10 @@ cargo test --release -q -p rbio --test seal_memory
 cargo test --release -q -p rbio --test steady_state_alloc
 cargo test --release -q -p rbio --test copies_per_byte
 cargo test --release -q --test datapath_equivalence
+# One fsync per atomic file, in the optimised build too: the journal's
+# shape per strategy, and an injected fsync failure end to end.
+cargo test --release -q -p rbio --test crash_torture -- every_atomic_file
+cargo test --release -q --test failure_injection -- fsync_eio
 
 echo "== benchmark package (outside the workspace) builds and passes its tests =="
 # A crates/core API change that breaks benchmark/ must fail here, not at

@@ -360,6 +360,15 @@ impl PoolState {
         out
     }
 
+    /// Is a request of `cap` bytes on the scale of what is kept — would a
+    /// full free list of such buffers hold at least the bytes idle now?
+    /// Only such a request, arriving while nothing is out, is taken for
+    /// the start of a round of another shape; a smaller one is incidental
+    /// to whatever round comes next and must not cost it its buffers.
+    fn round_sized(&self, cap: usize) -> bool {
+        cap.saturating_mul(MAX_POOLED_BUFS) >= self.idle
+    }
+
     /// True if a buffer with base pointer `p` already sits in the free
     /// list (the double-recycle predicate; split out for unit testing).
     fn contains_ptr(&self, p: *const u8) -> bool {
@@ -379,19 +388,21 @@ impl PoolShared {
     ///
     /// A miss takes nothing and regrows nothing: the caller maps `cap`
     /// fresh bytes. One kind of miss also makes room for them: the first
-    /// lease of a round — nothing else is out — that fits nothing kept.
-    /// The work has changed shape (a restore image between checkpoints
-    /// whose sizes match none of theirs), and what was kept for the last
-    /// round would otherwise sit resident under the new one: retention
-    /// would stack the peaks of phases that never run together. A miss
-    /// while other leases are out is fluctuation within a round and
-    /// releases nothing.
+    /// lease of a round — nothing else is out — that fits nothing kept and
+    /// is round-sized (`PoolState::round_sized`). The work has changed
+    /// shape (a restore image between checkpoints whose sizes match none
+    /// of theirs), and what was kept for the last round would otherwise
+    /// sit resident under the new one: retention would stack the peaks of
+    /// phases that never run together. A miss while other leases are out
+    /// is fluctuation within a round and releases nothing; nor does a
+    /// small one between rounds (a manifest's few hundred bytes streamed
+    /// through the sealer), which says nothing about the next round.
     fn take(&self, cap: usize) -> Option<Vec<u8>> {
         let mut g = self.state.lock().expect("buffer pool lock");
         let i = g.at_least(cap);
         let fits = g.bufs.get(i).is_some_and(|b| b.capacity() <= 2 * cap);
         let hit = fits.then(|| g.remove(i));
-        let displaced = if hit.is_none() && g.out == 0 {
+        let displaced = if hit.is_none() && g.out == 0 && g.round_sized(cap) {
             g.make_room(cap)
         } else {
             Vec::new()
@@ -687,6 +698,28 @@ mod tests {
         assert_eq!(pool.free_buffers(), 0);
         drop(round);
         assert_eq!((pool.free_buffers(), pool.retained_bytes()), (8, kept));
+    }
+
+    #[test]
+    fn a_small_lease_between_rounds_displaces_nothing() {
+        let pool = BufPool::new();
+        drop((pool.lease(8000), pool.lease(8000)));
+        let kept = pool.retained_bytes();
+        // Nothing is out and nothing kept is small enough to serve it, but
+        // 64 of its like would not amount to what is kept: no new round.
+        let small = pool.lease(100);
+        assert_eq!((pool.free_buffers(), pool.retained_bytes()), (2, kept));
+        drop(small);
+        // Nor does the next one, of another class, now that one is kept.
+        let other = pool.lease(200);
+        assert_eq!(pool.free_buffers(), 3);
+        let round = (pool.lease(8000), pool.lease(8000));
+        assert_eq!(pool.free_buffers(), 1);
+        drop((other, round));
+        assert_eq!(pool.free_buffers(), 4);
+        // A round-sized request that fits nothing still makes room.
+        drop(pool.lease(12_000));
+        assert_eq!(pool.free_buffers(), 3, "both 8 KiB buffers went");
     }
 
     #[test]

@@ -8,6 +8,14 @@
 //! leaves either no final file or a complete, checksummed one; a partially
 //! written checkpoint is never observable under its final name.
 //!
+//! That fsync is the file's only one: no writer syncs an atomic file on
+//! `Close`. Writers of files that will be synced start writeback behind
+//! each large write instead (`pipeline::hint_writeback`), so the
+//! device drains the data while the sealer reads it back for the CRCs, and
+//! the one `sync_all` — issued on a descriptor opened here, which
+//! therefore reports a writeback error on any writer's pages — waits for
+//! what is left plus the footer.
+//!
 //! Verification is hostile-input safe: a corrupt or adversarial footer
 //! (absurd region offsets, truncated tables, oversize counts) yields a
 //! typed [`VerifyError`] — never a panic or a silent wrap on 32-bit.
@@ -20,6 +28,7 @@ use std::path::{Path, PathBuf};
 
 use rbio_plan::Rank;
 
+use crate::buf::{BufPool, PooledBuf};
 use crate::crash;
 use crate::fault::{self, FaultPlan, IoCtx};
 use crate::format::{self, FooterRegion};
@@ -128,18 +137,24 @@ pub fn commit_file_with_faults(
 /// resident between the copy and the CRC pass over it.
 const STREAM_CHUNK: usize = 1 << 20;
 
-/// CRC32C of the `len` bytes of `f` at `off`, read through `buf` (grown
-/// to at most [`STREAM_CHUNK`]) — the one streaming region walker, under
-/// both the sealer and [`verify_committed_file`]. The caller has checked
-/// the region against the file's length; a file that shrinks meanwhile
-/// is an `UnexpectedEof`.
-fn crc32c_of_region(f: &File, off: u64, len: u64, buf: &mut Vec<u8>) -> io::Result<u32> {
+/// The buffer one file's regions stream through: [`STREAM_CHUNK`] bytes,
+/// or the longest region's length when that is shorter, leased from the
+/// global pool — so sealing or verifying a file allocates nothing once the
+/// pool has seen a file of its kind.
+fn stream_buf(region_lens: impl Iterator<Item = u64>) -> PooledBuf {
+    let longest = region_lens.max().unwrap_or(0);
+    BufPool::global().lease(longest.min(STREAM_CHUNK as u64) as usize)
+}
+
+/// CRC32C of the `len` bytes of `f` at `off`, read through `buf` (this
+/// file's [`stream_buf`]) — the one streaming region walker, under both
+/// the sealer and [`verify_committed_file`]. The caller has checked the
+/// region against the file's length; a file that shrinks meanwhile is an
+/// `UnexpectedEof`.
+fn crc32c_of_region(f: &File, off: u64, len: u64, buf: &mut [u8]) -> io::Result<u32> {
     let (mut crc, mut done) = (0, 0);
     while done < len {
-        let n = (len - done).min(STREAM_CHUNK as u64) as usize;
-        if buf.len() < n {
-            buf.resize(n, 0);
-        }
+        let n = (len - done).min(buf.len() as u64) as usize;
         f.read_exact_at(&mut buf[..n], off + done)?;
         crc = format::crc32c_update(crc, &buf[..n]);
         done += n as u64;
@@ -171,8 +186,9 @@ fn region_spans(head: &[u8], expected_size: u64) -> Vec<(u64, u64)> {
 /// regions outside the file.
 fn footer_regions(f: &File, expected_size: u64) -> io::Result<Vec<FooterRegion>> {
     let head = format::read_header_prefix(f, expected_size)?;
-    let mut buf = Vec::new();
-    region_spans(&head, expected_size)
+    let spans = region_spans(&head, expected_size);
+    let mut buf = stream_buf(spans.iter().map(|&(_, len)| len));
+    spans
         .into_iter()
         .map(|(off, len)| {
             if !region_in_file(off, len, expected_size) {
@@ -428,7 +444,7 @@ pub fn verify_committed_file(f: &File, expected_size: u64) -> io::Result<Result<
         Ok(regions) => regions,
         Err(e) => return Ok(Err(e)),
     };
-    let mut buf = Vec::new();
+    let mut buf = stream_buf(regions.iter().map(|r| r.len));
     for (index, r) in regions.iter().enumerate() {
         let computed = crc32c_of_region(f, r.off, r.len, &mut buf)?;
         if computed != r.crc32c {

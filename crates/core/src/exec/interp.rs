@@ -38,7 +38,7 @@ use crate::crash;
 use crate::failover::{FailoverDirector, WriterHealth};
 use crate::fault::{self, FaultPlan, IoCtx};
 use crate::format::synthetic_byte;
-use crate::pipeline::{FlushJob, FlushPool, PipelineError, WriterHandle, WriterTuning};
+use crate::pipeline::{self, FlushJob, FlushPool, PipelineError, WriterHandle, WriterTuning};
 use crate::sched::{self, Point, Revert};
 use crate::tier::TierStage;
 
@@ -216,6 +216,7 @@ impl View<'_> {
                     hedge_after,
                     beat,
                     backend: Some(backend::resolve(self.io_backend)),
+                    durable: self.fsync,
                 },
             )
         })
@@ -536,7 +537,8 @@ impl<'a, T: Transport> Interp<'a, T> {
             i + 1
         };
         let run = &ops[i..end];
-        counters::add_checkpoint_bytes(run.iter().map(|o| write_src(o).len()).sum());
+        let run_bytes: u64 = run.iter().map(|o| write_src(o).len()).sum();
+        counters::add_checkpoint_bytes(run_bytes);
         // Each chunk of the run with the file offset it lands at.
         let mut next = offset;
         let chunks = run.iter().map(|o| {
@@ -605,6 +607,9 @@ impl<'a, T: Transport> Interp<'a, T> {
         };
         let attempts = fault::write_at(&ctx, f, offset, srcs)?;
         self.retries += u64::from(attempts);
+        if self.cfg.fsync {
+            pipeline::hint_writeback(f, offset, run_bytes);
+        }
         Ok(end)
     }
 
@@ -644,11 +649,15 @@ impl<'a, T: Transport> Interp<'a, T> {
         Ok(())
     }
 
+    /// An atomic file is synced once, by its `Commit`, after the footer
+    /// is in it (whichever ranks wrote its pages: `sync_all` is per
+    /// inode); closing it only retires the handle. A non-atomic file has
+    /// no commit, so its `Close` is its durability point.
     fn close(&mut self, file: u32) -> Result<(), StepError> {
         let Some(f) = self.files.remove(&file) else {
             return Ok(());
         };
-        let fsync = self.cfg.fsync;
+        let fsync = self.cfg.fsync && !self.program.files[file as usize].atomic;
         if let Some(pipe) = &self.pipe {
             pipe.submit(FlushJob::Close { file: f, fsync })?;
         } else if fsync {

@@ -88,8 +88,11 @@ fn write_run_len(
 pub struct ExecConfig {
     /// Directory all plan file names are resolved against.
     pub base_dir: PathBuf,
-    /// Call `fsync` before closing files (slower, durable), and fsync the
-    /// commit footer + rename when publishing atomic files.
+    /// Make every file durable before `execute` returns (slower). Atomic
+    /// files are synced once, at commit — footer in, then one `fsync`,
+    /// the rename, and an `fsync` of its directory — with writeback of
+    /// each large write started behind it so that sync finds little left;
+    /// a non-atomic file has no commit and is synced by its `Close`.
     pub fsync_on_close: bool,
     /// Sleep for `Compute` ops' durations (off by default: tests and
     /// benches usually want the I/O path only).

@@ -198,6 +198,17 @@ impl FaultPlan {
     /// Fail `rank`'s file fsyncs with `EIO`. The first failure latches:
     /// even if the injection is later cleared, subsequent fsyncs on the
     /// rank keep failing (see [`FaultPlan::on_fsync`]).
+    ///
+    /// The injection keys on the rank that *issues* the fsync. An atomic
+    /// plan file has exactly one — the `sync_all` in its owner's `Commit`
+    /// — so for such a file this is the rank that commits it; arming any
+    /// other rank that writes the file (a coIO aggregator, say) injects
+    /// nothing, because that rank never syncs. A *real* writeback error on
+    /// any writer's pages still surfaces there: the kernel records it on
+    /// the inode (`errseq`), and [`crate::commit::commit_file`] opens its
+    /// descriptor before it syncs, so that `sync_all` reports an error no
+    /// descriptor has yet been told about, whichever rank dirtied the
+    /// page.
     pub fn fsync_eio(self, rank: Rank) -> Self {
         self.inner
             .lock()

@@ -27,6 +27,12 @@
 //!
 //! A latched error poisons the writer: all later jobs are skipped (never
 //! executed), and the error surfaces at the next `submit` or `drain`.
+//!
+//! A writer registered as durable ([`WriterTuning::durable`]: its files
+//! will be fsynced) also keeps the *device* busy: behind each landed
+//! write of 256 KiB or more it asks the kernel to start writeback
+//! (`hint_writeback`), so the one fsync at commit waits for a remainder
+//! rather than for the whole file.
 
 use std::collections::VecDeque;
 use std::fs::File;
@@ -45,6 +51,7 @@ use crate::commit;
 use crate::crash;
 use crate::fault::{self, FaultPlan};
 use crate::sched::{self, Point, Revert};
+use crate::sys;
 
 /// Why a writer's background pipeline failed.
 #[derive(Debug)]
@@ -182,6 +189,12 @@ pub struct WriterTuning {
     /// threaded baseline). Tests and check programs inject custom ring
     /// geometries here.
     pub backend: Option<Arc<dyn IoBackend>>,
+    /// This writer's files will be fsynced before they are published:
+    /// writeback of each landed write is started behind it
+    /// (`hint_writeback`), so that fsync waits for a remainder instead
+    /// of the whole file. Set from the caller's fsync switch and from
+    /// nothing else; off, no hint is ever issued.
+    pub durable: bool,
 }
 
 /// Immutable per-writer execution context, set at registration.
@@ -199,6 +212,8 @@ struct WriterCtx {
     beat: Option<Arc<AtomicU64>>,
     /// Submission/completion engine for write jobs.
     backend: Arc<dyn IoBackend>,
+    /// Start writeback behind landed writes (see [`WriterTuning::durable`]).
+    durable: bool,
 }
 
 impl WriterCtx {
@@ -440,6 +455,7 @@ impl FlushPool {
                     .backend
                     .unwrap_or_else(|| backend::resolve(backend::BackendKind::Default)),
             ),
+            durable: tuning.durable,
         };
         let state = WriterState {
             ctx,
@@ -614,6 +630,9 @@ impl Drop for WriterHandle {
 }
 
 fn worker_loop(shared: &Shared) {
+    // Where a durable writer's batch lands (see `run_write_batch`): this
+    // thread's list, reused, so a batch allocates nothing for its hints.
+    let mut behind = Vec::new();
     let mut g = shared.inner.lock().expect("pool lock");
     loop {
         let wid = loop {
@@ -684,7 +703,7 @@ fn worker_loop(shared: &Shared) {
                 let outcome = if skip {
                     backend::BatchOutcome::ok(0)
                 } else {
-                    run_write_batch(&ctx, base_seq, ops)
+                    run_write_batch(&ctx, base_seq, ops, &mut behind)
                 };
                 g = shared.inner.lock().expect("pool lock");
                 let w = &mut g.writers[wid];
@@ -756,10 +775,34 @@ fn write_error(rank: Rank, e: fault::WriteError) -> PipelineError {
         .map_or(PipelineError::Killed { rank }, PipelineError::Io)
 }
 
+/// Writes shorter than this get no writeback hint: footers, headers and
+/// marker text are a page or two that the file's fsync carries for free,
+/// and a hint per small write would only add syscalls.
+const WRITEBACK_HINT_MIN: u64 = 256 << 10;
+
+/// Start writeback of the `len` bytes that just landed at `offset` of
+/// `file`, a file that *will* be fsynced: the device drains them while
+/// the CPU stages, checksums and seals, and the fsync finds most of the
+/// file already on its way. A hint ([`sys::start_writeback`]): it is not
+/// a durability point, is not journaled, and leaves the crash model —
+/// any subset of un-fsynced writes may persist — as it was. Callers
+/// guard it with their fsync switch.
+pub(crate) fn hint_writeback(file: &File, offset: u64, len: u64) {
+    if len >= WRITEBACK_HINT_MIN {
+        sys::start_writeback(file, offset, len);
+        counters::add_writeback_hints(1);
+    }
+}
+
 /// Execute a run of write jobs as one backend batch. Jitter applies once
 /// per batch; the liveness beat advances `2·n` total, the rate of
 /// [`run_job`]'s `Close`/`Commit` jobs.
-fn run_write_batch(ctx: &WriterCtx, base_seq: u64, ops: Vec<WriteOp>) -> backend::BatchOutcome {
+fn run_write_batch(
+    ctx: &WriterCtx,
+    base_seq: u64,
+    ops: Vec<WriteOp>,
+    behind: &mut Vec<(Arc<File>, u64, u64)>,
+) -> backend::BatchOutcome {
     let n = ops.len() as u64;
     if let Some(b) = &ctx.beat {
         b.fetch_add(n, Ordering::Relaxed);
@@ -770,7 +813,21 @@ fn run_write_batch(ctx: &WriterCtx, base_seq: u64, ops: Vec<WriteOp>) -> backend
             std::thread::sleep(Duration::from_micros(h % 200));
         }
     }
+    // The backend consumes the ops; a durable writer notes in `behind`
+    // (the worker's scratch list, empty between batches) where each lands,
+    // to hint behind it.
+    if ctx.durable {
+        behind.extend(
+            ops.iter()
+                .map(|op| (Arc::clone(&op.file), op.offset, op.len())),
+        );
+    }
     let out = ctx.backend.run_writes(&ctx.io_ctx(), ops);
+    // Ops from the failing one on were canceled, never executed.
+    let landed = out.error.as_ref().map_or(usize::MAX, |(i, _)| *i);
+    for (file, offset, len) in behind.drain(..).take(landed) {
+        hint_writeback(&file, offset, len);
+    }
     if let Some(b) = &ctx.beat {
         b.fetch_add(n, Ordering::Relaxed);
     }

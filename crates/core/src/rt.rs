@@ -333,7 +333,10 @@ where
 pub struct RtConfig {
     /// Directory all plan file names are resolved against.
     pub base_dir: PathBuf,
-    /// fsync files on close and fsync the commit footer + rename.
+    /// Make every file durable before the call returns. Atomic files are
+    /// synced once, at commit (footer, one `fsync`, rename, directory
+    /// `fsync`); non-atomic files by their `Close`. See
+    /// [`crate::exec::ExecConfig::fsync_on_close`].
     pub fsync_on_close: bool,
     /// Faults to inject (inert by default).
     pub faults: FaultPlan,

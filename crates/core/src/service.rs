@@ -691,7 +691,10 @@ impl CheckpointService {
             sid,
             inner.cfg.pipeline_depth,
             faults,
-            WriterTuning::default(),
+            WriterTuning {
+                durable: inner.cfg.fsync,
+                ..WriterTuning::default()
+            },
         );
         inner.arbiter.join(&tenant);
         Ok(CheckpointSession {

@@ -13,7 +13,7 @@
 //! without it get `None` and the caller's software kernel.
 #![allow(unsafe_code)]
 
-use std::os::fd::RawFd;
+use std::os::fd::{AsRawFd, RawFd};
 
 // `mmap(2)` protection and flag bits, as Linux defines them.
 pub(crate) const PROT_READ: usize = 0x1;
@@ -30,6 +30,15 @@ const NR_MUNMAP: usize = if cfg!(target_arch = "aarch64") {
 } else {
     11
 };
+const NR_SYNC_FILE_RANGE: usize = if cfg!(target_arch = "aarch64") {
+    84
+} else {
+    277
+};
+
+/// `sync_file_range(2)`: start writeback of the range's dirty pages and
+/// return without waiting for it.
+const SYNC_FILE_RANGE_WRITE: usize = 2;
 
 /// Raw system call `nr`; returns the kernel's value (a negative errno on
 /// failure). Off Linux x86_64/aarch64 nothing is called and the result
@@ -86,6 +95,27 @@ pub(crate) unsafe fn syscall6(nr: usize, a: [usize; 6]) -> isize {
         let _ = (nr, a);
         -38
     }
+}
+
+/// Ask the kernel to start writing `len` bytes of `file` from byte `off`
+/// back to the device now, without waiting, so the device works while
+/// the caller goes on to its next buffer instead of idling until the
+/// file's one `fsync`. A hint and never a durability point: every
+/// error is ignored (`-ENOSYS` off Linux, `-ESPIPE` on a pipe, `-EBADF`),
+/// nothing may be concluded from its return, and only a later
+/// `sync_all` says the bytes are on stable storage. An empty range asks
+/// for nothing (the system call would read `len == 0` as "to the end of
+/// the file").
+pub(crate) fn start_writeback(file: &impl AsRawFd, off: u64, len: u64) {
+    if len == 0 {
+        return;
+    }
+    // Sign-extend, so an invalid (negative) fd stays invalid.
+    let fd = file.as_raw_fd() as isize as usize;
+    let range = [fd, off as usize, len as usize, SYNC_FILE_RANGE_WRITE, 0, 0];
+    // SAFETY: `sync_file_range` takes its four arguments by value and
+    // touches no memory of this process, whatever they hold.
+    let _ = unsafe { syscall6(NR_SYNC_FILE_RANGE, range) };
 }
 
 /// Bytes per stream of the hardware CRC kernel's three-way interleave.
@@ -267,6 +297,40 @@ mod tests {
         let f = std::fs::File::open("/proc/self/exe").expect("open");
         assert!(Mmap::new(f.as_raw_fd(), 0, 0, PROT_READ, MAP_SHARED).is_none());
         assert!(Mmap::new(-1, 4096, 0, PROT_READ, MAP_SHARED).is_none());
+    }
+
+    #[test]
+    fn hinted_range_reads_back_intact_and_syncs_clean() {
+        let dir = std::env::temp_dir().join(format!("rbio-sys-hint-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        let f = std::fs::OpenOptions::new()
+            .create(true)
+            .truncate(true)
+            .read(true)
+            .write(true)
+            .open(dir.join("h"))
+            .expect("open");
+        let data: Vec<u8> = (0..1 << 20).map(|i| (i * 7) as u8).collect();
+        f.write_all_at(&data, 4096).expect("pwrite");
+        start_writeback(&f, 4096, data.len() as u64);
+        // Past the end of the file: still just a hint. Zero-length: no
+        // call at all, not the kernel's "from `off` to the end".
+        start_writeback(&f, 1 << 30, 1 << 20);
+        start_writeback(&f, 0, 0);
+        let mut back = vec![0u8; data.len()];
+        f.read_exact_at(&mut back, 4096).expect("pread");
+        assert!(back == data, "a hint must not change the file's bytes");
+        f.sync_all().expect("fsync after a hint");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn hint_on_an_invalid_or_unseekable_fd_is_ignored() {
+        start_writeback(&-1, 0, 4096);
+        // A socket pair is the unseekable descriptor std hands out at
+        // this crate's MSRV; like a pipe it answers `-ESPIPE`.
+        let (a, _b) = std::os::unix::net::UnixStream::pair().expect("socketpair");
+        start_writeback(&a, 0, 4096);
     }
 
     #[test]

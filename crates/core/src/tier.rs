@@ -44,14 +44,15 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, Sender, TryRecvError};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
+use std::time::Duration;
 
 use rbio_plan::Rank;
 use rbio_profile::counters;
 
 use crate::buf::Bytes;
 use crate::commit;
-use crate::fault::FaultPlan;
-use crate::pipeline::{FlushJob, FlushPool, WriterTuning};
+use crate::fault::{self, FaultPlan, IoCtx};
+use crate::pipeline::{self, FlushJob, FlushPool, WriterTuning};
 use crate::sched::{self, Point, TierId};
 use crate::sys::{self, Mmap};
 
@@ -700,10 +701,28 @@ fn read_burst(path: &Path, size: u64) -> Result<Vec<u8>, String> {
 }
 
 /// Commit `img` at `path` via the tmp + footer + rename path so the
-/// copy is torn-write detectable like any other checkpoint file.
+/// copy is torn-write detectable like any other checkpoint file. The
+/// image lands through the one fault-checked, journaled write (under a
+/// plan that injects nothing: tier loss, not a torn write, is this hop's
+/// failure mode), so the crash recorder sees its bytes like any others.
 fn write_committed(path: &Path, img: &[u8], fsync: bool) -> io::Result<()> {
     let tmp = commit::tmp_path(path);
-    std::fs::write(&tmp, img)?;
+    let f = File::create(&tmp)?;
+    let ctx = IoCtx {
+        rank: DRAIN_RANK,
+        wid: 0,
+        faults: &FaultPlan::none(),
+        write_retries: 0,
+        retry_backoff: Duration::ZERO,
+    };
+    fault::write_at(&ctx, &f, 0, &[img]).map_err(|e| {
+        e.into_io()
+            .unwrap_or_else(|| io::Error::other("burst-hop write killed"))
+    })?;
+    if fsync {
+        pipeline::hint_writeback(&f, 0, img.len() as u64);
+    }
+    drop(f);
     commit::commit_file(&tmp, path, img.len() as u64, fsync)
 }
 
@@ -755,7 +774,11 @@ fn run_drain(shared: &EngineShared, job: DrainJob, retain: usize) {
         // rides the same FIFO/retry/error-latching machinery as
         // foreground writers.
         let pool = FlushPool::current();
-        let writer = pool.register(DRAIN_RANK, 2, FaultPlan::none(), WriterTuning::default());
+        let tuning = WriterTuning {
+            durable: fsync,
+            ..WriterTuning::default()
+        };
+        let writer = pool.register(DRAIN_RANK, 2, FaultPlan::none(), tuning);
         let mut recovered = Vec::new();
         let mut drained = 0u64;
         for (name, size) in &files {
@@ -898,6 +921,35 @@ mod tests {
         assert_eq!(&img[8..12], b"tail");
         assert!(stage.assemble("missing").is_none());
         assert_eq!(stage.sealed_files(), vec![("f".to_string(), 12)]);
+    }
+
+    #[test]
+    fn burst_hop_image_is_journaled_by_the_crash_recorder() {
+        use crate::crash::{RecOp, Recorder};
+        let dir = std::env::temp_dir().join(format!("rbio-tier-journal-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).unwrap();
+        let img: Vec<u8> = (0..3000u32).map(|i| (i * 7) as u8).collect();
+        let rec = Recorder::install(&dir).unwrap();
+        write_committed(&dir.join("ck.rbio"), &img, true).unwrap();
+        let ops = rec.take();
+        drop(rec);
+        // The image's own bytes, then the commit protocol's four edges.
+        let tmp = Path::new("ck.rbio.tmp");
+        assert!(
+            matches!(&ops[0], RecOp::Write { path, offset: 0, data } if path == tmp && *data == img),
+            "the image must be journaled first: {:?}",
+            ops.first()
+        );
+        assert!(matches!(&ops[1], RecOp::Write { path, offset: 3000, .. } if path == tmp));
+        assert!(matches!(&ops[2], RecOp::Fsync { path } if path == tmp));
+        assert!(matches!(&ops[3], RecOp::Rename { from, .. } if from == tmp));
+        assert!(matches!(&ops[4], RecOp::DirFsync { .. }));
+        assert_eq!(ops.len(), 5);
+        let bytes = std::fs::read(dir.join("ck.rbio")).unwrap();
+        assert!(commit::verify_committed(&bytes, 3000).is_none());
+        assert_eq!(&bytes[..3000], &img[..]);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -4,10 +4,15 @@
 //! zero-copy serial and pipelined paths (EXPERIMENTS.md, "Datapath copy
 //! accounting").
 //!
+//! Beside it, the other count of the copy group: early-writeback hints,
+//! issued behind large landed writes when — and only when — the files
+//! will be fsynced.
+//!
 //! Its own test binary because the counters are process-wide: nothing
-//! else may checkpoint in this process, and the two tests below
-//! serialize on one lock.
+//! else may checkpoint in this process, and the tests below serialize on
+//! one lock.
 
+use std::path::Path;
 use std::sync::Mutex;
 
 use rbio::buf::CopyMode;
@@ -15,7 +20,7 @@ use rbio::exec::{execute, ExecConfig};
 use rbio::format::materialize_payloads;
 use rbio::layout::DataLayout;
 use rbio::strategy::{CheckpointSpec, Strategy};
-use rbio_profile::counters;
+use rbio_profile::counters::{self, CopySnapshot};
 
 static COUNTERS: Mutex<()> = Mutex::new(());
 
@@ -31,6 +36,18 @@ fn ratio_for(
     mode: CopyMode,
     depth: u32,
 ) -> f64 {
+    let cfg = |dir: &Path| ExecConfig::new(dir).copy_mode(mode).pipeline_depth(depth);
+    counted(np, fields, strategy, cfg).copies_per_checkpoint_byte()
+}
+
+/// What one checkpoint of `np` ranks holding `fields`, executed under
+/// `cfg(dir)`, adds to the copy counters.
+fn counted(
+    np: u32,
+    fields: &[(&str, u64)],
+    strategy: Strategy,
+    cfg: impl Fn(&Path) -> ExecConfig,
+) -> CopySnapshot {
     let layout = DataLayout::uniform(np, fields);
     let plan = CheckpointSpec::new(layout, "dp")
         .strategy(strategy)
@@ -43,12 +60,11 @@ fn ratio_for(
     });
     let dir = std::env::temp_dir().join(format!("rbio-copies-per-byte-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
-    let cfg = ExecConfig::new(&dir).copy_mode(mode).pipeline_depth(depth);
     let before = counters::snapshot();
-    execute(&plan.program, payloads, &cfg).expect("exec");
+    execute(&plan.program, payloads, &cfg(&dir)).expect("exec");
     let delta = counters::snapshot().delta_since(&before);
     std::fs::remove_dir_all(&dir).ok();
-    delta.copies_per_checkpoint_byte()
+    delta
 }
 
 #[test]
@@ -117,5 +133,41 @@ fn zero_copy_reduces_copies_for_every_strategy() {
             zero <= 2.0,
             "{strategy:?}: zero-copy ratio too high: {zero:.3}"
         );
+    }
+}
+
+#[test]
+fn writeback_hints_follow_the_fsync_switch_and_the_size_floor() {
+    let _serial = COUNTERS.lock().unwrap_or_else(|e| e.into_inner());
+    let big = [("Ex", 1 << 20), ("Hy", 1 << 20)];
+    let small = [("Ex", 8 << 10), ("Hy", 4 << 10)];
+    let hints = |fields: &[(&str, u64)], strategy, depth, fsync| {
+        let cfg = |dir: &Path| {
+            let mut cfg = ExecConfig::new(dir).pipeline_depth(depth);
+            cfg.fsync_on_close = fsync;
+            cfg
+        };
+        counted(4, fields, strategy, cfg).writeback_hints
+    };
+    for strategy in [Strategy::OnePfpp, Strategy::coio(2), Strategy::rbio(2)] {
+        for depth in [1, 2] {
+            let case = format!("{strategy:?} at depth {depth}");
+            assert_eq!(
+                hints(&big, strategy, depth, false),
+                0,
+                "{case}: a file that is never fsynced gets no hint"
+            );
+            assert!(
+                hints(&big, strategy, depth, true) > 0,
+                "{case}: MiB-sized writes of fsynced files are hinted"
+            );
+            // 48 KiB in the whole checkpoint: however the writes coalesce,
+            // every one is under the floor.
+            assert_eq!(
+                hints(&small, strategy, depth, true),
+                0,
+                "{case}: writes under the floor are left to the fsync"
+            );
+        }
     }
 }

@@ -56,6 +56,69 @@ fn every_crash_image_restores_for_all_three_strategies() {
     }
 }
 
+/// The journal's shape, per strategy: every file published by a rename
+/// was synced exactly once since its `.tmp` was (re)created — after
+/// every write to it, the last of which is its footer — and that one
+/// `Fsync` is what makes those writes required in every later image.
+#[test]
+fn every_atomic_file_is_synced_once_after_its_footer_and_before_its_rename() {
+    use rbio::crash::RecOp;
+    use std::collections::HashMap;
+
+    /// Journal indices of the writes and fsyncs to one `.tmp` path since
+    /// it was last renamed away.
+    #[derive(Default)]
+    struct Pending {
+        writes: Vec<usize>,
+        fsyncs: Vec<usize>,
+    }
+
+    let _g = SWEEP_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    for (tag, strategy) in strategies() {
+        let scn = Scenario {
+            strategy,
+            nranks: 4,
+            steps: 2,
+        };
+        let w = work(&format!("shape-{tag}"));
+        let ops = crash::record_scenario(&scn, &w.join("record"), false).unwrap();
+        let mut pending: HashMap<&std::path::Path, Pending> = HashMap::new();
+        let mut published = 0;
+        for (i, op) in ops.iter().enumerate() {
+            match op {
+                RecOp::Write { path, .. } => pending.entry(path).or_default().writes.push(i),
+                RecOp::Fsync { path } => pending.entry(path).or_default().fsyncs.push(i),
+                RecOp::Rename { from, to } => {
+                    let p = pending.remove(from.as_path()).unwrap_or_default();
+                    let what = format!("{tag}: {} (journal op {i})", to.display());
+                    assert_eq!(p.fsyncs.len(), 1, "{what}: fsyncs at {:?}", p.fsyncs);
+                    let last_write = *p.writes.last().expect("a published file has writes");
+                    assert!(
+                        last_write < p.fsyncs[0],
+                        "{what}: write {last_write} after the fsync at {}",
+                        p.fsyncs[0]
+                    );
+                    let RecOp::Write { data, .. } = &ops[last_write] else {
+                        unreachable!("indexed as a write");
+                    };
+                    assert!(
+                        data.starts_with(&rbio::format::FOOTER_MAGIC.to_le_bytes()),
+                        "{what}: the last write before the fsync is not the footer"
+                    );
+                    published += 1;
+                }
+                RecOp::DirFsync { .. } | RecOp::DurablePoint { .. } => {}
+            }
+        }
+        assert!(pending.is_empty(), "{tag}: written but never published");
+        assert!(
+            published >= 2 * 3,
+            "{tag}: only {published} files published"
+        );
+        let _ = std::fs::remove_dir_all(&w);
+    }
+}
+
 #[test]
 fn missing_dir_fsync_is_caught_and_replays_deterministically() {
     let _g = SWEEP_LOCK.lock().unwrap_or_else(|e| e.into_inner());

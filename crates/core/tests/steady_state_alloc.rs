@@ -48,8 +48,8 @@ static GLOBAL: Counting = Counting;
 
 const NRANKS: u32 = 8;
 /// 32 MiB per generation: what a warm generation still allocates is of
-/// fixed size (above all the sealer's 1 MiB stream buffer, once per file),
-/// so the fields are sized for it to sit well under the budget.
+/// fixed size (plans, headers, op lists, queue nodes: ≈ 0.15 MB), so the
+/// fields are sized for it to sit well under the budget.
 const FIELD_BYTES: u64 = 1 << 20;
 const FIELDS: [(&str, u64); 4] = [
     ("Ex", FIELD_BYTES),
@@ -71,12 +71,36 @@ fn fill(gen: u64) -> impl FnMut(u32, usize, &mut [u8]) {
     move |rank, field, buf| buf.fill((gen as usize * 31 + rank as usize * 5 + field) as u8)
 }
 
-/// Bytes allocated by `generation(gen)` for each `gen` in `1..=gens`.
+/// How many buffers of a field's class can be out at once: an eager-send
+/// copy per (rank, field) and the stream buffer of each file's sealer,
+/// which is [`FIELD_BYTES`] long here too.
+const FIELD_CLASS_PEAK: usize = NRANKS as usize * FIELDS.len() + 2;
+
+/// Hold [`FIELD_CLASS_PEAK`] leases of a field's class at once and return
+/// them. How many of them a generation has out together depends on its
+/// timing (do the two commits overlap? how far do the senders run ahead?),
+/// so left alone the pool would complete the class in whichever generation
+/// first reaches the peak. Seeing the peak once, as the cold generation
+/// ends, makes the warm state the same on every run.
+fn complete_the_field_class() {
+    let pool = BufPool::global();
+    drop(
+        (0..FIELD_CLASS_PEAK)
+            .map(|_| pool.lease(FIELD_BYTES as usize))
+            .collect::<Vec<_>>(),
+    );
+}
+
+/// Bytes allocated by `generation(gen)` for each `gen` in `1..=gens`; the
+/// first, cold one [completes the field class](complete_the_field_class).
 fn allocated_per_generation(gens: u64, mut generation: impl FnMut(u64)) -> Vec<u64> {
     (1..=gens)
         .map(|gen| {
             let before = ALLOCATED.load(Ordering::Relaxed);
             generation(gen);
+            if gen == 1 {
+                complete_the_field_class();
+            }
             ALLOCATED.load(Ordering::Relaxed) - before
         })
         .collect()
@@ -118,7 +142,7 @@ fn rt_generation(dir: &Path, gen: u64) {
 #[test]
 fn a_warm_generation_allocates_a_fraction_of_its_user_bytes() {
     let dir = std::env::temp_dir().join(format!("rbio-steady-state-{}", std::process::id()));
-    let budget = USER_BYTES * 15 / 100;
+    let budget = USER_BYTES / 50;
     let pool = BufPool::global();
 
     std::fs::remove_dir_all(&dir).ok();
@@ -141,7 +165,7 @@ fn a_warm_generation_allocates_a_fraction_of_its_user_bytes() {
     );
 
     std::fs::remove_dir_all(&dir).ok();
-    let rt = allocated_per_generation(4, |gen| rt_generation(&dir, gen));
+    let rt = allocated_per_generation(8, |gen| rt_generation(&dir, gen));
     assert!(
         rt[2..].iter().all(|&a| a < budget),
         "rt: warm generations allocated {rt:?}, budget {budget}"

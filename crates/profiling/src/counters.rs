@@ -143,6 +143,9 @@ counters! {
         bytes_copied += add_bytes_copied;
         /// Total bytes handed to checkpoint file writes.
         checkpoint_bytes += add_checkpoint_bytes;
+        /// Early-writeback hints issued behind landed writes of writers
+        /// whose files will be fsynced (none when fsync is off).
+        writeback_hints += add_writeback_hints;
     }
 
     /// A point-in-time reading of the writer-failover counters: how often
@@ -363,8 +366,8 @@ mod tests {
     #[test]
     fn ratios_and_json_match_the_hand_written_renderings() {
         let copies = |cells| CopySnapshot::from_array(cells).copies_per_checkpoint_byte();
-        assert!((copies([300, 100]) - 3.0).abs() < 1e-12);
-        assert_eq!(copies([5, 0]), 0.0);
+        assert!((copies([300, 100, 0]) - 3.0).abs() < 1e-12);
+        assert_eq!(copies([5, 0, 0]), 0.0);
         assert_eq!(TuneSnapshot::default().hit_rate(), 0.0);
         assert_eq!(TuneSnapshot::default().secs_per_eval(), 0.0);
         let tune = TuneSnapshot::from_array([4, 12, 30, 8_000_000_000]);

@@ -9,7 +9,8 @@ use rbio_repro::rbio::fault::FaultPlan;
 use rbio_repro::rbio::format::{decode_header, materialize_payloads, FormatError};
 use rbio_repro::rbio::layout::DataLayout;
 use rbio_repro::rbio::restart::{read_checkpoint, read_checkpoint_auto, RestartError};
-use rbio_repro::rbio::strategy::{CheckpointSpec, Strategy};
+use rbio_repro::rbio::strategy::{CheckpointPlan, CheckpointSpec, Strategy};
+use rbio_repro::rbio_plan::Op;
 
 fn tmpdir(name: &str) -> std::path::PathBuf {
     let d = std::env::temp_dir().join(format!("rbio-fi-{name}-{}", std::process::id()));
@@ -28,7 +29,7 @@ fn write_step(
     layout: &DataLayout,
     step: u64,
     strategy: Strategy,
-) -> rbio_repro::rbio::strategy::CheckpointPlan {
+) -> CheckpointPlan {
     let plan = CheckpointSpec::new(layout.clone(), format!("s{step:03}"))
         .strategy(strategy)
         .step(step)
@@ -211,6 +212,106 @@ fn dropped_worker_message_times_out_instead_of_hanging() {
     // No file was published.
     assert!(!dir.join(&plan.plan_files[0].name).exists());
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The rank whose op list commits plan file 0 (its owner), and the other
+/// ranks that have it open and close it.
+fn owner_and_bystanders_of_file_0(plan: &CheckpointPlan) -> (u32, Vec<u32>) {
+    let ranks_with = |wanted: fn(&Op) -> bool| -> Vec<u32> {
+        let ops = plan.program.ops.iter().zip(0u32..);
+        ops.filter(|(ops, _)| ops.iter().any(wanted))
+            .map(|(_, rank)| rank)
+            .collect()
+    };
+    let owners = ranks_with(|op| matches!(op, Op::Commit { file } if file.0 == 0));
+    assert_eq!(owners.len(), 1, "exactly one rank commits a file");
+    let mut closers = ranks_with(|op| matches!(op, Op::Close { file } if file.0 == 0));
+    closers.retain(|r| *r != owners[0]);
+    (owners[0], closers)
+}
+
+/// `FaultPlan::fsync_eio` end to end. An atomic file is synced once, by
+/// the rank that commits it, after the footer is in it: the injection on
+/// that rank fails the generation there (the sealed `.tmp` is what is
+/// left, never the final name), keeps failing it on every later
+/// generation under the same plan, and leaves the previous generation
+/// restorable. On any other rank that has the file open — coIO's group
+/// members, one of them a second aggregator here — it fails nothing:
+/// that rank's `Close` no longer syncs.
+#[test]
+fn fsync_eio_fails_the_commit_of_its_rank_and_nothing_else() {
+    let layout = DataLayout::uniform(8, &[("a", 4096), ("b", 1024)]);
+    let coio = Strategy::CoIo {
+        nf: 2,
+        aggregator_ratio: 2,
+    };
+    for (tag, strategy) in [
+        ("1pfpp", Strategy::OnePfpp),
+        ("coio", coio),
+        ("rbio", Strategy::rbio(2)),
+    ] {
+        for depth in [1u32, 2] {
+            let case = format!("{tag} at depth {depth}");
+            let dir = tmpdir(&format!("fsync-eio-{tag}-{depth}"));
+            let gen1 = write_step(&dir, &layout, 1, strategy);
+            let want = read_checkpoint(&dir, &gen1).expect("gen 1");
+            let durable = |faults: FaultPlan| {
+                let mut cfg = ExecConfig::new(&dir).pipeline_depth(depth).faults(faults);
+                cfg.fsync_on_close = true;
+                cfg
+            };
+            let plan_for = |step: u64| {
+                CheckpointSpec::new(layout.clone(), format!("s{step:03}"))
+                    .strategy(strategy)
+                    .step(step)
+                    .plan()
+                    .expect("plan")
+            };
+
+            let plan2 = plan_for(2);
+            let (owner, bystanders) = owner_and_bystanders_of_file_0(&plan2);
+            assert_eq!(bystanders.is_empty(), tag != "coio", "{case}");
+
+            // On the bystanders: nothing fails, the generation restores.
+            let faults = bystanders
+                .iter()
+                .fold(FaultPlan::none(), |p, r| p.fsync_eio(*r));
+            let payloads = materialize_payloads(&plan2, fill);
+            execute(&plan2.program, payloads, &durable(faults))
+                .unwrap_or_else(|e| panic!("{case}: a rank that does not commit failed: {e}"));
+            assert_eq!(read_checkpoint(&dir, &plan2).expect("gen 2").step, 2);
+
+            // On the owner: generations 3 and 4 fail at its commit fsync.
+            let cfg = durable(FaultPlan::none().fsync_eio(owner));
+            for step in [3u64, 4] {
+                let plan = plan_for(step);
+                let payloads = materialize_payloads(&plan, fill);
+                match execute(&plan.program, payloads, &cfg) {
+                    Err(ExecError::Io { rank, source }) => {
+                        assert_eq!(rank, owner, "{case}, step {step}");
+                        assert_eq!(source.raw_os_error(), Some(5), "{case}: {source}");
+                    }
+                    other => panic!("{case}, step {step}: expected EIO, got {other:?}"),
+                }
+                let final_path = dir.join(&plan.plan_files[0].name);
+                assert!(!final_path.exists(), "{case}: unsynced file published");
+                // Sealed but unpublished: the failure came after the
+                // footer write, at the one fsync of the file.
+                let tmp = std::fs::read(format!("{}.tmp", final_path.display())).expect("tmp");
+                let header = decode_header(&tmp).expect("header");
+                assert_eq!(tmp.len() as u64, header.expected_committed_size(), "{case}");
+                assert!(read_checkpoint(&dir, &plan).is_err(), "{case}");
+            }
+
+            let again = read_checkpoint(&dir, &gen1).expect("gen 1 intact");
+            for r in 0..8u32 {
+                for f in 0..2usize {
+                    assert_eq!(again.field_data(r, f), want.field_data(r, f), "{case}");
+                }
+            }
+            std::fs::remove_dir_all(&dir).ok();
+        }
+    }
 }
 
 proptest! {
