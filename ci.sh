@@ -27,6 +27,9 @@ cargo test --release -q -p rbio --test seal_memory
 # datapath: a warm generation leases recycled buffers and maps none.
 cargo test --release -q -p rbio --test steady_state_alloc
 cargo test --release -q -p rbio --test copies_per_byte
+# Restore reads through the optimised CRC kernel too: the streaming reader
+# against the image reader, bytes and refusal texts.
+cargo test --release -q --test restore_equivalence
 cargo test --release -q --test datapath_equivalence
 # One fsync per atomic file, in the optimised build too: the journal's
 # shape per strategy, and an injected fsync failure end to end.

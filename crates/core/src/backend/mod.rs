@@ -135,10 +135,10 @@ pub trait IoBackend: Send + Sync {
         file.sync_all()
     }
 
-    /// Read `len` bytes at `offset` (the restart path) with `pread` into
-    /// a buffer leased from the global pool — a restore image recycles
-    /// like any checkpoint buffer; fails if fewer than `len` bytes exist.
-    /// Every engine shares this body.
+    /// Read `len` bytes at `offset` with `pread` into a buffer leased from
+    /// the global pool, which recycles like any checkpoint buffer; fails
+    /// if fewer than `len` bytes exist. Every engine shares this body.
+    /// Callers: the benchmark's probe and the conformance tests.
     fn read_at(&self, file: &File, offset: u64, len: usize) -> io::Result<Bytes> {
         let mut image = BufPool::global().lease(len);
         file.read_exact_at(&mut image, offset)?;

@@ -22,7 +22,7 @@
 
 use std::fmt;
 use std::fs::{File, OpenOptions};
-use std::io;
+use std::io::{self, IoSliceMut, Read, Seek, SeekFrom};
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 
@@ -132,10 +132,10 @@ pub fn commit_file_with_faults(
     Ok(())
 }
 
-/// Bytes per `pread` of the streaming region walker: large enough that
-/// the syscall is noise next to the copy, small enough to stay cache-
-/// resident between the copy and the CRC pass over it.
-const STREAM_CHUNK: usize = 1 << 20;
+/// Bytes per read of the streaming region walker: large enough that the
+/// syscall is noise next to the copy, small enough to stay cache-resident
+/// between the copy and the CRC pass over it.
+pub(crate) const STREAM_CHUNK: usize = 1 << 20;
 
 /// The buffer one file's regions stream through: [`STREAM_CHUNK`] bytes,
 /// or the longest region's length when that is shorter, leased from the
@@ -146,17 +146,51 @@ fn stream_buf(region_lens: impl Iterator<Item = u64>) -> PooledBuf {
     BufPool::global().lease(longest.min(STREAM_CHUNK as u64) as usize)
 }
 
-/// CRC32C of the `len` bytes of `f` at `off`, read through `buf` (this
-/// file's [`stream_buf`]) — the one streaming region walker, under both
-/// the sealer and [`verify_committed_file`]. The caller has checked the
+/// One step of the one streaming region walker — under the sealer,
+/// [`verify_committed_file`] (scrub's deep pass with it) and restore
+/// alike, the only place a file's bytes meet its CRC: fill `batch`, whose
+/// non-empty slices take consecutive bytes from `f`'s cursor, and return
+/// `crc` with them appended. One `readv` unless it comes back short, and
+/// each slice is checksummed as soon as it is full, while it is still in
+/// cache. A file that ends first is an `UnexpectedEof`.
+pub(crate) fn read_crc32c(
+    mut f: &File,
+    batch: &mut [IoSliceMut<'_>],
+    mut crc: u32,
+) -> io::Result<u32> {
+    let mut i = 0;
+    while i < batch.len() {
+        let mut n = match f.read_vectored(&mut batch[i..]) {
+            Ok(0) => return Err(io::ErrorKind::UnexpectedEof.into()),
+            Ok(n) => n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        };
+        while i < batch.len() && n >= batch[i].len() {
+            n -= batch[i].len();
+            crc = format::crc32c_update(crc, &batch[i]);
+            i += 1;
+        }
+        if n > 0 {
+            // Stopped inside a slice: finish it, then gather again.
+            f.read_exact(&mut batch[i][n..])?;
+            crc = format::crc32c_update(crc, &batch[i]);
+            i += 1;
+        }
+    }
+    Ok(crc)
+}
+
+/// CRC32C of the `len` bytes of `f` at `off`, streamed through `buf` (this
+/// file's [`stream_buf`]) on `f`'s cursor. The caller has checked the
 /// region against the file's length; a file that shrinks meanwhile is an
 /// `UnexpectedEof`.
-fn crc32c_of_region(f: &File, off: u64, len: u64, buf: &mut [u8]) -> io::Result<u32> {
+fn crc32c_of_region(mut f: &File, off: u64, len: u64, buf: &mut [u8]) -> io::Result<u32> {
+    f.seek(SeekFrom::Start(off))?;
     let (mut crc, mut done) = (0, 0);
     while done < len {
         let n = (len - done).min(buf.len() as u64) as usize;
-        f.read_exact_at(&mut buf[..n], off + done)?;
-        crc = format::crc32c_update(crc, &buf[..n]);
+        crc = read_crc32c(f, &mut [IoSliceMut::new(&mut buf[..n])], crc)?;
         done += n as u64;
     }
     Ok(crc)
@@ -179,6 +213,19 @@ fn region_spans(head: &[u8], expected_size: u64) -> Vec<(u64, u64)> {
         }
     }
     vec![(0, expected_size)]
+}
+
+/// Does a footer list exactly the regions [`region_spans`] gives a file
+/// with this header — one per field, its data span, in field order? A
+/// reader that places blocks by the header may then take the footer's
+/// CRCs for those very bytes. Checked sums: a header whose sizes overflow
+/// matches nothing.
+pub(crate) fn regions_match_header(regions: &[FooterRegion], header: &format::FileHeader) -> bool {
+    regions.len() == header.fields.len()
+        && regions.iter().zip(&header.fields).all(|(r, f)| {
+            let len = f.sizes.iter().try_fold(0u64, |sum, &s| sum.checked_add(s));
+            r.off == f.data_off && len == Some(r.len)
+        })
 }
 
 /// Checksum the regions of the `expected_size`-byte file `f` for its
@@ -220,11 +267,6 @@ fn checked_slice(bytes: &[u8], off: u64, len: u64) -> Option<&[u8]> {
     let end = usize::try_from(end).ok()?;
     bytes.get(off..end)
 }
-
-/// Files below this logical size verify their regions serially; larger
-/// ones fan the per-region CRC computation out across worker threads
-/// (restart verification is CPU-bound once the file is in page cache).
-const PARALLEL_VERIFY_MIN: u64 = 4 << 20;
 
 /// Why a committed file failed verification. Every variant is a recoverable
 /// "treat as torn" outcome; hostile footers map here instead of panicking.
@@ -301,8 +343,7 @@ impl std::error::Error for VerifyError {}
 
 /// Verify the commit footer of a fully read file against `expected_size`
 /// (the logical, pre-footer size). Returns a description of the first
-/// problem (under parallel verification, the lowest-indexed failing
-/// region), or `None` when every region checks out.
+/// problem, or `None` when every region checks out.
 pub fn verify_committed(bytes: &[u8], expected_size: u64) -> Option<String> {
     verify_committed_typed(bytes, expected_size)
         .err()
@@ -313,6 +354,10 @@ pub fn verify_committed(bytes: &[u8], expected_size: u64) -> Option<String> {
 /// torn-file classes. All arithmetic is checked: a hostile footer (offsets
 /// near `u64::MAX`, absurd region counts, truncated tables) returns an
 /// error instead of panicking or truncating on 32-bit targets.
+///
+/// The verifier of bytes already in memory — repair paths that go on to
+/// reinstall the image, small text artifacts, tests. Restore and scrub
+/// stream the file instead ([`read_footer`] + [`read_crc32c`]).
 pub fn verify_committed_typed(bytes: &[u8], expected_size: u64) -> Result<(), VerifyError> {
     let truncated = || VerifyError::Truncated {
         actual: bytes.len() as u64,
@@ -323,53 +368,15 @@ pub fn verify_committed_typed(bytes: &[u8], expected_size: u64) -> Result<(), Ve
     let logical = usize::try_from(expected_size).map_err(|_| truncated())?;
     let footer = bytes.get(logical..).ok_or_else(truncated)?;
     check_footer_len(&footer[..footer.len().min(8)], footer.len() as u64)?;
-    // Bounds are checked here (cheap, serial) so the checksum passes
-    // below can slice without further checks.
+    // Bounds are checked here so the checksum pass can slice without
+    // further checks.
     let regions = decode_bounded_footer(footer, expected_size)?;
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(regions.len())
-        .min(8);
-    if expected_size < PARALLEL_VERIFY_MIN || workers <= 1 {
-        return match regions
-            .iter()
-            .enumerate()
-            .find_map(|(i, r)| check_region(bytes, i, r))
-        {
-            Some(e) => Err(e),
-            None => Ok(()),
-        };
-    }
-    // Work-stealing fan-out: workers claim region indices from a shared
-    // counter, so one huge region cannot serialize the rest behind it.
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let firsts: Vec<Option<(usize, VerifyError)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut first: Option<(usize, VerifyError)> = None;
-                    loop {
-                        let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        if i >= regions.len() {
-                            return first;
-                        }
-                        if let Some(why) = check_region(bytes, i, &regions[i]) {
-                            if first.as_ref().is_none_or(|(j, _)| i < *j) {
-                                first = Some((i, why));
-                            }
-                        }
-                    }
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("verify worker must not panic"))
-            .collect()
-    });
-    match firsts.into_iter().flatten().min_by_key(|(i, _)| *i) {
-        Some((_, why)) => Err(why),
+    match regions
+        .iter()
+        .enumerate()
+        .find_map(|(i, r)| check_region(bytes, i, r))
+    {
+        Some(e) => Err(e),
         None => Ok(()),
     }
 }
@@ -395,8 +402,9 @@ fn check_footer_len(prelude: &[u8], present: u64) -> Result<(), VerifyError> {
 }
 
 /// Decode a length-checked footer and bounds-check every region against
-/// the logical size. With [`check_footer_len`], the parse both verifiers
-/// share; they differ only in where a region's bytes come from.
+/// the logical size. With [`check_footer_len`], the parse the image
+/// verifier and [`read_footer`] share; they differ only in where the
+/// bytes come from.
 fn decode_bounded_footer(
     footer: &[u8],
     expected_size: u64,
@@ -415,15 +423,16 @@ fn decode_bounded_footer(
     Ok(regions)
 }
 
-/// [`verify_committed_typed`] for a file on disk, without building its
-/// image: the footer is read and checked, then every region streams
-/// through one [`STREAM_CHUNK`] buffer into the CRC. For callers that want
-/// a verdict, not the bytes. The outer error is an I/O failure reading
-/// `f`; the inner one is the verdict, the same variant
-/// `verify_committed_typed` gives the same bytes (the first failing
-/// region, in index order).
-pub fn verify_committed_file(f: &File, expected_size: u64) -> io::Result<Result<(), VerifyError>> {
-    let actual = f.metadata()?.len();
+/// The one footer reader: the bounds-checked regions of the commit footer
+/// that follows the `expected_size` logical bytes of the `actual`-byte
+/// file `f`. The outer error is an I/O failure reading `f`; the inner one
+/// is the verdict `verify_committed_typed` gives the same bytes before it
+/// checksums anything.
+pub(crate) fn read_footer(
+    f: &File,
+    actual: u64,
+    expected_size: u64,
+) -> io::Result<Result<Vec<FooterRegion>, VerifyError>> {
     let Some(present) = actual.checked_sub(expected_size) else {
         return Ok(Err(VerifyError::Truncated {
             actual,
@@ -440,7 +449,18 @@ pub fn verify_committed_file(f: &File, expected_size: u64) -> io::Result<Result<
     }
     let mut footer = vec![0u8; present as usize];
     f.read_exact_at(&mut footer, expected_size)?;
-    let regions = match decode_bounded_footer(&footer, expected_size) {
+    Ok(decode_bounded_footer(&footer, expected_size))
+}
+
+/// [`verify_committed_typed`] for a file on disk, without building its
+/// image: the footer is read and checked, then every region streams
+/// through one [`STREAM_CHUNK`] buffer into the CRC. For callers that want
+/// a verdict, not the bytes; it moves `f`'s cursor. The outer error is an
+/// I/O failure reading `f`; the inner one is the verdict, the same variant
+/// `verify_committed_typed` gives the same bytes (the first failing
+/// region, in index order).
+pub fn verify_committed_file(f: &File, expected_size: u64) -> io::Result<Result<(), VerifyError>> {
+    let regions = match read_footer(f, f.metadata()?.len(), expected_size)? {
         Ok(regions) => regions,
         Err(e) => return Ok(Err(e)),
     };
@@ -947,6 +967,34 @@ mod tests {
                 Err(VerifyError::RegionOutOfBounds { index: 1, .. }) => {}
                 other => panic!("[{off}, +{len}): {other:?}"),
             }
+        }
+    }
+
+    /// The region walker reads on the handle's cursor, so it must place
+    /// the cursor itself: a handle already read to its end, and used
+    /// twice, gives the verdict a fresh one does.
+    #[test]
+    fn streaming_verify_does_not_depend_on_the_cursor() {
+        use crate::layout::DataLayout;
+        let dir = tempdir("verify_cursor");
+        let layout = DataLayout::uniform(2, &[("Ex", 600 << 10), ("Hz", 9)]);
+        let mut body = format::encode_header(&layout, "v", 3, 0, 2);
+        let header = format::decode_header(&body).unwrap();
+        body.extend_from_slice(&noise(layout.data_total(0, 2) as usize, 23));
+        let size = body.len() as u64;
+        let clean = seal(&dir, &body).unwrap();
+        let mut bad = clean.clone();
+        bad[header.fields[1].data_off as usize] ^= 1;
+        let path = dir.join("v.bin");
+        for bytes in [&clean, &bad] {
+            std::fs::write(&path, bytes).unwrap();
+            let mut f = File::open(&path).unwrap();
+            let want = verify_committed_typed(bytes, size);
+            assert_eq!(want.is_ok(), std::ptr::eq(bytes, &clean));
+            f.seek(SeekFrom::End(0)).unwrap();
+            assert_eq!(verify_committed_file(&f, size).unwrap(), want);
+            f.seek(SeekFrom::Start(size / 2)).unwrap();
+            assert_eq!(verify_committed_file(&f, size).unwrap(), want);
         }
     }
 

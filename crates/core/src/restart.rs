@@ -12,28 +12,38 @@
 //!   once. This is what a post-processing/visualization tool would use —
 //!   one of the stated benefits of application-level checkpointing (§II).
 //!
+//! Both read a file the way [`crate::format::materialize_payloads`] built
+//! it (DESIGN.md §9 rule 7): one buffer per covered rank, leased from the
+//! pool at the payload's size class, filled by one walk of the file in
+//! file order and checksummed region by region as the blocks land — a
+//! [`crate::commit::verify_committed_file`] that keeps the bytes, through
+//! the same footer reader and region walker. No image of a file is built,
+//! so a restore maps nothing a checkpoint did not leave in the pool.
+//!
 //! A restart [`Program`] builder is also provided so the simulator can
 //! replay the read path (the paper's §III-B mesh-read timings).
 
 use std::fs::File;
-use std::io;
+use std::io::{self, IoSliceMut, Seek, SeekFrom};
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use rbio_plan::{FileId, Op, Program, ProgramBuilder};
 
-use crate::backend::{self, BackendKind, IoBackend};
-use crate::buf::Bytes;
+use crate::buf::{BufPool, Bytes, PooledBuf};
+use crate::commit::{self, VerifyError};
 use crate::format::{
     declared_header_len, decode_header, read_header_prefix, FileHeader, FormatError, MAX_HEADER_LEN,
 };
 use crate::strategy::CheckpointPlan;
 
-/// Cap on concurrent per-file restart readers. Each worker holds one
-/// whole file image in memory while slicing it, so this also bounds peak
-/// restart memory to `MAX_RESTART_WORKERS` file images.
+/// Cap on concurrent per-file restart readers: files read and
+/// checksummed at once.
 const MAX_RESTART_WORKERS: usize = 8;
+
+/// Slices per `readv`: Linux's `UIO_MAXIOV`.
+const MAX_IOV: usize = 1024;
 
 /// Errors reading a checkpoint back.
 #[derive(Debug)]
@@ -105,8 +115,8 @@ pub struct RestoredData {
     /// Field names, in order.
     pub field_names: Vec<String>,
     /// `data[rank][field]` = that rank's bytes for that field — a
-    /// refcounted slice of the file image it was read from, so restoring
-    /// never copies the data out of the read buffer.
+    /// refcounted slice of the buffer it was read into, so restoring never
+    /// copies the data out of the read buffer.
     data: Vec<Vec<Bytes>>,
 }
 
@@ -156,46 +166,109 @@ fn read_header(path: &Path) -> Result<FileHeader, RestartError> {
     }
 }
 
-/// Read, verify, and slice one checkpoint file: returns
-/// `blocks[rank - r0][field]`, each block a zero-copy slice of the single
-/// file image read here.
-fn extract_file(
-    io: &dyn IoBackend,
-    dir: &Path,
-    rel: &str,
-    header: &FileHeader,
-) -> Result<Vec<Vec<Bytes>>, RestartError> {
-    let path = dir.join(rel);
-    // One `pread` of the whole file into an image leased from the buffer
-    // pool: the blocks handed out below are slices of it, and it recycles
-    // when the last of them drops.
-    let file = std::fs::File::open(&path)?;
-    let size = file.metadata()?.len();
-    let bytes = io.read_at(&file, 0, size as usize)?;
-    let actual = bytes.len() as u64;
-    if actual < header.expected_file_size() {
+/// Read and verify one checkpoint file the way
+/// [`crate::format::materialize_payloads`] built it: returns
+/// `blocks[rank - r0][field]`, each a zero-copy slice of that rank's
+/// buffer — one lease per covered rank, sized Σ of its field blocks, the
+/// payload class the pool holds idle between checkpoints. The file is
+/// walked once, in file order (field-major, rank-minor: footer-region
+/// order); each block lands straight in its rank's buffer and its
+/// region's CRC32C is chained over the blocks as they land. No image of
+/// the file is built.
+fn extract_file(dir: &Path, rel: &str, header: &FileHeader) -> FileBlocks {
+    let torn = |what: String| RestartError::Torn {
+        file: rel.to_string(),
+        what,
+    };
+    let file = File::open(dir.join(rel))?;
+    let mut file = &file;
+    let actual = file.metadata()?.len();
+    let logical = header.expected_file_size();
+    if actual < logical {
         // Shorter than its own header promises: a crash truncated the
         // write. Classified as torn (fall back a generation), not as a
         // shape mismatch — the header itself is internally consistent.
-        return Err(RestartError::Torn {
-            file: rel.to_string(),
-            what: format!(
-                "file is {actual} bytes, header expects {}",
-                header.expected_file_size()
-            ),
-        });
+        return Err(torn(format!(
+            "file is {actual} bytes, header expects {logical}"
+        )));
     }
-    // Validation pass: every published checkpoint file carries a commit
-    // footer with per-field checksums. A missing or failing footer means
-    // the file was never committed (crash between write and rename) or
-    // rotted afterwards — either way the generation cannot be trusted.
-    if let Some(what) = crate::commit::verify_committed(&bytes, header.expected_file_size()) {
-        return Err(RestartError::Torn {
-            file: rel.to_string(),
-            what,
-        });
+    let covered = (header.r1 - header.r0) as usize;
+    // Every published checkpoint file carries a commit footer with
+    // per-field checksums. A missing or failing footer means the file was
+    // never committed (crash between write and rename) or rotted
+    // afterwards — either way the generation cannot be trusted.
+    if header.fields.is_empty() {
+        // No blocks to hand out: the sealer's single whole-file region.
+        return match commit::verify_committed_file(file, logical)? {
+            Ok(()) => Ok(vec![Vec::new(); covered]),
+            Err(e) => Err(torn(e.to_string())),
+        };
     }
-    Ok(rank_blocks(&bytes, header))
+    let regions = match commit::read_footer(file, actual, logical)? {
+        Ok(regions) => regions,
+        Err(e) => return Err(torn(e.to_string())),
+    };
+    // Blocks are placed by the header and checked by the footer, so the
+    // two must describe the same spans.
+    if !commit::regions_match_header(&regions, header) {
+        return Err(torn(
+            "commit footer's regions are not the header's field spans".to_string(),
+        ));
+    }
+    let pool = BufPool::global();
+    let mut images: Vec<PooledBuf> = (0..covered)
+        .map(|k| pool.lease(header.fields.iter().map(|f| f.sizes[k] as usize).sum()))
+        .collect();
+    // What is left to fill of each rank's buffer: fields land in order,
+    // so a rank's next block is always the front of its tail.
+    let mut tails: Vec<&mut [u8]> = images.iter_mut().map(|b| &mut b[..]).collect();
+    let mut batch: Vec<IoSliceMut<'_>> = Vec::new();
+    for (index, (f, r)) in header.fields.iter().zip(&regions).enumerate() {
+        file.seek(SeekFrom::Start(f.data_off))?;
+        let (mut crc, mut batched) = (0, 0);
+        for (tail, &len) in tails.iter_mut().zip(&f.sizes) {
+            if len == 0 {
+                continue;
+            }
+            let (block, rest) = std::mem::take(tail).split_at_mut(len as usize);
+            *tail = rest;
+            batched += block.len();
+            batch.push(IoSliceMut::new(block));
+            // Gather small blocks into one `readv`; a large one is its own.
+            if batched >= commit::STREAM_CHUNK || batch.len() == MAX_IOV {
+                crc = commit::read_crc32c(file, &mut batch, crc)?;
+                batch.clear();
+                batched = 0;
+            }
+        }
+        crc = commit::read_crc32c(file, &mut batch, crc)?;
+        batch.clear();
+        if crc != r.crc32c {
+            let mismatch = VerifyError::ChecksumMismatch {
+                index,
+                stored: r.crc32c,
+                computed: crc,
+            };
+            return Err(torn(mismatch.to_string()));
+        }
+    }
+    Ok(images
+        .into_iter()
+        .enumerate()
+        .map(|(k, image)| {
+            let image = image.freeze();
+            let mut off = 0;
+            header
+                .fields
+                .iter()
+                .map(|f| {
+                    let block = image.slice(off..off + f.sizes[k] as usize);
+                    off += block.len();
+                    block
+                })
+                .collect()
+        })
+        .collect())
 }
 
 /// Slice a file image into one row of zero-copy field blocks per rank
@@ -214,12 +287,15 @@ fn rank_blocks(bytes: &Bytes, header: &FileHeader) -> Vec<Vec<Bytes>> {
         .collect()
 }
 
-/// A plan file's header must describe the rank range and the job size
-/// the plan says that file has.
+/// A plan file's header must describe the rank range, the job size and
+/// the step the plan says that file has. The step matters because a
+/// multi-file generation publishes file by file: under a reused prefix a
+/// crash between two renames leaves files of two generations side by
+/// side, each of them intact.
 fn check_header_shape(
+    plan: &CheckpointPlan,
     pf: &crate::strategy::PlanFile,
     header: &FileHeader,
-    nranks: u32,
 ) -> Result<(), RestartError> {
     if (header.r0, header.r1) != (pf.r0, pf.r1) {
         return Err(RestartError::Inconsistent(format!(
@@ -227,10 +303,17 @@ fn check_header_shape(
             pf.name, header.r0, header.r1, pf.r0, pf.r1
         )));
     }
+    let nranks = plan.layout.nranks();
     if header.nranks_total != nranks {
         return Err(RestartError::Inconsistent(format!(
             "{}: written by a {}-rank job, plan has {nranks}",
             pf.name, header.nranks_total
+        )));
+    }
+    if header.step != plan.step {
+        return Err(RestartError::Inconsistent(format!(
+            "{}: holds step {}, plan is for step {}",
+            pf.name, header.step, plan.step
         )));
     }
     Ok(())
@@ -278,13 +361,7 @@ pub static INJECT_EXTRACT_PANIC: AtomicUsize = AtomicUsize::new(usize::MAX);
 
 /// Run one file's extraction, converting a worker panic into a typed
 /// [`RestartError::WorkerPanicked`] so sibling files still restore.
-fn extract_file_guarded(
-    io: &dyn IoBackend,
-    dir: &Path,
-    rel: &str,
-    header: &FileHeader,
-    index: usize,
-) -> FileBlocks {
+fn extract_file_guarded(dir: &Path, rel: &str, header: &FileHeader, index: usize) -> FileBlocks {
     let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         if INJECT_EXTRACT_PANIC
             .compare_exchange(index, usize::MAX, Ordering::AcqRel, Ordering::Acquire)
@@ -292,7 +369,7 @@ fn extract_file_guarded(
         {
             panic!("injected restart worker panic");
         }
-        extract_file(io, dir, rel, header)
+        extract_file(dir, rel, header)
     }));
     match res {
         Ok(r) => r,
@@ -330,10 +407,6 @@ fn extract_all(
     nranks: u32,
 ) -> Result<Vec<Vec<Bytes>>, RestartError> {
     let mut data: Vec<Vec<Bytes>> = vec![Vec::new(); nranks as usize];
-    // Resolved once per restore, not per file: `Default` is an
-    // environment lookup.
-    let io = backend::resolve(BackendKind::Default);
-    let io = io.as_ref();
     let workers = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
@@ -343,7 +416,7 @@ fn extract_all(
         files
             .iter()
             .enumerate()
-            .map(|(i, (name, h))| Some(extract_file_guarded(io, dir, name, h, i)))
+            .map(|(i, (name, h))| Some(extract_file_guarded(dir, name, h, i)))
             .collect()
     } else {
         let next = AtomicUsize::new(0);
@@ -357,7 +430,7 @@ fn extract_all(
                         break;
                     }
                     let (name, h) = &files[i];
-                    let res = extract_file_guarded(io, dir, name, h, i);
+                    let res = extract_file_guarded(dir, name, h, i);
                     *lock_unpoisoned(&slots[i]) = Some(res);
                 });
             }
@@ -389,7 +462,7 @@ pub fn read_checkpoint(
     let mut step = None;
     for pf in &plan.plan_files {
         let header = read_header(&dir.join(&pf.name))?;
-        check_header_shape(pf, &header, nranks)?;
+        check_header_shape(plan, pf, &header)?;
         step = Some(header.step);
         files.push((pf.name.clone(), header));
     }
@@ -422,7 +495,7 @@ pub fn read_checkpoint_staged(
             file: pf.name.clone(),
             source: e,
         })?;
-        check_header_shape(pf, &header, nranks)?;
+        check_header_shape(plan, pf, &header)?;
         if (bytes.len() as u64) < header.expected_file_size() {
             return Err(RestartError::Torn {
                 file: pf.name.clone(),
@@ -448,9 +521,8 @@ pub fn scan_checkpoint_dir(
     dir: impl AsRef<Path>,
     prefix: &str,
 ) -> Result<Vec<(String, FileHeader)>, RestartError> {
-    let dir = dir.as_ref();
     let mut out = Vec::new();
-    for entry in std::fs::read_dir(dir)? {
+    for entry in std::fs::read_dir(dir.as_ref())? {
         // Entries deleted between listing and stat (a concurrent GC
         // rotating old generations) are not this scan's problem.
         let entry = match entry {
@@ -482,15 +554,13 @@ pub fn read_checkpoint_auto(
 ) -> Result<RestoredData, RestartError> {
     let dir = dir.as_ref();
     let files = scan_checkpoint_dir(dir, prefix)?;
-    if files.is_empty() {
+    let Some((_, first)) = files.first() else {
         return Err(RestartError::Inconsistent(format!(
             "no '{prefix}*.rbio' files found"
         )));
-    }
-    let nranks = files[0].1.nranks_total;
-    let step = files[0].1.step;
-    let nfields = files[0].1.fields.len();
-    let field_names: Vec<String> = files[0].1.fields.iter().map(|f| f.name.clone()).collect();
+    };
+    let (nranks, step, nfields) = (first.nranks_total, first.step, first.fields.len());
+    let field_names: Vec<String> = first.fields.iter().map(|f| f.name.clone()).collect();
     // Coverage check: the rank ranges must tile [0, nranks).
     let mut cursor = 0u32;
     for (name, h) in &files {
@@ -822,6 +892,50 @@ mod tests {
             matches!(err, RestartError::Torn { .. }),
             "want Torn, got {err}"
         );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Multi-file generations publish file by file, so under a reused
+    /// prefix a crash between two renames leaves intact files of two
+    /// steps side by side. A plan-guided restore must refuse the mix
+    /// rather than return it under one step.
+    #[test]
+    fn files_of_two_steps_under_one_prefix_are_refused() {
+        let layout = DataLayout::uniform(4, &[("Ex", 64), ("Ey", 8)]);
+        let plan_for = |step| {
+            CheckpointSpec::new(layout.clone(), "ck")
+                .strategy(Strategy::coio(2))
+                .step(step)
+                .plan()
+                .unwrap()
+        };
+        let (old, new) = (plan_for(5), plan_for(7));
+        let (old_dir, dir) = (tmpdir("mixed-old"), tmpdir("mixed"));
+        for (plan, dir) in [(&old, &old_dir), (&new, &dir)] {
+            let payloads = materialize_payloads(plan, |r, f, buf| {
+                fill(r + plan.step as u32, f, buf);
+            });
+            execute(&plan.program, payloads, &ExecConfig::new(dir)).unwrap();
+        }
+        assert_eq!(new.plan_files.len(), 2);
+        assert_eq!(read_checkpoint(&dir, &new).unwrap().step, 7);
+        // File 1 of step 5 where file 1 of step 7 was never published.
+        let name = &new.plan_files[1].name;
+        assert_eq!(name, &old.plan_files[1].name, "one prefix, same names");
+        std::fs::copy(old_dir.join(name), dir.join(name)).unwrap();
+        for plan in [&new, &old] {
+            match read_checkpoint(&dir, plan) {
+                Err(RestartError::Inconsistent(what)) => {
+                    assert!(what.contains("step"), "{what}")
+                }
+                other => panic!("want Inconsistent, got {other:?}"),
+            }
+        }
+        assert!(matches!(
+            read_checkpoint_auto(&dir, "ck"),
+            Err(RestartError::Inconsistent(_))
+        ));
+        std::fs::remove_dir_all(&old_dir).ok();
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -13,7 +13,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use rbio::buf::BufPool;
 use rbio::exec::{execute, ExecConfig};
-use rbio::format::materialize_payloads;
+use rbio::format::{header_len, materialize_payloads};
 use rbio::layout::DataLayout;
 use rbio::restart::read_checkpoint;
 use rbio::rt::{self, RtConfig};
@@ -75,31 +75,36 @@ fn fill(gen: u64) -> impl FnMut(u32, usize, &mut [u8]) {
 /// copy per (rank, field) and the stream buffer of each file's sealer,
 /// which is [`FIELD_BYTES`] long here too.
 const FIELD_CLASS_PEAK: usize = NRANKS as usize * FIELDS.len() + 2;
+/// And of a header's class: `rt` borrows its payloads, so each file's
+/// owner writes a pooled copy of the header — two files at most.
+const HEADER_CLASS_PEAK: usize = 2;
 
-/// Hold [`FIELD_CLASS_PEAK`] leases of a field's class at once and return
-/// them. How many of them a generation has out together depends on its
-/// timing (do the two commits overlap? how far do the senders run ahead?),
-/// so left alone the pool would complete the class in whichever generation
-/// first reaches the peak. Seeing the peak once, as the cold generation
-/// ends, makes the warm state the same on every run.
-fn complete_the_field_class() {
+/// Hold [`FIELD_CLASS_PEAK`] leases of a field's class and
+/// [`HEADER_CLASS_PEAK`] of a header's at once and return them. How many
+/// of them a generation has out together depends on its timing (do the two
+/// commits overlap? how far do the senders run ahead?), so left alone the
+/// pool would complete a class in whichever generation first reaches the
+/// peak. Seeing the peak once, as the cold generation ends, makes the warm
+/// state the same on every run.
+fn complete_the_timing_dependent_classes() {
     let pool = BufPool::global();
-    drop(
-        (0..FIELD_CLASS_PEAK)
-            .map(|_| pool.lease(FIELD_BYTES as usize))
-            .collect::<Vec<_>>(),
-    );
+    let plan = plan_for(Strategy::coio(2), 0);
+    let header = header_len(&plan.layout, &plan.app, 0, NRANKS);
+    let fields = (0..FIELD_CLASS_PEAK).map(|_| pool.lease(FIELD_BYTES as usize));
+    let headers = (0..HEADER_CLASS_PEAK).map(|_| pool.lease(header as usize));
+    drop(fields.chain(headers).collect::<Vec<_>>());
 }
 
 /// Bytes allocated by `generation(gen)` for each `gen` in `1..=gens`; the
-/// first, cold one [completes the field class](complete_the_field_class).
+/// first, cold one [completes the classes whose peak depends on
+/// timing](complete_the_timing_dependent_classes).
 fn allocated_per_generation(gens: u64, mut generation: impl FnMut(u64)) -> Vec<u64> {
     (1..=gens)
         .map(|gen| {
             let before = ALLOCATED.load(Ordering::Relaxed);
             generation(gen);
             if gen == 1 {
-                complete_the_field_class();
+                complete_the_timing_dependent_classes();
             }
             ALLOCATED.load(Ordering::Relaxed) - before
         })
@@ -107,8 +112,8 @@ fn allocated_per_generation(gens: u64, mut generation: impl FnMut(u64)) -> Vec<u
 }
 
 /// materialize → `execute` (rbIO(2), depth 2) → `read_checkpoint` → drop.
-/// The restore images are of the writers' staging class, so the whole
-/// loop runs on one set of buffers.
+/// A restore lands each rank's blocks in a buffer of the payload class,
+/// so the whole loop runs on one set of buffers.
 fn exec_generation(dir: &Path, gen: u64) {
     let plan = plan_for(Strategy::rbio(2), gen);
     let payloads = materialize_payloads(&plan, fill(gen));
@@ -118,16 +123,18 @@ fn exec_generation(dir: &Path, gen: u64) {
         &ExecConfig::new(dir).pipeline_depth(2),
     )
     .expect("execute");
-    let restored = read_checkpoint(dir, &plan).expect("restore");
-    assert_eq!(restored.step, gen);
+    restore(dir, &plan);
+}
+
+fn restore(dir: &Path, plan: &CheckpointPlan) {
+    let restored = read_checkpoint(dir, plan).expect("restore");
+    assert_eq!(restored.step, plan.step);
     assert_eq!(restored.total_bytes(), USER_BYTES);
 }
 
 /// materialize → `rt::run` + `checkpoint_rank_with` (coIO(2), depth 3) →
-/// drop. The checkpoint side only: a coIO file image (four ranks' data)
-/// fits no buffer of the checkpoint path (one rank's, or one field's), and
-/// a restore between generations is a change of shape that the pool
-/// answers by releasing what it kept, not by keeping both sets resident.
+/// `read_checkpoint` → drop. A coIO file holds four ranks' data, but its
+/// restore is four rank-sized buffers like any other strategy's.
 fn rt_generation(dir: &Path, gen: u64) {
     let plan = plan_for(Strategy::coio(2), gen);
     let payloads = materialize_payloads(&plan, fill(gen));
@@ -137,6 +144,8 @@ fn rt_generation(dir: &Path, gen: u64) {
         rt::checkpoint_rank_with(&mut comm, &plan.program, &payloads[rank], &cfg)
             .expect("rt checkpoint");
     });
+    drop(payloads);
+    restore(dir, &plan);
 }
 
 #[test]
@@ -165,10 +174,18 @@ fn a_warm_generation_allocates_a_fraction_of_its_user_bytes() {
     );
 
     std::fs::remove_dir_all(&dir).ok();
-    let rt = allocated_per_generation(8, |gen| rt_generation(&dir, gen));
+    retained.clear();
+    let rt = allocated_per_generation(8, |gen| {
+        rt_generation(&dir, gen);
+        retained.push(pool.retained_bytes());
+    });
     assert!(
         rt[2..].iter().all(|&a| a < budget),
         "rt: warm generations allocated {rt:?}, budget {budget}"
+    );
+    assert_eq!(
+        retained[2], retained[7],
+        "the retained set is fixed from generation 3 on: {retained:?}"
     );
     std::fs::remove_dir_all(&dir).ok();
 }
