@@ -77,12 +77,6 @@ SCRUB_DIR=$(mktemp -d)
 target/debug/rbio-scrub --dir "$SCRUB_DIR" --dry-run --json > /dev/null
 rm -rf "$SCRUB_DIR"
 
-echo "== backend conformance, then rbio's whole suite, under the ring backend =="
-# RBIO_IO_BACKEND retargets every BackendKind::Default config, so tier
-# drains, service sessions and the pipeline tests run on the ring too.
-RBIO_IO_BACKEND=ring cargo test -q -p rbio --test backend_conformance
-RBIO_IO_BACKEND=ring cargo test --offline -q -p rbio
-
 echo "== rbio-tune fast gate (small budget, winner in the Fig. 8 band) =="
 # The autotuner must rediscover the paper's nf ~= 1024 sweet spot on
 # the calibrated Intrepid model even under the small CI eval budget;
@@ -136,9 +130,8 @@ if [[ "$SLOW" == 1 ]]; then
   "$RCR" sweep --strategy rbio --images 64 --revert-pr1 > /dev/null
   target/release/rbio-scrub --demo > /dev/null
 
-  echo "== backend conformance under both backends (release) =="
+  echo "== backend conformance, both backends swept (release) =="
   cargo test --release -q -p rbio --test backend_conformance
-  RBIO_IO_BACKEND=ring cargo test --release -q -p rbio --test backend_conformance
 
   echo "== AddressSanitizer over the two unsafe files (sys, tier) =="
   # Needs a nightly toolchain with the sanitizer runtime; its own target

@@ -8,8 +8,8 @@
 //!   two-worker check pool. The smallest state space containing the
 //!   PR 2 double-enqueue race.
 //! * `p2` — the thread-per-rank executor running a real RB-IO
-//!   checkpoint plan, pipelined and zero-copy, compared byte-for-byte
-//!   against an uncontrolled deep-copy serial reference.
+//!   checkpoint plan, pipelined, compared byte-for-byte against an
+//!   uncontrolled serial reference that issues one write per plan op.
 //! * `p3` — the same plan through the MPI-like runtime
 //!   ([`rt::checkpoint_rank_with`]), against the same reference.
 //! * `p4` — a two-rank aggregation with an injected message drop. The
@@ -77,7 +77,7 @@
 //!   interpreter freezes a staging image (and stops snapshotting) only
 //!   past the rank's last staging mutation; frozen one write early, the
 //!   shadow model's submit-time = execution-time fingerprint invariant
-//!   and the byte comparison against the deep-copy reference both break.
+//!   and the byte comparison against the serial reference both break.
 //!
 //! [`WriterHandle`]: rbio::pipeline::WriterHandle
 //! [`SendAttempt`]: rbio::sched::Event::SendAttempt
@@ -89,7 +89,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use rbio::backend::{RingBackend, RingConfig};
-use rbio::buf::{BufPool, Bytes, CopyMode};
+use rbio::buf::{BufPool, Bytes};
 use rbio::exec::{execute, ExecConfig};
 use rbio::failover::FailoverPolicy;
 use rbio::fault::FaultPlan;
@@ -110,7 +110,7 @@ use rbio_plan::{DataRef, Op, ProgramBuilder, Tag};
 pub enum ProgramKind {
     /// `p1`: direct pipeline submits (PR 2 race territory).
     PipelineRace,
-    /// `p2`: pipelined executor vs. serial deep-copy reference.
+    /// `p2`: pipelined executor vs. serial one-write-per-op reference.
     ExecEquiv,
     /// `p3`: MPI-like runtime vs. the same reference.
     RtEquiv,
@@ -209,8 +209,8 @@ impl ProgramKind {
     pub fn describe(&self) -> &'static str {
         match self {
             ProgramKind::PipelineRace => "direct flush-pipeline submits (double-enqueue race)",
-            ProgramKind::ExecEquiv => "pipelined executor vs. serial deep-copy reference",
-            ProgramKind::RtEquiv => "MPI-like runtime vs. serial deep-copy reference",
+            ProgramKind::ExecEquiv => "pipelined executor vs. serial one-write-per-op reference",
+            ProgramKind::RtEquiv => "MPI-like runtime vs. serial one-write-per-op reference",
             ProgramKind::FaultDrop => "two-rank aggregation with an injected message drop",
             ProgramKind::Failover => "hung-writer failover vs. uninjected serial reference",
             ProgramKind::TierDrain => "tiered drain racing a local-tier restore",
@@ -616,8 +616,8 @@ fn coio_two_field_plan() -> CheckpointPlan {
 }
 
 /// Run `plan` pipelined (depth 2) under the controlled scheduler, through
-/// `exec` or the MPI-like runtime. The reference is the deep-copy serial
-/// executor run uncontrolled at prepare time.
+/// `exec` or the MPI-like runtime. The reference is the serial executor,
+/// one write per op, run uncontrolled at prepare time.
 fn prepare_plan_equiv(dir: &Path, plan: CheckpointPlan, through_rt: bool) -> PreparedProgram {
     let payloads = materialize_payloads(&plan, fill);
 
@@ -625,7 +625,7 @@ fn prepare_plan_equiv(dir: &Path, plan: CheckpointPlan, through_rt: bool) -> Pre
     execute(
         &plan.program,
         payloads.clone(),
-        &ExecConfig::new(&ref_dir).copy_mode(CopyMode::DeepCopy),
+        &ExecConfig::new(&ref_dir).coalesce_caps(1, 1),
     )
     .expect("uncontrolled reference execution");
     let expected: Vec<(String, Vec<u8>)> = plan
@@ -671,8 +671,8 @@ fn prepare_plan_equiv(dir: &Path, plan: CheckpointPlan, through_rt: bool) -> Pre
                     std::fs::read(out_dir.join(name)).map_err(|e| format!("read {name}: {e}"))?;
                 if &got != want {
                     return Err(format!(
-                        "{name}: controlled output differs from the deep-copy \
-                         serial reference ({} vs {} bytes)",
+                        "{name}: controlled output differs from the serial \
+                         reference ({} vs {} bytes)",
                         got.len(),
                         want.len()
                     ));
@@ -689,7 +689,7 @@ fn prepare_plan_equiv(dir: &Path, plan: CheckpointPlan, through_rt: bool) -> Pre
 /// surviving writer claims the orphaned extent, re-derives its bytes
 /// from the shared payloads, and commits it exactly once while the
 /// fence keeps the reviving zombie from ever publishing. The reference
-/// is an uninjected deep-copy serial run; the model checks
+/// is an uninjected serial run, one write per op; the model checks
 /// exactly-once takeover, no fenced commits, and unique extent
 /// commits on top of the byte-for-byte comparison.
 fn prepare_failover(dir: &Path) -> PreparedProgram {
@@ -705,7 +705,7 @@ fn prepare_failover(dir: &Path) -> PreparedProgram {
     execute(
         &plan.program,
         payloads.clone(),
-        &ExecConfig::new(&ref_dir).copy_mode(CopyMode::DeepCopy),
+        &ExecConfig::new(&ref_dir).coalesce_caps(1, 1),
     )
     .expect("uncontrolled reference execution");
     let expected: Vec<(String, Vec<u8>)> = plan

@@ -58,15 +58,12 @@ pub use crate::fault::IoCtx;
 pub use ring::{RingBackend, RingConfig};
 
 /// Which backend a config knob selects. The indirection (rather than an
-/// `Arc<dyn IoBackend>` in every config struct) keeps `ExecConfig` and
-/// `RtConfig` `Debug + Clone`.
+/// `Arc<dyn IoBackend>` in the config struct) keeps `ExecConfig`
+/// `Debug + Clone`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BackendKind {
-    /// Process default: `RBIO_IO_BACKEND=ring|threaded` if set, else
-    /// threaded.
-    #[default]
-    Default,
     /// The blocking per-job baseline.
+    #[default]
     Threaded,
     /// The completion-queue backend ([`ring::RingBackend`]).
     Ring,
@@ -187,17 +184,11 @@ pub fn ring_default() -> Arc<dyn IoBackend> {
     )
 }
 
-/// Resolve a config knob to a backend instance. [`BackendKind::Default`]
-/// honors `RBIO_IO_BACKEND` (`ring` or `threaded`), so the whole test
-/// suite can be re-run under the ring backend without touching configs.
+/// Resolve a config knob to a backend instance.
 pub fn resolve(kind: BackendKind) -> Arc<dyn IoBackend> {
     match kind {
         BackendKind::Threaded => threaded(),
         BackendKind::Ring => ring_default(),
-        BackendKind::Default => match std::env::var("RBIO_IO_BACKEND").ok().as_deref() {
-            Some("ring") => ring_default(),
-            _ => threaded(),
-        },
     }
 }
 

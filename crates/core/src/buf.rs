@@ -46,21 +46,6 @@ use std::sync::{Arc, Mutex, OnceLock, Weak};
 
 use rbio_profile::counters;
 
-/// How the executors materialize the bytes a plan op refers to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CopyMode {
-    /// Reference-counted slices end to end: a payload byte is copied only
-    /// where a copy is semantically required (into mutable staging, or
-    /// into an eager-send buffer). The default.
-    #[default]
-    ZeroCopy,
-    /// Deep-copy every resolved reference, emulating the legacy datapath
-    /// (payload → `to_vec` → channel `to_vec` → staging → flush snapshot).
-    /// Kept as the baseline for the `datapath` bench and the byte-identity
-    /// property tests.
-    DeepCopy,
-}
-
 /// One buffer's storage and its way home: shared by the [`PooledBuf`]
 /// that fills it and the [`Bytes`] slices it is frozen into.
 struct Inner {
@@ -302,7 +287,7 @@ impl From<Vec<u8>> for Bytes {
 const MAX_POOLED_BUFS: usize = 64;
 /// Retain at most this much free capacity per pool; a buffer that would
 /// push the free list past it goes back to the allocator instead. Sized
-/// for a few generations' worth of payload, staging and restore images —
+/// for a few generations' worth of payload, staging and restore buffers —
 /// what a steady-state checkpoint loop keeps in flight.
 const MAX_RETAINED_BYTES: usize = 256 << 20;
 /// Smallest size class.
@@ -310,9 +295,9 @@ const MIN_CLASS: usize = 64;
 
 /// The capacity a request of `len` bytes is served at: `len` rounded up
 /// to one of eight classes per power of two, so at most 12.5 % slack. A
-/// file image (`header + data + footer`) therefore fits the payload or
-/// staging buffer of the same generation, and a recycled buffer serves
-/// every request of its class.
+/// rank's restore buffer (its field blocks) is therefore of the class of
+/// the payload (`header + blocks`) it was written from, and a recycled
+/// buffer serves every request of its class.
 fn class_capacity(len: usize) -> usize {
     if len <= MIN_CLASS {
         return MIN_CLASS;
@@ -390,8 +375,10 @@ impl PoolShared {
     /// fresh bytes. One kind of miss also makes room for them: the first
     /// lease of a round — nothing else is out — that fits nothing kept and
     /// is round-sized (`PoolState::round_sized`). The work has changed
-    /// shape (a restore image between checkpoints whose sizes match none
-    /// of theirs), and what was kept for the last round would otherwise
+    /// shape (an application re-planned with another layout or rank
+    /// count, or a tool reading whole files through
+    /// [`crate::backend::IoBackend::read_at`] between checkpoints), and
+    /// what was kept for the last round would otherwise
     /// sit resident under the new one: retention would stack the peaks of
     /// phases that never run together. A miss while other leases are out
     /// is fluctuation within a round and releases nothing; nor does a
@@ -445,7 +432,7 @@ impl PoolShared {
 }
 
 /// The recycling pool behind the buffer lifecycle: every generation-sized
-/// allocation of the runtime — payloads, writer staging, restore images,
+/// allocation of the runtime — payloads, writer staging, restore buffers,
 /// eager-send and snapshot copies — is leased here.
 pub struct BufPool {
     shared: Arc<PoolShared>,
@@ -683,9 +670,9 @@ mod tests {
             drop(checkpoint());
             assert_eq!((pool.free_buffers(), pool.retained_bytes()), (8, kept));
         }
-        // A restore round: its image fits none of them and nothing is out,
-        // so the largest go — as many bytes as the image maps — instead of
-        // sitting resident under it.
+        // A round of another shape: its first lease fits none of them and
+        // nothing is out, so the largest go — as many bytes as it maps —
+        // instead of sitting resident under it.
         let image = pool.lease(6000);
         assert_eq!(pool.free_buffers(), 2);
         assert!(kept - pool.retained_bytes() >= class_capacity(6000));

@@ -15,14 +15,15 @@
 //! * writer takeover — a successor re-running an orphan's ops, where a
 //!   receive is *pulled* out of the sender's payload instead of waited
 //!   for.
+//!
+//! All three read one [`ExecConfig`], borrowed for the run.
 
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io;
 use std::os::unix::fs::FileExt;
-use std::path::{Path, PathBuf};
-use std::sync::atomic::AtomicU64;
+use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -30,15 +31,14 @@ use rbio_plan::{DataRef, Op, Program};
 use rbio_profile::counters;
 
 use super::mailbox::MailError;
-use super::{write_run_len, write_src};
-use crate::backend::{self, BackendKind};
-use crate::buf::{BufPool, Bytes, CopyMode, PooledBuf};
+use super::{write_run_len, write_src, ExecConfig};
+use crate::buf::{BufPool, Bytes, PooledBuf};
 use crate::commit;
 use crate::crash;
 use crate::failover::{FailoverDirector, WriterHealth};
-use crate::fault::{self, FaultPlan, IoCtx};
+use crate::fault::{self, IoCtx};
 use crate::format::synthetic_byte;
-use crate::pipeline::{self, FlushJob, FlushPool, PipelineError, WriterHandle, WriterTuning};
+use crate::pipeline::{self, FlushJob, PipelineError, WriterHandle};
 use crate::sched::{self, Point, Revert};
 use crate::tier::TierStage;
 
@@ -176,53 +176,6 @@ impl Staging {
     }
 }
 
-/// The settings the interpreter reads, borrowed from an `ExecConfig` or
-/// an `RtConfig`.
-#[derive(Clone, Copy)]
-pub(crate) struct View<'a> {
-    pub base_dir: &'a Path,
-    pub fsync: bool,
-    pub honor_compute: bool,
-    pub faults: &'a FaultPlan,
-    pub write_retries: u32,
-    pub retry_backoff: Duration,
-    pub pipeline_depth: u32,
-    pub pipeline_jitter: Option<u64>,
-    pub copy_mode: CopyMode,
-    pub stage: Option<&'a Arc<TierStage>>,
-    pub io_backend: BackendKind,
-    pub coalesce_max_bytes: u64,
-    pub coalesce_max_ops: usize,
-}
-
-impl View<'_> {
-    /// Register `rank`'s background flush pipeline with the current
-    /// pool; `None` at depth 1, the fully serial path.
-    pub(crate) fn writer(
-        &self,
-        rank: u32,
-        hedge_after: Option<Duration>,
-        beat: Option<Arc<AtomicU64>>,
-    ) -> Option<WriterHandle> {
-        (self.pipeline_depth >= 2).then(|| {
-            FlushPool::current().register(
-                rank,
-                self.pipeline_depth,
-                self.faults.clone(),
-                WriterTuning {
-                    write_retries: self.write_retries,
-                    retry_backoff: self.retry_backoff,
-                    jitter_seed: self.pipeline_jitter,
-                    hedge_after,
-                    beat,
-                    backend: Some(backend::resolve(self.io_backend)),
-                    durable: self.fsync,
-                },
-            )
-        })
-    }
-}
-
 /// One rank's execution state over transport `T`.
 pub(crate) struct Interp<'a, T: Transport> {
     /// Who is executing: the identity faults are injected under and
@@ -233,7 +186,7 @@ pub(crate) struct Interp<'a, T: Transport> {
     owner: u32,
     program: &'a Program,
     payload: Payload<'a>,
-    cfg: View<'a>,
+    cfg: &'a ExecConfig,
     /// Present when failover is engaged for this run.
     director: Option<&'a FailoverDirector>,
     pub(crate) transport: T,
@@ -255,7 +208,7 @@ impl<'a, T: Transport> Interp<'a, T> {
         owner: u32,
         program: &'a Program,
         payload: Payload<'a>,
-        cfg: View<'a>,
+        cfg: &'a ExecConfig,
         director: Option<&'a FailoverDirector>,
         transport: T,
         pipe: Option<WriterHandle>,
@@ -290,41 +243,22 @@ impl<'a, T: Transport> Interp<'a, T> {
     }
 
     /// Materialize `r` as an owned, immutable [`Bytes`] — what a `Send` or
-    /// a deferred (pipelined) write needs. Under `ZeroCopy` a payload
-    /// reference costs what [`Payload::owned`] costs; a staging reference
-    /// is an O(1) slice once the image is frozen and a pooled snapshot
-    /// copy before that, because live staging is reused by later
-    /// `Pack`/`Recv`/`ReadAt` ops. Under `DeepCopy` everything copies, as
-    /// the seed datapath did. Every memcpy either way is charged to
-    /// [`counters::add_bytes_copied`].
+    /// a deferred (pipelined) write needs. A payload reference costs what
+    /// [`Payload::owned`] costs; a staging reference is an O(1) slice once
+    /// the image is frozen and a pooled snapshot copy before that, because
+    /// live staging is reused by later `Pack`/`Recv`/`ReadAt` ops. Every
+    /// memcpy is charged to [`counters::add_bytes_copied`].
     fn resolve_owned(&self, r: &DataRef, file_off: u64) -> Bytes {
-        match (self.cfg.copy_mode, *r) {
-            (CopyMode::DeepCopy, DataRef::Own { off, len }) => {
-                counters::add_bytes_copied(len);
-                Bytes::from_vec(
-                    self.payload.as_slice()[off as usize..(off + len) as usize].to_vec(),
-                )
-            }
-            (CopyMode::DeepCopy, DataRef::Staging { off, len }) => {
-                counters::add_bytes_copied(len);
-                Bytes::from_vec(
-                    self.staging.as_slice()[off as usize..(off + len) as usize].to_vec(),
-                )
-            }
-            (CopyMode::DeepCopy, DataRef::Synthetic { len }) => {
-                Bytes::from_vec((0..len).map(|i| synthetic_byte(file_off + i)).collect())
-            }
-            (CopyMode::ZeroCopy, DataRef::Own { off, len }) => {
-                self.payload.owned(off as usize, len as usize)
-            }
-            (CopyMode::ZeroCopy, DataRef::Staging { off, len }) => {
+        match *r {
+            DataRef::Own { off, len } => self.payload.owned(off as usize, len as usize),
+            DataRef::Staging { off, len } => {
                 let range = off as usize..(off + len) as usize;
                 match &self.staging {
                     Staging::Frozen(image) => image.slice(range),
                     Staging::Live(image) => BufPool::global().copy_from_slice(&image[range]),
                 }
             }
-            (CopyMode::ZeroCopy, DataRef::Synthetic { len }) => {
+            DataRef::Synthetic { len } => {
                 BufPool::global().from_fn(len as usize, |i| synthetic_byte(file_off + i as u64))
             }
         }
@@ -471,6 +405,7 @@ impl<'a, T: Transport> Interp<'a, T> {
     fn staged_for(&self, file: u32) -> Option<&'a Arc<TierStage>> {
         self.cfg
             .stage
+            .as_ref()
             .filter(|_| self.program.files[file as usize].atomic)
     }
 
@@ -512,9 +447,8 @@ impl<'a, T: Transport> Interp<'a, T> {
     ///
     /// Coalescing turns byte-contiguous same-file writes into one
     /// vectored write. It is skipped when faults are armed — the
-    /// [`FaultPlan`] counts logical writes and its semantics are
-    /// specified against plan ops, one write per op — and under
-    /// `DeepCopy`, which preserves the legacy one-op-one-write shape.
+    /// [`crate::fault::FaultPlan`] counts logical writes and its semantics
+    /// are specified against plan ops, one write per op.
     /// Tier-staged runs always coalesce: a slab append is memory-speed
     /// and deliberately skips the per-write fault hooks, since the
     /// staged path's failure mode is losing the tier
@@ -528,8 +462,7 @@ impl<'a, T: Transport> Interp<'a, T> {
     ) -> Result<usize, StepError> {
         self.maybe_hang();
         let stage = self.staged_for(file);
-        let coalesce = stage.is_some()
-            || (self.cfg.copy_mode == CopyMode::ZeroCopy && !self.cfg.faults.is_armed());
+        let coalesce = stage.is_some() || !self.cfg.faults.is_armed();
         let end = if coalesce {
             let (max_bytes, max_ops) = (self.cfg.coalesce_max_bytes, self.cfg.coalesce_max_ops);
             write_run_len(ops, i, file, offset, max_bytes, max_ops)
@@ -561,10 +494,7 @@ impl<'a, T: Transport> Interp<'a, T> {
         // plan's last staging mutation there is no later reuse: the image
         // freezes and every job gets a slice of it; before that a staging
         // source is snapshotted.
-        if self.pipe.is_some()
-            && i >= self.staging_final_from
-            && self.cfg.copy_mode == CopyMode::ZeroCopy
-        {
+        if self.pipe.is_some() && i >= self.staging_final_from {
             self.staging.freeze();
         }
         let f = self.files.get(&file).expect("validated: opened");
@@ -579,25 +509,18 @@ impl<'a, T: Transport> Interp<'a, T> {
             })?;
             return Ok(end);
         }
-        // Serial: the write completes before the op retires, so ZeroCopy
-        // writes straight from the borrowed sources — no snapshot at all.
+        // Serial: the write completes before the op retires, so it goes
+        // straight from the borrowed sources — no snapshot at all.
         let ctx = IoCtx {
             rank: self.rank,
             wid: 0,
-            faults: self.cfg.faults,
+            faults: &self.cfg.faults,
             write_retries: self.cfg.write_retries,
             retry_backoff: self.cfg.retry_backoff,
         };
-        let (snapshot, one, many); // a single-chunk run stays off the heap
+        let (one, many); // a single-chunk run stays off the heap
         let srcs: &[Cow<'_, [u8]>] = if let [op] = run {
-            one = [match self.cfg.copy_mode {
-                CopyMode::ZeroCopy => self.borrow_src(write_src(op), offset),
-                CopyMode::DeepCopy => {
-                    // DeepCopy keeps its copy-per-hop even here.
-                    snapshot = self.resolve_owned(write_src(op), offset);
-                    Cow::Borrowed(&snapshot[..])
-                }
-            }];
+            one = [self.borrow_src(write_src(op), offset)];
             &one
         } else {
             many = chunks
@@ -607,7 +530,7 @@ impl<'a, T: Transport> Interp<'a, T> {
         };
         let attempts = fault::write_at(&ctx, f, offset, srcs)?;
         self.retries += u64::from(attempts);
-        if self.cfg.fsync {
+        if self.cfg.fsync_on_close {
             pipeline::hint_writeback(f, offset, run_bytes);
         }
         Ok(end)
@@ -657,7 +580,7 @@ impl<'a, T: Transport> Interp<'a, T> {
         let Some(f) = self.files.remove(&file) else {
             return Ok(());
         };
-        let fsync = self.cfg.fsync && !self.program.files[file as usize].atomic;
+        let fsync = self.cfg.fsync_on_close && !self.program.files[file as usize].atomic;
         if let Some(pipe) = &self.pipe {
             pipe.submit(FlushJob::Close { file: f, fsync })?;
         } else if fsync {
@@ -695,7 +618,7 @@ impl<'a, T: Transport> Interp<'a, T> {
         }
         let final_path = self.final_path(file);
         let tmp = commit::tmp_path(&final_path);
-        let (size, fsync) = (spec.size, self.cfg.fsync);
+        let (size, fsync) = (spec.size, self.cfg.fsync_on_close);
         if let Some(pipe) = &self.pipe {
             // The commit fault check and the rename both run inside the
             // job, after this writer's data writes (FIFO) — commit stays
@@ -713,7 +636,7 @@ impl<'a, T: Transport> Interp<'a, T> {
             // the final name must never appear.
             return Err(StepError::Killed);
         }
-        let (faults, rank) = (self.cfg.faults, self.rank);
+        let (faults, rank) = (&self.cfg.faults, self.rank);
         commit::commit_file_with_faults(&tmp, &final_path, size, fsync, faults, rank)?;
         sched::emit(|| sched::Event::ExtentCommit {
             owner: self.owner,

@@ -12,6 +12,11 @@
 //! [`crate::rt`] runs) on each over this module's transport, and then
 //! lets surviving writers serve as successors for dead ones by running
 //! that interpreter once more over a pull transport.
+//!
+//! [`ExecConfig`] is the interpreter's one config, under either entry
+//! point: [`crate::rt::RtConfig`] is another name for it. Three of its
+//! fields — `recv_timeout`, `chan_capacity` and `failover` — concern the
+//! mailboxes and the takeover that only `execute` owns.
 
 mod interp;
 mod mailbox;
@@ -25,12 +30,13 @@ use std::time::{Duration, Instant};
 
 use rbio_plan::{DataRef, Op, Program};
 
-pub(crate) use self::interp::{Blocked, Interp, Payload, StepError, Transport, View};
+pub(crate) use self::interp::{Blocked, Interp, Payload, StepError, Transport};
 pub(crate) use self::mailbox::{MailError, Mailbox};
-use crate::backend::BackendKind;
-use crate::buf::{Bytes, CopyMode};
+use crate::backend::{self, BackendKind};
+use crate::buf::Bytes;
 use crate::failover::{FailoverDirector, FailoverPolicy, WriterHealth};
 use crate::fault::FaultPlan;
+use crate::pipeline::{FlushPool, WriterHandle, WriterTuning};
 use crate::sched::{self, Point};
 
 /// Default per-rank mailbox capacity (messages). Bounded so a burst or a
@@ -83,7 +89,8 @@ fn write_run_len(
     end
 }
 
-/// Executor configuration.
+/// Interpreter configuration, for [`execute`] and for
+/// [`crate::rt::checkpoint_rank_with`] alike.
 #[derive(Debug, Clone)]
 pub struct ExecConfig {
     /// Directory all plan file names are resolved against.
@@ -103,8 +110,10 @@ pub struct ExecConfig {
     pub write_retries: u32,
     /// Initial backoff between retries (doubles each attempt).
     pub retry_backoff: Duration,
-    /// How long a `Recv` waits with no matching message before failing
-    /// (a lost handoff must surface as a typed error, not a hang).
+    /// `execute` only: how long a `Recv` waits with no matching message
+    /// before failing (a lost handoff must surface as a typed error, not
+    /// a hang). Under `rt` the application's [`crate::rt::Comm`] owns the
+    /// timeout ([`crate::rt::Comm::set_recv_timeout`]).
     pub recv_timeout: Duration,
     /// Outstanding background flush jobs per writer. `1` (the default)
     /// is the fully serial path; `≥ 2` defers `WriteAt`/`Close`/`Commit`
@@ -118,17 +127,12 @@ pub struct ExecConfig {
     /// duration before running — a deterministic way for equivalence
     /// tests to sweep cross-rank interleavings.
     pub pipeline_jitter: Option<u64>,
-    /// How payload bytes travel to disk. [`CopyMode::ZeroCopy`] (the
-    /// default) moves refcounted [`Bytes`] slices and coalesces
-    /// contiguous writes; [`CopyMode::DeepCopy`] deep-copies at every
-    /// hop — the legacy datapath, kept as the baseline for equivalence
-    /// tests and the bytes-copied benchmark.
-    pub copy_mode: CopyMode,
-    /// Writer failover policy. Disabled by default: a dead writer aborts
-    /// the run, exactly as before. When enabled (and the plan supports
+    /// `execute` only: writer failover policy. Disabled by default: a
+    /// dead writer aborts the run. When enabled (and the plan supports
     /// takeover — per-writer files, no writer barriers), a dead or hung
     /// writer's extent is re-staged and written by the next surviving
-    /// writer, and the generation completes in degraded mode.
+    /// writer, and the generation completes in degraded mode. `rt` does
+    /// not offer takeover: a rank sees no other rank's payload.
     pub failover: FailoverPolicy,
     /// When set, atomic plan files divert into this node-local tier
     /// stage instead of the filesystem: `Open` becomes a no-op,
@@ -138,17 +142,18 @@ pub struct ExecConfig {
     pub stage: Option<Arc<crate::tier::TierStage>>,
     /// I/O backend driving the background flush pipeline's writes
     /// (ignored at `pipeline_depth` 1, where the serial path issues its
-    /// own blocking writes). [`BackendKind::Default`] honors
-    /// `RBIO_IO_BACKEND`.
+    /// own blocking writes). [`BackendKind::Threaded`] by default.
     pub io_backend: BackendKind,
     /// Cap on one coalesced vectored write, bytes (min 1).
     pub coalesce_max_bytes: u64,
     /// Cap on chunks per coalesced vectored write (min 1).
     pub coalesce_max_ops: usize,
-    /// Per-rank message mailbox capacity (min 1). Mailboxes are bounded
-    /// `sync_channel`s: a sender facing a full mailbox blocks (bounded
-    /// resident bytes) and surfaces the typed `TimedOut` error after
-    /// `recv_timeout` rather than growing the queue without limit.
+    /// `execute` only: per-rank message mailbox capacity (min 1).
+    /// Mailboxes are bounded `sync_channel`s: a sender facing a full
+    /// mailbox blocks (bounded resident bytes) and surfaces the typed
+    /// `TimedOut` error after `recv_timeout` rather than growing the
+    /// queue without limit. Under `rt` the application sizes its
+    /// mailboxes ([`crate::rt::run_with_capacity`]).
     pub chan_capacity: usize,
 }
 
@@ -165,10 +170,9 @@ impl ExecConfig {
             recv_timeout: Duration::from_secs(2),
             pipeline_depth: 1,
             pipeline_jitter: None,
-            copy_mode: CopyMode::ZeroCopy,
             failover: FailoverPolicy::disabled(),
             stage: None,
-            io_backend: BackendKind::Default,
+            io_backend: BackendKind::Threaded,
             coalesce_max_bytes: DEFAULT_COALESCE_BYTES,
             coalesce_max_ops: DEFAULT_COALESCE_OPS,
             chan_capacity: DEFAULT_CHAN_CAPACITY,
@@ -190,12 +194,6 @@ impl ExecConfig {
     /// Set the background-job jitter seed for interleaving sweeps.
     pub fn pipeline_jitter(mut self, seed: u64) -> Self {
         self.pipeline_jitter = Some(seed);
-        self
-    }
-
-    /// Select the datapath copy discipline.
-    pub fn copy_mode(mut self, mode: CopyMode) -> Self {
-        self.copy_mode = mode;
         self
     }
 
@@ -290,22 +288,30 @@ impl std::fmt::Display for ExecError {
 impl std::error::Error for ExecError {}
 
 impl ExecConfig {
-    fn view(&self) -> View<'_> {
-        View {
-            base_dir: &self.base_dir,
-            fsync: self.fsync_on_close,
-            honor_compute: self.honor_compute,
-            faults: &self.faults,
-            write_retries: self.write_retries,
-            retry_backoff: self.retry_backoff,
-            pipeline_depth: self.pipeline_depth,
-            pipeline_jitter: self.pipeline_jitter,
-            copy_mode: self.copy_mode,
-            stage: self.stage.as_ref(),
-            io_backend: self.io_backend,
-            coalesce_max_bytes: self.coalesce_max_bytes,
-            coalesce_max_ops: self.coalesce_max_ops,
-        }
+    /// Register `rank`'s background flush pipeline with the current
+    /// pool; `None` at depth 1, the fully serial path.
+    pub(crate) fn writer(
+        &self,
+        rank: u32,
+        hedge_after: Option<Duration>,
+        beat: Option<Arc<AtomicU64>>,
+    ) -> Option<WriterHandle> {
+        (self.pipeline_depth >= 2).then(|| {
+            FlushPool::current().register(
+                rank,
+                self.pipeline_depth,
+                self.faults.clone(),
+                WriterTuning {
+                    write_retries: self.write_retries,
+                    retry_backoff: self.retry_backoff,
+                    jitter_seed: self.pipeline_jitter,
+                    hedge_after,
+                    beat,
+                    backend: Some(backend::resolve(self.io_backend)),
+                    durable: self.fsync_on_close,
+                },
+            )
+        })
     }
 }
 
@@ -547,7 +553,7 @@ fn take_over(me: &mut Interp<'_, ExecTransport<'_>>, orphan: u32) -> Result<(), 
         orphan,
         sh.program,
         Payload::Shared(&sh.payloads[orphan as usize]),
-        sh.cfg.view(),
+        sh.cfg,
         sh.director,
         pull,
         None,
@@ -757,7 +763,7 @@ pub fn execute(
     cfg: &ExecConfig,
 ) -> Result<ExecReport, ExecError> {
     // Freeze each payload once; every rank-side reference is a refcounted
-    // slice of this single allocation (no per-op copies under ZeroCopy).
+    // slice of this single allocation (no per-op copies).
     let payloads: Vec<Bytes> = payloads.into_iter().map(Into::into).collect();
     let nranks = program.nranks() as usize;
     if payloads.len() != nranks {
@@ -818,16 +824,15 @@ pub fn execute(
 
     let run_rank_thread = |rank: u32, mut mail: Mailbox| {
         let beat = &heartbeats[rank as usize];
-        let view = cfg.view();
         let hedge_after = director.map(|d| d.policy().straggler_after);
-        let pipe = view.writer(rank, hedge_after, Some(Arc::clone(beat)));
+        let pipe = cfg.writer(rank, hedge_after, Some(Arc::clone(beat)));
         (mail.abort, mail.beat) = (Some(Arc::clone(&abort)), Some(Arc::clone(beat)));
         let mut it = Interp::new(
             rank,
             rank,
             program,
             Payload::Shared(&payloads[rank as usize]),
-            view,
+            cfg,
             director,
             ExecTransport { rank, mail, sh },
             pipe,

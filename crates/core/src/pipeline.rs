@@ -184,10 +184,8 @@ pub struct WriterTuning {
     /// merely deep.
     pub beat: Option<Arc<AtomicU64>>,
     /// I/O backend executing this writer's write jobs. `None` uses the
-    /// process default ([`backend::resolve`] of
-    /// [`backend::BackendKind::Default`], i.e. `RBIO_IO_BACKEND` or the
-    /// threaded baseline). Tests and check programs inject custom ring
-    /// geometries here.
+    /// threaded baseline ([`backend::threaded`]). Tests and check
+    /// programs inject custom ring geometries here.
     pub backend: Option<Arc<dyn IoBackend>>,
     /// This writer's files will be fsynced before they are published:
     /// writeback of each landed write is started behind it
@@ -450,11 +448,7 @@ impl FlushPool {
             retry_backoff: tuning.retry_backoff,
             jitter_seed: tuning.jitter_seed,
             beat: tuning.beat,
-            backend: crash::wrap_if_recording(
-                tuning
-                    .backend
-                    .unwrap_or_else(|| backend::resolve(backend::BackendKind::Default)),
-            ),
+            backend: crash::wrap_if_recording(tuning.backend.unwrap_or_else(backend::threaded)),
             durable: tuning.durable,
         };
         let state = WriterState {

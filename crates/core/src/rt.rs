@@ -9,7 +9,8 @@
 //! every rank executing exactly its own slice of the compiled plan.
 //!
 //! [`checkpoint_rank_with`] runs the same interpreter as
-//! [`crate::exec::execute`] over a transport built on [`Comm`]
+//! [`crate::exec::execute`], under the same config ([`RtConfig`] is
+//! [`ExecConfig`] by another name), over a transport built on [`Comm`]
 //! (nonblocking sends, FIFO matching per `(src, tag)` channel); tests
 //! assert that a plan executed rank-by-rank under this runtime produces
 //! byte-identical files to `execute`. What differs is what an SPMD rank
@@ -17,21 +18,22 @@
 //! bytes costs the eager-buffer copy), and no shared abort flag or
 //! failover director (so a dead peer surfaces as a typed timeout, and
 //! writer takeover — which reads *other* ranks' payloads — is not offered).
+//! The `Comm` owns the mailboxes and their timeout, so the config's
+//! `recv_timeout`, `chan_capacity` and `failover` do not apply here.
 
 use std::io;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::{Arc, Barrier, Mutex};
 use std::time::Duration;
 
 use rbio_plan::Program;
 
-use crate::backend::BackendKind;
-use crate::buf::{Bytes, CopyMode};
+use crate::buf::Bytes;
 use crate::exec::{
-    run_ranks, Blocked, Interp, Mailbox, Payload, StepError, Transport, View, DEFAULT_CHAN_CAPACITY,
+    run_ranks, Blocked, ExecConfig, Interp, Mailbox, Payload, StepError, Transport,
+    DEFAULT_CHAN_CAPACITY,
 };
 use crate::failover::{FailoverPolicy, WriterHealth};
-use crate::fault::FaultPlan;
 
 /// A typed runtime failure, always carrying the failing rank.
 #[derive(Debug)]
@@ -327,128 +329,10 @@ where
         .collect()
 }
 
-/// Configuration for [`checkpoint_rank_with`]: target directory plus the
-/// same durability/fault/retry knobs as [`crate::exec::ExecConfig`].
-#[derive(Debug, Clone)]
-pub struct RtConfig {
-    /// Directory all plan file names are resolved against.
-    pub base_dir: PathBuf,
-    /// Make every file durable before the call returns. Atomic files are
-    /// synced once, at commit (footer, one `fsync`, rename, directory
-    /// `fsync`); non-atomic files by their `Close`. See
-    /// [`crate::exec::ExecConfig::fsync_on_close`].
-    pub fsync_on_close: bool,
-    /// Faults to inject (inert by default).
-    pub faults: FaultPlan,
-    /// Retries per `WriteAt` on a transient error before giving up.
-    pub write_retries: u32,
-    /// Initial backoff between retries (doubles each attempt).
-    pub retry_backoff: Duration,
-    /// Outstanding background flush jobs per writer, served by the
-    /// shared [`FlushPool`] worker threads. `1` (default) is the serial
-    /// path; `≥ 2` overlaps aggregation with disk writes while keeping
-    /// output byte-identical (see [`crate::pipeline`]).
-    pub pipeline_depth: u32,
-    /// Seed-derived jitter before each background job, for deterministic
-    /// interleaving sweeps in equivalence tests.
-    pub pipeline_jitter: Option<u64>,
-    /// Datapath copy discipline — see [`crate::exec::ExecConfig::copy_mode`].
-    pub copy_mode: CopyMode,
-    /// When set, atomic plan files divert into this node-local tier
-    /// stage instead of the filesystem — see
-    /// [`crate::exec::ExecConfig::stage`].
-    pub stage: Option<Arc<crate::tier::TierStage>>,
-    /// I/O backend for the background flush pipeline — see
-    /// [`crate::exec::ExecConfig::io_backend`].
-    pub io_backend: BackendKind,
-    /// Cap on one coalesced vectored write, bytes — see
-    /// [`crate::exec::ExecConfig::coalesce_max_bytes`].
-    pub coalesce_max_bytes: u64,
-    /// Cap on chunks per coalesced vectored write.
-    pub coalesce_max_ops: usize,
-}
-
-impl RtConfig {
-    /// Config writing under `base_dir`, no fsync, no faults.
-    pub fn new(base_dir: impl AsRef<Path>) -> Self {
-        RtConfig {
-            base_dir: base_dir.as_ref().to_path_buf(),
-            fsync_on_close: false,
-            faults: FaultPlan::none(),
-            write_retries: 3,
-            retry_backoff: Duration::from_micros(500),
-            pipeline_depth: 1,
-            pipeline_jitter: None,
-            copy_mode: CopyMode::ZeroCopy,
-            stage: None,
-            io_backend: BackendKind::Default,
-            coalesce_max_bytes: crate::exec::DEFAULT_COALESCE_BYTES,
-            coalesce_max_ops: crate::exec::DEFAULT_COALESCE_OPS,
-        }
-    }
-
-    /// Cap coalesced vectored writes — see
-    /// [`crate::exec::ExecConfig::coalesce_caps`].
-    pub fn coalesce_caps(mut self, max_bytes: u64, max_ops: usize) -> Self {
-        self.coalesce_max_bytes = max_bytes.max(1);
-        self.coalesce_max_ops = max_ops.max(1);
-        self
-    }
-
-    /// Replace the fault plan.
-    pub fn faults(mut self, faults: FaultPlan) -> Self {
-        self.faults = faults;
-        self
-    }
-
-    /// Select the datapath copy discipline.
-    pub fn copy_mode(mut self, mode: CopyMode) -> Self {
-        self.copy_mode = mode;
-        self
-    }
-
-    /// Set the writer pipeline depth (1 = serial, 2 = double buffering).
-    pub fn pipeline_depth(mut self, depth: u32) -> Self {
-        self.pipeline_depth = depth.max(1);
-        self
-    }
-
-    /// Set the background-job jitter seed for interleaving sweeps.
-    pub fn pipeline_jitter(mut self, seed: u64) -> Self {
-        self.pipeline_jitter = Some(seed);
-        self
-    }
-
-    /// Stage atomic files into the node-local tier instead of the PFS.
-    pub fn stage(mut self, stage: Arc<crate::tier::TierStage>) -> Self {
-        self.stage = Some(stage);
-        self
-    }
-
-    /// Select the pipeline's I/O backend.
-    pub fn io_backend(mut self, kind: BackendKind) -> Self {
-        self.io_backend = kind;
-        self
-    }
-
-    fn view(&self) -> View<'_> {
-        View {
-            base_dir: &self.base_dir,
-            fsync: self.fsync_on_close,
-            honor_compute: false,
-            faults: &self.faults,
-            write_retries: self.write_retries,
-            retry_backoff: self.retry_backoff,
-            pipeline_depth: self.pipeline_depth,
-            pipeline_jitter: self.pipeline_jitter,
-            copy_mode: self.copy_mode,
-            stage: self.stage.as_ref(),
-            io_backend: self.io_backend,
-            coalesce_max_bytes: self.coalesce_max_bytes,
-            coalesce_max_ops: self.coalesce_max_ops,
-        }
-    }
-}
+/// The config of [`checkpoint_rank_with`]: the interpreter's one config,
+/// [`ExecConfig`], under the name `rt` callers (and `benchmark/`) use.
+/// `recv_timeout`, `chan_capacity` and `failover` are `execute`'s alone.
+pub type RtConfig = ExecConfig;
 
 /// Execute `rank`'s ops of a checkpoint `program` inside an application
 /// thread, using its [`Comm`] for the messaging ops. Must be called by
@@ -471,6 +355,10 @@ pub fn checkpoint_rank(
 }
 
 /// [`checkpoint_rank`] with explicit durability/fault/retry configuration.
+///
+/// A `comm` whose size is not the plan's rank count, or a payload shorter
+/// than the plan's for this rank, is [`RtError::PlanMismatch`] before any
+/// op runs.
 pub fn checkpoint_rank_with(
     comm: &mut Comm,
     program: &Program,
@@ -478,24 +366,30 @@ pub fn checkpoint_rank_with(
     cfg: &RtConfig,
 ) -> Result<(), RtError> {
     let rank = comm.rank();
-    assert_eq!(
-        comm.size(),
-        program.nranks(),
-        "collective call on all ranks"
-    );
-    assert!(
-        payload.len() as u64 >= program.payload[rank as usize],
-        "payload too small for rank {rank}"
-    );
+    let mismatch = |what| Err(RtError::PlanMismatch { rank, what });
+    // The size first: a larger `comm` has ranks the plan has no entry for.
+    if comm.size() != program.nranks() {
+        return mismatch(format!(
+            "comm of {} ranks for a {}-rank plan",
+            comm.size(),
+            program.nranks()
+        ));
+    }
+    let required = program.payload[rank as usize];
+    if (payload.len() as u64) < required {
+        return mismatch(format!(
+            "payload {} bytes < required {required}",
+            payload.len()
+        ));
+    }
     std::fs::create_dir_all(&cfg.base_dir).map_err(|source| RtError::Io { rank, source })?;
-    let view = cfg.view();
     // The "small worker thread pool behind rt": writer groups hand their
     // flushes to the shared pool so they progress concurrently with the
     // foreground aggregation of the next package.
-    let pipe = view.writer(rank, None, None);
+    let pipe = cfg.writer(rank, None, None);
     let transport = CommTransport { comm, program };
     let payload = Payload::Borrowed(payload);
-    Interp::new(rank, rank, program, payload, view, None, transport, pipe)
+    Interp::new(rank, rank, program, payload, cfg, None, transport, pipe)
         .run()
         .map_err(|e| e.into_rt(rank))
 }
@@ -546,12 +440,14 @@ impl Transport for CommTransport<'_> {
 mod tests {
     use super::*;
     use crate::buf::PooledBuf;
-    use crate::exec::{execute, ExecConfig};
+    use crate::exec::execute;
+    use crate::fault::FaultPlan;
     use crate::format::materialize_payloads;
     use crate::layout::DataLayout;
     use crate::strategy::{CheckpointSpec, Strategy};
     use crate::tier::{SlabPool, TierStage};
     use rbio_profile::counters;
+    use std::path::PathBuf;
 
     fn tmpdir(name: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!("rbio-rt-{name}-{}", std::process::id()));
@@ -742,6 +638,56 @@ mod tests {
             for d in [dir_exec, dir_rt, dir_se, dir_sr] {
                 std::fs::remove_dir_all(&d).ok();
             }
+        }
+    }
+
+    /// Each rank's result must be the typed mismatch, naming that rank and
+    /// `what` — and nothing may have been created on disk.
+    fn assert_plan_mismatch(results: Vec<Result<(), RtError>>, what: &str, dir: &Path) {
+        for (rank, res) in results.into_iter().enumerate() {
+            match res {
+                Err(RtError::PlanMismatch { rank: r, what: w }) => {
+                    assert_eq!(r, rank as u32);
+                    assert!(w.contains(what), "rank {rank}: {w}");
+                }
+                other => panic!("rank {rank}: expected PlanMismatch, got {other:?}"),
+            }
+        }
+        assert!(!dir.exists(), "the call must refuse before any op runs");
+    }
+
+    #[test]
+    fn short_payloads_are_a_typed_plan_mismatch() {
+        let layout = DataLayout::uniform(4, &[("u", 256)]);
+        let plan = CheckpointSpec::new(layout, "short")
+            .strategy(Strategy::rbio(2))
+            .plan()
+            .expect("plan");
+        let (program, dir) = (&plan.program, tmpdir("short-payload"));
+        let results = run(program.nranks(), |mut comm| {
+            let short = vec![0u8; program.payload[comm.rank() as usize] as usize - 1];
+            checkpoint_rank_with(&mut comm, program, &short, &RtConfig::new(&dir))
+        });
+        assert_plan_mismatch(results, "payload", &dir);
+    }
+
+    #[test]
+    fn a_comm_of_the_wrong_size_is_a_typed_plan_mismatch() {
+        let layout = DataLayout::uniform(2, &[("u", 64)]);
+        let plan = CheckpointSpec::new(layout, "size")
+            .strategy(Strategy::OnePfpp)
+            .plan()
+            .expect("plan");
+        let payloads = materialize_payloads(&plan, |_, _, buf| buf.fill(1));
+        let (program, dir) = (&plan.program, tmpdir("wrong-size"));
+        // Smaller and larger than the plan: the larger has a rank the
+        // plan has no payload entry for.
+        for nranks in [1, 3] {
+            let results = run(nranks, |mut comm| {
+                let payload = &payloads[comm.rank().min(1) as usize];
+                checkpoint_rank_with(&mut comm, program, payload, &RtConfig::new(&dir))
+            });
+            assert_plan_mismatch(results, "2-rank plan", &dir);
         }
     }
 

@@ -10,7 +10,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use rbio::backend::{self, BackendKind, IoBackend, IoCtx, RingBackend, RingConfig, WriteOp};
-use rbio::buf::{Bytes, CopyMode};
+use rbio::buf::Bytes;
 use rbio::exec::{execute, ExecConfig};
 use rbio::failover::FailoverPolicy;
 use rbio::fault::{FaultPlan, WriteError};
@@ -24,7 +24,6 @@ const BACKENDS: [BackendKind; 2] = [BackendKind::Threaded, BackendKind::Ring];
 
 fn kind_label(kind: BackendKind) -> &'static str {
     match kind {
-        BackendKind::Default => "default",
         BackendKind::Threaded => "threaded",
         BackendKind::Ring => "ring",
     }
@@ -57,15 +56,15 @@ fn plan_for(strategy: Strategy) -> CheckpointPlan {
         .expect("valid plan")
 }
 
-/// Serial deep-copy reference run: the ground truth every backend and
-/// depth must reproduce byte-for-byte.
+/// Serial reference run — depth 1, one write per op from borrowed bytes:
+/// the ground truth every backend and depth must reproduce byte-for-byte.
 fn reference(plan: &CheckpointPlan, dir: &Path) -> Vec<(String, Vec<u8>)> {
     let payloads = materialize_payloads(plan, fill);
     let ref_dir = dir.join("ref");
     execute(
         &plan.program,
         payloads,
-        &ExecConfig::new(&ref_dir).copy_mode(CopyMode::DeepCopy),
+        &ExecConfig::new(&ref_dir).coalesce_caps(1, 1),
     )
     .expect("reference execution");
     plan.plan_files
@@ -146,18 +145,6 @@ fn byte_identical_through_the_rt_executor_per_backend() {
         assert_files_match(&out, &expected, &format!("rt {}", kind_label(kind)));
     }
     std::fs::remove_dir_all(&dir).ok();
-}
-
-/// The `RBIO_IO_BACKEND` seam: `BackendKind::Default` resolves through
-/// the environment, which is how CI re-runs this whole suite under the
-/// ring backend without code changes.
-#[test]
-fn default_kind_resolves_via_environment() {
-    let resolved = backend::resolve(BackendKind::Default);
-    match std::env::var("RBIO_IO_BACKEND").as_deref() {
-        Ok("ring") => assert_eq!(resolved.name(), "ring"),
-        _ => assert_eq!(resolved.name(), "threaded"),
-    }
 }
 
 #[test]

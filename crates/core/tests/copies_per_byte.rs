@@ -1,8 +1,7 @@
 //! Copies per checkpoint byte: every real memcpy in the datapath
 //! (`counters::add_bytes_copied`) divided by the bytes that reach
-//! `WriteAt`, per strategy, under the deep-copy reference and the
-//! zero-copy serial and pipelined paths (EXPERIMENTS.md, "Datapath copy
-//! accounting").
+//! `WriteAt`, per strategy, on the serial and pipelined paths
+//! (EXPERIMENTS.md, "Datapath copy accounting").
 //!
 //! Beside it, the other count of the copy group: early-writeback hints,
 //! issued behind large landed writes when — and only when — the files
@@ -15,7 +14,6 @@
 use std::path::Path;
 use std::sync::Mutex;
 
-use rbio::buf::CopyMode;
 use rbio::exec::{execute, ExecConfig};
 use rbio::format::materialize_payloads;
 use rbio::layout::DataLayout;
@@ -27,16 +25,10 @@ static COUNTERS: Mutex<()> = Mutex::new(());
 /// The table's layout: two fields, 64 and 32 KiB per rank.
 const TWO_FIELDS: &[(&str, u64)] = &[("Ex", 64 * 1024), ("Hy", 32 * 1024)];
 
-/// Run one checkpoint of `np` ranks holding `fields` under `mode` at
-/// pipeline `depth` and return copies per checkpoint byte.
-fn ratio_for(
-    np: u32,
-    fields: &[(&str, u64)],
-    strategy: Strategy,
-    mode: CopyMode,
-    depth: u32,
-) -> f64 {
-    let cfg = |dir: &Path| ExecConfig::new(dir).copy_mode(mode).pipeline_depth(depth);
+/// Run one checkpoint of `np` ranks holding `fields` at pipeline `depth`
+/// and return copies per checkpoint byte.
+fn ratio_for(np: u32, fields: &[(&str, u64)], strategy: Strategy, depth: u32) -> f64 {
+    let cfg = |dir: &Path| ExecConfig::new(dir).pipeline_depth(depth);
     counted(np, fields, strategy, cfg).copies_per_checkpoint_byte()
 }
 
@@ -71,7 +63,7 @@ fn counted(
 fn copies_per_byte_matches_the_experiments_table() {
     let _serial = COUNTERS.lock().unwrap_or_else(|e| e.into_inner());
     let strategies = [Strategy::OnePfpp, Strategy::coio(4), Strategy::rbio(4)];
-    // (variant, mode, depth, expected 1PFPP / coIO nf=4 / rbIO ng=4).
+    // (variant, depth, expected 1PFPP / coIO nf=4 / rbIO ng=4).
     //
     // The pipelined row follows from the plans, not from a measurement. A
     // deferred write of staging costs a snapshot copy only while the
@@ -83,18 +75,12 @@ fn copies_per_byte_matches_the_experiments_table() {
     // the last one's precedes a `Recv` and is snapshotted: the serial 1.0
     // plus the first field's share of the bytes, 64 / 96.
     let table = [
-        ("deep-copy serial", CopyMode::DeepCopy, 1, [1.0, 3.0, 3.75]),
-        ("zero-copy serial", CopyMode::ZeroCopy, 1, [0.0, 1.0, 1.75]),
-        (
-            "zero-copy pipelined",
-            CopyMode::ZeroCopy,
-            3,
-            [0.0, 1.0 + 64.0 / 96.0, 1.75],
-        ),
+        ("zero-copy serial", 1, [0.0, 1.0, 1.75]),
+        ("zero-copy pipelined", 3, [0.0, 1.0 + 64.0 / 96.0, 1.75]),
     ];
-    for (variant, mode, depth, want) in table {
+    for (variant, depth, want) in table {
         for (strategy, want) in strategies.iter().zip(want) {
-            let got = ratio_for(16, TWO_FIELDS, *strategy, mode, depth);
+            let got = ratio_for(16, TWO_FIELDS, *strategy, depth);
             assert!(
                 (got - want).abs() <= 0.01,
                 "{variant}, {strategy:?}: {got:.4} copies/byte, table says {want}"
@@ -104,36 +90,11 @@ fn copies_per_byte_matches_the_experiments_table() {
     // With one field, coIO's only collective is its last: nothing is
     // snapshotted at any depth.
     let one_field = [("Ex", 96 * 1024)];
-    let got = ratio_for(16, &one_field, Strategy::coio(4), CopyMode::ZeroCopy, 3);
+    let got = ratio_for(16, &one_field, Strategy::coio(4), 3);
     assert!(
         (got - 1.0).abs() <= 0.01,
         "one-field coIO, pipelined: {got:.4} copies/byte, want 1.0"
     );
-}
-
-#[test]
-fn zero_copy_reduces_copies_for_every_strategy() {
-    let _serial = COUNTERS.lock().unwrap_or_else(|e| e.into_inner());
-    for strategy in [Strategy::OnePfpp, Strategy::coio(2), Strategy::rbio(2)] {
-        let deep = ratio_for(8, TWO_FIELDS, strategy, CopyMode::DeepCopy, 1);
-        let zero = ratio_for(8, TWO_FIELDS, strategy, CopyMode::ZeroCopy, 1);
-        assert!(
-            zero < deep,
-            "{strategy:?}: zero-copy {zero:.3} must beat deep-copy {deep:.3} copies/byte"
-        );
-        // Deep-copy re-materializes at least once per written byte
-        // (1PFPP ≈ 1, aggregating strategies ≈ 3–4); zero-copy keeps
-        // only the plan-mandated staging copies (recv aggregation and
-        // the rbIO field-reorder re-pack), ≤ 2 per byte.
-        assert!(
-            deep >= 0.9,
-            "{strategy:?}: deep-copy ratio too low: {deep:.3}"
-        );
-        assert!(
-            zero <= 2.0,
-            "{strategy:?}: zero-copy ratio too high: {zero:.3}"
-        );
-    }
 }
 
 #[test]

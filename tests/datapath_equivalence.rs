@@ -1,8 +1,8 @@
 //! Zero-copy datapath equivalence properties.
 //!
-//! 1. For random ragged layouts and strategies, the zero-copy datapath
-//!    (refcounted buffers, coalesced vectored writes) produces files
-//!    byte-identical to the legacy deep-copy path — under both the
+//! 1. For random ragged layouts and strategies, the datapath (refcounted
+//!    buffers, coalesced vectored writes) produces files byte-identical to
+//!    a serial run that issues one write per plan op — under both the
 //!    thread-per-rank executor and the MPI-like runtime, serial and
 //!    pipelined.
 //! 2. The CRC kernels — hardware `crc32c` where the CPU has one, slice-by-8
@@ -13,7 +13,6 @@
 //!    exactly what was written.
 
 use proptest::prelude::*;
-use rbio_repro::rbio::buf::CopyMode;
 use rbio_repro::rbio::exec::{execute, ExecConfig};
 use rbio_repro::rbio::format::{
     crc32, crc32_scalar, crc32c, crc32c_scalar, crc32c_sliced, crc32c_update, materialize_payloads,
@@ -54,7 +53,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     #[test]
-    fn zero_copy_files_match_deep_copy_both_executors(
+    fn both_executors_match_a_serial_one_write_per_op_run(
         np in 3u32..10,
         nfields in 1usize..3,
         sizes_seed in any::<u64>(),
@@ -85,26 +84,23 @@ proptest! {
             d
         };
 
-        // Reference: deep-copy, serial, thread-per-rank executor.
+        // Reference: serial thread-per-rank executor, one write per op.
         let dir_ref = mk("ref");
-        let cfg_ref = ExecConfig::new(&dir_ref).copy_mode(CopyMode::DeepCopy);
-        execute(&plan.program, payloads.clone(), &cfg_ref).expect("deep exec");
+        let cfg_ref = ExecConfig::new(&dir_ref).coalesce_caps(1, 1);
+        execute(&plan.program, payloads.clone(), &cfg_ref).expect("reference exec");
 
-        // Zero-copy under exec, at the sampled pipeline depth.
-        let dir_zc = mk("zc");
-        let cfg_zc = ExecConfig::new(&dir_zc)
-            .copy_mode(CopyMode::ZeroCopy)
+        // exec, coalescing, at the sampled pipeline depth.
+        let dir_exec = mk("exec");
+        let cfg_exec = ExecConfig::new(&dir_exec)
             .pipeline_depth(depth)
             .pipeline_jitter(sizes_seed);
-        execute(&plan.program, payloads.clone(), &cfg_zc).expect("zero exec");
+        execute(&plan.program, payloads.clone(), &cfg_exec).expect("exec");
 
-        // Zero-copy under the MPI-like runtime.
+        // The MPI-like runtime, at the same depth.
         let dir_rt = mk("rt");
         let program = &plan.program;
         let payloads_ref = &payloads;
-        let rt_cfg = rt::RtConfig::new(&dir_rt)
-            .copy_mode(CopyMode::ZeroCopy)
-            .pipeline_depth(depth);
+        let rt_cfg = rt::RtConfig::new(&dir_rt).pipeline_depth(depth);
         let rt_cfg_ref = &rt_cfg;
         rt::run(np, |mut comm| {
             let rank = comm.rank();
@@ -114,12 +110,12 @@ proptest! {
 
         for pf in &plan.plan_files {
             let a = std::fs::read(dir_ref.join(&pf.name)).expect("ref file");
-            let b = std::fs::read(dir_zc.join(&pf.name)).expect("zero-copy exec file");
-            let c = std::fs::read(dir_rt.join(&pf.name)).expect("zero-copy rt file");
-            prop_assert_eq!(&a, &b, "exec zero-copy differs in {}", pf.name);
-            prop_assert_eq!(&a, &c, "rt zero-copy differs in {}", pf.name);
+            let b = std::fs::read(dir_exec.join(&pf.name)).expect("exec file");
+            let c = std::fs::read(dir_rt.join(&pf.name)).expect("rt file");
+            prop_assert_eq!(&a, &b, "exec differs in {}", pf.name);
+            prop_assert_eq!(&a, &c, "rt differs in {}", pf.name);
         }
-        for d in [&dir_ref, &dir_zc, &dir_rt] {
+        for d in [&dir_ref, &dir_exec, &dir_rt] {
             std::fs::remove_dir_all(d).ok();
         }
     }

@@ -1,5 +1,5 @@
 //! Pins the fault/coalescer contract: an armed [`FaultPlan`] disables the
-//! zero-copy vectored-write coalescer, so fault injection always observes
+//! vectored-write coalescer, so fault injection always observes
 //! one write syscall per plan op.
 //!
 //! Why this matters: `fail_nth_write(rank, n, ..)` addresses the *n*th
@@ -12,7 +12,6 @@
 //! runtime.
 
 use rbio_plan::{DataRef, Op, Program, ProgramBuilder};
-use rbio_repro::rbio::buf::CopyMode;
 use rbio_repro::rbio::exec::{execute, ExecConfig};
 use rbio_repro::rbio::fault::FaultPlan;
 use rbio_repro::rbio::rt;
@@ -78,20 +77,13 @@ fn armed_faults_disable_coalescer_exec_serial() {
 
     // Reference bytes from an unfaulted run.
     let dir_ref = tmpdir("exec-ref");
-    execute(
-        &program,
-        payloads(),
-        &ExecConfig::new(&dir_ref).copy_mode(CopyMode::ZeroCopy),
-    )
-    .expect("reference run");
+    execute(&program, payloads(), &ExecConfig::new(&dir_ref)).expect("reference run");
     let want = std::fs::read(dir_ref.join("coalesce-probe.bin")).expect("reference file");
 
     // Armed: the 4th write exists, fails once, retries, and the retry
     // leaves the file byte-identical to the unfaulted run.
     let dir = tmpdir("exec-armed");
-    let cfg = ExecConfig::new(&dir)
-        .copy_mode(CopyMode::ZeroCopy)
-        .faults(one_shot_fault());
+    let cfg = ExecConfig::new(&dir).faults(one_shot_fault());
     let report = execute(&program, payloads(), &cfg).expect("faulted run recovers");
     assert_eq!(
         report.retries,
@@ -113,7 +105,6 @@ fn armed_faults_disable_coalescer_exec_pipelined() {
     let program = contiguous_write_program();
     let dir = tmpdir("exec-pipe");
     let cfg = ExecConfig::new(&dir)
-        .copy_mode(CopyMode::ZeroCopy)
         .pipeline_depth(2)
         .faults(permanent_fault(3));
     let err = execute(&program, payloads(), &cfg);
@@ -131,9 +122,7 @@ fn armed_faults_disable_coalescer_rt() {
     let program = contiguous_write_program();
     let dir = tmpdir("rt");
     let pl = payloads();
-    let cfg = rt::RtConfig::new(&dir)
-        .copy_mode(CopyMode::ZeroCopy)
-        .faults(permanent_fault(3));
+    let cfg = rt::RtConfig::new(&dir).faults(permanent_fault(3));
     let (program_ref, pl_ref, cfg_ref) = (&program, &pl, &cfg);
     let results = rt::run(1, |mut comm| {
         rt::checkpoint_rank_with(&mut comm, program_ref, &pl_ref[0], cfg_ref)
