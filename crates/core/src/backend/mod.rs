@@ -20,7 +20,9 @@
 //!   conformance suite explore.
 //!
 //! Both engines write with `pwrite`/`pwritev` and read restart data with
-//! `pread` ([`IoBackend::read_at`]'s one body). There is deliberately no
+//! `pread` ([`IoBackend::read_at`]'s one body). Durability is not a
+//! backend's business: every fsync, rename and directory fsync lives in
+//! [`crate::commit`], journaled there. There is deliberately no
 //! kernel-ring engine: real `io_uring_setup`/`enter` syscalls, one
 //! transient ring per batch, were timed against these two and never beat
 //! the threaded engine — DESIGN.md §14 has the table and what a design
@@ -126,11 +128,6 @@ pub trait IoBackend: Send + Sync {
 
     /// Execute `ops` FIFO with linked-op semantics (see module docs).
     fn run_writes(&self, ctx: &IoCtx<'_>, ops: Vec<WriteOp>) -> BatchOutcome;
-
-    /// Flush `file`'s data and metadata (close/commit durability).
-    fn sync_file(&self, file: &File) -> io::Result<()> {
-        file.sync_all()
-    }
 
     /// Read `len` bytes at `offset` with `pread` into a buffer leased from
     /// the global pool, which recycles like any checkpoint buffer; fails

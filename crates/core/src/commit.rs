@@ -1,4 +1,10 @@
-//! Crash-consistent checkpoint publication, shared by both executors.
+//! Crash-consistent checkpoint publication: every durable edge lives here.
+//!
+//! The one sticky fsync (`sync_file`), the commit-kill check and the seal
+//! of a `.tmp` ([`commit_file_with_faults`]), the sealed write of an
+//! in-memory image ([`commit_bytes`]) and the verified read-back
+//! ([`read_committed`]) each journal to [`crate::crash`] where they happen;
+//! the crate's `clippy.toml` keeps fsync and rename out of other modules.
 //!
 //! Atomic plan files are written to a `.tmp` sibling of their final name.
 //! When the owning rank has finished its writes (after its `Close`), the
@@ -30,8 +36,9 @@ use rbio_plan::Rank;
 
 use crate::buf::{BufPool, PooledBuf};
 use crate::crash;
-use crate::fault::{self, FaultPlan, IoCtx};
+use crate::fault::{self, FaultPlan, IoCtx, WriteError};
 use crate::format::{self, FooterRegion};
+use crate::pipeline;
 use crate::sched::{self, Revert};
 
 /// Suffix appended to a final path to form its temporary sibling.
@@ -70,13 +77,30 @@ pub fn commit_file(
     fsync: bool,
 ) -> io::Result<()> {
     commit_file_with_faults(tmp, final_path, expected_size, fsync, &FaultPlan::none(), 0)
+        .map_err(io::Error::from)
 }
 
-/// [`commit_file`] with a fault-injection plan consulted at the
-/// directory-fsync edge (the rename-durability barrier). Both executors
-/// and the background flush pipeline route commits through here so an
-/// injected dir-fsync failure surfaces exactly like a real one: as an
-/// error, never as a silently "successful" commit.
+/// The one sticky fsync (the fsyncgate rule): `rank`'s plan is consulted
+/// first, a *real* failure is latched so that no later fsync on `rank`
+/// can report the data clean, and a success is journaled.
+#[allow(clippy::disallowed_methods)]
+pub(crate) fn sync_file(file: &File, faults: &FaultPlan, rank: Rank) -> io::Result<()> {
+    if let Some(e) = faults.on_fsync(rank) {
+        return Err(e);
+    }
+    file.sync_all()
+        .inspect_err(|_| faults.latch_fsync_failure(rank))?;
+    crash::record_fsync_file(file);
+    Ok(())
+}
+
+/// [`commit_file`] under `rank`'s fault plan. Both executors, the flush
+/// pipeline and [`commit_bytes`] route every commit through here, so an
+/// injected failure surfaces exactly like a real one: a kill at the
+/// commit edge (after the data, before the rename — the final name never
+/// appears) is [`WriteError::Killed`]; an fsync or directory-fsync
+/// failure is an error, never a silently "successful" commit.
+#[allow(clippy::disallowed_methods)]
 pub fn commit_file_with_faults(
     tmp: &Path,
     final_path: &Path,
@@ -84,31 +108,26 @@ pub fn commit_file_with_faults(
     fsync: bool,
     faults: &FaultPlan,
     rank: Rank,
-) -> io::Result<()> {
+) -> Result<(), WriteError> {
+    if faults.on_commit(rank) {
+        return Err(WriteError::Killed);
+    }
     let f = OpenOptions::new().read(true).write(true).open(tmp)?;
     let actual = f.metadata()?.len();
     if actual != expected_size {
-        return Err(io::Error::new(
+        return Err(WriteError::Io(io::Error::new(
             io::ErrorKind::InvalidData,
             format!(
                 "commit of {}: tmp file is {actual} bytes, plan expects {expected_size}",
                 final_path.display()
             ),
-        ));
+        )));
     }
     let footer = format::encode_footer(&footer_regions(&f, expected_size)?);
     f.write_all_at(&footer, expected_size)?;
     crash::record_write(&f, expected_size, &[&footer]);
     if fsync {
-        // Sticky fsync-failure semantics (the fsyncgate rule): consult
-        // the plan first, and latch a *real* failure, so no later fsync
-        // on this rank can ever report the data clean.
-        if let Some(e) = faults.on_fsync(rank) {
-            return Err(e);
-        }
-        f.sync_all()
-            .inspect_err(|_| faults.latch_fsync_failure(rank))?;
-        crash::record_fsync_file(&f);
+        sync_file(&f, faults, rank)?;
     }
     drop(f);
     std::fs::rename(tmp, final_path)?;
@@ -124,7 +143,7 @@ pub fn commit_file_with_faults(
         };
         let d = std::fs::File::open(dir)?;
         if let Some(e) = faults.on_dir_fsync(rank) {
-            return Err(e);
+            return Err(e.into());
         }
         d.sync_all()?;
         crash::record_dir_fsync(dir);
@@ -496,19 +515,18 @@ fn check_region(bytes: &[u8], i: usize, r: &FooterRegion) -> Option<VerifyError>
     })
 }
 
-/// Publish a small text artifact (a manifest, a commit marker) through the
-/// same tmp + CRC footer + rename path as checkpoint data, so a crash
-/// mid-write can never leave a final name holding a torn body that still
-/// parses. The body write goes through the fault layer as `rank`, so
-/// kill-after-bytes plans can crash the metadata writer mid-file exactly
-/// like a data writer.
-pub fn commit_text_with_faults(
+/// Seal `bufs`, back to back, as the committed file `final_path` — the
+/// one way an in-memory image is published (text artifacts, both tier
+/// hops, scrub's reinstall): the `.tmp` is created, one fault-checked
+/// write lands the bytes as `rank`, writeback starts behind them when the
+/// file will be fsynced, and [`commit_file_with_faults`] publishes it.
+pub fn commit_bytes(
     final_path: &Path,
-    body: &str,
+    bufs: &[impl AsRef<[u8]>],
     fsync: bool,
     faults: &FaultPlan,
     rank: Rank,
-) -> io::Result<()> {
+) -> Result<(), WriteError> {
     let tmp = tmp_path(final_path);
     let f = OpenOptions::new()
         .create(true)
@@ -521,24 +539,50 @@ pub fn commit_text_with_faults(
         wid: 0,
         faults,
         write_retries: 0,
-        retry_backoff: std::time::Duration::from_micros(50),
+        retry_backoff: std::time::Duration::ZERO,
     };
-    fault::write_at(&ctx, &f, 0, &[body]).map_err(|e| {
-        e.into_io()
-            .unwrap_or_else(|| io::Error::other(format!("rank {rank} killed mid-write")))
-    })?;
-    drop(f);
-    if faults.on_commit(rank) {
-        // Die after the body write, before the rename: the final name
-        // must never appear.
-        return Err(io::Error::other(format!("rank {rank} killed at commit")));
+    fault::write_at(&ctx, &f, 0, bufs)?;
+    let size = bufs.iter().map(|b| b.as_ref().len() as u64).sum();
+    if fsync {
+        pipeline::hint_writeback(&f, 0, size);
     }
-    commit_file_with_faults(&tmp, final_path, body.len() as u64, fsync, faults, rank)
+    drop(f);
+    commit_file_with_faults(&tmp, final_path, size, fsync, faults, rank)
+}
+
+/// Publish a small text artifact (a manifest, a commit marker) through
+/// [`commit_bytes`], so a crash mid-write can never leave a final name
+/// holding a torn body that still parses, and kill-after-bytes plans crash
+/// the metadata writer `rank` exactly like a data writer.
+pub fn commit_text_with_faults(
+    final_path: &Path,
+    body: &str,
+    fsync: bool,
+    faults: &FaultPlan,
+    rank: Rank,
+) -> io::Result<()> {
+    commit_bytes(final_path, &[body], fsync, faults, rank).map_err(io::Error::from)
 }
 
 /// [`commit_text_with_faults`] without fault injection.
 pub fn commit_text(final_path: &Path, body: &str, fsync: bool) -> io::Result<()> {
     commit_text_with_faults(final_path, body, fsync, &FaultPlan::none(), 0)
+}
+
+/// The one verified read-back: the committed file at `path` as its
+/// `logical_size`-byte image, footer checked, then stripped. Bytes its
+/// footer does not vouch for never come back: a torn copy is an
+/// `InvalidData` error carrying the [`VerifyError`] text.
+pub fn read_committed(path: &Path, logical_size: u64) -> io::Result<Vec<u8>> {
+    verified_image(std::fs::read(path)?, logical_size)
+}
+
+/// `bytes` cut to its verified `logical_size`-byte body.
+fn verified_image(mut bytes: Vec<u8>, logical_size: u64) -> io::Result<Vec<u8>> {
+    verify_committed_typed(&bytes, logical_size)
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
+    bytes.truncate(logical_size as usize);
+    Ok(bytes)
 }
 
 /// Read a text artifact published by [`commit_text`]: verifies the CRC
@@ -547,24 +591,16 @@ pub fn commit_text(final_path: &Path, body: &str, fsync: bool) -> io::Result<()>
 /// readable. A present-but-corrupt footer is an `InvalidData` error — the
 /// caller treats the artifact as torn.
 pub fn read_committed_text(path: &Path) -> io::Result<String> {
-    let bytes = std::fs::read(path)?;
+    let mut bytes = std::fs::read(path)?;
     let flen = format::footer_len(1) as usize;
-    let text = |v: Vec<u8>| {
-        String::from_utf8(v)
-            .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "metadata file is not UTF-8"))
-    };
     if bytes.len() >= flen {
         let logical = bytes.len() - flen;
         if bytes[logical..logical + 4] == format::FOOTER_MAGIC.to_le_bytes() {
-            if let Err(e) = verify_committed_typed(&bytes, logical as u64) {
-                return Err(io::Error::new(io::ErrorKind::InvalidData, e.to_string()));
-            }
-            let mut body = bytes;
-            body.truncate(logical);
-            return text(body);
+            bytes = verified_image(bytes, logical as u64)?;
         }
     }
-    text(bytes)
+    String::from_utf8(bytes)
+        .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "metadata file is not UTF-8"))
 }
 
 #[cfg(test)]
@@ -627,8 +663,9 @@ mod tests {
         let fin = dir.join("f.bin");
         std::fs::write(&tmp, [3u8; 32]).unwrap();
         let faults = FaultPlan::none().fail_dir_fsync(4);
-        let err = commit_file_with_faults(&tmp, &fin, 32, true, &faults, 4)
-            .expect_err("a failed rename-durability barrier must surface");
+        let err: io::Error = commit_file_with_faults(&tmp, &fin, 32, true, &faults, 4)
+            .expect_err("a failed rename-durability barrier must surface")
+            .into();
         assert_eq!(err.kind(), io::ErrorKind::Other);
         assert!(err.to_string().contains("directory fsync"), "{err}");
         // The fault is one-shot: a retried commit of fresh data succeeds.

@@ -14,16 +14,15 @@
 //! 1. **Record.** A process-global [`Recorder`] journals every
 //!    `write_at` (with byte payload), file `fsync`, `rename`, and
 //!    directory `fsync` under a root directory, in the order the
-//!    process issued them. Data writes have exactly one journaling
-//!    seam: [`crate::fault::write_at_or_short`], the one fault-checked
-//!    write the serial interpreter, the threaded backend, the ring
-//!    backend and the text-artifact commit all call, plus its
-//!    continuation [`crate::fault::finish_short_write`] — so the bytes
-//!    a resubmitted short write lands are journaled like any others.
-//!    The commit path journals its own footer/fsync/rename/dir-fsync
-//!    edges, and the [`RecordingBackend`] decorator covers the one edge
-//!    backends own directly: `sync_file`. No backend writes data any
-//!    other way. The harness also notes a [`RecOp::DurablePoint`] after
+//!    process issued them. There are two journaling seams and no
+//!    decorator. Data writes go through
+//!    [`crate::fault::write_at_or_short`], the one fault-checked write
+//!    the serial interpreter, both backends and [`crate::commit`] all
+//!    call, plus its continuation [`crate::fault::finish_short_write`] —
+//!    so the bytes a resubmitted short write lands are journaled like
+//!    any others. Every durable edge — footer, fsync, rename, dir-fsync —
+//!    lives in [`crate::commit`] and is journaled there, where it
+//!    happens. The harness also notes a [`RecOp::DurablePoint`] after
 //!    each `checkpoint()` returns with `fsync = true` — the instant the
 //!    API contract promises the step is crash-safe.
 //! 2. **Enumerate.** A *legal crash image* at cut `k` applies a subset
@@ -52,11 +51,10 @@ use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Mutex, MutexGuard};
 
 use rbio_profile::counters;
 
-use crate::backend::{BatchOutcome, IoBackend, IoCtx, WriteOp};
 use crate::layout::DataLayout;
 use crate::manager::{CheckpointManager, ManagerConfig, ManagerError};
 use crate::sched::{Revert, RevertGuard};
@@ -254,57 +252,6 @@ pub fn note_durable(step: u64) {
     }
     if let Some(st) = state_guard().as_mut() {
         st.ops.push(RecOp::DurablePoint { step });
-    }
-}
-
-/// [`IoBackend`] decorator that journals the durability edge backends
-/// own directly — `sync_file` — into the crash recorder. Write payloads
-/// are journaled one layer down, in the one fault-checked write
-/// ([`crate::fault::write_at_or_short`]) every backend and the serial
-/// interpreter funnel through, so wrapping
-/// either [`crate::backend::ThreadedBackend`] or
-/// [`crate::backend::RingBackend`] yields the same complete op stream.
-pub struct RecordingBackend {
-    inner: Arc<dyn IoBackend>,
-}
-
-impl RecordingBackend {
-    /// Decorate `inner`.
-    pub fn new(inner: Arc<dyn IoBackend>) -> Self {
-        RecordingBackend { inner }
-    }
-}
-
-/// Wrap `backend` in a [`RecordingBackend`] when a recorder is live;
-/// otherwise return it unchanged (zero overhead off the harness path).
-pub fn wrap_if_recording(backend: Arc<dyn IoBackend>) -> Arc<dyn IoBackend> {
-    if recording() {
-        Arc::new(RecordingBackend::new(backend))
-    } else {
-        backend
-    }
-}
-
-impl IoBackend for RecordingBackend {
-    fn name(&self) -> &'static str {
-        "recording"
-    }
-
-    fn max_batch(&self) -> usize {
-        self.inner.max_batch()
-    }
-
-    fn run_writes(&self, ctx: &IoCtx<'_>, ops: Vec<WriteOp>) -> BatchOutcome {
-        // Payload journaling happens inside the shared fault-checked
-        // write; delegating keeps linked-op and buffer-
-        // ownership semantics exactly the inner backend's.
-        self.inner.run_writes(ctx, ops)
-    }
-
-    fn sync_file(&self, file: &File) -> io::Result<()> {
-        self.inner.sync_file(file)?;
-        record_fsync_file(file);
-        Ok(())
     }
 }
 

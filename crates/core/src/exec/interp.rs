@@ -34,7 +34,6 @@ use super::mailbox::MailError;
 use super::{write_run_len, write_src, ExecConfig};
 use crate::buf::{BufPool, Bytes, PooledBuf};
 use crate::commit;
-use crate::crash;
 use crate::failover::{FailoverDirector, WriterHealth};
 use crate::fault::{self, IoCtx};
 use crate::format::synthetic_byte;
@@ -584,12 +583,7 @@ impl<'a, T: Transport> Interp<'a, T> {
         if let Some(pipe) = &self.pipe {
             pipe.submit(FlushJob::Close { file: f, fsync })?;
         } else if fsync {
-            if let Some(e) = self.cfg.faults.on_fsync(self.rank) {
-                return Err(e.into());
-            }
-            f.sync_all()
-                .inspect_err(|_| self.cfg.faults.latch_fsync_failure(self.rank))?;
-            crash::record_fsync_file(&f);
+            commit::sync_file(&f, &self.cfg.faults, self.rank)?;
         }
         Ok(())
     }
@@ -630,11 +624,6 @@ impl<'a, T: Transport> Interp<'a, T> {
                 fsync,
             })?;
             return Ok(());
-        }
-        if self.cfg.faults.on_commit(self.rank) {
-            // The rank dies after its data writes but before the rename:
-            // the final name must never appear.
-            return Err(StepError::Killed);
         }
         let (faults, rank) = (&self.cfg.faults, self.rank);
         commit::commit_file_with_faults(&tmp, &final_path, size, fsync, faults, rank)?;

@@ -223,8 +223,8 @@ impl FaultPlan {
     /// `Some(error)` means the fsync fails. Sticky (the fsyncgate rule):
     /// after the first failure on a rank, every later fsync on that rank
     /// also fails — writeback errors may have dropped the dirty pages, so
-    /// a retried fsync that reports clean proves nothing. Callers must
-    /// consult this *before* `sync_all` and report the file not durable.
+    /// a retried fsync that reports clean proves nothing. Consulted by
+    /// the one fsync, [`crate::commit::sync_file`], before its `sync_all`.
     pub fn on_fsync(&self, rank: Rank) -> Option<io::Error> {
         if !self.is_armed() {
             return None;
@@ -370,7 +370,8 @@ impl FaultPlan {
 
     /// Consult the plan as `rank` is about to commit (rename) a file;
     /// `true` means the rank dies here — after its data writes, before the
-    /// rename — the worst spot for crash consistency.
+    /// rename — the worst spot for crash consistency. Consulted by
+    /// [`crate::commit::commit_file_with_faults`] alone.
     pub fn on_commit(&self, rank: Rank) -> bool {
         if !self.is_armed() {
             return false;
@@ -437,6 +438,20 @@ impl WriteError {
                 format!("short write stalled at {written}/{expected} bytes"),
             )),
         }
+    }
+}
+
+impl From<io::Error> for WriteError {
+    fn from(e: io::Error) -> Self {
+        WriteError::Io(e)
+    }
+}
+
+/// For callers with no error space of their own for a kill.
+impl From<WriteError> for io::Error {
+    fn from(e: WriteError) -> Self {
+        e.into_io()
+            .unwrap_or_else(|| io::Error::other("killed by fault injection"))
     }
 }
 

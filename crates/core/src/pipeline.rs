@@ -27,6 +27,8 @@
 //!
 //! A latched error poisons the writer: all later jobs are skipped (never
 //! executed), and the error surfaces at the next `submit` or `drain`.
+//! The pool owns order and error latching, not durability: `Close` and
+//! `Commit` jobs call [`crate::commit`]'s fsync and commit.
 //!
 //! A writer registered as durable ([`WriterTuning::durable`]: its files
 //! will be fsynced) also keeps the *device* busy: behind each landed
@@ -48,7 +50,6 @@ use rbio_profile::counters;
 use crate::backend::{self, IoBackend, IoCtx, WriteOp};
 use crate::buf::Bytes;
 use crate::commit;
-use crate::crash;
 use crate::fault::{self, FaultPlan};
 use crate::sched::{self, Point, Revert};
 use crate::sys;
@@ -448,7 +449,7 @@ impl FlushPool {
             retry_backoff: tuning.retry_backoff,
             jitter_seed: tuning.jitter_seed,
             beat: tuning.beat,
-            backend: crash::wrap_if_recording(tuning.backend.unwrap_or_else(backend::threaded)),
+            backend: tuning.backend.unwrap_or_else(backend::threaded),
             durable: tuning.durable,
         };
         let state = WriterState {
@@ -847,17 +848,8 @@ fn run_job(ctx: &WriterCtx, seq: u64, job: FlushJob) -> Result<u32, PipelineErro
         }
         FlushJob::Close { file, fsync } => {
             if fsync {
-                // Sticky fsync semantics: a rank whose fsync ever
-                // failed can never report a later close durable.
-                if let Some(e) = ctx.faults.on_fsync(ctx.rank) {
-                    return Err(PipelineError::Io(e));
-                }
-                ctx.backend.sync_file(&file).map_err(|e| {
-                    ctx.faults.latch_fsync_failure(ctx.rank);
-                    PipelineError::Io(e)
-                })?;
+                commit::sync_file(&file, &ctx.faults, ctx.rank).map_err(PipelineError::Io)?;
             }
-            drop(file);
             Ok(0)
         }
         FlushJob::Commit {
@@ -866,14 +858,8 @@ fn run_job(ctx: &WriterCtx, seq: u64, job: FlushJob) -> Result<u32, PipelineErro
             size,
             fsync,
         } => {
-            if ctx.faults.on_commit(ctx.rank) {
-                // Die after the data writes, before the rename: the
-                // final name must never appear.
-                return Err(PipelineError::Killed { rank: ctx.rank });
-            }
             commit::commit_file_with_faults(&tmp, &final_path, size, fsync, &ctx.faults, ctx.rank)
-                .map(|()| 0)
-                .map_err(PipelineError::Io)?;
+                .map_err(|e| write_error(ctx.rank, e))?;
             sched::emit(|| sched::Event::ExtentCommit {
                 owner: ctx.rank,
                 by: ctx.rank,

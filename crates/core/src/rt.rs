@@ -227,9 +227,19 @@ impl Comm {
     }
 
     fn try_send(&self, dst: u32, tag: u64, data: Bytes) -> Result<(), StepError> {
+        self.member(dst)?;
         self.mail
             .send_as(self.rank, dst, tag, data)
             .map_err(|e| e.during(Blocked::Send { dst, tag }, dst))
+    }
+
+    /// A rank past `size()` has no mailbox to index and no message to await.
+    fn member(&self, peer: u32) -> Result<(), StepError> {
+        if peer >= self.size {
+            let what = format!("rank {peer} is outside this {}-rank comm", self.size);
+            return Err(StepError::PlanMismatch(what));
+        }
+        Ok(())
     }
 
     /// Blocking receive matching `(src, tag)`, FIFO per channel. Fails
@@ -245,6 +255,7 @@ impl Comm {
     }
 
     fn try_recv(&mut self, src: u32, tag: u64) -> Result<Bytes, StepError> {
+        self.member(src)?;
         self.mail
             .recv(src, tag)
             .map_err(|e| e.during(Blocked::Recv { src, tag }, src))
@@ -272,11 +283,15 @@ impl Comm {
         result
     }
 
-    /// Broadcast `data` from `root` to every rank; returns the payload.
+    /// Broadcast `data` from `root` to every rank; returns the payload. A
+    /// payloadless or out-of-range root is [`RtError::PlanMismatch`].
     pub fn broadcast(&mut self, root: u32, data: Option<&[u8]>) -> Result<Vec<u8>, RtError> {
         const BCAST_TAG: u64 = u64::MAX - 1;
         if self.rank == root {
-            let d = data.expect("root must supply the payload");
+            let Some(d) = data else {
+                let what = "broadcast root supplied no payload".into();
+                return Err(RtError::PlanMismatch { rank: root, what });
+            };
             for r in 0..self.size {
                 if r != root {
                     self.send(r, BCAST_TAG, d)?;
@@ -585,6 +600,33 @@ mod tests {
             }
         });
         assert!(payloads.iter().all(|p| p == b"mesh"));
+    }
+
+    #[test]
+    fn out_of_range_peers_and_a_rootless_broadcast_are_typed_errors() {
+        let results = run(2, |mut comm| {
+            let mut errs = vec![
+                comm.send(2, 1, b"x").expect_err("send past the comm"),
+                comm.send_bytes(7, 1, Bytes::new())
+                    .expect_err("send_bytes past it"),
+                comm.recv(2, 1).expect_err("recv past the comm"),
+                comm.broadcast(5, Some(b"x"))
+                    .expect_err("root outside the comm"),
+            ];
+            if comm.rank() == 0 {
+                errs.push(comm.broadcast(0, None).expect_err("root without a payload"));
+            }
+            errs
+        });
+        assert_eq!(results.iter().map(Vec::len).collect::<Vec<_>>(), [5, 4]);
+        for (rank, errs) in results.into_iter().enumerate() {
+            for e in errs {
+                match e {
+                    RtError::PlanMismatch { rank: r, .. } => assert_eq!(r, rank as u32),
+                    other => panic!("rank {rank}: expected PlanMismatch, got {other}"),
+                }
+            }
+        }
     }
 
     #[test]

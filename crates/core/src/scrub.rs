@@ -23,9 +23,9 @@
 //!   generation's extent set, or the manifest itself is torn.
 //!
 //! Repair sources the burst-buffer tier: a burst copy is committed with
-//! the same footer protocol as the PFS file, so after footer
-//! verification it is a byte-identical replacement, installed via the
-//! usual `tmp` + `rename` + dir-fsync path. Files with no healthy
+//! the same footer protocol as the PFS file, so its verified read-back
+//! re-sealed through [`commit::commit_bytes`] is a byte-identical
+//! replacement, journaled like any commit. Files with no healthy
 //! redundant copy stay classified-but-unrepaired — the report is the
 //! operator's signal to fall back a generation.
 
@@ -37,7 +37,8 @@ use std::path::{Path, PathBuf};
 use rbio_profile::counters;
 
 use crate::commit;
-use crate::format::decode_header;
+use crate::fault::FaultPlan;
+use crate::format::{decode_header, read_header_prefix};
 use crate::manager::{check_committed_file, commit_name, manifest_name, marker_files, marker_step};
 
 /// What a scrub found wrong with one on-disk object.
@@ -159,36 +160,29 @@ impl ScrubConfig {
     }
 }
 
-/// Reinstall `name` from its burst-tier copy, byte-identically. The
-/// burst copy is committed with the same footer protocol, so after its
-/// own footer verification the raw bytes are the replacement — written
-/// through a `.tmp` sibling and renamed so a crash mid-repair never
-/// leaves a half-installed file, then fsynced (file and directory):
-/// a repair that can be lost in a power cut is not a repair.
+/// Reinstall `name` from its burst-tier copy, byte-identically: the copy
+/// is read back verified ([`commit::read_committed`]) and re-sealed
+/// through the one publication path with fsync on — a repair that can be
+/// lost in a power cut is not a repair. The footer is a function of the
+/// logical bytes, so the result is the burst copy verbatim.
 fn repair_from_burst(dir: &Path, burst: &Path, name: &str, want_size: u64) -> Result<(), String> {
     let src = burst.join(name);
-    let bytes = fs::read(&src).map_err(|e| format!("burst copy unreadable: {e}"))?;
-    if bytes.len() as u64 != want_size {
+    let header = fs::File::open(&src)
+        .and_then(|f| read_header_prefix(&f, want_size))
+        .map_err(|e| format!("burst copy unreadable: {e}"))
+        .and_then(|h| decode_header(&h).map_err(|e| format!("burst copy header: {e}")))?;
+    if header.expected_committed_size() != want_size {
         return Err(format!(
-            "burst copy is {} bytes, marker recorded {want_size}",
-            bytes.len()
+            "burst copy's header describes {} bytes, marker recorded {want_size}",
+            header.expected_committed_size()
         ));
     }
-    let header = decode_header(&bytes).map_err(|e| format!("burst copy header: {e}"))?;
-    if let Some(what) = commit::verify_committed(&bytes, header.expected_file_size()) {
-        return Err(format!("burst copy corrupt: {what}"));
-    }
+    let img = commit::read_committed(&src, header.expected_file_size())
+        .map_err(|e| format!("burst copy: {e}"))?;
     let final_path = dir.join(name);
-    let tmp = commit::tmp_path(&final_path);
-    let write = || -> io::Result<()> {
-        fs::write(&tmp, &bytes)?;
-        fs::File::open(&tmp)?.sync_all()?;
-        fs::rename(&tmp, &final_path)?;
-        fs::File::open(dir)?.sync_all()
-    };
-    write().map_err(|e| {
-        let _ = fs::remove_file(&tmp);
-        format!("reinstall failed: {e}")
+    commit::commit_bytes(&final_path, &[img], true, &FaultPlan::none(), 0).map_err(|e| {
+        let _ = fs::remove_file(commit::tmp_path(&final_path));
+        format!("reinstall failed: {}", io::Error::from(e))
     })
 }
 

@@ -34,6 +34,7 @@ use std::time::{Duration, Instant};
 use rbio_profile::counters;
 
 use crate::buf::{BufPool, Bytes};
+use crate::commit;
 use crate::fault::FaultPlan;
 use crate::pipeline::{FlushJob, FlushPool, PipelineError, WriterHandle, WriterTuning};
 use crate::sched::{self, Point};
@@ -679,7 +680,7 @@ impl CheckpointService {
         let dir = inner.cfg.base_dir.join(format!("tenant-{}", tenant.id));
         std::fs::create_dir_all(&dir).map_err(ServiceError::Io)?;
         let final_path = dir.join(name);
-        let tmp_path = crate::commit::tmp_path(&final_path);
+        let tmp_path = commit::tmp_path(&final_path);
         let file = OpenOptions::new()
             .create(true)
             .truncate(true)
@@ -690,7 +691,7 @@ impl CheckpointService {
         let writer = inner.pool.register(
             sid,
             inner.cfg.pipeline_depth,
-            faults,
+            faults.clone(),
             WriterTuning {
                 durable: inner.cfg.fsync,
                 ..WriterTuning::default()
@@ -707,6 +708,7 @@ impl CheckpointService {
             final_path,
             offset: 0,
             writer: Some(writer),
+            faults,
             _permit: permit,
         })
     }
@@ -756,6 +758,8 @@ pub struct CheckpointSession {
     final_path: PathBuf,
     offset: u64,
     writer: Option<WriterHandle>,
+    /// The writer's plan (clones share state), for the commit fsync.
+    faults: FaultPlan,
     _permit: SessionPermit,
 }
 
@@ -822,8 +826,11 @@ impl CheckpointSession {
         writer.drain()?;
         drop(writer); // quiesce + free the pool slot
         if self.inner.cfg.fsync {
-            self.file.sync_all().map_err(ServiceError::Io)?;
+            commit::sync_file(&self.file, &self.faults, self.sid).map_err(ServiceError::Io)?;
         }
+        // A bare rename, with no footer and no directory fsync, until
+        // sessions come under the crash enumerator (ROADMAP 3(d)).
+        #[allow(clippy::disallowed_methods)]
         std::fs::rename(&self.tmp_path, &self.final_path).map_err(ServiceError::Io)?;
         Ok(self.offset)
     }
@@ -932,6 +939,27 @@ mod tests {
         let mut r = svc.restore(t, "gen0.ckpt").expect("admit restore");
         assert_eq!(r.len(), 10_000);
         assert_eq!(r.read_all().expect("read"), data);
+    }
+
+    #[test]
+    fn commit_fsync_answers_to_the_sessions_fault_plan() {
+        let dir = tmpdir("fsync-eio");
+        let mut cfg = ServiceConfig::new(&dir);
+        cfg.fsync = true;
+        let svc = CheckpointService::new(cfg);
+        // A fresh service numbers its sessions from 0.
+        let faults = FaultPlan::none().fsync_eio(0);
+        let mut s = svc
+            .checkpoint_with_faults(TenantSpec::new(3), "gen0.ckpt", faults)
+            .expect("admit");
+        assert_eq!(s.session_id(), 0);
+        s.write(&payload(3, 4096)).expect("write");
+        match s.commit() {
+            Err(ServiceError::Io(e)) => assert_eq!(e.raw_os_error(), Some(5), "{e}"),
+            other => panic!("expected EIO at the commit fsync, got {other:?}"),
+        }
+        let published = dir.join("tenant-3").join("gen0.ckpt");
+        assert!(!published.exists(), "a failed fsync must not publish");
     }
 
     #[test]

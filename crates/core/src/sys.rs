@@ -300,6 +300,7 @@ mod tests {
     }
 
     #[test]
+    #[allow(clippy::disallowed_methods)] // the raw fsync is what is tested
     fn hinted_range_reads_back_intact_and_syncs_clean() {
         let dir = std::env::temp_dir().join(format!("rbio-sys-hint-{}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("mkdir");

@@ -13,19 +13,19 @@
 //!    soon as staging finishes — this is the *perceived* bandwidth.
 //! 2. **Drained** — a background [`TierEngine`] thread flushes each
 //!    staged generation down the hierarchy (local → optional burst
-//!    directory → PFS) through the shared flush pool in
-//!    [`crate::pipeline`], then publishes the generation's manifest and
-//!    commit marker. Only then is the generation *durable*.
+//!    directory → PFS), each hop one [`crate::commit::commit_bytes`] per
+//!    file, then publishes the generation's manifest and commit marker.
+//!    Only then is the generation *durable*.
 //! 3. **Retained** — the most recent drained generations stay resident
 //!    in the local tier so a restart can be served at memory speed
 //!    (restore-from-nearest-tier); older slabs are evicted.
 //!
 //! Tier loss is a first-class fault: [`TierEngine::lose_local`] drops
-//! the local tier. Files that already reached the burst tier are
-//! re-read (and footer-verified) from there and the generation degrades
-//! instead of aborting — mirroring how writer failover degrades a
-//! generation in [`crate::failover`]. Files that never left the local
-//! tier make the generation fail; earlier durable generations remain
+//! the local tier. Files that already reached the burst tier are read
+//! back verified from there ([`crate::commit::read_committed`]) and the
+//! generation degrades instead of aborting — mirroring how writer failover
+//! degrades a generation in [`crate::failover`]. Files that never left the
+//! local tier make the generation fail; earlier durable generations remain
 //! restorable.
 //!
 //! Everything here is instrumented with [`crate::sched`] points and
@@ -44,19 +44,16 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, Sender, TryRecvError};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-use std::time::Duration;
 
 use rbio_plan::Rank;
 use rbio_profile::counters;
 
-use crate::buf::Bytes;
 use crate::commit;
-use crate::fault::{self, FaultPlan, IoCtx};
-use crate::pipeline::{self, FlushJob, FlushPool, WriterTuning};
+use crate::fault::FaultPlan;
 use crate::sched::{self, Point, TierId};
 use crate::sys::{self, Mmap};
 
-/// Pipeline rank the drain engine registers under. Out of the plan's
+/// The rank the drain engine commits as. Out of the plan's
 /// rank space so rank-targeted fault plans never hit the drain by
 /// accident (`Rank::MAX` itself is the manager's commit identity).
 pub const DRAIN_RANK: Rank = Rank::MAX - 1;
@@ -483,7 +480,7 @@ struct EngineShared {
 }
 
 /// The background drain engine: one thread, FIFO over generations,
-/// flushing each through the shared [`FlushPool`].
+/// committing each file itself, hop by hop.
 pub struct TierEngine {
     tx: Mutex<Option<Sender<Msg>>>,
     shared: Arc<EngineShared>,
@@ -687,45 +684,6 @@ fn finish(shared: &EngineShared) {
     shared.cv.notify_all();
 }
 
-/// Read a committed burst copy back as a logical image: footer-verify,
-/// then strip the footer. Never trusts an unverified burst file.
-fn read_burst(path: &Path, size: u64) -> Result<Vec<u8>, String> {
-    let bytes = std::fs::read(path)
-        .map_err(|e| format!("burst copy {} unreadable: {e}", path.display()))?;
-    if let Some(err) = commit::verify_committed(&bytes, size) {
-        return Err(format!("burst copy {} corrupt: {err}", path.display()));
-    }
-    let mut img = bytes;
-    img.truncate(size as usize);
-    Ok(img)
-}
-
-/// Commit `img` at `path` via the tmp + footer + rename path so the
-/// copy is torn-write detectable like any other checkpoint file. The
-/// image lands through the one fault-checked, journaled write (under a
-/// plan that injects nothing: tier loss, not a torn write, is this hop's
-/// failure mode), so the crash recorder sees its bytes like any others.
-fn write_committed(path: &Path, img: &[u8], fsync: bool) -> io::Result<()> {
-    let tmp = commit::tmp_path(path);
-    let f = File::create(&tmp)?;
-    let ctx = IoCtx {
-        rank: DRAIN_RANK,
-        wid: 0,
-        faults: &FaultPlan::none(),
-        write_retries: 0,
-        retry_backoff: Duration::ZERO,
-    };
-    fault::write_at(&ctx, &f, 0, &[img]).map_err(|e| {
-        e.into_io()
-            .unwrap_or_else(|| io::Error::other("burst-hop write killed"))
-    })?;
-    if fsync {
-        pipeline::hint_writeback(&f, 0, img.len() as u64);
-    }
-    drop(f);
-    commit::commit_file(&tmp, path, img.len() as u64, fsync)
-}
-
 fn run_drain(shared: &EngineShared, job: DrainJob, retain: usize) {
     let DrainJob {
         step,
@@ -736,6 +694,12 @@ fn run_drain(shared: &EngineShared, job: DrainJob, retain: usize) {
         publish,
     } = job;
     let files = stage.sealed_files();
+    // Both hops' one call, under a plan that injects nothing: tier loss,
+    // not a torn write, is a hop's failure mode.
+    let commit_hop = |hop: &str, path: &Path, name: &str, img: &[u8]| {
+        commit::commit_bytes(path, &[img], fsync, &FaultPlan::none(), DRAIN_RANK)
+            .map_err(|e| format!("{hop} hop for {name}: {}", io::Error::from(e)))
+    };
 
     let outcome = (|| -> Result<DrainOutcome, String> {
         // Hop 1: local → burst. Every file lands as a committed copy so
@@ -756,8 +720,7 @@ fn run_drain(shared: &EngineShared, job: DrainJob, retain: usize) {
                 let img = stage
                     .assemble(name)
                     .ok_or_else(|| format!("{name} not sealed in local tier"))?;
-                write_committed(&dst, &img, fsync)
-                    .map_err(|e| format!("burst hop for {name}: {e}"))?;
+                commit_hop("burst", &dst, name, &img)?;
                 sched::emit(|| sched::Event::TierExtentDrained {
                     step,
                     tier: TierId::Burst,
@@ -770,61 +733,26 @@ fn run_drain(shared: &EngineShared, job: DrainJob, retain: usize) {
             apply_local_loss(shared);
         }
 
-        // Hop 2: → PFS, through the shared flush pool so drain traffic
-        // rides the same FIFO/retry/error-latching machinery as
-        // foreground writers.
-        let pool = FlushPool::current();
-        let tuning = WriterTuning {
-            durable: fsync,
-            ..WriterTuning::default()
-        };
-        let writer = pool.register(DRAIN_RANK, 2, FaultPlan::none(), tuning);
+        // Hop 2: → PFS, the burst hop's own call; after a local loss the
+        // image is the burst copy, read back verified.
         let mut recovered = Vec::new();
         let mut drained = 0u64;
         for (name, size) in &files {
-            let (img, from_burst) = if shared.lost_local.load(Ordering::Acquire) {
+            let img = if shared.lost_local.load(Ordering::Acquire) {
                 let bdir = burst_dir
                     .as_deref()
                     .ok_or_else(|| format!("local tier lost and no burst copy of {name}"))?;
-                (read_burst(&bdir.join(name), *size)?, true)
-            } else {
-                let img = stage
-                    .assemble(name)
-                    .ok_or_else(|| format!("{name} not sealed in local tier"))?;
-                (img, false)
-            };
-            if from_burst {
                 recovered.push(name.clone());
-            }
-            let final_path = pfs_dir.join(name);
-            let tmp = commit::tmp_path(&final_path);
-            let f = Arc::new(File::create(&tmp).map_err(|e| format!("PFS tmp for {name}: {e}"))?);
+                commit::read_committed(&bdir.join(name), *size)
+                    .map_err(|e| format!("burst copy of {name}: {e}"))?
+            } else {
+                stage
+                    .assemble(name)
+                    .ok_or_else(|| format!("{name} not sealed in local tier"))?
+            };
             drained += img.len() as u64;
-            writer
-                .submit(FlushJob::Write {
-                    file: Arc::clone(&f),
-                    offset: 0,
-                    data: Bytes::from_vec(img),
-                })
-                .map_err(|e| format!("PFS write for {name}: {e}"))?;
-            writer
-                .submit(FlushJob::Close {
-                    file: f,
-                    fsync: false,
-                })
-                .map_err(|e| format!("PFS close for {name}: {e}"))?;
-            writer
-                .submit(FlushJob::Commit {
-                    tmp,
-                    final_path,
-                    size: *size,
-                    fsync,
-                })
-                .map_err(|e| format!("PFS commit for {name}: {e}"))?;
+            commit_hop("PFS", &pfs_dir.join(name), name, &img)?;
         }
-        writer
-            .drain()
-            .map_err(|e| format!("PFS drain for step {step}: {e}"))?;
         counters::add_tier_drained_bytes(drained);
         for (name, _) in &files {
             sched::emit(|| sched::Event::TierExtentDrained {
@@ -928,27 +856,48 @@ mod tests {
         use crate::crash::{RecOp, Recorder};
         let dir = std::env::temp_dir().join(format!("rbio-tier-journal-{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
-        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::create_dir_all(dir.join("pfs")).unwrap();
         let img: Vec<u8> = (0..3000u32).map(|i| (i * 7) as u8).collect();
+        let stage = Arc::new(TierStage::new(1, Arc::new(SlabPool::anonymous(1 << 16))));
+        stage.append("ck.rbio", 0, &img).unwrap();
+        stage.seal_file("ck.rbio", 3000);
         let rec = Recorder::install(&dir).unwrap();
-        write_committed(&dir.join("ck.rbio"), &img, true).unwrap();
+        let engine = TierEngine::new(1);
+        engine.submit(DrainJob {
+            step: 1,
+            stage,
+            pfs_dir: dir.join("pfs"),
+            burst_dir: Some(dir.join("burst")),
+            fsync: true,
+            publish: Box::new(|_| Ok(())),
+        });
+        engine.wait_durable(1).unwrap();
         let ops = rec.take();
         drop(rec);
-        // The image's own bytes, then the commit protocol's four edges.
-        let tmp = Path::new("ck.rbio.tmp");
-        assert!(
-            matches!(&ops[0], RecOp::Write { path, offset: 0, data } if path == tmp && *data == img),
-            "the image must be journaled first: {:?}",
-            ops.first()
-        );
-        assert!(matches!(&ops[1], RecOp::Write { path, offset: 3000, .. } if path == tmp));
-        assert!(matches!(&ops[2], RecOp::Fsync { path } if path == tmp));
-        assert!(matches!(&ops[3], RecOp::Rename { from, .. } if from == tmp));
-        assert!(matches!(&ops[4], RecOp::DirFsync { .. }));
-        assert_eq!(ops.len(), 5);
-        let bytes = std::fs::read(dir.join("ck.rbio")).unwrap();
-        assert!(commit::verify_committed(&bytes, 3000).is_none());
-        assert_eq!(&bytes[..3000], &img[..]);
+        assert_eq!(ops.len(), 10, "{ops:?}");
+        // Each hop, in order: the image's own bytes, then the commit
+        // protocol's four edges.
+        for (hop, ops) in ["burst", "pfs"].into_iter().zip(ops.chunks(5)) {
+            let tmp = Path::new(hop).join("ck.rbio.tmp");
+            assert!(
+                matches!(&ops[0], RecOp::Write { path, offset: 0, data } if *path == tmp && *data == img),
+                "{hop}: the image must be journaled first: {:?}",
+                ops.first()
+            );
+            assert!(matches!(&ops[1], RecOp::Write { path, offset: 3000, .. } if *path == tmp));
+            assert!(
+                matches!(&ops[2], RecOp::Fsync { path } if *path == tmp),
+                "{hop}"
+            );
+            assert!(
+                matches!(&ops[3], RecOp::Rename { from, .. } if *from == tmp),
+                "{hop}"
+            );
+            assert!(matches!(&ops[4], RecOp::DirFsync { dir } if dir == Path::new(hop)));
+            let bytes = std::fs::read(dir.join(hop).join("ck.rbio")).unwrap();
+            assert!(commit::verify_committed(&bytes, 3000).is_none());
+            assert_eq!(&bytes[..3000], &img[..]);
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -119,6 +119,65 @@ fn every_atomic_file_is_synced_once_after_its_footer_and_before_its_rename() {
     }
 }
 
+/// A non-atomic file has no commit: its `Close` is its durability point,
+/// run inline at depth 1 and as a pipelined job at depth 2. Either way its
+/// writes are followed by exactly one journaled `Fsync` — the same journal
+/// at both depths.
+#[test]
+fn a_non_atomic_files_close_fsync_is_journaled_at_every_depth() {
+    use rbio::crash::{RecOp, Recorder};
+    use rbio::exec::{execute, ExecConfig};
+    use rbio_plan::{DataRef, Op, ProgramBuilder};
+    use std::path::Path;
+
+    let _g = SWEEP_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let mut b = ProgramBuilder::new(vec![64]);
+    let file = b.file("plain.bin", 64);
+    b.push(0, Op::Open { file, create: true });
+    for k in 0..4u64 {
+        let src = DataRef::Own {
+            off: k * 16,
+            len: 16,
+        };
+        b.push(
+            0,
+            Op::WriteAt {
+                file,
+                offset: k * 16,
+                src,
+            },
+        );
+    }
+    b.push(0, Op::Close { file });
+    let program = b.build();
+    let payload: Vec<u8> = (0..64).collect();
+    let mut journals = Vec::new();
+    for depth in [1, 2] {
+        let dir = work(&format!("close-fsync-{depth}"));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let rec = Recorder::install(&dir).unwrap();
+        let mut cfg = ExecConfig::new(&dir).pipeline_depth(depth);
+        cfg.fsync_on_close = true;
+        execute(&program, vec![payload.clone()], &cfg).unwrap();
+        let ops = rec.take();
+        drop(rec);
+        let path = Path::new("plain.bin");
+        let (last, writes) = ops.split_last().expect("a journal");
+        assert_eq!(last, &RecOp::Fsync { path: path.into() }, "depth {depth}");
+        assert!(!writes.is_empty(), "depth {depth}: no writes journaled");
+        for op in writes {
+            assert!(
+                matches!(op, RecOp::Write { path: p, .. } if p == path),
+                "depth {depth}: {op:?} before the one fsync"
+            );
+        }
+        journals.push(ops);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+    assert_eq!(journals[0], journals[1], "the journal depends on the depth");
+}
+
 #[test]
 fn missing_dir_fsync_is_caught_and_replays_deterministically() {
     let _g = SWEEP_LOCK.lock().unwrap_or_else(|e| e.into_inner());
