@@ -8,8 +8,8 @@
 //!
 //! Walks a quiesced checkpoint directory's commit markers, re-verifies
 //! sizes, header CRCs, and (at `--rate`) full per-field footer CRCs,
-//! and classifies damage: torn files, missing files, orphaned tmps,
-//! manifest/marker divergence. With `--repair`, torn or missing files
+//! and classifies damage: torn files (a torn marker among them), missing
+//! files and orphaned tmps. With `--repair`, torn or missing files
 //! are reinstalled byte-identically from their burst-tier copies and
 //! orphans are reaped; the default is a dry run that only reports.
 //!

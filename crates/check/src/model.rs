@@ -24,7 +24,7 @@
 //! * **Extent commits are unique** — each final path is renamed into
 //!   place exactly once per generation.
 //! * **Durable implies drained** — a tiered generation is never marked
-//!   durable (manifest + marker published) while any staged extent has
+//!   durable (commit marker published) while any staged extent has
 //!   not reached the PFS tier.
 //! * **Buffers live until reap** — a ring-backend SQE's payload
 //!   fingerprint at completion reap must equal its fingerprint at

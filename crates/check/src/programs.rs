@@ -953,7 +953,7 @@ fn prepare_tier_drain(dir: &Path) -> PreparedProgram {
 /// `p7`: the node-local tier dies deterministically between the drain's
 /// burst and PFS hops. Correct behavior: every file of the in-flight
 /// generation is recovered from its verified burst copy, the generation
-/// publishes *degraded* (manifest lines carry `tierloss:burst`), and the
+/// publishes *degraded* (its marker lands them `tierloss:burst`), and the
 /// restore matches an untiered reference byte-for-byte.
 fn prepare_tier_loss(dir: &Path) -> PreparedProgram {
     let ref_dir = dir.join("ref");
@@ -996,11 +996,11 @@ fn prepare_tier_loss(dir: &Path) -> PreparedProgram {
             restored_eq(&restored, &want)
         }),
         verify: Box::new(move || {
-            let manifest = rbio::commit::read_committed_text(&pfs.join("step0000000003.manifest"))
-                .map_err(|e| format!("read manifest: {e}"))?;
-            if !manifest.contains(" tierloss:burst") {
+            let marker = rbio::commit::read_committed_text(&pfs.join("step0000000003.commit"))
+                .map_err(|e| format!("read marker: {e}"))?;
+            if !marker.contains(" tierloss:burst") {
                 return Err(format!(
-                    "manifest does not record the burst recovery:\n{manifest}"
+                    "marker does not record the burst recovery:\n{marker}"
                 ));
             }
             rbio_files_eq(&pfs, &ref_dir)

@@ -382,7 +382,7 @@ impl PoolShared {
     /// sit resident under the new one: retention would stack the peaks of
     /// phases that never run together. A miss while other leases are out
     /// is fluctuation within a round and releases nothing; nor does a
-    /// small one between rounds (a manifest's few hundred bytes streamed
+    /// small one between rounds (a marker's few hundred bytes streamed
     /// through the sealer), which says nothing about the next round.
     fn take(&self, cap: usize) -> Option<Vec<u8>> {
         let mut g = self.state.lock().expect("buffer pool lock");

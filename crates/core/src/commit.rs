@@ -4,7 +4,9 @@
 //! of a `.tmp` ([`commit_file_with_faults`]), the sealed write of an
 //! in-memory image ([`commit_bytes`]) and the verified read-back
 //! ([`read_committed`]) each journal to [`crate::crash`] where they happen;
-//! the crate's `clippy.toml` keeps fsync and rename out of other modules.
+//! the one directory listing ([`list`]) and the one unlink ([`remove`])
+//! sit beside them. The crate's `clippy.toml` keeps fsync, rename and
+//! unlink out of other modules.
 //!
 //! Atomic plan files are written to a `.tmp` sibling of their final name.
 //! When the owning rank has finished its writes (after its `Close`), the
@@ -550,7 +552,7 @@ pub fn commit_bytes(
     commit_file_with_faults(&tmp, final_path, size, fsync, faults, rank)
 }
 
-/// Publish a small text artifact (a manifest, a commit marker) through
+/// Publish a small text artifact (a commit marker) through
 /// [`commit_bytes`], so a crash mid-write can never leave a final name
 /// holding a torn body that still parses, and kill-after-bytes plans crash
 /// the metadata writer `rank` exactly like a data writer.
@@ -601,6 +603,35 @@ pub fn read_committed_text(path: &Path) -> io::Result<String> {
     }
     String::from_utf8(bytes)
         .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "metadata file is not UTF-8"))
+}
+
+/// The one directory listing: the names in `dir`, sorted. An entry that
+/// vanishes while it is being listed (a concurrent GC, another manager)
+/// is skipped; any other error is real and propagates.
+pub(crate) fn list(dir: &Path) -> io::Result<Vec<String>> {
+    let mut names = Vec::new();
+    for entry in std::fs::read_dir(dir)? {
+        match entry {
+            Ok(e) => names.push(e.file_name().to_string_lossy().into_owned()),
+            Err(e) if e.kind() == io::ErrorKind::NotFound => {}
+            Err(e) => return Err(e),
+        }
+    }
+    names.sort_unstable();
+    Ok(names)
+}
+
+/// The one unlink: remove `path`, treating "already gone" as success —
+/// another process (or an earlier crashed GC) may legally have deleted it
+/// between listing and removal. Returns whether this call did the
+/// deleting; any other error (permissions, EISDIR, I/O) propagates.
+#[allow(clippy::disallowed_methods)]
+pub(crate) fn remove(path: &Path) -> io::Result<bool> {
+    match std::fs::remove_file(path) {
+        Ok(()) => Ok(true),
+        Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(false),
+        Err(e) => Err(e),
+    }
 }
 
 #[cfg(test)]
@@ -670,6 +701,7 @@ mod tests {
         assert!(err.to_string().contains("directory fsync"), "{err}");
         // The fault is one-shot: a retried commit of fresh data succeeds.
         std::fs::write(&tmp, [3u8; 32]).unwrap();
+        #[allow(clippy::disallowed_methods)]
         std::fs::remove_file(&fin).ok();
         commit_file_with_faults(&tmp, &fin, 32, true, &faults, 4).unwrap();
     }
@@ -725,8 +757,8 @@ mod tests {
     #[test]
     fn committed_text_roundtrips_and_detects_torn_bodies() {
         let dir = tempdir("commit_text");
-        let p = dir.join("step0000000001.manifest");
-        let body = "step 1\nextents 2\na.rbio 0 primary\nb.rbio 1 primary\n";
+        let p = dir.join("step0000000001.commit");
+        let body = "step 1\nfiles 2\na.rbio 96 0badc0de 0 primary\nb.rbio 96 0ddba11a 1 primary\n";
         commit_text(&p, body, false).unwrap();
         assert_eq!(read_committed_text(&p).unwrap(), body);
         // Flip a byte inside the body: the footer CRC must catch it.
@@ -736,7 +768,7 @@ mod tests {
         let err = read_committed_text(&p).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         // Legacy plain-text bodies (no footer) still read.
-        let legacy = dir.join("legacy.manifest");
+        let legacy = dir.join("legacy.commit");
         std::fs::write(&legacy, body).unwrap();
         assert_eq!(read_committed_text(&legacy).unwrap(), body);
     }
@@ -744,12 +776,31 @@ mod tests {
     #[test]
     fn killed_text_commit_leaves_no_final_file() {
         let dir = tempdir("commit_text_kill");
-        let p = dir.join("step0000000001.manifest");
+        let p = dir.join("step0000000001.commit");
         let faults = FaultPlan::none().kill_writer_after_bytes(99, 4);
-        let err = commit_text_with_faults(&p, "step 1\nextents 0\n", false, &faults, 99)
-            .expect_err("killed mid-manifest-write");
+        let err = commit_text_with_faults(&p, "step 1\nfiles 0\n", false, &faults, 99)
+            .expect_err("killed mid-marker-write");
         assert!(err.to_string().contains("killed"), "{err}");
-        assert!(!p.exists(), "final manifest must never appear");
+        assert!(!p.exists(), "final marker must never appear");
+    }
+
+    #[test]
+    fn remove_tolerates_missing_and_surfaces_real_errors() {
+        let dir = tempdir("remove");
+        let p = dir.join("gone");
+        // A concurrently-deleted entry is success, not a panic or error.
+        assert!(!remove(&p).expect("missing file is fine"));
+        std::fs::write(&p, b"x").unwrap();
+        assert!(remove(&p).expect("removes existing"));
+        assert!(!p.exists());
+        // A genuinely undeletable entry still surfaces a typed error
+        // (here: the target is a non-empty directory).
+        let sub = dir.join("subdir");
+        std::fs::create_dir(&sub).unwrap();
+        std::fs::write(sub.join("f"), b"x").unwrap();
+        assert!(remove(&sub).is_err());
+        assert_eq!(list(&dir).unwrap(), vec!["subdir".to_string()]);
+        assert!(list(&dir.join("absent")).is_err());
     }
 
     /// The sealer as it was before it streamed — checksum regions sliced

@@ -367,7 +367,7 @@ impl FailoverDirector {
     }
 
     /// Completed takeovers as `(orphan, successor)` pairs, in death
-    /// order — the manager turns this into the generation manifest.
+    /// order — the manager records them as landings in the commit marker.
     pub fn completed_takeovers(&self) -> Vec<(u32, u32)> {
         self.lock()
             .orphans

@@ -8,7 +8,8 @@
 //! * **atomic completion** — a step is only restartable once *every* file
 //!   landed; a crash mid-checkpoint must not leave a half-step that a
 //!   restart could mistake for a good one. We publish a `*.commit` marker
-//!   (with per-file sizes and header CRCs) after all writes complete.
+//!   (with per-file sizes, header CRCs and who landed each file) after
+//!   all writes complete; it is the generation's only record.
 //! * **rotation** — keep the last `k` complete steps, deleting older ones
 //!   *only after* a newer step committed.
 //! * **latest-step discovery** — a restarting job scans the directory and
@@ -34,7 +35,7 @@ use crate::tier::{DrainJob, SlabPool, TierConfig, TierEngine, TierError, TierSta
 use rbio_plan::Rank;
 
 /// The fault-injection rank identity of the manager's own metadata
-/// commits (manifest + marker). Distinct from every plan writer rank and
+/// commit (the marker). Distinct from every plan writer rank and
 /// from [`crate::tier::DRAIN_RANK`], so tests can kill the campaign
 /// layer's commit path specifically.
 pub const MANAGER_RANK: Rank = Rank::MAX;
@@ -167,9 +168,12 @@ pub(crate) fn commit_name(step: u64) -> String {
     format!("{}.commit", step_prefix(step))
 }
 
-/// File name of `step`'s generation manifest.
-pub(crate) fn manifest_name(step: u64) -> String {
-    format!("{}.manifest", step_prefix(step))
+/// Whether the entry `name` belongs to `step`'s generation: the step
+/// prefix followed by a `.`, so that step 1000000000 never claims the
+/// files of step 10000000000.
+fn of_step(name: &str, step: u64) -> bool {
+    name.strip_prefix(&step_prefix(step))
+        .is_some_and(|rest| rest.starts_with('.'))
 }
 
 /// The step a commit-marker file name belongs to ([`commit_name`]'s
@@ -185,20 +189,23 @@ fn commit_path(dir: &Path, step: u64) -> PathBuf {
     dir.join(commit_name(step))
 }
 
-fn manifest_path(dir: &Path, step: u64) -> PathBuf {
-    dir.join(manifest_name(step))
-}
-
-/// The `name size header-crc` lines [`marker_body`] wrote after a
-/// marker's two header lines; `Err` carries a line that does not parse.
-pub(crate) fn marker_files(marker: &str) -> impl Iterator<Item = Result<(&str, u64, &str), &str>> {
+/// The `name size header-crc owner landing` lines [`marker_body`] wrote
+/// after a marker's two header lines, as `(name, size, header-crc,
+/// landing)`. A three-column line, from a directory written before the
+/// marker recorded landings, landed `primary`. `Err` carries a line that
+/// does not parse.
+pub(crate) fn marker_files(
+    marker: &str,
+) -> impl Iterator<Item = Result<(&str, u64, &str, &str), &str>> {
     marker.lines().skip(2).map(|line| {
-        let mut parts = line.split_whitespace();
-        let (name, size, crc) = (parts.next(), parts.next(), parts.next());
-        match (name, size.and_then(|s| s.parse().ok()), crc) {
-            (Some(name), Some(size), Some(crc)) => Ok((name, size, crc)),
-            _ => Err(line),
-        }
+        let parts: Vec<&str> = line.split_whitespace().collect();
+        let (name, size, crc, landing) = match parts[..] {
+            [name, size, crc] => (name, size, crc, "primary"),
+            [name, size, crc, _owner, landing] => (name, size, crc, landing),
+            _ => return Err(line),
+        };
+        let size = size.parse().map_err(|_| line)?;
+        Ok((name, size, crc, landing))
     })
 }
 
@@ -245,35 +252,25 @@ pub(crate) fn check_committed_file(
     }
 }
 
-/// Remove `path`, treating "already gone" as success: during generation
-/// scans and GC another process (or an earlier crashed GC) may legally
-/// have deleted an entry between listing and removal. Returns whether
-/// this call did the deleting; any error other than `NotFound` is real
-/// (permissions, EISDIR, I/O) and propagates.
-fn remove_if_exists(path: &Path) -> io::Result<bool> {
-    match fs::remove_file(path) {
-        Ok(()) => Ok(true),
-        Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(false),
-        Err(e) => Err(e),
-    }
-}
-
-/// A `read_dir` entry error for something that vanished mid-iteration.
-fn entry_vanished(e: &io::Error) -> bool {
-    e.kind() == io::ErrorKind::NotFound
-}
-
 /// Per-file commit-marker expectations: `(name, expected size on disk
-/// including the checksum footer, header length to CRC)`.
-type MarkerSpec = (String, u64, u64);
+/// including the checksum footer, header length to CRC, owning writer
+/// rank, landing)`. The landing is `primary` or `failover:S`.
+type MarkerSpec = (String, u64, u64, u32, String);
 
 /// Build the commit-marker body by checking every published file against
 /// its spec. Runs on the campaign thread (direct path) or the drain
-/// thread (tiered path) once the files are on the PFS.
-fn marker_body(dir: &Path, step: u64, specs: &[MarkerSpec]) -> Result<String, ManagerError> {
+/// thread (tiered path) once the files are on the PFS. A file the drain
+/// `recovered` from the burst tier after local-tier loss lands
+/// `tierloss:burst`, classifying the generation Degraded.
+fn marker_body(
+    dir: &Path,
+    step: u64,
+    specs: &[MarkerSpec],
+    recovered: &[String],
+) -> Result<String, ManagerError> {
     let mut body = String::new();
     body.push_str(&format!("step {step}\nfiles {}\n", specs.len()));
-    for (name, expect, hdr_len) in specs {
+    for (name, expect, hdr_len, owner, landing) in specs {
         let path = dir.join(name);
         let meta = fs::metadata(&path)?;
         if meta.len() != *expect {
@@ -287,57 +284,33 @@ fn marker_body(dir: &Path, step: u64, specs: &[MarkerSpec]) -> Result<String, Ma
         let mut hdr = vec![0u8; (*hdr_len).min(meta.len()) as usize];
         use std::os::unix::fs::FileExt;
         fs::File::open(&path)?.read_exact_at(&mut hdr, 0)?;
-        body.push_str(&format!("{name} {} {:08x}\n", meta.len(), crc32(&hdr)));
+        let landing = if recovered.contains(name) {
+            "tierloss:burst"
+        } else {
+            landing
+        };
+        body.push_str(&format!(
+            "{name} {} {:08x} {owner} {landing}\n",
+            meta.len(),
+            crc32(&hdr)
+        ));
     }
     Ok(body)
 }
 
-/// Rewrite manifest ownership lines for extents whose PFS copy was
-/// recovered from the burst tier after local-tier loss: ` primary`
-/// becomes ` tierloss:burst`, classifying the generation Degraded.
-fn amend_manifest_for_tier_loss(manifest: &str, recovered: &[String]) -> String {
-    if recovered.is_empty() {
-        return manifest.to_string();
-    }
-    let mut out = String::with_capacity(manifest.len() + 16 * recovered.len());
-    for line in manifest.lines() {
-        let name = line.split_whitespace().next().unwrap_or("");
-        if recovered.iter().any(|r| r == name) {
-            if let Some(prefix) = line.strip_suffix(" primary") {
-                out.push_str(prefix);
-                out.push_str(" tierloss:burst\n");
-                continue;
-            }
-        }
-        out.push_str(line);
-        out.push('\n');
-    }
-    out
-}
-
-/// Publish a generation: manifest first (an aborted publish may leave a
-/// manifest without a marker; the prefix GC reaps it), then the commit
-/// marker. Both go through the tmp + CRC footer + rename commit path so
-/// a crash mid-publish never leaves a half-written metadata file that a
-/// restart could trust.
+/// Publish a generation: its one commit marker, through the tmp + CRC
+/// footer + rename commit path so a crash mid-publish never leaves a
+/// half-written marker that a restart could trust.
 fn publish_generation(
     dir: &Path,
     step: u64,
-    manifest: &str,
     specs: &[MarkerSpec],
     recovered: &[String],
     fsync: bool,
     faults: &FaultPlan,
 ) -> io::Result<()> {
-    let manifest = amend_manifest_for_tier_loss(manifest, recovered);
-    commit::commit_text_with_faults(
-        &manifest_path(dir, step),
-        &manifest,
-        fsync,
-        faults,
-        MANAGER_RANK,
-    )?;
-    let body = marker_body(dir, step, specs).map_err(|e| io::Error::other(e.to_string()))?;
+    let body =
+        marker_body(dir, step, specs, recovered).map_err(|e| io::Error::other(e.to_string()))?;
     commit::commit_text_with_faults(&commit_path(dir, step), &body, fsync, faults, MANAGER_RANK)?;
     if fsync {
         // The durability promise the crash sweep holds restores to:
@@ -349,22 +322,10 @@ fn publish_generation(
 
 /// Remove every file in `dir` whose name ends with `suffix`, tolerating
 /// concurrent deletion. Returns how many this call removed.
-fn reap_suffix(dir: &Path, suffix: &str) -> Result<u64, ManagerError> {
-    let mut victims = Vec::new();
-    for entry in fs::read_dir(dir)? {
-        let entry = match entry {
-            Ok(e) => e,
-            Err(e) if entry_vanished(&e) => continue,
-            Err(e) => return Err(ManagerError::Io(e)),
-        };
-        let name = entry.file_name().to_string_lossy().into_owned();
-        if name.ends_with(suffix) {
-            victims.push(entry.path());
-        }
-    }
+fn reap_suffix(dir: &Path, suffix: &str) -> io::Result<u64> {
     let mut removed = 0u64;
-    for victim in victims {
-        if remove_if_exists(&victim)? {
+    for name in commit::list(dir)? {
+        if name.ends_with(suffix) && commit::remove(&dir.join(name))? {
             removed += 1;
         }
     }
@@ -389,10 +350,17 @@ fn gc_orphans(dir: &Path, slab_dir: Option<&Path>) -> Result<u64, ManagerError> 
 }
 
 impl CheckpointManager {
-    /// A manager for `layout` under `cfg.dir` (created if needed).
+    /// A manager for `layout` under `cfg.dir` (created if needed). A
+    /// `cfg.keep` of 0 is an `InvalidInput` error, refused before anything
+    /// is created.
     pub fn new(layout: DataLayout, cfg: ManagerConfig) -> Result<Self, ManagerError> {
+        if cfg.keep == 0 {
+            return Err(ManagerError::Io(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "keep must retain at least one step",
+            )));
+        }
         fs::create_dir_all(&cfg.dir)?;
-        assert!(cfg.keep >= 1, "must keep at least one step");
         let engine = match &cfg.tier {
             Some(t) => {
                 fs::create_dir_all(&t.local_dir)?;
@@ -476,32 +444,10 @@ impl CheckpointManager {
             }
         };
 
-        // Generation manifest: which writer actually landed each extent.
-        // Written before the commit marker (an aborted step may leave a
-        // manifest without a marker; the prefix GC reaps it), so any
-        // committed generation can be classified Complete vs Degraded.
-        let mut manifest = String::new();
-        manifest.push_str(&format!("step {step}\nextents {}\n", plan.plan_files.len()));
-        for (i, pf) in plan.plan_files.iter().enumerate() {
-            let owner = plan
-                .program
-                .ops
-                .iter()
-                .position(|ops| {
-                    ops.iter().any(
-                        |op| matches!(op, rbio_plan::Op::Commit { file } if file.0 as usize == i),
-                    )
-                })
-                .unwrap_or(0) as u32;
-            match report.failovers.iter().find(|(orphan, _)| *orphan == owner) {
-                Some((_, successor)) => {
-                    manifest.push_str(&format!("{} {} failover:{}\n", pf.name, owner, successor));
-                }
-                None => manifest.push_str(&format!("{} {} primary\n", pf.name, owner)),
-            }
-        }
         // Per-file marker expectations: committed files carry a
-        // checksum footer past the plan's logical size.
+        // checksum footer past the plan's logical size, and the marker
+        // records which writer landed each file, so any committed
+        // generation can be classified Complete vs Degraded.
         let specs: Vec<MarkerSpec> = plan
             .plan_files
             .iter()
@@ -514,7 +460,21 @@ impl CheckpointManager {
                     .find(|m| m.header_for_file == Some(i))
                     .map(|m| m.header_len)
                     .unwrap_or(0);
-                (pf.name.clone(), expect, hdr_len)
+                let owner = plan
+                    .program
+                    .ops
+                    .iter()
+                    .position(|ops| {
+                        ops.iter().any(
+                            |op| matches!(op, rbio_plan::Op::Commit { file } if file.0 as usize == i),
+                        )
+                    })
+                    .unwrap_or(0) as u32;
+                let landing = match report.failovers.iter().find(|(orphan, _)| *orphan == owner) {
+                    Some((_, successor)) => format!("failover:{successor}"),
+                    None => "primary".to_string(),
+                };
+                (pf.name.clone(), expect, hdr_len, owner, landing)
             })
             .collect();
 
@@ -522,7 +482,7 @@ impl CheckpointManager {
             // Tiered path: the step is *perceived* complete here — bytes
             // are safe in the local slab — but only durable once the
             // drain engine lands every file on the PFS and publishes the
-            // manifest + marker from the drain thread.
+            // marker from the drain thread.
             let engine = self
                 .engine
                 .as_ref()
@@ -541,7 +501,6 @@ impl CheckpointManager {
                     publish_generation(
                         &dir,
                         step,
-                        &manifest,
                         &specs,
                         &outcome.recovered_from_burst,
                         fsync,
@@ -552,13 +511,10 @@ impl CheckpointManager {
             return Ok(report);
         }
 
-        // Direct path: manifest then commit marker, both through the
-        // tmp + CRC footer + rename commit path so a crash never leaves
-        // a half-written metadata file that a restart could trust.
+        // Direct path: the marker, published on this thread.
         publish_generation(
             &self.cfg.dir,
             step,
-            &manifest,
             &specs,
             &[],
             self.cfg.fsync,
@@ -574,19 +530,15 @@ impl CheckpointManager {
     /// news, and anything missed here is reaped by the next manager's
     /// startup GC.
     fn abort_step_cleanup(&self, step: u64) {
-        let prefix = step_prefix(step);
         let mut removed = 0u64;
-        if let Ok(entries) = fs::read_dir(&self.cfg.dir) {
-            for entry in entries.flatten() {
-                let name = entry.file_name().to_string_lossy().into_owned();
-                if name.starts_with(&prefix) && name.ends_with(commit::TMP_SUFFIX) {
-                    removed += u64::from(remove_if_exists(&entry.path()).unwrap_or(false));
-                }
+        for name in commit::list(&self.cfg.dir).unwrap_or_default() {
+            if of_step(&name, step) && name.ends_with(commit::TMP_SUFFIX) {
+                removed += u64::from(commit::remove(&self.cfg.dir.join(name)).unwrap_or(false));
             }
         }
         if let Some(t) = &self.cfg.tier {
-            let slab = t.local_dir.join(format!("{prefix}.slab"));
-            removed += u64::from(remove_if_exists(&slab).unwrap_or(false));
+            let slab = t.local_dir.join(format!("{}.slab", step_prefix(step)));
+            removed += u64::from(commit::remove(&slab).unwrap_or(false));
         }
         if removed > 0 {
             rbio_profile::counters::add_gc_orphans(removed);
@@ -608,26 +560,13 @@ impl CheckpointManager {
     }
 
     /// Committed steps present, ascending. Entries that vanish while the
-    /// directory is being scanned (concurrent GC, another manager) are
-    /// skipped with a warning instead of failing the whole scan; any
-    /// other per-entry error propagates as a typed [`ManagerError::Io`].
+    /// directory is being listed (concurrent GC, another manager) are
+    /// skipped; any other error propagates as a typed [`ManagerError::Io`].
     pub fn committed_steps(&self) -> Result<Vec<u64>, ManagerError> {
-        let mut steps = Vec::new();
-        for entry in fs::read_dir(&self.cfg.dir)? {
-            let entry = match entry {
-                Ok(e) => e,
-                Err(e) if entry_vanished(&e) => {
-                    eprintln!(
-                        "rbio: warning: entry in {} vanished during generation scan (skipped)",
-                        self.cfg.dir.display()
-                    );
-                    continue;
-                }
-                Err(e) => return Err(ManagerError::Io(e)),
-            };
-            let name = entry.file_name().to_string_lossy().into_owned();
-            steps.extend(marker_step(&name));
-        }
+        let mut steps: Vec<u64> = commit::list(&self.cfg.dir)?
+            .iter()
+            .filter_map(|name| marker_step(name))
+            .collect();
         steps.sort_unstable();
         Ok(steps)
     }
@@ -638,42 +577,30 @@ impl CheckpointManager {
     /// removing the same old generation is success, not an error.
     fn rotate(&self) -> Result<(), ManagerError> {
         let steps = self.committed_steps()?;
-        if steps.len() <= self.cfg.keep {
+        let old = &steps[..steps.len().saturating_sub(self.cfg.keep)];
+        if old.is_empty() {
             return Ok(());
         }
-        for &old in &steps[..steps.len() - self.cfg.keep] {
-            remove_if_exists(&commit_path(&self.cfg.dir, old))?;
-            remove_if_exists(&manifest_path(&self.cfg.dir, old))?;
-            let prefix = step_prefix(old);
-            // List first, then delete: the snapshot keeps the removal
-            // set stable even as entries disappear mid-iteration.
-            let mut victims = Vec::new();
-            for entry in fs::read_dir(&self.cfg.dir)? {
-                let entry = match entry {
-                    Ok(e) => e,
-                    Err(e) if entry_vanished(&e) => continue,
-                    Err(e) => return Err(ManagerError::Io(e)),
-                };
-                let name = entry.file_name().to_string_lossy().into_owned();
-                if name.starts_with(&prefix)
-                    && (name.ends_with(".rbio")
-                        || name.ends_with(".rbio.tmp")
-                        || name.ends_with(".manifest")
-                        || name.ends_with(".manifest.tmp")
-                        || name.ends_with(".commit.tmp"))
-                {
-                    victims.push(entry.path());
-                }
-            }
-            for victim in victims {
-                remove_if_exists(&victim)?;
+        for &step in old {
+            commit::remove(&commit_path(&self.cfg.dir, step))?;
+        }
+        for name in commit::list(&self.cfg.dir)? {
+            if old.iter().any(|&step| of_step(&name, step)) {
+                commit::remove(&self.cfg.dir.join(name))?;
             }
         }
         Ok(())
     }
 
-    /// Verify a committed step's marker against the files on disk.
+    /// Verify a committed step's marker against the files on disk. No
+    /// marker is [`ManagerError::NothingToRestore`]; a marker that exists
+    /// but cannot be read is [`ManagerError::Io`].
     pub fn verify(&self, step: u64) -> Result<(), ManagerError> {
+        self.verified_marker(step).map(drop)
+    }
+
+    /// [`CheckpointManager::verify`], returning the marker it verified.
+    fn verified_marker(&self, step: u64) -> Result<String, ManagerError> {
         // Markers carry a CRC footer since the tiering era; plain-text
         // markers from older directories pass through unchanged. A
         // present-but-corrupt footer means a torn marker.
@@ -681,40 +608,35 @@ impl CheckpointManager {
             commit::read_committed_text(&commit_path(&self.cfg.dir, step)).map_err(|e| match e
                 .kind()
             {
+                io::ErrorKind::NotFound => ManagerError::NothingToRestore,
                 io::ErrorKind::InvalidData => {
                     ManagerError::CommitMismatch(format!("commit marker: {e}"))
                 }
-                _ => ManagerError::NothingToRestore,
+                _ => ManagerError::Io(e),
             })?;
         for line in marker_files(&marker) {
-            let (name, size, crc) = line
+            let (name, size, crc, _) = line
                 .map_err(|bad| ManagerError::CommitMismatch(format!("bad marker line: {bad}")))?;
             check_committed_file(&self.cfg.dir.join(name), size, crc, true)
                 .map_err(|why| ManagerError::CommitMismatch(format!("{name}: {why}")))?;
         }
-        Ok(())
+        Ok(marker)
     }
 
     /// Classify a committed generation: [`GenerationState::Torn`] if its
-    /// marker/files fail verification, otherwise Complete or Degraded
-    /// per the manifest ("failover:" or "tierloss:" extents).
-    /// Generations from before manifests existed verify as Complete.
+    /// marker/files fail verification, otherwise Complete or Degraded per
+    /// the landings in the marker it just verified (any file not landed
+    /// `primary`, i.e. `failover:S` or `tierloss:burst`, degrades it).
     pub fn generation_state(&self, step: u64) -> GenerationState {
-        if self.verify(step).is_err() {
+        let Ok(marker) = self.verified_marker(step) else {
             return GenerationState::Torn;
-        }
-        match commit::read_committed_text(&manifest_path(&self.cfg.dir, step)) {
-            Ok(m) => {
-                if m.lines()
-                    .skip(2)
-                    .any(|l| l.contains(" failover:") || l.contains(" tierloss:"))
-                {
-                    GenerationState::Degraded
-                } else {
-                    GenerationState::Complete
-                }
-            }
-            Err(_) => GenerationState::Complete,
+        };
+        let degraded =
+            marker_files(&marker).any(|line| line.is_ok_and(|(.., landing)| landing != "primary"));
+        if degraded {
+            GenerationState::Degraded
+        } else {
+            GenerationState::Complete
         }
     }
 
@@ -976,12 +898,12 @@ mod tests {
         assert_eq!(report.failovers[0].0, 4, "rank 4 is the orphan");
 
         // The generation is committed, verified, and classified
-        // degraded via its manifest.
+        // degraded via its marker.
         assert_eq!(mgr.committed_steps().unwrap(), vec![2]);
         mgr.verify(2).expect("degraded generation verifies");
         assert_eq!(mgr.generation_state(2), GenerationState::Degraded);
-        let manifest = commit::read_committed_text(&manifest_path(&dir, 2)).expect("manifest");
-        assert!(manifest.contains(" failover:"), "{manifest}");
+        let marker = commit::read_committed_text(&commit_path(&dir, 2)).expect("marker");
+        assert!(marker.contains(" failover:"), "{marker}");
 
         // Restore is byte-identical to the uninjected reference and
         // counted as a degraded restore.
@@ -1067,26 +989,6 @@ mod tests {
     }
 
     #[test]
-    fn remove_if_exists_tolerates_missing_and_surfaces_real_errors() {
-        let dir = std::env::temp_dir().join(format!("rbio-mgr-rie-{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
-        std::fs::create_dir_all(&dir).unwrap();
-        let p = dir.join("gone");
-        // A concurrently-deleted entry is success, not a panic or error.
-        assert!(!remove_if_exists(&p).expect("missing file is fine"));
-        std::fs::write(&p, b"x").unwrap();
-        assert!(remove_if_exists(&p).expect("removes existing"));
-        assert!(!p.exists());
-        // A genuinely unreadable/undeletable entry still surfaces a
-        // typed error (here: the target is a non-empty directory).
-        let sub = dir.join("subdir");
-        std::fs::create_dir(&sub).unwrap();
-        std::fs::write(sub.join("f"), b"x").unwrap();
-        assert!(remove_if_exists(&sub).is_err());
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn gc_tolerates_entries_deleted_by_concurrent_manager() {
         let (mgr, dir) = mk("race-gc", 1);
         mgr.checkpoint(1, fill_for(1)).expect("ck 1");
@@ -1101,9 +1003,9 @@ mod tests {
         assert_eq!(mgr.committed_steps().unwrap(), vec![2]);
         // Same with a data file left behind but its siblings vanished.
         std::fs::write(commit_path(&dir, 1), "step 1\nfiles 0\n").unwrap();
-        std::fs::write(dir.join("step0000000001-orphan.rbio"), b"stale").unwrap();
+        std::fs::write(dir.join("step0000000001.orphan.rbio"), b"stale").unwrap();
         mgr.rotate().expect("rotate reaps the orphan");
-        assert!(!dir.join("step0000000001-orphan.rbio").exists());
+        assert!(!dir.join("step0000000001.orphan.rbio").exists());
         assert_eq!(mgr.committed_steps().unwrap(), vec![2]);
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1115,7 +1017,7 @@ mod tests {
         drop(mgr);
         // A crashed predecessor left half-written commit tmps behind.
         std::fs::write(dir.join("step0000000002.00000.rbio.tmp"), b"half").unwrap();
-        std::fs::write(dir.join("step0000000002.manifest.tmp"), b"half").unwrap();
+        std::fs::write(dir.join("step0000000002.commit.tmp"), b"half").unwrap();
         let before = rbio_profile::counters::scrub_snapshot();
         let mgr = CheckpointManager::new(
             DataLayout::uniform(8, &[("u", 1024), ("v", 256)]),
@@ -1126,7 +1028,7 @@ mod tests {
             !dir.join("step0000000002.00000.rbio.tmp").exists(),
             "startup GC must reap orphaned tmps"
         );
-        assert!(!dir.join("step0000000002.manifest.tmp").exists());
+        assert!(!dir.join("step0000000002.commit.tmp").exists());
         let delta = rbio_profile::counters::scrub_snapshot().delta_since(&before);
         assert!(
             delta.gc_orphans >= 2,
@@ -1145,33 +1047,125 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// Checkpoint step 2 beside `mgr`'s generations with the metadata
+    /// writer killed once it has written `threshold` bytes. No plan rank
+    /// dies, so failover (and its monitor's poll) is off.
+    fn meta_kill_at(mgr: &CheckpointManager, threshold: u64) -> Result<ExecReport, ManagerError> {
+        let mut cfg = ManagerConfig::new(&mgr.cfg.dir, Strategy::rbio(2));
+        cfg.keep = 2;
+        cfg.failover = false;
+        cfg.faults = FaultPlan::none().kill_writer_after_bytes(MANAGER_RANK, threshold);
+        CheckpointManager::new(mgr.layout().clone(), cfg)?.checkpoint(2, fill_for(2))
+    }
+
     #[test]
     fn manager_rank_kill_leaves_no_metadata_final_files() {
-        // The manifest and marker are published through the fault layer
-        // as MANAGER_RANK: killing that rank mid-write must abort the
-        // step with neither final metadata name present (only .tmp
-        // siblings), leaving the previous generation authoritative.
+        // A generation's metadata is published through the fault layer as
+        // MANAGER_RANK. Killing that rank at any byte of it must abort the
+        // step with no final-named metadata file (only .tmp siblings),
+        // leaving the previous generation authoritative; once the
+        // threshold is past every metadata byte, the step commits.
         let (mgr, dir) = mk("meta-kill", 2);
         mgr.checkpoint(1, fill_for(1)).expect("ck 1");
+        let metadata = |step| -> Vec<String> {
+            commit::list(&dir)
+                .unwrap()
+                .into_iter()
+                .filter(|n| {
+                    of_step(n, step) && !n.ends_with(".rbio") && !n.ends_with(commit::TMP_SUFFIX)
+                })
+                .collect()
+        };
+        let meta_bytes: u64 = metadata(1)
+            .iter()
+            .map(|n| fs::metadata(dir.join(n)).unwrap().len())
+            .sum();
+        for threshold in 1..=meta_bytes + 1 {
+            let committed = meta_kill_at(&mgr, threshold).is_ok();
+            let left = metadata(2);
+            if committed {
+                assert_eq!(left, vec![commit_name(2)], "threshold {threshold}");
+                assert_eq!(mgr.restore_latest().expect("restore").step, 2);
+                std::fs::remove_dir_all(&dir).ok();
+                return;
+            }
+            assert!(left.is_empty(), "threshold {threshold} left {left:?}");
+            assert_eq!(mgr.committed_steps().unwrap(), vec![1]);
+            let restored = mgr.restore_latest().expect("fallback");
+            assert_eq!(restored.step, 1, "threshold {threshold}");
+        }
+        panic!(
+            "no threshold up to {} bytes committed step 2",
+            meta_bytes + 1
+        );
+    }
+
+    #[test]
+    fn parent_format_marker_verifies_restores_and_classifies_complete() {
+        // A directory written before the marker recorded landings: three
+        // columns per file and nothing beside the marker.
+        let (mgr, dir) = mk("old-marker", 2);
+        mgr.checkpoint(4, fill_for(4)).expect("ck 4");
+        let marker = commit::read_committed_text(&commit_path(&dir, 4)).unwrap();
+        let old: String = marker
+            .lines()
+            .enumerate()
+            .map(|(i, l)| {
+                let cols = if i < 2 { 2 } else { 3 };
+                l.split_whitespace()
+                    .take(cols)
+                    .collect::<Vec<_>>()
+                    .join(" ")
+                    + "\n"
+            })
+            .collect();
+        assert_ne!(old, marker);
+        commit::commit_text(&commit_path(&dir, 4), &old, false).unwrap();
+        mgr.verify(4).expect("three-column marker verifies");
+        assert_eq!(mgr.generation_state(4), GenerationState::Complete);
+        assert_eq!(mgr.restore_latest().expect("restore").step, 4);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn unreadable_marker_is_an_io_error_not_nothing_to_restore() {
+        let (mgr, dir) = mk("marker-eisdir", 2);
+        mgr.checkpoint(1, fill_for(1)).expect("ck 1");
+        std::fs::create_dir(commit_path(&dir, 3)).unwrap();
+        assert!(matches!(mgr.verify(3), Err(ManagerError::Io(_))));
+        assert!(matches!(mgr.verify(5), Err(ManagerError::NothingToRestore)));
+        // Restore still treats the generation as torn and falls back.
+        assert_eq!(mgr.generation_state(3), GenerationState::Torn);
+        assert_eq!(mgr.restore_latest().expect("fallback").step, 1);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn keep_zero_is_refused_before_anything_is_created() {
+        let dir = std::env::temp_dir().join(format!("rbio-mgr-keep0-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
         let mut cfg = ManagerConfig::new(&dir, Strategy::rbio(2));
-        cfg.keep = 2;
-        cfg.faults = FaultPlan::none().kill_writer_after_bytes(MANAGER_RANK, 1);
-        let mgr2 = CheckpointManager::new(mgr.layout().clone(), cfg).expect("manager");
-        assert!(
-            mgr2.checkpoint(2, fill_for(2)).is_err(),
-            "metadata-writer kill must abort the step"
-        );
-        assert!(
-            !manifest_path(&dir, 2).exists(),
-            "killed manifest write must not publish a final manifest"
-        );
-        assert!(
-            !commit_path(&dir, 2).exists(),
-            "no marker may exist for the aborted step"
-        );
-        assert_eq!(mgr.committed_steps().unwrap(), vec![1]);
-        let restored = mgr.restore_latest().expect("fallback");
-        assert_eq!(restored.step, 1);
+        cfg.keep = 0;
+        let layout = DataLayout::uniform(8, &[("u", 1024)]);
+        match CheckpointManager::new(layout, cfg) {
+            Err(ManagerError::Io(e)) => assert_eq!(e.kind(), io::ErrorKind::InvalidInput),
+            other => panic!("keep 0 must be refused, got {other:?}"),
+        }
+        assert!(!dir.exists(), "nothing may be created for a refused config");
+    }
+
+    #[test]
+    fn rotation_never_claims_the_files_of_a_longer_step_number() {
+        // `step1000000000` is a prefix of `step10000000000`: rotating the
+        // older generation away must leave every file of the newer one.
+        let (mgr, dir) = mk("prefix", 1);
+        let (older, newer) = (1_000_000_000, 10_000_000_000);
+        mgr.checkpoint(older, fill_for(older)).expect("older");
+        mgr.checkpoint(newer, fill_for(newer))
+            .expect("newer + rotate");
+        assert_eq!(mgr.committed_steps().unwrap(), vec![newer]);
+        mgr.verify(newer).expect("the kept generation is whole");
+        assert_eq!(mgr.restore_latest().expect("restore").step, newer);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1253,8 +1247,8 @@ mod tests {
         mgr.checkpoint(3, fill_for(3)).expect("staged ck");
         mgr.wait_durable(3).expect("recovered from burst tier");
         assert_eq!(mgr.generation_state(3), GenerationState::Degraded);
-        let manifest = commit::read_committed_text(&manifest_path(&pfs, 3)).expect("manifest");
-        assert!(manifest.contains(" tierloss:burst"), "{manifest}");
+        let marker = commit::read_committed_text(&commit_path(&pfs, 3)).expect("marker");
+        assert!(marker.contains(" tierloss:burst"), "{marker}");
 
         // The local tier is gone; restore still succeeds byte-for-byte
         // from the surviving tiers.

@@ -521,20 +521,15 @@ pub fn scan_checkpoint_dir(
     dir: impl AsRef<Path>,
     prefix: &str,
 ) -> Result<Vec<(String, FileHeader)>, RestartError> {
+    let dir = dir.as_ref();
     let mut out = Vec::new();
-    for entry in std::fs::read_dir(dir.as_ref())? {
-        // Entries deleted between listing and stat (a concurrent GC
-        // rotating old generations) are not this scan's problem.
-        let entry = match entry {
-            Ok(e) => e,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => continue,
-            Err(e) => return Err(RestartError::Io(e)),
-        };
-        let name = entry.file_name().to_string_lossy().into_owned();
+    // Entries deleted between listing and stat (a concurrent GC rotating
+    // old generations) are not this scan's problem.
+    for name in commit::list(dir)? {
         if !name.starts_with(prefix) || !name.ends_with(".rbio") {
             continue;
         }
-        let header = match read_header(&entry.path()) {
+        let header = match read_header(&dir.join(&name)) {
             Ok(h) => h,
             Err(RestartError::Io(e)) if e.kind() == io::ErrorKind::NotFound => continue,
             Err(e) => return Err(e),

@@ -313,7 +313,7 @@ pub enum Event {
         /// FNV-1a of the extent's final file name.
         path_hash: u64,
     },
-    /// A generation's manifest + commit marker were published: it is
+    /// A generation's commit marker was published: it is
     /// durable on the PFS tier. Emitting this while any staged extent of
     /// the step has not been drained to [`TierId::Pfs`] is the
     /// durable-before-drained violation.

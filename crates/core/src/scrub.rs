@@ -19,8 +19,10 @@
 //! * **Missing file** — the marker references a file that is gone.
 //! * **Orphaned tmp** — a `*.tmp` left by a crashed commit; never
 //!   referenced by any marker, reaped under `repair`.
-//! * **Metadata divergence** — manifest and marker disagree about the
-//!   generation's extent set, or the manifest itself is torn.
+//!
+//! A torn or unparseable commit marker is a torn file too: the marker is
+//! the generation's only record, so there is nothing for it to disagree
+//! with.
 //!
 //! Repair sources the burst-buffer tier: a burst copy is committed with
 //! the same footer protocol as the PFS file, so its verified read-back
@@ -29,7 +31,6 @@
 //! redundant copy stay classified-but-unrepaired — the report is the
 //! operator's signal to fall back a generation.
 
-use std::collections::BTreeSet;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -39,7 +40,7 @@ use rbio_profile::counters;
 use crate::commit;
 use crate::fault::FaultPlan;
 use crate::format::{decode_header, read_header_prefix};
-use crate::manager::{check_committed_file, commit_name, manifest_name, marker_files, marker_step};
+use crate::manager::{check_committed_file, commit_name, marker_files, marker_step};
 
 /// What a scrub found wrong with one on-disk object.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -50,8 +51,6 @@ pub enum DamageKind {
     MissingFile,
     /// A `*.tmp` from a crashed commit, referenced by nothing.
     OrphanTmp,
-    /// Manifest and marker disagree (or the manifest is torn).
-    MetadataDivergence,
 }
 
 impl std::fmt::Display for DamageKind {
@@ -60,7 +59,6 @@ impl std::fmt::Display for DamageKind {
             DamageKind::TornFile => "torn-file",
             DamageKind::MissingFile => "missing-file",
             DamageKind::OrphanTmp => "orphan-tmp",
-            DamageKind::MetadataDivergence => "metadata-divergence",
         };
         f.write_str(s)
     }
@@ -181,38 +179,26 @@ fn repair_from_burst(dir: &Path, burst: &Path, name: &str, want_size: u64) -> Re
         .map_err(|e| format!("burst copy: {e}"))?;
     let final_path = dir.join(name);
     commit::commit_bytes(&final_path, &[img], true, &FaultPlan::none(), 0).map_err(|e| {
-        let _ = fs::remove_file(commit::tmp_path(&final_path));
+        let _ = commit::remove(&commit::tmp_path(&final_path));
         format!("reinstall failed: {}", io::Error::from(e))
     })
 }
 
-/// Extent-name set from committed metadata text, skipping the two
-/// header lines (`step N` / `files|extents M`).
-fn name_set(text: &str) -> BTreeSet<String> {
-    text.lines()
-        .skip(2)
-        .filter_map(|l| l.split_whitespace().next())
-        .map(str::to_owned)
-        .collect()
-}
-
 /// Walk `cfg.dir` and scrub every committed generation. The directory
 /// must be quiesced (no live manager writing) — this is an *offline*
-/// scrubber; concurrent commits would be reported as divergence.
+/// scrubber; a concurrent commit's `.tmp` would be reported as an orphan.
 pub fn scrub(cfg: &ScrubConfig) -> io::Result<ScrubReport> {
     let mut report = ScrubReport::default();
     let mut steps = Vec::new();
     let mut tmps = Vec::new();
-    for entry in fs::read_dir(&cfg.dir)? {
-        let name = entry?.file_name().to_string_lossy().into_owned();
+    for name in commit::list(&cfg.dir)? {
         if let Some(step) = marker_step(&name) {
             steps.push(step);
-        } else if name.ends_with(".tmp") {
+        } else if name.ends_with(commit::TMP_SUFFIX) {
             tmps.push(name);
         }
     }
     steps.sort_unstable();
-    tmps.sort_unstable();
 
     // Deep-pass decimation: a deterministic accumulator spreads the
     // configured fraction evenly over the walk order (no RNG, so the
@@ -250,7 +236,7 @@ pub fn scrub(cfg: &ScrubConfig) -> io::Result<ScrubReport> {
             }
         };
         for line in marker_files(&marker) {
-            let (name, want_size, want_crc) = match line {
+            let (name, want_size, want_crc, _) = match line {
                 Ok(file) => file,
                 Err(bad) => {
                     damage(
@@ -307,51 +293,14 @@ pub fn scrub(cfg: &ScrubConfig) -> io::Result<ScrubReport> {
                 }
             }
         }
-        // Manifest/marker agreement. A missing manifest is legal
-        // (pre-manifest directories); a torn or divergent one is not.
-        match commit::read_committed_text(&cfg.dir.join(manifest_name(step))) {
-            Ok(m) => {
-                let extents = name_set(&m);
-                let files = name_set(&marker);
-                if extents != files {
-                    let diff: Vec<&String> = extents.symmetric_difference(&files).collect();
-                    damage(
-                        &mut report,
-                        Damage {
-                            step: Some(step),
-                            file: manifest_name(step),
-                            kind: DamageKind::MetadataDivergence,
-                            detail: format!(
-                                "manifest extents and marker files disagree on {diff:?}"
-                            ),
-                            repaired: false,
-                        },
-                    );
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::NotFound => {}
-            Err(e) => {
-                damage(
-                    &mut report,
-                    Damage {
-                        step: Some(step),
-                        file: manifest_name(step),
-                        kind: DamageKind::MetadataDivergence,
-                        detail: format!("manifest unreadable: {e}"),
-                        repaired: false,
-                    },
-                );
-            }
-        }
     }
 
     // Stray `.tmp`s: a crashed commit's leavings. Nothing references
     // them, so under `repair` the fix is the reap.
     for name in tmps {
-        let mut repaired = false;
-        if cfg.repair && fs::remove_file(cfg.dir.join(&name)).is_ok() {
+        let repaired = cfg.repair && matches!(commit::remove(&cfg.dir.join(&name)), Ok(true));
+        if repaired {
             counters::add_gc_orphans(1);
-            repaired = true;
         }
         damage(
             &mut report,
@@ -473,6 +422,7 @@ mod tests {
         let (root, pfs, burst) = seeded("missing");
         let victim = first_rbio(&pfs);
         let healthy = fs::read(&victim).unwrap();
+        #[allow(clippy::disallowed_methods)]
         fs::remove_file(&victim).unwrap();
 
         let mut cfg = ScrubConfig::new(&pfs);
@@ -490,6 +440,7 @@ mod tests {
     fn damage_without_a_burst_copy_stays_classified() {
         let (root, pfs, _burst) = seeded("noburst");
         let victim = first_rbio(&pfs);
+        #[allow(clippy::disallowed_methods)]
         fs::remove_file(&victim).unwrap();
         let mut cfg = ScrubConfig::new(&pfs);
         cfg.repair = true; // no burst_dir: nothing to repair from
@@ -500,39 +451,20 @@ mod tests {
     }
 
     #[test]
-    fn orphan_tmps_and_divergent_manifests_are_classified() {
+    fn orphan_tmps_are_classified_and_reaped() {
         let (root, pfs, burst) = seeded("orphans");
         fs::write(pfs.join("step0000000009.rbio.tmp"), b"half-written").unwrap();
-        // Rewrite the manifest to reference an extent the marker does
-        // not list: metadata divergence.
-        commit::commit_text(
-            &pfs.join("step0000000007.manifest"),
-            "step 7\nextents 1\nghost.rbio 0 primary\n",
-            false,
-        )
-        .unwrap();
 
         let mut cfg = ScrubConfig::new(&pfs);
         cfg.burst_dir = Some(burst);
         cfg.repair = true;
         let report = scrub(&cfg).unwrap();
-        let kinds: Vec<DamageKind> = report.damage.iter().map(|d| d.kind).collect();
+        assert_eq!(report.damage.len(), 1, "{:?}", report.damage);
+        assert_eq!(report.damage[0].kind, DamageKind::OrphanTmp);
         assert!(
-            kinds.contains(&DamageKind::MetadataDivergence),
-            "{:?}",
-            report.damage
+            report.damage[0].repaired,
+            "repair mode must reap the orphan"
         );
-        assert!(
-            kinds.contains(&DamageKind::OrphanTmp),
-            "{:?}",
-            report.damage
-        );
-        let orphan = report
-            .damage
-            .iter()
-            .find(|d| d.kind == DamageKind::OrphanTmp)
-            .unwrap();
-        assert!(orphan.repaired, "repair mode must reap the orphan");
         assert!(!pfs.join("step0000000009.rbio.tmp").exists());
         let _ = fs::remove_dir_all(&root);
     }

@@ -14,7 +14,7 @@
 //! 2. **Drained** — a background [`TierEngine`] thread flushes each
 //!    staged generation down the hierarchy (local → optional burst
 //!    directory → PFS), each hop one [`crate::commit::commit_bytes`] per
-//!    file, then publishes the generation's manifest and commit marker.
+//!    file, then publishes the generation's commit marker.
 //!    Only then is the generation *durable*.
 //! 3. **Retained** — the most recent drained generations stay resident
 //!    in the local tier so a restart can be served at memory speed
@@ -428,7 +428,7 @@ pub struct DrainOutcome {
     pub drained_bytes: u64,
 }
 
-/// Publishes a drained generation's manifest and commit marker.
+/// Publishes a drained generation's commit marker.
 pub type PublishFn = Box<dyn FnOnce(&DrainOutcome) -> io::Result<()> + Send>;
 
 /// One generation's drain work order.
@@ -443,7 +443,7 @@ pub struct DrainJob {
     pub burst_dir: Option<PathBuf>,
     /// fsync burst/PFS files as they are committed.
     pub fsync: bool,
-    /// Publishes the generation's manifest and commit marker once every
+    /// Publishes the generation's commit marker once every
     /// file is on the PFS; the generation is durable only after this
     /// returns `Ok`.
     pub publish: PublishFn,
@@ -641,7 +641,7 @@ fn apply_local_loss(shared: &EngineShared) {
     let mut g = shared.state.lock().expect("tier engine lock");
     for stage in g.retained.drain(..) {
         if let Some(p) = stage.pool().path() {
-            std::fs::remove_file(p).ok();
+            commit::remove(p).ok();
         }
     }
     drop(g);
@@ -784,7 +784,7 @@ fn run_drain(shared: &EngineShared, job: DrainJob, retain: usize) {
                 while g.retained.len() > retain {
                     if let Some(old) = g.retained.pop_front() {
                         if let Some(p) = old.pool().path() {
-                            std::fs::remove_file(p).ok();
+                            commit::remove(p).ok();
                         }
                     }
                 }

@@ -281,6 +281,7 @@ mod tests {
         unit_cube().write_legacy(&path, "t", false).expect("write");
         let body = std::fs::read_to_string(&path).expect("read");
         assert!(body.contains("POINTS 8 double"));
+        #[allow(clippy::disallowed_methods)]
         std::fs::remove_file(&path).ok();
     }
 }

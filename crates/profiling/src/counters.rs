@@ -200,8 +200,7 @@ counters! {
         scrub_files_checked += add_scrub_files_checked;
         /// Bytes read and checksummed by the scrubber.
         scrub_bytes_verified += add_scrub_bytes_verified;
-        /// Damage records the scrubber classified (torn, missing, orphan,
-        /// metadata divergence).
+        /// Damage records the scrubber classified (torn, missing, orphan).
         scrub_damage_found += add_scrub_damage_found;
         /// Damaged files repaired from a redundant copy.
         scrub_repairs += add_scrub_repairs;
