@@ -4,27 +4,19 @@
 //! table; receives match `(src, tag)` FIFO per channel and stash
 //! everything else. A blocked send or receive ends in one of three
 //! ways: the peer acts, the run aborts (when an abort flag is
-//! attached), or the deadline passes — wall-clock normally, a fixed
-//! futile-poll budget under a controlled scheduler, where wall-clock
-//! timeouts would make schedules nondeterministic.
+//! attached), or its [`Wait`] gives up: at the deadline, or after its
+//! point's futile-poll budget under a controlled scheduler.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender};
-use std::sync::mpsc::{TryRecvError, TrySendError};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use rbio_profile::counters;
 
 use crate::buf::Bytes;
-use crate::sched::{self, Point};
-
-/// Futile polls a controlled run allows a blocked send or receive
-/// before the typed timeout surfaces — the deterministic analogue of
-/// the wall-clock deadline. Exhaustion is the *expected* outcome for
-/// dropped-message fault programs.
-const CHECK_POLL_BUDGET: u32 = 2000;
+use crate::sched::{Point, Wait};
 
 /// How often a blocked receive wakes to bump the heartbeat and re-check
 /// the abort flag.
@@ -120,23 +112,15 @@ impl Mailbox {
             return Ok(());
         };
         counters::add_send_backpressure_blocks(1);
-        let controlled = sched::registered();
-        let start = Instant::now();
-        let mut budget = CHECK_POLL_BUDGET;
+        let mut wait = Wait::new(Point::SendFull, Some(self.timeout)).slice(SEND_POLL);
         loop {
             self.poll()?;
             msg = match attempt(msg)? {
                 Some(m) => m,
                 None => return Ok(()),
             };
-            if controlled && budget > 0 {
-                budget -= 1;
-                sched::yield_now(Point::SendFull);
-            } else if !controlled && start.elapsed() < self.timeout {
-                std::thread::sleep(SEND_POLL);
-            } else {
+            if let Err(waited) = wait.once(std::thread::sleep) {
                 counters::add_send_backpressure_timeouts(1);
-                let waited = start.elapsed().max(self.timeout);
                 return Err(MailError::Timeout(waited));
             }
         }
@@ -151,34 +135,21 @@ impl Mailbox {
         {
             return Ok(d);
         }
-        let controlled = sched::registered();
-        let deadline = Instant::now() + self.timeout;
-        let mut budget = CHECK_POLL_BUDGET;
+        // Never disconnected: this mailbox holds its own sender too.
+        let mut wait = Wait::new(Point::RecvEmpty, Some(self.timeout)).slice(RECV_POLL);
         loop {
             self.poll()?;
-            let got = if controlled {
-                match self.rx.try_recv() {
-                    Ok(m) => Some(m),
-                    Err(TryRecvError::Empty) => None,
-                    Err(TryRecvError::Disconnected) => return Err(MailError::Disconnected),
-                }
-            } else {
-                let left = deadline.saturating_duration_since(Instant::now());
-                match self.rx.recv_timeout(left.min(RECV_POLL)) {
-                    Ok(m) => Some(m),
-                    Err(RecvTimeoutError::Timeout) => None,
-                    Err(RecvTimeoutError::Disconnected) => return Err(MailError::Disconnected),
-                }
+            let got = match self.rx.try_recv() {
+                Ok(m) => Some(m),
+                Err(_) => wait
+                    .once(|left| self.rx.recv_timeout(left).ok())
+                    .map_err(MailError::Timeout)?
+                    .flatten(),
             };
             match got {
                 Some((s, t, d)) if s == src && t == tag => return Ok(d),
                 Some((s, t, d)) => self.stash.entry((s, t)).or_default().push_back(d),
-                None if controlled && budget > 0 => {
-                    budget -= 1;
-                    sched::yield_now(Point::RecvEmpty);
-                }
-                None if !controlled && Instant::now() < deadline => {}
-                None => return Err(MailError::Timeout(self.timeout)),
+                None => {}
             }
         }
     }

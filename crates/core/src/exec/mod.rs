@@ -37,7 +37,7 @@ use crate::buf::Bytes;
 use crate::failover::{FailoverDirector, FailoverPolicy, WriterHealth};
 use crate::fault::FaultPlan;
 use crate::pipeline::{FlushPool, WriterHandle, WriterTuning};
-use crate::sched::{self, Point};
+use crate::sched::{self, Point, Wait};
 
 /// Default per-rank mailbox capacity (messages). Bounded so a burst or a
 /// stalled receiver exerts backpressure on senders instead of growing
@@ -375,33 +375,20 @@ impl AbortBarrier {
             return Ok(());
         }
         let generation = g.0;
-        // One deadline for the whole wait, derived from the configured
-        // timeout. Waiters sleep on the condvar until the generation
-        // advances or a failing peer wakes them via `wake()` — no fixed
-        // poll interval. A barrier stuck past the deadline means a peer
-        // is lost without having raised the abort flag; surface that as
-        // a typed timeout instead of wedging.
-        let deadline = Instant::now() + timeout;
+        // Sleep until the generation advances or a failing peer wakes us
+        // (`wake`). Past the deadline a peer is lost without having raised
+        // the abort flag: a typed timeout, not a wedge.
+        let mut wait = Wait::new(Point::BarrierWait, Some(timeout));
         while g.0 == generation {
             if abort.load(Ordering::Acquire) {
                 return Err(StepError::Aborted);
             }
-            if sched::registered() {
-                // Controlled run: blocking on the condvar would wedge
-                // the single run token — poll via the scheduler.
-                drop(g);
-                sched::yield_now(Point::BarrierWait);
-                g = self.state.lock().expect("barrier lock");
-            } else {
-                let left = deadline.saturating_duration_since(Instant::now());
-                if left.is_zero() {
-                    return Err(StepError::Timeout {
-                        op: Blocked::Barrier,
-                        waited: timeout,
-                    });
-                }
-                g = self.cvar.wait_timeout(g, left).expect("barrier lock").0;
-            }
+            g = wait
+                .park(&self.state, &self.cvar, g)
+                .map_err(|(_, waited)| StepError::Timeout {
+                    op: Blocked::Barrier,
+                    waited,
+                })?;
         }
         Ok(())
     }
@@ -567,10 +554,7 @@ fn take_over(me: &mut Interp<'_, ExecTransport<'_>>, orphan: u32) -> Result<(), 
 /// death absorbed if failover can, then — a surviving writer — serve as
 /// successor until the generation quiesces: every writer done or dead,
 /// every orphaned extent re-written and committed.
-fn run_rank(
-    it: &mut Interp<'_, ExecTransport<'_>>,
-    controlled: bool,
-) -> (Duration, Result<(), StepError>) {
+fn run_rank(it: &mut Interp<'_, ExecTransport<'_>>) -> (Duration, Result<(), StepError>) {
     let (rank, sh) = (it.transport.rank, it.transport.sh);
     let t0 = Instant::now();
     let mut res = it.run();
@@ -595,6 +579,7 @@ fn run_rank(
         _ => return (dt, res),
     };
     dir.mark_writer_done(rank);
+    let mut wait = Wait::new(Point::JoinWait, None).slice(Duration::from_millis(2));
     while !sh.abort.load(Ordering::Acquire) {
         if let Some(orphan) = dir.claim_orphan(rank) {
             match take_over(it, orphan) {
@@ -614,10 +599,9 @@ fn run_rank(
             }
         } else if dir.quiesced() {
             break;
-        } else if controlled {
-            sched::yield_now(Point::JoinWait);
         } else {
-            dir.wait_changed(Duration::from_millis(2));
+            let g = dir.state.lock().expect("failover director lock");
+            drop(wait.park(&dir.state, &dir.changed, g));
         }
     }
     (dt, res)
@@ -842,7 +826,7 @@ pub fn execute(
             // barrier here would wedge the run token.
             start_gate.wait();
         }
-        let (dt, res) = run_rank(&mut it, controlled);
+        let (dt, res) = run_rank(&mut it);
         if res.is_err() {
             // Release peers stuck in barriers/receives.
             abort.store(true, Ordering::Release);

@@ -118,7 +118,7 @@ struct Orphan {
 }
 
 #[derive(Debug, Default)]
-struct DirectorState {
+pub(crate) struct DirectorState {
     /// Writer ranks in `ng` order (successor designation walks this).
     writers: Vec<u32>,
     /// Health per writer rank.
@@ -150,9 +150,9 @@ impl DirectorState {
 #[derive(Debug)]
 pub struct FailoverDirector {
     policy: FailoverPolicy,
-    state: Mutex<DirectorState>,
+    pub(crate) state: Mutex<DirectorState>,
     /// Signalled on every state change so epilogue loops can park.
-    changed: Condvar,
+    pub(crate) changed: Condvar,
 }
 
 impl FailoverDirector {
@@ -354,16 +354,6 @@ impl FailoverDirector {
             .iter()
             .all(|&w| g.is_dead(w) || g.done.contains(&w))
             && g.orphans.iter().all(|o| o.completed)
-    }
-
-    /// Park until the state changes or `timeout` passes (production
-    /// epilogue loops; controlled runs spin on yield points instead).
-    pub fn wait_changed(&self, timeout: Duration) {
-        let g = self.lock();
-        let _ = self
-            .changed
-            .wait_timeout(g, timeout)
-            .expect("failover director lock");
     }
 
     /// Completed takeovers as `(orphan, successor)` pairs, in death

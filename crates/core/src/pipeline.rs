@@ -27,6 +27,8 @@
 //!
 //! A latched error poisons the writer: all later jobs are skipped (never
 //! executed), and the error surfaces at the next `submit` or `drain`.
+//! Every wait on the pool — a full pipeline, a drain, a quiescing handle,
+//! an idle worker — is one [`Wait`] parked on the pool's condvars.
 //! The pool owns order and error latching, not durability: `Close` and
 //! `Commit` jobs call [`crate::commit`]'s fsync and commit.
 //!
@@ -51,7 +53,7 @@ use crate::backend::{self, IoBackend, IoCtx, WriteOp};
 use crate::buf::Bytes;
 use crate::commit;
 use crate::fault::{self, FaultPlan};
-use crate::sched::{self, Point, Revert};
+use crate::sched::{self, Point, Revert, Wait};
 use crate::sys;
 
 /// Why a writer's background pipeline failed.
@@ -294,26 +296,6 @@ impl Shared {
     }
 }
 
-/// Wait on `cv` for a state change — or, when the calling thread is
-/// registered with a controlled scheduler, drop the lock and yield at
-/// `point` instead (blocking on the condvar would deadlock the single
-/// run token). Callers must re-check their condition in a loop either
-/// way.
-fn pool_wait<'a>(
-    shared: &'a Shared,
-    cv: &Condvar,
-    g: MutexGuard<'a, Inner>,
-    point: Point,
-) -> MutexGuard<'a, Inner> {
-    if sched::registered() {
-        drop(g);
-        sched::yield_now(point);
-        shared.inner.lock().expect("pool lock")
-    } else {
-        cv.wait(g).expect("pool lock")
-    }
-}
-
 /// A flush thread pool: a fixed set of worker threads draining
 /// per-writer FIFO queues. Explicitly constructible
 /// ([`FlushPool::with_threads`]) so a long-lived service owns — and
@@ -499,7 +481,9 @@ impl WriterHandle {
     /// Enqueue `job`, blocking while the pipeline is full. Fails fast
     /// with the latched error if an earlier job already failed.
     pub fn submit(&self, job: FlushJob) -> Result<(), PipelineError> {
-        let mut g = self.shared.inner.lock().expect("pool lock");
+        let sh = &*self.shared;
+        let mut g = sh.inner.lock().expect("pool lock");
+        let mut wait = Wait::new(Point::SubmitFull, None);
         loop {
             let w = &mut g.writers[self.wid];
             if let Some(e) = w.error.take() {
@@ -509,7 +493,7 @@ impl WriterHandle {
             if w.in_flight < self.depth {
                 break;
             }
-            g = pool_wait(&self.shared, &self.shared.done, g, Point::SubmitFull);
+            g = wait.park(&sh.inner, &sh.done, g).unwrap_or_else(|(g, _)| g);
         }
         sched::emit(|| sched::Event::Submit {
             wid: self.wid,
@@ -549,19 +533,16 @@ impl WriterHandle {
     /// hedging bounds *data* latency (the bytes are durable on disk), not
     /// the job bookkeeping.
     pub fn drain(&self) -> Result<u64, PipelineError> {
-        let mut g = self.shared.inner.lock().expect("pool lock");
+        let sh = &*self.shared;
+        let mut g = sh.inner.lock().expect("pool lock");
+        let mut wait = Wait::new(Point::DrainWait, None);
+        if let Some(after) = g.writers[self.wid].hedge_after {
+            wait = wait.slice(after);
+        }
         while g.writers[self.wid].in_flight > 0 {
-            let hedge = g.writers[self.wid].hedge_after;
-            match hedge {
-                Some(after) if !sched::registered() => {
-                    let (ng, timed_out) =
-                        self.shared.done.wait_timeout(g, after).expect("pool lock");
-                    g = ng;
-                    if timed_out.timed_out() {
-                        g = self.hedge_current(g);
-                    }
-                }
-                _ => g = pool_wait(&self.shared, &self.shared.done, g, Point::DrainWait),
+            g = wait.park(&sh.inner, &sh.done, g).unwrap_or_else(|(g, _)| g);
+            if wait.slice_expired {
+                g = self.hedge_current(g);
             }
         }
         let w = &mut g.writers[self.wid];
@@ -611,9 +592,11 @@ impl Drop for WriterHandle {
     fn drop(&mut self) {
         // Quiesce (jobs hold no reference to the handle, but the slot
         // must not be reused while its queue drains), then free the slot.
-        let mut g = self.shared.inner.lock().expect("pool lock");
+        let sh = &*self.shared;
+        let mut g = sh.inner.lock().expect("pool lock");
+        let mut wait = Wait::new(Point::QuiesceWait, None);
         while g.writers[self.wid].in_flight > 0 {
-            g = pool_wait(&self.shared, &self.shared.done, g, Point::QuiesceWait);
+            g = wait.park(&sh.inner, &sh.done, g).unwrap_or_else(|(g, _)| g);
         }
         let w = &mut g.writers[self.wid];
         w.occupied = false;
@@ -628,6 +611,7 @@ fn worker_loop(shared: &Shared) {
     // Where a durable writer's batch lands (see `run_write_batch`): this
     // thread's list, reused, so a batch allocates nothing for its hints.
     let mut behind = Vec::new();
+    let mut idle = Wait::new(Point::WorkerIdle, None);
     let mut g = shared.inner.lock().expect("pool lock");
     loop {
         let wid = loop {
@@ -637,7 +621,9 @@ fn worker_loop(shared: &Shared) {
             if shared.stop.load(Ordering::Acquire) {
                 return;
             }
-            g = pool_wait(shared, &shared.work, g, Point::WorkerIdle);
+            g = idle
+                .park(&shared.inner, &shared.work, g)
+                .unwrap_or_else(|(g, _)| g);
         };
         sched::emit(|| sched::Event::WorkerClaim {
             wid,

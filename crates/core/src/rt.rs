@@ -33,7 +33,6 @@ use crate::exec::{
     run_ranks, Blocked, ExecConfig, Interp, Mailbox, Payload, StepError, Transport,
     DEFAULT_CHAN_CAPACITY,
 };
-use crate::failover::{FailoverPolicy, WriterHealth};
 
 /// A typed runtime failure, always carrying the failing rank.
 #[derive(Debug)]
@@ -69,11 +68,6 @@ pub enum RtError {
         tag: u64,
         /// How long the rank waited.
         waited: Duration,
-        /// The peer's health as classified by the failover policy derived
-        /// from this receive timeout: a stall of the full timeout is past
-        /// the dead deadline, so a recovery layer above the runtime can
-        /// treat the sender as dead rather than merely slow.
-        peer_health: WriterHealth,
     },
     /// An I/O error in the plan's file ops (retries exhausted).
     Io {
@@ -117,11 +111,9 @@ impl std::fmt::Display for RtError {
                 src,
                 tag,
                 waited,
-                peer_health,
             } => write!(
                 f,
-                "rank {rank}: no message from rank {src} tag {tag} within {waited:?} \
-                 (peer classified {peer_health:?})"
+                "rank {rank}: no message from rank {src} tag {tag} within {waited:?}"
             ),
             RtError::Io { rank, source } => write!(f, "rank {rank}: {source}"),
             RtError::Killed { rank } => write!(f, "rank {rank}: killed by fault injection"),
@@ -154,9 +146,6 @@ impl StepError {
                 tag,
                 waited,
             },
-            // The silent peer is classified through the failover health
-            // state machine: a stall of the full timeout is past the
-            // dead deadline derived from it.
             StepError::Timeout {
                 op: Blocked::Recv { src, tag },
                 waited,
@@ -165,7 +154,6 @@ impl StepError {
                 src,
                 tag,
                 waited,
-                peer_health: FailoverPolicy::from_recv_timeout(waited).classify_stall(waited),
             },
             StepError::PlanMismatch(what) => RtError::PlanMismatch { rank, what },
             // A file op failed. (`Aborted` and barrier timeouts land here

@@ -16,16 +16,18 @@
 //!   thread may need — drop the lock, yield, re-acquire, re-check.
 //! * [`emit`] may be called under a runtime lock (the controller lock is
 //!   a leaf).
-//! * Blocking waits must become drop-lock/yield/re-check loops when the
-//!   calling thread [`is registered`](Sched::is_registered); unbounded
-//!   waits use a waiting [`Point`] (see [`Point::is_wait`]), timed waits
-//!   use a deterministic futile-poll budget instead of wall-clock time.
+//! * A thread blocks only through [`Wait`]. When the thread [`is
+//!   registered`](Sched::is_registered), a park drops the lock, yields at
+//!   a waiting [`Point`] (see [`Point::is_wait`]) and re-locks, and a
+//!   timed wait gives up after its point's deterministic futile-poll
+//!   budget ([`Point::poll_budget`]), not wall-clock time.
 //! * A thread must be announced with [`spawning`] before it is spawned
 //!   and must call [`register`] first thing and [`unregister`] last, so
 //!   schedule decisions never depend on OS thread-startup timing.
 
 use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock};
+use std::time::{Duration, Instant};
 
 /// Where a thread is pausing. Waiting points ([`Point::is_wait`]) mean
 /// the thread cannot make progress until another thread acts; a
@@ -84,6 +86,114 @@ impl Point {
                 | Point::TierDrainIdle
                 | Point::TierDurableWait
         )
+    }
+
+    /// Futile polls a controlled run allows a timed wait here before it
+    /// gives up, in place of its wall-clock deadline (`None`: never).
+    pub(crate) fn poll_budget(self) -> Option<u32> {
+        match self {
+            Point::RecvEmpty | Point::SendFull => Some(2000),
+            Point::AdmitWait | Point::GrantWait => Some(4000),
+            _ => None,
+        }
+    }
+}
+
+/// One blocking wait, the only way a thread of this crate blocks on
+/// another: check the condition, and while it fails, park. Production
+/// blocks for at most the slice and the time left; a registered thread
+/// yields at `point` and spends one poll of the point's budget instead.
+/// A wait that gives up returns `Err(max(elapsed, timeout))`.
+pub(crate) struct Wait {
+    point: Point,
+    /// Start and length of the deadline; the clock is read only for one.
+    deadline: Option<(Instant, Duration)>,
+    slice: Option<Duration>,
+    /// Controlled polls left ([`Point::poll_budget`]).
+    budget: Option<u32>,
+    /// The last park woke because its time ran out, not by a notify.
+    pub(crate) slice_expired: bool,
+}
+
+impl Wait {
+    /// A wait at `point` that gives up after `timeout`, if any.
+    pub(crate) fn new(point: Point, timeout: Option<Duration>) -> Wait {
+        Wait {
+            point,
+            deadline: timeout.map(|t| (Instant::now(), t)),
+            slice: None,
+            budget: point.poll_budget(),
+            slice_expired: false,
+        }
+    }
+
+    /// Wake at least every `d` in production.
+    pub(crate) fn slice(mut self, d: Duration) -> Wait {
+        self.slice = Some(d);
+        self
+    }
+
+    /// Block once on `cv`, the condvar of `m`, which `g` locks. The error
+    /// hands the guard back, for bookkeeping under the lock.
+    #[allow(clippy::disallowed_methods)]
+    pub(crate) fn park<'a, T>(
+        &mut self,
+        m: &'a Mutex<T>,
+        cv: &Condvar,
+        g: MutexGuard<'a, T>,
+    ) -> Result<MutexGuard<'a, T>, (MutexGuard<'a, T>, Duration)> {
+        self.slice_expired = false;
+        if registered() {
+            if let Err(waited) = self.spend_poll() {
+                return Err((g, waited));
+            }
+            drop(g);
+            yield_now(self.point);
+            return Ok(m.lock().expect("poisoned lock"));
+        }
+        match self.block_for() {
+            Err(waited) => Err((g, waited)),
+            Ok(None) => Ok(cv.wait(g).expect("poisoned lock")),
+            Ok(Some(d)) => {
+                let (g, r) = cv.wait_timeout(g, d).expect("poisoned lock");
+                self.slice_expired = r.timed_out();
+                Ok(g)
+            }
+        }
+    }
+
+    /// Block once in `f`, given how long it may block. A controlled run
+    /// yields instead and does not call `f` (`Ok(None)`).
+    pub(crate) fn once<R>(&mut self, f: impl FnOnce(Duration) -> R) -> Result<Option<R>, Duration> {
+        if registered() {
+            self.spend_poll()?;
+            yield_now(self.point);
+            return Ok(None);
+        }
+        Ok(Some(f(self.block_for()?.unwrap_or(Duration::MAX))))
+    }
+
+    /// How long production may block next (`None`: until notified).
+    fn block_for(&self) -> Result<Option<Duration>, Duration> {
+        match self.deadline.map(|(t0, t)| t.saturating_sub(t0.elapsed())) {
+            None => Ok(self.slice),
+            Some(left) if !left.is_zero() => Ok(Some(self.slice.map_or(left, |s| s.min(left)))),
+            Some(_) => Err(self.waited()),
+        }
+    }
+
+    /// Spend one controlled poll, if the point has a budget.
+    fn spend_poll(&mut self) -> Result<(), Duration> {
+        if self.budget == Some(0) {
+            return Err(self.waited());
+        }
+        self.budget = self.budget.map(|n| n - 1);
+        Ok(())
+    }
+
+    fn waited(&self) -> Duration {
+        self.deadline
+            .map_or(Duration::ZERO, |(t0, t)| t0.elapsed().max(t))
     }
 }
 
@@ -590,6 +700,84 @@ mod tests {
         for p in [Point::Submitted, Point::JobRun, Point::Progress] {
             assert!(!p.is_wait());
         }
+    }
+
+    #[test]
+    fn poll_budgets_sit_on_the_four_timed_points() {
+        for p in [Point::RecvEmpty, Point::SendFull] {
+            assert_eq!(p.poll_budget(), Some(2000), "{p:?}");
+        }
+        for p in [Point::AdmitWait, Point::GrantWait] {
+            assert_eq!(p.poll_budget(), Some(4000), "{p:?}");
+        }
+        for p in [
+            Point::SubmitFull,
+            Point::DrainWait,
+            Point::QuiesceWait,
+            Point::WorkerIdle,
+            Point::BarrierWait,
+            Point::JoinWait,
+            Point::TierDrainIdle,
+            Point::TierDurableWait,
+            Point::Submitted,
+            Point::JobRun,
+            Point::Progress,
+        ] {
+            assert_eq!(p.poll_budget(), None, "{p:?}");
+        }
+    }
+
+    #[test]
+    fn an_unnotified_park_gives_up_after_its_timeout() {
+        let (m, cv) = (Mutex::new(()), Condvar::new());
+        let timeout = Duration::from_millis(30);
+        let mut wait = Wait::new(Point::BarrierWait, Some(timeout));
+        let mut g = m.lock().unwrap();
+        let waited = loop {
+            match wait.park(&m, &cv, g) {
+                Ok(ng) => g = ng,
+                Err((_, waited)) => break waited,
+            }
+        };
+        assert!(waited >= timeout, "{waited:?}");
+    }
+
+    #[test]
+    fn a_slice_only_park_returns_after_about_one_slice() {
+        let (m, cv) = (Mutex::new(()), Condvar::new());
+        let slice = Duration::from_millis(20);
+        let mut wait = Wait::new(Point::JoinWait, None).slice(slice);
+        let t0 = Instant::now();
+        let mut g = m.lock().unwrap();
+        // Only a spurious wake-up ends a park before its slice does.
+        while !wait.slice_expired {
+            g = wait
+                .park(&m, &cv, g)
+                .unwrap_or_else(|_| panic!("no deadline to pass"));
+        }
+        let took = t0.elapsed();
+        assert!(took >= slice && took < slice * 50, "{took:?}");
+    }
+
+    #[test]
+    fn a_notify_wakes_an_unbounded_park() {
+        let shared = Arc::new((Mutex::new(false), Condvar::new()));
+        let (m, cv) = &*shared;
+        let mut g = m.lock().unwrap();
+        let other = Arc::clone(&shared);
+        let notifier = std::thread::spawn(move || {
+            *other.0.lock().unwrap() = true;
+            other.1.notify_one();
+        });
+        let mut wait = Wait::new(Point::TierDurableWait, None);
+        while !*g {
+            g = wait
+                .park(m, cv, g)
+                .unwrap_or_else(|_| panic!("an unbounded park never expires"));
+        }
+        assert!(!wait.slice_expired);
+        drop(g);
+        notifier.join().unwrap();
     }
 
     #[test]

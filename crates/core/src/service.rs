@@ -17,7 +17,9 @@
 //! registered on the pool the service constructed from its own config
 //! ([`CheckpointService::pool`] hands the same pool to an embedding
 //! executor), so a differently-configured service is a different pool —
-//! there is no process-wide pool to go stale.
+//! there is no process-wide pool to go stale. The pool stops when the
+//! service and its last open session are gone. Admission and grant waits
+//! are each one [`Wait`], waking every 25 ms.
 //!
 //! Every admission decision and per-tenant byte moved is charged to the
 //! zero-alloc counters in [`rbio_profile::counters`].
@@ -29,7 +31,7 @@ use std::os::unix::fs::FileExt;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use rbio_profile::counters;
 
@@ -37,12 +39,10 @@ use crate::buf::{BufPool, Bytes};
 use crate::commit;
 use crate::fault::FaultPlan;
 use crate::pipeline::{FlushJob, FlushPool, PipelineError, WriterHandle, WriterTuning};
-use crate::sched::{self, Point};
+use crate::sched::{Point, Wait};
 
-/// Futile polls a controlled (rbio-check) run allows in the admission
-/// and grant wait loops before the typed timeout surfaces — the
-/// deterministic analogue of the wall-clock deadlines.
-pub(crate) const CHECK_SERVICE_POLL_BUDGET: u32 = 4000;
+/// How often a session waiting for admission or a grant re-checks.
+const WAIT_SLICE: Duration = Duration::from_millis(25);
 
 /// Fixed-point scale for virtual time: one byte at weight `WEIGHT_SCALE`
 /// costs one vtime unit, so `cost = bytes * WEIGHT_SCALE / weight`.
@@ -328,28 +328,23 @@ impl AdmissionGate {
     pub fn acquire(self: &Arc<Self>, tenant: u64) -> Result<SessionPermit, ServiceError> {
         let mut g = self.m.lock().expect("gate lock");
         g.skip_abandoned();
-        if g.inflight < self.max_inflight && g.queued() == 0 {
-            g.inflight += 1;
-            counters::add_service_admitted(1);
-            return Ok(SessionPermit {
-                gate: Arc::clone(self),
-                admission: Admission::Admitted,
-            });
-        }
-        if g.queued() >= self.queue_depth {
+        let admission = if g.inflight < self.max_inflight && g.queued() == 0 {
+            Admission::Admitted
+        } else if g.queued() < self.queue_depth {
+            counters::add_service_queued(1);
+            Admission::Queued
+        } else {
             counters::add_service_rejected(1);
             return Err(ServiceError::Rejected {
                 tenant,
                 inflight: g.inflight,
                 queued: g.queued(),
             });
-        }
+        };
+        // With a permit free and nobody queued, this ticket is served now.
         let ticket = g.next_ticket;
         g.next_ticket += 1;
-        counters::add_service_queued(1);
-        let start = Instant::now();
-        let controlled = sched::registered();
-        let mut budget = CHECK_SERVICE_POLL_BUDGET;
+        let mut wait = Wait::new(Point::AdmitWait, Some(self.admit_timeout)).slice(WAIT_SLICE);
         loop {
             if g.serve_ticket == ticket && g.inflight < self.max_inflight {
                 g.serve_ticket += 1;
@@ -357,43 +352,18 @@ impl AdmissionGate {
                 g.inflight += 1;
                 counters::add_service_admitted(1);
                 self.cv.notify_all();
-                return Ok(SessionPermit {
-                    gate: Arc::clone(self),
-                    admission: Admission::Queued,
-                });
+                let gate = Arc::clone(self);
+                return Ok(SessionPermit { gate, admission });
             }
-            let timed_out = if controlled {
-                if budget == 0 {
-                    true
-                } else {
-                    budget -= 1;
-                    drop(g);
-                    sched::yield_now(Point::AdmitWait);
-                    g = self.m.lock().expect("gate lock");
-                    false
-                }
-            } else {
-                let left = self
-                    .admit_timeout
-                    .saturating_sub(start.elapsed())
-                    .min(Duration::from_millis(25));
-                if left.is_zero() {
-                    true
-                } else {
-                    g = self.cv.wait_timeout(g, left).expect("gate lock").0;
-                    start.elapsed() >= self.admit_timeout
-                        && !(g.serve_ticket == ticket && g.inflight < self.max_inflight)
+            g = match wait.park(&self.m, &self.cv, g) {
+                Ok(g) => g,
+                Err((mut g, waited)) => {
+                    g.abandoned.insert(ticket);
+                    g.skip_abandoned();
+                    self.cv.notify_all();
+                    return Err(ServiceError::AdmitTimeout { tenant, waited });
                 }
             };
-            if timed_out {
-                g.abandoned.insert(ticket);
-                g.skip_abandoned();
-                self.cv.notify_all();
-                return Err(ServiceError::AdmitTimeout {
-                    tenant,
-                    waited: start.elapsed(),
-                });
-            }
         }
     }
 }
@@ -532,9 +502,7 @@ impl FairShare {
                 g.lat_waiters -= 1;
             }
         };
-        let start = Instant::now();
-        let controlled = sched::registered();
-        let mut budget = CHECK_SERVICE_POLL_BUDGET;
+        let mut wait = Wait::new(Point::GrantWait, Some(self.grant_timeout)).slice(WAIT_SLICE);
         let mut first = true;
         let mut counted_block = false;
         let mut counted_preempt = false;
@@ -553,34 +521,17 @@ impl FairShare {
                     counted_preempt = true;
                     counters::add_service_preemptions(1);
                 }
-                let timed_out = if controlled {
-                    if budget == 0 {
-                        true
-                    } else {
-                        budget -= 1;
-                        drop(g);
-                        sched::yield_now(Point::GrantWait);
-                        g = self.m.lock().expect("fair-share lock");
-                        false
-                    }
-                } else {
-                    let left = self.grant_timeout.saturating_sub(start.elapsed());
-                    if left.is_zero() {
-                        true
-                    } else {
-                        let slice = left.min(Duration::from_millis(25));
-                        g = self.cv.wait_timeout(g, slice).expect("fair-share lock").0;
-                        false
+                g = match wait.park(&self.m, &self.cv, g) {
+                    Ok(g) => g,
+                    Err((mut g, waited)) => {
+                        leave_wait(&mut g);
+                        self.cv.notify_all();
+                        return Err(ServiceError::GrantTimeout {
+                            tenant: tenant_id,
+                            waited,
+                        });
                     }
                 };
-                if timed_out {
-                    leave_wait(&mut g);
-                    self.cv.notify_all();
-                    return Err(ServiceError::GrantTimeout {
-                        tenant: tenant_id,
-                        waited: start.elapsed(),
-                    });
-                }
             }
             // While a latency-sensitive session waits, throughput waiters
             // are frozen by the QoS gate; leaving their stale vtime in the
@@ -623,6 +574,13 @@ struct SvcInner {
     gate: Arc<AdmissionGate>,
     arbiter: FairShare,
     session_seq: AtomicU32,
+}
+
+impl Drop for SvcInner {
+    /// Open sessions write, commit and quiesce through the pool until the last goes.
+    fn drop(&mut self) {
+        self.pool.shutdown();
+    }
 }
 
 /// A long-lived multi-tenant checkpoint service. See the module docs.
@@ -736,12 +694,6 @@ impl CheckpointService {
             offset: 0,
             _permit: permit,
         })
-    }
-}
-
-impl Drop for CheckpointService {
-    fn drop(&mut self) {
-        self.inner.pool.shutdown();
     }
 }
 
@@ -939,6 +891,34 @@ mod tests {
         let mut r = svc.restore(t, "gen0.ckpt").expect("admit restore");
         assert_eq!(r.len(), 10_000);
         assert_eq!(r.read_all().expect("read"), data);
+    }
+
+    #[test]
+    fn a_session_outlives_its_dropped_service() {
+        let dir = tmpdir("orphan-session");
+        let (tx, rx) = std::sync::mpsc::channel();
+        let d = dir.clone();
+        std::thread::spawn(move || {
+            let quantum = 1 << 10;
+            let cfg = || ServiceConfig::new(&d).quantum(quantum);
+            let t = TenantSpec::new(7);
+            let data = payload(7, 3 * quantum as usize);
+            let mut s = CheckpointService::new(cfg())
+                .checkpoint(t, "gen0.ckpt")
+                .expect("admit");
+            // The service is gone; the session's writes (the third waits
+            // on the pipeline at depth 2) and its commit still run.
+            s.write(&data).expect("write");
+            s.commit().expect("commit");
+            let mut r = CheckpointService::new(cfg())
+                .restore(t, "gen0.ckpt")
+                .expect("admit restore");
+            tx.send(r.read_all().expect("read") == data).ok();
+        });
+        let same = rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("a session whose service was dropped must not hang");
+        assert!(same, "restored bytes differ");
     }
 
     #[test]

@@ -41,8 +41,7 @@ use std::io;
 use std::os::fd::AsRawFd;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc::{Receiver, Sender, TryRecvError};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
 use rbio_plan::Rank;
@@ -50,7 +49,7 @@ use rbio_profile::counters;
 
 use crate::commit;
 use crate::fault::FaultPlan;
-use crate::sched::{self, Point, TierId};
+use crate::sched::{self, Point, TierId, Wait};
 use crate::sys::{self, Mmap};
 
 /// The rank the drain engine commits as. Out of the plan's
@@ -459,13 +458,12 @@ impl std::fmt::Debug for DrainJob {
     }
 }
 
-enum Msg {
-    Drain(DrainJob),
-    Shutdown,
-}
-
 #[derive(Default)]
 struct EngineState {
+    /// Generations waiting for the drain thread, FIFO.
+    queue: VecDeque<DrainJob>,
+    /// Set by the engine's drop: drain what is queued, then stop.
+    shutdown: bool,
     durable: BTreeSet<u64>,
     failed: BTreeMap<u64, String>,
     retained: VecDeque<Arc<TierStage>>,
@@ -482,7 +480,6 @@ struct EngineShared {
 /// The background drain engine: one thread, FIFO over generations,
 /// committing each file itself, hop by hop.
 pub struct TierEngine {
-    tx: Mutex<Option<Sender<Msg>>>,
     shared: Arc<EngineShared>,
     join: Mutex<Option<JoinHandle<()>>>,
     alive: Arc<AtomicBool>,
@@ -493,7 +490,6 @@ impl TierEngine {
     /// Spawn the drain thread, keeping `retain` drained generations
     /// resident in the local tier.
     pub fn new(retain: usize) -> Arc<TierEngine> {
-        let (tx, rx) = mpsc::channel();
         let shared = Arc::new(EngineShared {
             state: Mutex::new(EngineState::default()),
             cv: Condvar::new(),
@@ -507,13 +503,12 @@ impl TierEngine {
             .name("rbio-tier-drain".into())
             .spawn(move || {
                 sched::register("tier-drain");
-                drain_loop(&s2, &rx, retain);
+                drain_loop(&s2, retain);
                 a2.store(false, Ordering::Release);
                 sched::unregister();
             })
             .expect("spawn tier drain engine");
         Arc::new(TierEngine {
-            tx: Mutex::new(Some(tx)),
             shared,
             join: Mutex::new(Some(join)),
             alive,
@@ -528,23 +523,16 @@ impl TierEngine {
 
     /// Queue a generation for draining (FIFO).
     pub fn submit(&self, job: DrainJob) {
-        let g = self.tx.lock().expect("tier engine tx lock");
-        let sent = g
-            .as_ref()
-            .is_some_and(|tx| tx.send(Msg::Drain(job)).is_ok());
-        drop(g);
-        if !sent {
-            // Engine already shut down: surface as a failed generation
-            // rather than hanging wait_durable.
-            let mut s = self.shared.state.lock().expect("tier engine lock");
-            s.stopped = true;
-            self.shared.cv.notify_all();
-        }
+        let mut g = self.shared.state.lock().expect("tier engine lock");
+        g.queue.push_back(job);
+        self.shared.cv.notify_all();
     }
 
     /// Block until generation `step` is durable on the PFS tier.
     pub fn wait_durable(&self, step: u64) -> Result<(), TierError> {
-        let mut g = self.shared.state.lock().expect("tier engine lock");
+        let sh = &*self.shared;
+        let mut g = sh.state.lock().expect("tier engine lock");
+        let mut wait = Wait::new(Point::TierDurableWait, None);
         loop {
             if g.durable.contains(&step) {
                 return Ok(());
@@ -558,13 +546,7 @@ impl TierEngine {
             if g.stopped {
                 return Err(TierError::Shutdown);
             }
-            if sched::registered() {
-                drop(g);
-                sched::yield_now(Point::TierDurableWait);
-                g = self.shared.state.lock().expect("tier engine lock");
-            } else {
-                g = self.shared.cv.wait(g).expect("tier engine lock");
-            }
+            g = wait.park(&sh.state, &sh.cv, g).unwrap_or_else(|(g, _)| g);
         }
     }
 
@@ -619,9 +601,8 @@ impl std::fmt::Debug for TierEngine {
 
 impl Drop for TierEngine {
     fn drop(&mut self) {
-        if let Some(tx) = self.tx.lock().expect("tier engine tx lock").take() {
-            tx.send(Msg::Shutdown).ok();
-        }
+        self.shared.state.lock().expect("tier engine lock").shutdown = true;
+        self.shared.cv.notify_all();
         // Under a controlled scheduler a blocking join would wedge the
         // schedule; spin through the JoinWait point until the drain
         // thread has unhooked itself (same pattern as the executors).
@@ -654,34 +635,22 @@ fn apply_local_loss(shared: &EngineShared) {
     shared.cv.notify_all();
 }
 
-fn drain_loop(shared: &EngineShared, rx: &Receiver<Msg>, retain: usize) {
+fn drain_loop(sh: &EngineShared, retain: usize) {
+    let mut idle = Wait::new(Point::TierDrainIdle, None);
+    let mut g = sh.state.lock().expect("tier engine lock");
     loop {
-        let msg = if sched::registered() {
-            loop {
-                match rx.try_recv() {
-                    Ok(m) => break m,
-                    Err(TryRecvError::Empty) => sched::yield_now(Point::TierDrainIdle),
-                    Err(TryRecvError::Disconnected) => return finish(shared),
-                }
-            }
+        if let Some(job) = g.queue.pop_front() {
+            drop(g);
+            run_drain(sh, job, retain);
+            g = sh.state.lock().expect("tier engine lock");
+        } else if g.shutdown {
+            g.stopped = true;
+            sh.cv.notify_all();
+            return;
         } else {
-            match rx.recv() {
-                Ok(m) => m,
-                Err(_) => return finish(shared),
-            }
-        };
-        match msg {
-            Msg::Shutdown => return finish(shared),
-            Msg::Drain(job) => run_drain(shared, job, retain),
+            g = idle.park(&sh.state, &sh.cv, g).unwrap_or_else(|(g, _)| g);
         }
     }
-}
-
-fn finish(shared: &EngineShared) {
-    let mut g = shared.state.lock().expect("tier engine lock");
-    g.stopped = true;
-    drop(g);
-    shared.cv.notify_all();
 }
 
 fn run_drain(shared: &EngineShared, job: DrainJob, retain: usize) {
