@@ -62,6 +62,7 @@ RBC=target/debug/rbio-check
 "$RBC" sweep --program p9c --seeds 32
 "$RBC" sweep --program p10 --seeds 16
 "$RBC" sweep --program p11 --seeds 16
+"$RBC" sweep --program p12 --seeds 16
 
 echo "== crash-image torture sweep (fast tier) =="
 # Record each strategy's durability op stream and restore ~64 legal

@@ -73,11 +73,16 @@
 //! * `p11` — a coIO plan with two fields through the pipelined executor:
 //!   each aggregator runs one collective per field over the *same*
 //!   staging range, so the first field's deferred write is still queued
-//!   when the second field's receives overwrite its source. The
-//!   interpreter freezes a staging image (and stops snapshotting) only
-//!   past the rank's last staging mutation; frozen one write early, the
-//!   shadow model's submit-time = execution-time fingerprint invariant
-//!   and the byte comparison against the serial reference both break.
+//!   when the second field's receives land on its source range. The job
+//!   holds references to the first field's messages, not to the range:
+//!   the shadow model's submit-time = execution-time fingerprint
+//!   invariant and the byte comparison against the serial reference
+//!   both hold only if landing bytes never mutates what a job holds.
+//! * `p12` — an rbIO plan (two writers, independent files, two fields)
+//!   through the pipelined executor: each writer's staging image is a map
+//!   of its workers' messages, and every deferred write is one gather
+//!   over many of them, checked byte-for-byte against the serial
+//!   reference and by the same fingerprint invariant.
 //!
 //! [`WriterHandle`]: rbio::pipeline::WriterHandle
 //! [`SendAttempt`]: rbio::sched::Event::SendAttempt
@@ -138,6 +143,8 @@ pub enum ProgramKind {
     CrashRestore,
     /// `p11`: per-field collectives reusing staging under deferred writes.
     StagingReuse,
+    /// `p12`: rbIO writers gathering their workers' messages per write.
+    WriterGather,
 }
 
 impl ProgramKind {
@@ -159,12 +166,13 @@ impl ProgramKind {
             "p9c" => Some(ProgramKind::ServiceQos),
             "p10" => Some(ProgramKind::CrashRestore),
             "p11" => Some(ProgramKind::StagingReuse),
+            "p12" => Some(ProgramKind::WriterGather),
             _ => None,
         }
     }
 
     /// Every family, in sweep order.
-    pub fn all() -> [ProgramKind; 15] {
+    pub fn all() -> [ProgramKind; 16] {
         [
             ProgramKind::PipelineRace,
             ProgramKind::ExecEquiv,
@@ -181,6 +189,7 @@ impl ProgramKind {
             ProgramKind::ServiceQos,
             ProgramKind::CrashRestore,
             ProgramKind::StagingReuse,
+            ProgramKind::WriterGather,
         ]
     }
 
@@ -202,6 +211,7 @@ impl ProgramKind {
             ProgramKind::ServiceQos => "p9c",
             ProgramKind::CrashRestore => "p10",
             ProgramKind::StagingReuse => "p11",
+            ProgramKind::WriterGather => "p12",
         }
     }
 
@@ -237,6 +247,7 @@ impl ProgramKind {
             ProgramKind::StagingReuse => {
                 "per-field coIO collectives reusing staging under deferred writes"
             }
+            ProgramKind::WriterGather => "rbIO writers gathering their workers' messages per write",
         }
     }
 
@@ -290,6 +301,7 @@ pub fn prepare(kind: ProgramKind, dir: &Path) -> PreparedProgram {
         ProgramKind::ServiceQos => prepare_service_qos(dir),
         ProgramKind::CrashRestore => prepare_crash_restore(dir),
         ProgramKind::StagingReuse => prepare_plan_equiv(dir, coio_two_field_plan(), false),
+        ProgramKind::WriterGather => prepare_plan_equiv(dir, rbio_two_field_plan(), false),
     }
 }
 
@@ -613,6 +625,18 @@ fn coio_two_field_plan() -> CheckpointPlan {
         .step(13)
         .plan()
         .expect("valid co-io plan")
+}
+
+/// `p12`: a 4-rank rbIO plan, two writers with a file each, two fields —
+/// each writer's image is its own blocks and its worker's message, and
+/// every `WriteAt` gathers pieces of both.
+fn rbio_two_field_plan() -> CheckpointPlan {
+    let layout = DataLayout::uniform(4, &[("Ex", 384), ("Ey", 160)]);
+    CheckpointSpec::new(layout, "ck")
+        .strategy(Strategy::rbio(2))
+        .step(17)
+        .plan()
+        .expect("valid rb-io plan")
 }
 
 /// Run `plan` pipelined (depth 2) under the controlled scheduler, through

@@ -73,14 +73,14 @@ pub enum BackendKind {
 
 /// One write op handed to a backend: `bufs` land back to back at
 /// `offset`. A single-buffer op is a plain `pwrite`; multi-buffer ops
-/// are one *logical* write for fault accounting (the executors only
-/// coalesce when no faults are armed).
+/// are one *logical* write for fault accounting — the pieces of one plan
+/// op's staging range, or (only when no faults are armed) a coalesced run.
 pub struct WriteOp {
     /// Open target file (the `.tmp` sibling for atomic files).
     pub file: Arc<File>,
     /// Absolute file offset of the first buffer.
     pub offset: u64,
-    /// The payload, snapshotted at submit time.
+    /// The payload: immutable slices owned since submit time.
     pub bufs: Vec<Bytes>,
 }
 

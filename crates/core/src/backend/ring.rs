@@ -215,8 +215,7 @@ impl RingBackend {
 /// already accounted on its first submission.
 fn exec_sqe(ctx: &IoCtx<'_>, sqe: &Sqe) -> (Cqe, bool) {
     let res = match sqe.resume_at {
-        // Only single-buffer writes are ever cut short.
-        Some(at) => fault::finish_short_write(&sqe.file, sqe.offset, &sqe.bufs[0], at as usize)
+        Some(at) => fault::finish_short_write(&sqe.file, sqe.offset, &sqe.bufs, at as usize)
             .map(|()| Cqe::Done { attempts: 0 }),
         None => fault::write_at_or_short(ctx, &sqe.file, sqe.offset, &sqe.bufs).map(|w| {
             let attempts = w.attempts;
@@ -287,14 +286,14 @@ impl IoBackend for RingBackend {
                     Cqe::Done { attempts } => retries += attempts,
                     Cqe::Short { written, attempts } => {
                         retries += attempts;
-                        let expected = sqe.bufs.first().map_or(0, |b| b.len() as u64);
+                        let expected = sqe.bufs.iter().map(|b| b.len() as u64).sum();
                         sched::emit(|| sched::Event::ShortWriteResubmit {
                             wid: ctx.wid,
                             udata,
                             written,
                             expected,
                         });
-                        if sqe.bufs.is_empty() || sqe.bufs[0].is_empty() {
+                        if sqe.bufs.iter().all(|b| b.is_empty()) {
                             // The reverted early release already gave the
                             // buffer away: nothing left to resubmit, the op
                             // is (incorrectly) treated as complete and the

@@ -9,7 +9,7 @@
 //!
 //! [`BufPool::lease`] hands out a [`PooledBuf`]: owned, mutable,
 //! zero-filled to the requested length. Its holder fills it in place — the
-//! application's `fill` closure, a writer's aggregation, a `pread`.
+//! application's `fill` closure, a `pread`.
 //! [`PooledBuf::freeze`] turns it, in O(1) and without moving a byte, into
 //! a [`Bytes`]: a refcounted, immutable slice with cheap `clone` and
 //! `slice`. When the `PooledBuf`, or the last `Bytes` over it, drops, the
@@ -287,7 +287,7 @@ impl From<Vec<u8>> for Bytes {
 const MAX_POOLED_BUFS: usize = 64;
 /// Retain at most this much free capacity per pool; a buffer that would
 /// push the free list past it goes back to the allocator instead. Sized
-/// for a few generations' worth of payload, staging and restore buffers —
+/// for a few generations' worth of payload, eager-send and restore buffers —
 /// what a steady-state checkpoint loop keeps in flight.
 const MAX_RETAINED_BYTES: usize = 256 << 20;
 /// Smallest size class.
@@ -369,7 +369,7 @@ impl PoolShared {
     /// Count a lease of class capacity `cap` out and return the buffer
     /// that serves it, if one is held. Best fit: the smallest free buffer of
     /// `cap`'s class or above, but never one more than twice as large — a
-    /// 1 MiB chunk must not walk off with a 36 MiB staging image.
+    /// 1 MiB chunk must not walk off with a 36 MiB payload.
     ///
     /// A miss takes nothing and regrows nothing: the caller maps `cap`
     /// fresh bytes. One kind of miss also makes room for them: the first
@@ -432,8 +432,8 @@ impl PoolShared {
 }
 
 /// The recycling pool behind the buffer lifecycle: every generation-sized
-/// allocation of the runtime — payloads, writer staging, restore buffers,
-/// eager-send and snapshot copies — is leased here.
+/// allocation of the runtime — payloads, restore buffers, eager-send
+/// copies, bytes read back into staging — is leased here.
 pub struct BufPool {
     shared: Arc<PoolShared>,
 }
@@ -468,6 +468,13 @@ impl BufPool {
     /// observability).
     pub fn retained_bytes(&self) -> usize {
         self.shared.state.lock().expect("buffer pool lock").idle
+    }
+
+    /// Capacity of the largest free buffer currently held (test
+    /// observability).
+    pub fn largest_free(&self) -> usize {
+        let g = self.shared.state.lock().expect("buffer pool lock");
+        g.bufs.last().map_or(0, Vec::capacity)
     }
 
     /// Lease a buffer of `len` zero bytes: a recycled one of `len`'s size

@@ -1,10 +1,10 @@
 //! The one real interpreter of the plan IR.
 //!
 //! [`Interp`] executes one rank's op list: it owns that rank's staging
-//! image (leased from the [`BufPool`], frozen once the plan stops
-//! mutating it — see [`Staging`]), open-file table and optional
-//! background flush pipeline, and performs every pack, file op, commit,
-//! fault consultation and controlled-scheduler yield. It reaches other
+//! image (a [`StagingMap`] of references to bytes already held — no
+//! buffer of its own), open-file table and optional background flush
+//! pipeline, and performs every pack, file op, commit, fault
+//! consultation and controlled-scheduler yield. It reaches other
 //! ranks only through a [`Transport`], so the three ways a plan runs for
 //! real differ in the transport alone:
 //!
@@ -31,8 +31,9 @@ use rbio_plan::{DataRef, Op, Program};
 use rbio_profile::counters;
 
 use super::mailbox::MailError;
+use super::staging::{Piece, Src, StagingMap};
 use super::{write_run_len, write_src, ExecConfig};
-use crate::buf::{BufPool, Bytes, PooledBuf};
+use crate::buf::{BufPool, Bytes};
 use crate::commit;
 use crate::failover::{FailoverDirector, WriterHealth};
 use crate::fault::{self, IoCtx};
@@ -128,49 +129,18 @@ pub(crate) enum Payload<'a> {
 }
 
 impl Payload<'_> {
-    fn as_slice(&self) -> &[u8] {
+    fn range(&self, off: u64, len: u64) -> &[u8] {
+        let range = off as usize..(off + len) as usize;
         match self {
-            Payload::Shared(b) => b,
-            Payload::Borrowed(s) => s,
+            Payload::Shared(b) => &b[range],
+            Payload::Borrowed(s) => &s[range],
         }
     }
 
-    fn owned(&self, off: usize, len: usize) -> Bytes {
+    fn owned(&self, off: u64, len: u64) -> Bytes {
         match self {
-            Payload::Shared(b) => b.slice(off..off + len),
-            Payload::Borrowed(s) => BufPool::global().copy_from_slice(&s[off..off + len]),
-        }
-    }
-}
-
-/// A rank's staging image along the buffer lifecycle: leased and mutable
-/// while the plan still packs, receives or reads into it; frozen — in
-/// O(1), no copy — by the first deferred write after the op list's last
-/// such op, from when every reference to it is a refcounted slice.
-enum Staging {
-    Live(PooledBuf),
-    Frozen(Bytes),
-}
-
-impl Staging {
-    fn as_slice(&self) -> &[u8] {
-        match self {
-            Staging::Live(b) => b,
-            Staging::Frozen(b) => b,
-        }
-    }
-
-    /// The image for a `Pack`, `Recv` or `ReadAt` to write into.
-    fn as_mut(&mut self) -> &mut [u8] {
-        match self {
-            Staging::Live(b) => b,
-            Staging::Frozen(_) => unreachable!("staging frozen before the plan's last mutation"),
-        }
-    }
-
-    fn freeze(&mut self) {
-        if let Staging::Live(b) = self {
-            *self = Staging::Frozen(std::mem::take(b).freeze());
+            Payload::Shared(b) => b.slice(off as usize..(off + len) as usize),
+            Payload::Borrowed(_) => BufPool::global().copy_from_slice(self.range(off, len)),
         }
     }
 }
@@ -189,10 +159,7 @@ pub(crate) struct Interp<'a, T: Transport> {
     /// Present when failover is engaged for this run.
     director: Option<&'a FailoverDirector>,
     pub(crate) transport: T,
-    staging: Staging,
-    /// Index past the owner's last staging-mutating op (`Pack`, `Recv`,
-    /// `ReadAt`): from here on the image is immutable and may freeze.
-    staging_final_from: usize,
+    staging: StagingMap,
     files: HashMap<u32, Arc<File>>,
     /// Background flush pipeline (`pipeline_depth >= 2`).
     pipe: Option<WriterHandle>,
@@ -212,8 +179,6 @@ impl<'a, T: Transport> Interp<'a, T> {
         transport: T,
         pipe: Option<WriterHandle>,
     ) -> Self {
-        let mutates_staging =
-            |op: &Op| matches!(op, Op::Pack { .. } | Op::Recv { .. } | Op::ReadAt { .. });
         Interp {
             rank,
             owner,
@@ -222,13 +187,7 @@ impl<'a, T: Transport> Interp<'a, T> {
             cfg,
             director,
             transport,
-            staging: Staging::Live(
-                BufPool::global().lease(program.staging[owner as usize] as usize),
-            ),
-            staging_final_from: program.ops[owner as usize]
-                .iter()
-                .rposition(mutates_staging)
-                .map_or(0, |last| last + 1),
+            staging: StagingMap::default(),
             files: HashMap::new(),
             pipe,
             retries: 0,
@@ -241,43 +200,67 @@ impl<'a, T: Transport> Interp<'a, T> {
         self.pipe.take();
     }
 
-    /// Materialize `r` as an owned, immutable [`Bytes`] — what a `Send` or
-    /// a deferred (pipelined) write needs. A payload reference costs what
-    /// [`Payload::owned`] costs; a staging reference is an O(1) slice once
-    /// the image is frozen and a pooled snapshot copy before that, because
-    /// live staging is reused by later `Pack`/`Recv`/`ReadAt` ops. Every
-    /// memcpy is charged to [`counters::add_bytes_copied`].
-    fn resolve_owned(&self, r: &DataRef, file_off: u64) -> Bytes {
+    /// Append `r`'s bytes to `out` without a copy, for a write that
+    /// completes before its op retires: payload and staging pieces are
+    /// borrowed in place, synthetic data and never-written staging are
+    /// generated.
+    fn gather<'s>(&'s self, r: &DataRef, file_off: u64, out: &mut Vec<Cow<'s, [u8]>>) {
+        let borrowed = |p| match p {
+            Piece::Zeros(n) => Cow::Owned(vec![0; n as usize]),
+            Piece::Own { off, len } => Cow::Borrowed(self.payload.range(off, len)),
+            Piece::Buf(b, range) => Cow::Borrowed(&b[range]),
+        };
         match *r {
-            DataRef::Own { off, len } => self.payload.owned(off as usize, len as usize),
+            DataRef::Own { off, len } => out.push(borrowed(Piece::Own { off, len })),
             DataRef::Staging { off, len } => {
-                let range = off as usize..(off + len) as usize;
-                match &self.staging {
-                    Staging::Frozen(image) => image.slice(range),
-                    Staging::Live(image) => BufPool::global().copy_from_slice(&image[range]),
-                }
+                out.extend(self.staging.pieces(off, len).map(borrowed))
             }
-            DataRef::Synthetic { len } => {
-                BufPool::global().from_fn(len as usize, |i| synthetic_byte(file_off + i as u64))
-            }
+            DataRef::Synthetic { len } => out.push(Cow::Owned(
+                (0..len).map(|i| synthetic_byte(file_off + i)).collect(),
+            )),
         }
     }
 
-    /// `r`'s bytes without a snapshot, for a write that completes before
-    /// its op retires: payload and staging are borrowed in place,
-    /// synthetic data is generated.
-    fn borrow_src(&self, r: &DataRef, file_off: u64) -> Cow<'_, [u8]> {
+    /// Append `r`'s bytes to `out` as owned, immutable [`Bytes`] — what a
+    /// deferred (pipelined) write needs. A staging piece held by the map
+    /// is an O(1) slice; a payload piece costs what [`Payload::owned`]
+    /// costs; synthetic data and never-written staging are generated.
+    fn gather_owned(&self, r: &DataRef, file_off: u64, out: &mut Vec<Bytes>) {
+        let owned = |p| match p {
+            Piece::Zeros(n) => BufPool::global().lease(n as usize).freeze(),
+            Piece::Own { off, len } => self.payload.owned(off, len),
+            Piece::Buf(b, range) => b.slice(range),
+        };
         match *r {
-            DataRef::Own { off, len } => {
-                Cow::Borrowed(&self.payload.as_slice()[off as usize..(off + len) as usize])
-            }
-            DataRef::Staging { off, len } => {
-                Cow::Borrowed(&self.staging.as_slice()[off as usize..(off + len) as usize])
-            }
-            DataRef::Synthetic { len } => {
-                Cow::Owned((0..len).map(|i| synthetic_byte(file_off + i)).collect())
+            DataRef::Own { off, len } => out.push(owned(Piece::Own { off, len })),
+            DataRef::Staging { off, len } => out.extend(self.staging.pieces(off, len).map(owned)),
+            DataRef::Synthetic { len } => out.push(
+                BufPool::global().from_fn(len as usize, |i| synthetic_byte(file_off + i as u64)),
+            ),
+        }
+    }
+
+    /// `r` as one message for a `Send`: what [`Self::gather_owned`] gives
+    /// when that is one piece; a staging range over several segments is
+    /// concatenated — one counted pooled copy.
+    fn message(&self, r: &DataRef) -> Bytes {
+        if let DataRef::Staging { off, len } = *r {
+            if self.staging.pieces(off, len).nth(1).is_some() {
+                let mut parts = Vec::new();
+                self.gather(r, 0, &mut parts);
+                let mut msg = BufPool::global().lease(len as usize);
+                let mut at = 0;
+                for part in parts {
+                    msg[at..at + part.len()].copy_from_slice(&part);
+                    at += part.len();
+                }
+                counters::add_bytes_copied(len);
+                return msg.freeze();
             }
         }
+        let mut one = Vec::with_capacity(1);
+        self.gather_owned(r, 0, &mut one);
+        one.pop().unwrap_or_default()
     }
 
     /// Run the owner's op list to completion.
@@ -297,25 +280,25 @@ impl<'a, T: Transport> Interp<'a, T> {
                     }
                 }
                 Op::Pack {
-                    src,
-                    staging_off,
-                    bytes,
-                } => match src {
+                    src, staging_off, ..
+                } => match *src {
+                    // Packing lands a reference: no byte moves until a
+                    // write or a send resolves it.
                     Some(DataRef::Staging { off, len }) => {
-                        counters::add_bytes_copied(*len);
-                        let from = *off as usize..(off + len) as usize;
-                        self.staging
-                            .as_mut()
-                            .copy_within(from, *staging_off as usize);
+                        self.staging.copy_within(off, len, *staging_off)
                     }
-                    Some(s) => {
-                        let data = self.resolve_owned(s, 0);
-                        self.fill_staging(*staging_off, *bytes, &data);
+                    Some(DataRef::Own { off, len }) => {
+                        self.staging.put(*staging_off, len, Src::Own(off))
+                    }
+                    Some(DataRef::Synthetic { len }) => {
+                        let data =
+                            BufPool::global().from_fn(len as usize, |i| synthetic_byte(i as u64));
+                        self.staging.put(*staging_off, len, Src::Buf(data));
                     }
                     None => {}
                 },
                 Op::Send { dst, tag, src } => {
-                    let data = self.resolve_owned(src, 0);
+                    let data = self.message(src);
                     // A successor forwards the orphan's sends as they
                     // are: the loss dice were rolled, and the attempt
                     // announced, under the orphan's own run.
@@ -354,9 +337,10 @@ impl<'a, T: Transport> Interp<'a, T> {
                             data.len()
                         )));
                     }
-                    // The one aggregation copy the plan IR mandates: the
-                    // received chunk lands in this writer's staging image.
-                    self.fill_staging(*staging_off, *bytes, &data);
+                    // The received message itself becomes this stretch of
+                    // the writer's staging image: aggregation moves no
+                    // byte, the write that reads it gathers it.
+                    self.staging.put(*staging_off, *bytes, Src::Buf(data));
                 }
                 Op::Barrier { comm } => {
                     // Barriers carry cross-rank happens-before edges (e.g.
@@ -380,9 +364,10 @@ impl<'a, T: Transport> Interp<'a, T> {
                     // Read-after-write: pending flushes must land first.
                     self.drain_pipe()?;
                     let f = self.files.get(&file.0).expect("validated: opened");
-                    let dst = &mut self.staging.as_mut()
-                        [*staging_off as usize..*staging_off as usize + *len as usize];
-                    f.read_exact_at(dst, *offset)?;
+                    let mut data = BufPool::global().lease(*len as usize);
+                    f.read_exact_at(&mut data, *offset)?;
+                    self.staging
+                        .put(*staging_off, *len, Src::Buf(data.freeze()));
                 }
                 Op::Close { file } => self.close(file.0)?,
                 Op::Commit { file } => self.commit(file.0)?,
@@ -390,12 +375,6 @@ impl<'a, T: Transport> Interp<'a, T> {
             i += 1;
         }
         self.drain_pipe()
-    }
-
-    fn fill_staging(&mut self, staging_off: u64, bytes: u64, data: &[u8]) {
-        counters::add_bytes_copied(bytes);
-        self.staging.as_mut()[staging_off as usize..(staging_off + bytes) as usize]
-            .copy_from_slice(data);
     }
 
     /// The tier stage `file` diverts into: staging must be configured
@@ -480,36 +459,38 @@ impl<'a, T: Transport> Interp<'a, T> {
         });
 
         if let Some(stage) = stage {
+            // One reservation and one extent per op, whatever its pieces.
             let name = &self.program.files[file as usize].name;
+            let mut parts = Vec::new();
             for (src, at) in chunks {
+                parts.clear();
+                self.gather(src, at, &mut parts);
                 stage
-                    .append(name, at, &self.borrow_src(src, at))
+                    .append_slices(name, at, &parts)
                     .map_err(io::Error::other)?;
             }
             return Ok(end);
         }
-        // Deferred flush: each source leaves as owned `Bytes`, so the
-        // background write never races with later staging reuse. Past the
-        // plan's last staging mutation there is no later reuse: the image
-        // freezes and every job gets a slice of it; before that a staging
-        // source is snapshotted.
-        if self.pipe.is_some() && i >= self.staging_final_from {
-            self.staging.freeze();
-        }
         let f = self.files.get(&file).expect("validated: opened");
         if let Some(pipe) = &self.pipe {
+            // Deferred flush: the job owns its pieces — slices of the
+            // immutable sources the staging map references, so later
+            // staging ops never race with the background write.
+            let mut bufs = Vec::new();
+            for (src, at) in chunks {
+                self.gather_owned(src, at, &mut bufs);
+            }
             let file = Arc::clone(f);
-            pipe.submit(if run.len() == 1 {
-                let data = self.resolve_owned(write_src(&run[0]), offset);
+            pipe.submit(if bufs.len() == 1 {
+                let data = bufs.pop().expect("one piece");
                 FlushJob::Write { file, offset, data }
             } else {
-                let bufs = chunks.map(|(s, at)| self.resolve_owned(s, at)).collect();
                 FlushJob::WriteV { file, offset, bufs }
             })?;
             return Ok(end);
         }
         // Serial: the write completes before the op retires, so it goes
-        // straight from the borrowed sources — no snapshot at all.
+        // straight from the borrowed pieces — one gather, no copy.
         let ctx = IoCtx {
             rank: self.rank,
             wid: 0,
@@ -517,17 +498,11 @@ impl<'a, T: Transport> Interp<'a, T> {
             write_retries: self.cfg.write_retries,
             retry_backoff: self.cfg.retry_backoff,
         };
-        let (one, many); // a single-chunk run stays off the heap
-        let srcs: &[Cow<'_, [u8]>] = if let [op] = run {
-            one = [self.borrow_src(write_src(op), offset)];
-            &one
-        } else {
-            many = chunks
-                .map(|(s, at)| self.borrow_src(s, at))
-                .collect::<Vec<_>>();
-            &many
-        };
-        let attempts = fault::write_at(&ctx, f, offset, srcs)?;
+        let mut srcs = Vec::new();
+        for (src, at) in chunks {
+            self.gather(src, at, &mut srcs);
+        }
+        let attempts = fault::write_at(&ctx, f, offset, &srcs)?;
         self.retries += u64::from(attempts);
         if self.cfg.fsync_on_close {
             pipeline::hint_writeback(f, offset, run_bytes);

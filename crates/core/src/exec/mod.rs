@@ -20,6 +20,7 @@
 
 mod interp;
 mod mailbox;
+mod staging;
 
 use std::collections::{HashMap, HashSet};
 use std::io;
@@ -48,7 +49,8 @@ pub const DEFAULT_CHAN_CAPACITY: usize = 256;
 /// run via [`ExecConfig::coalesce_caps`] (the autotuner exports tuned
 /// values through `rbio-tune`'s plan JSON).
 pub const DEFAULT_COALESCE_BYTES: u64 = 8 << 20;
-/// Default cap on chunks per coalesced write (well under any `IOV_MAX`).
+/// Default cap on plan ops per coalesced write. Their staging pieces may
+/// number more; the vectored write loop submits at most `IOV_MAX` a call.
 pub const DEFAULT_COALESCE_OPS: usize = 64;
 
 /// The source of a `WriteAt` op (callers guarantee the variant).
@@ -119,7 +121,7 @@ pub struct ExecConfig {
     /// is the fully serial path; `≥ 2` defers `WriteAt`/`Close`/`Commit`
     /// to the shared [`crate::pipeline::FlushPool`] so field *k+1* aggregation overlaps
     /// field *k*'s disk write (2 = double buffering). Output is
-    /// byte-identical at any depth: data is snapshotted at issue, jobs
+    /// byte-identical at any depth: a job owns immutable bytes at issue, jobs
     /// run FIFO per writer, and the pipeline drains at plan barriers,
     /// reads, and end of program.
     pub pipeline_depth: u32,

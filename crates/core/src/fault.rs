@@ -552,8 +552,8 @@ pub struct Written {
     /// Retried attempts consumed by transient errors.
     pub attempts: u32,
     /// `Some(n)` after an injected [`WriteFault::Short`]: only the first
-    /// `n` bytes of the (single) buffer landed, and the remainder is owed
-    /// through [`finish_short_write`]. `None`: delivered in full.
+    /// `n` bytes of the buffers landed, and the remainder is owed through
+    /// [`finish_short_write`]. `None`: delivered in full.
     pub short: Option<u64>,
 }
 
@@ -570,10 +570,9 @@ pub struct Written {
 ///   retried; [`WriteFault::Error`] → `EIO`, retried like a real
 ///   transient error: up to `ctx.write_retries` more attempts on the
 ///   jittered, doubling, deadline-capped [`RetryClock`];
-/// * [`WriteFault::Short`] on a single-buffer write lands only the first
-///   `cap` bytes and returns with `short = Some(cap)` — how a completion
-///   queue surfaces a partial write. A multi-buffer write (a coalesced
-///   run, only built when the plan is unarmed) delivers in full;
+/// * [`WriteFault::Short`] lands only the first `cap` bytes — the buffer
+///   list cut at `cap`, however many buffers that spans — and returns with
+///   `short = Some(cap)`: how a completion queue surfaces a partial write;
 /// * the syscall shape is a `pwrite` loop for one buffer and one
 ///   `pwritev` for several;
 /// * the bytes landed are journaled to [`crate::crash`] exactly once.
@@ -606,12 +605,12 @@ pub fn write_at_or_short(
             }
             // EIO: the canonical "device hiccup" errno.
             (Some(WriteFault::Error), _) => Err(WriteError::Io(io::Error::from_raw_os_error(5))),
-            (Some(WriteFault::Short { cap }), [one]) if cap < total => {
+            (Some(WriteFault::Short { cap }), _) if cap < total => {
                 // One-shot and already accounted in full by the plan, so
                 // a failure of the prefix itself is final, not retried.
-                let prefix = &one.as_ref()[..cap as usize];
-                file.write_all_at(prefix, offset).map_err(WriteError::Io)?;
-                crash::record_write(file, offset, &[prefix]);
+                let prefix = window(bufs, 0, cap as usize);
+                write_vectored_all(file, offset, &prefix).map_err(WriteError::Io)?;
+                crash::record_write(file, offset, &prefix);
                 return Ok(Written {
                     attempts: attempt,
                     short: Some(cap),
@@ -653,24 +652,45 @@ pub fn write_at(
 ) -> Result<u32, WriteError> {
     let w = write_at_or_short(ctx, file, offset, bufs)?;
     if let Some(cut) = w.short {
-        finish_short_write(file, offset, bufs[0].as_ref(), cut as usize)?;
+        finish_short_write(file, offset, bufs, cut as usize)?;
     }
     Ok(w.attempts)
 }
 
-/// Deliver (and journal) what a short write still owes: `data[already..]`
-/// at `offset + already`. No fault consult — the logical write's bytes
-/// were accounted on its first submission.
+/// Deliver (and journal) what a short write still owes: the bytes of
+/// `bufs` past the first `already`, at `offset + already`. No fault
+/// consult — the logical write's bytes were accounted on its first
+/// submission.
 pub fn finish_short_write(
     file: &std::fs::File,
     offset: u64,
-    data: &[u8],
+    bufs: &[impl AsRef<[u8]>],
     already: usize,
 ) -> Result<(), WriteError> {
     counters::add_short_write_retries(1);
-    write_full_at(file, offset, data, already)?;
-    crash::record_write(file, offset + already as u64, &[&data[already..]]);
+    let total = bufs.iter().map(|b| b.as_ref().len()).sum();
+    let rest = window(bufs, already, total);
+    match bufs {
+        [one] => write_full_at(file, offset, one.as_ref(), already)?,
+        _ => write_vectored_all(file, offset + already as u64, &rest).map_err(WriteError::Io)?,
+    }
+    crash::record_write(file, offset + already as u64, &rest);
     Ok(())
+}
+
+/// The bytes `[from, to)` of `bufs` laid back to back, as slices of them.
+fn window(bufs: &[impl AsRef<[u8]>], from: usize, to: usize) -> Vec<&[u8]> {
+    let mut out = Vec::new();
+    let mut start = 0;
+    for b in bufs.iter().map(AsRef::as_ref) {
+        let end = start + b.len();
+        let (lo, hi) = (from.max(start), to.min(end));
+        if lo < hi {
+            out.push(&b[lo - start..hi - start]);
+        }
+        start = end;
+    }
+    out
 }
 
 /// Deliver `data[already..]` at `offset + already`, looping positional
@@ -736,16 +756,8 @@ fn write_vectored_all(
     while written < total {
         // Rebuild the slice list past `written` bytes (a partial vectored
         // write is rare; the rebuild cost is irrelevant).
-        let mut skip = written;
-        let mut slices: Vec<IoSlice> = Vec::with_capacity(bufs.len());
-        for b in bufs.iter().map(AsRef::as_ref) {
-            if skip >= b.len() {
-                skip -= b.len();
-                continue;
-            }
-            slices.push(IoSlice::new(&b[skip..]));
-            skip = 0;
-        }
+        let rest = window(bufs, written, total);
+        let slices: Vec<IoSlice> = rest.iter().map(|b| IoSlice::new(b)).collect();
         match f.write_vectored(&slices) {
             Ok(0) => {
                 return Err(io::Error::new(
@@ -866,6 +878,38 @@ mod tests {
         assert_eq!(attempts.unwrap(), 2);
         // The next write on this rank is logical index 1: no fault left.
         assert_eq!(plan.on_write(9, 1, 0), None);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_short_write_over_a_gather_is_cut_and_completed() {
+        let (dir, f) = tmpfile("shortv");
+        let rec = Recorder::install(&dir).expect("recorder");
+        let plan = FaultPlan::none().short_write(8, 0, 6);
+        let bufs = [[5u8; 4], [6u8; 4]];
+        let before = counters::failover_snapshot();
+        let attempts = write_at(&ctx(&plan, 8, 0, Duration::ZERO), &f, 0, &bufs);
+        assert_eq!(attempts.unwrap(), 0, "a short write is not a retry");
+        let d = counters::failover_snapshot().delta_since(&before);
+        assert!(d.short_write_retries >= 1, "the continuation is counted");
+        // The cut lands inside the second buffer: its prefix first, then
+        // the rest of the same logical write.
+        let journal: Vec<(u64, Vec<u8>)> = rec
+            .take()
+            .into_iter()
+            .map(|op| match op {
+                RecOp::Write { offset, data, .. } => (offset, data),
+                other => panic!("unexpected journal op {other:?}"),
+            })
+            .collect();
+        assert_eq!(journal, [(0, vec![5, 5, 5, 5, 6, 6]), (6, vec![6, 6])]);
+        let bytes = std::fs::read(dir.join("f")).unwrap();
+        assert_eq!(
+            bytes,
+            [5, 5, 5, 5, 6, 6, 6, 6],
+            "the file must come out whole"
+        );
+        drop(rec);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1055,8 +1099,8 @@ mod tests {
                     rec.take();
                     let plan = plan();
                     let c = ctx(&plan, RANK, RETRIES, Duration::from_micros(10));
-                    // A short write is cut only when there is one buffer.
-                    let cut = (*name == "short" && bufs.len() == 1).then_some(4u64);
+                    // A short write is cut at its cap, across buffers too.
+                    let cut = (*name == "short").then_some(4u64);
                     let res = if in_place {
                         write_at(&c, &f, AT, &bufs)
                     } else {

@@ -10,11 +10,10 @@
 //! Correctness relies on three properties, each enforced here or by the
 //! callers:
 //!
-//! 1. **Snapshot at issue** — a `Write` job owns its bytes as an immutable
-//!    [`Bytes`] slice: either a zero-copy view of storage that will never
-//!    be mutated again (a payload slice), or a pooled copy taken out of
-//!    mutable staging before submission, so later `Pack` and `Recv` ops
-//!    can reuse the staging buffer freely.
+//! 1. **Owned at issue** — a `Write`/`WriteV` job owns its bytes as
+//!    immutable [`Bytes`] slices of storage that is never mutated again
+//!    (payloads, received messages, read-back buffers), so later `Pack`
+//!    and `Recv` ops land new references and never touch a queued job.
 //! 2. **Per-writer FIFO** — one pool thread at a time drains a writer's
 //!    queue in order, so the [`FaultPlan`] byte accounting and the
 //!    write→close→commit ordering are exactly the serial executor's.
@@ -87,13 +86,13 @@ pub enum FlushJob {
         file: Arc<File>,
         /// Absolute file offset.
         offset: u64,
-        /// The chunk, snapshotted at issue time (an immutable slice —
-        /// zero-copy for payload data, a pooled copy for staging data).
+        /// The chunk: an immutable slice of bytes the writer already
+        /// holds (payload, received message, read-back buffer).
         data: Bytes,
     },
     /// Flush several chunks destined for contiguous offsets as one
-    /// vectored write (one syscall, one logical write for fault
-    /// accounting — only submitted when no faults are armed).
+    /// vectored write (one gather, one logical write for fault
+    /// accounting): a coalesced run, or the pieces of one staging range.
     WriteV {
         /// Open target file (the `.tmp` sibling for atomic files).
         file: Arc<File>,

@@ -239,24 +239,27 @@ impl SlabPool {
         }
     }
 
-    /// Reserve a window and copy `data` into it. `None` when the slab
-    /// is full — the caller surfaces [`TierError::StageFull`].
-    pub fn append(&self, data: &[u8]) -> Option<SlabRef> {
-        let off = self.head.fetch_add(data.len(), Ordering::Relaxed);
-        let end = off.checked_add(data.len())?;
+    /// Reserve one window for `bufs` and copy them into it back to back.
+    /// `None` when the slab is full — the caller surfaces
+    /// [`TierError::StageFull`].
+    pub fn append(&self, bufs: &[impl AsRef<[u8]>]) -> Option<SlabRef> {
+        let len = bufs.iter().map(|b| b.as_ref().len()).sum();
+        let off = self.head.fetch_add(len, Ordering::Relaxed);
+        let end = off.checked_add(len)?;
         if end > self.capacity {
             return None;
         }
-        // SAFETY: `[off, end)` is in-bounds (checked above) and
-        // exclusively ours (bump pointer), and `data` cannot overlap a
-        // slab we own.
-        unsafe {
-            std::ptr::copy_nonoverlapping(data.as_ptr(), self.base().add(off), data.len());
+        let mut at = off;
+        for data in bufs.iter().map(AsRef::as_ref) {
+            // SAFETY: `[off, end)` is in-bounds (checked above) and
+            // exclusively ours (bump pointer), `[at, at + data.len())`
+            // lies inside it, and `data` cannot overlap a slab we own.
+            unsafe {
+                std::ptr::copy_nonoverlapping(data.as_ptr(), self.base().add(at), data.len());
+            }
+            at += data.len();
         }
-        Some(SlabRef {
-            off,
-            len: data.len(),
-        })
+        Some(SlabRef { off, len })
     }
 
     /// Read back a staged extent.
@@ -338,12 +341,23 @@ impl TierStage {
 
     /// Append one extent of `name` at logical file `offset`.
     pub fn append(&self, name: &str, offset: u64, data: &[u8]) -> Result<(), TierError> {
-        let r = self.pool.append(data).ok_or(TierError::StageFull {
+        self.append_slices(name, offset, &[data])
+    }
+
+    /// Append `bufs`, back to back, as one extent of `name` at logical
+    /// file `offset`: one slab reservation, one copy of each byte.
+    pub fn append_slices(
+        &self,
+        name: &str,
+        offset: u64,
+        bufs: &[impl AsRef<[u8]>],
+    ) -> Result<(), TierError> {
+        let r = self.pool.append(bufs).ok_or_else(|| TierError::StageFull {
             capacity: self.pool.capacity(),
-            requested: data.len(),
+            requested: bufs.iter().map(|b| b.as_ref().len()).sum(),
         })?;
-        counters::add_tier_staged_bytes(data.len() as u64);
-        counters::add_bytes_copied(data.len() as u64);
+        counters::add_tier_staged_bytes(r.len as u64);
+        counters::add_bytes_copied(r.len as u64);
         let mut g = self.files.lock().expect("tier stage lock");
         g.entry(name.to_string())
             .or_default()
@@ -777,8 +791,8 @@ mod tests {
     #[test]
     fn slab_appends_are_disjoint_and_readable() {
         let pool = SlabPool::anonymous(1 << 16);
-        let a = pool.append(b"hello").unwrap();
-        let b = pool.append(b"world!").unwrap();
+        let a = pool.append(&[b"hello"]).unwrap();
+        let b = pool.append(&[&b"wor"[..], b"ld!"]).unwrap();
         assert_eq!(pool.slice(a), b"hello");
         assert_eq!(pool.slice(b), b"world!");
         assert_eq!(pool.used(), 11);
@@ -787,8 +801,8 @@ mod tests {
     #[test]
     fn slab_full_append_fails_cleanly() {
         let pool = SlabPool::anonymous(8);
-        assert!(pool.append(&[1; 8]).is_some());
-        assert!(pool.append(&[2; 1]).is_none());
+        assert!(pool.append(&[[1; 8]]).is_some());
+        assert!(pool.append(&[[2; 1]]).is_none());
         // The failed reservation must not have corrupted earlier data.
         assert_eq!(pool.slice(SlabRef { off: 0, len: 8 }), &[1; 8]);
     }
@@ -799,7 +813,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("step.slab");
         let pool = SlabPool::create(&path, 4096).unwrap();
-        let r = pool.append(b"persisted").unwrap();
+        let r = pool.append(&[b"persisted"]).unwrap();
         assert_eq!(pool.slice(r), b"persisted");
         assert_eq!(pool.path(), Some(path.as_path()));
         drop(pool);

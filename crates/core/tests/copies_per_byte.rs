@@ -17,7 +17,11 @@ use std::sync::Mutex;
 use rbio::exec::{execute, ExecConfig};
 use rbio::format::materialize_payloads;
 use rbio::layout::DataLayout;
-use rbio::strategy::{CheckpointSpec, Strategy};
+use rbio::manager::{CheckpointManager, ManagerConfig};
+use rbio::rt;
+use rbio::strategy::{CheckpointPlan, CheckpointSpec, Strategy};
+use rbio::tier::TierConfig;
+use rbio_plan::Op;
 use rbio_profile::counters::{self, CopySnapshot};
 
 static COUNTERS: Mutex<()> = Mutex::new(());
@@ -32,6 +36,30 @@ fn ratio_for(np: u32, fields: &[(&str, u64)], strategy: Strategy, depth: u32) ->
     counted(np, fields, strategy, cfg).copies_per_checkpoint_byte()
 }
 
+fn plan_for(np: u32, fields: &[(&str, u64)], strategy: Strategy) -> CheckpointPlan {
+    CheckpointSpec::new(DataLayout::uniform(np, fields), "dp")
+        .strategy(strategy)
+        .plan()
+        .expect("valid plan")
+}
+
+fn fill(rank: u32, field: usize, buf: &mut [u8]) {
+    for (i, b) in buf.iter_mut().enumerate() {
+        *b = (rank as usize * 13 + field * 5 + i) as u8;
+    }
+}
+
+/// What `run(dir)` adds to the copy counters, in a fresh directory.
+fn counted_in(run: impl FnOnce(&Path)) -> CopySnapshot {
+    let dir = std::env::temp_dir().join(format!("rbio-copies-per-byte-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let before = counters::snapshot();
+    run(&dir);
+    let delta = counters::snapshot().delta_since(&before);
+    std::fs::remove_dir_all(&dir).ok();
+    delta
+}
+
 /// What one checkpoint of `np` ranks holding `fields`, executed under
 /// `cfg(dir)`, adds to the copy counters.
 fn counted(
@@ -40,60 +68,83 @@ fn counted(
     strategy: Strategy,
     cfg: impl Fn(&Path) -> ExecConfig,
 ) -> CopySnapshot {
-    let layout = DataLayout::uniform(np, fields);
-    let plan = CheckpointSpec::new(layout, "dp")
-        .strategy(strategy)
-        .plan()
-        .expect("valid plan");
-    let payloads = materialize_payloads(&plan, |rank, field, buf| {
-        for (i, b) in buf.iter_mut().enumerate() {
-            *b = (rank as usize * 13 + field * 5 + i) as u8;
-        }
-    });
-    let dir = std::env::temp_dir().join(format!("rbio-copies-per-byte-{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
-    let before = counters::snapshot();
-    execute(&plan.program, payloads, &cfg(&dir)).expect("exec");
-    let delta = counters::snapshot().delta_since(&before);
-    std::fs::remove_dir_all(&dir).ok();
-    delta
+    let plan = plan_for(np, fields, strategy);
+    let payloads = materialize_payloads(&plan, fill);
+    counted_in(|dir| {
+        execute(&plan.program, payloads, &cfg(dir)).expect("exec");
+    })
 }
 
 #[test]
 fn copies_per_byte_matches_the_experiments_table() {
     let _serial = COUNTERS.lock().unwrap_or_else(|e| e.into_inner());
     let strategies = [Strategy::OnePfpp, Strategy::coio(4), Strategy::rbio(4)];
-    // (variant, depth, expected 1PFPP / coIO nf=4 / rbIO ng=4).
-    //
-    // The pipelined row follows from the plans, not from a measurement. A
-    // deferred write of staging costs a snapshot copy only while the
-    // rank's op list still has a `Pack`, `Recv` or `ReadAt` ahead; after
-    // the last one the image is frozen and the job gets a slice of it.
-    // rbIO's writers aggregate and re-pack first and write afterwards, so
-    // no write is snapshotted: the serial 1.75. coIO runs one collective
-    // per field over the same staging range, so every field's write but
-    // the last one's precedes a `Recv` and is snapshotted: the serial 1.0
-    // plus the first field's share of the bytes, 64 / 96.
-    let table = [
-        ("zero-copy serial", 1, [0.0, 1.0, 1.75]),
-        ("zero-copy pipelined", 3, [0.0, 1.0 + 64.0 / 96.0, 1.75]),
-    ];
-    for (variant, depth, want) in table {
-        for (strategy, want) in strategies.iter().zip(want) {
-            let got = ratio_for(16, TWO_FIELDS, *strategy, depth);
+    // `exec` moves no byte between the payloads and the files at any
+    // depth: workers send slices of their payloads, a received message or
+    // a pack becomes a reference in the writer's staging map, and every
+    // write — serial or deferred — gathers the pieces it covers.
+    for depth in [1, 3] {
+        for strategy in strategies {
+            let got = ratio_for(16, TWO_FIELDS, strategy, depth);
             assert!(
-                (got - want).abs() <= 0.01,
-                "{variant}, {strategy:?}: {got:.4} copies/byte, table says {want}"
+                got == 0.0,
+                "exec at depth {depth}, {strategy:?}: {got:.4} copies/byte, table says 0"
             );
         }
     }
-    // With one field, coIO's only collective is its last: nothing is
-    // snapshotted at any depth.
     let one_field = [("Ex", 96 * 1024)];
     let got = ratio_for(16, &one_field, Strategy::coio(4), 3);
     assert!(
-        (got - 1.0).abs() <= 0.01,
-        "one-field coIO, pipelined: {got:.4} copies/byte, want 1.0"
+        got == 0.0,
+        "one-field coIO, pipelined: {got:.4} copies/byte"
+    );
+}
+
+#[test]
+fn rt_copies_only_its_eager_hand_off() {
+    let _serial = COUNTERS.lock().unwrap_or_else(|e| e.into_inner());
+    // `rt` borrows its payloads for the call, so a message that leaves a
+    // rank is one pooled copy (MPI's eager buffer); at depth 1 every write
+    // borrows, so the plan's sent bytes are the whole count.
+    let plan = plan_for(16, TWO_FIELDS, Strategy::coio(4));
+    let ops = plan.program.ops.iter().flatten();
+    let (sent, written): (u64, u64) = ops.fold((0, 0), |(s, w), op: &Op| {
+        (s + op.bytes_sent(), w + op.bytes_written())
+    });
+    let payloads = materialize_payloads(&plan, fill);
+    let delta = counted_in(|dir| {
+        let cfg = rt::RtConfig::new(dir);
+        rt::run(plan.program.nranks(), |mut comm| {
+            let rank = comm.rank() as usize;
+            rt::checkpoint_rank_with(&mut comm, &plan.program, &payloads[rank], &cfg)
+                .expect("rt checkpoint");
+        });
+    });
+    let (got, want) = (
+        delta.copies_per_checkpoint_byte(),
+        sent as f64 / written as f64,
+    );
+    assert!(
+        want > 0.5 && (got - want).abs() <= 1e-9,
+        "rt coIO: {got:.4} copies/byte, the plan sends {want:.4} per byte written"
+    );
+}
+
+#[test]
+fn the_tiered_manager_copies_each_byte_once_into_the_slab() {
+    let _serial = COUNTERS.lock().unwrap_or_else(|e| e.into_inner());
+    let delta = counted_in(|dir| {
+        let mut cfg = ManagerConfig::new(dir.join("pfs"), Strategy::rbio(4));
+        cfg.tier = Some(TierConfig::new(dir.join("local")).slab_capacity(8 << 20));
+        let mgr =
+            CheckpointManager::new(DataLayout::uniform(16, TWO_FIELDS), cfg).expect("manager");
+        mgr.checkpoint(1, fill).expect("tiered checkpoint");
+        mgr.wait_durable(1).expect("drain");
+    });
+    let got = delta.copies_per_checkpoint_byte();
+    assert!(
+        (got - 1.0).abs() <= 1e-9,
+        "tiered rbIO: {got:.4} copies/byte, want 1.0 (the slab append)"
     );
 }
 

@@ -1,8 +1,9 @@
 //! Steady-state checkpointing maps no fresh generation-sized buffers:
-//! after two warm-up generations every payload, staging image, eager-send
-//! copy and restore image is a recycled lease from `BufPool::global()`,
-//! so a whole generation allocates a small fraction of the bytes it
-//! checkpoints — on `exec` and on `rt` alike.
+//! after two warm-up generations every payload, eager-send copy and
+//! restore image is a recycled lease from `BufPool::global()`, so a whole
+//! generation allocates a small fraction of the bytes it checkpoints — on
+//! `exec` and on `rt` alike — and the pool keeps nothing larger than a
+//! payload (writer staging leases nothing).
 //!
 //! Its own test binary because the allocator below counts every
 //! allocation in the process: nothing else may run beside the one test.
@@ -126,6 +127,16 @@ fn exec_generation(dir: &Path, gen: u64) {
     restore(dir, &plan);
 }
 
+/// The largest buffer a generation has any use for keeping: a payload
+/// (a rank's fields behind, at most, a whole file's header) at its size
+/// class, which rounds up by at most an eighth. Writer staging is a map of
+/// references, so nothing of a group image's size is ever leased.
+fn payload_class_bound(plan: &CheckpointPlan) -> usize {
+    let payload =
+        FIELDS.len() as u64 * FIELD_BYTES + header_len(&plan.layout, &plan.app, 0, NRANKS);
+    (payload + payload / 8) as usize
+}
+
 fn restore(dir: &Path, plan: &CheckpointPlan) {
     let restored = read_checkpoint(dir, plan).expect("restore");
     assert_eq!(restored.step, plan.step);
@@ -155,10 +166,12 @@ fn a_warm_generation_allocates_a_fraction_of_its_user_bytes() {
     let pool = BufPool::global();
 
     std::fs::remove_dir_all(&dir).ok();
-    let mut retained = Vec::new();
+    let bound = payload_class_bound(&plan_for(Strategy::rbio(2), 0));
+    let (mut retained, mut largest) = (Vec::new(), Vec::new());
     let exec = allocated_per_generation(10, |gen| {
         exec_generation(&dir, gen);
         retained.push(pool.retained_bytes());
+        largest.push(pool.largest_free());
     });
     assert!(
         exec[0] > USER_BYTES,
@@ -172,12 +185,18 @@ fn a_warm_generation_allocates_a_fraction_of_its_user_bytes() {
         retained[2], retained[9],
         "the retained set is fixed from generation 3 on: {retained:?}"
     );
+    assert!(
+        largest.iter().all(|&l| l <= bound),
+        "exec: the pool kept a buffer above the payload class ({bound} bytes): {largest:?}"
+    );
 
     std::fs::remove_dir_all(&dir).ok();
     retained.clear();
+    largest.clear();
     let rt = allocated_per_generation(8, |gen| {
         rt_generation(&dir, gen);
         retained.push(pool.retained_bytes());
+        largest.push(pool.largest_free());
     });
     assert!(
         rt[2..].iter().all(|&a| a < budget),
@@ -186,6 +205,10 @@ fn a_warm_generation_allocates_a_fraction_of_its_user_bytes() {
     assert_eq!(
         retained[2], retained[7],
         "the retained set is fixed from generation 3 on: {retained:?}"
+    );
+    assert!(
+        largest.iter().all(|&l| l <= bound),
+        "rt: the pool kept a buffer above the payload class ({bound} bytes): {largest:?}"
     );
     std::fs::remove_dir_all(&dir).ok();
 }

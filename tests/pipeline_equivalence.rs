@@ -5,6 +5,8 @@
 //! runtime. This is the determinism contract of the pipelined writers:
 //! background flushing reorders *work*, never *bytes*.
 
+use std::collections::{HashMap, VecDeque};
+
 use proptest::prelude::*;
 use rbio_repro::rbio::exec::{execute, ExecConfig};
 use rbio_repro::rbio::format::{footer_len, materialize_payloads};
@@ -13,7 +15,7 @@ use rbio_repro::rbio::rt;
 use rbio_repro::rbio::strategy::{
     CheckpointPlan, CheckpointSpec, RbIoCommit, Strategy as Ckpt, Tuning,
 };
-use rbio_repro::rbio_plan::{DataRef, Op, Program, ProgramBuilder};
+use rbio_repro::rbio_plan::{DataRef, FileId, Op, Program, ProgramBuilder, Tag};
 
 fn fill(rank: u32, field: usize, buf: &mut [u8]) {
     let mut x = (u64::from(rank) << 24) ^ ((field as u64) << 8) ^ 0x5DEECE66D;
@@ -277,11 +279,10 @@ fn staging_reuse_program(n: u64, reuse_by_read: bool) -> Program {
     b.build()
 }
 
-/// The interpreter hands a deferred write a slice of the frozen staging
-/// image only past the rank's last staging mutation. A plan that reuses
-/// staging after a deferred write must still get a snapshot: frozen any
-/// earlier, the second fill would have nowhere to land (or the first
-/// write would flush the second fill's bytes).
+/// A deferred write holds references to the bytes its staging range
+/// covered when it was issued. A plan that reuses staging after such a
+/// write must not change what it flushes: the first write must still
+/// land A, whatever later lands on its staging range.
 #[test]
 fn staging_reused_after_a_deferred_write_matches_serial_at_every_depth_and_jitter() {
     const N: u64 = 4096;
@@ -315,4 +316,311 @@ fn staging_reused_after_a_deferred_write_matches_serial_at_every_depth_and_jitte
             }
         }
     }
+}
+
+const JITTERS: [u64; 5] = [0, 1, 7, 0xFEED, u64::MAX];
+
+/// What `program` leaves in its files when every rank's staging is a
+/// zero-filled flat `Vec<u8>` that packs, receives and reads copy into.
+/// Ranks run round-robin; a rank whose next receive has no message yet
+/// waits for the next round.
+fn flat_model(program: &Program, payloads: &[Vec<u8>]) -> Vec<Vec<u8>> {
+    let n = program.nranks() as usize;
+    let mut staging: Vec<Vec<u8>> = program
+        .staging
+        .iter()
+        .map(|&s| vec![0; s as usize])
+        .collect();
+    let mut files: Vec<Vec<u8>> = program
+        .files
+        .iter()
+        .map(|f| vec![0; f.size as usize])
+        .collect();
+    let mut mail: HashMap<(usize, u32, u64), VecDeque<Vec<u8>>> = HashMap::new();
+    let mut pc = vec![0usize; n];
+    let range = |off: u64, len: u64| off as usize..(off + len) as usize;
+    loop {
+        let mut progressed = false;
+        for r in 0..n {
+            while let Some(op) = program.ops[r].get(pc[r]) {
+                let read = |src: &DataRef, staging: &[u8]| match *src {
+                    DataRef::Own { off, len } => payloads[r][range(off, len)].to_vec(),
+                    DataRef::Staging { off, len } => staging[range(off, len)].to_vec(),
+                    DataRef::Synthetic { .. } => unreachable!("no synthetic data here"),
+                };
+                match op {
+                    Op::Pack {
+                        src: Some(src),
+                        staging_off,
+                        bytes,
+                    } => {
+                        let data = read(src, &staging[r]);
+                        staging[r][range(*staging_off, *bytes)].copy_from_slice(&data);
+                    }
+                    Op::Send { dst, tag, src } => {
+                        let data = read(src, &staging[r]);
+                        mail.entry((r, *dst, tag.0)).or_default().push_back(data);
+                    }
+                    Op::Recv {
+                        src,
+                        tag,
+                        bytes,
+                        staging_off,
+                    } => {
+                        let queue = mail.get_mut(&(*src as usize, r as u32, tag.0));
+                        let Some(data) = queue.and_then(VecDeque::pop_front) else {
+                            break;
+                        };
+                        staging[r][range(*staging_off, *bytes)].copy_from_slice(&data);
+                    }
+                    Op::WriteAt { file, offset, src } => {
+                        let data = read(src, &staging[r]);
+                        let f = &mut files[file.0 as usize];
+                        f[range(*offset, data.len() as u64)].copy_from_slice(&data);
+                    }
+                    Op::ReadAt {
+                        file,
+                        offset,
+                        len,
+                        staging_off,
+                    } => {
+                        let data = files[file.0 as usize][range(*offset, *len)].to_vec();
+                        staging[r][range(*staging_off, *len)].copy_from_slice(&data);
+                    }
+                    _ => {}
+                }
+                pc[r] += 1;
+                progressed = true;
+            }
+        }
+        if !progressed {
+            break;
+        }
+    }
+    assert!(
+        (0..n).all(|r| pc[r] == program.ops[r].len()),
+        "the flat model deadlocked"
+    );
+    files
+}
+
+/// Run `program` under every depth 1–4 × [`JITTERS`] and under the
+/// serial one-write-per-op reference; each must leave the files the flat
+/// model computes.
+fn assert_matches_the_flat_model(name: &str, program: &Program, payloads: Vec<Vec<u8>>) {
+    let want = flat_model(program, &payloads);
+    let run = |label: &str, cfg: &dyn Fn(&std::path::Path) -> ExecConfig| {
+        let dir =
+            std::env::temp_dir().join(format!("rbio-rope-{name}-{label}-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        execute(program, payloads.clone(), &cfg(&dir)).expect("execute");
+        let got: Vec<Vec<u8>> = program
+            .files
+            .iter()
+            .map(|f| std::fs::read(dir.join(&f.name)).expect("output file"))
+            .collect();
+        std::fs::remove_dir_all(&dir).ok();
+        got
+    };
+    let reference = run("ref", &|dir| ExecConfig::new(dir).coalesce_caps(1, 1));
+    assert_eq!(reference, want, "{name}: serial reference vs flat model");
+    for depth in 1..=4 {
+        for jitter in JITTERS {
+            let got = run(&format!("{depth}-{jitter:x}"), &|dir| {
+                ExecConfig::new(dir)
+                    .pipeline_depth(depth)
+                    .pipeline_jitter(jitter)
+            });
+            assert_eq!(got, want, "{name}: depth {depth}, jitter {jitter:#x}");
+        }
+    }
+}
+
+/// `n` bytes of a pattern keyed by `seed`.
+fn pattern(seed: u64, n: u64) -> Vec<u8> {
+    (0..n)
+        .map(|i| (i * 31 + seed * 101 + i / 7) as u8)
+        .collect()
+}
+
+const N: u64 = 3000;
+
+fn build(
+    payload: Vec<u64>,
+    staging: &[u64],
+    files: &[(&str, u64)],
+    ops: Vec<(u32, Op)>,
+) -> Program {
+    let mut b = ProgramBuilder::new(payload);
+    for (rank, &bytes) in staging.iter().enumerate() {
+        b.reserve_staging(rank as u32, bytes);
+    }
+    for &(name, size) in files {
+        b.file(name, size);
+    }
+    ops.into_iter().for_each(|(rank, op)| b.push(rank, op));
+    b.build()
+}
+
+fn own(off: u64, len: u64) -> DataRef {
+    DataRef::Own { off, len }
+}
+
+fn stg(off: u64, len: u64) -> DataRef {
+    DataRef::Staging { off, len }
+}
+
+fn pack(src: DataRef, staging_off: u64) -> Op {
+    Op::Pack {
+        src: Some(src),
+        staging_off,
+        bytes: src.len(),
+    }
+}
+
+fn write(offset: u64, src: DataRef) -> Op {
+    Op::WriteAt {
+        file: FileId(0),
+        offset,
+        src,
+    }
+}
+
+fn open_close(rank: u32, body: Vec<Op>) -> Vec<(u32, Op)> {
+    let file = FileId(0);
+    std::iter::once(Op::Open { file, create: true })
+        .chain(body)
+        .chain(std::iter::once(Op::Close { file }))
+        .map(|op| (rank, op))
+        .collect()
+}
+
+/// A writer receives a message into a scratch slot, packs it into its
+/// image and writes the slot itself (deferred); the next message then
+/// lands on the same slot and is packed beside the first.
+#[test]
+fn a_recv_over_a_scratch_range_already_packed_matches_the_flat_model() {
+    let scratch = 2 * N;
+    let recv = Op::Recv {
+        src: 1,
+        tag: Tag(0),
+        bytes: N,
+        staging_off: scratch,
+    };
+    let send = |off| Op::Send {
+        dst: 0,
+        tag: Tag(0),
+        src: own(off, N),
+    };
+    let mut ops = vec![(1, send(0)), (1, send(N))];
+    ops.extend(open_close(
+        0,
+        vec![
+            recv.clone(),
+            pack(stg(scratch, N), 0),
+            write(2 * N, stg(scratch, N)),
+            recv,
+            pack(stg(scratch, N), N),
+            write(0, stg(0, 2 * N)),
+        ],
+    ));
+    let program = build(
+        vec![0, 2 * N],
+        &[3 * N, 0],
+        &[("recv-over.bin", 3 * N)],
+        ops,
+    );
+    let payloads = vec![Vec::new(), pattern(1, 2 * N)];
+    assert_matches_the_flat_model("recv-over", &program, payloads);
+}
+
+/// A pack lands across the boundary of two earlier ones, another inside
+/// one of them, and a staging → staging pack then overlaps its own source.
+#[test]
+fn a_pack_over_two_earlier_segments_matches_the_flat_model() {
+    let ops = open_close(
+        0,
+        vec![
+            pack(own(0, N), 0),
+            pack(own(N, N), N),
+            pack(own(2 * N, N), N / 2),
+            pack(own(N / 3, N / 8), N / 2 + N / 4),
+            write(2 * N, stg(0, 2 * N)),
+            pack(stg(0, N), N / 4),
+            write(0, stg(0, 2 * N)),
+        ],
+    );
+    let program = build(vec![3 * N], &[2 * N], &[("pack-over.bin", 4 * N)], ops);
+    assert_matches_the_flat_model("pack-over", &program, vec![pattern(2, 3 * N)]);
+}
+
+/// Staging nothing landed in reads as zeros: a whole range, and the
+/// stretches around one pack.
+#[test]
+fn a_write_of_never_written_staging_reads_zeros() {
+    let ops = open_close(
+        0,
+        vec![
+            write(0, stg(0, N)),
+            pack(own(0, N / 2), N + N / 4),
+            write(N, stg(N, 2 * N)),
+        ],
+    );
+    let program = build(vec![N], &[3 * N], &[("zeros.bin", 3 * N)], ops);
+    assert_matches_the_flat_model("zeros", &program, vec![pattern(3, N)]);
+}
+
+/// A send of a staging range that spans two segments leaves as one
+/// message, which the receiver writes.
+#[test]
+fn a_send_spanning_two_segments_matches_the_flat_model() {
+    let mut ops = vec![
+        (0, pack(own(0, N), 0)),
+        (0, pack(own(N, N), N)),
+        (
+            0,
+            Op::Send {
+                dst: 1,
+                tag: Tag(0),
+                src: stg(N / 2, N),
+            },
+        ),
+    ];
+    ops.extend(open_close(
+        1,
+        vec![
+            Op::Recv {
+                src: 0,
+                tag: Tag(0),
+                bytes: N,
+                staging_off: 0,
+            },
+            write(0, stg(0, N)),
+        ],
+    ));
+    let program = build(vec![2 * N, 0], &[2 * N, N], &[("send-span.bin", N)], ops);
+    let payloads = vec![pattern(4, 2 * N), Vec::new()];
+    assert_matches_the_flat_model("send-span", &program, payloads);
+}
+
+/// `ReadAt` lands file bytes over part of a packed segment; the write
+/// that follows gathers packed, read-back and never-written staging.
+#[test]
+fn a_read_into_staging_then_a_write_matches_the_flat_model() {
+    let ops = open_close(
+        0,
+        vec![
+            write(0, own(0, N)),
+            pack(own(N, N), 0),
+            Op::ReadAt {
+                file: FileId(0),
+                offset: 0,
+                len: N,
+                staging_off: N / 2,
+            },
+            write(N, stg(0, 2 * N)),
+        ],
+    );
+    let program = build(vec![2 * N], &[2 * N], &[("read-write.bin", 3 * N)], ops);
+    assert_matches_the_flat_model("read-write", &program, vec![pattern(5, 2 * N)]);
 }
