@@ -118,6 +118,7 @@ if [[ "$SLOW" == 1 ]]; then
   "$RBC" sweep --program p10 --seeds 256
   "$RBC" sweep --program p10 --seeds 64 --preempt
   "$RBC" sweep --program p11 --seeds 256
+  "$RBC" sweep --program p12 --seeds 256
 
   echo "== crash-image torture sweep (slow tier, >= 512 images) =="
   # Exhaustive tier: at least 512 distinct crash images across the

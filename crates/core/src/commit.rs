@@ -239,21 +239,20 @@ fn region_spans(head: &[u8], expected_size: u64) -> Vec<(u64, u64)> {
 /// Does a footer list exactly the regions [`region_spans`] gives a file
 /// with this header — one per field, its data span, in field order? A
 /// reader that places blocks by the header may then take the footer's
-/// CRCs for those very bytes. Checked sums: a header whose sizes overflow
-/// matches nothing.
+/// CRCs for those very bytes.
 pub(crate) fn regions_match_header(regions: &[FooterRegion], header: &format::FileHeader) -> bool {
     regions.len() == header.fields.len()
-        && regions.iter().zip(&header.fields).all(|(r, f)| {
-            let len = f.sizes.iter().try_fold(0u64, |sum, &s| sum.checked_add(s));
-            r.off == f.data_off && len == Some(r.len)
-        })
+        && regions
+            .iter()
+            .zip(&header.fields)
+            .all(|(r, f)| r.off == f.data_off && r.len == f.sizes.iter().sum::<u64>())
 }
 
 /// Checksum the regions of the `expected_size`-byte file `f` for its
 /// footer. Fails (rather than panics) when a parsed header describes
 /// regions outside the file.
 fn footer_regions(f: &File, expected_size: u64) -> io::Result<Vec<FooterRegion>> {
-    let head = format::read_header_prefix(f, expected_size)?;
+    let head = format::read_header_prefix(expected_size, |b, off| f.read_exact_at(b, off))?;
     let spans = region_spans(&head, expected_size);
     let mut buf = stream_buf(spans.iter().map(|&(_, len)| len));
     spans

@@ -1,7 +1,7 @@
 //! The one real interpreter of the plan IR.
 //!
 //! [`Interp`] executes one rank's op list: it owns that rank's staging
-//! image (a [`StagingMap`] of references to bytes already held — no
+//! image (an [`ExtentMap`] of references to bytes already held — no
 //! buffer of its own), open-file table and optional background flush
 //! pipeline, and performs every pack, file op, commit, fault
 //! consultation and controlled-scheduler yield. It reaches other
@@ -22,6 +22,7 @@ use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io;
+use std::ops::Range;
 use std::os::unix::fs::FileExt;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -31,10 +32,10 @@ use rbio_plan::{DataRef, Op, Program};
 use rbio_profile::counters;
 
 use super::mailbox::MailError;
-use super::staging::{Piece, Src, StagingMap};
 use super::{write_run_len, write_src, ExecConfig};
 use crate::buf::{BufPool, Bytes};
 use crate::commit;
+use crate::extent::{ExtentMap, Piece, Source};
 use crate::failover::{FailoverDirector, WriterHealth};
 use crate::fault::{self, IoCtx};
 use crate::format::synthetic_byte;
@@ -145,6 +146,25 @@ impl Payload<'_> {
     }
 }
 
+/// Where a stretch of a rank's staging image lives.
+#[derive(Clone)]
+pub(crate) enum Src {
+    /// The owner's payload, from this offset.
+    Own(u64),
+    /// Exactly the stretch's bytes: a received message, or a pooled
+    /// buffer filled by `ReadAt` or with synthetic data.
+    Buf(Bytes),
+}
+
+impl Source for Src {
+    fn sub(&self, k: u64, n: u64) -> Src {
+        match self {
+            Src::Own(off) => Src::Own(off + k),
+            Src::Buf(b) => Src::Buf(b.slice(k as usize..(k + n) as usize)),
+        }
+    }
+}
+
 /// One rank's execution state over transport `T`.
 pub(crate) struct Interp<'a, T: Transport> {
     /// Who is executing: the identity faults are injected under and
@@ -159,7 +179,7 @@ pub(crate) struct Interp<'a, T: Transport> {
     /// Present when failover is engaged for this run.
     director: Option<&'a FailoverDirector>,
     pub(crate) transport: T,
-    staging: StagingMap,
+    staging: ExtentMap<Src>,
     files: HashMap<u32, Arc<File>>,
     /// Background flush pipeline (`pipeline_depth >= 2`).
     pipe: Option<WriterHandle>,
@@ -187,7 +207,7 @@ impl<'a, T: Transport> Interp<'a, T> {
             cfg,
             director,
             transport,
-            staging: StagingMap::default(),
+            staging: ExtentMap::default(),
             files: HashMap::new(),
             pipe,
             retries: 0,
@@ -200,21 +220,25 @@ impl<'a, T: Transport> Interp<'a, T> {
         self.pipe.take();
     }
 
+    /// The bytes `r` of staging source `src`, borrowed in place.
+    fn src_bytes<'s>(&'s self, src: &'s Src, r: Range<u64>) -> &'s [u8] {
+        match src {
+            Src::Own(off) => self.payload.range(off + r.start, r.end - r.start),
+            Src::Buf(b) => &b[r.start as usize..r.end as usize],
+        }
+    }
+
     /// Append `r`'s bytes to `out` without a copy, for a write that
     /// completes before its op retires: payload and staging pieces are
     /// borrowed in place, synthetic data and never-written staging are
     /// generated.
     fn gather<'s>(&'s self, r: &DataRef, file_off: u64, out: &mut Vec<Cow<'s, [u8]>>) {
-        let borrowed = |p| match p {
-            Piece::Zeros(n) => Cow::Owned(vec![0; n as usize]),
-            Piece::Own { off, len } => Cow::Borrowed(self.payload.range(off, len)),
-            Piece::Buf(b, range) => Cow::Borrowed(&b[range]),
-        };
         match *r {
-            DataRef::Own { off, len } => out.push(borrowed(Piece::Own { off, len })),
-            DataRef::Staging { off, len } => {
-                out.extend(self.staging.pieces(off, len).map(borrowed))
-            }
+            DataRef::Own { off, len } => out.push(Cow::Borrowed(self.payload.range(off, len))),
+            DataRef::Staging { off, len } => out.extend(
+                self.staging
+                    .slices(off, len, |src, r| self.src_bytes(src, r)),
+            ),
             DataRef::Synthetic { len } => out.push(Cow::Owned(
                 (0..len).map(|i| synthetic_byte(file_off + i)).collect(),
             )),
@@ -226,14 +250,15 @@ impl<'a, T: Transport> Interp<'a, T> {
     /// is an O(1) slice; a payload piece costs what [`Payload::owned`]
     /// costs; synthetic data and never-written staging are generated.
     fn gather_owned(&self, r: &DataRef, file_off: u64, out: &mut Vec<Bytes>) {
-        let owned = |p| match p {
-            Piece::Zeros(n) => BufPool::global().lease(n as usize).freeze(),
-            Piece::Own { off, len } => self.payload.owned(off, len),
-            Piece::Buf(b, range) => b.slice(range),
-        };
         match *r {
-            DataRef::Own { off, len } => out.push(owned(Piece::Own { off, len })),
-            DataRef::Staging { off, len } => out.extend(self.staging.pieces(off, len).map(owned)),
+            DataRef::Own { off, len } => out.push(self.payload.owned(off, len)),
+            DataRef::Staging { off, len } => {
+                out.extend(self.staging.pieces(off, len).map(|p| match p {
+                    Piece::Zeros(n) => BufPool::global().lease(n as usize).freeze(),
+                    Piece::Data(Src::Own(o), r) => self.payload.owned(o + r.start, r.end - r.start),
+                    Piece::Data(Src::Buf(b), r) => b.slice(r.start as usize..r.end as usize),
+                }))
+            }
             DataRef::Synthetic { len } => out.push(
                 BufPool::global().from_fn(len as usize, |i| synthetic_byte(file_off + i as u64)),
             ),
@@ -246,14 +271,9 @@ impl<'a, T: Transport> Interp<'a, T> {
     fn message(&self, r: &DataRef) -> Bytes {
         if let DataRef::Staging { off, len } = *r {
             if self.staging.pieces(off, len).nth(1).is_some() {
-                let mut parts = Vec::new();
-                self.gather(r, 0, &mut parts);
                 let mut msg = BufPool::global().lease(len as usize);
-                let mut at = 0;
-                for part in parts {
-                    msg[at..at + part.len()].copy_from_slice(&part);
-                    at += part.len();
-                }
+                self.staging
+                    .read(off, &mut msg, |src, r| self.src_bytes(src, r));
                 counters::add_bytes_copied(len);
                 return msg.freeze();
             }

@@ -18,9 +18,8 @@
 //! fields — `recv_timeout`, `chan_capacity` and `failover` — concern the
 //! mailboxes and the takeover that only `execute` owns.
 
-mod interp;
+pub(crate) mod interp;
 mod mailbox;
-mod staging;
 
 use std::collections::{HashMap, HashSet};
 use std::io;

@@ -296,7 +296,7 @@ impl FileHeader {
         let f = &self.fields[field];
         let idx = (rank - self.r0) as usize;
         let off: u64 = f.sizes[..idx].iter().sum();
-        (f.data_off + off, f.sizes[idx])
+        (f.data_off.saturating_add(off), f.sizes[idx])
     }
 
     /// Total size this file should have (header + all field data).
@@ -456,7 +456,16 @@ pub fn decode_header(bytes: &[u8]) -> Result<FileHeader, FormatError> {
         .map_err(|_| FormatError::Inconsistent("app name not UTF-8".into()))?;
     let nfields = c.u32()? as usize;
     let covered = (r1 - r0) as usize;
+    // Allocate only what the header's bytes can back: a field entry takes
+    // at least 19 of them (name length, kind, one size, `data_off`), and
+    // the sizes table may be no larger than the largest header ever read.
+    if nfields > hlen as usize / 19 || covered as u64 * nfields.max(1) as u64 > MAX_HEADER_LEN / 8 {
+        return Err(FormatError::Inconsistent(format!(
+            "{nfields} fields of {covered} ranks"
+        )));
+    }
     let mut fields = Vec::with_capacity(nfields);
+    let mut total = hlen;
     for _ in 0..nfields {
         let name_len = c.u16()? as usize;
         let name = String::from_utf8(c.take(name_len)?.to_vec())
@@ -474,6 +483,11 @@ pub fn decode_header(bytes: &[u8]) -> Result<FileHeader, FormatError> {
             k => return Err(FormatError::Inconsistent(format!("size kind {k}"))),
         };
         let data_off = c.u64()?;
+        // The file's size, and so every sum of its sizes, is a `u64`.
+        total = sizes
+            .iter()
+            .try_fold(total, |a, &s| a.checked_add(s))
+            .ok_or_else(|| FormatError::Inconsistent(format!("field {name}'s sizes overflow")))?;
         fields.push(ParsedField {
             name,
             sizes,
@@ -513,20 +527,22 @@ pub(crate) fn declared_header_len(prefix: &[u8]) -> Option<u64> {
     Some(u64::from_le_bytes(field.try_into().expect("len 8")))
 }
 
-/// Read from the front of `f` (which holds `file_len` bytes) exactly what
-/// [`decode_header`] needs and no more: the prelude names `header_len`;
-/// when that is at most [`MAX_HEADER_LEN`] and the file holds that many
-/// bytes, they are returned. Otherwise only the prelude is (or the whole
-/// of a file shorter than one), which `decode_header` then reports as
-/// bad magic or `Truncated` exactly as it would given the whole file.
-pub(crate) fn read_header_prefix(f: &std::fs::File, file_len: u64) -> std::io::Result<Vec<u8>> {
-    use std::os::unix::fs::FileExt;
+/// Read (`read_at(buf, off)`) from the front of a `file_len`-byte file
+/// exactly what [`decode_header`] needs and no more: the prelude names
+/// `header_len`; when that is at most [`MAX_HEADER_LEN`] and the file
+/// holds that many bytes, they are returned. Otherwise only the prelude
+/// is (or the whole of a file shorter than one), which `decode_header`
+/// then reports as bad magic or `Truncated` as it would the whole file.
+pub(crate) fn read_header_prefix(
+    file_len: u64,
+    mut read_at: impl FnMut(&mut [u8], u64) -> std::io::Result<()>,
+) -> std::io::Result<Vec<u8>> {
     let mut buf = vec![0u8; file_len.min(HEADER_PRELUDE_LEN as u64) as usize];
-    f.read_exact_at(&mut buf, 0)?;
+    read_at(&mut buf, 0)?;
     if let Some(hlen) = declared_header_len(&buf) {
         if hlen > buf.len() as u64 && hlen <= MAX_HEADER_LEN.min(file_len) {
             buf.resize(hlen as usize, 0);
-            f.read_exact_at(&mut buf[HEADER_PRELUDE_LEN..], HEADER_PRELUDE_LEN as u64)?;
+            read_at(&mut buf[HEADER_PRELUDE_LEN..], HEADER_PRELUDE_LEN as u64)?;
         }
     }
     Ok(buf)
@@ -714,6 +730,9 @@ mod tests {
     #[test]
     fn header_prefix_read_returns_what_decode_needs_and_no_more() {
         use std::io::Write;
+        use std::os::unix::fs::FileExt;
+        let read_header_prefix =
+            |f: &std::fs::File, len| read_header_prefix(len, |b, off| f.read_exact_at(b, off));
         let dir = std::env::temp_dir().join(format!("rbio-format-prefix-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let open = |name: &str, bytes: &[u8]| {

@@ -53,6 +53,7 @@ pub mod buf;
 pub mod commit;
 pub mod crash;
 pub mod exec;
+pub mod extent;
 pub mod failover;
 pub mod fault;
 pub mod format;

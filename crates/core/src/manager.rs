@@ -17,6 +17,7 @@
 
 use std::fs;
 use std::io;
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -232,7 +233,8 @@ pub(crate) fn check_committed_file(
         ));
     }
     let f = fs::File::open(path).map_err(|e| format!("open: {e}"))?;
-    let hdr = read_header_prefix(&f, meta.len()).map_err(|e| format!("read header: {e}"))?;
+    let hdr = read_header_prefix(meta.len(), |b, off| f.read_exact_at(b, off))
+        .map_err(|e| format!("read header: {e}"))?;
     if declared_header_len(&hdr).is_none() {
         return Err("too short for a header".into());
     }
@@ -282,7 +284,6 @@ fn marker_body(
         // CRC the header region only (data integrity is the header
         // CRC + size check; whole-file CRCs would double write time).
         let mut hdr = vec![0u8; (*hdr_len).min(meta.len()) as usize];
-        use std::os::unix::fs::FileExt;
         fs::File::open(&path)?.read_exact_at(&mut hdr, 0)?;
         let landing = if recovered.contains(name) {
             "tierloss:burst"
@@ -656,24 +657,20 @@ impl CheckpointManager {
         if self.engine.is_none() {
             gc_orphans(&self.cfg.dir, None)?;
         }
-        // Nearest tier: the newest drained-and-retained local stage.
-        // Only durable generations qualify — a stage whose drain failed
+        // Nearest tier: the newest retained local stage. The engine
+        // retains a stage only once it is durable: one whose drain failed
         // or is still in flight is not restart state yet.
-        if let Some(engine) = &self.engine {
-            if let Some(stage) = engine.newest_retained() {
-                let step = stage.step();
-                if engine.durable_steps().contains(&step) {
-                    let plan = self.plan_for(step)?;
-                    if let Ok(data) = read_checkpoint_staged(&plan, |name| stage.assemble(name)) {
-                        rbio_profile::counters::add_tier_restores(1);
-                        sched::emit(|| Event::TierRestore {
-                            step,
-                            tier: TierId::Local,
-                        });
-                        sched::emit(|| Event::RestoreDone { step });
-                        return Ok(data);
-                    }
-                }
+        if let Some(stage) = self.engine.as_ref().and_then(|e| e.newest_retained()) {
+            let step = stage.step();
+            let plan = self.plan_for(step)?;
+            if let Ok(data) = read_checkpoint_staged(&plan, &stage) {
+                rbio_profile::counters::add_tier_restores(1);
+                sched::emit(|| Event::TierRestore {
+                    step,
+                    tier: TierId::Local,
+                });
+                sched::emit(|| Event::RestoreDone { step });
+                return Ok(data);
             }
         }
         let burst = self.cfg.tier.as_ref().and_then(|t| t.burst_dir.as_deref());

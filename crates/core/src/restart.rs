@@ -25,6 +25,7 @@
 
 use std::fs::File;
 use std::io::{self, IoSliceMut, Seek, SeekFrom};
+use std::os::unix::fs::FileExt;
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -37,6 +38,7 @@ use crate::format::{
     declared_header_len, decode_header, read_header_prefix, FileHeader, FormatError, MAX_HEADER_LEN,
 };
 use crate::strategy::CheckpointPlan;
+use crate::tier::TierStage;
 
 /// Cap on concurrent per-file restart readers: files read and
 /// checksummed at once.
@@ -138,9 +140,20 @@ impl RestoredData {
 
 fn read_header(path: &Path) -> Result<FileHeader, RestartError> {
     let f = File::open(path)?;
-    let buf = read_header_prefix(&f, f.metadata()?.len())?;
+    let read_at = |buf: &mut [u8], off| f.read_exact_at(buf, off);
+    header_of(&path.display().to_string(), f.metadata()?.len(), read_at)
+}
+
+/// Read and decode the header of `file`, `len` bytes long, whose bytes
+/// `read_at` reads.
+fn header_of(
+    file: &str,
+    len: u64,
+    read_at: impl FnMut(&mut [u8], u64) -> io::Result<()>,
+) -> Result<FileHeader, RestartError> {
+    let buf = read_header_prefix(len, read_at)?;
     let torn = |what: String| RestartError::Torn {
-        file: path.display().to_string(),
+        file: file.to_string(),
         what,
     };
     // `Truncated` from a prefix that stops short of `header_len` is a
@@ -160,7 +173,7 @@ fn read_header(path: &Path) -> Result<FileHeader, RestartError> {
             Err(torn(format!("file ends inside its {hlen}-byte header")))
         }
         (Err(e), _) => Err(RestartError::Format {
-            file: path.display().to_string(),
+            file: file.to_string(),
             source: e,
         }),
     }
@@ -192,7 +205,6 @@ fn extract_file(dir: &Path, rel: &str, header: &FileHeader) -> FileBlocks {
             "file is {actual} bytes, header expects {logical}"
         )));
     }
-    let covered = (header.r1 - header.r0) as usize;
     // Every published checkpoint file carries a commit footer with
     // per-field checksums. A missing or failing footer means the file was
     // never committed (crash between write and rename) or rotted
@@ -200,7 +212,7 @@ fn extract_file(dir: &Path, rel: &str, header: &FileHeader) -> FileBlocks {
     if header.fields.is_empty() {
         // No blocks to hand out: the sealer's single whole-file region.
         return match commit::verify_committed_file(file, logical)? {
-            Ok(()) => Ok(vec![Vec::new(); covered]),
+            Ok(()) => Ok(vec![Vec::new(); (header.r1 - header.r0) as usize]),
             Err(e) => Err(torn(e.to_string())),
         };
     }
@@ -215,23 +227,11 @@ fn extract_file(dir: &Path, rel: &str, header: &FileHeader) -> FileBlocks {
             "commit footer's regions are not the header's field spans".to_string(),
         ));
     }
-    let pool = BufPool::global();
-    let mut images: Vec<PooledBuf> = (0..covered)
-        .map(|k| pool.lease(header.fields.iter().map(|f| f.sizes[k] as usize).sum()))
-        .collect();
-    // What is left to fill of each rank's buffer: fields land in order,
-    // so a rank's next block is always the front of its tail.
-    let mut tails: Vec<&mut [u8]> = images.iter_mut().map(|b| &mut b[..]).collect();
-    let mut batch: Vec<IoSliceMut<'_>> = Vec::new();
-    for (index, (f, r)) in header.fields.iter().zip(&regions).enumerate() {
-        file.seek(SeekFrom::Start(f.data_off))?;
+    place_blocks(header, |index, blocks| {
+        file.seek(SeekFrom::Start(header.fields[index].data_off))?;
+        let mut batch = Vec::new();
         let (mut crc, mut batched) = (0, 0);
-        for (tail, &len) in tails.iter_mut().zip(&f.sizes) {
-            if len == 0 {
-                continue;
-            }
-            let (block, rest) = std::mem::take(tail).split_at_mut(len as usize);
-            *tail = rest;
+        for (_, block) in blocks {
             batched += block.len();
             batch.push(IoSliceMut::new(block));
             // Gather small blocks into one `readv`; a large one is its own.
@@ -242,49 +242,60 @@ fn extract_file(dir: &Path, rel: &str, header: &FileHeader) -> FileBlocks {
             }
         }
         crc = commit::read_crc32c(file, &mut batch, crc)?;
-        batch.clear();
-        if crc != r.crc32c {
+        let stored = regions[index].crc32c;
+        if crc != stored {
             let mismatch = VerifyError::ChecksumMismatch {
                 index,
-                stored: r.crc32c,
+                stored,
                 computed: crc,
             };
             return Err(torn(mismatch.to_string()));
         }
-    }
-    Ok(images
-        .into_iter()
-        .enumerate()
-        .map(|(k, image)| {
-            let image = image.freeze();
-            let mut off = 0;
-            header
-                .fields
-                .iter()
-                .map(|f| {
-                    let block = image.slice(off..off + f.sizes[k] as usize);
-                    off += block.len();
-                    block
-                })
-                .collect()
-        })
-        .collect())
+        Ok(())
+    })
 }
 
-/// Slice a file image into one row of zero-copy field blocks per rank
-/// the file covers. `bytes` must hold at least
-/// `header.expected_file_size()` bytes.
-fn rank_blocks(bytes: &Bytes, header: &FileHeader) -> Vec<Vec<Bytes>> {
-    (header.r0..header.r1)
-        .map(|rank| {
-            (0..header.fields.len())
-                .map(|field| {
-                    let (off, len) = header.rank_block(rank, field);
-                    bytes.slice(off as usize..(off + len) as usize)
-                })
-                .collect()
+/// Place a file's blocks payload-shaped: one buffer per covered rank,
+/// leased from the pool at the size of that rank's field blocks together.
+/// `fill(field, blocks)` fills one field's non-empty blocks, each with
+/// its file offset, in rank order: back to back from the field's
+/// `data_off`. Returns `blocks[rank - r0][field]`, zero-copy slices of
+/// the buffers.
+fn place_blocks(
+    header: &FileHeader,
+    mut fill: impl FnMut(usize, &mut Blocks<'_>) -> Result<(), RestartError>,
+) -> FileBlocks {
+    let pool = BufPool::global();
+    let covered = (header.r1 - header.r0) as usize;
+    let mut images: Vec<PooledBuf> = (0..covered)
+        .map(|k| pool.lease(header.fields.iter().map(|f| f.sizes[k] as usize).sum()))
+        .collect();
+    // What is left to fill of each rank's buffer: fields land in order,
+    // so a rank's next block is always the front of its tail.
+    let mut tails: Vec<&mut [u8]> = images.iter_mut().map(|b| &mut b[..]).collect();
+    for (index, f) in header.fields.iter().enumerate() {
+        let mut at = f.data_off;
+        let blocks = tails.iter_mut().zip(&f.sizes).filter(|(_, &len)| len > 0);
+        fill(
+            index,
+            &mut blocks.map(|(tail, &len)| {
+                let (block, rest) = std::mem::take(tail).split_at_mut(len as usize);
+                *tail = rest;
+                at += len;
+                (at - len, block)
+            }),
+        )?;
+    }
+    let rows = images.into_iter().enumerate().map(|(k, image)| {
+        let (image, mut end) = (image.freeze(), 0);
+        let lens = header.fields.iter().map(|f| f.sizes[k] as usize);
+        lens.map(|n| {
+            end += n;
+            image.slice(end - n..end)
         })
         .collect()
+    });
+    Ok(rows.collect())
 }
 
 /// A plan file's header must describe the rank range, the job size and
@@ -352,6 +363,12 @@ fn restored_for_plan(
 /// covered by the file.
 type FileBlocks = Result<Vec<Vec<Bytes>>, RestartError>;
 
+/// One field's blocks of a file, each with its file offset, in rank order.
+type Blocks<'a> = dyn Iterator<Item = (u64, &'a mut [u8])> + 'a;
+
+/// Extracts one file, named relative to its checkpoint, by its header.
+type Extract<'a> = &'a (dyn Fn(&str, &FileHeader) -> FileBlocks + Sync);
+
 /// Test-only panic injection: a worker extracting the file at this index
 /// panics (consuming the injection). `usize::MAX` is inert. Pins the
 /// regression where a worker panic poisoned its slot mutex and the
@@ -361,7 +378,12 @@ pub static INJECT_EXTRACT_PANIC: AtomicUsize = AtomicUsize::new(usize::MAX);
 
 /// Run one file's extraction, converting a worker panic into a typed
 /// [`RestartError::WorkerPanicked`] so sibling files still restore.
-fn extract_file_guarded(dir: &Path, rel: &str, header: &FileHeader, index: usize) -> FileBlocks {
+fn extract_file_guarded(
+    extract: Extract<'_>,
+    rel: &str,
+    header: &FileHeader,
+    index: usize,
+) -> FileBlocks {
     let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         if INJECT_EXTRACT_PANIC
             .compare_exchange(index, usize::MAX, Ordering::AcqRel, Ordering::Acquire)
@@ -369,7 +391,7 @@ fn extract_file_guarded(dir: &Path, rel: &str, header: &FileHeader, index: usize
         {
             panic!("injected restart worker panic");
         }
-        extract_file(dir, rel, header)
+        extract(rel, header)
     }));
     match res {
         Ok(r) => r,
@@ -387,61 +409,44 @@ fn extract_file_guarded(dir: &Path, rel: &str, header: &FileHeader, index: usize
     }
 }
 
-/// Lock a result slot without trusting poison state: with panics caught
-/// in [`extract_file_guarded`] the storing closure cannot unwind, but a
-/// poisoned lock must still yield its data rather than panic again.
-fn lock_unpoisoned<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|p| p.into_inner())
-}
-
 /// Extract every file of a checkpoint, fanning the per-file work (read +
 /// checksum verification + slicing) out across up to
-/// [`MAX_RESTART_WORKERS`] threads. Files cover disjoint rank ranges, so
-/// the merge is a straight append per rank; the first failing file (by
-/// listed order) wins error reporting, matching the serial path. A
-/// panicking worker fails only its own file (typed
-/// [`RestartError::WorkerPanicked`]); every other slot completes.
+/// [`MAX_RESTART_WORKERS`] threads, the caller one of them. Files cover
+/// disjoint rank ranges, so the merge is a straight append per rank; the
+/// first failing file (by listed order) wins error reporting, whatever
+/// the order the files finished in. A panicking worker fails only its own
+/// file (typed [`RestartError::WorkerPanicked`]); every other slot
+/// completes, and a slot's lock is taken without trusting its poison
+/// state.
 fn extract_all(
-    dir: &Path,
     files: &[(String, FileHeader)],
     nranks: u32,
+    extract: Extract<'_>,
 ) -> Result<Vec<Vec<Bytes>>, RestartError> {
-    let mut data: Vec<Vec<Bytes>> = vec![Vec::new(); nranks as usize];
     let workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
+        .map_or(1, |n| n.get())
         .min(files.len())
         .min(MAX_RESTART_WORKERS);
-    let mut results: Vec<Option<FileBlocks>> = if workers <= 1 {
-        files
-            .iter()
-            .enumerate()
-            .map(|(i, (name, h))| Some(extract_file_guarded(dir, name, h, i)))
-            .collect()
-    } else {
-        let next = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<FileBlocks>>> =
-            files.iter().map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= files.len() {
-                        break;
-                    }
-                    let (name, h) = &files[i];
-                    let res = extract_file_guarded(dir, name, h, i);
-                    *lock_unpoisoned(&slots[i]) = Some(res);
-                });
-            }
-        });
-        slots
-            .into_iter()
-            .map(|m| m.into_inner().unwrap_or_else(|p| p.into_inner()))
-            .collect()
+    let next = AtomicUsize::new(0);
+    let slots: Vec<Mutex<Option<FileBlocks>>> = files.iter().map(|_| Mutex::new(None)).collect();
+    let work = || loop {
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        let Some((name, h)) = files.get(i) else {
+            break;
+        };
+        let res = extract_file_guarded(extract, name, h, i);
+        *slots[i].lock().unwrap_or_else(|p| p.into_inner()) = Some(res);
     };
-    for ((_, h), slot) in files.iter().zip(results.iter_mut()) {
-        let blocks = slot.take().expect("every file slot filled")?;
+    std::thread::scope(|scope| {
+        for _ in 1..workers {
+            scope.spawn(work);
+        }
+        work();
+    });
+    let mut data: Vec<Vec<Bytes>> = vec![Vec::new(); nranks as usize];
+    for ((_, h), slot) in files.iter().zip(slots) {
+        let slot = slot.into_inner().unwrap_or_else(|p| p.into_inner());
+        let blocks = slot.expect("every file slot filled")?;
         for (k, row) in blocks.into_iter().enumerate() {
             data[h.r0 as usize + k].extend(row);
         }
@@ -455,63 +460,68 @@ pub fn read_checkpoint(
     plan: &CheckpointPlan,
 ) -> Result<RestoredData, RestartError> {
     let dir = dir.as_ref();
-    let nranks = plan.layout.nranks();
-    // Headers first (small reads, serial): shape checks must all pass
-    // before the heavy per-file extraction fans out.
-    let mut files: Vec<(String, FileHeader)> = Vec::with_capacity(plan.plan_files.len());
-    let mut step = None;
-    for pf in &plan.plan_files {
-        let header = read_header(&dir.join(&pf.name))?;
-        check_header_shape(plan, pf, &header)?;
-        step = Some(header.step);
-        files.push((pf.name.clone(), header));
-    }
-    let data = extract_all(dir, &files, nranks)?;
-    restored_for_plan(plan, step, data)
+    let header = |name: &str| read_header(&dir.join(name));
+    read_plan_files(plan, header, &|name, h| extract_file(dir, name, h))
 }
 
-/// Read back a checkpoint from in-memory file images — the node-local
-/// tier's staged extents (see [`crate::tier::TierStage::assemble`]).
-/// `image_of` yields the full logical image for a plan file name.
+/// Read back the checkpoint a plan wrote from the node-local tier's
+/// sealed files: each is placed payload-shaped ([`place_blocks`]) by
+/// copying its slab extents straight into the restored blocks.
 ///
-/// Staged images carry no commit footer (sealing is in-memory; the
+/// Staged files carry no commit footer (sealing is in-memory; the
 /// durability proof lives on the drained tiers), so integrity here is
 /// the header shape checks — the same trust as the application's own
 /// buffers the bytes were copied from moments earlier.
 pub fn read_checkpoint_staged(
     plan: &CheckpointPlan,
-    mut image_of: impl FnMut(&str) -> Option<Vec<u8>>,
+    stage: &TierStage,
 ) -> Result<RestoredData, RestartError> {
-    let nranks = plan.layout.nranks();
-    let mut step = None;
-    let mut data: Vec<Vec<Bytes>> = vec![Vec::new(); nranks as usize];
+    let torn = |file: &str, what| RestartError::Torn {
+        file: file.to_string(),
+        what,
+    };
+    let files = stage.sealed_files().map_err(|(n, what)| torn(&n, what))?;
+    let header = |name: &str| {
+        let Some((map, size)) = files.get(name) else {
+            return Err(torn(name, "not sealed in the local tier".to_string()));
+        };
+        header_of(name, *size, |buf, off| {
+            map.read(off, buf, |r, k| stage.bytes(r, k));
+            Ok(())
+        })
+    };
+    read_plan_files(plan, header, &|name, header| {
+        let (map, size) = &files[name]; // sealed: its header was read first
+                                        // No footer checks the spans here: each field must end in the file.
+        let ends = header.fields.iter();
+        let ends = ends.map(|f| f.data_off.saturating_add(f.sizes.iter().sum()));
+        let want = ends.fold(header.expected_file_size(), u64::max);
+        if *size < want {
+            let what = format!("staged file is {size} bytes, header expects {want}");
+            return Err(torn(name, what));
+        }
+        place_blocks(header, |_, blocks| {
+            blocks.for_each(|(at, block)| map.read(at, block, |r, k| stage.bytes(r, k)));
+            Ok(())
+        })
+    })
+}
+
+/// Read back the files of `plan`: headers first (small reads, serial), so
+/// the shape checks all pass before the heavy per-file extraction fans out.
+fn read_plan_files(
+    plan: &CheckpointPlan,
+    header: impl Fn(&str) -> Result<FileHeader, RestartError>,
+    extract: Extract<'_>,
+) -> Result<RestoredData, RestartError> {
+    let mut files: Vec<(String, FileHeader)> = Vec::with_capacity(plan.plan_files.len());
     for pf in &plan.plan_files {
-        let img = image_of(&pf.name).ok_or_else(|| RestartError::Torn {
-            file: pf.name.clone(),
-            what: "not resident in the local tier".to_string(),
-        })?;
-        let bytes = Bytes::from_vec(img);
-        let header = decode_header(&bytes).map_err(|e| RestartError::Format {
-            file: pf.name.clone(),
-            source: e,
-        })?;
-        check_header_shape(plan, pf, &header)?;
-        if (bytes.len() as u64) < header.expected_file_size() {
-            return Err(RestartError::Torn {
-                file: pf.name.clone(),
-                what: format!(
-                    "staged image is {} bytes, header expects {}",
-                    bytes.len(),
-                    header.expected_file_size()
-                ),
-            });
-        }
-        step = Some(header.step);
-        for (k, row) in rank_blocks(&bytes, &header).into_iter().enumerate() {
-            data[header.r0 as usize + k].extend(row);
-        }
+        let h = header(&pf.name)?;
+        check_header_shape(plan, pf, &h)?;
+        files.push((pf.name.clone(), h));
     }
-    restored_for_plan(plan, step, data)
+    let data = extract_all(&files, plan.layout.nranks(), extract)?;
+    restored_for_plan(plan, files.last().map(|(_, h)| h.step), data)
 }
 
 /// Discover every rbio checkpoint file under `dir` whose name starts with
@@ -577,7 +587,7 @@ pub fn read_checkpoint_auto(
             "files cover ranks [0,{cursor}) of {nranks}"
         )));
     }
-    let data = extract_all(dir, &files, nranks)?;
+    let data = extract_all(&files, nranks, &|name, h| extract_file(dir, name, h))?;
     Ok(RestoredData {
         step,
         nranks,
@@ -732,6 +742,53 @@ mod tests {
         // With the injection consumed, the same checkpoint restores.
         let restored = read_checkpoint(&dir, &plan).unwrap();
         assert_eq!(restored.nranks, 4);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn staged_restore_refuses_a_field_past_the_sealed_size() {
+        use crate::tier::SlabPool;
+        use std::sync::Arc;
+        let layout = DataLayout::uniform(2, &[("Ex", 64)]);
+        let plan = CheckpointSpec::new(layout, "ck").step(4).plan().unwrap();
+        let dir = tmpdir("staged-span");
+        std::fs::create_dir_all(&dir).unwrap();
+        let stage = Arc::new(TierStage::new(4, Arc::new(SlabPool::anonymous(1 << 16))));
+        let cfg = ExecConfig::new(&dir).stage(Arc::clone(&stage));
+        execute(&plan.program, materialize_payloads(&plan, fill), &cfg).unwrap();
+        let restored = read_checkpoint_staged(&plan, &stage).unwrap();
+        let mut want = vec![0u8; 64];
+        fill(1, 0, &mut want);
+        assert_eq!(restored.field_data(1, 0), &want[..]);
+
+        // Re-stage one header with its field's `data_off` a byte late and
+        // its CRC resealed: the field now ends past the sealed bytes.
+        let name = &plan.plan_files[0].name;
+        let files = stage.sealed_files().unwrap();
+        let (map, size) = &files[name];
+        let read = |b: &mut [u8], off| {
+            map.read(off, b, |r, k| stage.bytes(r, k));
+            Ok(())
+        };
+        let h = header_of(name, *size, read).unwrap();
+        let mut hdr = vec![0u8; h.header_len as usize];
+        map.read(0, &mut hdr, |r, k| stage.bytes(r, k));
+        let n = hdr.len() - 4;
+        let late = h.fields[0].data_off + 1;
+        hdr[n - 8..n].copy_from_slice(&late.to_le_bytes());
+        let crc = crate::format::crc32(&hdr[..n]);
+        hdr[n..].copy_from_slice(&crc.to_le_bytes());
+        stage.append(name, 0, &hdr).unwrap();
+        match read_checkpoint_staged(&plan, &stage) {
+            Err(RestartError::Torn { file, what }) => {
+                assert_eq!(&file, name);
+                assert!(
+                    what.contains(&format!("header expects {}", size + 1)),
+                    "{what}"
+                );
+            }
+            other => panic!("want Torn, got {other:?}"),
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

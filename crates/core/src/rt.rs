@@ -448,7 +448,7 @@ mod tests {
     use crate::format::materialize_payloads;
     use crate::layout::DataLayout;
     use crate::strategy::{CheckpointSpec, Strategy};
-    use crate::tier::{SlabPool, TierStage};
+    use crate::tier::{DrainJob, SlabPool, TierEngine, TierStage};
     use rbio_profile::counters;
     use std::path::PathBuf;
 
@@ -646,23 +646,35 @@ mod tests {
                 assert_eq!(a, b, "{strategy:?}: {} differs", pf.name);
             }
 
-            // Tier-staged: under either entry point every atomic file's
-            // logical image lands in the slab, and nothing reaches the
-            // PFS before a drain.
+            // Tier-staged: under either entry point nothing reaches the
+            // PFS before a drain, and every atomic file the drain then
+            // lands there is the untiered run's, byte for byte.
             let (dir_se, dir_sr) = (tmpdir(&format!("se-{tag}")), tmpdir(&format!("sr-{tag}")));
             let (stage_e, stage_r) = (tier_stage(&dir_se), tier_stage(&dir_sr));
             let cfg_e = ExecConfig::new(&dir_se).stage(Arc::clone(&stage_e));
             execute(program, payloads.clone(), &cfg_e).expect("staged exec");
             let cfg_r = RtConfig::new(&dir_sr).stage(Arc::clone(&stage_r));
             run_rt(program, &payloads, &cfg_r);
-            for f in program.files.iter().filter(|f| f.atomic) {
-                let want = std::fs::read(dir_exec.join(&f.name)).expect("exec file");
-                let got = stage_r.assemble(&f.name).expect("rt sealed the file");
-                assert_eq!(got, want[..f.size as usize], "{strategy:?}: {}", f.name);
-                assert_eq!(stage_e.assemble(&f.name), Some(got), "{strategy:?}");
-                for d in [&dir_se, &dir_sr] {
+            for (d, stage) in [(&dir_se, stage_e), (&dir_sr, stage_r)] {
+                let atomic = || program.files.iter().filter(|f| f.atomic);
+                for f in atomic() {
                     let pfs = d.join(&f.name);
                     assert!(!pfs.exists() && !crate::commit::tmp_path(&pfs).exists());
+                }
+                let engine = TierEngine::new(1);
+                engine.submit(DrainJob {
+                    step: 1,
+                    stage,
+                    pfs_dir: d.clone(),
+                    burst_dir: None,
+                    fsync: false,
+                    publish: Box::new(|_| Ok(())),
+                });
+                engine.wait_durable(1).expect("drain");
+                for f in atomic() {
+                    let want = std::fs::read(dir_exec.join(&f.name)).expect("exec file");
+                    let got = std::fs::read(d.join(&f.name)).expect("drained file");
+                    assert!(got == want, "{strategy:?}: drained {} differs", f.name);
                 }
             }
             for d in [dir_exec, dir_rt, dir_se, dir_sr] {

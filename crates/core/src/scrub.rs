@@ -33,6 +33,7 @@
 
 use std::fs;
 use std::io;
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 
 use rbio_profile::counters;
@@ -166,7 +167,7 @@ impl ScrubConfig {
 fn repair_from_burst(dir: &Path, burst: &Path, name: &str, want_size: u64) -> Result<(), String> {
     let src = burst.join(name);
     let header = fs::File::open(&src)
-        .and_then(|f| read_header_prefix(&f, want_size))
+        .and_then(|f| read_header_prefix(want_size, |b, off| f.read_exact_at(b, off)))
         .map_err(|e| format!("burst copy unreadable: {e}"))
         .and_then(|h| decode_header(&h).map_err(|e| format!("burst copy header: {e}")))?;
     if header.expected_committed_size() != want_size {

@@ -9,12 +9,14 @@
 //! 1. **Staged** — writer ranks append extents into a pre-allocated,
 //!    mmap'd slab file ([`SlabPool`]) at memory speed. The append hot
 //!    path is zero-alloc: an atomic bump pointer plus one `memcpy`.
+//!    Each file is an [`ExtentMap`] of its extents' slab windows.
 //!    From the application's point of view the checkpoint is over as
 //!    soon as staging finishes — this is the *perceived* bandwidth.
 //! 2. **Drained** — a background [`TierEngine`] thread flushes each
 //!    staged generation down the hierarchy (local → optional burst
 //!    directory → PFS), each hop one [`crate::commit::commit_bytes`] per
-//!    file, then publishes the generation's commit marker.
+//!    file that gathers its slab windows (no image of the file is built),
+//!    then publishes the generation's commit marker.
 //!    Only then is the generation *durable*.
 //! 3. **Retained** — the most recent drained generations stay resident
 //!    in the local tier so a restart can be served at memory speed
@@ -34,10 +36,12 @@
 
 #![allow(unsafe_code)]
 
+use std::borrow::Cow;
 use std::cell::UnsafeCell;
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fs::File;
 use std::io;
+use std::ops::Range;
 use std::os::fd::AsRawFd;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -48,6 +52,7 @@ use rbio_plan::Rank;
 use rbio_profile::counters;
 
 use crate::commit;
+use crate::extent::{ExtentMap, Source};
 use crate::fault::FaultPlan;
 use crate::sched::{self, Point, TierId, Wait};
 use crate::sys::{self, Mmap};
@@ -165,6 +170,15 @@ pub struct SlabRef {
     pub len: usize,
 }
 
+impl Source for SlabRef {
+    fn sub(&self, k: u64, n: u64) -> SlabRef {
+        SlabRef {
+            off: self.off + k as usize,
+            len: n as usize,
+        }
+    }
+}
+
 /// A pre-allocated append-only slab, mmap'd from a node-local file when
 /// the platform allows ([`crate::sys::Mmap`]), else heap-backed.
 ///
@@ -275,11 +289,6 @@ impl SlabPool {
         unsafe { std::slice::from_raw_parts(self.base().add(r.off), r.len) }
     }
 
-    /// Bytes appended so far (saturated at capacity).
-    pub fn used(&self) -> usize {
-        self.head.load(Ordering::Relaxed).min(self.capacity)
-    }
-
     /// Total pre-allocated capacity.
     pub fn capacity(&self) -> usize {
         self.capacity
@@ -295,28 +304,34 @@ impl std::fmt::Debug for SlabPool {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SlabPool")
             .field("capacity", &self.capacity)
-            .field("used", &self.used())
+            .field("head", &self.head)
             .field("mapped", &self.map.is_some())
             .field("path", &self.path)
             .finish()
     }
 }
 
+/// A staged file: where its extents sit in the slab, the latest append
+/// winning where two overlap, and its size once sealed.
 #[derive(Default)]
 struct StagedFile {
-    extents: Vec<(u64, SlabRef)>,
+    map: ExtentMap<SlabRef>,
     sealed_size: Option<u64>,
 }
+
+/// [`TierStage::sealed_files`] by name: each one's extents and size.
+pub(crate) type SealedFiles = BTreeMap<String, (ExtentMap<SlabRef>, u64)>;
 
 /// One generation's worth of staged checkpoint files in the local tier.
 ///
 /// Executors append extents as the plan's `WriteAt` ops run and seal
-/// each file at its `Commit` op; the drain engine assembles the sealed
-/// images and flushes them down the hierarchy.
+/// each file at its `Commit` op; the drain engine writes each sealed
+/// file's extents down the hierarchy as one gather, and a restore copies
+/// them straight into the restored blocks.
 pub struct TierStage {
     step: u64,
     pool: Arc<SlabPool>,
-    files: Mutex<HashMap<String, StagedFile>>,
+    files: Mutex<BTreeMap<String, StagedFile>>,
 }
 
 impl TierStage {
@@ -325,18 +340,13 @@ impl TierStage {
         TierStage {
             step,
             pool,
-            files: Mutex::new(HashMap::new()),
+            files: Mutex::new(BTreeMap::new()),
         }
     }
 
     /// The generation this stage holds.
     pub fn step(&self) -> u64 {
         self.step
-    }
-
-    /// The backing slab.
-    pub fn pool(&self) -> &Arc<SlabPool> {
-        &self.pool
     }
 
     /// Append one extent of `name` at logical file `offset`.
@@ -361,8 +371,8 @@ impl TierStage {
         let mut g = self.files.lock().expect("tier stage lock");
         g.entry(name.to_string())
             .or_default()
-            .extents
-            .push((offset, r));
+            .map
+            .put(offset, r.len as u64, r);
         drop(g);
         sched::emit(|| sched::Event::TierExtentStaged {
             step: self.step,
@@ -378,54 +388,33 @@ impl TierStage {
         g.entry(name.to_string()).or_default().sealed_size = Some(size);
     }
 
-    /// The sealed files of this generation, `(name, logical size)`,
-    /// sorted by name for deterministic drain order.
-    pub fn sealed_files(&self) -> Vec<(String, u64)> {
+    /// This generation's sealed files, by name (the deterministic drain
+    /// order). Taken under the stage lock and read without it: a published
+    /// window never changes. A file with an extent past its sealed size
+    /// has no image to drain or restore; it is the error, `(name, what)`.
+    pub(crate) fn sealed_files(&self) -> Result<SealedFiles, (String, String)> {
         let g = self.files.lock().expect("tier stage lock");
-        let mut v: Vec<(String, u64)> = g
+        let sealed = g
             .iter()
-            .filter_map(|(n, f)| f.sealed_size.map(|s| (n.clone(), s)))
-            .collect();
-        v.sort();
-        v
+            .filter_map(|(n, f)| Some((n.clone(), &f.map, f.sealed_size?)));
+        sealed
+            .map(|(name, map, size)| match map.end() {
+                end if end > size => Err((name, format!("extent ends at {end}, sealed at {size}"))),
+                _ => Ok((name, (map.clone(), size))),
+            })
+            .collect()
     }
 
-    /// Total staged bytes across all files.
-    pub fn staged_bytes(&self) -> u64 {
-        let g = self.files.lock().expect("tier stage lock");
-        g.values()
-            .flat_map(|f| f.extents.iter())
-            .map(|(_, r)| r.len as u64)
-            .sum()
-    }
-
-    /// Assemble the full logical image of a sealed file from its
-    /// staged extents (unstaged regions read as zero, matching what a
-    /// sparse PFS write would produce). `None` for unknown or unsealed
-    /// names.
-    pub fn assemble(&self, name: &str) -> Option<Vec<u8>> {
-        let g = self.files.lock().expect("tier stage lock");
-        let f = g.get(name)?;
-        let size = usize::try_from(f.sealed_size?).ok()?;
-        let mut img = vec![0u8; size];
-        for &(off, r) in &f.extents {
-            let off = usize::try_from(off).ok()?;
-            let end = off.checked_add(r.len)?;
-            if end > size {
-                return None;
-            }
-            img[off..end].copy_from_slice(self.pool.slice(r));
-        }
-        Some(img)
+    /// The bytes `k` of staged extent `r`.
+    pub(crate) fn bytes(&self, r: &SlabRef, k: Range<u64>) -> &[u8] {
+        self.pool.slice(r.sub(k.start, k.end - k.start))
     }
 }
 
 impl std::fmt::Debug for TierStage {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TierStage")
-            .field("step", &self.step)
-            .field("staged_bytes", &self.staged_bytes())
-            .finish()
+        let files = self.files.lock().expect("tier stage lock").len();
+        write!(f, "TierStage {{ step: {}, files: {files} }}", self.step)
     }
 }
 
@@ -472,7 +461,7 @@ impl std::fmt::Debug for DrainJob {
     }
 }
 
-#[derive(Default)]
+#[derive(Debug, Default)]
 struct EngineState {
     /// Generations waiting for the drain thread, FIFO.
     queue: VecDeque<DrainJob>,
@@ -484,6 +473,7 @@ struct EngineState {
     stopped: bool,
 }
 
+#[derive(Debug)]
 struct EngineShared {
     state: Mutex<EngineState>,
     cv: Condvar,
@@ -493,11 +483,11 @@ struct EngineShared {
 
 /// The background drain engine: one thread, FIFO over generations,
 /// committing each file itself, hop by hop.
+#[derive(Debug)]
 pub struct TierEngine {
     shared: Arc<EngineShared>,
     join: Mutex<Option<JoinHandle<()>>>,
     alive: Arc<AtomicBool>,
-    retain: usize,
 }
 
 impl TierEngine {
@@ -526,13 +516,7 @@ impl TierEngine {
             shared,
             join: Mutex::new(Some(join)),
             alive,
-            retain,
         })
-    }
-
-    /// Drained generations kept resident.
-    pub fn retain(&self) -> usize {
-        self.retain
     }
 
     /// Queue a generation for draining (FIFO).
@@ -577,39 +561,10 @@ impl TierEngine {
         self.shared.lose_between_hops.store(true, Ordering::Release);
     }
 
-    /// Whether the local tier has been lost.
-    pub fn local_lost(&self) -> bool {
-        self.shared.lost_local.load(Ordering::Acquire)
-    }
-
-    /// Steps that have reached durability, ascending.
-    pub fn durable_steps(&self) -> Vec<u64> {
-        let g = self.shared.state.lock().expect("tier engine lock");
-        g.durable.iter().copied().collect()
-    }
-
     /// The newest drained generation still resident in the local tier.
     pub fn newest_retained(&self) -> Option<Arc<TierStage>> {
         let g = self.shared.state.lock().expect("tier engine lock");
         g.retained.back().cloned()
-    }
-
-    /// The resident stage for `step`, if retained.
-    pub fn retained_stage(&self, step: u64) -> Option<Arc<TierStage>> {
-        let g = self.shared.state.lock().expect("tier engine lock");
-        g.retained.iter().find(|s| s.step() == step).cloned()
-    }
-}
-
-impl std::fmt::Debug for TierEngine {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let g = self.shared.state.lock().expect("tier engine lock");
-        f.debug_struct("TierEngine")
-            .field("retain", &self.retain)
-            .field("durable", &g.durable)
-            .field("failed", &g.failed.keys().collect::<Vec<_>>())
-            .field("lost_local", &self.local_lost())
-            .finish()
     }
 }
 
@@ -635,7 +590,7 @@ fn apply_local_loss(shared: &EngineShared) {
     let was_lost = shared.lost_local.swap(true, Ordering::AcqRel);
     let mut g = shared.state.lock().expect("tier engine lock");
     for stage in g.retained.drain(..) {
-        if let Some(p) = stage.pool().path() {
+        if let Some(p) = stage.pool.path() {
             commit::remove(p).ok();
         }
     }
@@ -676,21 +631,23 @@ fn run_drain(shared: &EngineShared, job: DrainJob, retain: usize) {
         fsync,
         publish,
     } = job;
-    let files = stage.sealed_files();
     // Both hops' one call, under a plan that injects nothing: tier loss,
     // not a torn write, is a hop's failure mode.
-    let commit_hop = |hop: &str, path: &Path, name: &str, img: &[u8]| {
-        commit::commit_bytes(path, &[img], fsync, &FaultPlan::none(), DRAIN_RANK)
+    let commit_hop = |hop: &str, path: &Path, name: &str, bufs: &[Cow<'_, [u8]>]| {
+        commit::commit_bytes(path, bufs, fsync, &FaultPlan::none(), DRAIN_RANK)
             .map_err(|e| format!("{hop} hop for {name}: {}", io::Error::from(e)))
     };
 
     let outcome = (|| -> Result<DrainOutcome, String> {
+        let files = stage
+            .sealed_files()
+            .map_err(|(n, what)| format!("{n}: {what}"))?;
         // Hop 1: local → burst. Every file lands as a committed copy so
         // the PFS hop can verify it before trusting it.
         if let Some(bdir) = burst_dir.as_deref() {
             std::fs::create_dir_all(bdir)
                 .map_err(|e| format!("burst dir {}: {e}", bdir.display()))?;
-            for (name, _size) in &files {
+            for (name, (map, size)) in &files {
                 let dst = bdir.join(name);
                 if shared.lost_local.load(Ordering::Acquire) {
                     if dst.exists() {
@@ -700,10 +657,8 @@ fn run_drain(shared: &EngineShared, job: DrainJob, retain: usize) {
                         "local tier lost before {name} reached the burst tier"
                     ));
                 }
-                let img = stage
-                    .assemble(name)
-                    .ok_or_else(|| format!("{name} not sealed in local tier"))?;
-                commit_hop("burst", &dst, name, &img)?;
+                let bufs: Vec<_> = map.slices(0, *size, |r, k| stage.bytes(r, k)).collect();
+                commit_hop("burst", &dst, name, &bufs)?;
                 sched::emit(|| sched::Event::TierExtentDrained {
                     step,
                     tier: TierId::Burst,
@@ -720,24 +675,23 @@ fn run_drain(shared: &EngineShared, job: DrainJob, retain: usize) {
         // image is the burst copy, read back verified.
         let mut recovered = Vec::new();
         let mut drained = 0u64;
-        for (name, size) in &files {
-            let img = if shared.lost_local.load(Ordering::Acquire) {
+        for (name, (map, size)) in &files {
+            let bufs = if shared.lost_local.load(Ordering::Acquire) {
                 let bdir = burst_dir
                     .as_deref()
                     .ok_or_else(|| format!("local tier lost and no burst copy of {name}"))?;
                 recovered.push(name.clone());
-                commit::read_committed(&bdir.join(name), *size)
-                    .map_err(|e| format!("burst copy of {name}: {e}"))?
+                let img = commit::read_committed(&bdir.join(name), *size)
+                    .map_err(|e| format!("burst copy of {name}: {e}"))?;
+                vec![Cow::Owned(img)]
             } else {
-                stage
-                    .assemble(name)
-                    .ok_or_else(|| format!("{name} not sealed in local tier"))?
+                map.slices(0, *size, |r, k| stage.bytes(r, k)).collect()
             };
-            drained += img.len() as u64;
-            commit_hop("PFS", &pfs_dir.join(name), name, &img)?;
+            drained += size;
+            commit_hop("PFS", &pfs_dir.join(name), name, &bufs)?;
         }
         counters::add_tier_drained_bytes(drained);
-        for (name, _) in &files {
+        for name in files.keys() {
             sched::emit(|| sched::Event::TierExtentDrained {
                 step,
                 tier: TierId::Pfs,
@@ -766,7 +720,7 @@ fn run_drain(shared: &EngineShared, job: DrainJob, retain: usize) {
                 g.retained.push_back(stage);
                 while g.retained.len() > retain {
                     if let Some(old) = g.retained.pop_front() {
-                        if let Some(p) = old.pool().path() {
+                        if let Some(p) = old.pool.path() {
                             commit::remove(p).ok();
                         }
                     }
@@ -795,7 +749,7 @@ mod tests {
         let b = pool.append(&[&b"wor"[..], b"ld!"]).unwrap();
         assert_eq!(pool.slice(a), b"hello");
         assert_eq!(pool.slice(b), b"world!");
-        assert_eq!(pool.used(), 11);
+        assert_eq!(pool.head.load(Ordering::Relaxed), 11);
     }
 
     #[test]
@@ -821,17 +775,52 @@ mod tests {
     }
 
     #[test]
-    fn stage_assembles_sealed_images_with_holes_zeroed() {
-        let stage = TierStage::new(7, Arc::new(SlabPool::anonymous(1 << 12)));
-        stage.append("f", 0, b"head").unwrap();
-        stage.append("f", 8, b"tail").unwrap();
-        stage.seal_file("f", 12);
-        let img = stage.assemble("f").unwrap();
-        assert_eq!(&img[0..4], b"head");
-        assert_eq!(&img[4..8], &[0; 4]);
-        assert_eq!(&img[8..12], b"tail");
-        assert!(stage.assemble("missing").is_none());
-        assert_eq!(stage.sealed_files(), vec![("f".to_string(), 12)]);
+    fn drains_zero_holes_let_the_latest_append_win_and_fail_an_overrun() {
+        let dir = std::env::temp_dir().join(format!("rbio-tier-drain-map-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).unwrap();
+        let engine = TierEngine::new(1);
+        let drain = |step, stage| {
+            engine.submit(DrainJob {
+                step,
+                stage,
+                pfs_dir: dir.clone(),
+                burst_dir: Some(dir.join("burst")),
+                fsync: false,
+                publish: Box::new(|_| Ok(())),
+            });
+            engine.wait_durable(step)
+        };
+        // Two holes, and an append over one earlier extent's tail.
+        let stage = Arc::new(TierStage::new(1, Arc::new(SlabPool::anonymous(1 << 12))));
+        let mut flat = [0u8; 28];
+        for (at, fill, len) in [(0, 1, 6), (14, 2, 10), (4, 3, 6)] {
+            stage.append("f", at as u64, &vec![fill; len]).unwrap();
+            flat[at..at + len].fill(fill);
+        }
+        stage.seal_file("f", 28);
+        drain(1, stage).unwrap();
+        for d in [dir.clone(), dir.join("burst")] {
+            let bytes = std::fs::read(d.join("f")).unwrap();
+            assert!(commit::verify_committed(&bytes, 28).is_none());
+            assert_eq!(&bytes[..28], &flat[..]);
+        }
+        // An extent past the sealed size fails the generation.
+        let stage = Arc::new(TierStage::new(2, Arc::new(SlabPool::anonymous(1 << 12))));
+        stage.append("g", 0, &[7; 8]).unwrap();
+        stage.append("g", 12, &[7; 8]).unwrap();
+        stage.seal_file("g", 16);
+        match drain(2, stage) {
+            Err(TierError::Failed { step: 2, reason }) => {
+                assert!(
+                    reason.contains("g: extent ends at 20, sealed at 16"),
+                    "{reason}"
+                )
+            }
+            other => panic!("expected a failed generation, got {other:?}"),
+        }
+        assert!(!dir.join("g").exists() && !dir.join("burst").join("g").exists());
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -915,7 +904,8 @@ mod tests {
         let bytes = std::fs::read(dir.join("ck.rbio")).unwrap();
         assert!(commit::verify_committed(&bytes, 1000).is_none());
         assert_eq!(&bytes[..1000], &body[..]);
-        assert_eq!(engine.durable_steps(), vec![1]);
+        let durable = engine.shared.state.lock().unwrap().durable.clone();
+        assert_eq!(durable.into_iter().collect::<Vec<_>>(), [1]);
         assert!(engine.newest_retained().is_some_and(|s| s.step() == 1));
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -945,7 +935,7 @@ mod tests {
             }),
         });
         engine.wait_durable(2).unwrap();
-        assert!(engine.local_lost());
+        assert!(engine.shared.lost_local.load(Ordering::Acquire));
         // Nothing retained after a loss, but the PFS copy is whole.
         assert!(engine.newest_retained().is_none());
         let bytes = std::fs::read(pfs.join("ck.rbio")).unwrap();
@@ -1004,8 +994,7 @@ mod tests {
             engine.wait_durable(step).unwrap();
         }
         assert!(engine.newest_retained().is_some_and(|s| s.step() == 3));
-        assert!(engine.retained_stage(1).is_none());
-        assert!(engine.retained_stage(2).is_none());
+        assert_eq!(engine.shared.state.lock().unwrap().retained.len(), 1);
         // Evicted slab files are deleted; the retained one survives.
         assert!(!dir.join("step1.slab").exists());
         assert!(!dir.join("step2.slab").exists());

@@ -2,8 +2,9 @@
 //! after two warm-up generations every payload, eager-send copy and
 //! restore image is a recycled lease from `BufPool::global()`, so a whole
 //! generation allocates a small fraction of the bytes it checkpoints — on
-//! `exec` and on `rt` alike — and the pool keeps nothing larger than a
-//! payload (writer staging leases nothing).
+//! `exec`, on `rt` and through the tiered manager alike — and the pool
+//! keeps nothing larger than a payload (writer staging leases nothing, and
+//! neither a tier hop nor a restore from the slab builds a file image).
 //!
 //! Its own test binary because the allocator below counts every
 //! allocation in the process: nothing else may run beside the one test.
@@ -16,9 +17,12 @@ use rbio::buf::BufPool;
 use rbio::exec::{execute, ExecConfig};
 use rbio::format::{header_len, materialize_payloads};
 use rbio::layout::DataLayout;
+use rbio::manager::{CheckpointManager, ManagerConfig};
 use rbio::restart::read_checkpoint;
 use rbio::rt::{self, RtConfig};
 use rbio::strategy::{CheckpointPlan, CheckpointSpec, Strategy};
+use rbio::tier::TierConfig;
+use rbio_profile::counters;
 
 struct Counting;
 
@@ -159,6 +163,30 @@ fn rt_generation(dir: &Path, gen: u64) {
     restore(dir, &plan);
 }
 
+/// A `CheckpointManager` staging rbIO(2) into a local slab, draining it
+/// through a burst directory to the PFS.
+fn tiered_manager(dir: &Path) -> CheckpointManager {
+    let tier = TierConfig::new(dir.join("local"))
+        .burst_dir(dir.join("burst"))
+        .slab_capacity(2 * USER_BYTES as usize);
+    let cfg = ManagerConfig::new(dir.join("pfs"), Strategy::rbio(2)).tier(tier);
+    CheckpointManager::new(DataLayout::uniform(NRANKS, &FIELDS), cfg).expect("manager")
+}
+
+/// `checkpoint` → `wait_durable` → `restore_latest`, which the retained
+/// slab serves: both hops write gathers of slab windows, and the restore
+/// copies the windows into payload-class leases.
+fn tiered_generation(mgr: &CheckpointManager, gen: u64) {
+    let before = counters::tier_snapshot().tier_restores;
+    mgr.checkpoint(gen, fill(gen)).expect("tiered checkpoint");
+    mgr.wait_durable(gen).expect("durable");
+    let restored = mgr.restore_latest().expect("restore");
+    assert_eq!(restored.step, gen);
+    assert_eq!(restored.total_bytes(), USER_BYTES);
+    let from_slab = counters::tier_snapshot().tier_restores - before;
+    assert_eq!(from_slab, 1, "generation {gen} restored from the slab");
+}
+
 #[test]
 fn a_warm_generation_allocates_a_fraction_of_its_user_bytes() {
     let dir = std::env::temp_dir().join(format!("rbio-steady-state-{}", std::process::id()));
@@ -209,6 +237,23 @@ fn a_warm_generation_allocates_a_fraction_of_its_user_bytes() {
     assert!(
         largest.iter().all(|&l| l <= bound),
         "rt: the pool kept a buffer above the payload class ({bound} bytes): {largest:?}"
+    );
+
+    std::fs::remove_dir_all(&dir).ok();
+    largest.clear();
+    let mgr = tiered_manager(&dir);
+    let tiered = allocated_per_generation(6, |gen| {
+        tiered_generation(&mgr, gen);
+        largest.push(pool.largest_free());
+    });
+    drop(mgr);
+    assert!(
+        tiered[2..].iter().all(|&a| a < budget),
+        "tiered: warm generations allocated {tiered:?}, budget {budget}"
+    );
+    assert!(
+        largest.iter().all(|&l| l <= bound),
+        "tiered: the pool kept a buffer above the payload class ({bound} bytes): {largest:?}"
     );
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -1,10 +1,12 @@
 //! Property tests for the checkpoint file format: headers round-trip for
-//! arbitrary layouts and rank ranges, offsets are consistent, and any
-//! single-byte corruption of a header is detected.
+//! arbitrary layouts and rank ranges, offsets are consistent, any
+//! single-byte corruption of a header is detected, and a header whose
+//! fields were rewritten and its CRC resealed is parsed or refused, never
+//! a panic or an allocation its bytes cannot back.
 
 use proptest::prelude::*;
 use rbio_repro::rbio::format::{
-    decode_header, encode_header, field_data_off, file_size, header_len, FormatError,
+    crc32, decode_header, encode_header, field_data_off, file_size, header_len, FormatError,
 };
 use rbio_repro::rbio::layout::{DataLayout, FieldSizes, FieldSpec};
 
@@ -34,6 +36,53 @@ fn arb_layout() -> BoxedStrategy<DataLayout> {
             })
         })
         .boxed()
+}
+
+/// Recompute the header CRC over everything before it, so a mutation
+/// gets past the CRC check.
+fn reseal(hdr: &mut [u8]) {
+    let n = hdr.len() - 4;
+    let crc = crc32(&hdr[..n]);
+    hdr[n..].copy_from_slice(&crc.to_le_bytes());
+}
+
+#[test]
+fn resealed_headers_with_impossible_sizes_are_refused() {
+    let size = 0x1234_5678u64;
+    let layout = DataLayout::uniform(4, &[("Ex", size), ("Hy", size)]);
+    let good = encode_header(&layout, "app", 0, 0, 4);
+    assert_eq!(good.len(), 91);
+    // `nranks_total` and `r1` at `u32::MAX`: a uniform field's sizes
+    // table would be 32 GiB.
+    let mut hdr = good.clone();
+    hdr[24..28].copy_from_slice(&u32::MAX.to_le_bytes());
+    hdr[32..36].copy_from_slice(&u32::MAX.to_le_bytes());
+    reseal(&mut hdr);
+    assert!(matches!(
+        decode_header(&hdr),
+        Err(FormatError::Inconsistent(_))
+    ));
+    // More fields than the header has bytes for.
+    let mut hdr = good.clone();
+    let nfields_at = 36 + 2 + 3;
+    hdr[nfields_at..nfields_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+    reseal(&mut hdr);
+    assert!(matches!(
+        decode_header(&hdr),
+        Err(FormatError::Inconsistent(_))
+    ));
+    // Sizes whose sum overflows a `u64`.
+    let mut hdr = good;
+    let at = hdr
+        .windows(8)
+        .position(|w| w == size.to_le_bytes())
+        .unwrap();
+    hdr[at..at + 8].copy_from_slice(&(u64::MAX / 3).to_le_bytes());
+    reseal(&mut hdr);
+    assert!(matches!(
+        decode_header(&hdr),
+        Err(FormatError::Inconsistent(_))
+    ));
 }
 
 proptest! {
@@ -108,6 +157,30 @@ proptest! {
         match decode_header(&hdr[..cut]) {
             Err(FormatError::Truncated) | Err(FormatError::BadMagic) | Err(FormatError::CrcMismatch) | Err(FormatError::Inconsistent(_)) | Err(FormatError::BadVersion(_)) => {}
             Ok(_) => prop_assert!(cut == hdr.len(), "truncated parse succeeded at {cut}"),
+        }
+    }
+
+    #[test]
+    fn resealed_field_mutations_never_panic(
+        layout in arb_layout(),
+        pos in any::<prop::sample::Index>(),
+        value in any::<u64>(),
+        width in prop_oneof![Just(1usize), Just(2), Just(4), Just(8)],
+    ) {
+        let np = layout.nranks();
+        let mut hdr = encode_header(&layout, "app", 0, 0, np);
+        // Anywhere past the prelude (magic, version, length) and before
+        // the CRC.
+        let at = 16 + pos.index(hdr.len() - 16 - 4 - width + 1);
+        hdr[at..at + width].copy_from_slice(&value.to_le_bytes()[..width]);
+        reseal(&mut hdr);
+        if let Ok(parsed) = decode_header(&hdr) {
+            prop_assert!(parsed.expected_file_size() >= parsed.header_len);
+            for rank in (parsed.r0..parsed.r1).take(64) {
+                for f in 0..parsed.fields.len() {
+                    parsed.rank_block(rank, f);
+                }
+            }
         }
     }
 }
