@@ -63,6 +63,7 @@ RBC=target/debug/rbio-check
 "$RBC" sweep --program p10 --seeds 16
 "$RBC" sweep --program p11 --seeds 16
 "$RBC" sweep --program p12 --seeds 16
+"$RBC" sweep --program p13 --seeds 16
 
 echo "== crash-image torture sweep (fast tier) =="
 # Record each strategy's durability op stream and restore ~64 legal
@@ -119,6 +120,7 @@ if [[ "$SLOW" == 1 ]]; then
   "$RBC" sweep --program p10 --seeds 64 --preempt
   "$RBC" sweep --program p11 --seeds 256
   "$RBC" sweep --program p12 --seeds 256
+  "$RBC" sweep --program p13 --seeds 256
 
   echo "== crash-image torture sweep (slow tier, >= 512 images) =="
   # Exhaustive tier: at least 512 distinct crash images across the

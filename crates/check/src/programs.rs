@@ -83,6 +83,12 @@
 //!   of its workers' messages, and every deferred write is one gather
 //!   over many of them, checked byte-for-byte against the serial
 //!   reference and by the same fingerprint invariant.
+//! * `p13` — four tiered generations while a second thread holds a
+//!   retained stage as a restore does: an evicted stage's slab is recycled
+//!   into a later generation unless something still holds the stage. The
+//!   held stage (generation 1's on every seed swept so far) is read only
+//!   after generation 4 has staged into a recycled slab, and it must be
+//!   byte-exact, as must the settled restore.
 //!
 //! [`WriterHandle`]: rbio::pipeline::WriterHandle
 //! [`SendAttempt`]: rbio::sched::Event::SendAttempt
@@ -102,7 +108,7 @@ use rbio::format::materialize_payloads;
 use rbio::layout::DataLayout;
 use rbio::manager::{CheckpointManager, GenerationState, ManagerConfig};
 use rbio::pipeline::{FlushJob, FlushPool, WriterTuning};
-use rbio::restart::RestoredData;
+use rbio::restart::{read_checkpoint_staged, RestoredData};
 use rbio::rt;
 use rbio::sched::{self, Point};
 use rbio::service::{Admission, AdmissionGate, FairShare, QosClass, ServiceError, TenantSpec};
@@ -145,10 +151,12 @@ pub enum ProgramKind {
     StagingReuse,
     /// `p12`: rbIO writers gathering their workers' messages per write.
     WriterGather,
+    /// `p13`: a recycled slab staged into while a restore may hold it.
+    SlabRecycle,
 }
 
 impl ProgramKind {
-    /// Parse a CLI/label name (`p1`..`p9c`).
+    /// Parse a CLI/label name (`p1`..`p13`).
     pub fn parse(s: &str) -> Option<ProgramKind> {
         match s {
             "p1" => Some(ProgramKind::PipelineRace),
@@ -167,12 +175,13 @@ impl ProgramKind {
             "p10" => Some(ProgramKind::CrashRestore),
             "p11" => Some(ProgramKind::StagingReuse),
             "p12" => Some(ProgramKind::WriterGather),
+            "p13" => Some(ProgramKind::SlabRecycle),
             _ => None,
         }
     }
 
     /// Every family, in sweep order.
-    pub fn all() -> [ProgramKind; 16] {
+    pub fn all() -> [ProgramKind; 17] {
         [
             ProgramKind::PipelineRace,
             ProgramKind::ExecEquiv,
@@ -190,10 +199,11 @@ impl ProgramKind {
             ProgramKind::CrashRestore,
             ProgramKind::StagingReuse,
             ProgramKind::WriterGather,
+            ProgramKind::SlabRecycle,
         ]
     }
 
-    /// Short stable name (`p1`..`p9c`).
+    /// Short stable name (`p1`..`p13`).
     pub fn label(&self) -> &'static str {
         match self {
             ProgramKind::PipelineRace => "p1",
@@ -212,6 +222,7 @@ impl ProgramKind {
             ProgramKind::CrashRestore => "p10",
             ProgramKind::StagingReuse => "p11",
             ProgramKind::WriterGather => "p12",
+            ProgramKind::SlabRecycle => "p13",
         }
     }
 
@@ -248,6 +259,9 @@ impl ProgramKind {
                 "per-field coIO collectives reusing staging under deferred writes"
             }
             ProgramKind::WriterGather => "rbIO writers gathering their workers' messages per write",
+            ProgramKind::SlabRecycle => {
+                "a recycled tier slab staged into while a restore may hold its old stage"
+            }
         }
     }
 
@@ -302,6 +316,7 @@ pub fn prepare(kind: ProgramKind, dir: &Path) -> PreparedProgram {
         ProgramKind::CrashRestore => prepare_crash_restore(dir),
         ProgramKind::StagingReuse => prepare_plan_equiv(dir, coio_two_field_plan(), false),
         ProgramKind::WriterGather => prepare_plan_equiv(dir, rbio_two_field_plan(), false),
+        ProgramKind::SlabRecycle => prepare_slab_recycle(dir),
     }
 }
 
@@ -969,6 +984,106 @@ fn prepare_tier_drain(dir: &Path) -> PreparedProgram {
                 ));
             }
             restored_eq(&settled, &want2)
+        }),
+        verify: Box::new(move || rbio_files_eq(&pfs, &ref_dir)),
+    }
+}
+
+/// `p13`: four tiered generations through one manager (`retain = 1`)
+/// while a second thread holds the newest retained stage it finds —
+/// generation 1's on every seed swept so far — and reads it only once
+/// generation 4 is staged. An evicted stage's slab is recycled into a later
+/// generation only when nothing else holds the stage; on every schedule
+/// some generation stages into a recycled slab while the held stage is
+/// out, and the held stage must still read byte-exactly as its own
+/// generation. So must the settled restore of generation 4.
+fn prepare_slab_recycle(dir: &Path) -> PreparedProgram {
+    let ref_dir = dir.join("ref");
+    let ref_mgr = CheckpointManager::new(tier_layout(), tier_manager_cfg(&ref_dir, None))
+        .expect("reference manager");
+    let want: Vec<RestoredData> = (1..=4)
+        .map(|step| {
+            ref_mgr
+                .checkpoint(step, tier_fill(step))
+                .expect("reference ck");
+            ref_mgr.restore_latest().expect("reference restore")
+        })
+        .collect();
+    let want = Arc::new(want);
+
+    let pfs = dir.join("pfs");
+    let local = dir.join("local");
+    let body_pfs = pfs.clone();
+    PreparedProgram {
+        body: Box::new(move || {
+            let tier = TierConfig::new(&local).slab_capacity(1 << 20);
+            let mgr =
+                CheckpointManager::new(tier_layout(), tier_manager_cfg(&body_pfs, Some(tier)))
+                    .map_err(|e| format!("tiered manager: {e}"))?;
+            mgr.checkpoint(1, tier_fill(1))
+                .map_err(|e| format!("ck 1: {e}"))?;
+            mgr.wait_durable(1)
+                .map_err(|e| format!("gen 1 drain: {e}"))?;
+            let engine = Arc::clone(mgr.tier_engine().expect("engine exists with a tier"));
+            let staged4 = Arc::new(AtomicBool::new(false));
+            let done = Arc::new(AtomicBool::new(false));
+            let (s4, d2, w2) = (Arc::clone(&staged4), Arc::clone(&done), Arc::clone(&want));
+            sched::spawning();
+            let holder = std::thread::spawn(move || {
+                sched::register("holder");
+                let stage = engine.newest_retained();
+                while !s4.load(Ordering::Acquire) {
+                    sched::yield_now(Point::JoinWait);
+                }
+                let res = match stage {
+                    Some(stage) => {
+                        let step = stage.step();
+                        CheckpointSpec::new(tier_layout(), format!("step{step:010}"))
+                            .strategy(Strategy::rbio(2))
+                            .step(step)
+                            .plan()
+                            .map_err(|e| format!("plan for step {step}: {e:?}"))
+                            .and_then(|plan| {
+                                read_checkpoint_staged(&plan, &stage)
+                                    .map_err(|e| format!("held step {step}: {e}"))
+                            })
+                            .and_then(|got| restored_eq(&got, &w2[step as usize - 1]))
+                    }
+                    None => Err("no retained stage after generation 1".into()),
+                };
+                d2.store(true, Ordering::Release);
+                sched::unregister();
+                res
+            });
+            let run = (|| {
+                for step in 2..=4 {
+                    mgr.checkpoint(step, tier_fill(step))
+                        .map_err(|e| format!("ck {step}: {e}"))?;
+                    if step == 4 {
+                        staged4.store(true, Ordering::Release);
+                    }
+                    mgr.wait_durable(step)
+                        .map_err(|e| format!("gen {step} drain: {e}"))?;
+                }
+                Ok::<(), String>(())
+            })();
+            staged4.store(true, Ordering::Release);
+            while !done.load(Ordering::Acquire) {
+                sched::yield_now(Point::JoinWait);
+            }
+            let held = holder.join().map_err(|_| "holder panicked".to_string())?;
+            run?;
+            held?;
+            let settled = mgr
+                .restore_latest()
+                .map_err(|e| format!("settled restore: {e}"))?;
+            if settled.step != 4 {
+                return Err(format!(
+                    "settled restore came from step {}, want 4",
+                    settled.step
+                ));
+            }
+            restored_eq(&settled, &want[3])
         }),
         verify: Box::new(move || rbio_files_eq(&pfs, &ref_dir)),
     }

@@ -296,6 +296,7 @@ impl<'a, T: Transport> Interp<'a, T> {
             match &ops[i] {
                 Op::Compute { nanos } => {
                     if self.cfg.honor_compute {
+                        #[allow(clippy::disallowed_methods)] // the modelled compute phase itself
                         std::thread::sleep(Duration::from_nanos(*nanos));
                     }
                 }
@@ -543,6 +544,7 @@ impl<'a, T: Transport> Interp<'a, T> {
             return;
         };
         if !sched::registered() {
+            #[allow(clippy::disallowed_methods)] // the injected hang is the fault
             return std::thread::sleep(d);
         }
         if let Some(dir) = self.director {

@@ -119,7 +119,9 @@ impl Mailbox {
                 Some(m) => m,
                 None => return Ok(()),
             };
-            if let Err(waited) = wait.once(std::thread::sleep) {
+            #[allow(clippy::disallowed_methods)] // no condvar: the Wait sleeps
+            let slept = wait.once(std::thread::sleep);
+            if let Err(waited) = slept {
                 counters::add_send_backpressure_timeouts(1);
                 return Err(MailError::Timeout(waited));
             }

@@ -648,15 +648,21 @@ fn failover_supported(program: &Program, writers: &[u32]) -> bool {
     true
 }
 
-/// Production health monitor: watches writer heartbeats and reports
-/// stalls to the director. Controlled runs never spawn this — the
-/// injected hang announces the monitor's verdict deterministically.
-fn monitor_writers(
-    dir: &FailoverDirector,
-    beats: &[Arc<AtomicU64>],
-    finished: &AtomicBool,
-    abort: &AtomicBool,
-) {
+/// The end of an [`execute`] run: set once every rank returned or one
+/// raised `abort`, and notified, so the health monitor stops at once
+/// instead of at the end of its poll.
+type RunOver = (Mutex<bool>, Condvar);
+
+fn end_run((over, cv): &RunOver) {
+    *over.lock().expect("run-over lock") = true;
+    cv.notify_all();
+}
+
+/// Production health monitor: watches writer heartbeats every poll and
+/// reports stalls to the director until the run is over. Controlled runs
+/// never spawn this — the injected hang announces the monitor's verdict
+/// deterministically.
+fn monitor_writers(dir: &FailoverDirector, beats: &[Arc<AtomicU64>], run_over: &RunOver) {
     let policy = *dir.policy();
     let poll = (policy.straggler_after / 4).max(Duration::from_millis(1));
     let now = Instant::now();
@@ -665,11 +671,17 @@ fn monitor_writers(
         .iter()
         .map(|&w| (w, beats[w as usize].load(Ordering::Relaxed), now))
         .collect();
+    let (over, cv) = run_over;
+    let mut wait = Wait::new(Point::JoinWait, None).slice(poll);
     loop {
-        if finished.load(Ordering::Acquire) || abort.load(Ordering::Acquire) {
+        let mut g = over.lock().expect("run-over lock");
+        if !*g {
+            g = wait.park(over, cv, g).unwrap_or_else(|(g, _)| g);
+        }
+        if *g {
             return;
         }
-        std::thread::sleep(poll);
+        drop(g);
         for entry in &mut last {
             let (w, seen, since) = *entry;
             if dir.is_done(w) || dir.is_fenced(w) {
@@ -786,6 +798,7 @@ pub fn execute(
         .collect();
     let start_gate = Barrier::new(nranks);
     let abort = Arc::new(AtomicBool::new(false));
+    let run_over: RunOver = Default::default();
     let controlled = sched::controlled();
 
     // Failover engages only when the policy asks for it AND the plan
@@ -829,21 +842,21 @@ pub fn execute(
         }
         let (dt, res) = run_rank(&mut it);
         if res.is_err() {
-            // Release peers stuck in barriers/receives.
+            // Release peers stuck in barriers/receives, and the monitor.
             abort.store(true, Ordering::Release);
             barriers.iter().for_each(AbortBarrier::wake);
+            end_run(&run_over);
         }
         (dt, res, it.retries)
     };
     let mailboxes = Mailbox::mesh(nranks, cfg.chan_capacity, cfg.recv_timeout);
-    let finished = AtomicBool::new(false);
     let joined = std::thread::scope(|scope| {
         if let (Some(dir), false) = (director, controlled) {
-            let (beats, finished, abort) = (&heartbeats, &finished, &*abort);
-            scope.spawn(move || monitor_writers(dir, beats, finished, abort));
+            let (beats, run_over) = (&heartbeats, &run_over);
+            scope.spawn(move || monitor_writers(dir, beats, run_over));
         }
         let joined = run_ranks(mailboxes, run_rank_thread);
-        finished.store(true, Ordering::Release);
+        end_run(&run_over);
         joined
     });
 
@@ -1460,6 +1473,98 @@ mod tests {
             crate::commit::verify_committed(&bytes, 8).is_none(),
             "footer must survive the zombie's late writes"
         );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn execute_under_failover_returns_when_its_ranks_do() {
+        // rbIO(2) with the monitor on and a 500 ms poll: the ranks finish
+        // in milliseconds, and `execute` must not wait out the poll.
+        use crate::strategy::{CheckpointSpec, Strategy};
+        let layout = crate::layout::DataLayout::uniform(8, &[("u", 4096), ("v", 512)]);
+        let plan = CheckpointSpec::new(layout, "mon")
+            .strategy(Strategy::rbio(2))
+            .plan()
+            .unwrap();
+        let writers = writer_ranks(&plan.program);
+        assert!(failover_supported(&plan.program, &writers), "{writers:?}");
+        let dir = tmpdir("failover-returns");
+        let policy = FailoverPolicy {
+            enabled: true,
+            straggler_after: Duration::from_secs(2),
+            dead_after: Duration::from_secs(4),
+        };
+        let cfg = ExecConfig::new(&dir).failover(policy);
+        let payloads = crate::format::materialize_payloads(&plan, |_, _, b| b.fill(7));
+        let t0 = Instant::now();
+        let rep = execute(&plan.program, payloads, &cfg).unwrap();
+        let took = t0.elapsed();
+        assert!(took < Duration::from_millis(250), "execute took {took:?}");
+        assert!(rep.failovers.is_empty());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    #[allow(clippy::disallowed_methods)] // polls the disk for the successor's commit
+    fn a_hung_writer_is_taken_over_within_dead_after_and_one_poll() {
+        // The monitor parks between polls, yet still wakes every poll: a
+        // writer that hangs mid-generation is declared dead and its
+        // extent committed by the successor long before it revives.
+        let mut b = ProgramBuilder::new(vec![8, 8]);
+        let fa = b.file_atomic("ta.bin", 8);
+        let fb = b.file_atomic("tb.bin", 8);
+        for (rank, f) in [(0u32, fa), (1u32, fb)] {
+            b.push(
+                rank,
+                Op::Open {
+                    file: f,
+                    create: true,
+                },
+            );
+            b.push(
+                rank,
+                Op::WriteAt {
+                    file: f,
+                    offset: 0,
+                    src: DataRef::Own { off: 0, len: 8 },
+                },
+            );
+            b.push(rank, Op::Close { file: f });
+            b.push(rank, Op::Commit { file: f });
+        }
+        let p = b.build();
+        let dir = tmpdir("failover-takeover-time");
+        let policy = FailoverPolicy {
+            enabled: true,
+            straggler_after: Duration::from_millis(100),
+            dead_after: Duration::from_millis(200),
+        };
+        let poll = policy.straggler_after / 4;
+        let hang = Duration::from_millis(1500);
+        let cfg = ExecConfig::new(&dir)
+            .faults(FaultPlan::none().hang_writer(0, hang))
+            .failover(policy);
+        let pay_a: Vec<u8> = (30..38).collect();
+        let t0 = Instant::now();
+        let taken_over = std::thread::scope(|scope| {
+            let run = scope.spawn(|| execute(&p, vec![pay_a.clone(), vec![9; 8]], &cfg));
+            while !dir.join("ta.bin").exists() && !run.is_finished() {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            let taken_over = t0.elapsed();
+            let rep = run.join().unwrap().unwrap();
+            assert_eq!(rep.failovers, vec![(0, 1)]);
+            taken_over
+        });
+        // The stall counts from the first poll that saw a beat; then the
+        // takeover's own 8-byte write and commit.
+        let bound = policy.dead_after + 2 * poll + Duration::from_millis(200);
+        assert!(
+            taken_over < bound && bound < hang,
+            "taken over after {taken_over:?}, bound {bound:?}"
+        );
+        let bytes = std::fs::read(dir.join("ta.bin")).unwrap();
+        assert_eq!(&bytes[..8], &pay_a[..]);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -524,6 +524,7 @@ impl RetryClock {
             });
         }
         let jittered = backoff.saturating_add(retry_jitter(*backoff, rank, offset, attempt));
+        #[allow(clippy::disallowed_methods)] // retry backoff: a deliberate delay, not a wait
         std::thread::sleep(jittered.min(self.deadline.duration_since(now)));
         *backoff = backoff.saturating_mul(2);
         Ok(())
@@ -589,6 +590,7 @@ pub fn write_at_or_short(
 ) -> Result<Written, WriteError> {
     if let Some(d) = ctx.faults.write_delay(ctx.rank) {
         if !sched::registered() {
+            #[allow(clippy::disallowed_methods)] // the injected slow write is the fault
             std::thread::sleep(d);
         }
     }

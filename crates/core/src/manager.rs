@@ -336,8 +336,8 @@ fn reap_suffix(dir: &Path, suffix: &str) -> io::Result<u64> {
 /// Garbage-collect orphans a crashed run can leave behind: `*.tmp`
 /// siblings in the checkpoint directory (a writer died between open and
 /// commit) and, when given, `*.slab` staging files in the tier's local
-/// directory (slabs are only meaningful to the engine instance that
-/// created them — a fresh manager can never drain a dead one's slab).
+/// directory (a slab is unlinked as soon as it is mapped, so only a crash
+/// in between leaves one, and a fresh manager can never drain it).
 /// Every reaped file counts toward the `gc_orphans` profile counter.
 fn gc_orphans(dir: &Path, slab_dir: Option<&Path>) -> Result<u64, ManagerError> {
     let mut removed = reap_suffix(dir, commit::TMP_SUFFIX)?;
@@ -419,27 +419,36 @@ impl CheckpointManager {
             exec_cfg.failover = FailoverPolicy::from_recv_timeout(exec_cfg.recv_timeout);
         }
         // Tiered path: atomic files divert into a pre-allocated local
-        // slab; the background engine drains them to the PFS later.
-        let stage = match &self.cfg.tier {
-            Some(t) => {
-                let slab_path = t.local_dir.join(format!("{}.slab", step_prefix(step)));
-                let pool = SlabPool::create(&slab_path, t.slab_capacity)?;
+        // slab — the engine's recycled one when it has one — and the
+        // background engine drains them to the PFS later.
+        let stage = match (&self.cfg.tier, &self.engine) {
+            (Some(t), Some(engine)) => {
+                let pool = match engine.take_slab(t.slab_capacity) {
+                    Some(pool) => pool,
+                    None => {
+                        let path = t.local_dir.join(format!("{}.slab", step_prefix(step)));
+                        let pool = SlabPool::create(&path, t.slab_capacity)?;
+                        // The mapping is the slab from here on: no slab
+                        // bytes rest on disk, and nothing is left to reap.
+                        commit::remove(&path)?;
+                        pool
+                    }
+                };
                 let stage = Arc::new(TierStage::new(step, Arc::new(pool)));
                 exec_cfg.stage = Some(Arc::clone(&stage));
                 Some(stage)
             }
-            None => None,
+            _ => None,
         };
         let report = match execute(&plan.program, payloads, &exec_cfg) {
             Ok(r) => r,
             Err(e) => {
                 // Abort cleanly: reap the aborted step's half-written
-                // `.tmp` files (and its staging slab) so a full device
-                // or dead writer never latches partial state — the
-                // prior committed generation stays the newest visible
-                // one. Final-named files are never touched: anything
-                // already committed for this step is unreferenced
-                // without a marker and harmless.
+                // `.tmp` files so a full device or dead writer never
+                // latches partial state — the prior committed generation
+                // stays the newest visible one. Final-named files are
+                // never touched: anything already committed for this step
+                // is unreferenced without a marker and harmless.
                 self.abort_step_cleanup(step);
                 return Err(ManagerError::Exec(e));
             }
@@ -526,20 +535,15 @@ impl CheckpointManager {
         Ok(report)
     }
 
-    /// Best-effort removal of an aborted step's `.tmp` siblings and its
-    /// staging slab. Errors are swallowed — the abort itself is the
-    /// news, and anything missed here is reaped by the next manager's
-    /// startup GC.
+    /// Best-effort removal of an aborted step's `.tmp` siblings. Errors
+    /// are swallowed — the abort itself is the news, and anything missed
+    /// here is reaped by the next manager's startup GC.
     fn abort_step_cleanup(&self, step: u64) {
         let mut removed = 0u64;
         for name in commit::list(&self.cfg.dir).unwrap_or_default() {
             if of_step(&name, step) && name.ends_with(commit::TMP_SUFFIX) {
                 removed += u64::from(commit::remove(&self.cfg.dir.join(name)).unwrap_or(false));
             }
-        }
-        if let Some(t) = &self.cfg.tier {
-            let slab = t.local_dir.join(format!("{}.slab", step_prefix(step)));
-            removed += u64::from(commit::remove(&slab).unwrap_or(false));
         }
         if removed > 0 {
             rbio_profile::counters::add_gc_orphans(removed);
@@ -573,9 +577,10 @@ impl CheckpointManager {
     }
 
     /// Delete everything but the newest `keep` committed steps (markers
-    /// first, then files, so a partial delete still looks uncommitted).
-    /// Tolerates entries deleted out from under it: a concurrent GC
-    /// removing the same old generation is success, not an error.
+    /// first, then each file and its burst copy, so a partial delete still
+    /// looks uncommitted). Tolerates entries deleted out from under it — a
+    /// concurrent GC removing the same old generation is success, not an
+    /// error — and a burst directory that does not exist yet.
     fn rotate(&self) -> Result<(), ManagerError> {
         let steps = self.committed_steps()?;
         let old = &steps[..steps.len().saturating_sub(self.cfg.keep)];
@@ -585,9 +590,16 @@ impl CheckpointManager {
         for &step in old {
             commit::remove(&commit_path(&self.cfg.dir, step))?;
         }
+        // `of_step`'s test, each prefix formatted once. A drained file's
+        // burst copy has its name.
+        let prefixes: Vec<String> = old.iter().map(|&s| step_prefix(s) + ".").collect();
+        let burst = self.cfg.tier.as_ref().and_then(|t| t.burst_dir.as_deref());
         for name in commit::list(&self.cfg.dir)? {
-            if old.iter().any(|&step| of_step(&name, step)) {
-                commit::remove(&self.cfg.dir.join(name))?;
+            if prefixes.iter().any(|p| name.starts_with(p.as_str())) {
+                commit::remove(&self.cfg.dir.join(&name))?;
+                if let Some(bdir) = burst {
+                    commit::remove(&bdir.join(name))?;
+                }
             }
         }
         Ok(())
@@ -1260,6 +1272,75 @@ mod tests {
                 );
             }
         }
+        std::fs::remove_dir_all(&base).ok();
+        std::fs::remove_dir_all(&ref_dir).ok();
+    }
+
+    #[test]
+    fn rotation_prunes_the_burst_tier_and_restore_still_falls_back_to_it() {
+        let (ref_mgr, ref_dir) = mk("bprune-ref", 2);
+        ref_mgr.checkpoint(6, fill_for(6)).expect("reference ck");
+        let want = ref_mgr.restore_latest().expect("reference restore");
+
+        let base = std::env::temp_dir().join(format!("rbio-mgr-bprune-{}", std::process::id()));
+        std::fs::remove_dir_all(&base).ok();
+        let (pfs, local, burst) = (base.join("pfs"), base.join("local"), base.join("burst"));
+        let mgr_layout = || DataLayout::uniform(8, &[("u", 1024), ("v", 256)]);
+        let mut cfg = ManagerConfig::new(&pfs, Strategy::rbio(2));
+        cfg.keep = 2;
+        cfg.tier = Some(
+            crate::tier::TierConfig::new(&local)
+                .burst_dir(&burst)
+                .slab_capacity(1 << 20),
+        );
+        let mgr = CheckpointManager::new(mgr_layout(), cfg).expect("manager");
+        for step in 1..=6u64 {
+            mgr.checkpoint(step, fill_for(step)).expect("ck");
+            mgr.wait_durable(step).expect("durable");
+        }
+        assert_eq!(mgr.committed_steps().unwrap(), vec![5, 6]);
+        let data_files = |dir: &Path| {
+            let names = commit::list(dir).unwrap();
+            names
+                .into_iter()
+                .filter(|n| marker_step(n).is_none())
+                .collect::<Vec<_>>()
+        };
+        let in_burst = data_files(&burst);
+        assert!(!in_burst.is_empty());
+        assert_eq!(in_burst, data_files(&pfs), "the newest two generations");
+        assert!(
+            in_burst.iter().all(|n| of_step(n, 5) || of_step(n, 6)),
+            "{in_burst:?}"
+        );
+        assert_eq!(
+            commit::list(&local).unwrap(),
+            Vec::<String>::new(),
+            "no slab at rest"
+        );
+
+        // With the local tier gone, restore reads step 6's burst copy.
+        mgr.tier_engine().unwrap().lose_local();
+        let before = rbio_profile::counters::tier_snapshot();
+        let restored = mgr.restore_latest().expect("restore from the burst tier");
+        assert_eq!(restored.step, 6);
+        for r in 0..8u32 {
+            for f in 0..2usize {
+                assert_eq!(restored.field_data(r, f), want.field_data(r, f));
+            }
+        }
+        let delta = rbio_profile::counters::tier_snapshot().delta_since(&before);
+        assert!(delta.tier_restores >= 1, "{delta:?}");
+
+        // A burst directory that is not there (yet) is nothing to prune.
+        drop(mgr);
+        let mut cfg = ManagerConfig::new(&pfs, Strategy::rbio(2));
+        cfg.keep = 1;
+        cfg.tier = Some(crate::tier::TierConfig::new(&local).burst_dir(base.join("new")));
+        let mgr = CheckpointManager::new(mgr_layout(), cfg).expect("second manager");
+        std::fs::remove_dir_all(base.join("new")).unwrap();
+        mgr.rotate().expect("rotation without a burst directory");
+        assert_eq!(mgr.committed_steps().unwrap(), vec![6]);
         std::fs::remove_dir_all(&base).ok();
         std::fs::remove_dir_all(&ref_dir).ok();
     }

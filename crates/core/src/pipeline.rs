@@ -790,6 +790,7 @@ fn run_write_batch(
     if let Some(seed) = ctx.jitter_seed {
         if !sched::controlled() {
             let h = splitmix64(seed ^ (u64::from(ctx.rank) << 32) ^ base_seq);
+            #[allow(clippy::disallowed_methods)] // test jitter: a deliberate delay
             std::thread::sleep(Duration::from_micros(h % 200));
         }
     }
@@ -824,6 +825,7 @@ fn run_job(ctx: &WriterCtx, seq: u64, job: FlushJob) -> Result<u32, PipelineErro
         // schedule, not wall-clock jitter.
         if !sched::controlled() {
             let h = splitmix64(seed ^ (u64::from(ctx.rank) << 32) ^ seq);
+            #[allow(clippy::disallowed_methods)] // test jitter: a deliberate delay
             std::thread::sleep(Duration::from_micros(h % 200));
         }
     }

@@ -957,6 +957,7 @@ mod tests {
         let gate = Arc::clone(&svc.inner.gate);
         let waiter = std::thread::spawn(move || gate.acquire(9));
         // Give the waiter time to enter the queue.
+        #[allow(clippy::disallowed_methods)] // lets the other thread get there first
         std::thread::sleep(Duration::from_millis(20));
         match svc.checkpoint(t, "c.ckpt") {
             Err(ServiceError::Rejected {
@@ -992,6 +993,7 @@ mod tests {
             s.write(&payload(5, 256)).expect("write");
             s.commit().expect("commit")
         });
+        #[allow(clippy::disallowed_methods)] // lets the other thread get there first
         std::thread::sleep(Duration::from_millis(30));
         s0.commit().expect("commit first");
         assert_eq!(h.join().expect("second session"), 256);
@@ -1053,6 +1055,7 @@ mod tests {
                 }
             }));
         }
+        #[allow(clippy::disallowed_methods)] // the contention window
         std::thread::sleep(Duration::from_millis(300));
         done.store(true, Ordering::Relaxed);
         for h in handles {
@@ -1098,6 +1101,7 @@ mod tests {
             total
         });
         // Interleave restores while the checkpoint streams.
+        #[allow(clippy::disallowed_methods)] // lets the checkpoint start streaming
         std::thread::sleep(Duration::from_millis(20));
         for _ in 0..4 {
             let mut r = svc.restore(lat, "seed.ckpt").expect("admit restore");

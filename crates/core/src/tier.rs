@@ -20,7 +20,11 @@
 //!    Only then is the generation *durable*.
 //! 3. **Retained** — the most recent drained generations stay resident
 //!    in the local tier so a restart can be served at memory speed
-//!    (restore-from-nearest-tier); older slabs are evicted.
+//!    (restore-from-nearest-tier); older stages are evicted.
+//! 4. **Recycled** — an evicted stage's slab that nothing else still
+//!    reads is rewound and kept as the engine's one idle slab, which the
+//!    next generation stages into (`TierEngine::take_slab`): a warm
+//!    generation neither creates, maps nor faults in a slab.
 //!
 //! Tier loss is a first-class fault: [`TierEngine::lose_local`] drops
 //! the local tier. Files that already reached the burst tier are read
@@ -207,7 +211,8 @@ unsafe impl Sync for SlabPool {}
 impl SlabPool {
     /// Create (and pre-allocate) a slab file of `capacity` bytes at
     /// `path`, mapping it shared read-write. Falls back to a heap slab
-    /// (keeping the file for eviction bookkeeping) if mmap fails.
+    /// (keeping the file open) if mmap fails. The file's name is the
+    /// caller's to remove: the mapping outlives an unlink.
     pub fn create(path: &Path, capacity: usize) -> io::Result<SlabPool> {
         let f = std::fs::OpenOptions::new()
             .read(true)
@@ -274,6 +279,12 @@ impl SlabPool {
             at += data.len();
         }
         Some(SlabRef { off, len })
+    }
+
+    /// Rewind the bump pointer: the whole slab is free again. Stale
+    /// bytes stay until overwritten; no [`SlabRef`] into them survives.
+    fn rearm(&mut self) {
+        *self.head.get_mut() = 0;
     }
 
     /// Read back a staged extent.
@@ -470,6 +481,8 @@ struct EngineState {
     durable: BTreeSet<u64>,
     failed: BTreeMap<u64, String>,
     retained: VecDeque<Arc<TierStage>>,
+    /// The last evicted stage's slab, rewound, for the next generation.
+    idle: Option<SlabPool>,
     stopped: bool,
 }
 
@@ -548,8 +561,8 @@ impl TierEngine {
         }
     }
 
-    /// Simulate losing the node-local tier: retained slabs are gone and
-    /// in-flight drains must source from the burst tier or fail.
+    /// Simulate losing the node-local tier: retained and idle slabs are
+    /// gone and in-flight drains must source from the burst tier or fail.
     pub fn lose_local(&self) {
         apply_local_loss(&self.shared);
     }
@@ -559,6 +572,13 @@ impl TierEngine {
     /// PFS hop of the generation it processes next.
     pub fn lose_local_between_hops(&self) {
         self.shared.lose_between_hops.store(true, Ordering::Release);
+    }
+
+    /// The engine's idle slab, rewound, when its capacity is `capacity`:
+    /// the slab of the last evicted stage that nothing else still held.
+    pub(crate) fn take_slab(&self, capacity: usize) -> Option<SlabPool> {
+        let mut g = self.shared.state.lock().expect("tier engine lock");
+        g.idle.take().filter(|p| p.capacity() == capacity)
     }
 
     /// The newest drained generation still resident in the local tier.
@@ -589,11 +609,8 @@ impl Drop for TierEngine {
 fn apply_local_loss(shared: &EngineShared) {
     let was_lost = shared.lost_local.swap(true, Ordering::AcqRel);
     let mut g = shared.state.lock().expect("tier engine lock");
-    for stage in g.retained.drain(..) {
-        if let Some(p) = stage.pool.path() {
-            commit::remove(p).ok();
-        }
-    }
+    g.retained.clear();
+    g.idle = None;
     drop(g);
     if !was_lost {
         counters::add_tier_losses(1);
@@ -719,10 +736,13 @@ fn run_drain(shared: &EngineShared, job: DrainJob, retain: usize) {
             if !shared.lost_local.load(Ordering::Acquire) {
                 g.retained.push_back(stage);
                 while g.retained.len() > retain {
-                    if let Some(old) = g.retained.pop_front() {
-                        if let Some(p) = old.pool.path() {
-                            commit::remove(p).ok();
-                        }
+                    // Popped under the engine lock, so no restore can
+                    // take the stage from here on: one that still holds
+                    // it keeps the slab, which then goes with it.
+                    let old = g.retained.pop_front().and_then(Arc::into_inner);
+                    if let Some(mut pool) = old.and_then(|o| Arc::into_inner(o.pool)) {
+                        pool.rearm();
+                        g.idle = Some(pool);
                     }
                 }
             }
@@ -971,6 +991,31 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// Drain `stage` as generation `step` into `dir`, no burst tier, and
+    /// wait until it is durable.
+    fn drain_to(engine: &TierEngine, dir: &Path, stage: Arc<TierStage>) {
+        std::fs::create_dir_all(dir).unwrap();
+        let step = stage.step();
+        engine.submit(DrainJob {
+            step,
+            stage,
+            pfs_dir: dir.to_path_buf(),
+            burst_dir: None,
+            fsync: false,
+            publish: Box::new(|_| Ok(())),
+        });
+        engine.wait_durable(step).unwrap();
+    }
+
+    /// The bytes of staged file `name`, read as a restore reads them.
+    fn staged_image(stage: &TierStage, name: &str) -> Vec<u8> {
+        let files = stage.sealed_files().unwrap();
+        let (map, size) = &files[name];
+        let mut img = vec![0x55; *size as usize];
+        map.read(0, &mut img, |r, k| stage.bytes(r, k));
+        img
+    }
+
     #[test]
     fn eviction_honors_retain() {
         let dir = std::env::temp_dir().join("rbio-tier-evict-test");
@@ -978,27 +1023,96 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let engine = TierEngine::new(1);
         for step in 1..=3u64 {
-            let slab_path = dir.join(format!("step{step}.slab"));
-            let pool = Arc::new(SlabPool::create(&slab_path, 4096).unwrap());
-            let stage = Arc::new(TierStage::new(step, pool));
+            // As the manager stages: the recycled slab, else a fresh one
+            // whose file is unlinked once it is mapped.
+            let pool = engine.take_slab(4096).unwrap_or_else(|| {
+                let slab_path = dir.join(format!("step{step}.slab"));
+                let pool = SlabPool::create(&slab_path, 4096).unwrap();
+                commit::remove(&slab_path).unwrap();
+                pool
+            });
+            let stage = Arc::new(TierStage::new(step, Arc::new(pool)));
             stage.append("ck.rbio", 0, &[step as u8; 32]).unwrap();
             stage.seal_file("ck.rbio", 32);
-            engine.submit(DrainJob {
-                step,
-                stage,
-                pfs_dir: dir.clone(),
-                burst_dir: None,
-                fsync: false,
-                publish: Box::new(|_| Ok(())),
-            });
-            engine.wait_durable(step).unwrap();
+            drain_to(&engine, &dir, stage);
         }
-        assert!(engine.newest_retained().is_some_and(|s| s.step() == 3));
+        let newest = engine.newest_retained().expect("a retained stage");
+        assert_eq!(newest.step(), 3);
         assert_eq!(engine.shared.state.lock().unwrap().retained.len(), 1);
-        // Evicted slab files are deleted; the retained one survives.
-        assert!(!dir.join("step1.slab").exists());
-        assert!(!dir.join("step2.slab").exists());
-        assert!(dir.join("step3.slab").exists());
+        // Step 3 staged into step 1's slab, step 2's is idle, and no slab
+        // rests on disk.
+        let step1 = dir.join("step1.slab");
+        assert_eq!(newest.pool.path(), Some(step1.as_path()));
+        let idle = engine.take_slab(4096).expect("step 2's slab, recycled");
+        assert_eq!(idle.path(), Some(dir.join("step2.slab").as_path()));
+        let slabs = commit::list(&dir).unwrap();
+        assert!(!slabs.iter().any(|n| n.ends_with(".slab")), "{slabs:?}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_recycled_slab_reads_zeros_in_a_hole_not_its_last_bytes() {
+        let dir = std::env::temp_dir().join(format!("rbio-tier-rearm-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        const CAP: usize = 4096;
+        let engine = TierEngine::new(1);
+        // Generation 1 fills its whole slab with 0xAA; generation 2's
+        // drain evicts it, and its slab becomes the engine's idle one.
+        let stage = Arc::new(TierStage::new(1, Arc::new(SlabPool::anonymous(CAP))));
+        stage.append("f", 0, &[0xAA; CAP]).unwrap();
+        stage.seal_file("f", CAP as u64);
+        drain_to(&engine, &dir.join("1"), stage);
+        assert!(engine.take_slab(CAP).is_none(), "step 1 is still retained");
+        let stage = Arc::new(TierStage::new(2, Arc::new(SlabPool::anonymous(CAP))));
+        stage.append("f", 0, &[2; 64]).unwrap();
+        stage.seal_file("f", 64);
+        drain_to(&engine, &dir.join("2"), stage);
+        // Generation 3 stages a file with two holes into that slab.
+        let pool = engine.take_slab(CAP).expect("step 1's slab, re-armed");
+        assert!(pool.slice(SlabRef { off: 0, len: CAP }) == [0xAA; CAP]);
+        let stage = Arc::new(TierStage::new(3, Arc::new(pool)));
+        stage.append("f", 100, &[3; 100]).unwrap();
+        stage.append("f", 300, &[4; 50]).unwrap();
+        stage.seal_file("f", 400);
+        drain_to(&engine, &dir.join("3"), stage);
+        let mut want = vec![0u8; 400];
+        want[100..200].fill(3);
+        want[300..350].fill(4);
+        let bytes = std::fs::read(dir.join("3").join("f")).unwrap();
+        assert!(commit::verify_committed(&bytes, 400).is_none());
+        assert_eq!(&bytes[..400], &want[..], "drained");
+        let retained = engine.newest_retained().expect("step 3 retained");
+        assert_eq!(retained.step(), 3);
+        assert_eq!(staged_image(&retained, "f"), want, "restored from the slab");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_stage_a_restore_holds_is_never_rearmed() {
+        let dir = std::env::temp_dir().join(format!("rbio-tier-held-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        const CAP: usize = 4096;
+        let engine = TierEngine::new(1);
+        let body: Vec<u8> = (0..CAP as u32).map(|i| (i * 13) as u8).collect();
+        let stage = Arc::new(TierStage::new(1, Arc::new(SlabPool::anonymous(CAP))));
+        stage.append("f", 0, &body).unwrap();
+        stage.seal_file("f", CAP as u64);
+        drain_to(&engine, &dir.join("1"), stage);
+        let held = engine.newest_retained().expect("step 1 retained");
+        // Two later generations: step 1 is evicted while held, so its
+        // slab is not recycled; step 2's, held by nobody, is.
+        for step in 2..=3u64 {
+            let pool = engine.take_slab(CAP);
+            assert!(pool.is_none(), "step {step} was offered a held slab");
+            let stage = Arc::new(TierStage::new(step, Arc::new(SlabPool::anonymous(CAP))));
+            stage.append("f", 0, &[step as u8; CAP]).unwrap();
+            stage.seal_file("f", CAP as u64);
+            drain_to(&engine, &dir.join(step.to_string()), stage);
+        }
+        assert_eq!(held.step(), 1);
+        assert_eq!(staged_image(&held, "f"), body);
+        let idle = engine.take_slab(CAP).expect("step 2's slab, recycled");
+        assert!(idle.slice(SlabRef { off: 0, len: CAP }) == [2; CAP]);
         std::fs::remove_dir_all(&dir).ok();
     }
 }
