@@ -410,9 +410,8 @@ fn extract_file_guarded(
 }
 
 /// Extract every file of a checkpoint, fanning the per-file work (read +
-/// checksum verification + slicing) out across up to
-/// [`MAX_RESTART_WORKERS`] threads, the caller one of them. Files cover
-/// disjoint rank ranges, so the merge is a straight append per rank; the
+/// checksum verification + slicing) out across up to `max_workers`
+/// threads, the caller one of them. Files cover disjoint rank ranges, so the merge is a straight append per rank; the
 /// first failing file (by listed order) wins error reporting, whatever
 /// the order the files finished in. A panicking worker fails only its own
 /// file (typed [`RestartError::WorkerPanicked`]); every other slot
@@ -422,11 +421,12 @@ fn extract_all(
     files: &[(String, FileHeader)],
     nranks: u32,
     extract: Extract<'_>,
+    max_workers: usize,
 ) -> Result<Vec<Vec<Bytes>>, RestartError> {
     let workers = std::thread::available_parallelism()
         .map_or(1, |n| n.get())
         .min(files.len())
-        .min(MAX_RESTART_WORKERS);
+        .min(max_workers);
     let next = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<FileBlocks>>> = files.iter().map(|_| Mutex::new(None)).collect();
     let work = || loop {
@@ -461,7 +461,8 @@ pub fn read_checkpoint(
 ) -> Result<RestoredData, RestartError> {
     let dir = dir.as_ref();
     let header = |name: &str| read_header(&dir.join(name));
-    read_plan_files(plan, header, &|name, h| extract_file(dir, name, h))
+    let extract = |name: &str, h: &FileHeader| extract_file(dir, name, h);
+    read_plan_files(plan, header, &extract, MAX_RESTART_WORKERS)
 }
 
 /// Read back the checkpoint a plan wrote from the node-local tier's
@@ -472,6 +473,13 @@ pub fn read_checkpoint(
 /// durability proof lives on the drained tiers), so integrity here is
 /// the header shape checks — the same trust as the application's own
 /// buffers the bytes were copied from moments earlier.
+///
+/// The files are placed one after another on the calling thread. The
+/// work is a memory copy out of a resident mapping, a few milliseconds
+/// a generation; a helper thread costs about as much to get running, so
+/// fanning out only paid when the scheduler happened to start it at
+/// once, and on a two-core host restore time swung by 2× from run to
+/// run.
 pub fn read_checkpoint_staged(
     plan: &CheckpointPlan,
     stage: &TierStage,
@@ -490,9 +498,10 @@ pub fn read_checkpoint_staged(
             Ok(())
         })
     };
-    read_plan_files(plan, header, &|name, header| {
-        let (map, size) = &files[name]; // sealed: its header was read first
-                                        // No footer checks the spans here: each field must end in the file.
+    let extract = |name: &str, header: &FileHeader| {
+        // Sealed: its header was read first. No footer checks the spans
+        // here: each field must end in the file.
+        let (map, size) = &files[name];
         let ends = header.fields.iter();
         let ends = ends.map(|f| f.data_off.saturating_add(f.sizes.iter().sum()));
         let want = ends.fold(header.expected_file_size(), u64::max);
@@ -504,15 +513,18 @@ pub fn read_checkpoint_staged(
             blocks.for_each(|(at, block)| map.read(at, block, |r, k| stage.bytes(r, k)));
             Ok(())
         })
-    })
+    };
+    read_plan_files(plan, header, &extract, 1)
 }
 
 /// Read back the files of `plan`: headers first (small reads, serial), so
-/// the shape checks all pass before the heavy per-file extraction fans out.
+/// the shape checks all pass before the heavy per-file extraction fans out
+/// across up to `max_workers` threads.
 fn read_plan_files(
     plan: &CheckpointPlan,
     header: impl Fn(&str) -> Result<FileHeader, RestartError>,
     extract: Extract<'_>,
+    max_workers: usize,
 ) -> Result<RestoredData, RestartError> {
     let mut files: Vec<(String, FileHeader)> = Vec::with_capacity(plan.plan_files.len());
     for pf in &plan.plan_files {
@@ -520,7 +532,7 @@ fn read_plan_files(
         check_header_shape(plan, pf, &h)?;
         files.push((pf.name.clone(), h));
     }
-    let data = extract_all(&files, plan.layout.nranks(), extract)?;
+    let data = extract_all(&files, plan.layout.nranks(), extract, max_workers)?;
     restored_for_plan(plan, files.last().map(|(_, h)| h.step), data)
 }
 
@@ -587,7 +599,8 @@ pub fn read_checkpoint_auto(
             "files cover ranks [0,{cursor}) of {nranks}"
         )));
     }
-    let data = extract_all(&files, nranks, &|name, h| extract_file(dir, name, h))?;
+    let extract = |name: &str, h: &FileHeader| extract_file(dir, name, h);
+    let data = extract_all(&files, nranks, &extract, MAX_RESTART_WORKERS)?;
     Ok(RestoredData {
         step,
         nranks,
