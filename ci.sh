@@ -64,6 +64,12 @@ RBC=target/debug/rbio-check
 "$RBC" sweep --program p11 --seeds 16
 "$RBC" sweep --program p12 --seeds 16
 "$RBC" sweep --program p13 --seeds 16
+# The p9b sweep must catch a planted arrival-blind grant (the
+# work-conserving arbiter deciding while a contender is still arriving).
+if "$RBC" sweep --program p9b --seeds 32 --revert-pr33 > /dev/null; then
+  echo "revert-pr33: planted arrival-blind grant was NOT caught by p9b" >&2
+  exit 1
+fi
 
 echo "== crash-image torture sweep (fast tier) =="
 # Record each strategy's durability op stream and restore ~64 legal

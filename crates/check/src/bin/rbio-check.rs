@@ -3,9 +3,10 @@
 //! ```text
 //! rbio-check sweep  --program p1..p13|all [--seeds N] [--start S]
 //!                   [--preempt] [--stop-first] [--revert-pr2] [--revert-pr3]
-//!                   [--revert-pr5] [--revert-pr7]
+//!                   [--revert-pr5] [--revert-pr7] [--revert-pr33]
 //! rbio-check replay --program p1..p13 --schedule "a,b,c,..."
 //!                   [--revert-pr2] [--revert-pr3] [--revert-pr5] [--revert-pr7]
+//!                   [--revert-pr33]
 //!                   [--expect-violation]
 //! ```
 //!
@@ -24,9 +25,10 @@ fn usage(err: &str) -> ExitCode {
     eprintln!("usage:");
     eprintln!("  rbio-check sweep  --program <p1..p13|all> [--seeds N] [--start S]");
     eprintln!("                    [--preempt] [--stop-first] [--revert-pr2] [--revert-pr3]");
-    eprintln!("                    [--revert-pr5] [--revert-pr7]");
+    eprintln!("                    [--revert-pr5] [--revert-pr7] [--revert-pr33]");
     eprintln!("  rbio-check replay --program <p1..p13> --schedule \"name,name,...\"");
     eprintln!("                    [--revert-pr2] [--revert-pr3] [--revert-pr5] [--revert-pr7]");
+    eprintln!("                    [--revert-pr33]");
     eprintln!("                    [--expect-violation]");
     eprintln!();
     for k in ProgramKind::all() {
@@ -96,6 +98,9 @@ fn parse_args() -> Result<Args, String> {
             "--revert-pr3" => args.reverts.push(RevertGuard::arm(Revert::Pr3FaultDrop)),
             "--revert-pr5" => args.reverts.push(RevertGuard::arm(Revert::Pr5Fence)),
             "--revert-pr7" => args.reverts.push(RevertGuard::arm(Revert::Pr7EarlyRecycle)),
+            "--revert-pr33" => args
+                .reverts
+                .push(RevertGuard::arm(Revert::Pr33GrantBlindToArrivals)),
             other => return Err(format!("unknown flag '{other}'")),
         }
     }

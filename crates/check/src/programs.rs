@@ -52,15 +52,16 @@
 //!   is admitted after the holder leaves, and exactly one is rejected
 //!   with the typed error.
 //! * `p9b` — weighted fair-share grants: two tenants (weights 1 and 2)
-//!   pump equal-sized grants through the arbiter. Because a looping
-//!   tenant is continuously re-registered as a waiter between grants,
-//!   the WFQ bound is schedule-independent: neither tenant's
-//!   weight-normalized bytes may lead the other's by more than two
-//!   quanta while both are active, and every grant completes (no
-//!   starvation, no timeout) on every schedule.
+//!   pump equal-sized grants through the arbiter, and a third pumps its
+//!   grants from inside one chunk loop, stalling between them. Because a
+//!   looping tenant announces its next grant before it yields, and the
+//!   chunk loop keeps the third visible between grants, the WFQ bound is
+//!   schedule-independent: no tenant's weight-normalized bytes may lead
+//!   another's by more than two quanta while both are active, and every
+//!   grant completes (no starvation, no timeout) on every schedule.
 //! * `p9c` — QoS preemption: a throughput tenant streams grants while a
 //!   latency-sensitive tenant runs a burst. From the burst's first
-//!   registration to its leave, the throughput tenant must complete
+//!   announcement to its leave, the throughput tenant must complete
 //!   zero grants, and it must resume (and finish) after the burst ends.
 //! * `p10` — drain-vs-crash interleavings against the fsync promise: a
 //!   tiered manager publishes two fsynced generations (every hop of the
@@ -1319,28 +1320,35 @@ fn prepare_service_admission(_dir: &Path) -> PreparedProgram {
     }
 }
 
-/// `p9b`: tenants of weight 1 and 2 each pump six equal-sized grants.
-/// Under the controlled scheduler a looping tenant is re-registered as
-/// a waiter before it ever yields, so whenever one tenant is granted
-/// the other is either waiting or finished — which makes the WFQ bound
-/// exact on every schedule: a tenant's weight-normalized bytes may not
-/// lead an active contender's by more than two quanta. Liveness rides
-/// along: every grant must complete (no `GrantTimeout`, no starvation).
+/// `p9b`: tenants of weight 1 and 2 each pump six equal-sized grants,
+/// and a third (weight 1) pumps six more from inside one chunk loop
+/// ([`FairShare::call`]), stalling between its grants. Under the
+/// controlled scheduler a looping tenant announces its next grant before
+/// it ever yields, and the looping third tenant is visible through its
+/// call, so whenever one tenant is granted every other active one is
+/// waiting, arriving or counted by the arbiter — which makes the WFQ
+/// bound exact on every schedule: a tenant's weight-normalized bytes may
+/// not lead an active contender's by more than two quanta. Liveness
+/// rides along: every grant must complete (no `GrantTimeout`, no
+/// starvation), the stalled loop's included.
 fn prepare_service_fair_share(_dir: &Path) -> PreparedProgram {
     const Q: u64 = 1024;
     const K: u64 = 6;
+    /// Yields the looping tenant spends between two of its grants.
+    const STALL: usize = 3;
+    const WEIGHTS: [u64; 3] = [1, 2, 1];
     PreparedProgram {
         body: Box::new(move || {
             let fs = Arc::new(FairShare::new(Q, Duration::from_secs(5)));
-            fs.join(&TenantSpec::new(1).weight(1));
-            fs.join(&TenantSpec::new(2).weight(2));
-            let bytes: Arc<[AtomicU64; 2]> = Arc::new([AtomicU64::new(0), AtomicU64::new(0)]);
-            let done: Arc<[AtomicBool; 2]> =
-                Arc::new([AtomicBool::new(false), AtomicBool::new(false)]);
-            let live = Arc::new(AtomicUsize::new(2));
+            for (idx, w) in WEIGHTS.iter().enumerate() {
+                fs.join(&TenantSpec::new(idx as u64 + 1).weight(*w as u32));
+            }
+            let bytes: Arc<[AtomicU64; 3]> = Arc::new(Default::default());
+            let done: Arc<[AtomicBool; 3]> = Arc::new(Default::default());
+            let live = Arc::new(AtomicUsize::new(WEIGHTS.len()));
             let violations: Arc<Mutex<Vec<String>>> = Arc::new(Mutex::new(Vec::new()));
             let mut handles = Vec::new();
-            for (idx, weight) in [(0usize, 1u64), (1usize, 2u64)] {
+            for (idx, weight) in WEIGHTS.into_iter().enumerate() {
                 let fs = Arc::clone(&fs);
                 let bytes = Arc::clone(&bytes);
                 let done = Arc::clone(&done);
@@ -1350,8 +1358,12 @@ fn prepare_service_fair_share(_dir: &Path) -> PreparedProgram {
                 handles.push(std::thread::spawn(move || {
                     let id = idx as u64 + 1;
                     sched::register(&format!("tenant{id}"));
-                    let other = 1 - idx;
-                    let other_weight = 3 - weight;
+                    let stalls = idx == 2;
+                    let call = stalls.then(|| fs.call(id));
+                    if let Some(Err(e)) = &call {
+                        let mut g = violations.lock().expect("violations");
+                        g.push(format!("tenant {id} call: {e}"));
+                    }
                     for _ in 0..K {
                         if let Err(e) = fs.grant(id, Q) {
                             let mut g = violations.lock().expect("violations");
@@ -1359,22 +1371,33 @@ fn prepare_service_fair_share(_dir: &Path) -> PreparedProgram {
                             break;
                         }
                         let mine = bytes[idx].fetch_add(Q, Ordering::SeqCst) + Q;
-                        // `theirs == 0` can also mean "not yet entered
-                        // its first grant", where the bound does not
-                        // apply — skip until the contender has output.
-                        let theirs = bytes[other].load(Ordering::SeqCst);
-                        if !done[other].load(Ordering::SeqCst)
-                            && theirs > 0
-                            && mine / weight > theirs / other_weight + 2 * Q
-                        {
-                            let mut g = violations.lock().expect("violations");
-                            g.push(format!(
-                                "tenant {id} overtook: {mine}B at weight {weight} vs \
-                                 {theirs}B at weight {other_weight} (quantum {Q})"
-                            ));
+                        for (other, other_weight) in WEIGHTS.into_iter().enumerate() {
+                            // `theirs == 0` can also mean "not yet entered
+                            // its first grant", where the bound does not
+                            // apply — skip until the contender has output.
+                            let theirs = bytes[other].load(Ordering::SeqCst);
+                            if other != idx
+                                && !done[other].load(Ordering::SeqCst)
+                                && theirs > 0
+                                && mine / weight > theirs / other_weight + 2 * Q
+                            {
+                                let mut g = violations.lock().expect("violations");
+                                g.push(format!(
+                                    "tenant {id} overtook tenant {}: {mine}B at weight \
+                                     {weight} vs {theirs}B at weight {other_weight} \
+                                     (quantum {Q})",
+                                    other + 1
+                                ));
+                            }
+                        }
+                        if stalls {
+                            for _ in 0..STALL {
+                                sched::yield_now(Point::Progress);
+                            }
                         }
                     }
                     done[idx].store(true, Ordering::SeqCst);
+                    drop(call);
                     fs.leave(id);
                     live.fetch_sub(1, Ordering::SeqCst);
                     sched::unregister();
@@ -1407,20 +1430,19 @@ fn prepare_service_fair_share(_dir: &Path) -> PreparedProgram {
 }
 
 /// `p9c`: a throughput tenant streams grants while a latency-sensitive
-/// tenant (joined up front so every grant parks) runs a four-grant
-/// burst. From the burst's first registration to its leave the
-/// throughput stream must complete zero grants — the burst's waiters
-/// freeze it at every grant point — and it must resume and finish once
-/// the burst ends.
+/// tenant (joined up front) runs a four-grant burst. From the burst's
+/// first announcement to its leave the throughput stream must complete
+/// zero grants — the burst's arrivals and waiters freeze it at every
+/// grant point — and it must resume and finish once the burst ends.
 fn prepare_service_qos(_dir: &Path) -> PreparedProgram {
     const Q: u64 = 512;
     PreparedProgram {
         body: Box::new(move || {
             let fs = Arc::new(FairShare::new(Q, Duration::from_secs(5)));
             fs.join(&TenantSpec::new(7).qos(QosClass::Throughput));
-            // Joined before the stream starts so the throughput loop
-            // always has a contender registered and therefore parks
-            // (yields) at every grant even while running alone.
+            // Joined before the stream starts; the throughput loop
+            // yields at every grant's announcement, so the burst can
+            // begin between any two of its grants.
             fs.join(&TenantSpec::new(9).qos(QosClass::LatencySensitive));
             let t_count = Arc::new(AtomicU64::new(0));
             let stop = Arc::new(AtomicBool::new(false));

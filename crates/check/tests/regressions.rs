@@ -15,6 +15,9 @@
 //!   write has nothing left to resubmit (the file keeps a hole) and
 //!   pooled slabs go back for reuse while completions still reference
 //!   them.
+//! * **The work-conserving grant** — `FairShare::grant` deciding while a
+//!   contender is still arriving (announced, blocked on the arbiter's
+//!   lock) lets one tight grant loop overtake another past the WFQ bound.
 //!
 //! Each bug is re-introduced through its test-only revert switch; the
 //! explorer must find it, the found schedule must replay byte-for-byte,
@@ -344,4 +347,47 @@ fn tier_loss_mid_drain_recovers_on_every_schedule() {
             .map(|(s, rep)| (*s, rep.violations.clone()))
             .collect::<Vec<_>>()
     );
+}
+
+#[test]
+fn arrival_blind_grant_is_found_replayed_and_fixed() {
+    let guard = arm(Revert::Pr33GrantBlindToArrivals);
+
+    // A grant that decides while its contender is still arriving runs
+    // past the two-quantum bound on a large share of schedules.
+    let result = sweep(ProgramKind::ServiceFairShare, 0..32, false, true);
+    let (seed, found) = result
+        .failures
+        .first()
+        .expect("a 32-seed p9b sweep must catch the arrival-blind grant");
+    assert!(
+        found
+            .outcome
+            .as_ref()
+            .is_err_and(|e| e.contains("overtook")),
+        "seed {seed} failed without an overtaking tenant: {:?}",
+        found.outcome
+    );
+
+    let replay = run_one(
+        ProgramKind::ServiceFairShare,
+        Policy::pinned(&found.schedule()),
+    );
+    assert!(!replay.diverged, "pinned replay must fit the buggy run");
+    assert_eq!(replay.trace, found.trace, "schedule must replay exactly");
+    assert_eq!(replay.outcome, found.outcome, "outcome must replay exactly");
+
+    // Waiting for the arrival to register keeps the bound on the same
+    // schedule.
+    guard.revert.disarm();
+    let fixed = run_one(
+        ProgramKind::ServiceFairShare,
+        Policy::pinned(&found.schedule()),
+    );
+    assert!(
+        fixed.violations.is_empty(),
+        "fixed code must survive the bug schedule: {:?}",
+        fixed.violations
+    );
+    assert!(fixed.outcome.is_ok(), "{:?}", fixed.outcome);
 }

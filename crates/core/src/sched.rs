@@ -99,6 +99,10 @@ impl Point {
     }
 }
 
+/// Controlled parks that stand in for one production slice in
+/// [`Wait::held_a_slice`].
+const SLICE_POLLS: u32 = 64;
+
 /// One blocking wait, the only way a thread of this crate blocks on
 /// another: check the condition, and while it fails, park. Production
 /// blocks for at most the slice and the time left; a registered thread
@@ -106,11 +110,17 @@ impl Point {
 /// A wait that gives up returns `Err(max(elapsed, timeout))`.
 pub(crate) struct Wait {
     point: Point,
-    /// Start and length of the deadline; the clock is read only for one.
+    /// Start and length of the deadline; the clock is read only for one
+    /// and for [`Wait::held_a_slice`].
     deadline: Option<(Instant, Duration)>,
     slice: Option<Duration>,
     /// Controlled polls left ([`Point::poll_budget`]).
     budget: Option<u32>,
+    /// Parks so far.
+    parks: u32,
+    /// When [`Wait::held_a_slice`] was first asked: the time (production
+    /// only) and the parks by then.
+    held_since: Option<(Option<Instant>, u32)>,
     /// The last park woke because its time ran out, not by a notify.
     pub(crate) slice_expired: bool,
 }
@@ -123,6 +133,8 @@ impl Wait {
             deadline: timeout.map(|t| (Instant::now(), t)),
             slice: None,
             budget: point.poll_budget(),
+            parks: 0,
+            held_since: None,
             slice_expired: false,
         }
     }
@@ -143,6 +155,7 @@ impl Wait {
         g: MutexGuard<'a, T>,
     ) -> Result<MutexGuard<'a, T>, (MutexGuard<'a, T>, Duration)> {
         self.slice_expired = false;
+        self.parks = self.parks.saturating_add(1);
         if registered() {
             if let Err(waited) = self.spend_poll() {
                 return Err((g, waited));
@@ -159,6 +172,21 @@ impl Wait {
                 self.slice_expired = r.timed_out();
                 Ok(g)
             }
+        }
+    }
+
+    /// Whether this wait has held out one slice — in a controlled run,
+    /// [`SLICE_POLLS`] parks — since it was first asked: the backstop for
+    /// waiting on a thread that should act soon but may have stalled.
+    /// Timed from the first ask, so notifies cannot stretch it.
+    pub(crate) fn held_a_slice(&mut self) -> bool {
+        let (controlled, parks) = (registered(), self.parks);
+        let (t0, parks0) = *self
+            .held_since
+            .get_or_insert_with(|| ((!controlled).then(Instant::now), parks));
+        match t0 {
+            None => parks - parks0 >= SLICE_POLLS,
+            Some(t0) => self.slice.is_some_and(|s| t0.elapsed() >= s),
         }
     }
 
@@ -523,6 +551,11 @@ pub enum Revert {
     /// nothing left to resubmit, the file keeps a hole, and the `p8a`
     /// family flags the divergence.
     Pr7EarlyRecycle,
+    /// The work-conserving grant's arrival check: `FairShare::grant`
+    /// decides while a contender is still arriving (announced, not yet registered as a waiter), so two tight
+    /// grant loops fall back to FIFO and one overtakes the other by more
+    /// than the WFQ bound; the `p9b` and `p9c` families flag it.
+    Pr33GrantBlindToArrivals,
 }
 
 impl Revert {
@@ -754,6 +787,20 @@ mod tests {
             g = wait
                 .park(&m, &cv, g)
                 .unwrap_or_else(|_| panic!("no deadline to pass"));
+        }
+        let took = t0.elapsed();
+        assert!(took >= slice && took < slice * 50, "{took:?}");
+    }
+
+    #[test]
+    fn a_held_slice_counts_time_from_the_first_ask() {
+        let slice = Duration::from_millis(20);
+        let mut wait = Wait::new(Point::GrantWait, None).slice(slice);
+        let t0 = Instant::now();
+        assert!(!wait.held_a_slice());
+        // No park at all: the backstop is the clock's, not the condvar's.
+        while !wait.held_a_slice() {
+            std::hint::spin_loop();
         }
         let took = t0.elapsed();
         assert!(took >= slice && took < slice * 50, "{took:?}");

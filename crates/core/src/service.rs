@@ -18,8 +18,11 @@
 //! ([`CheckpointService::pool`] hands the same pool to an embedding
 //! executor), so a differently-configured service is a different pool —
 //! there is no process-wide pool to go stale. The pool stops when the
-//! service and its last open session are gone. Admission and grant waits
-//! are each one [`Wait`], waking every 25 ms.
+//! service and its last open session are gone. An admission wait is one
+//! [`Wait`], waking every 25 ms. A grant is work-conserving: it waits
+//! only for a contender that can hand off to it (see
+//! [`FairShare::grant`]), and the 25 ms slice is its stall backstop and
+//! the granularity of its timeout, never a sleep on the common path.
 //!
 //! Every admission decision and per-tenant byte moved is charged to the
 //! zero-alloc counters in [`rbio_profile::counters`].
@@ -29,7 +32,7 @@ use std::fs::{File, OpenOptions};
 use std::io;
 use std::os::unix::fs::FileExt;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
@@ -39,9 +42,11 @@ use crate::buf::{BufPool, Bytes};
 use crate::commit;
 use crate::fault::FaultPlan;
 use crate::pipeline::{FlushJob, FlushPool, PipelineError, WriterHandle, WriterTuning};
-use crate::sched::{Point, Wait};
+use crate::sched::{self, Point, Revert, Wait};
 
-/// How often a session waiting for admission or a grant re-checks.
+/// How often a session waiting for admission re-checks; how long in all
+/// a grant waits for hidden contenders before it counts them as stalled;
+/// the granularity of both timeouts.
 const WAIT_SLICE: Duration = Duration::from_millis(25);
 
 /// Fixed-point scale for virtual time: one byte at weight `WEIGHT_SCALE`
@@ -201,6 +206,12 @@ pub enum ServiceError {
         /// How long it waited.
         waited: Duration,
     },
+    /// The arbiter was asked for a grant or a chunk loop on behalf of a
+    /// tenant with no open session ([`FairShare::join`] first).
+    NotJoined {
+        /// The unknown tenant.
+        tenant: u64,
+    },
     /// The session's background writer failed (first error latched).
     Pipeline(PipelineError),
     /// A foreground file operation failed.
@@ -223,6 +234,9 @@ impl std::fmt::Display for ServiceError {
             }
             ServiceError::GrantTimeout { tenant, waited } => {
                 write!(f, "tenant {tenant}: no bandwidth grant within {waited:?}")
+            }
+            ServiceError::NotJoined { tenant } => {
+                write!(f, "tenant {tenant}: no session joined to the arbiter")
             }
             ServiceError::Pipeline(e) => write!(f, "session writer: {e}"),
             ServiceError::Io(e) => write!(f, "session i/o: {e}"),
@@ -392,6 +406,9 @@ struct TenantSched {
     sessions: usize,
     /// Sessions of this tenant currently blocked in `grant`.
     waiting: usize,
+    /// Sessions of this tenant inside a chunk loop ([`FairShare::call`]):
+    /// between two of its grants such a session will ask again.
+    calls: usize,
 }
 
 struct FsState {
@@ -411,6 +428,26 @@ pub struct FairShare {
     /// Vtime slack a tenant may run ahead of the slowest waiter.
     quantum_v: u64,
     grant_timeout: Duration,
+    /// Grants announced but not yet registered as waiters: blocked on
+    /// the lock, which a decision in progress holds.
+    arriving: AtomicUsize,
+}
+
+/// A session's chunk loop, as [`FairShare::call`] registers it; ends on
+/// drop.
+pub struct Call<'a> {
+    fs: &'a FairShare,
+    tenant: u64,
+}
+
+impl Drop for Call<'_> {
+    fn drop(&mut self) {
+        let mut g = self.fs.m.lock().expect("fair-share lock");
+        if let Some(t) = g.tenants.get_mut(&self.tenant) {
+            t.calls = t.calls.saturating_sub(1);
+        }
+        self.fs.cv.notify_all();
+    }
 }
 
 impl FairShare {
@@ -425,6 +462,7 @@ impl FairShare {
             cv: Condvar::new(),
             quantum_v: quantum.max(1).saturating_mul(WEIGHT_SCALE),
             grant_timeout,
+            arriving: AtomicUsize::new(0),
         }
     }
 
@@ -446,6 +484,7 @@ impl FairShare {
             vtime: floor,
             sessions: 0,
             waiting: 0,
+            calls: 0,
         });
         t.weight = tenant.weight.max(1);
         t.qos = tenant.qos;
@@ -465,102 +504,156 @@ impl FairShare {
         self.cv.notify_all();
     }
 
+    /// Mark one session of `tenant` as inside a chunk loop until the
+    /// returned guard drops. A contender far enough ahead waits for the
+    /// loop's next grant instead of overtaking it between two grants.
+    pub fn call(&self, tenant_id: u64) -> Result<Call<'_>, ServiceError> {
+        let mut g = self.m.lock().expect("fair-share lock");
+        let t = g
+            .tenants
+            .get_mut(&tenant_id)
+            .ok_or(ServiceError::NotJoined { tenant: tenant_id })?;
+        t.calls += 1;
+        Ok(Call {
+            fs: self,
+            tenant: tenant_id,
+        })
+    }
+
     /// Block until `tenant` may move `bytes` more bytes, then charge
     /// them. Eligibility: the tenant's vtime is within one quantum of
     /// the slowest *waiting* contender, and no latency-sensitive session
     /// is waiting if this one is throughput-class.
     ///
-    /// Every grant under contention parks at least one scheduling slice
-    /// before deciding. Decisions are made among the set of sessions
-    /// that currently *want* the pipe, so without the park two streams
-    /// ping-ponging through instantaneous grants would never observe
-    /// each other and fairness would silently degrade to FIFO. The park
-    /// is the serialization point of the fair-shared pipe; a tenant
-    /// with nothing in flight is excluded from the floor, so a dead or
-    /// stalled session can never wedge healthy ones.
+    /// A grant is work-conserving: it returns at once unless a contender
+    /// the decision cannot see yet could go first. Such a contender is
+    /// *hidden*: it is arriving (announced, blocked on the lock), or it
+    /// is inside a chunk loop ([`FairShare::call`]) between two grants
+    /// and more than one quantum behind this tenant. Decisions are made
+    /// among the sessions that want the pipe, so without the wait two
+    /// streams trading instantaneous grants would never observe each
+    /// other and fairness would degrade to FIFO. The wait lasts until the
+    /// contender registers or its loop ends, and at most one scheduling
+    /// slice in all, timed from the first hidden contender (other
+    /// tenants' notifies do not extend it): a session stalled inside its
+    /// loop can never fence healthy ones. A tenant between sessions or in
+    /// `commit` is not in a loop and costs nothing. A latency-sensitive
+    /// grant looks only at latency-sensitive loops; an arrival's class is
+    /// unknown until it registers, so every grant waits for one (a lock
+    /// hand-off).
+    ///
+    /// A latency-sensitive grant made while a throughput session waits
+    /// or is inside a chunk loop counts as a QoS preemption
+    /// (`service.preemptions`).
     pub fn grant(&self, tenant_id: u64, bytes: u64) -> Result<(), ServiceError> {
+        // Announce before the lock, so a decision in progress sees this
+        // grant even while it is blocked on the mutex.
+        self.arriving.fetch_add(1, Ordering::SeqCst);
+        sched::yield_now(Point::GrantWait);
         let mut g = self.m.lock().expect("fair-share lock");
-        let (qos, cost) = {
-            let t = g.tenants.get(&tenant_id).expect("granted tenant joined");
-            (
-                t.qos,
-                bytes.saturating_mul(WEIGHT_SCALE) / u64::from(t.weight),
-            )
+        self.arriving.fetch_sub(1, Ordering::SeqCst);
+        let Some(t) = g.tenants.get_mut(&tenant_id) else {
+            // The arrival is over: wake the decisions that waited for it.
+            self.cv.notify_all();
+            return Err(ServiceError::NotJoined { tenant: tenant_id });
         };
-        // Register as a waiter up front so concurrent grants contend.
-        g.tenants
-            .get_mut(&tenant_id)
-            .expect("granted tenant joined")
-            .waiting += 1;
+        let (qos, cost) = (
+            t.qos,
+            bytes.saturating_mul(WEIGHT_SCALE) / u64::from(t.weight),
+        );
+        t.waiting += 1;
         if qos == QosClass::LatencySensitive {
             g.lat_waiters += 1;
         }
         self.cv.notify_all();
-        let leave_wait = |g: &mut FsState| {
-            g.tenants.get_mut(&tenant_id).expect("joined").waiting -= 1;
-            if qos == QosClass::LatencySensitive {
-                g.lat_waiters -= 1;
-            }
-        };
         let mut wait = Wait::new(Point::GrantWait, Some(self.grant_timeout)).slice(WAIT_SLICE);
-        let mut first = true;
         let mut counted_block = false;
-        let mut counted_preempt = false;
-        loop {
-            // Uncontended fast path: sole joined tenant, no park needed.
-            let must_park = !(first && g.tenants.len() == 1);
-            first = false;
-            if must_park {
-                if !counted_block {
-                    counted_block = true;
-                    counters::add_service_throttle_waits(1);
-                }
-                if qos == QosClass::Throughput && g.lat_waiters > 0 && !counted_preempt {
-                    // Parked behind a latency-sensitive waiter: a QoS
-                    // preemption at a chunk grant point.
-                    counted_preempt = true;
+        let outcome = loop {
+            let Some(me) = g.tenants.get(&tenant_id).map(|t| t.vtime) else {
+                break Err(ServiceError::NotJoined { tenant: tenant_id });
+            };
+            let arriving = self.arriving.load(Ordering::SeqCst) > 0
+                && !sched::reverted(Revert::Pr33GrantBlindToArrivals);
+            // Hidden contenders that have not registered or left their
+            // loop within a slice have stalled, and stop counting.
+            let hidden = (arriving || g.loop_behind(tenant_id, qos, me, self.quantum_v))
+                && !wait.held_a_slice();
+            if !hidden && g.eligible(qos, me, self.quantum_v) {
+                if qos == QosClass::LatencySensitive && g.throughput_wants_pipe() {
                     counters::add_service_preemptions(1);
                 }
-                g = match wait.park(&self.m, &self.cv, g) {
-                    Ok(g) => g,
-                    Err((mut g, waited)) => {
-                        leave_wait(&mut g);
-                        self.cv.notify_all();
-                        return Err(ServiceError::GrantTimeout {
-                            tenant: tenant_id,
-                            waited,
-                        });
-                    }
-                };
+                if let Some(t) = g.tenants.get_mut(&tenant_id) {
+                    t.vtime = t.vtime.saturating_add(cost);
+                }
+                break Ok(());
             }
-            // While a latency-sensitive session waits, throughput waiters
-            // are frozen by the QoS gate; leaving their stale vtime in the
-            // floor would wedge the latency stream one quantum later
-            // (it waits on a vtime that can't advance — deadlock). The
-            // floor spans only waiters eligible to run right now.
-            let lat_only = g.lat_waiters > 0;
-            let floor = g
-                .tenants
-                .values()
-                .filter(|t| t.waiting > 0 && (!lat_only || t.qos == QosClass::LatencySensitive))
-                .map(|t| t.vtime)
-                .min();
-            let me = g.tenants.get(&tenant_id).expect("granted tenant joined");
-            let vtime_ok = match floor {
-                // Compare against the slowest tenant that actually wants
-                // bandwidth; an idle tenant must not block the pipe.
-                Some(f) => me.vtime <= f.saturating_add(self.quantum_v),
-                None => true,
-            };
-            let qos_ok = qos == QosClass::LatencySensitive || g.lat_waiters == 0;
-            if vtime_ok && qos_ok {
-                leave_wait(&mut g);
-                let t = g.tenants.get_mut(&tenant_id).expect("joined");
-                t.vtime = t.vtime.saturating_add(cost);
-                self.cv.notify_all();
-                return Ok(());
+            if !counted_block {
+                counted_block = true;
+                counters::add_service_throttle_waits(1);
             }
+            match wait.park(&self.m, &self.cv, g) {
+                Ok(ng) => g = ng,
+                Err((ng, waited)) => {
+                    g = ng;
+                    break Err(ServiceError::GrantTimeout {
+                        tenant: tenant_id,
+                        waited,
+                    });
+                }
+            }
+        };
+        if let Some(t) = g.tenants.get_mut(&tenant_id) {
+            t.waiting = t.waiting.saturating_sub(1);
         }
+        if qos == QosClass::LatencySensitive {
+            g.lat_waiters -= 1;
+        }
+        self.cv.notify_all();
+        outcome
+    }
+}
+
+impl FsState {
+    /// Whether a grant at vtime `me` may go now among the registered
+    /// waiters: within one quantum of the slowest of them, and past the
+    /// QoS gate.
+    fn eligible(&self, qos: QosClass, me: u64, quantum_v: u64) -> bool {
+        // While a latency-sensitive session waits, throughput waiters
+        // are frozen by the QoS gate; leaving their stale vtime in the
+        // floor would wedge the latency stream one quantum later (it
+        // waits on a vtime that can't advance — deadlock). The floor
+        // spans only waiters eligible to run right now.
+        let lat_only = self.lat_waiters > 0;
+        if lat_only && qos == QosClass::Throughput {
+            return false;
+        }
+        self.tenants
+            .values()
+            .filter(|t| t.waiting > 0 && (!lat_only || t.qos == QosClass::LatencySensitive))
+            .map(|t| t.vtime)
+            .min()
+            .is_none_or(|floor| me <= floor.saturating_add(quantum_v))
+    }
+
+    /// Whether another tenant that counts for a `qos` grant is inside a
+    /// chunk loop, not waiting, and more than one quantum behind `me`:
+    /// once it asks again, the floor would hold this grant back.
+    fn loop_behind(&self, tenant_id: u64, qos: QosClass, me: u64, quantum_v: u64) -> bool {
+        self.tenants.iter().any(|(&id, t)| {
+            id != tenant_id
+                && (qos == QosClass::Throughput || t.qos == QosClass::LatencySensitive)
+                && t.calls > t.waiting
+                && t.vtime.saturating_add(quantum_v) < me
+        })
+    }
+
+    /// Whether a throughput session waits for a grant or is inside a
+    /// chunk loop. A latency-sensitive grant made meanwhile counts as a
+    /// preemption.
+    fn throughput_wants_pipe(&self) -> bool {
+        self.tenants
+            .values()
+            .any(|t| t.qos == QosClass::Throughput && (t.waiting > 0 || t.calls > 0))
     }
 }
 
@@ -739,9 +832,12 @@ impl CheckpointSession {
     /// Append `data` to the checkpoint stream. The write is chunked at
     /// the fair-share quantum: each chunk waits for this tenant's
     /// bandwidth grant (the preemption point for latency-sensitive
-    /// restores), then rides the background flush pipeline.
+    /// restores), then rides the background flush pipeline. The call is
+    /// one chunk loop ([`FairShare::call`]): contenders see the stream
+    /// between its grants.
     pub fn write(&mut self, data: &[u8]) -> Result<(), ServiceError> {
         let quantum = self.inner.cfg.quantum.max(1) as usize;
+        let _call = self.inner.arbiter.call(self.tenant.id)?;
         for chunk in data.chunks(quantum) {
             self.inner
                 .arbiter
@@ -842,13 +938,15 @@ impl RestoreSession {
         Ok(n)
     }
 
-    /// Read the whole remaining stream.
+    /// Read the whole remaining stream, as one chunk loop
+    /// ([`FairShare::call`]).
     pub fn read_all(&mut self) -> Result<Vec<u8>, ServiceError> {
         let mut out = vec![0u8; (self.len - self.offset) as usize];
+        let inner = Arc::clone(&self.inner);
+        let _call = inner.arbiter.call(self.tenant.id)?;
         let mut done = 0;
         while done < out.len() {
-            let n = self.read(&mut out[done..])?;
-            done += n;
+            done += self.read(&mut out[done..])?;
         }
         counters::add_service_completed(1);
         counters::tenant_add_session_done(self.slot);
@@ -1071,6 +1169,90 @@ mod tests {
             (1.2..=3.3).contains(&ratio),
             "weight-2 tenant should get ~2x the grants, got {ratio:.2} ({c1} vs {c2})"
         );
+    }
+
+    #[test]
+    fn a_grant_beside_an_idle_session_does_not_park() {
+        // B holds an open session outside any chunk loop (between writes,
+        // or in commit's fsync): it will not hand off, so A never waits.
+        let fs = FairShare::new(1024, Duration::from_secs(2));
+        let (a, b) = (TenantSpec::new(111), TenantSpec::new(112));
+        fs.join(&a);
+        fs.join(&b);
+        let t0 = std::time::Instant::now();
+        for _ in 0..16 {
+            fs.grant(a.id, 1024).expect("grant");
+        }
+        let took = t0.elapsed();
+        assert!(took < Duration::from_millis(5), "16 grants took {took:?}");
+    }
+
+    #[test]
+    fn a_stalled_call_costs_a_contender_at_most_one_slice() {
+        // B enters a chunk loop and never asks for a grant. A may run one
+        // quantum ahead of it at once; past that it waits for B's next
+        // grant, and about one slice later stops waiting. Meanwhile C, a
+        // latency-sensitive stream that B's loop does not hold back,
+        // grants in a tight loop and notifies the arbiter every time, so
+        // no slice of A's wait is silent: the backstop must be timed.
+        let fs = Arc::new(FairShare::new(1024, Duration::from_secs(2)));
+        let (a, b, c) = (
+            TenantSpec::new(121),
+            TenantSpec::new(122),
+            TenantSpec::new(123).qos(QosClass::LatencySensitive),
+        );
+        for t in [&a, &b, &c] {
+            fs.join(t);
+        }
+        let _stalled = fs.call(b.id).expect("b joined");
+        let t0 = std::time::Instant::now();
+        for _ in 0..2 {
+            fs.grant(a.id, 1024).expect("within a quantum of b");
+        }
+        assert!(t0.elapsed() < WAIT_SLICE, "{:?}", t0.elapsed());
+        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let notifier = {
+            let (fs, stop) = (Arc::clone(&fs), Arc::clone(&stop));
+            std::thread::spawn(move || {
+                let mut grants = 0u64;
+                while !stop.load(Ordering::Relaxed) {
+                    fs.grant(c.id, 1).expect("c is never held back");
+                    grants += 1;
+                }
+                grants
+            })
+        };
+        let t1 = std::time::Instant::now();
+        let res = fs.grant(a.id, 1024);
+        let took = t1.elapsed();
+        stop.store(true, Ordering::Relaxed);
+        assert!(notifier.join().expect("c thread") > 0);
+        res.expect("a stalled loop must not time a grant out");
+        assert!(
+            took >= WAIT_SLICE && took < 20 * WAIT_SLICE,
+            "the grant past b waited {took:?}, want about one slice"
+        );
+    }
+
+    #[test]
+    fn an_unjoined_tenant_gets_a_typed_error_and_others_are_still_granted() {
+        let fs = FairShare::new(1024, Duration::from_secs(2));
+        let a = TenantSpec::new(131);
+        fs.join(&a);
+        assert!(matches!(
+            fs.grant(139, 1024),
+            Err(ServiceError::NotJoined { tenant: 139 })
+        ));
+        assert!(matches!(
+            fs.call(139),
+            Err(ServiceError::NotJoined { tenant: 139 })
+        ));
+        // The error left the arbiter usable: no poisoned lock, no
+        // arrival left announced.
+        fs.grant(a.id, 1024)
+            .expect("a joined tenant is still granted");
+        let _call = fs.call(a.id).expect("a joined tenant enters a loop");
+        fs.grant(a.id, 1024).expect("and is granted inside it");
     }
 
     #[test]

@@ -221,10 +221,12 @@ counters! {
         completed += add_service_completed;
         /// Sessions that surfaced a typed error.
         failed += add_service_failed;
-        /// Throughput grants deferred because a latency-sensitive session
-        /// was waiting at the same grant point.
+        /// Latency-sensitive grants made while a throughput session was
+        /// waiting for a grant or inside a chunk loop: the restore went
+        /// ahead of bulk traffic that wanted the pipe.
         preemptions += add_service_preemptions;
-        /// Fair-share grants that had to wait for a lagging tenant.
+        /// Fair-share grants that had to wait: for a lagging tenant, an
+        /// arriving one, or the QoS gate.
         throttle_waits += add_service_throttle_waits;
         /// Bounded-channel sends that found the queue full and waited.
         send_backpressure_blocks += add_send_backpressure_blocks;
