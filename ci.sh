@@ -31,6 +31,10 @@ cargo test --release -q -p rbio --test copies_per_byte
 # against the image reader, bytes and refusal texts.
 cargo test --release -q --test restore_equivalence
 cargo test --release -q --test datapath_equivalence
+# The service's sessions in the build the benchmark measures: pooled
+# restore images, owned and borrowed writes, fair share under load.
+cargo test --release -q -p rbio --lib service::
+cargo test --release -q --test service_isolation
 # One fsync per atomic file, in the optimised build too: the journal's
 # shape per strategy, and an injected fsync failure end to end.
 cargo test --release -q -p rbio --test crash_torture -- every_atomic_file

@@ -277,6 +277,12 @@ impl PartialEq<[u8]> for Bytes {
     }
 }
 
+impl PartialEq<Vec<u8>> for Bytes {
+    fn eq(&self, other: &Vec<u8>) -> bool {
+        self.as_ref() == other.as_slice()
+    }
+}
+
 impl From<Vec<u8>> for Bytes {
     fn from(v: Vec<u8>) -> Bytes {
         Bytes::from_vec(v)
@@ -433,7 +439,8 @@ impl PoolShared {
 
 /// The recycling pool behind the buffer lifecycle: every generation-sized
 /// allocation of the runtime — payloads, restore buffers, eager-send
-/// copies, bytes read back into staging — is leased here.
+/// copies, bytes read back into staging, a service session's chunk copies
+/// and restore images — is leased here.
 pub struct BufPool {
     shared: Arc<PoolShared>,
 }

@@ -30,6 +30,7 @@
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io;
+use std::ops::Range;
 use std::os::unix::fs::FileExt;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
@@ -785,6 +786,7 @@ impl CheckpointService {
             file,
             len,
             offset: 0,
+            counted: false,
             _permit: permit,
         })
     }
@@ -834,25 +836,45 @@ impl CheckpointSession {
     /// bandwidth grant (the preemption point for latency-sensitive
     /// restores), then rides the background flush pipeline. The call is
     /// one chunk loop ([`FairShare::call`]): contenders see the stream
-    /// between its grants.
+    /// between its grants. The pipeline outlives the borrow, so each
+    /// chunk is copied into a pooled buffer once it is granted; a caller
+    /// that owns its bytes hands them over with
+    /// [`CheckpointSession::write_bytes`] instead.
     pub fn write(&mut self, data: &[u8]) -> Result<(), ServiceError> {
+        self.write_chunks(data.len(), |r| BufPool::global().copy_from_slice(&data[r]))
+    }
+
+    /// [`CheckpointSession::write`] for bytes the caller hands over: each
+    /// granted chunk is submitted as a slice of `data`, with no copy, and
+    /// the storage goes home (to its pool, if leased) once the last chunk
+    /// is on disk and the caller's own handles are gone.
+    pub fn write_bytes(&mut self, data: Bytes) -> Result<(), ServiceError> {
+        self.write_chunks(data.len(), |r| data.slice(r))
+    }
+
+    /// The chunk loop of both write forms: `len` bytes in quantum-sized
+    /// chunks, each granted before `chunk(range)` produces its bytes.
+    fn write_chunks(
+        &mut self,
+        len: usize,
+        mut chunk: impl FnMut(Range<usize>) -> Bytes,
+    ) -> Result<(), ServiceError> {
         let quantum = self.inner.cfg.quantum.max(1) as usize;
         let _call = self.inner.arbiter.call(self.tenant.id)?;
-        for chunk in data.chunks(quantum) {
-            self.inner
-                .arbiter
-                .grant(self.tenant.id, chunk.len() as u64)?;
-            let buf: Bytes = BufPool::global().copy_from_slice(chunk);
+        for start in (0..len).step_by(quantum) {
+            let end = len.min(start + quantum);
+            let n = (end - start) as u64;
+            self.inner.arbiter.grant(self.tenant.id, n)?;
             self.writer
                 .as_ref()
                 .expect("writer lives until commit")
                 .submit(FlushJob::Write {
                     file: Arc::clone(&self.file),
                     offset: self.offset,
-                    data: buf,
+                    data: chunk(start..end),
                 })?;
-            self.offset += chunk.len() as u64;
-            counters::tenant_add_bytes_written(self.slot, chunk.len() as u64);
+            self.offset += n;
+            counters::tenant_add_bytes_written(self.slot, n);
         }
         Ok(())
     }
@@ -877,7 +899,7 @@ impl CheckpointSession {
             commit::sync_file(&self.file, &self.faults, self.sid).map_err(ServiceError::Io)?;
         }
         // A bare rename, with no footer and no directory fsync, until
-        // sessions come under the crash enumerator (ROADMAP 3(d)).
+        // sessions come under the crash enumerator (ROADMAP 2(d)).
         #[allow(clippy::disallowed_methods)]
         std::fs::rename(&self.tmp_path, &self.final_path).map_err(ServiceError::Io)?;
         Ok(self.offset)
@@ -896,8 +918,13 @@ impl Drop for CheckpointSession {
     }
 }
 
-/// An admitted restore session: stream the checkpoint back with
-/// [`RestoreSession::read`] / [`RestoreSession::read_all`].
+/// An admitted restore session: stream the checkpoint back into the
+/// caller's buffer with [`RestoreSession::read`], or whole into a pooled
+/// image with [`RestoreSession::read_all`].
+///
+/// The session is counted once in the service counters: completed when
+/// its stream reaches the end, failed when a read errors. A session
+/// dropped before either is not counted.
 pub struct RestoreSession {
     inner: Arc<SvcInner>,
     tenant: TenantSpec,
@@ -905,6 +932,8 @@ pub struct RestoreSession {
     file: File,
     len: u64,
     offset: u64,
+    /// The session has been counted completed or failed.
+    counted: bool,
     _permit: SessionPermit,
 }
 
@@ -926,31 +955,54 @@ impl RestoreSession {
         let left = (self.len - self.offset) as usize;
         let quantum = self.inner.cfg.quantum.max(1) as usize;
         let n = buf.len().min(left).min(quantum);
-        if n == 0 {
-            return Ok(0);
+        if n > 0 {
+            let granted = self.inner.arbiter.grant(self.tenant.id, n as u64);
+            let dst = &mut buf[..n];
+            let read = granted.and_then(|()| Ok(self.file.read_exact_at(dst, self.offset)?));
+            if let Err(e) = read {
+                self.count(false);
+                return Err(e);
+            }
+            self.offset += n as u64;
+            counters::tenant_add_bytes_read(self.slot, n as u64);
         }
-        self.inner.arbiter.grant(self.tenant.id, n as u64)?;
-        self.file
-            .read_exact_at(&mut buf[..n], self.offset)
-            .map_err(ServiceError::Io)?;
-        self.offset += n as u64;
-        counters::tenant_add_bytes_read(self.slot, n as u64);
+        if self.offset == self.len {
+            self.count(true);
+        }
         Ok(n)
     }
 
     /// Read the whole remaining stream, as one chunk loop
-    /// ([`FairShare::call`]).
-    pub fn read_all(&mut self) -> Result<Vec<u8>, ServiceError> {
-        let mut out = vec![0u8; (self.len - self.offset) as usize];
+    /// ([`FairShare::call`]), into a buffer leased from
+    /// [`BufPool::global`]. The image is returned frozen: it derefs to
+    /// `[u8]`, and its buffer goes back to the pool when the last handle
+    /// on it drops, so the next restore reuses resident memory instead of
+    /// faulting in a fresh mapping. A caller that must own a `Vec<u8>`
+    /// calls [`Bytes::into_vec`] (one counted copy).
+    pub fn read_all(&mut self) -> Result<Bytes, ServiceError> {
+        let mut image = BufPool::global().lease((self.len - self.offset) as usize);
         let inner = Arc::clone(&self.inner);
         let _call = inner.arbiter.call(self.tenant.id)?;
         let mut done = 0;
-        while done < out.len() {
-            done += self.read(&mut out[done..])?;
+        while done < image.len() {
+            done += self.read(&mut image[done..])?;
         }
-        counters::add_service_completed(1);
+        // An empty remainder takes no read to reach the end.
+        self.count(true);
+        Ok(image.freeze())
+    }
+
+    /// Count the session completed (`ok`) or failed, the first time only.
+    fn count(&mut self, ok: bool) {
+        if std::mem::replace(&mut self.counted, true) {
+            return;
+        }
+        if ok {
+            counters::add_service_completed(1);
+        } else {
+            counters::add_service_failed(1);
+        }
         counters::tenant_add_session_done(self.slot);
-        Ok(out)
     }
 }
 
@@ -989,6 +1041,97 @@ mod tests {
         let mut r = svc.restore(t, "gen0.ckpt").expect("admit restore");
         assert_eq!(r.len(), 10_000);
         assert_eq!(r.read_all().expect("read"), data);
+    }
+
+    #[test]
+    fn owned_and_borrowed_writes_land_back_to_back() {
+        let dir = tmpdir("write-bytes");
+        let svc = CheckpointService::new(ServiceConfig::new(&dir).quantum(1 << 10));
+        let t = TenantSpec::new(44);
+        let data = payload(44, 10_000);
+        let owned = Bytes::copy_from_slice(&data);
+        let mut s = svc.checkpoint(t, "gen0.ckpt").expect("admit");
+        // Two slices of one buffer around a borrow; quantum boundaries
+        // fall inside each part.
+        s.write_bytes(owned.slice(..2500)).expect("write_bytes");
+        s.write(&data[2500..7000]).expect("write");
+        s.write_bytes(owned.slice(7000..)).expect("write_bytes");
+        s.write_bytes(Bytes::new()).expect("an empty hand-over");
+        assert_eq!(s.commit().expect("commit"), 10_000);
+        let mut r = svc.restore(t, "gen0.ckpt").expect("admit restore");
+        assert_eq!(r.read_all().expect("read"), data);
+    }
+
+    /// Sessions counted done for tenant `id` (its slot is no other
+    /// test's here, so the count is exact).
+    fn sessions_done(id: u64) -> u64 {
+        counters::tenant_snapshot(counters::tenant_slot(id)).sessions_done
+    }
+
+    #[test]
+    fn a_restore_is_counted_once_when_its_stream_ends() {
+        let dir = tmpdir("restore-counted");
+        let svc = CheckpointService::new(ServiceConfig::new(&dir).quantum(1 << 10));
+        let t = TenantSpec::new(142);
+        let data = payload(142, 10_000);
+        let mut s = svc.checkpoint(t, "gen0.ckpt").expect("admit");
+        s.write(&data).expect("write");
+        s.commit().expect("commit");
+        let before = (sessions_done(t.id), counters::service_snapshot());
+
+        // Through `read` alone: counted when the last byte arrives.
+        let mut r = svc.restore(t, "gen0.ckpt").expect("admit restore");
+        let mut buf = vec![0u8; 3000];
+        let mut got = Vec::new();
+        while sessions_done(t.id) == before.0 {
+            let n = r.read(&mut buf).expect("read");
+            assert!(n > 0, "the stream ended uncounted");
+            got.extend_from_slice(&buf[..n]);
+        }
+        assert_eq!(got, data);
+        assert_eq!(r.read(&mut buf).expect("read at EOF"), 0);
+        drop(r);
+        // Twice through `read_all`: the second call is at EOF and empty.
+        let mut r = svc.restore(t, "gen0.ckpt").expect("admit restore");
+        assert_eq!(r.read_all().expect("read"), data);
+        assert!(r.read_all().expect("read at EOF").is_empty());
+        drop(r);
+        // Dropped half-read: neither completed nor failed.
+        let mut r = svc.restore(t, "gen0.ckpt").expect("admit restore");
+        assert_eq!(r.read(&mut buf).expect("read"), 1 << 10);
+        drop(r);
+
+        assert_eq!(sessions_done(t.id) - before.0, 2);
+        let delta = counters::service_snapshot().delta_since(&before.1);
+        assert!(delta.completed >= 2, "{delta:?}");
+    }
+
+    #[test]
+    fn a_restore_whose_read_fails_is_counted_failed_once() {
+        let dir = tmpdir("restore-failed");
+        let svc = CheckpointService::new(ServiceConfig::new(&dir).quantum(1 << 10));
+        let t = TenantSpec::new(143);
+        let mut s = svc.checkpoint(t, "gen0.ckpt").expect("admit");
+        s.write(&payload(143, 8192)).expect("write");
+        s.commit().expect("commit");
+        let before = (sessions_done(t.id), counters::service_snapshot());
+
+        let mut r = svc.restore(t, "gen0.ckpt").expect("admit restore");
+        // The file shrinks under the open session: the read past the
+        // new end fails.
+        let path = dir.join("tenant-143").join("gen0.ckpt");
+        let f = OpenOptions::new().write(true).open(&path).expect("open");
+        f.set_len(4096).expect("truncate");
+        match r.read_all() {
+            Err(ServiceError::Io(e)) => assert_eq!(e.kind(), io::ErrorKind::UnexpectedEof),
+            other => panic!("expected a short read, got {other:?}"),
+        }
+        assert!(r.read(&mut [0u8; 512]).is_err(), "still past the end");
+        drop(r);
+
+        assert_eq!(sessions_done(t.id) - before.0, 1);
+        let delta = counters::service_snapshot().delta_since(&before.1);
+        assert!(delta.failed >= 1, "{delta:?}");
     }
 
     #[test]

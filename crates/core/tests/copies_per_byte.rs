@@ -1,7 +1,8 @@
 //! Copies per checkpoint byte: every real memcpy in the datapath
 //! (`counters::add_bytes_copied`) divided by the bytes that reach
 //! `WriteAt`, per strategy, on the serial and pipelined paths
-//! (EXPERIMENTS.md, "Datapath copy accounting").
+//! (EXPERIMENTS.md, "Datapath copy accounting"); and per byte of a
+//! service session, for each write form and for its restore.
 //!
 //! Beside it, the other count of the copy group: early-writeback hints,
 //! issued behind large landed writes when — and only when — the files
@@ -14,11 +15,13 @@
 use std::path::Path;
 use std::sync::Mutex;
 
+use rbio::buf::Bytes;
 use rbio::exec::{execute, ExecConfig};
 use rbio::format::materialize_payloads;
 use rbio::layout::DataLayout;
 use rbio::manager::{CheckpointManager, ManagerConfig};
 use rbio::rt;
+use rbio::service::{CheckpointService, ServiceConfig, TenantSpec};
 use rbio::strategy::{CheckpointPlan, CheckpointSpec, Strategy};
 use rbio::tier::TierConfig;
 use rbio_plan::Op;
@@ -182,4 +185,43 @@ fn writeback_hints_follow_the_fsync_switch_and_the_size_floor() {
             );
         }
     }
+}
+
+/// Copies per byte of a `len`-byte stream that `work` adds.
+fn copies_per_byte_of(len: usize, work: impl FnOnce()) -> f64 {
+    let before = counters::snapshot();
+    work();
+    counters::snapshot().delta_since(&before).bytes_copied as f64 / len as f64
+}
+
+#[test]
+fn a_service_session_copies_only_what_it_borrows() {
+    let _serial = COUNTERS.lock().unwrap_or_else(|e| e.into_inner());
+    // Four quanta and a short one.
+    let data: Vec<u8> = (0..(4 << 20) + 12345).map(|i| (i * 7) as u8).collect();
+    let dir = std::env::temp_dir().join(format!("rbio-copies-service-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let svc = CheckpointService::new(ServiceConfig::new(&dir).quantum(1 << 20));
+    let tenant = TenantSpec::new(1);
+    for (name, owned, want) in [("borrowed", false, 1.0), ("owned", true, 0.0)] {
+        let mut s = svc.checkpoint(tenant, name).expect("admit");
+        let handed_over = Bytes::from_vec(data.clone());
+        let written = copies_per_byte_of(data.len(), || {
+            let res = if owned {
+                s.write_bytes(handed_over)
+            } else {
+                s.write(&data)
+            };
+            res.expect("session write");
+            s.commit().expect("commit");
+        });
+        assert_eq!(written, want, "{name} session write: copies per byte");
+        let mut r = svc.restore(tenant, name).expect("admit restore");
+        let mut image = None;
+        let read = copies_per_byte_of(data.len(), || image = Some(r.read_all().expect("read_all")));
+        assert_eq!(read, 0.0, "read_all fills its pooled image in place");
+        assert_eq!(image.expect("read"), data, "{name} round trip");
+    }
+    drop(svc);
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -2,9 +2,10 @@
 //! after two warm-up generations every payload, eager-send copy and
 //! restore image is a recycled lease from `BufPool::global()`, so a whole
 //! generation allocates a small fraction of the bytes it checkpoints — on
-//! `exec`, on `rt` and through the tiered manager alike — and the pool
-//! keeps nothing larger than a payload (writer staging leases nothing, and
-//! neither a tier hop nor a restore from the slab builds a file image).
+//! `exec`, on `rt`, through the tiered manager and through the service's
+//! sessions alike — and the plan loops' pool keeps nothing larger than a
+//! payload (writer staging leases nothing, and neither a tier hop nor a
+//! restore from the slab builds a file image).
 //!
 //! Its own test binary because the allocator below counts every
 //! allocation in the process: nothing else may run beside the one test.
@@ -20,6 +21,7 @@ use rbio::layout::DataLayout;
 use rbio::manager::{CheckpointManager, ManagerConfig};
 use rbio::restart::read_checkpoint;
 use rbio::rt::{self, RtConfig};
+use rbio::service::{CheckpointService, ServiceConfig, TenantSpec};
 use rbio::strategy::{CheckpointPlan, CheckpointSpec, Strategy};
 use rbio::tier::TierConfig;
 use rbio_profile::counters;
@@ -187,6 +189,52 @@ fn tiered_generation(mgr: &CheckpointManager, gen: u64) {
     assert_eq!(from_slab, 1, "generation {gen} restored from the slab");
 }
 
+/// Sessions per service generation; the last of them is restored.
+const SESSIONS_PER_GEN: u64 = 4;
+/// A service session's writes, each of a field's size and so one chunk at
+/// the 4 MiB quantum: a generation of sessions writes `USER_BYTES`.
+const SESSION_WRITES: u64 = USER_BYTES / FIELD_BYTES / SESSIONS_PER_GEN;
+
+fn session_byte(gen: u64, session: u64, write: u64) -> u8 {
+    (gen * 31 + session * 7 + write) as u8
+}
+
+/// `SESSIONS_PER_GEN` sessions, each its writes (`write`, or `write_bytes`
+/// when `owned`) and a `commit`, then `read_all` of the last one, checked
+/// byte for byte. Each write's bytes are a pooled lease of a field's
+/// class; a borrowed write's copy is another, and the restore image one of
+/// a session's size.
+fn service_generation(svc: &CheckpointService, gen: u64, owned: bool) {
+    let (pool, tenant) = (BufPool::global(), TenantSpec::new(1));
+    let name = |session: u64| ["a.ckpt", "b.ckpt"][session as usize % 2];
+    for session in 0..SESSIONS_PER_GEN {
+        let mut s = svc.checkpoint(tenant, name(session)).expect("admit");
+        for write in 0..SESSION_WRITES {
+            let mut block = pool.lease(FIELD_BYTES as usize);
+            block.fill(session_byte(gen, session, write));
+            let written = if owned {
+                s.write_bytes(block.freeze())
+            } else {
+                s.write(&block)
+            };
+            written.expect("session write");
+        }
+        let committed = s.commit().expect("commit");
+        assert_eq!(committed, SESSION_WRITES * FIELD_BYTES);
+    }
+    let last = SESSIONS_PER_GEN - 1;
+    let mut r = svc.restore(tenant, name(last)).expect("admit restore");
+    let image = r.read_all().expect("restore");
+    assert_eq!(image.len() as u64, SESSION_WRITES * FIELD_BYTES);
+    for (write, block) in image.chunks(FIELD_BYTES as usize).enumerate() {
+        let want = session_byte(gen, last, write as u64);
+        assert!(
+            block.iter().all(|&b| b == want),
+            "generation {gen}, write {write}"
+        );
+    }
+}
+
 #[test]
 fn a_warm_generation_allocates_a_fraction_of_its_user_bytes() {
     let dir = std::env::temp_dir().join(format!("rbio-steady-state-{}", std::process::id()));
@@ -255,5 +303,29 @@ fn a_warm_generation_allocates_a_fraction_of_its_user_bytes() {
         largest.iter().all(|&l| l <= bound),
         "tiered: the pool kept a buffer above the payload class ({bound} bytes): {largest:?}"
     );
+
+    // The service, at the benchmark's 4 MiB quantum. A warm generation
+    // writes and reads leases only, so it allocates well under 1 % of
+    // what it writes.
+    let service_budget = USER_BYTES / 100;
+    for owned in [false, true] {
+        std::fs::remove_dir_all(&dir).ok();
+        retained.clear();
+        let svc = CheckpointService::new(ServiceConfig::new(&dir).quantum(4 << 20));
+        let service = allocated_per_generation(6, |gen| {
+            service_generation(&svc, gen, owned);
+            retained.push(pool.retained_bytes());
+        });
+        drop(svc);
+        let form = if owned { "write_bytes" } else { "write" };
+        assert!(
+            service[2..].iter().all(|&a| a < service_budget),
+            "service ({form}): warm generations allocated {service:?}, budget {service_budget}"
+        );
+        assert_eq!(
+            retained[2], retained[5],
+            "service ({form}): the retained set is fixed from generation 3 on: {retained:?}"
+        );
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
