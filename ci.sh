@@ -74,6 +74,12 @@ if "$RBC" sweep --program p9b --seeds 32 --revert-pr33 > /dev/null; then
   echo "revert-pr33: planted arrival-blind grant was NOT caught by p9b" >&2
   exit 1
 fi
+# The p5 sweep must catch a planted unfenced zombie commit (the failover
+# director admitting a commit from a writer it declared dead).
+if "$RBC" sweep --program p5 --seeds 32 --revert-pr5 > /dev/null; then
+  echo "revert-pr5: planted unfenced zombie commit was NOT caught by p5" >&2
+  exit 1
+fi
 
 echo "== crash-image torture sweep (fast tier) =="
 # Record each strategy's durability op stream and restore ~64 legal

@@ -273,9 +273,9 @@ impl Model {
                     }
                 }
             }
-            Event::WriterStraggling { .. } | Event::FenceRefused { .. } => {
-                // Informational: health transitions and refused commits
-                // are legal outcomes, not invariant state.
+            Event::FenceRefused { .. } => {
+                // Informational: a refused commit is a legal outcome, not
+                // invariant state.
             }
             Event::WriterDead { rank } => {
                 self.fenced.insert(rank);
@@ -546,7 +546,6 @@ mod tests {
         let v = feed(&[
             // Rank 3 registered a pipelined writer, then is declared dead.
             Event::WriterRegistered { wid: 2, rank: 3 },
-            Event::WriterStraggling { rank: 3 },
             Event::WriterDead { rank: 3 },
             // Clean takeover by rank 5, then a duplicate claim.
             Event::TakeoverClaim {

@@ -36,7 +36,7 @@ use super::{write_run_len, write_src, ExecConfig};
 use crate::buf::{BufPool, Bytes};
 use crate::commit;
 use crate::extent::{ExtentMap, Piece, Source};
-use crate::failover::{FailoverDirector, WriterHealth};
+use crate::failover::FailoverDirector;
 use crate::fault::{self, IoCtx};
 use crate::format::synthetic_byte;
 use crate::pipeline::{self, FlushJob, PipelineError, WriterHandle};
@@ -548,12 +548,8 @@ impl<'a, T: Transport> Interp<'a, T> {
             return std::thread::sleep(d);
         }
         if let Some(dir) = self.director {
-            match dir.policy().classify_stall(d) {
-                WriterHealth::Dead => {
-                    let _ = dir.report_dead(self.rank);
-                }
-                WriterHealth::Straggling => dir.report_straggling(self.rank),
-                WriterHealth::Healthy => {}
+            if d >= dir.policy().dead_after {
+                let _ = dir.report_dead(self.rank);
             }
         }
         for _ in 0..4 {

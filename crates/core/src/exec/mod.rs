@@ -34,7 +34,7 @@ pub(crate) use self::interp::{Blocked, Interp, Payload, StepError, Transport};
 pub(crate) use self::mailbox::{MailError, Mailbox};
 use crate::backend::{self, BackendKind};
 use crate::buf::Bytes;
-use crate::failover::{FailoverDirector, FailoverPolicy, WriterHealth};
+use crate::failover::{FailoverDirector, FailoverPolicy};
 use crate::fault::FaultPlan;
 use crate::pipeline::{FlushPool, WriterHandle, WriterTuning};
 use crate::sched::{self, Point, Wait};
@@ -291,12 +291,7 @@ impl std::error::Error for ExecError {}
 impl ExecConfig {
     /// Register `rank`'s background flush pipeline with the current
     /// pool; `None` at depth 1, the fully serial path.
-    pub(crate) fn writer(
-        &self,
-        rank: u32,
-        hedge_after: Option<Duration>,
-        beat: Option<Arc<AtomicU64>>,
-    ) -> Option<WriterHandle> {
+    pub(crate) fn writer(&self, rank: u32, beat: Option<Arc<AtomicU64>>) -> Option<WriterHandle> {
         (self.pipeline_depth >= 2).then(|| {
             FlushPool::current().register(
                 rank,
@@ -306,7 +301,6 @@ impl ExecConfig {
                     write_retries: self.write_retries,
                     retry_backoff: self.retry_backoff,
                     jitter_seed: self.pipeline_jitter,
-                    hedge_after,
                     beat,
                     backend: Some(backend::resolve(self.io_backend)),
                     durable: self.fsync_on_close,
@@ -658,13 +652,14 @@ fn end_run((over, cv): &RunOver) {
     cv.notify_all();
 }
 
-/// Production health monitor: watches writer heartbeats every poll and
-/// reports stalls to the director until the run is over. Controlled runs
+/// Production health monitor: watches writer heartbeats every poll, an
+/// eighth of `dead_after`, and declares dead a writer whose heartbeat has
+/// not moved for `dead_after`, until the run is over. Controlled runs
 /// never spawn this — the injected hang announces the monitor's verdict
 /// deterministically.
 fn monitor_writers(dir: &FailoverDirector, beats: &[Arc<AtomicU64>], run_over: &RunOver) {
     let policy = *dir.policy();
-    let poll = (policy.straggler_after / 4).max(Duration::from_millis(1));
+    let poll = (policy.dead_after / 8).max(Duration::from_millis(1));
     let now = Instant::now();
     let mut last: Vec<(u32, u64, Instant)> = dir
         .writers()
@@ -692,12 +687,8 @@ fn monitor_writers(dir: &FailoverDirector, beats: &[Arc<AtomicU64>], run_over: &
                 *entry = (w, v, Instant::now());
                 continue;
             }
-            match policy.classify_stall(since.elapsed()) {
-                WriterHealth::Dead => {
-                    let _ = dir.report_dead(w);
-                }
-                WriterHealth::Straggling => dir.report_straggling(w),
-                WriterHealth::Healthy => {}
+            if since.elapsed() >= policy.dead_after {
+                let _ = dir.report_dead(w);
             }
         }
     }
@@ -822,8 +813,7 @@ pub fn execute(
 
     let run_rank_thread = |rank: u32, mut mail: Mailbox| {
         let beat = &heartbeats[rank as usize];
-        let hedge_after = director.map(|d| d.policy().straggler_after);
-        let pipe = cfg.writer(rank, hedge_after, Some(Arc::clone(beat)));
+        let pipe = cfg.writer(rank, Some(Arc::clone(beat)));
         (mail.abort, mail.beat) = (Some(Arc::clone(&abort)), Some(Arc::clone(beat)));
         let mut it = Interp::new(
             rank,
@@ -1450,7 +1440,6 @@ mod tests {
         let dir = tmpdir("failover-hang");
         let policy = FailoverPolicy {
             enabled: true,
-            straggler_after: Duration::from_millis(25),
             dead_after: Duration::from_millis(50),
         };
         let cfg = ExecConfig::new(&dir)
@@ -1491,7 +1480,6 @@ mod tests {
         let dir = tmpdir("failover-returns");
         let policy = FailoverPolicy {
             enabled: true,
-            straggler_after: Duration::from_secs(2),
             dead_after: Duration::from_secs(4),
         };
         let cfg = ExecConfig::new(&dir).failover(policy);
@@ -1536,10 +1524,9 @@ mod tests {
         let dir = tmpdir("failover-takeover-time");
         let policy = FailoverPolicy {
             enabled: true,
-            straggler_after: Duration::from_millis(100),
             dead_after: Duration::from_millis(200),
         };
-        let poll = policy.straggler_after / 4;
+        let poll = policy.dead_after / 8;
         let hang = Duration::from_millis(1500);
         let cfg = ExecConfig::new(&dir)
             .faults(FaultPlan::none().hang_writer(0, hang))

@@ -1,14 +1,14 @@
-//! Writer failover: absorb dead, hung, and straggling writers instead of
-//! aborting the whole checkpoint.
+//! Writer failover: absorb dead and hung writers instead of aborting the
+//! whole checkpoint.
 //!
 //! In rbIO every group of `np/ng` workers funnels its payload through one
 //! dedicated writer, so PR 1's abort-instead-of-hang posture makes a
 //! single wedged writer take down the entire generation. This module adds
-//! the coordination state for the alternative: each writer is tracked
-//! through the health state machine
+//! the coordination state for the alternative: a writer is either alive
+//! or dead,
 //!
 //! ```text
-//! healthy → straggling → dead → fenced
+//! alive → dead (fenced)
 //! ```
 //!
 //! and when a writer is declared dead its group's extent becomes an
@@ -18,7 +18,8 @@
 //! The dead writer is **fenced** the moment it is declared dead, so a
 //! late-reviving writer (a hang that turns out not to be a death) can
 //! never double-commit its file: its commit attempt is refused at the
-//! commit edge.
+//! commit edge. A writer that is merely slow stays alive: its drain waits
+//! for it, and nothing but its own job ever writes its bytes.
 //!
 //! The [`FailoverDirector`] is the shared arbiter: declarations, claims,
 //! and commit admission all go through one mutex-protected state so the
@@ -32,7 +33,6 @@
 //! this logic under a controlled scheduler and checks exactly-once
 //! takeover and fenced-writer-never-commits as model invariants.
 
-use std::collections::HashMap;
 use std::sync::{Condvar, Mutex};
 use std::time::Duration;
 
@@ -40,29 +40,13 @@ use rbio_profile::counters;
 
 use crate::sched::{self, Event, Revert};
 
-/// A writer's health as seen by the failover director.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WriterHealth {
-    /// Making progress within the straggler deadline.
-    Healthy,
-    /// Progress stalled past the straggler deadline but not long enough
-    /// to be declared dead; candidates for hedged re-submits.
-    Straggling,
-    /// Declared dead: its extent is orphaned and will be taken over.
-    /// A dead writer is immediately fenced.
-    Dead,
-}
-
-/// When to classify a writer as straggling or dead, derived from the
-/// executors' existing `recv_timeout` plumbing.
+/// When to declare a writer dead, derived from the executors' existing
+/// `recv_timeout` plumbing.
 #[derive(Debug, Clone, Copy)]
 pub struct FailoverPolicy {
     /// Master switch: disabled means the PR 1 behavior (abort on writer
     /// failure) everywhere.
     pub enabled: bool,
-    /// Progress stall after which a writer counts as straggling (hedged
-    /// re-submits become eligible in the flush pipeline).
-    pub straggler_after: Duration,
     /// Progress stall after which a writer is declared dead and fenced.
     pub dead_after: Duration,
 }
@@ -72,31 +56,17 @@ impl FailoverPolicy {
     pub fn disabled() -> Self {
         FailoverPolicy {
             enabled: false,
-            straggler_after: Duration::from_millis(500),
             dead_after: Duration::from_secs(1),
         }
     }
 
-    /// Deadlines derived from a receive timeout: a writer that stalls a
-    /// quarter of the timeout is straggling, half of it is dead. Both
-    /// are comfortably inside `recv_timeout`, so failover engages before
-    /// peers start timing out on the dead writer.
+    /// Deadline derived from a receive timeout: a writer that stalls half
+    /// of it is dead — comfortably inside `recv_timeout`, so failover
+    /// engages before peers start timing out on the dead writer.
     pub fn from_recv_timeout(recv_timeout: Duration) -> Self {
         FailoverPolicy {
             enabled: true,
-            straggler_after: recv_timeout / 4,
             dead_after: recv_timeout / 2,
-        }
-    }
-
-    /// Classify a progress stall of `stalled` under this policy.
-    pub fn classify_stall(&self, stalled: Duration) -> WriterHealth {
-        if stalled >= self.dead_after {
-            WriterHealth::Dead
-        } else if stalled >= self.straggler_after {
-            WriterHealth::Straggling
-        } else {
-            WriterHealth::Healthy
         }
     }
 }
@@ -121,8 +91,8 @@ struct Orphan {
 pub(crate) struct DirectorState {
     /// Writer ranks in `ng` order (successor designation walks this).
     writers: Vec<u32>,
-    /// Health per writer rank.
-    health: HashMap<u32, WriterHealth>,
+    /// Writers declared dead (and therefore fenced), in death order.
+    dead: Vec<u32>,
     /// Writers that finished their own ops.
     done: Vec<u32>,
     /// Orphaned extents, in death order.
@@ -131,7 +101,7 @@ pub(crate) struct DirectorState {
 
 impl DirectorState {
     fn is_dead(&self, rank: u32) -> bool {
-        self.health.get(&rank) == Some(&WriterHealth::Dead)
+        self.dead.contains(&rank)
     }
 
     /// The next surviving writer after `dead` in cyclic `ng` order.
@@ -144,7 +114,7 @@ impl DirectorState {
     }
 }
 
-/// Shared failover arbiter for one execution: health declarations,
+/// Shared failover arbiter for one execution: death declarations,
 /// successor designation, exactly-once takeover claims, and commit
 /// fencing. One instance per [`crate::exec::execute`] call.
 #[derive(Debug)]
@@ -158,15 +128,10 @@ pub struct FailoverDirector {
 impl FailoverDirector {
     /// A director for the given writer ranks (in `ng` order).
     pub fn new(policy: FailoverPolicy, writer_ranks: Vec<u32>) -> Self {
-        let health = writer_ranks
-            .iter()
-            .map(|&w| (w, WriterHealth::Healthy))
-            .collect();
         FailoverDirector {
             policy,
             state: Mutex::new(DirectorState {
                 writers: writer_ranks,
-                health,
                 ..DirectorState::default()
             }),
             changed: Condvar::new(),
@@ -180,16 +145,6 @@ impl FailoverDirector {
 
     fn lock(&self) -> std::sync::MutexGuard<'_, DirectorState> {
         self.state.lock().expect("failover director lock")
-    }
-
-    /// Mark `rank` as straggling (progress stalled past the straggler
-    /// deadline but short of death). Purely observational.
-    pub fn report_straggling(&self, rank: u32) {
-        let mut g = self.lock();
-        if g.health.get(&rank) == Some(&WriterHealth::Healthy) {
-            g.health.insert(rank, WriterHealth::Straggling);
-            sched::emit(|| Event::WriterStraggling { rank });
-        }
     }
 
     /// Declare `rank` dead and fence it. Designates a successor for its
@@ -211,10 +166,10 @@ impl FailoverDirector {
             // the first declaration arranged everything.
             return true;
         }
-        g.health.insert(rank, WriterHealth::Dead);
+        g.dead.push(rank);
         let Some(successor) = g.successor_of(rank) else {
             // No survivor to take over: undo and let the caller abort.
-            g.health.insert(rank, WriterHealth::Healthy);
+            g.dead.pop();
             return false;
         };
         sched::emit(|| Event::WriterDead { rank });
@@ -245,7 +200,7 @@ impl FailoverDirector {
                     }
                 }
                 None => {
-                    g.health.insert(rank, WriterHealth::Healthy);
+                    g.dead.retain(|&w| w != rank);
                     g.orphans.retain(|o| o.rank != rank);
                     return false;
                 }
@@ -380,17 +335,6 @@ mod tests {
     }
 
     #[test]
-    fn classify_stall_walks_the_state_machine() {
-        let p = FailoverPolicy::from_recv_timeout(Duration::from_secs(2));
-        assert_eq!(p.classify_stall(Duration::ZERO), WriterHealth::Healthy);
-        assert_eq!(
-            p.classify_stall(Duration::from_millis(600)),
-            WriterHealth::Straggling
-        );
-        assert_eq!(p.classify_stall(Duration::from_secs(1)), WriterHealth::Dead);
-    }
-
-    #[test]
     fn successor_is_next_surviving_writer_in_ng_order() {
         let d = director(&[1, 3, 5, 7]);
         assert!(d.report_dead(3));
@@ -430,7 +374,7 @@ mod tests {
     fn fenced_writer_commit_is_refused_and_counted() {
         let before = counters::failover_snapshot();
         let d = director(&[0, 4]);
-        assert!(d.allow_commit(0), "healthy writer commits freely");
+        assert!(d.allow_commit(0), "a live writer commits freely");
         assert!(d.report_dead(0));
         assert!(d.is_fenced(0));
         assert!(!d.allow_commit(0), "fenced writer is refused");

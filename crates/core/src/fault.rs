@@ -16,8 +16,9 @@
 //!   (models a hung-but-not-dead writer: the failover monitor must
 //!   declare it dead and fence it before it revives);
 //! * **write delay** — slow every write on a rank by a fixed delay
-//!   (models a straggling writer; the flush pipeline's hedged re-submits
-//!   exist for this).
+//!   (models a slow writer that stays alive: its drain waits it out, and
+//!   the failover monitor does not declare it dead while its heartbeat
+//!   moves).
 //!
 //! The default plan injects nothing and costs one atomic load per check.
 
@@ -169,8 +170,8 @@ impl FaultPlan {
         self
     }
 
-    /// Add `delay` to every write `rank` performs (a persistent
-    /// straggler, never dead — hedged re-submits absorb the latency).
+    /// Add `delay` to every write `rank` performs (a slow writer, never
+    /// dead: the write still lands, late, through the fault plan).
     pub fn delay_writes(self, rank: Rank, delay: Duration) -> Self {
         self.inner
             .lock()
@@ -644,7 +645,7 @@ pub fn write_at_or_short(
 /// [`write_at_or_short`] for callers without a completion queue: an
 /// injected short write is completed in place — the remainder is a
 /// continuation of the *same* logical write, counted as a short-write
-/// retry, never as a hedge or retry attempt, and journaled as its own
+/// retry, never as a retry attempt, and journaled as its own
 /// record after the prefix's. Returns the retried attempts.
 pub fn write_at(
     ctx: &IoCtx<'_>,
@@ -700,7 +701,7 @@ fn window(bufs: &[impl AsRef<[u8]>], from: usize, to: usize) -> Vec<&[u8]> {
 /// partial progress — surfaces a typed [`WriteError::ShortWrite`] with
 /// the exact written/expected byte counts rather than a generic error.
 /// Each extra syscall past the first counts a short-write retry.
-pub fn write_full_at(
+fn write_full_at(
     file: &std::fs::File,
     offset: u64,
     data: &[u8],
@@ -713,6 +714,7 @@ pub fn write_full_at(
         if continued {
             counters::add_short_write_retries(1);
         }
+        #[allow(clippy::disallowed_methods)] // the one raw data write, behind the fault plan
         match file.write_at(&data[written..], offset + written as u64) {
             Ok(0) => {
                 return Err(WriteError::ShortWrite {

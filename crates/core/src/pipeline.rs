@@ -42,7 +42,7 @@ use std::fs::File;
 use std::io;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, RwLock};
+use std::sync::{Arc, Condvar, Mutex, OnceLock, RwLock};
 use std::time::Duration;
 
 use rbio_plan::Rank;
@@ -162,8 +162,7 @@ impl FlushJob {
 }
 
 /// Per-writer knobs, grouped so `register` does not grow a parameter per
-/// feature. [`Default`] is "off": no retries, no jitter, no hedging, no
-/// heartbeat.
+/// feature. [`Default`] is "off": no retries, no jitter, no heartbeat.
 #[derive(Default, Clone)]
 pub struct WriterTuning {
     /// Extra attempts per failed write (see [`fault::write_at_or_short`]).
@@ -174,13 +173,6 @@ pub struct WriterTuning {
     /// a seed-derived pseudo-random duration (< 200 µs) before running,
     /// so equivalence tests can sweep schedules reproducibly.
     pub jitter_seed: Option<u64>,
-    /// Hedged re-submit deadline: when a drain has waited this long on an
-    /// in-flight write (a straggling writer — slow disk, injected delay),
-    /// the drainer re-issues the same bytes itself as a raw idempotent
-    /// write. Whichever write lands last wrote identical bytes, so the
-    /// race is benign; the loser's buffer is simply dropped (refcounted,
-    /// never double-counted in the byte counters).
-    pub hedge_after: Option<Duration>,
     /// Liveness heartbeat bumped as this writer's jobs execute, so the
     /// failover monitor does not declare a rank dead while its queue is
     /// merely deep.
@@ -228,17 +220,6 @@ impl WriterCtx {
     }
 }
 
-/// Snapshot of the write job a pool thread is currently executing for a
-/// writer — what a hedged re-submit replays. `Bytes` clones are O(1)
-/// refcount bumps.
-struct HedgeSnapshot {
-    file: Arc<File>,
-    offset: u64,
-    bufs: Vec<Bytes>,
-    /// A hedge was already issued for this job.
-    hedged: bool,
-}
-
 struct WriterState {
     ctx: WriterCtx,
     queue: VecDeque<FlushJob>,
@@ -261,10 +242,6 @@ struct WriterState {
     seq: u64,
     /// Slot is registered to a live handle.
     occupied: bool,
-    /// Hedged re-submit deadline (see [`WriterTuning::hedge_after`]).
-    hedge_after: Option<Duration>,
-    /// The write job currently executing, if hedgeable.
-    running: Option<HedgeSnapshot>,
 }
 
 #[derive(Default)]
@@ -443,8 +420,6 @@ impl FlushPool {
             retries: 0,
             seq: 0,
             occupied: true,
-            hedge_after: tuning.hedge_after,
-            running: None,
         };
         let mut g = self.shared.inner.lock().expect("pool lock");
         let wid = match g.free.pop() {
@@ -522,27 +497,12 @@ impl WriterHandle {
 
     /// Wait for every submitted job to finish. Returns the background
     /// retry count on success, or the first latched error.
-    ///
-    /// When a hedge deadline is configured and the drain stalls on an
-    /// in-flight write past it, the drainer re-issues that write's bytes
-    /// itself (straggler mitigation): pwrite is idempotent for identical
-    /// bytes at identical offsets, so whichever copy lands last changes
-    /// nothing, and the hedge never touches the fault plan's logical
-    /// write accounting. The drain still waits for the original job —
-    /// hedging bounds *data* latency (the bytes are durable on disk), not
-    /// the job bookkeeping.
     pub fn drain(&self) -> Result<u64, PipelineError> {
         let sh = &*self.shared;
         let mut g = sh.inner.lock().expect("pool lock");
         let mut wait = Wait::new(Point::DrainWait, None);
-        if let Some(after) = g.writers[self.wid].hedge_after {
-            wait = wait.slice(after);
-        }
         while g.writers[self.wid].in_flight > 0 {
             g = wait.park(&sh.inner, &sh.done, g).unwrap_or_else(|(g, _)| g);
-            if wait.slice_expired {
-                g = self.hedge_current(g);
-            }
         }
         let w = &mut g.writers[self.wid];
         let retries = std::mem::take(&mut w.retries);
@@ -553,37 +513,6 @@ impl WriterHandle {
             }
             None => Ok(retries),
         }
-    }
-
-    /// Issue a hedged duplicate of this writer's currently-running write
-    /// job, at most once per job. Runs outside the pool lock.
-    fn hedge_current<'a>(&'a self, mut g: MutexGuard<'a, Inner>) -> MutexGuard<'a, Inner> {
-        let w = &mut g.writers[self.wid];
-        let Some(snap) = w.running.as_mut() else {
-            return g;
-        };
-        if snap.hedged {
-            return g;
-        }
-        snap.hedged = true;
-        let file = Arc::clone(&snap.file);
-        let offset = snap.offset;
-        let bufs: Vec<Bytes> = snap.bufs.clone();
-        drop(g);
-        let mut off = offset;
-        for b in &bufs {
-            // Best-effort: the original job is still running and its
-            // error handling is authoritative; a hedge failure is noise.
-            // The full-delivery loop counts any short-write continuation
-            // it needs as a short-write retry — distinct from the one
-            // hedge counted below.
-            if fault::write_full_at(&file, off, b, 0).is_err() {
-                break;
-            }
-            off += b.len() as u64;
-        }
-        counters::add_hedged_jobs(1);
-        self.shared.inner.lock().expect("pool lock")
     }
 }
 
@@ -642,10 +571,9 @@ fn worker_loop(shared: &Shared) {
                 |j: &FlushJob| matches!(j, FlushJob::Write { .. } | FlushJob::WriteV { .. });
             if is_write(&job) {
                 // A run of consecutive write jobs goes to the backend as
-                // one submitted batch — a batch of one when the job needs
-                // per-job treatment: skipping (latched error) or hedging
-                // (the hedge snapshot tracks exactly one running job).
-                let max_batch = if skip || w.hedge_after.is_some() {
+                // one submitted batch — a batch of one when the job is
+                // skipped (latched error).
+                let max_batch = if skip {
                     1
                 } else {
                     ctx.backend.max_batch().max(1)
@@ -668,15 +596,6 @@ fn worker_loop(shared: &Shared) {
                         next = w.queue.pop_front();
                     }
                 }
-                if !skip && w.hedge_after.is_some() {
-                    // Expose the job to hedged re-submits while it runs.
-                    w.running = Some(HedgeSnapshot {
-                        file: Arc::clone(&ops[0].file),
-                        offset: ops[0].offset,
-                        bufs: ops[0].bufs.clone(),
-                        hedged: false,
-                    });
-                }
                 drop(g);
                 sched::yield_now(Point::JobRun);
                 let n = ops.len();
@@ -687,7 +606,6 @@ fn worker_loop(shared: &Shared) {
                 };
                 g = shared.inner.lock().expect("pool lock");
                 let w = &mut g.writers[wid];
-                w.running = None;
                 w.retries += u64::from(outcome.retries);
                 let err_idx = outcome.error.as_ref().map(|(i, _)| *i);
                 if let Some((_, e)) = outcome.error {
@@ -1021,43 +939,6 @@ mod tests {
                 .expect("read");
             assert_eq!(buf, vec![r as u8; 32]);
         }
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn stalled_write_is_hedged_by_drain() {
-        let dir = tmpdir("hedge");
-        let file = open_rw(&dir.join("f"));
-        let before = counters::failover_snapshot();
-        // Every write on rank 5 stalls well past the hedge deadline: the
-        // drain must re-issue the bytes itself and count the hedge. A pool
-        // of its own: on the shared one, other tests' job completions keep
-        // waking this drain and re-arming its 10 ms hedge timer.
-        let pool = FlushPool::with_threads(1);
-        let h = pool.register(
-            5,
-            2,
-            FaultPlan::none().delay_writes(5, Duration::from_millis(150)),
-            WriterTuning {
-                write_retries: 3,
-                retry_backoff: Duration::from_micros(100),
-                hedge_after: Some(Duration::from_millis(10)),
-                ..WriterTuning::default()
-            },
-        );
-        h.submit(FlushJob::Write {
-            file: Arc::clone(&file),
-            offset: 0,
-            data: Bytes::from_vec(vec![7; 16]),
-        })
-        .expect("submit");
-        h.drain().expect("drain");
-        let delta = counters::failover_snapshot().delta_since(&before);
-        assert!(delta.hedged_jobs >= 1, "drain must hedge the delayed write");
-        let mut buf = [0u8; 16];
-        file.read_exact_at(&mut buf, 0).expect("read");
-        assert_eq!(buf, [7u8; 16]);
-        pool.shutdown();
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -389,7 +389,7 @@ pub fn checkpoint_rank_with(
     // The "small worker thread pool behind rt": writer groups hand their
     // flushes to the shared pool so they progress concurrently with the
     // foreground aggregation of the next package.
-    let pipe = cfg.writer(rank, None, None);
+    let pipe = cfg.writer(rank, None);
     let transport = CommTransport { comm, program };
     let payload = Payload::Borrowed(payload);
     Interp::new(rank, rank, program, payload, cfg, None, transport, pipe)

@@ -108,7 +108,7 @@ pub struct ServiceConfig {
     pub base_dir: PathBuf,
     /// Flush worker threads in the service-owned pool.
     pub pool_threads: usize,
-    /// Outstanding background jobs per session writer (≥ 1).
+    /// Outstanding background jobs per session writer (≥ 1; 0 runs as 1).
     pub pipeline_depth: u32,
     /// Sessions allowed in flight at once; the `max_inflight + 1`-th
     /// session queues.
@@ -742,7 +742,7 @@ impl CheckpointService {
             .map_err(ServiceError::Io)?;
         let writer = inner.pool.register(
             sid,
-            inner.cfg.pipeline_depth,
+            inner.cfg.pipeline_depth.max(1),
             faults.clone(),
             WriterTuning {
                 durable: inner.cfg.fsync,
@@ -1040,6 +1040,23 @@ mod tests {
         assert!(dir.join("tenant-42").join("gen0.ckpt").exists());
         let mut r = svc.restore(t, "gen0.ckpt").expect("admit restore");
         assert_eq!(r.len(), 10_000);
+        assert_eq!(r.read_all().expect("read"), data);
+    }
+
+    #[test]
+    fn a_zero_depth_service_round_trips() {
+        // The field is public: a literal may set what the builder clamps.
+        let dir = tmpdir("depth0");
+        let svc = CheckpointService::new(ServiceConfig {
+            pipeline_depth: 0,
+            ..ServiceConfig::new(&dir)
+        });
+        let t = TenantSpec::new(43);
+        let data = payload(43, 3000);
+        let mut s = svc.checkpoint(t, "gen0.ckpt").expect("admit");
+        s.write(&data).expect("write");
+        assert_eq!(s.commit().expect("commit"), 3000);
+        let mut r = svc.restore(t, "gen0.ckpt").expect("admit restore");
         assert_eq!(r.read_all().expect("read"), data);
     }
 

@@ -183,7 +183,7 @@ fn short_writes_resubmit_to_byte_identical_output_per_backend() {
             assert!(
                 delta.short_write_retries >= 1,
                 "{what}: the injected short write must be counted as a \
-                 short-write retry, not a hedge or transient retry"
+                 short-write retry, not a transient retry"
             );
         }
     }
@@ -232,7 +232,6 @@ fn commit_fencing_under_failover_is_backend_independent() {
             .faults(FaultPlan::none().hang_writer(0, Duration::from_millis(300)))
             .failover(FailoverPolicy {
                 enabled: true,
-                straggler_after: Duration::from_millis(25),
                 dead_after: Duration::from_millis(50),
             });
         let report = execute(&plan.program, payloads, &cfg)

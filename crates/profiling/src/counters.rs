@@ -154,15 +154,13 @@ counters! {
     FailoverSnapshot = failover_snapshot() from FAILOVER {
         /// Writer failures absorbed by rerouting to a successor.
         failovers += add_failovers;
-        /// Flush jobs hedged past the straggler deadline.
-        hedged_jobs += add_hedged_jobs;
         /// Commit attempts refused because the writer was fenced.
         fenced_commits_refused += add_fenced_commits_refused;
         /// Generations restored (or committed) in degraded mode.
         degraded_generations += add_degraded_generations;
         /// Continuations of writes the device cut short (partial `pwrite`
-        /// returns and injected short-write faults) — distinct from hedges:
-        /// the same logical write finishing, not a duplicate submission.
+        /// returns and injected short-write faults): the same logical
+        /// write finishing, not a duplicate submission.
         short_write_retries += add_short_write_retries;
     }
 
@@ -377,8 +375,8 @@ mod tests {
         assert!((tune.secs_per_eval() - 2.0).abs() < 1e-12);
         for (got, want) in [
             (
-                FailoverSnapshot::from_array([1, 2, 3, 4, 5]).to_json(),
-                "{\"failovers\": 1, \"hedged_jobs\": 2, \"fenced_commits_refused\": 3, \
+                FailoverSnapshot::from_array([1, 3, 4, 5]).to_json(),
+                "{\"failovers\": 1, \"fenced_commits_refused\": 3, \
                  \"degraded_generations\": 4, \"short_write_retries\": 5}",
             ),
             (

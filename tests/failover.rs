@@ -1,13 +1,15 @@
 //! Degraded-mode observability: checkpoint campaigns under injected
 //! writer failures must complete instead of aborting, restore
 //! byte-identically, and surface every failover-path counter
-//! (`failovers`, `hedged_jobs`, `fenced_commits_refused`,
-//! `degraded_generations`) in the profile export.
+//! (`failovers`, `fenced_commits_refused`, `degraded_generations`) in
+//! the profile export. A slow writer stays alive, and a write the fault
+//! plan refused never reaches the disk.
 
 use std::time::Duration;
 
 use rbio_profile::counters;
-use rbio_repro::rbio::exec::{execute, ExecConfig};
+use rbio_repro::rbio::commit;
+use rbio_repro::rbio::exec::{execute, ExecConfig, ExecError};
 use rbio_repro::rbio::failover::FailoverPolicy;
 use rbio_repro::rbio::fault::FaultPlan;
 use rbio_repro::rbio::format::materialize_payloads;
@@ -27,7 +29,7 @@ fn fill(rank: u32, field: usize, buf: &mut [u8]) {
     }
 }
 
-/// One test driving all four counters so the final delta-and-JSON check
+/// One test driving all three counters so the final delta-and-JSON check
 /// sees every leg of the failover path in a single snapshot window.
 #[test]
 fn degraded_campaign_bumps_every_failover_counter_and_exports_them() {
@@ -82,7 +84,6 @@ fn degraded_campaign_bumps_every_failover_counter_and_exports_them() {
     hang_cfg.faults = FaultPlan::none().hang_writer(0, Duration::from_millis(300));
     hang_cfg.failover = FailoverPolicy {
         enabled: true,
-        straggler_after: Duration::from_millis(25),
         dead_after: Duration::from_millis(50),
     };
     let rep = execute(&plan.program, payloads, &hang_cfg).expect("hang absorbed");
@@ -92,43 +93,39 @@ fn degraded_campaign_bumps_every_failover_counter_and_exports_them() {
         rep.failovers
     );
 
-    // Leg 3 — hedged_jobs: a writer whose write stalls past the straggler
-    // deadline gets its in-flight flush re-submitted by the drain; the
-    // run completes without any failover. Depth 4 keeps the trailing
-    // close/commit submits from filling the pipeline window, so the
-    // stall surfaces at the drain (the hedging point) rather than as
-    // submit backpressure.
-    let hedge_dir = tmpdir("hedge");
+    // Leg 3 — a slow writer completes with no failover: every write of
+    // rank 0 is delayed, far short of `dead_after`, and the drain simply
+    // waits the delay out. Depth 4 keeps the trailing close/commit
+    // submits from filling the pipeline window, so the stall surfaces at
+    // the drain rather than as submit backpressure.
+    let slow_dir = tmpdir("slow");
     let plan = CheckpointSpec::new(layout.clone(), "d001")
         .strategy(Strategy::rbio(2))
         .plan()
         .expect("plan");
     let payloads = materialize_payloads(&plan, fill);
-    let mut hedge_cfg = ExecConfig::new(&hedge_dir).pipeline_depth(4);
-    hedge_cfg.faults = FaultPlan::none().delay_writes(0, Duration::from_millis(150));
-    hedge_cfg.failover = FailoverPolicy {
+    let mut slow_cfg = ExecConfig::new(&slow_dir).pipeline_depth(4);
+    slow_cfg.faults = FaultPlan::none().delay_writes(0, Duration::from_millis(150));
+    slow_cfg.failover = FailoverPolicy {
         enabled: true,
-        straggler_after: Duration::from_millis(10),
         dead_after: Duration::from_secs(30),
     };
-    let rep = execute(&plan.program, payloads, &hedge_cfg).expect("straggler absorbed");
+    let rep = execute(&plan.program, payloads, &slow_cfg).expect("slow writer completes");
     assert!(
         rep.failovers.is_empty(),
-        "a straggler is hedged, not failed over: {:?}",
+        "a slow writer is waited for, not failed over: {:?}",
         rep.failovers
     );
 
     // Every leg's counter must be visible in one snapshot delta, and the
-    // JSON export must carry all four keys.
+    // JSON export must carry all three keys.
     let delta = counters::failover_snapshot().delta_since(&before);
     assert!(delta.failovers >= 2, "kill + hang legs: {delta:?}");
     assert!(delta.degraded_generations >= 1, "{delta:?}");
     assert!(delta.fenced_commits_refused >= 1, "{delta:?}");
-    assert!(delta.hedged_jobs >= 1, "{delta:?}");
     let json = delta.to_json();
     for key in [
         "failovers",
-        "hedged_jobs",
         "fenced_commits_refused",
         "degraded_generations",
     ] {
@@ -138,7 +135,52 @@ fn degraded_campaign_bumps_every_failover_counter_and_exports_them() {
         );
     }
 
-    for d in [ref_dir, kill_dir, hang_dir, hedge_dir] {
+    for d in [ref_dir, kill_dir, hang_dir, slow_dir] {
         std::fs::remove_dir_all(&d).ok();
     }
+}
+
+/// A write the fault plan refuses never reaches the disk, however long
+/// the drain waits on it: rank 0's device is full from its first byte,
+/// and every write it makes is slow — slower than a quarter of the
+/// receive timeout, faster than `dead_after`, so the writer stays alive
+/// throughout. The run fails with `ENOSPC`, and rank 0's unpublished
+/// file holds none of the bytes the plan refused.
+#[test]
+fn a_refused_write_never_lands_while_the_drain_waits() {
+    // One field: rank 0 submits a header write, a field write, a close
+    // and a commit, which all fit in the depth-4 window, so the run
+    // waits on the slow write in `drain`, not in `submit`.
+    let layout = DataLayout::uniform(2, &[("Ex", 2048)]);
+    let plan = CheckpointSpec::new(layout, "r001")
+        .strategy(Strategy::OnePfpp)
+        .plan()
+        .expect("plan");
+    let payloads = materialize_payloads(&plan, fill);
+    let dir = tmpdir("refused");
+    let cfg = ExecConfig::new(&dir)
+        .pipeline_depth(4)
+        .faults(
+            FaultPlan::none()
+                .delay_writes(0, Duration::from_millis(700))
+                .enospc_after_bytes(0, 0),
+        )
+        .failover(FailoverPolicy::from_recv_timeout(Duration::from_secs(2)));
+    match execute(&plan.program, payloads, &cfg) {
+        Err(ExecError::Io { rank: 0, source }) => {
+            assert_eq!(source.raw_os_error(), Some(28), "ENOSPC expected: {source}")
+        }
+        other => panic!("rank 0's disk is full, yet: {other:?}"),
+    }
+    assert_eq!(plan.plan_files[0].r0, 0, "file 0 is rank 0's");
+    let tmp = commit::tmp_path(&dir.join(&plan.plan_files[0].name));
+    let on_disk = std::fs::read(&tmp).unwrap_or_default();
+    assert!(
+        on_disk.iter().all(|&b| b == 0),
+        "{}: {} bytes, {} of them non-zero, although the plan refused every write",
+        tmp.display(),
+        on_disk.len(),
+        on_disk.iter().filter(|&&b| b != 0).count()
+    );
+    std::fs::remove_dir_all(&dir).ok();
 }
