@@ -27,6 +27,9 @@ cargo test --release -q -p rbio --test seal_memory
 # datapath: a warm generation leases recycled buffers and maps none.
 cargo test --release -q -p rbio --test steady_state_alloc
 cargo test --release -q -p rbio --test copies_per_byte
+# Restores, reads and copies lease without the zero-fill: into a pool
+# dirtied with 0xA5 they must still hand back only the bytes written.
+cargo test --release -q -p rbio --test dirty_pool
 # Restore reads through the optimised CRC kernel too: the streaming reader
 # against the image reader, bytes and refusal texts.
 cargo test --release -q --test restore_equivalence

@@ -131,10 +131,11 @@ pub trait IoBackend: Send + Sync {
 
     /// Read `len` bytes at `offset` with `pread` into a buffer leased from
     /// the global pool, which recycles like any checkpoint buffer; fails
-    /// if fewer than `len` bytes exist. Every engine shares this body.
+    /// if fewer than `len` bytes exist. The read overwrites all `len` bytes
+    /// or fails, so the lease skips the zero-fill. Every engine shares this body.
     /// Callers: the benchmark's probe and the conformance tests.
     fn read_at(&self, file: &File, offset: u64, len: usize) -> io::Result<Bytes> {
-        let mut image = BufPool::global().lease(len);
+        let mut image = BufPool::global().lease_to_overwrite(len);
         file.read_exact_at(&mut image, offset)?;
         Ok(image.freeze())
     }

@@ -9,7 +9,10 @@
 //!
 //! [`BufPool::lease`] hands out a [`PooledBuf`]: owned, mutable,
 //! zero-filled to the requested length. Its holder fills it in place — the
-//! application's `fill` closure, a `pread`.
+//! application's `fill` closure, a `pread`. Inside the crate, a holder
+//! that writes every byte before it reads or freezes any (a restore's
+//! blocks, a `pread` of a whole range, a copy) leases through
+//! `BufPool::lease_to_overwrite` instead and skips the zero-fill.
 //! [`PooledBuf::freeze`] turns it, in O(1) and without moving a byte, into
 //! a [`Bytes`]: a refcounted, immutable slice with cheap `clone` and
 //! `slice`. When the `PooledBuf`, or the last `Bytes` over it, drops, the
@@ -27,9 +30,12 @@
 //!   `PooledBuf`, or the last `Bytes`/slice over it, drops; the pool only
 //!   ever hands it out again after that point, so no live reader can
 //!   observe reuse;
-//! * stale bytes are never observable: a lease is zero-filled to its
-//!   requested length before it is handed out (a `memset` of resident
-//!   pages, not a page-fault storm);
+//! * stale bytes never leave the crate: a recycled buffer keeps the
+//!   previous lease's bytes until its next holder writes over them. The
+//!   public lease zero-fills them (a `memset` of resident pages, not a
+//!   page-fault storm, and counted in `bytes_zeroed`); an overwrite lease
+//!   is frozen only once every byte is written, and every error or panic
+//!   between the lease and the `freeze` drops it unfrozen;
 //! * copies are *counted*: every helper that actually moves bytes calls
 //!   [`rbio_profile::counters::add_bytes_copied`], making "copies per
 //!   checkpoint byte" a measurable quantity rather than a code-review
@@ -42,7 +48,7 @@
 //!   the old one's idle buffers.
 
 use std::ops::{Bound, Deref, DerefMut, RangeBounds};
-use std::sync::{Arc, Mutex, OnceLock, Weak};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError, Weak};
 
 use rbio_profile::counters;
 
@@ -63,8 +69,8 @@ impl Drop for Inner {
 }
 
 /// An owned, mutable buffer leased from a [`BufPool`]: the "fill" stage
-/// of the lifecycle. Derefs to the `[u8]` of the requested length, which
-/// starts out all zeros. Dropping it recycles the storage;
+/// of the lifecycle. Derefs to the `[u8]` of the requested length, all
+/// zeros out of [`BufPool::lease`]. Dropping it recycles the storage;
 /// [`PooledBuf::freeze`] shares it instead.
 pub struct PooledBuf {
     inner: Inner,
@@ -116,7 +122,7 @@ impl Clone for PooledBuf {
         counters::add_bytes_copied(self.len() as u64);
         match self.inner.pool.as_ref().and_then(Weak::upgrade) {
             Some(shared) => {
-                let mut out = BufPool { shared }.lease(self.len());
+                let mut out = BufPool { shared }.lease_to_overwrite(self.len());
                 out.copy_from_slice(self);
                 out
             }
@@ -372,6 +378,14 @@ struct PoolShared {
 }
 
 impl PoolShared {
+    /// The pool's books, poisoned or not. Every update of [`PoolState`]
+    /// is a free-list edit and its byte or lease count in straight-line
+    /// code that cannot panic between them, so a panic elsewhere on a
+    /// thread holding the guard leaves no half-made change to refuse.
+    fn state(&self) -> MutexGuard<'_, PoolState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Count a lease of class capacity `cap` out and return the buffer
     /// that serves it, if one is held. Best fit: the smallest free buffer of
     /// `cap`'s class or above, but never one more than twice as large — a
@@ -391,7 +405,7 @@ impl PoolShared {
     /// small one between rounds (a marker's few hundred bytes streamed
     /// through the sealer), which says nothing about the next round.
     fn take(&self, cap: usize) -> Option<Vec<u8>> {
-        let mut g = self.state.lock().expect("buffer pool lock");
+        let mut g = self.state();
         let i = g.at_least(cap);
         let fits = g.bufs.get(i).is_some_and(|b| b.capacity() <= 2 * cap);
         let hit = fits.then(|| g.remove(i));
@@ -407,12 +421,14 @@ impl PoolShared {
         hit
     }
 
-    fn put(&self, mut v: Vec<u8>) {
+    /// Take `v` back: kept, bytes and length as its last holder left
+    /// them, when the free list has room; released otherwise.
+    fn put(&self, v: Vec<u8>) {
         let cap = v.capacity();
         if cap == 0 {
             return;
         }
-        let mut g = self.state.lock().expect("buffer pool lock");
+        let mut g = self.state();
         if crate::sched::controlled() && g.contains_ptr(v.as_ptr()) {
             // The same allocation is being recycled twice: some live
             // `Bytes` still references a buffer the pool may hand out
@@ -425,7 +441,6 @@ impl PoolShared {
         }
         g.out = g.out.saturating_sub(1);
         if g.bufs.len() < MAX_POOLED_BUFS && g.idle + cap <= MAX_RETAINED_BYTES {
-            v.clear();
             let i = g.at_least(cap);
             g.bufs.insert(i, v);
             g.idle += cap;
@@ -463,61 +478,76 @@ impl BufPool {
 
     /// Number of free buffers currently held (test observability).
     pub fn free_buffers(&self) -> usize {
-        self.shared
-            .state
-            .lock()
-            .expect("buffer pool lock")
-            .bufs
-            .len()
+        self.shared.state().bufs.len()
     }
 
     /// Summed capacity of the free buffers currently held (test
     /// observability).
     pub fn retained_bytes(&self) -> usize {
-        self.shared.state.lock().expect("buffer pool lock").idle
+        self.shared.state().idle
     }
 
     /// Capacity of the largest free buffer currently held (test
     /// observability).
     pub fn largest_free(&self) -> usize {
-        let g = self.shared.state.lock().expect("buffer pool lock");
-        g.bufs.last().map_or(0, Vec::capacity)
+        self.shared.state().bufs.last().map_or(0, Vec::capacity)
     }
 
     /// Lease a buffer of `len` zero bytes: a recycled one of `len`'s size
-    /// class when the pool holds one (re-zeroed — a `memset` of resident
-    /// pages), otherwise a fresh allocation at class capacity. A
-    /// zero-length lease holds no storage and touches nothing.
+    /// class when the pool holds one (its previous lease's bytes zeroed — a
+    /// `memset` of resident pages), otherwise a fresh allocation at class
+    /// capacity. A zero-length lease holds no storage and touches nothing.
     pub fn lease(&self, len: usize) -> PooledBuf {
+        let (mut buf, stale) = self.lease_stale(len);
+        counters::add_bytes_zeroed(stale as u64);
+        buf[..stale].fill(0);
+        buf
+    }
+
+    /// [`BufPool::lease`] without the zero-fill, for a holder that writes
+    /// all `len` bytes before it reads or freezes any: a recycled buffer
+    /// still holds its previous lease's bytes. Every error or panic between
+    /// this lease and its `freeze` must drop the buffer, so that those
+    /// bytes never leave the crate.
+    pub(crate) fn lease_to_overwrite(&self, len: usize) -> PooledBuf {
+        self.lease_stale(len).0
+    }
+
+    /// A lease of `len` bytes, every one initialised, and how many of the
+    /// leading ones a previous lease left: a recycled buffer of `len`'s
+    /// class cut to `len` (or grown to it, the growth zero-filled), or a
+    /// fresh zeroed allocation at class capacity.
+    fn lease_stale(&self, len: usize) -> (PooledBuf, usize) {
         if len == 0 {
-            return PooledBuf::default();
+            return (PooledBuf::default(), 0);
         }
         let cap = class_capacity(len);
-        let data = match self.shared.take(cap) {
+        let (data, stale) = match self.shared.take(cap) {
             Some(mut v) => {
+                let stale = v.len().min(len);
+                counters::add_bytes_zeroed((len - stale) as u64);
                 v.resize(len, 0);
-                v
+                (v, stale)
             }
             None => {
                 // Zeroed by the allocator (untouched fresh pages when it
                 // maps them), trimmed to `len` with the capacity kept.
                 let mut v = vec![0u8; cap];
                 v.truncate(len);
-                v
+                (v, 0)
             }
         };
-        PooledBuf {
-            inner: Inner {
-                data,
-                pool: Some(Arc::downgrade(&self.shared)),
-            },
-        }
+        let inner = Inner {
+            data,
+            pool: Some(Arc::downgrade(&self.shared)),
+        };
+        (PooledBuf { inner }, stale)
     }
 
     /// Copy `src` into a pooled buffer (counted as copied bytes).
     pub fn copy_from_slice(&self, src: &[u8]) -> Bytes {
         counters::add_bytes_copied(src.len() as u64);
-        let mut buf = self.lease(src.len());
+        let mut buf = self.lease_to_overwrite(src.len());
         buf.copy_from_slice(src);
         buf.freeze()
     }
@@ -525,7 +555,7 @@ impl BufPool {
     /// Fill a pooled buffer of `len` bytes with `f(index)` — used for
     /// synthetic plan data, where the bytes are generated, not copied.
     pub fn from_fn(&self, len: usize, f: impl Fn(usize) -> u8) -> Bytes {
-        let mut buf = self.lease(len);
+        let mut buf = self.lease_to_overwrite(len);
         buf.iter_mut().enumerate().for_each(|(i, b)| *b = f(i));
         buf.freeze()
     }
@@ -755,11 +785,35 @@ mod tests {
         buf.fill(0xAA);
         let ptr = buf.as_ptr();
         drop(buf);
-        for len in [5000, 4700] {
-            let again = pool.lease(len);
+        // Cut to a shorter lease, then grown back past where it was cut.
+        for len in [5000, 4700, 5000] {
+            let before = counters::snapshot();
+            let mut again = pool.lease(len);
+            let zeroed = counters::snapshot().delta_since(&before).bytes_zeroed;
             assert_eq!(again.as_ptr(), ptr, "same class, same buffer");
             assert!(again.iter().all(|&b| b == 0), "stale bytes at len {len}");
+            assert!(zeroed >= len as u64, "{zeroed} bytes zeroed at len {len}");
+            again.fill(0xAA);
         }
+    }
+
+    #[test]
+    fn an_overwrite_lease_zero_fills_only_its_growth() {
+        let pool = BufPool::new();
+        let mut buf = pool.lease(4700);
+        buf.fill(0xAA);
+        let ptr = buf.as_ptr();
+        drop(buf);
+        let before = counters::snapshot();
+        let again = pool.lease_to_overwrite(5000);
+        let zeroed = counters::snapshot().delta_since(&before).bytes_zeroed;
+        assert_eq!(again.as_ptr(), ptr, "same class, same buffer");
+        assert!(again[..4700].iter().all(|&b| b == 0xAA), "no memset");
+        assert!(
+            again[4700..].iter().all(|&b| b == 0),
+            "the growth is zeroed"
+        );
+        assert!(zeroed >= 300, "the growth is counted");
     }
 
     #[test]
@@ -820,7 +874,7 @@ mod tests {
         let b = pool.copy_from_slice(&[3u8; 64]);
         let ptr = b.as_ref().as_ptr();
         drop(b); // storage returns to the free list
-        let g = pool.shared.state.lock().expect("buffer pool lock");
+        let g = pool.shared.state();
         assert!(
             g.contains_ptr(ptr),
             "recycled buffer must be found by pointer identity"

@@ -161,10 +161,12 @@ pub(crate) const STREAM_CHUNK: usize = 1 << 20;
 /// The buffer one file's regions stream through: [`STREAM_CHUNK`] bytes,
 /// or the longest region's length when that is shorter, leased from the
 /// global pool — so sealing or verifying a file allocates nothing once the
-/// pool has seen a file of its kind.
+/// pool has seen a file of its kind. Leased without the zero-fill: each
+/// pass reads into the front of it and checksums only what it read, and
+/// it is never frozen.
 fn stream_buf(region_lens: impl Iterator<Item = u64>) -> PooledBuf {
     let longest = region_lens.max().unwrap_or(0);
-    BufPool::global().lease(longest.min(STREAM_CHUNK as u64) as usize)
+    BufPool::global().lease_to_overwrite(longest.min(STREAM_CHUNK as u64) as usize)
 }
 
 /// One step of the one streaming region walker — under the sealer,

@@ -267,11 +267,12 @@ impl<'a, T: Transport> Interp<'a, T> {
 
     /// `r` as one message for a `Send`: what [`Self::gather_owned`] gives
     /// when that is one piece; a staging range over several segments is
-    /// concatenated — one counted pooled copy.
+    /// concatenated — one counted pooled copy, over every byte of a lease
+    /// that skips the zero-fill.
     fn message(&self, r: &DataRef) -> Bytes {
         if let DataRef::Staging { off, len } = *r {
             if self.staging.pieces(off, len).nth(1).is_some() {
-                let mut msg = BufPool::global().lease(len as usize);
+                let mut msg = BufPool::global().lease_to_overwrite(len as usize);
                 self.staging
                     .read(off, &mut msg, |src, r| self.src_bytes(src, r));
                 counters::add_bytes_copied(len);
@@ -385,7 +386,8 @@ impl<'a, T: Transport> Interp<'a, T> {
                     // Read-after-write: pending flushes must land first.
                     self.drain_pipe()?;
                     let f = self.files.get(&file.0).expect("validated: opened");
-                    let mut data = BufPool::global().lease(*len as usize);
+                    // Overwritten end to end, or dropped with the error.
+                    let mut data = BufPool::global().lease_to_overwrite(*len as usize);
                     f.read_exact_at(&mut data, *offset)?;
                     self.staging
                         .put(*staging_off, *len, Src::Buf(data.freeze()));

@@ -15,7 +15,11 @@
 //! Both read a file the way [`crate::format::materialize_payloads`] built
 //! it (DESIGN.md §9 rule 7): one buffer per covered rank, leased from the
 //! pool at the payload's size class, filled by one walk of the file in
-//! file order and checksummed region by region as the blocks land — a
+//! file order and checksummed region by region as the blocks land. The
+//! blocks tile each buffer, so it is leased without the zero-fill
+//! (DESIGN.md §9 rule 2): a recycled buffer's old bytes are overwritten
+//! before it is frozen, and a file that fails a read, a checksum or a
+//! shape check drops its buffers unfrozen. The walk is a
 //! [`crate::commit::verify_committed_file`] that keeps the bytes, through
 //! the same footer reader and region walker. No image of a file is built,
 //! so a restore maps nothing a checkpoint did not leave in the pool.
@@ -261,6 +265,10 @@ fn extract_file(dir: &Path, rel: &str, header: &FileHeader) -> FileBlocks {
 /// its file offset, in rank order: back to back from the field's
 /// `data_off`. Returns `blocks[rank - r0][field]`, zero-copy slices of
 /// the buffers.
+///
+/// The blocks tile the buffers, which are leased without the zero-fill:
+/// `fill` must write every byte of every block it is handed, or fail.
+/// On its error (or panic) the buffers drop unfrozen.
 fn place_blocks(
     header: &FileHeader,
     mut fill: impl FnMut(usize, &mut Blocks<'_>) -> Result<(), RestartError>,
@@ -268,7 +276,7 @@ fn place_blocks(
     let pool = BufPool::global();
     let covered = (header.r1 - header.r0) as usize;
     let mut images: Vec<PooledBuf> = (0..covered)
-        .map(|k| pool.lease(header.fields.iter().map(|f| f.sizes[k] as usize).sum()))
+        .map(|k| pool.lease_to_overwrite(header.fields.iter().map(|f| f.sizes[k] as usize).sum()))
         .collect();
     // What is left to fill of each rank's buffer: fields land in order,
     // so a rank's next block is always the front of its tail.

@@ -899,7 +899,8 @@ impl CheckpointSession {
             commit::sync_file(&self.file, &self.faults, self.sid).map_err(ServiceError::Io)?;
         }
         // A bare rename, with no footer and no directory fsync, until
-        // sessions come under the crash enumerator (ROADMAP 2(d)).
+        // sessions publish through the one publication path and come
+        // under the crash enumerator (ROADMAP items 3 and 4(d)).
         #[allow(clippy::disallowed_methods)]
         std::fs::rename(&self.tmp_path, &self.final_path).map_err(ServiceError::Io)?;
         Ok(self.offset)
@@ -978,9 +979,11 @@ impl RestoreSession {
     /// `[u8]`, and its buffer goes back to the pool when the last handle
     /// on it drops, so the next restore reuses resident memory instead of
     /// faulting in a fresh mapping. A caller that must own a `Vec<u8>`
-    /// calls [`Bytes::into_vec`] (one counted copy).
+    /// calls [`Bytes::into_vec`] (one counted copy). The reads overwrite
+    /// the whole lease, so it skips the zero-fill; a read that fails
+    /// drops it unfrozen.
     pub fn read_all(&mut self) -> Result<Bytes, ServiceError> {
-        let mut image = BufPool::global().lease((self.len - self.offset) as usize);
+        let mut image = BufPool::global().lease_to_overwrite((self.len - self.offset) as usize);
         let inner = Arc::clone(&self.inner);
         let _call = inner.arbiter.call(self.tenant.id)?;
         let mut done = 0;

@@ -4,9 +4,10 @@
 //! (EXPERIMENTS.md, "Datapath copy accounting"); and per byte of a
 //! service session, for each write form and for its restore.
 //!
-//! Beside it, the other count of the copy group: early-writeback hints,
+//! Beside it, the other counts of the copy group: early-writeback hints,
 //! issued behind large landed writes when — and only when — the files
-//! will be fsynced.
+//! will be fsynced; and the bytes the buffer pool zero-fills, which a
+//! warm restore leaves at none and a payload at its own length.
 //!
 //! Its own test binary because the counters are process-wide: nothing
 //! else may checkpoint in this process, and the tests below serialize on
@@ -20,6 +21,7 @@ use rbio::exec::{execute, ExecConfig};
 use rbio::format::materialize_payloads;
 use rbio::layout::DataLayout;
 use rbio::manager::{CheckpointManager, ManagerConfig};
+use rbio::restart::read_checkpoint;
 use rbio::rt;
 use rbio::service::{CheckpointService, ServiceConfig, TenantSpec};
 use rbio::strategy::{CheckpointPlan, CheckpointSpec, Strategy};
@@ -222,6 +224,76 @@ fn a_service_session_copies_only_what_it_borrows() {
         assert_eq!(read, 0.0, "read_all fills its pooled image in place");
         assert_eq!(image.expect("read"), data, "{name} round trip");
     }
+    drop(svc);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Zero-filled bytes that `work` adds.
+fn zeroed_by(work: impl FnOnce()) -> u64 {
+    let before = counters::snapshot();
+    work();
+    counters::snapshot().delta_since(&before).bytes_zeroed
+}
+
+#[test]
+fn a_payload_is_zeroed_and_a_warm_restore_is_not() {
+    let _serial = COUNTERS.lock().unwrap_or_else(|e| e.into_inner());
+    let plan = plan_for(16, TWO_FIELDS, Strategy::rbio(4));
+    let payload_bytes: u64 = (0..16)
+        .map(|r| plan.payload_meta[r as usize].header_len + plan.layout.rank_payload_bytes(r))
+        .sum();
+    // Warm: the second round of payloads recycles the first's buffers, and
+    // `fill` is promised zeros wherever it does not write.
+    drop(materialize_payloads(&plan, fill));
+    let mut payloads = None;
+    let zeroed = zeroed_by(|| payloads = Some(materialize_payloads(&plan, fill)));
+    assert_eq!(
+        zeroed, payload_bytes,
+        "a warm payload is zeroed once, whole"
+    );
+
+    let dir = std::env::temp_dir().join(format!("rbio-zeroed-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let payloads = payloads.expect("materialized");
+    execute(&plan.program, payloads, &ExecConfig::new(&dir)).expect("exec");
+    // A restore writes every byte of its blocks: once the pool holds its
+    // buffers, it zero-fills none of them.
+    drop(read_checkpoint(&dir, &plan).expect("cold restore"));
+    let zeroed = zeroed_by(|| drop(read_checkpoint(&dir, &plan).expect("warm restore")));
+    assert_eq!(zeroed, 0, "a warm restore from files zero-fills nothing");
+
+    // The same from the tiered manager's retained slab.
+    let mut cfg = ManagerConfig::new(dir.join("pfs"), Strategy::rbio(4));
+    cfg.tier = Some(TierConfig::new(dir.join("local")).slab_capacity(8 << 20));
+    let mgr = CheckpointManager::new(DataLayout::uniform(16, TWO_FIELDS), cfg).expect("manager");
+    mgr.checkpoint(1, fill).expect("tiered checkpoint");
+    mgr.wait_durable(1).expect("drain");
+    let restores = counters::tier_snapshot().tier_restores;
+    drop(mgr.restore_latest().expect("cold restore"));
+    let zeroed = zeroed_by(|| drop(mgr.restore_latest().expect("warm restore")));
+    assert_eq!(
+        counters::tier_snapshot().tier_restores - restores,
+        2,
+        "both from the slab"
+    );
+    assert_eq!(zeroed, 0, "a warm restore from the slab zero-fills nothing");
+    drop(mgr);
+
+    // And a service restore's pooled image.
+    let svc = CheckpointService::new(ServiceConfig::new(dir.join("svc")).quantum(1 << 20));
+    let tenant = TenantSpec::new(1);
+    let data: Vec<u8> = (0..(3 << 20) + 777).map(|i| (i * 11) as u8).collect();
+    let mut s = svc.checkpoint(tenant, "gen").expect("admit");
+    s.write(&data).expect("session write");
+    s.commit().expect("commit");
+    let read_all = || {
+        svc.restore(tenant, "gen")
+            .expect("admit restore")
+            .read_all()
+    };
+    assert_eq!(read_all().expect("cold read_all"), data);
+    let zeroed = zeroed_by(|| assert_eq!(read_all().expect("warm read_all"), data));
+    assert_eq!(zeroed, 0, "a warm read_all zero-fills nothing");
     drop(svc);
     std::fs::remove_dir_all(&dir).ok();
 }

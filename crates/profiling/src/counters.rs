@@ -147,6 +147,10 @@ counters! {
         /// Early-writeback hints issued behind landed writes of writers
         /// whose files will be fsynced (none when fsync is off).
         writeback_hints += add_writeback_hints;
+        /// Bytes the buffer pool zero-filled: a recycled lease's previous
+        /// bytes under the public lease, and the growth of a recycled
+        /// buffer shorter than its new lease.
+        bytes_zeroed += add_bytes_zeroed;
     }
 
     /// A point-in-time reading of the writer-failover counters: how often
@@ -366,14 +370,19 @@ mod tests {
     #[test]
     fn ratios_and_json_match_the_hand_written_renderings() {
         let copies = |cells| CopySnapshot::from_array(cells).copies_per_checkpoint_byte();
-        assert!((copies([300, 100, 0]) - 3.0).abs() < 1e-12);
-        assert_eq!(copies([5, 0, 0]), 0.0);
+        assert!((copies([300, 100, 0, 0]) - 3.0).abs() < 1e-12);
+        assert_eq!(copies([5, 0, 0, 0]), 0.0);
         assert_eq!(TuneSnapshot::default().hit_rate(), 0.0);
         assert_eq!(TuneSnapshot::default().secs_per_eval(), 0.0);
         let tune = TuneSnapshot::from_array([4, 12, 30, 8_000_000_000]);
         assert!((tune.hit_rate() - 0.75).abs() < 1e-12);
         assert!((tune.secs_per_eval() - 2.0).abs() < 1e-12);
         for (got, want) in [
+            (
+                CopySnapshot::from_array([300, 100, 2, 50]).to_json(),
+                "{\"bytes_copied\": 300, \"checkpoint_bytes\": 100, \"writeback_hints\": 2, \
+                 \"bytes_zeroed\": 50}",
+            ),
             (
                 FailoverSnapshot::from_array([1, 3, 4, 5]).to_json(),
                 "{\"failovers\": 1, \"fenced_commits_refused\": 3, \
