@@ -34,6 +34,11 @@ cargo test --release -q -p rbio --test dirty_pool
 # against the image reader, bytes and refusal texts.
 cargo test --release -q --test restore_equivalence
 cargo test --release -q --test datapath_equivalence
+# The pool worker's batches and the raw write loop in the optimised
+# build: pipelined runs against the serial reference, and armed faults
+# against the coalescer.
+cargo test --release -q --test pipeline_equivalence
+cargo test --release -q --test fault_coalesce_contract
 # The service's sessions in the build the benchmark measures: pooled
 # restore images, owned and borrowed writes, fair share under load.
 cargo test --release -q -p rbio --lib service::

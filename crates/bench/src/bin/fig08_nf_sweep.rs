@@ -31,8 +31,6 @@ fn rbio_candidate(nf: u32) -> Candidate {
         backend: BackendKnob::Threaded,
         backend_batch: 1,
         tier_drain_bw: None,
-        coalesce_max_bytes: 8 << 20,
-        coalesce_max_ops: 64,
     }
 }
 

@@ -127,7 +127,7 @@ pub fn commit_file_with_faults(
     }
     let footer = format::encode_footer(&footer_regions(&f, expected_size)?);
     f.write_all_at(&footer, expected_size)?;
-    crash::record_write(&f, expected_size, &[&footer]);
+    crash::record_write(&f, expected_size, [&footer]);
     if fsync {
         sync_file(&f, faults, rank)?;
     }

@@ -55,6 +55,7 @@ use std::sync::{Mutex, MutexGuard};
 
 use rbio_profile::counters;
 
+use crate::fault::splitmix64;
 use crate::layout::DataLayout;
 use crate::manager::{CheckpointManager, ManagerConfig, ManagerError};
 use crate::sched::{Revert, RevertGuard};
@@ -190,7 +191,11 @@ fn canon(path: &Path) -> Option<PathBuf> {
 
 /// Journal a completed write of `bufs`, back to back at `offset`, into
 /// `file`.
-pub(crate) fn record_write(file: &File, offset: u64, bufs: &[impl AsRef<[u8]>]) {
+pub(crate) fn record_write(
+    file: &File,
+    offset: u64,
+    bufs: impl IntoIterator<Item = impl AsRef<[u8]>>,
+) {
     if !recording() {
         return;
     }
@@ -318,13 +323,6 @@ pub struct ImageSpec {
     pub variant: Variant,
 }
 
-fn splitmix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e3779b97f4a7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d049bb133111eb);
-    x ^ (x >> 31)
-}
-
 /// Which ops in `ops[..cut]` a crash at `cut` *cannot* have dropped:
 /// a write whose file was fsynced after it (still before the cut), a
 /// rename whose destination directory was fsynced after it, and every
@@ -424,7 +422,7 @@ fn applied_set(ops: &[RecOp], spec: ImageSpec) -> (Vec<bool>, Option<(usize, usi
         Variant::Subset(seed) => {
             for (i, a) in applied.iter_mut().enumerate() {
                 if !required[i] {
-                    *a = splitmix(seed ^ (i as u64).wrapping_mul(0xff51_afd7_ed55_8ccd)) & 1 == 0;
+                    *a = splitmix64(seed ^ (i as u64).wrapping_mul(0xff51_afd7_ed55_8ccd)) & 1 == 0;
                 }
             }
         }
@@ -437,7 +435,7 @@ fn applied_set(ops: &[RecOp], spec: ImageSpec) -> (Vec<bool>, Option<(usize, usi
             });
             if let Some(i) = victim {
                 if let RecOp::Write { data, .. } = &ops[i] {
-                    let torn = 1 + (splitmix(seed) as usize) % (data.len() - 1);
+                    let torn = 1 + (splitmix64(seed) as usize) % (data.len() - 1);
                     return (applied, Some((i, torn)));
                 }
             }
@@ -581,7 +579,7 @@ pub fn enumerate_specs(nops: usize, budget: usize, seed: u64) -> Vec<ImageSpec> 
     }
     let mut specs = Vec::with_capacity(cuts.len() * PER_CUT);
     for cut in cuts {
-        let base = splitmix(seed ^ (cut as u64));
+        let base = splitmix64(seed ^ (cut as u64));
         specs.push(ImageSpec {
             cut,
             variant: Variant::AllApplied,
@@ -596,7 +594,7 @@ pub fn enumerate_specs(nops: usize, budget: usize, seed: u64) -> Vec<ImageSpec> 
         });
         specs.push(ImageSpec {
             cut,
-            variant: Variant::Subset(splitmix(base)),
+            variant: Variant::Subset(splitmix64(base)),
         });
         specs.push(ImageSpec {
             cut,

@@ -45,8 +45,7 @@ use crate::sched::{self, Point, Wait};
 pub const DEFAULT_CHAN_CAPACITY: usize = 256;
 
 /// Default cap on one coalesced vectored write, bytes. Overridable per
-/// run via [`ExecConfig::coalesce_caps`] (the autotuner exports tuned
-/// values through `rbio-tune`'s plan JSON).
+/// run via [`ExecConfig::coalesce_caps`].
 pub const DEFAULT_COALESCE_BYTES: u64 = 8 << 20;
 /// Default cap on plan ops per coalesced write. Their staging pieces may
 /// number more; the vectored write loop submits at most `IOV_MAX` a call.

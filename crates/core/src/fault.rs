@@ -478,15 +478,19 @@ fn retry_budget(max_retries: u32, initial_backoff: Duration) -> Duration {
         .clamp(Duration::from_millis(50), Duration::from_secs(2))
 }
 
+/// splitmix64: a tiny, well-mixed PRNG step. Derives every seeded
+/// choice the runtime makes: retry and job jitter, crash-image subsets.
+pub(crate) fn splitmix64(mut x: u64) -> u64 {
+    x = x.wrapping_add(0x9E3779B97F4A7C15);
+    x = (x ^ (x >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94D049BB133111EB);
+    x ^ (x >> 31)
+}
+
 /// Deterministic backoff jitter in `[0, backoff/2]`, decorrelating the
 /// retry storms of writers that hit the same I/O-node hiccup together.
 fn retry_jitter(backoff: Duration, rank: Rank, offset: u64, attempt: u32) -> Duration {
-    let mut x = u64::from(rank) ^ offset.rotate_left(17) ^ (u64::from(attempt) << 32);
-    // splitmix64 finalizer.
-    x = x.wrapping_add(0x9e3779b97f4a7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d049bb133111eb);
-    x ^= x >> 31;
+    let x = splitmix64(u64::from(rank) ^ offset.rotate_left(17) ^ (u64::from(attempt) << 32));
     backoff
         .checked_div(2)
         .unwrap_or(Duration::ZERO)
@@ -575,8 +579,9 @@ pub struct Written {
 /// * [`WriteFault::Short`] lands only the first `cap` bytes — the buffer
 ///   list cut at `cap`, however many buffers that spans — and returns with
 ///   `short = Some(cap)`: how a completion queue surfaces a partial write;
-/// * the syscall shape is a `pwrite` loop for one buffer and one
-///   `pwritev` for several;
+/// * the bytes go down through one raw write loop, which repeats its
+///   syscall until every byte has landed: a `pwrite` for one buffer, a
+///   seek and a `writev` for several;
 /// * the bytes landed are journaled to [`crate::crash`] exactly once.
 ///
 /// Counting a multi-buffer batch as one write changes the plan's
@@ -595,40 +600,36 @@ pub fn write_at_or_short(
             std::thread::sleep(d);
         }
     }
-    let total: u64 = bufs.iter().map(|b| b.as_ref().len() as u64).sum();
+    let total = bufs.iter().map(|b| b.as_ref().len()).sum();
     let mut attempt = 0u32;
     let mut backoff = ctx.retry_backoff;
     let clock = RetryClock::new(ctx.write_retries, ctx.retry_backoff);
     loop {
-        let fault = ctx.faults.on_write(ctx.rank, total, attempt);
-        let res = match (fault, bufs) {
-            (Some(WriteFault::Kill), _) => return Err(WriteError::Killed),
-            (Some(WriteFault::Enospc), _) => {
+        let fault = ctx.faults.on_write(ctx.rank, total as u64, attempt);
+        let res = match fault {
+            Some(WriteFault::Kill) => return Err(WriteError::Killed),
+            Some(WriteFault::Enospc) => {
                 return Err(WriteError::Io(io::Error::from_raw_os_error(28)))
             }
             // EIO: the canonical "device hiccup" errno.
-            (Some(WriteFault::Error), _) => Err(WriteError::Io(io::Error::from_raw_os_error(5))),
-            (Some(WriteFault::Short { cap }), _) if cap < total => {
+            Some(WriteFault::Error) => Err(WriteError::Io(io::Error::from_raw_os_error(5))),
+            Some(WriteFault::Short { cap }) if cap < total as u64 => {
                 // One-shot and already accounted in full by the plan, so
                 // a failure of the prefix itself is final, not retried.
-                let prefix = window(bufs, 0, cap as usize);
-                write_vectored_all(file, offset, &prefix).map_err(WriteError::Io)?;
-                crash::record_write(file, offset, &prefix);
+                write_range(file, offset, bufs, 0, cap as usize)?;
                 return Ok(Written {
                     attempts: attempt,
                     short: Some(cap),
                 });
             }
-            (_, [one]) => write_full_at(file, offset, one.as_ref(), 0),
-            (_, _) => write_vectored_all(file, offset, bufs).map_err(WriteError::Io),
+            _ => write_range(file, offset, bufs, 0, total),
         };
         match res {
             Ok(()) => {
-                crash::record_write(file, offset, bufs);
                 return Ok(Written {
                     attempts: attempt,
                     short: None,
-                });
+                })
             }
             Err(WriteError::Io(e))
                 if attempt < ctx.write_retries
@@ -661,9 +662,9 @@ pub fn write_at(
 }
 
 /// Deliver (and journal) what a short write still owes: the bytes of
-/// `bufs` past the first `already`, at `offset + already`. No fault
-/// consult — the logical write's bytes were accounted on its first
-/// submission.
+/// `bufs` past the first `already`, at `offset + already`. Counted as one
+/// short-write retry. No fault consult — the logical write's bytes were
+/// accounted on its first submission.
 pub fn finish_short_write(
     file: &std::fs::File,
     offset: u64,
@@ -672,108 +673,93 @@ pub fn finish_short_write(
 ) -> Result<(), WriteError> {
     counters::add_short_write_retries(1);
     let total = bufs.iter().map(|b| b.as_ref().len()).sum();
-    let rest = window(bufs, already, total);
-    match bufs {
-        [one] => write_full_at(file, offset, one.as_ref(), already)?,
-        _ => write_vectored_all(file, offset + already as u64, &rest).map_err(WriteError::Io)?,
-    }
-    crash::record_write(file, offset + already as u64, &rest);
-    Ok(())
+    write_range(file, offset, bufs, already, total)
 }
 
 /// The bytes `[from, to)` of `bufs` laid back to back, as slices of them.
-fn window(bufs: &[impl AsRef<[u8]>], from: usize, to: usize) -> Vec<&[u8]> {
-    let mut out = Vec::new();
+fn window<B: AsRef<[u8]>>(bufs: &[B], from: usize, to: usize) -> impl Iterator<Item = &[u8]> {
     let mut start = 0;
-    for b in bufs.iter().map(AsRef::as_ref) {
-        let end = start + b.len();
-        let (lo, hi) = (from.max(start), to.min(end));
-        if lo < hi {
-            out.push(&b[lo - start..hi - start]);
-        }
-        start = end;
-    }
-    out
+    bufs.iter().filter_map(move |b| {
+        let b = b.as_ref();
+        let (lo, hi) = (from.max(start), to.min(start + b.len()));
+        let piece = (lo < hi).then(|| &b[lo - start..hi - start]);
+        start += b.len();
+        piece
+    })
 }
 
-/// Deliver `data[already..]` at `offset + already`, looping positional
-/// writes until every byte lands. Zero progress — or a hard error after
-/// partial progress — surfaces a typed [`WriteError::ShortWrite`] with
-/// the exact written/expected byte counts rather than a generic error.
-/// Each extra syscall past the first counts a short-write retry.
-fn write_full_at(
-    file: &std::fs::File,
-    offset: u64,
-    data: &[u8],
-    already: usize,
-) -> Result<(), WriteError> {
-    let expected = data.len() as u64;
-    let mut written = already;
-    let mut continued = false;
-    while written < data.len() {
-        if continued {
-            counters::add_short_write_retries(1);
-        }
-        #[allow(clippy::disallowed_methods)] // the one raw data write, behind the fault plan
-        match file.write_at(&data[written..], offset + written as u64) {
-            Ok(0) => {
-                return Err(WriteError::ShortWrite {
-                    written: written as u64,
-                    expected,
-                })
-            }
-            Ok(n) => {
-                written += n;
-                continued = true;
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) if written > already => {
-                // A prefix landed and then the device failed hard: report
-                // how far the write got, not just the errno.
-                let _ = e;
-                return Err(WriteError::ShortWrite {
-                    written: written as u64,
-                    expected,
-                });
-            }
-            Err(e) => return Err(WriteError::Io(e)),
-        }
-    }
-    Ok(())
-}
+/// Buffers one `writev` takes (Linux's `UIO_MAXIOV`); the standard
+/// library submits no more than this per call.
+const IOV_MAX: usize = 1024;
 
-/// Positional vectored write with full-delivery semantics: seeks to
-/// `offset` and loops `write_vectored` until every byte of every buffer
-/// has landed. The file's cursor is clobbered; the executors only ever use
-/// positional reads/writes elsewhere, and each rank owns its own open file
-/// description, so this is safe.
-fn write_vectored_all(
+/// The one raw data write: deliver the bytes `[from, to)` of `bufs`, laid
+/// back to back, at `offset + from`, then journal them as one record.
+/// The syscall repeats until every byte has landed: a `pwrite` when
+/// `bufs` is one buffer, a seek and a `writev` of the remaining slices
+/// when it is several. (The seek clobbers the file's cursor: the
+/// executors use only positional I/O elsewhere, and each rank owns its
+/// own open file description, so this is safe.)
+///
+/// A syscall that lands less than it was handed is a short write, and
+/// the syscall that continues it counts one short-write retry (as
+/// [`finish_short_write`] counts the continuation of an injected cut).
+/// No progress, or a hard error after some bytes of the range
+/// landed, is a typed [`WriteError::ShortWrite`] with the exact
+/// written/expected counts; a hard error before any is
+/// [`WriteError::Io`].
+fn write_range(
     file: &std::fs::File,
     offset: u64,
     bufs: &[impl AsRef<[u8]>],
-) -> io::Result<()> {
+    from: usize,
+    to: usize,
+) -> Result<(), WriteError> {
     use std::io::{IoSlice, Seek, SeekFrom, Write};
-    let total: usize = bufs.iter().map(|b| b.as_ref().len()).sum();
-    let mut f = file;
-    f.seek(SeekFrom::Start(offset))?;
-    let mut written = 0usize;
-    while written < total {
-        // Rebuild the slice list past `written` bytes (a partial vectored
-        // write is rare; the rebuild cost is irrelevant).
-        let rest = window(bufs, written, total);
-        let slices: Vec<IoSlice> = rest.iter().map(|b| IoSlice::new(b)).collect();
-        match f.write_vectored(&slices) {
-            Ok(0) => {
-                return Err(io::Error::new(
-                    io::ErrorKind::WriteZero,
-                    "vectored write made no progress",
-                ))
+    let mut at = from;
+    let mut continues = false;
+    while at < to {
+        if continues {
+            counters::add_short_write_retries(1);
+        }
+        let pos = offset + at as u64;
+        let (res, handed) = match bufs {
+            [one] => {
+                let rest = &one.as_ref()[at..to];
+                #[allow(clippy::disallowed_methods)] // the one raw write, behind the fault plan
+                let res = file.write_at(rest, pos);
+                (res, rest.len())
             }
-            Ok(n) => written += n,
+            _ => {
+                let slices: Vec<IoSlice> = window(bufs, at, to)
+                    .take(IOV_MAX)
+                    .map(IoSlice::new)
+                    .collect();
+                let handed = slices.iter().map(|s| s.len()).sum();
+                let mut f = file;
+                let res = f
+                    .seek(SeekFrom::Start(pos))
+                    .and_then(|_| f.write_vectored(&slices));
+                (res, handed)
+            }
+        };
+        match res {
+            Ok(n) if n > 0 => {
+                at += n;
+                continues = n < handed;
+            }
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
+            Err(e) if at == from => return Err(WriteError::Io(e)),
+            // No progress, or a hard error after a prefix landed: report
+            // how far the write got, not just the errno.
+            _ => {
+                return Err(WriteError::ShortWrite {
+                    written: at as u64,
+                    expected: to as u64,
+                })
+            }
         }
     }
+    crash::record_write(file, offset + from as u64, window(bufs, from, to));
     Ok(())
 }
 
@@ -889,30 +875,43 @@ mod tests {
     fn a_short_write_over_a_gather_is_cut_and_completed() {
         let (dir, f) = tmpfile("shortv");
         let rec = Recorder::install(&dir).expect("recorder");
-        let plan = FaultPlan::none().short_write(8, 0, 6);
-        let bufs = [[5u8; 4], [6u8; 4]];
-        let before = counters::failover_snapshot();
-        let attempts = write_at(&ctx(&plan, 8, 0, Duration::ZERO), &f, 0, &bufs);
-        assert_eq!(attempts.unwrap(), 0, "a short write is not a retry");
-        let d = counters::failover_snapshot().delta_since(&before);
-        assert!(d.short_write_retries >= 1, "the continuation is counted");
-        // The cut lands inside the second buffer: its prefix first, then
-        // the rest of the same logical write.
-        let journal: Vec<(u64, Vec<u8>)> = rec
-            .take()
-            .into_iter()
-            .map(|op| match op {
-                RecOp::Write { offset, data, .. } => (offset, data),
-                other => panic!("unexpected journal op {other:?}"),
-            })
-            .collect();
-        assert_eq!(journal, [(0, vec![5, 5, 5, 5, 6, 6]), (6, vec![6, 6])]);
-        let bytes = std::fs::read(dir.join("f")).unwrap();
-        assert_eq!(
-            bytes,
-            [5, 5, 5, 5, 6, 6, 6, 6],
-            "the file must come out whole"
-        );
+        const WHOLE: [u8; 8] = [5, 5, 5, 5, 6, 6, 6, 6];
+        // A gather whose cut lands inside its second buffer, and the same
+        // bytes as one buffer: both shapes go through the one write loop.
+        for bufs in [vec![&WHOLE[..4], &WHOLE[4..]], vec![&WHOLE[..]]] {
+            let shape = format!("{} bufs", bufs.len());
+            f.set_len(0).unwrap();
+            let plan = FaultPlan::none().short_write(8, 0, 6);
+            let before = counters::failover_snapshot();
+            let attempts = write_at(&ctx(&plan, 8, 0, Duration::ZERO), &f, 0, &bufs);
+            assert_eq!(
+                attempts.unwrap(),
+                0,
+                "{shape}: a short write is not a retry"
+            );
+            let d = counters::failover_snapshot().delta_since(&before);
+            assert!(
+                d.short_write_retries >= 1,
+                "{shape}: the continuation is counted"
+            );
+            // The cut prefix first, then the rest of the same logical
+            // write, each journaled once.
+            let journal: Vec<(u64, Vec<u8>)> = rec
+                .take()
+                .into_iter()
+                .map(|op| match op {
+                    RecOp::Write { offset, data, .. } => (offset, data),
+                    other => panic!("{shape}: unexpected journal op {other:?}"),
+                })
+                .collect();
+            assert_eq!(
+                journal,
+                [(0, WHOLE[..6].to_vec()), (6, WHOLE[6..].to_vec())],
+                "{shape}"
+            );
+            let bytes = std::fs::read(dir.join("f")).unwrap();
+            assert_eq!(bytes, WHOLE, "{shape}: the file must come out whole");
+        }
         drop(rec);
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -42,7 +42,7 @@ use std::fs::File;
 use std::io;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock, RwLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, RwLock};
 use std::time::Duration;
 
 use rbio_plan::Rank;
@@ -145,6 +145,10 @@ impl FlushJob {
         }
     }
 
+    fn is_write(&self) -> bool {
+        matches!(self, FlushJob::Write { .. } | FlushJob::WriteV { .. })
+    }
+
     /// The backend op of a `Write`/`WriteV` job.
     fn into_write_op(self) -> WriteOp {
         match self {
@@ -196,16 +200,7 @@ struct WriterCtx {
     /// Pool slot index (set once the slot is known in `register`).
     wid: usize,
     faults: FaultPlan,
-    write_retries: u32,
-    retry_backoff: Duration,
-    /// Interleaving perturbation (see [`WriterTuning::jitter_seed`]).
-    jitter_seed: Option<u64>,
-    /// Liveness heartbeat (see [`WriterTuning::beat`]).
-    beat: Option<Arc<AtomicU64>>,
-    /// Submission/completion engine for write jobs.
-    backend: Arc<dyn IoBackend>,
-    /// Start writeback behind landed writes (see [`WriterTuning::durable`]).
-    durable: bool,
+    tuning: WriterTuning,
 }
 
 impl WriterCtx {
@@ -214,9 +209,18 @@ impl WriterCtx {
             rank: self.rank,
             wid: self.wid,
             faults: &self.faults,
-            write_retries: self.write_retries,
-            retry_backoff: self.retry_backoff,
+            write_retries: self.tuning.write_retries,
+            retry_backoff: self.tuning.retry_backoff,
         }
+    }
+
+    /// The engine for this writer's write jobs: the registered one, else
+    /// the threaded baseline.
+    fn backend(&self) -> &dyn IoBackend {
+        self.tuning
+            .backend
+            .as_deref()
+            .unwrap_or(&backend::ThreadedBackend)
     }
 }
 
@@ -403,12 +407,7 @@ impl FlushPool {
             rank,
             wid: 0, // patched below once the slot is known
             faults,
-            write_retries: tuning.write_retries,
-            retry_backoff: tuning.retry_backoff,
-            jitter_seed: tuning.jitter_seed,
-            beat: tuning.beat,
-            backend: tuning.backend.unwrap_or_else(backend::threaded),
-            durable: tuning.durable,
+            tuning,
         };
         let state = WriterState {
             ctx,
@@ -498,12 +497,7 @@ impl WriterHandle {
     /// Wait for every submitted job to finish. Returns the background
     /// retry count on success, or the first latched error.
     pub fn drain(&self) -> Result<u64, PipelineError> {
-        let sh = &*self.shared;
-        let mut g = sh.inner.lock().expect("pool lock");
-        let mut wait = Wait::new(Point::DrainWait, None);
-        while g.writers[self.wid].in_flight > 0 {
-            g = wait.park(&sh.inner, &sh.done, g).unwrap_or_else(|(g, _)| g);
-        }
+        let mut g = self.wait_idle(Point::DrainWait);
         let w = &mut g.writers[self.wid];
         let retries = std::mem::take(&mut w.retries);
         match w.error.take() {
@@ -514,18 +508,25 @@ impl WriterHandle {
             None => Ok(retries),
         }
     }
+
+    /// Park at `point` until this writer has no job queued or running,
+    /// and return the pool lock.
+    fn wait_idle(&self, point: Point) -> MutexGuard<'_, Inner> {
+        let sh = &*self.shared;
+        let mut g = sh.inner.lock().expect("pool lock");
+        let mut wait = Wait::new(point, None);
+        while g.writers[self.wid].in_flight > 0 {
+            g = wait.park(&sh.inner, &sh.done, g).unwrap_or_else(|(g, _)| g);
+        }
+        g
+    }
 }
 
 impl Drop for WriterHandle {
     fn drop(&mut self) {
         // Quiesce (jobs hold no reference to the handle, but the slot
         // must not be reused while its queue drains), then free the slot.
-        let sh = &*self.shared;
-        let mut g = sh.inner.lock().expect("pool lock");
-        let mut wait = Wait::new(Point::QuiesceWait, None);
-        while g.writers[self.wid].in_flight > 0 {
-            g = wait.park(&sh.inner, &sh.done, g).unwrap_or_else(|(g, _)| g);
-        }
+        let mut g = self.wait_idle(Point::QuiesceWait);
         let w = &mut g.writers[self.wid];
         w.occupied = false;
         w.error = None;
@@ -536,8 +537,10 @@ impl Drop for WriterHandle {
 }
 
 fn worker_loop(shared: &Shared) {
-    // Where a durable writer's batch lands (see `run_write_batch`): this
-    // thread's list, reused, so a batch allocates nothing for its hints.
+    // The batch a claim takes and, for a durable writer, where its writes
+    // land (see `run_batch`): this thread's lists, reused, so a batch
+    // allocates neither.
+    let mut batch = Vec::new();
     let mut behind = Vec::new();
     let mut idle = Wait::new(Point::WorkerIdle, None);
     let mut g = shared.inner.lock().expect("pool lock");
@@ -560,6 +563,9 @@ fn worker_loop(shared: &Shared) {
         g.writers[wid].enqueued = false;
         g.writers[wid].active = true;
         loop {
+            // Claim: a run of consecutive write jobs goes to the backend
+            // as one batch; a `Close`, a `Commit` or a skipped job (latched
+            // error) is a batch of one.
             let w = &mut g.writers[wid];
             let Some(job) = w.queue.pop_front() else {
                 w.active = false;
@@ -567,110 +573,62 @@ fn worker_loop(shared: &Shared) {
             };
             let skip = w.error.is_some() || !w.occupied;
             let ctx = w.ctx.clone();
-            let is_write =
-                |j: &FlushJob| matches!(j, FlushJob::Write { .. } | FlushJob::WriteV { .. });
-            if is_write(&job) {
-                // A run of consecutive write jobs goes to the backend as
-                // one submitted batch — a batch of one when the job is
-                // skipped (latched error).
-                let max_batch = if skip {
-                    1
-                } else {
-                    ctx.backend.max_batch().max(1)
-                };
-                let base_seq = w.seq;
-                let mut ops: Vec<WriteOp> = Vec::new();
-                let mut next = Some(job);
-                while let Some(j) = next.take() {
-                    let seq = w.seq;
-                    w.seq += 1;
-                    sched::emit(|| sched::Event::JobStart {
-                        wid,
-                        seq,
-                        kind: j.kind(),
-                        hash: j.fingerprint(),
-                        skipped: skip,
-                    });
-                    ops.push(j.into_write_op());
-                    if ops.len() < max_batch && w.queue.front().is_some_and(is_write) {
-                        next = w.queue.pop_front();
-                    }
-                }
-                drop(g);
-                sched::yield_now(Point::JobRun);
-                let n = ops.len();
-                let outcome = if skip {
-                    backend::BatchOutcome::ok(0)
-                } else {
-                    run_write_batch(&ctx, base_seq, ops, &mut behind)
-                };
-                g = shared.inner.lock().expect("pool lock");
-                let w = &mut g.writers[wid];
-                w.retries += u64::from(outcome.retries);
-                let err_idx = outcome.error.as_ref().map(|(i, _)| *i);
-                if let Some((_, e)) = outcome.error {
-                    if w.error.is_none() {
-                        w.error = Some(write_error(ctx.rank, e));
-                        sched::emit(|| sched::Event::ErrorLatched { wid });
-                    }
-                }
-                for k in 0..n {
-                    // Linked-op semantics: the failing op and everything
-                    // after it (canceled, never executed) end not-ok.
-                    let ok = err_idx.is_none_or(|i| k < i);
-                    sched::emit(|| sched::Event::JobEnd { wid, ok });
-                }
-                w.in_flight -= n;
-                shared.done.notify_all();
-                continue;
+            let max_batch = if skip || !job.is_write() {
+                1
+            } else {
+                ctx.backend().max_batch().max(1)
+            };
+            batch.push(job);
+            while batch.len() < max_batch && w.queue.front().is_some_and(FlushJob::is_write) {
+                batch.extend(w.queue.pop_front());
             }
-            // `Close` and `Commit` run one at a time.
             let seq = w.seq;
-            w.seq += 1;
-            sched::emit(|| sched::Event::JobStart {
-                wid,
-                seq,
-                kind: job.kind(),
-                hash: job.fingerprint(),
-                skipped: skip,
-            });
-            if !skip && matches!(job, FlushJob::Commit { .. }) {
+            w.seq += batch.len() as u64;
+            for (seq, j) in (seq..).zip(&batch) {
+                sched::emit(|| sched::Event::JobStart {
+                    wid,
+                    seq,
+                    kind: j.kind(),
+                    hash: j.fingerprint(),
+                    skipped: skip,
+                });
+            }
+            if !skip && matches!(batch[0], FlushJob::Commit { .. }) {
                 sched::emit(|| sched::Event::CommitExecuted { wid });
             }
+            // Run, unlocked.
             drop(g);
             sched::yield_now(Point::JobRun);
-            let res = if skip { Ok(0) } else { run_job(&ctx, seq, job) };
+            let n = batch.len();
+            let outcome = if skip {
+                backend::BatchOutcome::ok(0)
+            } else {
+                run_batch(&ctx, seq, &mut batch, &mut behind)
+            };
+            // Retire.
             g = shared.inner.lock().expect("pool lock");
             let w = &mut g.writers[wid];
-            let ok = res.is_ok();
-            match res {
-                Ok(attempts) => w.retries += u64::from(attempts),
-                Err(e) => {
-                    if w.error.is_none() {
-                        w.error = Some(e);
-                        sched::emit(|| sched::Event::ErrorLatched { wid });
-                    }
+            w.retries += u64::from(outcome.retries);
+            let err_idx = outcome.error.as_ref().map(|(i, _)| *i);
+            if let Some((_, e)) = outcome.error {
+                if w.error.is_none() {
+                    let killed = PipelineError::Killed { rank: ctx.rank };
+                    w.error = Some(e.into_io().map_or(killed, PipelineError::Io));
+                    sched::emit(|| sched::Event::ErrorLatched { wid });
                 }
             }
-            sched::emit(|| sched::Event::JobEnd { wid, ok });
-            w.in_flight -= 1;
+            for k in 0..n {
+                // Linked-op semantics: the failing job and everything
+                // after it (canceled, never executed) end not-ok.
+                let ok = err_idx.is_none_or(|i| k < i);
+                sched::emit(|| sched::Event::JobEnd { wid, ok });
+            }
+            w.in_flight -= n;
             shared.done.notify_all();
+            // A skipped batch is dropped here, never run.
+            batch.clear();
         }
     }
-}
-
-/// splitmix64: a tiny, well-mixed PRNG step for jitter derivation.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E3779B97F4A7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D049BB133111EB);
-    x ^ (x >> 31)
-}
-
-/// Map a fault-layer write failure into the pipeline's error space.
-fn write_error(rank: Rank, e: fault::WriteError) -> PipelineError {
-    e.into_io()
-        .map_or(PipelineError::Killed { rank }, PipelineError::Io)
 }
 
 /// Writes shorter than this get no writeback hint: footers, headers and
@@ -692,91 +650,80 @@ pub(crate) fn hint_writeback(file: &File, offset: u64, len: u64) {
     }
 }
 
-/// Execute a run of write jobs as one backend batch. Jitter applies once
-/// per batch; the liveness beat advances `2·n` total, the rate of
-/// [`run_job`]'s `Close`/`Commit` jobs.
-fn run_write_batch(
+/// Run one claimed batch, consuming its jobs: write jobs go to the
+/// backend as one submission, a `Close` or a `Commit` runs alone. Jitter
+/// applies once per batch, keyed by the first job's `seq`; the liveness
+/// beat advances once per job before the batch runs and once after.
+fn run_batch(
     ctx: &WriterCtx,
-    base_seq: u64,
-    ops: Vec<WriteOp>,
+    seq: u64,
+    jobs: &mut Vec<FlushJob>,
     behind: &mut Vec<(Arc<File>, u64, u64)>,
 ) -> backend::BatchOutcome {
-    let n = ops.len() as u64;
-    if let Some(b) = &ctx.beat {
+    let n = jobs.len() as u64;
+    if let Some(b) = &ctx.tuning.beat {
         b.fetch_add(n, Ordering::Relaxed);
     }
-    if let Some(seed) = ctx.jitter_seed {
-        if !sched::controlled() {
-            let h = splitmix64(seed ^ (u64::from(ctx.rank) << 32) ^ base_seq);
-            #[allow(clippy::disallowed_methods)] // test jitter: a deliberate delay
-            std::thread::sleep(Duration::from_micros(h % 200));
-        }
-    }
-    // The backend consumes the ops; a durable writer notes in `behind`
-    // (the worker's scratch list, empty between batches) where each lands,
-    // to hint behind it.
-    if ctx.durable {
-        behind.extend(
-            ops.iter()
-                .map(|op| (Arc::clone(&op.file), op.offset, op.len())),
-        );
-    }
-    let out = ctx.backend.run_writes(&ctx.io_ctx(), ops);
-    // Ops from the failing one on were canceled, never executed.
-    let landed = out.error.as_ref().map_or(usize::MAX, |(i, _)| *i);
-    for (file, offset, len) in behind.drain(..).take(landed) {
-        hint_writeback(&file, offset, len);
-    }
-    if let Some(b) = &ctx.beat {
-        b.fetch_add(n, Ordering::Relaxed);
-    }
-    out
-}
-
-/// Execute one `Close` or `Commit` job.
-fn run_job(ctx: &WriterCtx, seq: u64, job: FlushJob) -> Result<u32, PipelineError> {
-    if let Some(b) = &ctx.beat {
-        b.fetch_add(1, Ordering::Relaxed);
-    }
-    if let Some(seed) = ctx.jitter_seed {
+    if let Some(seed) = ctx.tuning.jitter_seed {
         // Under a controlled scheduler interleavings come from the
         // schedule, not wall-clock jitter.
         if !sched::controlled() {
-            let h = splitmix64(seed ^ (u64::from(ctx.rank) << 32) ^ seq);
+            let h = fault::splitmix64(seed ^ (u64::from(ctx.rank) << 32) ^ seq);
             #[allow(clippy::disallowed_methods)] // test jitter: a deliberate delay
             std::thread::sleep(Duration::from_micros(h % 200));
         }
     }
-    let res = match job {
-        FlushJob::Write { .. } | FlushJob::WriteV { .. } => {
-            unreachable!("write jobs run as batches")
-        }
-        FlushJob::Close { file, fsync } => {
-            if fsync {
-                commit::sync_file(&file, &ctx.faults, ctx.rank).map_err(PipelineError::Io)?;
-            }
-            Ok(0)
-        }
-        FlushJob::Commit {
+    let alone = |res: Result<(), fault::WriteError>| backend::BatchOutcome {
+        retries: 0,
+        error: res.err().map(|e| (0, e)),
+    };
+    let out = match jobs.as_slice() {
+        [FlushJob::Close { file, fsync }] => alone(if *fsync {
+            commit::sync_file(file, &ctx.faults, ctx.rank).map_err(fault::WriteError::Io)
+        } else {
+            Ok(())
+        }),
+        [FlushJob::Commit {
             tmp,
             final_path,
             size,
             fsync,
-        } => {
-            commit::commit_file_with_faults(&tmp, &final_path, size, fsync, &ctx.faults, ctx.rank)
-                .map_err(|e| write_error(ctx.rank, e))?;
-            sched::emit(|| sched::Event::ExtentCommit {
-                owner: ctx.rank,
-                by: ctx.rank,
-                path_hash: sched::path_fingerprint(&final_path),
-            });
-            Ok(0)
+        }] => alone(
+            commit::commit_file_with_faults(tmp, final_path, *size, *fsync, &ctx.faults, ctx.rank)
+                .map(|()| {
+                    sched::emit(|| sched::Event::ExtentCommit {
+                        owner: ctx.rank,
+                        by: ctx.rank,
+                        path_hash: sched::path_fingerprint(final_path),
+                    })
+                }),
+        ),
+        _ => {
+            let ops: Vec<WriteOp> = jobs.drain(..).map(FlushJob::into_write_op).collect();
+            // The backend consumes the ops; a durable writer notes in
+            // `behind` (the worker's scratch list, empty between batches)
+            // where each lands, to hint behind it.
+            if ctx.tuning.durable {
+                behind.extend(
+                    ops.iter()
+                        .map(|op| (Arc::clone(&op.file), op.offset, op.len())),
+                );
+            }
+            let out = ctx.backend().run_writes(&ctx.io_ctx(), ops);
+            // Ops from the failing one on were canceled, never executed.
+            let landed = out.error.as_ref().map_or(usize::MAX, |(i, _)| *i);
+            for (file, offset, len) in behind.drain(..).take(landed) {
+                hint_writeback(&file, offset, len);
+            }
+            out
         }
     };
-    if let Some(b) = &ctx.beat {
-        b.fetch_add(1, Ordering::Relaxed);
+    // A `Close` drops the file's final handle here.
+    jobs.clear();
+    if let Some(b) = &ctx.tuning.beat {
+        b.fetch_add(n, Ordering::Relaxed);
     }
-    res
+    out
 }
 
 #[cfg(test)]

@@ -1293,39 +1293,41 @@ mod tests {
     #[test]
     fn weighted_tenant_gets_proportionally_more_grants() {
         // Drive the arbiter directly: tenant 2 has twice tenant 1's
-        // weight; with both continuously waiting, after N grant rounds
-        // the charged byte ratio must approach the weight ratio.
-        let fs = Arc::new(FairShare::new(1024, Duration::from_secs(2)));
+        // weight, and each streams grants inside a chunk loop, as a
+        // session's write does. Both loops are open before either thread
+        // runs, so a loop descheduled between two of its grants is still a
+        // contender: the other's grant waits for it (one slice at most)
+        // instead of running on alone. The charged byte ratio then follows
+        // the weights however the OS schedules the two threads. The run
+        // ends on a grant count, not on a wall-clock window.
+        const GRANTS: u64 = 3000;
+        let fs = FairShare::new(1024, Duration::from_secs(2));
         let t1 = TenantSpec::new(71).weight(1);
         let t2 = TenantSpec::new(72).weight(2);
         fs.join(&t1);
         fs.join(&t2);
-        let done = Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let mut counts = Vec::new();
-        let mut handles = Vec::new();
-        for t in [t1, t2] {
-            let fs = Arc::clone(&fs);
-            let done = Arc::clone(&done);
-            let count = Arc::new(std::sync::atomic::AtomicU64::new(0));
-            counts.push(Arc::clone(&count));
-            handles.push(std::thread::spawn(move || {
-                while !done.load(Ordering::Relaxed) {
-                    if fs.grant(t.id, 1024).is_ok() {
-                        count.fetch_add(1, Ordering::Relaxed);
+        let total = std::sync::atomic::AtomicU64::new(0);
+        let counts = std::thread::scope(|s| {
+            let loops = [t1, t2].map(|t| (t.id, fs.call(t.id).expect("joined")));
+            let handles = loops.map(|(id, call)| {
+                let (fs, total) = (&fs, &total);
+                s.spawn(move || {
+                    let mut count = 0u64;
+                    while total.load(Ordering::Relaxed) < GRANTS {
+                        if fs.grant(id, 1024).is_ok() {
+                            count += 1;
+                            total.fetch_add(1, Ordering::Relaxed);
+                        }
                     }
-                }
-            }));
-        }
-        #[allow(clippy::disallowed_methods)] // the contention window
-        std::thread::sleep(Duration::from_millis(300));
-        done.store(true, Ordering::Relaxed);
-        for h in handles {
-            h.join().expect("grant thread");
-        }
+                    drop(call); // the loop ends with its thread, not at spawn
+                    count
+                })
+            });
+            handles.map(|h| h.join().expect("grant thread"))
+        });
         fs.leave(t1.id);
         fs.leave(t2.id);
-        let c1 = counts[0].load(Ordering::Relaxed) as f64;
-        let c2 = counts[1].load(Ordering::Relaxed) as f64;
+        let (c1, c2) = (counts[0] as f64, counts[1] as f64);
         assert!(c1 > 0.0 && c2 > 0.0, "both tenants must progress");
         let ratio = c2 / c1;
         assert!(

@@ -19,9 +19,6 @@
 //! * At `pipeline_depth` 1 the serial path issues its own writes and
 //!   never touches the backend — backend kind and batch are masked.
 //! * `Threaded` cannot batch — `backend_batch` is masked.
-//! * `coalesce_max_bytes`/`coalesce_max_ops` never enter either key:
-//!   the simulator does not model IOV batching, so they are
-//!   cost-invariant (they ride into the exported `ExecConfig` only).
 //!
 //! A second, smaller key ([`PlanKey`]) captures only the knobs that
 //! shape the compiled `Program`. Plans are machine-independent, so one
@@ -120,8 +117,6 @@ mod tests {
             backend: BackendKnob::Ring,
             backend_batch: 8,
             tier_drain_bw: None,
-            coalesce_max_bytes: 8 << 20,
-            coalesce_max_ops: 64,
         }
     }
 
@@ -147,11 +142,6 @@ mod tests {
         tb.pipeline_depth = 4;
         tb.backend = BackendKnob::Threaded;
         assert_eq!(canon_key(&ta, true), canon_key(&tb, true));
-        // Coalesce caps never matter.
-        let mut cc = a;
-        cc.coalesce_max_bytes = 1 << 20;
-        cc.coalesce_max_ops = 8;
-        assert_eq!(canon_key(&a, false), canon_key(&cc, false));
     }
 
     #[test]
@@ -231,8 +221,6 @@ mod tests {
                 backend: pick(&[BackendKnob::Threaded, BackendKnob::Ring], &mut bits),
                 backend_batch: pick(&s.backend_batch, &mut bits),
                 tier_drain_bw: pick(&tiers, &mut bits),
-                coalesce_max_bytes: 8 << 20,
-                coalesce_max_ops: 64,
             }
         })
     }
@@ -245,9 +233,6 @@ mod tests {
         fn prop_masked_rewrites_preserve_key(c in arb_candidate(), has_tier in any::<bool>()) {
             let k = canon_key(&c, has_tier);
             let mut m = c;
-            // Knobs masked for every candidate.
-            m.coalesce_max_bytes = 1 << 20;
-            m.coalesce_max_ops = 8;
             match c.strategy {
                 StrategyKind::OnePfpp => { m.nf = 77; m.cb_buffer = 123; m.coalesce_fields = !m.coalesce_fields; }
                 StrategyKind::CoIo => { m.writer_buffer = 123; }

@@ -88,9 +88,7 @@ impl TunedPlan {
                 "    \"coalesce_fields\": {},\n",
                 "    \"backend\": \"{}\",\n",
                 "    \"backend_batch\": {},\n",
-                "    \"tier_drain_bw\": {},\n",
-                "    \"coalesce_max_bytes\": {},\n",
-                "    \"coalesce_max_ops\": {}\n",
+                "    \"tier_drain_bw\": {}\n",
                 "  }}\n",
                 "}}\n",
             ),
@@ -108,8 +106,6 @@ impl TunedPlan {
             backend_name(c.backend),
             c.backend_batch,
             tier,
-            c.coalesce_max_bytes,
-            c.coalesce_max_ops,
         )
     }
 
@@ -139,8 +135,6 @@ impl TunedPlan {
             backend: backend_from_name(field_str(c, "backend")?).ok_or("unknown backend name")?,
             backend_batch: field_u64(c, "backend_batch")? as u32,
             tier_drain_bw,
-            coalesce_max_bytes: field_u64(c, "coalesce_max_bytes")?,
-            coalesce_max_ops: field_u64(c, "coalesce_max_ops")? as u32,
         };
         Ok(TunedPlan {
             candidate,
@@ -183,10 +177,6 @@ impl TunedPlan {
         ExecConfig::new(base_dir)
             .pipeline_depth(self.candidate.pipeline_depth)
             .io_backend(kind)
-            .coalesce_caps(
-                self.candidate.coalesce_max_bytes,
-                self.candidate.coalesce_max_ops as usize,
-            )
     }
 
     /// `base` with this plan's machine knobs applied (pipeline depth,
@@ -277,11 +267,9 @@ mod tests {
         let cfg = plan.exec_config("/tmp/ckpt");
         assert_eq!(cfg.pipeline_depth, plan.candidate.pipeline_depth);
         assert_eq!(cfg.io_backend, BackendKind::Ring);
-        assert_eq!(cfg.coalesce_max_bytes, plan.candidate.coalesce_max_bytes);
-        assert_eq!(
-            cfg.coalesce_max_ops,
-            plan.candidate.coalesce_max_ops as usize
-        );
+        // The coalesce caps are not tuned: the executor's defaults ride.
+        assert_eq!(cfg.coalesce_max_bytes, rbio::exec::DEFAULT_COALESCE_BYTES);
+        assert_eq!(cfg.coalesce_max_ops, rbio::exec::DEFAULT_COALESCE_OPS);
     }
 
     #[test]

@@ -304,8 +304,6 @@ fn knob_value(c: &Candidate, k: Knob) -> String {
         Knob::Backend => format!("{:?}", c.backend),
         Knob::BackendBatch => c.backend_batch.to_string(),
         Knob::TierDrainBw => format!("{:?}", c.tier_drain_bw),
-        Knob::CoalesceMaxBytes => c.coalesce_max_bytes.to_string(),
-        Knob::CoalesceMaxOps => c.coalesce_max_ops.to_string(),
     }
 }
 

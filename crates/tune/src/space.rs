@@ -53,13 +53,6 @@ pub struct Candidate {
     /// Drain-stage bandwidth out of the node-local tier, bytes/s.
     /// `None` when the machine has no staging tier.
     pub tier_drain_bw: Option<u64>,
-    /// Real-executor cap on one coalesced vectored write, bytes.
-    /// Cost-invariant under the simulator (it does not model IOV
-    /// batching) — exported to `ExecConfig`, masked from memo keys.
-    pub coalesce_max_bytes: u64,
-    /// Real-executor cap on chunks per coalesced write. Cost-invariant
-    /// under the simulator, like `coalesce_max_bytes`.
-    pub coalesce_max_ops: u32,
 }
 
 /// A tunable axis of the space.
@@ -74,13 +67,11 @@ pub enum Knob {
     Backend,
     BackendBatch,
     TierDrainBw,
-    CoalesceMaxBytes,
-    CoalesceMaxOps,
 }
 
 /// Coordinate-descent visiting order. `Nf` first: it dominates the cost
 /// landscape (Fig. 8), so later axes refine around a good file count.
-pub const ALL_KNOBS: [Knob; 11] = [
+pub const ALL_KNOBS: [Knob; 9] = [
     Knob::Nf,
     Knob::Strategy,
     Knob::PipelineDepth,
@@ -90,8 +81,6 @@ pub const ALL_KNOBS: [Knob; 11] = [
     Knob::Backend,
     Knob::BackendBatch,
     Knob::TierDrainBw,
-    Knob::CoalesceMaxBytes,
-    Knob::CoalesceMaxOps,
 ];
 
 impl Knob {
@@ -107,8 +96,6 @@ impl Knob {
             Knob::Backend => "backend",
             Knob::BackendBatch => "backend_batch",
             Knob::TierDrainBw => "tier_drain_bw",
-            Knob::CoalesceMaxBytes => "coalesce_max_bytes",
-            Knob::CoalesceMaxOps => "coalesce_max_ops",
         }
     }
 }
@@ -126,8 +113,6 @@ pub struct Space {
     pub backend: Vec<BackendKnob>,
     pub backend_batch: Vec<u32>,
     pub tier_drain_bw: Vec<Option<u64>>,
-    pub coalesce_max_bytes: Vec<u64>,
-    pub coalesce_max_ops: Vec<u32>,
 }
 
 impl Space {
@@ -156,8 +141,6 @@ impl Space {
             backend: vec![BackendKnob::Threaded, BackendKnob::Ring],
             backend_batch: vec![1, 8, 32],
             tier_drain_bw: vec![None],
-            coalesce_max_bytes: vec![8 << 20],
-            coalesce_max_ops: vec![64],
         }
     }
 
@@ -185,8 +168,6 @@ impl Space {
         nonempty!(backend);
         nonempty!(backend_batch);
         nonempty!(tier_drain_bw);
-        nonempty!(coalesce_max_bytes);
-        nonempty!(coalesce_max_ops);
         if self.nf.contains(&0) {
             return Err("nf axis contains 0".to_string());
         }
@@ -211,8 +192,6 @@ impl Space {
             Knob::Backend => self.backend.len(),
             Knob::BackendBatch => self.backend_batch.len(),
             Knob::TierDrainBw => self.tier_drain_bw.len(),
-            Knob::CoalesceMaxBytes => self.coalesce_max_bytes.len(),
-            Knob::CoalesceMaxOps => self.coalesce_max_ops.len(),
         }
     }
 
@@ -235,8 +214,6 @@ impl Space {
             Knob::Backend => out.backend = self.backend[idx],
             Knob::BackendBatch => out.backend_batch = self.backend_batch[idx],
             Knob::TierDrainBw => out.tier_drain_bw = self.tier_drain_bw[idx],
-            Knob::CoalesceMaxBytes => out.coalesce_max_bytes = self.coalesce_max_bytes[idx],
-            Knob::CoalesceMaxOps => out.coalesce_max_ops = self.coalesce_max_ops[idx],
         }
         out
     }
@@ -258,8 +235,6 @@ impl Space {
             backend: self.backend[0],
             backend_batch: self.backend_batch[0],
             tier_drain_bw: self.tier_drain_bw[0],
-            coalesce_max_bytes: self.coalesce_max_bytes[0],
-            coalesce_max_ops: self.coalesce_max_ops[0],
         }
     }
 
