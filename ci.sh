@@ -17,6 +17,11 @@ cargo build --workspace --all-targets
 echo "== test =="
 cargo test -q --workspace
 
+echo "== rbio lib suite once more, eight tests at a time =="
+# Tests that share process-wide state (the restore panic injection, the
+# service counters) must not interfere when many run side by side.
+cargo test -q -p rbio --lib -- --test-threads 8
+
 echo "== checksum kernel, sealer and datapath equivalence once more, optimised =="
 # The interleaved CRC32C loop only takes its real shape (three chains in
 # registers, intrinsics inlined) with optimisations on; debug builds test
@@ -161,7 +166,7 @@ if [[ "$SLOW" == 1 ]]; then
   echo "== backend conformance, both backends swept (release) =="
   cargo test --release -q -p rbio --test backend_conformance
 
-  echo "== AddressSanitizer over the two unsafe files (sys, tier) =="
+  echo "== AddressSanitizer over the unsafe file (sys) and the tier =="
   # Needs a nightly toolchain with the sanitizer runtime; its own target
   # directory keeps the instrumented artifacts apart.
   if cargo +nightly --version > /dev/null 2>&1; then

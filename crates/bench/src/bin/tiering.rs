@@ -2,8 +2,8 @@
 //!
 //! The burst-buffer tier (`rbio::tier`, mirrored by the simulator's
 //! [`TierModel`]) splits a checkpoint's cost in two: the *perceived*
-//! cost the application blocks on (an append into a pre-allocated
-//! node-local slab) and the *durable* cost paid by the background drain
+//! cost the application blocks on (staging into the node-local tier)
+//! and the *durable* cost paid by the background drain
 //! engine (burst hop, if any, plus the full PFS path). This bench runs
 //! the same rbIO checkpoint on the multi_step writer-bound machine —
 //! staging copies at 1 GB/s, ~0.3 GB/s client streams, so the disk path

@@ -85,11 +85,13 @@
 //!   over many of them, checked byte-for-byte against the serial
 //!   reference and by the same fingerprint invariant.
 //! * `p13` — four tiered generations while a second thread holds a
-//!   retained stage as a restore does: an evicted stage's slab is recycled
-//!   into a later generation unless something still holds the stage. The
-//!   held stage (generation 1's on every seed swept so far) is read only
-//!   after generation 4 has staged into a recycled slab, and it must be
-//!   byte-exact, as must the settled restore.
+//!   retained stage as a restore does: a stage holds its generation's
+//!   payload slices, and an evicted stage's buffers go back to the
+//!   `BufPool` for later generations to lease, unless something still
+//!   holds the stage. The held stage (generation 1's on every seed swept
+//!   so far) is read only after generation 4 has staged into recycled
+//!   leases, and it must be byte-exact, as must the settled restore; a
+//!   buffer recycled while a slice still reads it is a `BufDoubleRecycle`.
 //!
 //! [`WriterHandle`]: rbio::pipeline::WriterHandle
 //! [`SendAttempt`]: rbio::sched::Event::SendAttempt
@@ -152,8 +154,9 @@ pub enum ProgramKind {
     StagingReuse,
     /// `p12`: rbIO writers gathering their workers' messages per write.
     WriterGather,
-    /// `p13`: a recycled slab staged into while a restore may hold it.
-    SlabRecycle,
+    /// `p13`: recycled buffers staged into while a restore may hold a
+    /// stage.
+    StageRecycle,
 }
 
 impl ProgramKind {
@@ -176,7 +179,7 @@ impl ProgramKind {
             "p10" => Some(ProgramKind::CrashRestore),
             "p11" => Some(ProgramKind::StagingReuse),
             "p12" => Some(ProgramKind::WriterGather),
-            "p13" => Some(ProgramKind::SlabRecycle),
+            "p13" => Some(ProgramKind::StageRecycle),
             _ => None,
         }
     }
@@ -200,7 +203,7 @@ impl ProgramKind {
             ProgramKind::CrashRestore,
             ProgramKind::StagingReuse,
             ProgramKind::WriterGather,
-            ProgramKind::SlabRecycle,
+            ProgramKind::StageRecycle,
         ]
     }
 
@@ -223,7 +226,7 @@ impl ProgramKind {
             ProgramKind::CrashRestore => "p10",
             ProgramKind::StagingReuse => "p11",
             ProgramKind::WriterGather => "p12",
-            ProgramKind::SlabRecycle => "p13",
+            ProgramKind::StageRecycle => "p13",
         }
     }
 
@@ -260,8 +263,8 @@ impl ProgramKind {
                 "per-field coIO collectives reusing staging under deferred writes"
             }
             ProgramKind::WriterGather => "rbIO writers gathering their workers' messages per write",
-            ProgramKind::SlabRecycle => {
-                "a recycled tier slab staged into while a restore may hold its old stage"
+            ProgramKind::StageRecycle => {
+                "recycled buffers staged into while a restore may hold an old tier stage"
             }
         }
     }
@@ -317,7 +320,7 @@ pub fn prepare(kind: ProgramKind, dir: &Path) -> PreparedProgram {
         ProgramKind::CrashRestore => prepare_crash_restore(dir),
         ProgramKind::StagingReuse => prepare_plan_equiv(dir, coio_two_field_plan(), false),
         ProgramKind::WriterGather => prepare_plan_equiv(dir, rbio_two_field_plan(), false),
-        ProgramKind::SlabRecycle => prepare_slab_recycle(dir),
+        ProgramKind::StageRecycle => prepare_stage_recycle(dir),
     }
 }
 
@@ -993,12 +996,16 @@ fn prepare_tier_drain(dir: &Path) -> PreparedProgram {
 /// `p13`: four tiered generations through one manager (`retain = 1`)
 /// while a second thread holds the newest retained stage it finds —
 /// generation 1's on every seed swept so far — and reads it only once
-/// generation 4 is staged. An evicted stage's slab is recycled into a later
-/// generation only when nothing else holds the stage; on every schedule
-/// some generation stages into a recycled slab while the held stage is
-/// out, and the held stage must still read byte-exactly as its own
-/// generation. So must the settled restore of generation 4.
-fn prepare_slab_recycle(dir: &Path) -> PreparedProgram {
+/// generation 4 is staged. A stage holds slices of its generation's
+/// pooled payloads; an evicted stage lets them go, and each buffer
+/// returns to the `BufPool` only once no slice of it is held anywhere, so
+/// a later generation's payloads lease recycled buffers while the held
+/// stage keeps its own. On every schedule some generation stages while
+/// the held stage is out, and the held stage must still read
+/// byte-exactly as its own generation. So must the settled restore of
+/// generation 4. A buffer handed back twice (a slice outliving its
+/// return) reports `BufDoubleRecycle`.
+fn prepare_stage_recycle(dir: &Path) -> PreparedProgram {
     let ref_dir = dir.join("ref");
     let ref_mgr = CheckpointManager::new(tier_layout(), tier_manager_cfg(&ref_dir, None))
         .expect("reference manager");

@@ -160,7 +160,7 @@ impl Source for Src {
     fn sub(&self, k: u64, n: u64) -> Src {
         match self {
             Src::Own(off) => Src::Own(off + k),
-            Src::Buf(b) => Src::Buf(b.slice(k as usize..(k + n) as usize)),
+            Src::Buf(b) => Src::Buf(b.sub(k, n)),
         }
     }
 }
@@ -253,6 +253,8 @@ impl<'a, T: Transport> Interp<'a, T> {
         match *r {
             DataRef::Own { off, len } => out.push(self.payload.owned(off, len)),
             DataRef::Staging { off, len } => {
+                // Sized up front: the pieces cannot tell how many they are.
+                out.reserve(self.staging.pieces(off, len).count());
                 out.extend(self.staging.pieces(off, len).map(|p| match p {
                     Piece::Zeros(n) => BufPool::global().lease(n as usize).freeze(),
                     Piece::Data(Src::Own(o), r) => self.payload.owned(o + r.start, r.end - r.start),
@@ -450,8 +452,8 @@ impl<'a, T: Transport> Interp<'a, T> {
     /// vectored write. It is skipped when faults are armed — the
     /// [`crate::fault::FaultPlan`] counts logical writes and its semantics
     /// are specified against plan ops, one write per op.
-    /// Tier-staged runs always coalesce: a slab append is memory-speed
-    /// and deliberately skips the per-write fault hooks, since the
+    /// Tier-staged runs always coalesce: staging moves no byte and
+    /// deliberately skips the per-write fault hooks, since the
     /// staged path's failure mode is losing the tier
     /// ([`crate::tier::TierEngine::lose_local`]), not a torn write.
     fn write_run(
@@ -482,14 +484,15 @@ impl<'a, T: Transport> Interp<'a, T> {
         });
 
         if let Some(stage) = stage {
-            // One reservation and one extent per op, whatever its pieces.
+            // The stage holds the pieces a deferred write would own:
+            // slices of the immutable sources, no byte moved.
             let name = &self.program.files[file as usize].name;
             let mut parts = Vec::new();
             for (src, at) in chunks {
                 parts.clear();
-                self.gather(src, at, &mut parts);
+                self.gather_owned(src, at, &mut parts);
                 stage
-                    .append_slices(name, at, &parts)
+                    .append_bytes(name, at, &parts)
                     .map_err(io::Error::other)?;
             }
             return Ok(end);

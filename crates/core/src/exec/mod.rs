@@ -136,7 +136,7 @@ pub struct ExecConfig {
     pub failover: FailoverPolicy,
     /// When set, atomic plan files divert into this node-local tier
     /// stage instead of the filesystem: `Open` becomes a no-op,
-    /// `WriteAt` appends to the slab at memory speed, and `Commit`
+    /// `WriteAt` hands the stage its pieces without a copy, and `Commit`
     /// seals the staged file for the background drain engine
     /// (see [`crate::tier`]). Non-atomic files still hit the PFS.
     pub stage: Option<Arc<crate::tier::TierStage>>,

@@ -730,10 +730,9 @@ fn write_range(
                 (res, rest.len())
             }
             _ => {
-                let slices: Vec<IoSlice> = window(bufs, at, to)
-                    .take(IOV_MAX)
-                    .map(IoSlice::new)
-                    .collect();
+                // Sized up front: `window` cannot tell how many it yields.
+                let mut slices = Vec::with_capacity(bufs.len().min(IOV_MAX));
+                slices.extend(window(bufs, at, to).take(IOV_MAX).map(IoSlice::new));
                 let handed = slices.iter().map(|s| s.len()).sum();
                 let mut f = file;
                 let res = f

@@ -43,9 +43,8 @@
 //! # std::fs::remove_dir_all(&dir).ok();
 //! ```
 
-// Two files opt back in with `#![allow(unsafe_code)]`: `sys.rs` (raw
-// syscalls, the CRC32C intrinsic, the owning `Mmap`) and `tier.rs` (the
-// slab's bump-window copy and read).
+// One file opts back in with `#![allow(unsafe_code)]`: `sys.rs` (raw
+// syscalls and the CRC32C intrinsic).
 #![deny(unsafe_code)]
 
 pub mod backend;

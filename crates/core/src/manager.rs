@@ -32,7 +32,7 @@ use crate::layout::DataLayout;
 use crate::restart::{read_checkpoint, read_checkpoint_staged, RestartError, RestoredData};
 use crate::sched::{self, Event, TierId};
 use crate::strategy::{CheckpointPlan, CheckpointSpec, Strategy, Tuning};
-use crate::tier::{DrainJob, SlabPool, TierConfig, TierEngine, TierError, TierStage};
+use crate::tier::{DrainJob, TierConfig, TierEngine, TierError, TierStage};
 use rbio_plan::Rank;
 
 /// The fault-injection rank identity of the manager's own metadata
@@ -56,7 +56,7 @@ pub enum ManagerError {
     NothingToRestore,
     /// The commit marker disagrees with the files on disk.
     CommitMismatch(String),
-    /// The staging tier failed (slab full, drain failure, tier loss
+    /// The staging tier failed (stage full, drain failure, tier loss
     /// with no recoverable copy).
     Tier(TierError),
 }
@@ -108,7 +108,7 @@ pub struct ManagerConfig {
     /// pre-failover abort-and-fall-back behavior.
     pub failover: bool,
     /// Node-local burst-buffer tier. With one configured, checkpoints
-    /// stage into a pre-allocated local slab at memory speed and a
+    /// stage in local memory, holding the writers' buffers, and a
     /// background engine drains them to the PFS; [`CheckpointManager::
     /// wait_durable`] blocks until a step's PFS copy is committed.
     /// `None` writes straight to the PFS as before.
@@ -335,9 +335,9 @@ fn reap_suffix(dir: &Path, suffix: &str) -> io::Result<u64> {
 
 /// Garbage-collect orphans a crashed run can leave behind: `*.tmp`
 /// siblings in the checkpoint directory (a writer died between open and
-/// commit) and, when given, `*.slab` staging files in the tier's local
-/// directory (a slab is unlinked as soon as it is mapped, so only a crash
-/// in between leaves one, and a fresh manager can never drain it).
+/// commit) and, when given, `*.slab` files in the tier's local directory
+/// (staging writes no file; older builds mapped a slab file per
+/// generation, and a crash could leave one behind that nothing drains).
 /// Every reaped file counts toward the `gc_orphans` profile counter.
 fn gc_orphans(dir: &Path, slab_dir: Option<&Path>) -> Result<u64, ManagerError> {
     let mut removed = reap_suffix(dir, commit::TMP_SUFFIX)?;
@@ -373,7 +373,7 @@ impl CheckpointManager {
             None => None,
         };
         // Startup GC: a crashed predecessor's half-written `.tmp`
-        // siblings and its unreferenced staging slabs are dead weight —
+        // siblings and an older build's staging slabs are dead weight —
         // no marker references them, and this engine cannot drain them.
         gc_orphans(&cfg.dir, cfg.tier.as_ref().map(|t| t.local_dir.as_path()))?;
         Ok(CheckpointManager {
@@ -418,23 +418,12 @@ impl CheckpointManager {
         if self.cfg.failover {
             exec_cfg.failover = FailoverPolicy::from_recv_timeout(exec_cfg.recv_timeout);
         }
-        // Tiered path: atomic files divert into a pre-allocated local
-        // slab — the engine's recycled one when it has one — and the
-        // background engine drains them to the PFS later.
+        // Tiered path: atomic files divert into a stage that holds the
+        // writers' payload slices, and the background engine drains
+        // them to the PFS later.
         let stage = match (&self.cfg.tier, &self.engine) {
-            (Some(t), Some(engine)) => {
-                let pool = match engine.take_slab(t.slab_capacity) {
-                    Some(pool) => pool,
-                    None => {
-                        let path = t.local_dir.join(format!("{}.slab", step_prefix(step)));
-                        let pool = SlabPool::create(&path, t.slab_capacity)?;
-                        // The mapping is the slab from here on: no slab
-                        // bytes rest on disk, and nothing is left to reap.
-                        commit::remove(&path)?;
-                        pool
-                    }
-                };
-                let stage = Arc::new(TierStage::new(step, Arc::new(pool)));
+            (Some(t), Some(_)) => {
+                let stage = Arc::new(TierStage::with_budget(step, t.slab_capacity));
                 exec_cfg.stage = Some(Arc::clone(&stage));
                 Some(stage)
             }
@@ -490,7 +479,7 @@ impl CheckpointManager {
 
         if let Some(stage) = stage {
             // Tiered path: the step is *perceived* complete here — bytes
-            // are safe in the local slab — but only durable once the
+            // are held by the local stage — but only durable once the
             // drain engine lands every file on the PFS and publishes the
             // marker from the drain thread.
             let engine = self
@@ -659,7 +648,7 @@ impl CheckpointManager {
     /// (its failover extents carry identical bytes) and is counted in
     /// the profile as a degraded restore.
     /// With a tier configured, restore comes from the *nearest* tier
-    /// holding a durable copy: the retained local slab (memory speed),
+    /// holding a durable copy: the retained local stage (memory speed),
     /// then the burst directory, then the PFS.
     pub fn restore_latest(&self) -> Result<RestoredData, ManagerError> {
         // Restore-time GC: a restore means the previous run is over, so
@@ -1316,7 +1305,7 @@ mod tests {
         assert_eq!(
             commit::list(&local).unwrap(),
             Vec::<String>::new(),
-            "no slab at rest"
+            "staging leaves nothing at rest"
         );
 
         // With the local tier gone, restore reads step 6's burst copy.

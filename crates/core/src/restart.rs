@@ -42,7 +42,7 @@ use crate::format::{
     declared_header_len, decode_header, read_header_prefix, FileHeader, FormatError, MAX_HEADER_LEN,
 };
 use crate::strategy::CheckpointPlan;
-use crate::tier::TierStage;
+use crate::tier::{self, TierStage};
 
 /// Cap on concurrent per-file restart readers: files read and
 /// checksummed at once.
@@ -197,7 +197,19 @@ fn extract_file(dir: &Path, rel: &str, header: &FileHeader) -> FileBlocks {
         file: rel.to_string(),
         what,
     };
-    let file = File::open(dir.join(rel))?;
+    let path = dir.join(rel);
+    #[cfg(test)]
+    {
+        let mut armed = INJECT_EXTRACT_PANIC
+            .lock()
+            .unwrap_or_else(|p| p.into_inner());
+        if armed.as_ref() == Some(&path) {
+            *armed = None;
+            drop(armed);
+            panic!("injected restart worker panic");
+        }
+    }
+    let file = File::open(&path)?;
     let mut file = &file;
     let actual = file.metadata()?.len();
     let logical = header.expected_file_size();
@@ -377,30 +389,19 @@ type Blocks<'a> = dyn Iterator<Item = (u64, &'a mut [u8])> + 'a;
 /// Extracts one file, named relative to its checkpoint, by its header.
 type Extract<'a> = &'a (dyn Fn(&str, &FileHeader) -> FileBlocks + Sync);
 
-/// Test-only panic injection: a worker extracting the file at this index
-/// panics (consuming the injection). `usize::MAX` is inert. Pins the
-/// regression where a worker panic poisoned its slot mutex and the
-/// `expect("no poisoned slots")` unwinds took down the entire restore.
-#[doc(hidden)]
-pub static INJECT_EXTRACT_PANIC: AtomicUsize = AtomicUsize::new(usize::MAX);
+/// Test-only panic injection: extracting the file at this path panics,
+/// consuming the injection. Armed with the file's path, not its index in
+/// a restore, so a restore of another checkpoint running beside the test
+/// never fires it. Pins the regression where a worker panic poisoned its
+/// slot mutex and the `expect("no poisoned slots")` unwinds took down the
+/// entire restore.
+#[cfg(test)]
+static INJECT_EXTRACT_PANIC: Mutex<Option<std::path::PathBuf>> = Mutex::new(None);
 
 /// Run one file's extraction, converting a worker panic into a typed
 /// [`RestartError::WorkerPanicked`] so sibling files still restore.
-fn extract_file_guarded(
-    extract: Extract<'_>,
-    rel: &str,
-    header: &FileHeader,
-    index: usize,
-) -> FileBlocks {
-    let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        if INJECT_EXTRACT_PANIC
-            .compare_exchange(index, usize::MAX, Ordering::AcqRel, Ordering::Acquire)
-            .is_ok()
-        {
-            panic!("injected restart worker panic");
-        }
-        extract(rel, header)
-    }));
+fn extract_file_guarded(extract: Extract<'_>, rel: &str, header: &FileHeader) -> FileBlocks {
+    let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| extract(rel, header)));
     match res {
         Ok(r) => r,
         Err(payload) => {
@@ -442,7 +443,7 @@ fn extract_all(
         let Some((name, h)) = files.get(i) else {
             break;
         };
-        let res = extract_file_guarded(extract, name, h, i);
+        let res = extract_file_guarded(extract, name, h);
         *slots[i].lock().unwrap_or_else(|p| p.into_inner()) = Some(res);
     };
     std::thread::scope(|scope| {
@@ -475,15 +476,15 @@ pub fn read_checkpoint(
 
 /// Read back the checkpoint a plan wrote from the node-local tier's
 /// sealed files: each is placed payload-shaped ([`place_blocks`]) by
-/// copying its slab extents straight into the restored blocks.
+/// copying its held extents straight into the restored blocks.
 ///
 /// Staged files carry no commit footer (sealing is in-memory; the
 /// durability proof lives on the drained tiers), so integrity here is
 /// the header shape checks — the same trust as the application's own
-/// buffers the bytes were copied from moments earlier.
+/// buffers the stage holds slices of.
 ///
 /// The files are placed one after another on the calling thread. The
-/// work is a memory copy out of a resident mapping, a few milliseconds
+/// work is a memory copy out of resident buffers, a few milliseconds
 /// a generation; a helper thread costs about as much to get running, so
 /// fanning out only paid when the scheduler happened to start it at
 /// once, and on a two-core host restore time swung by 2× from run to
@@ -502,7 +503,7 @@ pub fn read_checkpoint_staged(
             return Err(torn(name, "not sealed in the local tier".to_string()));
         };
         header_of(name, *size, |buf, off| {
-            map.read(off, buf, |r, k| stage.bytes(r, k));
+            map.read(off, buf, tier::held);
             Ok(())
         })
     };
@@ -518,7 +519,7 @@ pub fn read_checkpoint_staged(
             return Err(torn(name, what));
         }
         place_blocks(header, |_, blocks| {
-            blocks.for_each(|(at, block)| map.read(at, block, |r, k| stage.bytes(r, k)));
+            blocks.for_each(|(at, block)| map.read(at, block, tier::held));
             Ok(())
         })
     };
@@ -745,11 +746,11 @@ mod tests {
         execute(&plan.program, payloads, &ExecConfig::new(&dir)).unwrap();
         assert!(plan.plan_files.len() >= 2, "need multiple files");
 
-        INJECT_EXTRACT_PANIC.store(0, Ordering::Release);
+        let first = dir.join(&plan.plan_files[0].name);
+        *INJECT_EXTRACT_PANIC.lock().unwrap() = Some(first);
         let res = read_checkpoint(&dir, &plan);
-        assert_eq!(
-            INJECT_EXTRACT_PANIC.load(Ordering::Acquire),
-            usize::MAX,
+        assert!(
+            INJECT_EXTRACT_PANIC.lock().unwrap().is_none(),
             "injection must have been consumed"
         );
         match res {
@@ -768,13 +769,12 @@ mod tests {
 
     #[test]
     fn staged_restore_refuses_a_field_past_the_sealed_size() {
-        use crate::tier::SlabPool;
         use std::sync::Arc;
         let layout = DataLayout::uniform(2, &[("Ex", 64)]);
         let plan = CheckpointSpec::new(layout, "ck").step(4).plan().unwrap();
         let dir = tmpdir("staged-span");
         std::fs::create_dir_all(&dir).unwrap();
-        let stage = Arc::new(TierStage::new(4, Arc::new(SlabPool::anonymous(1 << 16))));
+        let stage = Arc::new(TierStage::with_budget(4, 1 << 16));
         let cfg = ExecConfig::new(&dir).stage(Arc::clone(&stage));
         execute(&plan.program, materialize_payloads(&plan, fill), &cfg).unwrap();
         let restored = read_checkpoint_staged(&plan, &stage).unwrap();
@@ -788,12 +788,12 @@ mod tests {
         let files = stage.sealed_files().unwrap();
         let (map, size) = &files[name];
         let read = |b: &mut [u8], off| {
-            map.read(off, b, |r, k| stage.bytes(r, k));
+            map.read(off, b, tier::held);
             Ok(())
         };
         let h = header_of(name, *size, read).unwrap();
         let mut hdr = vec![0u8; h.header_len as usize];
-        map.read(0, &mut hdr, |r, k| stage.bytes(r, k));
+        map.read(0, &mut hdr, tier::held);
         let n = hdr.len() - 4;
         let late = h.fields[0].data_off + 1;
         hdr[n - 8..n].copy_from_slice(&late.to_le_bytes());

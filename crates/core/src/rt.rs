@@ -448,7 +448,7 @@ mod tests {
     use crate::format::materialize_payloads;
     use crate::layout::DataLayout;
     use crate::strategy::{CheckpointSpec, Strategy};
-    use crate::tier::{DrainJob, SlabPool, TierEngine, TierStage};
+    use crate::tier::{DrainJob, TierEngine, TierStage};
     use rbio_profile::counters;
     use std::path::PathBuf;
 
@@ -468,8 +468,7 @@ mod tests {
 
     fn tier_stage(dir: &Path) -> Arc<TierStage> {
         std::fs::create_dir_all(dir).expect("stage dir");
-        let slab = SlabPool::create(&dir.join("gen.slab"), 1 << 20).expect("slab");
-        Arc::new(TierStage::new(1, Arc::new(slab)))
+        Arc::new(TierStage::with_budget(1, 1 << 20))
     }
 
     #[test]

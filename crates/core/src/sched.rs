@@ -221,7 +221,7 @@ impl Wait {
 /// events (see [`crate::tier`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TierId {
-    /// Node-local slab tier (memory-speed staging).
+    /// Node-local tier (memory-speed staging).
     Local,
     /// Intermediate burst-buffer tier.
     Burst,
@@ -422,7 +422,7 @@ pub enum Event {
         /// FNV-1a of the final path.
         path_hash: u64,
     },
-    /// A checkpoint extent landed in the node-local slab tier.
+    /// A checkpoint extent landed in the node-local tier.
     TierExtentStaged {
         /// Generation step the extent belongs to.
         step: u64,

@@ -1436,24 +1436,35 @@ mod tests {
         let thr = TenantSpec::new(80); // Throughput
         let svc2 = Arc::clone(&svc);
         let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let stop2 = Arc::clone(&stop);
+        let streamed = Arc::new(std::sync::atomic::AtomicU64::new(0));
+        let (stop2, streamed2) = (Arc::clone(&stop), Arc::clone(&streamed));
         let writer = std::thread::spawn(move || {
             let mut s = svc2.checkpoint(thr, "big.ckpt").expect("admit");
-            let mut total = 0u64;
             while !stop2.load(Ordering::Relaxed) {
                 s.write(&payload(80, 2048)).expect("write");
-                total += 2048;
+                streamed2.fetch_add(2048, Ordering::Relaxed);
             }
             s.commit().expect("commit");
-            total
+            streamed2.load(Ordering::Relaxed)
         });
-        // Interleave restores while the checkpoint streams.
-        #[allow(clippy::disallowed_methods)] // lets the checkpoint start streaming
-        std::thread::sleep(Duration::from_millis(20));
-        for _ in 0..4 {
+        // Interleave restores once the checkpoint streams: at least four,
+        // and on until one preempts it or a generous deadline passes.
+        let deadline = std::time::Instant::now() + Duration::from_secs(30);
+        while streamed.load(Ordering::Relaxed) < 256 && std::time::Instant::now() < deadline {
+            std::thread::yield_now();
+        }
+        let preempted = || {
+            counters::service_snapshot()
+                .delta_since(&before)
+                .preemptions
+                >= 1
+        };
+        let mut restores = 0;
+        while restores < 4 || (!preempted() && std::time::Instant::now() < deadline) {
             let mut r = svc.restore(lat, "seed.ckpt").expect("admit restore");
             let got = r.read_all().expect("read");
             assert_eq!(got.len(), 4096);
+            restores += 1;
         }
         stop.store(true, Ordering::Relaxed);
         assert!(writer.join().expect("writer") > 0);
@@ -1463,7 +1474,7 @@ mod tests {
         assert!(delta.completed >= 5);
         assert!(
             delta.preemptions >= 1,
-            "latency restore never preempted the bulk checkpoint"
+            "latency restore never preempted the bulk checkpoint ({restores} restores)"
         );
     }
 

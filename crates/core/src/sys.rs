@@ -2,10 +2,8 @@
 //!
 //! The workspace is dependency-free (no libc), so the few kernel calls
 //! std has no wrapper for go through one inline-asm [`syscall6`] per
-//! architecture, and the one memory mapping in the crate — the local
-//! tier's slab ([`crate::tier::SlabPool`]) — is an owning [`Mmap`].
-//! Platforms the asm does not cover get a `-ENOSYS` stub, so the slab's
-//! heap fallback is taken there without a `cfg` of its own.
+//! architecture. Platforms the asm does not cover get a `-ENOSYS` stub,
+//! so each call's fallback is taken there without a `cfg` of its own.
 //!
 //! The one CPU instruction the crate asks for by name — x86-64 SSE4.2
 //! `crc32`, a target-feature intrinsic that safe code cannot call at this
@@ -13,23 +11,8 @@
 //! without it get `None` and the caller's software kernel.
 #![allow(unsafe_code)]
 
-use std::os::fd::{AsRawFd, RawFd};
+use std::os::fd::AsRawFd;
 
-// `mmap(2)` protection and flag bits, as Linux defines them.
-pub(crate) const PROT_READ: usize = 0x1;
-pub(crate) const PROT_WRITE: usize = 0x2;
-pub(crate) const MAP_SHARED: usize = 0x01;
-
-const NR_MMAP: usize = if cfg!(target_arch = "aarch64") {
-    222
-} else {
-    9
-};
-const NR_MUNMAP: usize = if cfg!(target_arch = "aarch64") {
-    215
-} else {
-    11
-};
 const NR_SYNC_FILE_RANGE: usize = if cfg!(target_arch = "aarch64") {
     84
 } else {
@@ -229,75 +212,10 @@ mod x86 {
     }
 }
 
-/// One owned memory mapping, unmapped on drop.
-pub(crate) struct Mmap {
-    ptr: *mut u8,
-    len: usize,
-}
-
-// SAFETY: a mapping is plain memory owned by this value, like a
-// `Box<[u8]>`: nothing about it is tied to the thread that created it.
-unsafe impl Send for Mmap {}
-
-impl Mmap {
-    /// Map `len` bytes of `fd` from byte `off` at a kernel-chosen
-    /// address. `None` when `len` is zero, `prot` lacks [`PROT_READ`]
-    /// (so a read through [`Mmap::as_ptr`] can never fault on
-    /// protection), or the kernel (or platform stub) refuses.
-    ///
-    /// Map only files this process controls for the mapping's whole
-    /// life (the slab file it created): truncating a mapped file under a
-    /// live mapping faults the reader.
-    pub(crate) fn new(
-        fd: RawFd,
-        len: usize,
-        off: usize,
-        prot: usize,
-        flags: usize,
-    ) -> Option<Mmap> {
-        if len == 0 || prot & PROT_READ == 0 {
-            return None;
-        }
-        // Sign-extend, so an invalid (negative) fd stays invalid.
-        let fd = fd as isize as usize;
-        // SAFETY: with a null address hint and no MAP_FIXED the kernel
-        // places the mapping where nothing of this process lives, so
-        // creating it cannot alias or clobber existing memory.
-        let ret = unsafe { syscall6(NR_MMAP, [0, len, prot, flags, fd, off]) };
-        // A raw return in `-4095..0` is a negated errno, not an address.
-        (!(-4095..0).contains(&ret)).then(|| Mmap {
-            ptr: ret as *mut u8,
-            len,
-        })
-    }
-
-    /// Base address. Dereferencing is the caller's `unsafe`: stay inside
-    /// `len` bytes and write only through a [`PROT_WRITE`] mapping.
-    pub(crate) fn as_ptr(&self) -> *mut u8 {
-        self.ptr
-    }
-}
-
-impl Drop for Mmap {
-    fn drop(&mut self) {
-        // SAFETY: `[ptr, ptr + len)` is the mapping `new` created and no
-        // borrow of it outlives `self`.
-        unsafe { syscall6(NR_MUNMAP, [self.ptr as usize, self.len, 0, 0, 0, 0]) };
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::os::fd::AsRawFd;
     use std::os::unix::fs::FileExt;
-
-    #[test]
-    fn refuses_empty_and_invalid_mappings() {
-        let f = std::fs::File::open("/proc/self/exe").expect("open");
-        assert!(Mmap::new(f.as_raw_fd(), 0, 0, PROT_READ, MAP_SHARED).is_none());
-        assert!(Mmap::new(-1, 4096, 0, PROT_READ, MAP_SHARED).is_none());
-    }
 
     #[test]
     #[allow(clippy::disallowed_methods)] // the raw fsync is what is tested
@@ -332,42 +250,5 @@ mod tests {
         // this crate's MSRV; like a pipe it answers `-ESPIPE`.
         let (a, _b) = std::os::unix::net::UnixStream::pair().expect("socketpair");
         start_writeback(&a, 0, 4096);
-    }
-
-    #[test]
-    fn shared_mapping_round_trips_and_persists_after_drop() {
-        let dir = std::env::temp_dir().join(format!("rbio-sys-mmap-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("mkdir");
-        let f = std::fs::OpenOptions::new()
-            .create(true)
-            .truncate(true)
-            .read(true)
-            .write(true)
-            .open(dir.join("m"))
-            .expect("open");
-        f.set_len(4096).expect("set_len");
-        let Some(map) = Mmap::new(f.as_raw_fd(), 4096, 0, PROT_READ | PROT_WRITE, MAP_SHARED)
-        else {
-            // Only the portable stub may refuse this mapping; the
-            // fallbacks it leaves to the callers have their own tests.
-            if cfg!(target_os = "linux") {
-                panic!("mmap refused where syscalls are real");
-            }
-            return;
-        };
-        let mut through_map = [0xFFu8; 12];
-        // SAFETY: bytes 7..12 written and 0..12 read are inside the
-        // 4096-byte readable, writable mapping; the local arrays do not
-        // overlap it.
-        unsafe {
-            std::ptr::copy_nonoverlapping(b"hello".as_ptr(), map.as_ptr().add(7), 5);
-            std::ptr::copy_nonoverlapping(map.as_ptr(), through_map.as_mut_ptr(), 12);
-        }
-        assert_eq!(&through_map, b"\0\0\0\0\0\0\0hello");
-        drop(map);
-        let mut back = [0u8; 5];
-        f.read_exact_at(&mut back, 7).expect("pread");
-        assert_eq!(&back, b"hello");
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -3,28 +3,29 @@
 //!
 //! The paper's rbIO strategy hides PFS latency behind dedicated writer
 //! ranks; this module goes one hop further and hides the *writers'* I/O
-//! behind node-local storage, the way burst buffers do on machines a
+//! behind node-local memory, the way burst buffers do on machines a
 //! generation after the Blue Gene/P. A checkpoint generation is:
 //!
-//! 1. **Staged** — writer ranks append extents into a pre-allocated,
-//!    mmap'd slab file ([`SlabPool`]) at memory speed. The append hot
-//!    path is zero-alloc: an atomic bump pointer plus one `memcpy`.
-//!    Each file is an [`ExtentMap`] of its extents' slab windows.
-//!    From the application's point of view the checkpoint is over as
-//!    soon as staging finishes — this is the *perceived* bandwidth.
+//! 1. **Staged** — writer ranks hand their write runs to a [`TierStage`]
+//!    as the immutable, refcounted [`Bytes`] the interpreter already
+//!    holds (payload slices and received messages): each file is an
+//!    [`ExtentMap`] of them, and staging moves no byte. The stage is one
+//!    more holder on the buffer lifecycle ([`crate::buf`]). From the
+//!    application's point of view the checkpoint is over as soon as
+//!    staging finishes — this is the *perceived* bandwidth.
 //! 2. **Drained** — a background [`TierEngine`] thread flushes each
 //!    staged generation down the hierarchy (local → optional burst
 //!    directory → PFS), each hop one [`crate::commit::commit_bytes`] per
-//!    file that gathers its slab windows (no image of the file is built),
+//!    file that gathers its held slices (no image of the file is built),
 //!    then publishes the generation's commit marker.
 //!    Only then is the generation *durable*.
 //! 3. **Retained** — the most recent drained generations stay resident
 //!    in the local tier so a restart can be served at memory speed
 //!    (restore-from-nearest-tier); older stages are evicted.
-//! 4. **Recycled** — an evicted stage's slab that nothing else still
-//!    reads is rewound and kept as the engine's one idle slab, which the
-//!    next generation stages into (`TierEngine::take_slab`): a warm
-//!    generation neither creates, maps nor faults in a slab.
+//! 4. **Recycled** — an evicted stage drops its slices, and each buffer
+//!    goes back to its [`crate::buf::BufPool`] once nothing else holds
+//!    it (a restore still reading the stage keeps it whole): a warm
+//!    generation's payloads are leases the pool recycled.
 //!
 //! Tier loss is a first-class fault: [`TierEngine::lose_local`] drops
 //! the local tier. Files that already reached the burst tier are read
@@ -38,40 +39,44 @@
 //! events so the `rbio-check` harness can race drains against restores
 //! and tier losses deterministically.
 
-#![allow(unsafe_code)]
-
 use std::borrow::Cow;
-use std::cell::UnsafeCell;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::fs::File;
 use std::io;
 use std::ops::Range;
-use std::os::fd::AsRawFd;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 
 use rbio_plan::Rank;
 use rbio_profile::counters;
 
+use crate::buf::{BufPool, Bytes};
 use crate::commit;
-use crate::extent::{ExtentMap, Source};
+use crate::extent::ExtentMap;
 use crate::fault::FaultPlan;
 use crate::sched::{self, Point, TierId, Wait};
-use crate::sys::{self, Mmap};
 
 /// The rank the drain engine commits as. Out of the plan's
 /// rank space so rank-targeted fault plans never hit the drain by
 /// accident (`Rank::MAX` itself is the manager's commit identity).
 pub const DRAIN_RANK: Rank = Rank::MAX - 1;
 
+/// A tier mutex's guard, poisoned or not. Every update under the stage
+/// and engine locks is a container edit in straight-line code that
+/// cannot panic midway (user callbacks and I/O run with the lock
+/// released), so a panic elsewhere on a thread holding a guard leaves no
+/// half-made change to refuse.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// Tier staging errors.
 #[derive(Debug)]
 pub enum TierError {
-    /// The pre-allocated slab ran out of room mid-append.
+    /// The stage's byte budget ran out mid-append.
     StageFull {
-        /// Slab capacity in bytes.
+        /// The stage's budget in bytes.
         capacity: usize,
         /// Size of the append that did not fit.
         requested: usize,
@@ -96,7 +101,7 @@ impl std::fmt::Display for TierError {
                 requested,
             } => write!(
                 f,
-                "local tier slab full: {requested} byte append exceeds {capacity} byte capacity"
+                "local tier stage full: {requested} byte append exceeds its {capacity} byte budget"
             ),
             TierError::Failed { step, reason } => {
                 write!(f, "generation {step} cannot become durable: {reason}")
@@ -111,24 +116,25 @@ impl std::error::Error for TierError {}
 /// Configuration for the local staging tier.
 #[derive(Debug, Clone)]
 pub struct TierConfig {
-    /// Directory holding the node-local slab files.
+    /// The node-local tier's directory. Staging keeps nothing there; the
+    /// manager reaps `*.slab` files older builds left in it.
     pub local_dir: PathBuf,
-    /// Pre-allocated slab size per generation. Staging a generation
-    /// larger than this fails with [`TierError::StageFull`].
+    /// Bytes one generation may stage. Staging more than this fails
+    /// with [`TierError::StageFull`].
     pub slab_capacity: usize,
     /// Optional intermediate burst-buffer directory. With one set, a
     /// drained file is committed there before the PFS hop, and tier
     /// loss mid-drain can recover from it.
     pub burst_dir: Option<PathBuf>,
     /// Drained generations kept resident in the local tier for
-    /// restore-from-nearest-tier. Older slabs are evicted.
+    /// restore-from-nearest-tier. Older stages are evicted.
     pub retain: usize,
     /// fsync burst and PFS files as they are committed.
     pub fsync: bool,
 }
 
 impl TierConfig {
-    /// Stage into `local_dir` with a 16 MiB slab, no burst tier, one
+    /// Stage into `local_dir` with a 16 MiB budget, no burst tier, one
     /// retained generation, fsync on.
     pub fn new(local_dir: impl Into<PathBuf>) -> TierConfig {
         TierConfig {
@@ -140,7 +146,7 @@ impl TierConfig {
         }
     }
 
-    /// Set the per-generation slab capacity.
+    /// Set the per-generation staging budget.
     pub fn slab_capacity(mut self, bytes: usize) -> TierConfig {
         self.slab_capacity = bytes;
         self
@@ -165,193 +171,74 @@ impl TierConfig {
     }
 }
 
-/// A staged extent's location inside a [`SlabPool`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SlabRef {
-    /// Byte offset inside the slab.
-    pub off: usize,
-    /// Extent length.
-    pub len: usize,
+/// The bytes `k` of a held slice: how a stage's [`ExtentMap`] resolves
+/// its pieces.
+pub(crate) fn held(b: &Bytes, k: Range<u64>) -> &[u8] {
+    &b[k.start as usize..k.end as usize]
 }
 
-impl Source for SlabRef {
-    fn sub(&self, k: u64, n: u64) -> SlabRef {
-        SlabRef {
-            off: self.off + k as usize,
-            len: n as usize,
-        }
-    }
-}
-
-/// A pre-allocated append-only slab, mmap'd from a node-local file when
-/// the platform allows ([`crate::sys::Mmap`]), else heap-backed.
-///
-/// The hot path is [`SlabPool::append`]: one `fetch_add` to reserve a
-/// disjoint window, one `memcpy` into it. No allocation, no lock.
+/// A stage's byte budget, under the name and constructor of the
+/// mmap'd slab it replaced: [`TierStage::new`] takes one.
+#[derive(Debug)]
 pub struct SlabPool {
-    /// The shared read-write mapping of the slab file; `None` for an
-    /// anonymous slab or where mapping failed, and the slab is `heap`.
-    map: Option<Mmap>,
-    /// The heap slab (empty when mapped). Interior-mutable cells, so
-    /// `append` may write through `&self` exactly as it does through the
-    /// mapping's raw pointer.
-    heap: Box<[UnsafeCell<u8>]>,
     capacity: usize,
-    head: AtomicUsize,
-    path: Option<PathBuf>,
-    _file: Option<File>,
 }
-
-// SAFETY: `append` hands out disjoint `[off, off+len)` windows via the
-// atomic bump pointer, so concurrent appends never alias. Readers only
-// reach a window through a `SlabRef` published after the filling memcpy
-// (in practice via the `TierStage` mutex), which orders the bytes.
-unsafe impl Sync for SlabPool {}
 
 impl SlabPool {
-    /// Create (and pre-allocate) a slab file of `capacity` bytes at
-    /// `path`, mapping it shared read-write. Falls back to a heap slab
-    /// (keeping the file open) if mmap fails. The file's name is the
-    /// caller's to remove: the mapping outlives an unlink.
+    /// A budget of `capacity` bytes. Leaves an empty file at `path`, as
+    /// the slab it stands for did: callers of that slab remove it.
     pub fn create(path: &Path, capacity: usize) -> io::Result<SlabPool> {
-        let f = std::fs::OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(path)?;
-        f.set_len(capacity as u64)?;
-        let prot = sys::PROT_READ | sys::PROT_WRITE;
-        let map = Mmap::new(f.as_raw_fd(), capacity, 0, prot, sys::MAP_SHARED);
-        Ok(Self::with(map, capacity, Some(path.to_path_buf()), Some(f)))
-    }
-
-    /// A purely in-memory slab (tests, platforms without a local disk).
-    pub fn anonymous(capacity: usize) -> SlabPool {
-        Self::with(None, capacity, None, None)
-    }
-
-    fn with(
-        map: Option<Mmap>,
-        capacity: usize,
-        path: Option<PathBuf>,
-        file: Option<File>,
-    ) -> SlabPool {
-        let heap_len = if map.is_some() { 0 } else { capacity };
-        SlabPool {
-            map,
-            heap: std::iter::repeat_with(|| UnsafeCell::new(0))
-                .take(heap_len)
-                .collect(),
-            capacity,
-            head: AtomicUsize::new(0),
-            path,
-            _file: file,
-        }
-    }
-
-    /// Base of the `capacity`-byte slab, writable through `&self`.
-    fn base(&self) -> *mut u8 {
-        match &self.map {
-            Some(m) => m.as_ptr(),
-            None => UnsafeCell::raw_get(self.heap.as_ptr()),
-        }
-    }
-
-    /// Reserve one window for `bufs` and copy them into it back to back.
-    /// `None` when the slab is full — the caller surfaces
-    /// [`TierError::StageFull`].
-    pub fn append(&self, bufs: &[impl AsRef<[u8]>]) -> Option<SlabRef> {
-        let len = bufs.iter().map(|b| b.as_ref().len()).sum();
-        let off = self.head.fetch_add(len, Ordering::Relaxed);
-        let end = off.checked_add(len)?;
-        if end > self.capacity {
-            return None;
-        }
-        let mut at = off;
-        for data in bufs.iter().map(AsRef::as_ref) {
-            // SAFETY: `[off, end)` is in-bounds (checked above) and
-            // exclusively ours (bump pointer), `[at, at + data.len())`
-            // lies inside it, and `data` cannot overlap a slab we own.
-            unsafe {
-                std::ptr::copy_nonoverlapping(data.as_ptr(), self.base().add(at), data.len());
-            }
-            at += data.len();
-        }
-        Some(SlabRef { off, len })
-    }
-
-    /// Rewind the bump pointer: the whole slab is free again. Stale
-    /// bytes stay until overwritten; no [`SlabRef`] into them survives.
-    fn rearm(&mut self) {
-        *self.head.get_mut() = 0;
-    }
-
-    /// Read back a staged extent.
-    pub fn slice(&self, r: SlabRef) -> &[u8] {
-        assert!(
-            r.off
-                .checked_add(r.len)
-                .is_some_and(|end| end <= self.capacity),
-            "slab ref out of bounds"
-        );
-        // SAFETY: bounds asserted; the window was fully written before
-        // its SlabRef was published.
-        unsafe { std::slice::from_raw_parts(self.base().add(r.off), r.len) }
-    }
-
-    /// Total pre-allocated capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// The backing slab file, when one exists.
-    pub fn path(&self) -> Option<&Path> {
-        self.path.as_deref()
+        std::fs::File::create(path)?;
+        Ok(SlabPool { capacity })
     }
 }
 
-impl std::fmt::Debug for SlabPool {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SlabPool")
-            .field("capacity", &self.capacity)
-            .field("head", &self.head)
-            .field("mapped", &self.map.is_some())
-            .field("path", &self.path)
-            .finish()
-    }
-}
-
-/// A staged file: where its extents sit in the slab, the latest append
-/// winning where two overlap, and its size once sealed.
+/// A staged file: the slices of its extents, the latest append winning
+/// where two overlap, and its size once sealed. The map is shared with
+/// the drain and restores that read it, and copied only by an append
+/// that lands while one of them still does.
 #[derive(Default)]
 struct StagedFile {
-    map: ExtentMap<SlabRef>,
+    map: Arc<ExtentMap<Bytes>>,
     sealed_size: Option<u64>,
 }
 
+/// A stage's files by name, and the bytes handed to it so far.
+#[derive(Default)]
+struct StageFiles {
+    by_name: BTreeMap<String, StagedFile>,
+    staged: usize,
+}
+
 /// [`TierStage::sealed_files`] by name: each one's extents and size.
-pub(crate) type SealedFiles = BTreeMap<String, (ExtentMap<SlabRef>, u64)>;
+pub(crate) type SealedFiles = BTreeMap<String, (Arc<ExtentMap<Bytes>>, u64)>;
 
 /// One generation's worth of staged checkpoint files in the local tier.
 ///
 /// Executors append extents as the plan's `WriteAt` ops run and seal
 /// each file at its `Commit` op; the drain engine writes each sealed
 /// file's extents down the hierarchy as one gather, and a restore copies
-/// them straight into the restored blocks.
+/// them straight into the restored blocks. The stage holds the slices it
+/// was handed: dropping it releases them.
 pub struct TierStage {
     step: u64,
-    pool: Arc<SlabPool>,
-    files: Mutex<BTreeMap<String, StagedFile>>,
+    /// Bytes the stage accepts in all before [`TierError::StageFull`].
+    budget: usize,
+    files: Mutex<StageFiles>,
 }
 
 impl TierStage {
-    /// Stage generation `step` into `pool`.
+    /// Stage generation `step` within `pool`'s budget.
     pub fn new(step: u64, pool: Arc<SlabPool>) -> TierStage {
+        TierStage::with_budget(step, pool.capacity)
+    }
+
+    /// Stage generation `step`, accepting `budget` bytes in all.
+    pub fn with_budget(step: u64, budget: usize) -> TierStage {
         TierStage {
             step,
-            pool,
-            files: Mutex::new(BTreeMap::new()),
+            budget,
+            files: Mutex::default(),
         }
     }
 
@@ -360,31 +247,42 @@ impl TierStage {
         self.step
     }
 
-    /// Append one extent of `name` at logical file `offset`.
+    /// Append a copy of `data` as one extent of `name` at logical file
+    /// `offset`: one counted copy into a pooled buffer.
     pub fn append(&self, name: &str, offset: u64, data: &[u8]) -> Result<(), TierError> {
-        self.append_slices(name, offset, &[data])
+        self.append_bytes(name, offset, &[BufPool::global().copy_from_slice(data)])
     }
 
-    /// Append `bufs`, back to back, as one extent of `name` at logical
-    /// file `offset`: one slab reservation, one copy of each byte.
-    pub fn append_slices(
+    /// Hold `pieces`, back to back, as extents of `name` from logical
+    /// file `offset` on. Each is shared, not copied: the stage keeps a
+    /// reference until it is dropped.
+    pub(crate) fn append_bytes(
         &self,
         name: &str,
         offset: u64,
-        bufs: &[impl AsRef<[u8]>],
+        pieces: &[Bytes],
     ) -> Result<(), TierError> {
-        let r = self.pool.append(bufs).ok_or_else(|| TierError::StageFull {
-            capacity: self.pool.capacity(),
-            requested: bufs.iter().map(|b| b.as_ref().len()).sum(),
-        })?;
-        counters::add_tier_staged_bytes(r.len as u64);
-        counters::add_bytes_copied(r.len as u64);
-        let mut g = self.files.lock().expect("tier stage lock");
-        g.entry(name.to_string())
-            .or_default()
-            .map
-            .put(offset, r.len as u64, r);
+        let len: usize = pieces.iter().map(Bytes::len).sum();
+        let mut g = lock(&self.files);
+        if len > self.budget - g.staged {
+            return Err(TierError::StageFull {
+                capacity: self.budget,
+                requested: len,
+            });
+        }
+        g.staged += len;
+        let file = match g.by_name.get_mut(name) {
+            Some(file) => file,
+            None => g.by_name.entry(name.to_string()).or_default(),
+        };
+        let map = Arc::make_mut(&mut file.map);
+        let mut at = offset;
+        for piece in pieces {
+            map.put(at, piece.len() as u64, piece.clone());
+            at += piece.len() as u64;
+        }
         drop(g);
+        counters::add_tier_staged_bytes(len as u64);
         sched::emit(|| sched::Event::TierExtentStaged {
             step: self.step,
             path_hash: sched::fingerprint([name.as_bytes()]),
@@ -395,36 +293,37 @@ impl TierStage {
     /// Seal `name` at its logical (pre-footer) `size`: no more extents
     /// will arrive; the file is ready to drain.
     pub fn seal_file(&self, name: &str, size: u64) {
-        let mut g = self.files.lock().expect("tier stage lock");
-        g.entry(name.to_string()).or_default().sealed_size = Some(size);
+        let mut g = lock(&self.files);
+        // A name is copied once per file, not once per call.
+        let file = match g.by_name.get_mut(name) {
+            Some(file) => file,
+            None => g.by_name.entry(name.to_string()).or_default(),
+        };
+        file.sealed_size = Some(size);
     }
 
     /// This generation's sealed files, by name (the deterministic drain
-    /// order). Taken under the stage lock and read without it: a published
-    /// window never changes. A file with an extent past its sealed size
+    /// order). Taken under the stage lock and read without it: a held
+    /// slice never changes. A file with an extent past its sealed size
     /// has no image to drain or restore; it is the error, `(name, what)`.
     pub(crate) fn sealed_files(&self) -> Result<SealedFiles, (String, String)> {
-        let g = self.files.lock().expect("tier stage lock");
+        let g = lock(&self.files);
         let sealed = g
+            .by_name
             .iter()
             .filter_map(|(n, f)| Some((n.clone(), &f.map, f.sealed_size?)));
         sealed
             .map(|(name, map, size)| match map.end() {
                 end if end > size => Err((name, format!("extent ends at {end}, sealed at {size}"))),
-                _ => Ok((name, (map.clone(), size))),
+                _ => Ok((name, (Arc::clone(map), size))),
             })
             .collect()
-    }
-
-    /// The bytes `k` of staged extent `r`.
-    pub(crate) fn bytes(&self, r: &SlabRef, k: Range<u64>) -> &[u8] {
-        self.pool.slice(r.sub(k.start, k.end - k.start))
     }
 }
 
 impl std::fmt::Debug for TierStage {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let files = self.files.lock().expect("tier stage lock").len();
+        let files = lock(&self.files).by_name.len();
         write!(f, "TierStage {{ step: {}, files: {files} }}", self.step)
     }
 }
@@ -481,8 +380,6 @@ struct EngineState {
     durable: BTreeSet<u64>,
     failed: BTreeMap<u64, String>,
     retained: VecDeque<Arc<TierStage>>,
-    /// The last evicted stage's slab, rewound, for the next generation.
-    idle: Option<SlabPool>,
     stopped: bool,
 }
 
@@ -516,6 +413,8 @@ impl TierEngine {
         let alive = Arc::new(AtomicBool::new(true));
         let (s2, a2) = (Arc::clone(&shared), Arc::clone(&alive));
         sched::spawning();
+        // A process that cannot start one thread cannot checkpoint
+        // either: this spawn's failure is the module's one panic.
         let join = std::thread::Builder::new()
             .name("rbio-tier-drain".into())
             .spawn(move || {
@@ -534,7 +433,7 @@ impl TierEngine {
 
     /// Queue a generation for draining (FIFO).
     pub fn submit(&self, job: DrainJob) {
-        let mut g = self.shared.state.lock().expect("tier engine lock");
+        let mut g = lock(&self.shared.state);
         g.queue.push_back(job);
         self.shared.cv.notify_all();
     }
@@ -542,7 +441,7 @@ impl TierEngine {
     /// Block until generation `step` is durable on the PFS tier.
     pub fn wait_durable(&self, step: u64) -> Result<(), TierError> {
         let sh = &*self.shared;
-        let mut g = sh.state.lock().expect("tier engine lock");
+        let mut g = lock(&sh.state);
         let mut wait = Wait::new(Point::TierDurableWait, None);
         loop {
             if g.durable.contains(&step) {
@@ -561,8 +460,8 @@ impl TierEngine {
         }
     }
 
-    /// Simulate losing the node-local tier: retained and idle slabs are
-    /// gone and in-flight drains must source from the burst tier or fail.
+    /// Simulate losing the node-local tier: retained stages are gone and
+    /// in-flight drains must source from the burst tier or fail.
     pub fn lose_local(&self) {
         apply_local_loss(&self.shared);
     }
@@ -574,23 +473,16 @@ impl TierEngine {
         self.shared.lose_between_hops.store(true, Ordering::Release);
     }
 
-    /// The engine's idle slab, rewound, when its capacity is `capacity`:
-    /// the slab of the last evicted stage that nothing else still held.
-    pub(crate) fn take_slab(&self, capacity: usize) -> Option<SlabPool> {
-        let mut g = self.shared.state.lock().expect("tier engine lock");
-        g.idle.take().filter(|p| p.capacity() == capacity)
-    }
-
     /// The newest drained generation still resident in the local tier.
     pub fn newest_retained(&self) -> Option<Arc<TierStage>> {
-        let g = self.shared.state.lock().expect("tier engine lock");
+        let g = lock(&self.shared.state);
         g.retained.back().cloned()
     }
 }
 
 impl Drop for TierEngine {
     fn drop(&mut self) {
-        self.shared.state.lock().expect("tier engine lock").shutdown = true;
+        lock(&self.shared.state).shutdown = true;
         self.shared.cv.notify_all();
         // Under a controlled scheduler a blocking join would wedge the
         // schedule; spin through the JoinWait point until the drain
@@ -600,7 +492,7 @@ impl Drop for TierEngine {
                 sched::yield_now(Point::JoinWait);
             }
         }
-        if let Some(j) = self.join.lock().expect("tier engine join lock").take() {
+        if let Some(j) = lock(&self.join).take() {
             j.join().ok();
         }
     }
@@ -608,10 +500,7 @@ impl Drop for TierEngine {
 
 fn apply_local_loss(shared: &EngineShared) {
     let was_lost = shared.lost_local.swap(true, Ordering::AcqRel);
-    let mut g = shared.state.lock().expect("tier engine lock");
-    g.retained.clear();
-    g.idle = None;
-    drop(g);
+    lock(&shared.state).retained.clear();
     if !was_lost {
         counters::add_tier_losses(1);
         sched::emit(|| sched::Event::TierLost {
@@ -623,12 +512,12 @@ fn apply_local_loss(shared: &EngineShared) {
 
 fn drain_loop(sh: &EngineShared, retain: usize) {
     let mut idle = Wait::new(Point::TierDrainIdle, None);
-    let mut g = sh.state.lock().expect("tier engine lock");
+    let mut g = lock(&sh.state);
     loop {
         if let Some(job) = g.queue.pop_front() {
             drop(g);
             run_drain(sh, job, retain);
-            g = sh.state.lock().expect("tier engine lock");
+            g = lock(&sh.state);
         } else if g.shutdown {
             g.stopped = true;
             sh.cv.notify_all();
@@ -637,6 +526,14 @@ fn drain_loop(sh: &EngineShared, retain: usize) {
             g = idle.park(&sh.state, &sh.cv, g).unwrap_or_else(|(g, _)| g);
         }
     }
+}
+
+/// Refill `bufs` with the pieces of `map`'s first `size` bytes, the
+/// list sized before it is filled.
+fn gather<'m>(bufs: &mut Vec<Cow<'m, [u8]>>, map: &'m ExtentMap<Bytes>, size: u64) {
+    bufs.clear();
+    bufs.reserve(map.pieces(0, size).count());
+    bufs.extend(map.slices(0, size, held));
 }
 
 fn run_drain(shared: &EngineShared, job: DrainJob, retain: usize) {
@@ -659,6 +556,8 @@ fn run_drain(shared: &EngineShared, job: DrainJob, retain: usize) {
         let files = stage
             .sealed_files()
             .map_err(|(n, what)| format!("{n}: {what}"))?;
+        // Each file's pieces, one list for every file and both hops.
+        let mut bufs = Vec::new();
         // Hop 1: local → burst. Every file lands as a committed copy so
         // the PFS hop can verify it before trusting it.
         if let Some(bdir) = burst_dir.as_deref() {
@@ -674,7 +573,7 @@ fn run_drain(shared: &EngineShared, job: DrainJob, retain: usize) {
                         "local tier lost before {name} reached the burst tier"
                     ));
                 }
-                let bufs: Vec<_> = map.slices(0, *size, |r, k| stage.bytes(r, k)).collect();
+                gather(&mut bufs, map, *size);
                 commit_hop("burst", &dst, name, &bufs)?;
                 sched::emit(|| sched::Event::TierExtentDrained {
                     step,
@@ -693,17 +592,18 @@ fn run_drain(shared: &EngineShared, job: DrainJob, retain: usize) {
         let mut recovered = Vec::new();
         let mut drained = 0u64;
         for (name, (map, size)) in &files {
-            let bufs = if shared.lost_local.load(Ordering::Acquire) {
+            if shared.lost_local.load(Ordering::Acquire) {
                 let bdir = burst_dir
                     .as_deref()
                     .ok_or_else(|| format!("local tier lost and no burst copy of {name}"))?;
                 recovered.push(name.clone());
                 let img = commit::read_committed(&bdir.join(name), *size)
                     .map_err(|e| format!("burst copy of {name}: {e}"))?;
-                vec![Cow::Owned(img)]
+                bufs.clear();
+                bufs.push(Cow::Owned(img));
             } else {
-                map.slices(0, *size, |r, k| stage.bytes(r, k)).collect()
-            };
+                gather(&mut bufs, map, *size);
+            }
             drained += size;
             commit_hop("PFS", &pfs_dir.join(name), name, &bufs)?;
         }
@@ -731,26 +631,24 @@ fn run_drain(shared: &EngineShared, job: DrainJob, retain: usize) {
     match published {
         Ok(_out) => {
             sched::emit(|| sched::Event::TierDurable { step });
-            let mut g = shared.state.lock().expect("tier engine lock");
+            let mut g = lock(&shared.state);
             g.durable.insert(step);
             if !shared.lost_local.load(Ordering::Acquire) {
                 g.retained.push_back(stage);
-                while g.retained.len() > retain {
-                    // Popped under the engine lock, so no restore can
-                    // take the stage from here on: one that still holds
-                    // it keeps the slab, which then goes with it.
-                    let old = g.retained.pop_front().and_then(Arc::into_inner);
-                    if let Some(mut pool) = old.and_then(|o| Arc::into_inner(o.pool)) {
-                        pool.rearm();
-                        g.idle = Some(pool);
-                    }
-                }
+            }
+            // Each drain retains at most one stage more, so at most one
+            // goes: dropped under the engine lock, so its buffers are
+            // back in their pool before anyone sees this step durable,
+            // and no restore can take it from here on. One that still
+            // holds the stage keeps its buffers until it lets go.
+            if g.retained.len() > retain {
+                g.retained.pop_front();
             }
             drop(g);
             shared.cv.notify_all();
         }
         Err(reason) => {
-            let mut g = shared.state.lock().expect("tier engine lock");
+            let mut g = lock(&shared.state);
             g.failed.insert(step, reason);
             drop(g);
             shared.cv.notify_all();
@@ -763,34 +661,53 @@ mod tests {
     use super::*;
 
     #[test]
-    fn slab_appends_are_disjoint_and_readable() {
-        let pool = SlabPool::anonymous(1 << 16);
-        let a = pool.append(&[b"hello"]).unwrap();
-        let b = pool.append(&[&b"wor"[..], b"ld!"]).unwrap();
-        assert_eq!(pool.slice(a), b"hello");
-        assert_eq!(pool.slice(b), b"world!");
-        assert_eq!(pool.head.load(Ordering::Relaxed), 11);
+    fn a_stage_shares_owned_slices_copies_borrowed_ones_and_keeps_its_budget() {
+        let pool = BufPool::new();
+        let mut lease = pool.lease(8);
+        lease.copy_from_slice(b"abcdefgh");
+        let held_buf = lease.freeze();
+        let stage = TierStage::with_budget(1, 12);
+        stage
+            .append_bytes("f", 0, &[held_buf.slice(..3), held_buf.slice(5..)])
+            .unwrap();
+        stage.append("f", 6, b"XY").unwrap();
+        stage.seal_file("f", 8);
+        let files = stage.sealed_files().unwrap();
+        let pieces: Vec<_> = files["f"].0.slices(0, 8, held).collect();
+        assert_eq!(pieces.concat(), b"abcfghXY");
+        assert!(
+            std::ptr::eq(pieces[0].as_ptr(), held_buf.as_ptr()),
+            "an owned slice is held, not copied"
+        );
+        drop(pieces);
+        // 8 of 12 bytes staged: 5 more do not fit, and nothing lands.
+        match stage.append("f", 0, &[0; 5]) {
+            Err(TierError::StageFull {
+                capacity: 12,
+                requested: 5,
+            }) => {}
+            other => panic!("want StageFull, got {other:?}"),
+        }
+        stage.append("f", 0, &[0; 4]).unwrap();
+        drop((stage, files, held_buf));
+        assert_eq!(
+            pool.free_buffers(),
+            1,
+            "the dropped stage let its buffer go"
+        );
     }
 
     #[test]
-    fn slab_full_append_fails_cleanly() {
-        let pool = SlabPool::anonymous(8);
-        assert!(pool.append(&[[1; 8]]).is_some());
-        assert!(pool.append(&[[2; 1]]).is_none());
-        // The failed reservation must not have corrupted earlier data.
-        assert_eq!(pool.slice(SlabRef { off: 0, len: 8 }), &[1; 8]);
-    }
-
-    #[test]
-    fn file_backed_slab_roundtrips() {
-        let dir = std::env::temp_dir().join("rbio-tier-slab-test");
+    fn a_slab_pool_is_a_budget_that_leaves_its_file() {
+        let dir = std::env::temp_dir().join(format!("rbio-tier-budget-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("step.slab");
-        let pool = SlabPool::create(&path, 4096).unwrap();
-        let r = pool.append(&[b"persisted"]).unwrap();
-        assert_eq!(pool.slice(r), b"persisted");
-        assert_eq!(pool.path(), Some(path.as_path()));
-        drop(pool);
+        let path = dir.join("probe.slab");
+        let stage = TierStage::new(1, Arc::new(SlabPool::create(&path, 4).unwrap()));
+        assert!(
+            path.exists(),
+            "callers written for the slab remove its file"
+        );
+        assert!(stage.append("f", 0, &[1; 5]).is_err());
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -812,7 +729,7 @@ mod tests {
             engine.wait_durable(step)
         };
         // Two holes, and an append over one earlier extent's tail.
-        let stage = Arc::new(TierStage::new(1, Arc::new(SlabPool::anonymous(1 << 12))));
+        let stage = Arc::new(TierStage::with_budget(1, 1 << 12));
         let mut flat = [0u8; 28];
         for (at, fill, len) in [(0, 1, 6), (14, 2, 10), (4, 3, 6)] {
             stage.append("f", at as u64, &vec![fill; len]).unwrap();
@@ -826,7 +743,7 @@ mod tests {
             assert_eq!(&bytes[..28], &flat[..]);
         }
         // An extent past the sealed size fails the generation.
-        let stage = Arc::new(TierStage::new(2, Arc::new(SlabPool::anonymous(1 << 12))));
+        let stage = Arc::new(TierStage::with_budget(2, 1 << 12));
         stage.append("g", 0, &[7; 8]).unwrap();
         stage.append("g", 12, &[7; 8]).unwrap();
         stage.seal_file("g", 16);
@@ -850,7 +767,7 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
         std::fs::create_dir_all(dir.join("pfs")).unwrap();
         let img: Vec<u8> = (0..3000u32).map(|i| (i * 7) as u8).collect();
-        let stage = Arc::new(TierStage::new(1, Arc::new(SlabPool::anonymous(1 << 16))));
+        let stage = Arc::new(TierStage::with_budget(1, 1 << 16));
         stage.append("ck.rbio", 0, &img).unwrap();
         stage.seal_file("ck.rbio", 3000);
         let rec = Recorder::install(&dir).unwrap();
@@ -898,7 +815,7 @@ mod tests {
         let dir = std::env::temp_dir().join("rbio-tier-engine-test");
         std::fs::remove_dir_all(&dir).ok();
         std::fs::create_dir_all(&dir).unwrap();
-        let stage = Arc::new(TierStage::new(1, Arc::new(SlabPool::anonymous(1 << 16))));
+        let stage = Arc::new(TierStage::with_budget(1, 1 << 16));
         let body: Vec<u8> = (0..1000u32).map(|i| i as u8).collect();
         stage.append("ck.rbio", 0, &body).unwrap();
         stage.seal_file("ck.rbio", body.len() as u64);
@@ -937,7 +854,7 @@ mod tests {
         let pfs = dir.join("pfs");
         let burst = dir.join("burst");
         std::fs::create_dir_all(&pfs).unwrap();
-        let stage = Arc::new(TierStage::new(2, Arc::new(SlabPool::anonymous(1 << 16))));
+        let stage = Arc::new(TierStage::with_budget(2, 1 << 16));
         stage.append("ck.rbio", 0, &[0xAB; 512]).unwrap();
         stage.seal_file("ck.rbio", 512);
 
@@ -969,7 +886,7 @@ mod tests {
         let dir = std::env::temp_dir().join("rbio-tier-loss-noburst-test");
         std::fs::remove_dir_all(&dir).ok();
         std::fs::create_dir_all(&dir).unwrap();
-        let stage = Arc::new(TierStage::new(3, Arc::new(SlabPool::anonymous(1 << 12))));
+        let stage = Arc::new(TierStage::with_budget(3, 1 << 12));
         stage.append("ck.rbio", 0, &[1; 64]).unwrap();
         stage.seal_file("ck.rbio", 64);
 
@@ -1012,68 +929,67 @@ mod tests {
         let files = stage.sealed_files().unwrap();
         let (map, size) = &files[name];
         let mut img = vec![0x55; *size as usize];
-        map.read(0, &mut img, |r, k| stage.bytes(r, k));
+        map.read(0, &mut img, held);
         img
     }
 
+    /// A stage of generation `step` holding `body` as file `f`: a buffer
+    /// leased from `pool`, handed over whole.
+    fn staged(pool: &BufPool, step: u64, body: &[u8]) -> Arc<TierStage> {
+        let mut buf = pool.lease(body.len());
+        buf.copy_from_slice(body);
+        let stage = Arc::new(TierStage::with_budget(step, body.len()));
+        stage.append_bytes("f", 0, &[buf.freeze()]).unwrap();
+        stage.seal_file("f", body.len() as u64);
+        stage
+    }
+
     #[test]
-    fn eviction_honors_retain() {
-        let dir = std::env::temp_dir().join("rbio-tier-evict-test");
+    fn eviction_honors_retain_and_returns_the_buffers() {
+        let dir = std::env::temp_dir().join(format!("rbio-tier-evict-{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
-        std::fs::create_dir_all(&dir).unwrap();
-        let engine = TierEngine::new(1);
+        let (engine, pool) = (TierEngine::new(1), BufPool::new());
         for step in 1..=3u64 {
-            // As the manager stages: the recycled slab, else a fresh one
-            // whose file is unlinked once it is mapped.
-            let pool = engine.take_slab(4096).unwrap_or_else(|| {
-                let slab_path = dir.join(format!("step{step}.slab"));
-                let pool = SlabPool::create(&slab_path, 4096).unwrap();
-                commit::remove(&slab_path).unwrap();
-                pool
-            });
-            let stage = Arc::new(TierStage::new(step, Arc::new(pool)));
-            stage.append("ck.rbio", 0, &[step as u8; 32]).unwrap();
-            stage.seal_file("ck.rbio", 32);
-            drain_to(&engine, &dir, stage);
+            drain_to(&engine, &dir, staged(&pool, step, &[step as u8; 32]));
+            // Step 1 stays retained; from step 2 on, the step before is
+            // evicted and its buffer is the pool's again.
+            assert_eq!(pool.free_buffers(), usize::from(step > 1), "step {step}");
         }
         let newest = engine.newest_retained().expect("a retained stage");
         assert_eq!(newest.step(), 3);
-        assert_eq!(engine.shared.state.lock().unwrap().retained.len(), 1);
-        // Step 3 staged into step 1's slab, step 2's is idle, and no slab
-        // rests on disk.
-        let step1 = dir.join("step1.slab");
-        assert_eq!(newest.pool.path(), Some(step1.as_path()));
-        let idle = engine.take_slab(4096).expect("step 2's slab, recycled");
-        assert_eq!(idle.path(), Some(dir.join("step2.slab").as_path()));
-        let slabs = commit::list(&dir).unwrap();
-        assert!(!slabs.iter().any(|n| n.ends_with(".slab")), "{slabs:?}");
+        assert_eq!(lock(&engine.shared.state).retained.len(), 1);
+        assert_eq!(staged_image(&newest, "f"), [3; 32]);
+        // Staging created nothing on disk beside the drained file.
+        assert_eq!(commit::list(&dir).unwrap(), ["f"]);
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
-    fn a_recycled_slab_reads_zeros_in_a_hole_not_its_last_bytes() {
-        let dir = std::env::temp_dir().join(format!("rbio-tier-rearm-{}", std::process::id()));
+    fn a_hole_reads_zeros_not_the_buffer_behind_its_neighbours() {
+        let dir = std::env::temp_dir().join(format!("rbio-tier-hole-{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
         const CAP: usize = 4096;
-        let engine = TierEngine::new(1);
-        // Generation 1 fills its whole slab with 0xAA; generation 2's
-        // drain evicts it, and its slab becomes the engine's idle one.
-        let stage = Arc::new(TierStage::new(1, Arc::new(SlabPool::anonymous(CAP))));
-        stage.append("f", 0, &[0xAA; CAP]).unwrap();
-        stage.seal_file("f", CAP as u64);
-        drain_to(&engine, &dir.join("1"), stage);
-        assert!(engine.take_slab(CAP).is_none(), "step 1 is still retained");
-        let stage = Arc::new(TierStage::new(2, Arc::new(SlabPool::anonymous(CAP))));
-        stage.append("f", 0, &[2; 64]).unwrap();
-        stage.seal_file("f", 64);
-        drain_to(&engine, &dir.join("2"), stage);
-        // Generation 3 stages a file with two holes into that slab.
-        let pool = engine.take_slab(CAP).expect("step 1's slab, re-armed");
-        assert!(pool.slice(SlabRef { off: 0, len: CAP }) == [0xAA; CAP]);
-        let stage = Arc::new(TierStage::new(3, Arc::new(pool)));
-        stage.append("f", 100, &[3; 100]).unwrap();
-        stage.append("f", 300, &[4; 50]).unwrap();
+        let (engine, pool) = (TierEngine::new(1), BufPool::new());
+        // Generation 1 fills a whole buffer with 0xAA; generation 2's
+        // drain evicts it, and the buffer is the pool's again.
+        drain_to(&engine, &dir.join("1"), staged(&pool, 1, &[0xAA; CAP]));
+        drain_to(&engine, &dir.join("2"), staged(&pool, 2, &[2; 64]));
+        // Generation 3 writes two stretches of that recycled buffer and
+        // stages only them, as a file with holes between and after.
+        let mut buf = pool.lease_to_overwrite(CAP);
+        assert!(buf[..] == [0xAA; CAP], "generation 1's buffer, recycled");
+        buf[100..200].fill(3);
+        buf[300..350].fill(4);
+        let buf = buf.freeze();
+        let stage = Arc::new(TierStage::with_budget(3, CAP));
+        stage
+            .append_bytes("f", 100, &[buf.slice(100..200)])
+            .unwrap();
+        stage
+            .append_bytes("f", 300, &[buf.slice(300..350)])
+            .unwrap();
         stage.seal_file("f", 400);
+        drop(buf);
         drain_to(&engine, &dir.join("3"), stage);
         let mut want = vec![0u8; 400];
         want[100..200].fill(3);
@@ -1083,36 +999,41 @@ mod tests {
         assert_eq!(&bytes[..400], &want[..], "drained");
         let retained = engine.newest_retained().expect("step 3 retained");
         assert_eq!(retained.step(), 3);
-        assert_eq!(staged_image(&retained, "f"), want, "restored from the slab");
+        assert_eq!(
+            staged_image(&retained, "f"),
+            want,
+            "restored from the stage"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
-    fn a_stage_a_restore_holds_is_never_rearmed() {
+    fn a_held_stage_keeps_its_bytes_while_later_generations_recycle() {
         let dir = std::env::temp_dir().join(format!("rbio-tier-held-{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
         const CAP: usize = 4096;
-        let engine = TierEngine::new(1);
+        let (engine, pool) = (TierEngine::new(1), BufPool::new());
         let body: Vec<u8> = (0..CAP as u32).map(|i| (i * 13) as u8).collect();
-        let stage = Arc::new(TierStage::new(1, Arc::new(SlabPool::anonymous(CAP))));
-        stage.append("f", 0, &body).unwrap();
-        stage.seal_file("f", CAP as u64);
-        drain_to(&engine, &dir.join("1"), stage);
+        drain_to(&engine, &dir.join("1"), staged(&pool, 1, &body));
         let held = engine.newest_retained().expect("step 1 retained");
-        // Two later generations: step 1 is evicted while held, so its
-        // slab is not recycled; step 2's, held by nobody, is.
-        for step in 2..=3u64 {
-            let pool = engine.take_slab(CAP);
-            assert!(pool.is_none(), "step {step} was offered a held slab");
-            let stage = Arc::new(TierStage::new(step, Arc::new(SlabPool::anonymous(CAP))));
-            stage.append("f", 0, &[step as u8; CAP]).unwrap();
-            stage.seal_file("f", CAP as u64);
-            drain_to(&engine, &dir.join(step.to_string()), stage);
+        // Steps 2 and 3 evict step 1, held, and then step 2, which
+        // nothing holds: only step 2's buffer is the pool's again, and
+        // step 4 stages into it.
+        for step in 2..=4u64 {
+            let recycled = pool.free_buffers();
+            assert_eq!(recycled, usize::from(step == 4), "before step {step}");
+            let dst = dir.join(step.to_string());
+            drain_to(&engine, &dst, staged(&pool, step, &[step as u8; CAP]));
+            assert_eq!(
+                pool.free_buffers(),
+                usize::from(step >= 3),
+                "after step {step}"
+            );
         }
         assert_eq!(held.step(), 1);
         assert_eq!(staged_image(&held, "f"), body);
-        let idle = engine.take_slab(CAP).expect("step 2's slab, recycled");
-        assert!(idle.slice(SlabRef { off: 0, len: CAP }) == [2; CAP]);
+        drop(held);
+        assert_eq!(pool.free_buffers(), 2, "step 1's buffer, let go at last");
         std::fs::remove_dir_all(&dir).ok();
     }
 }

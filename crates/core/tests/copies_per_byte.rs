@@ -14,7 +14,7 @@
 //! one lock.
 
 use std::path::Path;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use rbio::buf::Bytes;
 use rbio::exec::{execute, ExecConfig};
@@ -25,7 +25,7 @@ use rbio::restart::read_checkpoint;
 use rbio::rt;
 use rbio::service::{CheckpointService, ServiceConfig, TenantSpec};
 use rbio::strategy::{CheckpointPlan, CheckpointSpec, Strategy};
-use rbio::tier::TierConfig;
+use rbio::tier::{TierConfig, TierStage};
 use rbio_plan::Op;
 use rbio_profile::counters::{self, CopySnapshot};
 
@@ -136,7 +136,7 @@ fn rt_copies_only_its_eager_hand_off() {
 }
 
 #[test]
-fn the_tiered_manager_copies_each_byte_once_into_the_slab() {
+fn the_tiered_manager_stages_without_a_copy() {
     let _serial = COUNTERS.lock().unwrap_or_else(|e| e.into_inner());
     let delta = counted_in(|dir| {
         let mut cfg = ManagerConfig::new(dir.join("pfs"), Strategy::rbio(4));
@@ -148,8 +148,31 @@ fn the_tiered_manager_copies_each_byte_once_into_the_slab() {
     });
     let got = delta.copies_per_checkpoint_byte();
     assert!(
+        got == 0.0,
+        "tiered rbIO: {got:.4} copies/byte, want 0 (the stage holds the payload slices)"
+    );
+}
+
+#[test]
+fn rt_staged_copies_its_borrowed_payload_once() {
+    let _serial = COUNTERS.lock().unwrap_or_else(|e| e.into_inner());
+    // Under `rt` the stage holds what `rt` owns: a worker's message is
+    // its eager copy, a writer's own payload bytes one pooled copy.
+    let plan = plan_for(16, TWO_FIELDS, Strategy::rbio(4));
+    let payloads = materialize_payloads(&plan, fill);
+    let stage = Arc::new(TierStage::with_budget(1, 8 << 20));
+    let delta = counted_in(|dir| {
+        let cfg = rt::RtConfig::new(dir).stage(Arc::clone(&stage));
+        rt::run(plan.program.nranks(), |mut comm| {
+            let rank = comm.rank() as usize;
+            rt::checkpoint_rank_with(&mut comm, &plan.program, &payloads[rank], &cfg)
+                .expect("rt staged checkpoint");
+        });
+    });
+    let got = delta.copies_per_checkpoint_byte();
+    assert!(
         (got - 1.0).abs() <= 1e-9,
-        "tiered rbIO: {got:.4} copies/byte, want 1.0 (the slab append)"
+        "rt-staged rbIO: {got:.4} copies/byte, want 1.0 (the borrowed payload copy)"
     );
 }
 
@@ -262,7 +285,7 @@ fn a_payload_is_zeroed_and_a_warm_restore_is_not() {
     let zeroed = zeroed_by(|| drop(read_checkpoint(&dir, &plan).expect("warm restore")));
     assert_eq!(zeroed, 0, "a warm restore from files zero-fills nothing");
 
-    // The same from the tiered manager's retained slab.
+    // The same from the tiered manager's retained stage.
     let mut cfg = ManagerConfig::new(dir.join("pfs"), Strategy::rbio(4));
     cfg.tier = Some(TierConfig::new(dir.join("local")).slab_capacity(8 << 20));
     let mgr = CheckpointManager::new(DataLayout::uniform(16, TWO_FIELDS), cfg).expect("manager");
@@ -274,9 +297,12 @@ fn a_payload_is_zeroed_and_a_warm_restore_is_not() {
     assert_eq!(
         counters::tier_snapshot().tier_restores - restores,
         2,
-        "both from the slab"
+        "both from the stage"
     );
-    assert_eq!(zeroed, 0, "a warm restore from the slab zero-fills nothing");
+    assert_eq!(
+        zeroed, 0,
+        "a warm restore from the stage zero-fills nothing"
+    );
     drop(mgr);
 
     // And a service restore's pooled image.

@@ -140,7 +140,7 @@ fn restores_and_reads_into_a_dirty_pool_return_only_written_bytes() {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    // From the tiered manager's retained slab.
+    // From the tiered manager's retained stage.
     let dir = tmpdir("tier");
     let mut cfg = ManagerConfig::new(dir.join("pfs"), Strategy::rbio(4));
     cfg.tier = Some(TierConfig::new(dir.join("local")).slab_capacity(4 << 20));
@@ -153,9 +153,9 @@ fn restores_and_reads_into_a_dirty_pool_return_only_written_bytes() {
     assert_eq!(
         counters::tier_snapshot().tier_restores - restores,
         1,
-        "from the slab"
+        "from the stage"
     );
-    assert_restored(&got, 9, "tier slab");
+    assert_restored(&got, 9, "tier stage");
     drop((got, mgr));
     std::fs::remove_dir_all(&dir).ok();
 

@@ -5,7 +5,7 @@
 //! `exec`, on `rt`, through the tiered manager and through the service's
 //! sessions alike — and the plan loops' pool keeps nothing larger than a
 //! payload (writer staging leases nothing, and neither a tier hop nor a
-//! restore from the slab builds a file image).
+//! restore from the tier's stage builds a file image).
 //!
 //! Its own test binary because the allocator below counts every
 //! allocation in the process: nothing else may run beside the one test.
@@ -165,7 +165,7 @@ fn rt_generation(dir: &Path, gen: u64) {
     restore(dir, &plan);
 }
 
-/// A `CheckpointManager` staging rbIO(2) into a local slab, draining it
+/// A `CheckpointManager` staging rbIO(2) in the local tier, draining it
 /// through a burst directory to the PFS.
 fn tiered_manager(dir: &Path) -> CheckpointManager {
     let tier = TierConfig::new(dir.join("local"))
@@ -176,8 +176,10 @@ fn tiered_manager(dir: &Path) -> CheckpointManager {
 }
 
 /// `checkpoint` → `wait_durable` → `restore_latest`, which the retained
-/// slab serves: both hops write gathers of slab windows, and the restore
-/// copies the windows into payload-class leases.
+/// stage serves. The stage holds the generation's payload slices, so
+/// they go back to the pool when the next drain evicts it; both hops
+/// write gathers of those slices, and the restore copies them into
+/// payload-class leases.
 fn tiered_generation(mgr: &CheckpointManager, gen: u64) {
     let before = counters::tier_snapshot().tier_restores;
     mgr.checkpoint(gen, fill(gen)).expect("tiered checkpoint");
@@ -185,8 +187,8 @@ fn tiered_generation(mgr: &CheckpointManager, gen: u64) {
     let restored = mgr.restore_latest().expect("restore");
     assert_eq!(restored.step, gen);
     assert_eq!(restored.total_bytes(), USER_BYTES);
-    let from_slab = counters::tier_snapshot().tier_restores - before;
-    assert_eq!(from_slab, 1, "generation {gen} restored from the slab");
+    let from_stage = counters::tier_snapshot().tier_restores - before;
+    assert_eq!(from_stage, 1, "generation {gen} restored from the stage");
 }
 
 /// Sessions per service generation; the last of them is restored.
@@ -288,16 +290,22 @@ fn a_warm_generation_allocates_a_fraction_of_its_user_bytes() {
     );
 
     std::fs::remove_dir_all(&dir).ok();
+    retained.clear();
     largest.clear();
     let mgr = tiered_manager(&dir);
     let tiered = allocated_per_generation(6, |gen| {
         tiered_generation(&mgr, gen);
+        retained.push(pool.retained_bytes());
         largest.push(pool.largest_free());
     });
     drop(mgr);
     assert!(
         tiered[2..].iter().all(|&a| a < budget),
         "tiered: warm generations allocated {tiered:?}, budget {budget}"
+    );
+    assert_eq!(
+        retained[2], retained[5],
+        "tiered: the retained set is fixed from generation 3 on: {retained:?}"
     );
     assert!(
         largest.iter().all(|&l| l <= bound),

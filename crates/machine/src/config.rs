@@ -77,9 +77,11 @@ pub struct WriterFailure {
     pub detection_delay: SimTime,
 }
 
-/// Bandwidth hierarchy of a node-local staging tier (mirror of
-/// `rbio::tier`): writes land in a pre-allocated local slab at memory
-/// speed — the *perceived* cost — while a background drain engine pays
+/// Bandwidth hierarchy of a node-local staging tier (the machine-level
+/// counterpart of `rbio::tier`): writes land in node-local storage at
+/// `local_bw` — the *perceived* cost; the real runtime's in-memory stage
+/// holds the writers' buffers and copies nothing — while a background
+/// drain engine pays
 /// the burst hop (if any) and the full PFS path per byte — the *durable*
 /// cost. [`crate::RunMetrics::durable_wall`] reports when the drain
 /// finishes.
