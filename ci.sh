@@ -58,6 +58,11 @@ echo "== benchmark package (outside the workspace) builds and passes its tests =
 # the next benchmark run.
 (cd benchmark && cargo build --offline --release && cargo test --offline -q)
 
+echo "== perf trajectory (BENCH_trajectory.json) is valid =="
+# Schema, increasing PR order, verdicts that follow from their numbers,
+# and every claimed row ok.
+target/debug/trajectory check
+
 echo "== rbio-check fast schedule sweep (256 seeds) =="
 # Deterministic schedule exploration of the concurrency harness's
 # program families. Any failure prints the seed and the exact schedule;

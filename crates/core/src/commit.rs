@@ -589,20 +589,13 @@ fn verified_image(mut bytes: Vec<u8>, logical_size: u64) -> io::Result<Vec<u8>> 
 }
 
 /// Read a text artifact published by [`commit_text`]: verifies the CRC
-/// footer and strips it. Bodies written before the footer era (no `RBFT`
-/// trailer) are returned as-is, so old checkpoint directories stay
-/// readable. A present-but-corrupt footer is an `InvalidData` error — the
-/// caller treats the artifact as torn.
+/// footer and strips it. A body without a valid `RBFT` footer — cut,
+/// corrupt, or never sealed — is an `InvalidData` error: the caller
+/// treats the artifact as torn.
 pub fn read_committed_text(path: &Path) -> io::Result<String> {
-    let mut bytes = std::fs::read(path)?;
-    let flen = format::footer_len(1) as usize;
-    if bytes.len() >= flen {
-        let logical = bytes.len() - flen;
-        if bytes[logical..logical + 4] == format::FOOTER_MAGIC.to_le_bytes() {
-            bytes = verified_image(bytes, logical as u64)?;
-        }
-    }
-    String::from_utf8(bytes)
+    let bytes = std::fs::read(path)?;
+    let logical = bytes.len().saturating_sub(format::footer_len(1) as usize);
+    String::from_utf8(verified_image(bytes, logical as u64)?)
         .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "metadata file is not UTF-8"))
 }
 
@@ -768,10 +761,19 @@ mod tests {
         std::fs::write(&p, &bytes).unwrap();
         let err = read_committed_text(&p).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        // Legacy plain-text bodies (no footer) still read.
-        let legacy = dir.join("legacy.commit");
-        std::fs::write(&legacy, body).unwrap();
-        assert_eq!(read_committed_text(&legacy).unwrap(), body);
+        // A body without its footer is torn, however it lost it: never
+        // sealed, cut at a line boundary, or empty.
+        let bare = dir.join("bare.commit");
+        let sealed = {
+            commit_text(&p, body, false).unwrap();
+            std::fs::read(&p).unwrap()
+        };
+        let last_line = body.trim_end().rfind('\n').unwrap() + 1;
+        for unsealed in [body.as_bytes(), &sealed[..last_line], &[]] {
+            std::fs::write(&bare, unsealed).unwrap();
+            let err = read_committed_text(&bare).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{unsealed:?}");
+        }
     }
 
     #[test]

@@ -192,22 +192,24 @@ fn commit_path(dir: &Path, step: u64) -> PathBuf {
 
 /// The `name size header-crc owner landing` lines [`marker_body`] wrote
 /// after a marker's two header lines, as `(name, size, header-crc,
-/// landing)`. A three-column line, from a directory written before the
-/// marker recorded landings, landed `primary`. `Err` carries a line that
-/// does not parse.
+/// landing)`. `Err` carries a line of any other shape.
 pub(crate) fn marker_files(
     marker: &str,
 ) -> impl Iterator<Item = Result<(&str, u64, &str, &str), &str>> {
     marker.lines().skip(2).map(|line| {
         let parts: Vec<&str> = line.split_whitespace().collect();
-        let (name, size, crc, landing) = match parts[..] {
-            [name, size, crc] => (name, size, crc, "primary"),
-            [name, size, crc, _owner, landing] => (name, size, crc, landing),
-            _ => return Err(line),
+        let [name, size, crc, _owner, landing] = parts[..] else {
+            return Err(line);
         };
         let size = size.parse().map_err(|_| line)?;
         Ok((name, size, crc, landing))
     })
+}
+
+/// Whether a verified marker records any file landed other than
+/// `primary` (`failover:S` or `tierloss:burst`).
+fn landed_degraded(marker: &str) -> bool {
+    marker_files(marker).any(|line| line.is_ok_and(|(.., landing)| landing != "primary"))
 }
 
 /// Check one marker-referenced file against what the marker recorded:
@@ -321,28 +323,15 @@ fn publish_generation(
     Ok(())
 }
 
-/// Remove every file in `dir` whose name ends with `suffix`, tolerating
-/// concurrent deletion. Returns how many this call removed.
-fn reap_suffix(dir: &Path, suffix: &str) -> io::Result<u64> {
+/// Garbage-collect the `*.tmp` siblings a crashed run can leave in the
+/// checkpoint directory (a writer died between open and commit). Every
+/// reaped file counts toward the `gc_orphans` profile counter.
+fn gc_orphans(dir: &Path) -> Result<u64, ManagerError> {
     let mut removed = 0u64;
     for name in commit::list(dir)? {
-        if name.ends_with(suffix) && commit::remove(&dir.join(name))? {
+        if name.ends_with(commit::TMP_SUFFIX) && commit::remove(&dir.join(name))? {
             removed += 1;
         }
-    }
-    Ok(removed)
-}
-
-/// Garbage-collect orphans a crashed run can leave behind: `*.tmp`
-/// siblings in the checkpoint directory (a writer died between open and
-/// commit) and, when given, `*.slab` files in the tier's local directory
-/// (staging writes no file; older builds mapped a slab file per
-/// generation, and a crash could leave one behind that nothing drains).
-/// Every reaped file counts toward the `gc_orphans` profile counter.
-fn gc_orphans(dir: &Path, slab_dir: Option<&Path>) -> Result<u64, ManagerError> {
-    let mut removed = reap_suffix(dir, commit::TMP_SUFFIX)?;
-    if let Some(sd) = slab_dir {
-        removed += reap_suffix(sd, ".slab")?;
     }
     if removed > 0 {
         rbio_profile::counters::add_gc_orphans(removed);
@@ -373,9 +362,8 @@ impl CheckpointManager {
             None => None,
         };
         // Startup GC: a crashed predecessor's half-written `.tmp`
-        // siblings and an older build's staging slabs are dead weight —
-        // no marker references them, and this engine cannot drain them.
-        gc_orphans(&cfg.dir, cfg.tier.as_ref().map(|t| t.local_dir.as_path()))?;
+        // siblings are dead weight — no marker references them.
+        gc_orphans(&cfg.dir)?;
         Ok(CheckpointManager {
             cfg,
             layout,
@@ -421,14 +409,16 @@ impl CheckpointManager {
         // Tiered path: atomic files divert into a stage that holds the
         // writers' payload slices, and the background engine drains
         // them to the PFS later.
-        let stage = match (&self.cfg.tier, &self.engine) {
-            (Some(t), Some(_)) => {
-                let stage = Arc::new(TierStage::with_budget(step, t.slab_capacity));
+        let tiered = self
+            .cfg
+            .tier
+            .as_ref()
+            .zip(self.engine.as_ref())
+            .map(|(tier, engine)| {
+                let stage = Arc::new(TierStage::with_budget(step, tier.slab_capacity));
                 exec_cfg.stage = Some(Arc::clone(&stage));
-                Some(stage)
-            }
-            _ => None,
-        };
+                (tier, engine, stage)
+            });
         let report = match execute(&plan.program, payloads, &exec_cfg) {
             Ok(r) => r,
             Err(e) => {
@@ -477,22 +467,17 @@ impl CheckpointManager {
             })
             .collect();
 
-        if let Some(stage) = stage {
+        if let Some((tier, engine, stage)) = tiered {
             // Tiered path: the step is *perceived* complete here — bytes
             // are held by the local stage — but only durable once the
             // drain engine lands every file on the PFS and publishes the
             // marker from the drain thread.
-            let engine = self
-                .engine
-                .as_ref()
-                .expect("engine exists when tier is set");
-            let tier = self.cfg.tier.as_ref().expect("tier config");
             let dir = self.cfg.dir.clone();
             let fsync = self.cfg.fsync;
             let faults = self.cfg.faults.clone();
             engine.submit(DrainJob {
                 step,
-                stage: Arc::clone(&stage),
+                stage,
                 pfs_dir: self.cfg.dir.clone(),
                 burst_dir: tier.burst_dir.clone(),
                 fsync: tier.fsync,
@@ -594,18 +579,19 @@ impl CheckpointManager {
         Ok(())
     }
 
-    /// Verify a committed step's marker against the files on disk. No
-    /// marker is [`ManagerError::NothingToRestore`]; a marker that exists
-    /// but cannot be read is [`ManagerError::Io`].
+    /// Verify a committed step's marker against the files on disk: every
+    /// file's size, header CRC and per-field footer CRCs. No marker is
+    /// [`ManagerError::NothingToRestore`]; a marker that exists but cannot
+    /// be read is [`ManagerError::Io`].
     pub fn verify(&self, step: u64) -> Result<(), ManagerError> {
-        self.verified_marker(step).map(drop)
+        self.verified_marker(step, true).map(drop)
     }
 
-    /// [`CheckpointManager::verify`], returning the marker it verified.
-    fn verified_marker(&self, step: u64) -> Result<String, ManagerError> {
-        // Markers carry a CRC footer since the tiering era; plain-text
-        // markers from older directories pass through unchanged. A
-        // present-but-corrupt footer means a torn marker.
+    /// The marker of `step`, checked against the files on disk: its CRC
+    /// footer and its lines, then each file's size and header CRC, and
+    /// with `deep` every body byte too. A marker without a valid footer is
+    /// torn.
+    fn verified_marker(&self, step: u64, deep: bool) -> Result<String, ManagerError> {
         let marker =
             commit::read_committed_text(&commit_path(&self.cfg.dir, step)).map_err(|e| match e
                 .kind()
@@ -619,105 +605,93 @@ impl CheckpointManager {
         for line in marker_files(&marker) {
             let (name, size, crc, _) = line
                 .map_err(|bad| ManagerError::CommitMismatch(format!("bad marker line: {bad}")))?;
-            check_committed_file(&self.cfg.dir.join(name), size, crc, true)
+            check_committed_file(&self.cfg.dir.join(name), size, crc, deep)
                 .map_err(|why| ManagerError::CommitMismatch(format!("{name}: {why}")))?;
         }
         Ok(marker)
     }
 
     /// Classify a committed generation: [`GenerationState::Torn`] if its
-    /// marker/files fail verification, otherwise Complete or Degraded per
-    /// the landings in the marker it just verified (any file not landed
-    /// `primary`, i.e. `failover:S` or `tierloss:burst`, degrades it).
+    /// marker/files fail [`CheckpointManager::verify`], otherwise Complete
+    /// or Degraded per the landings in the marker it just verified (any
+    /// file not landed `primary`, i.e. `failover:S` or `tierloss:burst`,
+    /// degrades it).
     pub fn generation_state(&self, step: u64) -> GenerationState {
-        let Ok(marker) = self.verified_marker(step) else {
-            return GenerationState::Torn;
-        };
-        let degraded =
-            marker_files(&marker).any(|line| line.is_ok_and(|(.., landing)| landing != "primary"));
-        if degraded {
-            GenerationState::Degraded
-        } else {
-            GenerationState::Complete
+        match self.verified_marker(step, true) {
+            Err(_) => GenerationState::Torn,
+            Ok(marker) if landed_degraded(&marker) => GenerationState::Degraded,
+            Ok(_) => GenerationState::Complete,
         }
     }
 
-    /// Restore the newest committed-and-verified step. Torn steps are
-    /// skipped (newest first) so a damaged latest step falls back to the
-    /// one before it; a degraded-but-recoverable step restores normally
-    /// (its failover extents carry identical bytes) and is counted in
-    /// the profile as a degraded restore.
-    /// With a tier configured, restore comes from the *nearest* tier
-    /// holding a durable copy: the retained local stage (memory speed),
-    /// then the burst directory, then the PFS.
+    /// Restore the newest restorable step from the nearest tier holding
+    /// it: the retained local stage (memory speed), then, newest step
+    /// first, the burst copy and the PFS copy. A step must first pass its
+    /// marker gate (the marker's footer and lines, each PFS file's size
+    /// and header CRC); the read is then the one full check — size,
+    /// header, step and shape against the plan, and every region's
+    /// CRC32C — so each restored byte is checked once. A torn copy falls
+    /// through to the next tier, then to the step before; a PFS I/O
+    /// error propagates. A degraded-but-recoverable step restores
+    /// normally (its failover extents carry identical bytes) and is
+    /// counted in the profile as a degraded restore.
     pub fn restore_latest(&self) -> Result<RestoredData, ManagerError> {
         // Restore-time GC: a restore means the previous run is over, so
         // its half-written `.tmp` orphans are reapable. Only without a
         // drain engine — a live engine may still be publishing through
         // `.tmp` siblings of its own.
         if self.engine.is_none() {
-            gc_orphans(&self.cfg.dir, None)?;
+            gc_orphans(&self.cfg.dir)?;
         }
-        // Nearest tier: the newest retained local stage. The engine
-        // retains a stage only once it is durable: one whose drain failed
-        // or is still in flight is not restart state yet.
+        // The engine retains a stage only once it is durable: one whose
+        // drain failed or is still in flight is not restart state yet.
         if let Some(stage) = self.engine.as_ref().and_then(|e| e.newest_retained()) {
-            let step = stage.step();
-            let plan = self.plan_for(step)?;
+            let plan = self.plan_for(stage.step())?;
             if let Ok(data) = read_checkpoint_staged(&plan, &stage) {
-                rbio_profile::counters::add_tier_restores(1);
-                sched::emit(|| Event::TierRestore {
-                    step,
-                    tier: TierId::Local,
-                });
-                sched::emit(|| Event::RestoreDone { step });
-                return Ok(data);
+                return Ok(self.restored(data, TierId::Local, false));
             }
         }
+        // Burst copies are full committed files (footer and all), so the
+        // same verified read applies to both directories.
         let burst = self.cfg.tier.as_ref().and_then(|t| t.burst_dir.as_deref());
-        let steps = self.committed_steps()?;
-        for &step in steps.iter().rev() {
-            let state = self.generation_state(step);
-            if state == GenerationState::Torn {
+        let dirs = [
+            burst.map(|b| (TierId::Burst, b)),
+            Some((TierId::Pfs, self.cfg.dir.as_path())),
+        ];
+        for &step in self.committed_steps()?.iter().rev() {
+            let Ok(marker) = self.verified_marker(step, false) else {
                 continue;
-            }
+            };
             let plan = self.plan_for(step)?;
-            // Burst copies are full committed files (footer and all), so
-            // the normal verified read path applies; a missing or torn
-            // burst copy falls through to the PFS.
-            if let Some(bdir) = burst {
-                if let Ok(data) = read_checkpoint(bdir, &plan) {
-                    rbio_profile::counters::add_tier_restores(1);
-                    sched::emit(|| Event::TierRestore {
-                        step,
-                        tier: TierId::Burst,
-                    });
-                    if state == GenerationState::Degraded {
-                        rbio_profile::counters::add_degraded_generations(1);
+            for &(tier, dir) in dirs.iter().flatten() {
+                match read_checkpoint(dir, &plan) {
+                    Ok(data) => return Ok(self.restored(data, tier, landed_degraded(&marker))),
+                    Err(RestartError::Io(e)) if tier == TierId::Pfs => {
+                        return Err(ManagerError::Io(e))
                     }
-                    sched::emit(|| Event::RestoreDone { step });
-                    return Ok(data);
+                    Err(_) => {}
                 }
-            }
-            match read_checkpoint(&self.cfg.dir, &plan) {
-                Ok(data) => {
-                    if self.engine.is_some() {
-                        sched::emit(|| Event::TierRestore {
-                            step,
-                            tier: TierId::Pfs,
-                        });
-                    }
-                    if state == GenerationState::Degraded {
-                        rbio_profile::counters::add_degraded_generations(1);
-                    }
-                    sched::emit(|| Event::RestoreDone { step });
-                    return Ok(data);
-                }
-                Err(RestartError::Io(e)) => return Err(ManagerError::Io(e)),
-                Err(_) => continue,
             }
         }
         Err(ManagerError::NothingToRestore)
+    }
+
+    /// Count and announce a restore `data` read from `tier`: a tier
+    /// restore unless it came from the PFS, a tier event when a tier is
+    /// configured, a degraded restore when its marker says so.
+    fn restored(&self, data: RestoredData, tier: TierId, degraded: bool) -> RestoredData {
+        let step = data.step;
+        if tier != TierId::Pfs {
+            rbio_profile::counters::add_tier_restores(1);
+        }
+        if self.engine.is_some() {
+            sched::emit(|| Event::TierRestore { step, tier });
+        }
+        if degraded {
+            rbio_profile::counters::add_degraded_generations(1);
+        }
+        sched::emit(|| Event::RestoreDone { step });
+        data
     }
 }
 
@@ -1099,13 +1073,15 @@ mod tests {
     }
 
     #[test]
-    fn parent_format_marker_verifies_restores_and_classifies_complete() {
-        // A directory written before the marker recorded landings: three
-        // columns per file and nothing beside the marker.
-        let (mgr, dir) = mk("old-marker", 2);
+    fn footerless_and_three_column_markers_are_torn() {
+        // A marker is the sealed five-column form or nothing: the same
+        // body without its footer, or sealed with three columns per file
+        // (the shape before markers recorded landings), is torn.
+        let (mgr, dir) = mk("old-marker", 3);
+        mgr.checkpoint(3, fill_for(3)).expect("ck 3");
         mgr.checkpoint(4, fill_for(4)).expect("ck 4");
         let marker = commit::read_committed_text(&commit_path(&dir, 4)).unwrap();
-        let old: String = marker
+        let three_columns: String = marker
             .lines()
             .enumerate()
             .map(|(i, l)| {
@@ -1117,11 +1093,50 @@ mod tests {
                     + "\n"
             })
             .collect();
-        assert_ne!(old, marker);
-        commit::commit_text(&commit_path(&dir, 4), &old, false).unwrap();
-        mgr.verify(4).expect("three-column marker verifies");
-        assert_eq!(mgr.generation_state(4), GenerationState::Complete);
-        assert_eq!(mgr.restore_latest().expect("restore").step, 4);
+        assert_ne!(three_columns, marker);
+        commit::commit_text(&commit_path(&dir, 4), &three_columns, false).unwrap();
+        assert!(matches!(
+            mgr.verify(4),
+            Err(ManagerError::CommitMismatch(_))
+        ));
+        assert_eq!(mgr.generation_state(4), GenerationState::Torn);
+        assert_eq!(mgr.restore_latest().expect("fallback").step, 3);
+
+        std::fs::write(commit_path(&dir, 4), &marker).unwrap();
+        assert!(matches!(
+            mgr.verify(4),
+            Err(ManagerError::CommitMismatch(_))
+        ));
+        assert_eq!(mgr.generation_state(4), GenerationState::Torn);
+        assert_eq!(mgr.restore_latest().expect("fallback").step, 3);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_marker_cut_at_a_line_boundary_is_torn() {
+        // A cut that drops the footer and the last file line leaves a
+        // body that still parses. It must not vouch for the files it
+        // no longer names.
+        let (mgr, dir) = mk("marker-cut", 3);
+        mgr.checkpoint(1, fill_for(1)).expect("ck 1");
+        mgr.checkpoint(2, fill_for(2)).expect("ck 2");
+        let path = commit_path(&dir, 2);
+        let marker = commit::read_committed_text(&path).unwrap();
+        let cut = marker.trim_end().rfind('\n').unwrap() + 1;
+        assert!(marker_files(&marker[..cut]).count() >= 1, "{marker}");
+        let f = fs::OpenOptions::new().write(true).open(&path).unwrap();
+        f.set_len(cut as u64).unwrap();
+        drop(f);
+
+        assert!(matches!(
+            mgr.verify(2),
+            Err(ManagerError::CommitMismatch(_))
+        ));
+        let report = crate::scrub::scrub(&crate::scrub::ScrubConfig::new(&dir)).unwrap();
+        assert_eq!(report.damage.len(), 1, "{:?}", report.damage);
+        assert_eq!(report.damage[0].file, commit_name(2));
+        assert_eq!(report.damage[0].kind, crate::scrub::DamageKind::TornFile);
+        assert_eq!(mgr.restore_latest().expect("fallback").step, 1);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1330,6 +1345,62 @@ mod tests {
         std::fs::remove_dir_all(base.join("new")).unwrap();
         mgr.rotate().expect("rotation without a burst directory");
         assert_eq!(mgr.committed_steps().unwrap(), vec![6]);
+        std::fs::remove_dir_all(&base).ok();
+        std::fs::remove_dir_all(&ref_dir).ok();
+    }
+
+    #[test]
+    fn a_rotted_pfs_body_restores_from_the_intact_burst_copy() {
+        let (ref_mgr, ref_dir) = mk("brot-ref", 2);
+        ref_mgr.checkpoint(2, fill_for(2)).expect("reference ck");
+        let want = ref_mgr.restore_latest().expect("reference restore");
+
+        let base = std::env::temp_dir().join(format!("rbio-mgr-brot-{}", std::process::id()));
+        std::fs::remove_dir_all(&base).ok();
+        let (pfs, local, burst) = (base.join("pfs"), base.join("local"), base.join("burst"));
+        let layout = DataLayout::uniform(8, &[("u", 1024), ("v", 256)]);
+        let mut cfg = ManagerConfig::new(&pfs, Strategy::rbio(2));
+        cfg.keep = 2;
+        cfg.tier = Some(
+            crate::tier::TierConfig::new(&local)
+                .burst_dir(&burst)
+                .slab_capacity(1 << 20),
+        );
+        let mgr = CheckpointManager::new(layout, cfg).expect("manager");
+        for step in 1..=2u64 {
+            mgr.checkpoint(step, fill_for(step)).expect("ck");
+            mgr.wait_durable(step).expect("durable");
+        }
+        mgr.tier_engine().unwrap().lose_local();
+
+        // Rot one body byte of the newest generation's first PFS file:
+        // its size and header still match the marker.
+        let marker = commit::read_committed_text(&commit_path(&pfs, 2)).unwrap();
+        let (name, size, crc, _) = marker_files(&marker).next().unwrap().unwrap();
+        let victim = pfs.join(name);
+        let mut bytes = std::fs::read(&victim).unwrap();
+        let mid = bytes.len() / 2;
+        bytes[mid] ^= 0xff;
+        std::fs::write(&victim, &bytes).unwrap();
+        check_committed_file(&victim, size, crc, false).expect("the gate still passes");
+        assert!(matches!(
+            mgr.verify(2),
+            Err(ManagerError::CommitMismatch(_))
+        ));
+
+        let before = rbio_profile::counters::tier_snapshot();
+        let restored = mgr.restore_latest().expect("restore from the burst tier");
+        assert_eq!(
+            restored.step, 2,
+            "the burst copy of the newest step is intact"
+        );
+        for r in 0..8u32 {
+            for f in 0..2usize {
+                assert_eq!(restored.field_data(r, f), want.field_data(r, f));
+            }
+        }
+        let delta = rbio_profile::counters::tier_snapshot().delta_since(&before);
+        assert!(delta.tier_restores >= 1, "{delta:?}");
         std::fs::remove_dir_all(&base).ok();
         std::fs::remove_dir_all(&ref_dir).ok();
     }

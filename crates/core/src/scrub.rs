@@ -3,11 +3,12 @@
 //! classify any damage found, and (optionally) repair it from the
 //! nearest redundant copy.
 //!
-//! The scrubber is the slow-path complement to the fast restore-time
-//! checks in [`crate::manager`]: a restore verifies the one generation
-//! it is about to trust, while a scrub sweeps *every* retained
-//! generation on a schedule — catching silent media decay before the
-//! damaged generation is the one a restart needs.
+//! The scrubber is the slow-path complement to the restore-time checks
+//! in [`crate::manager`]: a restore verifies only what it reads — the
+//! copy of the one generation it returns, on whichever tier that copy
+//! sits — while a scrub sweeps *every* retained generation on a
+//! schedule, catching silent media decay before the damaged generation
+//! is the one a restart needs.
 //!
 //! Damage classes:
 //!

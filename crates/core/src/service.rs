@@ -14,10 +14,9 @@
 //! [`QosClass::Throughput`] checkpoints at chunk grant points).
 //!
 //! The service owns and passes its pool: every session writer is
-//! registered on the pool the service constructed from its own config
-//! ([`CheckpointService::pool`] hands the same pool to an embedding
-//! executor), so a differently-configured service is a different pool —
-//! there is no process-wide pool to go stale. The pool stops when the
+//! registered on the pool the service constructed from its own config,
+//! so a differently-configured service is a different pool — there is
+//! no process-wide pool to go stale. The pool stops when the
 //! service and its last open session are gone. An admission wait is one
 //! [`Wait`], waking every 25 ms. A grant is work-conserving: it waits
 //! only for a contender that can hand off to it (see
@@ -697,12 +696,6 @@ impl CheckpointService {
                 session_seq: AtomicU32::new(0),
             }),
         }
-    }
-
-    /// The service-owned flush pool, for embedding executors to register
-    /// their writers on.
-    pub fn pool(&self) -> &Arc<FlushPool> {
-        &self.inner.pool
     }
 
     /// Open a checkpoint session writing `name` for `tenant`. Admission

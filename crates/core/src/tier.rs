@@ -116,8 +116,10 @@ impl std::error::Error for TierError {}
 /// Configuration for the local staging tier.
 #[derive(Debug, Clone)]
 pub struct TierConfig {
-    /// The node-local tier's directory. Staging keeps nothing there; the
-    /// manager reaps `*.slab` files older builds left in it.
+    /// The node-local tier's directory. The manager creates it, and
+    /// staging keeps nothing there: a stage holds the writers' buffers
+    /// in memory, and a restore from it checks the header shapes, while
+    /// a restore from the burst or PFS copy verifies every byte it reads.
     pub local_dir: PathBuf,
     /// Bytes one generation may stage. Staging more than this fails
     /// with [`TierError::StageFull`].
