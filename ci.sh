@@ -60,8 +60,9 @@ echo "== benchmark package (outside the workspace) builds and passes its tests =
 
 echo "== perf trajectory (BENCH_trajectory.json) is valid =="
 # Schema, increasing PR order, verdicts that follow from their numbers,
-# and every claimed row ok.
+# and every claimed row ok; then the chained ratios render.
 target/debug/trajectory check
+target/debug/trajectory render > /dev/null
 
 echo "== rbio-check fast schedule sweep (256 seeds) =="
 # Deterministic schedule exploration of the concurrency harness's
@@ -84,6 +85,9 @@ RBC=target/debug/rbio-check
 "$RBC" sweep --program p9c --seeds 32
 "$RBC" sweep --program p10 --seeds 16
 "$RBC" sweep --program p11 --seeds 16
+# p11 (coIO through exec) is the controlled family that runs exec plan
+# barriers: their waiters are mailbox receives, on RecvEmpty's budget.
+"$RBC" sweep --program p11 --seeds 64 --preempt
 "$RBC" sweep --program p12 --seeds 16
 "$RBC" sweep --program p13 --seeds 16
 # The p9b sweep must catch a planted arrival-blind grant (the

@@ -10,6 +10,7 @@
 //!
 //! ```text
 //! trajectory check
+//! trajectory render
 //! trajectory append --pr N --seeds FIRST-LAST [--set K] [--claim WORKLOAD/METRIC]
 //!                   [--parent-commit P] PARENT.json CHANGE.json
 //! ```
@@ -17,7 +18,10 @@
 //! `check` validates `BENCH_trajectory.json`: the schema, records in
 //! increasing PR order (sets of one PR in increasing set order), every
 //! verdict following from its row's numbers under the record's gates,
-//! and every claimed row `ok`. `append` reads the two result files
+//! and every claimed row `ok`. `render` prints, per workload and
+//! end-to-end metric, the chain of same-session ratios across the
+//! records multiplied through, with an error bar from the chained
+//! spreads. `append` reads the two result files
 //! `run.sh compare` reads (each the untraced runs of every pair on one
 //! side), applies `BENCHMARK.json`'s gates exactly as `compare` does, and
 //! appends the record with a `null` commit: it lands in the commit that
@@ -82,9 +86,10 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let result = match args.first().map(String::as_str) {
         Some("check") => cmd_check(),
+        Some("render") => cmd_render(),
         Some("append") => cmd_append(&args[1..]),
         _ => Err(
-            "usage: trajectory check [FILE] | trajectory append --pr N --seeds A-B \
+            "usage: trajectory check | trajectory render | trajectory append --pr N --seeds A-B \
                   [--set K] [--claim WORKLOAD/METRIC] [--commit C] [--parent-commit P] \
                   [--file FILE] [--benchmark FILE] PARENT.json CHANGE.json"
                 .into(),
@@ -110,6 +115,12 @@ fn cmd_check() -> Result<String, String> {
     let records = parse_file(&read(FILE)?)?;
     check(&records)?;
     Ok(format!("{FILE}: {} records, all valid", records.len()))
+}
+
+fn cmd_render() -> Result<String, String> {
+    let records = parse_file(&read(FILE)?)?;
+    check(&records)?;
+    Ok(render(&records))
 }
 
 fn cmd_append(args: &[String]) -> Result<String, String> {
@@ -386,6 +397,67 @@ fn record_from(head: Head, benchmark: &str, parent: &str, change: &str) -> Resul
     })
 }
 
+// ---------------------------------------------------------------- render
+
+/// A link of a chain: a PR, its same-session ratio and the row's spread.
+type Link = (u64, f64, f64);
+
+/// Each (workload, metric) row's chain, one link per PR, taken from the
+/// PR's first set that has the row.
+fn chains(records: &[Record]) -> Vec<((&str, &str), Vec<Link>)> {
+    let mut out: Vec<((&str, &str), Vec<Link>)> = Vec::new();
+    for r in records {
+        for row in &r.rows {
+            let key = (row.workload.as_str(), row.metric.as_str());
+            let links = match out.iter_mut().find(|(k, _)| *k == key) {
+                Some((_, links)) => links,
+                None => {
+                    out.push((key, Vec::new()));
+                    &mut out.last_mut().expect("just pushed").1
+                }
+            };
+            // A later set of the same PR measured the same change again.
+            if links.last().is_none_or(|&(pr, _, _)| pr != r.pr) {
+                links.push((r.pr, row.ratio, row.spread));
+            }
+        }
+    }
+    out
+}
+
+/// The chained ratio and its bar: the product of the links' ratios, and
+/// that product times `exp(∓√Σ ln²(1 + spread))` — each link's spread
+/// taken as an independent relative error.
+fn chained(links: &[Link]) -> (f64, f64, f64) {
+    let product: f64 = links.iter().map(|&(_, ratio, _)| ratio).product();
+    let rss = links
+        .iter()
+        .map(|&(_, _, spread)| (1.0 + spread).ln().powi(2))
+        .sum::<f64>()
+        .sqrt();
+    (product, product * (-rss).exp(), product * rss.exp())
+}
+
+fn render(records: &[Record]) -> String {
+    let mut out = String::from(
+        "Chained same-session ratios (change ÷ parent; one set per PR, its first \
+         with the row).\nBar: product × exp(∓√Σ ln²(1 + spread)).\n",
+    );
+    for ((workload, metric), links) in chains(records) {
+        let (product, lo, hi) = chained(&links);
+        let steps: Vec<String> = links
+            .iter()
+            .map(|(pr, ratio, _)| format!("{pr}:{ratio:.3}"))
+            .collect();
+        out.push_str(&format!(
+            "{workload} {metric}: {product:.3} [{lo:.3}, {hi:.3}] over {} PRs ({})\n",
+            links.len(),
+            steps.join(" · ")
+        ));
+    }
+    out
+}
+
 // ---------------------------------------------------------------- file
 
 fn parse_file(text: &str) -> Result<Vec<Record>, String> {
@@ -537,14 +609,13 @@ fn check_record(r: &Record) -> Result<(), String> {
         }
         // The verdict must follow from the row's numbers. The ratio is
         // the one `compare` printed, so a table copied at its precision
-        // checks too.
-        let want = verdict(
-            gate,
-            row.spread,
-            1.0,
-            if row.parent == 0.0 { 1.0 } else { row.ratio },
-        );
-        if row.verdict != want {
+        // checks too; such a table (no quartile distances) printed the
+        // spread to 0.1 %, so either side of that rounding will do.
+        let change = if row.parent == 0.0 { 1.0 } else { row.ratio };
+        let copied = row.parent_qd.is_none() && row.change_qd.is_none();
+        let rounding = if copied { 0.0005 } else { 0.0 };
+        let want = verdict(gate, row.spread + rounding, 1.0, change);
+        if row.verdict != want && row.verdict != verdict(gate, row.spread - rounding, 1.0, change) {
             return Err(format!(
                 "{at}: verdict {} but its numbers say {want}",
                 row.verdict
@@ -652,6 +723,66 @@ mod tests {
         check(&records).expect("valid");
         assert!(records.iter().any(|r| r.source == "CHANGES.md"));
         assert_eq!(parse_file(&to_json(&records)).unwrap(), records);
+    }
+
+    #[test]
+    fn the_committed_trajectory_renders_every_chain() {
+        let records = parse_file(COMMITTED).expect("parses");
+        let text = render(&records);
+        // The newest PR's links come from its first set.
+        let newest = records.last().expect("records").pr;
+        let last = records.iter().find(|r| r.pr == newest).expect("newest");
+        for row in &last.rows {
+            let head = format!("{} {}: ", row.workload, row.metric);
+            let line = text.lines().find(|l| l.starts_with(&head));
+            let line = line.unwrap_or_else(|| panic!("no chain for {head}"));
+            assert!(
+                line.contains(&format!("{}:{:.3}", last.pr, row.ratio)),
+                "{line}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_chain_multiplies_one_set_per_pr_and_widens_its_bar() {
+        let (gates, _) = benchmark_spec(BENCHMARK).unwrap();
+        let row = |ratio: f64, spread: f64| Row {
+            workload: "w".into(),
+            metric: "ckpt_gbps".into(),
+            parent: 1.0,
+            change: ratio,
+            ratio,
+            spread,
+            parent_qd: None,
+            change_qd: None,
+            verdict: "ok".into(),
+        };
+        let record = |pr: u64, set: u64, r: Row| Record {
+            pr,
+            set,
+            source: "test".into(),
+            parent: "p".into(),
+            commit: None,
+            seeds: "1-2".into(),
+            pairs: 2,
+            claim: None,
+            gates: gates.clone(),
+            rows: vec![r],
+        };
+        let records = [
+            record(1, 1, row(2.0, 0.1)),
+            // A second set of PR 1 is the same change measured again.
+            record(1, 2, row(3.0, 0.2)),
+            record(2, 1, row(0.5, 0.1)),
+        ];
+        let found = chains(&records);
+        assert_eq!(found.len(), 1);
+        assert_eq!(found[0].1, vec![(1, 2.0, 0.1), (2, 0.5, 0.1)]);
+        let (product, lo, hi) = chained(&found[0].1);
+        let rss = (2.0 * 1.1f64.ln().powi(2)).sqrt();
+        assert!((product - 1.0).abs() < 1e-12);
+        assert!((lo - (-rss).exp()).abs() < 1e-12 && (hi - rss.exp()).abs() < 1e-12);
+        assert!(render(&records).contains("w ckpt_gbps: 1.000 [0.874, 1.144] over 2 PRs"));
     }
 
     #[test]
@@ -777,6 +908,21 @@ mod tests {
         assert!(check(&[claimed])
             .unwrap_err()
             .contains("numbers say unresolved"));
+        // A copied table printed its spread to 0.1 %: a spread printed at
+        // the bound may be either side of it, and only that one.
+        let mut copied = Record {
+            claim: None,
+            ..r.clone()
+        };
+        let row = &mut copied.rows[i];
+        (row.parent_qd, row.change_qd, row.spread) = (None, None, 0.25);
+        for v in ["ok", "unresolved"] {
+            copied.rows[i].verdict = v.into();
+            check(std::slice::from_ref(&copied)).unwrap();
+        }
+        copied.rows[i].spread = 0.251;
+        copied.rows[i].verdict = "ok".into();
+        assert!(check(&[copied]).unwrap_err().contains("numbers say"));
         // Schema.
         assert!(parse_file("{\"schema_version\":2,\"records\":[]}").is_err());
         assert!(parse_file(&to_json(&[r]).replace("\"pairs\": 2", "\"pairs\": \"2\"")).is_err());

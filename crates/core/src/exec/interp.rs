@@ -8,10 +8,10 @@
 //! ranks only through a [`Transport`], so the three ways a plan runs for
 //! real differ in the transport alone:
 //!
-//! * [`crate::exec::execute`] — bounded mailboxes, condvar barriers, an
-//!   abort flag, failover fencing on sends;
+//! * [`crate::exec::execute`] — bounded mailboxes, an abort flag,
+//!   failover fencing on sends;
 //! * [`crate::rt::checkpoint_rank_with`] — the application's
-//!   [`crate::rt::Comm`], barriers as tagged fan-in/fan-out messages;
+//!   [`crate::rt::Comm`];
 //! * writer takeover — a successor re-running an orphan's ops, where a
 //!   receive is *pulled* out of the sender's payload instead of waited
 //!   for.
@@ -28,7 +28,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 
-use rbio_plan::{DataRef, Op, Program};
+use rbio_plan::{DataRef, Op, Program, RESERVED_TAG_BASE};
 use rbio_profile::counters;
 
 use super::mailbox::MailError;
@@ -48,7 +48,6 @@ use crate::tier::TierStage;
 pub(crate) enum Blocked {
     Send { dst: u32, tag: u64 },
     Recv { src: u32, tag: u64 },
-    Barrier,
 }
 
 /// Why a rank stopped mid-plan. Converted to `ExecError` / `RtError` at
@@ -62,7 +61,7 @@ pub(crate) enum StepError {
     /// A *peer* failed and the run is being torn down; collateral, never
     /// the root cause.
     Aborted,
-    /// A send, receive or barrier outlived its deadline.
+    /// A send or receive outlived its deadline.
     Timeout { op: Blocked, waited: Duration },
     /// A peer's endpoint is gone.
     PeerGone { peer: u32 },
@@ -111,8 +110,6 @@ pub(crate) trait Transport {
     fn send(&mut self, dst: u32, tag: u64, data: Bytes) -> Result<(), StepError>;
     /// The next message from `src` under plan tag `tag`.
     fn recv(&mut self, src: u32, tag: u64) -> Result<Bytes, StepError>;
-    /// Rendezvous with the other members of plan communicator `comm`.
-    fn barrier(&mut self, comm: u32) -> Result<(), StepError>;
     /// Called before every op; an `Err` stops the rank there.
     fn op_boundary(&mut self) -> Result<(), StepError> {
         Ok(())
@@ -372,7 +369,7 @@ impl<'a, T: Transport> Interp<'a, T> {
                     // commits"), so the pipeline must be empty on entry.
                     self.drain_pipe()?;
                     sched::emit(|| sched::Event::BarrierEnter { rank: self.rank });
-                    self.transport.barrier(comm.0)?;
+                    self.barrier(comm.0)?;
                 }
                 Op::Open { file, create } => self.open(file.0, *create)?,
                 Op::WriteAt { file, offset, .. } => {
@@ -400,6 +397,36 @@ impl<'a, T: Transport> Interp<'a, T> {
             i += 1;
         }
         self.drain_pipe()
+    }
+
+    /// Rendezvous with the other members of plan communicator `comm`: a
+    /// flat fan-in/fan-out over its first member, one empty message each
+    /// way per other member, under tag [`RESERVED_TAG_BASE`]` + comm`, so
+    /// groups barrier independently, no plan `Recv` matches a barrier
+    /// message, and a waiter times out or aborts as a `Recv` does.
+    fn barrier(&mut self, comm: u32) -> Result<(), StepError> {
+        if self.owner != self.rank {
+            // A successor cannot stand in for an orphan at a collective.
+            return Err(StepError::PlanMismatch(format!(
+                "takeover of rank {} hit a barrier (unsupported plan shape)",
+                self.owner
+            )));
+        }
+        let members = &self.program.comms[comm as usize];
+        let (leader, rest) = members.split_first().expect("validated: comm has members");
+        let tag = RESERVED_TAG_BASE + u64::from(comm);
+        if self.rank == *leader {
+            for &m in rest {
+                self.transport.recv(m, tag)?;
+            }
+            for &m in rest {
+                self.transport.send(m, tag, Bytes::new())?;
+            }
+        } else {
+            self.transport.send(*leader, tag, Bytes::new())?;
+            self.transport.recv(*leader, tag)?;
+        }
+        Ok(())
     }
 
     /// The tier stage `file` diverts into: staging must be configured
@@ -483,55 +510,48 @@ impl<'a, T: Transport> Interp<'a, T> {
             (write_src(o), at)
         });
 
-        if let Some(stage) = stage {
-            // The stage holds the pieces a deferred write would own:
-            // slices of the immutable sources, no byte moved.
-            let name = &self.program.files[file as usize].name;
-            let mut parts = Vec::new();
+        if stage.is_none() && self.pipe.is_none() {
+            // Serial: the write completes before the op retires, so it
+            // goes straight from the borrowed pieces — one gather, no copy.
+            let f = self.files.get(&file).expect("validated: opened");
+            let ctx = IoCtx {
+                rank: self.rank,
+                wid: 0,
+                faults: &self.cfg.faults,
+                write_retries: self.cfg.write_retries,
+                retry_backoff: self.cfg.retry_backoff,
+            };
+            let mut srcs = Vec::new();
             for (src, at) in chunks {
-                parts.clear();
-                self.gather_owned(src, at, &mut parts);
-                stage
-                    .append_bytes(name, at, &parts)
-                    .map_err(io::Error::other)?;
+                self.gather(src, at, &mut srcs);
+            }
+            let attempts = fault::write_at(&ctx, f, offset, &srcs)?;
+            self.retries += u64::from(attempts);
+            if self.cfg.fsync_on_close {
+                pipeline::hint_writeback(f, offset, run_bytes);
             }
             return Ok(end);
         }
-        let f = self.files.get(&file).expect("validated: opened");
-        if let Some(pipe) = &self.pipe {
-            // Deferred flush: the job owns its pieces — slices of the
-            // immutable sources the staging map references, so later
-            // staging ops never race with the background write.
-            let mut bufs = Vec::new();
-            for (src, at) in chunks {
-                self.gather_owned(src, at, &mut bufs);
-            }
-            let file = Arc::clone(f);
+        // Deferred: the stage or the flush job owns the run's pieces —
+        // slices of the immutable sources the staging map references, so
+        // later staging ops never race with the background write.
+        let mut bufs = Vec::new();
+        for (src, at) in chunks {
+            self.gather_owned(src, at, &mut bufs);
+        }
+        if let Some(stage) = stage {
+            let name = &self.program.files[file as usize].name;
+            stage
+                .append_bytes(name, offset, &bufs)
+                .map_err(io::Error::other)?;
+        } else if let Some(pipe) = &self.pipe {
+            let file = Arc::clone(self.files.get(&file).expect("validated: opened"));
             pipe.submit(if bufs.len() == 1 {
                 let data = bufs.pop().expect("one piece");
                 FlushJob::Write { file, offset, data }
             } else {
                 FlushJob::WriteV { file, offset, bufs }
             })?;
-            return Ok(end);
-        }
-        // Serial: the write completes before the op retires, so it goes
-        // straight from the borrowed pieces — one gather, no copy.
-        let ctx = IoCtx {
-            rank: self.rank,
-            wid: 0,
-            faults: &self.cfg.faults,
-            write_retries: self.cfg.write_retries,
-            retry_backoff: self.cfg.retry_backoff,
-        };
-        let mut srcs = Vec::new();
-        for (src, at) in chunks {
-            self.gather(src, at, &mut srcs);
-        }
-        let attempts = fault::write_at(&ctx, f, offset, &srcs)?;
-        self.retries += u64::from(attempts);
-        if self.cfg.fsync_on_close {
-            pipeline::hint_writeback(f, offset, run_bytes);
         }
         Ok(end)
     }

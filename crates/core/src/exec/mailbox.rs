@@ -20,7 +20,7 @@ use crate::sched::{Point, Wait};
 
 /// How often a blocked receive wakes to bump the heartbeat and re-check
 /// the abort flag.
-const RECV_POLL: Duration = Duration::from_millis(25);
+pub(super) const RECV_POLL: Duration = Duration::from_millis(25);
 
 /// How often a sender facing a full mailbox retries.
 const SEND_POLL: Duration = Duration::from_micros(100);

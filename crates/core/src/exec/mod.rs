@@ -328,9 +328,6 @@ impl StepError {
                         "recv timeout: no message from rank {src} tag {tag} within {waited:?} \
                          (lost handoff?)"
                     ),
-                    Blocked::Barrier => {
-                        format!("barrier timeout: peers missing after {waited:?}")
-                    }
                 },
             ),
             StepError::PeerGone { .. } => io::Error::other("message channel closed"),
@@ -340,74 +337,18 @@ impl StepError {
     }
 }
 
-/// A barrier whose waiters poll a shared abort flag, so one rank dying
-/// mid-plan (injected fault or real I/O error) releases everyone with an
-/// error instead of wedging the whole executor. `std::sync::Barrier` has
-/// no such escape hatch.
-struct AbortBarrier {
-    n: usize,
-    state: Mutex<(u64, usize)>, // (generation, arrived)
-    cvar: Condvar,
-}
-
-impl AbortBarrier {
-    fn new(n: usize) -> Self {
-        AbortBarrier {
-            n,
-            state: Mutex::new((0, 0)),
-            cvar: Condvar::new(),
-        }
-    }
-
-    fn wait(&self, abort: &AtomicBool, timeout: Duration) -> Result<(), StepError> {
-        let mut g = self.state.lock().expect("barrier lock");
-        g.1 += 1;
-        if g.1 == self.n {
-            g.0 += 1;
-            g.1 = 0;
-            self.cvar.notify_all();
-            return Ok(());
-        }
-        let generation = g.0;
-        // Sleep until the generation advances or a failing peer wakes us
-        // (`wake`). Past the deadline a peer is lost without having raised
-        // the abort flag: a typed timeout, not a wedge.
-        let mut wait = Wait::new(Point::BarrierWait, Some(timeout));
-        while g.0 == generation {
-            if abort.load(Ordering::Acquire) {
-                return Err(StepError::Aborted);
-            }
-            g = wait
-                .park(&self.state, &self.cvar, g)
-                .map_err(|(_, waited)| StepError::Timeout {
-                    op: Blocked::Barrier,
-                    waited,
-                })?;
-        }
-        Ok(())
-    }
-
-    /// Wake all waiters so they re-check the abort flag. Called by a
-    /// failing rank after it raises `abort`.
-    fn wake(&self) {
-        self.cvar.notify_all();
-    }
-}
-
 /// What every rank thread of one [`execute`] call shares.
 struct Shared<'a> {
     program: &'a Program,
     payloads: &'a [Bytes],
     cfg: &'a ExecConfig,
-    barriers: &'a [AbortBarrier],
     abort: &'a Arc<AtomicBool>,
     /// Present when the policy is enabled and the plan supports takeover.
     director: Option<&'a FailoverDirector>,
 }
 
-/// A rank thread's way to its peers: its mailbox, the plan's barriers,
-/// and — with failover engaged — the fence that reroutes sends around a
-/// dead writer.
+/// A rank thread's way to its peers: its mailbox and — with failover
+/// engaged — the fence that reroutes sends around a dead writer.
 struct ExecTransport<'a> {
     rank: u32,
     mail: Mailbox,
@@ -442,10 +383,6 @@ impl Transport for ExecTransport<'_> {
         self.mail
             .recv(src, tag)
             .map_err(|e| e.during(Blocked::Recv { src, tag }, src))
-    }
-
-    fn barrier(&mut self, comm: u32) -> Result<(), StepError> {
-        self.sh.barriers[comm as usize].wait(self.sh.abort, self.sh.cfg.recv_timeout)
     }
 
     fn op_boundary(&mut self) -> Result<(), StepError> {
@@ -501,13 +438,6 @@ impl Transport for PullTransport<'_> {
                  tag {tag} in the plan (unsupported plan shape)"
             ))),
         }
-    }
-
-    fn barrier(&mut self, _comm: u32) -> Result<(), StepError> {
-        Err(StepError::PlanMismatch(format!(
-            "takeover of rank {} hit a barrier (unsupported plan shape)",
-            self.orphan
-        )))
     }
 
     fn op_boundary(&mut self) -> Result<(), StepError> {
@@ -599,18 +529,6 @@ fn run_rank(it: &mut Interp<'_, ExecTransport<'_>>) -> (Duration, Result<(), Ste
         }
     }
     (dt, res)
-}
-
-/// Ranks that perform file ops — the failover domain. For rbIO these are
-/// the `ng` aggregating writers; for one-file-per-process every rank.
-fn writer_ranks(program: &Program) -> Vec<u32> {
-    (0..program.nranks())
-        .filter(|&r| {
-            program.ops[r as usize]
-                .iter()
-                .any(|o| matches!(o, Op::Open { .. }))
-        })
-        .collect()
 }
 
 /// Can a dead writer's extent be re-derived by a successor?
@@ -777,15 +695,60 @@ pub fn execute(
     }
     std::fs::create_dir_all(&cfg.base_dir)
         .map_err(|e| ExecError::Setup(format!("create base dir: {e}")))?;
+
+    let (ends, failovers) = run_plan(program, &payloads, cfg);
+    let mut rank_times = Vec::with_capacity(nranks);
+    let mut retries = 0;
+    // Prefer a root-cause error (fault/I-O) over abort-induced collateral.
+    let mut first_err: Option<ExecError> = None;
+    let mut first_collateral: Option<ExecError> = None;
+    for (rank, (dt, res, retried)) in ends.into_iter().enumerate() {
+        let rank = rank as u32;
+        rank_times.push(dt);
+        retries += retried;
+        if let Err(e) = res {
+            let slot = match e {
+                StepError::Aborted => &mut first_collateral,
+                _ => &mut first_err,
+            };
+            slot.get_or_insert(ExecError::Io {
+                rank,
+                source: e.into_io(rank),
+            });
+        }
+    }
+
+    if let Some(e) = first_err.or(first_collateral) {
+        return Err(e);
+    }
+    let stats = program.stats();
+    let wall_time = rank_times.iter().copied().max().unwrap_or(Duration::ZERO);
+    Ok(ExecReport {
+        rank_times,
+        wall_time,
+        bytes_written: stats.bytes_written,
+        bytes_sent: stats.bytes_sent,
+        retries,
+        failovers,
+    })
+}
+
+/// One rank's end of an [`execute`] run: its time, its result and its
+/// write retries.
+type RankEnd = (Duration, Result<(), StepError>, u64);
+
+/// Run `program` on one thread per rank; every rank's end in rank order,
+/// and the takeovers the run completed.
+fn run_plan(
+    program: &Program,
+    payloads: &[Bytes],
+    cfg: &ExecConfig,
+) -> (Vec<RankEnd>, Vec<(u32, u32)>) {
+    let nranks = program.nranks() as usize;
     sched::emit(|| sched::Event::ExecStarted {
         nranks: nranks as u32,
     });
 
-    let barriers: Vec<AbortBarrier> = program
-        .comms
-        .iter()
-        .map(|m| AbortBarrier::new(m.len()))
-        .collect();
     let start_gate = Barrier::new(nranks);
     let abort = Arc::new(AtomicBool::new(false));
     let run_over: RunOver = Default::default();
@@ -794,7 +757,7 @@ pub fn execute(
     // Failover engages only when the policy asks for it AND the plan
     // shape supports pull-based takeover; otherwise a dead writer aborts
     // the run exactly as before.
-    let writers = writer_ranks(program);
+    let writers = program.writer_ranks();
     let director = (cfg.failover.enabled && failover_supported(program, &writers))
         .then(|| FailoverDirector::new(cfg.failover, writers));
     let director = director.as_ref();
@@ -803,9 +766,8 @@ pub fn execute(
     let heartbeats: Vec<Arc<AtomicU64>> = (0..nranks).map(|_| Arc::default()).collect();
     let sh = &Shared {
         program,
-        payloads: &payloads,
+        payloads,
         cfg,
-        barriers: &barriers,
         abort: &abort,
         director,
     };
@@ -831,9 +793,9 @@ pub fn execute(
         }
         let (dt, res) = run_rank(&mut it);
         if res.is_err() {
-            // Release peers stuck in barriers/receives, and the monitor.
+            // Release peers blocked in the mailbox (at its next poll),
+            // and the monitor.
             abort.store(true, Ordering::Release);
-            barriers.iter().for_each(AbortBarrier::wake);
             end_run(&run_over);
         }
         (dt, res, it.retries)
@@ -849,48 +811,15 @@ pub fn execute(
         joined
     });
 
-    let mut rank_times = vec![Duration::ZERO; nranks];
-    let mut retries = 0;
-    // Prefer a root-cause error (fault/I-O) over abort-induced collateral.
-    let mut first_err: Option<ExecError> = None;
-    let mut first_collateral: Option<ExecError> = None;
-    for (rank, joined) in joined.into_iter().enumerate() {
-        let rank = rank as u32;
-        let res = match joined {
-            Ok((dt, res, retried)) => {
-                rank_times[rank as usize] = dt;
-                retries += retried;
-                res
-            }
-            Err(_) => Err(StepError::Io(io::Error::other("rank thread panicked"))),
-        };
-        if let Err(e) = res {
-            let slot = match e {
-                StepError::Aborted => &mut first_collateral,
-                _ => &mut first_err,
-            };
-            slot.get_or_insert(ExecError::Io {
-                rank,
-                source: e.into_io(rank),
-            });
-        }
-    }
-
-    if let Some(e) = first_err.or(first_collateral) {
-        return Err(e);
-    }
-    let stats = program.stats();
-    let wall_time = rank_times.iter().copied().max().unwrap_or(Duration::ZERO);
-    Ok(ExecReport {
-        rank_times,
-        wall_time,
-        bytes_written: stats.bytes_written,
-        bytes_sent: stats.bytes_sent,
-        retries,
-        failovers: director
-            .map(|d| d.completed_takeovers())
-            .unwrap_or_default(),
-    })
+    let panicked = || Err(StepError::Io(io::Error::other("rank thread panicked")));
+    let ends = joined
+        .into_iter()
+        .map(|j| j.unwrap_or_else(|_| (Duration::ZERO, panicked(), 0)))
+        .collect();
+    let failovers = director
+        .map(|d| d.completed_takeovers())
+        .unwrap_or_default();
+    (ends, failovers)
 }
 
 #[cfg(test)]
@@ -1465,6 +1394,133 @@ mod tests {
     }
 
     #[test]
+    fn a_rank_killed_before_its_barrier_releases_its_group_within_one_poll() {
+        // coIO(2) over 8 ranks: each group's leader writes the header,
+        // then the group barriers. Leader 0 dies at that first write, so
+        // members 1–3 wait in the barrier's fan-out receive. They must see
+        // the abort at the mailbox's next poll, not at `recv_timeout`.
+        use crate::strategy::{CheckpointSpec, Strategy};
+        let layout = crate::layout::DataLayout::uniform(8, &[("u", 4096), ("v", 512)]);
+        let plan = CheckpointSpec::new(layout, "abort")
+            .strategy(Strategy::coio(2))
+            .plan()
+            .unwrap();
+        assert_eq!(plan.program.comms[0], vec![0, 1, 2, 3]);
+        let dir = tmpdir("barrier-abort");
+        let cfg = ExecConfig::new(&dir).faults(FaultPlan::none().kill_writer_after_bytes(0, 0));
+        let payloads: Vec<Bytes> = crate::format::materialize_payloads(&plan, |_, _, b| b.fill(3))
+            .into_iter()
+            .map(Into::into)
+            .collect();
+        let (ends, _) = run_plan(&plan.program, &payloads, &cfg);
+        let (killed_at, killed, _) = &ends[0];
+        assert!(matches!(killed, Err(StepError::Killed)), "{killed:?}");
+        // The slack covers waking and scheduling eight threads on a
+        // loaded two-core box; `recv_timeout` (2 s) is far beyond it.
+        let bound = *killed_at + mailbox::RECV_POLL + Duration::from_millis(100);
+        assert!(bound < cfg.recv_timeout);
+        for (m, (dt, res, _)) in ends.iter().enumerate().take(4).skip(1) {
+            assert!(matches!(res, Err(StepError::Aborted)), "rank {m}: {res:?}");
+            assert!(
+                *dt <= bound,
+                "rank {m} returned after {dt:?}, bound {bound:?}"
+            );
+        }
+        // The other group finished, or was caught blocked by the abort.
+        for (r, (_, res, _)) in ends.iter().enumerate().skip(4) {
+            assert!(
+                matches!(res, Ok(()) | Err(StepError::Aborted)),
+                "rank {r}: {res:?}"
+            );
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_barrier_member_that_never_arrives_is_a_typed_timeout() {
+        // Rank 1 never reaches the barrier and nothing aborts: rank 0, the
+        // group's first member, waits in the fan-in receive until
+        // `recv_timeout`, then fails typed instead of hanging.
+        let mut b = ProgramBuilder::new(vec![0, 0]);
+        let c = b.comm(vec![0, 1]);
+        b.push(0, Op::Barrier { comm: c });
+        let p = b.build();
+        let dir = tmpdir("barrier-missing");
+        let cfg = ExecConfig {
+            recv_timeout: Duration::from_millis(100),
+            ..ExecConfig::new(&dir)
+        };
+        let t0 = Instant::now();
+        let err = execute(&p, vec![Vec::<u8>::new(), vec![]], &cfg).unwrap_err();
+        let took = t0.elapsed();
+        match err {
+            ExecError::Io { rank: 0, source } => {
+                assert_eq!(source.kind(), io::ErrorKind::TimedOut, "{source}");
+                assert!(
+                    source.to_string().contains("no message from rank 1"),
+                    "{source}"
+                );
+            }
+            other => panic!("expected rank 0's receive timeout, got {other}"),
+        }
+        assert!(
+            took >= cfg.recv_timeout && took < Duration::from_secs(2),
+            "{took:?}"
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn strategy_plans_keep_the_writer_list_and_barrier_premises() {
+        use crate::strategy::{CheckpointSpec, RbIoCommit, Strategy};
+        let layout = crate::layout::DataLayout::uniform(8, &[("u", 4096), ("v", 512)]);
+        let program = |s: Strategy| {
+            CheckpointSpec::new(layout.clone(), "w")
+                .strategy(s)
+                .plan()
+                .unwrap()
+                .program
+        };
+        for s in [
+            Strategy::OnePfpp,
+            Strategy::rbio(2),
+            Strategy::RbIo {
+                ng: 2,
+                commit: RbIoCommit::CollectiveShared,
+            },
+            Strategy::coio(2),
+            Strategy::CoIo {
+                nf: 2,
+                aggregator_ratio: 1,
+            },
+        ] {
+            let p = program(s);
+            let opens: Vec<u32> = (0..p.nranks())
+                .filter(|&r| {
+                    p.ops[r as usize]
+                        .iter()
+                        .any(|o| matches!(o, Op::Open { .. }))
+                })
+                .collect();
+            let writers = p.writer_ranks();
+            // The failover domain is the ranks with a `WriteAt`. Where
+            // that differs from the ranks with an `Open` (coIO: every
+            // member opens the shared file, only aggregators write),
+            // both lists meet a barrier, so takeover is refused either way.
+            if opens != writers {
+                assert!(
+                    !failover_supported(&p, &opens) && !failover_supported(&p, &writers),
+                    "{s:?}: opens {opens:?}, writers {writers:?}"
+                );
+            }
+        }
+        // The plans of the gated `exec` workloads run no barrier.
+        for s in [Strategy::rbio(2), Strategy::OnePfpp] {
+            assert_eq!(program(s).stats().barriers, 0, "{s:?}");
+        }
+    }
+
+    #[test]
     fn execute_under_failover_returns_when_its_ranks_do() {
         // rbIO(2) with the monitor on and a 500 ms poll: the ranks finish
         // in milliseconds, and `execute` must not wait out the poll.
@@ -1474,7 +1530,7 @@ mod tests {
             .strategy(Strategy::rbio(2))
             .plan()
             .unwrap();
-        let writers = writer_ranks(&plan.program);
+        let writers = plan.program.writer_ranks();
         assert!(failover_supported(&plan.program, &writers), "{writers:?}");
         let dir = tmpdir("failover-returns");
         let policy = FailoverPolicy {

@@ -42,7 +42,7 @@ use std::fs::File;
 use std::io;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, RwLock};
+use std::sync::{Arc, Condvar, LockResult, Mutex, MutexGuard, OnceLock, PoisonError, RwLock};
 use std::time::Duration;
 
 use rbio_plan::Rank;
@@ -290,6 +290,15 @@ pub struct FlushPool {
 /// one, so schedule decisions see a fixed, named set of worker threads.
 static CHECK_POOL: RwLock<Option<Arc<FlushPool>>> = RwLock::new(None);
 
+/// A pool lock's guard (the writer table's or [`CHECK_POOL`]'s), poisoned
+/// or not. Every edit under the pool lock is straight-line bookkeeping
+/// that cannot panic midway, and jobs run with the lock released, so a
+/// panic elsewhere on a thread holding a guard leaves no half-made change
+/// to refuse.
+fn unpoisoned<G>(guard: LockResult<G>) -> G {
+    guard.unwrap_or_else(PoisonError::into_inner)
+}
+
 impl FlushPool {
     fn global_arc() -> &'static Arc<FlushPool> {
         static POOL: OnceLock<Arc<FlushPool>> = OnceLock::new();
@@ -311,6 +320,7 @@ impl FlushPool {
             std::thread::Builder::new()
                 .name(format!("{name}-{i}"))
                 .spawn(move || worker_loop(&s))
+                // A pool without its workers would queue jobs forever.
                 .expect("spawn flush worker");
         }
         Arc::new(FlushPool { shared, threads })
@@ -340,7 +350,7 @@ impl FlushPool {
     /// process default.
     pub fn current() -> Arc<FlushPool> {
         if sched::controlled() {
-            if let Some(p) = CHECK_POOL.read().expect("check pool lock").as_ref() {
+            if let Some(p) = unpoisoned(CHECK_POOL.read()).as_ref() {
                 return Arc::clone(p);
             }
         }
@@ -352,7 +362,7 @@ impl FlushPool {
     /// pool persists for the process; workers park between runs.
     #[doc(hidden)]
     pub fn init_check_pool(threads: usize) {
-        let mut slot = CHECK_POOL.write().expect("check pool lock");
+        let mut slot = unpoisoned(CHECK_POOL.write());
         if slot.is_some() {
             return;
         }
@@ -366,6 +376,7 @@ impl FlushPool {
                     sched::register(&format!("flush{i}"));
                     worker_loop(&s)
                 })
+                // As above: a controlled run cannot start without them.
                 .expect("spawn check flush worker");
         }
         *slot = Some(Arc::new(FlushPool { shared, threads }));
@@ -378,9 +389,9 @@ impl FlushPool {
     /// guarantee no run is active and all pool workers are parked.
     #[doc(hidden)]
     pub fn reset_check_pool() {
-        let slot = CHECK_POOL.read().expect("check pool lock");
+        let slot = unpoisoned(CHECK_POOL.read());
         let Some(pool) = slot.as_ref() else { return };
-        let mut g = pool.shared.inner.lock().expect("pool lock");
+        let mut g = unpoisoned(pool.shared.inner.lock());
         assert!(
             g.runnable.is_empty() && g.writers.iter().all(|w| !w.occupied && w.in_flight == 0),
             "reset_check_pool during an active run"
@@ -420,7 +431,7 @@ impl FlushPool {
             seq: 0,
             occupied: true,
         };
-        let mut g = self.shared.inner.lock().expect("pool lock");
+        let mut g = unpoisoned(self.shared.inner.lock());
         let wid = match g.free.pop() {
             Some(w) => {
                 g.writers[w] = state;
@@ -455,7 +466,7 @@ impl WriterHandle {
     /// with the latched error if an earlier job already failed.
     pub fn submit(&self, job: FlushJob) -> Result<(), PipelineError> {
         let sh = &*self.shared;
-        let mut g = sh.inner.lock().expect("pool lock");
+        let mut g = unpoisoned(sh.inner.lock());
         let mut wait = Wait::new(Point::SubmitFull, None);
         loop {
             let w = &mut g.writers[self.wid];
@@ -513,7 +524,7 @@ impl WriterHandle {
     /// and return the pool lock.
     fn wait_idle(&self, point: Point) -> MutexGuard<'_, Inner> {
         let sh = &*self.shared;
-        let mut g = sh.inner.lock().expect("pool lock");
+        let mut g = unpoisoned(sh.inner.lock());
         let mut wait = Wait::new(point, None);
         while g.writers[self.wid].in_flight > 0 {
             g = wait.park(&sh.inner, &sh.done, g).unwrap_or_else(|(g, _)| g);
@@ -543,7 +554,7 @@ fn worker_loop(shared: &Shared) {
     let mut batch = Vec::new();
     let mut behind = Vec::new();
     let mut idle = Wait::new(Point::WorkerIdle, None);
-    let mut g = shared.inner.lock().expect("pool lock");
+    let mut g = unpoisoned(shared.inner.lock());
     loop {
         let wid = loop {
             if let Some(w) = g.runnable.pop_front() {
@@ -606,7 +617,7 @@ fn worker_loop(shared: &Shared) {
                 run_batch(&ctx, seq, &mut batch, &mut behind)
             };
             // Retire.
-            g = shared.inner.lock().expect("pool lock");
+            g = unpoisoned(shared.inner.lock());
             let w = &mut g.writers[wid];
             w.retries += u64::from(outcome.retries);
             let err_idx = outcome.error.as_ref().map(|(i, _)| *i);

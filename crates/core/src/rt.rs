@@ -156,9 +156,8 @@ impl StepError {
                 waited,
             },
             StepError::PlanMismatch(what) => RtError::PlanMismatch { rank, what },
-            // A file op failed. (`Aborted` and barrier timeouts land here
-            // too, but never arise over a `Comm`: it has no abort flag and
-            // its barriers are messages.)
+            // A file op failed. (`Aborted` lands here too, but never
+            // arises over a `Comm`: it has no abort flag.)
             e => RtError::Io {
                 rank,
                 source: e.into_io(rank),
@@ -173,7 +172,7 @@ pub struct Comm {
     size: u32,
     mail: Mailbox,
     world_barrier: Arc<Barrier>,
-    reduce_slots: Arc<Vec<Mutex<Vec<f64>>>>,
+    reduce_slots: Arc<Mutex<Vec<f64>>>,
 }
 
 impl Comm {
@@ -259,12 +258,12 @@ impl Comm {
     /// plus two barriers — fine at in-process scale.
     pub fn allreduce_f64(&self, value: f64, op: impl Fn(f64, f64) -> f64) -> f64 {
         {
-            let mut slot = self.reduce_slots[0].lock().expect("no poisoned locks");
+            let mut slot = self.reduce_slots.lock().expect("no poisoned locks");
             slot[self.rank as usize] = value;
         }
         self.barrier();
         let result = {
-            let slot = self.reduce_slots[0].lock().expect("no poisoned locks");
+            let slot = self.reduce_slots.lock().expect("no poisoned locks");
             slot.iter().copied().reduce(&op).expect("nonempty")
         };
         self.barrier();
@@ -316,7 +315,7 @@ where
     assert!(nranks >= 1);
     let mailboxes = Mailbox::mesh(nranks as usize, chan_capacity, Duration::from_secs(2));
     let world_barrier = Arc::new(Barrier::new(nranks as usize));
-    let reduce_slots = Arc::new(vec![Mutex::new(vec![0.0; nranks as usize])]);
+    let reduce_slots = Arc::new(Mutex::new(vec![0.0; nranks as usize]));
     let body = |rank, mail| {
         f(Comm {
             rank,
@@ -345,9 +344,9 @@ pub type RtConfig = ExecConfig;
 /// derefs to the slice, is only borrowed for the call, and recycles when
 /// the application drops it).
 ///
-/// Plan barriers use dedicated tags over `comm` (a flat fan-in/fan-out to
-/// the group's first rank), so they do not interfere with application
-/// messages as long as the application avoids tags ≥ 2⁶¹.
+/// Plan messages and plan barriers (a flat fan-in/fan-out to the group's
+/// first rank) use tags ≥ 2⁶¹ over `comm`, so they do not interfere with
+/// application messages as long as the application avoids those tags.
 pub fn checkpoint_rank(
     comm: &mut Comm,
     program: &Program,
@@ -390,23 +389,23 @@ pub fn checkpoint_rank_with(
     // flushes to the shared pool so they progress concurrently with the
     // foreground aggregation of the next package.
     let pipe = cfg.writer(rank, None);
-    let transport = CommTransport { comm, program };
+    let transport = CommTransport { comm };
     let payload = Payload::Borrowed(payload);
     Interp::new(rank, rank, program, payload, cfg, None, transport, pipe)
         .run()
         .map_err(|e| e.into_rt(rank))
 }
 
-/// Tag spaces of plan messages and plan barriers on the application's
-/// [`Comm`] (see [`checkpoint_rank`]).
+/// Where plan tags start on the application's [`Comm`] (see
+/// [`checkpoint_rank`]). A plan tag is below 2⁶¹ and the interpreter's
+/// barrier tags sit just above (2⁶¹ + comm), so everything a checkpoint
+/// sends lands in [2⁶¹, 2⁶³).
 const PLAN_TAG_BASE: u64 = 1 << 61;
-const BARRIER_TAG_BASE: u64 = 1 << 62;
 
 /// The interpreter's way to its peers under this runtime: the
 /// application's own [`Comm`].
 struct CommTransport<'a> {
     comm: &'a mut Comm,
-    program: &'a Program,
 }
 
 impl Transport for CommTransport<'_> {
@@ -416,26 +415,6 @@ impl Transport for CommTransport<'_> {
 
     fn recv(&mut self, src: u32, tag: u64) -> Result<Bytes, StepError> {
         self.comm.try_recv(src, PLAN_TAG_BASE + tag)
-    }
-
-    /// Flat fan-in/fan-out over the group's first rank, using a per-comm
-    /// tag so concurrent groups stay independent.
-    fn barrier(&mut self, cid: u32) -> Result<(), StepError> {
-        let members = &self.program.comms[cid as usize];
-        let leader = members[0];
-        let tag = BARRIER_TAG_BASE + u64::from(cid);
-        if self.comm.rank == leader {
-            for &m in &members[1..] {
-                self.comm.try_recv(m, tag)?;
-            }
-            for &m in &members[1..] {
-                self.comm.try_send(m, tag, Bytes::new())?;
-            }
-        } else {
-            self.comm.try_send(leader, tag, Bytes::new())?;
-            self.comm.try_recv(leader, tag)?;
-        }
-        Ok(())
     }
 }
 

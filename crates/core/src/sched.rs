@@ -43,8 +43,6 @@ pub enum Point {
     QuiesceWait,
     /// Flush worker waiting for a runnable writer.
     WorkerIdle,
-    /// Waiting at a rank barrier.
-    BarrierWait,
     /// Polling an empty message queue (futile-poll budgeted).
     RecvEmpty,
     /// Polling a full bounded message queue (send backpressure).
@@ -77,7 +75,6 @@ impl Point {
                 | Point::DrainWait
                 | Point::QuiesceWait
                 | Point::WorkerIdle
-                | Point::BarrierWait
                 | Point::RecvEmpty
                 | Point::SendFull
                 | Point::AdmitWait
@@ -706,7 +703,6 @@ mod tests {
             Point::DrainWait,
             Point::QuiesceWait,
             Point::WorkerIdle,
-            Point::BarrierWait,
             Point::RecvEmpty,
             Point::SendFull,
             Point::AdmitWait,
@@ -735,7 +731,6 @@ mod tests {
             Point::DrainWait,
             Point::QuiesceWait,
             Point::WorkerIdle,
-            Point::BarrierWait,
             Point::JoinWait,
             Point::TierDrainIdle,
             Point::TierDurableWait,
@@ -751,7 +746,7 @@ mod tests {
     fn an_unnotified_park_gives_up_after_its_timeout() {
         let (m, cv) = (Mutex::new(()), Condvar::new());
         let timeout = Duration::from_millis(30);
-        let mut wait = Wait::new(Point::BarrierWait, Some(timeout));
+        let mut wait = Wait::new(Point::DrainWait, Some(timeout));
         let mut g = m.lock().unwrap();
         let waited = loop {
             match wait.park(&m, &cv, g) {

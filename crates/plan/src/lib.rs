@@ -27,7 +27,7 @@ pub mod program;
 pub mod validate;
 
 pub use compose::{append_program, push_compute};
-pub use ops::{CommId, DataRef, FileId, Op, Tag};
+pub use ops::{CommId, DataRef, FileId, Op, Tag, RESERVED_TAG_BASE};
 pub use program::{FileSpec, Program, ProgramBuilder, ProgramStats};
 pub use validate::{validate, CoverageMode, ValidateError};
 

@@ -12,8 +12,14 @@ pub struct CommId(pub u32);
 
 /// A message tag; `(src, dst, tag)` triples match sends to receives in
 /// program order, exactly like MPI matching with a fixed communicator.
+/// A plan's tags are below [`RESERVED_TAG_BASE`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Tag(pub u64);
+
+/// Tags from 2⁶¹ up belong to the executors' own messages (a barrier of
+/// comm `c` is tag `RESERVED_TAG_BASE + c`); [`crate::validate()`]
+/// refuses a `Send` or `Recv` that uses one.
+pub const RESERVED_TAG_BASE: u64 = 1 << 61;
 
 /// A reference to bytes a rank can send or write.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -4,7 +4,8 @@
 //! honoring ordering semantics) and checks:
 //!
 //! * **bounds** — every `DataRef`/staging destination fits its buffer, file
-//!   and comm indices are in range, barrier callers are comm members;
+//!   and comm indices are in range, barrier callers are comm members,
+//!   message tags are below [`crate::RESERVED_TAG_BASE`];
 //! * **file discipline** — ranks only write/read files they have opened and
 //!   close what they open;
 //! * **message matching** — every `Recv` finds a matching `Send` with the
@@ -18,7 +19,7 @@
 
 use std::collections::{HashMap, VecDeque};
 
-use crate::ops::{DataRef, Op};
+use crate::ops::{DataRef, Op, RESERVED_TAG_BASE};
 use crate::program::Program;
 use crate::Rank;
 
@@ -89,6 +90,16 @@ pub enum ValidateError {
         /// Description of the gap/overlap.
         what: String,
     },
+    /// A `Send` or `Recv` uses a tag at or above
+    /// [`crate::RESERVED_TAG_BASE`], the executors' own range.
+    ReservedTag {
+        /// Offending rank.
+        rank: Rank,
+        /// Index of the op.
+        op_index: usize,
+        /// The tag.
+        tag: u64,
+    },
 }
 
 impl std::fmt::Display for ValidateError {
@@ -132,6 +143,14 @@ impl std::fmt::Display for ValidateError {
                 write!(f, "{count} posted messages never received")
             }
             ValidateError::Coverage { file, what } => write!(f, "file {file}: coverage: {what}"),
+            ValidateError::ReservedTag {
+                rank,
+                op_index,
+                tag,
+            } => write!(
+                f,
+                "rank {rank} op {op_index}: tag {tag} is in the reserved range (>= 2^61)"
+            ),
         }
     }
 }
@@ -206,6 +225,13 @@ fn check_bounds(p: &Program) -> Result<(), ValidateError> {
                             ),
                         ));
                     }
+                }
+                Op::Send { tag, .. } | Op::Recv { tag, .. } if tag.0 >= RESERVED_TAG_BASE => {
+                    return Err(ValidateError::ReservedTag {
+                        rank,
+                        op_index: i,
+                        tag: tag.0,
+                    });
                 }
                 Op::Send { dst, src, .. } => {
                     if *dst >= nranks {
@@ -756,6 +782,68 @@ mod tests {
         let err = validate(&b.build(), CoverageMode::None).unwrap_err();
         assert!(
             matches!(err, ValidateError::UnconsumedMessages { count: 1 }),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn tags_in_the_reserved_range_are_refused() {
+        // A matched pair at each edge of the range: 2^61 - 1 is a plan
+        // tag, 2^61 is comm 0's barrier tag, and u64::MAX would overflow
+        // an executor's offset.
+        let pair = |tag: u64| {
+            let mut b = ProgramBuilder::new(vec![5, 5]);
+            b.reserve_staging(1, 5);
+            b.push(
+                0,
+                Op::Send {
+                    dst: 1,
+                    tag: Tag(tag),
+                    src: own(5),
+                },
+            );
+            b.push(
+                1,
+                Op::Recv {
+                    src: 0,
+                    tag: Tag(tag),
+                    bytes: 5,
+                    staging_off: 0,
+                },
+            );
+            validate(&b.build(), CoverageMode::None)
+        };
+        pair(RESERVED_TAG_BASE - 1).unwrap();
+        for tag in [RESERVED_TAG_BASE, RESERVED_TAG_BASE + 3, u64::MAX] {
+            let err = pair(tag).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    ValidateError::ReservedTag {
+                        rank: 0,
+                        op_index: 0,
+                        tag: t
+                    } if t == tag
+                ),
+                "{err}"
+            );
+        }
+        // A lone `Recv` in the range is refused too, not reported as a
+        // deadlock.
+        let mut b = ProgramBuilder::new(vec![0, 0]);
+        b.reserve_staging(1, 1);
+        b.push(
+            1,
+            Op::Recv {
+                src: 0,
+                tag: Tag(RESERVED_TAG_BASE),
+                bytes: 1,
+                staging_off: 0,
+            },
+        );
+        let err = validate(&b.build(), CoverageMode::None).unwrap_err();
+        assert!(
+            matches!(err, ValidateError::ReservedTag { rank: 1, .. }),
             "{err}"
         );
     }
