@@ -7,17 +7,20 @@
 //! ```
 //!
 //! Walks a quiesced checkpoint directory's commit markers, re-verifies
-//! sizes, header CRCs, and (at `--rate`) full per-field footer CRCs,
-//! and classifies damage: torn files (a torn marker among them), missing
-//! files and orphaned tmps. With `--repair`, torn or missing files
-//! are reinstalled byte-identically from their burst-tier copies and
-//! orphans are reaped; the default is a dry run that only reports.
+//! every listed file against what it says about itself (its header's own
+//! CRC32, its step and its length, and at `--rate` its full per-field
+//! footer CRCs), and classifies damage: torn files (a torn marker among
+//! them), missing files and orphaned tmps. With `--repair`, torn or
+//! missing files are reinstalled byte-identically from their burst-tier
+//! copies and orphans are reaped; the default is a dry run that only
+//! reports.
 //!
 //! Exit status: 0 when the directory is clean (or every finding was
 //! repaired), 1 when unrepaired damage remains, 2 on usage errors.
 //!
-//! `--demo` runs the self-test: builds a tiered generation, tears a
-//! payload byte, proves the dry run catches it and the repair restores
+//! `--demo` runs the self-test: builds a tiered generation, then tears a
+//! payload byte and, once that is repaired, a header byte; for each it
+//! proves the dry run classifies it `torn-file` and the repair restores
 //! the exact original bytes from the burst copy.
 
 use std::path::PathBuf;
@@ -85,8 +88,8 @@ fn parse_args() -> Result<Args, String> {
 }
 
 /// Self-test: seed a tiered generation with a burst copy, tear one
-/// payload byte, and prove detect-then-repair restores the original
-/// bytes exactly.
+/// payload byte and then one header byte, and prove detect-then-repair
+/// restores the original bytes exactly each time.
 fn demo(work: &std::path::Path) -> Result<(), String> {
     use rbio::layout::DataLayout;
     use rbio::manager::{CheckpointManager, ManagerConfig};
@@ -119,33 +122,41 @@ fn demo(work: &std::path::Path) -> Result<(), String> {
         .find(|p| p.extension().is_some_and(|e| e == "rbio"))
         .ok_or("no checkpoint file to tear")?;
     let healthy = std::fs::read(&victim).map_err(|e| format!("read: {e}"))?;
-    let mut torn = healthy.clone();
-    let mid = torn.len() / 2;
-    torn[mid] ^= 0xff;
-    std::fs::write(&victim, &torn).map_err(|e| format!("tear: {e}"))?;
-    println!("demo: tore one byte of {}", victim.display());
-
     let mut cfg = ScrubConfig::new(&pfs);
     cfg.burst_dir = Some(burst);
-    let dry = scrub(&cfg).map_err(|e| format!("dry scrub: {e}"))?;
-    if dry.damage.len() != 1 || dry.damage[0].kind != DamageKind::TornFile {
-        return Err(format!("dry run should find exactly the tear: {dry:?}"));
-    }
-    println!(
-        "demo: dry run classified the tear ({})",
-        dry.damage[0].detail
-    );
+    // A payload byte is caught by the footer's field CRC, a header byte by
+    // the header's own CRC32: the file vouches for both.
+    for (part, at) in [("payload", healthy.len() / 2), ("header", 20)] {
+        let mut torn = healthy.clone();
+        torn[at] ^= 0xff;
+        std::fs::write(&victim, &torn).map_err(|e| format!("tear: {e}"))?;
+        println!("demo: tore one {part} byte of {}", victim.display());
 
-    cfg.repair = true;
-    let fixed = scrub(&cfg).map_err(|e| format!("repair scrub: {e}"))?;
-    if fixed.repairs != 1 {
-        return Err(format!("repair pass should fix the tear: {fixed:?}"));
+        cfg.repair = false;
+        let dry = scrub(&cfg).map_err(|e| format!("dry scrub: {e}"))?;
+        if dry.damage.len() != 1 || dry.damage[0].kind != DamageKind::TornFile {
+            return Err(format!(
+                "dry run should find exactly the {part} tear: {dry:?}"
+            ));
+        }
+        println!(
+            "demo: dry run classified the {part} tear {} ({})",
+            dry.damage[0].kind, dry.damage[0].detail
+        );
+
+        cfg.repair = true;
+        let fixed = scrub(&cfg).map_err(|e| format!("repair scrub: {e}"))?;
+        if fixed.repairs != 1 {
+            return Err(format!("repair pass should fix the {part} tear: {fixed:?}"));
+        }
+        let repaired = std::fs::read(&victim).map_err(|e| format!("reread: {e}"))?;
+        if repaired != healthy {
+            return Err(format!(
+                "{part} repair was not byte-identical to the original"
+            ));
+        }
+        println!("demo: repair reinstalled the burst copy byte-identically");
     }
-    let repaired = std::fs::read(&victim).map_err(|e| format!("reread: {e}"))?;
-    if repaired != healthy {
-        return Err("repair was not byte-identical to the original".into());
-    }
-    println!("demo: repair reinstalled the burst copy byte-identically");
     let _ = std::fs::remove_dir_all(work);
     Ok(())
 }

@@ -224,7 +224,7 @@ fn crc32c_of_region(mut f: &File, off: u64, len: u64, buf: &mut [u8]) -> io::Res
 /// `head` parses as a master header that matches the logical size (the
 /// header protects itself with its own CRC32), else one whole-file
 /// region. Matches [`format::FileHeader::expected_committed_size`]:
-/// `nregions == nfields`.
+/// `nregions == max(nfields, 1)`.
 fn region_spans(head: &[u8], expected_size: u64) -> Vec<(u64, u64)> {
     if let Ok(header) = format::decode_header(head) {
         if header.expected_file_size() == expected_size && !header.fields.is_empty() {

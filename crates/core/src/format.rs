@@ -310,9 +310,10 @@ impl FileHeader {
     }
 
     /// Total size after commit: header + data + the checksum footer the
-    /// committing rank appends (one region per field).
+    /// committing rank appends (one region per field, or one whole-file
+    /// region for a file without fields).
     pub fn expected_committed_size(&self) -> u64 {
-        self.expected_file_size() + footer_len(self.fields.len())
+        self.expected_file_size() + footer_len(self.fields.len().max(1))
     }
 }
 

@@ -8,12 +8,13 @@
 //! * **atomic completion** — a step is only restartable once *every* file
 //!   landed; a crash mid-checkpoint must not leave a half-step that a
 //!   restart could mistake for a good one. We publish a `*.commit` marker
-//!   (with per-file sizes, header CRCs and who landed each file) after
-//!   all writes complete; it is the generation's only record.
+//!   (naming each file and how it landed) after all writes complete; it
+//!   is the generation's only record, and each file vouches for its own
+//!   bytes.
 //! * **rotation** — keep the last `k` complete steps, deleting older ones
 //!   *only after* a newer step committed.
 //! * **latest-step discovery** — a restarting job scans the directory and
-//!   picks the newest committed step, verifying it before trusting it.
+//!   picks the newest committed step whose files read back verified.
 
 use std::fs;
 use std::io;
@@ -25,9 +26,7 @@ use crate::commit;
 use crate::exec::{execute, ExecConfig, ExecError, ExecReport};
 use crate::failover::FailoverPolicy;
 use crate::fault::FaultPlan;
-use crate::format::{
-    crc32, declared_header_len, decode_header, footer_len, materialize_payloads, read_header_prefix,
-};
+use crate::format::{decode_header, materialize_payloads, read_header_prefix, FileHeader};
 use crate::layout::DataLayout;
 use crate::restart::{read_checkpoint, read_checkpoint_staged, RestartError, RestoredData};
 use crate::sched::{self, Event, TierId};
@@ -54,7 +53,7 @@ pub enum ManagerError {
     Restart(RestartError),
     /// No committed checkpoint exists.
     NothingToRestore,
-    /// The commit marker disagrees with the files on disk.
+    /// A commit marker, or a file it lists, fails its check.
     CommitMismatch(String),
     /// The staging tier failed (stage full, drain failure, tier loss
     /// with no recoverable copy).
@@ -190,130 +189,115 @@ fn commit_path(dir: &Path, step: u64) -> PathBuf {
     dir.join(commit_name(step))
 }
 
-/// The `name size header-crc owner landing` lines [`marker_body`] wrote
-/// after a marker's two header lines, as `(name, size, header-crc,
-/// landing)`. `Err` carries a line of any other shape.
-pub(crate) fn marker_files(
-    marker: &str,
-) -> impl Iterator<Item = Result<(&str, u64, &str, &str), &str>> {
-    marker.lines().skip(2).map(|line| {
-        let parts: Vec<&str> = line.split_whitespace().collect();
-        let [name, size, crc, _owner, landing] = parts[..] else {
-            return Err(line);
-        };
-        let size = size.parse().map_err(|_| line)?;
-        Ok((name, size, crc, landing))
-    })
+/// Format a commit marker: `step N`, `files M`, then one `name landing`
+/// line per file. The landing is `primary`, `failover:S` or
+/// `tierloss:burst`. Each file vouches for its own bytes (header CRC,
+/// length, footer CRCs), so the marker records only what no file can say
+/// about itself: which files make up the generation and how each landed.
+fn marker_body<'a>(step: u64, files: impl ExactSizeIterator<Item = (&'a str, &'a str)>) -> String {
+    let mut body = format!("step {step}\nfiles {}\n", files.len());
+    for (name, landing) in files {
+        body.push_str(&format!("{name} {landing}\n"));
+    }
+    body
 }
 
-/// Whether a verified marker records any file landed other than
-/// `primary` (`failover:S` or `tierloss:burst`).
-fn landed_degraded(marker: &str) -> bool {
-    marker_files(marker).any(|line| line.is_ok_and(|(.., landing)| landing != "primary"))
+/// Whether `landing` is one a marker records.
+fn known_landing(landing: &str) -> bool {
+    matches!(landing, "primary" | "tierloss:burst")
+        || landing
+            .strip_prefix("failover:")
+            .is_some_and(|s| s.parse::<Rank>().is_ok())
 }
 
-/// Check one marker-referenced file against what the marker recorded:
-/// its size, then the CRC of its header region. `deep` also re-reads
-/// the whole body and re-verifies the commit footer's per-field CRCs.
-/// Returns the bytes deep-verified, or what is wrong (`"missing"` when
-/// the file is absent).
+/// The `(name, landing)` of each file `step`'s marker lists. The marker
+/// must be exactly what [`marker_body`] writes for those lines, each
+/// naming a distinct file of `step` and a known landing; `Err` says how
+/// it is not.
+pub(crate) fn marker_files(marker: &str, step: u64) -> Result<Vec<(&str, &str)>, String> {
+    let mut names = std::collections::HashSet::new();
+    let files = marker
+        .lines()
+        .skip(2)
+        .map(|line| match line.split_once(' ') {
+            Some((name, landing))
+                if of_step(name, step) && known_landing(landing) && names.insert(name) =>
+            {
+                Ok((name, landing))
+            }
+            _ => Err(format!("bad marker line {line:?}")),
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    if marker_body(step, files.iter().copied()) != marker {
+        return Err(format!("not the step {step} marker of its file lines"));
+    }
+    Ok(files)
+}
+
+/// Check one file a marker of `step` lists against what the file says
+/// about itself: its header decodes (so the header's own CRC32 holds),
+/// holds `step`, and describes exactly the file's length. `deep` also
+/// re-reads the body against the commit footer's per-field CRCs. Returns
+/// the header, or what is wrong (`"missing"` when the file is absent).
 pub(crate) fn check_committed_file(
     path: &Path,
-    want_size: u64,
-    want_crc: &str,
+    step: u64,
     deep: bool,
-) -> Result<u64, String> {
-    let meta = match fs::metadata(path) {
-        Ok(m) => m,
+) -> Result<FileHeader, String> {
+    let f = match fs::File::open(path) {
+        Ok(f) => f,
         Err(e) if e.kind() == io::ErrorKind::NotFound => return Err("missing".into()),
         Err(e) => return Err(format!("unreadable: {e}")),
     };
-    if meta.len() != want_size {
+    let len = f.metadata().map_err(|e| format!("stat: {e}"))?.len();
+    let header = read_header_prefix(len, |b, off| f.read_exact_at(b, off))
+        .map_err(|e| format!("read header: {e}"))
+        .and_then(|hdr| decode_header(&hdr).map_err(|e| format!("header: {e}")))?;
+    if header.step != step {
+        return Err(format!("holds step {}, not {step}", header.step));
+    }
+    if len != header.expected_committed_size() {
         return Err(format!(
-            "size {} on disk, marker recorded {want_size}",
-            meta.len()
+            "{len} bytes on disk, its header describes {}",
+            header.expected_committed_size()
         ));
     }
-    let f = fs::File::open(path).map_err(|e| format!("open: {e}"))?;
-    let hdr = read_header_prefix(meta.len(), |b, off| f.read_exact_at(b, off))
-        .map_err(|e| format!("read header: {e}"))?;
-    if declared_header_len(&hdr).is_none() {
-        return Err("too short for a header".into());
+    if deep {
+        // Data integrity: the commit footer's per-field checksums,
+        // streamed from the file rather than over an image of it.
+        commit::verify_committed_file(&f, header.expected_file_size())
+            .map_err(|e| format!("read body: {e}"))?
+            .map_err(|what| what.to_string())?;
     }
-    if format!("{:08x}", crc32(&hdr)) != want_crc {
-        return Err("header CRC changed since commit".into());
-    }
-    if !deep {
-        return Ok(0);
-    }
-    // Data integrity: the commit footer's per-field checksums, streamed
-    // from the file rather than over an image of it.
-    let header = decode_header(&hdr).map_err(|e| format!("header: {e}"))?;
-    match commit::verify_committed_file(&f, header.expected_file_size()) {
-        Ok(Ok(())) => Ok(meta.len()),
-        Ok(Err(what)) => Err(what.to_string()),
-        Err(e) => Err(format!("read body: {e}")),
-    }
-}
-
-/// Per-file commit-marker expectations: `(name, expected size on disk
-/// including the checksum footer, header length to CRC, owning writer
-/// rank, landing)`. The landing is `primary` or `failover:S`.
-type MarkerSpec = (String, u64, u64, u32, String);
-
-/// Build the commit-marker body by checking every published file against
-/// its spec. Runs on the campaign thread (direct path) or the drain
-/// thread (tiered path) once the files are on the PFS. A file the drain
-/// `recovered` from the burst tier after local-tier loss lands
-/// `tierloss:burst`, classifying the generation Degraded.
-fn marker_body(
-    dir: &Path,
-    step: u64,
-    specs: &[MarkerSpec],
-    recovered: &[String],
-) -> Result<String, ManagerError> {
-    let mut body = String::new();
-    body.push_str(&format!("step {step}\nfiles {}\n", specs.len()));
-    for (name, expect, hdr_len, owner, landing) in specs {
-        let path = dir.join(name);
-        let meta = fs::metadata(&path)?;
-        if meta.len() != *expect {
-            return Err(ManagerError::CommitMismatch(format!(
-                "{name}: {} bytes on disk, plan wrote {expect}",
-                meta.len(),
-            )));
-        }
-        // CRC the header region only (data integrity is the header
-        // CRC + size check; whole-file CRCs would double write time).
-        let mut hdr = vec![0u8; (*hdr_len).min(meta.len()) as usize];
-        fs::File::open(&path)?.read_exact_at(&mut hdr, 0)?;
-        let landing = if recovered.contains(name) {
-            "tierloss:burst"
-        } else {
-            landing
-        };
-        body.push_str(&format!(
-            "{name} {} {:08x} {owner} {landing}\n",
-            meta.len(),
-            crc32(&hdr)
-        ));
-    }
-    Ok(body)
+    Ok(header)
 }
 
 /// Publish a generation: its one commit marker, through the tmp + CRC
 /// footer + rename commit path so a crash mid-publish never leaves a
-/// half-written marker that a restart could trust.
+/// half-written marker that a restart could trust. Runs on the campaign
+/// thread (direct path) or the drain thread (tiered path) once the files
+/// are on the PFS, and opens none of them.
 fn publish_generation(
     dir: &Path,
     step: u64,
-    specs: &[MarkerSpec],
+    specs: &[(String, String)],
     recovered: &[String],
     fsync: bool,
     faults: &FaultPlan,
 ) -> io::Result<()> {
-    let body =
-        marker_body(dir, step, specs, recovered).map_err(|e| io::Error::other(e.to_string()))?;
+    // A file the drain `recovered` from the burst tier after local-tier
+    // loss lands `tierloss:burst`, classifying the generation Degraded.
+    let body = marker_body(
+        step,
+        specs.iter().map(|(name, landing)| {
+            let landing = if recovered.contains(name) {
+                "tierloss:burst"
+            } else {
+                landing
+            };
+            (name.as_str(), landing)
+        }),
+    );
     commit::commit_text_with_faults(&commit_path(dir, step), &body, fsync, faults, MANAGER_RANK)?;
     if fsync {
         // The durability promise the crash sweep holds restores to:
@@ -433,22 +417,14 @@ impl CheckpointManager {
             }
         };
 
-        // Per-file marker expectations: committed files carry a
-        // checksum footer past the plan's logical size, and the marker
-        // records which writer landed each file, so any committed
-        // generation can be classified Complete vs Degraded.
-        let specs: Vec<MarkerSpec> = plan
+        // Per-file marker entries, `(name, landing)`: the marker records
+        // which writer landed each file, so any committed generation can
+        // be classified Complete vs Degraded.
+        let specs: Vec<(String, String)> = plan
             .plan_files
             .iter()
             .enumerate()
             .map(|(i, pf)| {
-                let expect = plan.program.files[i].size + footer_len(plan.layout.nfields());
-                let hdr_len = plan
-                    .payload_meta
-                    .iter()
-                    .find(|m| m.header_for_file == Some(i))
-                    .map(|m| m.header_len)
-                    .unwrap_or(0);
                 let owner = plan
                     .program
                     .ops
@@ -463,7 +439,7 @@ impl CheckpointManager {
                     Some((_, successor)) => format!("failover:{successor}"),
                     None => "primary".to_string(),
                 };
-                (pf.name.clone(), expect, hdr_len, owner, landing)
+                (pf.name.clone(), landing)
             })
             .collect();
 
@@ -579,62 +555,71 @@ impl CheckpointManager {
         Ok(())
     }
 
-    /// Verify a committed step's marker against the files on disk: every
-    /// file's size, header CRC and per-field footer CRCs. No marker is
+    /// Verify a committed step: its marker, then every file it lists
+    /// against the file's own header and commit footer. No marker is
     /// [`ManagerError::NothingToRestore`]; a marker that exists but cannot
     /// be read is [`ManagerError::Io`].
     pub fn verify(&self, step: u64) -> Result<(), ManagerError> {
-        self.verified_marker(step, true).map(drop)
+        self.verified_marker(step).map(drop)
     }
 
-    /// The marker of `step`, checked against the files on disk: its CRC
-    /// footer and its lines, then each file's size and header CRC, and
-    /// with `deep` every body byte too. A marker without a valid footer is
-    /// torn.
-    fn verified_marker(&self, step: u64, deep: bool) -> Result<String, ManagerError> {
-        let marker =
-            commit::read_committed_text(&commit_path(&self.cfg.dir, step)).map_err(|e| match e
-                .kind()
-            {
-                io::ErrorKind::NotFound => ManagerError::NothingToRestore,
-                io::ErrorKind::InvalidData => {
-                    ManagerError::CommitMismatch(format!("commit marker: {e}"))
-                }
-                _ => ManagerError::Io(e),
-            })?;
-        for line in marker_files(&marker) {
-            let (name, size, crc, _) = line
-                .map_err(|bad| ManagerError::CommitMismatch(format!("bad marker line: {bad}")))?;
-            check_committed_file(&self.cfg.dir.join(name), size, crc, deep)
-                .map_err(|why| ManagerError::CommitMismatch(format!("{name}: {why}")))?;
+    /// [`CheckpointManager::read_marker`] for `step`, then each file it
+    /// lists through [`check_committed_file`], body bytes included.
+    /// Returns whether the generation landed degraded.
+    fn verified_marker(&self, step: u64) -> Result<bool, ManagerError> {
+        let plan = self.plan_for(step)?;
+        let degraded = self.read_marker(&plan)?;
+        for pf in &plan.plan_files {
+            check_committed_file(&self.cfg.dir.join(&pf.name), step, true)
+                .map_err(|why| ManagerError::CommitMismatch(format!("{}: {why}", pf.name)))?;
         }
-        Ok(marker)
+        Ok(degraded)
     }
 
-    /// Classify a committed generation: [`GenerationState::Torn`] if its
-    /// marker/files fail [`CheckpointManager::verify`], otherwise Complete
-    /// or Degraded per the landings in the marker it just verified (any
-    /// file not landed `primary`, i.e. `failover:S` or `tierloss:burst`,
-    /// degrades it).
+    /// Read the marker of `plan`'s step: its CRC footer, then its lines,
+    /// which must list the plan's files in order. A marker without a
+    /// valid footer is torn. Returns whether any file landed other than
+    /// `primary` (`failover:S` or `tierloss:burst`).
+    fn read_marker(&self, plan: &CheckpointPlan) -> Result<bool, ManagerError> {
+        let mismatch = |why| ManagerError::CommitMismatch(format!("commit marker: {why}"));
+        let marker = commit::read_committed_text(&commit_path(&self.cfg.dir, plan.step)).map_err(
+            |e| match e.kind() {
+                io::ErrorKind::NotFound => ManagerError::NothingToRestore,
+                io::ErrorKind::InvalidData => mismatch(e.to_string()),
+                _ => ManagerError::Io(e),
+            },
+        )?;
+        let files = marker_files(&marker, plan.step).map_err(mismatch)?;
+        let names = files.iter().map(|(name, _)| *name);
+        if !names.eq(plan.plan_files.iter().map(|pf| pf.name.as_str())) {
+            return Err(mismatch("does not list the plan's files".into()));
+        }
+        Ok(files.iter().any(|(_, landing)| *landing != "primary"))
+    }
+
+    /// Classify a committed generation: [`GenerationState::Torn`] if it
+    /// fails [`CheckpointManager::verify`], otherwise Complete or
+    /// Degraded per the landings in its marker (any file not landed
+    /// `primary` degrades it).
     pub fn generation_state(&self, step: u64) -> GenerationState {
-        match self.verified_marker(step, true) {
+        match self.verified_marker(step) {
             Err(_) => GenerationState::Torn,
-            Ok(marker) if landed_degraded(&marker) => GenerationState::Degraded,
-            Ok(_) => GenerationState::Complete,
+            Ok(true) => GenerationState::Degraded,
+            Ok(false) => GenerationState::Complete,
         }
     }
 
     /// Restore the newest restorable step from the nearest tier holding
     /// it: the retained local stage (memory speed), then, newest step
-    /// first, the burst copy and the PFS copy. A step must first pass its
-    /// marker gate (the marker's footer and lines, each PFS file's size
-    /// and header CRC); the read is then the one full check — size,
-    /// header, step and shape against the plan, and every region's
-    /// CRC32C — so each restored byte is checked once. A torn copy falls
-    /// through to the next tier, then to the step before; a PFS I/O
-    /// error propagates. A degraded-but-recoverable step restores
-    /// normally (its failover extents carry identical bytes) and is
-    /// counted in the profile as a degraded restore.
+    /// first, the burst copy and the PFS copy. A step needs a marker that
+    /// lists the plan's files; the read is then the one check of the
+    /// files — header, step and shape against the plan, the exact
+    /// committed length, and every region's CRC32C — so each restored
+    /// byte is checked once. A torn or missing copy falls through to the
+    /// next tier, then to the step before; any other PFS I/O error
+    /// propagates. A degraded-but-recoverable step restores normally (its
+    /// failover extents carry identical bytes) and is counted in the
+    /// profile as a degraded restore.
     pub fn restore_latest(&self) -> Result<RestoredData, ManagerError> {
         // Restore-time GC: a restore means the previous run is over, so
         // its half-written `.tmp` orphans are reapable. Only without a
@@ -659,14 +644,16 @@ impl CheckpointManager {
             Some((TierId::Pfs, self.cfg.dir.as_path())),
         ];
         for &step in self.committed_steps()?.iter().rev() {
-            let Ok(marker) = self.verified_marker(step, false) else {
+            let plan = self.plan_for(step)?;
+            let Ok(degraded) = self.read_marker(&plan) else {
                 continue;
             };
-            let plan = self.plan_for(step)?;
             for &(tier, dir) in dirs.iter().flatten() {
                 match read_checkpoint(dir, &plan) {
-                    Ok(data) => return Ok(self.restored(data, tier, landed_degraded(&marker))),
-                    Err(RestartError::Io(e)) if tier == TierId::Pfs => {
+                    Ok(data) => return Ok(self.restored(data, tier, degraded)),
+                    Err(RestartError::Io(e))
+                        if tier == TierId::Pfs && e.kind() != io::ErrorKind::NotFound =>
+                    {
                         return Err(ManagerError::Io(e))
                     }
                     Err(_) => {}
@@ -729,6 +716,24 @@ mod tests {
     }
 
     #[test]
+    fn a_generation_without_fields_vouches_for_itself() {
+        // A file with no fields is sealed with one whole-file region; its
+        // header must still describe its committed length.
+        let dir = std::env::temp_dir().join(format!("rbio-mgr-nofields-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let layout = DataLayout::uniform(8, &[]);
+        let mgr = CheckpointManager::new(layout, ManagerConfig::new(&dir, Strategy::rbio(2)))
+            .expect("manager");
+        mgr.checkpoint(1, |_, _, _| {}).expect("ck 1");
+        mgr.verify(1).expect("verify");
+        assert_eq!(mgr.generation_state(1), GenerationState::Complete);
+        let report = crate::scrub::scrub(&crate::scrub::ScrubConfig::new(&dir)).unwrap();
+        assert!(report.clean(), "{:?}", report.damage);
+        assert_eq!(mgr.restore_latest().expect("restore").step, 1);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn rotation_keeps_only_last_k() {
         let (mgr, dir) = mk("rotate", 2);
         for step in [1u64, 2, 3, 4] {
@@ -751,30 +756,57 @@ mod tests {
 
     #[test]
     fn torn_latest_falls_back_to_previous() {
+        // Damage one file of step 2 after commit, one kind at a time. With
+        // no burst copy, the file's own header and length give it away to
+        // verify, generation_state and scrub, and restore falls back.
         let (mgr, dir) = mk("torn", 3);
         mgr.checkpoint(1, fill_for(1)).expect("ck 1");
         mgr.checkpoint(2, fill_for(2)).expect("ck 2");
-        // Damage step 2's data after commit (bit rot / torn write).
-        let victim = std::fs::read_dir(&dir)
-            .unwrap()
-            .map(|e| e.unwrap().path())
-            .find(|p| {
-                p.file_name()
-                    .unwrap()
-                    .to_string_lossy()
-                    .starts_with("step0000000002")
-                    && p.extension().is_some_and(|e| e == "rbio")
-            })
-            .expect("step-2 file");
-        let f = std::fs::OpenOptions::new()
-            .write(true)
-            .open(&victim)
-            .unwrap();
-        f.set_len(3).unwrap();
-        drop(f);
-        assert!(mgr.verify(2).is_err());
-        let restored = mgr.restore_latest().expect("fallback");
-        assert_eq!(restored.step, 1);
+        let marker = commit::read_committed_text(&commit_path(&dir, 2)).unwrap();
+        let name = marker_files(&marker, 2).unwrap()[0].0.to_owned();
+        let victim = dir.join(&name);
+        let healthy = fs::read(&victim).unwrap();
+        let older = name.replacen(&step_prefix(2), &step_prefix(1), 1);
+        let mut longer = healthy.clone();
+        longer.push(0);
+        let cases = [
+            ("cut to 3 bytes", Some(healthy[..3].to_vec())),
+            (
+                "cut by one byte",
+                Some(healthy[..healthy.len() - 1].to_vec()),
+            ),
+            ("extended by one byte", Some(longer)),
+            (
+                "step 1's file of that name",
+                Some(fs::read(dir.join(older)).unwrap()),
+            ),
+            ("deleted", None),
+        ];
+        for (case, damaged) in cases {
+            let kind = match &damaged {
+                Some(bytes) => {
+                    fs::write(&victim, bytes).unwrap();
+                    crate::scrub::DamageKind::TornFile
+                }
+                None => {
+                    commit::remove(&victim).unwrap();
+                    crate::scrub::DamageKind::MissingFile
+                }
+            };
+            assert!(
+                matches!(mgr.verify(2), Err(ManagerError::CommitMismatch(_))),
+                "{case}"
+            );
+            assert_eq!(mgr.generation_state(2), GenerationState::Torn, "{case}");
+            let report = crate::scrub::scrub(&crate::scrub::ScrubConfig::new(&dir)).unwrap();
+            assert_eq!(report.damage.len(), 1, "{case}: {:?}", report.damage);
+            assert_eq!(report.damage[0].file, name, "{case}");
+            assert_eq!(report.damage[0].kind, kind, "{case}");
+            let restored = mgr.restore_latest().expect("fallback");
+            assert_eq!(restored.step, 1, "{case}");
+            fs::write(&victim, &healthy).unwrap();
+        }
+        assert_eq!(mgr.restore_latest().expect("restore").step, 2);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1073,34 +1105,40 @@ mod tests {
     }
 
     #[test]
-    fn footerless_and_three_column_markers_are_torn() {
-        // A marker is the sealed five-column form or nothing: the same
-        // body without its footer, or sealed with three columns per file
-        // (the shape before markers recorded landings), is torn.
+    fn footerless_and_older_column_markers_are_torn() {
+        // A marker is the sealed two-column form or nothing: the same body
+        // without its footer, or sealed with three columns per file (the
+        // shape before markers recorded landings) or five (name, size,
+        // header CRC, owner, landing: the shape before files vouched for
+        // themselves), is torn.
         let (mgr, dir) = mk("old-marker", 3);
         mgr.checkpoint(3, fill_for(3)).expect("ck 3");
         mgr.checkpoint(4, fill_for(4)).expect("ck 4");
         let marker = commit::read_committed_text(&commit_path(&dir, 4)).unwrap();
-        let three_columns: String = marker
-            .lines()
-            .enumerate()
-            .map(|(i, l)| {
-                let cols = if i < 2 { 2 } else { 3 };
-                l.split_whitespace()
-                    .take(cols)
-                    .collect::<Vec<_>>()
-                    .join(" ")
-                    + "\n"
-            })
+        let files = marker_files(&marker, 4).unwrap();
+        let head = "step 4\n".to_owned() + &format!("files {}\n", files.len());
+        // The five-column header CRC covered the header and its own
+        // stored CRC32, so on every header that decodes it was the
+        // CRC-32 residue 2144df1c.
+        let sized = |name: &str| fs::metadata(dir.join(name)).unwrap().len();
+        let three_columns: String = files
+            .iter()
+            .map(|(name, _)| format!("{name} {} 2144df1c\n", sized(name)))
             .collect();
-        assert_ne!(three_columns, marker);
-        commit::commit_text(&commit_path(&dir, 4), &three_columns, false).unwrap();
-        assert!(matches!(
-            mgr.verify(4),
-            Err(ManagerError::CommitMismatch(_))
-        ));
-        assert_eq!(mgr.generation_state(4), GenerationState::Torn);
-        assert_eq!(mgr.restore_latest().expect("fallback").step, 3);
+        let five_columns: String = files
+            .iter()
+            .enumerate()
+            .map(|(i, (name, landing))| format!("{name} {} 2144df1c {i} {landing}\n", sized(name)))
+            .collect();
+        for old in [three_columns, five_columns] {
+            commit::commit_text(&commit_path(&dir, 4), &(head.clone() + &old), false).unwrap();
+            assert!(matches!(
+                mgr.verify(4),
+                Err(ManagerError::CommitMismatch(_))
+            ));
+            assert_eq!(mgr.generation_state(4), GenerationState::Torn);
+            assert_eq!(mgr.restore_latest().expect("fallback").step, 3);
+        }
 
         std::fs::write(commit_path(&dir, 4), &marker).unwrap();
         assert!(matches!(
@@ -1114,16 +1152,16 @@ mod tests {
 
     #[test]
     fn a_marker_cut_at_a_line_boundary_is_torn() {
-        // A cut that drops the footer and the last file line leaves a
-        // body that still parses. It must not vouch for the files it
-        // no longer names.
+        // A cut that drops the footer and the last file line leaves
+        // whole lines. They must not vouch for the files they no longer
+        // name.
         let (mgr, dir) = mk("marker-cut", 3);
         mgr.checkpoint(1, fill_for(1)).expect("ck 1");
         mgr.checkpoint(2, fill_for(2)).expect("ck 2");
         let path = commit_path(&dir, 2);
         let marker = commit::read_committed_text(&path).unwrap();
         let cut = marker.trim_end().rfind('\n').unwrap() + 1;
-        assert!(marker_files(&marker[..cut]).count() >= 1, "{marker}");
+        assert!(marker[..cut].lines().count() >= 3, "{marker}");
         let f = fs::OpenOptions::new().write(true).open(&path).unwrap();
         f.set_len(cut as u64).unwrap();
         drop(f);
@@ -1350,7 +1388,7 @@ mod tests {
     }
 
     #[test]
-    fn a_rotted_pfs_body_restores_from_the_intact_burst_copy() {
+    fn a_damaged_pfs_file_restores_from_the_intact_burst_copy() {
         let (ref_mgr, ref_dir) = mk("brot-ref", 2);
         ref_mgr.checkpoint(2, fill_for(2)).expect("reference ck");
         let want = ref_mgr.restore_latest().expect("reference restore");
@@ -1373,34 +1411,49 @@ mod tests {
         }
         mgr.tier_engine().unwrap().lose_local();
 
-        // Rot one body byte of the newest generation's first PFS file:
-        // its size and header still match the marker.
+        // Damage the newest generation's first PFS file, one way at a
+        // time. Its burst copy stays intact, so every case restores step 2.
         let marker = commit::read_committed_text(&commit_path(&pfs, 2)).unwrap();
-        let (name, size, crc, _) = marker_files(&marker).next().unwrap().unwrap();
-        let victim = pfs.join(name);
-        let mut bytes = std::fs::read(&victim).unwrap();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0xff;
-        std::fs::write(&victim, &bytes).unwrap();
-        check_committed_file(&victim, size, crc, false).expect("the gate still passes");
-        assert!(matches!(
-            mgr.verify(2),
-            Err(ManagerError::CommitMismatch(_))
-        ));
-
-        let before = rbio_profile::counters::tier_snapshot();
-        let restored = mgr.restore_latest().expect("restore from the burst tier");
-        assert_eq!(
-            restored.step, 2,
-            "the burst copy of the newest step is intact"
-        );
-        for r in 0..8u32 {
-            for f in 0..2usize {
-                assert_eq!(restored.field_data(r, f), want.field_data(r, f));
+        let victim = pfs.join(marker_files(&marker, 2).unwrap()[0].0);
+        let healthy = std::fs::read(&victim).unwrap();
+        let flipped = |at: usize| {
+            let mut bytes = healthy.clone();
+            bytes[at] ^= 0xff;
+            bytes
+        };
+        let cases = [
+            ("a body byte flipped", Some(flipped(healthy.len() / 2))),
+            ("a header byte flipped", Some(flipped(20))),
+            (
+                "cut by one byte",
+                Some(healthy[..healthy.len() - 1].to_vec()),
+            ),
+            ("deleted", None),
+        ];
+        for (case, damaged) in cases {
+            match &damaged {
+                Some(bytes) => std::fs::write(&victim, bytes).unwrap(),
+                None => assert!(commit::remove(&victim).unwrap()),
             }
+            assert!(
+                matches!(mgr.verify(2), Err(ManagerError::CommitMismatch(_))),
+                "{case}"
+            );
+            let before = rbio_profile::counters::tier_snapshot();
+            let restored = mgr.restore_latest().expect("restore from the burst tier");
+            assert_eq!(
+                restored.step, 2,
+                "{case}: the burst copy of the newest step is intact"
+            );
+            for r in 0..8u32 {
+                for f in 0..2usize {
+                    assert_eq!(restored.field_data(r, f), want.field_data(r, f), "{case}");
+                }
+            }
+            let delta = rbio_profile::counters::tier_snapshot().delta_since(&before);
+            assert!(delta.tier_restores >= 1, "{case}: {delta:?}");
+            std::fs::write(&victim, &healthy).unwrap();
         }
-        let delta = rbio_profile::counters::tier_snapshot().delta_since(&before);
-        assert!(delta.tier_restores >= 1, "{delta:?}");
         std::fs::remove_dir_all(&base).ok();
         std::fs::remove_dir_all(&ref_dir).ok();
     }
@@ -1449,5 +1502,58 @@ mod tests {
             Err(ManagerError::CommitMismatch(_))
         ));
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// `marker` mutated one way, still ASCII: kind 0 flips the byte at
+    /// `at` by `mask`, 1 cuts the text at `at`, and 2–4 drop, double or
+    /// add a column to the line at `at`.
+    fn mutate(marker: &str, kind: u8, at: usize, mask: u8) -> String {
+        let mut lines: Vec<String> = marker.lines().map(str::to_owned).collect();
+        let line = at % lines.len();
+        match kind {
+            0 => {
+                let mut bytes = marker.as_bytes().to_vec();
+                bytes[at % marker.len()] ^= mask;
+                return String::from_utf8(bytes).expect("ASCII stays ASCII");
+            }
+            1 => return marker[..at % marker.len()].to_owned(),
+            2 => drop(lines.remove(line)),
+            3 => lines.insert(line, lines[line].clone()),
+            _ => lines[line].push_str(" 0"),
+        }
+        lines.iter().map(|l| format!("{l}\n")).collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(64))]
+
+        /// A marker mutated and resealed, so that its footer passes, is
+        /// torn: verify, generation_state and scrub say so in typed
+        /// results, none panics, and restore falls back to the older step.
+        #[test]
+        fn a_resealed_mutated_marker_is_torn(kind in 0u8..5, at in 0usize..4096, mask in 1u8..128) {
+            let (mgr, dir) = mk("marker-prop", 3);
+            mgr.checkpoint(1, fill_for(1)).expect("ck 1");
+            mgr.checkpoint(2, fill_for(2)).expect("ck 2");
+            let path = commit_path(&dir, 2);
+            let marker = commit::read_committed_text(&path).unwrap();
+            let mutated = mutate(&marker, kind, at, mask);
+            proptest::prop_assert_ne!(&mutated, &marker);
+            commit::commit_text(&path, &mutated, false).unwrap();
+
+            proptest::prop_assert!(
+                matches!(mgr.verify(2), Err(ManagerError::CommitMismatch(_))),
+                "{mutated:?}"
+            );
+            proptest::prop_assert_eq!(mgr.generation_state(2), GenerationState::Torn);
+            let report = crate::scrub::scrub(&crate::scrub::ScrubConfig::new(&dir)).unwrap();
+            proptest::prop_assert!(
+                !report.clean() && report.damage.iter().all(|d| d.step == Some(2)),
+                "{mutated:?}: {:?}",
+                report.damage
+            );
+            proptest::prop_assert_eq!(mgr.restore_latest().expect("fallback").step, 1);
+            std::fs::remove_dir_all(&dir).ok();
+        }
     }
 }

@@ -26,7 +26,7 @@
 //!   schedule decisions never depend on OS thread-startup timing.
 
 use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock};
+use std::sync::{Arc, Condvar, LockResult, Mutex, MutexGuard, PoisonError, RwLock};
 use std::time::{Duration, Instant};
 
 /// Where a thread is pausing. Waiting points ([`Point::is_wait`]) mean
@@ -155,12 +155,12 @@ impl Wait {
             }
             drop(g);
             yield_now(self.point);
-            return Ok(m.lock().expect("poisoned lock"));
+            return Ok(unpoisoned(m.lock()));
         }
         match self.block_for() {
             Err(waited) => Err((g, waited)),
-            Ok(None) => Ok(cv.wait(g).expect("poisoned lock")),
-            Ok(Some(d)) => Ok(cv.wait_timeout(g, d).expect("poisoned lock").0),
+            Ok(None) => Ok(unpoisoned(cv.wait(g))),
+            Ok(Some(d)) => Ok(unpoisoned(cv.wait_timeout(g, d)).0),
         }
     }
 
@@ -583,20 +583,26 @@ impl Drop for RevertGuard {
     }
 }
 
+/// A lock's guard even if a holder panicked. `SCHED` is one `Option`, each
+/// store replaces it whole; [`Wait::park`] leaves poison to its callers.
+fn unpoisoned<G>(guard: LockResult<G>) -> G {
+    guard.unwrap_or_else(PoisonError::into_inner)
+}
+
 static ENABLED: AtomicBool = AtomicBool::new(false);
 static SCHED: RwLock<Option<Arc<dyn Sched>>> = RwLock::new(None);
 
 /// Install a scheduler process-wide (normally once, by the test
 /// harness). Replaces any previous scheduler.
 pub fn install(sched: Arc<dyn Sched>) {
-    *SCHED.write().expect("sched lock") = Some(sched);
+    *unpoisoned(SCHED.write()) = Some(sched);
     ENABLED.store(true, Ordering::Release);
 }
 
 /// Remove the installed scheduler (hooks become no-ops again).
 pub fn uninstall() {
     ENABLED.store(false, Ordering::Release);
-    *SCHED.write().expect("sched lock") = None;
+    *unpoisoned(SCHED.write()) = None;
 }
 
 /// The installed scheduler, if any. Fast path: one relaxed load.
@@ -604,7 +610,7 @@ pub fn handle() -> Option<Arc<dyn Sched>> {
     if !ENABLED.load(Ordering::Relaxed) {
         return None;
     }
-    SCHED.read().expect("sched lock").clone()
+    unpoisoned(SCHED.read()).clone()
 }
 
 /// True while a controlled run is active.

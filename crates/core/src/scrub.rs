@@ -1,6 +1,6 @@
 //! Offline checkpoint scrubber: walk a quiesced checkpoint directory's
-//! committed generations, re-verify what the commit markers promised,
-//! classify any damage found, and (optionally) repair it from the
+//! committed generations, re-verify every file their commit markers
+//! list, classify any damage found, and (optionally) repair it from the
 //! nearest redundant copy.
 //!
 //! The scrubber is the slow-path complement to the restore-time checks
@@ -12,11 +12,12 @@
 //!
 //! Damage classes:
 //!
-//! * **Torn file** — a checkpoint file's size, header CRC, or per-field
-//!   footer CRCs no longer match its commit marker. Detected cheaply
-//!   (size + header) on every pass; the full-body footer re-verify runs
-//!   at the configured [`ScrubConfig::deep_rate`] so a scrub's read
-//!   bandwidth is tunable against the PFS.
+//! * **Torn file** — a listed file no longer vouches for itself: its
+//!   header fails its own CRC32, holds another step, or describes a
+//!   length other than the file's, or a per-field footer CRC fails.
+//!   Detected cheaply (header + length) on every pass; the full-body
+//!   footer re-verify runs at the configured [`ScrubConfig::deep_rate`]
+//!   so a scrub's read bandwidth is tunable against the PFS.
 //! * **Missing file** — the marker references a file that is gone.
 //! * **Orphaned tmp** — a `*.tmp` left by a crashed commit; never
 //!   referenced by any marker, reaped under `repair`.
@@ -32,22 +33,19 @@
 //! redundant copy stay classified-but-unrepaired — the report is the
 //! operator's signal to fall back a generation.
 
-use std::fs;
 use std::io;
-use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 
 use rbio_profile::counters;
 
 use crate::commit;
 use crate::fault::FaultPlan;
-use crate::format::{decode_header, read_header_prefix};
 use crate::manager::{check_committed_file, commit_name, marker_files, marker_step};
 
 /// What a scrub found wrong with one on-disk object.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum DamageKind {
-    /// Size / header CRC / footer CRC mismatch against the marker.
+    /// The file's header, length or footer CRCs fail it.
     TornFile,
     /// The marker references a file that is not on disk.
     MissingFile,
@@ -86,7 +84,7 @@ pub struct Damage {
 pub struct ScrubReport {
     /// Committed generations walked.
     pub generations: u64,
-    /// Marker-referenced files checked (size + header CRC).
+    /// Marker-listed files checked (header + length).
     pub files_checked: u64,
     /// Bytes whose footer CRCs were fully re-verified (deep passes).
     pub bytes_verified: u64,
@@ -141,10 +139,10 @@ pub struct ScrubConfig {
     /// Actually fix what is found (burst reinstalls, orphan reaps).
     /// Off = dry run: classify and report only.
     pub repair: bool,
-    /// Fraction of marker-referenced files (0.0..=1.0) whose per-field
-    /// footer CRCs are fully re-read and re-verified. Size and header
-    /// CRC are always checked; the deep pass is the read-bandwidth
-    /// knob. 1.0 re-reads everything.
+    /// Fraction of marker-listed files (0.0..=1.0) whose per-field
+    /// footer CRCs are fully re-read and re-verified. Header and length
+    /// are always checked; the deep pass is the read-bandwidth knob. 1.0
+    /// re-reads everything.
     pub deep_rate: f64,
 }
 
@@ -160,23 +158,16 @@ impl ScrubConfig {
     }
 }
 
-/// Reinstall `name` from its burst-tier copy, byte-identically: the copy
-/// is read back verified ([`commit::read_committed`]) and re-sealed
-/// through the one publication path with fsync on — a repair that can be
-/// lost in a power cut is not a repair. The footer is a function of the
-/// logical bytes, so the result is the burst copy verbatim.
-fn repair_from_burst(dir: &Path, burst: &Path, name: &str, want_size: u64) -> Result<(), String> {
+/// Reinstall `name`, a file of `step`, from its burst-tier copy,
+/// byte-identically: the copy must vouch for itself as the PFS file must
+/// ([`check_committed_file`]), is read back verified
+/// ([`commit::read_committed`]) and re-sealed through the one
+/// publication path with fsync on — a repair that can be lost in a power
+/// cut is not a repair. The footer is a function of the logical bytes, so
+/// the result is the burst copy verbatim.
+fn repair_from_burst(dir: &Path, burst: &Path, name: &str, step: u64) -> Result<(), String> {
     let src = burst.join(name);
-    let header = fs::File::open(&src)
-        .and_then(|f| read_header_prefix(want_size, |b, off| f.read_exact_at(b, off)))
-        .map_err(|e| format!("burst copy unreadable: {e}"))
-        .and_then(|h| decode_header(&h).map_err(|e| format!("burst copy header: {e}")))?;
-    if header.expected_committed_size() != want_size {
-        return Err(format!(
-            "burst copy's header describes {} bytes, marker recorded {want_size}",
-            header.expected_committed_size()
-        ));
-    }
+    let header = check_committed_file(&src, step, false).map_err(|e| format!("burst copy: {e}"))?;
     let img = commit::read_committed(&src, header.expected_file_size())
         .map_err(|e| format!("burst copy: {e}"))?;
     let final_path = dir.join(name);
@@ -218,42 +209,31 @@ pub fn scrub(cfg: &ScrubConfig) -> io::Result<ScrubReport> {
 
     for &step in &steps {
         report.generations += 1;
-        let marker_name = commit_name(step);
-        let marker = match commit::read_committed_text(&cfg.dir.join(&marker_name)) {
-            Ok(m) => m,
-            Err(e) => {
+        let marker = commit::read_committed_text(&cfg.dir.join(commit_name(step)))
+            .map_err(|e| format!("commit marker unreadable: {e}"));
+        let files = marker
+            .as_deref()
+            .map_err(Clone::clone)
+            .and_then(|m| marker_files(m, step).map_err(|why| format!("commit marker: {why}")));
+        let files = match files {
+            Ok(files) => files,
+            Err(detail) => {
                 // The marker itself is torn: the whole generation is
                 // untrustworthy and there is no redundant marker copy.
                 damage(
                     &mut report,
                     Damage {
                         step: Some(step),
-                        file: marker_name,
+                        file: commit_name(step),
                         kind: DamageKind::TornFile,
-                        detail: format!("commit marker unreadable: {e}"),
+                        detail,
                         repaired: false,
                     },
                 );
                 continue;
             }
         };
-        for line in marker_files(&marker) {
-            let (name, want_size, want_crc, _) = match line {
-                Ok(file) => file,
-                Err(bad) => {
-                    damage(
-                        &mut report,
-                        Damage {
-                            step: Some(step),
-                            file: commit_name(step),
-                            kind: DamageKind::TornFile,
-                            detail: format!("bad marker line: {bad}"),
-                            repaired: false,
-                        },
-                    );
-                    continue;
-                }
-            };
+        for (name, _) in files {
             report.files_checked += 1;
             counters::add_scrub_files_checked(1);
             acc += rate;
@@ -261,8 +241,13 @@ pub fn scrub(cfg: &ScrubConfig) -> io::Result<ScrubReport> {
             if deep {
                 acc -= 1.0;
             }
-            match check_committed_file(&cfg.dir.join(name), want_size, want_crc, deep) {
-                Ok(deep_bytes) => {
+            match check_committed_file(&cfg.dir.join(name), step, deep) {
+                Ok(header) => {
+                    let deep_bytes = if deep {
+                        header.expected_committed_size()
+                    } else {
+                        0
+                    };
                     report.bytes_verified += deep_bytes;
                     counters::add_scrub_bytes_verified(deep_bytes);
                 }
@@ -276,7 +261,7 @@ pub fn scrub(cfg: &ScrubConfig) -> io::Result<ScrubReport> {
                     let mut detail = detail;
                     if cfg.repair {
                         if let Some(burst) = cfg.burst_dir.as_deref() {
-                            match repair_from_burst(&cfg.dir, burst, name, want_size) {
+                            match repair_from_burst(&cfg.dir, burst, name, step) {
                                 Ok(()) => repaired = true,
                                 Err(e) => detail = format!("{detail}; {e}"),
                             }
@@ -325,6 +310,7 @@ mod tests {
     use crate::manager::{CheckpointManager, ManagerConfig};
     use crate::strategy::Strategy;
     use crate::tier::TierConfig;
+    use std::fs;
 
     fn scratch(tag: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!("rbio-scrub-{tag}-{}", std::process::id()));
