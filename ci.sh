@@ -72,7 +72,11 @@ RBC=target/debug/rbio-check
 "$RBC" sweep --program p1 --seeds 128
 "$RBC" sweep --program p1 --seeds 64 --preempt
 "$RBC" sweep --program p2 --seeds 16
+# No writer sleeps a jitter: the pipelined ≡ serial interleavings of p2
+# (exec), p3 (rt) and p12 (staging reuse) are explored here, preempted.
+"$RBC" sweep --program p2 --seeds 64 --preempt
 "$RBC" sweep --program p3 --seeds 16
+"$RBC" sweep --program p3 --seeds 64 --preempt
 "$RBC" sweep --program p4 --seeds 32
 "$RBC" sweep --program p5 --seeds 256
 "$RBC" sweep --program p6 --seeds 16
@@ -89,6 +93,7 @@ RBC=target/debug/rbio-check
 # barriers: their waiters are mailbox receives, on RecvEmpty's budget.
 "$RBC" sweep --program p11 --seeds 64 --preempt
 "$RBC" sweep --program p12 --seeds 16
+"$RBC" sweep --program p12 --seeds 64 --preempt
 "$RBC" sweep --program p13 --seeds 16
 # The p9b sweep must catch a planted arrival-blind grant (the
 # work-conserving arbiter deciding while a contender is still arriving).

@@ -342,8 +342,6 @@ fn ring_writer(rank: u32, depth: u32, faults: FaultPlan) -> rbio::pipeline::Writ
         depth,
         faults,
         WriterTuning {
-            write_retries: 3,
-            retry_backoff: Duration::from_micros(500),
             backend: Some(check_ring()),
             ..WriterTuning::default()
         },
@@ -584,11 +582,7 @@ fn prepare_pipeline_race(dir: &Path) -> PreparedProgram {
                 0,
                 (NCHUNKS + 1) as u32,
                 FaultPlan::none(),
-                WriterTuning {
-                    write_retries: 3,
-                    retry_backoff: Duration::from_micros(500),
-                    ..WriterTuning::default()
-                },
+                WriterTuning::default(),
             );
             for i in 0..NCHUNKS {
                 let data = Bytes::from_vec(vec![b'a' + i as u8; CHUNK]);

@@ -48,9 +48,11 @@
 //!   the old one's idle buffers.
 
 use std::ops::{Bound, Deref, DerefMut, RangeBounds};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError, Weak};
+use std::sync::{Arc, Mutex, OnceLock, Weak};
 
 use rbio_profile::counters;
+
+use crate::sched::unpoisoned;
 
 /// One buffer's storage and its way home: shared by the [`PooledBuf`]
 /// that fills it and the [`Bytes`] slices it is frozen into.
@@ -374,18 +376,14 @@ impl PoolState {
 }
 
 struct PoolShared {
+    /// The pool's books, taken through [`unpoisoned`]. Every update of
+    /// [`PoolState`] is a free-list edit and its byte or lease count in
+    /// straight-line code that cannot panic between them, so a panic on a
+    /// thread holding the guard leaves no half-made change to refuse.
     state: Mutex<PoolState>,
 }
 
 impl PoolShared {
-    /// The pool's books, poisoned or not. Every update of [`PoolState`]
-    /// is a free-list edit and its byte or lease count in straight-line
-    /// code that cannot panic between them, so a panic elsewhere on a
-    /// thread holding the guard leaves no half-made change to refuse.
-    fn state(&self) -> MutexGuard<'_, PoolState> {
-        self.state.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
     /// Count a lease of class capacity `cap` out and return the buffer
     /// that serves it, if one is held. Best fit: the smallest free buffer of
     /// `cap`'s class or above, but never one more than twice as large — a
@@ -405,7 +403,7 @@ impl PoolShared {
     /// small one between rounds (a marker's few hundred bytes streamed
     /// through the sealer), which says nothing about the next round.
     fn take(&self, cap: usize) -> Option<Vec<u8>> {
-        let mut g = self.state();
+        let mut g = unpoisoned(self.state.lock());
         let i = g.at_least(cap);
         let fits = g.bufs.get(i).is_some_and(|b| b.capacity() <= 2 * cap);
         let hit = fits.then(|| g.remove(i));
@@ -428,7 +426,7 @@ impl PoolShared {
         if cap == 0 {
             return;
         }
-        let mut g = self.state();
+        let mut g = unpoisoned(self.state.lock());
         if crate::sched::controlled() && g.contains_ptr(v.as_ptr()) {
             // The same allocation is being recycled twice: some live
             // `Bytes` still references a buffer the pool may hand out
@@ -478,19 +476,22 @@ impl BufPool {
 
     /// Number of free buffers currently held (test observability).
     pub fn free_buffers(&self) -> usize {
-        self.shared.state().bufs.len()
+        unpoisoned(self.shared.state.lock()).bufs.len()
     }
 
     /// Summed capacity of the free buffers currently held (test
     /// observability).
     pub fn retained_bytes(&self) -> usize {
-        self.shared.state().idle
+        unpoisoned(self.shared.state.lock()).idle
     }
 
     /// Capacity of the largest free buffer currently held (test
     /// observability).
     pub fn largest_free(&self) -> usize {
-        self.shared.state().bufs.last().map_or(0, Vec::capacity)
+        unpoisoned(self.shared.state.lock())
+            .bufs
+            .last()
+            .map_or(0, Vec::capacity)
     }
 
     /// Lease a buffer of `len` zero bytes: a recycled one of `len`'s size
@@ -874,7 +875,7 @@ mod tests {
         let b = pool.copy_from_slice(&[3u8; 64]);
         let ptr = b.as_ref().as_ptr();
         drop(b); // storage returns to the free list
-        let g = pool.shared.state();
+        let g = unpoisoned(pool.shared.state.lock());
         assert!(
             g.contains_ptr(ptr),
             "recycled buffer must be found by pointer identity"

@@ -521,8 +521,9 @@ fn check_region(bytes: &[u8], i: usize, r: &FooterRegion) -> Option<VerifyError>
 /// Seal `bufs`, back to back, as the committed file `final_path` — the
 /// one way an in-memory image is published (text artifacts, both tier
 /// hops, scrub's reinstall): the `.tmp` is created, one fault-checked
-/// write lands the bytes as `rank`, writeback starts behind them when the
-/// file will be fsynced, and [`commit_file_with_faults`] publishes it.
+/// write lands the bytes as `rank` (retried on the one budget, as every
+/// writer's is), writeback starts behind them when the file will be
+/// fsynced, and [`commit_file_with_faults`] publishes it.
 pub fn commit_bytes(
     final_path: &Path,
     bufs: &[impl AsRef<[u8]>],
@@ -537,14 +538,7 @@ pub fn commit_bytes(
         .read(true)
         .write(true)
         .open(&tmp)?;
-    let ctx = IoCtx {
-        rank,
-        wid: 0,
-        faults,
-        write_retries: 0,
-        retry_backoff: std::time::Duration::ZERO,
-    };
-    fault::write_at(&ctx, &f, 0, bufs)?;
+    fault::write_at(&IoCtx::new(rank, 0, faults), &f, 0, bufs)?;
     let size = bufs.iter().map(|b| b.as_ref().len() as u64).sum();
     if fsync {
         pipeline::hint_writeback(&f, 0, size);
@@ -654,6 +648,19 @@ mod tests {
         assert_eq!(bytes.len() as u64, 200 + format::footer_len(1));
         assert_eq!(&bytes[..200], &payload[..]);
         assert!(verify_committed(&bytes, 200).is_none());
+    }
+
+    #[test]
+    fn commit_bytes_retries_a_transient_write_error() {
+        // One injected EIO on the publish's only write: the budget every
+        // writer shares retries it, and the file verifies.
+        let dir = tempdir("commit_bytes_eio");
+        let fin = dir.join("hop.bin");
+        let body: Vec<u8> = (0..5000u32).map(|i| (i * 13) as u8).collect();
+        let faults = FaultPlan::none().fail_nth_write(9, 0, 1);
+        commit_bytes(&fin, &[&body], false, &faults, 9).expect("a retried write publishes");
+        assert_eq!(read_committed(&fin, body.len() as u64).unwrap(), body);
+        assert!(!tmp_path(&fin).exists(), "tmp must be gone after commit");
     }
 
     #[test]

@@ -58,7 +58,7 @@ use rbio_profile::counters;
 use crate::fault::splitmix64;
 use crate::layout::DataLayout;
 use crate::manager::{CheckpointManager, ManagerConfig, ManagerError};
-use crate::sched::{Revert, RevertGuard};
+use crate::sched::{unpoisoned, Revert, RevertGuard};
 use crate::strategy::Strategy;
 
 /// One recorded durability-relevant operation. Paths are relative to
@@ -108,14 +108,14 @@ struct RecState {
 }
 
 static ACTIVE: AtomicBool = AtomicBool::new(false);
+/// The journal, taken through [`unpoisoned`]: each update is one push or
+/// one whole store, so a panic on a thread holding it leaves no half-made
+/// record.
 static STATE: Mutex<Option<RecState>> = Mutex::new(None);
 /// Serializes recorders across threads: the journal is process-global,
 /// so two concurrently recording scenarios would interleave streams.
+/// Taken through [`unpoisoned`]: it guards no data.
 static INSTALL_LOCK: Mutex<()> = Mutex::new(());
-
-fn state_guard() -> MutexGuard<'static, Option<RecState>> {
-    STATE.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 /// True when a recorder is installed (one relaxed load; the journal
 /// hooks are free when nothing records).
@@ -136,9 +136,9 @@ impl Recorder {
     /// canonicalized so fd-derived paths compare equal). Blocks until
     /// any other live recorder is dropped.
     pub fn install(root: &Path) -> io::Result<Recorder> {
-        let serial = INSTALL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let serial = unpoisoned(INSTALL_LOCK.lock());
         let root = root.canonicalize()?;
-        *state_guard() = Some(RecState {
+        *unpoisoned(STATE.lock()) = Some(RecState {
             root,
             ops: Vec::new(),
         });
@@ -148,7 +148,7 @@ impl Recorder {
 
     /// Take the journal recorded so far (leaving it empty).
     pub fn take(&self) -> Vec<RecOp> {
-        state_guard()
+        unpoisoned(STATE.lock())
             .as_mut()
             .map(|s| std::mem::take(&mut s.ops))
             .unwrap_or_default()
@@ -158,7 +158,7 @@ impl Recorder {
 impl Drop for Recorder {
     fn drop(&mut self) {
         ACTIVE.store(false, Ordering::Release);
-        *state_guard() = None;
+        *unpoisoned(STATE.lock()) = None;
     }
 }
 
@@ -169,7 +169,7 @@ fn fd_path(file: &File) -> Option<PathBuf> {
 }
 
 fn push_under_root(path: &Path, make: impl FnOnce(PathBuf) -> RecOp) {
-    let mut g = state_guard();
+    let mut g = unpoisoned(STATE.lock());
     if let Some(st) = g.as_mut() {
         if let Ok(rel) = path.strip_prefix(&st.root) {
             let op = make(rel.to_path_buf());
@@ -228,7 +228,7 @@ pub(crate) fn record_rename(from: &Path, to: &Path) {
     let (Some(from), Some(to)) = (canon(from), canon(to)) else {
         return;
     };
-    let mut g = state_guard();
+    let mut g = unpoisoned(STATE.lock());
     if let Some(st) = g.as_mut() {
         if let (Ok(f), Ok(t)) = (from.strip_prefix(&st.root), to.strip_prefix(&st.root)) {
             let op = RecOp::Rename {
@@ -255,7 +255,7 @@ pub fn note_durable(step: u64) {
     if !recording() {
         return;
     }
-    if let Some(st) = state_guard().as_mut() {
+    if let Some(st) = unpoisoned(STATE.lock()).as_mut() {
         st.ops.push(RecOp::DurablePoint { step });
     }
 }
@@ -713,12 +713,20 @@ fn hex(data: &[u8]) -> String {
     s
 }
 
+/// [`hex`]'s inverse. Parsed as bytes, so a field holding a multi-byte
+/// character is refused like any other non-hex digit, never sliced.
 fn unhex(s: &str) -> Result<Vec<u8>, String> {
+    let s = s.as_bytes();
     if !s.len().is_multiple_of(2) {
         return Err("odd hex length".to_string());
     }
-    (0..s.len() / 2)
-        .map(|i| u8::from_str_radix(&s[2 * i..2 * i + 2], 16).map_err(|e| e.to_string()))
+    let digit = |b: u8| {
+        char::from(b)
+            .to_digit(16)
+            .ok_or_else(|| format!("byte {b:#04x} is not a hex digit"))
+    };
+    s.chunks_exact(2)
+        .map(|p| Ok((digit(p[0])? << 4 | digit(p[1])?) as u8))
         .collect()
 }
 
@@ -948,6 +956,86 @@ mod tests {
         save_ops(&ops, &path).unwrap();
         assert_eq!(load_ops(&path).unwrap(), ops);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A journal with one long hex field, so that most mutation sites
+    /// fall inside it.
+    fn journal_fixture() -> Vec<RecOp> {
+        vec![
+            RecOp::Write {
+                path: PathBuf::from("f.rbio.tmp"),
+                offset: 4096,
+                data: (0..160u32).map(|i| (i * 37) as u8).collect(),
+            },
+            RecOp::Fsync {
+                path: PathBuf::from("f.rbio.tmp"),
+            },
+            RecOp::Rename {
+                from: PathBuf::from("f.rbio.tmp"),
+                to: PathBuf::from("f.rbio"),
+            },
+            RecOp::DirFsync {
+                dir: PathBuf::from("."),
+            },
+            RecOp::DurablePoint { step: 7 },
+        ]
+    }
+
+    /// `text` under one mutation: a byte flip, a cut, a duplicated line,
+    /// or a two-byte character inserted anywhere.
+    fn mutate_journal(text: &str, kind: u8, at: usize, mask: u8) -> Vec<u8> {
+        let mut bytes = text.as_bytes().to_vec();
+        let at = at % bytes.len();
+        match kind {
+            0 => bytes[at] ^= mask,
+            1 => bytes.truncate(at),
+            2 => {
+                let lines: Vec<&str> = text.lines().collect();
+                let line = lines[at % lines.len()];
+                bytes = text
+                    .replacen(line, &format!("{line}\n{line}"), 1)
+                    .into_bytes();
+            }
+            _ => drop(bytes.splice(at..at, "é".bytes())),
+        }
+        bytes
+    }
+
+    #[test]
+    fn a_multibyte_character_in_a_hex_field_is_invalid_data() {
+        let dir = scratch("journal-utf8");
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("ops.journal");
+        // `é` starts at the field's odd byte offset 1.
+        std::fs::write(&path, "write f 0 a\u{e9}b\n").unwrap();
+        let err = load_ops(&path).expect_err("not hex");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(96))]
+
+        /// `rbio-crash replay` loads a user-supplied file: whatever one
+        /// mutation does to a saved journal, `load_ops` returns ops or an
+        /// `InvalidData` error, and never panics.
+        #[test]
+        fn a_mutated_journal_loads_or_is_invalid_data(kind in 0u8..4, at in 0usize..4096, mask in 1u8..255) {
+            let dir = scratch("journal-prop");
+            std::fs::create_dir_all(&dir).unwrap();
+            let path = dir.join("ops.journal");
+            save_ops(&journal_fixture(), &path).unwrap();
+            let text = std::fs::read_to_string(&path).unwrap();
+            std::fs::write(&path, mutate_journal(&text, kind, at, mask)).unwrap();
+            let loaded = std::panic::catch_unwind(|| load_ops(&path));
+            std::fs::remove_dir_all(&dir).ok();
+            match loaded {
+                Ok(Ok(_)) => {}
+                Ok(Err(e)) => proptest::prop_assert_eq!(e.kind(), io::ErrorKind::InvalidData, "{}", e),
+                Err(_) => proptest::prop_assert!(false, "load_ops panicked: {kind} {at} {mask}"),
+            }
+        }
     }
 
     #[test]

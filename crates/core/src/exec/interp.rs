@@ -294,12 +294,8 @@ impl<'a, T: Transport> Interp<'a, T> {
             sched::yield_now(Point::Progress);
             self.transport.op_boundary()?;
             match &ops[i] {
-                Op::Compute { nanos } => {
-                    if self.cfg.honor_compute {
-                        #[allow(clippy::disallowed_methods)] // the modelled compute phase itself
-                        std::thread::sleep(Duration::from_nanos(*nanos));
-                    }
-                }
+                // The simulator's op: the real interpreter only moves bytes.
+                Op::Compute { .. } => {}
                 Op::Pack {
                     src, staging_off, ..
                 } => match *src {
@@ -514,13 +510,7 @@ impl<'a, T: Transport> Interp<'a, T> {
             // Serial: the write completes before the op retires, so it
             // goes straight from the borrowed pieces — one gather, no copy.
             let f = self.files.get(&file).expect("validated: opened");
-            let ctx = IoCtx {
-                rank: self.rank,
-                wid: 0,
-                faults: &self.cfg.faults,
-                write_retries: self.cfg.write_retries,
-                retry_backoff: self.cfg.retry_backoff,
-            };
+            let ctx = IoCtx::new(self.rank, 0, &self.cfg.faults);
             let mut srcs = Vec::new();
             for (src, at) in chunks {
                 self.gather(src, at, &mut srcs);

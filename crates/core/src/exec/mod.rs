@@ -37,7 +37,7 @@ use crate::buf::Bytes;
 use crate::failover::{FailoverDirector, FailoverPolicy};
 use crate::fault::FaultPlan;
 use crate::pipeline::{FlushPool, WriterHandle, WriterTuning};
-use crate::sched::{self, Point, Wait};
+use crate::sched::{self, unpoisoned, Point, Wait};
 
 /// Default per-rank mailbox capacity (messages). Bounded so a burst or a
 /// stalled receiver exerts backpressure on senders instead of growing
@@ -101,15 +101,10 @@ pub struct ExecConfig {
     /// each large write started behind it so that sync finds little left;
     /// a non-atomic file has no commit and is synced by its `Close`.
     pub fsync_on_close: bool,
-    /// Sleep for `Compute` ops' durations (off by default: tests and
-    /// benches usually want the I/O path only).
-    pub honor_compute: bool,
-    /// Faults to inject (inert by default).
+    /// Faults to inject (inert by default). A transient write error is
+    /// retried on the one budget every writer shares,
+    /// [`crate::fault::WRITE_RETRIES`] from [`crate::fault::RETRY_BACKOFF`].
     pub faults: FaultPlan,
-    /// Retries per `WriteAt` on a transient error before giving up.
-    pub write_retries: u32,
-    /// Initial backoff between retries (doubles each attempt).
-    pub retry_backoff: Duration,
     /// `execute` only: how long a `Recv` waits with no matching message
     /// before failing (a lost handoff must surface as a typed error, not
     /// a hang). Under `rt` the application's [`crate::rt::Comm`] owns the
@@ -123,10 +118,6 @@ pub struct ExecConfig {
     /// run FIFO per writer, and the pipeline drains at plan barriers,
     /// reads, and end of program.
     pub pipeline_depth: u32,
-    /// When set, background jobs sleep a seed-derived pseudo-random
-    /// duration before running — a deterministic way for equivalence
-    /// tests to sweep cross-rank interleavings.
-    pub pipeline_jitter: Option<u64>,
     /// `execute` only: writer failover policy. Disabled by default: a
     /// dead writer aborts the run. When enabled (and the plan supports
     /// takeover — per-writer files, no writer barriers), a dead or hung
@@ -158,18 +149,14 @@ pub struct ExecConfig {
 }
 
 impl ExecConfig {
-    /// Config writing under `base_dir`, no fsync, compute ops skipped.
+    /// Config writing under `base_dir`, no fsync, no faults, serial.
     pub fn new(base_dir: impl AsRef<Path>) -> Self {
         ExecConfig {
             base_dir: base_dir.as_ref().to_path_buf(),
             fsync_on_close: false,
-            honor_compute: false,
             faults: FaultPlan::none(),
-            write_retries: 3,
-            retry_backoff: Duration::from_micros(500),
             recv_timeout: Duration::from_secs(2),
             pipeline_depth: 1,
-            pipeline_jitter: None,
             failover: FailoverPolicy::disabled(),
             stage: None,
             io_backend: BackendKind::Threaded,
@@ -188,12 +175,6 @@ impl ExecConfig {
     /// Set the writer pipeline depth (1 = serial, 2 = double buffering).
     pub fn pipeline_depth(mut self, depth: u32) -> Self {
         self.pipeline_depth = depth.max(1);
-        self
-    }
-
-    /// Set the background-job jitter seed for interleaving sweeps.
-    pub fn pipeline_jitter(mut self, seed: u64) -> Self {
-        self.pipeline_jitter = Some(seed);
         self
     }
 
@@ -297,9 +278,6 @@ impl ExecConfig {
                 self.pipeline_depth,
                 self.faults.clone(),
                 WriterTuning {
-                    write_retries: self.write_retries,
-                    retry_backoff: self.retry_backoff,
-                    jitter_seed: self.pipeline_jitter,
                     beat,
                     backend: Some(backend::resolve(self.io_backend)),
                     durable: self.fsync_on_close,
@@ -524,8 +502,7 @@ fn run_rank(it: &mut Interp<'_, ExecTransport<'_>>) -> (Duration, Result<(), Ste
         } else if dir.quiesced() {
             break;
         } else {
-            let g = dir.state.lock().expect("failover director lock");
-            drop(wait.park(&dir.state, &dir.changed, g));
+            drop(wait.park(&dir.state, &dir.changed, dir.lock()));
         }
     }
     (dt, res)
@@ -561,11 +538,12 @@ fn failover_supported(program: &Program, writers: &[u32]) -> bool {
 
 /// The end of an [`execute`] run: set once every rank returned or one
 /// raised `abort`, and notified, so the health monitor stops at once
-/// instead of at the end of its poll.
+/// instead of at the end of its poll. Taken through [`unpoisoned`]: its
+/// one update is a store of `true`.
 type RunOver = (Mutex<bool>, Condvar);
 
 fn end_run((over, cv): &RunOver) {
-    *over.lock().expect("run-over lock") = true;
+    *unpoisoned(over.lock()) = true;
     cv.notify_all();
 }
 
@@ -586,7 +564,7 @@ fn monitor_writers(dir: &FailoverDirector, beats: &[Arc<AtomicU64>], run_over: &
     let (over, cv) = run_over;
     let mut wait = Wait::new(Point::JoinWait, None).slice(poll);
     loop {
-        let mut g = over.lock().expect("run-over lock");
+        let mut g = unpoisoned(over.lock());
         if !*g {
             g = wait.park(over, cv, g).unwrap_or_else(|(g, _)| g);
         }
@@ -914,11 +892,22 @@ mod tests {
         let cap = 4usize;
         let burst = 8usize;
         let mut b = ProgramBuilder::new(vec![0, 0]);
-        // Rank 1 "stalls" (models a slow writer) before draining.
+        // Rank 1 stalls in a slow write (an injected 400 ms delay) before
+        // draining.
+        let f = b.file("stall.bin", 1);
         b.push(
             1,
-            Op::Compute {
-                nanos: Duration::from_millis(400).as_nanos() as u64,
+            Op::Open {
+                file: f,
+                create: true,
+            },
+        );
+        b.push(
+            1,
+            Op::WriteAt {
+                file: f,
+                offset: 0,
+                src: DataRef::Synthetic { len: 1 },
             },
         );
         b.reserve_staging(1, 1024);
@@ -943,9 +932,10 @@ mod tests {
         }
         let p = b.build();
         let dir = tmpdir("stalled-recv");
-        let cfg = ExecConfig::new(&dir).chan_capacity(cap);
+        let cfg = ExecConfig::new(&dir)
+            .chan_capacity(cap)
+            .faults(FaultPlan::none().delay_writes(1, Duration::from_millis(400)));
         let cfg = ExecConfig {
-            honor_compute: true,
             recv_timeout: Duration::from_millis(50),
             ..cfg
         };
@@ -1129,8 +1119,8 @@ mod tests {
         b.push(0, Op::Close { file: f });
         let p = b.build();
         let dir = tmpdir("exhaust");
-        let mut cfg = ExecConfig::new(&dir).faults(FaultPlan::none().fail_nth_write(0, 0, 10));
-        cfg.write_retries = 2;
+        // Ten failing attempts outlast the budget's first try and retries.
+        let cfg = ExecConfig::new(&dir).faults(FaultPlan::none().fail_nth_write(0, 0, 10));
         let err = execute(&p, vec![vec![0; 4]], &cfg).unwrap_err();
         match err {
             ExecError::Io { rank: 0, source } => {
@@ -1241,7 +1231,7 @@ mod tests {
         let dir_s = tmpdir("pipe-serial");
         execute(&p, vec![payload.clone()], &ExecConfig::new(&dir_s)).unwrap();
         let dir_p = tmpdir("pipe-deep");
-        let cfg = ExecConfig::new(&dir_p).pipeline_depth(2).pipeline_jitter(7);
+        let cfg = ExecConfig::new(&dir_p).pipeline_depth(2);
         execute(&p, vec![payload], &cfg).unwrap();
 
         let a = std::fs::read(dir_s.join("p.bin")).unwrap();

@@ -143,7 +143,12 @@ impl FailoverDirector {
         &self.policy
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, DirectorState> {
+    /// The director's state. Not [`crate::sched::unpoisoned`]:
+    /// `report_dead` makes several edits with a scheduler event between
+    /// them (the death, the orphan, the re-homing, or their undo), and a
+    /// panic midway would leave a writer fenced with no successor for its
+    /// extent. A poisoned director refuses instead of losing that extent.
+    pub(crate) fn lock(&self) -> std::sync::MutexGuard<'_, DirectorState> {
         self.state.lock().expect("failover director lock")
     }
 

@@ -33,7 +33,7 @@ use rbio_plan::Rank;
 use rbio_profile::counters;
 
 use crate::crash;
-use crate::sched;
+use crate::sched::{self, unpoisoned};
 
 /// What a write-edge fault check decided.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -97,6 +97,10 @@ struct Inner {
 #[derive(Debug, Clone, Default)]
 pub struct FaultPlan {
     armed: Arc<AtomicBool>,
+    /// Taken through [`unpoisoned`]: every update under it is a map
+    /// insert or remove, or a counter bump, in straight-line code with no
+    /// call that can panic between two of them, so a panic on a thread
+    /// holding it leaves no half-made change to refuse.
     inner: Arc<Mutex<Inner>>,
 }
 
@@ -109,11 +113,7 @@ impl FaultPlan {
     /// Kill `rank` once it has written at least `bytes` cumulative bytes
     /// (checked before each write; `0` kills on the first write attempt).
     pub fn kill_writer_after_bytes(self, rank: Rank, bytes: u64) -> Self {
-        self.inner
-            .lock()
-            .expect("fault plan lock")
-            .kill_after
-            .insert(rank, bytes);
+        unpoisoned(self.inner.lock()).kill_after.insert(rank, bytes);
         self.armed.store(true, Ordering::Release);
         self
     }
@@ -121,9 +121,7 @@ impl FaultPlan {
     /// Fail `rank`'s `nth` write (0-based) with a transient error for the
     /// first `times` attempts; the next retry succeeds.
     pub fn fail_nth_write(self, rank: Rank, nth: u64, times: u32) -> Self {
-        self.inner
-            .lock()
-            .expect("fault plan lock")
+        unpoisoned(self.inner.lock())
             .fail_write
             .insert(rank, (nth, times));
         self.armed.store(true, Ordering::Release);
@@ -136,9 +134,7 @@ impl FaultPlan {
     /// threaded one). One-shot. Models the partial `pwrite` returns that
     /// striped file systems produce near stripe boundaries.
     pub fn short_write(self, rank: Rank, nth: u64, cap: u64) -> Self {
-        self.inner
-            .lock()
-            .expect("fault plan lock")
+        unpoisoned(self.inner.lock())
             .short_write
             .insert(rank, (nth, cap));
         self.armed.store(true, Ordering::Release);
@@ -147,9 +143,7 @@ impl FaultPlan {
 
     /// Drop the `nth` message (0-based) sent from `src` to `dst`.
     pub fn drop_message(self, src: Rank, dst: Rank, nth: u64) -> Self {
-        self.inner
-            .lock()
-            .expect("fault plan lock")
+        unpoisoned(self.inner.lock())
             .drop_msg
             .insert((src, dst), nth);
         self.armed.store(true, Ordering::Release);
@@ -161,11 +155,7 @@ impl FaultPlan {
     /// stale heartbeat, declares it dead past the dead-writer deadline,
     /// and must fence it so its post-revival commit is refused.
     pub fn hang_writer(self, rank: Rank, dur: Duration) -> Self {
-        self.inner
-            .lock()
-            .expect("fault plan lock")
-            .hang
-            .insert(rank, dur);
+        unpoisoned(self.inner.lock()).hang.insert(rank, dur);
         self.armed.store(true, Ordering::Release);
         self
     }
@@ -173,11 +163,7 @@ impl FaultPlan {
     /// Add `delay` to every write `rank` performs (a slow writer, never
     /// dead: the write still lands, late, through the fault plan).
     pub fn delay_writes(self, rank: Rank, delay: Duration) -> Self {
-        self.inner
-            .lock()
-            .expect("fault plan lock")
-            .delay
-            .insert(rank, delay);
+        unpoisoned(self.inner.lock()).delay.insert(rank, delay);
         self.armed.store(true, Ordering::Release);
         self
     }
@@ -187,9 +173,7 @@ impl FaultPlan {
     /// with `ENOSPC`. Persistent (a full disk stays full), and never
     /// retried — `ENOSPC` is not transient.
     pub fn enospc_after_bytes(self, rank: Rank, bytes: u64) -> Self {
-        self.inner
-            .lock()
-            .expect("fault plan lock")
+        unpoisoned(self.inner.lock())
             .enospc_after
             .insert(rank, bytes);
         self.armed.store(true, Ordering::Release);
@@ -211,11 +195,7 @@ impl FaultPlan {
     /// descriptor has yet been told about, whichever rank dirtied the
     /// page.
     pub fn fsync_eio(self, rank: Rank) -> Self {
-        self.inner
-            .lock()
-            .expect("fault plan lock")
-            .fsync_eio
-            .insert(rank);
+        unpoisoned(self.inner.lock()).fsync_eio.insert(rank);
         self.armed.store(true, Ordering::Release);
         self
     }
@@ -230,7 +210,7 @@ impl FaultPlan {
         if !self.is_armed() {
             return None;
         }
-        let mut g = self.inner.lock().expect("fault plan lock");
+        let mut g = unpoisoned(self.inner.lock());
         if g.fsync_failed.contains(&rank) {
             return Some(io::Error::from_raw_os_error(5));
         }
@@ -244,22 +224,14 @@ impl FaultPlan {
     /// Record that a *real* fsync failed on `rank`, so the sticky rule in
     /// [`FaultPlan::on_fsync`] applies to it from now on.
     pub fn latch_fsync_failure(&self, rank: Rank) {
-        self.inner
-            .lock()
-            .expect("fault plan lock")
-            .fsync_failed
-            .insert(rank);
+        unpoisoned(self.inner.lock()).fsync_failed.insert(rank);
         self.armed.store(true, Ordering::Release);
     }
 
     /// Fail `rank`'s next directory fsync (the commit path's
     /// rename-durability barrier) once with an injected I/O error.
     pub fn fail_dir_fsync(self, rank: Rank) -> Self {
-        self.inner
-            .lock()
-            .expect("fault plan lock")
-            .dir_fsync_fail
-            .insert(rank);
+        unpoisoned(self.inner.lock()).dir_fsync_fail.insert(rank);
         self.armed.store(true, Ordering::Release);
         self
     }
@@ -271,9 +243,7 @@ impl FaultPlan {
         if !self.is_armed() {
             return None;
         }
-        self.inner
-            .lock()
-            .expect("fault plan lock")
+        unpoisoned(self.inner.lock())
             .dir_fsync_fail
             .remove(&rank)
             .then(|| io::Error::other(format!("injected directory fsync failure on rank {rank}")))
@@ -286,11 +256,7 @@ impl FaultPlan {
         if !self.is_armed() {
             return None;
         }
-        self.inner
-            .lock()
-            .expect("fault plan lock")
-            .hang
-            .remove(&rank)
+        unpoisoned(self.inner.lock()).hang.remove(&rank)
     }
 
     /// The per-write delay configured for `rank`, if any.
@@ -298,12 +264,7 @@ impl FaultPlan {
         if !self.is_armed() {
             return None;
         }
-        self.inner
-            .lock()
-            .expect("fault plan lock")
-            .delay
-            .get(&rank)
-            .copied()
+        unpoisoned(self.inner.lock()).delay.get(&rank).copied()
     }
 
     /// Whether any fault is configured (fast path: one atomic load).
@@ -318,7 +279,7 @@ impl FaultPlan {
         if !self.is_armed() {
             return None;
         }
-        let mut g = self.inner.lock().expect("fault plan lock");
+        let mut g = unpoisoned(self.inner.lock());
         if let Some(&threshold) = g.kill_after.get(&rank) {
             if *g.written.entry(rank).or_insert(0) >= threshold {
                 return Some(WriteFault::Kill);
@@ -377,7 +338,7 @@ impl FaultPlan {
         if !self.is_armed() {
             return false;
         }
-        let g = self.inner.lock().expect("fault plan lock");
+        let g = unpoisoned(self.inner.lock());
         match g.kill_after.get(&rank) {
             Some(&threshold) => g.written.get(&rank).copied().unwrap_or(0) >= threshold,
             None => false,
@@ -390,7 +351,7 @@ impl FaultPlan {
         if !self.is_armed() {
             return false;
         }
-        let mut g = self.inner.lock().expect("fault plan lock");
+        let mut g = unpoisoned(self.inner.lock());
         let e = g.sent.entry((src, dst)).or_insert(0);
         let idx = *e;
         *e += 1;
@@ -479,7 +440,7 @@ fn retry_budget(max_retries: u32, initial_backoff: Duration) -> Duration {
 }
 
 /// splitmix64: a tiny, well-mixed PRNG step. Derives every seeded
-/// choice the runtime makes: retry and job jitter, crash-image subsets.
+/// choice the runtime makes: retry jitter, crash-image subsets.
 pub(crate) fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E3779B97F4A7C15);
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
@@ -536,6 +497,14 @@ impl RetryClock {
     }
 }
 
+/// Retries per logical write on a transient error: the one budget every
+/// library writer runs under (plan writers under either entry point, a
+/// service session's pool writer, and [`crate::commit::commit_bytes`]).
+pub const WRITE_RETRIES: u32 = 3;
+/// First retry backoff of that budget; it doubles per attempt, jittered
+/// and capped by the write's wall-clock deadline.
+pub const RETRY_BACKOFF: Duration = Duration::from_micros(500);
+
 /// Immutable per-writer context every fault-checked write runs under.
 /// Re-exported as [`crate::backend::IoCtx`]: backends receive it from
 /// the flush pool and pass it straight down.
@@ -550,6 +519,20 @@ pub struct IoCtx<'a> {
     pub write_retries: u32,
     /// Initial retry backoff (doubles per attempt).
     pub retry_backoff: Duration,
+}
+
+impl<'a> IoCtx<'a> {
+    /// `rank`'s context under the one budget, [`WRITE_RETRIES`] from
+    /// [`RETRY_BACKOFF`].
+    pub fn new(rank: Rank, wid: usize, faults: &'a FaultPlan) -> Self {
+        IoCtx {
+            rank,
+            wid,
+            faults,
+            write_retries: WRITE_RETRIES,
+            retry_backoff: RETRY_BACKOFF,
+        }
+    }
 }
 
 /// What one fault-checked write delivered.

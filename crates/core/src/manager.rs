@@ -468,19 +468,20 @@ impl CheckpointManager {
                     )
                 }),
             });
-            return Ok(report);
+        } else {
+            // Direct path: the marker, published on this thread.
+            publish_generation(
+                &self.cfg.dir,
+                step,
+                &specs,
+                &[],
+                self.cfg.fsync,
+                &self.cfg.faults,
+            )?;
         }
-
-        // Direct path: the marker, published on this thread.
-        publish_generation(
-            &self.cfg.dir,
-            step,
-            &specs,
-            &[],
-            self.cfg.fsync,
-            &self.cfg.faults,
-        )?;
-
+        // Both paths prune here, so a campaign that never waits for
+        // durability still rotates: on the tiered path, what the drain
+        // has published by now.
         self.rotate()?;
         Ok(report)
     }
@@ -1385,6 +1386,45 @@ mod tests {
         assert_eq!(mgr.committed_steps().unwrap(), vec![6]);
         std::fs::remove_dir_all(&base).ok();
         std::fs::remove_dir_all(&ref_dir).ok();
+    }
+
+    #[test]
+    fn a_tiered_campaign_that_never_calls_wait_durable_still_rotates() {
+        let base = std::env::temp_dir().join(format!("rbio-mgr-nowait-{}", std::process::id()));
+        std::fs::remove_dir_all(&base).ok();
+        let (pfs, local, burst) = (base.join("pfs"), base.join("local"), base.join("burst"));
+        let mut cfg = ManagerConfig::new(&pfs, Strategy::rbio(2));
+        cfg.keep = 2;
+        cfg.tier = Some(
+            crate::tier::TierConfig::new(&local)
+                .burst_dir(&burst)
+                .slab_capacity(1 << 20),
+        );
+        let mgr =
+            CheckpointManager::new(DataLayout::uniform(8, &[("u", 1024)]), cfg).expect("manager");
+        let engine = Arc::clone(mgr.tier_engine().expect("tiered"));
+        for step in 1..=6u64 {
+            // The engine's own wait publishes the previous step and prunes
+            // nothing; only the manager's calls may rotate.
+            if step > 1 {
+                engine.wait_durable(step - 1).expect("drained");
+            }
+            mgr.checkpoint(step, fill_for(step)).expect("ck");
+        }
+        engine.wait_durable(6).expect("drained");
+        // Steps 1–5 were published before the last call; of those only
+        // the newest two, 4 and 5, may outlive it (6 is newer still).
+        let stale = |dir: &Path| {
+            let names = commit::list(dir).unwrap();
+            names
+                .into_iter()
+                .filter(|n| (1..=3).any(|s| of_step(n, s)))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(stale(&pfs), Vec::<String>::new(), "PFS tier");
+        assert_eq!(stale(&burst), Vec::<String>::new(), "burst tier");
+        assert!(mgr.committed_steps().unwrap().ends_with(&[5, 6]));
+        std::fs::remove_dir_all(&base).ok();
     }
 
     #[test]

@@ -42,8 +42,7 @@ use std::fs::File;
 use std::io;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, LockResult, Mutex, MutexGuard, OnceLock, PoisonError, RwLock};
-use std::time::Duration;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, RwLock};
 
 use rbio_plan::Rank;
 use rbio_profile::counters;
@@ -52,7 +51,7 @@ use crate::backend::{self, IoBackend, IoCtx, WriteOp};
 use crate::buf::Bytes;
 use crate::commit;
 use crate::fault::{self, FaultPlan};
-use crate::sched::{self, Point, Revert, Wait};
+use crate::sched::{self, unpoisoned, Point, Revert, Wait};
 use crate::sys;
 
 /// Why a writer's background pipeline failed.
@@ -166,17 +165,11 @@ impl FlushJob {
 }
 
 /// Per-writer knobs, grouped so `register` does not grow a parameter per
-/// feature. [`Default`] is "off": no retries, no jitter, no heartbeat.
+/// feature. [`Default`] is "off": no heartbeat, the threaded backend, no
+/// writeback hints. The retry budget is not a knob: every writer's
+/// writes retry on [`fault::WRITE_RETRIES`] from [`fault::RETRY_BACKOFF`].
 #[derive(Default, Clone)]
 pub struct WriterTuning {
-    /// Extra attempts per failed write (see [`fault::write_at_or_short`]).
-    pub write_retries: u32,
-    /// Base backoff between retry attempts.
-    pub retry_backoff: Duration,
-    /// Deterministic interleaving perturbation: when set, each job sleeps
-    /// a seed-derived pseudo-random duration (< 200 µs) before running,
-    /// so equivalence tests can sweep schedules reproducibly.
-    pub jitter_seed: Option<u64>,
     /// Liveness heartbeat bumped as this writer's jobs execute, so the
     /// failover monitor does not declare a rank dead while its queue is
     /// merely deep.
@@ -205,13 +198,7 @@ struct WriterCtx {
 
 impl WriterCtx {
     fn io_ctx(&self) -> IoCtx<'_> {
-        IoCtx {
-            rank: self.rank,
-            wid: self.wid,
-            faults: &self.faults,
-            write_retries: self.tuning.write_retries,
-            retry_backoff: self.tuning.retry_backoff,
-        }
+        IoCtx::new(self.rank, self.wid, &self.faults)
     }
 
     /// The engine for this writer's write jobs: the registered one, else
@@ -242,7 +229,7 @@ struct WriterState {
     error: Option<PipelineError>,
     /// Retried write attempts accumulated by background jobs.
     retries: u64,
-    /// Jobs executed so far (jitter sequence number).
+    /// Jobs claimed so far (the sequence number of job trace events).
     seq: u64,
     /// Slot is registered to a live handle.
     occupied: bool,
@@ -256,6 +243,10 @@ struct Inner {
 }
 
 struct Shared {
+    /// Taken through [`unpoisoned`]: every edit under it is straight-line
+    /// bookkeeping that cannot panic midway, and jobs run with it
+    /// released, so a panic on a thread holding it leaves no half-made
+    /// change to refuse.
     inner: Mutex<Inner>,
     /// Signaled when a writer becomes runnable.
     work: Condvar,
@@ -288,16 +279,8 @@ pub struct FlushPool {
 
 /// Pool used by controlled (`rbio-check`) runs instead of the global
 /// one, so schedule decisions see a fixed, named set of worker threads.
+/// Taken through [`unpoisoned`]: each store replaces it whole.
 static CHECK_POOL: RwLock<Option<Arc<FlushPool>>> = RwLock::new(None);
-
-/// A pool lock's guard (the writer table's or [`CHECK_POOL`]'s), poisoned
-/// or not. Every edit under the pool lock is straight-line bookkeeping
-/// that cannot panic midway, and jobs run with the lock released, so a
-/// panic elsewhere on a thread holding a guard leaves no half-made change
-/// to refuse.
-fn unpoisoned<G>(guard: LockResult<G>) -> G {
-    guard.unwrap_or_else(PoisonError::into_inner)
-}
 
 impl FlushPool {
     fn global_arc() -> &'static Arc<FlushPool> {
@@ -614,7 +597,7 @@ fn worker_loop(shared: &Shared) {
             let outcome = if skip {
                 backend::BatchOutcome::ok(0)
             } else {
-                run_batch(&ctx, seq, &mut batch, &mut behind)
+                run_batch(&ctx, &mut batch, &mut behind)
             };
             // Retire.
             g = unpoisoned(shared.inner.lock());
@@ -662,27 +645,17 @@ pub(crate) fn hint_writeback(file: &File, offset: u64, len: u64) {
 }
 
 /// Run one claimed batch, consuming its jobs: write jobs go to the
-/// backend as one submission, a `Close` or a `Commit` runs alone. Jitter
-/// applies once per batch, keyed by the first job's `seq`; the liveness
-/// beat advances once per job before the batch runs and once after.
+/// backend as one submission, a `Close` or a `Commit` runs alone. The
+/// liveness beat advances once per job before the batch runs and once
+/// after.
 fn run_batch(
     ctx: &WriterCtx,
-    seq: u64,
     jobs: &mut Vec<FlushJob>,
     behind: &mut Vec<(Arc<File>, u64, u64)>,
 ) -> backend::BatchOutcome {
     let n = jobs.len() as u64;
     if let Some(b) = &ctx.tuning.beat {
         b.fetch_add(n, Ordering::Relaxed);
-    }
-    if let Some(seed) = ctx.tuning.jitter_seed {
-        // Under a controlled scheduler interleavings come from the
-        // schedule, not wall-clock jitter.
-        if !sched::controlled() {
-            let h = fault::splitmix64(seed ^ (u64::from(ctx.rank) << 32) ^ seq);
-            #[allow(clippy::disallowed_methods)] // test jitter: a deliberate delay
-            std::thread::sleep(Duration::from_micros(h % 200));
-        }
     }
     let alone = |res: Result<(), fault::WriteError>| backend::BatchOutcome {
         retries: 0,
@@ -763,16 +736,7 @@ mod tests {
     }
 
     fn handle(rank: Rank, depth: u32, faults: FaultPlan) -> WriterHandle {
-        FlushPool::current().register(
-            rank,
-            depth,
-            faults,
-            WriterTuning {
-                write_retries: 3,
-                retry_backoff: Duration::from_micros(100),
-                ..WriterTuning::default()
-            },
-        )
+        FlushPool::current().register(rank, depth, faults, WriterTuning::default())
     }
 
     #[test]
@@ -804,18 +768,8 @@ mod tests {
         // all on the queue before any pool thread claims the writer; a
         // single drainer must still run them FIFO. (Regression: a double
         // runnable enqueue once let two threads drain the same writer
-        // concurrently, and with per-job jitter the earlier write could
-        // land last.)
-        let h = FlushPool::current().register(
-            0,
-            4,
-            FaultPlan::none(),
-            WriterTuning {
-                write_retries: 3,
-                jitter_seed: Some(0xFEED),
-                ..WriterTuning::default()
-            },
-        );
+        // concurrently, and the earlier write could land last.)
+        let h = handle(0, 4, FaultPlan::none());
         for round in 0..200u64 {
             for i in 0..4u8 {
                 h.submit(FlushJob::Write {
@@ -920,16 +874,7 @@ mod tests {
         let p = FlushPool::with_threads(1);
         let dir = tmpdir("shutdown");
         let file = open_rw(&dir.join("f"));
-        let h = p.register(
-            0,
-            2,
-            FaultPlan::none(),
-            WriterTuning {
-                write_retries: 3,
-                retry_backoff: Duration::from_micros(100),
-                ..WriterTuning::default()
-            },
-        );
+        let h = p.register(0, 2, FaultPlan::none(), WriterTuning::default());
         h.submit(FlushJob::Write {
             file: Arc::clone(&file),
             offset: 0,

@@ -41,6 +41,7 @@ use crate::commit::{self, VerifyError};
 use crate::format::{
     declared_header_len, decode_header, read_header_prefix, FileHeader, FormatError, MAX_HEADER_LEN,
 };
+use crate::sched::unpoisoned;
 use crate::strategy::CheckpointPlan;
 use crate::tier::{self, TierStage};
 
@@ -200,9 +201,7 @@ fn extract_file(dir: &Path, rel: &str, header: &FileHeader) -> FileBlocks {
     let path = dir.join(rel);
     #[cfg(test)]
     {
-        let mut armed = INJECT_EXTRACT_PANIC
-            .lock()
-            .unwrap_or_else(|p| p.into_inner());
+        let mut armed = unpoisoned(INJECT_EXTRACT_PANIC.lock());
         if armed.as_ref() == Some(&path) {
             *armed = None;
             drop(armed);
@@ -424,8 +423,8 @@ fn extract_file_guarded(extract: Extract<'_>, rel: &str, header: &FileHeader) ->
 /// first failing file (by listed order) wins error reporting, whatever
 /// the order the files finished in. A panicking worker fails only its own
 /// file (typed [`RestartError::WorkerPanicked`]); every other slot
-/// completes, and a slot's lock is taken without trusting its poison
-/// state.
+/// completes, and a slot's lock is taken through [`unpoisoned`]: its one
+/// update is a whole store.
 fn extract_all(
     files: &[(String, FileHeader)],
     nranks: u32,
@@ -444,7 +443,7 @@ fn extract_all(
             break;
         };
         let res = extract_file_guarded(extract, name, h);
-        *slots[i].lock().unwrap_or_else(|p| p.into_inner()) = Some(res);
+        *unpoisoned(slots[i].lock()) = Some(res);
     };
     std::thread::scope(|scope| {
         for _ in 1..workers {
@@ -454,7 +453,7 @@ fn extract_all(
     });
     let mut data: Vec<Vec<Bytes>> = vec![Vec::new(); nranks as usize];
     for ((_, h), slot) in files.iter().zip(slots) {
-        let slot = slot.into_inner().unwrap_or_else(|p| p.into_inner());
+        let slot = unpoisoned(slot.into_inner());
         let blocks = slot.expect("every file slot filled")?;
         for (k, row) in blocks.into_iter().enumerate() {
             data[h.r0 as usize + k].extend(row);

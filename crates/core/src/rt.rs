@@ -33,6 +33,7 @@ use crate::exec::{
     run_ranks, Blocked, ExecConfig, Interp, Mailbox, Payload, StepError, Transport,
     DEFAULT_CHAN_CAPACITY,
 };
+use crate::sched::unpoisoned;
 
 /// A typed runtime failure, always carrying the failing rank.
 #[derive(Debug)]
@@ -172,6 +173,7 @@ pub struct Comm {
     size: u32,
     mail: Mailbox,
     world_barrier: Arc<Barrier>,
+    /// Taken through [`unpoisoned`]: each update is one slot's store.
     reduce_slots: Arc<Mutex<Vec<f64>>>,
 }
 
@@ -258,12 +260,12 @@ impl Comm {
     /// plus two barriers — fine at in-process scale.
     pub fn allreduce_f64(&self, value: f64, op: impl Fn(f64, f64) -> f64) -> f64 {
         {
-            let mut slot = self.reduce_slots.lock().expect("no poisoned locks");
+            let mut slot = unpoisoned(self.reduce_slots.lock());
             slot[self.rank as usize] = value;
         }
         self.barrier();
         let result = {
-            let slot = self.reduce_slots.lock().expect("no poisoned locks");
+            let slot = unpoisoned(self.reduce_slots.lock());
             slot.iter().copied().reduce(&op).expect("nonempty")
         };
         self.barrier();
@@ -758,7 +760,7 @@ mod tests {
             let dir_serial = tmpdir(&format!("ps-{tag}"));
             let dir_pipe = tmpdir(&format!("pp-{tag}"));
             for (dir, depth) in [(&dir_serial, 1u32), (&dir_pipe, 3)] {
-                let cfg = RtConfig::new(dir).pipeline_depth(depth).pipeline_jitter(11);
+                let cfg = RtConfig::new(dir).pipeline_depth(depth);
                 run_rt(&plan.program, &payloads, &cfg);
             }
             for pf in &plan.plan_files {

@@ -475,7 +475,7 @@ pub enum Event {
 /// single-token controller.
 pub trait Sched: Send + Sync {
     /// True while a controlled run is active (drives `FlushPool::current`
-    /// redirection and jitter/gate suppression).
+    /// redirection and gate suppression).
     fn controlled(&self) -> bool {
         false
     }
@@ -583,9 +583,13 @@ impl Drop for RevertGuard {
     }
 }
 
-/// A lock's guard even if a holder panicked. `SCHED` is one `Option`, each
-/// store replaces it whole; [`Wait::park`] leaves poison to its callers.
-fn unpoisoned<G>(guard: LockResult<G>) -> G {
+/// A lock's guard even if a holder panicked: the crate's one rule for a
+/// poisoned lock. A lock taken through it says in its doc why a panic
+/// while it is held leaves no half-made change to refuse; a lock whose
+/// update can be left half-made keeps `expect` and says why. `SCHED` is
+/// one `Option`, each store replaces it whole; [`Wait::park`] returns its
+/// guard through this rule too.
+pub(crate) fn unpoisoned<G>(guard: LockResult<G>) -> G {
     guard.unwrap_or_else(PoisonError::into_inner)
 }
 

@@ -42,7 +42,7 @@ use crate::buf::{BufPool, Bytes};
 use crate::commit;
 use crate::fault::FaultPlan;
 use crate::pipeline::{FlushJob, FlushPool, PipelineError, WriterHandle, WriterTuning};
-use crate::sched::{self, Point, Revert, Wait};
+use crate::sched::{self, unpoisoned, Point, Revert, Wait};
 
 /// How often a session waiting for admission re-checks; how long in all
 /// a grant waits for hidden contenders before it counts them as stalled;
@@ -297,6 +297,10 @@ impl GateState {
 /// Bounded admission: at most `max_inflight` permits out, at most
 /// `queue_depth` FIFO waiters, typed rejection beyond that.
 pub struct AdmissionGate {
+    /// Taken through [`unpoisoned`]: every update under it is a ticket or
+    /// permit count, or a set edit, in straight-line code that cannot
+    /// panic midway, so a panic on a thread holding it leaves no
+    /// half-made change to refuse.
     m: Mutex<GateState>,
     cv: Condvar,
     max_inflight: usize,
@@ -340,7 +344,7 @@ impl AdmissionGate {
     /// Acquire a permit for `tenant`, queueing (bounded, FIFO) when the
     /// service is at capacity.
     pub fn acquire(self: &Arc<Self>, tenant: u64) -> Result<SessionPermit, ServiceError> {
-        let mut g = self.m.lock().expect("gate lock");
+        let mut g = unpoisoned(self.m.lock());
         g.skip_abandoned();
         let admission = if g.inflight < self.max_inflight && g.queued() == 0 {
             Admission::Admitted
@@ -384,7 +388,7 @@ impl AdmissionGate {
 
 impl Drop for SessionPermit {
     fn drop(&mut self) {
-        let mut g = self.gate.m.lock().expect("gate lock");
+        let mut g = unpoisoned(self.gate.m.lock());
         g.inflight -= 1;
         g.skip_abandoned();
         self.gate.cv.notify_all();
@@ -423,6 +427,10 @@ struct FsState {
 /// by more than a quantum) extended with per-tenant weights and QoS
 /// preemption.
 pub struct FairShare {
+    /// Taken through [`unpoisoned`]: every update under it is a count or
+    /// vtime bump, or a map edit, in straight-line code that cannot panic
+    /// midway (a grant's waits release it), so a panic on a thread
+    /// holding it leaves no half-made change to refuse.
     m: Mutex<FsState>,
     cv: Condvar,
     /// Vtime slack a tenant may run ahead of the slowest waiter.
@@ -442,7 +450,7 @@ pub struct Call<'a> {
 
 impl Drop for Call<'_> {
     fn drop(&mut self) {
-        let mut g = self.fs.m.lock().expect("fair-share lock");
+        let mut g = unpoisoned(self.fs.m.lock());
         if let Some(t) = g.tenants.get_mut(&self.tenant) {
             t.calls = t.calls.saturating_sub(1);
         }
@@ -470,7 +478,7 @@ impl FairShare {
     /// contest starts at the present minimum vtime, not at zero — new
     /// arrivals get an equal share, not a retroactive credit.
     pub fn join(&self, tenant: &TenantSpec) {
-        let mut g = self.m.lock().expect("fair-share lock");
+        let mut g = unpoisoned(self.m.lock());
         let floor = g
             .tenants
             .values()
@@ -494,7 +502,7 @@ impl FairShare {
 
     /// Unregister one session of `tenant`.
     pub fn leave(&self, tenant_id: u64) {
-        let mut g = self.m.lock().expect("fair-share lock");
+        let mut g = unpoisoned(self.m.lock());
         if let Some(t) = g.tenants.get_mut(&tenant_id) {
             t.sessions = t.sessions.saturating_sub(1);
             if t.sessions == 0 {
@@ -508,7 +516,7 @@ impl FairShare {
     /// returned guard drops. A contender far enough ahead waits for the
     /// loop's next grant instead of overtaking it between two grants.
     pub fn call(&self, tenant_id: u64) -> Result<Call<'_>, ServiceError> {
-        let mut g = self.m.lock().expect("fair-share lock");
+        let mut g = unpoisoned(self.m.lock());
         let t = g
             .tenants
             .get_mut(&tenant_id)
@@ -550,7 +558,7 @@ impl FairShare {
         // grant even while it is blocked on the mutex.
         self.arriving.fetch_add(1, Ordering::SeqCst);
         sched::yield_now(Point::GrantWait);
-        let mut g = self.m.lock().expect("fair-share lock");
+        let mut g = unpoisoned(self.m.lock());
         self.arriving.fetch_sub(1, Ordering::SeqCst);
         let Some(t) = g.tenants.get_mut(&tenant_id) else {
             // The arrival is over: wake the decisions that waited for it.
@@ -1194,6 +1202,25 @@ mod tests {
         }
         let published = dir.join("tenant-3").join("gen0.ckpt");
         assert!(!published.exists(), "a failed fsync must not publish");
+    }
+
+    #[test]
+    fn a_transient_write_error_is_retried_like_a_plan_writers() {
+        let dir = tmpdir("eio-once");
+        let svc = CheckpointService::new(ServiceConfig::new(&dir));
+        // A fresh service numbers its sessions from 0: the session's first
+        // write fails once with EIO, and the one retry budget lands it.
+        let faults = FaultPlan::none().fail_nth_write(0, 0, 1);
+        let t = TenantSpec::new(5);
+        let data = payload(5, 10_000);
+        let mut s = svc
+            .checkpoint_with_faults(t, "gen0.ckpt", faults)
+            .expect("admit");
+        assert_eq!(s.session_id(), 0);
+        s.write(&data).expect("write");
+        assert_eq!(s.commit().expect("commit"), 10_000);
+        let mut r = svc.restore(t, "gen0.ckpt").expect("admit restore");
+        assert_eq!(r.read_all().expect("read"), data);
     }
 
     #[test]

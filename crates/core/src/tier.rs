@@ -45,7 +45,7 @@ use std::io;
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
 use rbio_plan::Rank;
@@ -55,21 +55,12 @@ use crate::buf::{BufPool, Bytes};
 use crate::commit;
 use crate::extent::ExtentMap;
 use crate::fault::FaultPlan;
-use crate::sched::{self, Point, TierId, Wait};
+use crate::sched::{self, unpoisoned, Point, TierId, Wait};
 
 /// The rank the drain engine commits as. Out of the plan's
 /// rank space so rank-targeted fault plans never hit the drain by
 /// accident (`Rank::MAX` itself is the manager's commit identity).
 pub const DRAIN_RANK: Rank = Rank::MAX - 1;
-
-/// A tier mutex's guard, poisoned or not. Every update under the stage
-/// and engine locks is a container edit in straight-line code that
-/// cannot panic midway (user callbacks and I/O run with the lock
-/// released), so a panic elsewhere on a thread holding a guard leaves no
-/// half-made change to refuse.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
 
 /// Tier staging errors.
 #[derive(Debug)]
@@ -226,6 +217,10 @@ pub struct TierStage {
     step: u64,
     /// Bytes the stage accepts in all before [`TierError::StageFull`].
     budget: usize,
+    /// Taken through [`unpoisoned`]: every update under it is a container
+    /// edit in straight-line code that cannot panic midway (the bytes are
+    /// handed over before it is taken), so a panic on a thread holding it
+    /// leaves no half-made change to refuse.
     files: Mutex<StageFiles>,
 }
 
@@ -265,7 +260,7 @@ impl TierStage {
         pieces: &[Bytes],
     ) -> Result<(), TierError> {
         let len: usize = pieces.iter().map(Bytes::len).sum();
-        let mut g = lock(&self.files);
+        let mut g = unpoisoned(self.files.lock());
         if len > self.budget - g.staged {
             return Err(TierError::StageFull {
                 capacity: self.budget,
@@ -295,7 +290,7 @@ impl TierStage {
     /// Seal `name` at its logical (pre-footer) `size`: no more extents
     /// will arrive; the file is ready to drain.
     pub fn seal_file(&self, name: &str, size: u64) {
-        let mut g = lock(&self.files);
+        let mut g = unpoisoned(self.files.lock());
         // A name is copied once per file, not once per call.
         let file = match g.by_name.get_mut(name) {
             Some(file) => file,
@@ -309,7 +304,7 @@ impl TierStage {
     /// slice never changes. A file with an extent past its sealed size
     /// has no image to drain or restore; it is the error, `(name, what)`.
     pub(crate) fn sealed_files(&self) -> Result<SealedFiles, (String, String)> {
-        let g = lock(&self.files);
+        let g = unpoisoned(self.files.lock());
         let sealed = g
             .by_name
             .iter()
@@ -325,7 +320,7 @@ impl TierStage {
 
 impl std::fmt::Debug for TierStage {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let files = lock(&self.files).by_name.len();
+        let files = unpoisoned(self.files.lock()).by_name.len();
         write!(f, "TierStage {{ step: {}, files: {files} }}", self.step)
     }
 }
@@ -387,6 +382,10 @@ struct EngineState {
 
 #[derive(Debug)]
 struct EngineShared {
+    /// Taken through [`unpoisoned`]: every update under it is a container
+    /// edit in straight-line code that cannot panic midway (publish
+    /// callbacks and I/O run with it released), so a panic on a thread
+    /// holding it leaves no half-made change to refuse.
     state: Mutex<EngineState>,
     cv: Condvar,
     lost_local: AtomicBool,
@@ -398,6 +397,7 @@ struct EngineShared {
 #[derive(Debug)]
 pub struct TierEngine {
     shared: Arc<EngineShared>,
+    /// Taken through [`unpoisoned`]: its one update is a `take`.
     join: Mutex<Option<JoinHandle<()>>>,
     alive: Arc<AtomicBool>,
 }
@@ -435,7 +435,7 @@ impl TierEngine {
 
     /// Queue a generation for draining (FIFO).
     pub fn submit(&self, job: DrainJob) {
-        let mut g = lock(&self.shared.state);
+        let mut g = unpoisoned(self.shared.state.lock());
         g.queue.push_back(job);
         self.shared.cv.notify_all();
     }
@@ -443,7 +443,7 @@ impl TierEngine {
     /// Block until generation `step` is durable on the PFS tier.
     pub fn wait_durable(&self, step: u64) -> Result<(), TierError> {
         let sh = &*self.shared;
-        let mut g = lock(&sh.state);
+        let mut g = unpoisoned(sh.state.lock());
         let mut wait = Wait::new(Point::TierDurableWait, None);
         loop {
             if g.durable.contains(&step) {
@@ -477,14 +477,14 @@ impl TierEngine {
 
     /// The newest drained generation still resident in the local tier.
     pub fn newest_retained(&self) -> Option<Arc<TierStage>> {
-        let g = lock(&self.shared.state);
+        let g = unpoisoned(self.shared.state.lock());
         g.retained.back().cloned()
     }
 }
 
 impl Drop for TierEngine {
     fn drop(&mut self) {
-        lock(&self.shared.state).shutdown = true;
+        unpoisoned(self.shared.state.lock()).shutdown = true;
         self.shared.cv.notify_all();
         // Under a controlled scheduler a blocking join would wedge the
         // schedule; spin through the JoinWait point until the drain
@@ -494,7 +494,7 @@ impl Drop for TierEngine {
                 sched::yield_now(Point::JoinWait);
             }
         }
-        if let Some(j) = lock(&self.join).take() {
+        if let Some(j) = unpoisoned(self.join.lock()).take() {
             j.join().ok();
         }
     }
@@ -502,7 +502,7 @@ impl Drop for TierEngine {
 
 fn apply_local_loss(shared: &EngineShared) {
     let was_lost = shared.lost_local.swap(true, Ordering::AcqRel);
-    lock(&shared.state).retained.clear();
+    unpoisoned(shared.state.lock()).retained.clear();
     if !was_lost {
         counters::add_tier_losses(1);
         sched::emit(|| sched::Event::TierLost {
@@ -514,12 +514,12 @@ fn apply_local_loss(shared: &EngineShared) {
 
 fn drain_loop(sh: &EngineShared, retain: usize) {
     let mut idle = Wait::new(Point::TierDrainIdle, None);
-    let mut g = lock(&sh.state);
+    let mut g = unpoisoned(sh.state.lock());
     loop {
         if let Some(job) = g.queue.pop_front() {
             drop(g);
             run_drain(sh, job, retain);
-            g = lock(&sh.state);
+            g = unpoisoned(sh.state.lock());
         } else if g.shutdown {
             g.stopped = true;
             sh.cv.notify_all();
@@ -633,7 +633,7 @@ fn run_drain(shared: &EngineShared, job: DrainJob, retain: usize) {
     match published {
         Ok(_out) => {
             sched::emit(|| sched::Event::TierDurable { step });
-            let mut g = lock(&shared.state);
+            let mut g = unpoisoned(shared.state.lock());
             g.durable.insert(step);
             if !shared.lost_local.load(Ordering::Acquire) {
                 g.retained.push_back(stage);
@@ -650,7 +650,7 @@ fn run_drain(shared: &EngineShared, job: DrainJob, retain: usize) {
             shared.cv.notify_all();
         }
         Err(reason) => {
-            let mut g = lock(&shared.state);
+            let mut g = unpoisoned(shared.state.lock());
             g.failed.insert(step, reason);
             drop(g);
             shared.cv.notify_all();
@@ -959,7 +959,7 @@ mod tests {
         }
         let newest = engine.newest_retained().expect("a retained stage");
         assert_eq!(newest.step(), 3);
-        assert_eq!(lock(&engine.shared.state).retained.len(), 1);
+        assert_eq!(unpoisoned(engine.shared.state.lock()).retained.len(), 1);
         assert_eq!(staged_image(&newest, "f"), [3; 32]);
         // Staging created nothing on disk beside the drained file.
         assert_eq!(commit::list(&dir).unwrap(), ["f"]);

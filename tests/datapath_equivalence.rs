@@ -91,9 +91,7 @@ proptest! {
 
         // exec, coalescing, at the sampled pipeline depth.
         let dir_exec = mk("exec");
-        let cfg_exec = ExecConfig::new(&dir_exec)
-            .pipeline_depth(depth)
-            .pipeline_jitter(sizes_seed);
+        let cfg_exec = ExecConfig::new(&dir_exec).pipeline_depth(depth);
         execute(&plan.program, payloads.clone(), &cfg_exec).expect("exec");
 
         // The MPI-like runtime, at the same depth.

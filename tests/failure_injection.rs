@@ -340,7 +340,7 @@ proptest! {
             .plan()
             .expect("plan");
         let payloads = materialize_payloads(&plan2, fill);
-        let mut cfg = ExecConfig::new(&dir).pipeline_depth(depth).pipeline_jitter(threshold);
+        let mut cfg = ExecConfig::new(&dir).pipeline_depth(depth);
         cfg.faults = FaultPlan::none().kill_writer_after_bytes(kill_rank, threshold);
         let res = execute(&plan2.program, payloads, &cfg);
 
@@ -398,9 +398,7 @@ fn pipelined_fault_sweep_never_publishes_torn_files() {
                     .plan()
                     .expect("plan");
                 let payloads = materialize_payloads(&plan2, fill);
-                let mut cfg = ExecConfig::new(&dir)
-                    .pipeline_depth(depth)
-                    .pipeline_jitter(threshold ^ u64::from(kill_rank));
+                let mut cfg = ExecConfig::new(&dir).pipeline_depth(depth);
                 cfg.faults = FaultPlan::none().kill_writer_after_bytes(kill_rank, threshold);
                 let res = execute(&plan2.program, payloads, &cfg);
 

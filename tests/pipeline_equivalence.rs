@@ -1,6 +1,5 @@
 //! Pipelined/serial equivalence: for random layouts, strategies, tuning
-//! knobs, pipeline depths, and worker-jitter seeds, the double-buffered
-//! writer runtime must produce checkpoint generations byte-identical to
+//! knobs and pipeline depths, the double-buffered writer runtime must produce checkpoint generations byte-identical to
 //! the serial write path — on both the threaded executor and the MPI-like
 //! runtime. This is the determinism contract of the pipelined writers:
 //! background flushing reorders *work*, never *bytes*.
@@ -100,8 +99,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Headline equivalence: serial `exec` vs pipelined `exec` at random
-    /// depths and interleaving (jitter) seeds, over random plans that
-    /// exercise every strategy and both new scheduling knobs.
+    /// depths, over random plans that exercise every strategy and both
+    /// new scheduling knobs. The interleavings themselves are explored
+    /// under the controlled scheduler by `rbio-check` (p2, p3, p12).
     #[test]
     fn pipelined_exec_matches_serial_exec_byte_for_byte(
         np in 3u32..10,
@@ -112,7 +112,6 @@ proptest! {
         block in 256u64..4096,
         cb in 128u64..4096,
         depth_pick in 0u8..3,
-        jitter in any::<u64>(),
         coalesce in any::<bool>(),
         sweet_pick in 0u8..3,
     ) {
@@ -122,7 +121,7 @@ proptest! {
         let payloads = materialize_payloads(&plan, fill);
 
         let unique = format!(
-            "{}-{np}-{nfields}-{sizes_seed:x}-{strat_pick}-{group}-{depth}-{jitter:x}-{coalesce}-{sweet_pick}",
+            "{}-{np}-{nfields}-{sizes_seed:x}-{strat_pick}-{group}-{depth}-{coalesce}-{sweet_pick}",
             std::process::id()
         );
         let dir_serial = std::env::temp_dir().join(format!("rbio-pe-s-{unique}"));
@@ -131,9 +130,7 @@ proptest! {
         std::fs::remove_dir_all(&dir_pipe).ok();
 
         execute(&plan.program, payloads.clone(), &ExecConfig::new(&dir_serial)).expect("serial");
-        let cfg = ExecConfig::new(&dir_pipe)
-            .pipeline_depth(depth)
-            .pipeline_jitter(jitter);
+        let cfg = ExecConfig::new(&dir_pipe).pipeline_depth(depth);
         execute(&plan.program, payloads, &cfg).expect("pipelined");
 
         assert_identical(&plan, &dir_serial, &dir_pipe);
@@ -151,7 +148,6 @@ proptest! {
         sizes_seed in any::<u64>(),
         strat_pick in 0u8..4,
         group in 1u32..4,
-        jitter in any::<u64>(),
         depth_pick in 0u8..2,
     ) {
         let depth = [2u32, 4][depth_pick as usize];
@@ -159,7 +155,7 @@ proptest! {
         let payloads = materialize_payloads(&plan, fill);
 
         let unique = format!(
-            "{}-{np}-{nfields}-{sizes_seed:x}-{strat_pick}-{group}-{depth}-{jitter:x}",
+            "{}-{np}-{nfields}-{sizes_seed:x}-{strat_pick}-{group}-{depth}",
             std::process::id()
         );
         let dir_serial = std::env::temp_dir().join(format!("rbio-pr-s-{unique}"));
@@ -170,9 +166,7 @@ proptest! {
         execute(&plan.program, payloads.clone(), &ExecConfig::new(&dir_serial)).expect("serial");
         let program = &plan.program;
         let payloads_ref = &payloads;
-        let cfg = rt::RtConfig::new(&dir_pipe)
-            .pipeline_depth(depth)
-            .pipeline_jitter(jitter);
+        let cfg = rt::RtConfig::new(&dir_pipe).pipeline_depth(depth);
         let cfg_ref = &cfg;
         rt::run(np, |mut comm| {
             let rank = comm.rank();
@@ -186,8 +180,8 @@ proptest! {
     }
 }
 
-/// Extended sweep for CI's `--include-ignored` job: every strategy x depth
-/// x a bank of jitter seeds, one fixed ragged layout.
+/// Extended sweep for CI's `--include-ignored` job: every strategy x depth,
+/// one fixed ragged layout.
 #[test]
 #[ignore = "extended sweep; run with --include-ignored"]
 fn pipelined_exec_equivalence_exhaustive_sweep() {
@@ -206,19 +200,15 @@ fn pipelined_exec_equivalence_exhaustive_sweep() {
         )
         .expect("serial");
         for depth in [2u32, 3, 4, 8] {
-            for jitter in [0u64, 1, 7, 0xFEED, u64::MAX] {
-                let dir_pipe = std::env::temp_dir().join(format!(
-                    "rbio-pex-p-{strat_pick}-{depth}-{jitter:x}-{}",
-                    std::process::id()
-                ));
-                std::fs::remove_dir_all(&dir_pipe).ok();
-                let cfg = ExecConfig::new(&dir_pipe)
-                    .pipeline_depth(depth)
-                    .pipeline_jitter(jitter);
-                execute(&plan.program, payloads.clone(), &cfg).expect("pipelined");
-                assert_identical(&plan, &dir_serial, &dir_pipe);
-                std::fs::remove_dir_all(&dir_pipe).ok();
-            }
+            let dir_pipe = std::env::temp_dir().join(format!(
+                "rbio-pex-p-{strat_pick}-{depth}-{}",
+                std::process::id()
+            ));
+            std::fs::remove_dir_all(&dir_pipe).ok();
+            let cfg = ExecConfig::new(&dir_pipe).pipeline_depth(depth);
+            execute(&plan.program, payloads.clone(), &cfg).expect("pipelined");
+            assert_identical(&plan, &dir_serial, &dir_pipe);
+            std::fs::remove_dir_all(&dir_pipe).ok();
         }
         std::fs::remove_dir_all(&dir_serial).ok();
     }
@@ -284,41 +274,35 @@ fn staging_reuse_program(n: u64, reuse_by_read: bool) -> Program {
 /// write must not change what it flushes: the first write must still
 /// land A, whatever later lands on its staging range.
 #[test]
-fn staging_reused_after_a_deferred_write_matches_serial_at_every_depth_and_jitter() {
+fn staging_reused_after_a_deferred_write_matches_serial_at_every_depth_and_both_reuses() {
     const N: u64 = 4096;
     let payload: Vec<u8> = (0..2 * N).map(|i| (i * 31 + i / N * 101) as u8).collect();
     let (a, b) = payload.split_at(N as usize);
     let want = [a, b, b].concat();
     for reuse_by_read in [false, true] {
         let program = staging_reuse_program(N, reuse_by_read);
-        let run = |depth: u32, jitter: u64| {
+        let run = |depth: u32| {
             let dir = std::env::temp_dir().join(format!(
-                "rbio-reuse-{reuse_by_read}-{depth}-{jitter:x}-{}",
+                "rbio-reuse-{reuse_by_read}-{depth}-{}",
                 std::process::id()
             ));
             std::fs::remove_dir_all(&dir).ok();
-            let cfg = ExecConfig::new(&dir)
-                .pipeline_depth(depth)
-                .pipeline_jitter(jitter);
+            let cfg = ExecConfig::new(&dir).pipeline_depth(depth);
             execute(&program, vec![payload.clone()], &cfg).expect("execute");
             let got = std::fs::read(dir.join("reuse.bin")).expect("output file");
             std::fs::remove_dir_all(&dir).ok();
             got
         };
-        assert_eq!(run(1, 0), want, "serial reference");
+        assert_eq!(run(1), want, "serial reference");
         for depth in 2..=4 {
-            for jitter in [0, 1, 7, 0xFEED, u64::MAX] {
-                assert_eq!(
-                    run(depth, jitter),
-                    want,
-                    "depth {depth}, jitter {jitter:#x}, reuse by read: {reuse_by_read}"
-                );
-            }
+            assert_eq!(
+                run(depth),
+                want,
+                "depth {depth}, reuse by read: {reuse_by_read}"
+            );
         }
     }
 }
-
-const JITTERS: [u64; 5] = [0, 1, 7, 0xFEED, u64::MAX];
 
 /// What `program` leaves in its files when every rank's staging is a
 /// zero-filled flat `Vec<u8>` that packs, receives and reads copy into.
@@ -404,7 +388,7 @@ fn flat_model(program: &Program, payloads: &[Vec<u8>]) -> Vec<Vec<u8>> {
     files
 }
 
-/// Run `program` under every depth 1–4 × [`JITTERS`] and under the
+/// Run `program` under every depth 1–4 and under the
 /// serial one-write-per-op reference; each must leave the files the flat
 /// model computes.
 fn assert_matches_the_flat_model(name: &str, program: &Program, payloads: Vec<Vec<u8>>) {
@@ -425,14 +409,10 @@ fn assert_matches_the_flat_model(name: &str, program: &Program, payloads: Vec<Ve
     let reference = run("ref", &|dir| ExecConfig::new(dir).coalesce_caps(1, 1));
     assert_eq!(reference, want, "{name}: serial reference vs flat model");
     for depth in 1..=4 {
-        for jitter in JITTERS {
-            let got = run(&format!("{depth}-{jitter:x}"), &|dir| {
-                ExecConfig::new(dir)
-                    .pipeline_depth(depth)
-                    .pipeline_jitter(jitter)
-            });
-            assert_eq!(got, want, "{name}: depth {depth}, jitter {jitter:#x}");
-        }
+        let got = run(&depth.to_string(), &|dir| {
+            ExecConfig::new(dir).pipeline_depth(depth)
+        });
+        assert_eq!(got, want, "{name}: depth {depth}");
     }
 }
 
