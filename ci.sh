@@ -114,7 +114,16 @@ echo "== crash-image torture sweep (fast tier) =="
 # catches a planted missing-dir-fsync (revert of the PR 1 barrier).
 RCR=target/debug/rbio-crash
 "$RCR" sweep --images 64
-"$RCR" sweep --strategy rbio --images 32 --revert-pr1 > /dev/null
+# Each scenario records under the schedule controller, seeded from
+# --seed: two runs over one work directory print the same images and
+# write the same journal (and both still catch the planted revert).
+SWEEP_DIR=$(mktemp -d)
+"$RCR" sweep --strategy rbio --images 32 --revert-pr1 --work "$SWEEP_DIR/w" > "$SWEEP_DIR/out1"
+cp "$SWEEP_DIR/w/rbio/crash.journal" "$SWEEP_DIR/journal1"
+"$RCR" sweep --strategy rbio --images 32 --revert-pr1 --work "$SWEEP_DIR/w" > "$SWEEP_DIR/out2"
+diff "$SWEEP_DIR/out1" "$SWEEP_DIR/out2"
+diff "$SWEEP_DIR/journal1" "$SWEEP_DIR/w/rbio/crash.journal"
+rm -rf "$SWEEP_DIR"
 
 echo "== offline scrubber smoke (repair selftest + clean dry-run) =="
 target/debug/rbio-scrub --demo > /dev/null

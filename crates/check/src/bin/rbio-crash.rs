@@ -10,14 +10,15 @@
 //!                   [--work DIR] [--expect-violation]
 //! ```
 //!
-//! `sweep` records each strategy's op stream, enumerates legal
-//! post-crash filesystem images (prefix cuts × fsync-barrier-respecting
-//! drop subsets × torn final writes), and restores every one. With
-//! `--revert-pr1` the commit protocol's directory fsync is planted out
-//! and the sweep must *catch* it (exit 0 only if violations surface);
-//! the journal and a failing image's coordinates are printed for
-//! `replay`. `--json` writes a bench artifact with image counts and a
-//! scrub-repair throughput selftest.
+//! `sweep` records each strategy's op stream under the schedule
+//! controller (seeded from `--seed`, so a sweep repeats byte for byte),
+//! enumerates legal post-crash filesystem images (prefix cuts ×
+//! fsync-barrier-respecting drop subsets × torn final writes), and
+//! restores every one. With `--revert-pr1` the commit protocol's
+//! directory fsync is planted out and the sweep must *catch* it (exit 0
+//! only if violations surface); the journal and a failing image's
+//! coordinates are printed for `replay`. `--json` writes a bench artifact
+//! with image counts and a scrub-repair throughput selftest.
 //!
 //! A failing image's `(journal, cut, variant)` triple replays the exact
 //! filesystem image: the journal carries every recorded byte, so replay
@@ -30,6 +31,7 @@ use std::time::Instant;
 use rbio::crash::{self, ImageSpec, Scenario, SweepReport, Variant};
 use rbio::scrub::{scrub, DamageKind, ScrubConfig};
 use rbio::strategy::Strategy;
+use rbio_check::Policy;
 
 fn usage(err: &str) -> ExitCode {
     eprintln!("error: {err}\n");
@@ -243,13 +245,22 @@ fn main() -> ExitCode {
                     steps: args.steps,
                 };
                 let work = args.work.join(tag);
-                let report = match crash::sweep_scenario(
-                    &scn,
-                    args.images,
-                    args.seed,
-                    &work,
-                    args.revert_pr1,
-                ) {
+                // Record under the schedule controller, seeded from
+                // `--seed`: the rank threads interleave the same way on
+                // every run, so the journal — and every image cut from
+                // it — repeats byte for byte.
+                let (recorded, run) = rbio_check::controlled(Policy::seeded(args.seed), || {
+                    crash::record_scenario(&scn, &work.join("record"), args.revert_pr1)
+                });
+                if let Some(v) = run.violations.first() {
+                    eprintln!("{tag}: recording broke a schedule invariant: {v:?}");
+                    return ExitCode::FAILURE;
+                }
+                let swept = recorded.map_err(|e| e.to_string()).and_then(|ops| {
+                    crash::sweep_journal(&scn, &ops, args.images, args.seed, &work)
+                        .map_err(|e| e.to_string())
+                });
+                let report = match swept {
                     Ok(r) => r,
                     Err(e) => {
                         eprintln!("{tag}: sweep failed to run: {e}");

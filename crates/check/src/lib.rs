@@ -102,6 +102,36 @@ impl CheckReport {
     }
 }
 
+/// Run `body` on this thread as one controlled run under `policy`: every
+/// thread it starts is serialized onto the run token, so its
+/// interleaving — and everything it writes — is a pure function of
+/// `policy`. Serialized with every other controlled run in the process.
+pub fn controlled<T>(policy: Policy, body: impl FnOnce() -> T) -> (T, RunReport) {
+    init();
+    let _guard = run_lock();
+    run_controlled(policy, body)
+}
+
+/// [`controlled`]'s run, for a caller that holds [`run_lock`].
+fn run_controlled<T>(policy: Policy, body: impl FnOnce() -> T) -> (T, RunReport) {
+    // Writer-slot assignment must restart from zero or wids (and with
+    // them the whole event stream) differ between otherwise identical
+    // runs.
+    FlushPool::reset_check_pool();
+
+    let ctl = controller();
+    ctl.begin_run(policy, STEP_BUDGET);
+    rbio::sched::register("driver");
+    let out = body();
+    // Order matters: end the run while this thread still holds the token
+    // (every other thread is parked), *then* shed the identity — the
+    // other way round hands the token to an idle pool worker and the
+    // trace grows a nondeterministic tail of worker bounces.
+    let report = ctl.end_run();
+    rbio::sched::unregister();
+    (out, report)
+}
+
 /// Run `kind` once under `policy`. Fully serialized per process, and a
 /// pure function of `(kind, policy)` — same inputs, same report.
 pub fn run_one(kind: ProgramKind, policy: Policy) -> CheckReport {
@@ -122,22 +152,7 @@ pub fn run_one(kind: ProgramKind, policy: Policy) -> CheckReport {
 
     // Reference outputs are computed uncontrolled, before the run.
     let prepared = prepare(kind, &dir);
-
-    // Writer-slot assignment must restart from zero or wids (and with
-    // them the whole event stream) differ between otherwise identical
-    // runs.
-    FlushPool::reset_check_pool();
-
-    let ctl = controller();
-    ctl.begin_run(policy, STEP_BUDGET);
-    rbio::sched::register("driver");
-    let outcome = (prepared.body)();
-    // Order matters: end the run while this thread still holds the token
-    // (every other thread is parked), *then* shed the identity — the
-    // other way round hands the token to an idle pool worker and the
-    // trace grows a nondeterministic tail of worker bounces.
-    let report = ctl.end_run();
-    rbio::sched::unregister();
+    let (outcome, report) = run_controlled(policy, prepared.body);
 
     let mut violations = report.violations;
     if let Err(e) = (prepared.verify)() {

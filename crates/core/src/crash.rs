@@ -662,17 +662,16 @@ fn verify_restored_bytes(data: &crate::restart::RestoredData, scn: &Scenario) ->
     None
 }
 
-/// Record `scn` and check up to `budget` crash images from its journal.
-/// Image directories live (briefly) under `work`. Set `revert_pr1` to
-/// plant the missing-dir-fsync bug and prove the sweep catches it.
-pub fn sweep_scenario(
+/// Check up to `budget` crash images from `ops`, a journal
+/// [`record_scenario`] recorded for `scn`. Image directories live
+/// (briefly) under `work`.
+pub fn sweep_journal(
     scn: &Scenario,
+    ops: &[RecOp],
     budget: usize,
     seed: u64,
     work: &Path,
-    revert_pr1: bool,
-) -> Result<SweepReport, ManagerError> {
-    let ops = record_scenario(scn, &work.join("record"), revert_pr1)?;
+) -> io::Result<SweepReport> {
     let specs = enumerate_specs(ops.len(), budget, seed);
     let mut report = SweepReport {
         journal_ops: ops.len(),
@@ -682,7 +681,7 @@ pub fn sweep_scenario(
         let img = work.join(format!("img-{i}"));
         let _ = std::fs::remove_dir_all(&img);
         std::fs::create_dir_all(&img)?;
-        if let Some(detail) = check_image(&ops, *spec, scn, &img)? {
+        if let Some(detail) = check_image(ops, *spec, scn, &img)? {
             report.violations.push(Violation {
                 scenario: scn.label(),
                 cut: spec.cut,
@@ -696,7 +695,7 @@ pub fn sweep_scenario(
     // A dirty sweep persists its journal beside the images so every
     // reported (cut, variant) coordinate replays bit-deterministically.
     if !report.violations.is_empty() {
-        save_ops(&ops, &work.join("crash.journal"))?;
+        save_ops(ops, &work.join("crash.journal"))?;
     }
     Ok(report)
 }

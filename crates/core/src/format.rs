@@ -105,8 +105,8 @@ fn build_crc_tables(poly: u32) -> Box<[[u32; 256]; 8]> {
 fn crc_update_sliced(tables: &[[u32; 256]; 8], mut crc: u32, bytes: &[u8]) -> u32 {
     let mut chunks = bytes.chunks_exact(8);
     for c in &mut chunks {
-        let lo = u32::from_le_bytes(c[0..4].try_into().expect("len 4")) ^ crc;
-        let hi = u32::from_le_bytes(c[4..8].try_into().expect("len 4"));
+        let lo = u32::from_le_bytes([c[0], c[1], c[2], c[3]]) ^ crc;
+        let hi = u32::from_le_bytes([c[4], c[5], c[6], c[7]]);
         crc = tables[7][(lo & 0xFF) as usize]
             ^ tables[6][((lo >> 8) & 0xFF) as usize]
             ^ tables[5][((lo >> 16) & 0xFF) as usize]
@@ -405,17 +405,23 @@ impl<'a> Cursor<'a> {
         self.pos += n;
         Ok(s)
     }
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], FormatError> {
+        self.take(N)?
+            .first_chunk()
+            .copied()
+            .ok_or(FormatError::Truncated)
+    }
     fn u8(&mut self) -> Result<u8, FormatError> {
         Ok(self.take(1)?[0])
     }
     fn u16(&mut self) -> Result<u16, FormatError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().expect("len 2")))
+        self.array().map(u16::from_le_bytes)
     }
     fn u32(&mut self) -> Result<u32, FormatError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("len 4")))
+        self.array().map(u32::from_le_bytes)
     }
     fn u64(&mut self) -> Result<u64, FormatError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("len 8")))
+        self.array().map(u64::from_le_bytes)
     }
 }
 
@@ -434,12 +440,8 @@ pub fn decode_header(bytes: &[u8]) -> Result<FileHeader, FormatError> {
     if hlen as usize > bytes.len() || hlen < 4 {
         return Err(FormatError::Truncated);
     }
-    let body = &bytes[..hlen as usize - 4];
-    let stored_crc = u32::from_le_bytes(
-        bytes[hlen as usize - 4..hlen as usize]
-            .try_into()
-            .expect("len 4"),
-    );
+    let (body, crc_field) = bytes.split_at(hlen as usize - 4);
+    let stored_crc = u32::from_le_bytes(*crc_field.first_chunk().ok_or(FormatError::Truncated)?);
     if crc32(body) != stored_crc {
         return Err(FormatError::CrcMismatch);
     }
@@ -524,8 +526,8 @@ const HEADER_PRELUDE_LEN: usize = 16;
 /// The `header_len` the prelude at the front of `prefix` declares; `None`
 /// when `prefix` is too short to hold a prelude.
 pub(crate) fn declared_header_len(prefix: &[u8]) -> Option<u64> {
-    let field = prefix.get(8..HEADER_PRELUDE_LEN)?;
-    Some(u64::from_le_bytes(field.try_into().expect("len 8")))
+    let field = prefix.get(8..HEADER_PRELUDE_LEN)?.first_chunk()?;
+    Some(u64::from_le_bytes(*field))
 }
 
 /// Read (`read_at(buf, off)`) from the front of a `file_len`-byte file

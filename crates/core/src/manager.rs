@@ -419,21 +419,17 @@ impl CheckpointManager {
 
         // Per-file marker entries, `(name, landing)`: the marker records
         // which writer landed each file, so any committed generation can
-        // be classified Complete vs Degraded.
+        // be classified Complete vs Degraded. A file's header owner is the
+        // rank that commits it.
         let specs: Vec<(String, String)> = plan
             .plan_files
             .iter()
             .enumerate()
             .map(|(i, pf)| {
                 let owner = plan
-                    .program
-                    .ops
+                    .payload_meta
                     .iter()
-                    .position(|ops| {
-                        ops.iter().any(
-                            |op| matches!(op, rbio_plan::Op::Commit { file } if file.0 as usize == i),
-                        )
-                    })
+                    .position(|m| m.header_for_file == Some(i))
                     .unwrap_or(0) as u32;
                 let landing = match report.failovers.iter().find(|(orphan, _)| *orphan == owner) {
                     Some((_, successor)) => format!("failover:{successor}"),

@@ -631,7 +631,9 @@ pub fn build_restart_plan(plan: &CheckpointPlan) -> Program {
         ids.push(b.file(pf.name.clone(), plan.program.files[i].size));
     }
     for (i, pf) in plan.plan_files.iter().enumerate() {
-        let hdr = crate::format::header_len(layout, &plan.app, pf.r0, pf.r1);
+        let field_base: Vec<u64> = (0..layout.nfields())
+            .map(|f| crate::format::field_data_off(layout, &plan.app, pf.r0, pf.r1, f))
+            .collect();
         for rank in pf.r0..pf.r1 {
             b.reserve_staging(rank, layout.rank_payload_bytes(rank));
             b.push(
@@ -641,20 +643,16 @@ pub fn build_restart_plan(plan: &CheckpointPlan) -> Program {
                     create: false,
                 },
             );
-            for f in 0..layout.nfields() {
+            for (f, &base) in field_base.iter().enumerate() {
                 let len = layout.field_bytes(rank, f);
                 if len == 0 {
                     continue;
                 }
-                let field_base = hdr
-                    + (0..f)
-                        .map(|g| layout.field_total(g, pf.r0, pf.r1))
-                        .sum::<u64>();
                 b.push(
                     rank,
                     Op::ReadAt {
                         file: ids[i],
-                        offset: field_base + layout.field_rank_off(f, pf.r0, rank),
+                        offset: base + layout.field_rank_off(f, pf.r0, rank),
                         len,
                         staging_off: layout.payload_field_off(rank, f),
                     },

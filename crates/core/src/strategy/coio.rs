@@ -6,48 +6,18 @@
 //! into the ROMIO two-phase exchange (`rbio-mpiio`) with one aggregator per
 //! `aggregator_ratio` ranks, domains aligned to filesystem blocks.
 
-use rbio_mpiio::domains::DomainConfig;
-use rbio_mpiio::{plan_collective_write, CollectiveWrite, Contribution, SrcKind, TwoPhaseConfig};
-use rbio_plan::{DataRef, Op};
+use rbio_mpiio::{Contribution, SrcKind};
 
 use crate::format;
-use crate::strategy::{split_groups, PlanBuilder};
+use crate::strategy::{collective_commit, split_groups, PlanBuilder};
 
 pub(crate) fn build(pb: &mut PlanBuilder<'_>, nf: u32, aggregator_ratio: u32) {
     let layout = pb.spec.layout.clone();
     let app = pb.spec.app.clone();
-    let tuning = pb.spec.tuning;
-    let np = layout.nranks();
 
-    for (g0, g1) in split_groups(np, nf) {
-        let leader = g0;
-        let file = pb.add_file(g0, g1, leader);
-        let hdr = pb.payload_base(leader);
+    for (g0, g1) in split_groups(layout.nranks(), nf) {
+        let file = pb.add_file(g0, g1, g0);
         let group: Vec<u32> = (g0..g1).collect();
-        let comm = pb.b.comm(group.clone());
-
-        // The leader creates the file and writes the master header; the
-        // rest open after the create is visible.
-        pb.b.push(leader, Op::Open { file, create: true });
-        pb.b.push(
-            leader,
-            Op::WriteAt {
-                file,
-                offset: 0,
-                src: DataRef::Own { off: 0, len: hdr },
-            },
-        );
-        pb.b.push_all(group.iter().copied(), Op::Barrier { comm });
-        for &r in &group[1..] {
-            pb.b.push(
-                r,
-                Op::Open {
-                    file,
-                    create: false,
-                },
-            );
-        }
-
         // Aggregators: every `aggregator_ratio`-th rank of the group (the
         // Blue Gene MPI-IO library spreads them one per node across psets;
         // with 4 ranks/node a stride of 32 lands on every 8th node).
@@ -79,51 +49,7 @@ pub(crate) fn build(pb: &mut PlanBuilder<'_>, nf: u32, aggregator_ratio: u32) {
                     .collect()
             })
             .collect();
-        let two_phase = |tag: u64| TwoPhaseConfig {
-            domain: DomainConfig {
-                block_size: tuning.fs_block_size,
-                align: tuning.align_domains,
-            },
-            cb_buffer_size: tuning.cb_buffer_size,
-            tag,
-        };
-        if tuning.coalesce_fields {
-            // One batched collective covering every field: a single
-            // exchange and a single barrier per file.
-            let contributions: Vec<Contribution> = per_field.into_iter().flatten().collect();
-            plan_collective_write(
-                &mut pb.b,
-                &CollectiveWrite {
-                    file,
-                    aggregators: aggregators.clone(),
-                    contributions,
-                    agg_staging_base: 0,
-                },
-                &two_phase(0),
-            );
-            pb.b.push_all(group.iter().copied(), Op::Barrier { comm });
-        } else {
-            // One collective write per field.
-            for (f, contributions) in per_field.into_iter().enumerate() {
-                plan_collective_write(
-                    &mut pb.b,
-                    &CollectiveWrite {
-                        file,
-                        aggregators: aggregators.clone(),
-                        contributions,
-                        agg_staging_base: 0,
-                    },
-                    &two_phase(f as u64),
-                );
-                // The collective returns synchronized: a field must be
-                // committed before the next begins (paper §V-B).
-                pb.b.push_all(group.iter().copied(), Op::Barrier { comm });
-            }
-        }
-        for &r in &group {
-            pb.b.push(r, Op::Close { file });
-        }
-        pb.b.push(leader, Op::Commit { file });
+        collective_commit(pb, file, &group, aggregators, per_field, 0, 0);
     }
 }
 

@@ -11,7 +11,11 @@ mod coio;
 mod pfpp;
 mod rbio_strategy;
 
-use rbio_plan::{validate, CoverageMode, Program, ProgramBuilder, ValidateError};
+use rbio_mpiio::domains::DomainConfig;
+use rbio_mpiio::{plan_collective_write, CollectiveWrite, Contribution, TwoPhaseConfig};
+use rbio_plan::{
+    validate, CoverageMode, DataRef, FileId, Op, Program, ProgramBuilder, ValidateError,
+};
 
 use crate::format;
 use crate::layout::DataLayout;
@@ -299,6 +303,86 @@ pub(crate) fn split_groups(np: u32, k: u32) -> Vec<(u32, u32)> {
     out
 }
 
+/// The collective commit of one shared file — coIO's group files and
+/// rbIO's `nf = 1` file alike: MPI-IO's two-phase write run among
+/// `members`, whose first member owns the file's header.
+///
+/// The owner creates the file and writes the master header; all members
+/// meet at a barrier and the rest open the file. Every member keeps its
+/// `Open`: it models that member's share of the collective
+/// `MPI_File_open`, a metadata open the simulator charges to each. Then
+/// one two-phase collective per field of `per_field`, each followed by a
+/// barrier — a field is committed before the next begins (§V-B) — or,
+/// under [`Tuning::coalesce_fields`], one batched collective and one
+/// barrier. Every member closes and the owner commits. Collective `k`
+/// uses tag `tag_base + k`; aggregators' round buffers start at
+/// `agg_staging_base` in their staging.
+pub(crate) fn collective_commit(
+    pb: &mut PlanBuilder<'_>,
+    file: FileId,
+    members: &[u32],
+    aggregators: Vec<u32>,
+    per_field: Vec<Vec<Contribution>>,
+    agg_staging_base: u64,
+    tag_base: u64,
+) {
+    let tuning = pb.spec.tuning;
+    let owner = members[0];
+    let hdr = pb.payload_base(owner);
+    let comm = pb.b.comm(members.to_vec());
+    pb.b.push(owner, Op::Open { file, create: true });
+    pb.b.push(
+        owner,
+        Op::WriteAt {
+            file,
+            offset: 0,
+            src: DataRef::Own { off: 0, len: hdr },
+        },
+    );
+    pb.b.push_all(members.iter().copied(), Op::Barrier { comm });
+    for &r in &members[1..] {
+        pb.b.push(
+            r,
+            Op::Open {
+                file,
+                create: false,
+            },
+        );
+    }
+    let batches = if tuning.coalesce_fields {
+        vec![per_field.into_iter().flatten().collect()]
+    } else {
+        per_field
+    };
+    for (k, contributions) in batches.into_iter().enumerate() {
+        plan_collective_write(
+            &mut pb.b,
+            &CollectiveWrite {
+                file,
+                aggregators: aggregators.clone(),
+                contributions,
+                agg_staging_base,
+            },
+            &TwoPhaseConfig {
+                domain: DomainConfig {
+                    block_size: tuning.fs_block_size,
+                    align: tuning.align_domains,
+                },
+                cb_buffer_size: tuning.cb_buffer_size,
+                tag: tag_base + k as u64,
+            },
+        );
+        pb.b.push_all(members.iter().copied(), Op::Barrier { comm });
+    }
+    for &r in members {
+        pb.b.push(r, Op::Close { file });
+    }
+    // A rename while peers still hold (now-closed or soon-closed)
+    // descriptors is fine on POSIX: their fds stay valid, only the name
+    // moves.
+    pb.b.push(owner, Op::Commit { file });
+}
+
 /// Shared state while a strategy assembles its plan.
 pub(crate) struct PlanBuilder<'a> {
     pub spec: &'a CheckpointSpec,
@@ -329,7 +413,7 @@ impl<'a> PlanBuilder<'a> {
 
     /// Register an output file covering ranks `r0..r1`, owned (header-wise)
     /// by `owner`. Returns the plan file id.
-    pub fn add_file(&mut self, r0: u32, r1: u32, owner: u32) -> rbio_plan::FileId {
+    pub fn add_file(&mut self, r0: u32, r1: u32, owner: u32) -> FileId {
         let spec = self.spec;
         let name = format!("{}.{:05}.rbio", spec.prefix, self.plan_files.len());
         let size = format::file_size(&spec.layout, &spec.app, r0, r1);

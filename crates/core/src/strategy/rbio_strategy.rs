@@ -15,18 +15,18 @@
 //!   demonstrating that application-level two-phase does not interfere with
 //!   ROMIO's.
 
-use rbio_mpiio::domains::DomainConfig;
-use rbio_mpiio::{plan_collective_write, CollectiveWrite, Contribution, SrcKind, TwoPhaseConfig};
+use rbio_mpiio::{Contribution, SrcKind};
 use rbio_plan::{DataRef, Op, Tag};
 
 use crate::format;
-use crate::strategy::{split_groups, PlanBuilder, RbIoCommit};
+use crate::strategy::{collective_commit, split_groups, PlanBuilder, RbIoCommit};
 
 pub(crate) fn build(pb: &mut PlanBuilder<'_>, ng: u32, commit: RbIoCommit) {
     let layout = pb.spec.layout.clone();
     let app = pb.spec.app.clone();
     let tuning = pb.spec.tuning;
     let np = layout.nranks();
+    let nfields = layout.nfields();
     let groups = split_groups(np, ng);
     let writers: Vec<u32> = groups.iter().map(|&(g0, _)| g0).collect();
     // Fig. 8: concurrent file creation has a sweet spot around nf ≈ 1024.
@@ -48,7 +48,18 @@ pub(crate) fn build(pb: &mut PlanBuilder<'_>, ng: u32, commit: RbIoCommit) {
     // Writer staging layout: [optional per-writer header][group image],
     // where the image packs field regions in order, each holding the
     // group's rank blocks in rank order — exactly the file body layout.
-    let mut image_base = vec![0u64; ng as usize]; // header prefix per writer
+    // `image_off[gi][f]` is field `f`'s offset in group `gi`'s image, and
+    // `image_off[gi][nfields]` the image's length.
+    let image_off: Vec<Vec<u64>> = groups
+        .iter()
+        .map(|&(g0, g1)| {
+            let mut off = vec![0u64; nfields + 1];
+            for f in 0..nfields {
+                off[f + 1] = off[f] + layout.field_total(f, g0, g1);
+            }
+            off
+        })
+        .collect();
     for (gi, &(g0, g1)) in groups.iter().enumerate() {
         let writer = g0;
         let per_writer_file = match commit {
@@ -57,11 +68,7 @@ pub(crate) fn build(pb: &mut PlanBuilder<'_>, ng: u32, commit: RbIoCommit) {
         };
         let hdr = pb.payload_base(writer);
         let prefix = if per_writer_file.is_some() { hdr } else { 0 };
-        image_base[gi] = prefix;
-        let image_off = |f: usize| -> u64 { (0..f).map(|g| layout.field_total(g, g0, g1)).sum() };
-        let image_len: u64 = (0..layout.nfields())
-            .map(|f| layout.field_total(f, g0, g1))
-            .sum();
+        let (field_off, image_len) = (&image_off[gi][..nfields], image_off[gi][nfields]);
         // Scratch slot after the image: workers' packages land here before
         // the writer reorders them ("the writer aggregates the data from
         // all workers in its group, reorders data blocks" — §IV-C).
@@ -106,7 +113,7 @@ pub(crate) fn build(pb: &mut PlanBuilder<'_>, ng: u32, commit: RbIoCommit) {
                 },
             );
         }
-        for f in 0..layout.nfields() {
+        for (f, &field_off) in field_off.iter().enumerate() {
             let own_len = layout.field_bytes(writer, f);
             if own_len > 0 {
                 pb.b.push(
@@ -116,7 +123,7 @@ pub(crate) fn build(pb: &mut PlanBuilder<'_>, ng: u32, commit: RbIoCommit) {
                             off: hdr + layout.payload_field_off(writer, f),
                             len: own_len,
                         }),
-                        staging_off: prefix + image_off(f),
+                        staging_off: prefix + field_off,
                         bytes: own_len,
                     },
                 );
@@ -136,7 +143,7 @@ pub(crate) fn build(pb: &mut PlanBuilder<'_>, ng: u32, commit: RbIoCommit) {
                     staging_off: scratch_off,
                 },
             );
-            for f in 0..layout.nfields() {
+            for (f, &field_off) in field_off.iter().enumerate() {
                 let len = layout.field_bytes(r, f);
                 if len == 0 {
                     continue;
@@ -148,7 +155,7 @@ pub(crate) fn build(pb: &mut PlanBuilder<'_>, ng: u32, commit: RbIoCommit) {
                             off: scratch_off + layout.payload_field_off(r, f),
                             len,
                         }),
-                        staging_off: prefix + image_off(f) + layout.field_rank_off(f, g0, r),
+                        staging_off: prefix + field_off + layout.field_rank_off(f, g0, r),
                         bytes: len,
                     },
                 );
@@ -214,39 +221,7 @@ pub(crate) fn build(pb: &mut PlanBuilder<'_>, ng: u32, commit: RbIoCommit) {
     // field by field (each field must hit the disk before the next — the
     // flush-per-field cost the paper measures for nf = 1).
     if let Some(file) = shared_file {
-        let leader = writers[0];
-        let hdr = pb.payload_base(leader);
-        let comm = pb.b.comm(writers.clone());
-        pb.b.push(leader, Op::Open { file, create: true });
-        pb.b.push(
-            leader,
-            Op::WriteAt {
-                file,
-                offset: 0,
-                src: DataRef::Own { off: 0, len: hdr },
-            },
-        );
-        pb.b.push_all(writers.iter().copied(), Op::Barrier { comm });
-        for &w in &writers[1..] {
-            pb.b.push(
-                w,
-                Op::Open {
-                    file,
-                    create: false,
-                },
-            );
-        }
-        // Round buffers live after each writer's group image in staging.
-        let image_total: Vec<u64> = groups
-            .iter()
-            .map(|&(g0, g1)| {
-                (0..layout.nfields())
-                    .map(|f| layout.field_total(f, g0, g1))
-                    .sum()
-            })
-            .collect();
-        let agg_staging_base = image_total.iter().copied().max().unwrap_or(0);
-        let per_field: Vec<Vec<Contribution>> = (0..layout.nfields())
+        let per_field: Vec<Vec<Contribution>> = (0..nfields)
             .map(|f| {
                 let field_base = format::field_data_off(&layout, &app, 0, np, f);
                 groups
@@ -257,11 +232,10 @@ pub(crate) fn build(pb: &mut PlanBuilder<'_>, ng: u32, commit: RbIoCommit) {
                         if len == 0 {
                             return None;
                         }
-                        let image_off: u64 = (0..f).map(|g| layout.field_total(g, g0, g1)).sum();
                         Some(Contribution {
                             rank: writers[gi],
                             file_off: field_base + layout.field_rank_off(f, 0, g0),
-                            src_off: image_off,
+                            src_off: image_off[gi][f],
                             len,
                             src: SrcKind::Staging,
                         })
@@ -269,52 +243,18 @@ pub(crate) fn build(pb: &mut PlanBuilder<'_>, ng: u32, commit: RbIoCommit) {
                     .collect()
             })
             .collect();
-        let two_phase = |tag: u64| TwoPhaseConfig {
-            domain: DomainConfig {
-                block_size: tuning.fs_block_size,
-                align: tuning.align_domains,
-            },
-            // Tags: worker->writer used 0..nfields; offset past them.
-            cb_buffer_size: tuning.cb_buffer_size,
-            tag,
-        };
-        if tuning.coalesce_fields {
-            // All fields batched into one collective: one exchange, one
-            // barrier, one large handoff for the pipelined writers.
-            let contributions: Vec<Contribution> = per_field.into_iter().flatten().collect();
-            plan_collective_write(
-                &mut pb.b,
-                &CollectiveWrite {
-                    file,
-                    aggregators: writers.clone(),
-                    contributions,
-                    agg_staging_base,
-                },
-                &two_phase(layout.nfields() as u64),
-            );
-            pb.b.push_all(writers.iter().copied(), Op::Barrier { comm });
-        } else {
-            for (f, contributions) in per_field.into_iter().enumerate() {
-                plan_collective_write(
-                    &mut pb.b,
-                    &CollectiveWrite {
-                        file,
-                        aggregators: writers.clone(),
-                        contributions,
-                        agg_staging_base,
-                    },
-                    &two_phase((layout.nfields() + f) as u64),
-                );
-                pb.b.push_all(writers.iter().copied(), Op::Barrier { comm });
-            }
-        }
-        for &w in &writers {
-            pb.b.push(w, Op::Close { file });
-        }
-        // The global leader owns the shared file and publishes it. A rename
-        // while peers still hold (now-closed or soon-closed) descriptors is
-        // fine on POSIX: their fds stay valid, only the name moves.
-        pb.b.push(leader, Op::Commit { file });
+        // Round buffers live after the largest group image in staging.
+        // Tags start at `nfields`, past the worker hand-off's `Tag(0)`.
+        let agg_staging_base = image_off.iter().map(|o| o[nfields]).max().unwrap_or(0);
+        collective_commit(
+            pb,
+            file,
+            &writers,
+            writers.clone(),
+            per_field,
+            agg_staging_base,
+            nfields as u64,
+        );
     }
 }
 

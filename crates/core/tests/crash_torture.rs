@@ -40,7 +40,8 @@ fn every_crash_image_restores_for_all_three_strategies() {
             steps: 2,
         };
         let w = work(tag);
-        let report = crash::sweep_scenario(&scn, 80, 0x5eed, &w, false).unwrap();
+        let ops = crash::record_scenario(&scn, &w.join("record"), false).unwrap();
+        let report = crash::sweep_journal(&scn, &ops, 80, 0x5eed, &w).unwrap();
         assert!(
             report.images >= 40,
             "{tag}: expected a real sweep, got {} images",
