@@ -30,12 +30,17 @@
 //!   `PooledBuf`, or the last `Bytes`/slice over it, drops; the pool only
 //!   ever hands it out again after that point, so no live reader can
 //!   observe reuse;
-//! * stale bytes never leave the crate: a recycled buffer keeps the
+//! * stale bytes never cross a caller: a recycled buffer keeps the
 //!   previous lease's bytes until its next holder writes over them. The
-//!   public lease zero-fills them (a `memset` of resident pages, not a
-//!   page-fault storm, and counted in `bytes_zeroed`); an overwrite lease
-//!   is frozen only once every byte is written, and every error or panic
-//!   between the lease and the `freeze` drops it unfrozen;
+//!   public lease of a shared pool zero-fills them (a `memset` of resident
+//!   pages, not a page-fault storm, and counted in `bytes_zeroed`); an
+//!   overwrite lease is frozen only once every byte is written, and every
+//!   error or panic between the lease and the `freeze` drops it unfrozen.
+//!   A caller whose leases are read before they are written — the
+//!   checkpoint manager's `fill` — leases from a pool of its own
+//!   (`BufPool::child`), which zero-fills a buffer once, when it adopts it
+//!   from the global pool, and never again: what its holder can see there
+//!   is what the same caller wrote before;
 //! * copies are *counted*: every helper that actually moves bytes calls
 //!   [`rbio_profile::counters::add_bytes_copied`], making "copies per
 //!   checkpoint byte" a measurable quantity rather than a code-review
@@ -57,6 +62,8 @@ use crate::sched::unpoisoned;
 /// One buffer's storage and its way home: shared by the [`PooledBuf`]
 /// that fills it and the [`Bytes`] slices it is frozen into.
 struct Inner {
+    /// A pooled buffer at its class capacity, its length as far as any
+    /// lease of it has reached; a lease is a view of its first bytes.
     data: Vec<u8>,
     /// The pool to return `data` to on final drop, when pool-backed.
     pool: Option<Weak<PoolShared>>,
@@ -65,7 +72,7 @@ struct Inner {
 impl Drop for Inner {
     fn drop(&mut self) {
         if let Some(pool) = self.pool.as_ref().and_then(Weak::upgrade) {
-            pool.put(std::mem::take(&mut self.data));
+            pool.put(std::mem::take(&mut self.data), true);
         }
     }
 }
@@ -76,6 +83,7 @@ impl Drop for Inner {
 /// [`PooledBuf::freeze`] shares it instead.
 pub struct PooledBuf {
     inner: Inner,
+    len: usize,
 }
 
 impl PooledBuf {
@@ -83,11 +91,10 @@ impl PooledBuf {
     /// refcounted [`Bytes`]. O(1), no copy; the buffer now returns to its
     /// pool when the last slice over it drops.
     pub fn freeze(self) -> Bytes {
-        let len = self.inner.data.len();
         Bytes {
             inner: Arc::new(self.inner),
             off: 0,
-            len,
+            len: self.len,
         }
     }
 }
@@ -100,6 +107,7 @@ impl Default for PooledBuf {
                 data: Vec::new(),
                 pool: None,
             },
+            len: 0,
         }
     }
 }
@@ -107,13 +115,13 @@ impl Default for PooledBuf {
 impl Deref for PooledBuf {
     type Target = [u8];
     fn deref(&self) -> &[u8] {
-        &self.inner.data
+        &self.inner.data[..self.len]
     }
 }
 
 impl DerefMut for PooledBuf {
     fn deref_mut(&mut self) -> &mut [u8] {
-        &mut self.inner.data
+        &mut self.inner.data[..self.len]
     }
 }
 
@@ -131,9 +139,10 @@ impl Clone for PooledBuf {
             // Zero-length, or the private pool is gone: plain storage.
             None => PooledBuf {
                 inner: Inner {
-                    data: self.inner.data.clone(),
+                    data: self.to_vec(),
                     pool: None,
                 },
+                len: self.len,
             },
         }
     }
@@ -335,10 +344,15 @@ impl PoolState {
         self.bufs.partition_point(|b| b.capacity() < cap)
     }
 
-    fn remove(&mut self, i: usize) -> Vec<u8> {
-        let v = self.bufs.remove(i);
+    /// Take out the buffer that serves a request of class capacity
+    /// `cap`, if one is held: the smallest of `cap`'s class or above, but
+    /// never one more than twice as large — a 1 MiB chunk must not walk
+    /// off with a 36 MiB payload.
+    fn best_fit(&mut self, cap: usize) -> Option<Vec<u8>> {
+        let i = self.at_least(cap);
+        let v = self.bufs.get(i).filter(|b| b.capacity() <= 2 * cap)?;
         self.idle -= v.capacity();
-        v
+        Some(self.bufs.remove(i))
     }
 
     /// Take out of the free list, for the caller to release, every buffer
@@ -381,13 +395,27 @@ struct PoolShared {
     /// straight-line code that cannot panic between them, so a panic on a
     /// thread holding the guard leaves no half-made change to refuse.
     state: Mutex<PoolState>,
+    /// The pool this one is a child of ([`BufPool::child`]): a miss adopts
+    /// one of its idle buffers, and a drop hands it every idle buffer.
+    parent: Option<Arc<PoolShared>>,
+}
+
+impl Drop for PoolShared {
+    /// A child's idle buffers go to its parent, which keeps what fits its
+    /// own bounds and releases the rest.
+    fn drop(&mut self) {
+        if let Some(parent) = &self.parent {
+            let state = unpoisoned(self.state.get_mut());
+            for v in std::mem::take(&mut state.bufs) {
+                parent.put(v, false);
+            }
+        }
+    }
 }
 
 impl PoolShared {
     /// Count a lease of class capacity `cap` out and return the buffer
-    /// that serves it, if one is held. Best fit: the smallest free buffer of
-    /// `cap`'s class or above, but never one more than twice as large — a
-    /// 1 MiB chunk must not walk off with a 36 MiB payload.
+    /// that serves it, if one is held (`PoolState::best_fit`).
     ///
     /// A miss takes nothing and regrows nothing: the caller maps `cap`
     /// fresh bytes. One kind of miss also makes room for them: the first
@@ -404,9 +432,7 @@ impl PoolShared {
     /// through the sealer), which says nothing about the next round.
     fn take(&self, cap: usize) -> Option<Vec<u8>> {
         let mut g = unpoisoned(self.state.lock());
-        let i = g.at_least(cap);
-        let fits = g.bufs.get(i).is_some_and(|b| b.capacity() <= 2 * cap);
-        let hit = fits.then(|| g.remove(i));
+        let hit = g.best_fit(cap);
         let displaced = if hit.is_none() && g.out == 0 && g.round_sized(cap) {
             g.make_room(cap)
         } else {
@@ -419,9 +445,18 @@ impl PoolShared {
         hit
     }
 
-    /// Take `v` back: kept, bytes and length as its last holder left
-    /// them, when the free list has room; released otherwise.
-    fn put(&self, v: Vec<u8>) {
+    /// A buffer of class capacity `cap` for a child pool to adopt, if one
+    /// is idle here: the same best fit as a lease, but nothing is counted
+    /// out and nothing makes room — the buffer leaves this pool for good.
+    fn adopt(&self, cap: usize) -> Option<Vec<u8>> {
+        unpoisoned(self.state.lock()).best_fit(cap)
+    }
+
+    /// Take `v` back: kept, bytes as its last holder left them, when the
+    /// free list has room; released otherwise. `leased`
+    /// says whether it comes home from a lease of this pool (one fewer
+    /// out) or from a child pool that is dropping.
+    fn put(&self, v: Vec<u8>, leased: bool) {
         let cap = v.capacity();
         if cap == 0 {
             return;
@@ -437,7 +472,9 @@ impl PoolShared {
             });
             return;
         }
-        g.out = g.out.saturating_sub(1);
+        if leased {
+            g.out = g.out.saturating_sub(1);
+        }
         if g.bufs.len() < MAX_POOLED_BUFS && g.idle + cap <= MAX_RETAINED_BYTES {
             let i = g.at_least(cap);
             g.bufs.insert(i, v);
@@ -464,6 +501,22 @@ impl BufPool {
         BufPool {
             shared: Arc::new(PoolShared {
                 state: Mutex::default(),
+                parent: None,
+            }),
+        }
+    }
+
+    /// A pool of one caller's own, drawing on this one: its leases and
+    /// their stale bytes stay among that caller's, so a lease that skips
+    /// the zero-fill hands back only what the same caller left there. A
+    /// miss adopts an idle buffer of the parent's, zero-filled on the way
+    /// in (another caller's bytes), before it maps fresh; dropped, the
+    /// child hands its idle buffers back to the parent.
+    pub(crate) fn child(&self) -> BufPool {
+        BufPool {
+            shared: Arc::new(PoolShared {
+                state: Mutex::default(),
+                parent: Some(Arc::clone(&self.shared)),
             }),
         }
     }
@@ -507,42 +560,50 @@ impl BufPool {
 
     /// [`BufPool::lease`] without the zero-fill, for a holder that writes
     /// all `len` bytes before it reads or freezes any: a recycled buffer
-    /// still holds its previous lease's bytes. Every error or panic between
-    /// this lease and its `freeze` must drop the buffer, so that those
-    /// bytes never leave the crate.
+    /// still holds what earlier leases of this pool left. Every error or
+    /// panic between this lease and its `freeze` must drop the buffer, so
+    /// that those bytes never leave the crate; a child pool's holder may
+    /// read them ([`BufPool::child`]).
     pub(crate) fn lease_to_overwrite(&self, len: usize) -> PooledBuf {
         self.lease_stale(len).0
     }
 
-    /// A lease of `len` bytes, every one initialised, and how many of the
-    /// leading ones a previous lease left: a recycled buffer of `len`'s
-    /// class cut to `len` (or grown to it, the growth zero-filled), or a
-    /// fresh zeroed allocation at class capacity.
+    /// A lease of `len` bytes and how many of them a previous lease of
+    /// this pool left: a recycled buffer of `len`'s class, as its earlier
+    /// leases left it; else a child's adopted buffer, every byte a lease of
+    /// the parent reached zero-filled; else a fresh zeroed allocation at
+    /// class capacity. Bytes past the furthest any lease of the buffer
+    /// reached are zero-filled once, when a lease first reaches them.
     fn lease_stale(&self, len: usize) -> (PooledBuf, usize) {
         if len == 0 {
             return (PooledBuf::default(), 0);
         }
         let cap = class_capacity(len);
-        let (data, stale) = match self.shared.take(cap) {
-            Some(mut v) => {
-                let stale = v.len().min(len);
-                counters::add_bytes_zeroed((len - stale) as u64);
-                v.resize(len, 0);
-                (v, stale)
-            }
-            None => {
-                // Zeroed by the allocator (untouched fresh pages when it
-                // maps them), trimmed to `len` with the capacity kept.
-                let mut v = vec![0u8; cap];
-                v.truncate(len);
-                (v, 0)
-            }
+        let adopt = || self.shared.parent.as_ref().and_then(|p| p.adopt(cap));
+        let (mut data, stale) = if let Some(v) = self.shared.take(cap) {
+            let stale = v.len().min(len);
+            (v, stale)
+        } else if let Some(mut v) = adopt() {
+            // Another caller's bytes: none of them enter this pool.
+            counters::add_bytes_zeroed(v.len() as u64);
+            v.fill(0);
+            (v, 0)
+        } else {
+            // Zeroed by the allocator (untouched fresh pages when it maps
+            // them), cut to `len` with the capacity kept.
+            let mut v = vec![0u8; cap];
+            v.truncate(len);
+            (v, 0)
         };
+        if data.len() < len {
+            counters::add_bytes_zeroed((len - data.len()) as u64);
+            data.resize(len, 0);
+        }
         let inner = Inner {
             data,
             pool: Some(Arc::downgrade(&self.shared)),
         };
-        (PooledBuf { inner }, stale)
+        (PooledBuf { inner, len }, stale)
     }
 
     /// Copy `src` into a pooled buffer (counted as copied bytes).
@@ -559,6 +620,13 @@ impl BufPool {
         let mut buf = self.lease_to_overwrite(len);
         buf.iter_mut().enumerate().for_each(|(i, b)| *b = f(i));
         buf.freeze()
+    }
+}
+
+impl std::fmt::Debug for BufPool {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let g = unpoisoned(self.shared.state.lock());
+        write!(f, "BufPool[{} free, {} bytes idle]", g.bufs.len(), g.idle)
     }
 }
 
@@ -815,6 +883,45 @@ mod tests {
             "the growth is zeroed"
         );
         assert!(zeroed >= 300, "the growth is counted");
+    }
+
+    #[test]
+    fn a_lease_short_of_the_buffers_furthest_reach_fills_nothing() {
+        let pool = BufPool::new();
+        let mut buf = pool.lease(5000);
+        buf.fill(0xBB);
+        drop(buf);
+        let mut buf = pool.lease(4700);
+        buf.fill(0xAA);
+        drop(buf);
+        // Longer than the last lease, not than the one before: the tail
+        // shows what that lease left.
+        let again = pool.lease_to_overwrite(5000);
+        assert!(again[..4700].iter().all(|&b| b == 0xAA), "no memset");
+        assert!(again[4700..].iter().all(|&b| b == 0xBB), "no growth fill");
+    }
+
+    #[test]
+    fn a_child_zeroes_what_it_adopts_and_hands_it_back_on_drop() {
+        let parent = BufPool::new();
+        let mut dirty = parent.lease(5000);
+        dirty.fill(0xA5);
+        let ptr = dirty.as_ptr();
+        drop(dirty);
+        let child = parent.child();
+        let mut buf = child.lease_to_overwrite(5000);
+        assert_eq!(buf.as_ptr(), ptr, "adopted, not mapped");
+        assert!(buf.iter().all(|&b| b == 0), "the parent's bytes stay out");
+        buf.fill(7);
+        drop(buf);
+        assert_eq!((child.free_buffers(), parent.free_buffers()), (1, 0));
+        let again = child.lease_to_overwrite(5000);
+        assert!(again.iter().all(|&b| b == 7), "its own bytes, no memset");
+        drop(again);
+        drop(child);
+        assert_eq!(parent.free_buffers(), 1, "handed back on drop");
+        let g = unpoisoned(parent.shared.state.lock());
+        assert_eq!(g.out, 0, "an adopted buffer is not out on lease");
     }
 
     #[test]

@@ -567,22 +567,48 @@ pub fn synthetic_byte(file_offset: u64) -> u8 {
 /// Buffers are leased from [`BufPool::global`] and zeroed, so `fill`
 /// writes straight into recycled, resident pages and sees zeros wherever
 /// it does not write; drop them (or hand them to
-/// [`crate::exec::execute`], which freezes them) to recycle.
+/// [`crate::exec::execute`], which freezes them) to recycle. A caller with
+/// a pool of its own skips the zeroing through `materialize_payloads_in`.
 pub fn materialize_payloads(
     plan: &CheckpointPlan,
+    fill: impl FnMut(u32, usize, &mut [u8]),
+) -> Vec<PooledBuf> {
+    materialize(plan, fill, |len| BufPool::global().lease(len))
+}
+
+/// [`materialize_payloads`] from `pool`, without the zero-fill: the
+/// header and the field blocks tile a payload, so every byte is written
+/// here or handed to `fill`. Where `fill` does not write, it sees what the
+/// pool's last lease of that buffer left — zeros, or bytes of the same
+/// caller's, when the pool is that caller's own ([`BufPool::child`]).
+pub(crate) fn materialize_payloads_in(
+    pool: &BufPool,
+    plan: &CheckpointPlan,
+    fill: impl FnMut(u32, usize, &mut [u8]),
+) -> Vec<PooledBuf> {
+    materialize(plan, fill, |len| pool.lease_to_overwrite(len))
+}
+
+fn materialize(
+    plan: &CheckpointPlan,
     mut fill: impl FnMut(u32, usize, &mut [u8]),
+    lease: impl Fn(usize) -> PooledBuf,
 ) -> Vec<PooledBuf> {
     let layout = &plan.layout;
     let mut out = Vec::with_capacity(layout.nranks() as usize);
     for rank in 0..layout.nranks() {
         let meta = &plan.payload_meta[rank as usize];
         let total = meta.header_len + layout.rank_payload_bytes(rank);
-        let mut buf = BufPool::global().lease(total as usize);
+        let mut buf = lease(total as usize);
         if let Some(file_idx) = meta.header_for_file {
             let pf = &plan.plan_files[file_idx];
             let hdr = encode_header(layout, &plan.app, plan.step, pf.r0, pf.r1);
-            debug_assert_eq!(hdr.len() as u64, meta.header_len);
+            // A shorter header would leave bytes between it and the first
+            // block that nothing writes.
+            assert_eq!(hdr.len() as u64, meta.header_len, "header length");
             buf[..hdr.len()].copy_from_slice(&hdr);
+        } else {
+            assert_eq!(meta.header_len, 0, "header length without a header");
         }
         for f in 0..layout.nfields() {
             let off = (meta.header_len + layout.payload_field_off(rank, f)) as usize;

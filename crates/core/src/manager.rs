@@ -22,13 +22,14 @@ use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
+use crate::buf::BufPool;
 use crate::commit;
 use crate::exec::{execute, ExecConfig, ExecError, ExecReport};
 use crate::failover::FailoverPolicy;
 use crate::fault::FaultPlan;
-use crate::format::{decode_header, materialize_payloads, read_header_prefix, FileHeader};
+use crate::format::{decode_header, materialize_payloads_in, read_header_prefix, FileHeader};
 use crate::layout::DataLayout;
-use crate::restart::{read_checkpoint, read_checkpoint_staged, RestartError, RestoredData};
+use crate::restart::{read_checkpoint_in, read_checkpoint_staged_in, RestartError, RestoredData};
 use crate::sched::{self, Event, TierId};
 use crate::strategy::{CheckpointPlan, CheckpointSpec, Strategy, Tuning};
 use crate::tier::{DrainJob, TierConfig, TierEngine, TierError, TierStage};
@@ -157,6 +158,10 @@ pub struct CheckpointManager {
     cfg: ManagerConfig,
     layout: DataLayout,
     engine: Option<Arc<TierEngine>>,
+    /// The manager's own buffers: its payloads and its restores. A
+    /// payload is handed to `fill` without the zero-fill, so it may hold
+    /// only bytes that this manager wrote or restored before.
+    pool: BufPool,
 }
 
 fn step_prefix(step: u64) -> String {
@@ -352,6 +357,7 @@ impl CheckpointManager {
             cfg,
             layout,
             engine,
+            pool: BufPool::global().child(),
         })
     }
 
@@ -366,6 +372,12 @@ impl CheckpointManager {
         &self.layout
     }
 
+    /// The pool the manager's payloads and restores are leased from
+    /// (observability: what it retains between generations).
+    pub fn buf_pool(&self) -> &BufPool {
+        &self.pool
+    }
+
     fn plan_for(&self, step: u64) -> Result<CheckpointPlan, ManagerError> {
         CheckpointSpec::new(self.layout.clone(), step_prefix(step))
             .strategy(self.cfg.strategy)
@@ -377,13 +389,18 @@ impl CheckpointManager {
 
     /// Write checkpoint `step` with field data from `fill`, commit it
     /// atomically, then rotate old steps. Returns the executor report.
+    ///
+    /// `fill(rank, field, block)` writes into a recycled buffer of the
+    /// manager's own, not zeroed first: a byte it does not write holds a
+    /// zero or a byte this manager checkpointed or restored before, never
+    /// another caller's.
     pub fn checkpoint(
         &self,
         step: u64,
         fill: impl FnMut(u32, usize, &mut [u8]),
     ) -> Result<ExecReport, ManagerError> {
         let plan = self.plan_for(step)?;
-        let payloads = materialize_payloads(&plan, fill);
+        let payloads = materialize_payloads_in(&self.pool, &plan, fill);
         let mut exec_cfg = ExecConfig::new(&self.cfg.dir);
         exec_cfg.fsync_on_close = self.cfg.fsync;
         exec_cfg.faults = self.cfg.faults.clone();
@@ -629,7 +646,7 @@ impl CheckpointManager {
         // drain failed or is still in flight is not restart state yet.
         if let Some(stage) = self.engine.as_ref().and_then(|e| e.newest_retained()) {
             let plan = self.plan_for(stage.step())?;
-            if let Ok(data) = read_checkpoint_staged(&plan, &stage) {
+            if let Ok(data) = read_checkpoint_staged_in(&self.pool, &plan, &stage) {
                 return Ok(self.restored(data, TierId::Local, false));
             }
         }
@@ -646,7 +663,7 @@ impl CheckpointManager {
                 continue;
             };
             for &(tier, dir) in dirs.iter().flatten() {
-                match read_checkpoint(dir, &plan) {
+                match read_checkpoint_in(&self.pool, dir, &plan) {
                     Ok(data) => return Ok(self.restored(data, tier, degraded)),
                     Err(RestartError::Io(e))
                         if tier == TierId::Pfs && e.kind() != io::ErrorKind::NotFound =>
@@ -682,6 +699,7 @@ impl CheckpointManager {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::format::materialize_payloads;
 
     fn mk(name: &str, keep: usize) -> (CheckpointManager, PathBuf) {
         let dir = std::env::temp_dir().join(format!("rbio-mgr-{name}-{}", std::process::id()));

@@ -187,13 +187,13 @@ fn header_of(
 /// Read and verify one checkpoint file the way
 /// [`crate::format::materialize_payloads`] built it: returns
 /// `blocks[rank - r0][field]`, each a zero-copy slice of that rank's
-/// buffer — one lease per covered rank, sized Σ of its field blocks, the
-/// payload class the pool holds idle between checkpoints. The file is
-/// walked once, in file order (field-major, rank-minor: footer-region
-/// order); each block lands straight in its rank's buffer and its
-/// region's CRC32C is chained over the blocks as they land. No image of
-/// the file is built.
-fn extract_file(dir: &Path, rel: &str, header: &FileHeader) -> FileBlocks {
+/// buffer — one lease from `pool` per covered rank, sized Σ of its field
+/// blocks, the payload class the pool holds idle between checkpoints. The
+/// file is walked once, in file order (field-major, rank-minor:
+/// footer-region order); each block lands straight in its rank's buffer
+/// and its region's CRC32C is chained over the blocks as they land. No
+/// image of the file is built.
+fn extract_file(pool: &BufPool, dir: &Path, rel: &str, header: &FileHeader) -> FileBlocks {
     let torn = |what: String| RestartError::Torn {
         file: rel.to_string(),
         what,
@@ -242,7 +242,7 @@ fn extract_file(dir: &Path, rel: &str, header: &FileHeader) -> FileBlocks {
             "commit footer's regions are not the header's field spans".to_string(),
         ));
     }
-    place_blocks(header, |index, blocks| {
+    place_blocks(pool, header, |index, blocks| {
         file.seek(SeekFrom::Start(header.fields[index].data_off))?;
         let mut batch = Vec::new();
         let (mut crc, mut batched) = (0, 0);
@@ -271,7 +271,7 @@ fn extract_file(dir: &Path, rel: &str, header: &FileHeader) -> FileBlocks {
 }
 
 /// Place a file's blocks payload-shaped: one buffer per covered rank,
-/// leased from the pool at the size of that rank's field blocks together.
+/// leased from `pool` at the size of that rank's field blocks together.
 /// `fill(field, blocks)` fills one field's non-empty blocks, each with
 /// its file offset, in rank order: back to back from the field's
 /// `data_off`. Returns `blocks[rank - r0][field]`, zero-copy slices of
@@ -281,10 +281,10 @@ fn extract_file(dir: &Path, rel: &str, header: &FileHeader) -> FileBlocks {
 /// `fill` must write every byte of every block it is handed, or fail.
 /// On its error (or panic) the buffers drop unfrozen.
 fn place_blocks(
+    pool: &BufPool,
     header: &FileHeader,
     mut fill: impl FnMut(usize, &mut Blocks<'_>) -> Result<(), RestartError>,
 ) -> FileBlocks {
-    let pool = BufPool::global();
     let covered = (header.r1 - header.r0) as usize;
     let mut images: Vec<PooledBuf> = (0..covered)
         .map(|k| pool.lease_to_overwrite(header.fields.iter().map(|f| f.sizes[k] as usize).sum()))
@@ -467,9 +467,17 @@ pub fn read_checkpoint(
     dir: impl AsRef<Path>,
     plan: &CheckpointPlan,
 ) -> Result<RestoredData, RestartError> {
-    let dir = dir.as_ref();
+    read_checkpoint_in(BufPool::global(), dir.as_ref(), plan)
+}
+
+/// [`read_checkpoint`] into buffers leased from `pool`.
+pub(crate) fn read_checkpoint_in(
+    pool: &BufPool,
+    dir: &Path,
+    plan: &CheckpointPlan,
+) -> Result<RestoredData, RestartError> {
     let header = |name: &str| read_header(&dir.join(name));
-    let extract = |name: &str, h: &FileHeader| extract_file(dir, name, h);
+    let extract = |name: &str, h: &FileHeader| extract_file(pool, dir, name, h);
     read_plan_files(plan, header, &extract, MAX_RESTART_WORKERS)
 }
 
@@ -489,6 +497,15 @@ pub fn read_checkpoint(
 /// once, and on a two-core host restore time swung by 2× from run to
 /// run.
 pub fn read_checkpoint_staged(
+    plan: &CheckpointPlan,
+    stage: &TierStage,
+) -> Result<RestoredData, RestartError> {
+    read_checkpoint_staged_in(BufPool::global(), plan, stage)
+}
+
+/// [`read_checkpoint_staged`] into buffers leased from `pool`.
+pub(crate) fn read_checkpoint_staged_in(
+    pool: &BufPool,
     plan: &CheckpointPlan,
     stage: &TierStage,
 ) -> Result<RestoredData, RestartError> {
@@ -517,7 +534,7 @@ pub fn read_checkpoint_staged(
             let what = format!("staged file is {size} bytes, header expects {want}");
             return Err(torn(name, what));
         }
-        place_blocks(header, |_, blocks| {
+        place_blocks(pool, header, |_, blocks| {
             blocks.for_each(|(at, block)| map.read(at, block, tier::held));
             Ok(())
         })
@@ -607,7 +624,7 @@ pub fn read_checkpoint_auto(
             "files cover ranks [0,{cursor}) of {nranks}"
         )));
     }
-    let extract = |name: &str, h: &FileHeader| extract_file(dir, name, h);
+    let extract = |name: &str, h: &FileHeader| extract_file(BufPool::global(), dir, name, h);
     let data = extract_all(&files, nranks, &extract, MAX_RESTART_WORKERS)?;
     Ok(RestoredData {
         step,

@@ -323,3 +323,37 @@ fn a_payload_is_zeroed_and_a_warm_restore_is_not() {
     drop(svc);
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn a_warm_manager_checkpoint_zeroes_nothing() {
+    let _serial = COUNTERS.lock().unwrap_or_else(|e| e.into_inner());
+    // The manager's payloads come from its own pool, whose buffers hold
+    // only its own earlier bytes: `fill` writes over them unzeroed.
+    let strategies = [Strategy::OnePfpp, Strategy::coio(4), Strategy::rbio(4)];
+    for tiered in [false, true] {
+        for strategy in strategies {
+            let case = format!("{strategy:?}, tiered: {tiered}");
+            let dir =
+                std::env::temp_dir().join(format!("rbio-zeroed-manager-{}", std::process::id()));
+            std::fs::remove_dir_all(&dir).ok();
+            let mut cfg = ManagerConfig::new(dir.join("pfs"), strategy);
+            if tiered {
+                cfg.tier = Some(TierConfig::new(dir.join("local")).slab_capacity(8 << 20));
+            }
+            let mgr =
+                CheckpointManager::new(DataLayout::uniform(16, TWO_FIELDS), cfg).expect("manager");
+            let checkpoint = |step| {
+                mgr.checkpoint(step, fill).expect("checkpoint");
+                mgr.wait_durable(step).expect("durable");
+            };
+            // Cold: the pool adopts or maps the buffers the next step
+            // reuses (a tiered step's stay staged until the one after).
+            checkpoint(1);
+            checkpoint(2);
+            let zeroed = zeroed_by(|| checkpoint(3));
+            assert_eq!(zeroed, 0, "{case}: a warm checkpoint zero-fills nothing");
+            drop(mgr);
+            std::fs::remove_dir_all(&dir).ok();
+        }
+    }
+}

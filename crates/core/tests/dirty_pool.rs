@@ -247,3 +247,67 @@ fn a_failed_read_returns_an_error_and_leaves_no_stale_bytes_behind() {
     drop(svc);
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A manager over `dir` holding the test's layout, tiered or not.
+fn manager(dir: &Path, tiered: bool) -> CheckpointManager {
+    let mut cfg = ManagerConfig::new(dir.join("pfs"), Strategy::rbio(4));
+    if tiered {
+        cfg.tier = Some(TierConfig::new(dir.join("local")).slab_capacity(4 << 20));
+    }
+    CheckpointManager::new(DataLayout::uniform(NRANKS, &FIELDS), cfg).expect("manager")
+}
+
+/// Checkpoint `step` with every block set to `value`, first collecting
+/// every distinct byte `fill` finds in its blocks before it writes them;
+/// then restore it and check it.
+fn checkpoint_seeing(mgr: &CheckpointManager, step: u64, value: u8) -> Vec<u8> {
+    let mut seen = [false; 256];
+    let fill = |_: u32, _: usize, block: &mut [u8]| {
+        block.iter().for_each(|&b| seen[b as usize] = true);
+        block.fill(value);
+    };
+    mgr.checkpoint(step, fill).expect("checkpoint");
+    mgr.wait_durable(step).expect("durable");
+    let got = mgr.restore_latest().expect("restore");
+    for rank in 0..NRANKS {
+        for field in 0..FIELDS.len() {
+            let data = got.field_data(rank, field);
+            assert!(data.iter().all(|&b| b == value), "step {step} restored");
+        }
+    }
+    (0..=255u8).filter(|&b| seen[b as usize]).collect()
+}
+
+#[test]
+fn a_manager_fill_sees_only_zeros_or_its_own_bytes() {
+    let _one = POOL.lock().unwrap_or_else(|e| e.into_inner());
+    let (dir_a, dir_b, dir_c) = (tmpdir("mgr-a"), tmpdir("mgr-b"), tmpdir("mgr-c"));
+    dirty_pool();
+    // A, tiered, restores from its stage; its blocks are 0x41, 0x42, ….
+    let a = manager(&dir_a, true);
+    let mut written = vec![0u8];
+    for step in 1..=4 {
+        let value = 0x40 + step as u8;
+        let seen = checkpoint_seeing(&a, step, value);
+        assert!(
+            seen.iter().all(|b| written.contains(b)),
+            "manager A's fill at step {step} saw {seen:x?}, not only zeros or {written:x?}"
+        );
+        written.push(value);
+    }
+    // B, beside A and cold, sees neither A's bytes nor the global pool's.
+    let b = manager(&dir_b, false);
+    let seen = checkpoint_seeing(&b, 1, 0x81);
+    assert_eq!(seen, [0], "manager B's first fill saw {seen:x?}");
+    drop(b);
+    // A's buffers go back to the global pool when it drops; a manager
+    // that adopts them zero-fills them first.
+    drop(a);
+    let c = manager(&dir_c, true);
+    let seen = checkpoint_seeing(&c, 1, 0xC1);
+    assert_eq!(seen, [0], "manager C's first fill saw {seen:x?}");
+    drop(c);
+    for dir in [dir_a, dir_b, dir_c] {
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}

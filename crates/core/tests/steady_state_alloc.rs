@@ -1,6 +1,7 @@
 //! Steady-state checkpointing maps no fresh generation-sized buffers:
 //! after two warm-up generations every payload, eager-send copy and
-//! restore image is a recycled lease from `BufPool::global()`, so a whole
+//! restore image is a recycled lease from `BufPool::global()` (the tiered
+//! manager's payloads and restores from its own pool), so a whole
 //! generation allocates a small fraction of the bytes it checkpoints — on
 //! `exec`, on `rt`, through the tiered manager and through the service's
 //! sessions alike — and the plan loops' pool keeps nothing larger than a
@@ -293,10 +294,13 @@ fn a_warm_generation_allocates_a_fraction_of_its_user_bytes() {
     retained.clear();
     largest.clear();
     let mgr = tiered_manager(&dir);
+    // The manager leases its payloads and restores from a pool of its own.
+    let (own, mut own_retained) = (mgr.buf_pool(), Vec::new());
     let tiered = allocated_per_generation(6, |gen| {
         tiered_generation(&mgr, gen);
         retained.push(pool.retained_bytes());
-        largest.push(pool.largest_free());
+        own_retained.push(own.retained_bytes());
+        largest.push(pool.largest_free().max(own.largest_free()));
     });
     drop(mgr);
     assert!(
@@ -306,6 +310,10 @@ fn a_warm_generation_allocates_a_fraction_of_its_user_bytes() {
     assert_eq!(
         retained[2], retained[5],
         "tiered: the retained set is fixed from generation 3 on: {retained:?}"
+    );
+    assert_eq!(
+        own_retained[2], own_retained[5],
+        "tiered: the manager's retained set is fixed from generation 3 on: {own_retained:?}"
     );
     assert!(
         largest.iter().all(|&l| l <= bound),

@@ -2,13 +2,17 @@
 //! arbitrary layouts and rank ranges, offsets are consistent, any
 //! single-byte corruption of a header is detected, and a header whose
 //! fields were rewritten and its CRC resealed is parsed or refused, never
-//! a panic or an allocation its bytes cannot back.
+//! a panic or an allocation its bytes cannot back. And a payload is packed:
+//! its header and its field blocks tile it, so a buffer leased without the
+//! zero-fill has every byte written.
 
 use proptest::prelude::*;
 use rbio_repro::rbio::format::{
-    crc32, decode_header, encode_header, field_data_off, file_size, header_len, FormatError,
+    crc32, decode_header, encode_header, field_data_off, file_size, header_len,
+    materialize_payloads, FormatError,
 };
 use rbio_repro::rbio::layout::{DataLayout, FieldSizes, FieldSpec};
+use rbio_repro::rbio::strategy::{CheckpointSpec, RbIoCommit, Strategy as Ckpt};
 
 fn arb_layout() -> BoxedStrategy<DataLayout> {
     (1u32..20, 1usize..5)
@@ -181,6 +185,85 @@ proptest! {
                     parsed.rank_block(rank, f);
                 }
             }
+        }
+    }
+}
+
+/// Layouts with small blocks, so every case can be materialized: per-rank
+/// sizes and zero-size fields, whole or for some ranks, included.
+fn arb_small_layout() -> BoxedStrategy<DataLayout> {
+    (1u32..20, 1usize..5)
+        .prop_flat_map(|(np, nfields)| {
+            let size = || prop_oneof![Just(0u64), 1u64..3000];
+            proptest::collection::vec(
+                prop_oneof![
+                    size().prop_map(FieldSizes::Uniform),
+                    proptest::collection::vec(size(), np as usize).prop_map(FieldSizes::PerRank),
+                ],
+                nfields,
+            )
+            .prop_map(move |sizes| {
+                let fields = sizes.into_iter().enumerate().map(|(i, sizes)| FieldSpec {
+                    name: format!("f{i}"),
+                    sizes,
+                });
+                DataLayout::new(np, fields.collect())
+            })
+        })
+        .boxed()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Every rank's payload is exactly its encoded header followed by the
+    /// blocks handed to `fill`, back to back to the end of the buffer.
+    #[test]
+    fn a_payload_is_tiled_by_its_header_and_its_blocks(
+        layout in arb_small_layout(),
+        seed in any::<u64>(),
+    ) {
+        let np = layout.nranks();
+        let (pick, a) = (seed % 4, 1 + ((seed / 4) % u64::from(np)) as u32);
+        let strategy = match pick {
+            0 => Ckpt::OnePfpp,
+            1 => Ckpt::CoIo { nf: a, aggregator_ratio: 1 + (seed >> 40) as u32 % 8 },
+            2 => Ckpt::RbIo { ng: a, commit: RbIoCommit::IndependentPerWriter },
+            _ => Ckpt::RbIo { ng: a, commit: RbIoCommit::CollectiveShared },
+        };
+        let plan = CheckpointSpec::new(layout.clone(), "tile")
+            .strategy(strategy)
+            .step(seed)
+            .plan()
+            .expect("plan");
+        // Each block `fill` is handed: its field, where it starts, its length.
+        let mut blocks = vec![Vec::new(); np as usize];
+        let payloads = materialize_payloads(&plan, |rank, field, block| {
+            blocks[rank as usize].push((field, block.as_ptr() as usize, block.len()));
+        });
+        for (rank, payload) in payloads.iter().enumerate() {
+            let meta = &plan.payload_meta[rank];
+            let header = match meta.header_for_file {
+                Some(i) => {
+                    let pf = &plan.plan_files[i];
+                    encode_header(&layout, &plan.app, plan.step, pf.r0, pf.r1).len()
+                }
+                None => 0,
+            };
+            prop_assert_eq!(header as u64, meta.header_len, "rank {}'s header", rank);
+            let mut spans = vec![(0, header)];
+            let base = payload.as_ptr() as usize;
+            for &(field, at, len) in &blocks[rank] {
+                prop_assert_eq!(len as u64, layout.field_bytes(rank as u32, field));
+                spans.push((at - base, len));
+            }
+            spans.sort_unstable();
+            let mut end = 0;
+            for (at, len) in spans {
+                prop_assert_eq!(at, end, "rank {}: a gap or an overlap", rank);
+                end += len;
+            }
+            prop_assert_eq!(end, payload.len(), "rank {}: the spans end short", rank);
         }
     }
 }
