@@ -141,6 +141,11 @@ target/debug/rbio-tune search --np 16384 --env intrepid --budget small \
 echo "== clippy =="
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== rustdoc (warnings are errors) =="
+# Public docs must not link crate-private items: a demoted item's link
+# fails here.
+RUSTDOCFLAGS="-D warnings" cargo doc -p rbio --no-deps
+
 echo "== fmt =="
 cargo fmt --check
 

@@ -86,13 +86,8 @@ pub struct WriteOp {
 
 impl WriteOp {
     /// Total payload length.
-    pub fn len(&self) -> u64 {
+    pub(crate) fn len(&self) -> u64 {
         self.bufs.iter().map(|b| b.len() as u64).sum()
-    }
-
-    /// True when the op carries no bytes.
-    pub fn is_empty(&self) -> bool {
-        self.bufs.iter().all(|b| b.is_empty())
     }
 }
 
@@ -171,12 +166,12 @@ static THREADED: OnceLock<Arc<dyn IoBackend>> = OnceLock::new();
 static RING: OnceLock<Arc<dyn IoBackend>> = OnceLock::new();
 
 /// The shared [`ThreadedBackend`] instance.
-pub fn threaded() -> Arc<dyn IoBackend> {
+pub(crate) fn threaded() -> Arc<dyn IoBackend> {
     Arc::clone(THREADED.get_or_init(|| Arc::new(ThreadedBackend)))
 }
 
 /// The shared default-configuration [`RingBackend`].
-pub fn ring_default() -> Arc<dyn IoBackend> {
+pub(crate) fn ring_default() -> Arc<dyn IoBackend> {
     Arc::clone(
         RING.get_or_init(|| Arc::new(ring::RingBackend::with_config(ring::RingConfig::default()))),
     )

@@ -90,16 +90,6 @@ impl<T, C> RingCore<T, C> {
         self.sq.len() + self.cq.len()
     }
 
-    /// SQEs pushed and not yet submitted.
-    pub fn queued(&self) -> usize {
-        self.sq.len()
-    }
-
-    /// Completions executed and not yet reaped.
-    pub fn unreaped(&self) -> usize {
-        self.cq.len()
-    }
-
     /// Highest in-flight count ever observed (depth-bound property).
     pub fn high_water(&self) -> usize {
         self.high_water
@@ -203,11 +193,6 @@ impl RingBackend {
         cfg.batch = cfg.batch.clamp(1, cfg.depth);
         RingBackend { cfg }
     }
-
-    /// This backend's geometry.
-    pub fn config(&self) -> RingConfig {
-        self.cfg
-    }
 }
 
 /// Execute one SQE through the fault layer. Continuation SQEs skip the
@@ -273,6 +258,7 @@ impl IoBackend for RingBackend {
             // other threads with completion delivery.
             while core.in_flight() > 0 {
                 sched::yield_now(Point::Progress);
+                #[allow(clippy::expect_used, reason = "in-flight ops have completions")]
                 let (udata, sqe, cqe) = core.reap().expect("in-flight implies a completion");
                 let ok = !matches!(cqe, Cqe::Failed(_));
                 let reap_hash = sched_hash(&sqe.bufs);
@@ -337,6 +323,7 @@ impl IoBackend for RingBackend {
 /// quiescent ring, and a continuation takes the slot its reap just freed.
 fn queue(core: &mut RingCore<Sqe, Cqe>, wid: usize, sqe: Sqe) {
     let hash = sched_hash(&sqe.bufs);
+    #[allow(clippy::expect_used, reason = "callers push only when there is room")]
     let udata = core.push(sqe).expect("in-flight room by construction");
     sched::emit(|| sched::Event::SubmitQueued { wid, udata, hash });
 }

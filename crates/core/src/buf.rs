@@ -156,7 +156,7 @@ impl From<PooledBuf> for Bytes {
 
 /// A cheaply cloneable, immutable, refcounted byte slice.
 ///
-/// `clone` and [`Bytes::slice`] are O(1) and never touch the data. The
+/// `clone` and `Bytes::slice` are O(1) and never touch the data. The
 /// underlying storage is freed (or returned to its [`BufPool`]) when the
 /// last slice over it drops.
 #[derive(Clone)]
@@ -168,7 +168,7 @@ pub struct Bytes {
 
 impl Bytes {
     /// An empty slice (no allocation).
-    pub fn new() -> Bytes {
+    pub(crate) fn new() -> Bytes {
         static EMPTY: OnceLock<Bytes> = OnceLock::new();
         EMPTY.get_or_init(|| Bytes::from_vec(Vec::new())).clone()
     }
@@ -186,19 +186,13 @@ impl Bytes {
         }
     }
 
-    /// Copy `src` into a buffer leased from the global pool. This is a
-    /// real data movement and is accounted as copied bytes.
-    pub fn copy_from_slice(src: &[u8]) -> Bytes {
-        BufPool::global().copy_from_slice(src)
-    }
-
     /// Slice length in bytes.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.len
     }
 
     /// Whether the slice is empty.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.len == 0
     }
 
@@ -206,7 +200,7 @@ impl Bytes {
     ///
     /// # Panics
     /// Panics if the range is out of bounds.
-    pub fn slice(&self, range: impl RangeBounds<usize>) -> Bytes {
+    pub(crate) fn slice(&self, range: impl RangeBounds<usize>) -> Bytes {
         let start = match range.start_bound() {
             Bound::Included(&s) => s,
             Bound::Excluded(&s) => s + 1,
@@ -234,7 +228,7 @@ impl Bytes {
     /// frozen lease is copied out, never surrendered: the only way out of
     /// the lifecycle is back into the pool, or every generation would
     /// drain it into the allocator.)
-    pub fn into_vec(self) -> Vec<u8> {
+    pub(crate) fn into_vec(self) -> Vec<u8> {
         let whole = self.off == 0 && self.len == self.inner.data.len();
         if whole && self.inner.pool.is_none() {
             match Arc::try_unwrap(self.inner) {

@@ -1,17 +1,18 @@
 //! Crash-consistent checkpoint publication: every durable edge lives here.
 //!
 //! The one sticky fsync (`sync_file`), the commit-kill check and the seal
-//! of a `.tmp` ([`commit_file_with_faults`]), the sealed write of an
-//! in-memory image ([`commit_bytes`]) and the verified read-back
-//! ([`read_committed`]) each journal to [`crate::crash`] where they happen;
-//! the one directory listing ([`list`]) and the one unlink ([`remove`])
+//! of a `.tmp` (`commit_file_with_faults`), the sealed write of an
+//! in-memory image (`commit_bytes`) and the verified read-back
+//! (`read_committed`) each journal to [`crate::crash`] where they happen;
+//! the one directory listing (`list`) and the one unlink (`remove`)
 //! sit beside them. The crate's `clippy.toml` keeps fsync, rename and
 //! unlink out of other modules.
 //!
 //! Atomic plan files are written to a `.tmp` sibling of their final name.
 //! When the owning rank has finished its writes (after its `Close`), the
-//! `Op::Commit` step seals the temporary file — appends a [`format`]
-//! checksum footer with a CRC32C per field region — optionally fsyncs, and
+//! `Op::Commit` step seals the temporary file — appends a
+//! [`crate::format`] checksum footer with a CRC32C per field region —
+//! optionally fsyncs, and
 //! publishes it with a single `rename(2)`. A crash at *any* point therefore
 //! leaves either no final file or a complete, checksummed one; a partially
 //! written checkpoint is never observable under its final name.
@@ -44,7 +45,7 @@ use crate::pipeline;
 use crate::sched::{self, Revert};
 
 /// Suffix appended to a final path to form its temporary sibling.
-pub const TMP_SUFFIX: &str = ".tmp";
+pub(crate) const TMP_SUFFIX: &str = ".tmp";
 
 /// The `.tmp` sibling of `final_path` that writers target before commit.
 pub fn tmp_path(final_path: &Path) -> PathBuf {
@@ -69,7 +70,7 @@ pub fn tmp_path(final_path: &Path) -> PathBuf {
 /// by exactly one checksum.
 ///
 /// Sealing streams: the header prefix is read, then each region passes
-/// once through a [`STREAM_CHUNK`]-sized buffer into the running CRC
+/// once through a `STREAM_CHUNK`-sized buffer into the running CRC
 /// (warm from the page cache — the writers just put it there). No image
 /// of the file is ever built.
 pub fn commit_file(
@@ -103,7 +104,7 @@ pub(crate) fn sync_file(file: &File, faults: &FaultPlan, rank: Rank) -> io::Resu
 /// appears) is [`WriteError::Killed`]; an fsync or directory-fsync
 /// failure is an error, never a silently "successful" commit.
 #[allow(clippy::disallowed_methods)]
-pub fn commit_file_with_faults(
+pub(crate) fn commit_file_with_faults(
     tmp: &Path,
     final_path: &Path,
     expected_size: u64,
@@ -379,7 +380,7 @@ pub fn verify_committed(bytes: &[u8], expected_size: u64) -> Option<String> {
 ///
 /// The verifier of bytes already in memory — repair paths that go on to
 /// reinstall the image, small text artifacts, tests. Restore and scrub
-/// stream the file instead ([`read_footer`] + [`read_crc32c`]).
+/// stream the file instead (`read_footer` + `read_crc32c`).
 pub fn verify_committed_typed(bytes: &[u8], expected_size: u64) -> Result<(), VerifyError> {
     let truncated = || VerifyError::Truncated {
         actual: bytes.len() as u64,
@@ -407,10 +408,10 @@ pub fn verify_committed_typed(bytes: &[u8], expected_size: u64) -> Result<(), Ve
 /// bytes follow the logical size and `prelude` holds the first
 /// `min(present, 8)` of them (magic + region count).
 fn check_footer_len(prelude: &[u8], present: u64) -> Result<(), VerifyError> {
-    let Some(nregions) = prelude.get(4..8) else {
+    let Some(nregions) = prelude.get(4..8).and_then(<[u8]>::first_chunk) else {
         return Err(VerifyError::MissingFooter);
     };
-    let nregions = u32::from_le_bytes(nregions.try_into().expect("len 4")) as usize;
+    let nregions = u32::from_le_bytes(*nregions) as usize;
     // Compare in u64: `footer_len` of a hostile 4-billion-region count
     // must not be truncated through usize on 32-bit.
     let expected = format::footer_len(nregions);
@@ -476,7 +477,7 @@ pub(crate) fn read_footer(
 
 /// [`verify_committed_typed`] for a file on disk, without building its
 /// image: the footer is read and checked, then every region streams
-/// through one [`STREAM_CHUNK`] buffer into the CRC. For callers that want
+/// through one `STREAM_CHUNK` buffer into the CRC. For callers that want
 /// a verdict, not the bytes; it moves `f`'s cursor. The outer error is an
 /// I/O failure reading `f`; the inner one is the verdict, the same variant
 /// `verify_committed_typed` gives the same bytes (the first failing
@@ -524,7 +525,7 @@ fn check_region(bytes: &[u8], i: usize, r: &FooterRegion) -> Option<VerifyError>
 /// write lands the bytes as `rank` (retried on the one budget, as every
 /// writer's is), writeback starts behind them when the file will be
 /// fsynced, and [`commit_file_with_faults`] publishes it.
-pub fn commit_bytes(
+pub(crate) fn commit_bytes(
     final_path: &Path,
     bufs: &[impl AsRef<[u8]>],
     fsync: bool,
@@ -551,7 +552,7 @@ pub fn commit_bytes(
 /// [`commit_bytes`], so a crash mid-write can never leave a final name
 /// holding a torn body that still parses, and kill-after-bytes plans crash
 /// the metadata writer `rank` exactly like a data writer.
-pub fn commit_text_with_faults(
+pub(crate) fn commit_text_with_faults(
     final_path: &Path,
     body: &str,
     fsync: bool,
@@ -561,7 +562,7 @@ pub fn commit_text_with_faults(
     commit_bytes(final_path, &[body], fsync, faults, rank).map_err(io::Error::from)
 }
 
-/// [`commit_text_with_faults`] without fault injection.
+/// `commit_text_with_faults` without fault injection.
 pub fn commit_text(final_path: &Path, body: &str, fsync: bool) -> io::Result<()> {
     commit_text_with_faults(final_path, body, fsync, &FaultPlan::none(), 0)
 }
@@ -570,7 +571,7 @@ pub fn commit_text(final_path: &Path, body: &str, fsync: bool) -> io::Result<()>
 /// `logical_size`-byte image, footer checked, then stripped. Bytes its
 /// footer does not vouch for never come back: a torn copy is an
 /// `InvalidData` error carrying the [`VerifyError`] text.
-pub fn read_committed(path: &Path, logical_size: u64) -> io::Result<Vec<u8>> {
+pub(crate) fn read_committed(path: &Path, logical_size: u64) -> io::Result<Vec<u8>> {
     verified_image(std::fs::read(path)?, logical_size)
 }
 

@@ -16,9 +16,9 @@
 //!    directory `fsync` under a root directory, in the order the
 //!    process issued them. There are two journaling seams and no
 //!    decorator. Data writes go through
-//!    [`crate::fault::write_at_or_short`], the one fault-checked write
+//!    `fault::write_at_or_short`, the one fault-checked write
 //!    the serial interpreter, both backends and [`crate::commit`] all
-//!    call, plus its continuation [`crate::fault::finish_short_write`] —
+//!    call, plus its continuation `fault::finish_short_write` —
 //!    so the bytes a resubmitted short write lands are journaled like
 //!    any others. Every durable edge — footer, fsync, rename, dir-fsync —
 //!    lives in [`crate::commit`] and is journaled there, where it
@@ -120,7 +120,7 @@ static INSTALL_LOCK: Mutex<()> = Mutex::new(());
 /// True when a recorder is installed (one relaxed load; the journal
 /// hooks are free when nothing records).
 #[inline]
-pub fn recording() -> bool {
+pub(crate) fn recording() -> bool {
     ACTIVE.load(Ordering::Relaxed)
 }
 
@@ -251,7 +251,7 @@ pub(crate) fn record_dir_fsync(dir: &Path) {
 }
 
 /// Journal a durability promise: the API reported `step` crash-safe.
-pub fn note_durable(step: u64) {
+pub(crate) fn note_durable(step: u64) {
     if !recording() {
         return;
     }
@@ -327,7 +327,7 @@ pub struct ImageSpec {
 /// a write whose file was fsynced after it (still before the cut), a
 /// rename whose destination directory was fsynced after it, and every
 /// barrier/durable-point op itself (they carry no filesystem state).
-pub fn required_ops(ops: &[RecOp], cut: usize) -> Vec<bool> {
+pub(crate) fn required_ops(ops: &[RecOp], cut: usize) -> Vec<bool> {
     let mut required = vec![false; cut];
     for j in 0..cut {
         match &ops[j] {
@@ -356,7 +356,7 @@ pub fn required_ops(ops: &[RecOp], cut: usize) -> Vec<bool> {
 }
 
 /// The newest step the API had promised durable before `cut`, if any.
-pub fn durable_floor(ops: &[RecOp], cut: usize) -> Option<u64> {
+pub(crate) fn durable_floor(ops: &[RecOp], cut: usize) -> Option<u64> {
     ops[..cut]
         .iter()
         .filter_map(|op| match op {
@@ -445,7 +445,7 @@ fn applied_set(ops: &[RecOp], spec: ImageSpec) -> (Vec<bool>, Option<(usize, usi
 }
 
 /// Materialize the crash image `spec` describes into `out_dir`.
-pub fn materialize_image(ops: &[RecOp], spec: ImageSpec, out_dir: &Path) -> io::Result<()> {
+pub(crate) fn materialize_image(ops: &[RecOp], spec: ImageSpec, out_dir: &Path) -> io::Result<()> {
     let (applied, torn) = applied_set(ops, spec);
     let mut fs = FsModel::default();
     for i in 0..spec.cut {
@@ -476,7 +476,7 @@ pub struct Scenario {
 
 impl Scenario {
     /// Stable label for reports and replay coordinates.
-    pub fn label(&self) -> String {
+    pub(crate) fn label(&self) -> String {
         let s = match self.strategy {
             Strategy::OnePfpp => "1pfpp".to_string(),
             Strategy::CoIo { nf, .. } => format!("coio{nf}"),
@@ -486,7 +486,7 @@ impl Scenario {
     }
 
     /// The layout every scenario records under.
-    pub fn layout(&self) -> DataLayout {
+    pub(crate) fn layout(&self) -> DataLayout {
         DataLayout::uniform(self.nranks, &[("u", 512), ("v", 128)])
     }
 }
@@ -545,7 +545,7 @@ pub fn record_scenario(
 /// wrong.
 #[derive(Debug, Clone)]
 pub struct Violation {
-    /// Scenario label ([`Scenario::label`]).
+    /// Scenario label (`Scenario::label`).
     pub scenario: String,
     /// Cut position in the journal.
     pub cut: usize,
@@ -570,7 +570,7 @@ pub struct SweepReport {
 /// `budget` of them: five variants per cut, cut positions strided to
 /// fit the budget, with the full-stream cut always included (it is the
 /// one that catches a missing final barrier).
-pub fn enumerate_specs(nops: usize, budget: usize, seed: u64) -> Vec<ImageSpec> {
+pub(crate) fn enumerate_specs(nops: usize, budget: usize, seed: u64) -> Vec<ImageSpec> {
     const PER_CUT: usize = 5;
     let stride = ((nops + 1) * PER_CUT).div_ceil(budget.max(PER_CUT)).max(1);
     let mut cuts: Vec<usize> = (0..=nops).step_by(stride).collect();

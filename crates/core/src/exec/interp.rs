@@ -380,6 +380,7 @@ impl<'a, T: Transport> Interp<'a, T> {
                 } => {
                     // Read-after-write: pending flushes must land first.
                     self.drain_pipe()?;
+                    #[allow(clippy::expect_used, reason = "validate: ranks read opened files")]
                     let f = self.files.get(&file.0).expect("validated: opened");
                     // Overwritten end to end, or dropped with the error.
                     let mut data = BufPool::global().lease_to_overwrite(*len as usize);
@@ -409,6 +410,7 @@ impl<'a, T: Transport> Interp<'a, T> {
             )));
         }
         let members = &self.program.comms[comm as usize];
+        #[allow(clippy::expect_used, reason = "validate: a comm has members")]
         let (leader, rest) = members.split_first().expect("validated: comm has members");
         let tag = RESERVED_TAG_BASE + u64::from(comm);
         if self.rank == *leader {
@@ -478,7 +480,8 @@ impl<'a, T: Transport> Interp<'a, T> {
     /// Tier-staged runs always coalesce: staging moves no byte and
     /// deliberately skips the per-write fault hooks, since the
     /// staged path's failure mode is losing the tier
-    /// ([`crate::tier::TierEngine::lose_local`]), not a torn write.
+    /// ([`crate::tier::TierEngine::lose_local_between_hops`]), not a torn
+    /// write.
     fn write_run(
         &mut self,
         ops: &[Op],
@@ -509,6 +512,7 @@ impl<'a, T: Transport> Interp<'a, T> {
         if stage.is_none() && self.pipe.is_none() {
             // Serial: the write completes before the op retires, so it
             // goes straight from the borrowed pieces — one gather, no copy.
+            #[allow(clippy::expect_used, reason = "validate: ranks write opened files")]
             let f = self.files.get(&file).expect("validated: opened");
             let ctx = IoCtx::new(self.rank, 0, &self.cfg.faults);
             let mut srcs = Vec::new();
@@ -535,8 +539,10 @@ impl<'a, T: Transport> Interp<'a, T> {
                 .append_bytes(name, offset, &bufs)
                 .map_err(io::Error::other)?;
         } else if let Some(pipe) = &self.pipe {
+            #[allow(clippy::expect_used, reason = "validate: ranks write opened files")]
             let file = Arc::clone(self.files.get(&file).expect("validated: opened"));
             pipe.submit(if bufs.len() == 1 {
+                #[allow(clippy::expect_used, reason = "this branch holds exactly one piece")]
                 let data = bufs.pop().expect("one piece");
                 FlushJob::Write { file, offset, data }
             } else {

@@ -14,9 +14,9 @@
 //! that interpreter once more over a pull transport.
 //!
 //! [`ExecConfig`] is the interpreter's one config, under either entry
-//! point: [`crate::rt::RtConfig`] is another name for it. Three of its
-//! fields — `recv_timeout`, `chan_capacity` and `failover` — concern the
-//! mailboxes and the takeover that only `execute` owns.
+//! point: [`crate::rt::RtConfig`] is another name for it. Two of its
+//! fields — `recv_timeout` and `failover` — concern the mailboxes and the
+//! takeover that only `execute` owns.
 
 pub(crate) mod interp;
 mod mailbox;
@@ -39,10 +39,10 @@ use crate::fault::FaultPlan;
 use crate::pipeline::{FlushPool, WriterHandle, WriterTuning};
 use crate::sched::{self, unpoisoned, Point, Wait};
 
-/// Default per-rank mailbox capacity (messages). Bounded so a burst or a
-/// stalled receiver exerts backpressure on senders instead of growing
-/// the heap without bound; override via [`ExecConfig::chan_capacity`].
-pub const DEFAULT_CHAN_CAPACITY: usize = 256;
+/// Per-rank mailbox capacity (messages) under both entry points. Bounded
+/// so a burst or a stalled receiver exerts backpressure on senders
+/// instead of growing the heap without bound.
+pub(crate) const DEFAULT_CHAN_CAPACITY: usize = 256;
 
 /// Default cap on one coalesced vectored write, bytes. Overridable per
 /// run via [`ExecConfig::coalesce_caps`].
@@ -94,7 +94,7 @@ fn write_run_len(
 #[derive(Debug, Clone)]
 pub struct ExecConfig {
     /// Directory all plan file names are resolved against.
-    pub base_dir: PathBuf,
+    pub(crate) base_dir: PathBuf,
     /// Make every file durable before `execute` returns (slower). Atomic
     /// files are synced once, at commit — footer in, then one `fsync`,
     /// the rename, and an `fsync` of its directory — with writeback of
@@ -103,12 +103,12 @@ pub struct ExecConfig {
     pub fsync_on_close: bool,
     /// Faults to inject (inert by default). A transient write error is
     /// retried on the one budget every writer shares,
-    /// [`crate::fault::WRITE_RETRIES`] from [`crate::fault::RETRY_BACKOFF`].
+    /// `fault::WRITE_RETRIES` from `fault::RETRY_BACKOFF`.
     pub faults: FaultPlan,
     /// `execute` only: how long a `Recv` waits with no matching message
     /// before failing (a lost handoff must surface as a typed error, not
     /// a hang). Under `rt` the application's [`crate::rt::Comm`] owns the
-    /// timeout ([`crate::rt::Comm::set_recv_timeout`]).
+    /// timeout (2 s).
     pub recv_timeout: Duration,
     /// Outstanding background flush jobs per writer. `1` (the default)
     /// is the fully serial path; `≥ 2` defers `WriteAt`/`Close`/`Commit`
@@ -130,7 +130,7 @@ pub struct ExecConfig {
     /// `WriteAt` hands the stage its pieces without a copy, and `Commit`
     /// seals the staged file for the background drain engine
     /// (see [`crate::tier`]). Non-atomic files still hit the PFS.
-    pub stage: Option<Arc<crate::tier::TierStage>>,
+    pub(crate) stage: Option<Arc<crate::tier::TierStage>>,
     /// I/O backend driving the background flush pipeline's writes
     /// (ignored at `pipeline_depth` 1, where the serial path issues its
     /// own blocking writes). [`BackendKind::Threaded`] by default.
@@ -139,13 +139,12 @@ pub struct ExecConfig {
     pub coalesce_max_bytes: u64,
     /// Cap on chunks per coalesced vectored write (min 1).
     pub coalesce_max_ops: usize,
-    /// `execute` only: per-rank message mailbox capacity (min 1).
-    /// Mailboxes are bounded `sync_channel`s: a sender facing a full
-    /// mailbox blocks (bounded resident bytes) and surfaces the typed
-    /// `TimedOut` error after `recv_timeout` rather than growing the
-    /// queue without limit. Under `rt` the application sizes its
-    /// mailboxes ([`crate::rt::run_with_capacity`]).
-    pub chan_capacity: usize,
+    /// `execute`'s per-rank message mailbox capacity (min 1):
+    /// [`DEFAULT_CHAN_CAPACITY`], which only tests shrink. Mailboxes are
+    /// bounded `sync_channel`s: a sender facing a full mailbox blocks
+    /// (bounded resident bytes) and surfaces the typed `TimedOut` error
+    /// after `recv_timeout` rather than growing the queue without limit.
+    pub(crate) chan_capacity: usize,
 }
 
 impl ExecConfig {
@@ -201,12 +200,6 @@ impl ExecConfig {
     pub fn coalesce_caps(mut self, max_bytes: u64, max_ops: usize) -> Self {
         self.coalesce_max_bytes = max_bytes.max(1);
         self.coalesce_max_ops = max_ops.max(1);
-        self
-    }
-
-    /// Set the per-rank message mailbox capacity (clamped to at least 1).
-    pub fn chan_capacity(mut self, cap: usize) -> Self {
-        self.chan_capacity = cap.max(1);
         self
     }
 }
@@ -638,8 +631,8 @@ pub(crate) fn run_ranks<T: Send>(
 /// [`crate::format::materialize_payloads`] stay pool-backed and recycle
 /// when the call returns, a plain `Vec<u8>` is wrapped without a copy.
 /// The program should already be validated (plans from
-/// [`crate::CheckpointSpec::plan`] are); an invalid program may deadlock
-/// or panic.
+/// [`crate::strategy::CheckpointSpec::plan`] are); an invalid program may
+/// deadlock or panic.
 pub fn execute(
     program: &Program,
     payloads: Vec<impl Into<Bytes>>,
@@ -933,10 +926,10 @@ mod tests {
         let p = b.build();
         let dir = tmpdir("stalled-recv");
         let cfg = ExecConfig::new(&dir)
-            .chan_capacity(cap)
             .faults(FaultPlan::none().delay_writes(1, Duration::from_millis(400)));
         let cfg = ExecConfig {
             recv_timeout: Duration::from_millis(50),
+            chan_capacity: cap,
             ..cfg
         };
         let err = execute(&p, vec![vec![], vec![]], &cfg).expect_err("send must time out");

@@ -15,7 +15,7 @@ use std::ops::Range;
 use crate::buf::Bytes;
 
 /// Where a segment's bytes live: the map asks one thing of it.
-pub trait Source: Clone {
+pub(crate) trait Source: Clone {
     /// The `n` bytes of this source from its `k`th on.
     fn sub(&self, k: u64, n: u64) -> Self;
 }
@@ -28,7 +28,7 @@ impl Source for Bytes {
 }
 
 /// One piece of a range of the map, in range order.
-pub enum Piece<'m, S> {
+pub(crate) enum Piece<'m, S> {
     /// This many bytes never written: zeros.
     Zeros(u64),
     /// These bytes of a source the map holds.
@@ -37,7 +37,7 @@ pub enum Piece<'m, S> {
 
 /// `offset → (length, source)` segments; none overlap, none is empty.
 #[derive(Clone, Debug)]
-pub struct ExtentMap<S> {
+pub(crate) struct ExtentMap<S> {
     segs: BTreeMap<u64, (u64, S)>,
 }
 
@@ -51,7 +51,7 @@ impl<S> Default for ExtentMap<S> {
 
 impl<S: Source> ExtentMap<S> {
     /// Land `len` bytes of `src` at `at`.
-    pub fn put(&mut self, at: u64, len: u64, src: S) {
+    pub(crate) fn put(&mut self, at: u64, len: u64, src: S) {
         self.clear(at, len);
         if len > 0 {
             self.segs.insert(at, (len, src));
@@ -60,7 +60,7 @@ impl<S: Source> ExtentMap<S> {
 
     /// Land a copy of `[from, from + len)` at `to` — by reference: the
     /// sources are immutable, so sharing them is copying them.
-    pub fn copy_within(&mut self, from: u64, len: u64, to: u64) {
+    pub(crate) fn copy_within(&mut self, from: u64, len: u64, to: u64) {
         let mut at = to;
         let moved: Vec<(u64, (u64, S))> = self
             .pieces(from, len)
@@ -78,13 +78,13 @@ impl<S: Source> ExtentMap<S> {
     }
 
     /// One past the last byte ever landed (0 for an empty map).
-    pub fn end(&self) -> u64 {
+    pub(crate) fn end(&self) -> u64 {
         self.segs.last_key_value().map_or(0, |(&s, &(n, _))| s + n)
     }
 
     /// The bytes of `[at, at + len)`, in order: a piece's as `bytes`
     /// resolves it, a never-written stretch as zeros made for it.
-    pub fn slices<'m, 'b>(
+    pub(crate) fn slices<'m, 'b>(
         &'m self,
         at: u64,
         len: u64,
@@ -97,7 +97,7 @@ impl<S: Source> ExtentMap<S> {
     }
 
     /// Copy `[at, at + buf.len())` into `buf`, sources resolved by `bytes`.
-    pub fn read<'m>(
+    pub(crate) fn read<'m>(
         &'m self,
         at: u64,
         buf: &mut [u8],
@@ -128,6 +128,7 @@ impl<S: Source> ExtentMap<S> {
             }
         }
         while let Some((&s, _)) = self.segs.range(at..end).next() {
+            #[allow(clippy::expect_used, reason = "the key was just read from this map")]
             let (n, src) = self.segs.remove(&s).expect("just found");
             if s + n > end {
                 self.segs
@@ -138,7 +139,7 @@ impl<S: Source> ExtentMap<S> {
 
     /// The pieces covering `[at, at + len)`, in order; together exactly
     /// `len` bytes.
-    pub fn pieces(&self, at: u64, len: u64) -> impl Iterator<Item = Piece<'_, S>> {
+    pub(crate) fn pieces(&self, at: u64, len: u64) -> impl Iterator<Item = Piece<'_, S>> {
         let end = at + len;
         let first = self
             .segs

@@ -21,7 +21,7 @@
 //! commit edge. A writer that is merely slow stays alive: its drain waits
 //! for it, and nothing but its own job ever writes its bytes.
 //!
-//! The [`FailoverDirector`] is the shared arbiter: declarations, claims,
+//! The `FailoverDirector` is the shared arbiter: declarations, claims,
 //! and commit admission all go through one mutex-protected state so the
 //! *exactly-once takeover* invariant is a CAS, not a convention. This
 //! module holds coordination state only: a takeover itself is the plan
@@ -53,7 +53,7 @@ pub struct FailoverPolicy {
 
 impl FailoverPolicy {
     /// Failover off: writer failures abort the run (PR 1 semantics).
-    pub fn disabled() -> Self {
+    pub(crate) fn disabled() -> Self {
         FailoverPolicy {
             enabled: false,
             dead_after: Duration::from_secs(1),
@@ -118,7 +118,7 @@ impl DirectorState {
 /// successor designation, exactly-once takeover claims, and commit
 /// fencing. One instance per [`crate::exec::execute`] call.
 #[derive(Debug)]
-pub struct FailoverDirector {
+pub(crate) struct FailoverDirector {
     policy: FailoverPolicy,
     pub(crate) state: Mutex<DirectorState>,
     /// Signalled on every state change so epilogue loops can park.
@@ -127,7 +127,7 @@ pub struct FailoverDirector {
 
 impl FailoverDirector {
     /// A director for the given writer ranks (in `ng` order).
-    pub fn new(policy: FailoverPolicy, writer_ranks: Vec<u32>) -> Self {
+    pub(crate) fn new(policy: FailoverPolicy, writer_ranks: Vec<u32>) -> Self {
         FailoverDirector {
             policy,
             state: Mutex::new(DirectorState {
@@ -139,7 +139,7 @@ impl FailoverDirector {
     }
 
     /// The policy this director enforces.
-    pub fn policy(&self) -> &FailoverPolicy {
+    pub(crate) fn policy(&self) -> &FailoverPolicy {
         &self.policy
     }
 
@@ -148,6 +148,7 @@ impl FailoverDirector {
     /// them (the death, the orphan, the re-homing, or their undo), and a
     /// panic midway would leave a writer fenced with no successor for its
     /// extent. A poisoned director refuses instead of losing that extent.
+    #[allow(clippy::expect_used, reason = "a poisoned director refuses (above)")]
     pub(crate) fn lock(&self) -> std::sync::MutexGuard<'_, DirectorState> {
         self.state.lock().expect("failover director lock")
     }
@@ -158,7 +159,7 @@ impl FailoverDirector {
     /// not a tracked writer, or no surviving writer remains — in which
     /// case the caller must abort exactly as before this subsystem
     /// existed.
-    pub fn report_dead(&self, rank: u32) -> bool {
+    pub(crate) fn report_dead(&self, rank: u32) -> bool {
         if !self.policy.enabled {
             return false;
         }
@@ -216,22 +217,22 @@ impl FailoverDirector {
     }
 
     /// Whether `rank` has been declared dead (and is therefore fenced).
-    pub fn is_fenced(&self, rank: u32) -> bool {
+    pub(crate) fn is_fenced(&self, rank: u32) -> bool {
         self.lock().is_dead(rank)
     }
 
     /// Whether `rank` is in the tracked writer set.
-    pub fn is_writer(&self, rank: u32) -> bool {
+    pub(crate) fn is_writer(&self, rank: u32) -> bool {
         self.lock().writers.contains(&rank)
     }
 
     /// Whether `rank` has finished its own ops.
-    pub fn is_done(&self, rank: u32) -> bool {
+    pub(crate) fn is_done(&self, rank: u32) -> bool {
         self.lock().done.contains(&rank)
     }
 
     /// The tracked writer ranks, in `ng` order.
-    pub fn writers(&self) -> Vec<u32> {
+    pub(crate) fn writers(&self) -> Vec<u32> {
         self.lock().writers.clone()
     }
 
@@ -239,7 +240,7 @@ impl FailoverDirector {
     /// the `fenced_commits_refused` counter. The test-only
     /// [`Revert::Pr5Fence`] switch disables the refusal to demonstrate
     /// the double-commit hazard to the p5 sweep.
-    pub fn allow_commit(&self, rank: u32) -> bool {
+    pub(crate) fn allow_commit(&self, rank: u32) -> bool {
         if !self.lock().is_dead(rank) {
             return true;
         }
@@ -254,7 +255,7 @@ impl FailoverDirector {
     /// Claim the next orphan designated to `successor` (exactly-once:
     /// a given orphan is handed out a single time unless its claimant
     /// later dies). Bumps the `failovers` counter per claim.
-    pub fn claim_orphan(&self, successor: u32) -> Option<u32> {
+    pub(crate) fn claim_orphan(&self, successor: u32) -> Option<u32> {
         let mut g = self.lock();
         let o = g
             .orphans
@@ -269,7 +270,7 @@ impl FailoverDirector {
 
     /// Enter the commit of the orphan's file `file`: `true` exactly once
     /// per (orphan, file) — the CAS behind exactly-once takeover commits.
-    pub fn begin_commit(&self, orphan: u32, file: u32) -> bool {
+    pub(crate) fn begin_commit(&self, orphan: u32, file: u32) -> bool {
         let mut g = self.lock();
         match g
             .orphans
@@ -285,7 +286,7 @@ impl FailoverDirector {
     }
 
     /// Record the takeover of `orphan` finished.
-    pub fn orphan_completed(&self, orphan: u32) {
+    pub(crate) fn orphan_completed(&self, orphan: u32) {
         let mut g = self.lock();
         for o in g.orphans.iter_mut() {
             if o.rank == orphan {
@@ -297,7 +298,7 @@ impl FailoverDirector {
 
     /// Record writer `rank` finished its own ops (it now only serves
     /// takeovers in its epilogue).
-    pub fn mark_writer_done(&self, rank: u32) {
+    pub(crate) fn mark_writer_done(&self, rank: u32) {
         let mut g = self.lock();
         if !g.done.contains(&rank) {
             g.done.push(rank);
@@ -308,7 +309,7 @@ impl FailoverDirector {
     /// Whether the failover phase is over: every writer is done or dead
     /// and every orphan extent has been rewritten. Epilogue loops exit
     /// when this turns true.
-    pub fn quiesced(&self) -> bool {
+    pub(crate) fn quiesced(&self) -> bool {
         let g = self.lock();
         g.writers
             .iter()
@@ -318,7 +319,7 @@ impl FailoverDirector {
 
     /// Completed takeovers as `(orphan, successor)` pairs, in death
     /// order — the manager records them as landings in the commit marker.
-    pub fn completed_takeovers(&self) -> Vec<(u32, u32)> {
+    pub(crate) fn completed_takeovers(&self) -> Vec<(u32, u32)> {
         self.lock()
             .orphans
             .iter()

@@ -37,7 +37,7 @@ use crate::sched::{self, unpoisoned};
 
 /// What a write-edge fault check decided.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WriteFault {
+pub(crate) enum WriteFault {
     /// The rank dies here: abandon its program immediately.
     Kill,
     /// This attempt fails with a transient I/O error; retrying may succeed.
@@ -182,7 +182,7 @@ impl FaultPlan {
 
     /// Fail `rank`'s file fsyncs with `EIO`. The first failure latches:
     /// even if the injection is later cleared, subsequent fsyncs on the
-    /// rank keep failing (see [`FaultPlan::on_fsync`]).
+    /// rank keep failing (see `FaultPlan::on_fsync`).
     ///
     /// The injection keys on the rank that *issues* the fsync. An atomic
     /// plan file has exactly one — the `sync_all` in its owner's `Commit`
@@ -206,7 +206,7 @@ impl FaultPlan {
     /// also fails — writeback errors may have dropped the dirty pages, so
     /// a retried fsync that reports clean proves nothing. Consulted by
     /// the one fsync, [`crate::commit::sync_file`], before its `sync_all`.
-    pub fn on_fsync(&self, rank: Rank) -> Option<io::Error> {
+    pub(crate) fn on_fsync(&self, rank: Rank) -> Option<io::Error> {
         if !self.is_armed() {
             return None;
         }
@@ -223,14 +223,15 @@ impl FaultPlan {
 
     /// Record that a *real* fsync failed on `rank`, so the sticky rule in
     /// [`FaultPlan::on_fsync`] applies to it from now on.
-    pub fn latch_fsync_failure(&self, rank: Rank) {
+    pub(crate) fn latch_fsync_failure(&self, rank: Rank) {
         unpoisoned(self.inner.lock()).fsync_failed.insert(rank);
         self.armed.store(true, Ordering::Release);
     }
 
     /// Fail `rank`'s next directory fsync (the commit path's
     /// rename-durability barrier) once with an injected I/O error.
-    pub fn fail_dir_fsync(self, rank: Rank) -> Self {
+    #[cfg(test)]
+    pub(crate) fn fail_dir_fsync(self, rank: Rank) -> Self {
         unpoisoned(self.inner.lock()).dir_fsync_fail.insert(rank);
         self.armed.store(true, Ordering::Release);
         self
@@ -239,7 +240,7 @@ impl FaultPlan {
     /// Consult the plan as `rank` fsyncs the directory containing a
     /// freshly renamed commit. `Some(error)` means the barrier fails
     /// (one-shot); the commit must report it.
-    pub fn on_dir_fsync(&self, rank: Rank) -> Option<io::Error> {
+    pub(crate) fn on_dir_fsync(&self, rank: Rank) -> Option<io::Error> {
         if !self.is_armed() {
             return None;
         }
@@ -252,7 +253,7 @@ impl FaultPlan {
     /// Take (and clear) the pending one-shot hang for `rank`, if any.
     /// The caller performs the actual stall so the shared lock is never
     /// held across a sleep.
-    pub fn take_hang(&self, rank: Rank) -> Option<Duration> {
+    pub(crate) fn take_hang(&self, rank: Rank) -> Option<Duration> {
         if !self.is_armed() {
             return None;
         }
@@ -260,7 +261,7 @@ impl FaultPlan {
     }
 
     /// The per-write delay configured for `rank`, if any.
-    pub fn write_delay(&self, rank: Rank) -> Option<Duration> {
+    pub(crate) fn write_delay(&self, rank: Rank) -> Option<Duration> {
         if !self.is_armed() {
             return None;
         }
@@ -268,14 +269,14 @@ impl FaultPlan {
     }
 
     /// Whether any fault is configured (fast path: one atomic load).
-    pub fn is_armed(&self) -> bool {
+    pub(crate) fn is_armed(&self) -> bool {
         self.armed.load(Ordering::Acquire)
     }
 
     /// Consult the plan before `rank` writes `bytes` (attempt number
     /// `attempt`, 0 on the first try). `None` means proceed — the plan
     /// then accounts the bytes as written.
-    pub fn on_write(&self, rank: Rank, bytes: u64, attempt: u32) -> Option<WriteFault> {
+    pub(crate) fn on_write(&self, rank: Rank, bytes: u64, attempt: u32) -> Option<WriteFault> {
         if !self.is_armed() {
             return None;
         }
@@ -334,7 +335,7 @@ impl FaultPlan {
     /// `true` means the rank dies here — after its data writes, before the
     /// rename — the worst spot for crash consistency. Consulted by
     /// [`crate::commit::commit_file_with_faults`] alone.
-    pub fn on_commit(&self, rank: Rank) -> bool {
+    pub(crate) fn on_commit(&self, rank: Rank) -> bool {
         if !self.is_armed() {
             return false;
         }
@@ -347,7 +348,7 @@ impl FaultPlan {
 
     /// Consult the plan as `src` sends a message to `dst`; `true` means
     /// drop it (the receiver never sees it).
-    pub fn on_send(&self, src: Rank, dst: Rank) -> bool {
+    pub(crate) fn on_send(&self, src: Rank, dst: Rank) -> bool {
         if !self.is_armed() {
             return false;
         }
@@ -387,7 +388,7 @@ pub enum WriteError {
 impl WriteError {
     /// The `io::Error` this failure surfaces as — `None` for an injected
     /// kill, which every caller reports in its own error space.
-    pub fn into_io(self) -> Option<io::Error> {
+    pub(crate) fn into_io(self) -> Option<io::Error> {
         match self {
             WriteError::Killed => None,
             WriteError::Io(e) => Some(e),
@@ -500,10 +501,10 @@ impl RetryClock {
 /// Retries per logical write on a transient error: the one budget every
 /// library writer runs under (plan writers under either entry point, a
 /// service session's pool writer, and [`crate::commit::commit_bytes`]).
-pub const WRITE_RETRIES: u32 = 3;
+pub(crate) const WRITE_RETRIES: u32 = 3;
 /// First retry backoff of that budget; it doubles per attempt, jittered
 /// and capped by the write's wall-clock deadline.
-pub const RETRY_BACKOFF: Duration = Duration::from_micros(500);
+pub(crate) const RETRY_BACKOFF: Duration = Duration::from_micros(500);
 
 /// Immutable per-writer context every fault-checked write runs under.
 /// Re-exported as [`crate::backend::IoCtx`]: backends receive it from
@@ -524,7 +525,7 @@ pub struct IoCtx<'a> {
 impl<'a> IoCtx<'a> {
     /// `rank`'s context under the one budget, [`WRITE_RETRIES`] from
     /// [`RETRY_BACKOFF`].
-    pub fn new(rank: Rank, wid: usize, faults: &'a FaultPlan) -> Self {
+    pub(crate) fn new(rank: Rank, wid: usize, faults: &'a FaultPlan) -> Self {
         IoCtx {
             rank,
             wid,
@@ -537,13 +538,13 @@ impl<'a> IoCtx<'a> {
 
 /// What one fault-checked write delivered.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Written {
+pub(crate) struct Written {
     /// Retried attempts consumed by transient errors.
-    pub attempts: u32,
+    pub(crate) attempts: u32,
     /// `Some(n)` after an injected [`WriteFault::Short`]: only the first
     /// `n` bytes of the buffers landed, and the remainder is owed through
     /// [`finish_short_write`]. `None`: delivered in full.
-    pub short: Option<u64>,
+    pub(crate) short: Option<u64>,
 }
 
 /// The one fault-checked write: `bufs` land back to back at `offset` as
@@ -571,7 +572,7 @@ pub struct Written {
 /// per-write accounting granularity, so the executors only coalesce when
 /// [`FaultPlan::is_armed`] is false — fault semantics are specified
 /// against plan ops, not against batched syscalls.
-pub fn write_at_or_short(
+pub(crate) fn write_at_or_short(
     ctx: &IoCtx<'_>,
     file: &std::fs::File,
     offset: u64,
@@ -631,7 +632,7 @@ pub fn write_at_or_short(
 /// continuation of the *same* logical write, counted as a short-write
 /// retry, never as a retry attempt, and journaled as its own
 /// record after the prefix's. Returns the retried attempts.
-pub fn write_at(
+pub(crate) fn write_at(
     ctx: &IoCtx<'_>,
     file: &std::fs::File,
     offset: u64,
@@ -648,7 +649,7 @@ pub fn write_at(
 /// `bufs` past the first `already`, at `offset + already`. Counted as one
 /// short-write retry. No fault consult — the logical write's bytes were
 /// accounted on its first submission.
-pub fn finish_short_write(
+pub(crate) fn finish_short_write(
     file: &std::fs::File,
     offset: u64,
     bufs: &[impl AsRef<[u8]>],

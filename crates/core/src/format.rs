@@ -37,9 +37,9 @@ use crate::layout::DataLayout;
 use crate::strategy::CheckpointPlan;
 
 /// File magic ("RBIO" as a little-endian u32).
-pub const MAGIC: u32 = u32::from_le_bytes(*b"RBIO");
+pub(crate) const MAGIC: u32 = u32::from_le_bytes(*b"RBIO");
 /// Current format version.
-pub const VERSION: u32 = 1;
+pub(crate) const VERSION: u32 = 1;
 
 /// Errors parsing a checkpoint file header.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -282,7 +282,7 @@ pub struct FileHeader {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParsedField {
     /// Field name.
-    pub name: String,
+    pub(crate) name: String,
     /// Byte sizes for ranks `r0..r1`, in order.
     pub sizes: Vec<u64>,
     /// Absolute offset of this field's data region in the file.
@@ -555,7 +555,7 @@ pub(crate) fn read_header_prefix(
 /// as a function of absolute file offset. Shared by the real executor and
 /// verification tools so synthetic checkpoints are checkable.
 #[inline]
-pub fn synthetic_byte(file_offset: u64) -> u8 {
+pub(crate) fn synthetic_byte(file_offset: u64) -> u8 {
     // Cheap odd-multiplier hash; any byte-valued mixing works.
     (file_offset.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 56) as u8
 }

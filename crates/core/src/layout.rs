@@ -72,7 +72,7 @@ impl DataLayout {
     }
 
     /// The fields, in file order.
-    pub fn fields(&self) -> &[FieldSpec] {
+    pub(crate) fn fields(&self) -> &[FieldSpec] {
         &self.fields
     }
 
@@ -96,12 +96,12 @@ impl DataLayout {
     }
 
     /// Offset of `field`'s block inside `rank`'s packed payload.
-    pub fn payload_field_off(&self, rank: u32, field: usize) -> u64 {
+    pub(crate) fn payload_field_off(&self, rank: u32, field: usize) -> u64 {
         (0..field).map(|f| self.field_bytes(rank, f)).sum()
     }
 
     /// Total bytes of `field` across ranks `r0..r1`.
-    pub fn field_total(&self, field: usize, r0: u32, r1: u32) -> u64 {
+    pub(crate) fn field_total(&self, field: usize, r0: u32, r1: u32) -> u64 {
         match &self.fields[field].sizes {
             FieldSizes::Uniform(sz) => sz * u64::from(r1 - r0),
             FieldSizes::PerRank(v) => v[r0 as usize..r1 as usize].iter().sum(),
@@ -110,7 +110,7 @@ impl DataLayout {
 
     /// Offset of `rank`'s block within `field`'s data region of a file
     /// covering ranks `r0..r1` (i.e. the prefix sum over `r0..rank`).
-    pub fn field_rank_off(&self, field: usize, r0: u32, rank: u32) -> u64 {
+    pub(crate) fn field_rank_off(&self, field: usize, r0: u32, rank: u32) -> u64 {
         self.field_total(field, r0, rank)
     }
 

@@ -39,7 +39,7 @@ use rbio_plan::Rank;
 /// commit (the marker). Distinct from every plan writer rank and
 /// from [`crate::tier::DRAIN_RANK`], so tests can kill the campaign
 /// layer's commit path specifically.
-pub const MANAGER_RANK: Rank = Rank::MAX;
+pub(crate) const MANAGER_RANK: Rank = Rank::MAX;
 
 /// Errors from campaign operations.
 #[derive(Debug)]
@@ -87,15 +87,13 @@ impl From<io::Error> for ManagerError {
 #[derive(Debug, Clone)]
 pub struct ManagerConfig {
     /// Checkpoint directory.
-    pub dir: PathBuf,
+    pub(crate) dir: PathBuf,
     /// Strategy for every step.
-    pub strategy: Strategy,
+    pub(crate) strategy: Strategy,
     /// Tuning for every step.
-    pub tuning: Tuning,
+    pub(crate) tuning: Tuning,
     /// Number of committed steps to retain (≥1).
     pub keep: usize,
-    /// Application name stored in headers.
-    pub app: String,
     /// fsync files before commit (durable but slower).
     pub fsync: bool,
     /// Fault injection for every step's execution (tests and failure
@@ -123,7 +121,6 @@ impl ManagerConfig {
             strategy,
             tuning: Tuning::default(),
             keep: 2,
-            app: "nekcem".to_string(),
             fsync: false,
             faults: FaultPlan::none(),
             failover: true,
@@ -362,7 +359,8 @@ impl CheckpointManager {
     }
 
     /// The drain engine, when a tier is configured — for failure drills
-    /// ([`TierEngine::lose_local`]) and drain observation in tests.
+    /// ([`TierEngine::lose_local_between_hops`]) and drain observation in
+    /// tests.
     pub fn tier_engine(&self) -> Option<&Arc<TierEngine>> {
         self.engine.as_ref()
     }
@@ -470,15 +468,8 @@ impl CheckpointManager {
                 pfs_dir: self.cfg.dir.clone(),
                 burst_dir: tier.burst_dir.clone(),
                 fsync: tier.fsync,
-                publish: Box::new(move |outcome| {
-                    publish_generation(
-                        &dir,
-                        step,
-                        &specs,
-                        &outcome.recovered_from_burst,
-                        fsync,
-                        &faults,
-                    )
+                publish: Box::new(move |recovered| {
+                    publish_generation(&dir, step, &specs, recovered, fsync, &faults)
                 }),
             });
         } else {

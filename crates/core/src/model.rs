@@ -40,13 +40,13 @@ pub struct SpeedupModel {
 impl SpeedupModel {
     /// Eq. 3: total processor-seconds blocked under coIO,
     /// `T_coIO = np · S / BW_coIO`.
-    pub fn t_coio(&self) -> f64 {
+    pub(crate) fn t_coio(&self) -> f64 {
         self.np * self.file_size / self.bw_coio
     }
 
     /// Eq. 4: total processor-seconds blocked under rbIO,
     /// `T_rbIO = (np−ng)(S/BW_p + λS/BW_rbIO) + ng·S/BW_rbIO`.
-    pub fn t_rbio(&self) -> f64 {
+    pub(crate) fn t_rbio(&self) -> f64 {
         let s = self.file_size;
         (self.np - self.ng) * (s / self.bw_perceived + self.lambda * s / self.bw_rbio)
             + self.ng * s / self.bw_rbio

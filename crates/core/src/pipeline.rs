@@ -27,7 +27,7 @@
 //! A latched error poisons the writer: all later jobs are skipped (never
 //! executed), and the error surfaces at the next `submit` or `drain`.
 //! Every wait on the pool — a full pipeline, a drain, a quiescing handle,
-//! an idle worker — is one [`Wait`] parked on the pool's condvars.
+//! an idle worker — is one `Wait` parked on the pool's condvars.
 //! The pool owns order and error latching, not durability: `Close` and
 //! `Commit` jobs call [`crate::commit`]'s fsync and commit.
 //!
@@ -167,7 +167,7 @@ impl FlushJob {
 /// Per-writer knobs, grouped so `register` does not grow a parameter per
 /// feature. [`Default`] is "off": no heartbeat, the threaded backend, no
 /// writeback hints. The retry budget is not a knob: every writer's
-/// writes retry on [`fault::WRITE_RETRIES`] from [`fault::RETRY_BACKOFF`].
+/// writes retry on `fault::WRITE_RETRIES` from `fault::RETRY_BACKOFF`.
 #[derive(Default, Clone)]
 pub struct WriterTuning {
     /// Liveness heartbeat bumped as this writer's jobs execute, so the
@@ -175,7 +175,7 @@ pub struct WriterTuning {
     /// merely deep.
     pub beat: Option<Arc<AtomicU64>>,
     /// I/O backend executing this writer's write jobs. `None` uses the
-    /// threaded baseline ([`backend::threaded`]). Tests and check
+    /// threaded baseline (`backend::threaded`). Tests and check
     /// programs inject custom ring geometries here.
     pub backend: Option<Arc<dyn IoBackend>>,
     /// This writer's files will be fsynced before they are published:
@@ -274,7 +274,6 @@ impl Shared {
 /// process default ([`FlushPool::current`]).
 pub struct FlushPool {
     shared: Arc<Shared>,
-    threads: usize,
 }
 
 /// Pool used by controlled (`rbio-check`) runs instead of the global
@@ -300,13 +299,13 @@ impl FlushPool {
         let shared = Arc::new(Shared::new());
         for i in 0..threads {
             let s = Arc::clone(&shared);
+            #[allow(clippy::expect_used, reason = "a pool without workers never drains")]
             std::thread::Builder::new()
                 .name(format!("{name}-{i}"))
                 .spawn(move || worker_loop(&s))
-                // A pool without its workers would queue jobs forever.
                 .expect("spawn flush worker");
         }
-        Arc::new(FlushPool { shared, threads })
+        Arc::new(FlushPool { shared })
     }
 
     /// An explicitly-constructed pool with `threads` workers (min 1).
@@ -314,11 +313,6 @@ impl FlushPool {
     /// when done, or the workers idle forever.
     pub fn with_threads(threads: usize) -> Arc<FlushPool> {
         Self::spawn_pool(threads, "rbio-pool")
-    }
-
-    /// Worker-thread count this pool was built with.
-    pub fn threads(&self) -> usize {
-        self.threads
     }
 
     /// Ask this pool's workers to exit once their queues are empty.
@@ -353,16 +347,16 @@ impl FlushPool {
         for i in 0..threads {
             sched::spawning();
             let s = Arc::clone(&shared);
+            #[allow(clippy::expect_used, reason = "a controlled run needs its workers")]
             std::thread::Builder::new()
                 .name(format!("rbio-check-flush-{i}"))
                 .spawn(move || {
                     sched::register(&format!("flush{i}"));
                     worker_loop(&s)
                 })
-                // As above: a controlled run cannot start without them.
                 .expect("spawn check flush worker");
         }
-        *slot = Some(Arc::new(FlushPool { shared, threads }));
+        *slot = Some(Arc::new(FlushPool { shared }));
     }
 
     /// Reset the controlled pool's writer table between runs so slot

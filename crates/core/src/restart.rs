@@ -454,6 +454,7 @@ fn extract_all(
     let mut data: Vec<Vec<Bytes>> = vec![Vec::new(); nranks as usize];
     for ((_, h), slot) in files.iter().zip(slots) {
         let slot = unpoisoned(slot.into_inner());
+        #[allow(clippy::expect_used, reason = "the joined scope filled every slot")]
         let blocks = slot.expect("every file slot filled")?;
         for (k, row) in blocks.into_iter().enumerate() {
             data[h.r0 as usize + k].extend(row);
@@ -482,7 +483,7 @@ pub(crate) fn read_checkpoint_in(
 }
 
 /// Read back the checkpoint a plan wrote from the node-local tier's
-/// sealed files: each is placed payload-shaped ([`place_blocks`]) by
+/// sealed files: each is placed payload-shaped (`place_blocks`) by
 /// copying its held extents straight into the restored blocks.
 ///
 /// Staged files carry no commit footer (sealing is in-memory; the

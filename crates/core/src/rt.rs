@@ -3,7 +3,7 @@
 //! NekCEM-style applications are SPMD: every rank runs the same program on
 //! its own data, communicating by message passing (§III-A). This module
 //! provides that shape at in-process scale — one OS thread per rank, a
-//! [`Comm`] handle with `send`/`recv`/`barrier`/reductions — so a
+//! [`Comm`] handle with `send`/`recv`/`barrier` — so a
 //! downstream application can write its compute loop naturally and call
 //! [`checkpoint_rank`] collectively wherever it wants a checkpoint, with
 //! every rank executing exactly its own slice of the compiled plan.
@@ -19,11 +19,11 @@
 //! failover director (so a dead peer surfaces as a typed timeout, and
 //! writer takeover — which reads *other* ranks' payloads — is not offered).
 //! The `Comm` owns the mailboxes and their timeout, so the config's
-//! `recv_timeout`, `chan_capacity` and `failover` do not apply here.
+//! `recv_timeout` and `failover` do not apply here.
 
 use std::io;
 use std::path::Path;
-use std::sync::{Arc, Barrier, Mutex};
+use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
 use rbio_plan::Program;
@@ -33,7 +33,6 @@ use crate::exec::{
     run_ranks, Blocked, ExecConfig, Interp, Mailbox, Payload, StepError, Transport,
     DEFAULT_CHAN_CAPACITY,
 };
-use crate::sched::unpoisoned;
 
 /// A typed runtime failure, always carrying the failing rank.
 #[derive(Debug)]
@@ -173,8 +172,6 @@ pub struct Comm {
     size: u32,
     mail: Mailbox,
     world_barrier: Arc<Barrier>,
-    /// Taken through [`unpoisoned`]: each update is one slot's store.
-    reduce_slots: Arc<Mutex<Vec<f64>>>,
 }
 
 impl Comm {
@@ -186,15 +183,6 @@ impl Comm {
     /// Total ranks.
     pub fn size(&self) -> u32 {
         self.size
-    }
-
-    /// How long `recv` waits before failing with [`RtError::RecvTimeout`]
-    /// (default 2 s), and how long a backpressured `send` waits on a full
-    /// mailbox before failing with [`RtError::SendTimeout`]. A timeout
-    /// turns a lost message (or a stalled receiver) into a typed error
-    /// instead of a hang.
-    pub fn set_recv_timeout(&mut self, timeout: Duration) {
-        self.mail.timeout = timeout;
     }
 
     /// Nonblocking-style send while the destination's bounded mailbox
@@ -210,7 +198,7 @@ impl Comm {
 
     /// [`Comm::send`] for callers that already own the bytes: the buffer
     /// moves into the channel with no copy at all.
-    pub fn send_bytes(&self, dst: u32, tag: u64, data: Bytes) -> Result<(), RtError> {
+    pub(crate) fn send_bytes(&self, dst: u32, tag: u64, data: Bytes) -> Result<(), RtError> {
         self.try_send(dst, tag, data)
             .map_err(|e| e.into_rt(self.rank))
     }
@@ -239,7 +227,7 @@ impl Comm {
 
     /// [`Comm::recv`] without the `Vec` conversion: the returned handle
     /// is the sender's buffer, not a copy.
-    pub fn recv_bytes(&mut self, src: u32, tag: u64) -> Result<Bytes, RtError> {
+    pub(crate) fn recv_bytes(&mut self, src: u32, tag: u64) -> Result<Bytes, RtError> {
         self.try_recv(src, tag).map_err(|e| e.into_rt(self.rank))
     }
 
@@ -254,48 +242,12 @@ impl Comm {
     pub fn barrier(&self) {
         self.world_barrier.wait();
     }
-
-    /// All-reduce a double with `op` (commutative); returns the reduction
-    /// of every rank's contribution. Implemented as a shared slot vector
-    /// plus two barriers — fine at in-process scale.
-    pub fn allreduce_f64(&self, value: f64, op: impl Fn(f64, f64) -> f64) -> f64 {
-        {
-            let mut slot = unpoisoned(self.reduce_slots.lock());
-            slot[self.rank as usize] = value;
-        }
-        self.barrier();
-        let result = {
-            let slot = unpoisoned(self.reduce_slots.lock());
-            slot.iter().copied().reduce(&op).expect("nonempty")
-        };
-        self.barrier();
-        result
-    }
-
-    /// Broadcast `data` from `root` to every rank; returns the payload. A
-    /// payloadless or out-of-range root is [`RtError::PlanMismatch`].
-    pub fn broadcast(&mut self, root: u32, data: Option<&[u8]>) -> Result<Vec<u8>, RtError> {
-        const BCAST_TAG: u64 = u64::MAX - 1;
-        if self.rank == root {
-            let Some(d) = data else {
-                let what = "broadcast root supplied no payload".into();
-                return Err(RtError::PlanMismatch { rank: root, what });
-            };
-            for r in 0..self.size {
-                if r != root {
-                    self.send(r, BCAST_TAG, d)?;
-                }
-            }
-            Ok(d.to_vec())
-        } else {
-            self.recv(root, BCAST_TAG)
-        }
-    }
 }
 
 /// Run `f` on `nranks` ranks (one thread each) and collect the per-rank
-/// return values in rank order. Rank mailboxes hold
-/// [`DEFAULT_CHAN_CAPACITY`] messages; see [`run_with_capacity`].
+/// return values in rank order. Each rank's mailbox is bounded (256
+/// messages): a sender facing a full one blocks, and fails with
+/// [`RtError::SendTimeout`] after the receive timeout.
 pub fn run<T, F>(nranks: u32, f: F) -> Vec<T>
 where
     T: Send,
@@ -309,7 +261,8 @@ where
 /// burst or a stalled receiver caps resident queue bytes at
 /// `chan_capacity` messages) and fails with [`RtError::SendTimeout`]
 /// after the receive-timeout deadline.
-pub fn run_with_capacity<T, F>(nranks: u32, chan_capacity: usize, f: F) -> Vec<T>
+#[allow(clippy::expect_used, reason = "a rank's panic re-raises in run")]
+pub(crate) fn run_with_capacity<T, F>(nranks: u32, chan_capacity: usize, f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(Comm) -> T + Sync,
@@ -317,14 +270,12 @@ where
     assert!(nranks >= 1);
     let mailboxes = Mailbox::mesh(nranks as usize, chan_capacity, Duration::from_secs(2));
     let world_barrier = Arc::new(Barrier::new(nranks as usize));
-    let reduce_slots = Arc::new(Mutex::new(vec![0.0; nranks as usize]));
     let body = |rank, mail| {
         f(Comm {
             rank,
             size: nranks,
             mail,
             world_barrier: Arc::clone(&world_barrier),
-            reduce_slots: Arc::clone(&reduce_slots),
         })
     };
     run_ranks(mailboxes, body)
@@ -335,7 +286,7 @@ where
 
 /// The config of [`checkpoint_rank_with`]: the interpreter's one config,
 /// [`ExecConfig`], under the name `rt` callers (and `benchmark/`) use.
-/// `recv_timeout`, `chan_capacity` and `failover` are `execute`'s alone.
+/// `recv_timeout` and `failover` are `execute`'s alone.
 pub type RtConfig = ExecConfig;
 
 /// Execute `rank`'s ops of a checkpoint `program` inside an application
@@ -488,7 +439,7 @@ mod tests {
     fn recv_times_out_with_typed_error() {
         let errs = run(2, |mut comm| {
             if comm.rank() == 0 {
-                comm.set_recv_timeout(Duration::from_millis(50));
+                comm.mail.timeout = Duration::from_millis(50);
                 // Nobody ever sends on tag 99.
                 Some(comm.recv(1, 99).expect_err("must time out"))
             } else {
@@ -516,7 +467,7 @@ mod tests {
         let cap = 4usize;
         let sent = run_with_capacity(2, cap, |mut comm| {
             if comm.rank() == 0 {
-                comm.set_recv_timeout(Duration::from_millis(50));
+                comm.mail.timeout = Duration::from_millis(50);
                 let mut ok = 0usize;
                 let err = loop {
                     match comm.send(1, 5, &[7u8; 1024]) {
@@ -555,38 +506,16 @@ mod tests {
     }
 
     #[test]
-    fn allreduce_and_broadcast() {
-        let sums = run(5, |comm| {
-            comm.allreduce_f64(f64::from(comm.rank()) + 1.0, |a, b| a + b)
-        });
-        assert!(sums.iter().all(|&s| (s - 15.0).abs() < 1e-12));
-        let payloads = run(3, |mut comm| {
-            if comm.rank() == 1 {
-                comm.broadcast(1, Some(b"mesh")).expect("broadcast")
-            } else {
-                comm.broadcast(1, None).expect("broadcast")
-            }
-        });
-        assert!(payloads.iter().all(|p| p == b"mesh"));
-    }
-
-    #[test]
-    fn out_of_range_peers_and_a_rootless_broadcast_are_typed_errors() {
+    fn out_of_range_peers_are_typed_errors() {
         let results = run(2, |mut comm| {
-            let mut errs = vec![
+            vec![
                 comm.send(2, 1, b"x").expect_err("send past the comm"),
                 comm.send_bytes(7, 1, Bytes::new())
                     .expect_err("send_bytes past it"),
                 comm.recv(2, 1).expect_err("recv past the comm"),
-                comm.broadcast(5, Some(b"x"))
-                    .expect_err("root outside the comm"),
-            ];
-            if comm.rank() == 0 {
-                errs.push(comm.broadcast(0, None).expect_err("root without a payload"));
-            }
-            errs
+            ]
         });
-        assert_eq!(results.iter().map(Vec::len).collect::<Vec<_>>(), [5, 4]);
+        assert_eq!(results.iter().map(Vec::len).collect::<Vec<_>>(), [3, 3]);
         for (rank, errs) in results.into_iter().enumerate() {
             for e in errs {
                 match e {
@@ -805,10 +734,16 @@ mod tests {
                 checkpoint_rank(&mut comm, program, &payload, dir_ref).expect("checkpoint");
                 comm.barrier();
             }
-            comm.allreduce_f64(u[0], |a, b| a + b)
+            u[0]
         });
-        // Everybody agrees on the reduction.
-        assert!(finals.windows(2).all(|w| (w[0] - w[1]).abs() < 1e-12));
+        // The same three solves, run serially, give every rank's state.
+        let mut want: Vec<f64> = (0..4).map(f64::from).collect();
+        for _ in 0..3 {
+            want = (0..4)
+                .map(|r| 0.5 * (want[r] + want[(r + 3) % 4]))
+                .collect();
+        }
+        assert_eq!(finals, want);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -14,13 +14,13 @@
 //!
 //! * Never call [`yield_now`] while holding a lock another registered
 //!   thread may need — drop the lock, yield, re-acquire, re-check.
-//! * [`emit`] may be called under a runtime lock (the controller lock is
+//! * `emit` may be called under a runtime lock (the controller lock is
 //!   a leaf).
-//! * A thread blocks only through [`Wait`]. When the thread [`is
+//! * A thread blocks only through `Wait`. When the thread [`is
 //!   registered`](Sched::is_registered), a park drops the lock, yields at
 //!   a waiting [`Point`] (see [`Point::is_wait`]) and re-locks, and a
 //!   timed wait gives up after its point's deterministic futile-poll
-//!   budget ([`Point::poll_budget`]), not wall-clock time.
+//!   budget (`Point::poll_budget`), not wall-clock time.
 //! * A thread must be announced with [`spawning`] before it is spawned
 //!   and must call [`register`] first thing and [`unregister`] last, so
 //!   schedule decisions never depend on OS thread-startup timing.
@@ -502,11 +502,6 @@ pub trait Sched: Send + Sync {
     }
 }
 
-/// The production scheduler: every hook is a no-op.
-pub struct OsSched;
-
-impl Sched for OsSched {}
-
 /// A historical bug a test can switch back on, to prove the harness that
 /// guards the fix still catches it (`rbio-check --revert-prN`,
 /// `rbio-crash --revert-pr1`, `crates/check/tests/regressions.rs`). The
@@ -552,9 +547,8 @@ impl Revert {
 static REVERTED: AtomicU8 = AtomicU8::new(0);
 
 /// True while `bug` is armed. One relaxed load.
-#[doc(hidden)]
 #[inline]
-pub fn reverted(bug: Revert) -> bool {
+pub(crate) fn reverted(bug: Revert) -> bool {
     REVERTED.load(Ordering::Relaxed) & bug.bit() != 0
 }
 
@@ -610,7 +604,7 @@ pub fn uninstall() {
 }
 
 /// The installed scheduler, if any. Fast path: one relaxed load.
-pub fn handle() -> Option<Arc<dyn Sched>> {
+pub(crate) fn handle() -> Option<Arc<dyn Sched>> {
     if !ENABLED.load(Ordering::Relaxed) {
         return None;
     }
@@ -618,12 +612,12 @@ pub fn handle() -> Option<Arc<dyn Sched>> {
 }
 
 /// True while a controlled run is active.
-pub fn controlled() -> bool {
+pub(crate) fn controlled() -> bool {
     handle().is_some_and(|s| s.controlled())
 }
 
 /// True if the calling thread is registered with an installed scheduler.
-pub fn registered() -> bool {
+pub(crate) fn registered() -> bool {
     handle().is_some_and(|s| s.is_registered())
 }
 
@@ -658,7 +652,7 @@ pub fn yield_now(point: Point) {
 /// Emit an event to the invariant checkers. The closure is only invoked
 /// while a controlled run is active, so fingerprint hashing costs
 /// nothing in production.
-pub fn emit(make: impl FnOnce() -> Event) {
+pub(crate) fn emit(make: impl FnOnce() -> Event) {
     if let Some(s) = handle() {
         if s.controlled() {
             s.emit(make());
@@ -669,7 +663,7 @@ pub fn emit(make: impl FnOnce() -> Event) {
 /// FNV-1a over a list of byte slices — the payload fingerprint used by
 /// the use-after-recycle check. Not cryptographic; collision odds are
 /// irrelevant at test scale.
-pub fn fingerprint<'a>(parts: impl IntoIterator<Item = &'a [u8]>) -> u64 {
+pub(crate) fn fingerprint<'a>(parts: impl IntoIterator<Item = &'a [u8]>) -> u64 {
     let mut h: u64 = 0xcbf29ce484222325;
     for part in parts {
         for &b in part {
@@ -685,7 +679,7 @@ pub fn fingerprint<'a>(parts: impl IntoIterator<Item = &'a [u8]>) -> u64 {
 /// within a generation, while the parent directory is a per-run
 /// scratch dir that would make event streams unreproducible across
 /// replays.
-pub fn path_fingerprint(p: &std::path::Path) -> u64 {
+pub(crate) fn path_fingerprint(p: &std::path::Path) -> u64 {
     let name = p.file_name().map(|n| n.to_string_lossy());
     fingerprint([name
         .as_deref()

@@ -28,7 +28,7 @@
 //!
 //! Repair sources the burst-buffer tier: a burst copy is committed with
 //! the same footer protocol as the PFS file, so its verified read-back
-//! re-sealed through [`commit::commit_bytes`] is a byte-identical
+//! re-sealed through `commit::commit_bytes` is a byte-identical
 //! replacement, journaled like any commit. Files with no healthy
 //! redundant copy stay classified-but-unrepaired — the report is the
 //! operator's signal to fall back a generation.

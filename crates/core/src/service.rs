@@ -18,7 +18,7 @@
 //! so a differently-configured service is a different pool — there is
 //! no process-wide pool to go stale. The pool stops when the
 //! service and its last open session are gone. An admission wait is one
-//! [`Wait`], waking every 25 ms. A grant is work-conserving: it waits
+//! `Wait`, waking every 25 ms. A grant is work-conserving: it waits
 //! only for a contender that can hand off to it (see
 //! [`FairShare::grant`]), and the 25 ms slice is its stall backstop and
 //! the granularity of its timeout, never a sleep on the common path.
@@ -68,12 +68,12 @@ pub enum QosClass {
 pub struct TenantSpec {
     /// Stable tenant id (hashes to a counter slot, see
     /// [`counters::tenant_slot`]).
-    pub id: u64,
+    pub(crate) id: u64,
     /// Fair-share weight (≥ 1): bandwidth under contention is split in
     /// proportion to weights.
-    pub weight: u32,
+    pub(crate) weight: u32,
     /// Scheduling class for this tenant's sessions.
-    pub qos: QosClass,
+    pub(crate) qos: QosClass,
 }
 
 impl TenantSpec {
@@ -104,25 +104,25 @@ impl TenantSpec {
 pub struct ServiceConfig {
     /// Directory all session files live under (one subdirectory per
     /// tenant).
-    pub base_dir: PathBuf,
+    pub(crate) base_dir: PathBuf,
     /// Flush worker threads in the service-owned pool.
-    pub pool_threads: usize,
+    pub(crate) pool_threads: usize,
     /// Outstanding background jobs per session writer (≥ 1; 0 runs as 1).
-    pub pipeline_depth: u32,
+    pub(crate) pipeline_depth: u32,
     /// Sessions allowed in flight at once; the `max_inflight + 1`-th
     /// session queues.
-    pub max_inflight: usize,
+    pub(crate) max_inflight: usize,
     /// Sessions allowed to wait in the admission queue; beyond this the
     /// outcome is a typed [`ServiceError::Rejected`].
-    pub queue_depth: usize,
+    pub(crate) queue_depth: usize,
     /// Fair-share grant quantum in bytes: sessions move at most this
     /// many bytes per arbitration turn, so preemption latency is bounded
     /// by one quantum.
     pub quantum: u64,
     /// Deadline for a queued session to be admitted.
-    pub admit_timeout: Duration,
+    pub(crate) admit_timeout: Duration,
     /// Deadline for one chunk's bandwidth grant.
-    pub grant_timeout: Duration,
+    pub(crate) grant_timeout: Duration,
     /// fsync session files before publishing them.
     pub fsync: bool,
 }
@@ -866,6 +866,7 @@ impl CheckpointSession {
             let end = len.min(start + quantum);
             let n = (end - start) as u64;
             self.inner.arbiter.grant(self.tenant.id, n)?;
+            #[allow(clippy::expect_used, reason = "the writer lives until commit")]
             self.writer
                 .as_ref()
                 .expect("writer lives until commit")
@@ -893,6 +894,7 @@ impl CheckpointSession {
     }
 
     fn commit_inner(&mut self) -> Result<u64, ServiceError> {
+        #[allow(clippy::expect_used, reason = "commit consumes the session")]
         let writer = self.writer.take().expect("commit runs once");
         writer.drain()?;
         drop(writer); // quiesce + free the pool slot
@@ -921,7 +923,7 @@ impl Drop for CheckpointSession {
 }
 
 /// An admitted restore session: stream the checkpoint back into the
-/// caller's buffer with [`RestoreSession::read`], or whole into a pooled
+/// caller's buffer with `RestoreSession::read`, or whole into a pooled
 /// image with [`RestoreSession::read_all`].
 ///
 /// The session is counted once in the service counters: completed when
@@ -940,20 +942,10 @@ pub struct RestoreSession {
 }
 
 impl RestoreSession {
-    /// Total bytes in the checkpoint being restored.
-    pub fn len(&self) -> u64 {
-        self.len
-    }
-
-    /// True when the checkpoint is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
     /// Read the next chunk into `buf`; returns bytes read (0 at EOF).
     /// Chunked at the quantum through the fair-share arbiter, like
     /// writes.
-    pub fn read(&mut self, buf: &mut [u8]) -> Result<usize, ServiceError> {
+    pub(crate) fn read(&mut self, buf: &mut [u8]) -> Result<usize, ServiceError> {
         let left = (self.len - self.offset) as usize;
         let quantum = self.inner.cfg.quantum.max(1) as usize;
         let n = buf.len().min(left).min(quantum);
@@ -980,7 +972,7 @@ impl RestoreSession {
     /// `[u8]`, and its buffer goes back to the pool when the last handle
     /// on it drops, so the next restore reuses resident memory instead of
     /// faulting in a fresh mapping. A caller that must own a `Vec<u8>`
-    /// calls [`Bytes::into_vec`] (one counted copy). The reads overwrite
+    /// calls `Bytes::into_vec` (one counted copy). The reads overwrite
     /// the whole lease, so it skips the zero-fill; a read that fails
     /// drops it unfrozen.
     pub fn read_all(&mut self) -> Result<Bytes, ServiceError> {
@@ -1043,13 +1035,13 @@ mod tests {
         // Tmp sibling must be gone, final file present.
         assert!(dir.join("tenant-42").join("gen0.ckpt").exists());
         let mut r = svc.restore(t, "gen0.ckpt").expect("admit restore");
-        assert_eq!(r.len(), 10_000);
+        assert_eq!(r.len, 10_000);
         assert_eq!(r.read_all().expect("read"), data);
     }
 
     #[test]
     fn a_zero_depth_service_round_trips() {
-        // The field is public: a literal may set what the builder clamps.
+        // A literal may set what the builder clamps.
         let dir = tmpdir("depth0");
         let svc = CheckpointService::new(ServiceConfig {
             pipeline_depth: 0,
@@ -1070,7 +1062,7 @@ mod tests {
         let svc = CheckpointService::new(ServiceConfig::new(&dir).quantum(1 << 10));
         let t = TenantSpec::new(44);
         let data = payload(44, 10_000);
-        let owned = Bytes::copy_from_slice(&data);
+        let owned = BufPool::global().copy_from_slice(&data);
         let mut s = svc.checkpoint(t, "gen0.ckpt").expect("admit");
         // Two slices of one buffer around a borrow; quantum boundaries
         // fall inside each part.

@@ -138,17 +138,17 @@ impl Default for Tuning {
 #[derive(Debug, Clone)]
 pub struct CheckpointSpec {
     /// Data layout (ranks, fields, sizes).
-    pub layout: DataLayout,
+    pub(crate) layout: DataLayout,
     /// Application name stored in file headers.
-    pub app: String,
+    pub(crate) app: String,
     /// Checkpoint step number.
-    pub step: u64,
+    pub(crate) step: u64,
     /// Subdirectory/prefix for this step's files (e.g. `"step000100"`).
-    pub prefix: String,
+    pub(crate) prefix: String,
     /// Strategy and its parameters.
-    pub strategy: Strategy,
+    pub(crate) strategy: Strategy,
     /// Tuning knobs.
-    pub tuning: Tuning,
+    pub(crate) tuning: Tuning,
 }
 
 impl CheckpointSpec {
@@ -385,10 +385,10 @@ pub(crate) fn collective_commit(
 
 /// Shared state while a strategy assembles its plan.
 pub(crate) struct PlanBuilder<'a> {
-    pub spec: &'a CheckpointSpec,
-    pub b: ProgramBuilder,
-    pub plan_files: Vec<PlanFile>,
-    pub payload_meta: Vec<RankPayloadMeta>,
+    pub(crate) spec: &'a CheckpointSpec,
+    pub(crate) b: ProgramBuilder,
+    pub(crate) plan_files: Vec<PlanFile>,
+    pub(crate) payload_meta: Vec<RankPayloadMeta>,
 }
 
 impl<'a> PlanBuilder<'a> {
@@ -413,7 +413,7 @@ impl<'a> PlanBuilder<'a> {
 
     /// Register an output file covering ranks `r0..r1`, owned (header-wise)
     /// by `owner`. Returns the plan file id.
-    pub fn add_file(&mut self, r0: u32, r1: u32, owner: u32) -> FileId {
+    pub(crate) fn add_file(&mut self, r0: u32, r1: u32, owner: u32) -> FileId {
         let spec = self.spec;
         let name = format!("{}.{:05}.rbio", spec.prefix, self.plan_files.len());
         let size = format::file_size(&spec.layout, &spec.app, r0, r1);
@@ -434,7 +434,7 @@ impl<'a> PlanBuilder<'a> {
 
     /// Header length of the file owned by `rank` (0 when it owns none) —
     /// i.e. the offset of the rank's first field block inside its payload.
-    pub fn payload_base(&self, rank: u32) -> u64 {
+    pub(crate) fn payload_base(&self, rank: u32) -> u64 {
         self.payload_meta[rank as usize].header_len
     }
 

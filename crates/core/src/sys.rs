@@ -168,6 +168,7 @@ mod x86 {
             ^ t[3][(c >> 24) as usize]
     }
 
+    #[allow(clippy::expect_used, reason = "every caller passes an 8-byte chunk")]
     fn word(w: &[u8]) -> u64 {
         u64::from_le_bytes(w.try_into().expect("chunks_exact(8)"))
     }

@@ -9,13 +9,13 @@
 //! 1. **Staged** — writer ranks hand their write runs to a [`TierStage`]
 //!    as the immutable, refcounted [`Bytes`] the interpreter already
 //!    holds (payload slices and received messages): each file is an
-//!    [`ExtentMap`] of them, and staging moves no byte. The stage is one
+//!    `ExtentMap` of them, and staging moves no byte. The stage is one
 //!    more holder on the buffer lifecycle ([`crate::buf`]). From the
 //!    application's point of view the checkpoint is over as soon as
 //!    staging finishes — this is the *perceived* bandwidth.
 //! 2. **Drained** — a background [`TierEngine`] thread flushes each
 //!    staged generation down the hierarchy (local → optional burst
-//!    directory → PFS), each hop one [`crate::commit::commit_bytes`] per
+//!    directory → PFS), each hop one `commit::commit_bytes` per
 //!    file that gathers its held slices (no image of the file is built),
 //!    then publishes the generation's commit marker.
 //!    Only then is the generation *durable*.
@@ -27,9 +27,10 @@
 //!    it (a restore still reading the stage keeps it whole): a warm
 //!    generation's payloads are leases the pool recycled.
 //!
-//! Tier loss is a first-class fault: [`TierEngine::lose_local`] drops
-//! the local tier. Files that already reached the burst tier are read
-//! back verified from there ([`crate::commit::read_committed`]) and the
+//! Tier loss is a first-class fault:
+//! [`TierEngine::lose_local_between_hops`] drops the local tier between a
+//! drain's two hops. Files that already reached the burst tier are read
+//! back verified from there (`commit::read_committed`) and the
 //! generation degrades instead of aborting — mirroring how writer failover
 //! degrades a generation in [`crate::failover`]. Files that never left the
 //! local tier make the generation fail; earlier durable generations remain
@@ -60,7 +61,7 @@ use crate::sched::{self, unpoisoned, Point, TierId, Wait};
 /// The rank the drain engine commits as. Out of the plan's
 /// rank space so rank-targeted fault plans never hit the drain by
 /// accident (`Rank::MAX` itself is the manager's commit identity).
-pub const DRAIN_RANK: Rank = Rank::MAX - 1;
+pub(crate) const DRAIN_RANK: Rank = Rank::MAX - 1;
 
 /// Tier staging errors.
 #[derive(Debug)]
@@ -111,19 +112,19 @@ pub struct TierConfig {
     /// staging keeps nothing there: a stage holds the writers' buffers
     /// in memory, and a restore from it checks the header shapes, while
     /// a restore from the burst or PFS copy verifies every byte it reads.
-    pub local_dir: PathBuf,
+    pub(crate) local_dir: PathBuf,
     /// Bytes one generation may stage. Staging more than this fails
     /// with [`TierError::StageFull`].
-    pub slab_capacity: usize,
+    pub(crate) slab_capacity: usize,
     /// Optional intermediate burst-buffer directory. With one set, a
     /// drained file is committed there before the PFS hop, and tier
     /// loss mid-drain can recover from it.
-    pub burst_dir: Option<PathBuf>,
+    pub(crate) burst_dir: Option<PathBuf>,
     /// Drained generations kept resident in the local tier for
     /// restore-from-nearest-tier. Older stages are evicted.
-    pub retain: usize,
+    pub(crate) retain: usize,
     /// fsync burst and PFS files as they are committed.
-    pub fsync: bool,
+    pub(crate) fsync: bool,
 }
 
 impl TierConfig {
@@ -289,7 +290,7 @@ impl TierStage {
 
     /// Seal `name` at its logical (pre-footer) `size`: no more extents
     /// will arrive; the file is ready to drain.
-    pub fn seal_file(&self, name: &str, size: u64) {
+    pub(crate) fn seal_file(&self, name: &str, size: u64) {
         let mut g = unpoisoned(self.files.lock());
         // A name is copied once per file, not once per call.
         let file = match g.by_name.get_mut(name) {
@@ -325,37 +326,27 @@ impl std::fmt::Debug for TierStage {
     }
 }
 
-/// What a completed drain produced, handed to the publish callback.
-#[derive(Debug)]
-pub struct DrainOutcome {
-    /// The drained generation.
-    pub step: u64,
-    /// Files whose PFS copy was sourced from the burst tier because the
-    /// local tier was lost mid-drain. Non-empty ⇒ degraded generation.
-    pub recovered_from_burst: Vec<String>,
-    /// Logical bytes flushed to the PFS tier.
-    pub drained_bytes: u64,
-}
-
-/// Publishes a drained generation's commit marker.
-pub type PublishFn = Box<dyn FnOnce(&DrainOutcome) -> io::Result<()> + Send>;
+/// Publishes a drained generation's commit marker, given the files whose
+/// PFS copy was sourced from the burst tier because the local tier was
+/// lost mid-drain (non-empty ⇒ degraded generation).
+pub(crate) type PublishFn = Box<dyn FnOnce(&[String]) -> io::Result<()> + Send>;
 
 /// One generation's drain work order.
-pub struct DrainJob {
+pub(crate) struct DrainJob {
     /// The generation step.
-    pub step: u64,
+    pub(crate) step: u64,
     /// Its staged extents.
-    pub stage: Arc<TierStage>,
+    pub(crate) stage: Arc<TierStage>,
     /// Final PFS directory the files are published into.
-    pub pfs_dir: PathBuf,
+    pub(crate) pfs_dir: PathBuf,
     /// Optional intermediate burst directory.
-    pub burst_dir: Option<PathBuf>,
+    pub(crate) burst_dir: Option<PathBuf>,
     /// fsync burst/PFS files as they are committed.
-    pub fsync: bool,
+    pub(crate) fsync: bool,
     /// Publishes the generation's commit marker once every
     /// file is on the PFS; the generation is durable only after this
     /// returns `Ok`.
-    pub publish: PublishFn,
+    pub(crate) publish: PublishFn,
 }
 
 impl std::fmt::Debug for DrainJob {
@@ -405,7 +396,7 @@ pub struct TierEngine {
 impl TierEngine {
     /// Spawn the drain thread, keeping `retain` drained generations
     /// resident in the local tier.
-    pub fn new(retain: usize) -> Arc<TierEngine> {
+    pub(crate) fn new(retain: usize) -> Arc<TierEngine> {
         let shared = Arc::new(EngineShared {
             state: Mutex::new(EngineState::default()),
             cv: Condvar::new(),
@@ -417,6 +408,7 @@ impl TierEngine {
         sched::spawning();
         // A process that cannot start one thread cannot checkpoint
         // either: this spawn's failure is the module's one panic.
+        #[allow(clippy::expect_used, reason = "see above: the module's one panic")]
         let join = std::thread::Builder::new()
             .name("rbio-tier-drain".into())
             .spawn(move || {
@@ -434,14 +426,14 @@ impl TierEngine {
     }
 
     /// Queue a generation for draining (FIFO).
-    pub fn submit(&self, job: DrainJob) {
+    pub(crate) fn submit(&self, job: DrainJob) {
         let mut g = unpoisoned(self.shared.state.lock());
         g.queue.push_back(job);
         self.shared.cv.notify_all();
     }
 
     /// Block until generation `step` is durable on the PFS tier.
-    pub fn wait_durable(&self, step: u64) -> Result<(), TierError> {
+    pub(crate) fn wait_durable(&self, step: u64) -> Result<(), TierError> {
         let sh = &*self.shared;
         let mut g = unpoisoned(sh.state.lock());
         let mut wait = Wait::new(Point::TierDurableWait, None);
@@ -464,13 +456,15 @@ impl TierEngine {
 
     /// Simulate losing the node-local tier: retained stages are gone and
     /// in-flight drains must source from the burst tier or fail.
-    pub fn lose_local(&self) {
+    #[cfg(test)]
+    pub(crate) fn lose_local(&self) {
         apply_local_loss(&self.shared);
     }
 
-    /// Arm a deterministic mid-drain loss: the drain thread applies
-    /// [`TierEngine::lose_local`] exactly between the burst hop and the
-    /// PFS hop of the generation it processes next.
+    /// Arm a deterministic mid-drain loss: the drain thread drops the
+    /// node-local tier (its retained stages are gone, and the drain must
+    /// source from the burst tier or fail) exactly between the burst hop
+    /// and the PFS hop of the generation it processes next.
     pub fn lose_local_between_hops(&self) {
         self.shared.lose_between_hops.store(true, Ordering::Release);
     }
@@ -554,7 +548,7 @@ fn run_drain(shared: &EngineShared, job: DrainJob, retain: usize) {
             .map_err(|e| format!("{hop} hop for {name}: {}", io::Error::from(e)))
     };
 
-    let outcome = (|| -> Result<DrainOutcome, String> {
+    let outcome = (|| -> Result<Vec<String>, String> {
         let files = stage
             .sealed_files()
             .map_err(|(n, what)| format!("{n}: {what}"))?;
@@ -617,21 +611,15 @@ fn run_drain(shared: &EngineShared, job: DrainJob, retain: usize) {
                 path_hash: sched::fingerprint([name.as_bytes()]),
             });
         }
-        Ok(DrainOutcome {
-            step,
-            recovered_from_burst: recovered,
-            drained_bytes: drained,
-        })
+        Ok(recovered)
     })();
 
-    let published = outcome.and_then(|out| {
-        publish(&out)
-            .map(|()| out)
-            .map_err(|e| format!("publish for step {step}: {e}"))
+    let published = outcome.and_then(|recovered| {
+        publish(&recovered).map_err(|e| format!("publish for step {step}: {e}"))
     });
 
     match published {
-        Ok(_out) => {
+        Ok(()) => {
             sched::emit(|| sched::Event::TierDurable { step });
             let mut g = unpoisoned(shared.state.lock());
             g.durable.insert(step);
@@ -825,15 +813,19 @@ mod tests {
         let engine = TierEngine::new(1);
         let published = Arc::new(AtomicBool::new(false));
         let p2 = Arc::clone(&published);
+        let before = counters::tier_snapshot();
         engine.submit(DrainJob {
             step: 1,
             stage: Arc::clone(&stage),
             pfs_dir: dir.clone(),
             burst_dir: None,
             fsync: false,
-            publish: Box::new(move |out| {
-                assert_eq!(out.drained_bytes, 1000);
-                assert!(out.recovered_from_burst.is_empty());
+            publish: Box::new(move |recovered| {
+                // Other tests drain beside this one: the process-wide
+                // counter moved by this drain's bytes at least.
+                let drained = counters::tier_snapshot().delta_since(&before);
+                assert!(drained.drained_bytes >= 1000);
+                assert!(recovered.is_empty());
                 p2.store(true, Ordering::Release);
                 Ok(())
             }),
@@ -868,8 +860,8 @@ mod tests {
             pfs_dir: pfs.clone(),
             burst_dir: Some(burst.clone()),
             fsync: false,
-            publish: Box::new(|out| {
-                assert_eq!(out.recovered_from_burst, vec!["ck.rbio".to_string()]);
+            publish: Box::new(|recovered| {
+                assert_eq!(recovered, ["ck.rbio".to_string()]);
                 Ok(())
             }),
         });

@@ -191,7 +191,7 @@ pub fn decode_f64_field(bytes: &[u8]) -> Vec<f64> {
     assert_eq!(bytes.len() % 8, 0, "field blocks are f64 arrays");
     bytes
         .chunks_exact(8)
-        .map(|c| f64::from_le_bytes(c.try_into().expect("len 8")))
+        .filter_map(|c| c.first_chunk().copied().map(f64::from_le_bytes))
         .collect()
 }
 
