@@ -215,9 +215,6 @@ if [[ "$SLOW" == 1 ]]; then
   echo "== tiering ablation (perceived vs durable bandwidth) =="
   cargo run --release -p rbio-bench --bin tiering -- 16384
 
-  echo "== backend ablation (threaded vs ring) =="
-  cargo run --release -p rbio-bench --bin backends
-
   echo "== rbio-tune full-budget gate (exact nf=1024 rediscovery) =="
   cargo build --release -p rbio-tune
   target/release/rbio-tune search --np 16384 --env intrepid --budget full \

@@ -43,12 +43,11 @@ fn main() {
         let out = search(&oracle, &space, &SearchConfig::default()).expect("search runs");
         let b = &out.best;
         eprintln!(
-            "env={name:<12} winner={:?} nf={} depth={} backend={:?} drain={:?}  \
+            "env={name:<12} winner={:?} nf={} depth={} drain={:?}  \
              cost={:.4}s  evals={}/{} memo={} pruned={}",
             b.strategy,
             b.nf,
             b.pipeline_depth,
-            b.backend,
             b.tier_drain_bw,
             out.cost,
             out.evals,
@@ -57,8 +56,8 @@ fn main() {
             out.pruned
         );
         notes.push(format!(
-            "{name}: winner {:?} nf={} depth={} backend={:?} drain={:?} cost={:.4}s",
-            b.strategy, b.nf, b.pipeline_depth, b.backend, b.tier_drain_bw, out.cost
+            "{name}: winner {:?} nf={} depth={} drain={:?} cost={:.4}s",
+            b.strategy, b.nf, b.pipeline_depth, b.tier_drain_bw, out.cost
         ));
         notes.push(check(
             &format!(

@@ -15,8 +15,6 @@ use rbio_topology::PartitionSpec;
 pub enum ConfigError {
     /// `pipeline_depth` must be at least 1 (1 = the serial write path).
     ZeroPipelineDepth,
-    /// A `batch` of 0 jobs per submission is meaningless.
-    ZeroBackendBatch,
     /// A bandwidth parameter must be finite and strictly positive.
     NonPositiveBandwidth {
         /// Which parameter was rejected (e.g. `"tier.local_bw"`).
@@ -30,7 +28,6 @@ impl std::fmt::Display for ConfigError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ConfigError::ZeroPipelineDepth => write!(f, "pipeline_depth must be >= 1"),
-            ConfigError::ZeroBackendBatch => write!(f, "io_backend.batch must be >= 1"),
             ConfigError::NonPositiveBandwidth { field, value } => {
                 write!(f, "{field} must be finite and > 0 (got {value})")
             }
@@ -127,86 +124,6 @@ impl TierModel {
     }
 }
 
-/// Per-job costs of the writer's I/O submission path (mirror of
-/// `rbio::backend`): the foreground pays `submit` for handing a flush
-/// job to the backend — amortized over `batch` when the backend gathers
-/// multi-op batches, as one ring submission syscall covers the whole
-/// batch — and each background flush completion pays `completion` for
-/// reaping the result (a CQE reap, or joining a blocking write). The
-/// zero-cost default leaves every existing calibration untouched.
-#[derive(Debug, Clone, Copy)]
-pub struct IoBackendModel {
-    /// Submission cost per flush job before amortization.
-    pub submit: SimTime,
-    /// Completion-reap cost per flush job.
-    pub completion: SimTime,
-    /// Jobs covered by one submission (≥ 1); the foreground pays
-    /// `submit / batch` per job.
-    pub batch: u32,
-}
-
-impl Default for IoBackendModel {
-    fn default() -> Self {
-        IoBackendModel::free()
-    }
-}
-
-impl IoBackendModel {
-    /// No submission/completion overhead at all (the pre-PR-7 model).
-    pub fn free() -> Self {
-        IoBackendModel {
-            submit: SimTime::ZERO,
-            completion: SimTime::ZERO,
-            batch: 1,
-        }
-    }
-
-    /// The blocking `ThreadedBackend`: one condvar handoff per job on
-    /// submit, one join on completion, no batching.
-    pub fn threaded() -> Self {
-        IoBackendModel {
-            submit: SimTime::from_micros(4),
-            completion: SimTime::from_micros(4),
-            batch: 1,
-        }
-    }
-
-    /// The `RingBackend`: the same per-syscall submit cost but amortized
-    /// over an 8-op batch, and a cheap completion reap (a CQ read, not a
-    /// thread join).
-    pub fn ring() -> Self {
-        IoBackendModel {
-            submit: SimTime::from_micros(4),
-            completion: SimTime::from_micros(1),
-            batch: 8,
-        }
-    }
-
-    /// A validated backend model: `batch` must be at least 1.
-    pub fn try_new(submit: SimTime, completion: SimTime, batch: u32) -> Result<Self, ConfigError> {
-        let model = IoBackendModel {
-            submit,
-            completion,
-            batch,
-        };
-        model.validate()?;
-        Ok(model)
-    }
-
-    /// Check the model's parameters.
-    pub fn validate(&self) -> Result<(), ConfigError> {
-        if self.batch == 0 {
-            return Err(ConfigError::ZeroBackendBatch);
-        }
-        Ok(())
-    }
-
-    /// Foreground cost of enqueueing one flush job.
-    pub fn submit_cost(&self) -> SimTime {
-        SimTime::from_nanos(self.submit.as_nanos() / u64::from(self.batch.max(1)))
-    }
-}
-
 /// Full description of the simulated machine.
 #[derive(Debug, Clone)]
 pub struct MachineConfig {
@@ -240,10 +157,14 @@ pub struct MachineConfig {
     /// path runs on a per-rank background drain whose completion is
     /// reported as `durable_wall`. `None` writes straight through.
     pub tier: Option<TierModel>,
-    /// Submission/completion costs of the writer's I/O backend (only
-    /// visible on the pipelined path, `pipeline_depth ≥ 2`). Defaults to
-    /// [`IoBackendModel::free`].
-    pub io_backend: IoBackendModel,
+    /// Per-call cost of the pipelined flush path (`pipeline_depth ≥ 2`):
+    /// the foreground pays it when it hands a flush job to its flush
+    /// thread, and the background job pays it again when the job is
+    /// reaped. Every job pays both: no engine of the runtime amortises a
+    /// hand-off over a batch. Zero (the default) leaves every paper
+    /// calibration untouched; `rbio-tune`'s presets set it (4 µs for
+    /// Intrepid, 2 ms for the syscall-heavy CIOD variant).
+    pub flush_call_cost: SimTime,
 }
 
 impl MachineConfig {
@@ -261,7 +182,7 @@ impl MachineConfig {
             pipeline_depth: 1,
             writer_failure: None,
             tier: None,
-            io_backend: IoBackendModel::free(),
+            flush_call_cost: SimTime::ZERO,
         }
     }
 
@@ -278,7 +199,7 @@ impl MachineConfig {
             pipeline_depth: 1,
             writer_failure: None,
             tier: None,
-            io_backend: IoBackendModel::free(),
+            flush_call_cost: SimTime::ZERO,
         }
     }
 
@@ -321,15 +242,8 @@ impl MachineConfig {
         Ok(self)
     }
 
-    /// Fallible [`Self::io_backend`]: rejects a zero batch.
-    pub fn try_io_backend(mut self, model: IoBackendModel) -> Result<Self, ConfigError> {
-        model.validate()?;
-        self.io_backend = model;
-        Ok(self)
-    }
-
     /// Check every numeric parameter a tuner candidate can set: pipeline
-    /// depth, staging/tier/filesystem/network bandwidths, backend batch.
+    /// depth and staging/tier/filesystem/network bandwidths.
     /// [`crate::CostQuery::new`] runs this so a malformed candidate is a
     /// typed error instead of a NaN cost.
     pub fn validate(&self) -> Result<(), ConfigError> {
@@ -343,10 +257,10 @@ impl MachineConfig {
         check_bw("net.torus_link_bw", self.net.torus_link_bw)?;
         check_bw("net.tree_bw_per_ion", self.net.tree_bw_per_ion)?;
         check_bw("net.eth_bw_per_ion", self.net.eth_bw_per_ion)?;
-        if let Some(tier) = self.tier {
-            tier.validate()?;
+        match self.tier {
+            Some(tier) => tier.validate(),
+            None => Ok(()),
         }
-        self.io_backend.validate()
     }
 
     /// Inject a writer death: `rank` dies during the first write that
@@ -364,12 +278,6 @@ impl MachineConfig {
     /// Stage writes through a node-local tier (see [`TierModel`]).
     pub fn tier(mut self, tier: TierModel) -> Self {
         self.tier = Some(tier);
-        self
-    }
-
-    /// Model the writer's I/O backend costs (see [`IoBackendModel`]).
-    pub fn io_backend(mut self, model: IoBackendModel) -> Self {
-        self.io_backend = model;
         self
     }
 }
@@ -417,14 +325,6 @@ mod tests {
                 ..
             })
         ));
-        assert_eq!(
-            IoBackendModel::try_new(SimTime::ZERO, SimTime::ZERO, 0).unwrap_err(),
-            ConfigError::ZeroBackendBatch
-        );
-        assert!(m
-            .clone()
-            .try_io_backend(IoBackendModel::ring())
-            .is_ok_and(|m| m.validate().is_ok()));
         let mut bad = m.clone();
         bad.mem_bw = -3.0e9;
         assert!(matches!(

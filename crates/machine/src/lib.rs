@@ -22,9 +22,7 @@ pub mod metrics;
 pub mod query;
 pub mod run;
 
-pub use config::{
-    ConfigError, IoBackendModel, MachineConfig, ProfileLevel, TierModel, WriterFailure,
-};
+pub use config::{ConfigError, MachineConfig, ProfileLevel, TierModel, WriterFailure};
 pub use metrics::RunMetrics;
 pub use query::CostQuery;
 pub use run::{simulate, SimArena};

@@ -63,10 +63,11 @@ impl CostQuery {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{ConfigError, IoBackendModel, MachineConfig, TierModel};
+    use crate::config::{ConfigError, MachineConfig, TierModel};
     use crate::simulate;
     use rbio::layout::DataLayout;
     use rbio::strategy::{CheckpointSpec, Strategy};
+    use rbio_sim::SimTime;
     use rbio_topology::PartitionSpec;
 
     fn machine(ranks: u32) -> MachineConfig {
@@ -129,19 +130,18 @@ mod tests {
 
     #[test]
     fn arena_reuse_across_machine_variants() {
-        // Tier and backend knobs change the simulation path; a recycled
-        // arena must not leak state between variants.
+        // Tier, depth and flush-call knobs change the simulation path; a
+        // recycled arena must not leak state between variants.
         let prog = program(256, Strategy::rbio(16));
         let variants = [
             machine(256),
             machine(256)
                 .try_tier(TierModel::try_new(3.0e9, Some(1.5e9)).unwrap())
                 .unwrap(),
-            machine(256)
-                .try_io_backend(IoBackendModel::ring())
-                .unwrap()
-                .try_pipeline_depth(2)
-                .unwrap(),
+            MachineConfig {
+                flush_call_cost: SimTime::from_micros(4),
+                ..machine(256).try_pipeline_depth(2).unwrap()
+            },
         ];
         for cfg in variants {
             let fresh = simulate(&prog, &cfg);

@@ -422,11 +422,11 @@ impl Sim<'_> {
                 }
                 if pipelined {
                     // Foreground cost is the double-buffer staging copy
-                    // plus the backend submit (amortized over its batch);
-                    // the disk path runs on the background flusher.
+                    // plus the flush hand-off call; the disk path runs on
+                    // the background flusher.
                     let fg_done = now
                         .saturating_add(self.pack_time(bytes))
-                        .saturating_add(self.cfg.io_backend.submit_cost());
+                        .saturating_add(self.cfg.flush_call_cost);
                     self.flush_enqueue(
                         rank,
                         fg_done,
@@ -473,7 +473,7 @@ impl Sim<'_> {
                 if pipelined {
                     // Metadata jobs ride the same submission path as the
                     // data flushes (one `WriterHandle::submit` each).
-                    let fg_done = now.saturating_add(self.cfg.io_backend.submit_cost());
+                    let fg_done = now.saturating_add(self.cfg.flush_call_cost);
                     self.flush_enqueue(rank, fg_done, FlushReq::Close, q);
                     self.record(rank, OpKind::Close, now, fg_done, 0);
                     fg_done
@@ -488,7 +488,7 @@ impl Sim<'_> {
                 // filesystem (reopen the file, publish the new name).
                 let lat = self.cfg.net.ion_latency;
                 if pipelined {
-                    let fg_done = now.saturating_add(self.cfg.io_backend.submit_cost());
+                    let fg_done = now.saturating_add(self.cfg.flush_call_cost);
                     self.flush_enqueue(rank, fg_done, FlushReq::Commit, q);
                     self.record(rank, OpKind::Commit, now, fg_done, 0);
                     fg_done
@@ -581,9 +581,9 @@ impl Model for Sim<'_> {
                         (self.fs.close(opened).saturating_add(lat), 0)
                     }
                 };
-                // Reaping the job's completion (CQE read / thread join)
-                // is part of the background job's lifetime.
-                let done = done.saturating_add(self.cfg.io_backend.completion);
+                // Reaping the job's completion is part of the background
+                // job's lifetime: one more call.
+                let done = done.saturating_add(self.cfg.flush_call_cost);
                 let data = bytes > 0;
                 self.record(rank, OpKind::Overlap, now, done, bytes);
                 q.schedule(done, Ev::FlushDone { rank, data });
@@ -1225,26 +1225,37 @@ mod tests {
     }
 
     #[test]
-    fn backend_costs_shift_pipelined_wall() {
-        use crate::config::IoBackendModel;
-        // Many small writes make per-job submission overhead visible:
-        // the threaded backend pays a full handoff per job (submit and
-        // completion) while the ring amortizes its submit over the batch
-        // and reaps cheaply. The free model is the identity — existing
-        // calibrations must not move.
+    fn flush_call_cost_shifts_pipelined_wall() {
+        // Many small writes make the per-job call cost visible: each job
+        // pays it at hand-off and again at reap, so the wall grows with
+        // it. The zero default is the identity — existing calibrations
+        // must not move — and the serial path never pays it.
         let cfg = machine(8).quiet().pipeline_depth(2);
         let prog = pack_write_program(64, 64 << 10);
+        let with_cost = |us| {
+            let mut c = cfg.clone();
+            c.flush_call_cost = SimTime::from_micros(us);
+            c
+        };
         let free = simulate(&prog, &cfg);
-        let again = simulate(&prog, &cfg.clone().io_backend(IoBackendModel::free()));
-        assert_eq!(free.wall, again.wall, "free() is the default model");
-        let threaded = simulate(&prog, &cfg.clone().io_backend(IoBackendModel::threaded()));
-        let ring = simulate(&prog, &cfg.clone().io_backend(IoBackendModel::ring()));
+        let again = simulate(&prog, &with_cost(0));
+        assert_eq!(free.wall, again.wall, "zero is the default cost");
+        let cheap = simulate(&prog, &with_cost(1));
+        let dear = simulate(&prog, &with_cost(4));
         assert!(
-            free.wall < ring.wall && ring.wall < threaded.wall,
-            "per-job overhead must order the walls: free {:?} < ring {:?} < threaded {:?}",
+            free.wall < cheap.wall && cheap.wall < dear.wall,
+            "per-job calls must order the walls: 0 µs {:?} < 1 µs {:?} < 4 µs {:?}",
             free.wall,
-            ring.wall,
-            threaded.wall
+            cheap.wall,
+            dear.wall
+        );
+        let serial = machine(8).quiet();
+        let mut serial_dear = serial.clone();
+        serial_dear.flush_call_cost = SimTime::from_micros(4);
+        assert_eq!(
+            simulate(&prog, &serial).wall,
+            simulate(&prog, &serial_dear).wall,
+            "depth 1 has no flush calls"
         );
     }
 

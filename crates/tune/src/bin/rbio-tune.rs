@@ -203,15 +203,13 @@ fn main() -> ExitCode {
             );
             println!(
                 "winner: strategy {:?} nf {} depth {} writer_buffer {} cb_buffer {} \
-                 coalesce {} backend {:?} batch {} tier_drain {:?}",
+                 coalesce {} tier_drain {:?}",
                 c.strategy,
                 c.nf,
                 c.pipeline_depth,
                 c.writer_buffer,
                 c.cb_buffer,
                 c.coalesce_fields,
-                c.backend,
-                c.backend_batch,
                 c.tier_drain_bw
             );
             println!(

@@ -36,6 +36,6 @@ pub mod space;
 pub use bound::BoundModel;
 pub use canon::{canon_key, plan_key, CanonKey, PlanKey};
 pub use oracle::{Env, MachineOracle, Objective, Workload};
-pub use plan_out::TunedPlan;
+pub use plan_out::{PlanError, TunedPlan};
 pub use solver::{exhaustive, search, SearchConfig, SearchOutcome};
-pub use space::{BackendKnob, Candidate, Knob, Space, StrategyKind, ALL_KNOBS};
+pub use space::{Candidate, Knob, Space, StrategyKind, ALL_KNOBS};

@@ -22,13 +22,11 @@
 
 use crate::bound::BoundModel;
 use crate::canon::{canon_key, plan_key, CanonKey, PlanKey};
-use crate::space::{BackendKnob, Candidate, StrategyKind};
+use crate::space::{Candidate, StrategyKind};
 use rbio::layout::DataLayout;
 use rbio::strategy::{CheckpointSpec, Strategy, Tuning};
 use rbio_gpfs::FsProfile;
-use rbio_machine::{
-    ConfigError, IoBackendModel, MachineConfig, ProfileLevel, RunMetrics, SimArena, TierModel,
-};
+use rbio_machine::{ConfigError, MachineConfig, ProfileLevel, RunMetrics, SimArena, TierModel};
 use rbio_plan::Program;
 use rbio_profile::counters as telemetry;
 use rbio_sim::SimTime;
@@ -115,13 +113,14 @@ impl Workload {
 }
 
 /// The fixed context a search runs in: machine variant, workload,
-/// seeds, objective and the CIOD syscall cost the backend models pay.
+/// seeds and objective.
 #[derive(Debug, Clone)]
 pub struct Env {
     /// Human-readable variant name (`intrepid`, `tier`, `pvfs`, ...).
     pub label: String,
-    /// Base machine model. Candidate machine knobs (pipeline depth,
-    /// backend, tier drain rate) are applied on top per evaluation.
+    /// Base machine model, flush-call cost included. Candidate machine
+    /// knobs (pipeline depth, tier drain rate) are applied on top per
+    /// evaluation ([`Candidate::machine_config`]).
     pub machine: MachineConfig,
     /// Workload to checkpoint.
     pub workload: Workload,
@@ -129,22 +128,22 @@ pub struct Env {
     pub seeds: Vec<u64>,
     /// What to minimize.
     pub objective: Objective,
-    /// Per-I/O-call CPU cost charged by the backend models (submit
-    /// path). Intrepid's CIOD forwards at ~µs scale; the `ciod` env
-    /// raises this to stress syscall-bound forwarding.
-    pub syscall_cost: SimTime,
 }
 
 impl Env {
-    /// The calibrated Intrepid model, perceived-time objective.
+    /// The calibrated Intrepid model, perceived-time objective. A
+    /// pipelined flush job pays 4 µs per call: CIOD forwards at µs
+    /// scale.
     pub fn intrepid(np: u32) -> Self {
         Env {
             label: "intrepid".to_string(),
-            machine: MachineConfig::intrepid(np),
+            machine: MachineConfig {
+                flush_call_cost: SimTime::from_micros(4),
+                ..MachineConfig::intrepid(np)
+            },
             workload: Workload::paper(np),
             seeds: vec![0x1BEB],
             objective: Objective::Perceived,
-            syscall_cost: SimTime::from_secs_f64(4e-6),
         }
     }
 
@@ -173,13 +172,12 @@ impl Env {
         e
     }
 
-    /// A syscall-heavy CIOD variant: per-call forwarding cost raised to
-    /// 2 ms, which makes the I/O backend choice (threaded vs ring, and
-    /// whether to pipeline at all) a first-order knob.
+    /// A syscall-heavy CIOD variant: the flush-call cost raised to 2 ms,
+    /// which makes whether to pipeline at all a first-order knob.
     pub fn ciod(np: u32) -> Self {
         let mut e = Env::intrepid(np);
         e.label = "ciod".to_string();
-        e.syscall_cost = SimTime::from_secs_f64(2e-3);
+        e.machine.flush_call_cost = SimTime::from_millis(2);
         e
     }
 
@@ -293,32 +291,12 @@ impl MachineOracle {
     }
 
     /// The machine variant a candidate runs on: env base plus the
-    /// candidate's machine knobs.
+    /// candidate's machine knobs, profiling off.
     pub fn machine_for(&self, c: &Candidate) -> MachineConfig {
-        let mut m = self.env.machine.clone();
-        m.profile = ProfileLevel::Off;
-        m.pipeline_depth = c.pipeline_depth;
-        let sc = self.env.syscall_cost;
-        m.io_backend = match c.backend {
-            BackendKnob::Threaded => IoBackendModel {
-                submit: sc,
-                completion: sc,
-                batch: 1,
-            },
-            BackendKnob::Ring => IoBackendModel {
-                submit: sc,
-                completion: SimTime::from_secs_f64(sc.as_secs_f64() / 4.0),
-                batch: c.backend_batch,
-            },
-        };
-        if let Some(base) = &self.env.machine.tier {
-            let mut tier = TierModel::local_only(base.local_bw);
-            if let Some(bw) = c.tier_drain_bw {
-                tier = tier.with_burst(bw as f64);
-            }
-            m.tier = Some(tier);
+        MachineConfig {
+            profile: ProfileLevel::Off,
+            ..c.machine_config(&self.env.machine)
         }
-        m
     }
 
     /// Compile (or fetch) the plan for a candidate's plan-shaping
@@ -535,14 +513,13 @@ mod tests {
     }
 
     #[test]
-    fn tier_env_masks_depth_and_backend() {
+    fn tier_env_masks_depth() {
         let oracle = MachineOracle::new(Env::tier(256)).unwrap();
         let mut a = small_candidate(64);
         a.tier_drain_bw = Some(1_500_000_000);
         a.pipeline_depth = 1;
         let mut b = a;
         b.pipeline_depth = 4;
-        b.backend = BackendKnob::Ring;
         let ca = oracle.cost(&a);
         let cb = oracle.cost(&b);
         // The canon mask says these are equivalent — and because the

@@ -301,8 +301,6 @@ fn knob_value(c: &Candidate, k: Knob) -> String {
         Knob::WriterBuffer => c.writer_buffer.to_string(),
         Knob::CbBuffer => c.cb_buffer.to_string(),
         Knob::CoalesceFields => c.coalesce_fields.to_string(),
-        Knob::Backend => format!("{:?}", c.backend),
-        Knob::BackendBatch => c.backend_batch.to_string(),
         Knob::TierDrainBw => format!("{:?}", c.tier_drain_bw),
     }
 }
@@ -311,7 +309,7 @@ fn knob_value(c: &Candidate, k: Knob) -> String {
 mod tests {
     use super::*;
     use crate::oracle::Env;
-    use crate::space::{BackendKnob, StrategyKind};
+    use crate::space::StrategyKind;
 
     /// A small space over nf and writer_buffer only (np=256 keeps each
     /// simulation cheap in debug builds).
@@ -321,8 +319,6 @@ mod tests {
         s.pipeline_depth = vec![1];
         s.cb_buffer = vec![16 << 20];
         s.coalesce_fields = vec![false];
-        s.backend = vec![BackendKnob::Threaded];
-        s.backend_batch = vec![1];
         s
     }
 

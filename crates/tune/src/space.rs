@@ -7,6 +7,8 @@
 //! (local search), so the space is deliberately axis-aligned rather than
 //! a free-form constraint system.
 
+use rbio_machine::{MachineConfig, TierModel};
+
 /// Checkpoint strategy family (the paper's three contenders).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum StrategyKind {
@@ -16,18 +18,6 @@ pub enum StrategyKind {
     CoIo,
     /// Reduced-blocking I/O, `nf = ng` independent writer files.
     RbIo,
-}
-
-/// Writer flush-pipeline I/O backend (the software choice added in the
-/// pluggable-backend PR; cost model in `rbio_machine::IoBackendModel`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum BackendKnob {
-    /// Blocking worker thread: one handoff per job, one join per
-    /// completion, no batching.
-    Threaded,
-    /// Completion-queue ring: submission amortized over a batch, cheap
-    /// completion reap.
-    Ring,
 }
 
 /// One point of the configuration space.
@@ -46,13 +36,29 @@ pub struct Candidate {
     pub cb_buffer: u64,
     /// Batch all fields of a collective commit into one write.
     pub coalesce_fields: bool,
-    /// Flush-pipeline backend.
-    pub backend: BackendKnob,
-    /// Ring submission batch (jobs per syscall); Threaded cannot batch.
-    pub backend_batch: u32,
     /// Drain-stage bandwidth out of the node-local tier, bytes/s.
     /// `None` when the machine has no staging tier.
     pub tier_drain_bw: Option<u64>,
+}
+
+impl Candidate {
+    /// `base` with this candidate's machine knobs applied: the pipeline
+    /// depth, and the tier drain rate when `base` has a tier. All else,
+    /// the flush-call cost included, is `base`'s. The oracle and
+    /// [`crate::TunedPlan::machine_config`] both overlay through this,
+    /// so an exported plan prices what the search priced.
+    pub fn machine_config(&self, base: &MachineConfig) -> MachineConfig {
+        let mut m = base.clone();
+        m.pipeline_depth = self.pipeline_depth;
+        if let Some(base_tier) = &base.tier {
+            let mut tier = TierModel::local_only(base_tier.local_bw);
+            if let Some(bw) = self.tier_drain_bw {
+                tier = tier.with_burst(bw as f64);
+            }
+            m.tier = Some(tier);
+        }
+        m
+    }
 }
 
 /// A tunable axis of the space.
@@ -64,22 +70,18 @@ pub enum Knob {
     WriterBuffer,
     CbBuffer,
     CoalesceFields,
-    Backend,
-    BackendBatch,
     TierDrainBw,
 }
 
 /// Coordinate-descent visiting order. `Nf` first: it dominates the cost
 /// landscape (Fig. 8), so later axes refine around a good file count.
-pub const ALL_KNOBS: [Knob; 9] = [
+pub const ALL_KNOBS: [Knob; 7] = [
     Knob::Nf,
     Knob::Strategy,
     Knob::PipelineDepth,
     Knob::WriterBuffer,
     Knob::CbBuffer,
     Knob::CoalesceFields,
-    Knob::Backend,
-    Knob::BackendBatch,
     Knob::TierDrainBw,
 ];
 
@@ -93,8 +95,6 @@ impl Knob {
             Knob::WriterBuffer => "writer_buffer",
             Knob::CbBuffer => "cb_buffer",
             Knob::CoalesceFields => "coalesce_fields",
-            Knob::Backend => "backend",
-            Knob::BackendBatch => "backend_batch",
             Knob::TierDrainBw => "tier_drain_bw",
         }
     }
@@ -110,8 +110,6 @@ pub struct Space {
     pub writer_buffer: Vec<u64>,
     pub cb_buffer: Vec<u64>,
     pub coalesce_fields: Vec<bool>,
-    pub backend: Vec<BackendKnob>,
-    pub backend_batch: Vec<u32>,
     pub tier_drain_bw: Vec<Option<u64>>,
 }
 
@@ -138,8 +136,6 @@ impl Space {
             writer_buffer: vec![1 << 20, 4 << 20, 16 << 20],
             cb_buffer: vec![4 << 20, 16 << 20],
             coalesce_fields: vec![false, true],
-            backend: vec![BackendKnob::Threaded, BackendKnob::Ring],
-            backend_batch: vec![1, 8, 32],
             tier_drain_bw: vec![None],
         }
     }
@@ -165,17 +161,12 @@ impl Space {
         nonempty!(writer_buffer);
         nonempty!(cb_buffer);
         nonempty!(coalesce_fields);
-        nonempty!(backend);
-        nonempty!(backend_batch);
         nonempty!(tier_drain_bw);
         if self.nf.contains(&0) {
             return Err("nf axis contains 0".to_string());
         }
         if self.pipeline_depth.contains(&0) {
             return Err("pipeline_depth axis contains 0".to_string());
-        }
-        if self.backend_batch.contains(&0) {
-            return Err("backend_batch axis contains 0".to_string());
         }
         Ok(())
     }
@@ -189,8 +180,6 @@ impl Space {
             Knob::WriterBuffer => self.writer_buffer.len(),
             Knob::CbBuffer => self.cb_buffer.len(),
             Knob::CoalesceFields => self.coalesce_fields.len(),
-            Knob::Backend => self.backend.len(),
-            Knob::BackendBatch => self.backend_batch.len(),
             Knob::TierDrainBw => self.tier_drain_bw.len(),
         }
     }
@@ -211,8 +200,6 @@ impl Space {
             Knob::WriterBuffer => out.writer_buffer = self.writer_buffer[idx],
             Knob::CbBuffer => out.cb_buffer = self.cb_buffer[idx],
             Knob::CoalesceFields => out.coalesce_fields = self.coalesce_fields[idx],
-            Knob::Backend => out.backend = self.backend[idx],
-            Knob::BackendBatch => out.backend_batch = self.backend_batch[idx],
             Knob::TierDrainBw => out.tier_drain_bw = self.tier_drain_bw[idx],
         }
         out
@@ -232,8 +219,6 @@ impl Space {
             writer_buffer: self.writer_buffer[0],
             cb_buffer: self.cb_buffer[0],
             coalesce_fields: self.coalesce_fields[0],
-            backend: self.backend[0],
-            backend_batch: self.backend_batch[0],
             tier_drain_bw: self.tier_drain_bw[0],
         }
     }
@@ -287,8 +272,6 @@ mod tests {
         s.writer_buffer = vec![4 << 20];
         s.cb_buffer = vec![16 << 20];
         s.coalesce_fields = vec![false];
-        s.backend = vec![BackendKnob::Threaded];
-        s.backend_batch = vec![1];
         let all = s.enumerate();
         assert_eq!(all.len() as u64, s.size());
         assert_eq!(all.len(), 3); // just the nf axis
