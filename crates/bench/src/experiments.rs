@@ -16,7 +16,7 @@ pub struct PaperConfig {
     /// λ: non-overlapped fraction of writer time the application observes
     /// (≈0 for rbIO whose writers flush between checkpoints; 1 for
     /// blocking collectives).
-    pub lambda: f64,
+    pub(crate) lambda: f64,
 }
 
 /// The five configurations of Figs. 5–7, in the paper's legend order.
@@ -59,11 +59,11 @@ pub struct ConfigResult {
     /// Legend label.
     pub label: String,
     /// The workload case.
-    pub case: PaperCase,
+    pub(crate) case: PaperCase,
     /// Simulated metrics.
     pub metrics: RunMetrics,
     /// λ used for the application-blocking metric.
-    pub lambda: f64,
+    pub(crate) lambda: f64,
 }
 
 impl ConfigResult {
@@ -91,7 +91,7 @@ pub fn run_config(case: &PaperCase, cfg: &PaperConfig, profile: ProfileLevel) ->
 /// The paper's measurement protocol: "most of these experiments were run
 /// multiple times and the data points were sampled from the median". Runs
 /// `runs` seeds and returns the run with the median wall time.
-pub fn run_config_median(
+pub(crate) fn run_config_median(
     case: &PaperCase,
     cfg: &PaperConfig,
     profile: ProfileLevel,

@@ -8,4 +8,4 @@ pub mod report;
 pub mod workload;
 
 pub use experiments::{run_config, ConfigResult, PaperConfig};
-pub use workload::{paper_case, PaperCase, PAPER_CASES};
+pub use workload::{paper_case, PaperCase};

@@ -85,7 +85,7 @@ impl Series {
 impl FigureData {
     /// Render as pretty-printed JSON (hand-rolled: the build environment
     /// has no serde).
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(&self) -> String {
         let series: Vec<String> = self.series.iter().map(|s| s.to_json("    ")).collect();
         let notes: Vec<String> = self.notes.iter().map(|n| json_string(n)).collect();
         format!(

@@ -16,9 +16,9 @@ pub struct PaperCase {
     /// MPI ranks.
     pub np: u32,
     /// Spectral elements (paper notation E).
-    pub elements: u64,
+    pub(crate) elements: u64,
     /// Total grid points n = E·(N+1)³.
-    pub grid_points: u64,
+    pub(crate) grid_points: u64,
     /// Checkpoint bytes per I/O step (paper notation S).
     pub total_bytes: u64,
     /// Computation seconds per solver time step at this scale.
@@ -26,7 +26,7 @@ pub struct PaperCase {
 }
 
 /// The paper's three cases: (16Ki, 39 GB), (32Ki, 78 GB), (64Ki, 156 GB).
-pub const PAPER_CASES: [PaperCase; 3] = [
+pub(crate) const PAPER_CASES: [PaperCase; 3] = [
     PaperCase {
         np: 16384,
         elements: 68_000,

@@ -22,8 +22,7 @@
 
 #![forbid(unsafe_code)]
 
-pub mod fair;
-pub mod stripe;
+pub(crate) mod stripe;
 pub mod tokens;
 
 use rbio_sim::resources::{CalendarQueue, Serializer};
@@ -158,35 +157,17 @@ impl Default for FsConfig {
     }
 }
 
-impl FsConfig {
-    /// The lock-free PVFS personality with otherwise identical hardware.
-    pub fn pvfs() -> Self {
-        FsConfig {
-            profile: FsProfile::Pvfs,
-            ..FsConfig::default()
-        }
-    }
-
-    /// The Lustre personality with otherwise identical hardware.
-    pub fn lustre() -> Self {
-        FsConfig {
-            profile: FsProfile::Lustre,
-            ..FsConfig::default()
-        }
-    }
-}
-
 /// Aggregate filesystem statistics.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct FsStats {
     /// File creates served.
     pub creates: u64,
     /// Opens of existing files.
-    pub opens: u64,
+    pub(crate) opens: u64,
     /// Closes.
     pub closes: u64,
     /// Write requests (after striping).
-    pub write_chunks: u64,
+    pub(crate) write_chunks: u64,
     /// Bytes written.
     pub bytes_written: u64,
     /// Bytes read.
@@ -200,7 +181,7 @@ pub struct FsStats {
     /// Blocks fetched for read-modify-write of unaligned writes.
     pub rmw_blocks: u64,
     /// Requests that hit the outlier stall.
-    pub outliers: u64,
+    pub(crate) outliers: u64,
 }
 
 /// The filesystem model.
@@ -246,11 +227,6 @@ impl FileSystemModel {
             stats: FsStats::default(),
             cfg,
         }
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &FsConfig {
-        &self.cfg
     }
 
     /// Statistics so far.
@@ -495,33 +471,16 @@ impl FileSystemModel {
     }
 }
 
-/// First and last completion times of a bandwidth measurement window.
-/// An empty window has no span: `None`, never a panic — callers feeding
-/// a window that happened to collect zero samples (all ops elided,
-/// filtered out, or a zero-rank sweep) get a value they can branch on.
-pub fn window_span(times: &[SimTime]) -> Option<(SimTime, SimTime)> {
-    let first = *times.iter().min()?;
-    let last = *times.iter().max()?;
-    Some((first, last))
-}
-
-/// Aggregate bandwidth in bytes/sec over a window of completion times,
-/// measured across the first-to-last span. Empty windows and zero-width
-/// spans report `0.0` rather than panicking or dividing by zero.
-pub fn window_bandwidth(bytes: u64, times: &[SimTime]) -> f64 {
-    let Some((first, last)) = window_span(times) else {
-        return 0.0;
-    };
-    let span = last.as_secs_f64() - first.as_secs_f64();
-    if span <= 0.0 {
-        return 0.0;
-    }
-    bytes as f64 / span
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn with_profile(profile: FsProfile) -> FsConfig {
+        FsConfig {
+            profile,
+            ..FsConfig::default()
+        }
+    }
 
     fn quiet(cfg: &mut FsConfig) {
         cfg.noise_sigma = 0.0;
@@ -566,24 +525,10 @@ mod tests {
         quiet(&mut cfg);
         let mut fs = FileSystemModel::new(cfg, 1024, 7);
         let times: Vec<SimTime> = (0..1024).map(|_| fs.create(SimTime::ZERO, 0)).collect();
-        let (first, last) = window_span(&times).expect("non-empty window");
-        let (first, last) = (first.as_secs_f64(), last.as_secs_f64());
+        let first = times.iter().min().unwrap().as_secs_f64();
+        let last = times.iter().max().unwrap().as_secs_f64();
         assert!(last / first > 100.0, "spread {first}..{last}");
         assert_eq!(fs.stats().creates, 1024);
-    }
-
-    #[test]
-    fn empty_bandwidth_window_is_zero_not_a_panic() {
-        assert_eq!(window_span(&[]), None);
-        assert_eq!(window_bandwidth(1 << 30, &[]), 0.0);
-        // A single sample has zero span: still 0.0, not a div-by-zero.
-        let one = [SimTime::from_micros(5)];
-        assert_eq!(window_span(&one), Some((one[0], one[0])));
-        assert_eq!(window_bandwidth(1 << 30, &one), 0.0);
-        // Two samples give a real rate.
-        let two = [SimTime::from_secs_f64(1.0), SimTime::from_secs_f64(3.0)];
-        let bw = window_bandwidth(100, &two);
-        assert!((bw - 50.0).abs() < 1e-9, "{bw}");
     }
 
     #[test]
@@ -637,7 +582,7 @@ mod tests {
 
     #[test]
     fn pvfs_profile_never_locks() {
-        let mut cfg = FsConfig::pvfs();
+        let mut cfg = with_profile(FsProfile::Pvfs);
         quiet(&mut cfg);
         let mut fs = FileSystemModel::new(cfg, 1, 1);
         for i in 0..8u32 {
@@ -691,7 +636,7 @@ mod tests {
 
     #[test]
     fn lustre_stripes_narrow_and_bounces_object_locks() {
-        let mut cfg = FsConfig::lustre();
+        let mut cfg = with_profile(FsProfile::Lustre);
         quiet(&mut cfg);
         let mut fs = FileSystemModel::new(cfg, 1, 1);
         // One client streaming: no lock traffic.
@@ -717,7 +662,7 @@ mod tests {
 
     #[test]
     fn lustre_uses_only_stripe_count_servers_per_file() {
-        let mut cfg = FsConfig::lustre();
+        let mut cfg = with_profile(FsProfile::Lustre);
         quiet(&mut cfg);
         cfg.lustre_stripe_count = 2;
         let mut fs = FileSystemModel::new(cfg, 1, 1);

@@ -7,28 +7,24 @@
 
 /// One per-server piece of a striped request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Chunk {
+pub(crate) struct Chunk {
     /// Serving NSD server index.
-    pub server: u32,
+    pub(crate) server: u32,
     /// Absolute file offset of this piece.
-    pub offset: u64,
+    pub(crate) offset: u64,
     /// Length in bytes.
-    pub len: u64,
+    pub(crate) len: u64,
 }
 
 /// Split the request `[offset, offset+len)` at block boundaries and assign
-/// each block to its round-robin server. Adjacent blocks mapping to the
-/// same server (only possible with one server) are not merged — each block
-/// is one server request, which is what the per-request overhead models.
-pub fn stripe_chunks(offset: u64, len: u64, block_size: u64, nservers: u32) -> Vec<Chunk> {
-    stripe_chunks_shifted(offset, len, block_size, nservers, 0)
-}
-
-/// [`stripe_chunks`] with a per-file stripe rotation: block `b` of the file
-/// is served by `(b + shift) % nservers`. GPFS round-robins each file's
-/// first block, so a thousand small files spread over all servers instead
-/// of queueing on server 0.
-pub fn stripe_chunks_shifted(
+/// each block to its server: block `b` of the file is served by
+/// `(b + shift) % nservers`. Adjacent blocks mapping to the same server
+/// (only possible with one server) are not merged — each block is one
+/// server request, which is what the per-request overhead models. The
+/// per-file rotation `shift` is how GPFS round-robins each file's first
+/// block, so a thousand small files spread over all servers instead of
+/// queueing on server 0.
+pub(crate) fn stripe_chunks_shifted(
     offset: u64,
     len: u64,
     block_size: u64,
@@ -58,13 +54,18 @@ pub fn stripe_chunks_shifted(
 
 /// The stripe rotation of a file: a multiplicative hash of the file id so
 /// consecutive plan files land on well-spread starting servers.
-pub fn stripe_shift(file: u32, nservers: u32) -> u32 {
+pub(crate) fn stripe_shift(file: u32, nservers: u32) -> u32 {
     ((u64::from(file).wrapping_mul(0x9E37_79B9) >> 16) % u64::from(nservers.max(1))) as u32
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Striping with no per-file rotation.
+    fn stripe_chunks(offset: u64, len: u64, block_size: u64, nservers: u32) -> Vec<Chunk> {
+        stripe_chunks_shifted(offset, len, block_size, nservers, 0)
+    }
 
     #[test]
     fn single_block_single_chunk() {

@@ -64,14 +64,14 @@ pub enum ProfileLevel {
 #[derive(Debug, Clone, Copy)]
 pub struct WriterFailure {
     /// The rank that dies.
-    pub rank: u32,
+    pub(crate) rank: u32,
     /// The failure trips during the first write that would push the
     /// rank's cumulative written bytes past this budget.
-    pub after_bytes: u64,
+    pub(crate) after_bytes: u64,
     /// Virtual time between the death and the successor being allowed to
     /// start the takeover (the health monitor's `dead_after` deadline in
     /// the real runtime).
-    pub detection_delay: SimTime,
+    pub(crate) detection_delay: SimTime,
 }
 
 /// Bandwidth hierarchy of a node-local staging tier (the machine-level
@@ -115,7 +115,7 @@ impl TierModel {
     }
 
     /// Check the model's bandwidths.
-    pub fn validate(&self) -> Result<(), ConfigError> {
+    pub(crate) fn validate(&self) -> Result<(), ConfigError> {
         check_bw("tier.local_bw", self.local_bw)?;
         if let Some(bw) = self.burst_bw {
             check_bw("tier.burst_bw", bw)?;

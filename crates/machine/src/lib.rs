@@ -17,10 +17,10 @@
 
 #![forbid(unsafe_code)]
 
-pub mod config;
-pub mod metrics;
-pub mod query;
-pub mod run;
+pub(crate) mod config;
+pub(crate) mod metrics;
+pub(crate) mod query;
+pub(crate) mod run;
 
 pub use config::{ConfigError, MachineConfig, ProfileLevel, TierModel, WriterFailure};
 pub use metrics::RunMetrics;

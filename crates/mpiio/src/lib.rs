@@ -23,7 +23,7 @@
 #![forbid(unsafe_code)]
 
 pub mod domains;
-pub mod twophase;
+pub(crate) mod twophase;
 
 pub use domains::{partition_domains, DomainConfig};
 pub use twophase::{plan_collective_write, CollectiveWrite, Contribution, SrcKind, TwoPhaseConfig};

@@ -80,12 +80,12 @@ pub struct CollectiveWrite {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TwoPhaseStats {
     /// Exchange messages posted.
-    pub messages: u64,
+    pub(crate) messages: u64,
     /// Bytes moved through the exchange phase (excludes aggregator-local
     /// copies).
     pub exchanged_bytes: u64,
     /// Write rounds across all aggregators.
-    pub rounds: u64,
+    pub(crate) rounds: u64,
     /// Bytes written.
     pub written_bytes: u64,
 }

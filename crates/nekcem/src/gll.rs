@@ -8,7 +8,7 @@
 
 /// Legendre polynomial `P_n(x)` and its derivative, by the three-term
 /// recurrence (stable for the orders used here, N ≤ ~40).
-pub fn legendre(n: usize, x: f64) -> (f64, f64) {
+pub(crate) fn legendre(n: usize, x: f64) -> (f64, f64) {
     if n == 0 {
         return (1.0, 0.0);
     }
@@ -38,7 +38,7 @@ pub fn legendre(n: usize, x: f64) -> (f64, f64) {
 /// GLL nodes for polynomial order `n` (`n+1` nodes in `[-1, 1]`),
 /// ascending. Requires `n >= 1`.
 #[allow(clippy::needless_range_loop)] // indexed form mirrors the math
-pub fn gll_points(n: usize) -> Vec<f64> {
+pub(crate) fn gll_points(n: usize) -> Vec<f64> {
     assert!(n >= 1, "need polynomial order at least 1");
     let m = n + 1;
     let mut x = vec![0.0; m];
@@ -72,7 +72,7 @@ pub fn gll_points(n: usize) -> Vec<f64> {
 
 /// GLL quadrature weights for the nodes of order `n`:
 /// `w_i = 2 / (n(n+1) P_n(x_i)²)`.
-pub fn gll_weights(points: &[f64]) -> Vec<f64> {
+pub(crate) fn gll_weights(points: &[f64]) -> Vec<f64> {
     let n = points.len() - 1;
     points
         .iter()
@@ -85,7 +85,7 @@ pub fn gll_weights(points: &[f64]) -> Vec<f64> {
 
 /// Differentiation matrix `D[i][j] = l'_j(x_i)` for the Lagrange basis on
 /// `points` (row-major, `(n+1)×(n+1)`).
-pub fn diff_matrix(points: &[f64]) -> Vec<Vec<f64>> {
+pub(crate) fn diff_matrix(points: &[f64]) -> Vec<Vec<f64>> {
     let m = points.len();
     let n = m - 1;
     let mut d = vec![vec![0.0; m]; m];

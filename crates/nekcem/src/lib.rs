@@ -27,6 +27,6 @@
 pub mod gll;
 pub mod maxwell1d;
 pub mod maxwell2d;
-pub mod rk;
+pub(crate) mod rk;
 pub mod waveguide;
 pub mod workload;

@@ -70,7 +70,7 @@ impl Maxwell1d {
     }
 
     /// Number of degrees of freedom per field.
-    pub fn dofs(&self) -> usize {
+    pub(crate) fn dofs(&self) -> usize {
         self.k_elems * (self.order + 1)
     }
 
@@ -95,7 +95,7 @@ impl Maxwell1d {
     }
 
     /// Set initial conditions from closures `e0(x)`, `h0(x)`.
-    pub fn set_initial(&mut self, e0: impl Fn(f64) -> f64, h0: impl Fn(f64) -> f64) {
+    pub(crate) fn set_initial(&mut self, e0: impl Fn(f64) -> f64, h0: impl Fn(f64) -> f64) {
         let n = self.dofs();
         for i in 0..n {
             self.state[i] = e0(self.x[i]);
@@ -111,7 +111,7 @@ impl Maxwell1d {
     }
 
     /// Exact plane-wave solution at the current time (for error checks).
-    pub fn plane_wave_exact(&self, mode: u32) -> Vec<f64> {
+    pub(crate) fn plane_wave_exact(&self, mode: u32) -> Vec<f64> {
         let k = std::f64::consts::TAU * f64::from(mode) / self.length;
         self.x
             .iter()

@@ -2,7 +2,7 @@
 //! the explicit time stepper NekCEM uses (§III-A, ref. 11 of the paper).
 
 /// Stage coefficients A (the "alpha" recurrence on the residual register).
-pub const LSRK4_A: [f64; 5] = [
+pub(crate) const LSRK4_A: [f64; 5] = [
     0.0,
     -567301805773.0 / 1357537059087.0,
     -2404267990393.0 / 2016746695238.0,
@@ -11,7 +11,7 @@ pub const LSRK4_A: [f64; 5] = [
 ];
 
 /// Stage coefficients B (the update weights).
-pub const LSRK4_B: [f64; 5] = [
+pub(crate) const LSRK4_B: [f64; 5] = [
     1432997174477.0 / 9575080441755.0,
     5161836677717.0 / 13612068292357.0,
     1720146321549.0 / 2090206949498.0,
@@ -20,7 +20,7 @@ pub const LSRK4_B: [f64; 5] = [
 ];
 
 /// Stage times C (fractions of dt at which stages are evaluated).
-pub const LSRK4_C: [f64; 5] = [
+pub(crate) const LSRK4_C: [f64; 5] = [
     0.0,
     1432997174477.0 / 9575080441755.0,
     2526269341429.0 / 6820363962896.0,
@@ -32,7 +32,7 @@ pub const LSRK4_C: [f64; 5] = [
 /// the semi-discrete right-hand side into `out`. `res` is the 2N-storage
 /// residual register (same length as `u`, contents reused across calls —
 /// zeroing is handled internally).
-pub fn lsrk4_step<F>(u: &mut [f64], res: &mut [f64], t: f64, dt: f64, mut rhs: F)
+pub(crate) fn lsrk4_step<F>(u: &mut [f64], res: &mut [f64], t: f64, dt: f64, mut rhs: F)
 where
     F: FnMut(f64, &[f64], &mut [f64]),
 {

@@ -64,7 +64,7 @@ impl Waveguide {
 
     /// Elements owned by `rank` (balanced contiguous split, like NekCEM's
     /// `genmap` output).
-    pub fn elements_of_rank(&self, rank: u32) -> std::ops::Range<u64> {
+    pub(crate) fn elements_of_rank(&self, rank: u32) -> std::ops::Range<u64> {
         let e = self.num_elements();
         let np = u64::from(self.nranks);
         let r = u64::from(rank);
@@ -76,7 +76,7 @@ impl Waveguide {
     }
 
     /// Bytes of one field on `rank` (f64 per grid point).
-    pub fn field_bytes(&self, rank: u32) -> u64 {
+    pub(crate) fn field_bytes(&self, rank: u32) -> u64 {
         let r = self.elements_of_rank(rank);
         (r.end - r.start) * self.points_per_element() * 8
     }
@@ -113,7 +113,7 @@ impl Waveguide {
 
     /// TE₁₀ field component `field` (0..6 = Ex,Ey,Ez,Hx,Hy,Hz) at `(x,_,z)`
     /// and time `t` — an exact Maxwell solution in normalized units.
-    pub fn mode_value(&self, field: usize, x: f64, _y: f64, z: f64, t: f64) -> f64 {
+    pub(crate) fn mode_value(&self, field: usize, x: f64, _y: f64, z: f64, t: f64) -> f64 {
         let kx = std::f64::consts::PI / self.a;
         let phase = self.omega * t - self.beta * z;
         match field {

@@ -29,15 +29,15 @@ pub struct NetConfig {
     /// Torus link bandwidth per direction, bytes/s (BG/P: 425 MB/s).
     pub torus_link_bw: f64,
     /// Per-hop router latency.
-    pub torus_hop_latency: SimTime,
+    pub(crate) torus_hop_latency: SimTime,
     /// Software/injection overhead per message send.
-    pub send_overhead: SimTime,
+    pub(crate) send_overhead: SimTime,
     /// `MPI_Isend` posting overhead (descriptor + DMA setup) — the fixed
     /// part of rbIO's perceived handoff time.
-    pub isend_overhead: SimTime,
+    pub(crate) isend_overhead: SimTime,
     /// Rate at which the DMA engine registers/touches the send buffer,
     /// bytes/s — the size-dependent part of the perceived handoff.
-    pub dma_touch_bw: f64,
+    pub(crate) dma_touch_bw: f64,
     /// Collective-network bandwidth into one ION, bytes/s (~0.85 GB/s).
     pub tree_bw_per_ion: f64,
     /// ION-to-file-server Ethernet bandwidth, bytes/s (~1.25 GB/s).
@@ -54,7 +54,7 @@ pub struct NetConfig {
     /// ION (tree hop + kernel proxying + Ethernet).
     pub ion_latency: SimTime,
     /// Hardware barrier latency on the dedicated barrier network.
-    pub barrier_base: SimTime,
+    pub(crate) barrier_base: SimTime,
 }
 
 impl Default for NetConfig {

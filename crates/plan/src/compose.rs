@@ -16,7 +16,7 @@ use crate::program::Program;
 /// Tag stride reserved per appended program. Plans use small tag numbers
 /// (field indices and a few planner-internal tags), so a generous stride
 /// guarantees disjoint tag spaces.
-pub const TAG_STRIDE: u64 = 1 << 32;
+pub(crate) const TAG_STRIDE: u64 = 1 << 32;
 
 /// Append `step` onto `base` in place: `step`'s ops run after `base`'s on
 /// every rank, with its files/comms/tags remapped into fresh id ranges.

@@ -84,9 +84,9 @@ impl Json {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JsonError {
     /// Byte offset into the input.
-    pub at: usize,
+    pub(crate) at: usize,
     /// What went wrong.
-    pub msg: String,
+    pub(crate) msg: String,
 }
 
 impl fmt::Display for JsonError {

@@ -20,10 +20,10 @@
 
 #![forbid(unsafe_code)]
 
-pub mod compose;
+pub(crate) mod compose;
 pub mod json;
-pub mod ops;
-pub mod program;
+pub(crate) mod ops;
+pub(crate) mod program;
 pub mod validate;
 
 pub use compose::{append_program, push_compute};

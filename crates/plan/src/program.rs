@@ -87,23 +87,23 @@ pub struct ProgramStats {
     /// Total `Send` ops.
     pub sends: u64,
     /// Total `Recv` ops.
-    pub recvs: u64,
+    pub(crate) recvs: u64,
     /// Total `Open` ops.
     pub opens: u64,
     /// Total `WriteAt` ops.
     pub writes: u64,
     /// Total `ReadAt` ops.
-    pub reads: u64,
+    pub(crate) reads: u64,
     /// Total `Close` ops.
     pub closes: u64,
     /// Total `Commit` ops.
-    pub commits: u64,
+    pub(crate) commits: u64,
     /// Total `Barrier` ops.
     pub barriers: u64,
     /// Total bytes written to files.
     pub bytes_written: u64,
     /// Total bytes read from files.
-    pub bytes_read: u64,
+    pub(crate) bytes_read: u64,
     /// Total bytes sent over the network.
     pub bytes_sent: u64,
 }

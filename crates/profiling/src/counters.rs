@@ -256,12 +256,12 @@ impl CopySnapshot {
 
 impl TuneSnapshot {
     /// Cache hit rate over all candidate lookups (0.0 when none).
-    pub fn hit_rate(&self) -> f64 {
+    pub(crate) fn hit_rate(&self) -> f64 {
         per(self.memo_hits as f64, self.evals + self.memo_hits)
     }
 
     /// Mean wall seconds per full evaluation (0.0 when none).
-    pub fn secs_per_eval(&self) -> f64 {
+    pub(crate) fn secs_per_eval(&self) -> f64 {
         per(self.eval_nanos as f64 / 1e9, self.evals)
     }
 }
@@ -269,7 +269,7 @@ impl TuneSnapshot {
 /// Fixed number of per-tenant counter slots. Tenants hash into slots
 /// ([`tenant_slot`]); recording is a relaxed atomic add into a static
 /// array — no allocation, no locks, safe from any thread.
-pub const TENANT_SLOTS: usize = 256;
+pub(crate) const TENANT_SLOTS: usize = 256;
 
 // One group per slot; cells in `TenantSnapshot` field order after `slot`.
 static TENANTS: [Group<3>; TENANT_SLOTS] = [const { Group::new() }; TENANT_SLOTS];
@@ -303,11 +303,11 @@ pub fn tenant_add_session_done(slot: usize) {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TenantSnapshot {
     /// The slot read.
-    pub slot: usize,
+    pub(crate) slot: usize,
     /// Checkpoint bytes written.
     pub bytes_written: u64,
     /// Restore bytes read.
-    pub bytes_read: u64,
+    pub(crate) bytes_read: u64,
     /// Sessions finished.
     pub sessions_done: u64,
 }

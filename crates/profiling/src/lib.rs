@@ -50,7 +50,7 @@ pub enum OpKind {
 
 impl OpKind {
     /// All kinds, for iteration in reports.
-    pub const ALL: [OpKind; 12] = [
+    pub(crate) const ALL: [OpKind; 12] = [
         OpKind::Open,
         OpKind::Write,
         OpKind::Read,
@@ -66,7 +66,7 @@ impl OpKind {
     ];
 
     /// Short label.
-    pub fn label(&self) -> &'static str {
+    pub(crate) fn label(&self) -> &'static str {
         match self {
             OpKind::Open => "open",
             OpKind::Write => "write",
@@ -100,7 +100,7 @@ pub struct Interval {
 }
 
 /// One write burst in a Fig.-12-style activity row: `(start, end, bytes)`.
-pub type WriteInterval = (SimTime, SimTime, u64);
+pub(crate) type WriteInterval = (SimTime, SimTime, u64);
 
 /// A run's recorded intervals plus the derived views the paper's plots
 /// need.
@@ -276,7 +276,7 @@ impl Timeline {
 
 impl OpKind {
     /// Parse a [`OpKind::label`] back.
-    pub fn from_label(s: &str) -> Option<OpKind> {
+    pub(crate) fn from_label(s: &str) -> Option<OpKind> {
         OpKind::ALL.into_iter().find(|k| k.label() == s)
     }
 }

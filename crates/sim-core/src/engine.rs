@@ -40,7 +40,6 @@ impl<E> Ord for Entry<E> {
 pub struct EventQueue<E> {
     heap: BinaryHeap<Entry<E>>,
     seq: u64,
-    popped: u64,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -55,7 +54,6 @@ impl<E> EventQueue<E> {
         EventQueue {
             heap: BinaryHeap::new(),
             seq: 0,
-            popped: 0,
         }
     }
 
@@ -79,40 +77,23 @@ impl<E> EventQueue<E> {
     }
 
     /// Remove and return the earliest event.
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
+    pub(crate) fn pop(&mut self) -> Option<(SimTime, E)> {
         let e = self.heap.pop()?;
-        self.popped += 1;
         Some((e.time, e.ev))
     }
 
     /// Timestamp of the earliest pending event, if any.
-    pub fn peek_time(&self) -> Option<SimTime> {
+    pub(crate) fn peek_time(&self) -> Option<SimTime> {
         self.heap.peek().map(|e| e.time)
     }
 
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// True when no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    /// Total number of events delivered so far (monotonic).
-    pub fn delivered(&self) -> u64 {
-        self.popped
-    }
-
-    /// Drop all pending events and reset the sequence/delivery counters,
+    /// Drop all pending events and reset the sequence counter,
     /// keeping the heap allocation. Lets a driver reuse one queue across
     /// many runs (the `rbio-machine` cost-query arena) without paying a
     /// fresh heap growth per run.
     pub fn clear(&mut self) {
         self.heap.clear();
         self.seq = 0;
-        self.popped = 0;
     }
 }
 
@@ -185,7 +166,7 @@ mod tests {
         let end = run(&mut m, &mut q);
         assert_eq!(m.seen, vec![(10, 1), (20, 2), (30, 3)]);
         assert_eq!(end.as_nanos(), 30);
-        assert_eq!(q.delivered(), 3);
+        assert!(q.heap.is_empty());
     }
 
     #[test]
@@ -229,7 +210,7 @@ mod tests {
         let end = run_until(&mut m, &mut q, SimTime::from_nanos(15));
         assert_eq!(end.as_nanos(), 15);
         assert_eq!(m.seen.len(), 3);
-        assert_eq!(q.len(), 1);
+        assert_eq!(q.heap.len(), 1);
     }
 
     #[test]

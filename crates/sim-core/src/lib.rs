@@ -13,11 +13,11 @@
 
 #![forbid(unsafe_code)]
 
-pub mod engine;
+pub(crate) mod engine;
 pub mod resources;
 pub mod rng;
 pub mod stats;
-pub mod time;
+pub(crate) mod time;
 
 pub use engine::{run, run_until, EventQueue, Model};
 pub use time::{transfer_time, SimTime, NS_PER_SEC};

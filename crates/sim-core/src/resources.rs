@@ -46,18 +46,12 @@ impl Serializer {
     pub fn free_at(&self) -> SimTime {
         self.busy_until
     }
-
-    /// Queueing delay a request arriving at `now` would see.
-    pub fn backlog(&self, now: SimTime) -> SimTime {
-        self.busy_until.saturating_sub(now)
-    }
 }
 
 /// `k` identical FIFO servers; each request goes to the earliest-free one.
 #[derive(Debug, Clone)]
 pub struct CalendarQueue {
     free: BinaryHeap<Reverse<SimTime>>,
-    servers: usize,
 }
 
 impl CalendarQueue {
@@ -68,12 +62,7 @@ impl CalendarQueue {
         for _ in 0..servers {
             free.push(Reverse(SimTime::ZERO));
         }
-        CalendarQueue { free, servers }
-    }
-
-    /// Number of servers.
-    pub fn servers(&self) -> usize {
-        self.servers
+        CalendarQueue { free }
     }
 
     /// Service a request of length `service` arriving at `now`.
@@ -84,11 +73,6 @@ impl CalendarQueue {
         let end = start.saturating_add(service);
         self.free.push(Reverse(end));
         (start, end)
-    }
-
-    /// Earliest time any server is free.
-    pub fn earliest_free(&self) -> SimTime {
-        self.free.peek().map(|r| r.0).unwrap_or(SimTime::ZERO)
     }
 }
 
@@ -101,29 +85,21 @@ struct Flow {
     id: FlowId,
     remaining: f64, // bytes
     rate_cap: f64,  // bytes/sec; INFINITY when uncapped
-    weight: f64,    // share of the pipe relative to other flows
     rate: f64,      // current granted rate, bytes/sec
 }
 
-/// Processor-sharing pipe with optional per-flow rate caps and weights.
+/// Processor-sharing pipe with optional per-flow rate caps.
 ///
-/// The pipe divides its capacity among active flows by weighted max–min
-/// fairness: flows whose cap is below their weighted share get their cap,
-/// and the residue is shared among the rest in proportion to their weights
-/// (all weights are 1 unless started via [`FairPipe::start_weighted`]).
-/// Rates are piecewise-constant between flow arrivals/departures, so the
-/// next completion time is exact.
-///
-/// Because completions move when new flows arrive, the pipe carries a
-/// `version` counter: schedule a wake-up event stamped with the current
-/// version and ignore it if stale.
+/// The pipe divides its capacity among active flows by max–min fairness:
+/// flows whose cap is below their equal share get their cap, and the
+/// residue is shared equally among the rest. Rates are piecewise-constant
+/// between flow arrivals/departures, so the next completion time is exact.
 #[derive(Debug, Clone)]
 pub struct FairPipe {
     capacity: f64, // bytes/sec
     flows: Vec<Flow>,
     last_update: SimTime,
     next_id: u64,
-    version: u64,
     bytes_moved: f64,
 }
 
@@ -142,24 +118,13 @@ impl FairPipe {
             flows: Vec::new(),
             last_update: SimTime::ZERO,
             next_id: 0,
-            version: 0,
             bytes_moved: 0.0,
         }
-    }
-
-    /// Pipe capacity in bytes/second.
-    pub fn capacity(&self) -> f64 {
-        self.capacity
     }
 
     /// Number of currently active flows.
     pub fn active(&self) -> usize {
         self.flows.len()
-    }
-
-    /// Monotonic version; bumps on every state change.
-    pub fn version(&self) -> u64 {
-        self.version
     }
 
     /// Total bytes transferred through the pipe so far (as of last update).
@@ -170,21 +135,6 @@ impl FairPipe {
     /// Start a flow of `bytes` at `now`; `rate_cap` limits the flow's share
     /// (pass `f64::INFINITY` for no cap). Returns the flow id.
     pub fn start(&mut self, now: SimTime, bytes: u64, rate_cap: f64) -> FlowId {
-        self.start_weighted(now, bytes, rate_cap, 1.0)
-    }
-
-    /// Start a flow with an explicit fair-share `weight`: under contention
-    /// the flow's rate is proportional to its weight among the unfixed
-    /// flows (weighted max–min, still honoring `rate_cap`). `start` is the
-    /// weight-1 special case. Non-positive or non-finite weights are
-    /// treated as 1.
-    pub fn start_weighted(
-        &mut self,
-        now: SimTime,
-        bytes: u64,
-        rate_cap: f64,
-        weight: f64,
-    ) -> FlowId {
         self.advance_to(now);
         let id = FlowId(self.next_id);
         self.next_id += 1;
@@ -196,15 +146,9 @@ impl FairPipe {
             } else {
                 f64::INFINITY
             },
-            weight: if weight.is_finite() && weight > 0.0 {
-                weight
-            } else {
-                1.0
-            },
             rate: 0.0,
         });
         self.recompute_rates();
-        self.version += 1;
         id
     }
 
@@ -228,7 +172,6 @@ impl FairPipe {
         });
         if !done.is_empty() {
             self.recompute_rates();
-            self.version += 1;
         }
         done
     }
@@ -271,30 +214,26 @@ impl FairPipe {
         self.last_update = now;
     }
 
-    /// Weighted max–min fair allocation with per-flow caps (water-filling).
+    /// Max–min fair allocation with per-flow caps (water-filling).
     fn recompute_rates(&mut self) {
         let n = self.flows.len();
         if n == 0 {
             return;
         }
-        // Iterate: a flow whose cap is below its weighted share gets its
-        // cap; the residue is re-divided among the rest in proportion to
-        // their weights. Terminates in at most n rounds because each round
-        // fixes at least one flow.
+        // Iterate: a flow whose cap is below its equal share gets its cap;
+        // the residue is re-divided among the rest. Terminates in at most n
+        // rounds because each round fixes at least one flow.
         let mut fixed = vec![false; n];
         let mut remaining_cap = self.capacity;
-        let mut unfixed_weight: f64 = self.flows.iter().map(|f| f.weight).sum();
-        loop {
-            if unfixed_weight <= 0.0 {
-                break;
-            }
-            let per_weight = remaining_cap / unfixed_weight;
+        let mut unfixed = n;
+        while unfixed > 0 {
+            let share = remaining_cap / unfixed as f64;
             let mut changed = false;
             for (i, f) in self.flows.iter_mut().enumerate() {
-                if !fixed[i] && f.rate_cap <= per_weight * f.weight {
+                if !fixed[i] && f.rate_cap <= share {
                     f.rate = f.rate_cap;
                     remaining_cap -= f.rate_cap;
-                    unfixed_weight -= f.weight;
+                    unfixed -= 1;
                     fixed[i] = true;
                     changed = true;
                 }
@@ -302,7 +241,7 @@ impl FairPipe {
             if !changed {
                 for (i, f) in self.flows.iter_mut().enumerate() {
                     if !fixed[i] {
-                        f.rate = per_weight * f.weight;
+                        f.rate = share;
                     }
                 }
                 break;
@@ -327,7 +266,7 @@ mod tests {
         // Arrives after idle gap: starts immediately.
         let (c0, _) = s.occupy(SimTime::from_nanos(100), SimTime::from_nanos(1));
         assert_eq!(c0.as_nanos(), 100);
-        assert_eq!(s.backlog(SimTime::from_nanos(100)).as_nanos(), 1);
+        assert_eq!(s.free_at().as_nanos(), 101);
     }
 
     #[test]
@@ -347,9 +286,11 @@ mod tests {
     #[test]
     fn calendar_queue_min_one_server() {
         let mut q = CalendarQueue::new(0);
-        assert_eq!(q.servers(), 1);
         let (_, e) = q.request(SimTime::ZERO, SimTime::from_nanos(1));
         assert_eq!(e.as_nanos(), 1);
+        // One server: a second request queues behind the first.
+        let (s2, _) = q.request(SimTime::ZERO, SimTime::from_nanos(1));
+        assert_eq!(s2.as_nanos(), 1);
     }
 
     #[test]
@@ -404,58 +345,6 @@ mod tests {
         let t = p.next_completion().unwrap();
         assert!(t.as_nanos().abs_diff(NS_PER_SEC) <= 1, "{t}");
         // Both finish at 1s (within a tick).
-        assert_eq!(p.collect_completions(t).len(), 2);
-    }
-
-    #[test]
-    fn fair_pipe_version_bumps_on_change() {
-        let mut p = FairPipe::new(10.0);
-        let v0 = p.version();
-        p.start(SimTime::ZERO, 10, f64::INFINITY);
-        assert!(p.version() > v0);
-        let v1 = p.version();
-        let t = p.next_completion().unwrap();
-        p.collect_completions(t);
-        assert!(p.version() > v1);
-    }
-
-    #[test]
-    fn weighted_flows_split_capacity_proportionally() {
-        let mut p = FairPipe::new(90.0);
-        // Weight 2 gets 60 B/s, weight 1 gets 30 B/s.
-        let heavy = p.start_weighted(SimTime::ZERO, 120, f64::INFINITY, 2.0);
-        let light = p.start_weighted(SimTime::ZERO, 120, f64::INFINITY, 1.0);
-        // heavy finishes at 2s; light has 60 bytes left, then runs at the
-        // full 90 B/s: 2 + 60/90 = 2.667s.
-        let t = p.next_completion().unwrap();
-        assert!(t.as_nanos().abs_diff(2 * NS_PER_SEC) <= 1, "{t}");
-        assert_eq!(p.collect_completions(t), vec![heavy]);
-        let t2 = p.next_completion().unwrap();
-        let expect = SimTime::from_secs_f64(2.0 + 60.0 / 90.0);
-        assert!(t2.as_nanos().abs_diff(expect.as_nanos()) <= 2, "{t2}");
-        assert_eq!(p.collect_completions(t2), vec![light]);
-    }
-
-    #[test]
-    fn weighted_flow_still_honors_rate_cap() {
-        let mut p = FairPipe::new(100.0);
-        // Weight 9 would earn 90 B/s but is capped at 20; the weight-1
-        // flow absorbs the residue (80 B/s).
-        p.start_weighted(SimTime::ZERO, 20, 20.0, 9.0);
-        p.start_weighted(SimTime::ZERO, 80, f64::INFINITY, 1.0);
-        let t = p.next_completion().unwrap();
-        assert!(t.as_nanos().abs_diff(NS_PER_SEC) <= 1, "{t}");
-        assert_eq!(p.collect_completions(t).len(), 2);
-    }
-
-    #[test]
-    fn nonpositive_weight_falls_back_to_one() {
-        let mut p = FairPipe::new(100.0);
-        p.start_weighted(SimTime::ZERO, 50, f64::INFINITY, 0.0);
-        p.start_weighted(SimTime::ZERO, 50, f64::INFINITY, f64::NAN);
-        // Both behave as weight 1: equal 50 B/s shares, both done at 1s.
-        let t = p.next_completion().unwrap();
-        assert!(t.as_nanos().abs_diff(NS_PER_SEC) <= 1, "{t}");
         assert_eq!(p.collect_completions(t).len(), 2);
     }
 

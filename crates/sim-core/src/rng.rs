@@ -26,15 +26,8 @@ impl SimRng {
         }
     }
 
-    /// Derive an independent child stream, e.g. one per subsystem, so that
-    /// adding draws in one model does not perturb another.
-    pub fn fork(&mut self, stream: u64) -> SimRng {
-        let base = self.next_u64();
-        SimRng::new(base ^ stream.wrapping_mul(0xA24B_AED4_963E_E407))
-    }
-
     /// Next raw 64-bit value.
-    pub fn next_u64(&mut self) -> u64 {
+    pub(crate) fn next_u64(&mut self) -> u64 {
         // SplitMix64 (Steele, Lea, Flood 2014).
         self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
         let mut z = self.state;
@@ -44,7 +37,7 @@ impl SimRng {
     }
 
     /// Uniform in `[0, 1)`.
-    pub fn uniform(&mut self) -> f64 {
+    pub(crate) fn uniform(&mut self) -> f64 {
         // 53 random bits into the mantissa.
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
@@ -54,20 +47,13 @@ impl SimRng {
         lo + (hi - lo) * self.uniform()
     }
 
-    /// Uniform integer in [0, n). `n` must be nonzero.
-    pub fn below(&mut self, n: u64) -> u64 {
-        debug_assert!(n > 0);
-        // Multiply-shift; bias is negligible for the model's n (« 2^64).
-        ((self.next_u64() as u128 * n as u128) >> 64) as u64
-    }
-
     /// Bernoulli draw with probability `p` (clamped to `[0,1]`).
     pub fn chance(&mut self, p: f64) -> bool {
         self.uniform() < p.clamp(0.0, 1.0)
     }
 
     /// Standard normal via Box–Muller.
-    pub fn standard_normal(&mut self) -> f64 {
+    pub(crate) fn standard_normal(&mut self) -> f64 {
         // u in (0,1] to keep ln() finite.
         let u = 1.0 - self.uniform();
         let v = self.uniform();
@@ -105,23 +91,6 @@ mod tests {
     }
 
     #[test]
-    fn fork_streams_are_independent_of_parent_consumption() {
-        // Forking consumes exactly one parent draw, so a fork at the same
-        // parent position yields the same child stream.
-        let mut p1 = SimRng::new(7);
-        let mut p2 = SimRng::new(7);
-        let mut c1 = p1.fork(3);
-        let mut c2 = p2.fork(3);
-        for _ in 0..100 {
-            assert_eq!(c1.next_u64(), c2.next_u64());
-        }
-        // Different stream ids differ.
-        let mut p3 = SimRng::new(7);
-        let mut c3 = p3.fork(4);
-        assert_ne!(c1.next_u64(), c3.next_u64());
-    }
-
-    #[test]
     fn uniform_in_unit_interval_and_roughly_centered() {
         let mut r = SimRng::new(99);
         let n = 20_000;
@@ -133,18 +102,6 @@ mod tests {
         }
         let mean = sum / n as f64;
         assert!((mean - 0.5).abs() < 0.01, "mean={mean}");
-    }
-
-    #[test]
-    fn below_stays_in_range_and_hits_all_buckets() {
-        let mut r = SimRng::new(5);
-        let mut seen = [false; 8];
-        for _ in 0..1000 {
-            let x = r.below(8) as usize;
-            assert!(x < 8);
-            seen[x] = true;
-        }
-        assert!(seen.iter().all(|&s| s));
     }
 
     #[test]

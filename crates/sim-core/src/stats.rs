@@ -2,81 +2,40 @@
 
 use crate::time::SimTime;
 
-/// Online mean/variance/min/max accumulator (Welford's algorithm).
+/// Online mean accumulator (Welford's update).
 #[derive(Debug, Clone, Default)]
-pub struct OnlineStats {
+pub(crate) struct OnlineStats {
     n: u64,
     mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
 }
 
 impl OnlineStats {
     /// An empty accumulator.
-    pub fn new() -> Self {
-        OnlineStats {
-            n: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
+    pub(crate) fn new() -> Self {
+        OnlineStats::default()
     }
 
     /// Add one observation.
-    pub fn push(&mut self, x: f64) {
+    pub(crate) fn push(&mut self, x: f64) {
         self.n += 1;
         let d = x - self.mean;
         self.mean += d / self.n as f64;
-        self.m2 += d * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.n
     }
 
     /// Sample mean (0 when empty).
-    pub fn mean(&self) -> f64 {
+    pub(crate) fn mean(&self) -> f64 {
         if self.n == 0 {
             0.0
         } else {
             self.mean
         }
     }
-
-    /// Population variance (0 for fewer than two observations).
-    pub fn variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / self.n as f64
-        }
-    }
-
-    /// Population standard deviation.
-    pub fn stddev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Minimum observation (`+inf` when empty).
-    pub fn min(&self) -> f64 {
-        self.min
-    }
-
-    /// Maximum observation (`-inf` when empty).
-    pub fn max(&self) -> f64 {
-        self.max
-    }
 }
 
 /// Percentile of a sample set by linear interpolation between order
 /// statistics (the "exclusive" definition is unnecessary at our sample
 /// sizes). `q` in `[0,1]`. Returns `None` on an empty slice.
-pub fn percentile(sorted: &[f64], q: f64) -> Option<f64> {
+pub(crate) fn percentile(sorted: &[f64], q: f64) -> Option<f64> {
     if sorted.is_empty() {
         return None;
     }
@@ -136,55 +95,6 @@ impl TimingSummary {
     }
 }
 
-/// Fixed-width histogram over [lo, hi) with `bins` buckets; out-of-range
-/// observations clamp into the edge buckets (so counts are never lost).
-#[derive(Debug, Clone)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    counts: Vec<u64>,
-}
-
-impl Histogram {
-    /// A histogram over [lo, hi) with `bins` buckets (at least one).
-    pub fn new(lo: f64, hi: f64, bins: usize) -> Self {
-        assert!(hi > lo, "histogram range must be nonempty");
-        Histogram {
-            lo,
-            hi,
-            counts: vec![0; bins.max(1)],
-        }
-    }
-
-    /// Record one observation.
-    pub fn push(&mut self, x: f64) {
-        let bins = self.counts.len();
-        let frac = (x - self.lo) / (self.hi - self.lo);
-        let idx = ((frac * bins as f64).floor() as i64).clamp(0, bins as i64 - 1) as usize;
-        self.counts[idx] += 1;
-    }
-
-    /// Bucket counts.
-    pub fn counts(&self) -> &[u64] {
-        &self.counts
-    }
-
-    /// Total observations.
-    pub fn total(&self) -> u64 {
-        self.counts.iter().sum()
-    }
-
-    /// `(bucket_midpoint, count)` pairs, for plotting.
-    pub fn midpoints(&self) -> Vec<(f64, u64)> {
-        let w = (self.hi - self.lo) / self.counts.len() as f64;
-        self.counts
-            .iter()
-            .enumerate()
-            .map(|(i, &c)| (self.lo + w * (i as f64 + 0.5), c))
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -195,19 +105,13 @@ mod tests {
         for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
             s.push(x);
         }
-        assert_eq!(s.count(), 8);
         assert!((s.mean() - 5.0).abs() < 1e-12);
-        assert!((s.variance() - 4.0).abs() < 1e-12);
-        assert!((s.stddev() - 2.0).abs() < 1e-12);
-        assert_eq!(s.min(), 2.0);
-        assert_eq!(s.max(), 9.0);
     }
 
     #[test]
     fn empty_stats_are_safe() {
         let s = OnlineStats::new();
         assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.variance(), 0.0);
     }
 
     #[test]
@@ -228,20 +132,5 @@ mod tests {
         assert!((s.max_s - 0.100).abs() < 1e-9);
         assert!((s.median_s - 0.0505).abs() < 1e-6);
         assert!(TimingSummary::from_times(&[]).is_none());
-    }
-
-    #[test]
-    fn histogram_clamps_out_of_range() {
-        let mut h = Histogram::new(0.0, 10.0, 10);
-        h.push(-5.0);
-        h.push(15.0);
-        h.push(5.0);
-        assert_eq!(h.counts()[0], 1);
-        assert_eq!(h.counts()[9], 1);
-        assert_eq!(h.counts()[5], 1);
-        assert_eq!(h.total(), 3);
-        let mids = h.midpoints();
-        assert_eq!(mids.len(), 10);
-        assert!((mids[0].0 - 0.5).abs() < 1e-12);
     }
 }

@@ -23,7 +23,7 @@ impl SimTime {
     /// Time zero — the start of the simulation.
     pub const ZERO: SimTime = SimTime(0);
     /// The greatest representable time; useful as an "infinity" sentinel.
-    pub const MAX: SimTime = SimTime(u64::MAX);
+    pub(crate) const MAX: SimTime = SimTime(u64::MAX);
 
     /// Construct from whole nanoseconds.
     #[inline]
@@ -78,26 +78,6 @@ impl SimTime {
     #[inline]
     pub fn saturating_add(self, other: SimTime) -> SimTime {
         SimTime(self.0.saturating_add(other.0))
-    }
-
-    /// The later of two times.
-    #[inline]
-    pub fn max(self, other: SimTime) -> SimTime {
-        if self.0 >= other.0 {
-            self
-        } else {
-            other
-        }
-    }
-
-    /// The earlier of two times.
-    #[inline]
-    pub fn min(self, other: SimTime) -> SimTime {
-        if self.0 <= other.0 {
-            self
-        } else {
-            other
-        }
     }
 }
 

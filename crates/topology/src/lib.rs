@@ -16,8 +16,8 @@
 
 #![forbid(unsafe_code)]
 
-pub mod partition;
-pub mod torus;
+pub(crate) mod partition;
+pub(crate) mod torus;
 
 pub use partition::{PartitionSpec, Pset};
 pub use torus::{Coord, LinkId, NodeId, Torus3d, NUM_DIRS};

@@ -18,9 +18,9 @@ pub struct PartitionSpec {
     /// The torus of compute nodes.
     pub torus: Torus3d,
     /// MPI ranks per node (4 in VN mode, 1 in SMP mode).
-    pub ranks_per_node: u32,
+    pub(crate) ranks_per_node: u32,
     /// Compute nodes per pset (64 on Intrepid).
-    pub nodes_per_pset: u32,
+    pub(crate) nodes_per_pset: u32,
 }
 
 impl PartitionSpec {
@@ -58,7 +58,7 @@ impl PartitionSpec {
     }
 
     /// Number of compute nodes.
-    pub fn num_nodes(&self) -> u32 {
+    pub(crate) fn num_nodes(&self) -> u32 {
         self.torus.num_nodes()
     }
 
@@ -92,7 +92,7 @@ impl PartitionSpec {
     }
 
     /// The pset containing `node`.
-    pub fn pset_of_node(&self, node: NodeId) -> Pset {
+    pub(crate) fn pset_of_node(&self, node: NodeId) -> Pset {
         Pset(node.0 / self.nodes_per_pset)
     }
 

@@ -52,7 +52,7 @@ impl Torus3d {
     }
 
     /// Coordinate of a node id (x varies fastest).
-    pub fn coord(&self, n: NodeId) -> Coord {
+    pub(crate) fn coord(&self, n: NodeId) -> Coord {
         let [dx, dy, _] = self.dims;
         debug_assert!(n.0 < self.num_nodes());
         Coord {
@@ -70,7 +70,7 @@ impl Torus3d {
     }
 
     /// The outgoing link of `n` in direction `dir` (see [`LinkId`] encoding).
-    pub fn link(&self, n: NodeId, dir: u32) -> LinkId {
+    pub(crate) fn link(&self, n: NodeId, dir: u32) -> LinkId {
         debug_assert!(dir < NUM_DIRS);
         LinkId(n.0 * NUM_DIRS + dir)
     }

@@ -60,7 +60,7 @@ pub struct BoundModel {
 impl BoundModel {
     /// Build the floors from the machine model under test. `durable`
     /// selects the durable-completion objective (tier drain included).
-    pub fn new(cfg: &MachineConfig, np: u32, total_bytes: u64, durable: bool) -> Self {
+    pub(crate) fn new(cfg: &MachineConfig, np: u32, total_bytes: u64, durable: bool) -> Self {
         BoundModel {
             total_bytes: total_bytes as f64,
             np: np as f64,
@@ -126,7 +126,7 @@ impl BoundModel {
     }
 
     /// Lower bound for a single candidate.
-    pub fn point_bound(&self, c: &Candidate) -> f64 {
+    pub(crate) fn point_bound(&self, c: &Candidate) -> f64 {
         self.interval_bound(c.strategy, c.nf, c.nf)
     }
 }

@@ -27,7 +27,7 @@ use crate::space::{Candidate, StrategyKind};
 /// Memoization key: all cost-relevant knobs, masked per the module
 /// docs. `Hash + Eq` by value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct CanonKey {
+pub(crate) struct CanonKey {
     strategy: StrategyKind,
     nf: u32,
     pipeline_depth: u32,
@@ -40,7 +40,7 @@ pub struct CanonKey {
 /// Plan-cache key: the knobs that shape the compiled `Program` (layout
 /// and prefix are fixed per oracle, so they live outside the key).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct PlanKey {
+pub(crate) struct PlanKey {
     strategy: StrategyKind,
     nf: u32,
     writer_buffer: u64,
@@ -59,7 +59,7 @@ fn plan_fields(c: &Candidate) -> (u32, u64, u64, bool) {
 
 /// The memoization key of `c` on a machine with (`has_tier`) or without
 /// a staging tier.
-pub fn canon_key(c: &Candidate, has_tier: bool) -> CanonKey {
+pub(crate) fn canon_key(c: &Candidate, has_tier: bool) -> CanonKey {
     let (nf, writer_buffer, cb_buffer, coalesce_fields) = plan_fields(c);
     let tier_drain_bw = if has_tier { c.tier_drain_bw } else { None };
     // Tier path bypasses the flush pipeline; depth is moot.
@@ -76,7 +76,7 @@ pub fn canon_key(c: &Candidate, has_tier: bool) -> CanonKey {
 }
 
 /// The plan-cache key of `c` (machine knobs excluded by construction).
-pub fn plan_key(c: &Candidate) -> PlanKey {
+pub(crate) fn plan_key(c: &Candidate) -> PlanKey {
     let (nf, writer_buffer, cb_buffer, coalesce_fields) = plan_fields(c);
     PlanKey {
         strategy: c.strategy,

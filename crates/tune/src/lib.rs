@@ -26,15 +26,13 @@
 
 #![forbid(unsafe_code)]
 
-pub mod bound;
-pub mod canon;
-pub mod oracle;
-pub mod plan_out;
-pub mod solver;
-pub mod space;
+pub(crate) mod bound;
+pub(crate) mod canon;
+pub(crate) mod oracle;
+pub(crate) mod plan_out;
+pub(crate) mod solver;
+pub(crate) mod space;
 
-pub use bound::BoundModel;
-pub use canon::{canon_key, plan_key, CanonKey, PlanKey};
 pub use oracle::{Env, MachineOracle, Objective, Workload};
 pub use plan_out::{PlanError, TunedPlan};
 pub use solver::{exhaustive, search, SearchConfig, SearchOutcome};

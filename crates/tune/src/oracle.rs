@@ -75,9 +75,9 @@ impl Objective {
 #[derive(Debug, Clone)]
 pub struct Workload {
     /// MPI ranks.
-    pub np: u32,
+    pub(crate) np: u32,
     /// (field name, bytes per rank) pairs.
-    pub fields: Vec<(String, u64)>,
+    pub(crate) fields: Vec<(String, u64)>,
     /// Checkpoint file prefix.
     pub prefix: String,
 }
@@ -86,7 +86,7 @@ impl Workload {
     /// The paper's weak-scaling workload at `np` ranks: ~2.38 MB per
     /// rank (39 GB at 16Ki), split evenly over the six NekCEM fields.
     /// Matches `rbio-bench`'s `paper_case(np).layout()` byte-for-byte.
-    pub fn paper(np: u32) -> Self {
+    pub(crate) fn paper(np: u32) -> Self {
         let per_rank = 39_000_000_000u64 / 16384;
         let per_field = per_rank / rbio_nekcem::workload::FIELD_NAMES.len() as u64;
         Workload {
@@ -100,13 +100,13 @@ impl Workload {
     }
 
     /// The layout the planner compiles against.
-    pub fn layout(&self) -> DataLayout {
+    pub(crate) fn layout(&self) -> DataLayout {
         let fields: Vec<(&str, u64)> = self.fields.iter().map(|(n, b)| (n.as_str(), *b)).collect();
         DataLayout::uniform(self.np, &fields)
     }
 
     /// Total checkpoint bytes across all ranks.
-    pub fn total_bytes(&self) -> u64 {
+    pub(crate) fn total_bytes(&self) -> u64 {
         let per_rank: u64 = self.fields.iter().map(|(_, b)| b).sum();
         per_rank * u64::from(self.np)
     }
@@ -121,11 +121,11 @@ pub struct Env {
     /// Base machine model, flush-call cost included. Candidate machine
     /// knobs (pipeline depth, tier drain rate) are applied on top per
     /// evaluation ([`Candidate::machine_config`]).
-    pub machine: MachineConfig,
+    pub(crate) machine: MachineConfig,
     /// Workload to checkpoint.
     pub workload: Workload,
     /// Seeds to simulate per evaluation; cost is the upper median.
-    pub seeds: Vec<u64>,
+    pub(crate) seeds: Vec<u64>,
     /// What to minimize.
     pub objective: Objective,
 }
@@ -165,7 +165,7 @@ impl Env {
     }
 
     /// Intrepid hardware over a PVFS-profile filesystem (no locking).
-    pub fn pvfs(np: u32) -> Self {
+    pub(crate) fn pvfs(np: u32) -> Self {
         let mut e = Env::intrepid(np);
         e.label = "pvfs".to_string();
         e.machine.fs.profile = FsProfile::Pvfs;
@@ -254,12 +254,12 @@ impl MachineOracle {
     }
 
     /// Unique simulations run so far (cache misses).
-    pub fn evals(&self) -> u64 {
+    pub(crate) fn evals(&self) -> u64 {
         self.evals.load(Ordering::Relaxed)
     }
 
     /// Queries answered from the memo cache.
-    pub fn memo_hits(&self) -> u64 {
+    pub(crate) fn memo_hits(&self) -> u64 {
         self.memo_hits.load(Ordering::Relaxed)
     }
 
@@ -292,7 +292,7 @@ impl MachineOracle {
 
     /// The machine variant a candidate runs on: env base plus the
     /// candidate's machine knobs, profiling off.
-    pub fn machine_for(&self, c: &Candidate) -> MachineConfig {
+    pub(crate) fn machine_for(&self, c: &Candidate) -> MachineConfig {
         MachineConfig {
             profile: ProfileLevel::Off,
             ..c.machine_config(&self.env.machine)
@@ -346,7 +346,7 @@ impl MachineOracle {
 
     /// Cost a batch. Memo hits are free; unique misses are sharded
     /// across the thread pool, each worker reusing its own [`SimArena`].
-    pub fn cost_batch(&self, cands: &[Candidate]) -> Vec<f64> {
+    pub(crate) fn cost_batch(&self, cands: &[Candidate]) -> Vec<f64> {
         let started = Instant::now();
         let has_tier = self.env.has_tier();
         let mut out = vec![f64::NAN; cands.len()];

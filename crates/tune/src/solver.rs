@@ -26,13 +26,13 @@ use rbio_profile::counters as telemetry;
 #[derive(Debug, Clone, Copy)]
 pub struct SearchConfig {
     /// Max coordinate-descent passes over all knobs.
-    pub max_rounds: usize,
+    pub(crate) max_rounds: usize,
     /// Random perturbations after descent converges.
-    pub local_steps: usize,
+    pub(crate) local_steps: usize,
     /// Seed for the local-search RNG (deterministic search).
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// Hard cap on oracle evaluations (`None` = unlimited).
-    pub max_evals: Option<u64>,
+    pub(crate) max_evals: Option<u64>,
 }
 
 impl Default for SearchConfig {

@@ -47,7 +47,7 @@ impl Candidate {
     /// the flush-call cost included, is `base`'s. The oracle and
     /// [`crate::TunedPlan::machine_config`] both overlay through this,
     /// so an exported plan prices what the search priced.
-    pub fn machine_config(&self, base: &MachineConfig) -> MachineConfig {
+    pub(crate) fn machine_config(&self, base: &MachineConfig) -> MachineConfig {
         let mut m = base.clone();
         m.pipeline_depth = self.pipeline_depth;
         if let Some(base_tier) = &base.tier {
@@ -87,7 +87,7 @@ pub const ALL_KNOBS: [Knob; 7] = [
 
 impl Knob {
     /// Short stable name, used in search history lines and JSON.
-    pub fn name(&self) -> &'static str {
+    pub(crate) fn name(&self) -> &'static str {
         match self {
             Knob::Strategy => "strategy",
             Knob::Nf => "nf",
@@ -110,7 +110,7 @@ pub struct Space {
     pub writer_buffer: Vec<u64>,
     pub cb_buffer: Vec<u64>,
     pub coalesce_fields: Vec<bool>,
-    pub tier_drain_bw: Vec<Option<u64>>,
+    pub(crate) tier_drain_bw: Vec<Option<u64>>,
 }
 
 impl Space {
@@ -147,7 +147,7 @@ impl Space {
     }
 
     /// All axes non-empty and nf values positive?
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         macro_rules! nonempty {
             ($f:ident) => {
                 if self.$f.is_empty() {
@@ -172,7 +172,7 @@ impl Space {
     }
 
     /// Number of values on one axis.
-    pub fn axis_len(&self, k: Knob) -> usize {
+    pub(crate) fn axis_len(&self, k: Knob) -> usize {
         match k {
             Knob::Strategy => self.strategies.len(),
             Knob::Nf => self.nf.len(),
@@ -191,7 +191,7 @@ impl Space {
     }
 
     /// `c` with axis `k` set to its `idx`-th value.
-    pub fn with_axis(&self, c: &Candidate, k: Knob, idx: usize) -> Candidate {
+    pub(crate) fn with_axis(&self, c: &Candidate, k: Knob, idx: usize) -> Candidate {
         let mut out = *c;
         match k {
             Knob::Strategy => out.strategy = self.strategies[idx],
@@ -225,7 +225,7 @@ impl Space {
 
     /// The full cross product, for exhaustive sweeps. Guarded: panics
     /// over 1M points (an exhaustive sweep that size is a bug).
-    pub fn enumerate(&self) -> Vec<Candidate> {
+    pub(crate) fn enumerate(&self) -> Vec<Candidate> {
         let n = self.size();
         assert!(n <= 1_000_000, "exhaustive enumeration of {n} points");
         let mut out = Vec::with_capacity(n as usize);

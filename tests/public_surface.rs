@@ -1,5 +1,6 @@
-//! The crate's public surface is pinned: every non-test `pub` item under
-//! `src/`, one `kind path` line each, must equal `public_items.txt`.
+//! Every library crate's public surface is pinned: the non-test `pub`
+//! items under `crates/<dir>/src` (its `src/bin` targets excluded), one
+//! `kind path` line each, must equal `crates/<dir>/public_items.txt`.
 //!
 //! The scan is line-based over rustfmt'd source. A file's items are
 //! named by its module path (`exec/mod.rs` → `exec`, `lib.rs` → the
@@ -8,8 +9,8 @@
 //! `#[cfg(test)] mod tests`. An item behind `#[cfg(test)]` is not surface.
 //!
 //! A change that adds or removes a `pub` item fails here with the lines
-//! that differ; it updates `public_items.txt` by hand, so the diff of a
-//! change that widens the surface shows it.
+//! that differ, per crate; it updates that crate's `public_items.txt` by
+//! hand, so the diff of a change that widens a surface shows it.
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -20,6 +21,25 @@ const KINDS: [&str; 9] = [
     "fn", "struct", "enum", "trait", "type", "const", "static", "mod", "use",
 ];
 
+/// The pinned library crates, by directory under `crates/`. `check` is
+/// a tool whose library only its own binaries and tests use.
+const CRATES: [&str; 12] = [
+    "bench",
+    "core",
+    "gpfs",
+    "machine",
+    "mpiio",
+    "nekcem",
+    "netsim",
+    "plan",
+    "profiling",
+    "sim-core",
+    "topology",
+    "tune",
+];
+
+/// The `.rs` files under `dir`, sorted, skipping `src/bin` (binary
+/// targets, not library surface).
 fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
     let mut entries: Vec<_> = std::fs::read_dir(dir)
         .expect("read src dir")
@@ -28,6 +48,9 @@ fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
     entries.sort();
     for p in entries {
         if p.is_dir() {
+            if p.file_name().is_some_and(|n| n == "bin") {
+                continue;
+            }
             rust_files(&p, out);
         } else if p.extension().is_some_and(|e| e == "rs") {
             out.push(p);
@@ -162,8 +185,8 @@ fn scan(module: &str, text: &str, out: &mut BTreeSet<String>) {
     }
 }
 
-fn surface() -> BTreeSet<String> {
-    let src = Path::new(env!("CARGO_MANIFEST_DIR")).join("src");
+fn surface(krate: &Path) -> BTreeSet<String> {
+    let src = krate.join("src");
     let mut files = Vec::new();
     rust_files(&src, &mut files);
     let mut out = BTreeSet::new();
@@ -175,28 +198,36 @@ fn surface() -> BTreeSet<String> {
 }
 
 #[test]
-fn the_public_surface_is_the_pinned_list() {
-    let pinned_path = Path::new(env!("CARGO_MANIFEST_DIR")).join("public_items.txt");
-    let pinned_text = std::fs::read_to_string(&pinned_path).expect("read public_items.txt");
-    let pinned: BTreeSet<String> = pinned_text
-        .lines()
-        .map(str::trim)
-        .filter(|l| !l.is_empty() && !l.starts_with('#'))
-        .map(str::to_owned)
-        .collect();
-    let found = surface();
-    let added: Vec<_> = found.difference(&pinned).collect();
-    let removed: Vec<_> = pinned.difference(&found).collect();
-    if !added.is_empty() || !removed.is_empty() {
-        let mut msg = String::from("the public surface differs from public_items.txt:\n");
-        for l in &added {
-            msg.push_str(&format!("+ {l}\n"));
+fn every_public_surface_is_its_pinned_list() {
+    let crates = Path::new(env!("CARGO_MANIFEST_DIR")).join("crates");
+    let mut msg = String::new();
+    for dir in CRATES {
+        let krate = crates.join(dir);
+        let pinned_path = krate.join("public_items.txt");
+        let pinned_text = std::fs::read_to_string(&pinned_path)
+            .unwrap_or_else(|e| panic!("read crates/{dir}/public_items.txt: {e}"));
+        let pinned: BTreeSet<String> = pinned_text
+            .lines()
+            .map(str::trim)
+            .filter(|l| !l.is_empty() && !l.starts_with('#'))
+            .map(str::to_owned)
+            .collect();
+        let found = surface(&krate);
+        let added: Vec<_> = found.difference(&pinned).collect();
+        let removed: Vec<_> = pinned.difference(&found).collect();
+        if !added.is_empty() || !removed.is_empty() {
+            msg.push_str(&format!(
+                "the public surface differs from crates/{dir}/public_items.txt:\n"
+            ));
+            for l in &added {
+                msg.push_str(&format!("+ {l}\n"));
+            }
+            for l in &removed {
+                msg.push_str(&format!("- {l}\n"));
+            }
         }
-        for l in &removed {
-            msg.push_str(&format!("- {l}\n"));
-        }
-        panic!("{msg}");
     }
+    assert!(msg.is_empty(), "{msg}");
 }
 
 #[test]
