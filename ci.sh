@@ -143,8 +143,8 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== rustdoc (warnings are errors) =="
 # Public docs must not link crate-private items: a demoted item's link
-# fails here.
-RUSTDOCFLAGS="-D warnings" cargo doc -p rbio --no-deps
+# fails here, in every workspace crate.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 echo "== fmt =="
 cargo fmt --check

@@ -140,21 +140,32 @@ fn parse_args() -> Result<Args, String> {
 
 /// Build a one-generation tiered+burst directory, tear a payload byte,
 /// and time a repairing scrub over it: proves the repair path works in
-/// this build and yields a throughput figure for the bench artifact.
+/// this build and yields a throughput figure for the bench artifact. The
+/// burst copy sits on another filesystem, so it is a copy, not a link.
 fn scrub_selftest(work: &std::path::Path) -> Result<(u64, u64, f64), String> {
+    let root = work.join("scrub-selftest");
+    let _ = std::fs::remove_dir_all(&root);
+    let pfs = root.join("pfs");
+    let burst = rbio_check::separate_burst_dir(&pfs, "scrub-selftest")?;
+    let stats = scrub_selftest_in(&root, &pfs, &burst);
+    let _ = std::fs::remove_dir_all(&burst);
+    stats
+}
+
+fn scrub_selftest_in(
+    root: &std::path::Path,
+    pfs: &std::path::Path,
+    burst: &std::path::Path,
+) -> Result<(u64, u64, f64), String> {
     use rbio::layout::DataLayout;
     use rbio::manager::{CheckpointManager, ManagerConfig};
     use rbio::tier::TierConfig;
 
-    let root = work.join("scrub-selftest");
-    let _ = std::fs::remove_dir_all(&root);
-    let pfs = root.join("pfs");
-    let burst = root.join("burst");
     let layout = DataLayout::uniform(4, &[("u", 4096), ("v", 1024)]);
-    let mut cfg = ManagerConfig::new(&pfs, Strategy::rbio(2));
+    let mut cfg = ManagerConfig::new(pfs, Strategy::rbio(2));
     cfg.tier = Some(
         TierConfig::new(root.join("local"))
-            .burst_dir(&burst)
+            .burst_dir(burst)
             .slab_capacity(1 << 22),
     );
     let mgr = CheckpointManager::new(layout, cfg).map_err(|e| format!("manager: {e}"))?;
@@ -168,7 +179,7 @@ fn scrub_selftest(work: &std::path::Path) -> Result<(u64, u64, f64), String> {
     drop(mgr);
 
     // Tear one payload byte past the header.
-    let victim = std::fs::read_dir(&pfs)
+    let victim = std::fs::read_dir(pfs)
         .map_err(|e| format!("pfs dir: {e}"))?
         .filter_map(|e| e.ok().map(|e| e.path()))
         .find(|p| p.extension().is_some_and(|e| e == "rbio"))
@@ -179,8 +190,8 @@ fn scrub_selftest(work: &std::path::Path) -> Result<(u64, u64, f64), String> {
     torn[mid] ^= 0xff;
     std::fs::write(&victim, &torn).map_err(|e| format!("tear: {e}"))?;
 
-    let mut scfg = ScrubConfig::new(&pfs);
-    scfg.burst_dir = Some(burst);
+    let mut scfg = ScrubConfig::new(pfs);
+    scfg.burst_dir = Some(burst.to_path_buf());
     scfg.repair = true;
     let t0 = Instant::now();
     let report = scrub(&scfg).map_err(|e| format!("scrub: {e}"))?;
@@ -195,7 +206,7 @@ fn scrub_selftest(work: &std::path::Path) -> Result<(u64, u64, f64), String> {
         return Err("selftest repair was not byte-identical".into());
     }
     let throughput = report.bytes_verified as f64 / elapsed.max(1e-9);
-    let _ = std::fs::remove_dir_all(&root);
+    let _ = std::fs::remove_dir_all(root);
     Ok((report.files_checked, report.repairs, throughput))
 }
 
@@ -235,6 +246,16 @@ fn main() -> ExitCode {
     };
     match args.cmd.as_str() {
         "sweep" => {
+            // Before the first controlled run: once installed, the
+            // controller schedules every thread that registers, and the
+            // selftest's drain thread, run outside one, would park forever.
+            let scrub_stats = match args.json.as_ref().map(|_| scrub_selftest(&args.work)) {
+                Some(Err(e)) => {
+                    eprintln!("scrub selftest failed: {e}");
+                    return ExitCode::FAILURE;
+                }
+                stats => stats.and_then(Result::ok),
+            };
             let t0 = Instant::now();
             let mut results: Vec<(String, SweepReport)> = Vec::new();
             let mut any_violation = false;
@@ -302,15 +323,8 @@ fn main() -> ExitCode {
             }
             let elapsed = t0.elapsed().as_secs_f64();
 
-            if let Some(json) = &args.json {
-                let scrub_stats = match scrub_selftest(&args.work) {
-                    Ok(s) => s,
-                    Err(e) => {
-                        eprintln!("scrub selftest failed: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                };
-                let body = sweep_json(&results, elapsed, &scrub_stats);
+            if let (Some(json), Some(scrub_stats)) = (&args.json, &scrub_stats) {
+                let body = sweep_json(&results, elapsed, scrub_stats);
                 if let Some(parent) = json.parent() {
                     let _ = std::fs::create_dir_all(parent);
                 }

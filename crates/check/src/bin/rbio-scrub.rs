@@ -89,21 +89,32 @@ fn parse_args() -> Result<Args, String> {
 
 /// Self-test: seed a tiered generation with a burst copy, tear one
 /// payload byte and then one header byte, and prove detect-then-repair
-/// restores the original bytes exactly each time.
+/// restores the original bytes exactly each time. The burst copy sits on
+/// another filesystem, so it is a copy, not a link of the torn file.
 fn demo(work: &std::path::Path) -> Result<(), String> {
+    let _ = std::fs::remove_dir_all(work);
+    let pfs = work.join("pfs");
+    let burst = rbio_check::separate_burst_dir(&pfs, "scrub-demo")?;
+    let outcome = demo_in(work, &pfs, &burst);
+    let _ = std::fs::remove_dir_all(&burst);
+    outcome
+}
+
+fn demo_in(
+    work: &std::path::Path,
+    pfs: &std::path::Path,
+    burst: &std::path::Path,
+) -> Result<(), String> {
     use rbio::layout::DataLayout;
     use rbio::manager::{CheckpointManager, ManagerConfig};
     use rbio::strategy::Strategy;
     use rbio::tier::TierConfig;
 
-    let _ = std::fs::remove_dir_all(work);
-    let pfs = work.join("pfs");
-    let burst = work.join("burst");
     let layout = DataLayout::uniform(4, &[("u", 2048), ("v", 512)]);
-    let mut cfg = ManagerConfig::new(&pfs, Strategy::rbio(2));
+    let mut cfg = ManagerConfig::new(pfs, Strategy::rbio(2));
     cfg.tier = Some(
         TierConfig::new(work.join("local"))
-            .burst_dir(&burst)
+            .burst_dir(burst)
             .slab_capacity(1 << 22),
     );
     let mgr = CheckpointManager::new(layout, cfg).map_err(|e| format!("manager: {e}"))?;
@@ -116,14 +127,14 @@ fn demo(work: &std::path::Path) -> Result<(), String> {
     mgr.wait_durable(1).map_err(|e| format!("drain: {e}"))?;
     drop(mgr);
 
-    let victim = std::fs::read_dir(&pfs)
+    let victim = std::fs::read_dir(pfs)
         .map_err(|e| format!("pfs dir: {e}"))?
         .filter_map(|e| e.ok().map(|e| e.path()))
         .find(|p| p.extension().is_some_and(|e| e == "rbio"))
         .ok_or("no checkpoint file to tear")?;
     let healthy = std::fs::read(&victim).map_err(|e| format!("read: {e}"))?;
-    let mut cfg = ScrubConfig::new(&pfs);
-    cfg.burst_dir = Some(burst);
+    let mut cfg = ScrubConfig::new(pfs);
+    cfg.burst_dir = Some(burst.to_path_buf());
     // A payload byte is caught by the footer's field CRC, a header byte by
     // the header's own CRC32: the file vouches for both.
     for (part, at) in [("payload", healthy.len() / 2), ("header", 20)] {

@@ -14,7 +14,7 @@
 //!   which is just the comma-joined thread-name trace a failing run
 //!   prints.
 //!
-//! At every scheduling point a shadow [`Model`] checks the pipeline's
+//! At every scheduling point a shadow [`model::Model`] checks the pipeline's
 //! invariants (single drainer, per-writer FIFO, snapshot integrity,
 //! error latching, barrier drain, exactly-once sends). A run is a pure
 //! function of its policy, so `seed → violations` is reproducible and a
@@ -31,7 +31,7 @@ pub mod model;
 pub mod policy;
 pub mod programs;
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 pub use controller::{Controller, RunReport};
@@ -70,6 +70,33 @@ fn init() {
         rbio::sched::install(Arc::clone(controller()) as Arc<dyn rbio::sched::Sched>);
         FlushPool::init_check_pool(CHECK_POOL_THREADS);
     });
+}
+
+/// A fresh burst directory `tag` on another filesystem than `pfs` (which
+/// is created): tmpfs under `/dev/shm`. A tiered manager's PFS hop links a
+/// burst copy on its own filesystem, and a linked pair is one inode, so a
+/// scrub selftest that tears the PFS file in place and repairs it from
+/// the burst copy needs the two on different filesystems. The caller
+/// removes the directory. No such filesystem is an error, not a skip.
+pub fn separate_burst_dir(pfs: &Path, tag: &str) -> Result<PathBuf, String> {
+    use std::os::unix::fs::MetadataExt;
+    let burst = Path::new("/dev/shm").join(format!("rbio-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&burst);
+    let dev = |d: &Path| {
+        std::fs::create_dir_all(d)
+            .and_then(|()| std::fs::metadata(d))
+            .map(|m| m.dev())
+            .map_err(|e| format!("{}: {e}", d.display()))
+    };
+    if dev(&burst)? == dev(pfs)? {
+        let _ = std::fs::remove_dir_all(&burst);
+        return Err(format!(
+            "{} shares a filesystem with {}: the selftest needs two independent copies",
+            burst.display(),
+            pfs.display()
+        ));
+    }
+    Ok(burst)
 }
 
 /// Everything one controlled run produced.

@@ -69,7 +69,7 @@
 //!   process "crashes" — a fresh manager with no tier state reopens the
 //!   PFS directory. The shadow model's fsynced-implies-recoverable
 //!   invariant requires every restore to return at least the newest
-//!   [`Event::GenDurable`] step, and both restores must be byte-exact
+//!   [`rbio::sched::Event::GenDurable`] step, and both restores must be byte-exact
 //!   against untiered references.
 //! * `p11` — a coIO plan with two fields through the pipelined executor:
 //!   each aggregator runs one collective per field over the *same*

@@ -133,6 +133,20 @@ pub(crate) fn commit_file_with_faults(
         sync_file(&f, faults, rank)?;
     }
     drop(f);
+    publish(tmp, final_path, fsync, faults, rank)
+}
+
+/// Rename the sealed `tmp` over `final_path` and, with `fsync`, fsync
+/// the containing directory: the last two edges of every publication,
+/// a sealed commit's and a link's alike.
+#[allow(clippy::disallowed_methods)]
+fn publish(
+    tmp: &Path,
+    final_path: &Path,
+    fsync: bool,
+    faults: &FaultPlan,
+    rank: Rank,
+) -> Result<(), WriteError> {
     std::fs::rename(tmp, final_path)?;
     crash::record_rename(tmp, final_path);
     if fsync && !sched::reverted(Revert::Pr1CommitFsync) {
@@ -546,6 +560,51 @@ pub(crate) fn commit_bytes(
     }
     drop(f);
     commit_file_with_faults(&tmp, final_path, size, fsync, faults, rank)
+}
+
+/// Publish the committed file `from` a second time, as `final_path`,
+/// without writing its bytes again: `from` is hard-linked as the `.tmp`
+/// sibling, the linked file's length and footer are checked against its
+/// `logical_size` (no data is read: whoever committed `from` wrote and
+/// fsynced it, and no checkpoint header is required), and the `.tmp` is
+/// renamed over `final_path`, its directory fsynced with `fsync`. The two
+/// names then share one inode, so damage to either is damage to both.
+///
+/// `Ok(false)` when the filesystem refuses the link (`EXDEV`, `EPERM`):
+/// nothing was created, and the caller writes a copy instead. A footer
+/// that does not check out is an `InvalidData` error, its `.tmp` removed.
+#[allow(clippy::disallowed_methods)]
+pub(crate) fn link_committed(
+    from: &Path,
+    final_path: &Path,
+    logical_size: u64,
+    fsync: bool,
+) -> Result<bool, WriteError> {
+    let tmp = tmp_path(final_path);
+    // A crashed predecessor's `.tmp` would make the link fail.
+    remove(&tmp)?;
+    match std::fs::hard_link(from, &tmp) {
+        Ok(()) => crash::record_link(from, &tmp),
+        Err(e) => {
+            return match e.kind() {
+                io::ErrorKind::CrossesDevices | io::ErrorKind::PermissionDenied => Ok(false),
+                _ => Err(e.into()),
+            }
+        }
+    }
+    let f = File::open(&tmp)?;
+    if let Err(e) = read_footer(&f, f.metadata()?.len(), logical_size)? {
+        drop(f);
+        remove(&tmp)?;
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("link of {}: {e}", from.display()),
+        )
+        .into());
+    }
+    drop(f);
+    publish(&tmp, final_path, fsync, &FaultPlan::none(), 0)?;
+    Ok(true)
 }
 
 /// Publish a small text artifact (a commit marker) through

@@ -12,15 +12,15 @@
 //! do:
 //!
 //! 1. **Record.** A process-global [`Recorder`] journals every
-//!    `write_at` (with byte payload), file `fsync`, `rename`, and
-//!    directory `fsync` under a root directory, in the order the
+//!    `write_at` (with byte payload), file `fsync`, `rename`, hard
+//!    `link` and directory `fsync` under a root directory, in the order the
 //!    process issued them. There are two journaling seams and no
 //!    decorator. Data writes go through
 //!    `fault::write_at_or_short`, the one fault-checked write
 //!    the serial interpreter, both backends and [`crate::commit`] all
 //!    call, plus its continuation `fault::finish_short_write` —
 //!    so the bytes a resubmitted short write lands are journaled like
-//!    any others. Every durable edge — footer, fsync, rename, dir-fsync —
+//!    any others. Every durable edge — footer, fsync, rename, link, dir-fsync —
 //!    lives in [`crate::commit`] and is journaled there, where it
 //!    happens. The harness also notes a [`RecOp::DurablePoint`] after
 //!    each `checkpoint()` returns with `fsync = true` — the instant the
@@ -28,7 +28,7 @@
 //! 2. **Enumerate.** A *legal crash image* at cut `k` applies a subset
 //!    of `ops[..k]` to an in-memory filesystem model: every op that a
 //!    later-but-before-`k` barrier made durable (a write followed by
-//!    its file's fsync; a rename followed by its directory's fsync) is
+//!    its file's fsync; a rename or link followed by its directory's fsync) is
 //!    **required**; the rest are *volatile* and may be dropped
 //!    independently, and the last applied volatile write may addition-
 //!    ally be **torn** (only a prefix of its payload persisted).
@@ -86,8 +86,17 @@ pub enum RecOp {
         /// Destination, relative to the recorder root.
         to: PathBuf,
     },
-    /// `fsync` on directory `dir` returned: every earlier rename whose
-    /// destination lives in `dir` is durable.
+    /// `from` was hard-linked as `to`: a second name of the same bytes.
+    /// The model copies `from`'s content to `to` (a committed file is
+    /// never written again, so a copy reads as a second name would).
+    Link {
+        /// The existing file, relative to the recorder root.
+        from: PathBuf,
+        /// The new name, relative to the recorder root.
+        to: PathBuf,
+    },
+    /// `fsync` on directory `dir` returned: every earlier rename or link
+    /// whose destination lives in `dir` is durable.
     DirFsync {
         /// The synced directory, relative to the recorder root ("" for
         /// the root itself).
@@ -222,6 +231,16 @@ pub(crate) fn record_fsync_file(file: &File) {
 
 /// Journal a successful rename.
 pub(crate) fn record_rename(from: &Path, to: &Path) {
+    record_pair(from, to, |from, to| RecOp::Rename { from, to });
+}
+
+/// Journal a successful hard link.
+pub(crate) fn record_link(from: &Path, to: &Path) {
+    record_pair(from, to, |from, to| RecOp::Link { from, to });
+}
+
+/// Journal the op `make` builds from two paths, both under the root.
+fn record_pair(from: &Path, to: &Path, make: impl FnOnce(PathBuf, PathBuf) -> RecOp) {
     if !recording() {
         return;
     }
@@ -231,11 +250,7 @@ pub(crate) fn record_rename(from: &Path, to: &Path) {
     let mut g = unpoisoned(STATE.lock());
     if let Some(st) = g.as_mut() {
         if let (Ok(f), Ok(t)) = (from.strip_prefix(&st.root), to.strip_prefix(&st.root)) {
-            let op = RecOp::Rename {
-                from: f.to_path_buf(),
-                to: t.to_path_buf(),
-            };
-            st.ops.push(op);
+            st.ops.push(make(f.to_path_buf(), t.to_path_buf()));
         }
     }
 }
@@ -325,7 +340,7 @@ pub struct ImageSpec {
 
 /// Which ops in `ops[..cut]` a crash at `cut` *cannot* have dropped:
 /// a write whose file was fsynced after it (still before the cut), a
-/// rename whose destination directory was fsynced after it, and every
+/// rename or link whose destination directory was fsynced after it, and every
 /// barrier/durable-point op itself (they carry no filesystem state).
 pub(crate) fn required_ops(ops: &[RecOp], cut: usize) -> Vec<bool> {
     let mut required = vec![false; cut];
@@ -342,7 +357,7 @@ pub(crate) fn required_ops(ops: &[RecOp], cut: usize) -> Vec<bool> {
             }
             RecOp::DirFsync { dir } => {
                 for (i, req) in required.iter_mut().enumerate().take(j) {
-                    if let RecOp::Rename { to, .. } = &ops[i] {
+                    if let RecOp::Rename { to, .. } | RecOp::Link { to, .. } = &ops[i] {
                         if to.parent().map(Path::to_path_buf).unwrap_or_default() == *dir {
                             *req = true;
                         }
@@ -389,6 +404,10 @@ impl FsModel {
             }
             RecOp::Rename { from, to } => {
                 let content = self.files.remove(from).unwrap_or_default();
+                self.files.insert(to.clone(), content);
+            }
+            RecOp::Link { from, to } => {
+                let content = self.files.get(from).cloned().unwrap_or_default();
                 self.files.insert(to.clone(), content);
             }
             RecOp::Fsync { .. } | RecOp::DirFsync { .. } | RecOp::DurablePoint { .. } => {}
@@ -745,6 +764,9 @@ pub fn save_ops(ops: &[RecOp], path: &Path) -> io::Result<()> {
             RecOp::Rename { from, to } => {
                 out.push_str(&format!("rename {} {}\n", from.display(), to.display()));
             }
+            RecOp::Link { from, to } => {
+                out.push_str(&format!("link {} {}\n", from.display(), to.display()));
+            }
             RecOp::DirFsync { dir } => {
                 out.push_str(&format!("dirfsync {}\n", dir.display()));
             }
@@ -785,13 +807,14 @@ pub fn load_ops(path: &Path) -> io::Result<Vec<RecOp>> {
                         .ok_or_else(|| bad(line, "missing path".into()))?,
                 ),
             },
-            Some("rename") => {
+            Some(kind @ ("rename" | "link")) => {
                 let (Some(f), Some(t)) = (parts.next(), parts.next()) else {
-                    return Err(bad(line, "expected `rename <from> <to>`".into()));
+                    return Err(bad(line, format!("expected `{kind} <from> <to>`")));
                 };
-                RecOp::Rename {
-                    from: PathBuf::from(f),
-                    to: PathBuf::from(t),
+                let (from, to) = (PathBuf::from(f), PathBuf::from(t));
+                match kind {
+                    "rename" => RecOp::Rename { from, to },
+                    _ => RecOp::Link { from, to },
                 }
             }
             Some("dirfsync") => RecOp::DirFsync {
@@ -907,6 +930,42 @@ mod tests {
     }
 
     #[test]
+    fn a_link_is_required_once_its_directory_is_fsynced_and_copies_its_source() {
+        let ops = vec![
+            RecOp::Write {
+                path: PathBuf::from("burst/a"),
+                offset: 0,
+                data: vec![5, 6, 7],
+            },
+            RecOp::Link {
+                from: PathBuf::from("burst/a"),
+                to: PathBuf::from("pfs/a.tmp"),
+            },
+            RecOp::Rename {
+                from: PathBuf::from("pfs/a.tmp"),
+                to: PathBuf::from("pfs/a"),
+            },
+            RecOp::DirFsync {
+                dir: PathBuf::from("burst"),
+            },
+            RecOp::DirFsync {
+                dir: PathBuf::from("pfs"),
+            },
+        ];
+        // Another directory's fsync pins neither the link nor the rename.
+        assert_eq!(required_ops(&ops, 4), vec![false; 4]);
+        let req = required_ops(&ops, 5);
+        assert_eq!(req, vec![false, true, true, false, false]);
+        let mut fs = FsModel::default();
+        for op in &ops {
+            fs.apply(op, None);
+        }
+        assert_eq!(fs.files[Path::new("burst/a")], [5, 6, 7]);
+        assert_eq!(fs.files[Path::new("pfs/a")], [5, 6, 7], "a second name");
+        assert!(!fs.files.contains_key(Path::new("pfs/a.tmp")));
+    }
+
+    #[test]
     fn torn_variant_never_tears_a_synced_write() {
         let p = PathBuf::from("a.tmp");
         let ops = vec![
@@ -942,6 +1001,10 @@ mod tests {
             RecOp::Rename {
                 from: PathBuf::from("f.rbio.tmp"),
                 to: PathBuf::from("f.rbio"),
+            },
+            RecOp::Link {
+                from: PathBuf::from("f.rbio"),
+                to: PathBuf::from("pfs/f.rbio.tmp"),
             },
             RecOp::DirFsync {
                 dir: PathBuf::new(),
@@ -1035,6 +1098,93 @@ mod tests {
                 Err(_) => proptest::prop_assert!(false, "load_ops panicked: {kind} {at} {mask}"),
             }
         }
+    }
+
+    #[test]
+    fn cuts_around_a_linked_pfs_hop_restore_the_newest_durable_step() {
+        use crate::tier::TierConfig;
+        let scn = Scenario {
+            strategy: Strategy::rbio(2),
+            nranks: 4,
+            steps: 2,
+        };
+        let root = scratch("linkcut");
+        let _ = std::fs::remove_dir_all(&root);
+        std::fs::create_dir_all(root.join("rec")).unwrap();
+        // A tiered manager whose burst and PFS directories share the
+        // scratch filesystem: every PFS hop links.
+        let tiered = |at: &Path| {
+            let mut cfg = ManagerConfig::new(at.join("pfs"), scn.strategy);
+            cfg.fsync = true;
+            cfg.keep = scn.steps as usize + 1;
+            cfg.tier = Some(
+                TierConfig::new(at.join("local"))
+                    .burst_dir(at.join("burst"))
+                    .slab_capacity(1 << 20),
+            );
+            CheckpointManager::new(scn.layout(), cfg).unwrap()
+        };
+        let rec = Recorder::install(&root.join("rec")).unwrap();
+        let mgr = tiered(&root.join("rec"));
+        for step in 1..=scn.steps {
+            mgr.checkpoint(step, |rank, field, buf| {
+                for (i, b) in buf.iter_mut().enumerate() {
+                    *b = fill_value(step, rank, field, i);
+                }
+            })
+            .unwrap();
+            mgr.wait_durable(step).unwrap();
+            note_durable(step);
+        }
+        drop(mgr);
+        let ops = rec.take();
+        drop(rec);
+        let links: Vec<usize> = (0..ops.len())
+            .filter(|&i| matches!(ops[i], RecOp::Link { .. }))
+            .collect();
+        assert_eq!(links.len(), 4, "one link per file and generation");
+        let mut images = 0;
+        for &at in &links {
+            assert!(
+                matches!(&ops[at + 1], RecOp::Rename { .. }),
+                "{:?}",
+                ops[at + 1]
+            );
+            assert!(matches!(&ops[at + 2], RecOp::DirFsync { dir } if dir == Path::new("pfs")));
+            // After the link, after the rename, after the directory fsync.
+            for cut in at + 1..=at + 3 {
+                let floor = durable_floor(&ops, cut);
+                for variant in [
+                    Variant::AllApplied,
+                    Variant::RequiredOnly,
+                    Variant::Subset(cut as u64),
+                ] {
+                    let img = root.join(format!("img-{images}"));
+                    images += 1;
+                    materialize_image(&ops, ImageSpec { cut, variant }, &img).unwrap();
+                    // Through the tiers, and from the PFS copies alone.
+                    let pfs_only = ManagerConfig::new(img.join("pfs"), scn.strategy);
+                    let pfs_only = CheckpointManager::new(scn.layout(), pfs_only).unwrap();
+                    for (from, mgr) in [("tiers", tiered(&img)), ("pfs", pfs_only)] {
+                        let what = format!("cut {cut} {variant} via {from}");
+                        match mgr.restore_latest() {
+                            Ok(data) => {
+                                let step = data.step;
+                                assert!(step >= floor.unwrap_or(0), "{what}: step {step}");
+                                assert_eq!(verify_restored_bytes(&data, &scn), None, "{what}");
+                            }
+                            Err(ManagerError::NothingToRestore) => {
+                                assert_eq!(floor, None, "{what}: promised step lost")
+                            }
+                            Err(e) => panic!("{what}: {e}"),
+                        }
+                    }
+                    let _ = std::fs::remove_dir_all(&img);
+                }
+            }
+        }
+        assert_eq!(durable_floor(&ops, *links.last().unwrap() + 3), Some(1));
+        let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]

@@ -1441,6 +1441,9 @@ mod tests {
         let base = std::env::temp_dir().join(format!("rbio-mgr-brot-{}", std::process::id()));
         std::fs::remove_dir_all(&base).ok();
         let (pfs, local, burst) = (base.join("pfs"), base.join("local"), base.join("burst"));
+        // Two independent copies, as on two filesystems: a linked pair
+        // shares the damage.
+        crate::tier::tests::force_copy_hop(&burst);
         let layout = DataLayout::uniform(8, &[("u", 1024), ("v", 256)]);
         let mut cfg = ManagerConfig::new(&pfs, Strategy::rbio(2));
         cfg.keep = 2;

@@ -29,13 +29,18 @@
 //! Repair sources the burst-buffer tier: a burst copy is committed with
 //! the same footer protocol as the PFS file, so its verified read-back
 //! re-sealed through `commit::commit_bytes` is a byte-identical
-//! replacement, journaled like any commit. Files with no healthy
-//! redundant copy stay classified-but-unrepaired — the report is the
-//! operator's signal to fall back a generation.
+//! replacement, journaled like any commit. That holds for a burst copy on
+//! another filesystem than the PFS. On the same filesystem the drain
+//! links the PFS file to its burst copy, so the two names are one inode:
+//! a rotted or torn body is rotted under both names, and only a file
+//! whose PFS name is missing or was replaced has a copy to repair from.
+//! Files with no healthy redundant copy stay classified-but-unrepaired —
+//! the report is the operator's signal to fall back a generation.
 
 use std::io;
 use std::path::{Path, PathBuf};
 
+use rbio_plan::json::escape;
 use rbio_profile::counters;
 
 use crate::commit;
@@ -115,8 +120,8 @@ impl ScrubReport {
             items.push_str(&format!(
                 "{{\"step\":{},\"file\":\"{}\",\"kind\":\"{}\",\"repaired\":{}}}",
                 d.step.map_or_else(|| "null".into(), |s| s.to_string()),
-                d.file,
-                d.kind,
+                escape(&d.file),
+                escape(&d.kind.to_string()),
                 d.repaired
             ));
         }
@@ -311,6 +316,7 @@ mod tests {
     use crate::strategy::Strategy;
     use crate::tier::TierConfig;
     use std::fs;
+    use std::os::unix::fs::MetadataExt;
 
     fn scratch(tag: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!("rbio-scrub-{tag}-{}", std::process::id()));
@@ -319,11 +325,16 @@ mod tests {
         d
     }
 
-    /// One tiered generation drained through a burst dir, quiesced.
-    fn seeded(tag: &str) -> (PathBuf, PathBuf, PathBuf) {
+    /// One tiered generation drained through a burst dir, quiesced. The
+    /// PFS files are links of the burst copies (one filesystem), or with
+    /// `copy_hop` independent copies, as on two filesystems.
+    fn seeded(tag: &str, copy_hop: bool) -> (PathBuf, PathBuf, PathBuf) {
         let root = scratch(tag);
         let pfs = root.join("pfs");
         let burst = root.join("burst");
+        if copy_hop {
+            crate::tier::tests::force_copy_hop(&burst);
+        }
         let layout = DataLayout::uniform(4, &[("u", 512), ("v", 128)]);
         let mut cfg = ManagerConfig::new(&pfs, Strategy::rbio(2));
         cfg.fsync = false;
@@ -351,7 +362,7 @@ mod tests {
 
     #[test]
     fn clean_directory_scrubs_clean() {
-        let (root, pfs, burst) = seeded("clean");
+        let (root, pfs, burst) = seeded("clean", false);
         let mut cfg = ScrubConfig::new(&pfs);
         cfg.burst_dir = Some(burst);
         let report = scrub(&cfg).unwrap();
@@ -367,7 +378,7 @@ mod tests {
 
     #[test]
     fn torn_field_is_repaired_from_burst_byte_identically() {
-        let (root, pfs, burst) = seeded("torn");
+        let (root, pfs, burst) = seeded("torn", true);
         let victim = first_rbio(&pfs);
         let healthy = fs::read(&victim).unwrap();
         // Flip one payload byte past the header: header CRC still
@@ -406,9 +417,55 @@ mod tests {
     }
 
     #[test]
-    fn missing_file_is_reinstalled_from_burst() {
-        let (root, pfs, burst) = seeded("missing");
+    fn a_flipped_body_of_a_linked_pair_is_torn_unrepaired_and_never_restored() {
+        let (root, pfs, burst) = seeded("linked-flip", false);
         let victim = first_rbio(&pfs);
+        let twin = burst.join(victim.file_name().unwrap());
+        let ino = |p: &Path| fs::metadata(p).unwrap().ino();
+        assert_eq!(
+            ino(&victim),
+            ino(&twin),
+            "the PFS hop linked the burst copy"
+        );
+        let mut bytes = fs::read(&victim).unwrap();
+        let mid = bytes.len() / 2;
+        bytes[mid] ^= 0xff;
+        fs::write(&victim, &bytes).unwrap();
+        assert_eq!(
+            fs::read(&twin).unwrap(),
+            bytes,
+            "one inode: both names torn"
+        );
+
+        let mut cfg = ScrubConfig::new(&pfs);
+        cfg.burst_dir = Some(burst.clone());
+        cfg.repair = true;
+        let report = scrub(&cfg).unwrap();
+        assert_eq!(report.damage.len(), 1, "{:?}", report.damage);
+        assert_eq!(report.damage[0].kind, DamageKind::TornFile);
+        assert_eq!(report.repairs, 0, "no intact copy to repair from");
+        assert!(!report.damage[0].repaired);
+
+        // Neither name restores: the only generation is not restart state.
+        let mut mcfg = ManagerConfig::new(&pfs, Strategy::rbio(2));
+        mcfg.fsync = false;
+        mcfg.tier = Some(TierConfig::new(root.join("local")).burst_dir(&burst));
+        let layout = DataLayout::uniform(4, &[("u", 512), ("v", 128)]);
+        let mgr = CheckpointManager::new(layout, mcfg).unwrap();
+        assert!(matches!(
+            mgr.restore_latest(),
+            Err(crate::manager::ManagerError::NothingToRestore)
+        ));
+        drop(mgr);
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn missing_file_is_reinstalled_from_burst() {
+        let (root, pfs, burst) = seeded("missing", false);
+        let victim = first_rbio(&pfs);
+        // A linked pair: the burst name survives the PFS name's unlink.
+        assert_eq!(fs::metadata(&victim).unwrap().nlink(), 2);
         let healthy = fs::read(&victim).unwrap();
         #[allow(clippy::disallowed_methods)]
         fs::remove_file(&victim).unwrap();
@@ -426,7 +483,7 @@ mod tests {
 
     #[test]
     fn damage_without_a_burst_copy_stays_classified() {
-        let (root, pfs, _burst) = seeded("noburst");
+        let (root, pfs, _burst) = seeded("noburst", false);
         let victim = first_rbio(&pfs);
         #[allow(clippy::disallowed_methods)]
         fs::remove_file(&victim).unwrap();
@@ -440,7 +497,7 @@ mod tests {
 
     #[test]
     fn orphan_tmps_are_classified_and_reaped() {
-        let (root, pfs, burst) = seeded("orphans");
+        let (root, pfs, burst) = seeded("orphans", false);
         fs::write(pfs.join("step0000000009.rbio.tmp"), b"half-written").unwrap();
 
         let mut cfg = ScrubConfig::new(&pfs);
@@ -459,7 +516,7 @@ mod tests {
 
     #[test]
     fn deep_rate_decimates_the_body_reads() {
-        let (root, pfs, _burst) = seeded("rate");
+        let (root, pfs, _burst) = seeded("rate", false);
         let mut cfg = ScrubConfig::new(&pfs);
         cfg.deep_rate = 0.0;
         let shallow = scrub(&cfg).unwrap();
@@ -491,5 +548,25 @@ mod tests {
         assert!(j.contains("\"generations\":2"), "{j}");
         assert!(j.contains("\"kind\":\"torn-file\""), "{j}");
         assert!(j.contains("\"repaired\":true"), "{j}");
+    }
+
+    #[test]
+    fn report_json_escapes_a_file_name_and_parses_back() {
+        let name = "odd \"quoted\" \\ name\n.rbio.tmp";
+        let report = ScrubReport {
+            damage: vec![Damage {
+                step: None,
+                file: name.into(),
+                kind: DamageKind::OrphanTmp,
+                detail: String::new(),
+                repaired: false,
+            }],
+            ..ScrubReport::default()
+        };
+        let j = report.to_json();
+        let parsed = rbio_plan::json::parse(&j).unwrap_or_else(|e| panic!("{e:?}: {j}"));
+        let damage = &parsed.get("damage").unwrap().as_arr().unwrap()[0];
+        assert_eq!(damage.get("file").unwrap().as_str(), Some(name));
+        assert_eq!(damage.get("kind").unwrap().as_str(), Some("orphan-tmp"));
     }
 }

@@ -15,10 +15,15 @@
 //!    staging finishes — this is the *perceived* bandwidth.
 //! 2. **Drained** — a background [`TierEngine`] thread flushes each
 //!    staged generation down the hierarchy (local → optional burst
-//!    directory → PFS), each hop one `commit::commit_bytes` per
-//!    file that gathers its held slices (no image of the file is built),
-//!    then publishes the generation's commit marker.
-//!    Only then is the generation *durable*.
+//!    directory → PFS), then publishes the generation's commit marker.
+//!    Only then is the generation *durable*. A hop that writes is one
+//!    `commit::commit_bytes` per file that gathers its held slices (no
+//!    image of the file is built). When the burst directory shares the
+//!    PFS's filesystem, the PFS hop writes nothing: `commit::
+//!    link_committed` links the committed, fsynced burst copy into the
+//!    PFS directory, so the two names are one inode (one copy of the
+//!    bytes, not two). Across filesystems, or where the link is refused,
+//!    it writes the copy.
 //! 3. **Retained** — the most recent drained generations stay resident
 //!    in the local tier so a restart can be served at memory speed
 //!    (restore-from-nearest-tier); older stages are evicted.
@@ -29,8 +34,9 @@
 //!
 //! Tier loss is a first-class fault:
 //! [`TierEngine::lose_local_between_hops`] drops the local tier between a
-//! drain's two hops. Files that already reached the burst tier are read
-//! back verified from there (`commit::read_committed`) and the
+//! drain's two hops. Files that already reached the burst tier are
+//! verified in full there and linked, or read back verified
+//! (`commit::read_committed`) and written where they cannot be linked; the
 //! generation degrades instead of aborting — mirroring how writer failover
 //! degrades a generation in [`crate::failover`]. Files that never left the
 //! local tier make the generation fail; earlier durable generations remain
@@ -118,7 +124,9 @@ pub struct TierConfig {
     pub(crate) slab_capacity: usize,
     /// Optional intermediate burst-buffer directory. With one set, a
     /// drained file is committed there before the PFS hop, and tier
-    /// loss mid-drain can recover from it.
+    /// loss mid-drain can recover from it. On the PFS's filesystem the
+    /// PFS hop links the burst copy rather than writing it again: one
+    /// inode under two names, so neither copy can repair the other.
     pub(crate) burst_dir: Option<PathBuf>,
     /// Drained generations kept resident in the local tier for
     /// restore-from-nearest-tier. Older stages are evicted.
@@ -146,7 +154,9 @@ impl TierConfig {
         self
     }
 
-    /// Route drains through an intermediate burst-buffer directory.
+    /// Route drains through an intermediate burst-buffer directory. On
+    /// the PFS's filesystem its copies are linked into the PFS directory,
+    /// not written twice; on another filesystem the PFS hop writes its own.
     pub fn burst_dir(mut self, dir: impl Into<PathBuf>) -> TierConfig {
         self.burst_dir = Some(dir.into());
         self
@@ -532,6 +542,29 @@ fn gather<'m>(bufs: &mut Vec<Cow<'m, [u8]>>, map: &'m ExtentMap<Bytes>, size: u6
     bufs.extend(map.slices(0, size, held));
 }
 
+/// Do `burst` and `pfs` sit on one filesystem (one `st_dev`)? Then the
+/// PFS hop links the burst copy. A directory that cannot be examined is
+/// "no": the hop writes a copy, as it would across filesystems.
+fn same_filesystem(burst: &Path, pfs: &Path) -> bool {
+    use std::os::unix::fs::MetadataExt;
+    #[cfg(test)]
+    if tests::copy_hop_forced(burst) {
+        return false;
+    }
+    match (std::fs::metadata(burst), std::fs::metadata(pfs)) {
+        (Ok(b), Ok(p)) => b.dev() == p.dev(),
+        _ => false,
+    }
+}
+
+/// Stream every footer region of the committed burst copy `path` through
+/// its CRC: the check a local loss makes before the copy becomes the PFS
+/// file's only source.
+fn verify_burst_copy(path: &Path, size: u64) -> io::Result<()> {
+    commit::verify_committed_file(&std::fs::File::open(path)?, size)?
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
+}
+
 fn run_drain(shared: &EngineShared, job: DrainJob, retain: usize) {
     let DrainJob {
         step,
@@ -583,25 +616,51 @@ fn run_drain(shared: &EngineShared, job: DrainJob, retain: usize) {
             apply_local_loss(shared);
         }
 
-        // Hop 2: → PFS, the burst hop's own call; after a local loss the
-        // image is the burst copy, read back verified.
+        // Hop 2: → PFS. A burst copy on the PFS's filesystem is linked:
+        // it is committed and fsynced already, so a second copy would
+        // rewrite the same bytes to the same device. Otherwise the hop is
+        // the burst hop's own call. After a local loss the burst copy is
+        // the only source: verified in full, then linked or read back.
+        let mut link = burst_dir
+            .as_deref()
+            .filter(|b| same_filesystem(b, &pfs_dir));
         let mut recovered = Vec::new();
         let mut drained = 0u64;
         for (name, (map, size)) in &files {
-            if shared.lost_local.load(Ordering::Acquire) {
+            let dst = pfs_dir.join(name);
+            let burst_copy = if shared.lost_local.load(Ordering::Acquire) {
                 let bdir = burst_dir
                     .as_deref()
                     .ok_or_else(|| format!("local tier lost and no burst copy of {name}"))?;
                 recovered.push(name.clone());
-                let img = commit::read_committed(&bdir.join(name), *size)
-                    .map_err(|e| format!("burst copy of {name}: {e}"))?;
-                bufs.clear();
-                bufs.push(Cow::Owned(img));
+                Some(bdir.join(name))
             } else {
-                gather(&mut bufs, map, *size);
-            }
+                None
+            };
             drained += size;
-            commit_hop("PFS", &pfs_dir.join(name), name, &bufs)?;
+            if let Some(bdir) = link {
+                let src = bdir.join(name);
+                if burst_copy.is_some() {
+                    verify_burst_copy(&src, *size)
+                        .map_err(|e| format!("burst copy of {name}: {e}"))?;
+                }
+                match commit::link_committed(&src, &dst, *size, fsync) {
+                    Ok(true) => continue,
+                    // The filesystem refuses links: copy from here on.
+                    Ok(false) => link = None,
+                    Err(e) => return Err(format!("PFS hop for {name}: {}", io::Error::from(e))),
+                }
+            }
+            match &burst_copy {
+                Some(src) => {
+                    let img = commit::read_committed(src, *size)
+                        .map_err(|e| format!("burst copy of {name}: {e}"))?;
+                    bufs.clear();
+                    bufs.push(Cow::Owned(img));
+                }
+                None => gather(&mut bufs, map, *size),
+            }
+            commit_hop("PFS", &dst, name, &bufs)?;
         }
         counters::add_tier_drained_bytes(drained);
         for name in files.keys() {
@@ -647,8 +706,24 @@ fn run_drain(shared: &EngineShared, job: DrainJob, retain: usize) {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// Burst directories whose PFS hop writes a copy although they share
+    /// the PFS's filesystem: the tests of what two independent copies
+    /// give run on the branch a second filesystem would take.
+    static COPY_HOP_DIRS: Mutex<Vec<PathBuf>> = Mutex::new(Vec::new());
+
+    /// Make every drain through `burst_dir` copy its PFS hop.
+    pub(crate) fn force_copy_hop(burst_dir: &Path) {
+        unpoisoned(COPY_HOP_DIRS.lock()).push(burst_dir.to_path_buf());
+    }
+
+    pub(super) fn copy_hop_forced(burst_dir: &Path) -> bool {
+        unpoisoned(COPY_HOP_DIRS.lock())
+            .iter()
+            .any(|d| d == burst_dir)
+    }
 
     #[test]
     fn a_stage_shares_owned_slices_copies_borrowed_ones_and_keeps_its_budget() {
@@ -760,6 +835,7 @@ mod tests {
         let stage = Arc::new(TierStage::with_budget(1, 1 << 16));
         stage.append("ck.rbio", 0, &img).unwrap();
         stage.seal_file("ck.rbio", 3000);
+        force_copy_hop(&dir.join("burst"));
         let rec = Recorder::install(&dir).unwrap();
         let engine = TierEngine::new(1);
         engine.submit(DrainJob {
@@ -797,6 +873,81 @@ mod tests {
             assert!(commit::verify_committed(&bytes, 3000).is_none());
             assert_eq!(&bytes[..3000], &img[..]);
         }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_linked_pfs_hop_is_journaled_as_link_rename_dir_fsync() {
+        use crate::crash::{RecOp, Recorder};
+        let dir = std::env::temp_dir().join(format!("rbio-tier-link-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(dir.join("pfs")).unwrap();
+        let img: Vec<u8> = (0..3000u32).map(|i| (i * 11) as u8).collect();
+        let stage = Arc::new(TierStage::with_budget(1, 1 << 16));
+        stage.append("ck.rbio", 0, &img).unwrap();
+        stage.seal_file("ck.rbio", 3000);
+        let rec = Recorder::install(&dir).unwrap();
+        let engine = TierEngine::new(1);
+        engine.submit(DrainJob {
+            step: 1,
+            stage,
+            pfs_dir: dir.join("pfs"),
+            burst_dir: Some(dir.join("burst")),
+            fsync: true,
+            publish: Box::new(|_| Ok(())),
+        });
+        engine.wait_durable(1).unwrap();
+        let ops = rec.take();
+        drop(rec);
+        // The burst hop writes, seals, syncs and publishes; the PFS hop
+        // is a second name for what it published.
+        assert_eq!(ops.len(), 8, "{ops:?}");
+        let (burst, pfs) = (Path::new("burst"), Path::new("pfs"));
+        assert!(matches!(&ops[4], RecOp::DirFsync { dir } if dir == burst));
+        let tmp = pfs.join("ck.rbio.tmp");
+        assert_eq!(
+            ops[5..],
+            [
+                RecOp::Link {
+                    from: burst.join("ck.rbio"),
+                    to: tmp.clone(),
+                },
+                RecOp::Rename {
+                    from: tmp,
+                    to: pfs.join("ck.rbio"),
+                },
+                RecOp::DirFsync {
+                    dir: pfs.to_path_buf(),
+                },
+            ]
+        );
+        use std::os::unix::fs::MetadataExt;
+        let ino = |d: &Path| {
+            std::fs::metadata(dir.join(d).join("ck.rbio"))
+                .unwrap()
+                .ino()
+        };
+        assert_eq!(ino(burst), ino(pfs), "one inode, two names");
+        let bytes = std::fs::read(dir.join("pfs").join("ck.rbio")).unwrap();
+        assert!(commit::verify_committed(&bytes, 3000).is_none());
+        assert_eq!(&bytes[..3000], &img[..]);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_link_whose_footer_does_not_match_the_sealed_size_is_refused() {
+        let dir = std::env::temp_dir().join(format!("rbio-tier-badlink-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).unwrap();
+        let (src, dst) = (dir.join("burst.rbio"), dir.join("pfs.rbio"));
+        commit::commit_bytes(&src, &[[7u8; 100]], false, &FaultPlan::none(), 0).unwrap();
+        // Sealed at 100 bytes: any other size finds no footer where it
+        // looks, and neither name appears at the destination.
+        let err = commit::link_committed(&src, &dst, 99, false).unwrap_err();
+        assert!(io::Error::from(err).to_string().contains("commit footer"));
+        assert!(!dst.exists() && !commit::tmp_path(&dst).exists());
+        assert!(commit::link_committed(&src, &dst, 100, false).unwrap());
+        assert_eq!(std::fs::read(&dst).unwrap(), std::fs::read(&src).unwrap());
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -843,35 +994,87 @@ mod tests {
 
     #[test]
     fn tier_loss_mid_drain_recovers_from_burst() {
-        let dir = std::env::temp_dir().join("rbio-tier-loss-test");
-        std::fs::remove_dir_all(&dir).ok();
-        let pfs = dir.join("pfs");
-        let burst = dir.join("burst");
-        std::fs::create_dir_all(&pfs).unwrap();
-        let stage = Arc::new(TierStage::with_budget(2, 1 << 16));
-        stage.append("ck.rbio", 0, &[0xAB; 512]).unwrap();
-        stage.seal_file("ck.rbio", 512);
+        // Linked on one filesystem, and copied as across two.
+        for copy_hop in [false, true] {
+            let dir = std::env::temp_dir().join(format!("rbio-tier-loss-test-{copy_hop}"));
+            std::fs::remove_dir_all(&dir).ok();
+            let pfs = dir.join("pfs");
+            let burst = dir.join("burst");
+            std::fs::create_dir_all(&pfs).unwrap();
+            if copy_hop {
+                force_copy_hop(&burst);
+            }
+            let stage = Arc::new(TierStage::with_budget(2, 1 << 16));
+            stage.append("ck.rbio", 0, &[0xAB; 512]).unwrap();
+            stage.seal_file("ck.rbio", 512);
 
+            let engine = TierEngine::new(1);
+            engine.lose_local_between_hops();
+            engine.submit(DrainJob {
+                step: 2,
+                stage,
+                pfs_dir: pfs.clone(),
+                burst_dir: Some(burst.clone()),
+                fsync: false,
+                publish: Box::new(|recovered| {
+                    assert_eq!(recovered, ["ck.rbio".to_string()]);
+                    Ok(())
+                }),
+            });
+            engine.wait_durable(2).unwrap();
+            assert!(engine.shared.lost_local.load(Ordering::Acquire));
+            // Nothing retained after a loss, but the PFS copy is whole.
+            assert!(engine.newest_retained().is_none());
+            let bytes = std::fs::read(pfs.join("ck.rbio")).unwrap();
+            assert!(commit::verify_committed(&bytes, 512).is_none());
+            assert_eq!(&bytes[..512], &[0xAB; 512][..]);
+            use std::os::unix::fs::MetadataExt;
+            let links = std::fs::metadata(pfs.join("ck.rbio")).unwrap().nlink();
+            assert_eq!(links, if copy_hop { 1 } else { 2 });
+            std::fs::remove_dir_all(&dir).ok();
+        }
+    }
+
+    #[test]
+    fn a_rotted_burst_copy_after_a_local_loss_fails_the_generation() {
+        let dir = std::env::temp_dir().join(format!("rbio-tier-rot-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let (pfs, burst) = (dir.join("pfs"), dir.join("burst"));
+        std::fs::create_dir_all(&pfs).unwrap();
         let engine = TierEngine::new(1);
-        engine.lose_local_between_hops();
-        engine.submit(DrainJob {
-            step: 2,
-            stage,
-            pfs_dir: pfs.clone(),
-            burst_dir: Some(burst.clone()),
-            fsync: false,
-            publish: Box::new(|recovered| {
-                assert_eq!(recovered, ["ck.rbio".to_string()]);
-                Ok(())
-            }),
-        });
-        engine.wait_durable(2).unwrap();
-        assert!(engine.shared.lost_local.load(Ordering::Acquire));
-        // Nothing retained after a loss, but the PFS copy is whole.
-        assert!(engine.newest_retained().is_none());
-        let bytes = std::fs::read(pfs.join("ck.rbio")).unwrap();
-        assert!(commit::verify_committed(&bytes, 512).is_none());
-        assert_eq!(&bytes[..512], &[0xAB; 512][..]);
+        let drain = |step, stage| {
+            engine.submit(DrainJob {
+                step,
+                stage,
+                pfs_dir: pfs.clone(),
+                burst_dir: Some(burst.clone()),
+                fsync: false,
+                publish: Box::new(|_| Ok(())),
+            });
+            engine.wait_durable(step)
+        };
+        let stage = Arc::new(TierStage::with_budget(1, 1 << 16));
+        stage.append("ck.rbio", 0, &[0xCD; 512]).unwrap();
+        stage.seal_file("ck.rbio", 512);
+        drain(1, stage).unwrap();
+        // Generation 2 stages the same name; its burst hop finds the
+        // copy landed and, with the local tier gone, links what is there.
+        // A flipped body byte must stop the link, not be published.
+        let mut bytes = std::fs::read(burst.join("ck.rbio")).unwrap();
+        bytes[100] ^= 0xff;
+        commit::remove(&pfs.join("ck.rbio")).unwrap();
+        std::fs::write(burst.join("ck.rbio"), &bytes).unwrap();
+        engine.lose_local();
+        let stage = Arc::new(TierStage::with_budget(2, 1 << 16));
+        stage.append("ck.rbio", 0, &[0xCD; 512]).unwrap();
+        stage.seal_file("ck.rbio", 512);
+        match drain(2, stage) {
+            Err(TierError::Failed { step: 2, reason }) => {
+                assert!(reason.contains("burst copy of ck.rbio"), "{reason}")
+            }
+            other => panic!("want a failed generation, got {other:?}"),
+        }
+        assert!(!pfs.join("ck.rbio").exists());
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -108,6 +108,9 @@ fn every_atomic_file_is_synced_once_after_its_footer_and_before_its_rename() {
                     );
                     published += 1;
                 }
+                RecOp::Link { to, .. } => {
+                    panic!("{tag}: an untiered manager linked {}", to.display())
+                }
                 RecOp::DirFsync { .. } | RecOp::DurablePoint { .. } => {}
             }
         }

@@ -10,7 +10,7 @@
 //! *real* solver state:
 //!
 //! * [`gll`] — GLL nodes, quadrature weights, differentiation matrices;
-//! * [`rk`] — the Carpenter–Kennedy 2N-storage RK4 scheme NekCEM uses;
+//! * `rk` — the Carpenter–Kennedy 2N-storage RK4 scheme NekCEM uses;
 //! * [`maxwell1d`] — a multi-element SEDG solver for the 1-D Maxwell
 //!   system (E, H) with upwind fluxes and periodic boundaries, verified
 //!   spectrally convergent against the exact travelling wave;

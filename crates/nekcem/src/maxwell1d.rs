@@ -12,7 +12,7 @@
 //! points, strong-form volume terms via the differentiation matrix, and
 //! upwind numerical fluxes at the element interfaces ("communication only
 //! at the element faces … through a numerical flux", §III-A). Time
-//! advancing uses the five-stage LSRK4 of [`crate::rk`].
+//! advancing uses the five-stage LSRK4 of `rk`.
 //!
 //! The exact right-travelling wave `E = H = sin(k(x − t))` verifies the
 //! implementation: the test suite asserts spectral convergence in `N`.

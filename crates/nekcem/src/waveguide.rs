@@ -126,7 +126,7 @@ impl Waveguide {
 
     /// Fill `out` with `rank`'s samples of field `field` at time `t`, as
     /// little-endian f64s. `out.len()` must equal
-    /// [`Waveguide::field_bytes`] for the rank.
+    /// `Waveguide::field_bytes` for the rank.
     pub fn fill_field(&self, rank: u32, field: usize, t: f64, out: &mut [u8]) {
         assert_eq!(out.len() as u64, self.field_bytes(rank), "buffer size");
         let np = self.order + 1;

@@ -6,9 +6,9 @@
 //! strategies of the paper — 1PFPP, coIO and rbIO — are compiled into this
 //! IR once, and then executed by two interchangeable back-ends:
 //!
-//! * the **real executor** (`rbio::exec`): one thread per rank, crossbeam
-//!   channels for messages, actual files on disk — proving the plans move
-//!   every byte to the right place;
+//! * the **real executor** (`rbio::exec`): one thread per rank, bounded
+//!   `std::sync::mpsc` channels for messages, actual files on disk —
+//!   proving the plans move every byte to the right place;
 //! * the **simulated executor** (`rbio-machine`): the same plan replayed in
 //!   virtual time on a Blue Gene/P model at 16Ki–64Ki ranks — regenerating
 //!   the paper's figures.

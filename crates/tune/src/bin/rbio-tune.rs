@@ -7,7 +7,7 @@
 //! rbio-tune explain [opts]   run the solver, print a human-readable account
 //!
 //! options:
-//!   --np N                 ranks (default 16384)
+//!   --np N                 ranks, a power of two >= 256 (default 16384)
 //!   --env NAME             machine variant: intrepid|tier|tier-durable|pvfs|ciod
 //!   --budget small|full    search effort (default full)
 //!   --seeds N              seeds per evaluation, median-of-N (default 1)
@@ -60,7 +60,17 @@ fn parse_args() -> Result<Args, String> {
     while let Some(flag) = argv.next() {
         let mut value = |name: &str| argv.next().ok_or(format!("{name} needs a value"));
         match flag.as_str() {
-            "--np" => args.np = value("--np")?.parse().map_err(|e| format!("--np: {e}"))?,
+            "--np" => {
+                args.np = value("--np")?.parse().map_err(|e| format!("--np: {e}"))?;
+                // The Intrepid partition is whole psets of 256 ranks, a
+                // power of two in all.
+                if !args.np.is_power_of_two() || args.np < 256 {
+                    return Err(format!(
+                        "--np must be a power of two, at least 256, got {}",
+                        args.np
+                    ));
+                }
+            }
             "--env" => args.env = value("--env")?,
             "--budget" => args.budget = value("--budget")?,
             "--seeds" => {

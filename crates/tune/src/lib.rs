@@ -5,7 +5,7 @@
 //! configuration space ([`Space`]) over the knobs the stack actually
 //! exposes, a deterministic cost oracle ([`MachineOracle`]) that runs
 //! the `rbio-machine` Blue Gene/P model per candidate, analytic lower
-//! bounds ([`BoundModel`]) that let the solver prove candidates
+//! bounds (`BoundModel`) that let the solver prove candidates
 //! hopeless without simulating them, and a coordinate-descent +
 //! local-search [`search`] that rediscovers the paper's optima — and
 //! finds *different* optima when the machine model changes (staging

@@ -198,7 +198,7 @@ impl TunedPlan {
     }
 
     /// `base` with this plan's machine knobs applied, exactly as the
-    /// oracle priced them ([`Candidate::machine_config`]): the flush-call
+    /// oracle priced them (`Candidate::machine_config`): the flush-call
     /// cost is `base`'s.
     pub fn machine_config(&self, base: &MachineConfig) -> MachineConfig {
         self.candidate.machine_config(base)

@@ -116,4 +116,12 @@ fn bad_usage_exits_2() {
         .output()
         .expect("spawn");
     assert_eq!(out.status.code(), Some(2));
+    // Not a whole number of psets in a power-of-two partition.
+    for np in ["300", "0", "128"] {
+        let out = bin()
+            .args(["search", "--np", np, "--budget", "small"])
+            .output()
+            .expect("spawn");
+        assert_eq!(out.status.code(), Some(2), "--np {np}");
+    }
 }

@@ -173,7 +173,7 @@ pub mod strategy {
         }
     }
 
-    /// Uniform choice over same-valued strategies (see [`prop_oneof!`]).
+    /// Uniform choice over same-valued strategies (see [`prop_oneof!`](crate::prop_oneof)).
     pub struct Union<V> {
         arms: Vec<BoxedStrategy<V>>,
     }
@@ -414,7 +414,7 @@ pub mod collection {
     use crate::test_runner::TestRng;
     use core::ops::Range;
 
-    /// Length bound for [`vec`]: a fixed size or a half-open range.
+    /// Length bound for [`vec()`]: a fixed size or a half-open range.
     #[derive(Debug, Clone)]
     pub struct SizeRange {
         lo: usize,
